@@ -6,26 +6,23 @@
 //! parallel: with a pooled executor every shard's sub-batch (upcalls, megaflow
 //! installs, increasingly expensive mask scans) runs on its own worker thread, while
 //! `SequentialExecutor` walks the same sub-batches on one core. The
-//! `sharded_scaling/{sequential,threaded,persistent}/N` triples therefore measure
-//! exactly the speedup each execution model buys on this machine: `threaded` spawns
-//! scoped workers per batch, `persistent` feeds long-lived parked workers (spawn cost
-//! amortised to zero — the PMD-thread model), and both drive the same allocation-free
-//! steering pre-partition pass. On a single-core container the pooled rows land on
-//! the sequential ones (hand-off overhead only — the persistent rows sit within
-//! noise of the threaded ones at every shard count, since neither can parallelise
-//! anything there); on an N-core PMD box they approach min(shards, cores)×.
+//! `sharded_scaling/{sequential,persistent}/N` pairs therefore measure exactly the
+//! speedup the pooled execution model buys on this machine: `persistent` feeds
+//! long-lived parked workers (spawn cost amortised to zero — the PMD-thread model)
+//! through the same allocation-free steering pre-partition pass. On a single-core
+//! container the pooled rows land on the sequential ones (hand-off overhead only —
+//! nothing can parallelise there); on an N-core PMD box they approach
+//! min(shards, cores)×.
 //!
 //! The outputs are executor-independent (asserted by `tests/executor_parity.rs`), so
-//! all rows of a triple do identical algorithmic work.
+//! both rows of a pair do identical algorithmic work.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use tse_attack::scenarios::Scenario;
 use tse_classifier::flowtable::FlowTable;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_switch::datapath::Datapath;
-use tse_switch::exec::{
-    PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ThreadPoolExecutor,
-};
+use tse_switch::exec::{PersistentPoolExecutor, SequentialExecutor, ShardExecutor};
 use tse_switch::pmd::{ShardedDatapath, Steering};
 
 /// The batched SipDp workload: the co-located explosion keys (source-IP × dest-port
@@ -65,9 +62,6 @@ fn bench_sharded_scaling(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::new("sequential", shards), &shards, |b, _| {
             run(Box::new(SequentialExecutor), b)
-        });
-        group.bench_with_input(BenchmarkId::new("threaded", shards), &shards, |b, _| {
-            run(Box::new(ThreadPoolExecutor::new(shards)), b)
         });
         // One pool reused across every iteration — exactly how a long-lived PMD
         // deployment would run it, so the measured hand-off cost excludes spawning.

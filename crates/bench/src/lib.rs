@@ -26,9 +26,7 @@ pub mod report;
 
 use std::path::PathBuf;
 
-use tse_switch::exec::{
-    PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ThreadPoolExecutor,
-};
+use tse_switch::exec::{PersistentPoolExecutor, SequentialExecutor, ShardExecutor};
 
 use report::{BenchReport, Metric};
 
@@ -50,13 +48,9 @@ pub struct FigArgs {
     /// Number of datapath shards / PMD threads to model (`--shards`), or `None` for
     /// binaries without a sharded datapath — there is no sentinel shard count.
     pub shards: Option<usize>,
-    /// Worker threads driving the per-shard fan-out (`--parallel <n>` for the
-    /// long-lived persistent pool, `--parallel scoped:<n>` for per-batch scoped
-    /// threads; 1 = sequential).
+    /// Worker threads driving the per-shard fan-out (`--parallel <n>`: a long-lived
+    /// persistent pool of `n` workers; 1 = sequential).
     pub threads: usize,
-    /// `true` when `--parallel scoped:<n>` asked for the per-batch scoped-thread pool
-    /// instead of the default persistent pool.
-    pub scoped: bool,
     /// Where to append this run's benchmark report (`--json <path>`), typically one
     /// of the repo-root `BENCH_<area>.json` files; `None` disables emission.
     pub json: Option<PathBuf>,
@@ -78,31 +72,20 @@ impl FigArgs {
 
     /// The shard executor the flags select: a [`PersistentPoolExecutor`] when
     /// `--parallel <n>` asked for more than one thread (long-lived parked workers,
-    /// the PMD-thread model), a [`ThreadPoolExecutor`] for the explicit
-    /// `--parallel scoped:<n>` form (per-batch scoped threads, kept reachable for
-    /// comparison runs), the default [`SequentialExecutor`] otherwise. Timelines are
-    /// identical in all three cases; only wall-clock time changes.
+    /// the PMD-thread model), the default [`SequentialExecutor`] otherwise. Timelines
+    /// are identical in both cases; only wall-clock time changes.
     pub fn executor(&self) -> Box<dyn ShardExecutor> {
         if self.threads > 1 {
-            if self.scoped {
-                Box::new(ThreadPoolExecutor::new(self.threads))
-            } else {
-                Box::new(PersistentPoolExecutor::new(self.threads))
-            }
+            Box::new(PersistentPoolExecutor::new(self.threads))
         } else {
             Box::new(SequentialExecutor)
         }
     }
 
-    /// `"sequential"`, `"persistent-pool(N)"` or `"thread-pool(N)"` — for experiment
-    /// headers.
+    /// `"sequential"` or `"persistent-pool(N)"` — for experiment headers.
     pub fn executor_label(&self) -> String {
         if self.threads > 1 {
-            if self.scoped {
-                format!("thread-pool({})", self.threads)
-            } else {
-                format!("persistent-pool({})", self.threads)
-            }
+            format!("persistent-pool({})", self.threads)
         } else {
             "sequential".to_string()
         }
@@ -120,11 +103,7 @@ impl FigArgs {
         }
         if let Some(shards) = self.shards {
             parts.push(format!("shards={shards}"));
-            if self.scoped {
-                parts.push(format!("parallel=scoped:{}", self.threads));
-            } else {
-                parts.push(format!("parallel={}", self.threads));
-            }
+            parts.push(format!("parallel={}", self.threads));
         }
         if let Some(tenants) = self.tenants {
             parts.push(format!("tenants={tenants}"));
@@ -197,7 +176,6 @@ pub fn fig_args(default_duration: f64, default_shards: usize) -> FigArgs {
             duration: default_duration,
             shards: Some(default_shards),
             threads: 1,
-            scoped: false,
             json: None,
             tenants: None,
             slo_gbps: None,
@@ -225,7 +203,6 @@ pub fn fig_args_fleet(
             duration: default_duration,
             shards: Some(default_shards),
             threads: 1,
-            scoped: false,
             json: None,
             tenants: Some(default_tenants),
             slo_gbps: Some(default_slo_gbps),
@@ -247,7 +224,6 @@ pub fn fig_args_duration(default_duration: f64) -> FigArgs {
             duration: default_duration,
             shards: None,
             threads: 1,
-            scoped: false,
             json: None,
             tenants: None,
             slo_gbps: None,
@@ -269,7 +245,6 @@ pub fn fig_args_static() -> FigArgs {
             duration: 0.0,
             shards: None,
             threads: 1,
-            scoped: false,
             json: None,
             tenants: None,
             slo_gbps: None,
@@ -331,15 +306,7 @@ fn parse_args(
         } else {
             None
         } {
-            if let Some(n) = v.strip_prefix("scoped:") {
-                out.threads = n
-                    .parse()
-                    .map_err(|e| format!("bad --parallel {v:?}: {e}"))?;
-                out.scoped = true;
-            } else {
-                out.threads = value("--parallel", &v)?;
-                out.scoped = false;
-            }
+            out.threads = value("--parallel", &v)?;
         } else if let Some(v) = if flags.fleet {
             take("--tenants")?
         } else {
@@ -480,7 +447,6 @@ mod tests {
                 duration: if flags.duration { 70.0 } else { 0.0 },
                 shards: flags.sharded.then_some(4),
                 threads: 1,
-                scoped: false,
                 json: None,
                 tenants: flags.fleet.then_some(1000),
                 slo_gbps: flags.fleet.then_some(0.005),
@@ -497,7 +463,6 @@ mod tests {
                 duration: 70.0,
                 shards: Some(4),
                 threads: 1,
-                scoped: false,
                 json: None,
                 tenants: None,
                 slo_gbps: None,
@@ -513,7 +478,6 @@ mod tests {
                 duration: 35.0,
                 shards: Some(16),
                 threads: 8,
-                scoped: false,
                 json: None,
                 tenants: None,
                 slo_gbps: None,
@@ -525,7 +489,6 @@ mod tests {
                 duration: 5.5,
                 shards: Some(4),
                 threads: 2,
-                scoped: false,
                 json: None,
                 tenants: None,
                 slo_gbps: None,
@@ -593,34 +556,9 @@ mod tests {
         let par = parse(&["--parallel", "4"], SHARDED).unwrap();
         assert_eq!(par.executor().name(), "persistent-pool");
         assert_eq!(par.executor_label(), "persistent-pool(4)");
-        // The scoped per-batch pool stays reachable behind an explicit value.
-        let scoped = parse(&["--parallel", "scoped:4"], SHARDED).unwrap();
-        assert_eq!(scoped.executor().name(), "thread-pool");
-        assert_eq!(scoped.executor_label(), "thread-pool(4)");
-        assert_eq!(parse(&["--parallel=scoped:3"], SHARDED).unwrap().threads, 3);
-        // A later plain value overrides an earlier scoped one completely.
-        let overridden = parse(&["--parallel=scoped:3", "--parallel=2"], SHARDED).unwrap();
-        assert!(!overridden.scoped);
+        // A later value overrides an earlier one.
+        let overridden = parse(&["--parallel=3", "--parallel=2"], SHARDED).unwrap();
         assert_eq!(overridden.executor_label(), "persistent-pool(2)");
-    }
-
-    #[test]
-    fn scoped_parallel_validates_and_keeps_its_own_params_identity() {
-        // The params identity distinguishes the pools: committed baselines recorded
-        // under `parallel=N` keep matching the (executor-independent) deterministic
-        // metrics, while scoped runs file under their own key.
-        assert_eq!(
-            parse(&["--duration=35", "--parallel=scoped:2"], SHARDED)
-                .unwrap()
-                .params(),
-            "duration=35,shards=4,parallel=scoped:2"
-        );
-        assert!(parse(&["--parallel", "scoped:0"], SHARDED)
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse(&["--parallel", "scoped:nope"], SHARDED)
-            .unwrap_err()
-            .contains("bad --parallel \"scoped:nope\""));
     }
 
     #[test]

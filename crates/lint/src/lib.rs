@@ -30,6 +30,13 @@
 //! | `panic-hygiene` | no `unwrap`/`expect`/panicking macros in hot-path modules outside tests |
 //! | `pragma-hygiene` | pragmas need a reason, a known rule, and a matching finding |
 //!
+//! # Surface area
+//!
+//! The scan also sizes every crate ([`Surface`]): code lines (non-blank, non-comment,
+//! outside `#[cfg(test)]` modules) and public items (`pub fn` / `pub struct` /
+//! `pub enum` / `pub trait`), printed with the human report and carried in the JSON
+//! one — so "the API shrank" is a number a PR can quote, not a feeling.
+//!
 //! # Exit codes (binary)
 //!
 //! `0` clean · `1` violations · `2` usage or I/O error — the same contract as
@@ -44,6 +51,7 @@ pub mod lexer;
 pub mod pragma;
 pub mod rules;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -86,6 +94,62 @@ pub struct Suppression {
     pub reason: String,
 }
 
+/// How much code and public API a file (or, summed, a crate) carries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Surface {
+    /// Lines holding at least one code token outside `#[cfg(test)]` modules — blank
+    /// and comment-only lines do not count.
+    pub code_lines: usize,
+    /// `pub fn` / `pub struct` / `pub enum` / `pub trait` items outside test code
+    /// (`pub(crate)` and other restricted visibilities are not public).
+    pub pub_items: usize,
+}
+
+impl Surface {
+    /// Measure one file's token stream. Integration tests, benches and examples
+    /// exercise a crate rather than belong to it, so they measure as empty.
+    fn of(ctx: &context::FileContext, tokens: &[lexer::Token]) -> Surface {
+        use context::ModuleClass::{Bench, Example, Test};
+        if matches!(ctx.class, Test | Bench | Example) {
+            return Surface::default();
+        }
+        let code: Vec<&lexer::Token> = tokens
+            .iter()
+            .filter(|t| !t.is_comment() && !ctx.in_test_code(t.line))
+            .collect();
+        let lines: BTreeSet<u32> = code
+            .iter()
+            // A multi-line (raw) string literal occupies every line it spans.
+            .flat_map(|t| t.line..=t.line + t.text.matches('\n').count() as u32)
+            .collect();
+        let is_one_of = |t: &lexer::Token, kws: &[&str]| kws.iter().any(|kw| t.is_ident(kw));
+        let pub_items = code
+            .windows(3)
+            .filter(|w| {
+                w[0].is_ident("pub")
+                    && (is_one_of(w[1], &["fn", "struct", "enum", "trait"])
+                        || is_one_of(w[1], &["const", "async", "unsafe"]) && w[2].is_ident("fn"))
+            })
+            .count();
+        Surface {
+            code_lines: lines.len(),
+            pub_items,
+        }
+    }
+}
+
+/// The crate a workspace-relative path belongs to, by package name: `crates/<n>/…` is
+/// `tse-<n>`, `crates/compat/<n>/…` is the stand-in `<n>`, everything else the root
+/// package `tse`.
+fn crate_of(path: &str) -> String {
+    let mut parts = path.split('/');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some("compat"), Some(name)) => name.to_string(),
+        (Some("crates"), Some(name), _) => format!("tse-{name}"),
+        _ => "tse".to_string(),
+    }
+}
+
 /// The scan result for one file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileReport {
@@ -93,6 +157,8 @@ pub struct FileReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Pragma-suppressed findings.
     pub suppressions: Vec<Suppression>,
+    /// The file's size.
+    pub surface: Surface,
 }
 
 /// Scan one file's source. `path` must be workspace-relative with `/`
@@ -109,7 +175,10 @@ pub fn scan_file(path: &str, source: &str) -> FileReport {
         .map(|p| (p, false))
         .collect();
 
-    let mut report = FileReport::default();
+    let mut report = FileReport {
+        surface: Surface::of(&ctx, &tokens),
+        ..FileReport::default()
+    };
     for finding in findings {
         let matched = pragmas.iter_mut().find(|(p, _)| {
             p.rule == finding.rule
@@ -173,6 +242,8 @@ pub struct WorkspaceReport {
     pub diagnostics: Vec<Diagnostic>,
     /// All pragma suppressions, same order.
     pub suppressions: Vec<Suppression>,
+    /// Per-crate size, keyed by package name.
+    pub surface: BTreeMap<String, Surface>,
 }
 
 impl WorkspaceReport {
@@ -198,6 +269,13 @@ impl WorkspaceReport {
                     s.file, s.line, s.rule, s.reason
                 ));
             }
+        }
+        out.push_str("surface area (code lines / public items):\n");
+        for (name, s) in &self.surface {
+            out.push_str(&format!(
+                "  {name:<16}{:>7}{:>6}\n",
+                s.code_lines, s.pub_items
+            ));
         }
         out.push_str(&format!(
             "tse-lint: {} file(s) scanned, {} violation(s), {} suppression(s)\n",
@@ -227,6 +305,13 @@ impl WorkspaceReport {
                 ("reason".to_string(), Json::Str(s.reason.clone())),
             ])
         };
+        let surface = |(name, s): (&String, &Surface)| {
+            let sizes = vec![
+                ("code_lines".to_string(), Json::Num(s.code_lines as f64)),
+                ("pub_items".to_string(), Json::Num(s.pub_items as f64)),
+            ];
+            (name.clone(), Json::Obj(sizes))
+        };
         Json::Obj(vec![
             ("tool".to_string(), Json::Str("tse-lint".to_string())),
             (
@@ -240,6 +325,10 @@ impl WorkspaceReport {
             (
                 "suppressions".to_string(),
                 Json::Arr(self.suppressions.iter().map(supp).collect()),
+            ),
+            (
+                "surface".to_string(),
+                Json::Obj(self.surface.iter().map(surface).collect()),
             ),
         ])
     }
@@ -272,6 +361,9 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         let source = std::fs::read_to_string(&path)?;
         let file_report = scan_file(&rel, &source);
         report.files_scanned += 1;
+        let total = report.surface.entry(crate_of(&rel)).or_default();
+        total.code_lines += file_report.surface.code_lines;
+        total.pub_items += file_report.surface.pub_items;
         report.diagnostics.extend(file_report.diagnostics);
         report.suppressions.extend(file_report.suppressions);
     }

@@ -191,3 +191,25 @@ fn panic_outside_hot_path_modules_is_allowed() {
     let report = scan_file("crates/classifier/src/strategy.rs", src);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
+
+#[test]
+fn surface_counts_code_lines_and_public_items_outside_tests() {
+    let src = "//! Module docs do not count.\n\
+               \n\
+               /// Nor do item docs.\n\
+               pub struct S; // a trailing comment shares a code line\n\
+               pub(crate) fn internal() {}\n\
+               pub const fn c() -> &'static str {\n    \"two\n    lines\"\n}\n\
+               pub enum E {}\n\
+               pub trait T {}\n\
+               fn private() {}\n\
+               #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+    let report = scan_file("crates/simnet/src/runner.rs", src);
+    // struct, restricted fn, the 4-line const fn, enum, trait, private fn.
+    assert_eq!(report.surface.code_lines, 9);
+    // `S`, `c`, `E`, `T` — not the `pub(crate)` fn, not the test helper.
+    assert_eq!(report.surface.pub_items, 4);
+    // Tests, benches and examples exercise a crate; they are not its surface.
+    let test_file = scan_file("tests/executor_parity.rs", src);
+    assert_eq!(test_file.surface, tse_lint::Surface::default());
+}

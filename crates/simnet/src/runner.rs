@@ -12,6 +12,9 @@
 //! attack processing into achieved victim throughput — attributed per source in the
 //! [`TimelineSample`]s.
 //!
+//! [`ExperimentRunner::run_mix`] is a sequence of named stage functions over one
+//! private `RunState`, so each stage is a seam a profile or trace can hang off.
+//!
 //! [`ExperimentRunner::run`] is the single-attack-trace entry point the original
 //! figure experiments use; it is a thin shim that wraps the trace and the stored
 //! victims into a [`TrafficMix`] and produces a timeline identical to the
@@ -28,7 +31,8 @@ use tse_packet::fields::Key;
 use tse_packet::wire::WireFault;
 use tse_switch::datapath::Datapath;
 use tse_switch::exec::ShardExecutor;
-use tse_switch::pmd::{Prepartition, ShardedDatapath, SteeringView};
+use tse_switch::pmd::{Prepartition, ShardedBatchReport, ShardedDatapath, SteeringView};
+use tse_switch::stats::PathTaken;
 
 use crate::offload::OffloadConfig;
 use crate::telemetry::{TelemetryConfig, TelemetryStore};
@@ -320,11 +324,10 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     }
 
     /// Select the shard-execution model of the datapath under test (builder form):
-    /// [`SequentialExecutor`](tse_switch::exec::SequentialExecutor) by default, a
+    /// [`SequentialExecutor`](tse_switch::exec::SequentialExecutor) by default, or a
     /// [`PersistentPoolExecutor`](tse_switch::exec::PersistentPoolExecutor) for
-    /// long-lived parked workers (the PMD-thread model — spawn cost paid once), or a
-    /// [`ThreadPoolExecutor`](tse_switch::exec::ThreadPoolExecutor) for per-batch
-    /// scoped threads. Timelines are bit-for-bit identical on every executor
+    /// long-lived parked workers (the PMD-thread model — spawn cost paid once).
+    /// Timelines are bit-for-bit identical on every executor
     /// (`tests/executor_parity.rs`); only wall-clock time changes. On a pooled
     /// executor with a spare worker, [`ExperimentRunner::run_mix`] additionally
     /// pipelines the hot loop: interval *k + 1* is drained and pre-partitioned while
@@ -373,20 +376,25 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// any number of attacker sources (materialised traces, lazy generators) and
     /// victim sources, merged by timestamp — and return the timeline.
     ///
-    /// Per sample interval `[t, t + dt)` the loop:
+    /// Per sample interval `[t, t + dt)` the loop runs one stage function each:
     ///
-    /// 1. drains all events below `t + dt` from the mix: packet events are replayed
-    ///    through [`Datapath::process_timed_batch`] in per-source chunks (merged
-    ///    timestamp order, each packet at its own time), probe events are set aside;
-    /// 2. runs the idle-expiry sweep at the interval end;
-    /// 3. replays the probes: each refreshes its victim's fast-path entry and yields
-    ///    the current per-invocation cost under the runner's offload model;
-    /// 4. splits the CPU left over from attack processing across the active victims
-    ///    (equal shares, one redistribution pass, aggregate line-rate cap);
-    /// 5. runs the mitigation pipeline ([`MitigationStack::on_sample`], stages in
-    ///    order, each seeing per-shard telemetry for the interval), then emits the
-    ///    [`TimelineSample`] with per-attacker delivered-pps attribution and the
-    ///    stack's [`MitigationAction`]s.
+    /// 1. `install_due_tables` — applies the flow-table replacements scheduled at or
+    ///    before `t`;
+    /// 2. `replay_chunks` — replays the interval's packet events (all events below
+    ///    `t + dt`, drained from the mix ahead of time; probe events are set aside)
+    ///    through [`ShardedDatapath::process_timed_batch_prepartitioned`] in per-source chunks
+    ///    (merged timestamp order, each packet at its own time);
+    /// 3. `charge_faults_and_expire` — charges malformed frames to shard 0 and runs
+    ///    the idle-expiry sweep at the interval end;
+    /// 4. `replay_probes` — each probe refreshes its victim's fast-path entry and
+    ///    yields the current per-invocation cost under the runner's offload model;
+    /// 5. `allocate_victim_throughput` — splits the CPU each shard has left over from
+    ///    attack processing across its active victims (equal shares, one
+    ///    redistribution pass, aggregate line-rate cap);
+    /// 6. `run_mitigations` — [`MitigationStack::on_sample`], stages in order, each
+    ///    seeing per-shard telemetry for the interval;
+    /// 7. `record_sample` — emits the [`TimelineSample`] with per-attacker
+    ///    delivered-pps attribution and the stack's [`MitigationAction`]s.
     ///
     /// Before the first interval the stack's [`Mitigation::on_start`] hooks run with
     /// zeroed telemetry, so defenses that must be armed *during* the first interval
@@ -402,337 +410,438 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// dispatch, so the timeline is bit-for-bit the unpipelined one on every executor
     /// — on the [`SequentialExecutor`](tse_switch::exec::SequentialExecutor) the
     /// "overlap" simply runs first.
-    pub fn run_mix(&mut self, mut mix: TrafficMix<'_>, duration: f64) -> Timeline {
+    pub fn run_mix(&mut self, mix: TrafficMix<'_>, duration: f64) -> Timeline {
         let dt = self.sample_interval;
-        let roles = mix.roles();
-        let labels = mix.labels();
-        // Map each source index to its victim/attacker slot.
-        let mut victim_slot = vec![usize::MAX; roles.len()];
-        let mut attacker_slot = vec![usize::MAX; roles.len()];
-        let mut background_src = vec![false; roles.len()];
-        let mut victim_names = Vec::new();
-        let mut attacker_names = Vec::new();
-        for (i, role) in roles.iter().enumerate() {
-            match role {
-                SourceRole::Victim => {
-                    victim_slot[i] = victim_names.len();
-                    victim_names.push(labels[i].clone());
-                }
-                SourceRole::Attacker => {
-                    attacker_slot[i] = attacker_names.len();
-                    attacker_names.push(labels[i].clone());
-                }
-                SourceRole::Background => {
-                    background_src[i] = true;
-                }
-            }
-        }
-        let n_victims = victim_names.len();
-        let n_attackers = attacker_names.len();
-        let n_shards = self.datapath.shard_count();
-        let mut store = TelemetryStore::new(
-            self.telemetry_config.clone(),
-            dt,
-            victim_names,
-            attacker_names,
-            n_shards,
-        );
-        let mut update_cursor = 0usize;
         let steps = (duration / dt).ceil() as usize;
-        // Double buffers of the pipelined drain: `batch_cur` holds the interval being
-        // processed, `batch_next` is filled (and pre-partitioned) by the overlap job.
-        // Both recycle their chunk/probe/partition buffers across the whole run.
-        let mut batch_cur = IntervalBatch::default();
-        let mut batch_next = IntervalBatch::default();
-        if !self.mitigations.is_empty() {
-            let zeros = vec![0.0f64; n_shards];
-            let mut ctx = MitigationCtx {
-                datapath: &mut self.datapath,
-                now: 0.0,
-                dt,
-                shard_attack_pps: &zeros,
-                shard_delivered_pps: &zeros,
-                shard_busy_seconds: &zeros,
-                pressure: store.pressure(),
-            };
-            self.mitigations.on_start(&mut ctx);
-        }
-        // Prefetch interval 0 (sequentially — there is nothing to overlap with yet);
-        // every later interval is drained by the previous one's overlap job.
+        let n_shards = self.datapath.shard_count();
+        let mut st = RunState::new(mix, dt, n_shards, self.telemetry_config.clone());
+        let idle = vec![0.0f64; n_shards];
+        self.mitigation_hook(
+            &st.store,
+            0.0,
+            &idle,
+            &idle,
+            &idle,
+            MitigationStack::on_start,
+        );
+        // Interval 0 has nothing to overlap with; every later interval is drained by
+        // its predecessor's overlap job.
         if steps > 0 {
-            drain_interval(&mut mix, 0.0, dt, &mut batch_cur);
+            drain_interval(&mut st.mix, 0.0, dt, &mut st.cur);
         }
         for step in 0..steps {
             let t = step as f64 * dt;
             let t_end = t + dt;
-
-            // 0. Apply any flow-table replacement scheduled at or before this
-            //    interval's start — the controller-side half of tenant churn.
-            while update_cursor < self.table_updates.len()
-                && self.table_updates[update_cursor].0 <= t
-            {
-                let table = self.table_updates[update_cursor].1.clone();
-                self.datapath.install_table(table);
-                update_cursor += 1;
-            }
-
-            // 1. Replay this interval's packet chunks (drained ahead of time — by the
-            //    previous interval's overlap job, or by the prefetch for step 0) in
-            //    merged timestamp order. Attack cost and packet counts are tracked per
-            //    shard: every shard is a PMD thread with a private CPU budget. While
-            //    the shards chew the largest chunk, a spare executor worker drains and
-            //    pre-partitions interval k + 1.
-            let mut attack_packets = 0u64;
-            let mut background_packets = 0u64;
-            let mut shard_busy = vec![0.0f64; n_shards];
-            let mut shard_packets = vec![0u64; n_shards];
-            let mut per_attacker = vec![0u64; n_attackers];
-            // The overlap job rides the chunk with the most events (deterministic:
-            // first on ties) — the longest window to hide the drain in. On the last
-            // interval there is nothing left to drain.
-            let overlap_chunk = if step + 1 < steps {
-                (0..batch_cur.n_chunks)
-                    .max_by_key(|&i| (batch_cur.chunks[i].events.len(), usize::MAX - i))
-            } else {
-                None
-            };
-            if overlap_chunk.is_none() && step + 1 < steps {
-                // A packet-less interval (probes only): nothing to hide the drain
-                // behind, so drain inline.
-                let view = self.datapath.steering_view();
-                drain_interval(&mut mix, t_end, t_end + dt, &mut batch_next);
-                batch_next.prepartition(&view);
-            }
-            for i in 0..batch_cur.n_chunks {
-                let chunk = &mut batch_cur.chunks[i];
-                let src = chunk.src;
-                // Disjoint field borrows: the events slice feeds the shards while the
-                // partition is consumed (and recomputed if a rekey staled it).
-                let SourceChunk { events, prep, .. } = chunk;
-                let report = if overlap_chunk == Some(i) {
-                    let view = self.datapath.steering_view();
-                    let mix = &mut mix;
-                    let next = &mut batch_next;
-                    let (report, ()) =
-                        self.datapath
-                            .process_timed_batch_with(events, prep, move || {
-                                drain_interval(mix, t_end, t_end + dt, next);
-                                next.prepartition(&view);
-                            });
-                    report
-                } else {
-                    self.datapath
-                        .process_timed_batch_prepartitioned(events, prep)
-                };
-                // A chunk belongs to one source, so its packets are all-attack or
-                // all-background: background chunks charge shard CPU like any traffic
-                // but stay out of the attack-attribution series.
-                let is_background = background_src[src];
-                for (s, r) in report.per_shard.iter().enumerate() {
-                    shard_busy[s] += r.total_cost;
-                    if !is_background {
-                        shard_packets[s] += r.processed as u64;
-                    }
-                }
-                let n = events.len() as u64;
-                if attacker_slot[src] != usize::MAX {
-                    per_attacker[attacker_slot[src]] += n;
-                }
-                if is_background {
-                    background_packets += n;
-                } else {
-                    attack_packets += n;
-                }
-            }
-            // Malformed frames (wire-level sources only): each is charged to shard 0 —
-            // the ingestion point, matching `ShardedDatapath::process_wire` — at its
-            // own timestamp, consuming shard 0's CPU budget without joining any
-            // attack-attribution series.
-            let malformed_frames = batch_cur.faults.len() as u64;
-            for &(fault, bytes, time) in &batch_cur.faults {
-                let out = self.datapath.note_wire_fault(fault, bytes, time);
-                shard_busy[0] += out.cost;
-            }
-            self.datapath.maybe_expire(t_end);
-
-            // 2. Replay the probes (already in time-then-insertion order): refresh each
-            //    active victim's megaflow entry *on the shard it is steered to* and
-            //    read its current per-invocation cost. Work units go through the
-            //    backend's cost hook, and the scan is re-priced with this experiment's
-            //    offload cost model (the datapath's own model prices the attack
-            //    packets).
-            let mut victim_costs: Vec<Option<f64>> = vec![None; n_victims];
-            let mut victim_offered = vec![0.0f64; n_victims];
-            let mut victim_shard = vec![0usize; n_victims];
-            let mut victim_masks_scanned = 0;
-            let mut shard_probes = vec![0u64; n_shards];
-            for (src, ev) in &batch_cur.probes {
-                let EventPayload::Probe { offered_gbps } = ev.payload else {
-                    continue;
-                };
-                if victim_slot[*src] == usize::MAX {
-                    continue; // probe from a non-victim source: nothing to attribute
-                }
-                let slot = victim_slot[*src];
-                let shard = self.datapath.shard_of_key(&ev.key);
-                shard_probes[shard] += 1;
-                let outcome = self
-                    .datapath
-                    .shard_mut(shard)
-                    .process_key(&ev.key, ev.bytes, ev.time);
-                victim_masks_scanned = victim_masks_scanned.max(outcome.masks_scanned);
-                let units = self
-                    .datapath
-                    .shard(shard)
-                    .megaflow()
-                    .cost_units(outcome.masks_scanned);
-                let cost = match outcome.path {
-                    tse_switch::stats::PathTaken::SlowPath => self.offload.cost.slow_path(units),
-                    tse_switch::stats::PathTaken::Microflow => self.offload.cost.microflow(),
-                    _ => self.offload.cost.fast_path(units),
-                };
-                victim_costs[slot] = Some(cost);
-                victim_offered[slot] = offered_gbps;
-                victim_shard[slot] = shard;
-            }
-
-            // 3. Convert the CPU left after attack processing into victim throughput —
-            //    per shard: each PMD splits *its own* leftover cycles across the
-            //    victims steered to it, so an attack pinned to one shard starves only
-            //    that shard's victims.
-            let mut victim_gbps = vec![0.0; n_victims];
-            for (shard, busy) in shard_busy.iter().enumerate() {
-                let available_cpu = (dt - busy).max(0.0);
-                let active: Vec<usize> = victim_costs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, c)| c.map(|_| i))
-                    .filter(|&i| victim_shard[i] == shard)
-                    .collect();
-                if active.is_empty() {
-                    continue;
-                }
-                let share = available_cpu / active.len() as f64;
-                let mut leftover = 0.0;
-                for &i in &active {
-                    let cost = victim_costs[i].expect("active flow has a cost");
-                    let offered_pps =
-                        victim_offered[i] * 1e9 / 8.0 / self.offload.bytes_per_invocation as f64;
-                    let achievable_pps = share / cost / dt;
-                    let pps = achievable_pps.min(offered_pps);
-                    leftover += (achievable_pps - pps).max(0.0) * cost * dt;
-                    victim_gbps[i] = pps * self.offload.bytes_per_invocation as f64 * 8.0 / 1e9;
-                }
-                // One redistribution pass: give unused CPU to still-limited flows on
-                // the same shard.
-                if leftover > 1e-12 {
-                    let limited: Vec<usize> = active
-                        .iter()
-                        .copied()
-                        .filter(|&i| {
-                            victim_gbps[i] + 1e-9
-                                < victim_offered[i].min(self.offload.line_rate_gbps)
-                        })
-                        .collect();
-                    if !limited.is_empty() {
-                        let extra = leftover / limited.len() as f64;
-                        for &i in &limited {
-                            let cost = victim_costs[i].expect("active");
-                            let extra_gbps =
-                                extra / cost / dt * self.offload.bytes_per_invocation as f64 * 8.0
-                                    / 1e9;
-                            victim_gbps[i] = (victim_gbps[i] + extra_gbps).min(victim_offered[i]);
-                        }
-                    }
-                }
-            }
-            // Line-rate cap on the aggregate: the NIC is shared by all shards.
-            let total: f64 = victim_gbps.iter().sum();
-            if total > self.offload.line_rate_gbps {
-                let scale = self.offload.line_rate_gbps / total;
-                for v in &mut victim_gbps {
-                    *v *= scale;
-                }
-            }
-
-            // 4. Run the mitigation pipeline — each stage sees this interval's
-            //    per-shard telemetry (including the rolling pressure window, updated
-            //    first so adaptive stages see the interval just measured) and the
-            //    datapath as left by the stages before it.
-            let shard_attacker_pps: Vec<f64> =
-                shard_packets.iter().map(|&c| c as f64 / dt).collect();
-            store.note_pressure(&shard_attacker_pps);
-            let mitigation_actions = if self.mitigations.is_empty() {
-                Vec::new()
-            } else {
-                let delivered_pps: Vec<f64> = shard_packets
-                    .iter()
-                    .zip(&shard_probes)
-                    .map(|(&pkts, &probes)| (pkts + probes) as f64 / dt)
-                    .collect();
-                let mut ctx = MitigationCtx {
-                    datapath: &mut self.datapath,
-                    now: t_end,
-                    dt,
-                    shard_attack_pps: &shard_attacker_pps,
-                    shard_delivered_pps: &delivered_pps,
-                    shard_busy_seconds: &shard_busy,
-                    pressure: store.pressure(),
-                };
-                self.mitigations.on_sample(&mut ctx)
-            };
-
-            // 5. Record into the telemetry store: the hot ring keeps the sample in
-            //    full detail (aging into the cold aggregates past capacity), SLO
-            //    trackers fold in the delivered rates of the victims active this
-            //    interval.
-            let victim_active: Vec<bool> = victim_costs.iter().map(Option::is_some).collect();
-            store.record(
-                TimelineSample {
-                    time: t,
-                    victim_gbps,
-                    attacker_pps: attack_packets as f64 / dt,
-                    attacker_pps_by_source: per_attacker.iter().map(|&c| c as f64 / dt).collect(),
-                    background_pps: background_packets as f64 / dt,
-                    malformed_pps: malformed_frames as f64 / dt,
-                    mask_count: self.datapath.mask_count(),
-                    entry_count: self.datapath.entry_count(),
-                    victim_masks_scanned,
-                    shard_masks: self.datapath.shard_mask_counts(),
-                    shard_entries: self.datapath.shard_entry_counts(),
-                    shard_attacker_pps,
-                    mitigation_actions,
-                },
-                &victim_active,
-            );
-
-            // 6. Flip the double buffer: the interval the overlap job just drained
-            //    becomes current; its own buffers are recycled for interval k + 2.
-            std::mem::swap(&mut batch_cur, &mut batch_next);
+            let mut tally = IntervalTally::new(n_shards, st.n_victims, st.n_attackers);
+            self.install_due_tables(&mut st, t);
+            self.replay_chunks(&mut st, &mut tally, t_end, step + 1 < steps);
+            self.charge_faults_and_expire(&st, &mut tally, t_end);
+            self.replay_probes(&st, &mut tally);
+            let victim_gbps =
+                allocate_victim_throughput(&tally.shard_busy, &tally.probes, &self.offload, dt);
+            let (shard_attacker_pps, actions) = self.run_mitigations(&mut st.store, &tally, t_end);
+            self.record_sample(&mut st, t, &tally, victim_gbps, shard_attacker_pps, actions);
+            // The interval the overlap job just drained becomes current; its own
+            // buffers are recycled for interval k + 2.
+            std::mem::swap(&mut st.cur, &mut st.next);
         }
-        if !self.mitigations.is_empty() {
-            // Teardown: stages disarm whatever per-shard state they installed (e.g.
-            // upcall quotas), so a reused runner/datapath leaves the run undefended.
-            let zeros = vec![0.0f64; n_shards];
-            let mut ctx = MitigationCtx {
-                datapath: &mut self.datapath,
-                now: steps as f64 * dt,
-                dt,
-                shard_attack_pps: &zeros,
-                shard_delivered_pps: &zeros,
-                shard_busy_seconds: &zeros,
-                pressure: store.pressure(),
-            };
-            self.mitigations.on_finish(&mut ctx);
-        }
-        store.finish();
+        // Teardown: stages disarm whatever per-shard state they installed (e.g. upcall
+        // quotas), so a reused runner/datapath leaves the run undefended.
+        let end = steps as f64 * dt;
+        self.mitigation_hook(
+            &st.store,
+            end,
+            &idle,
+            &idle,
+            &idle,
+            MitigationStack::on_finish,
+        );
+        st.store.finish();
         // The returned timeline is the store's recent window — bit-for-bit the classic
         // unbounded timeline whenever the horizon fits the hot ring (the default for
         // every short-horizon experiment; `tests/golden_runner_parity.rs`).
-        let timeline = store.recent_timeline();
-        self.last_telemetry = Some(store);
+        let timeline = st.store.recent_timeline();
+        self.last_telemetry = Some(st.store);
         timeline
     }
+
+    /// Run one hook of the mitigation stack at simulated time `now` against the given
+    /// per-shard telemetry.
+    fn mitigation_hook<R>(
+        &mut self,
+        store: &TelemetryStore,
+        now: f64,
+        shard_attack_pps: &[f64],
+        shard_delivered_pps: &[f64],
+        shard_busy_seconds: &[f64],
+        hook: impl FnOnce(&mut MitigationStack<B>, &mut MitigationCtx<'_, B>) -> R,
+    ) -> R {
+        let mut ctx = MitigationCtx {
+            datapath: &mut self.datapath,
+            now,
+            dt: self.sample_interval,
+            shard_attack_pps,
+            shard_delivered_pps,
+            shard_busy_seconds,
+            pressure: store.pressure(),
+        };
+        hook(&mut self.mitigations, &mut ctx)
+    }
+
+    /// Apply every flow-table replacement scheduled at or before the interval start
+    /// `t` — the controller-side half of tenant churn.
+    fn install_due_tables(&mut self, st: &mut RunState<'_>, t: f64) {
+        while let Some((_, table)) = self
+            .table_updates
+            .get(st.update_cursor)
+            .filter(|(at, _)| *at <= t)
+        {
+            self.datapath.install_table(table.clone());
+            st.update_cursor += 1;
+        }
+    }
+
+    /// Replay the current interval's packet chunks (drained ahead of time) in merged
+    /// timestamp order, charging cost and packet counts per shard — every shard is a
+    /// PMD thread with a private CPU budget. If `drain_next`, interval *k + 1* (ending
+    /// at `t_end + dt`) is drained and pre-partitioned on the way: as the overlap job
+    /// of the chunk with the most events (deterministic: first on ties — the longest
+    /// window to hide the drain in), or inline when the interval has no packets.
+    fn replay_chunks(
+        &mut self,
+        st: &mut RunState<'_>,
+        tally: &mut IntervalTally,
+        t_end: f64,
+        drain_next: bool,
+    ) {
+        let (mix, cur, next, slots) = (&mut st.mix, &mut st.cur, &mut st.next, &st.slots);
+        let view = self.datapath.steering_view();
+        let dp = &mut self.datapath;
+        let next_end = t_end + self.sample_interval;
+        let mut drain = drain_next.then_some(move || {
+            drain_interval(mix, t_end, next_end, next);
+            next.prepartition(&view);
+        });
+        let overlap_chunk = (0..cur.n_chunks)
+            .max_by_key(|&i| (cur.chunks[i].events.len(), usize::MAX - i))
+            .filter(|_| drain.is_some());
+        for (i, chunk) in cur.chunks[..cur.n_chunks].iter_mut().enumerate() {
+            // The events slice feeds the shards while the partition is consumed (and
+            // recomputed if a rekey staled it).
+            let SourceChunk { src, events, prep } = chunk;
+            let report = match drain.take_if(|_| overlap_chunk == Some(i)) {
+                Some(job) => dp.process_timed_batch_with(events, prep, job).0,
+                None => dp.process_timed_batch_prepartitioned(events, prep),
+            };
+            tally.charge_chunk(slots[*src], events.len() as u64, &report);
+        }
+        if let Some(mut drain) = drain {
+            drain();
+        }
+    }
+
+    /// Charge the interval's malformed frames (wire-level sources only) to shard 0 —
+    /// the ingestion point, matching [`ShardedDatapath::process_wire`] — each at its
+    /// own timestamp, consuming shard 0's CPU budget without joining any
+    /// attack-attribution series; then run the idle-expiry sweep at the interval end.
+    fn charge_faults_and_expire(
+        &mut self,
+        st: &RunState<'_>,
+        tally: &mut IntervalTally,
+        t_end: f64,
+    ) {
+        for &(fault, bytes, time) in &st.cur.faults {
+            tally.shard_busy[0] += self.datapath.note_wire_fault(fault, bytes, time).cost;
+        }
+        self.datapath.maybe_expire(t_end);
+    }
+
+    /// Replay the probes (already in time-then-insertion order): refresh each active
+    /// victim's megaflow entry *on the shard it is steered to* and read its current
+    /// per-invocation cost. Work units go through the backend's cost hook, and the
+    /// scan is re-priced with this experiment's offload cost model (the datapath's own
+    /// model prices the attack packets).
+    fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
+        for (src, ev) in &st.cur.probes {
+            let (Slot::Victim(slot), EventPayload::Probe { offered_gbps }) =
+                (st.slots[*src], ev.payload)
+            else {
+                continue; // a probe from a non-victim source has nothing to attribute
+            };
+            let shard = self.datapath.shard_of_key(&ev.key);
+            tally.shard_probes[shard] += 1;
+            let outcome = self
+                .datapath
+                .shard_mut(shard)
+                .process_key(&ev.key, ev.bytes, ev.time);
+            tally.victim_masks_scanned = tally.victim_masks_scanned.max(outcome.masks_scanned);
+            let units = self
+                .datapath
+                .shard(shard)
+                .megaflow()
+                .cost_units(outcome.masks_scanned);
+            let cost = match outcome.path {
+                PathTaken::SlowPath => self.offload.cost.slow_path(units),
+                PathTaken::Microflow => self.offload.cost.microflow(),
+                _ => self.offload.cost.fast_path(units),
+            };
+            tally.probes[slot] = Some(VictimProbe {
+                shard,
+                cost,
+                offered_gbps,
+            });
+        }
+    }
+
+    /// Run the mitigation pipeline at the interval end `t_end` — each stage sees this
+    /// interval's per-shard telemetry (including the rolling pressure window, updated
+    /// first so adaptive stages see the interval just measured) and the datapath as
+    /// left by the stages before it. Returns the per-shard attack pps it derived and
+    /// what the stages did.
+    fn run_mitigations(
+        &mut self,
+        store: &mut TelemetryStore,
+        tally: &IntervalTally,
+        t_end: f64,
+    ) -> (Vec<f64>, Vec<MitigationAction>) {
+        let dt = self.sample_interval;
+        let packets = tally.shard_packets.iter();
+        let attacker_pps: Vec<f64> = packets.clone().map(|&c| c as f64 / dt).collect();
+        let delivered_pps: Vec<f64> = packets
+            .zip(&tally.shard_probes)
+            .map(|(&pkts, &probes)| (pkts + probes) as f64 / dt)
+            .collect();
+        store.note_pressure(&attacker_pps);
+        let actions = self.mitigation_hook(
+            store,
+            t_end,
+            &attacker_pps,
+            &delivered_pps,
+            &tally.shard_busy,
+            MitigationStack::on_sample,
+        );
+        (attacker_pps, actions)
+    }
+
+    /// Record the interval starting at `t` into the telemetry store: the hot ring
+    /// keeps the sample in full detail (aging into the cold aggregates past capacity),
+    /// SLO trackers fold in the delivered rates of the victims active this interval.
+    fn record_sample(
+        &self,
+        st: &mut RunState<'_>,
+        t: f64,
+        tally: &IntervalTally,
+        victim_gbps: Vec<f64>,
+        shard_attacker_pps: Vec<f64>,
+        mitigation_actions: Vec<MitigationAction>,
+    ) {
+        let dt = self.sample_interval;
+        let victim_active: Vec<bool> = tally.probes.iter().map(Option::is_some).collect();
+        let sample = TimelineSample {
+            time: t,
+            victim_gbps,
+            attacker_pps: tally.attack_packets as f64 / dt,
+            attacker_pps_by_source: tally.per_attacker.iter().map(|&c| c as f64 / dt).collect(),
+            background_pps: tally.background_packets as f64 / dt,
+            malformed_pps: st.cur.faults.len() as f64 / dt,
+            mask_count: self.datapath.mask_count(),
+            entry_count: self.datapath.entry_count(),
+            victim_masks_scanned: tally.victim_masks_scanned,
+            shard_masks: self.datapath.shard_mask_counts(),
+            shard_entries: self.datapath.shard_entry_counts(),
+            shard_attacker_pps,
+            mitigation_actions,
+        };
+        st.store.record(sample, &victim_active);
+    }
+}
+
+/// What a traffic source's packets and probes are attributed to.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Index into [`Timeline::victim_names`].
+    Victim(usize),
+    /// Index into [`Timeline::attacker_names`].
+    Attacker(usize),
+    /// Benign load: consumes CPU, joins no attack-attribution series.
+    Background,
+}
+
+/// One active victim's probe result for the interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct VictimProbe {
+    /// The shard the victim's flow is steered to.
+    shard: usize,
+    /// Current per-invocation cost under the offload cost model, seconds.
+    cost: f64,
+    /// Rate the victim offers, Gbps.
+    offered_gbps: f64,
+}
+
+/// Everything one `run_mix` carries across its sample intervals.
+struct RunState<'a> {
+    mix: TrafficMix<'a>,
+    /// Attribution of each source index.
+    slots: Vec<Slot>,
+    n_victims: usize,
+    n_attackers: usize,
+    store: TelemetryStore,
+    /// Next entry of the runner's scheduled table updates.
+    update_cursor: usize,
+    /// Double buffers of the pipelined drain: `cur` holds the interval being
+    /// processed, `next` is filled (and pre-partitioned) by the overlap job. Both
+    /// recycle their chunk/probe/partition buffers across the whole run.
+    cur: IntervalBatch,
+    next: IntervalBatch,
+}
+
+impl<'a> RunState<'a> {
+    fn new(mix: TrafficMix<'a>, dt: f64, n_shards: usize, telemetry: TelemetryConfig) -> Self {
+        let (mut victim_names, mut attacker_names) = (Vec::new(), Vec::new());
+        let slots = mix
+            .roles()
+            .iter()
+            .zip(mix.labels())
+            .map(|(role, label)| match role {
+                SourceRole::Victim => {
+                    victim_names.push(label);
+                    Slot::Victim(victim_names.len() - 1)
+                }
+                SourceRole::Attacker => {
+                    attacker_names.push(label);
+                    Slot::Attacker(attacker_names.len() - 1)
+                }
+                SourceRole::Background => Slot::Background,
+            })
+            .collect();
+        RunState {
+            mix,
+            slots,
+            n_victims: victim_names.len(),
+            n_attackers: attacker_names.len(),
+            store: TelemetryStore::new(telemetry, dt, victim_names, attacker_names, n_shards),
+            update_cursor: 0,
+            cur: IntervalBatch::default(),
+            next: IntervalBatch::default(),
+        }
+    }
+}
+
+/// One interval's counters, built zeroed at the top of every interval.
+struct IntervalTally {
+    attack_packets: u64,
+    background_packets: u64,
+    /// Packets delivered by each attacker source.
+    per_attacker: Vec<u64>,
+    /// CPU seconds each shard spent on replayed packets and malformed frames.
+    shard_busy: Vec<f64>,
+    /// Non-background packets each shard processed.
+    shard_packets: Vec<u64>,
+    /// Victim probes each shard answered.
+    shard_probes: Vec<u64>,
+    /// The latest probe of each victim, `None` while the victim is inactive.
+    probes: Vec<Option<VictimProbe>>,
+    /// Largest fast-path scan of a victim probe.
+    victim_masks_scanned: usize,
+}
+
+impl IntervalTally {
+    fn new(n_shards: usize, n_victims: usize, n_attackers: usize) -> Self {
+        IntervalTally {
+            attack_packets: 0,
+            background_packets: 0,
+            per_attacker: vec![0; n_attackers],
+            shard_busy: vec![0.0; n_shards],
+            shard_packets: vec![0; n_shards],
+            shard_probes: vec![0; n_shards],
+            probes: vec![None; n_victims],
+            victim_masks_scanned: 0,
+        }
+    }
+
+    /// Account one replayed chunk of `n` packets from a source attributed to `slot`.
+    /// A chunk belongs to one source, so its packets are all-attack or all-background:
+    /// background chunks charge shard CPU like any traffic but stay out of the
+    /// attack-attribution series.
+    fn charge_chunk(&mut self, slot: Slot, n: u64, report: &ShardedBatchReport) {
+        let background = matches!(slot, Slot::Background);
+        for (s, r) in report.per_shard.iter().enumerate() {
+            self.shard_busy[s] += r.total_cost;
+            if !background {
+                self.shard_packets[s] += r.processed as u64;
+            }
+        }
+        if let Slot::Attacker(a) = slot {
+            self.per_attacker[a] += n;
+        }
+        if background {
+            self.background_packets += n;
+        } else {
+            self.attack_packets += n;
+        }
+    }
+}
+
+/// Convert the CPU each shard has left after replaying packets (`dt - shard_busy[s]`)
+/// into achieved throughput, Gbps, for every victim slot of `probes` — per shard: each
+/// PMD splits *its own* leftover cycles across the victims steered to it (equal
+/// shares, one redistribution pass), so an attack pinned to one shard starves only
+/// that shard's victims. Inactive victims (`None`) get 0. The aggregate is capped at
+/// the line rate: the NIC is shared by all shards.
+fn allocate_victim_throughput(
+    shard_busy: &[f64],
+    probes: &[Option<VictimProbe>],
+    offload: &OffloadConfig,
+    dt: f64,
+) -> Vec<f64> {
+    let bytes = offload.bytes_per_invocation as f64;
+    let mut victim_gbps = vec![0.0; probes.len()];
+    for (shard, busy) in shard_busy.iter().enumerate() {
+        let available_cpu = (dt - busy).max(0.0);
+        let active: Vec<(usize, VictimProbe)> = probes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.filter(|p| p.shard == shard).map(|p| (i, p)))
+            .collect();
+        if active.is_empty() {
+            continue;
+        }
+        let share = available_cpu / active.len() as f64;
+        let mut leftover = 0.0;
+        for &(i, p) in &active {
+            let offered_pps = p.offered_gbps * 1e9 / 8.0 / bytes;
+            let achievable_pps = share / p.cost / dt;
+            let pps = achievable_pps.min(offered_pps);
+            leftover += (achievable_pps - pps).max(0.0) * p.cost * dt;
+            victim_gbps[i] = pps * bytes * 8.0 / 1e9;
+        }
+        // One redistribution pass: give unused CPU to still-limited flows on the same
+        // shard.
+        if leftover > 1e-12 {
+            let limited: Vec<(usize, VictimProbe)> = active
+                .iter()
+                .copied()
+                .filter(|&(i, p)| {
+                    victim_gbps[i] + 1e-9 < p.offered_gbps.min(offload.line_rate_gbps)
+                })
+                .collect();
+            if !limited.is_empty() {
+                let extra = leftover / limited.len() as f64;
+                for &(i, p) in &limited {
+                    let extra_gbps = extra / p.cost / dt * bytes * 8.0 / 1e9;
+                    victim_gbps[i] = (victim_gbps[i] + extra_gbps).min(p.offered_gbps);
+                }
+            }
+        }
+    }
+    let total: f64 = victim_gbps.iter().sum();
+    if total > offload.line_rate_gbps {
+        let scale = offload.line_rate_gbps / total;
+        for v in &mut victim_gbps {
+            *v *= scale;
+        }
+    }
+    victim_gbps
 }
 
 /// One source's contiguous packet run within an interval, plus its shard partition.
@@ -1219,6 +1328,83 @@ mod tests {
         let store = by_bad.last_telemetry().expect("telemetry recorded");
         assert_eq!(store.malformed_series().count(), 40);
         assert!(store.malformed_series().max() > 0.0);
+    }
+
+    fn probe(shard: usize, cost: f64, offered_gbps: f64) -> Option<VictimProbe> {
+        Some(VictimProbe {
+            shard,
+            cost,
+            offered_gbps,
+        })
+    }
+
+    #[test]
+    fn allocation_never_exceeds_offered_rate_or_line_rate() {
+        use rand::Rng;
+        let offload = OffloadConfig::gro_off();
+        let mut rng = StdRng::seed_from_u64(12);
+        for case in 0..500 {
+            let n_shards = rng.gen_range(1usize..6);
+            let busy: Vec<f64> = (0..n_shards).map(|_| rng.gen_range(0.0..1.5)).collect();
+            let probes: Vec<Option<VictimProbe>> = (0..rng.gen_range(0usize..12))
+                .map(|_| {
+                    let active: bool = rng.gen();
+                    active.then(|| VictimProbe {
+                        shard: rng.gen_range(0..n_shards),
+                        cost: rng.gen_range(1e-7..1e-4),
+                        offered_gbps: rng.gen_range(0.01..12.0),
+                    })
+                })
+                .collect();
+            let gbps = allocate_victim_throughput(&busy, &probes, &offload, 1.0);
+            assert_eq!(gbps.len(), probes.len());
+            for (i, (g, p)) in gbps.iter().zip(&probes).enumerate() {
+                let offered = p.map_or(0.0, |p| p.offered_gbps);
+                assert!(
+                    (0.0..=offered).contains(g),
+                    "case {case}: victim {i} got {g} of {offered} offered"
+                );
+            }
+            let total: f64 = gbps.iter().sum();
+            assert!(
+                total <= offload.line_rate_gbps * (1.0 + 1e-12),
+                "case {case}: aggregate {total} above the line rate"
+            );
+        }
+    }
+
+    #[test]
+    fn saturated_shard_starves_only_its_own_victims() {
+        let offload = OffloadConfig::gro_off();
+        let probes = [
+            probe(0, 2e-6, 3.0),
+            probe(1, 2e-6, 3.0),
+            probe(1, 4e-6, 1.0),
+        ];
+        let calm = allocate_victim_throughput(&[0.2, 0.2], &probes, &offload, 1.0);
+        assert!(
+            calm.iter().all(|&g| g > 0.0),
+            "everyone is served: {calm:?}"
+        );
+        // Shard 0 spends its whole interval (and more) on the attack.
+        for busy0 in [1.0, 1.7] {
+            let hit = allocate_victim_throughput(&[busy0, 0.2], &probes, &offload, 1.0);
+            assert_eq!(hit[0], 0.0);
+            assert_eq!(hit[1].to_bits(), calm[1].to_bits());
+            assert_eq!(hit[2].to_bits(), calm[2].to_bits());
+        }
+    }
+
+    #[test]
+    fn allocation_without_active_victims_is_a_no_op() {
+        let offload = OffloadConfig::gro_off();
+        assert!(allocate_victim_throughput(&[0.3, 0.9], &[], &offload, 1.0).is_empty());
+        let idle = allocate_victim_throughput(&[0.3, 0.9], &[None, None], &offload, 1.0);
+        assert_eq!(idle, vec![0.0, 0.0]);
+        // An inactive victim next to an active one stays at 0 and takes no share.
+        let alone = allocate_victim_throughput(&[0.0], &[probe(0, 2e-6, 9.0)], &offload, 1.0);
+        let mixed = allocate_victim_throughput(&[0.0], &[None, probe(0, 2e-6, 9.0)], &offload, 1.0);
+        assert_eq!(mixed, vec![0.0, alone[0]]);
     }
 
     #[test]

@@ -86,18 +86,14 @@ pub struct ProcessOutcome {
     pub masks_scanned: usize,
 }
 
-/// Aggregate result of [`Datapath::process_batch`].
+/// Aggregate result of one batch through the datapath ([`Datapath::process_batch`],
+/// [`Datapath::process_timed_batch`] and its indexed form).
 ///
-/// Batch semantics:
-///
-/// * packets are processed **in order** at a single timestamp `now`; the idle-expiry
-///   sweep runs at most once, before the first packet;
-/// * a run of consecutive identical headers is answered by one real fast-path lookup —
-///   the repeats reuse its verdict and are charged its fast-path cost. Every packet is
-///   still counted in [`DatapathStats`] (and in this report), but the backend's
-///   per-entry hit counters advance once per run, not once per packet;
-/// * a slow-path miss is never deduplicated: the packet after an upcall performs a real
-///   lookup so it hits the freshly installed entry exactly as in per-key processing.
+/// Events are processed **in order**, each at its own timestamp, exactly as a
+/// [`Datapath::process_key`] loop would: every event performs a real fast-path lookup
+/// (so per-entry hit counters and mask probe order evolve identically), and the
+/// idle-expiry sweep is checked per event. Only the statistics bookkeeping is
+/// amortised — accumulated batch-locally and merged once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Packets processed (= the batch length).
@@ -106,7 +102,7 @@ pub struct BatchReport {
     pub allowed: u64,
     /// Packets dropped by policy.
     pub denied: u64,
-    /// Packets answered by the fast path (including deduplicated repeats).
+    /// Packets answered by the fast path.
     pub fastpath_hits: u64,
     /// Packets that took a slow-path upcall.
     pub upcalls: u64,
@@ -128,6 +124,11 @@ pub struct Datapath<B: FastPathBackend = TupleSpace> {
     config: DatapathConfig,
     stats: DatapathStats,
     last_sweep: f64,
+    /// Whether the schema carries the OVS IPv4 / IPv6 address fields — which packet
+    /// families [`Datapath::steerable_key`] can express. Fixed at build: every
+    /// replacement table must use the same schema.
+    schema_is_v4: bool,
+    schema_is_v6: bool,
 }
 
 /// Fluent constructor for [`Datapath`]: choose the wildcarding strategy, tune the
@@ -275,6 +276,8 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
             slow_path: SlowPath::new(strategy),
             stats: DatapathStats::default(),
             last_sweep: 0.0,
+            schema_is_v4: schema.field_index("ip_src").is_some(),
+            schema_is_v6: schema.field_index("ip6_src").is_some(),
             schema,
             table: self.table,
             megaflow,
@@ -377,29 +380,29 @@ impl<B: FastPathBackend> Datapath<B> {
         }
     }
 
+    /// The header key of `flow` in the installed table's schema, or `None` when the
+    /// flow's address family is one the schema cannot express (an IPv6 packet against
+    /// an IPv4 table, or vice versa) — such traffic can be neither classified nor
+    /// steered.
+    pub fn steerable_key(&self, flow: &FlowKey) -> Option<Key> {
+        let family_matches = if flow.is_v6 {
+            self.schema_is_v6
+        } else {
+            self.schema_is_v4
+        };
+        family_matches.then(|| flow.to_key(&self.schema))
+    }
+
     /// Process a concrete packet at simulation time `now`.
     ///
-    /// Non-IP packets never reach the tenant ACL (§5.2 footnote); they are counted as
-    /// [`PathTaken::Unclassified`] and permitted with only the fixed cost.
+    /// A packet whose family does not match the installed table's schema never reaches
+    /// the tenant ACL (like non-IP traffic, §5.2 footnote): it is charged as a
+    /// [`WireFault::FamilyMismatch`] — [`PathTaken::Unclassified`], permitted, fixed
+    /// cost only.
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let flow = FlowKey::from_packet(pkt);
-        let schema_is_v6 = self.schema.field_index("ip6_src").is_some();
-        let schema_is_v4 = self.schema.field_index("ip_src").is_some();
-        let family_matches = (flow.is_v6 && schema_is_v6) || (!flow.is_v6 && schema_is_v4);
-        if !family_matches {
-            // Packet family does not match the installed table's schema: treat like
-            // non-IP traffic from the ACL's point of view.
-            let cost = self.config.cost.microflow();
-            self.stats
-                .record(PathTaken::Unclassified, true, 0, cost, pkt.wire_len());
-            return ProcessOutcome {
-                action: Action::Allow,
-                path: PathTaken::Unclassified,
-                cost,
-                masks_scanned: 0,
-            };
-        }
-        let header = flow.to_key(&self.schema);
+        let Some(header) = self.steerable_key(&FlowKey::from_packet(pkt)) else {
+            return self.note_wire_fault(WireFault::FamilyMismatch, pkt.wire_len(), now);
+        };
         let micro = MicroflowKey::from_packet(pkt);
         self.maybe_expire(now);
         self.process_classified(&header, Some(micro), pkt.wire_len(), now)
@@ -421,10 +424,9 @@ impl<B: FastPathBackend> Datapath<B> {
 
     /// Charge one unclassifiable frame of `bytes` wire bytes: a decode failure is
     /// counted under its per-kind wire-error counter and **dropped** (a frame the
-    /// parser cannot even delimit is never forwarded); a family mismatch mirrors the
-    /// existing schema-mismatch path of [`Datapath::process_packet`] exactly —
-    /// [`PathTaken::Unclassified`], permitted, fixed cost. Neither kind runs the
-    /// idle-expiry sweep, also like that path.
+    /// parser cannot even delimit is never forwarded); a family mismatch is treated
+    /// like non-IP traffic — [`PathTaken::Unclassified`], permitted, fixed cost.
+    /// Neither kind runs the idle-expiry sweep.
     pub fn note_wire_fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
         let _ = now;
         let cost = self.config.cost.microflow();
@@ -453,88 +455,26 @@ impl<B: FastPathBackend> Datapath<B> {
         self.process_classified(header, None, bytes, now)
     }
 
-    /// Process a batch of pre-extracted header keys `(header, wire_bytes)` at a single
-    /// timestamp, amortising the expiry check and stats bookkeeping over the whole
-    /// batch. See [`BatchReport`] for the exact ordering and stats-attribution
-    /// semantics. Per-packet verdicts are identical to calling
-    /// [`Datapath::process_key`] in a loop at the same `now`.
+    /// Process a batch of pre-extracted header keys `(header, wire_bytes)`, all stamped
+    /// `now` — [`Datapath::process_timed_batch`] at a single timestamp. Verdicts, costs
+    /// and cache evolution are identical to calling [`Datapath::process_key`] in a loop
+    /// at the same `now`.
     pub fn process_batch(&mut self, batch: &[(Key, usize)], now: f64) -> BatchReport {
-        self.process_batch_events(batch.iter(), batch.len(), now)
-    }
-
-    /// Indexed form of [`Datapath::process_batch`]: process `batch[idx[0]]`,
-    /// `batch[idx[1]]`, … in that order, without materialising the sub-batch.
-    ///
-    /// This is the zero-copy hand-off the sharded datapath's steering pre-partition
-    /// uses: each shard receives the full event slice plus one contiguous run of
-    /// indices, so fanning a batch out never clones a [`Key`]. Semantics (single
-    /// timestamp, one expiry sweep, consecutive-identical-header dedup *in index
-    /// order*) are exactly those of `process_batch` over the selected events.
-    ///
-    /// # Panics
-    /// Panics if an index is out of bounds for `batch`.
-    pub fn process_batch_indexed(
-        &mut self,
-        batch: &[(Key, usize)],
-        idx: &[u32],
-        now: f64,
-    ) -> BatchReport {
-        self.process_batch_events(idx.iter().map(|&i| &batch[i as usize]), idx.len(), now)
-    }
-
-    fn process_batch_events<'a>(
-        &mut self,
-        events: impl Iterator<Item = &'a (Key, usize)>,
-        len: usize,
-        now: f64,
-    ) -> BatchReport {
-        self.maybe_expire(now);
-        let mut pending = DatapathStats::default();
-        let mut max_masks_scanned = 0;
-        // Verdict of the previous packet, reusable while headers repeat back-to-back.
-        let mut run: Option<(&Key, Action, usize, f64)> = None;
-        for (header, bytes) in events {
-            if let Some((prev_header, action, masks, cost)) = run {
-                if prev_header == header {
-                    pending.record(PathTaken::Megaflow, action.permits(), masks, cost, *bytes);
-                    continue;
-                }
-            }
-            let outcome = self.process_classified_stats(header, *bytes, now, &mut pending);
-            max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
-            // Do not extend a dedup run across an upcall: the next repeat must perform
-            // a real lookup so it hits the freshly installed entry.
-            run = match outcome.path {
-                PathTaken::SlowPath => None,
-                _ => Some((header, outcome.action, outcome.masks_scanned, outcome.cost)),
-            };
-        }
-        let report = BatchReport {
-            processed: len,
-            allowed: pending.allowed,
-            denied: pending.denied,
-            fastpath_hits: pending.megaflow_hits,
-            upcalls: pending.upcalls,
-            total_cost: pending.busy_seconds,
-            max_masks_scanned,
-        };
-        self.stats.merge(&pending);
-        report
+        self.process_events(batch.iter().map(|(header, bytes)| (header, *bytes, now)))
     }
 
     /// Process an ordered run of timestamped events `(header, wire_bytes, time)`,
     /// amortising the stats bookkeeping over the whole chunk — the entry point the
     /// event-driven experiment runner drains `TrafficSource` streams into.
     ///
-    /// Unlike [`Datapath::process_batch`], every event is processed at its **own**
-    /// timestamp: the idle-expiry sweep is checked per event and each lookup refreshes
-    /// entry liveness at the event's time, so per-packet verdicts, costs and cache
-    /// evolution are identical to calling [`Datapath::process_key`] in a loop over the
-    /// same `(header, bytes, time)` sequence. Times must be nondecreasing. Like all
-    /// keyed entry points, the microflow cache is bypassed (keys carry no microflow
-    /// identity).
+    /// Every event is processed at its **own** timestamp: the idle-expiry sweep is
+    /// checked per event and each lookup refreshes entry liveness at the event's time,
+    /// so per-packet verdicts, costs and cache evolution are identical to calling
+    /// [`Datapath::process_key`] in a loop over the same `(header, bytes, time)`
+    /// sequence. Times must be nondecreasing. Like all keyed entry points, the
+    /// microflow cache is bypassed (keys carry no microflow identity).
     pub fn process_timed_batch(&mut self, batch: &[(Key, usize, f64)]) -> BatchReport {
-        self.process_timed_events(batch.iter(), batch.len())
+        self.process_events(batch.iter().map(|(header, bytes, t)| (header, *bytes, *t)))
     }
 
     /// Indexed form of [`Datapath::process_timed_batch`]: process `batch[idx[0]]`,
@@ -550,32 +490,41 @@ impl<B: FastPathBackend> Datapath<B> {
         batch: &[(Key, usize, f64)],
         idx: &[u32],
     ) -> BatchReport {
-        self.process_timed_events(idx.iter().map(|&i| &batch[i as usize]), idx.len())
+        self.process_events(idx.iter().map(|&i| {
+            let (header, bytes, t) = &batch[i as usize];
+            (header, *bytes, *t)
+        }))
     }
 
-    fn process_timed_events<'a>(
+    /// The batch core: classify each `(header, wire_bytes, time)` in order, recording
+    /// into a batch-local accumulator that is merged into the datapath's stats once.
+    fn process_events<'a>(
         &mut self,
-        events: impl Iterator<Item = &'a (Key, usize, f64)>,
-        len: usize,
+        events: impl ExactSizeIterator<Item = (&'a Key, usize, f64)>,
     ) -> BatchReport {
+        let processed = events.len();
+        if processed == 0 {
+            // A shard that drew no events from a 1-event chunk is the common case on a
+            // sharded datapath: nothing to classify, nothing to merge.
+            return BatchReport::default();
+        }
         let mut pending = DatapathStats::default();
         let mut max_masks_scanned = 0;
         for (header, bytes, now) in events {
-            self.maybe_expire(*now);
-            let outcome = self.process_classified_stats(header, *bytes, *now, &mut pending);
+            self.maybe_expire(now);
+            let outcome = self.process_classified_stats(header, bytes, now, &mut pending);
             max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
         }
-        let report = BatchReport {
-            processed: len,
+        self.stats.merge(&pending);
+        BatchReport {
+            processed,
             allowed: pending.allowed,
             denied: pending.denied,
             fastpath_hits: pending.megaflow_hits,
             upcalls: pending.upcalls,
             total_cost: pending.busy_seconds,
             max_masks_scanned,
-        };
-        self.stats.merge(&pending);
-        report
+        }
     }
 
     fn process_classified(
@@ -611,8 +560,8 @@ impl<B: FastPathBackend> Datapath<B> {
     }
 
     /// Megaflow + slow-path levels, recording into an arbitrary stats accumulator (the
-    /// datapath's own for per-packet processing, a batch-local one for
-    /// [`Datapath::process_batch`]).
+    /// datapath's own for per-packet processing, a batch-local one for the batch
+    /// core).
     fn process_classified_stats(
         &mut self,
         header: &Key,
@@ -996,21 +945,44 @@ mod tests {
     }
 
     #[test]
-    fn process_batch_dedups_consecutive_headers() {
+    fn process_batch_evolves_the_cache_like_a_per_key_loop() {
+        // Runs of repeated headers under HitCount ordering: every packet must perform a
+        // real lookup, so per-entry hit counters — and through them the mask probe
+        // order — evolve exactly as in per-key processing.
         let table = FlowTable::fig1_hyp();
         let schema = table.schema().clone();
-        let allow = Key::from_values(&schema, &[0b001]);
-        let batch: Vec<(Key, usize)> = (0..100).map(|_| (allow.clone(), 64)).collect();
-        let mut dp = Datapath::new(table);
-        let report = dp.process_batch(&batch, 0.0);
-        assert_eq!(report.processed, 100);
-        assert_eq!(report.allowed, 100);
-        assert_eq!(report.upcalls, 1);
-        // One upcall + one real lookup; the other 98 packets reuse the run verdict, so
-        // the entry's own hit counter advanced once.
-        let entry = dp.megaflow().peek(&allow).unwrap();
-        assert_eq!(entry.hits, 1);
-        // But the datapath-level stats count every packet.
-        assert_eq!(dp.stats().packets(), 100);
+        let headers = [0b001u128, 0b001, 0b001, 0b111, 0b111, 0b001, 0b101, 0b001];
+        let batch: Vec<(Key, usize)> = headers
+            .iter()
+            .cycle()
+            .take(96)
+            .map(|&h| (Key::from_values(&schema, &[h]), 64))
+            .collect();
+        let build = || {
+            Datapath::builder(table.clone())
+                .mask_ordering(MaskOrdering::HitCount)
+                .build()
+        };
+        let mut looped = build();
+        let loop_cost: f64 = batch
+            .iter()
+            .map(|(k, b)| looped.process_key(k, *b, 0.5).cost)
+            .sum();
+        let mut batched = build();
+        let report = batched.process_batch(&batch, 0.5);
+
+        assert_eq!(report.processed, 96);
+        assert_eq!(report.total_cost.to_bits(), loop_cost.to_bits());
+        assert_eq!(batched.stats(), looped.stats());
+        assert_eq!(batched.megaflow().masks(), looped.megaflow().masks());
+        assert_eq!(
+            batched.megaflow().mask_usage(),
+            looped.megaflow().mask_usage()
+        );
+        for (key, _) in &batch[..headers.len()] {
+            let (b, l) = (batched.megaflow().peek(key), looped.megaflow().peek(key));
+            assert_eq!(b.map(|e| e.hits), l.map(|e| e.hits), "hits of {key:?}");
+            assert!(b.is_some_and(|e| e.hits > 1), "repeats must hit for real");
+        }
     }
 }

@@ -9,13 +9,12 @@
 //! * [`SequentialExecutor`] walks the shards in order on the calling thread — the
 //!   default, and the reference behaviour every parallel run must reproduce
 //!   bit-for-bit;
-//! * [`ThreadPoolExecutor`] drives the same jobs from scoped worker threads
-//!   (`std::thread::scope`, no external dependencies), one PMD core per shard up to
-//!   the configured thread count;
-//! * [`PersistentPoolExecutor`] keeps the workers alive across calls — long-lived
-//!   parked threads fed per-shard jobs through a shared queue, the moral equivalent of
-//!   the paper's core-pinned PMD loops: spawn cost is paid once at construction and
-//!   amortised to zero over the run.
+//! * [`PersistentPoolExecutor`] runs the same jobs on long-lived parked worker
+//!   threads fed through a shared queue — the production model, and the moral
+//!   equivalent of the paper's core-pinned PMD loops: spawn cost is paid once at
+//!   construction and amortised to zero over the run;
+//! * [`ChaosExecutor`] runs them from scoped threads in a seeded adversarial order
+//!   with injected yields — the test-only model that stresses the parity claim.
 //!
 //! The trait's object-safe core is [`ShardExecutor::run`]: execute a type-erased job
 //! once per shard index, in any order, possibly concurrently. The typed entry point
@@ -26,7 +25,7 @@
 //! `tests/executor_parity.rs`.
 //!
 //! ```
-//! use tse_switch::exec::{SequentialExecutor, ShardExecutorExt, ThreadPoolExecutor};
+//! use tse_switch::exec::{PersistentPoolExecutor, SequentialExecutor, ShardExecutorExt};
 //!
 //! let mut counters = vec![0u64; 8];
 //! let seq = SequentialExecutor.for_each_shard(&mut counters, |i, c| {
@@ -34,7 +33,7 @@
 //!     *c
 //! });
 //! let mut counters = vec![0u64; 8];
-//! let par = ThreadPoolExecutor::new(4).for_each_shard(&mut counters, |i, c| {
+//! let par = PersistentPoolExecutor::new(4).for_each_shard(&mut counters, |i, c| {
 //!     *c += i as u64;
 //!     *c
 //! });
@@ -42,7 +41,6 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How the per-shard work of a sharded datapath is executed.
@@ -90,9 +88,43 @@ impl ShardExecutor for Box<dyn ShardExecutor> {
     }
 }
 
-/// One shard's hand-off cell: the exclusive `&mut` the job consumes and the result it
-/// leaves behind.
-type ShardSlot<'a, S, R> = (Option<&'a mut S>, Option<R>);
+/// A one-shot hand-off cell: the input a job consumes (for a shard job, the exclusive
+/// `&mut` to its shard) and the output it leaves behind.
+///
+/// The mutex is uncontended by contract (every job runs exactly once); it exists to
+/// carry the input across the thread boundary without unsafe code, and it turns an
+/// executor that breaks the exactly-once contract into a panic instead of aliasing.
+struct HandOff<I, O>(Mutex<(Option<I>, Option<O>)>);
+
+impl<I, O> HandOff<I, O> {
+    fn new(input: I) -> Self {
+        HandOff(Mutex::new((Some(input), None)))
+    }
+
+    /// Consume the input through `f` and store its output. `what` names the job in
+    /// the contract-violation panics.
+    fn run(&self, what: impl std::fmt::Display, f: impl FnOnce(I) -> O) {
+        let mut cell = self.0.lock().expect("a sibling job panicked");
+        let input = cell
+            .0
+            .take()
+            .unwrap_or_else(|| panic!("executor ran {what} twice"));
+        cell.1 = Some(f(input));
+    }
+
+    fn finish(self, what: impl std::fmt::Display) -> O {
+        let (_, output) = self.0.into_inner().expect("a job panicked");
+        output.unwrap_or_else(|| panic!("executor never ran {what}"))
+    }
+}
+
+/// Collect the shard jobs' results in shard order.
+fn shard_results<S, R>(slots: Vec<HandOff<&mut S, R>>) -> Vec<R> {
+    let slots = slots.into_iter().enumerate();
+    slots
+        .map(|(i, slot)| slot.finish(format_args!("shard {i}")))
+        .collect()
+}
 
 /// The typed fan-out interface, blanket-implemented for every [`ShardExecutor`].
 ///
@@ -116,28 +148,11 @@ pub trait ShardExecutorExt: ShardExecutor {
         R: Send,
         F: Fn(usize, &mut S) -> R + Sync,
     {
-        let slots: Vec<Mutex<ShardSlot<'_, S, R>>> = shards
-            .iter_mut()
-            .map(|shard| Mutex::new((Some(shard), None)))
-            .collect();
+        let slots: Vec<HandOff<&mut S, R>> = shards.iter_mut().map(HandOff::new).collect();
         self.run(slots.len(), &|i| {
-            // Uncontended by contract (each index is visited once); the lock exists to
-            // hand the `&mut` across the thread boundary without unsafe code.
-            let mut slot = slots[i].lock().expect("a sibling shard job panicked");
-            let shard = slot
-                .0
-                .take()
-                .unwrap_or_else(|| panic!("executor ran shard {i} twice"));
-            slot.1 = Some(f(i, shard));
+            slots[i].run(format_args!("shard {i}"), |shard| f(i, shard));
         });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let (_, result) = slot.into_inner().expect("a shard job panicked");
-                result.unwrap_or_else(|| panic!("executor never ran shard {i}"))
-            })
-            .collect()
+        shard_results(slots)
     }
 
     /// Like [`ShardExecutorExt::for_each_shard`], but additionally runs `aux` exactly
@@ -163,43 +178,13 @@ pub trait ShardExecutorExt: ShardExecutor {
         F: Fn(usize, &mut S) -> R + Sync,
         A: FnOnce() -> T + Send,
     {
-        let aux_cell: Mutex<(Option<A>, Option<T>)> = Mutex::new((Some(aux), None));
-        let slots: Vec<Mutex<ShardSlot<'_, S, R>>> = shards
-            .iter_mut()
-            .map(|shard| Mutex::new((Some(shard), None)))
-            .collect();
-        self.run(slots.len() + 1, &|j| {
-            if j == 0 {
-                let mut cell = aux_cell.lock().expect("the aux job panicked");
-                let aux = cell
-                    .0
-                    .take()
-                    .unwrap_or_else(|| panic!("executor ran the aux job twice"));
-                cell.1 = Some(aux());
-            } else {
-                let i = j - 1;
-                let mut slot = slots[i].lock().expect("a sibling shard job panicked");
-                let shard = slot
-                    .0
-                    .take()
-                    .unwrap_or_else(|| panic!("executor ran shard {i} twice"));
-                slot.1 = Some(f(i, shard));
-            }
+        let aux_cell = HandOff::new(aux);
+        let slots: Vec<HandOff<&mut S, R>> = shards.iter_mut().map(HandOff::new).collect();
+        self.run(slots.len() + 1, &|j| match j.checked_sub(1) {
+            None => aux_cell.run("the aux job", |aux| aux()),
+            Some(i) => slots[i].run(format_args!("shard {i}"), |shard| f(i, shard)),
         });
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let (_, result) = slot.into_inner().expect("a shard job panicked");
-                result.unwrap_or_else(|| panic!("executor never ran shard {i}"))
-            })
-            .collect();
-        let aux_result = aux_cell
-            .into_inner()
-            .expect("the aux job panicked")
-            .1
-            .unwrap_or_else(|| panic!("executor never ran the aux job"));
-        (results, aux_result)
+        (shard_results(slots), aux_cell.finish("the aux job"))
     }
 }
 
@@ -226,91 +211,11 @@ impl ShardExecutor for SequentialExecutor {
     }
 }
 
-/// Execute shard jobs from scoped worker threads — the multi-PMD execution model.
-///
-/// Each call to [`ShardExecutor::run`] spawns up to `threads` workers inside a
-/// [`std::thread::scope`] (so borrowed shard state needs no `'static` lifetime and no
-/// external thread-pool dependency) which drain the shard indices from a shared atomic
-/// counter. Work-stealing order is nondeterministic, but every job owns its shard
-/// exclusively and results are re-assembled in shard order, so outputs are identical to
-/// [`SequentialExecutor`]'s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPoolExecutor {
-    threads: usize,
-}
-
-impl ThreadPoolExecutor {
-    /// An executor driving at most `threads` concurrent shard jobs.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be positive");
-        ThreadPoolExecutor { threads }
-    }
-
-    /// One thread per available core — the "one PMD per core" configuration of the
-    /// paper's testbed.
-    pub fn per_core() -> Self {
-        ThreadPoolExecutor::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The configured maximum number of concurrent shard jobs.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for ThreadPoolExecutor {
-    fn default() -> Self {
-        ThreadPoolExecutor::per_core()
-    }
-}
-
-impl ShardExecutor for ThreadPoolExecutor {
-    fn name(&self) -> &'static str {
-        "thread-pool"
-    }
-
-    fn run(&self, n_shards: usize, job: &(dyn Fn(usize) + Sync)) {
-        let workers = self.threads.min(n_shards);
-        if workers <= 1 {
-            // One worker (or one shard): the spawn would buy nothing.
-            for i in 0..n_shards {
-                job(i);
-            }
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_shards {
-                        break;
-                    }
-                    job(i);
-                });
-            }
-            // The scope joins every worker before returning; a panicked job re-panics
-            // here, satisfying the propagation contract.
-        });
-    }
-
-    fn clone_box(&self) -> Box<dyn ShardExecutor> {
-        Box::new(*self)
-    }
-}
-
 /// Execute shard jobs in a seeded adversarial order with injected yields — a
 /// determinism-stressing executor for parity tests.
 ///
-/// A parity test passing under [`ThreadPoolExecutor`] might still be riding a lucky,
-/// mostly in-order schedule: the work-stealing counter hands out indices nearly
+/// A parity test passing under [`PersistentPoolExecutor`] might still be riding a
+/// lucky, mostly in-order schedule: the claim counter hands out indices nearly
 /// sequentially when per-shard work is uniform. `ChaosExecutor` removes the luck. It
 /// deals the shard indices to its workers from a seeded Fisher–Yates permutation
 /// (round-robin, so every worker gets shards from all over the index space) and each
@@ -334,11 +239,6 @@ impl ChaosExecutor {
     pub fn new(threads: usize, seed: u64) -> Self {
         assert!(threads > 0, "thread count must be positive");
         ChaosExecutor { threads, seed }
-    }
-
-    /// The permutation seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -545,9 +445,9 @@ impl Drop for PoolHandle {
     }
 }
 
-/// Execute shard jobs on long-lived parked worker threads — the persistent form of
-/// [`ThreadPoolExecutor`], and the closest software analogue of the paper's testbed
-/// where every PMD is a core-pinned loop that lives as long as the switch.
+/// Execute shard jobs on long-lived parked worker threads — the closest software
+/// analogue of the paper's testbed, where every PMD is a core-pinned loop that lives as
+/// long as the switch.
 ///
 /// Construction spawns the workers once; every [`ShardExecutor::run`] call afterwards
 /// only takes a lock, bumps a generation counter and wakes them, so the per-batch
@@ -562,7 +462,7 @@ impl Drop for PoolHandle {
 /// joins every worker.
 ///
 /// Outputs are bit-for-bit identical to [`SequentialExecutor`]'s for any conforming
-/// job, exactly as for [`ThreadPoolExecutor`] (`tests/executor_parity.rs`).
+/// job (`tests/executor_parity.rs`).
 pub struct PersistentPoolExecutor {
     handle: Arc<PoolHandle>,
 }
@@ -621,27 +521,6 @@ impl PersistentPoolExecutor {
                 workers,
             }),
         }
-    }
-
-    /// One worker per available core — the "one PMD per core" configuration of the
-    /// paper's testbed.
-    pub fn per_core() -> Self {
-        PersistentPoolExecutor::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The number of long-lived worker threads in the pool.
-    pub fn threads(&self) -> usize {
-        self.handle.threads
-    }
-}
-
-impl Default for PersistentPoolExecutor {
-    fn default() -> Self {
-        PersistentPoolExecutor::per_core()
     }
 }
 
@@ -704,6 +583,7 @@ impl ShardExecutor for PersistentPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn sequential_visits_every_shard_in_order() {
@@ -713,70 +593,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_visits_every_shard_exactly_once() {
-        let visits: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        ThreadPoolExecutor::new(4).run(32, &|i| {
-            visits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, v) in visits.iter().enumerate() {
-            assert_eq!(v.load(Ordering::Relaxed), 1, "shard {i}");
-        }
-    }
-
-    #[test]
-    fn for_each_shard_collects_results_in_shard_order() {
-        let mut data = vec![10u64, 20, 30, 40];
-        let results = ThreadPoolExecutor::new(3).for_each_shard(&mut data, |i, v| *v + i as u64);
-        assert_eq!(results, vec![10, 21, 32, 43]);
-    }
-
-    #[test]
-    fn executors_agree_on_mutations_and_results() {
-        let work = |i: usize, v: &mut u64| {
-            // Deliberately uneven per-shard work.
-            for _ in 0..(i + 1) * 1000 {
-                *v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            *v
-        };
-        let mut a = vec![7u64; 9];
-        let ra = SequentialExecutor.for_each_shard(&mut a, work);
-        let mut b = vec![7u64; 9];
-        let rb = ThreadPoolExecutor::new(4).for_each_shard(&mut b, work);
-        assert_eq!(a, b);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
     fn empty_shard_list_is_a_no_op() {
         let mut empty: Vec<u64> = Vec::new();
-        let r: Vec<u64> = ThreadPoolExecutor::new(2).for_each_shard(&mut empty, |_, v| *v);
+        let r: Vec<u64> = PersistentPoolExecutor::new(2).for_each_shard(&mut empty, |_, v| *v);
         assert!(r.is_empty());
     }
 
     #[test]
     fn boxed_executor_clones_and_delegates() {
-        let boxed: Box<dyn ShardExecutor> = Box::new(ThreadPoolExecutor::new(2));
+        let boxed: Box<dyn ShardExecutor> = Box::new(ChaosExecutor::new(2, 1));
         let cloned = boxed.clone();
-        assert_eq!(cloned.name(), "thread-pool");
+        assert_eq!(cloned.name(), "chaos");
         let mut data = vec![1u64, 2];
         assert_eq!(cloned.for_each_shard(&mut data, |_, v| *v * 2), vec![2, 4]);
         assert_eq!(SequentialExecutor.clone_box().name(), "sequential");
-    }
-
-    #[test]
-    fn per_core_has_at_least_one_thread() {
-        assert!(ThreadPoolExecutor::per_core().threads() >= 1);
-        assert_eq!(
-            ThreadPoolExecutor::default(),
-            ThreadPoolExecutor::per_core()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn zero_threads_is_rejected() {
-        ThreadPoolExecutor::new(0);
     }
 
     #[test]
@@ -923,12 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn per_core_pool_has_at_least_one_thread() {
-        assert!(PersistentPoolExecutor::per_core().threads() >= 1);
-        assert!(PersistentPoolExecutor::default().threads() >= 1);
-    }
-
-    #[test]
     #[should_panic(expected = "thread count must be positive")]
     fn zero_persistent_threads_is_rejected() {
         PersistentPoolExecutor::new(0);
@@ -938,7 +762,7 @@ mod tests {
     fn with_aux_runs_the_aux_job_exactly_once_on_every_executor() {
         let executors: Vec<Box<dyn ShardExecutor>> = vec![
             Box::new(SequentialExecutor),
-            Box::new(ThreadPoolExecutor::new(3)),
+            Box::new(ChaosExecutor::new(3, 5)),
             Box::new(PersistentPoolExecutor::new(3)),
         ];
         for exec in executors {

@@ -15,9 +15,9 @@
 //! * [`pmd`] — the sharded multi-PMD form of the datapath: N per-shard caches behind an
 //!   RSS-style steering policy, modelling OVS-DPDK's one-megaflow-cache-per-PMD-thread
 //!   architecture and the shard-local blast radius of the attack;
-//! * [`exec`] — pluggable shard-execution models for that fan-out: the default
-//!   [`SequentialExecutor`], the scoped-thread [`ThreadPoolExecutor`] and the
-//!   long-lived [`PersistentPoolExecutor`], bit-for-bit interchangeable;
+//! * [`exec`] — pluggable shard-execution models for that fan-out: the reference
+//!   [`SequentialExecutor`], the long-lived [`PersistentPoolExecutor`] and the
+//!   adversarial-schedule [`ChaosExecutor`], bit-for-bit interchangeable;
 //! * [`stats`] — per-path counters and busy-time accounting;
 //! * [`tenant`] — multi-tenant ACL composition: per-tenant ACLs merged into the single
 //!   flow table of the shared hypervisor switch, the abstraction Co-located TSE exploits.
@@ -42,7 +42,6 @@ pub use datapath::{
 };
 pub use exec::{
     ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
-    ThreadPoolExecutor,
 };
 pub use pmd::{ShardedBatchReport, ShardedDatapath, Steering};
 pub use slowpath::{SlowPath, UpcallOutcome};

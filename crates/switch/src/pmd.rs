@@ -19,10 +19,17 @@
 //!
 //! *How* the per-shard fan-out executes is pluggable: every batched entry point runs
 //! through a [`ShardExecutor`] ([`SequentialExecutor`] by default; swap in a
-//! [`ThreadPoolExecutor`](crate::exec::ThreadPoolExecutor) via
+//! [`PersistentPoolExecutor`](crate::exec::PersistentPoolExecutor) via
 //! [`ShardedDatapath::with_executor`] for true thread-parallel shard execution).
 //! Results are always collected in shard order, so executor choice never changes a
 //! single bit of the outputs (`tests/executor_parity.rs`).
+//!
+//! There is one batch dispatch: a timed batch plus a [`Prepartition`] of it goes to
+//! the executor, shard `i` classifying its contiguous index run.
+//! [`ShardedDatapath::process_timed_batch`] partitions into the datapath's own
+//! buffers, [`ShardedDatapath::process_timed_batch_prepartitioned`] consumes a
+//! partition computed ahead of time, and [`ShardedDatapath::process_timed_batch_with`]
+//! additionally overlaps an auxiliary job with the shard work.
 
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
@@ -158,26 +165,28 @@ impl PartitionScratch {
     }
 }
 
-/// An immutable snapshot of a [`ShardedDatapath`]'s steering function, detached from
-/// the datapath so another thread can steer while the shards are busy — what the
-/// pipelined experiment runner hands to the job that pre-partitions batch *k + 1*
-/// while the shards still chew batch *k*.
+/// A [`ShardedDatapath`]'s steering function — policy, hashed fields, shard count and
+/// RSS hash key — as a value detached from the shards, so another thread can steer
+/// while they are busy: what the pipelined experiment runner hands to the job that
+/// pre-partitions batch *k + 1* while the shards still chew batch *k*.
 ///
-/// The snapshot answers [`SteeringView::shard_of_key`] exactly as the datapath it was
-/// taken from would have at snapshot time. It does *not* track later
-/// [`ShardedDatapath::rekey`] calls — consumers detect that through the hash key
-/// recorded in a [`Prepartition`] (see
+/// A view obtained from [`ShardedDatapath::steering_view`] answers
+/// [`SteeringView::shard_of_key`] exactly as the datapath does at that moment. It does
+/// *not* track later [`ShardedDatapath::rekey`] calls — consumers detect that through
+/// the hash key recorded in a [`Prepartition`] (see
 /// [`ShardedDatapath::process_timed_batch_prepartitioned`]).
 #[derive(Debug, Clone)]
 pub struct SteeringView {
     steering: Steering,
+    /// Field indices the steering policy hashes (cached from the schema at build).
     steer_fields: Vec<usize>,
     n_shards: usize,
+    /// The RSS hash key in effect; [`rss::DEFAULT_HASH_KEY`] until rotated.
     hash_key: u64,
 }
 
 impl SteeringView {
-    /// The shard `key` steers to under this snapshot.
+    /// The shard `key` steers to under this view.
     pub fn shard_of_key(&self, key: &Key) -> usize {
         if self.n_shards == 1 {
             return 0;
@@ -188,12 +197,12 @@ impl SteeringView {
         }
     }
 
-    /// Number of shards in the snapshot.
+    /// Number of shards in the view.
     pub fn shard_count(&self) -> usize {
         self.n_shards
     }
 
-    /// The RSS hash key in effect at snapshot time.
+    /// The RSS hash key the view steers under.
     pub fn hash_key(&self) -> u64 {
         self.hash_key
     }
@@ -205,6 +214,9 @@ impl SteeringView {
 /// at dispatch the partition is either consumed as-is or transparently recomputed if
 /// the steering changed in between (e.g. a mitigation-driven rekey landed at the end
 /// of interval *k*).
+///
+/// A partition is tied to the batch it was computed for: call [`Prepartition::clear`]
+/// (or [`Prepartition::compute`] again) before reusing one for another batch.
 ///
 /// The buffers are reused across batches (`Default` starts empty; steady state
 /// allocates nothing).
@@ -218,24 +230,14 @@ pub struct Prepartition {
 }
 
 impl Prepartition {
-    /// Partition `batch` against the steering snapshot `view`.
+    /// Partition `batch` against the steering `view`.
     pub fn compute(&mut self, view: &SteeringView, batch: &[(Key, usize, f64)]) {
-        self.compute_with(view.n_shards, view.hash_key, batch.len(), |e| {
+        self.scratch.partition(view.n_shards, batch.len(), |e| {
             view.shard_of_key(&batch[e].0)
         });
-    }
-
-    fn compute_with(
-        &mut self,
-        n_shards: usize,
-        hash_key: u64,
-        n_events: usize,
-        shard_of: impl Fn(usize) -> usize,
-    ) {
-        self.scratch.partition(n_shards, n_events, shard_of);
-        self.hash_key = hash_key;
-        self.n_shards = n_shards;
-        self.n_events = n_events;
+        self.hash_key = view.hash_key;
+        self.n_shards = view.n_shards;
+        self.n_events = batch.len();
         self.valid = true;
     }
 
@@ -244,13 +246,31 @@ impl Prepartition {
         self.valid = false;
     }
 
-    /// Whether the partition would be consumed as-is by a datapath with the given
-    /// shard count and hash key for a batch of `n_events` events.
-    fn is_current(&self, n_shards: usize, hash_key: u64, n_events: usize) -> bool {
-        self.valid
-            && self.n_shards == n_shards
-            && self.hash_key == hash_key
-            && self.n_events == n_events
+    /// Recompute against `view` unless the partition already describes a batch of this
+    /// length under the same shard count and hash key. A lone shard takes the whole
+    /// batch, so there is nothing to partition.
+    ///
+    /// Length, shard count and hash key cannot tell two same-length batches apart:
+    /// debug builds therefore re-steer every event of a partition that looks current
+    /// and panic if it was computed for a different batch.
+    fn ensure_current(&mut self, view: &SteeringView, batch: &[(Key, usize, f64)]) {
+        if view.n_shards == 1 {
+            return;
+        }
+        let looks_current = self.valid
+            && self.n_shards == view.n_shards
+            && self.hash_key == view.hash_key
+            && self.n_events == batch.len();
+        if !looks_current {
+            return self.compute(view, batch);
+        }
+        debug_assert!(
+            batch
+                .iter()
+                .zip(&self.scratch.shard_of)
+                .all(|((key, ..), &shard)| view.shard_of_key(key) == shard as usize),
+            "Prepartition reused for a different batch without clear()"
+        );
     }
 }
 
@@ -301,21 +321,14 @@ impl ShardedBatchReport {
 #[derive(Debug, Clone)]
 pub struct ShardedDatapath<B: FastPathBackend = TupleSpace> {
     shards: Vec<Datapath<B>>,
-    steering: Steering,
-    /// Field indices the steering policy hashes (cached from the schema at build).
-    steer_fields: Vec<usize>,
-    /// The RSS hash key in effect (see [`ShardedDatapath::rekey`]);
-    /// [`rss::DEFAULT_HASH_KEY`] until rotated.
-    hash_key: u64,
-    /// Whether the schema is the OVS IPv4 / IPv6 family (cached for the per-packet
-    /// family check in [`ShardedDatapath::process_packet`]).
-    schema_is_v4: bool,
-    schema_is_v6: bool,
+    /// The steering function in effect ([`ShardedDatapath::rekey`] rotates its hash
+    /// key).
+    steer: SteeringView,
     /// The execution model driving the per-shard fan-out (sequential by default).
     executor: Box<dyn ShardExecutor>,
-    /// Reusable steering scratch for the batched entry points (not logical state:
-    /// fully recomputed per batch, kept only for its capacity).
-    partition: PartitionScratch,
+    /// The partition buffers of [`ShardedDatapath::process_timed_batch`] (not logical
+    /// state: recomputed per batch, kept only for their capacity).
+    prep: Prepartition,
 }
 
 impl<B: FastPathBackend> ShardedDatapath<B> {
@@ -326,16 +339,16 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     fn from_shards(shards: Vec<Datapath<B>>, steering: Steering) -> Self {
-        let schema = shards[0].table().schema();
         ShardedDatapath {
-            steer_fields: steering.steer_fields(schema),
-            schema_is_v4: schema.field_index("ip_src").is_some(),
-            schema_is_v6: schema.field_index("ip6_src").is_some(),
-            hash_key: rss::DEFAULT_HASH_KEY,
+            steer: SteeringView {
+                steer_fields: steering.steer_fields(shards[0].table().schema()),
+                n_shards: shards.len(),
+                hash_key: rss::DEFAULT_HASH_KEY,
+                steering,
+            },
             executor: Box::new(SequentialExecutor),
-            partition: PartitionScratch::default(),
+            prep: Prepartition::default(),
             shards,
-            steering,
         }
     }
 
@@ -367,8 +380,9 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
 
     /// Replace the shard-execution model (builder form). The default is
     /// [`SequentialExecutor`]; a
-    /// [`ThreadPoolExecutor`](crate::exec::ThreadPoolExecutor) runs the per-shard
-    /// fan-out on scoped worker threads with bit-for-bit identical results.
+    /// [`PersistentPoolExecutor`](crate::exec::PersistentPoolExecutor) runs the
+    /// per-shard fan-out on long-lived worker threads with bit-for-bit identical
+    /// results.
     pub fn with_executor(mut self, executor: impl ShardExecutor + 'static) -> Self {
         self.set_executor(executor);
         self
@@ -420,15 +434,10 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         self.shards.len()
     }
 
-    /// The steering policy in effect.
-    pub fn steering(&self) -> Steering {
-        self.steering
-    }
-
     /// The RSS hash key currently seeding the steering hash
     /// ([`rss::DEFAULT_HASH_KEY`] until [`ShardedDatapath::rekey`] is called).
     pub fn hash_key(&self) -> u64 {
-        self.hash_key
+        self.steer.hash_key
     }
 
     /// Re-seed the steering hash — the RSS hash-key *rotation* countermeasure: an
@@ -442,12 +451,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// refreshed and age out through the normal idle timeout. [`Steering::Pinned`]
     /// placement ignores the key entirely.
     pub fn rekey(&mut self, hash_key: u64) {
-        self.hash_key = hash_key;
-    }
-
-    /// The shards, in shard order.
-    pub fn shards(&self) -> &[Datapath<B>] {
-        &self.shards
+        self.steer.hash_key = hash_key;
     }
 
     /// Shard `i` (read-only).
@@ -462,26 +466,15 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
 
     /// The shard `key` is steered to.
     pub fn shard_of_key(&self, key: &Key) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        match self.steering {
-            Steering::Pinned(i) => i,
-            _ => rss::shard_of_keyed(key, &self.steer_fields, self.shards.len(), self.hash_key),
-        }
+        self.steer.shard_of_key(key)
     }
 
-    /// Snapshot the steering function (policy, hashed fields, shard count, current
+    /// A copy of the steering function (policy, hashed fields, shard count, current
     /// hash key) so another thread can compute [`Prepartition`]s while the shards are
     /// busy. Answers [`SteeringView::shard_of_key`] exactly like
-    /// [`ShardedDatapath::shard_of_key`] does at snapshot time.
+    /// [`ShardedDatapath::shard_of_key`] does at the time of the call.
     pub fn steering_view(&self) -> SteeringView {
-        SteeringView {
-            steering: self.steering,
-            steer_fields: self.steer_fields.clone(),
-            n_shards: self.shards.len(),
-            hash_key: self.hash_key,
-        }
+        self.steer.clone()
     }
 
     /// The installed flow table (identical on every shard).
@@ -570,58 +563,46 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// across shards, and the choice of shard 0 is stable across runs and executors
     /// (pinned by `schema_mismatch_accounts_on_shard_zero`).
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let flow = FlowKey::from_packet(pkt);
-        let family_matches =
-            (flow.is_v6 && self.schema_is_v6) || (!flow.is_v6 && self.schema_is_v4);
-        let shard = if family_matches {
-            self.shard_of_key(&flow.to_key(self.shards[0].table().schema()))
-        } else {
-            0
-        };
+        let key = self.shards[0].steerable_key(&FlowKey::from_packet(pkt));
+        let shard = key.map_or(0, |key| self.shard_of_key(&key));
         self.shards[shard].process_packet(pkt, now)
     }
 
-    /// Fan a timestamped event batch out to the shards in one pass and process each
-    /// shard's sub-batch with [`Datapath::process_timed_batch`].
+    /// Fan a timestamped event batch out to the shards in one pass: every shard
+    /// classifies its share with [`Datapath::process_timed_batch_indexed`].
     ///
     /// Events keep their relative order within each shard (the order the PMD's RX
     /// queue would deliver them), and each shard's expiry/entry liveness evolves at the
     /// events' own timestamps. With one shard this is exactly the monolithic
-    /// `process_timed_batch`.
+    /// [`Datapath::process_timed_batch`].
     ///
-    /// The per-shard sub-batches run through the configured [`ShardExecutor`]; each
-    /// shard's [`BatchReport`] is returned directly by its job (no re-derivation) and
-    /// collected in shard order, so the report — like every other output — is
-    /// executor-independent.
-    ///
-    /// Steering is a single allocation-free pre-partition pass: `shard_of_key` is
-    /// computed for the whole batch into a reusable scratch index buffer (a stable
-    /// counting sort), then each shard receives the full slice plus one contiguous
-    /// index run via [`Datapath::process_timed_batch_indexed`] — no per-shard `Vec`s,
-    /// no per-event [`Key`] clones.
+    /// Steering is a single allocation-free pre-partition pass into the datapath's own
+    /// [`Prepartition`] buffers (a stable counting sort of event indices) — no
+    /// per-shard `Vec`s, no per-event [`Key`] clones. Each shard's [`BatchReport`] is
+    /// returned directly by its job and collected in shard order, so the report — like
+    /// every other output — is executor-independent.
     pub fn process_timed_batch(&mut self, batch: &[(Key, usize, f64)]) -> ShardedBatchReport {
-        if self.shards.len() == 1 {
-            return ShardedBatchReport {
-                per_shard: vec![self.shards[0].process_timed_batch(batch)],
-            };
-        }
-        let mut scratch = std::mem::take(&mut self.partition);
-        scratch.partition(self.shards.len(), batch.len(), |e| {
-            self.shard_of_key(&batch[e].0)
-        });
-        let per_shard = Self::dispatch_timed(&self.executor, &mut self.shards, batch, &scratch);
-        self.partition = scratch;
-        ShardedBatchReport { per_shard }
+        self.prep.clear();
+        let (steer, executor) = (&self.steer, &*self.executor);
+        Self::dispatch(
+            steer,
+            executor,
+            &mut self.shards,
+            batch,
+            &mut self.prep,
+            None::<fn()>,
+        )
+        .0
     }
 
     /// Like [`ShardedDatapath::process_timed_batch`], but consuming a partition
     /// computed ahead of time against a [`SteeringView`] — the dispatch half of the
     /// pipelined datapath.
     ///
-    /// If `prep` no longer matches this datapath (never computed, computed under a
-    /// different hash key — a rekey landed in between — or for a different batch
-    /// length or shard count), it is transparently recomputed here against the current
-    /// steering before dispatch, so results are **always** identical to
+    /// If `prep` no longer matches this datapath (never computed, cleared, computed
+    /// under a different hash key — a rekey landed in between — or for a different
+    /// batch length or shard count), it is transparently recomputed here against the
+    /// current steering before dispatch, so results are **always** identical to
     /// `process_timed_batch` on the same batch; staleness can only cost the
     /// pre-computation, never correctness.
     pub fn process_timed_batch_prepartitioned(
@@ -629,87 +610,70 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         batch: &[(Key, usize, f64)],
         prep: &mut Prepartition,
     ) -> ShardedBatchReport {
-        if self.shards.len() == 1 {
-            return ShardedBatchReport {
-                per_shard: vec![self.shards[0].process_timed_batch(batch)],
-            };
-        }
-        self.revalidate(prep, batch);
-        let per_shard =
-            Self::dispatch_timed(&self.executor, &mut self.shards, batch, &prep.scratch);
-        ShardedBatchReport { per_shard }
+        let (steer, executor) = (&self.steer, &*self.executor);
+        Self::dispatch(steer, executor, &mut self.shards, batch, prep, None::<fn()>).0
     }
 
     /// The pipelined entry point: process `batch` (partitioned by `prep`, revalidated
     /// exactly as in [`ShardedDatapath::process_timed_batch_prepartitioned`]) and run
-    /// `aux` once *during* the same executor dispatch.
+    /// `aux` once *during* the same executor dispatch, returning its output.
     ///
-    /// On an executor with a spare worker — a [`PersistentPoolExecutor`](crate::exec::PersistentPoolExecutor)
-    /// (crate::exec::PersistentPoolExecutor) or
-    /// [`ThreadPoolExecutor`](crate::exec::ThreadPoolExecutor) with more threads than
-    /// busy shards — `aux` overlaps with shard processing; the experiment runner uses
-    /// it to drain and pre-partition interval *k + 1* while the shards chew interval
-    /// *k*. On a [`SequentialExecutor`] `aux` simply runs first. Because `aux` cannot
-    /// touch the datapath (the borrow checker enforces disjointness) the result is
-    /// executor-independent whenever `aux` itself is deterministic.
+    /// On an executor with a spare worker — a
+    /// [`PersistentPoolExecutor`](crate::exec::PersistentPoolExecutor) with more
+    /// threads than busy shards — `aux` overlaps with shard processing; the experiment
+    /// runner uses it to drain and pre-partition interval *k + 1* while the shards chew
+    /// interval *k*. On a [`SequentialExecutor`] `aux` simply runs first. Because
+    /// `aux` cannot touch the datapath (the borrow checker enforces disjointness) the
+    /// result is executor-independent whenever `aux` itself is deterministic.
     pub fn process_timed_batch_with<T: Send>(
         &mut self,
         batch: &[(Key, usize, f64)],
         prep: &mut Prepartition,
         aux: impl FnOnce() -> T + Send,
     ) -> (ShardedBatchReport, T) {
-        if self.shards.len() == 1 {
-            let (per_shard, aux_result) = self.executor.for_each_shard_with_aux(
-                &mut self.shards,
-                |_, shard| shard.process_timed_batch(batch),
-                aux,
-            );
-            return (ShardedBatchReport { per_shard }, aux_result);
-        }
-        self.revalidate(prep, batch);
-        let scratch = &prep.scratch;
-        let (per_shard, aux_result) = self.executor.for_each_shard_with_aux(
-            &mut self.shards,
-            |i, shard| {
-                let idx = scratch.slice(i);
-                if idx.is_empty() {
-                    BatchReport::default()
-                } else {
-                    shard.process_timed_batch_indexed(batch, idx)
-                }
-            },
-            aux,
-        );
-        (ShardedBatchReport { per_shard }, aux_result)
+        let (steer, executor) = (&self.steer, &*self.executor);
+        let (report, Some(out)) =
+            Self::dispatch(steer, executor, &mut self.shards, batch, prep, Some(aux))
+        else {
+            // lint: allow(panic-hygiene) — `dispatch` returns `Some` exactly when given `Some(aux)`
+            unreachable!("dispatch ran the aux job it was given")
+        };
+        (report, out)
     }
 
-    /// Recompute `prep` against the current steering unless it is already current
-    /// (same shard count, same hash key, same batch length).
-    fn revalidate(&self, prep: &mut Prepartition, batch: &[(Key, usize, f64)]) {
-        if prep.is_current(self.shards.len(), self.hash_key, batch.len()) {
-            return;
-        }
-        prep.compute_with(self.shards.len(), self.hash_key, batch.len(), |e| {
-            self.shard_of_key(&batch[e].0)
-        });
-    }
-
-    /// Fan the partitioned batch out through the executor: shard `i` processes the
-    /// contiguous index run `scratch.slice(i)` against the shared event slice.
-    fn dispatch_timed(
+    /// The one batch dispatch: bring `prep` up to date with the steering, then have
+    /// shard `i` classify its contiguous index run of the shared event slice (a lone
+    /// shard takes the whole batch, unpartitioned), with `aux` — if any — riding the
+    /// same executor call. Takes the datapath's fields apart so
+    /// [`ShardedDatapath::process_timed_batch`] can pass its own partition buffers.
+    fn dispatch<T: Send>(
+        steer: &SteeringView,
         executor: &dyn ShardExecutor,
         shards: &mut [Datapath<B>],
         batch: &[(Key, usize, f64)],
-        scratch: &PartitionScratch,
-    ) -> Vec<BatchReport> {
-        executor.for_each_shard(shards, |i, shard| {
-            let idx = scratch.slice(i);
-            if idx.is_empty() {
-                BatchReport::default()
+        prep: &mut Prepartition,
+        aux: Option<impl FnOnce() -> T + Send>,
+    ) -> (ShardedBatchReport, Option<T>) {
+        prep.ensure_current(steer, batch);
+        let runs = &prep.scratch;
+        let lone = shards.len() == 1;
+        let job = |i: usize, shard: &mut Datapath<B>| {
+            if lone {
+                shard.process_timed_batch(batch)
             } else {
-                shard.process_timed_batch_indexed(batch, idx)
+                shard.process_timed_batch_indexed(batch, runs.slice(i))
             }
-        })
+        };
+        let (per_shard, out) = match aux {
+            Some(aux) => {
+                let (per_shard, out) = executor.for_each_shard_with_aux(shards, job, aux);
+                (per_shard, Some(out))
+            }
+            // A lone shard with nothing to overlap needs no executor round trip.
+            None if lone => (vec![job(0, &mut shards[0])], None),
+            None => (executor.for_each_shard(shards, job), None),
+        };
+        (ShardedBatchReport { per_shard }, out)
     }
 
     /// Process one raw Ethernet frame: parse it (VLAN/VXLAN overlays included), steer
@@ -719,23 +683,15 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// Wire-ingestion bookkeeping always lands on **shard 0**, the ingestion point:
     /// the `decoded` counter, the per-kind decode-error counters, and the charge for
     /// every unclassifiable frame (decode failure → dropped; family mismatch →
-    /// permitted unclassified, exactly like [`ShardedDatapath::process_packet`]'s
-    /// schema-mismatch path). Classification work is steered per key as usual.
+    /// permitted unclassified, see [`ShardedDatapath::process_packet`]).
+    /// Classification work is steered per key as usual.
     pub fn process_wire(&mut self, frame: &[u8], now: f64) -> ProcessOutcome {
         match tse_packet::wire::decode(frame) {
             Ok(pkt) => {
                 self.shards[0].stats_mut().record_decoded();
-                let flow = FlowKey::from_packet(&pkt);
-                let family_matches =
-                    (flow.is_v6 && self.schema_is_v6) || (!flow.is_v6 && self.schema_is_v4);
-                let shard = if family_matches {
-                    self.shard_of_key(&flow.to_key(self.shards[0].table().schema()))
-                } else {
-                    0
-                };
-                self.shards[shard].process_packet(&pkt, now)
+                self.process_packet(&pkt, now)
             }
-            Err(e) => self.shards[0].note_wire_fault(WireFault::Decode(e), frame.len(), now),
+            Err(e) => self.note_wire_fault(WireFault::Decode(e), frame.len(), now),
         }
     }
 
@@ -748,9 +704,9 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Batched wire ingestion at a single timestamp: extract keys from `frames`
-    /// through the allocation-free batched extractor (reusing `scratch`), steer the
-    /// classifiable keys per shard with the ordinary pre-partitioned
-    /// [`ShardedDatapath::process_batch`] dispatch, and charge every unclassifiable
+    /// through the allocation-free batched extractor (reusing `scratch`), stamp the
+    /// classifiable keys `now` and steer them per shard with
+    /// [`ShardedDatapath::process_timed_batch`], and charge every unclassifiable
     /// frame to shard 0 (see [`ShardedDatapath::process_wire`] for the bookkeeping
     /// invariant). The returned report folds the shard-0 fault charges into
     /// `per_shard[0]`.
@@ -761,28 +717,19 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         now: f64,
     ) -> ShardedBatchReport {
         extract_keys_into(frames, scratch);
-        let mut batch: Vec<(Key, usize)> = Vec::with_capacity(frames.len());
+        let mut batch: Vec<(Key, usize, f64)> = Vec::with_capacity(frames.len());
         let mut faults: Vec<(WireFault, usize)> = Vec::new();
         let mut decoded = 0u64;
-        {
-            let schema = self.shards[0].table().schema();
-            for (res, frame) in scratch.keys().iter().zip(frames) {
-                match res {
-                    Ok(flow) => {
-                        decoded += 1;
-                        let family_matches =
-                            (flow.is_v6 && self.schema_is_v6) || (!flow.is_v6 && self.schema_is_v4);
-                        if family_matches {
-                            batch.push((flow.to_key(schema), frame.len()));
-                        } else {
-                            faults.push((WireFault::FamilyMismatch, frame.len()));
-                        }
-                    }
-                    Err(e) => faults.push((WireFault::Decode(*e), frame.len())),
-                }
+        for (res, frame) in scratch.keys().iter().zip(frames) {
+            let key = res.as_ref().map(|flow| self.shards[0].steerable_key(flow));
+            decoded += u64::from(key.is_ok());
+            match key {
+                Ok(Some(key)) => batch.push((key, frame.len(), now)),
+                Ok(None) => faults.push((WireFault::FamilyMismatch, frame.len())),
+                Err(e) => faults.push((WireFault::Decode(*e), frame.len())),
             }
         }
-        let mut report = self.process_batch(&batch, now);
+        let mut report = self.process_timed_batch(&batch);
         self.shards[0].stats_mut().decoded += decoded;
         for (fault, bytes) in faults {
             let out = self.shards[0].note_wire_fault(fault, bytes, now);
@@ -796,37 +743,6 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
             r.total_cost += out.cost;
         }
         report
-    }
-
-    /// Fan a single-timestamp batch out per shard (the [`Datapath::process_batch`]
-    /// semantics — one expiry sweep per shard, consecutive identical headers within a
-    /// shard's sub-batch deduplicated). Like [`ShardedDatapath::process_timed_batch`],
-    /// steering is an allocation-free indexed pre-partition pass (no `Key` clones),
-    /// the sub-batches run through the configured executor and reports come back in
-    /// shard order.
-    pub fn process_batch(&mut self, batch: &[(Key, usize)], now: f64) -> ShardedBatchReport {
-        if self.shards.len() == 1 {
-            return ShardedBatchReport {
-                per_shard: vec![self.shards[0].process_batch(batch, now)],
-            };
-        }
-        let mut scratch = std::mem::take(&mut self.partition);
-        scratch.partition(self.shards.len(), batch.len(), |e| {
-            self.shard_of_key(&batch[e].0)
-        });
-        let per_shard = {
-            let scratch = &scratch;
-            self.executor.for_each_shard(&mut self.shards, |i, shard| {
-                let idx = scratch.slice(i);
-                if idx.is_empty() {
-                    BatchReport::default()
-                } else {
-                    shard.process_batch_indexed(batch, idx, now)
-                }
-            })
-        };
-        self.partition = scratch;
-        ShardedBatchReport { per_shard }
     }
 }
 
@@ -1133,16 +1049,52 @@ mod tests {
         assert_eq!(got, expect);
         assert_eq!(piped.stats(), inline.stats());
 
-        // A cleared partition is likewise recomputed rather than trusted.
-        let (mut inline2, _) = parity_fixture();
+        // A cleared partition is likewise recomputed rather than trusted — `clear()` is
+        // the contract for reusing one across same-length batches.
+        let other = shifted(&batch);
+        let expect = |events: &[(Key, usize, f64)], shards: usize| {
+            let schema = FieldSchema::ovs_ipv4();
+            ShardedDatapath::new(fig6_table(&schema), shards, Steering::Rss)
+                .process_timed_batch(events)
+        };
         let (mut piped2, _) = parity_fixture();
-        let mut cleared = Prepartition::default();
-        cleared.compute(&piped2.steering_view(), &batch);
-        cleared.clear();
-        assert_eq!(
-            piped2.process_timed_batch_prepartitioned(&batch, &mut cleared),
-            inline2.process_timed_batch(&batch)
-        );
+        let mut prep = Prepartition::default();
+        prep.compute(&piped2.steering_view(), &batch);
+        prep.clear();
+        let got = piped2.process_timed_batch_prepartitioned(&other, &mut prep);
+        assert_eq!(got, expect(&other, 4));
+        // Now current for `other`: a different batch length is recomputed...
+        let (mut piped3, _) = parity_fixture();
+        let got = piped3.process_timed_batch_prepartitioned(&batch[..100], &mut prep);
+        assert_eq!(got, expect(&batch[..100], 4));
+        // ...and so is a partition computed for another shard count.
+        let schema = FieldSchema::ovs_ipv4();
+        let mut wide = ShardedDatapath::new(fig6_table(&schema), 8, Steering::Rss);
+        let got = wide.process_timed_batch_prepartitioned(&batch[..100], &mut prep);
+        assert_eq!(got, expect(&batch[..100], 8));
+    }
+
+    /// The parity fixture's batch with every key's destination port shifted: same
+    /// length, different keys, so (almost) every event steers elsewhere.
+    fn shifted(batch: &[(Key, usize, f64)]) -> Vec<(Key, usize, f64)> {
+        let tp_dst = FieldSchema::ovs_ipv4().field_index("tp_dst").unwrap();
+        let mut other = batch.to_vec();
+        for (key, ..) in &mut other {
+            key.set(tp_dst, key.get(tp_dst) + 1000);
+        }
+        other
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Prepartition reused for a different batch")]
+    fn reusing_a_prepartition_for_another_same_length_batch_is_caught() {
+        let (mut dp, batch) = parity_fixture();
+        let mut prep = Prepartition::default();
+        prep.compute(&dp.steering_view(), &batch);
+        // Same length, shard count and hash key — the partition looks current, yet it
+        // would mis-steer every event of the other batch.
+        dp.process_timed_batch_prepartitioned(&shifted(&batch), &mut prep);
     }
 
     #[test]

@@ -41,16 +41,13 @@
 //!
 //! ## Batched processing
 //!
-//! [`prelude::Datapath::process_batch`] pushes a slice of `(header, wire_bytes)` pairs
-//! through the datapath at a single timestamp, amortising the idle-expiry check and
-//! stats bookkeeping over the whole batch and short-circuiting runs of identical
-//! headers. Packets are processed in order; per-packet verdicts are identical to a
-//! [`prelude::Datapath::process_key`] loop at the same time, while per-entry hit
-//! counters advance once per run of identical headers (see
-//! [`prelude::BatchReport`] for the full semantics).
-//! [`prelude::Datapath::process_timed_batch`] is the timestamped variant the
-//! event-driven runner uses: each event processed at its own time, verdicts and cache
-//! evolution identical to a `process_key` loop.
+//! [`prelude::Datapath::process_timed_batch`] pushes an ordered slice of
+//! `(header, wire_bytes, time)` events through the datapath, each at its own
+//! timestamp, amortising the stats bookkeeping over the whole batch (see
+//! [`prelude::BatchReport`]) — the form the event-driven runner uses.
+//! [`prelude::Datapath::process_batch`] is the same thing for `(header, wire_bytes)`
+//! pairs all stamped with one time. Verdicts, costs and cache evolution are identical
+//! to a [`prelude::Datapath::process_key`] loop over the same events.
 //!
 //! ## Streaming experiment construction
 //!
@@ -170,10 +167,11 @@
 //!
 //! The sharded datapath's per-shard fan-out runs through a pluggable
 //! [`prelude::ShardExecutor`]: the default [`prelude::SequentialExecutor`] walks the
-//! shards in order, [`prelude::PersistentPoolExecutor`] feeds long-lived parked
-//! workers — the paper's actual hardware model of core-pinned PMD threads whose spawn
-//! cost is paid once per process, not per batch — and [`prelude::ThreadPoolExecutor`]
-//! spawns scoped threads per batch. Steering is an allocation-free pre-partition pass
+//! shards in order (the reference), [`prelude::PersistentPoolExecutor`] feeds
+//! long-lived parked workers — the paper's actual hardware model of core-pinned PMD
+//! threads whose spawn cost is paid once per process, not per batch — and
+//! [`prelude::ChaosExecutor`] runs the shards in a seeded adversarial order for the
+//! parity tests. Steering is an allocation-free pre-partition pass
 //! (a reusable index buffer, no per-event key clones), and on a pooled executor the
 //! experiment runner pipelines its hot loop: interval *k + 1* is drained and
 //! pre-partitioned on a spare worker while the shards chew interval *k*. Because
@@ -192,7 +190,7 @@
 //!     8,
 //!     Steering::Rss,
 //! );
-//! let mut threaded = ShardedDatapath::from_builder(
+//! let mut pooled = ShardedDatapath::from_builder(
 //!     Datapath::builder(table).with_executor(PersistentPoolExecutor::new(8)),
 //!     8,
 //!     Steering::Rss,
@@ -203,12 +201,12 @@
 //!     .enumerate()
 //!     .map(|(i, k)| (k, 64, i as f64 * 1e-3))
 //!     .collect();
-//! // Same reports, same stats — the thread pool only buys wall-clock time.
+//! // Same reports, same stats — the worker pool only buys wall-clock time.
 //! assert_eq!(
 //!     sequential.process_timed_batch(&batch),
-//!     threaded.process_timed_batch(&batch)
+//!     pooled.process_timed_batch(&batch)
 //! );
-//! assert_eq!(sequential.stats(), threaded.stats());
+//! assert_eq!(sequential.stats(), pooled.stats());
 //! ```
 //!
 //! ## Composable mitigations
@@ -346,7 +344,6 @@ pub mod prelude {
     pub use tse_switch::datapath::{BatchReport, Datapath, DatapathBuilder, DatapathConfig};
     pub use tse_switch::exec::{
         ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
-        ThreadPoolExecutor,
     };
     pub use tse_switch::pmd::{
         Prepartition, ShardedBatchReport, ShardedDatapath, Steering, SteeringView,

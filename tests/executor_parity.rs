@@ -94,17 +94,6 @@ fn assert_timelines_identical(seq: &Timeline, par: &Timeline) {
 }
 
 #[test]
-fn threaded_timelines_match_sequential_on_every_scenario_and_shard_count() {
-    for scenario in Scenario::ALL {
-        for n_shards in [1usize, 4, 16] {
-            let seq = run_experiment(scenario, n_shards, SequentialExecutor);
-            let par = run_experiment(scenario, n_shards, ThreadPoolExecutor::new(4));
-            assert_timelines_identical(&seq, &par);
-        }
-    }
-}
-
-#[test]
 fn persistent_pool_timelines_match_sequential_on_every_scenario_and_shard_count() {
     // Same exhaustive sweep for the long-lived worker pool — and note the pipelined
     // runner actually overlaps the drain of interval k+1 with shard processing here,
@@ -154,8 +143,8 @@ fn one_persistent_pool_is_reusable_across_runs() {
 fn threaded_runs_are_reproducible() {
     // Two identical threaded runs agree with each other (no hidden scheduling
     // dependence), not just with the sequential reference.
-    let a = run_experiment(Scenario::SipDp, 8, ThreadPoolExecutor::new(3));
-    let b = run_experiment(Scenario::SipDp, 8, ThreadPoolExecutor::new(5));
+    let a = run_experiment(Scenario::SipDp, 8, PersistentPoolExecutor::new(3));
+    let b = run_experiment(Scenario::SipDp, 8, PersistentPoolExecutor::new(5));
     assert_timelines_identical(&a, &b);
 }
 
@@ -186,9 +175,7 @@ fn batch_reports_and_stats_match_across_executors() {
     assert_eq!(seq.shard_mask_counts(), par.shard_mask_counts());
     assert_eq!(seq.shard_entry_counts(), par.shard_entry_counts());
 
-    // The single-timestamp form and the expiry sweep too.
-    let flat: Vec<(Key, usize)> = events.iter().map(|(k, b, _)| (k.clone(), *b)).collect();
-    assert_eq!(seq.process_batch(&flat, 3.0), par.process_batch(&flat, 3.0));
+    // The expiry sweep too.
     seq.maybe_expire(60.0);
     par.maybe_expire(60.0);
     assert_eq!(seq.mask_count(), par.mask_count());
@@ -209,7 +196,6 @@ fn sharded_batch_report_is_consistent_with_shard_stats() {
         .collect();
     for executor in [
         Box::new(SequentialExecutor) as Box<dyn ShardExecutor>,
-        Box::new(ThreadPoolExecutor::new(4)),
         Box::new(PersistentPoolExecutor::new(4)),
         Box::new(ChaosExecutor::new(4, 0xC0FFEE)),
     ] {
@@ -271,27 +257,19 @@ proptest! {
             .collect();
         let table = Scenario::SpDp.flow_table(&schema);
         let mut seq = ShardedDatapath::new(table.clone(), n_shards, Steering::Rss);
-        let mut par = ShardedDatapath::new(table.clone(), n_shards, Steering::Rss)
-            .with_executor(ThreadPoolExecutor::new(threads));
         let mut pool = ShardedDatapath::new(table.clone(), n_shards, Steering::Rss)
             .with_executor(PersistentPoolExecutor::new(threads));
         let mut chaos = ShardedDatapath::new(table, n_shards, Steering::Rss)
             .with_executor(ChaosExecutor::new(threads, values.len() as u64));
         let r_seq = seq.process_timed_batch(&batch);
-        let r_par = par.process_timed_batch(&batch);
         let r_pool = pool.process_timed_batch(&batch);
         let r_chaos = chaos.process_timed_batch(&batch);
-        prop_assert_eq!(&r_seq, &r_par);
         prop_assert_eq!(&r_seq, &r_pool);
         prop_assert_eq!(&r_seq, &r_chaos);
-        let (a, b): (DatapathStats, DatapathStats) = (seq.stats(), par.stats());
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.busy_seconds.to_bits(), b.busy_seconds.to_bits());
-        let c: DatapathStats = pool.stats();
+        let (a, c): (DatapathStats, DatapathStats) = (seq.stats(), pool.stats());
         prop_assert_eq!(&a, &c);
         prop_assert_eq!(a.busy_seconds.to_bits(), c.busy_seconds.to_bits());
         for i in 0..n_shards {
-            prop_assert_eq!(seq.shard_stats(i), par.shard_stats(i), "shard {}", i);
             prop_assert_eq!(seq.shard_stats(i), pool.shard_stats(i), "shard {}", i);
         }
     }

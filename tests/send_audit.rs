@@ -1,7 +1,7 @@
 //! Compile-time `Send`/`Sync` audit for everything the `ShardExecutor` hands to
 //! worker threads.
 //!
-//! `ThreadPoolExecutor` moves each shard's `&mut Datapath<B>` — backend, slow path,
+//! `PersistentPoolExecutor` moves each shard's `&mut Datapath<B>` — backend, slow path,
 //! caches, stats — across a thread boundary, and the experiment runner (datapath +
 //! mitigation stack) must be free to live on a worker thread too. These assertions
 //! pin that down at `cargo test` time: a future `Rc`/`RefCell`/raw-pointer regression
@@ -61,10 +61,10 @@ fn executors_are_send_and_sync() {
     // Executors are shared by reference with every worker they spawn.
     assert_send::<SequentialExecutor>();
     assert_sync::<SequentialExecutor>();
-    assert_send::<ThreadPoolExecutor>();
-    assert_sync::<ThreadPoolExecutor>();
     assert_send::<PersistentPoolExecutor>();
     assert_sync::<PersistentPoolExecutor>();
+    assert_send::<ChaosExecutor>();
+    assert_sync::<ChaosExecutor>();
     assert_send::<Box<dyn ShardExecutor>>();
     assert_sync::<Box<dyn ShardExecutor>>();
 }

@@ -120,8 +120,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The executor is a wall-clock choice only: a churning, attacked fleet run
-    /// records a bit-identical store under the sequential and thread-pool executors —
-    /// hot ring, every cold aggregate, and every SLO tracker.
+    /// records a bit-identical store under the sequential and persistent-pool
+    /// executors — hot ring, every cold aggregate, and every SLO tracker.
     #[test]
     fn store_is_bit_identical_across_executors(
         seed in 0u64..1024,
@@ -138,7 +138,7 @@ proptest! {
             seed,
         });
         let seq = fleet_store(&fleet, Box::new(SequentialExecutor));
-        let par = fleet_store(&fleet, Box::new(ThreadPoolExecutor::new(4)));
+        let par = fleet_store(&fleet, Box::new(PersistentPoolExecutor::new(4)));
 
         let (a, b) = (seq.recent_timeline(), par.recent_timeline());
         prop_assert_eq!(a.victim_names, b.victim_names);

@@ -79,12 +79,10 @@ fn wire_replay_is_executor_invariant_degrades_and_recovers() {
     for guarded in [false, true] {
         let stack = if guarded { "guard+rekey" } else { "none" };
         let (seq, seq_s0, seq_rest) = run(SequentialExecutor, guarded);
-        let (pool, pool_s0, pool_rest) = run(ThreadPoolExecutor::new(4), guarded);
         let (pers, pers_s0, pers_rest) = run(PersistentPoolExecutor::new(4), guarded);
 
         // Bit-for-bit executor parity, malformed series included: Vec<TimelineSample>
         // equality compares every f64 of every sample.
-        assert_eq!(seq.samples, pool.samples, "{stack}: thread-pool diverged");
         assert_eq!(
             seq.samples, pers.samples,
             "{stack}: persistent pool diverged"
@@ -94,7 +92,6 @@ fn wire_replay_is_executor_invariant_degrades_and_recovers() {
         // nowhere else, under every executor.
         for (who, s0, rest) in [
             ("sequential", seq_s0, seq_rest),
-            ("thread-pool", pool_s0, pool_rest),
             ("persistent", pers_s0, pers_rest),
         ] {
             assert_eq!(
