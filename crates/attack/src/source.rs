@@ -78,9 +78,9 @@ pub enum SourceRole {
 /// Sources may be unbounded (e.g. a victim flow that runs forever, or a General-TSE
 /// generator) — consumers pull only as far as the experiment horizon.
 ///
-/// `Send` is a supertrait so the pipelined experiment runner can drain interval
-/// *k + 1* on a spare pool worker while the datapath shards chew interval *k*; every
-/// source is plain owned data (traces, RNG state), so this costs implementors nothing.
+/// `Send` is a supertrait so a [`TrafficMix`] — and an experiment holding one — can
+/// move to another thread (`tests/send_audit.rs`); every source is plain owned data
+/// (traces, RNG state), so this costs implementors nothing.
 pub trait TrafficSource: Send {
     /// Display label (per-source attribution in timelines, e.g. `"Attacker 2"`).
     fn label(&self) -> &str;

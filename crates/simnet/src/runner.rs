@@ -13,7 +13,9 @@
 //! [`TimelineSample`]s.
 //!
 //! [`ExperimentRunner::run_mix`] is a sequence of named stage functions over one
-//! private `RunState`, so each stage is a seam a profile or trace can hang off.
+//! private `RunState`, so each stage is a seam a profile or trace can hang off. Every
+//! interval is drained from the mix and then processed, both on the calling thread;
+//! the executor runs shard jobs and nothing else.
 //!
 //! [`ExperimentRunner::run`] is the single-attack-trace entry point the original
 //! figure experiments use; it is a thin shim that wraps the trace and the stored
@@ -31,7 +33,7 @@ use tse_packet::fields::Key;
 use tse_packet::wire::WireFault;
 use tse_switch::datapath::Datapath;
 use tse_switch::exec::ShardExecutor;
-use tse_switch::pmd::{Prepartition, ShardedBatchReport, ShardedDatapath, SteeringView};
+use tse_switch::pmd::{ShardedBatchReport, ShardedDatapath};
 use tse_switch::stats::PathTaken;
 
 use crate::offload::OffloadConfig;
@@ -328,10 +330,8 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// [`PersistentPoolExecutor`](tse_switch::exec::PersistentPoolExecutor) for
     /// long-lived parked workers (the PMD-thread model — spawn cost paid once).
     /// Timelines are bit-for-bit identical on every executor
-    /// (`tests/executor_parity.rs`); only wall-clock time changes. On a pooled
-    /// executor with a spare worker, [`ExperimentRunner::run_mix`] additionally
-    /// pipelines the hot loop: interval *k + 1* is drained and pre-partitioned while
-    /// the shards chew interval *k*.
+    /// (`tests/executor_parity.rs`); only wall-clock time changes. The executor runs
+    /// the per-shard jobs only: draining the mix stays on the calling thread.
     pub fn with_executor(mut self, executor: impl ShardExecutor + 'static) -> Self {
         self.datapath.set_executor(executor);
         self
@@ -378,22 +378,24 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     ///
     /// Per sample interval `[t, t + dt)` the loop runs one stage function each:
     ///
-    /// 1. `install_due_tables` — applies the flow-table replacements scheduled at or
+    /// 1. `drain_interval` — pulls every event below `t + dt` out of the mix into one
+    ///    flat buffer (merged timestamp order), noting where the source changes; probe
+    ///    and malformed-frame events are set aside;
+    /// 2. `install_due_tables` — applies the flow-table replacements scheduled at or
     ///    before `t`;
-    /// 2. `replay_chunks` — replays the interval's packet events (all events below
-    ///    `t + dt`, drained from the mix ahead of time; probe events are set aside)
-    ///    through [`ShardedDatapath::process_timed_batch_prepartitioned`] in per-source chunks
-    ///    (merged timestamp order, each packet at its own time);
-    /// 3. `charge_faults_and_expire` — charges malformed frames to shard 0 and runs
+    /// 3. `replay_chunks` — replays the interval's packet events through
+    ///    [`ShardedDatapath::process_timed_batch`], one per-source run at a time (each
+    ///    packet at its own time);
+    /// 4. `charge_faults_and_expire` — charges malformed frames to shard 0 and runs
     ///    the idle-expiry sweep at the interval end;
-    /// 4. `replay_probes` — each probe refreshes its victim's fast-path entry and
+    /// 5. `replay_probes` — each probe refreshes its victim's fast-path entry and
     ///    yields the current per-invocation cost under the runner's offload model;
-    /// 5. `allocate_victim_throughput` — splits the CPU each shard has left over from
+    /// 6. `allocate_victim_throughput` — splits the CPU each shard has left over from
     ///    attack processing across its active victims (equal shares, one
     ///    redistribution pass, aggregate line-rate cap);
-    /// 6. `run_mitigations` — [`MitigationStack::on_sample`], stages in order, each
+    /// 7. `run_mitigations` — [`MitigationStack::on_sample`], stages in order, each
     ///    seeing per-shard telemetry for the interval;
-    /// 7. `record_sample` — emits the [`TimelineSample`] with per-attacker
+    /// 8. `record_sample` — emits the [`TimelineSample`] with per-attacker
     ///    delivered-pps attribution and the stack's [`MitigationAction`]s.
     ///
     /// Before the first interval the stack's [`Mitigation::on_start`] hooks run with
@@ -402,16 +404,24 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// [`Mitigation::on_finish`] hooks disarm whatever per-shard state the stages
     /// installed, so a reused runner or datapath leaves the run undefended.
     ///
-    /// The loop is double-buffered: while the shards process interval *k*'s largest
-    /// chunk, a spare executor worker drains interval *k + 1* from the mix and
-    /// pre-partitions its chunks against a [`SteeringView`] snapshot
-    /// ([`ShardedDatapath::process_timed_batch_with`]). Draining never touches the
-    /// datapath and a partition staled by a mitigation rekey is recomputed at
-    /// dispatch, so the timeline is bit-for-bit the unpipelined one on every executor
-    /// — on the [`SequentialExecutor`](tse_switch::exec::SequentialExecutor) the
-    /// "overlap" simply runs first.
+    /// Draining is not overlapped with shard work: it is 0.3–2 % of the processing
+    /// time on the attack workloads (`benchmark/baseline/`), where the shards'
+    /// tuple-space scan owns the wall clock.
+    ///
+    /// # Panics
+    /// Panics if [`ExperimentRunner::sample_interval`] is not finite and positive, or
+    /// if `duration` is not finite or is negative — either would make the interval
+    /// count endless or silently empty. A `duration` of `0.0` is a legal empty run.
     pub fn run_mix(&mut self, mix: TrafficMix<'_>, duration: f64) -> Timeline {
         let dt = self.sample_interval;
+        assert!(
+            dt.is_finite() && dt > 0.0,
+            "sample_interval must be finite and positive, got {dt}"
+        );
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "run duration must be finite and non-negative, got {duration}"
+        );
         let steps = (duration / dt).ceil() as usize;
         let n_shards = self.datapath.shard_count();
         let mut st = RunState::new(mix, dt, n_shards, self.telemetry_config.clone());
@@ -424,26 +434,19 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             &idle,
             MitigationStack::on_start,
         );
-        // Interval 0 has nothing to overlap with; every later interval is drained by
-        // its predecessor's overlap job.
-        if steps > 0 {
-            drain_interval(&mut st.mix, 0.0, dt, &mut st.cur);
-        }
         for step in 0..steps {
             let t = step as f64 * dt;
             let t_end = t + dt;
             let mut tally = IntervalTally::new(n_shards, st.n_victims, st.n_attackers);
+            drain_interval(&mut st.mix, t, t_end, &mut st.batch);
             self.install_due_tables(&mut st, t);
-            self.replay_chunks(&mut st, &mut tally, t_end, step + 1 < steps);
+            self.replay_chunks(&st, &mut tally);
             self.charge_faults_and_expire(&st, &mut tally, t_end);
             self.replay_probes(&st, &mut tally);
             let victim_gbps =
                 allocate_victim_throughput(&tally.shard_busy, &tally.probes, &self.offload, dt);
             let (shard_attacker_pps, actions) = self.run_mitigations(&mut st.store, &tally, t_end);
             self.record_sample(&mut st, t, &tally, victim_gbps, shard_attacker_pps, actions);
-            // The interval the overlap job just drained becomes current; its own
-            // buffers are recycled for interval k + 2.
-            std::mem::swap(&mut st.cur, &mut st.next);
         }
         // Teardown: stages disarm whatever per-shard state they installed (e.g. upcall
         // quotas), so a reused runner/datapath leaves the run undefended.
@@ -501,42 +504,13 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         }
     }
 
-    /// Replay the current interval's packet chunks (drained ahead of time) in merged
+    /// Replay the drained interval's packets one per-source run at a time, in merged
     /// timestamp order, charging cost and packet counts per shard — every shard is a
-    /// PMD thread with a private CPU budget. If `drain_next`, interval *k + 1* (ending
-    /// at `t_end + dt`) is drained and pre-partitioned on the way: as the overlap job
-    /// of the chunk with the most events (deterministic: first on ties — the longest
-    /// window to hide the drain in), or inline when the interval has no packets.
-    fn replay_chunks(
-        &mut self,
-        st: &mut RunState<'_>,
-        tally: &mut IntervalTally,
-        t_end: f64,
-        drain_next: bool,
-    ) {
-        let (mix, cur, next, slots) = (&mut st.mix, &mut st.cur, &mut st.next, &st.slots);
-        let view = self.datapath.steering_view();
-        let dp = &mut self.datapath;
-        let next_end = t_end + self.sample_interval;
-        let mut drain = drain_next.then_some(move || {
-            drain_interval(mix, t_end, next_end, next);
-            next.prepartition(&view);
-        });
-        let overlap_chunk = (0..cur.n_chunks)
-            .max_by_key(|&i| (cur.chunks[i].events.len(), usize::MAX - i))
-            .filter(|_| drain.is_some());
-        for (i, chunk) in cur.chunks[..cur.n_chunks].iter_mut().enumerate() {
-            // The events slice feeds the shards while the partition is consumed (and
-            // recomputed if a rekey staled it).
-            let SourceChunk { src, events, prep } = chunk;
-            let report = match drain.take_if(|_| overlap_chunk == Some(i)) {
-                Some(job) => dp.process_timed_batch_with(events, prep, job).0,
-                None => dp.process_timed_batch_prepartitioned(events, prep),
-            };
-            tally.charge_chunk(slots[*src], events.len() as u64, &report);
-        }
-        if let Some(mut drain) = drain {
-            drain();
+    /// PMD thread with a private CPU budget.
+    fn replay_chunks(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
+        for (src, events) in st.batch.source_runs() {
+            let report = self.datapath.process_timed_batch(events);
+            tally.charge_chunk(st.slots[src], events.len() as u64, &report);
         }
     }
 
@@ -550,7 +524,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         tally: &mut IntervalTally,
         t_end: f64,
     ) {
-        for &(fault, bytes, time) in &st.cur.faults {
+        for &(fault, bytes, time) in &st.batch.faults {
             tally.shard_busy[0] += self.datapath.note_wire_fault(fault, bytes, time).cost;
         }
         self.datapath.maybe_expire(t_end);
@@ -562,7 +536,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// scan is re-priced with this experiment's offload cost model (the datapath's own
     /// model prices the attack packets).
     fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
-        for (src, ev) in &st.cur.probes {
+        for (src, ev) in &st.batch.probes {
             let (Slot::Victim(slot), EventPayload::Probe { offered_gbps }) =
                 (st.slots[*src], ev.payload)
             else {
@@ -643,7 +617,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             attacker_pps: tally.attack_packets as f64 / dt,
             attacker_pps_by_source: tally.per_attacker.iter().map(|&c| c as f64 / dt).collect(),
             background_pps: tally.background_packets as f64 / dt,
-            malformed_pps: st.cur.faults.len() as f64 / dt,
+            malformed_pps: st.batch.faults.len() as f64 / dt,
             mask_count: self.datapath.mask_count(),
             entry_count: self.datapath.entry_count(),
             victim_masks_scanned: tally.victim_masks_scanned,
@@ -688,11 +662,8 @@ struct RunState<'a> {
     store: TelemetryStore,
     /// Next entry of the runner's scheduled table updates.
     update_cursor: usize,
-    /// Double buffers of the pipelined drain: `cur` holds the interval being
-    /// processed, `next` is filled (and pre-partitioned) by the overlap job. Both
-    /// recycle their chunk/probe/partition buffers across the whole run.
-    cur: IntervalBatch,
-    next: IntervalBatch,
+    /// The interval being processed; its buffers are recycled across the whole run.
+    batch: IntervalBatch,
 }
 
 impl<'a> RunState<'a> {
@@ -721,8 +692,7 @@ impl<'a> RunState<'a> {
             n_attackers: attacker_names.len(),
             store: TelemetryStore::new(telemetry, dt, victim_names, attacker_names, n_shards),
             update_cursor: 0,
-            cur: IntervalBatch::default(),
-            next: IntervalBatch::default(),
+            batch: IntervalBatch::default(),
         }
     }
 }
@@ -844,31 +814,16 @@ fn allocate_victim_throughput(
     victim_gbps
 }
 
-/// One source's contiguous packet run within an interval, plus its shard partition.
-///
-/// The buffers (events and partition scratch) are recycled across intervals — a chunk
-/// slot that existed in a previous interval reuses its allocations.
-#[derive(Debug, Default)]
-struct SourceChunk {
-    /// Index of the source the packets came from.
-    src: usize,
-    /// The packets, in timestamp order.
-    events: Vec<(Key, usize, f64)>,
-    /// Shard partition of `events`, computed by the overlap job against a steering
-    /// snapshot; transparently recomputed at dispatch if a rekey staled it.
-    prep: Prepartition,
-}
-
-/// One sample interval's worth of drained traffic: packet chunks (per-source runs, in
-/// merged timestamp order) and probe events. Two of these double-buffer the pipelined
-/// [`ExperimentRunner::run_mix`] loop.
+/// One sample interval's worth of drained traffic. The buffers are recycled across
+/// intervals.
 #[derive(Debug, Default)]
 struct IntervalBatch {
-    /// Chunk slots; only the first [`IntervalBatch::n_chunks`] are live this interval
-    /// (the rest are kept for their buffer capacity).
-    chunks: Vec<SourceChunk>,
-    /// Number of live chunks.
-    n_chunks: usize,
+    /// The interval's packets, in merged timestamp order.
+    events: Vec<(Key, usize, f64)>,
+    /// Per-source runs over `events` as `(source, end index)` — the chunks
+    /// `replay_chunks` dispatches: a run starts where the previous one ends (the first
+    /// at 0) and holds consecutive packets of one source.
+    runs: Vec<(usize, usize)>,
     /// Probe events, in drain order.
     probes: Vec<(usize, TrafficEvent)>,
     /// Malformed-frame events as `(fault, wire bytes, time)`, in drain order. Charged
@@ -877,60 +832,41 @@ struct IntervalBatch {
 }
 
 impl IntervalBatch {
-    /// Open a fresh chunk for `src` (recycling a retired slot's buffers if one is
-    /// available) and return it.
-    fn open_chunk(&mut self, src: usize) -> &mut SourceChunk {
-        if self.n_chunks == self.chunks.len() {
-            self.chunks.push(SourceChunk::default());
-        }
-        let chunk = &mut self.chunks[self.n_chunks];
-        self.n_chunks += 1;
-        chunk.src = src;
-        chunk.events.clear();
-        chunk.prep.clear();
-        chunk
-    }
-
-    /// Partition every live chunk against the steering snapshot `view`. With a single
-    /// shard there is nothing to partition (the dispatch fast path ignores it).
-    fn prepartition(&mut self, view: &SteeringView) {
-        if view.shard_count() == 1 {
-            return;
-        }
-        for chunk in &mut self.chunks[..self.n_chunks] {
-            chunk.prep.compute(view, &chunk.events);
-        }
+    /// Each run's source and packets, in merged timestamp order.
+    fn source_runs(&self) -> impl Iterator<Item = (usize, &[(Key, usize, f64)])> {
+        let mut start = 0;
+        self.runs.iter().map(move |&(src, end)| {
+            let events = &self.events[start..end];
+            start = end;
+            (src, events)
+        })
     }
 }
 
 /// Drain every event of `[t, t_end)` from the mix into `batch`: packet events append
-/// to per-source chunks (a new chunk opens whenever the source changes — chunks
+/// to the flat event buffer (a new run opens whenever the source changes — runs
 /// preserve merged timestamp order), probe events are set aside verbatim, and
 /// malformed-frame events land in the faults list (they carry no steerable key, so
-/// they never join a chunk). Packet and malformed events that predate the window
+/// they never join a run). Packet and malformed events that predate the window
 /// (possible in the very first interval) are consumed without being recorded, like
 /// the classic replay loop; probes are always kept.
-///
-/// This touches only the mix and the batch — never the datapath — which is what lets
-/// the pipelined runner execute it on a spare worker while the shards are busy.
 fn drain_interval(mix: &mut TrafficMix<'_>, t: f64, t_end: f64, batch: &mut IntervalBatch) {
-    batch.n_chunks = 0;
+    batch.events.clear();
+    batch.runs.clear();
     batch.probes.clear();
     batch.faults.clear();
-    let mut chunk_src = usize::MAX;
     while let Some((src, ev)) = mix.next_before(t_end) {
         match ev.payload {
             EventPayload::Packet => {
                 if ev.time < t {
                     continue;
                 }
-                if src != chunk_src {
-                    batch.open_chunk(src);
-                    chunk_src = src;
+                batch.events.push((ev.key, ev.bytes, ev.time));
+                let end = batch.events.len();
+                match batch.runs.last_mut() {
+                    Some(run) if run.0 == src => run.1 = end,
+                    _ => batch.runs.push((src, end)),
                 }
-                batch.chunks[batch.n_chunks - 1]
-                    .events
-                    .push((ev.key, ev.bytes, ev.time));
             }
             EventPayload::Probe { .. } => batch.probes.push((src, ev)),
             EventPayload::Malformed { fault } => {
@@ -1328,6 +1264,182 @@ mod tests {
         let store = by_bad.last_telemetry().expect("telemetry recorded");
         assert_eq!(store.malformed_series().count(), 40);
         assert!(store.malformed_series().max() > 0.0);
+    }
+
+    fn degenerate_run(sample_interval: f64, duration: f64) -> Timeline {
+        let schema = FieldSchema::ovs_ipv4();
+        let datapath = Datapath::new(Scenario::Dp.flow_table(&schema));
+        let mut runner = ExperimentRunner::new(datapath, vec![], OffloadConfig::gro_off());
+        runner.sample_interval = sample_interval;
+        runner.run_mix(TrafficMix::new(), duration)
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_interval must be finite and positive, got 0")]
+    fn zero_sample_interval_is_rejected() {
+        degenerate_run(0.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_interval must be finite and positive, got -1")]
+    fn negative_sample_interval_is_rejected() {
+        degenerate_run(-1.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample_interval must be finite and positive, got NaN")]
+    fn nan_sample_interval_is_rejected() {
+        degenerate_run(f64::NAN, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "run duration must be finite and non-negative, got inf")]
+    fn infinite_duration_is_rejected() {
+        degenerate_run(1.0, f64::INFINITY);
+    }
+
+    #[test]
+    fn zero_duration_is_a_legal_empty_run() {
+        assert!(degenerate_run(1.0, 0.0).samples.is_empty());
+    }
+
+    /// A source replaying a fixed list of `(time, payload)` events.
+    struct Scripted(&'static str, std::vec::IntoIter<(f64, EventPayload)>);
+
+    impl tse_attack::source::TrafficSource for Scripted {
+        fn label(&self) -> &str {
+            self.0
+        }
+
+        fn next_event(&mut self) -> Option<TrafficEvent> {
+            let (time, payload) = self.1.next()?;
+            Some(TrafficEvent {
+                time,
+                key: FieldSchema::hyp().zero_value(),
+                bytes: 64,
+                payload,
+            })
+        }
+    }
+
+    fn scripted(label: &'static str, events: Vec<(f64, EventPayload)>) -> Scripted {
+        Scripted(label, events.into_iter())
+    }
+
+    fn packets(label: &'static str, times: &[f64]) -> Scripted {
+        scripted(
+            label,
+            times.iter().map(|&t| (t, EventPayload::Packet)).collect(),
+        )
+    }
+
+    const PROBE: EventPayload = EventPayload::Probe { offered_gbps: 1.0 };
+    const MALFORMED: EventPayload = EventPayload::Malformed {
+        fault: WireFault::FamilyMismatch,
+    };
+
+    /// The batch's runs as `(source, packet times)`.
+    fn runs_of(batch: &IntervalBatch) -> Vec<(usize, Vec<f64>)> {
+        batch
+            .source_runs()
+            .map(|(src, events)| (src, events.iter().map(|e| e.2).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_sources_drain_into_one_event_runs_in_merged_order() {
+        let mut mix = TrafficMix::new()
+            .with(packets("a", &[0.1, 0.4, 0.7]))
+            .with(packets("b", &[0.2, 0.5, 0.8]))
+            .with(packets("c", &[0.3, 0.6, 0.9, 1.5]));
+        let mut batch = IntervalBatch::default();
+        drain_interval(&mut mix, 0.0, 1.0, &mut batch);
+        // Every run boundary falls exactly at a source change...
+        let expect: Vec<(usize, Vec<f64>)> = (1..=9)
+            .map(|i| ((i - 1) % 3, vec![i as f64 / 10.0]))
+            .collect();
+        assert_eq!(runs_of(&batch), expect);
+        // ...and the concatenated slices are the flat buffer, in merged order.
+        let flat: Vec<f64> = batch.events.iter().map(|e| e.2).collect();
+        let joined: Vec<f64> = runs_of(&batch).into_iter().flat_map(|r| r.1).collect();
+        assert_eq!(flat, joined);
+        assert!(flat.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(batch.runs.last(), Some(&(2, 9)));
+        // The event at t = 1.5 stays in the mix for the next interval.
+        drain_interval(&mut mix, 1.0, 2.0, &mut batch);
+        assert_eq!(runs_of(&batch), vec![(2, vec![1.5])]);
+    }
+
+    #[test]
+    fn consecutive_events_of_one_source_extend_the_run() {
+        let mut mix = TrafficMix::new()
+            .with(packets("a", &[0.1, 0.2, 0.3, 0.5, 0.6]))
+            .with(packets("b", &[0.4]))
+            // A probe or a malformed frame between two packets of one source does not
+            // split its run: neither joins the event buffer.
+            .with(scripted("v", vec![(0.15, PROBE)]))
+            .with(scripted("w", vec![(0.25, MALFORMED)]));
+        let mut batch = IntervalBatch::default();
+        drain_interval(&mut mix, 0.0, 1.0, &mut batch);
+        assert_eq!(batch.runs, vec![(0, 3), (1, 4), (0, 6)]);
+        assert_eq!(
+            runs_of(&batch),
+            vec![
+                (0, vec![0.1, 0.2, 0.3]),
+                (1, vec![0.4]),
+                (0, vec![0.5, 0.6])
+            ]
+        );
+        assert_eq!(batch.probes.len(), 1);
+        assert_eq!(batch.faults, vec![(WireFault::FamilyMismatch, 64, 0.25)]);
+    }
+
+    #[test]
+    fn events_predating_the_window_are_dropped_but_probes_are_kept() {
+        let script = vec![
+            (0.5, EventPayload::Packet),
+            (0.6, MALFORMED),
+            (0.7, PROBE),
+            (1.2, EventPayload::Packet),
+            (1.3, MALFORMED),
+            (2.5, EventPayload::Packet),
+        ];
+        let mut mix = TrafficMix::new().with(scripted("late", script));
+        let mut batch = IntervalBatch::default();
+        drain_interval(&mut mix, 1.0, 2.0, &mut batch);
+        assert_eq!(runs_of(&batch), vec![(0, vec![1.2])]);
+        assert_eq!(batch.faults, vec![(WireFault::FamilyMismatch, 64, 1.3)]);
+        let probe_times: Vec<f64> = batch.probes.iter().map(|(_, ev)| ev.time).collect();
+        assert_eq!(probe_times, vec![0.7]);
+    }
+
+    #[test]
+    fn packetless_interval_yields_no_runs_and_keeps_the_buffers() {
+        let busy: Vec<f64> = (0..50).map(|i| i as f64 / 50.0).collect();
+        let mut mix = TrafficMix::new()
+            .with(packets("a", &busy))
+            .with(packets("b", &[0.5, 2.5]))
+            .with(scripted("v", vec![(1.5, PROBE)]));
+        let mut batch = IntervalBatch::default();
+        drain_interval(&mut mix, 0.0, 1.0, &mut batch);
+        assert_eq!(batch.events.len(), 51);
+        let (events_cap, runs_cap) = (batch.events.capacity(), batch.runs.capacity());
+        let events_buf = batch.events.as_ptr();
+
+        drain_interval(&mut mix, 1.0, 2.0, &mut batch);
+        assert!(batch.events.is_empty() && batch.runs.is_empty());
+        assert_eq!(batch.source_runs().count(), 0);
+        assert_eq!(batch.probes.len(), 1);
+        assert!(batch.events.capacity() >= events_cap && batch.runs.capacity() >= runs_cap);
+
+        drain_interval(&mut mix, 2.0, 3.0, &mut batch);
+        assert_eq!(runs_of(&batch), vec![(1, vec![2.5])]);
+        assert!(batch.probes.is_empty());
+        assert_eq!(
+            batch.events.as_ptr(),
+            events_buf,
+            "the event buffer is reused"
+        );
     }
 
     fn probe(shard: usize, cost: f64, offered_gbps: f64) -> Option<VictimProbe> {

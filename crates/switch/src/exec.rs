@@ -88,8 +88,8 @@ impl ShardExecutor for Box<dyn ShardExecutor> {
     }
 }
 
-/// A one-shot hand-off cell: the input a job consumes (for a shard job, the exclusive
-/// `&mut` to its shard) and the output it leaves behind.
+/// A one-shot hand-off cell: the input a shard job consumes (the exclusive `&mut` to
+/// its shard) and the output it leaves behind.
 ///
 /// The mutex is uncontended by contract (every job runs exactly once); it exists to
 /// carry the input across the thread boundary without unsafe code, and it turns an
@@ -101,29 +101,21 @@ impl<I, O> HandOff<I, O> {
         HandOff(Mutex::new((Some(input), None)))
     }
 
-    /// Consume the input through `f` and store its output. `what` names the job in
+    /// Consume the input through `f` and store its output. `shard` names the job in
     /// the contract-violation panics.
-    fn run(&self, what: impl std::fmt::Display, f: impl FnOnce(I) -> O) {
+    fn run(&self, shard: usize, f: impl FnOnce(I) -> O) {
         let mut cell = self.0.lock().expect("a sibling job panicked");
         let input = cell
             .0
             .take()
-            .unwrap_or_else(|| panic!("executor ran {what} twice"));
+            .unwrap_or_else(|| panic!("executor ran shard {shard} twice"));
         cell.1 = Some(f(input));
     }
 
-    fn finish(self, what: impl std::fmt::Display) -> O {
+    fn finish(self, shard: usize) -> O {
         let (_, output) = self.0.into_inner().expect("a job panicked");
-        output.unwrap_or_else(|| panic!("executor never ran {what}"))
+        output.unwrap_or_else(|| panic!("executor never ran shard {shard}"))
     }
-}
-
-/// Collect the shard jobs' results in shard order.
-fn shard_results<S, R>(slots: Vec<HandOff<&mut S, R>>) -> Vec<R> {
-    let slots = slots.into_iter().enumerate();
-    slots
-        .map(|(i, slot)| slot.finish(format_args!("shard {i}")))
-        .collect()
 }
 
 /// The typed fan-out interface, blanket-implemented for every [`ShardExecutor`].
@@ -149,42 +141,9 @@ pub trait ShardExecutorExt: ShardExecutor {
         F: Fn(usize, &mut S) -> R + Sync,
     {
         let slots: Vec<HandOff<&mut S, R>> = shards.iter_mut().map(HandOff::new).collect();
-        self.run(slots.len(), &|i| {
-            slots[i].run(format_args!("shard {i}"), |shard| f(i, shard));
-        });
-        shard_results(slots)
-    }
-
-    /// Like [`ShardExecutorExt::for_each_shard`], but additionally runs `aux` exactly
-    /// once during the same dispatch — the pipelining hook: on an executor with a spare
-    /// worker, `aux` (e.g. draining the *next* batch out of a traffic mix) overlaps
-    /// with the shard jobs instead of serialising before or after them.
-    ///
-    /// `aux` is submitted as one extra job ahead of the shard jobs, so a
-    /// [`SequentialExecutor`] runs it first and a pooled executor hands it to the first
-    /// free worker. Correctness must not depend on *when* it runs within the call: the
-    /// closure has to touch state disjoint from the shards (the compiler enforces the
-    /// aliasing half of that; determinism of the overall result is on the caller, and
-    /// holds trivially when `aux` neither reads nor writes anything `f` does).
-    ///
-    /// # Panics
-    /// Same contract as [`ShardExecutorExt::for_each_shard`]; additionally panics if
-    /// the executor never ran (or ran twice) the aux job.
-    fn for_each_shard_with_aux<S, R, T, F, A>(&self, shards: &mut [S], f: F, aux: A) -> (Vec<R>, T)
-    where
-        S: Send,
-        R: Send,
-        T: Send,
-        F: Fn(usize, &mut S) -> R + Sync,
-        A: FnOnce() -> T + Send,
-    {
-        let aux_cell = HandOff::new(aux);
-        let slots: Vec<HandOff<&mut S, R>> = shards.iter_mut().map(HandOff::new).collect();
-        self.run(slots.len() + 1, &|j| match j.checked_sub(1) {
-            None => aux_cell.run("the aux job", |aux| aux()),
-            Some(i) => slots[i].run(format_args!("shard {i}"), |shard| f(i, shard)),
-        });
-        (shard_results(slots), aux_cell.finish("the aux job"))
+        self.run(slots.len(), &|i| slots[i].run(i, |shard| f(i, shard)));
+        let slots = slots.into_iter().enumerate();
+        slots.map(|(i, slot)| slot.finish(i)).collect()
     }
 }
 
@@ -756,53 +715,5 @@ mod tests {
     #[should_panic(expected = "thread count must be positive")]
     fn zero_persistent_threads_is_rejected() {
         PersistentPoolExecutor::new(0);
-    }
-
-    #[test]
-    fn with_aux_runs_the_aux_job_exactly_once_on_every_executor() {
-        let executors: Vec<Box<dyn ShardExecutor>> = vec![
-            Box::new(SequentialExecutor),
-            Box::new(ChaosExecutor::new(3, 5)),
-            Box::new(PersistentPoolExecutor::new(3)),
-        ];
-        for exec in executors {
-            let mut data = vec![10u64, 20, 30];
-            let aux_runs = AtomicUsize::new(0);
-            let (results, produced) = exec.for_each_shard_with_aux(
-                &mut data,
-                |i, v| *v + i as u64,
-                || {
-                    aux_runs.fetch_add(1, Ordering::Relaxed);
-                    "next batch"
-                },
-            );
-            assert_eq!(results, vec![10, 21, 32], "{}", exec.name());
-            assert_eq!(produced, "next batch");
-            assert_eq!(aux_runs.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn with_aux_on_sequential_runs_aux_before_the_shards() {
-        // Pinned ordering: the aux job is submitted ahead of the shard jobs, so the
-        // sequential executor produces the next batch before chewing the current one —
-        // the order the pipelined runner's determinism argument assumes.
-        let log = Mutex::new(Vec::new());
-        let mut shards = vec![(), ()];
-        SequentialExecutor.for_each_shard_with_aux(
-            &mut shards,
-            |i, ()| log.lock().unwrap().push(format!("shard{i}")),
-            || log.lock().unwrap().push("aux".into()),
-        );
-        assert_eq!(*log.lock().unwrap(), vec!["aux", "shard0", "shard1"]);
-    }
-
-    #[test]
-    fn with_aux_works_with_zero_shards() {
-        let mut none: Vec<u64> = Vec::new();
-        let (results, value) =
-            PersistentPoolExecutor::new(2).for_each_shard_with_aux(&mut none, |_, v| *v, || 42);
-        assert!(results.is_empty());
-        assert_eq!(value, 42);
     }
 }

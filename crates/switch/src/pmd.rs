@@ -27,9 +27,8 @@
 //! There is one batch dispatch: a timed batch plus a [`Prepartition`] of it goes to
 //! the executor, shard `i` classifying its contiguous index run.
 //! [`ShardedDatapath::process_timed_batch`] partitions into the datapath's own
-//! buffers, [`ShardedDatapath::process_timed_batch_prepartitioned`] consumes a
-//! partition computed ahead of time, and [`ShardedDatapath::process_timed_batch_with`]
-//! additionally overlaps an auxiliary job with the shard work.
+//! buffers; [`ShardedDatapath::process_timed_batch_prepartitioned`] consumes a
+//! partition the caller computed ahead of dispatch.
 
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
@@ -166,9 +165,8 @@ impl PartitionScratch {
 }
 
 /// A [`ShardedDatapath`]'s steering function — policy, hashed fields, shard count and
-/// RSS hash key — as a value detached from the shards, so another thread can steer
-/// while they are busy: what the pipelined experiment runner hands to the job that
-/// pre-partitions batch *k + 1* while the shards still chew batch *k*.
+/// RSS hash key — as a value detached from the shards, so a caller can partition a
+/// batch ahead of dispatch ([`Prepartition::compute`]) without borrowing the datapath.
 ///
 /// A view obtained from [`ShardedDatapath::steering_view`] answers
 /// [`SteeringView::shard_of_key`] exactly as the datapath does at that moment. It does
@@ -208,12 +206,10 @@ impl SteeringView {
     }
 }
 
-/// A shard partition of one timed batch computed *ahead* of dispatch — the
-/// double-buffering half of the pipelined datapath: while the shards chew batch *k*,
-/// a spare worker drains batch *k + 1* and partitions it against a [`SteeringView`];
-/// at dispatch the partition is either consumed as-is or transparently recomputed if
-/// the steering changed in between (e.g. a mitigation-driven rekey landed at the end
-/// of interval *k*).
+/// A shard partition of one timed batch computed *ahead* of dispatch against a
+/// [`SteeringView`]; at dispatch the partition is either consumed as-is or
+/// transparently recomputed if the steering changed in between (e.g. a
+/// mitigation-driven rekey).
 ///
 /// A partition is tied to the batch it was computed for: call [`Prepartition::clear`]
 /// (or [`Prepartition::compute`] again) before reusing one for another batch.
@@ -470,8 +466,8 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// A copy of the steering function (policy, hashed fields, shard count, current
-    /// hash key) so another thread can compute [`Prepartition`]s while the shards are
-    /// busy. Answers [`SteeringView::shard_of_key`] exactly like
+    /// hash key) for computing [`Prepartition`]s ahead of dispatch. Answers
+    /// [`SteeringView::shard_of_key`] exactly like
     /// [`ShardedDatapath::shard_of_key`] does at the time of the call.
     pub fn steering_view(&self) -> SteeringView {
         self.steer.clone()
@@ -584,20 +580,11 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     pub fn process_timed_batch(&mut self, batch: &[(Key, usize, f64)]) -> ShardedBatchReport {
         self.prep.clear();
         let (steer, executor) = (&self.steer, &*self.executor);
-        Self::dispatch(
-            steer,
-            executor,
-            &mut self.shards,
-            batch,
-            &mut self.prep,
-            None::<fn()>,
-        )
-        .0
+        Self::dispatch(steer, executor, &mut self.shards, batch, &mut self.prep)
     }
 
     /// Like [`ShardedDatapath::process_timed_batch`], but consuming a partition
-    /// computed ahead of time against a [`SteeringView`] — the dispatch half of the
-    /// pipelined datapath.
+    /// computed ahead of dispatch against a [`SteeringView`].
     ///
     /// If `prep` no longer matches this datapath (never computed, cleared, computed
     /// under a different hash key — a rekey landed in between — or for a different
@@ -611,69 +598,29 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         prep: &mut Prepartition,
     ) -> ShardedBatchReport {
         let (steer, executor) = (&self.steer, &*self.executor);
-        Self::dispatch(steer, executor, &mut self.shards, batch, prep, None::<fn()>).0
-    }
-
-    /// The pipelined entry point: process `batch` (partitioned by `prep`, revalidated
-    /// exactly as in [`ShardedDatapath::process_timed_batch_prepartitioned`]) and run
-    /// `aux` once *during* the same executor dispatch, returning its output.
-    ///
-    /// On an executor with a spare worker — a
-    /// [`PersistentPoolExecutor`](crate::exec::PersistentPoolExecutor) with more
-    /// threads than busy shards — `aux` overlaps with shard processing; the experiment
-    /// runner uses it to drain and pre-partition interval *k + 1* while the shards chew
-    /// interval *k*. On a [`SequentialExecutor`] `aux` simply runs first. Because
-    /// `aux` cannot touch the datapath (the borrow checker enforces disjointness) the
-    /// result is executor-independent whenever `aux` itself is deterministic.
-    pub fn process_timed_batch_with<T: Send>(
-        &mut self,
-        batch: &[(Key, usize, f64)],
-        prep: &mut Prepartition,
-        aux: impl FnOnce() -> T + Send,
-    ) -> (ShardedBatchReport, T) {
-        let (steer, executor) = (&self.steer, &*self.executor);
-        let (report, Some(out)) =
-            Self::dispatch(steer, executor, &mut self.shards, batch, prep, Some(aux))
-        else {
-            // lint: allow(panic-hygiene) — `dispatch` returns `Some` exactly when given `Some(aux)`
-            unreachable!("dispatch ran the aux job it was given")
-        };
-        (report, out)
+        Self::dispatch(steer, executor, &mut self.shards, batch, prep)
     }
 
     /// The one batch dispatch: bring `prep` up to date with the steering, then have
-    /// shard `i` classify its contiguous index run of the shared event slice (a lone
-    /// shard takes the whole batch, unpartitioned), with `aux` — if any — riding the
-    /// same executor call. Takes the datapath's fields apart so
-    /// [`ShardedDatapath::process_timed_batch`] can pass its own partition buffers.
-    fn dispatch<T: Send>(
+    /// shard `i` classify its contiguous index run of the shared event slice. A lone
+    /// shard takes the whole batch, unpartitioned, with no executor round trip. Takes
+    /// the datapath's fields apart so [`ShardedDatapath::process_timed_batch`] can pass
+    /// its own partition buffers.
+    fn dispatch(
         steer: &SteeringView,
         executor: &dyn ShardExecutor,
         shards: &mut [Datapath<B>],
         batch: &[(Key, usize, f64)],
         prep: &mut Prepartition,
-        aux: Option<impl FnOnce() -> T + Send>,
-    ) -> (ShardedBatchReport, Option<T>) {
+    ) -> ShardedBatchReport {
         prep.ensure_current(steer, batch);
-        let runs = &prep.scratch;
-        let lone = shards.len() == 1;
-        let job = |i: usize, shard: &mut Datapath<B>| {
-            if lone {
-                shard.process_timed_batch(batch)
-            } else {
-                shard.process_timed_batch_indexed(batch, runs.slice(i))
-            }
+        let per_shard = match shards {
+            [lone] => vec![lone.process_timed_batch(batch)],
+            _ => executor.for_each_shard(shards, |i, shard| {
+                shard.process_timed_batch_indexed(batch, prep.scratch.slice(i))
+            }),
         };
-        let (per_shard, out) = match aux {
-            Some(aux) => {
-                let (per_shard, out) = executor.for_each_shard_with_aux(shards, job, aux);
-                (per_shard, Some(out))
-            }
-            // A lone shard with nothing to overlap needs no executor round trip.
-            None if lone => (vec![job(0, &mut shards[0])], None),
-            None => (executor.for_each_shard(shards, job), None),
-        };
-        (ShardedBatchReport { per_shard }, out)
+        ShardedBatchReport { per_shard }
     }
 
     /// Process one raw Ethernet frame: parse it (VLAN/VXLAN overlays included), steer
@@ -1033,8 +980,8 @@ mod tests {
 
     #[test]
     fn stale_prepartition_is_transparently_recomputed() {
-        // Pre-partition under the default hash key, then rekey before dispatch — the
-        // exact race a mitigation-driven rekey creates in the pipelined runner. The
+        // Pre-partition under the default hash key, then rekey before dispatch — what
+        // a mitigation-driven rekey does to any partition computed ahead of it. The
         // stale partition must be recomputed, never consumed.
         let (mut inline, batch) = parity_fixture();
         let (mut piped, _) = parity_fixture();
@@ -1095,46 +1042,6 @@ mod tests {
         // Same length, shard count and hash key — the partition looks current, yet it
         // would mis-steer every event of the other batch.
         dp.process_timed_batch_prepartitioned(&shifted(&batch), &mut prep);
-    }
-
-    #[test]
-    fn pipelined_batch_runs_aux_and_matches_bitwise() {
-        for executor in [
-            Box::new(SequentialExecutor) as Box<dyn ShardExecutor>,
-            Box::new(crate::exec::PersistentPoolExecutor::new(2)),
-        ] {
-            let name = executor.name();
-            let (mut inline, batch) = parity_fixture();
-            let (mut piped, _) = parity_fixture();
-            piped.set_executor(executor);
-
-            let expect = inline.process_timed_batch(&batch);
-            let mut prep = Prepartition::default();
-            prep.compute(&piped.steering_view(), &batch);
-            let (got, aux) = piped.process_timed_batch_with(&batch, &mut prep, || 6 * 7);
-            assert_eq!(aux, 42, "[{name}] aux job must run exactly once");
-            assert_eq!(got, expect, "[{name}]");
-            assert_eq!(piped.stats(), inline.stats(), "[{name}]");
-        }
-    }
-
-    #[test]
-    fn pipelined_single_shard_still_runs_aux() {
-        let schema = FieldSchema::ovs_ipv4();
-        let table = fig6_table(&schema);
-        let batch: Vec<(Key, usize, f64)> = key_spread(&schema, 50)
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, 64usize, i as f64 * 1e-3))
-            .collect();
-        let mut mono = Datapath::new(table.clone());
-        let expect = mono.process_timed_batch(&batch);
-
-        let mut sharded = ShardedDatapath::new(table, 1, Steering::Rss);
-        let mut prep = Prepartition::default();
-        let (got, aux) = sharded.process_timed_batch_with(&batch, &mut prep, || "drained");
-        assert_eq!(aux, "drained");
-        assert_eq!(got.aggregate(), expect);
     }
 
     #[test]

@@ -172,13 +172,13 @@
 //! threads whose spawn cost is paid once per process, not per batch — and
 //! [`prelude::ChaosExecutor`] runs the shards in a seeded adversarial order for the
 //! parity tests. Steering is an allocation-free pre-partition pass
-//! (a reusable index buffer, no per-event key clones), and on a pooled executor the
-//! experiment runner pipelines its hot loop: interval *k + 1* is drained and
-//! pre-partitioned on a spare worker while the shards chew interval *k*. Because
-//! shards share nothing and results are always collected in shard order, executor
-//! choice changes wall-clock time only: timelines, stats and mitigation action logs
-//! are bit-for-bit identical (asserted by `tests/executor_parity.rs`). Select the
-//! executor on the builder, the sharded datapath or the runner:
+//! (a reusable index buffer, no per-event key clones); the executor runs shard jobs
+//! and nothing else — the experiment runner drains each interval, then processes it,
+//! on the calling thread. Because shards share nothing and results are always
+//! collected in shard order, executor choice changes wall-clock time only: timelines,
+//! stats and mitigation action logs are bit-for-bit identical (asserted by
+//! `tests/executor_parity.rs`). Select the executor on the builder, the sharded
+//! datapath or the runner:
 //!
 //! ```
 //! use tse::prelude::*;

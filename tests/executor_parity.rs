@@ -95,9 +95,8 @@ fn assert_timelines_identical(seq: &Timeline, par: &Timeline) {
 
 #[test]
 fn persistent_pool_timelines_match_sequential_on_every_scenario_and_shard_count() {
-    // Same exhaustive sweep for the long-lived worker pool — and note the pipelined
-    // runner actually overlaps the drain of interval k+1 with shard processing here,
-    // so this doubles as the determinism proof of the pipeline itself.
+    // Same exhaustive sweep for the long-lived worker pool: the shard jobs really run
+    // on other threads here, in whatever order the workers claim them.
     for scenario in Scenario::ALL {
         for n_shards in [1usize, 4, 16] {
             let seq = run_experiment(scenario, n_shards, SequentialExecutor);

@@ -70,10 +70,10 @@ fn executors_are_send_and_sync() {
 }
 
 #[test]
-fn pipelined_drain_payloads_are_send() {
-    // The pipelined runner moves the traffic mix and the pre-partition scratch to a
-    // spare pool worker while the shards are busy; both must stay `Send` (that is what
-    // the `TrafficSource: Send` supertrait buys).
+fn traffic_and_partition_payloads_are_send() {
+    // A traffic mix and a partition computed ahead of dispatch may be built on one
+    // thread and consumed on another; both must stay `Send` (that is what the
+    // `TrafficSource: Send` supertrait buys).
     assert_send::<TrafficMix<'_>>();
     assert_send::<Box<dyn TrafficSource>>();
     assert_send::<Prepartition>();
