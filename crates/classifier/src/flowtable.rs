@@ -11,6 +11,9 @@ use crate::rule::{Action, Rule};
 pub struct FlowTable {
     schema: FieldSchema,
     rules: Vec<Rule>,
+    /// Indices into `rules` in decreasing priority, equal priorities in insertion
+    /// order — the order `lookup` walks. Maintained by `push`.
+    order: Vec<usize>,
 }
 
 /// Result of a slow-path lookup: the matched rule index and its action.
@@ -31,6 +34,7 @@ impl FlowTable {
         FlowTable {
             schema,
             rules: Vec::new(),
+            order: Vec::new(),
         }
     }
 
@@ -46,6 +50,11 @@ impl FlowTable {
             self.schema.field_count(),
             "rule key arity must match the table schema"
         );
+        // After every rule of equal or higher priority: earlier insertion wins ties.
+        let at = self
+            .order
+            .partition_point(|&i| self.rules[i].priority >= rule.priority);
+        self.order.insert(at, self.rules.len());
         self.rules.push(rule);
     }
 
@@ -67,11 +76,7 @@ impl FlowTable {
     /// Highest-priority match for `header`, if any. Walks rules in decreasing priority
     /// (stable for equal priorities).
     pub fn lookup(&self, header: &Key) -> Option<TableMatch> {
-        // Build the priority-ordered view lazily; tables are tiny (a handful of ACL
-        // rules) so a scan is fine and keeps insertion cheap.
-        let mut order: Vec<usize> = (0..self.rules.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.rules[i].priority));
-        for (inspected, &i) in order.iter().enumerate() {
+        for (inspected, &i) in self.order.iter().enumerate() {
             if self.rules[i].matches(header) {
                 return Some(TableMatch {
                     rule_index: i,
@@ -110,9 +115,7 @@ impl FlowTable {
 
     /// Render the table in the style of Fig. 1 / Fig. 4 / Fig. 6.
     pub fn render(&self) -> String {
-        let mut order: Vec<usize> = (0..self.rules.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.rules[i].priority));
-        order
+        self.order
             .iter()
             .map(|&i| format!("#{i} {}", self.rules[i].render(&self.schema)))
             .collect::<Vec<_>>()
@@ -233,6 +236,41 @@ mod tests {
         assert_eq!(t.higher_priority_than(2), vec![0, 1]);
         assert_eq!(t.higher_priority_than(1), vec![0]);
         assert!(t.higher_priority_than(0).is_empty());
+    }
+
+    #[test]
+    fn priority_order_is_a_stable_sort_of_insertion_order() {
+        // Non-monotone priorities with ties; every rule matches every header, so the
+        // lookup winner is the head of the order and `rules_inspected` its position.
+        let schema = FieldSchema::hyp();
+        let priorities = [5u32, 9, 5, 0, 9, 7, 0, 5, 9, 1];
+        let mut t = FlowTable::new(schema.clone());
+        for (n, &p) in priorities.iter().enumerate() {
+            t.push(Rule::match_all(&schema, p, Action::Allow));
+            let mut reference: Vec<usize> = (0..=n).collect();
+            reference.sort_by_key(|&i| std::cmp::Reverse(priorities[i]));
+            assert_eq!(t.order, reference, "after {} pushes", n + 1);
+            let m = t.lookup(&hyp_key(0b101)).unwrap();
+            assert_eq!((m.rule_index, m.rules_inspected), (reference[0], 1));
+            let rendered: Vec<String> = reference
+                .iter()
+                .map(|&i| format!("#{i} {}", t.rules()[i].render(&schema)))
+                .collect();
+            assert_eq!(t.render(), rendered.join("\n"));
+        }
+        // Two tied lowest-priority rules match: the earlier one wins, after 3 misses.
+        let mut t = FlowTable::new(schema.clone());
+        for &(v, p) in &[
+            (0b001, 3u32),
+            (0b111, 1),
+            (0b010, 3),
+            (0b111, 1),
+            (0b100, 2),
+        ] {
+            t.push(Rule::exact_on_field(&schema, 0, v, p, Action::Deny));
+        }
+        let m = t.lookup(&hyp_key(0b111)).unwrap();
+        assert_eq!((m.rule_index, m.rules_inspected), (1, 4));
     }
 
     #[test]

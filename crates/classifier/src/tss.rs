@@ -6,6 +6,10 @@
 //! performs one hash probe per mask, early-exiting on the first hit — which is only
 //! correct because entries are kept pairwise disjoint (Inv(2)).
 //!
+//! Here that list is one `Vec` of tuples — a mask, its hit counter and its entries —
+//! held in probe order: position in the vector *is* Alg. 1's scan order, a tuple exists
+//! exactly as long as it has an entry, and nothing is keyed by mask.
+//!
 //! > *Observation 1: the time-complexity of TSS lookup grows linearly with the number of
 //! > distinct masks O(|M|) and the space-complexity linearly with the number of entries
 //! > O(|C|).*
@@ -76,8 +80,12 @@ pub enum MaskOrdering {
 /// *every* stored key has a 1 (`key_and`), no entry can agree and the tuple is skipped
 /// in O(fields) instead of O(entries).
 #[derive(Debug, Clone)]
-struct TupleBucket {
-    /// Masked key -> entry.
+struct Tuple {
+    /// The mask every entry of this tuple shares.
+    mask: Mask,
+    /// Cumulative fast-path hits on this tuple, used by [`MaskOrdering::HitCount`].
+    hits: u64,
+    /// Masked key -> entry. Never empty while the tuple is in the cache.
     entries: HashMap<Key, MegaflowEntry>,
     /// Bitwise AND of all stored keys (all-ones where every entry agrees on 1).
     key_and: Key,
@@ -85,22 +93,8 @@ struct TupleBucket {
     key_or: Key,
 }
 
-impl TupleBucket {
-    fn new(first_key: &Key) -> Self {
-        TupleBucket {
-            entries: HashMap::new(),
-            key_and: first_key.clone(),
-            key_or: first_key.clone(),
-        }
-    }
-
-    /// Fold one more key into the summaries (call before/after inserting it).
-    fn absorb(&mut self, key: &Key) {
-        self.key_and = self.key_and.and(key);
-        self.key_or = self.key_or.or(key);
-    }
-
-    /// Recompute the summaries from scratch (after removals). No-op on an empty bucket
+impl Tuple {
+    /// Recompute the summaries from scratch (after removals). No-op on an empty tuple
     /// (it is about to be dropped).
     fn rebuild_summary(&mut self) {
         // lint: allow(nondet-iteration) — commutative AND/OR folds, order-free summary
@@ -117,17 +111,13 @@ impl TupleBucket {
     }
 }
 
-/// The TSS megaflow cache.
+/// The TSS megaflow cache: its tuples, in probe order.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
     schema: FieldSchema,
     ordering: MaskOrdering,
-    /// Distinct masks in probe order.
-    masks: Vec<Mask>,
-    /// Per-mask hit counters (parallel to `masks`), used by [`MaskOrdering::HitCount`].
-    mask_hits: Vec<u64>,
-    /// Per-mask buckets: entries plus the conflict-index summaries.
-    tuples: HashMap<Mask, TupleBucket>,
+    /// One tuple per distinct mask; position is Alg. 1's scan order.
+    tuples: Vec<Tuple>,
 }
 
 impl TupleSpace {
@@ -136,9 +126,7 @@ impl TupleSpace {
         TupleSpace {
             schema,
             ordering: MaskOrdering::Insertion,
-            masks: Vec::new(),
-            mask_hits: Vec::new(),
-            tuples: HashMap::new(),
+            tuples: Vec::new(),
         }
     }
 
@@ -168,18 +156,12 @@ impl TupleSpace {
 
     /// Number of distinct masks |M| — the attacker's target metric.
     pub fn mask_count(&self) -> usize {
-        self.masks.len()
+        self.tuples.len()
     }
 
     /// Number of entries |C|.
     pub fn entry_count(&self) -> usize {
-        // lint: allow(nondet-iteration) — integer sum of bucket sizes, order-free
-        self.tuples.values().map(|t| t.entries.len()).sum()
-    }
-
-    /// The distinct masks in current probe order.
-    pub fn masks(&self) -> &[Mask] {
-        &self.masks
+        self.tuples.iter().map(|t| t.entries.len()).sum()
     }
 
     /// The distinct masks in probe order, each with its cumulative fast-path hit count
@@ -187,98 +169,63 @@ impl TupleSpace {
     /// hits slowly because every adversarial key is fresh; a victim's long-lived mask
     /// is hit once per packet).
     pub fn mask_usage(&self) -> Vec<(Mask, u64)> {
-        self.masks
+        self.tuples
             .iter()
-            .cloned()
-            .zip(self.mask_hits.iter().copied())
+            .map(|t| (t.mask.clone(), t.hits))
             .collect()
     }
 
     /// Remove one mask and every entry of its tuple (shrinking |M| by one); returns
     /// the number of entries removed (0 if the mask is not present).
     pub fn remove_mask(&mut self, mask: &Mask) -> usize {
-        let Some(bucket) = self.tuples.remove(mask) else {
-            return 0;
-        };
-        if let Some(pos) = self.masks.iter().position(|m| m == mask) {
-            self.masks.remove(pos);
-            self.mask_hits.remove(pos);
+        match self.tuples.iter().position(|t| t.mask == *mask) {
+            Some(pos) => self.tuples.remove(pos).entries.len(),
+            None => 0,
         }
-        bucket.entries.len()
     }
 
-    /// Iterate over all entries, in unspecified order — callers that need a stable
-    /// order (e.g. [`TupleSpace::render`]) must sort what they collect.
+    /// Iterate over all entries, tuple by tuple in probe order; the order *within* a
+    /// tuple is unspecified — callers that need a stable order (e.g.
+    /// [`TupleSpace::render`]) must sort what they collect.
     pub fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
         // lint: allow(nondet-iteration) — unordered passthrough; ordered consumers sort
-        self.tuples.values().flat_map(|t| t.entries.values())
+        self.tuples.iter().flat_map(|t| t.entries.values())
     }
 
     /// Megaflow lookup — Algorithm 1 of the paper.
     ///
     /// For each mask `M` in the mask list, compute `h AND M` and probe the mask's hash.
     /// Return a hit on the first match (correct thanks to entry disjointness); a miss
-    /// after all masks have been probed.
+    /// after all masks have been probed. The hit's statistics are bumped in the same
+    /// probe.
     pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
-        let mut scanned = 0;
-        // Collect the hit (if any) first to keep the borrow checker happy, then update
-        // the entry's statistics.
-        let mut hit: Option<(usize, Mask, Key)> = None;
-        for (idx, mask) in self.masks.iter().enumerate() {
-            scanned += 1;
-            let masked = header.apply_mask(mask);
-            if let Some(tuple) = self.tuples.get(mask) {
-                if tuple.entries.contains_key(&masked) {
-                    hit = Some((idx, mask.clone(), masked));
-                    break;
-                }
-            }
-        }
-        match hit {
-            Some((idx, mask, masked)) => {
-                self.mask_hits[idx] += 1;
-                // The scan above just saw this entry and the `&mut self` receiver rules
-                // out concurrent mutation, so the re-probe can only miss if the cache
-                // invariants are already broken — degrade to a miss instead of tearing
-                // down the datapath.
-                let Some(entry) = self
-                    .tuples
-                    .get_mut(&mask)
-                    .and_then(|t| t.entries.get_mut(&masked))
-                else {
-                    debug_assert!(false, "hit entry vanished between scan and update");
-                    return LookupOutcome {
-                        action: None,
-                        masks_scanned: scanned,
-                    };
-                };
+        let mut action = None;
+        let mut masks_scanned = 0;
+        for tuple in &mut self.tuples {
+            masks_scanned += 1;
+            if let Some(entry) = tuple.entries.get_mut(&header.apply_mask(&tuple.mask)) {
                 entry.hits += 1;
                 entry.last_used = now;
-                let action = entry.action;
-                if self.ordering == MaskOrdering::HitCount {
-                    self.resort_masks();
-                }
-                LookupOutcome {
-                    action: Some(action),
-                    masks_scanned: scanned,
-                }
+                tuple.hits += 1;
+                action = Some(entry.action);
+                break;
             }
-            None => LookupOutcome {
-                action: None,
-                masks_scanned: scanned,
-            },
+        }
+        if action.is_some() && self.ordering == MaskOrdering::HitCount {
+            // Stable: tuples with equal hit counts keep their relative order.
+            self.tuples.sort_by_key(|t| std::cmp::Reverse(t.hits));
+        }
+        LookupOutcome {
+            action,
+            masks_scanned,
         }
     }
 
     /// Read-only lookup that does not update statistics (used by tests and MFCGuard).
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
-        for mask in &self.masks {
-            let masked = header.apply_mask(mask);
-            if let Some(entry) = self.tuples.get(mask).and_then(|t| t.entries.get(&masked)) {
-                return Some(entry);
-            }
-        }
-        None
+        self.tuples
+            .iter()
+            .find_map(|t| t.entries.get(&header.apply_mask(&t.mask)))
     }
 
     /// Insert a new megaflow entry. Enforces the two slow-path invariants of §3.2:
@@ -302,29 +249,36 @@ impl TupleSpace {
                 existing_mask,
             });
         }
-        if !self.tuples.contains_key(&mask) {
-            if self.ordering == MaskOrdering::NewestFirst {
-                self.masks.insert(0, mask.clone());
-                self.mask_hits.insert(0, 0);
-            } else {
-                self.masks.push(mask.clone());
-                self.mask_hits.push(0);
+        let pos = match self.tuples.iter().position(|t| t.mask == mask) {
+            Some(pos) => pos,
+            None => {
+                let pos = match self.ordering {
+                    MaskOrdering::NewestFirst => 0,
+                    _ => self.tuples.len(),
+                };
+                let tuple = Tuple {
+                    mask: mask.clone(),
+                    hits: 0,
+                    entries: HashMap::new(),
+                    key_and: key.clone(),
+                    key_or: key.clone(),
+                };
+                self.tuples.insert(pos, tuple);
+                pos
             }
-        }
+        };
+        let tuple = &mut self.tuples[pos];
+        tuple.key_and = tuple.key_and.and(&key);
+        tuple.key_or = tuple.key_or.or(&key);
         let entry = MegaflowEntry {
             key: key.clone(),
-            mask: mask.clone(),
+            mask,
             action,
             hits: 0,
             last_used: now,
             installed_at: now,
         };
-        let bucket = self
-            .tuples
-            .entry(mask)
-            .or_insert_with(|| TupleBucket::new(&key));
-        bucket.absorb(&key);
-        bucket.entries.insert(key, entry);
+        tuple.entries.insert(key, entry);
         Ok(())
     }
 
@@ -355,17 +309,16 @@ impl TupleSpace {
     /// measures this path against the index-less full entry scan.
     pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let key = key.apply_mask(mask);
-        for existing_mask in &self.masks {
-            let tuple = &self.tuples[existing_mask];
-            // Summary prefilter over common = mask & existing_mask, computed inline.
-            // `comparable` tracks whether existing_mask ⊆ mask along the way.
+        for tuple in &self.tuples {
+            // Summary prefilter over common = mask & tuple.mask, computed inline.
+            // `comparable` tracks whether tuple.mask ⊆ mask along the way.
             let mut excluded = false;
             let mut comparable = true;
             for (((k, m), e), (and, or)) in key
                 .values()
                 .iter()
                 .zip(mask.values())
-                .zip(existing_mask.values())
+                .zip(tuple.mask.values())
                 .zip(tuple.key_and.values().iter().zip(tuple.key_or.values()))
             {
                 let c = m & e;
@@ -381,9 +334,9 @@ impl TupleSpace {
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
-                let probe = key.apply_mask(existing_mask);
+                let probe = key.apply_mask(&tuple.mask);
                 if tuple.entries.contains_key(&probe) {
-                    return Some((probe, existing_mask.clone()));
+                    return Some((probe, tuple.mask.clone()));
                 }
             } else {
                 // Report the smallest conflicting key, not the first in hash order:
@@ -403,12 +356,13 @@ impl TupleSpace {
     }
 
     /// Remove every entry for which `predicate` returns true; returns the number of
-    /// removed entries. Masks whose tuple becomes empty are dropped from the mask list —
-    /// this is what shrinks |M| back down (the entire point of MFCGuard).
+    /// removed entries. The predicate sees entries tuple by tuple in probe order
+    /// (unspecified order within a tuple). A tuple left without entries is dropped and
+    /// the survivors keep their relative probe order — this is what shrinks |M| back
+    /// down (the entire point of MFCGuard).
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
         let mut removed = 0;
-        // lint: allow(nondet-iteration) — per-entry predicate + integer count, order-free
-        for tuple in self.tuples.values_mut() {
+        for tuple in &mut self.tuples {
             let before = tuple.entries.len();
             tuple.entries.retain(|_, e| !predicate(e));
             if tuple.entries.len() < before {
@@ -416,7 +370,7 @@ impl TupleSpace {
                 tuple.rebuild_summary();
             }
         }
-        self.drop_empty_masks();
+        self.tuples.retain(|t| !t.entries.is_empty());
         removed
     }
 
@@ -429,8 +383,6 @@ impl TupleSpace {
 
     /// Remove everything.
     pub fn clear(&mut self) {
-        self.masks.clear();
-        self.mask_hits.clear();
         self.tuples.clear();
     }
 
@@ -453,40 +405,13 @@ impl TupleSpace {
         true
     }
 
-    fn drop_empty_masks(&mut self) {
-        let tuples = &mut self.tuples;
-        let mut kept_hits = Vec::with_capacity(self.masks.len());
-        let mut kept_masks = Vec::with_capacity(self.masks.len());
-        for (mask, hits) in self.masks.drain(..).zip(self.mask_hits.drain(..)) {
-            let empty = tuples
-                .get(&mask)
-                .map(|t| t.entries.is_empty())
-                .unwrap_or(true);
-            if empty {
-                tuples.remove(&mask);
-            } else {
-                kept_masks.push(mask);
-                kept_hits.push(hits);
-            }
-        }
-        self.masks = kept_masks;
-        self.mask_hits = kept_hits;
-    }
-
-    fn resort_masks(&mut self) {
-        let mut order: Vec<usize> = (0..self.masks.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.mask_hits[i]));
-        self.masks = order.iter().map(|&i| self.masks[i].clone()).collect();
-        self.mask_hits = order.iter().map(|&i| self.mask_hits[i]).collect();
-    }
-
     /// Render the cache in the style of Fig. 2 / Fig. 3 / Fig. 5 (one line per entry,
     /// binary key and mask).
     pub fn render(&self) -> String {
         let mut lines = Vec::new();
-        for (i, mask) in self.masks.iter().enumerate() {
+        for (i, tuple) in self.tuples.iter().enumerate() {
             // lint: allow(nondet-iteration) — collected then sorted by key on the next line
-            let mut keys: Vec<&MegaflowEntry> = self.tuples[mask].entries.values().collect();
+            let mut keys: Vec<&MegaflowEntry> = tuple.entries.values().collect();
             keys.sort_by(|a, b| a.key.cmp(&b.key));
             for e in keys {
                 lines.push(format!(
@@ -638,8 +563,8 @@ mod tests {
         assert_eq!(usage.len(), 3);
         assert_eq!(
             usage.iter().map(|(m, _)| m.clone()).collect::<Vec<_>>(),
-            c.masks().to_vec(),
-            "usage reports masks in probe order"
+            vec![k(0b111), k(0b100), k(0b110)],
+            "usage reports masks in probe (here: insertion) order"
         );
         let hits_of = |mask: u128| {
             usage

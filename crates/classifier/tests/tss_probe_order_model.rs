@@ -1,0 +1,204 @@
+//! `TupleSpace` against an obviously-correct model of Alg. 1: a mask list updated by the
+//! three `MaskOrdering` rules and a flat entry list scanned linearly.
+//!
+//! The schema is 5 bits wide, so "overlaps" and "matches" are brute-forced over all 32
+//! headers instead of trusting the bit tricks under test. After every operation the
+//! cache must report the model's probe order and hit counts, the model's action *and*
+//! `masks_scanned`, and a first hit (`peek`) equal to the model's any-hit — Alg. 1's
+//! early exit checked against Inv(2). The test pins behaviour, not layout.
+
+use proptest::prelude::*;
+use tse_classifier::rule::Action;
+use tse_classifier::tss::{InsertError, MaskOrdering, MegaflowEntry, TupleSpace};
+use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
+
+const HEADERS: u128 = 32;
+
+fn schema() -> FieldSchema {
+    FieldSchema::new(vec![FieldDef::new("a", 3), FieldDef::new("b", 2)])
+}
+
+/// A 5-bit number as a key or mask: low 3 bits in field `a`, high 2 in field `b`.
+fn fv(bits: u128) -> Key {
+    Key::from_values(&schema(), &[bits & 0b111, bits >> 3])
+}
+
+fn bits_of(v: &Key) -> u128 {
+    v.get(0) | (v.get(1) << 3)
+}
+
+fn covers(e: &MegaflowEntry, header: u128) -> bool {
+    header & bits_of(&e.mask) == bits_of(&e.key)
+}
+
+struct Model {
+    ordering: MaskOrdering,
+    /// Probe order, with cumulative hits.
+    masks: Vec<(Mask, u64)>,
+    entries: Vec<MegaflowEntry>,
+}
+
+impl Model {
+    /// Inv(2) by brute force: refuse iff some header would match both entries.
+    fn insert(&mut self, key: u128, mask: u128, action: Action, now: f64) -> bool {
+        let new = MegaflowEntry {
+            key: fv(key & mask),
+            mask: fv(mask),
+            action,
+            hits: 0,
+            last_used: now,
+            installed_at: now,
+        };
+        let overlaps = |e: &MegaflowEntry| (0..HEADERS).any(|h| covers(e, h) && covers(&new, h));
+        if self.entries.iter().any(overlaps) {
+            return false;
+        }
+        if !self.masks.iter().any(|(m, _)| *m == new.mask) {
+            match self.ordering {
+                MaskOrdering::NewestFirst => self.masks.insert(0, (new.mask.clone(), 0)),
+                _ => self.masks.push((new.mask.clone(), 0)),
+            }
+        }
+        self.entries.push(new);
+        true
+    }
+
+    /// Alg. 1, literally: one probe per mask in order, stop at the first hit.
+    fn lookup(&mut self, header: u128, now: f64) -> (Option<Action>, usize) {
+        for scanned in 1..=self.masks.len() {
+            let mask = self.masks[scanned - 1].0.clone();
+            let hit = self
+                .entries
+                .iter_mut()
+                .find(|e| e.mask == mask && covers(e, header));
+            if let Some(e) = hit {
+                e.hits += 1;
+                e.last_used = now;
+                self.masks[scanned - 1].1 += 1;
+                if self.ordering == MaskOrdering::HitCount {
+                    self.masks.sort_by_key(|(_, hits)| std::cmp::Reverse(*hits));
+                }
+                return (Some(e.action), scanned);
+            }
+        }
+        (None, self.masks.len())
+    }
+
+    fn remove_where(&mut self, mut predicate: impl FnMut(&MegaflowEntry) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !predicate(e));
+        let entries = &self.entries;
+        self.masks
+            .retain(|(m, _)| entries.iter().any(|e| e.mask == *m));
+        before - self.entries.len()
+    }
+
+    /// Every entry matching `header`, probe order ignored.
+    fn any_hit(&self, header: u128) -> Vec<&MegaflowEntry> {
+        self.entries.iter().filter(|e| covers(e, header)).collect()
+    }
+}
+
+fn check(cache: &TupleSpace, model: &Model, step: usize) -> Result<(), TestCaseError> {
+    let at = format!("{:?} step {step}", model.ordering);
+    prop_assert_eq!(
+        cache.mask_usage(),
+        model.masks.clone(),
+        "{at}: probe order / hits"
+    );
+    prop_assert_eq!(cache.mask_count(), model.masks.len(), "{at}: mask_count");
+    prop_assert_eq!(
+        cache.entry_count(),
+        model.entries.len(),
+        "{at}: entry_count"
+    );
+    prop_assert_eq!(
+        cache.entries().count(),
+        model.entries.len(),
+        "{at}: entries()"
+    );
+    prop_assert!(cache.check_independence(), "{at}: Inv(2)");
+    for h in 0..HEADERS {
+        let any = model.any_hit(h);
+        prop_assert!(any.len() <= 1, "{at}: model entries overlap on {h:05b}");
+        prop_assert_eq!(
+            cache.peek(&fv(h)),
+            any.first().copied(),
+            "{at}: first hit ≠ any hit"
+        );
+    }
+    Ok(())
+}
+
+fn run(ordering: MaskOrdering, ops: &[(u8, u128, u128, u8)]) -> Result<(), TestCaseError> {
+    let mut cache = TupleSpace::with_ordering(schema(), ordering);
+    let mut model = Model {
+        ordering,
+        masks: Vec::new(),
+        entries: Vec::new(),
+    };
+    for (step, &(kind, a, b, c)) in ops.iter().enumerate() {
+        let now = step as f64;
+        match kind {
+            0..=3 => {
+                // Bias towards narrow masks so that inserts succeed and tuples pile up.
+                let mask = if c < 3 { b | 0b10101 } else { b };
+                let action = if c % 2 == 0 {
+                    Action::Allow
+                } else {
+                    Action::Deny
+                };
+                let inserted = cache.insert(fv(a), fv(mask), action, now);
+                if model.insert(a, mask, action, now) {
+                    prop_assert_eq!(inserted, Ok(()));
+                } else {
+                    prop_assert!(matches!(inserted, Err(InsertError::Overlap { .. })));
+                }
+            }
+            4..=6 => {
+                let out = cache.lookup(&fv(a), now);
+                prop_assert_eq!((out.action, out.masks_scanned), model.lookup(a, now));
+            }
+            7 => match c {
+                0 => {
+                    let deny = |e: &MegaflowEntry| e.action == Action::Deny;
+                    prop_assert_eq!(cache.remove_where(deny), model.remove_where(deny));
+                }
+                1 => {
+                    let cold = |e: &MegaflowEntry| e.hits == 0;
+                    prop_assert_eq!(cache.remove_where(cold), model.remove_where(cold));
+                }
+                2 => {
+                    let timeout = b as f64;
+                    let idle = |e: &MegaflowEntry| now - e.last_used > timeout;
+                    prop_assert_eq!(cache.expire_idle(now, timeout), model.remove_where(idle));
+                }
+                _ => {
+                    // A mask picked from the probe order if there is one, else (and
+                    // sometimes anyway) an arbitrary, probably absent, one.
+                    let mask = match model.masks.get(a as usize % (model.masks.len() + 1)) {
+                        Some((m, _)) => m.clone(),
+                        None => fv(b),
+                    };
+                    let gone = model.remove_where(|e| e.mask == mask);
+                    prop_assert_eq!(cache.remove_mask(&mask), gone);
+                }
+            },
+            _ => unreachable!("kind is drawn from 0..8"),
+        }
+        check(&cache, &model, step)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn tuple_space_follows_the_probe_order_model(
+        ops in proptest::collection::vec((0u8..8, 0u128..32, 0u128..32, 0u8..5), 1..120),
+    ) {
+        for ordering in [MaskOrdering::Insertion, MaskOrdering::NewestFirst, MaskOrdering::HitCount] {
+            run(ordering, &ops)?;
+        }
+    }
+}

@@ -54,6 +54,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/classifier/src/microflow.rs",
     "crates/switch/src/datapath.rs",
     "crates/switch/src/pmd.rs",
+    // The upcall handler runs on every cache miss, on shard worker threads.
+    "crates/switch/src/slowpath.rs",
     // Wire ingestion: the frame parser and the batched extractor run on every
     // raw frame, including attacker-crafted byte soup.
     "crates/packet/src/wire.rs",

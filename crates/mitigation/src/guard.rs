@@ -100,22 +100,6 @@ impl MfcGuard {
         &self.cpu_model
     }
 
-    /// Run the guard if the interval has elapsed. `observed_attack_pps` is the measured
-    /// rate of packets currently missing the fast path (what `top` shows translated to a
-    /// rate); it drives the projected-CPU exit condition.
-    ///
-    /// Generic over the fast-path backend: the sweep goes through
-    /// [`FastPathBackend::evict_where`], so backends without per-traffic entries (the §7
-    /// baselines) are left untouched — their mask count never crosses the threshold.
-    pub fn maybe_run<B: FastPathBackend>(
-        &mut self,
-        datapath: &mut Datapath<B>,
-        now: f64,
-        observed_attack_pps: f64,
-    ) -> Option<GuardReport> {
-        self.maybe_run_on_shard(datapath, now, observed_attack_pps, 0)
-    }
-
     /// Reset the interval gate, as if the guard had never run: the next
     /// `maybe_run*` call fires regardless of how recently the previous run's last
     /// pass was. Stored reports are kept. Used when a guard is re-armed for a new
@@ -135,8 +119,8 @@ impl MfcGuard {
         true
     }
 
-    /// Sharded form of [`MfcGuard::maybe_run`]: if the interval has elapsed, run one
-    /// pass **per shard**, each with its own eviction budget — shard `s`'s mask count
+    /// Sharded form of [`MfcGuard::maybe_run_on_shard`]: if the interval has elapsed, run
+    /// one pass **per shard**, each with its own eviction budget — shard `s`'s mask count
     /// is compared against the threshold and its own `per_shard_attack_pps[s]` drives
     /// the CPU exit, so a clean PMD is never swept because a different PMD is under
     /// attack (and vice versa). Returns one report per shard, or an empty vector when
@@ -152,16 +136,6 @@ impl MfcGuard {
         if !self.interval_elapsed(now) {
             return Vec::new();
         }
-        self.run_once_sharded(datapath, now, per_shard_attack_pps)
-    }
-
-    /// Run one guard pass per shard unconditionally (see [`MfcGuard::maybe_run_sharded`]).
-    pub fn run_once_sharded<B: FastPathBackend>(
-        &mut self,
-        datapath: &mut tse_switch::pmd::ShardedDatapath<B>,
-        now: f64,
-        per_shard_attack_pps: &[f64],
-    ) -> Vec<GuardReport> {
         assert_eq!(
             per_shard_attack_pps.len(),
             datapath.shard_count(),
@@ -182,11 +156,19 @@ impl MfcGuard {
         self.run_pass(datapath, now, observed_attack_pps, 0)
     }
 
-    /// Interval-gated pass over one shard's datapath, recorded under `shard` — the
-    /// building block [`GuardMitigation`] uses to run one *independently configured*
-    /// guard per shard (each with its own cadence and thresholds), in contrast to
-    /// [`MfcGuard::maybe_run_sharded`], which sweeps every shard under a single shared
-    /// config whenever the shared interval elapses.
+    /// Interval-gated pass over one shard's datapath, recorded under `shard`.
+    /// `observed_attack_pps` is the measured rate of packets currently missing the fast
+    /// path (what `top` shows translated to a rate); it drives the projected-CPU exit
+    /// condition.
+    ///
+    /// Generic over the fast-path backend: the sweep goes through
+    /// [`FastPathBackend::evict_where`], so backends without per-traffic entries (the §7
+    /// baselines) are left untouched — their mask count never crosses the threshold.
+    ///
+    /// This is the building block [`GuardMitigation`] uses to run one *independently
+    /// configured* guard per shard (each with its own cadence and thresholds), in
+    /// contrast to [`MfcGuard::maybe_run_sharded`], which sweeps every shard under a
+    /// single shared config whenever the shared interval elapses.
     pub fn maybe_run_on_shard<B: FastPathBackend>(
         &mut self,
         datapath: &mut Datapath<B>,
@@ -286,12 +268,6 @@ impl GuardMitigation {
             overrides: Vec::new(),
             guards: Vec::new(),
         }
-    }
-
-    /// Wrap an existing [`MfcGuard`] — the compatibility shim behind the runner's
-    /// `with_guard`: the guard's config becomes the uniform per-shard config.
-    pub fn from_guard(guard: MfcGuard) -> Self {
-        GuardMitigation::new(*guard.config())
     }
 
     /// Override the configuration of one shard (builder form; the last override for a
@@ -442,9 +418,9 @@ mod tests {
             interval: 10.0,
             ..GuardConfig::default()
         });
-        assert!(guard.maybe_run(&mut dp, 0.0, 100.0).is_some());
-        assert!(guard.maybe_run(&mut dp, 5.0, 100.0).is_none());
-        assert!(guard.maybe_run(&mut dp, 10.5, 100.0).is_some());
+        assert!(guard.maybe_run_on_shard(&mut dp, 0.0, 100.0, 0).is_some());
+        assert!(guard.maybe_run_on_shard(&mut dp, 5.0, 100.0, 0).is_none());
+        assert!(guard.maybe_run_on_shard(&mut dp, 10.5, 100.0, 0).is_some());
         assert_eq!(guard.reports().len(), 2);
     }
 

@@ -285,22 +285,27 @@ impl fmt::Display for FieldVec {
 
 /// Check whether a header `h` matches a key/mask pair: `(h AND M) == K`.
 pub fn matches(header: &Key, key: &Key, mask: &Mask) -> bool {
-    header.apply_mask(mask) == *key
+    debug_assert_eq!(header.len(), mask.len());
+    header.len() == key.len()
+        && header
+            .values
+            .iter()
+            .zip(&mask.values)
+            .zip(&key.values)
+            .all(|((h, m), k)| h & m == *k)
 }
 
 /// Check whether two key/mask pairs are *disjoint* (the Independence invariant Inv(2)
 /// of §3.2): they are disjoint iff there exists a bit position examined by both masks
 /// on which their keys differ. If no such bit exists, some packet matches both.
 pub fn disjoint(key_a: &Key, mask_a: &Mask, key_b: &Key, mask_b: &Mask) -> bool {
-    let common = mask_a.and(mask_b);
-    let diff_bits = key_a
-        .values()
+    debug_assert_eq!(mask_a.len(), mask_b.len());
+    key_a
+        .values
         .iter()
-        .zip(key_b.values())
-        .zip(common.values())
-        .map(|((a, b), m)| (a ^ b) & m)
-        .fold(0u128, |acc, v| acc | v);
-    diff_bits != 0
+        .zip(&key_b.values)
+        .zip(mask_a.values.iter().zip(&mask_b.values))
+        .any(|((a, b), (ma, mb))| (a ^ b) & ma & mb != 0)
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ use tse_attack::trace::AttackTrace;
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::tss::TupleSpace;
-use tse_mitigation::guard::{GuardMitigation, MfcGuard};
 use tse_mitigation::stack::{Mitigation, MitigationAction, MitigationCtx, MitigationStack};
 use tse_packet::fields::Key;
 use tse_packet::wire::WireFault;
@@ -335,15 +334,6 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     pub fn with_executor(mut self, executor: impl ShardExecutor + 'static) -> Self {
         self.datapath.set_executor(executor);
         self
-    }
-
-    /// Attach an MFCGuard instance — compatibility shim over the mitigation pipeline:
-    /// the guard is wrapped as a uniform [`GuardMitigation`] stage, which sweeps every
-    /// shard under the guard's configuration exactly as the pre-stack runner's
-    /// hard-wired `Option<MfcGuard>` did (asserted bit-for-bit by
-    /// `tests/golden_runner_parity.rs`).
-    pub fn with_guard(self, guard: MfcGuard) -> Self {
-        self.with_mitigation(GuardMitigation::from_guard(guard))
     }
 
     /// Run the experiment for `duration` seconds against the given attack trace and
@@ -953,9 +943,9 @@ mod tests {
 
     #[test]
     fn guarded_run_keeps_victim_fast() {
-        use tse_mitigation::guard::{GuardConfig, MfcGuard};
+        use tse_mitigation::guard::{GuardConfig, GuardMitigation};
         let (runner, attack) = setup(Scenario::SipDp);
-        let mut runner = runner.with_guard(MfcGuard::new(GuardConfig {
+        let mut runner = runner.with_mitigation(GuardMitigation::new(GuardConfig {
             interval: 10.0,
             mask_threshold: 30,
             ..GuardConfig::default()

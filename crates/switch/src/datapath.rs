@@ -974,7 +974,6 @@ mod tests {
         assert_eq!(report.processed, 96);
         assert_eq!(report.total_cost.to_bits(), loop_cost.to_bits());
         assert_eq!(batched.stats(), looped.stats());
-        assert_eq!(batched.megaflow().masks(), looped.megaflow().masks());
         assert_eq!(
             batched.megaflow().mask_usage(),
             looped.megaflow().mask_usage()

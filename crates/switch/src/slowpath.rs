@@ -144,18 +144,24 @@ impl SlowPath {
                         new_mask: false,
                     });
                 }
-                if let Some(quota) = &mut self.install_quota {
-                    *quota -= 1;
-                }
                 let masks_before = cache.mask_count();
-                cache
-                    .insert_megaflow(generated.key, generated.mask, generated.action, now)
-                    .expect("generated megaflow must be insertable");
+                let install =
+                    cache.insert_megaflow(generated.key, generated.mask, generated.action, now);
+                // Generation narrowed the entry until the backend reported no conflict,
+                // so a refusal is a backend bug: loud in debug builds, answered like a
+                // quota denial otherwise — this runs on shard worker threads.
+                debug_assert!(install.is_ok(), "generated megaflow refused: {install:?}");
+                let installed = install.is_ok();
+                if installed {
+                    if let Some(quota) = &mut self.install_quota {
+                        *quota -= 1;
+                    }
+                }
                 Some(UpcallOutcome {
                     action: generated.action,
                     rule_index: generated.rule_index,
-                    installed: true,
-                    new_mask: cache.mask_count() > masks_before,
+                    installed,
+                    new_mask: installed && cache.mask_count() > masks_before,
                 })
             }
             Err(GenerationError::AlreadyCovered) => Some(UpcallOutcome {
@@ -173,8 +179,8 @@ impl SlowPath {
 mod tests {
     use super::*;
     use tse_classifier::flowtable::FlowTable;
-    use tse_classifier::tss::TupleSpace;
-    use tse_packet::fields::{FieldSchema, Key};
+    use tse_classifier::tss::{InsertError, LookupOutcome, TupleSpace};
+    use tse_packet::fields::{FieldSchema, Key, Mask};
 
     fn hyp(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -298,6 +304,72 @@ mod tests {
             .handle_upcall(&table, &mut cache, &hyp(0b101), 0.0)
             .unwrap();
         assert!(!out.installed);
+        assert_eq!(sp.quota_denied_upcalls(), 0);
+    }
+
+    /// A backend whose `find_conflict` and `insert_megaflow` disagree: generation sees
+    /// no conflict, the install is refused anyway.
+    struct RefusingBackend(FieldSchema);
+
+    impl FastPathBackend for RefusingBackend {
+        fn fresh(schema: &FieldSchema) -> Self {
+            RefusingBackend(schema.clone())
+        }
+        fn name(&self) -> &'static str {
+            "refusing"
+        }
+        fn schema(&self) -> &FieldSchema {
+            &self.0
+        }
+        fn lookup(&mut self, _header: &Key, _now: f64) -> LookupOutcome {
+            LookupOutcome {
+                action: None,
+                masks_scanned: 0,
+            }
+        }
+        fn insert_megaflow(
+            &mut self,
+            key: Key,
+            mask: Mask,
+            _action: Action,
+            _now: f64,
+        ) -> Result<(), InsertError> {
+            Err(InsertError::Overlap {
+                existing_key: key,
+                existing_mask: mask,
+            })
+        }
+        fn clear(&mut self) {}
+        fn mask_count(&self) -> usize {
+            0
+        }
+        fn entry_count(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn refused_install_is_answered_without_charging_the_quota() {
+        let table = FlowTable::fig1_hyp();
+        let mut cache = RefusingBackend::fresh(table.schema());
+        let mut sp = SlowPath::new(MegaflowStrategy::wildcarding(table.schema()));
+        sp.set_install_quota(Some(5));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sp.handle_upcall(&table, &mut cache, &hyp(0b001), 0.0)
+        }));
+        // Debug builds stop at the `debug_assert!`; release builds answer the packet
+        // and install nothing.
+        assert_eq!(out.is_err(), cfg!(debug_assertions));
+        if let Ok(out) = out {
+            let expected = UpcallOutcome {
+                action: Action::Allow,
+                rule_index: 0,
+                installed: false,
+                new_mask: false,
+            };
+            assert_eq!(out, Some(expected));
+        }
+        assert_eq!(sp.install_quota_remaining(), Some(5), "nothing installed");
         assert_eq!(sp.quota_denied_upcalls(), 0);
     }
 

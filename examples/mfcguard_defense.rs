@@ -27,7 +27,7 @@ fn main() {
         let datapath = Datapath::new(table.clone());
         let mut runner = ExperimentRunner::new(datapath, victims.clone(), OffloadConfig::gro_off());
         if guarded {
-            runner = runner.with_guard(MfcGuard::new(GuardConfig::default()));
+            runner = runner.with_mitigation(GuardMitigation::new(GuardConfig::default()));
         }
         let timeline = runner.run(&attack, 80.0);
         println!(

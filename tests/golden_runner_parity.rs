@@ -9,9 +9,9 @@
 //!
 //! `reference_guarded_run` is a second frozen copy: the pre-mitigation-stack runner's
 //! `run_mix` loop with its hard-wired `Option<MfcGuard>` (the `guard.maybe_run_sharded`
-//! call after throughput accounting). It is the ground truth the `with_guard` shim —
-//! now a `GuardMitigation` stage on the composable `MitigationStack` — is compared
-//! against, on every scenario, single- and multi-shard, down to the f64 bits.
+//! call after throughput accounting). It is the ground truth a uniform
+//! `GuardMitigation` stage on the composable `MitigationStack` is compared against,
+//! on every scenario, single- and multi-shard, down to the f64 bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -506,7 +506,7 @@ fn assert_guarded_bit_for_bit(reference: &[RefGuardedSample], timeline: &Timelin
     }
 }
 
-/// The guard configuration used for the shim parity runs: thresholds low enough that
+/// The guard configuration used for the guarded parity runs: thresholds low enough that
 /// the guard actually fires and evicts during every scenario's attack phase.
 fn parity_guard_config() -> GuardConfig {
     GuardConfig {
@@ -517,7 +517,7 @@ fn parity_guard_config() -> GuardConfig {
 }
 
 #[test]
-fn with_guard_shim_matches_frozen_guarded_reference_for_every_scenario() {
+fn guard_stage_matches_frozen_guarded_reference_for_every_scenario() {
     for scenario in Scenario::ALL {
         let (table, victims, attack) = scenario_fixture(scenario);
         let offload = OffloadConfig::gro_off();
@@ -533,16 +533,16 @@ fn with_guard_shim_matches_frozen_guarded_reference_for_every_scenario() {
         );
 
         let mut runner = ExperimentRunner::new(Datapath::new(table), victims, offload)
-            .with_guard(MfcGuard::new(parity_guard_config()));
+            .with_mitigation(GuardMitigation::new(parity_guard_config()));
         let timeline = runner.run(&attack, 90.0);
         assert_guarded_bit_for_bit(&reference, &timeline, &format!("guarded/{scenario}"));
     }
 }
 
 #[test]
-fn with_guard_shim_matches_frozen_guarded_reference_on_a_sharded_datapath() {
+fn guard_stage_matches_frozen_guarded_reference_on_a_sharded_datapath() {
     // The same parity on a real multi-PMD datapath: 4 RSS-steered shards, every
-    // scenario. The per-shard guards of the shim must fire at exactly the times the
+    // scenario. The stage's per-shard guards must fire at exactly the times the
     // old shared gate did and sweep the shards in the same order.
     for scenario in Scenario::ALL {
         let (table, victims, attack) = scenario_fixture(scenario);
@@ -561,7 +561,7 @@ fn with_guard_shim_matches_frozen_guarded_reference_on_a_sharded_datapath() {
 
         let sharded = ShardedDatapath::from_builder(Datapath::builder(table), 4, Steering::Rss);
         let mut runner = ExperimentRunner::sharded(sharded, victims, offload)
-            .with_guard(MfcGuard::new(parity_guard_config()));
+            .with_mitigation(GuardMitigation::new(parity_guard_config()));
         let timeline = runner.run(&attack, 90.0);
         assert_eq!(timeline.shard_count, 4);
         assert_guarded_bit_for_bit(

@@ -32,12 +32,11 @@ fn guard_preserves_victim_throughput() {
     let unguarded_tl = unguarded.run(&attack, 60.0);
 
     let mut guarded =
-        ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off()).with_guard(
-            MfcGuard::new(GuardConfig {
+        ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off())
+            .with_mitigation(GuardMitigation::new(GuardConfig {
                 mask_threshold: 50,
                 ..GuardConfig::default()
-            }),
-        );
+            }));
     let guarded_tl = guarded.run(&attack, 60.0);
 
     let unguarded_mean = unguarded_tl.mean_total_between(25.0, 59.0);
