@@ -10,7 +10,11 @@
 //! broken code. Wall-clock metrics (`*_wall` units) only warn when they regress past
 //! the tolerance band (default 25 %), since CI wall clocks are noisy.
 //!
-//! Exit status: 0 clean (warnings allowed), 1 deterministic drift, 2 usage/IO error.
+//! A comparison that matched no deterministic metric at all — every `(name, params)`
+//! identity renamed, say — guards nothing and fails too.
+//!
+//! Exit status: 0 clean (warnings allowed), 1 deterministic drift or nothing
+//! deterministic compared, 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -72,6 +76,13 @@ fn main() {
     print!("{}", diff.render());
     if diff.has_failures() {
         eprintln!("error: deterministic metrics drifted from the baseline");
+        exit(1);
+    }
+    if diff.compared_deterministic == 0 {
+        eprintln!(
+            "error: no deterministic metric was compared: no (name, params) identity of \
+             the baseline is in the new file, so this run gated nothing"
+        );
         exit(1);
     }
 }

@@ -1,20 +1,19 @@
 //! # tse-bench
 //!
-//! The benchmark harness of the reproduction. It has three halves:
+//! The figure harness of the reproduction. It has two halves:
 //!
 //! * **figure binaries** (`src/bin/`): one binary per table/figure of the paper's
 //!   evaluation, each printing the same rows/series the paper reports (see DESIGN.md §5
 //!   for the experiment index and EXPERIMENTS.md for recorded outputs);
-//! * **criterion micro-benchmarks** (`benches/`): wall-clock measurements of the TSS
-//!   lookup as the mask count grows, the megaflow-generation strategies, the baseline
-//!   classifiers, and the sharded-datapath scaling curve;
 //! * **the [`report`] subsystem**: the machine-readable `BENCH_<area>.json` files at
-//!   the repo root that both halves emit their headline numbers into — figure binaries
-//!   through the shared `--json <path>` flag ([`FigArgs::emit`]), criterion groups
-//!   through the stub's `TSE_BENCH_OUT` hook folded in by the `bench_ingest` binary —
-//!   and the `bench_diff` regression gate that compares two such files (strict
-//!   equality for deterministic cost-model metrics, a tolerance band for wall-clock).
-//!   See the README's "Benchmark reports & regression gate" section.
+//!   the repo root that the figure binaries emit their headline numbers into through
+//!   the shared `--json <path>` flag ([`FigArgs::emit`]), and the `bench_diff`
+//!   regression gate that compares two such files (strict equality for deterministic
+//!   cost-model metrics, a tolerance band for the advisory `wall_seconds`). See the
+//!   README's "Benchmark reports & regression gate" section.
+//!
+//! Nothing here times a layer: per-layer and end-to-end wall-clock measurement is the
+//! standalone `benchmark/` package's job.
 //!
 //! This library crate hosts the report model and small shared helpers for the
 //! binaries.
@@ -30,17 +29,9 @@ use tse_switch::exec::{PersistentPoolExecutor, SequentialExecutor, ShardExecutor
 
 use report::{BenchReport, Metric};
 
-/// Parse an optional `--duration <seconds>` / `--duration=<seconds>` CLI flag,
-/// falling back to `default`. Shorthand over [`fig_args_duration`] for call sites
-/// that only need the horizon; binaries that also emit reports use the full
-/// [`FigArgs`] form.
-pub fn duration_arg(default: f64) -> f64 {
-    fig_args_duration(default).duration
-}
-
 /// Parsed command line of a figure binary (see [`fig_args`], [`fig_args_duration`]
 /// and [`fig_args_static`]).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigArgs {
     /// Experiment horizon, seconds (`--duration`); `0.0` for binaries with no time
     /// axis ([`fig_args_static`]).
@@ -60,6 +51,21 @@ pub struct FigArgs {
     /// Per-tenant SLO floor in Gbps (`--slo-gbps`), or `None` for binaries without
     /// SLO tracking.
     pub slo_gbps: Option<f64>,
+}
+
+/// The defaults of a parameterless binary: no time axis, no shards, no fleet, the
+/// sequential executor. A binary's defaults also select the flags its parser accepts.
+impl Default for FigArgs {
+    fn default() -> Self {
+        FigArgs {
+            duration: 0.0,
+            shards: None,
+            threads: 1,
+            json: None,
+            tenants: None,
+            slo_gbps: None,
+        }
+    }
 }
 
 impl FigArgs {
@@ -136,33 +142,6 @@ impl FigArgs {
     }
 }
 
-/// Which flags a binary's parser accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FlagSet {
-    duration: bool,
-    sharded: bool,
-    fleet: bool,
-}
-
-impl FlagSet {
-    fn supported(&self) -> String {
-        let mut flags = Vec::new();
-        if self.duration {
-            flags.push("--duration <seconds>");
-        }
-        if self.sharded {
-            flags.push("--shards <n>");
-            flags.push("--parallel <threads>");
-        }
-        if self.fleet {
-            flags.push("--tenants <n>");
-            flags.push("--slo-gbps <gbps>");
-        }
-        flags.push("--json <path>");
-        flags.join(", ")
-    }
-}
-
 /// Parse the shared CLI of the sharded figure binaries: `--duration <seconds>`,
 /// `--shards <n>`, `--parallel <threads>` and `--json <path>` (each also in
 /// `--flag=value` form), falling back to the given defaults (`--parallel` defaults
@@ -170,22 +149,11 @@ impl FlagSet {
 /// argument plus the supported flag set to stderr and exits with status 2, so a
 /// typo'd CI smoke invocation fails loudly instead of silently running full-length.
 pub fn fig_args(default_duration: f64, default_shards: usize) -> FigArgs {
-    parse_or_exit(
-        std::env::args().skip(1),
-        FigArgs {
-            duration: default_duration,
-            shards: Some(default_shards),
-            threads: 1,
-            json: None,
-            tenants: None,
-            slo_gbps: None,
-        },
-        FlagSet {
-            duration: true,
-            sharded: true,
-            fleet: false,
-        },
-    )
+    parse_or_exit(FigArgs {
+        duration: default_duration,
+        shards: Some(default_shards),
+        ..FigArgs::default()
+    })
 }
 
 /// Parse the CLI of a tenant-fleet binary: everything [`fig_args`] accepts plus
@@ -197,90 +165,57 @@ pub fn fig_args_fleet(
     default_tenants: usize,
     default_slo_gbps: f64,
 ) -> FigArgs {
-    parse_or_exit(
-        std::env::args().skip(1),
-        FigArgs {
-            duration: default_duration,
-            shards: Some(default_shards),
-            threads: 1,
-            json: None,
-            tenants: Some(default_tenants),
-            slo_gbps: Some(default_slo_gbps),
-        },
-        FlagSet {
-            duration: true,
-            sharded: true,
-            fleet: true,
-        },
-    )
+    parse_or_exit(FigArgs {
+        duration: default_duration,
+        shards: Some(default_shards),
+        tenants: Some(default_tenants),
+        slo_gbps: Some(default_slo_gbps),
+        ..FigArgs::default()
+    })
 }
 
 /// Parse the CLI of a non-sharded timeline binary: `--duration <seconds>` and
 /// `--json <path>` only. Same error behaviour as [`fig_args`].
 pub fn fig_args_duration(default_duration: f64) -> FigArgs {
-    parse_or_exit(
-        std::env::args().skip(1),
-        FigArgs {
-            duration: default_duration,
-            shards: None,
-            threads: 1,
-            json: None,
-            tenants: None,
-            slo_gbps: None,
-        },
-        FlagSet {
-            duration: true,
-            sharded: false,
-            fleet: false,
-        },
-    )
+    parse_or_exit(FigArgs {
+        duration: default_duration,
+        ..FigArgs::default()
+    })
 }
 
 /// Parse the CLI of a parameterless figure binary: `--json <path>` only. Same error
 /// behaviour as [`fig_args`].
 pub fn fig_args_static() -> FigArgs {
-    parse_or_exit(
-        std::env::args().skip(1),
-        FigArgs {
-            duration: 0.0,
-            shards: None,
-            threads: 1,
-            json: None,
-            tenants: None,
-            slo_gbps: None,
-        },
-        FlagSet {
-            duration: false,
-            sharded: false,
-            fleet: false,
-        },
-    )
+    parse_or_exit(FigArgs::default())
 }
 
-fn parse_or_exit(args: impl Iterator<Item = String>, defaults: FigArgs, flags: FlagSet) -> FigArgs {
-    parse_args(args, defaults, flags).unwrap_or_else(|e| {
+fn parse_or_exit(defaults: FigArgs) -> FigArgs {
+    parse_args(std::env::args().skip(1), defaults).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
 }
 
-/// The parser behind the `fig_args*` entry points.
-fn parse_args(
-    args: impl Iterator<Item = String>,
-    defaults: FigArgs,
-    flags: FlagSet,
-) -> Result<FigArgs, String> {
+/// The parser behind the `fig_args*` entry points. The defaults select the accepted
+/// flags: a positive default duration enables `--duration`, a default shard count
+/// `--shards` / `--parallel`, a default tenant count `--tenants` / `--slo-gbps`.
+fn parse_args(args: impl Iterator<Item = String>, defaults: FigArgs) -> Result<FigArgs, String> {
     fn value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
         v.parse().map_err(|e| format!("bad {flag} {v:?}: {e}"))
     }
+    let timed = defaults.duration > 0.0;
+    let sharded = defaults.shards.is_some();
+    let fleet = defaults.tenants.is_some();
     let mut out = defaults;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        let mut take = |flag: &str| -> Result<Option<String>, String> {
-            if a == flag {
+        let mut take = |accepted: bool, flag: &str| -> Result<Option<String>, String> {
+            if !accepted {
+                Ok(None)
+            } else if a == flag {
                 match args.next() {
                     Some(v) => Ok(Some(v)),
                     None => Err(format!("{flag} needs a value")),
@@ -289,45 +224,36 @@ fn parse_args(
                 Ok(a.strip_prefix(&format!("{flag}=")).map(str::to_string))
             }
         };
-        if let Some(v) = if flags.duration {
-            take("--duration")?
-        } else {
-            None
-        } {
+        if let Some(v) = take(timed, "--duration")? {
             out.duration = value("--duration", &v)?;
-        } else if let Some(v) = if flags.sharded {
-            take("--shards")?
-        } else {
-            None
-        } {
+        } else if let Some(v) = take(sharded, "--shards")? {
             out.shards = Some(value("--shards", &v)?);
-        } else if let Some(v) = if flags.sharded {
-            take("--parallel")?
-        } else {
-            None
-        } {
+        } else if let Some(v) = take(sharded, "--parallel")? {
             out.threads = value("--parallel", &v)?;
-        } else if let Some(v) = if flags.fleet {
-            take("--tenants")?
-        } else {
-            None
-        } {
+        } else if let Some(v) = take(fleet, "--tenants")? {
             out.tenants = Some(value("--tenants", &v)?);
-        } else if let Some(v) = if flags.fleet {
-            take("--slo-gbps")?
-        } else {
-            None
-        } {
+        } else if let Some(v) = take(fleet, "--slo-gbps")? {
             out.slo_gbps = Some(value("--slo-gbps", &v)?);
-        } else if let Some(v) = take("--json")? {
+        } else if let Some(v) = take(true, "--json")? {
             if v.is_empty() {
                 return Err("--json needs a non-empty path".into());
             }
             out.json = Some(PathBuf::from(v));
         } else {
+            let mut supported = Vec::new();
+            if timed {
+                supported.push("--duration <seconds>");
+            }
+            if sharded {
+                supported.extend(["--shards <n>", "--parallel <threads>"]);
+            }
+            if fleet {
+                supported.extend(["--tenants <n>", "--slo-gbps <gbps>"]);
+            }
+            supported.push("--json <path>");
             return Err(format!(
                 "unknown argument {a:?}; supported flags: {}",
-                flags.supported()
+                supported.join(", ")
             ));
         }
     }
@@ -337,18 +263,18 @@ fn parse_args(
     if out.threads == 0 {
         return Err("--parallel must be positive".into());
     }
-    if flags.duration && out.duration <= 0.0 {
-        return Err("--duration must be positive".into());
+    // NaN and inf pass a bare `<= 0.0` test and would only trip `run_mix`'s assert.
+    let positive = |v: f64| v.is_finite() && v > 0.0;
+    if timed && !positive(out.duration) {
+        return Err("--duration must be positive and finite".into());
     }
     if let Some(t) = out.tenants {
         if t < 2 {
             return Err("--tenants must be at least 2 (one tenant has nobody to attack)".into());
         }
     }
-    if let Some(slo) = out.slo_gbps {
-        if slo <= 0.0 {
-            return Err("--slo-gbps must be positive".into());
-        }
+    if out.slo_gbps.is_some_and(|slo| !positive(slo)) {
+        return Err("--slo-gbps must be positive and finite".into());
     }
     Ok(out)
 }
@@ -419,46 +345,35 @@ mod tests {
         assert!(percent(5.0, 10.0).contains("50.00"));
     }
 
-    const SHARDED: FlagSet = FlagSet {
-        duration: true,
-        sharded: true,
-        fleet: false,
-    };
-    const DURATION_ONLY: FlagSet = FlagSet {
-        duration: true,
-        sharded: false,
-        fleet: false,
-    };
-    const STATIC: FlagSet = FlagSet {
-        duration: false,
-        sharded: false,
-        fleet: false,
-    };
-    const FLEET: FlagSet = FlagSet {
-        duration: true,
-        sharded: true,
-        fleet: true,
-    };
+    fn sharded() -> FigArgs {
+        FigArgs {
+            duration: 70.0,
+            shards: Some(4),
+            ..FigArgs::default()
+        }
+    }
+    fn duration_only() -> FigArgs {
+        FigArgs {
+            duration: 70.0,
+            ..FigArgs::default()
+        }
+    }
+    fn fleet() -> FigArgs {
+        FigArgs {
+            tenants: Some(1000),
+            slo_gbps: Some(0.005),
+            ..sharded()
+        }
+    }
 
-    fn parse(args: &[&str], flags: FlagSet) -> Result<FigArgs, String> {
-        parse_args(
-            args.iter().map(|s| s.to_string()),
-            FigArgs {
-                duration: if flags.duration { 70.0 } else { 0.0 },
-                shards: flags.sharded.then_some(4),
-                threads: 1,
-                json: None,
-                tenants: flags.fleet.then_some(1000),
-                slo_gbps: flags.fleet.then_some(0.005),
-            },
-            flags,
-        )
+    fn parse(args: &[&str], defaults: FigArgs) -> Result<FigArgs, String> {
+        parse_args(args.iter().map(|s| s.to_string()), defaults)
     }
 
     #[test]
     fn fig_args_defaults_and_flags() {
         assert_eq!(
-            parse(&[], SHARDED).unwrap(),
+            parse(&[], sharded()).unwrap(),
             FigArgs {
                 duration: 70.0,
                 shards: Some(4),
@@ -471,7 +386,7 @@ mod tests {
         assert_eq!(
             parse(
                 &["--duration", "35", "--parallel", "8", "--shards", "16"],
-                SHARDED
+                sharded()
             )
             .unwrap(),
             FigArgs {
@@ -484,7 +399,7 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&["--parallel=2", "--duration=5.5"], SHARDED).unwrap(),
+            parse(&["--parallel=2", "--duration=5.5"], sharded()).unwrap(),
             FigArgs {
                 duration: 5.5,
                 shards: Some(4),
@@ -498,33 +413,33 @@ mod tests {
 
     #[test]
     fn fleet_flags_parse_validate_and_stay_scoped() {
-        let parsed = parse(&["--tenants", "64", "--slo-gbps=0.002"], FLEET).unwrap();
+        let parsed = parse(&["--tenants", "64", "--slo-gbps=0.002"], fleet()).unwrap();
         assert_eq!(parsed.tenants, Some(64));
         assert_eq!(parsed.slo_gbps, Some(0.002));
         // Defaults survive when unset.
-        let parsed = parse(&[], FLEET).unwrap();
+        let parsed = parse(&[], fleet()).unwrap();
         assert_eq!((parsed.tenants, parsed.slo_gbps), (Some(1000), Some(0.005)));
         // Validation mirrors --shards/--parallel: loud errors, no panics.
-        assert!(parse(&["--tenants", "1"], FLEET)
+        assert!(parse(&["--tenants", "1"], fleet())
             .unwrap_err()
             .contains("at least 2"));
-        assert!(parse(&["--slo-gbps", "0"], FLEET)
+        assert!(parse(&["--slo-gbps", "0"], fleet())
             .unwrap_err()
             .contains("positive"));
-        assert!(parse(&["--tenants", "many"], FLEET)
+        assert!(parse(&["--tenants", "many"], fleet())
             .unwrap_err()
             .contains("bad --tenants"));
-        assert!(parse(&["--tenants"], FLEET)
+        assert!(parse(&["--tenants"], fleet())
             .unwrap_err()
             .contains("needs a value"));
         // Non-fleet binaries reject the flags and list the fleet set only when on.
-        let e = parse(&["--tenants", "64"], SHARDED).unwrap_err();
+        let e = parse(&["--tenants", "64"], sharded()).unwrap_err();
         assert!(e.contains("--tenants") && !e.contains("--slo-gbps <gbps>"));
-        let e = parse(&["--frobnicate"], FLEET).unwrap_err();
+        let e = parse(&["--frobnicate"], fleet()).unwrap_err();
         assert!(e.contains("--tenants <n>") && e.contains("--slo-gbps <gbps>"));
         // Params identity includes the fleet axes.
         assert_eq!(
-            parse(&["--duration=35", "--tenants=64"], FLEET)
+            parse(&["--duration=35", "--tenants=64"], fleet())
                 .unwrap()
                 .params(),
             "duration=35,shards=4,parallel=1,tenants=64,slo=0.005"
@@ -533,37 +448,43 @@ mod tests {
 
     #[test]
     fn json_flag_is_accepted_everywhere() {
-        for flags in [SHARDED, DURATION_ONLY, STATIC] {
-            let parsed = parse(&["--json", "BENCH_x.json"], flags).unwrap();
+        for defaults in [sharded(), duration_only(), FigArgs::default()] {
+            let parsed = parse(&["--json", "BENCH_x.json"], defaults).unwrap();
             assert_eq!(
                 parsed.json.as_deref(),
                 Some(std::path::Path::new("BENCH_x.json"))
             );
         }
-        let parsed = parse(&["--json=out/b.json"], STATIC).unwrap();
+        let parsed = parse(&["--json=out/b.json"], FigArgs::default()).unwrap();
         assert_eq!(
             parsed.json.as_deref(),
             Some(std::path::Path::new("out/b.json"))
         );
-        assert!(parse(&["--json", ""], STATIC).is_err());
+        assert!(parse(&["--json", ""], FigArgs::default()).is_err());
     }
 
     #[test]
     fn fig_args_selects_the_executor() {
-        assert_eq!(parse(&[], SHARDED).unwrap().executor().name(), "sequential");
-        assert_eq!(parse(&[], SHARDED).unwrap().executor_label(), "sequential");
+        assert_eq!(
+            parse(&[], sharded()).unwrap().executor().name(),
+            "sequential"
+        );
+        assert_eq!(
+            parse(&[], sharded()).unwrap().executor_label(),
+            "sequential"
+        );
         // Plain `--parallel N` selects the long-lived persistent pool.
-        let par = parse(&["--parallel", "4"], SHARDED).unwrap();
+        let par = parse(&["--parallel", "4"], sharded()).unwrap();
         assert_eq!(par.executor().name(), "persistent-pool");
         assert_eq!(par.executor_label(), "persistent-pool(4)");
         // A later value overrides an earlier one.
-        let overridden = parse(&["--parallel=3", "--parallel=2"], SHARDED).unwrap();
+        let overridden = parse(&["--parallel=3", "--parallel=2"], sharded()).unwrap();
         assert_eq!(overridden.executor_label(), "persistent-pool(2)");
     }
 
     #[test]
     fn unknown_flags_report_the_flag_and_the_supported_set() {
-        let e = parse(&["--parallel", "4"], DURATION_ONLY).unwrap_err();
+        let e = parse(&["--parallel", "4"], duration_only()).unwrap_err();
         assert!(
             e.contains("--parallel"),
             "must name the offending flag: {e}"
@@ -575,10 +496,10 @@ mod tests {
             "must not claim unsupported flags: {e}"
         );
 
-        let e = parse(&["--duration", "5"], STATIC).unwrap_err();
+        let e = parse(&["--duration", "5"], FigArgs::default()).unwrap_err();
         assert!(e.contains("--duration"));
         assert_eq!(
-            parse(&["--frobnicate"], SHARDED).unwrap_err(),
+            parse(&["--frobnicate"], sharded()).unwrap_err(),
             "unknown argument \"--frobnicate\"; supported flags: --duration <seconds>, \
              --shards <n>, --parallel <threads>, --json <path>"
         );
@@ -586,27 +507,36 @@ mod tests {
 
     #[test]
     fn invalid_values_are_errors_not_panics() {
-        assert!(parse(&["--parallel", "0"], SHARDED)
+        assert!(parse(&["--parallel", "0"], sharded())
             .unwrap_err()
             .contains("positive"));
-        assert!(parse(&["--shards", "0"], SHARDED)
+        assert!(parse(&["--shards", "0"], sharded())
             .unwrap_err()
             .contains("positive"));
-        assert!(parse(&["--shards"], SHARDED)
+        assert!(parse(&["--shards"], sharded())
             .unwrap_err()
             .contains("needs a value"));
-        assert!(parse(&["--duration", "nope"], SHARDED)
+        assert!(parse(&["--duration", "nope"], sharded())
             .unwrap_err()
             .contains("bad --duration"));
-        assert!(parse(&["--duration", "-3"], SHARDED)
+        assert!(parse(&["--duration", "-3"], sharded())
             .unwrap_err()
             .contains("positive"));
+        // NaN and inf parse as f64 and pass a bare `<= 0.0` test.
+        for bad in ["NaN", "inf", "-inf"] {
+            assert!(parse(&["--duration", bad], sharded())
+                .unwrap_err()
+                .contains("--duration must be positive"));
+            assert!(parse(&["--slo-gbps", bad], fleet())
+                .unwrap_err()
+                .contains("--slo-gbps must be positive"));
+        }
     }
 
     #[test]
     fn shard_count_accessor() {
         assert_eq!(
-            parse(&["--shards", "16"], SHARDED).unwrap().shard_count(),
+            parse(&["--shards", "16"], sharded()).unwrap().shard_count(),
             16
         );
     }
@@ -614,25 +544,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "no --shards flag")]
     fn shard_count_panics_without_sharding() {
-        parse(&[], DURATION_ONLY).unwrap().shard_count();
+        parse(&[], duration_only()).unwrap().shard_count();
     }
 
     #[test]
     fn params_canonicalization() {
         assert_eq!(
-            parse(&[], SHARDED).unwrap().params(),
+            parse(&[], sharded()).unwrap().params(),
             "duration=70,shards=4,parallel=1"
         );
         assert_eq!(
-            parse(&["--duration=35", "--parallel=2"], SHARDED)
+            parse(&["--duration=35", "--parallel=2"], sharded())
                 .unwrap()
                 .params(),
             "duration=35,shards=4,parallel=2"
         );
         assert_eq!(
-            parse(&["--duration=5.5"], DURATION_ONLY).unwrap().params(),
+            parse(&["--duration=5.5"], duration_only())
+                .unwrap()
+                .params(),
             "duration=5.5"
         );
-        assert_eq!(parse(&[], STATIC).unwrap().params(), "default");
+        assert_eq!(parse(&[], FigArgs::default()).unwrap().params(), "default");
     }
 }

@@ -13,7 +13,9 @@
 //!   failure (the CI container has 1 core and noisy neighbours).
 //!
 //! Reports present only in one file are informational: the baseline legitimately
-//! carries full-length runs that CI's smoke configs never re-execute.
+//! carries full-length runs that CI's smoke configs never re-execute. A diff in which
+//! *no* deterministic metric was matched compared nothing, though, and `bench_diff`
+//! exits 1 on it ([`DiffReport::compared_deterministic`]).
 
 use super::{Metric, ReportFile};
 
@@ -66,6 +68,10 @@ pub struct DiffReport {
     pub entries: Vec<DiffEntry>,
     /// Number of metrics compared (matched by report identity and metric name).
     pub compared: usize,
+    /// How many of those were deterministic. Zero means the gate guarded nothing —
+    /// e.g. a changed default renamed every `params` identity — and `bench_diff`
+    /// refuses to pass on it.
+    pub compared_deterministic: usize,
 }
 
 impl DiffReport {
@@ -99,8 +105,9 @@ impl DiffReport {
             }
         }
         out.push_str(&format!(
-            "{} metric(s) compared, {} failure(s), {} warning(s)\n",
+            "{} metric(s) compared ({} deterministic), {} failure(s), {} warning(s)\n",
             self.compared,
+            self.compared_deterministic,
             self.count(Severity::Fail),
             self.count(Severity::Warn),
         ));
@@ -147,6 +154,7 @@ pub fn diff_files(old: &ReportFile, new: &ReportFile, cfg: &DiffConfig) -> DiffR
             out.compared += 1;
             let (o, n) = (old_metric.value, new_metric.value);
             if old_metric.deterministic {
+                out.compared_deterministic += 1;
                 // Strict bit equality: the value is a pure function of the code, so
                 // any drift means the code's observable behaviour changed.
                 if o.to_bits() != n.to_bits() {
@@ -230,7 +238,7 @@ mod tests {
         ]);
         let d = diff_files(&f, &f.clone(), &DiffConfig::default());
         assert!(!d.has_failures());
-        assert_eq!(d.compared, 2);
+        assert_eq!((d.compared, d.compared_deterministic), (2, 1));
         assert_eq!(d.count(Severity::Warn), 0);
     }
 
@@ -294,7 +302,7 @@ mod tests {
         let d = diff_files(&old, &new, &DiffConfig::default());
         assert!(!d.has_failures());
         assert_eq!(d.count(Severity::Info), 2); // not re-run + new report
-        assert_eq!(d.compared, 0);
+        assert_eq!((d.compared, d.compared_deterministic), (0, 0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Machine-readable benchmark reports: the `BENCH_<area>.json` files at the repo root.
 //!
 //! Every figure binary (via the shared `--json <path>` flag, see
-//! [`FigArgs`](crate::FigArgs)) and every criterion group (via the `TSE_BENCH_OUT`
-//! hook of the vendored criterion stub, folded in by `bench_ingest`) emits its
-//! headline numbers through this module, so the repo's speed story lives in diffable,
-//! regression-gated files instead of commit messages.
+//! [`FigArgs`](crate::FigArgs)) emits its headline numbers through this module, so
+//! the repo's cost-model story lives in diffable, regression-gated files instead of
+//! commit messages. Figure binaries are the only producers: wall-clock measurement of
+//! the code itself is the standalone `benchmark/` package's job, not a report row.
 //!
 //! The model is deliberately small:
 //!
@@ -13,9 +13,10 @@
 //!   Deterministic metrics come from the simulator's calibrated cost model
 //!   (`tse-switch::cost`): same commit, same flags → same bits, on any machine, which
 //!   is what lets CI gate on them from a 1-core container. Wall-clock metrics
-//!   (`*_wall` units) are machine-dependent and only ever warn.
-//! * a [`BenchReport`] is one run of one producer (a figure binary or a criterion
-//!   group) under one parameterisation, with the [`RunEnv`] it ran in;
+//!   (`*_wall` units — a binary's own advisory run time) are machine-dependent and
+//!   only ever warn.
+//! * a [`BenchReport`] is one run of one producer (a figure binary) under one
+//!   parameterisation, with the [`RunEnv`] it ran in;
 //! * a [`ReportFile`] is one `BENCH_<area>.json`: a set of reports keyed by
 //!   `(name, params)`. Re-running a producer replaces its previous report in place
 //!   (byte-identically so, when the deterministic metrics are unchanged and the tree
@@ -138,8 +139,7 @@ impl Metric {
 /// One producer's report: a named, parameterised set of metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Producer name — a figure binary (`"fig_shard_blast_radius"`) or an ingested
-    /// criterion group (`"criterion/sharded_scaling"`).
+    /// Producer name — a figure binary (`"fig_shard_blast_radius"`).
     pub name: String,
     /// Canonical parameter string (e.g. `"duration=70,shards=4,parallel=1"`, or
     /// `"default"` for parameterless producers). Together with `name` it identifies

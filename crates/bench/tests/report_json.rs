@@ -1,7 +1,7 @@
 //! Integration tests of the benchmark-report subsystem: JSON-layer round-trips
 //! (including property tests over arbitrary strings and raw f64 bit patterns), the
-//! non-finite rejection rules, and the `bench_diff` / `bench_ingest` binaries driven
-//! end-to-end as child processes.
+//! non-finite rejection rules, and the `bench_diff` binary driven end-to-end as a
+//! child process.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -120,11 +120,23 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// bench_diff / bench_ingest binaries, end to end.
+// The bench_diff binary, end to end.
 // ---------------------------------------------------------------------------
 
 fn write_file(path: &Path, metric_value: f64, deterministic: bool, wall_value: f64) {
-    let mut report = BenchReport::new("fig_x", "duration=10");
+    write_file_with_params(path, "duration=10", metric_value, deterministic, wall_value);
+}
+
+fn write_file_with_params(
+    path: &Path,
+    params: &str,
+    metric_value: f64,
+    deterministic: bool,
+    wall_value: f64,
+) {
+    let mut report = BenchReport::new("fig_x", params);
+    // Always one matching deterministic metric: a diff that compares none fails.
+    report.push(Metric::deterministic("peak_masks", "masks", 513.0));
     report.push(if deterministic {
         Metric::deterministic("cost", "cost_seconds", metric_value)
     } else {
@@ -208,38 +220,17 @@ fn bench_diff_usage_errors_exit_2() {
 }
 
 #[test]
-fn bench_ingest_folds_criterion_lines_into_reports() {
-    let dir = temp_dir("ingest");
-    let jsonl = dir.join("crit.jsonl");
-    let out_path = dir.join("BENCH_it.json");
-    std::fs::write(
-        &jsonl,
-        concat!(
-            "{\"id\": \"sharded_scaling/shards/4\", \"median_s\": 0.25, \"min_s\": 0.2, \"max_s\": 0.3}\n",
-            "{\"id\": \"sharded_scaling/shards/8\", \"median_s\": 0.125, \"min_s\": 0.1, \"max_s\": 0.15}\n",
-            "{\"id\": \"tss_conflict/lookup\", \"median_s\": 1e-6, \"min_s\": 1e-6, \"max_s\": 2e-6}\n",
-            // A re-run appends a fresh line for an id seen before: last one wins.
-            "{\"id\": \"sharded_scaling/shards/4\", \"median_s\": 0.5, \"min_s\": 0.4, \"max_s\": 0.6}\n",
-        ),
-    )
-    .unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_bench_ingest"))
-        .args([
-            jsonl.to_str().unwrap(),
-            out_path.to_str().unwrap(),
-            "--group",
-            "sharded_scaling",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let file = ReportFile::load(&out_path).unwrap();
-    assert_eq!(file.area, "it");
-    let report = file.report("criterion/sharded_scaling", "default").unwrap();
-    assert_eq!(report.metrics.len(), 2);
-    assert_eq!(report.metric("shards/4").unwrap().value, 0.5);
-    assert_eq!(report.metric("shards/8").unwrap().value, 0.125);
-    assert!(!report.metric("shards/4").unwrap().deterministic);
-    // The filtered-out group must not have been ingested.
-    assert!(file.report("criterion/tss_conflict", "default").is_none());
+fn bench_diff_fails_when_no_deterministic_metric_was_compared() {
+    // A changed default renames every params identity: nothing matches, and a gate
+    // that compared nothing must not pass.
+    let dir = temp_dir("diff_vacuous");
+    let (old, new) = (dir.join("old.json"), dir.join("new.json"));
+    write_file_with_params(&old, "duration=10", 1.5e-3, true, 1.0);
+    write_file_with_params(&new, "duration=20", 1.5e-3, true, 1.0);
+    let out = bench_diff(&[old.to_str().unwrap(), new.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("0 metric(s) compared"), "{stdout}");
+    assert!(stdout.contains("0 failure(s)"), "{stdout}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("gated nothing"));
 }

@@ -4,7 +4,7 @@
 //! classifiers whose lookup cost depends only on the installed rule set — hierarchical
 //! tries, HaRP, HyperCuts. Because they keep no per-traffic state, an attacker cannot
 //! inflate their lookup cost by sending packets; this module implements three such
-//! baselines so the claim can be measured (bench `classifier_compare`):
+//! baselines so the claim can be measured (figure binary `fig9_backend_matrix`):
 //!
 //! * [`linear::LinearSearch`] — priority-ordered linear scan of the rules (the trivial
 //!   baseline; cost `O(#rules)`),

@@ -102,15 +102,14 @@ impl FlowTable {
     }
 
     /// Indices of rules with strictly higher priority than `rule_index` (ties: earlier
-    /// insertion also counts as higher). These are the rules a generated megaflow must be
-    /// differentiated from.
-    pub fn higher_priority_than(&self, rule_index: usize) -> Vec<usize> {
+    /// insertion also counts as higher), in the order `lookup` walks them. These are the
+    /// rules a generated megaflow must be differentiated from.
+    pub fn higher_priority_than(&self, rule_index: usize) -> &[usize] {
         let p = self.rules[rule_index].priority;
-        (0..self.rules.len())
-            .filter(|&i| {
-                self.rules[i].priority > p || (self.rules[i].priority == p && i < rule_index)
-            })
-            .collect()
+        let before = self.order.partition_point(|&i| {
+            self.rules[i].priority > p || (self.rules[i].priority == p && i < rule_index)
+        });
+        &self.order[..before]
     }
 
     /// Render the table in the style of Fig. 1 / Fig. 4 / Fig. 6.
@@ -233,8 +232,8 @@ mod tests {
     #[test]
     fn higher_priority_enumeration() {
         let t = FlowTable::fig4_hyp2();
-        assert_eq!(t.higher_priority_than(2), vec![0, 1]);
-        assert_eq!(t.higher_priority_than(1), vec![0]);
+        assert_eq!(t.higher_priority_than(2), [0, 1]);
+        assert_eq!(t.higher_priority_than(1), [0]);
         assert!(t.higher_priority_than(0).is_empty());
     }
 

@@ -21,7 +21,7 @@
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 use crate::backend::FastPathBackend;
-use crate::flowtable::FlowTable;
+use crate::flowtable::{FlowTable, TableMatch};
 use crate::rule::Action;
 
 /// How un-wildcarding is performed within one header field.
@@ -184,7 +184,22 @@ impl std::fmt::Display for GenerationError {
 impl std::error::Error for GenerationError {}
 
 /// Generate a megaflow entry for `header` against `table`, disjoint from everything in
-/// `cache`, under the given `strategy`.
+/// `cache`, under the given `strategy`: classify, then [`generate_for_match`].
+pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
+    table: &FlowTable,
+    cache: &B,
+    header: &Key,
+    strategy: &MegaflowStrategy,
+) -> Result<GeneratedMegaflow, GenerationError> {
+    let matched = table
+        .lookup(header)
+        .ok_or(GenerationError::NoMatchingRule)?;
+    generate_for_match(table, cache, header, matched, strategy)
+}
+
+/// Generate a megaflow entry for `header`, which `table` classified as `matched` — the
+/// slow path has that [`TableMatch`] in hand already and must not pay for a second
+/// linear lookup.
 ///
 /// The construction follows the OVS heuristic the paper describes:
 ///
@@ -198,16 +213,14 @@ impl std::error::Error for GenerationError {}
 ///    un-wildcard one more differing bit (this loop does not fire for the
 ///    WhiteList+DefaultDeny ACLs the paper studies, but keeps generation correct for
 ///    arbitrary rule sets).
-pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
+pub fn generate_for_match<B: FastPathBackend + ?Sized>(
     table: &FlowTable,
     cache: &B,
     header: &Key,
+    matched: TableMatch,
     strategy: &MegaflowStrategy,
 ) -> Result<GeneratedMegaflow, GenerationError> {
     let schema = table.schema();
-    let matched = table
-        .lookup(header)
-        .ok_or(GenerationError::NoMatchingRule)?;
     let rule = &table.rules()[matched.rule_index];
 
     // Step 1: the matched rule's mask, expanded through the strategy.
@@ -217,7 +230,7 @@ pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
     }
 
     // Step 2: differentiate from every higher-priority rule.
-    for &hp_index in &table.higher_priority_than(matched.rule_index) {
+    for &hp_index in table.higher_priority_than(matched.rule_index) {
         let hp = &table.rules()[hp_index];
         debug_assert!(
             !hp.matches(header),

@@ -305,8 +305,8 @@ impl TupleSpace {
     ///   were already excluded by their summaries, the common no-conflict case of
     ///   megaflow generation never reaches it.
     ///
-    /// The `tss_conflict_index` group of the `classifier_compare` criterion bench
-    /// measures this path against the index-less full entry scan.
+    /// The `conflict_index_agrees_with_full_scan` unit test pins this path to the
+    /// index-less full entry scan.
     pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let key = key.apply_mask(mask);
         for tuple in &self.tuples {

@@ -39,13 +39,6 @@ pub const UNSAFE_BUDGETS: &[(&str, usize)] = &[
 /// must declare `#![forbid(unsafe_code)]` so the compiler backs the lint.
 pub const DENY_UNSAFE_CRATE_ROOTS: &[&str] = &["crates/switch/src/lib.rs"];
 
-/// Files allowed to read the wall clock unconditionally (`wall-clock`): the
-/// vendored criterion stub *is* the wall-clock measurement harness. Figure
-/// binaries (`crates/bench/src/bin/`) get a narrower dispensation directly in
-/// the rule: a read is legal only in a statement binding an identifier that
-/// contains `wall`, i.e. the advisory `*_wall` metric capture.
-pub const WALL_CLOCK_FILES: &[&str] = &["crates/compat/criterion/src/lib.rs"];
-
 /// Hot-path modules: per-packet code where `panic-hygiene` applies. A panic
 /// here is remotely triggerable by crafted traffic, so recoverable conditions
 /// must be handled, not unwrapped.

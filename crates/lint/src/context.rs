@@ -17,11 +17,6 @@ pub enum ModuleClass {
     /// A figure binary under `crates/bench/src/bin/` — may capture wall-clock
     /// time, but only into the advisory `*wall*` metrics.
     BenchBin,
-    /// A criterion bench under a `benches/` directory.
-    Bench,
-    /// A vendored stand-in under `crates/compat/` (the criterion stub is the
-    /// sanctioned wall-clock measurement harness).
-    Compat,
     /// An integration test (top-level or per-crate `tests/` directory).
     Test,
     /// An example under `examples/`.
@@ -59,24 +54,12 @@ impl FileContext {
                 .iter()
                 .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
-
-    /// True for file classes that exist to *test or measure* the system rather
-    /// than run inside it (integration tests, criterion benches).
-    pub fn is_test_like(&self) -> bool {
-        matches!(self.class, ModuleClass::Test | ModuleClass::Bench)
-    }
 }
 
 /// Derive the [`ModuleClass`] from a workspace-relative path.
 pub fn classify(path: &str) -> ModuleClass {
-    if path.starts_with("crates/compat/") {
-        return ModuleClass::Compat;
-    }
     if path.starts_with("tests/") || path.contains("/tests/") {
         return ModuleClass::Test;
-    }
-    if path.contains("/benches/") {
-        return ModuleClass::Bench;
     }
     if path.starts_with("examples/") || path.contains("/examples/") {
         return ModuleClass::Example;
@@ -177,14 +160,9 @@ mod tests {
             classify("crates/bench/src/bin/fig9_backend_matrix.rs"),
             ModuleClass::BenchBin
         );
-        assert_eq!(
-            classify("crates/bench/benches/tss_lookup.rs"),
-            ModuleClass::Bench
-        );
-        assert_eq!(
-            classify("crates/compat/criterion/src/lib.rs"),
-            ModuleClass::Compat
-        );
+        // A vendored stand-in is ordinary library code: no class of its own, no
+        // dispensation.
+        assert_eq!(classify("crates/compat/rand/src/lib.rs"), ModuleClass::Lib);
         assert_eq!(classify("tests/executor_parity.rs"), ModuleClass::Test);
         assert_eq!(classify("crates/lint/tests/fixtures.rs"), ModuleClass::Test);
         assert_eq!(classify("examples/tenant_gateway.rs"), ModuleClass::Example);

@@ -24,7 +24,7 @@
 //! |------|-----------|
 //! | `unsafe-budget` | `unsafe` only at allowlisted `(file, max_count)` sites, each with a `// SAFETY:` comment |
 //! | `unsafe-attr` | every crate root forbids `unsafe_code` (denies it in budgeted crates) |
-//! | `wall-clock` | `Instant::now`/`SystemTime::now` only in the criterion stub and `*wall*` captures of figure binaries |
+//! | `wall-clock` | `Instant::now`/`SystemTime::now` only in `*wall*` captures of figure binaries |
 //! | `nondet-iteration` | hash-container iteration in non-test code must neutralize order in-statement or carry a pragma |
 //! | `thread-containment` | thread creation only in `crates/switch/src/exec.rs` |
 //! | `panic-hygiene` | no `unwrap`/`expect`/panicking macros in hot-path modules outside tests |
@@ -106,11 +106,11 @@ pub struct Surface {
 }
 
 impl Surface {
-    /// Measure one file's token stream. Integration tests, benches and examples
-    /// exercise a crate rather than belong to it, so they measure as empty.
+    /// Measure one file's token stream. Integration tests and examples exercise a
+    /// crate rather than belong to it, so they measure as empty.
     fn of(ctx: &context::FileContext, tokens: &[lexer::Token]) -> Surface {
-        use context::ModuleClass::{Bench, Example, Test};
-        if matches!(ctx.class, Test | Bench | Example) {
+        use context::ModuleClass::{Example, Test};
+        if matches!(ctx.class, Test | Example) {
             return Surface::default();
         }
         let code: Vec<&lexer::Token> = tokens

@@ -178,14 +178,11 @@ fn unsafe_attr(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 }
 
 /// **wall-clock** — `Instant::now` / `SystemTime::now` feed nondeterministic
-/// values into whatever consumes them, so they are confined to the allowlisted
-/// measurement harness (the criterion stub) and, in figure binaries, to
-/// statements that bind an identifier containing `wall` (the advisory
-/// `*_wall` metrics every report separates from the deterministic ones).
+/// values into whatever consumes them, so they are confined to one seam: in a
+/// figure binary, a statement that binds an identifier containing `wall` (the
+/// advisory `*_wall` metrics every report separates from the deterministic
+/// ones). Code that times the system lives in `benchmark/`, outside the scan.
 fn wall_clock(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    if allowlist::WALL_CLOCK_FILES.contains(&ctx.path.as_str()) {
-        return;
-    }
     for i in 0..code.len() {
         let src = &code[i];
         if !(src.is_ident("Instant") || src.is_ident("SystemTime")) {
@@ -232,7 +229,7 @@ fn wall_clock(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 /// pragma. Receivers are recognised by local declaration: any identifier the
 /// file binds or annotates with a `HashMap`/`HashSet` type.
 fn nondet_iteration(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
-    if ctx.is_test_like() {
+    if ctx.class == ModuleClass::Test {
         return;
     }
     let hash_idents = hash_bound_idents(code);

@@ -87,6 +87,19 @@ fn wall_clock_capture_in_figure_binary_is_sanctioned() {
     assert_single(&report, "wall-clock", 2);
 }
 
+#[test]
+fn wall_clock_has_no_whole_file_exemption() {
+    // Neither a vendored stand-in nor a bench target may read the clock — not even
+    // into a `*wall*` binding, which is a figure-binary dispensation only.
+    let src = "pub fn f() {\n    let wall_start = std::time::Instant::now();\n}\n";
+    for path in [
+        "crates/compat/timing/src/timer.rs",
+        "crates/bench/benches/tss_lookup.rs",
+    ] {
+        assert_single(&scan_file(path, src), "wall-clock", 2);
+    }
+}
+
 const NONDET_SRC: &str = "use std::collections::HashMap;\n\
      pub fn f(m: &HashMap<u32, u32>) -> Vec<u32> {\n    \
      m.values().copied().collect()\n\
@@ -209,7 +222,7 @@ fn surface_counts_code_lines_and_public_items_outside_tests() {
     assert_eq!(report.surface.code_lines, 9);
     // `S`, `c`, `E`, `T` — not the `pub(crate)` fn, not the test helper.
     assert_eq!(report.surface.pub_items, 4);
-    // Tests, benches and examples exercise a crate; they are not its surface.
+    // Tests and examples exercise a crate; they are not its surface.
     let test_file = scan_file("tests/executor_parity.rs", src);
     assert_eq!(test_file.surface, tse_lint::Surface::default());
 }

@@ -44,3 +44,39 @@ fn workspace_scans_clean() {
         "{classifier} suppressions in tse-classifier"
     );
 }
+
+/// `benchmark/` is the only thing that times code. The in-workspace wall-clock tier —
+/// bench targets, the vendored harness stub they linked, its surface-table row — stays
+/// deleted.
+#[test]
+fn no_bench_targets_and_no_vendored_timing_harness() {
+    // Spelled in halves so a plain text search for the name over the tree stays empty.
+    let harness = ["crit", "erion"].concat();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = 0;
+    let mut stack = vec![root.clone()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable workspace directory") {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if path.is_dir() {
+                assert_ne!(name, "benches", "{} came back", path.display());
+                if name != "target" && !name.starts_with('.') {
+                    stack.push(path);
+                }
+            } else if name == "Cargo.toml" {
+                manifests += 1;
+                let text = std::fs::read_to_string(&path).expect("readable manifest");
+                assert!(!text.contains("[[bench]]"), "{}", path.display());
+                assert!(!text.contains(&harness), "{}", path.display());
+            }
+        }
+    }
+    assert!(manifests >= 11, "only {manifests} manifests found");
+    let report = tse_lint::scan_workspace(&root).expect("workspace scan");
+    assert!(
+        !report.surface.contains_key(&harness),
+        "{:?}",
+        report.surface
+    );
+}

@@ -4,7 +4,7 @@
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
-use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
+use tse_classifier::strategy::{generate_for_match, GenerationError, MegaflowStrategy};
 use tse_packet::fields::Key;
 
 /// Outcome of one slow-path invocation (one upcall).
@@ -128,7 +128,7 @@ impl SlowPath {
                 new_mask: false,
             });
         }
-        match generate_megaflow(table, cache, header, &self.strategy) {
+        match generate_for_match(table, cache, header, matched, &self.strategy) {
             Ok(generated) => {
                 if self.install_quota == Some(0) {
                     // Quota window exhausted: classify, but install nothing — the
