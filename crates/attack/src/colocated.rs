@@ -180,7 +180,7 @@ mod tests {
                 Ok(g) => {
                     cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
                 }
-                Err(GenerationError::AlreadyCovered) => {}
+                Err(GenerationError::AlreadyCovered(_)) => {}
                 Err(e) => panic!("{e}"),
             }
         }
@@ -206,7 +206,7 @@ mod tests {
                 Ok(g) => {
                     cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
                 }
-                Err(GenerationError::AlreadyCovered) => {}
+                Err(GenerationError::AlreadyCovered(_)) => {}
                 Err(e) => panic!("{e}"),
             }
         }

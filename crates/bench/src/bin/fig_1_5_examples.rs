@@ -21,7 +21,7 @@ fn populate(
             Ok(g) => {
                 cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
             }
-            Err(GenerationError::AlreadyCovered) => {}
+            Err(GenerationError::AlreadyCovered(_)) => {}
             Err(e) => panic!("{e}"),
         }
     }

@@ -45,8 +45,7 @@ use crate::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleS
 /// (or any other thread-bound state) is rejected at compile time rather than at
 /// executor-integration time (see `tests/send_audit.rs`).
 pub trait FastPathBackend: Send {
-    /// Construct an empty backend for a schema (the builder's default path; a concrete
-    /// instance can always be supplied instead).
+    /// Construct an empty backend for a schema (how the datapath builder makes one).
     fn fresh(schema: &FieldSchema) -> Self
     where
         Self: Sized;

@@ -76,14 +76,23 @@ impl FlowTable {
     /// Highest-priority match for `header`, if any. Walks rules in decreasing priority
     /// (stable for equal priorities).
     pub fn lookup(&self, header: &Key) -> Option<TableMatch> {
+        self.walk(header, |_| {})
+    }
+
+    /// The priority walk behind [`FlowTable::lookup`], reporting to `rejected` every rule
+    /// the header failed to match on the way to the verdict — the rules a megaflow for
+    /// `header` must be told apart from. The only loop over the rules an upcall runs.
+    pub(crate) fn walk(&self, header: &Key, mut rejected: impl FnMut(&Rule)) -> Option<TableMatch> {
         for (inspected, &i) in self.order.iter().enumerate() {
-            if self.rules[i].matches(header) {
+            let rule = &self.rules[i];
+            if rule.matches(header) {
                 return Some(TableMatch {
                     rule_index: i,
-                    action: self.rules[i].action,
+                    action: rule.action,
                     rules_inspected: inspected + 1,
                 });
             }
+            rejected(rule);
         }
         None
     }
@@ -99,17 +108,6 @@ impl FlowTable {
             }
         }
         true
-    }
-
-    /// Indices of rules with strictly higher priority than `rule_index` (ties: earlier
-    /// insertion also counts as higher), in the order `lookup` walks them. These are the
-    /// rules a generated megaflow must be differentiated from.
-    pub fn higher_priority_than(&self, rule_index: usize) -> &[usize] {
-        let p = self.rules[rule_index].priority;
-        let before = self.order.partition_point(|&i| {
-            self.rules[i].priority > p || (self.rules[i].priority == p && i < rule_index)
-        });
-        &self.order[..before]
     }
 
     /// Render the table in the style of Fig. 1 / Fig. 4 / Fig. 6.
@@ -227,14 +225,6 @@ mod tests {
         let m = t.lookup(&header).unwrap();
         assert_eq!(m.action, Action::Allow);
         assert_eq!(m.rule_index, 1); // the ip_src rule, not the DefaultDeny
-    }
-
-    #[test]
-    fn higher_priority_enumeration() {
-        let t = FlowTable::fig4_hyp2();
-        assert_eq!(t.higher_priority_than(2), [0, 1]);
-        assert_eq!(t.higher_priority_than(1), [0]);
-        assert!(t.higher_priority_than(0).is_empty());
     }
 
     #[test]

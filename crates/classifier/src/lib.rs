@@ -50,10 +50,7 @@ mod proptests {
     use tse_packet::fields::{FieldDef, FieldSchema, Key};
 
     use crate::flowtable::FlowTable;
-    use crate::rule::{Action, Rule};
-    use crate::strategy::{
-        generate_for_match, generate_megaflow, GenerationError, MegaflowStrategy,
-    };
+    use crate::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
     use crate::tss::TupleSpace;
 
     fn small_schema() -> FieldSchema {
@@ -81,7 +78,7 @@ mod proptests {
                 }
                 match generate_megaflow(&table, &cache, &h, &strategy) {
                     Ok(g) => { cache.insert(g.key, g.mask, g.action, 0.0).unwrap(); }
-                    Err(GenerationError::AlreadyCovered) => {}
+                    Err(GenerationError::AlreadyCovered(_)) => {}
                     Err(e) => panic!("unexpected generation error: {e}"),
                 }
             }
@@ -114,55 +111,6 @@ mod proptests {
             let bound = (5 * 4 + 1 + 1) as usize; // prod(w_i) + allow tuples
             prop_assert!(cache.mask_count() <= bound,
                          "mask count {} exceeds bound {}", cache.mask_count(), bound);
-        }
-
-        /// Classify once per upcall: on random tables (priority ties, partial masks) the
-        /// borrowed `higher_priority_than` prefix is set-equal to its definition, and
-        /// generating from the `TableMatch` a caller already holds equals generating
-        /// from a fresh lookup, against a cache that fills as the headers arrive.
-        #[test]
-        fn generation_from_a_held_match_equals_a_fresh_lookup(
-            rules in proptest::collection::vec(
-                ((0u128..32, 0u128..32), (0u128..16, 0u128..16), 0u32..4), 0..12),
-            headers in proptest::collection::vec(arb_header(), 1..40),
-        ) {
-            let schema = small_schema();
-            let mut table = FlowTable::new(schema.clone());
-            for &((key_a, mask_a), (key_b, mask_b), priority) in &rules {
-                let action = if priority % 2 == 0 { Action::Allow } else { Action::Deny };
-                table.push(Rule::new(
-                    Key::from_values(&schema, &[key_a, key_b]),
-                    Key::from_values(&schema, &[mask_a, mask_b]),
-                    priority,
-                    action,
-                ));
-            }
-            table.push(Rule::match_all(&schema, 0, Action::Deny));
-            for r in 0..table.len() {
-                let p = table.rules()[r].priority;
-                let by_definition: Vec<usize> = (0..table.len())
-                    .filter(|&i| {
-                        let q = table.rules()[i].priority;
-                        q > p || (q == p && i < r)
-                    })
-                    .collect();
-                let mut prefix = table.higher_priority_than(r).to_vec();
-                prefix.sort_unstable();
-                prop_assert_eq!(prefix, by_definition, "rule {}", r);
-            }
-            let strategy = MegaflowStrategy::wildcarding(&schema);
-            let mut cache = TupleSpace::new(schema.clone());
-            for &(a, b) in &headers {
-                let h = Key::from_values(&schema, &[a, b]);
-                let matched = table.lookup(&h).unwrap();
-                let held = generate_for_match(&table, &cache, &h, matched, &strategy);
-                prop_assert_eq!(&held, &generate_megaflow(&table, &cache, &h, &strategy));
-                if let Ok(g) = held {
-                    prop_assert_eq!((g.rule_index, g.action), (matched.rule_index, matched.action));
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-                }
-            }
-            prop_assert!(cache.check_independence());
         }
 
         /// Baseline classifiers always agree with the flow table on arbitrary headers.

@@ -17,12 +17,21 @@
 //! OVS additionally mixes strategies per field — e.g. it exact-matches IPv6 source
 //! addresses while bit-level wildcarding TCP ports, producing the §5.4 memory-explosion
 //! anomaly — which is modelled by per-field strategies.
+//!
+//! Whatever the strategy, the invariant is §3.2's: **the megaflow mask is the record of
+//! the header bits the slow path examined on the way to its verdict** (Figs. 3 and 5;
+//! OVS accumulates the wildcards while the classifier looks the packet up). So
+//! generation is not a pass of its own: the flow table's one priority walk reports each
+//! rule it rejects, the bits tested to reject it — that rule's mask, field by field and
+//! most-significant bit first, down to the first bit on which the header differs — are
+//! OR-ed into the mask at the strategy's granularity, and the matched rule's own mask
+//! joins them.
 
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 use crate::backend::FastPathBackend;
 use crate::flowtable::{FlowTable, TableMatch};
-use crate::rule::Action;
+use crate::rule::{Action, Rule};
 
 /// How un-wildcarding is performed within one header field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,46 +106,43 @@ impl MegaflowStrategy {
         self.per_field[idx]
     }
 
-    /// Expand a single-bit un-wildcarding request into the strategy's granularity: the
-    /// returned bitmap covers the whole field (Exact), the chunk containing `bit`
-    /// (Chunked), or just `bit` (BitLevel).
-    fn expand_bit(&self, schema: &FieldSchema, field: usize, bit: u32) -> u128 {
-        let width = schema.width(field);
+    /// Widen the examined `bits` of `field` to the strategy's granularity: the bits
+    /// themselves (BitLevel), the whole field if any bit was examined (Exact), or every
+    /// chunk the bits touch (Chunked). Distributes over OR.
+    fn widen(&self, schema: &FieldSchema, field: usize, mut bits: u128) -> u128 {
         match self.per_field[field] {
-            FieldStrategy::BitLevel => 1u128 << bit,
+            FieldStrategy::BitLevel => bits,
+            FieldStrategy::Exact if bits == 0 => 0,
             FieldStrategy::Exact => schema.fields()[field].full_mask(),
             FieldStrategy::Chunked(c) => {
-                let chunk_index = bit / c;
-                let lo = chunk_index * c;
-                let hi = ((chunk_index + 1) * c).min(width);
-                let ones = if hi - lo == 128 {
-                    u128::MAX
-                } else {
-                    (1u128 << (hi - lo)) - 1
-                };
-                ones << lo
+                // `c` low ones: one chunk, before it is shifted into place.
+                let ones = 1u128.checked_shl(c).map_or(u128::MAX, |end| end - 1);
+                let mut out = 0;
+                while bits != 0 {
+                    let chunk = ones << (bits.trailing_zeros() / c * c);
+                    out |= chunk;
+                    bits &= !chunk;
+                }
+                out & schema.fields()[field].full_mask()
             }
         }
     }
+}
 
-    /// Expand a whole-field mask value through the strategy (used for the matched rule's
-    /// own mask).
-    fn expand_mask_field(&self, schema: &FieldSchema, field: usize, mask_bits: u128) -> u128 {
-        if mask_bits == 0 {
-            return 0;
-        }
-        match self.per_field[field] {
-            FieldStrategy::BitLevel => mask_bits,
-            FieldStrategy::Exact => schema.fields()[field].full_mask(),
-            FieldStrategy::Chunked(_) => {
-                let mut out = 0u128;
-                for bit in 0..schema.width(field) {
-                    if mask_bits >> bit & 1 == 1 {
-                        out |= self.expand_bit(schema, field, bit);
-                    }
-                }
-                out
-            }
+/// OR into `examined` the bits tested to reject `rule` for `header`: the rule's mask,
+/// field by field and most-significant bit first, down to and including the first bit
+/// on which the header differs.
+fn examine_rejected(examined: &mut Mask, header: &Key, rule: &Rule) {
+    for f in 0..header.len() {
+        let tested = rule.mask.get(f);
+        let diff = (header.get(f) ^ rule.key.get(f)) & tested;
+        let reached = match diff.checked_ilog2() {
+            Some(first_differing) => tested & (u128::MAX << first_differing),
+            None => tested,
+        };
+        examined.set(f, examined.get(f) | reached);
+        if diff != 0 {
+            break;
         }
     }
 }
@@ -160,8 +166,9 @@ pub enum GenerationError {
     /// The flow table has no matching rule for the header (no DefaultDeny installed).
     NoMatchingRule,
     /// An existing cache entry already covers this header (the fast path should have hit;
-    /// the caller usually treats this as "nothing to install").
-    AlreadyCovered,
+    /// the caller usually treats this as "nothing to install"). The table's verdict
+    /// stands regardless and rides along.
+    AlreadyCovered(TableMatch),
     /// Could not make the new entry disjoint from the existing cache (should not happen
     /// for well-formed tables; kept as a defensive error).
     CannotDisambiguate,
@@ -171,7 +178,7 @@ impl std::fmt::Display for GenerationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GenerationError::NoMatchingRule => write!(f, "no matching rule in the flow table"),
-            GenerationError::AlreadyCovered => {
+            GenerationError::AlreadyCovered(_) => {
                 write!(f, "an existing megaflow already covers the header")
             }
             GenerationError::CannotDisambiguate => {
@@ -184,82 +191,39 @@ impl std::fmt::Display for GenerationError {
 impl std::error::Error for GenerationError {}
 
 /// Generate a megaflow entry for `header` against `table`, disjoint from everything in
-/// `cache`, under the given `strategy`: classify, then [`generate_for_match`].
+/// `cache`, under the given `strategy`.
+///
+/// The construction follows the OVS heuristic the paper describes:
+///
+/// 1. classify `header` with one priority walk of the table, un-wildcarding for every
+///    higher-priority rule the header *fails* to match the bits of that rule's mask
+///    scanned (field order, most-significant bit first) up to and including the first
+///    bit on which the header differs — the "test the bits one by one" decomposition
+///    that yields Fig. 3 and Fig. 5;
+/// 2. add the matched rule's own mask (so every packet covered by the new entry also
+///    matches that rule — Cover plus action-correctness);
+/// 3. as a safety net, while the candidate still overlaps an existing cache entry,
+///    un-wildcard one more differing bit (this loop does not fire for the
+///    WhiteList+DefaultDeny ACLs the paper studies, but keeps generation correct for
+///    arbitrary rule sets).
 pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
     table: &FlowTable,
     cache: &B,
     header: &Key,
     strategy: &MegaflowStrategy,
 ) -> Result<GeneratedMegaflow, GenerationError> {
-    let matched = table
-        .lookup(header)
-        .ok_or(GenerationError::NoMatchingRule)?;
-    generate_for_match(table, cache, header, matched, strategy)
-}
-
-/// Generate a megaflow entry for `header`, which `table` classified as `matched` — the
-/// slow path has that [`TableMatch`] in hand already and must not pay for a second
-/// linear lookup.
-///
-/// The construction follows the OVS heuristic the paper describes:
-///
-/// 1. start from the matched rule's own mask (so every packet covered by the new entry
-///    also matches that rule — Cover plus action-correctness);
-/// 2. for every higher-priority rule the header *fails* to match, un-wildcard the bits of
-///    that rule's mask scanned (field order, most-significant bit first) up to and
-///    including the first bit on which the header differs — the "test the bits one by
-///    one" decomposition that yields Fig. 3 and Fig. 5;
-/// 3. as a safety net, while the candidate still overlaps an existing cache entry,
-///    un-wildcard one more differing bit (this loop does not fire for the
-///    WhiteList+DefaultDeny ACLs the paper studies, but keeps generation correct for
-///    arbitrary rule sets).
-pub fn generate_for_match<B: FastPathBackend + ?Sized>(
-    table: &FlowTable,
-    cache: &B,
-    header: &Key,
-    matched: TableMatch,
-    strategy: &MegaflowStrategy,
-) -> Result<GeneratedMegaflow, GenerationError> {
     let schema = table.schema();
-    let rule = &table.rules()[matched.rule_index];
 
-    // Step 1: the matched rule's mask, expanded through the strategy.
+    // Steps 1–2: the one walk, recording the bits it tested to reject each rule, plus
+    // the matched rule's own mask — widened once, since widening distributes over OR.
     let mut mask = schema.empty_mask();
+    let matched = table
+        .walk(header, |rule| examine_rejected(&mut mask, header, rule))
+        .ok_or(GenerationError::NoMatchingRule)?;
+    let rule = &table.rules()[matched.rule_index];
     for f in 0..schema.field_count() {
-        mask.set(f, strategy.expand_mask_field(schema, f, rule.mask.get(f)));
-    }
-
-    // Step 2: differentiate from every higher-priority rule.
-    for &hp_index in table.higher_priority_than(matched.rule_index) {
-        let hp = &table.rules()[hp_index];
-        debug_assert!(
-            !hp.matches(header),
-            "higher-priority rule would have matched first"
-        );
-        let mut found = false;
-        'fields: for f in 0..schema.field_count() {
-            let rule_mask = hp.mask.get(f);
-            if rule_mask == 0 {
-                continue;
-            }
-            let width = schema.width(f);
-            for bit in (0..width).rev() {
-                if rule_mask >> bit & 1 == 0 {
-                    continue;
-                }
-                // Un-wildcard this examined bit of the higher-priority rule.
-                let add = strategy.expand_bit(schema, f, bit);
-                mask.set(f, mask.get(f) | add);
-                let differs = (header.get(f) ^ hp.key.get(f)) >> bit & 1 == 1;
-                if differs {
-                    found = true;
-                    break 'fields;
-                }
-            }
-        }
-        // `found` can only be false if the header actually matches `hp`, which the
-        // debug_assert above excludes; in release builds fall through harmlessly.
-        let _ = found;
+        let examined = mask.get(f) | rule.mask.get(f);
+        mask.set(f, strategy.widen(schema, f, examined));
     }
 
     // Step 3: safety net — resolve any residual overlap with existing cache entries.
@@ -284,20 +248,20 @@ pub fn generate_for_match<B: FastPathBackend + ?Sized>(
                 // Find a bit examined by the conflicting entry on which the header
                 // differs and which we have not yet un-wildcarded.
                 let mut added = false;
-                'outer: for f in 0..schema.field_count() {
+                for f in 0..schema.field_count() {
                     let candidate_bits =
                         conflict_mask.get(f) & !mask.get(f) & (header.get(f) ^ conflict_key.get(f));
                     if candidate_bits != 0 {
                         let bit = 127 - candidate_bits.leading_zeros();
-                        mask.set(f, mask.get(f) | strategy.expand_bit(schema, f, bit));
+                        mask.set(f, mask.get(f) | strategy.widen(schema, f, 1 << bit));
                         added = true;
-                        break 'outer;
+                        break;
                     }
                 }
                 if !added {
                     // No differing bit exists: the conflicting entry already covers this
                     // header, so the fast path would have hit it.
-                    return Err(GenerationError::AlreadyCovered);
+                    return Err(GenerationError::AlreadyCovered(matched));
                 }
             }
         }
@@ -323,7 +287,7 @@ mod tests {
             }
             match generate_megaflow(table, &cache, h, strategy) {
                 Ok(g) => cache.insert(g.key, g.mask, g.action, 0.0).unwrap(),
-                Err(GenerationError::AlreadyCovered) => {}
+                Err(GenerationError::AlreadyCovered(_)) => {}
                 Err(e) => panic!("generation failed: {e}"),
             }
         }
@@ -448,7 +412,8 @@ mod tests {
         cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
         // 101 is covered by the (1**, deny) entry.
         let err = generate_megaflow(&table, &cache, &hyp_key(0b101), &strategy);
-        assert_eq!(err, Err(GenerationError::AlreadyCovered));
+        let verdict = table.lookup(&hyp_key(0b101)).unwrap();
+        assert_eq!(err, Err(GenerationError::AlreadyCovered(verdict)));
     }
 
     #[test]

@@ -6,6 +6,78 @@ use tse_classifier::backend::FastPathBackend;
 
 use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 
+/// The rotation both rekey stages share: a deterministic SplitMix64 key sequence, the
+/// at-most-once-per-`period` gate, and the restore-on-finish contract.
+#[derive(Debug, Clone)]
+struct KeyRotation {
+    period: f64,
+    state: u64,
+    last_rotate: f64,
+    /// The hash key in force when the run started ([`KeyRotation::start`]), restored
+    /// by [`KeyRotation::finish`] so the rotation does not outlive the run.
+    entry_key: Option<u64>,
+}
+
+impl KeyRotation {
+    fn new(period: f64, seed: u64) -> Self {
+        assert!(period > 0.0, "rekey period must be positive");
+        KeyRotation {
+            period,
+            state: seed,
+            last_rotate: 0.0,
+            entry_key: None,
+        }
+    }
+
+    /// Next key in the SplitMix64 sequence, skipping the reserved default key.
+    fn next_key(&mut self) -> u64 {
+        loop {
+            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let key = tse_packet::rss::splitmix64_mix(self.state);
+            if key != tse_packet::rss::DEFAULT_HASH_KEY {
+                return key;
+            }
+        }
+    }
+
+    fn start<B: FastPathBackend>(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+        // Re-anchor the schedule at the new run's t = 0 (a reused runner's previous
+        // run would otherwise leave `last_rotate` past the whole horizon and the
+        // stage silently inert), and remember the entry key for restoration.
+        self.last_rotate = 0.0;
+        self.entry_key = Some(ctx.datapath.hash_key());
+    }
+
+    /// Rotate to the next key unless the last rotation is less than `period` ago.
+    fn rotate_if_due<B: FastPathBackend>(
+        &mut self,
+        ctx: &mut MitigationCtx<'_, B>,
+    ) -> Vec<MitigationAction> {
+        if ctx.now - self.last_rotate < self.period {
+            return Vec::new();
+        }
+        self.last_rotate = ctx.now;
+        let old_key = ctx.datapath.hash_key();
+        let new_key = self.next_key();
+        ctx.datapath.rekey(new_key);
+        vec![MitigationAction::Rekeyed {
+            time: ctx.now,
+            old_key,
+            new_key,
+        }]
+    }
+
+    fn finish<B: FastPathBackend>(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+        // Restore the entry key: steering must not outlive the run on a reused
+        // datapath (stranded cache entries still age out on their own, exactly like
+        // after any mid-run rotation). Driven without `start`, there is nothing to
+        // restore to and the rotated key stays — the pre-hook behaviour.
+        if let Some(key) = self.entry_key.take() {
+            ctx.datapath.rekey(key);
+        }
+    }
+}
+
 /// Pressure-gated RSS hash-key rotation: rotates like [`RssKeyRandomizer`], but only
 /// while the telemetry window ([`MitigationCtx::pressure`]) shows a shard under
 /// sustained attack — the benign path never pays the re-homing upcalls a blind
@@ -20,11 +92,8 @@ use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 /// detached/empty pressure window the stage is provably inert.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRekey {
-    period: f64,
+    rotation: KeyRotation,
     threshold_pps: f64,
-    state: u64,
-    last_rotate: f64,
-    entry_key: Option<u64>,
 }
 
 impl AdaptiveRekey {
@@ -35,36 +104,21 @@ impl AdaptiveRekey {
     /// # Panics
     /// Panics if `period` or `threshold_pps` is not positive.
     pub fn new(period: f64, threshold_pps: f64, seed: u64) -> Self {
-        assert!(period > 0.0, "rekey period must be positive");
         assert!(threshold_pps > 0.0, "pressure threshold must be positive");
         AdaptiveRekey {
-            period,
+            rotation: KeyRotation::new(period, seed),
             threshold_pps,
-            state: seed,
-            last_rotate: 0.0,
-            entry_key: None,
         }
     }
 
     /// The minimum spacing between rotations, seconds.
     pub fn period(&self) -> f64 {
-        self.period
+        self.rotation.period
     }
 
     /// The windowed-mean attack rate (pps, hottest shard) that arms the rotation.
     pub fn threshold_pps(&self) -> f64 {
         self.threshold_pps
-    }
-
-    /// Next key in the SplitMix64 sequence, skipping the reserved default key.
-    fn next_key(&mut self) -> u64 {
-        loop {
-            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let key = tse_packet::rss::splitmix64_mix(self.state);
-            if key != tse_packet::rss::DEFAULT_HASH_KEY {
-                return key;
-            }
-        }
     }
 }
 
@@ -74,32 +128,18 @@ impl<B: FastPathBackend> Mitigation<B> for AdaptiveRekey {
     }
 
     fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
-        // Same re-anchor/restore contract as RssKeyRandomizer (see its on_start).
-        self.last_rotate = 0.0;
-        self.entry_key = Some(ctx.datapath.hash_key());
+        self.rotation.start(ctx);
     }
 
     fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
-        if ctx.pressure.hottest_shard_mean() < self.threshold_pps
-            || ctx.now - self.last_rotate < self.period
-        {
+        if ctx.pressure.hottest_shard_mean() < self.threshold_pps {
             return Vec::new();
         }
-        self.last_rotate = ctx.now;
-        let old_key = ctx.datapath.hash_key();
-        let new_key = self.next_key();
-        ctx.datapath.rekey(new_key);
-        vec![MitigationAction::Rekeyed {
-            time: ctx.now,
-            old_key,
-            new_key,
-        }]
+        self.rotation.rotate_if_due(ctx)
     }
 
     fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
-        if let Some(key) = self.entry_key.take() {
-            ctx.datapath.rekey(key);
-        }
+        self.rotation.finish(ctx);
     }
 }
 
@@ -116,14 +156,11 @@ impl<B: FastPathBackend> Mitigation<B> for AdaptiveRekey {
 /// entries cached under the old key stay on their shard until the idle timeout
 /// collects them (see the module docs of [`crate::stack`] for the cost model), and
 /// benign flows simply re-home to their new shard, paying one slow-path upcall there.
+/// The hash key in force when the run started ([`Mitigation::on_start`]) is restored by
+/// [`Mitigation::on_finish`].
 #[derive(Debug, Clone)]
 pub struct RssKeyRandomizer {
-    period: f64,
-    state: u64,
-    last_rotate: f64,
-    /// The hash key in force when the run started ([`Mitigation::on_start`]), restored
-    /// by [`Mitigation::on_finish`] so the rotation does not outlive the run.
-    entry_key: Option<u64>,
+    rotation: KeyRotation,
 }
 
 impl RssKeyRandomizer {
@@ -133,29 +170,14 @@ impl RssKeyRandomizer {
     /// # Panics
     /// Panics if `period` is not positive.
     pub fn new(period: f64, seed: u64) -> Self {
-        assert!(period > 0.0, "rekey period must be positive");
         RssKeyRandomizer {
-            period,
-            state: seed,
-            last_rotate: 0.0,
-            entry_key: None,
+            rotation: KeyRotation::new(period, seed),
         }
     }
 
     /// The rotation period, seconds.
     pub fn period(&self) -> f64 {
-        self.period
-    }
-
-    /// Next key in the SplitMix64 sequence, skipping the reserved default key.
-    fn next_key(&mut self) -> u64 {
-        loop {
-            self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let key = tse_packet::rss::splitmix64_mix(self.state);
-            if key != tse_packet::rss::DEFAULT_HASH_KEY {
-                return key;
-            }
-        }
+        self.rotation.period
     }
 }
 
@@ -165,36 +187,15 @@ impl<B: FastPathBackend> Mitigation<B> for RssKeyRandomizer {
     }
 
     fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
-        // Re-anchor the schedule at the new run's t = 0 (a reused runner's previous
-        // run would otherwise leave `last_rotate` past the whole horizon and the
-        // stage silently inert), and remember the entry key for restoration.
-        self.last_rotate = 0.0;
-        self.entry_key = Some(ctx.datapath.hash_key());
+        self.rotation.start(ctx);
     }
 
     fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
-        if ctx.now - self.last_rotate < self.period {
-            return Vec::new();
-        }
-        self.last_rotate = ctx.now;
-        let old_key = ctx.datapath.hash_key();
-        let new_key = self.next_key();
-        ctx.datapath.rekey(new_key);
-        vec![MitigationAction::Rekeyed {
-            time: ctx.now,
-            old_key,
-            new_key,
-        }]
+        self.rotation.rotate_if_due(ctx)
     }
 
     fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
-        // Restore the entry key: steering must not outlive the run on a reused
-        // datapath (stranded cache entries still age out on their own, exactly like
-        // after any mid-run rotation). Driven without on_start, there is nothing to
-        // restore to and the rotated key stays — the pre-hook behaviour.
-        if let Some(key) = self.entry_key.take() {
-            ctx.datapath.rekey(key);
-        }
+        self.rotation.finish(ctx);
     }
 }
 

@@ -17,7 +17,7 @@ use tse_classifier::rule::Action;
 use tse_switch::datapath::Datapath;
 
 use crate::cpu_model::SlowPathCpuModel;
-use crate::pattern::is_tse_pattern;
+use crate::pattern::{allow_exact_fields, examines_target_field};
 use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 
 /// MFCGuard configuration.
@@ -202,19 +202,17 @@ impl MfcGuard {
                 stopped_by_cpu = true;
             } else {
                 // Remove every TSE-patterned drop entry. Requirement (i): only deny
-                // entries are ever touched.
-                let table = datapath.table().clone();
+                // entries are ever touched. What the sweep needs of the table is read
+                // once, before the cache and slow path are borrowed mutably.
+                let table = datapath.table();
+                let target_fields = allow_exact_fields(table);
+                let deny_rules: Vec<usize> = (0..table.len())
+                    .filter(|&i| table.rules()[i].action == Action::Deny)
+                    .collect();
                 entries_removed = datapath
                     .megaflow_mut()
-                    .evict_where(&mut |entry| is_tse_pattern(entry, &table));
+                    .evict_where(&mut |entry| examines_target_field(entry, &target_fields));
                 if self.config.suppress_reinstall {
-                    let deny_rules: Vec<usize> = table
-                        .rules()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.action == Action::Deny)
-                        .map(|(i, _)| i)
-                        .collect();
                     for r in deny_rules {
                         datapath.slow_path_mut().suppress_rule(r);
                     }

@@ -15,14 +15,13 @@ use tse_classifier::tss::MegaflowEntry;
 /// one field that an allow rule of the table exact-matches — i.e. it is one of the
 /// deny-side decomposition entries the attack multiplies.
 pub fn is_tse_pattern(entry: &MegaflowEntry, table: &FlowTable) -> bool {
-    if entry.action != Action::Deny {
-        return false;
-    }
-    let allow_fields: Vec<usize> = allow_exact_fields(table);
-    if allow_fields.is_empty() {
-        return false;
-    }
-    allow_fields.iter().any(|&f| entry.mask.get(f) != 0)
+    examines_target_field(entry, &allow_exact_fields(table))
+}
+
+/// [`is_tse_pattern`] against a table's [`allow_exact_fields`] computed once — what a
+/// sweep over a whole cache calls per entry.
+pub(crate) fn examines_target_field(entry: &MegaflowEntry, target_fields: &[usize]) -> bool {
+    entry.action == Action::Deny && target_fields.iter().any(|&f| entry.mask.get(f) != 0)
 }
 
 /// Fields that some allow rule of the table exact-matches (the TSE target fields).

@@ -9,7 +9,7 @@
 //! malformed traffic like the real switch does.
 
 use crate::flowkey::FlowKey;
-use crate::wire::{self, DecodeError, WireTrace};
+use crate::wire::{self, DecodeError};
 
 /// Per-batch extraction accounting: how many frames decoded and how many failed, by
 /// failure kind. Mirrors the `decoded`/`truncated`/`bad_header`/`unsupported_ethertype`
@@ -82,35 +82,18 @@ impl ExtractScratch {
     pub fn ok_keys(&self) -> impl Iterator<Item = &FlowKey> {
         self.keys.iter().filter_map(|r| r.as_ref().ok())
     }
-
-    fn begin(&mut self) {
-        self.keys.clear();
-        self.counts = ExtractCounts::default();
-    }
-
-    fn push_frame(&mut self, frame: &[u8]) {
-        let result = wire::decode(frame).map(|pkt| FlowKey::from_packet(&pkt));
-        self.counts.note(&result);
-        self.keys.push(result);
-    }
 }
 
 /// Extract the flow key of every frame in `frames` into `scratch`, replacing the
 /// previous batch's results. One parser pass per frame, no heap allocation once the
 /// scratch buffers are warm.
 pub fn extract_keys_into(frames: &[&[u8]], scratch: &mut ExtractScratch) {
-    scratch.begin();
+    scratch.keys.clear();
+    scratch.counts = ExtractCounts::default();
     for frame in frames {
-        scratch.push_frame(frame);
-    }
-}
-
-/// [`extract_keys_into`] over a [`WireTrace`]'s frames, without materialising a slice
-/// of frame references.
-pub fn extract_trace_into(trace: &WireTrace, scratch: &mut ExtractScratch) {
-    scratch.begin();
-    for frame in trace.frames() {
-        scratch.push_frame(frame);
+        let result = wire::decode(frame).map(|pkt| FlowKey::from_packet(&pkt));
+        scratch.counts.note(&result);
+        scratch.keys.push(result);
     }
 }
 
@@ -118,7 +101,7 @@ pub fn extract_trace_into(trace: &WireTrace, scratch: &mut ExtractScratch) {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
-    use crate::wire::Encap;
+    use crate::wire::{Encap, WireTrace};
 
     #[test]
     fn batch_extraction_matches_per_frame_decode() {
@@ -188,8 +171,9 @@ mod tests {
                 vni: 99,
             },
         );
+        let frames: Vec<&[u8]> = trace.frames().collect();
         let mut scratch = ExtractScratch::new();
-        extract_trace_into(&trace, &mut scratch);
+        extract_keys_into(&frames, &mut scratch);
         assert_eq!(scratch.counts().decoded, 3);
         let keys: Vec<_> = scratch.ok_keys().copied().collect();
         assert_eq!(keys[0], FlowKey::from_packet(&p4));

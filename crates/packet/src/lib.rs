@@ -37,7 +37,7 @@ pub mod wire;
 
 pub use builder::PacketBuilder;
 pub use ethernet::{EtherType, EthernetHeader, MacAddr};
-pub use extract::{extract_keys_into, extract_trace_into, ExtractCounts, ExtractScratch};
+pub use extract::{extract_keys_into, ExtractCounts, ExtractScratch};
 pub use fields::{FieldDef, FieldSchema, FieldVec, Key, Mask};
 pub use flowkey::{FlowKey, MicroflowKey};
 pub use ipv4::Ipv4Header;

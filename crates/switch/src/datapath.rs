@@ -20,6 +20,8 @@
 //! # assert_eq!(trie_dp.mask_count(), 0);
 //! ```
 
+use std::marker::PhantomData;
+
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::microflow::MicroflowCache;
@@ -138,10 +140,7 @@ pub struct DatapathBuilder<B: FastPathBackend = TupleSpace> {
     table: FlowTable,
     strategy: Option<MegaflowStrategy>,
     config: DatapathConfig,
-    backend: Option<B>,
-    /// Whether an ordering was explicitly chosen (via `mask_ordering` or `config`);
-    /// a backend instance supplied through `backend()` keeps its own policy otherwise.
-    ordering_explicit: bool,
+    backend: PhantomData<fn() -> B>,
     /// Shard-execution model a `ShardedDatapath::from_builder` picks up; a plain
     /// `build()` has no shards and ignores it.
     executor: Option<Box<dyn ShardExecutor>>,
@@ -154,19 +153,16 @@ impl DatapathBuilder<TupleSpace> {
             table,
             strategy: None,
             config: DatapathConfig::default(),
-            backend: None,
-            ordering_explicit: false,
+            backend: PhantomData,
             executor: None,
         }
     }
 }
 
 impl<B: FastPathBackend> DatapathBuilder<B> {
-    /// Replace the whole configuration (its `mask_ordering` counts as explicitly
-    /// chosen and is applied even to a backend supplied via [`DatapathBuilder::backend`]).
+    /// Replace the whole configuration.
     pub fn config(mut self, config: DatapathConfig) -> Self {
         self.config = config;
-        self.ordering_explicit = true;
         self
     }
 
@@ -191,7 +187,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
     /// Probe order of the megaflow masks (TSS-family backends only).
     pub fn mask_ordering(mut self, ordering: MaskOrdering) -> Self {
         self.config.mask_ordering = ordering;
-        self.ordering_explicit = true;
         self
     }
 
@@ -222,22 +217,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
         self.executor.take()
     }
 
-    /// Use a concrete backend instance as the fast path. Its schema must match the
-    /// table's (checked in [`DatapathBuilder::build`]). The instance keeps its own
-    /// mask-ordering policy unless one was explicitly set on the builder; note that
-    /// `build()` installs the flow table into it, which flushes a traffic-driven
-    /// backend's entries (OVS revalidation semantics).
-    pub fn backend<B2: FastPathBackend>(self, backend: B2) -> DatapathBuilder<B2> {
-        DatapathBuilder {
-            table: self.table,
-            strategy: self.strategy,
-            config: self.config,
-            backend: Some(backend),
-            ordering_explicit: self.ordering_explicit,
-            executor: self.executor,
-        }
-    }
-
     /// Use a freshly constructed backend of type `B2` as the fast path:
     /// `builder.backend_fresh::<TrieBackend>()`.
     pub fn backend_fresh<B2: FastPathBackend>(self) -> DatapathBuilder<B2> {
@@ -245,28 +224,17 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
             table: self.table,
             strategy: self.strategy,
             config: self.config,
-            backend: None,
-            ordering_explicit: self.ordering_explicit,
+            backend: PhantomData,
             executor: self.executor,
         }
     }
 
-    /// Finalise: construct the backend if none was supplied, install the flow table
-    /// into it, and assemble the datapath.
+    /// Finalise: construct the backend, install the flow table into it, and assemble
+    /// the datapath.
     pub fn build(self) -> Datapath<B> {
         let schema = self.table.schema().clone();
-        let supplied = self.backend.is_some();
-        let mut megaflow = self.backend.unwrap_or_else(|| B::fresh(&schema));
-        assert_eq!(
-            megaflow.schema(),
-            &schema,
-            "fast-path backend schema must match the flow table's schema"
-        );
-        // A default-constructed backend gets the config's ordering; a supplied instance
-        // keeps its own policy unless the builder was explicitly told otherwise.
-        if !supplied || self.ordering_explicit {
-            megaflow.set_mask_ordering(self.config.mask_ordering);
-        }
+        let mut megaflow = B::fresh(&schema);
+        megaflow.set_mask_ordering(self.config.mask_ordering);
         megaflow.install_table(&self.table);
         let strategy = self
             .strategy
@@ -811,23 +779,6 @@ mod tests {
             "trie lookup work must not grow with traffic"
         );
         assert_eq!(dp.mask_count(), 0);
-    }
-
-    #[test]
-    fn supplied_backend_keeps_its_own_ordering() {
-        use tse_classifier::tss::MaskOrdering;
-        let table = fig6_table();
-        let schema = table.schema().clone();
-        let cache = TupleSpace::with_ordering(schema.clone(), MaskOrdering::HitCount);
-        let dp = Datapath::builder(table.clone()).backend(cache).build();
-        assert_eq!(dp.megaflow().ordering(), MaskOrdering::HitCount);
-        // An explicit builder choice still wins over the instance's policy.
-        let cache = TupleSpace::with_ordering(schema, MaskOrdering::HitCount);
-        let dp = Datapath::builder(table)
-            .mask_ordering(MaskOrdering::Insertion)
-            .backend(cache)
-            .build();
-        assert_eq!(dp.megaflow().ordering(), MaskOrdering::Insertion);
     }
 
     #[test]

@@ -33,7 +33,6 @@
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::tss::TupleSpace;
-use tse_packet::extract::{extract_keys_into, ExtractScratch};
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::rss;
@@ -649,48 +648,6 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     pub fn note_wire_fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
         self.shards[0].note_wire_fault(fault, bytes, now)
     }
-
-    /// Batched wire ingestion at a single timestamp: extract keys from `frames`
-    /// through the allocation-free batched extractor (reusing `scratch`), stamp the
-    /// classifiable keys `now` and steer them per shard with
-    /// [`ShardedDatapath::process_timed_batch`], and charge every unclassifiable
-    /// frame to shard 0 (see [`ShardedDatapath::process_wire`] for the bookkeeping
-    /// invariant). The returned report folds the shard-0 fault charges into
-    /// `per_shard[0]`.
-    pub fn process_wire_batch(
-        &mut self,
-        frames: &[&[u8]],
-        scratch: &mut ExtractScratch,
-        now: f64,
-    ) -> ShardedBatchReport {
-        extract_keys_into(frames, scratch);
-        let mut batch: Vec<(Key, usize, f64)> = Vec::with_capacity(frames.len());
-        let mut faults: Vec<(WireFault, usize)> = Vec::new();
-        let mut decoded = 0u64;
-        for (res, frame) in scratch.keys().iter().zip(frames) {
-            let key = res.as_ref().map(|flow| self.shards[0].steerable_key(flow));
-            decoded += u64::from(key.is_ok());
-            match key {
-                Ok(Some(key)) => batch.push((key, frame.len(), now)),
-                Ok(None) => faults.push((WireFault::FamilyMismatch, frame.len())),
-                Err(e) => faults.push((WireFault::Decode(*e), frame.len())),
-            }
-        }
-        let mut report = self.process_timed_batch(&batch);
-        self.shards[0].stats_mut().decoded += decoded;
-        for (fault, bytes) in faults {
-            let out = self.shards[0].note_wire_fault(fault, bytes, now);
-            let r = &mut report.per_shard[0];
-            r.processed += 1;
-            if out.action.permits() {
-                r.allowed += 1;
-            } else {
-                r.denied += 1;
-            }
-            r.total_cost += out.cost;
-        }
-        report
-    }
 }
 
 impl ShardedDatapath<TupleSpace> {
@@ -1062,62 +1019,6 @@ mod tests {
         for s in 0..4 {
             assert!(scratch.slice(s).is_empty());
         }
-    }
-
-    #[test]
-    fn wire_batch_matches_per_frame_wire_processing() {
-        let schema = FieldSchema::ovs_ipv4();
-        let table = fig6_table(&schema);
-        // 120 distinct frames spread over the shards, plus a truncated frame and a
-        // family mismatch in the middle.
-        let mut frames: Vec<Vec<u8>> = key_spread(&schema, 120)
-            .iter()
-            .map(|k| {
-                let tp_dst = schema.field_index("tp_dst").unwrap();
-                let ip_src = schema.field_index("ip_src").unwrap();
-                let pkt = PacketBuilder::from_numeric_v4(
-                    k.get(ip_src) as u32,
-                    0x0a00_0063,
-                    tse_packet::l4::IpProto::Tcp,
-                    999,
-                    k.get(tp_dst) as u16,
-                )
-                .build();
-                tse_packet::wire::encode(&pkt)
-            })
-            .collect();
-        frames.insert(40, frames[0][..9].to_vec());
-        let v6 = PacketBuilder::tcp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 1, 80)
-            .build();
-        frames.insert(80, tse_packet::wire::encode(&v6));
-        let views: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-
-        let mut looped = ShardedDatapath::new(table.clone(), 4, Steering::Rss);
-        for frame in &views {
-            looped.process_wire(frame, 0.5);
-        }
-        let mut batched = ShardedDatapath::new(table, 4, Steering::Rss);
-        let mut scratch = ExtractScratch::new();
-        let report = batched.process_wire_batch(&views, &mut scratch, 0.5);
-
-        let agg = report.aggregate();
-        assert_eq!(agg.processed, frames.len());
-        assert_eq!(batched.stats().decoded, 121);
-        assert_eq!(batched.stats().truncated, 1);
-        assert_eq!(batched.stats().packets(), looped.stats().packets());
-        assert_eq!(batched.stats().allowed, looped.stats().allowed);
-        assert_eq!(batched.stats().denied, looped.stats().denied);
-        assert_eq!(batched.stats().decoded, looped.stats().decoded);
-        assert_eq!(batched.stats().truncated, looped.stats().truncated);
-        assert_eq!(batched.mask_count(), looped.mask_count());
-        // Ingestion bookkeeping (decode counters, fault charges) lands on shard 0.
-        assert_eq!(batched.shard_stats(0).decoded, 121);
-        for i in 1..4 {
-            assert_eq!(batched.shard_stats(i).decoded, 0);
-            assert_eq!(batched.shard_stats(i).wire_errors(), 0);
-        }
-        assert_eq!(batched.shard_stats(0).truncated, 1);
-        assert_eq!(batched.shard_stats(0).unclassified, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
-use tse_classifier::strategy::{generate_for_match, GenerationError, MegaflowStrategy};
+use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
 use tse_packet::fields::Key;
 
 /// Outcome of one slow-path invocation (one upcall).
@@ -118,60 +118,48 @@ impl SlowPath {
         header: &Key,
         now: f64,
     ) -> Option<UpcallOutcome> {
-        let matched = table.lookup(header)?;
-        if self.suppressed_rules.contains(&matched.rule_index) {
+        // One walk of the table yields the verdict and the megaflow together.
+        let (action, rule_index, generated) =
+            match generate_megaflow(table, cache, header, &self.strategy) {
+                Ok(g) => (g.action, g.rule_index, Some(g)),
+                Err(GenerationError::AlreadyCovered(m)) => (m.action, m.rule_index, None),
+                Err(_) => return None,
+            };
+        let mut outcome = UpcallOutcome {
+            action,
+            rule_index,
+            installed: false,
+            new_mask: false,
+        };
+        if self.suppressed_rules.contains(&rule_index) {
             self.suppressed_upcalls += 1;
-            return Some(UpcallOutcome {
-                action: matched.action,
-                rule_index: matched.rule_index,
-                installed: false,
-                new_mask: false,
-            });
+            return Some(outcome);
         }
-        match generate_for_match(table, cache, header, matched, &self.strategy) {
-            Ok(generated) => {
-                if self.install_quota == Some(0) {
-                    // Quota window exhausted: classify, but install nothing — the
-                    // packet (and every sibling behind it) keeps paying the slow-path
-                    // price until the quota is re-armed. Only real would-be installs
-                    // are charged; already-covered upcalls fall through below as
-                    // usual.
-                    self.quota_denied_upcalls += 1;
-                    return Some(UpcallOutcome {
-                        action: generated.action,
-                        rule_index: generated.rule_index,
-                        installed: false,
-                        new_mask: false,
-                    });
-                }
-                let masks_before = cache.mask_count();
-                let install =
-                    cache.insert_megaflow(generated.key, generated.mask, generated.action, now);
-                // Generation narrowed the entry until the backend reported no conflict,
-                // so a refusal is a backend bug: loud in debug builds, answered like a
-                // quota denial otherwise — this runs on shard worker threads.
-                debug_assert!(install.is_ok(), "generated megaflow refused: {install:?}");
-                let installed = install.is_ok();
-                if installed {
-                    if let Some(quota) = &mut self.install_quota {
-                        *quota -= 1;
-                    }
-                }
-                Some(UpcallOutcome {
-                    action: generated.action,
-                    rule_index: generated.rule_index,
-                    installed,
-                    new_mask: installed && cache.mask_count() > masks_before,
-                })
+        let Some(generated) = generated else {
+            return Some(outcome);
+        };
+        if self.install_quota == Some(0) {
+            // Quota window exhausted: classify, but install nothing — the packet (and
+            // every sibling behind it) keeps paying the slow-path price until the quota
+            // is re-armed. Only real would-be installs are charged; already-covered
+            // upcalls returned above as usual.
+            self.quota_denied_upcalls += 1;
+            return Some(outcome);
+        }
+        let masks_before = cache.mask_count();
+        let install = cache.insert_megaflow(generated.key, generated.mask, generated.action, now);
+        // Generation narrowed the entry until the backend reported no conflict, so a
+        // refusal is a backend bug: loud in debug builds, answered like a quota denial
+        // otherwise — this runs on shard worker threads.
+        debug_assert!(install.is_ok(), "generated megaflow refused: {install:?}");
+        outcome.installed = install.is_ok();
+        if outcome.installed {
+            if let Some(quota) = &mut self.install_quota {
+                *quota -= 1;
             }
-            Err(GenerationError::AlreadyCovered) => Some(UpcallOutcome {
-                action: matched.action,
-                rule_index: matched.rule_index,
-                installed: false,
-                new_mask: false,
-            }),
-            Err(_) => None,
         }
+        outcome.new_mask = outcome.installed && cache.mask_count() > masks_before;
+        Some(outcome)
     }
 }
 

@@ -92,11 +92,10 @@
 //!
 //! The same pipeline can be driven from raw Ethernet bytes instead of pre-parsed
 //! keys. [`prelude::WireTrace`] is a pcap-style frame buffer (timestamped frames
-//! packed into one contiguous allocation); [`prelude::extract_trace_into`] /
-//! [`prelude::extract_keys_into`] run the real header parser over a whole batch into
-//! a reusable [`prelude::ExtractScratch`] — zero per-frame heap allocations in
-//! steady state (pinned by `tests/alloc_audit.rs`) with per-batch
-//! [`prelude::DecodeError`] accounting. On the traffic side,
+//! packed into one contiguous allocation); [`prelude::extract_keys_into`] runs the
+//! real header parser over a whole batch into a reusable [`prelude::ExtractScratch`] —
+//! zero per-frame heap allocations in steady state (pinned by `tests/alloc_audit.rs`)
+//! with per-batch [`prelude::DecodeError`] accounting. On the traffic side,
 //! [`prelude::WireSource`] replays a trace (or an [`prelude::AttackTrace`], via
 //! `WireSource::from_attack_trace`) as serialized frames — producing the identical
 //! event stream as its key-level twin — and the lazy [`prelude::WireGenerator`]
@@ -117,8 +116,9 @@
 //! trace.push_packet(0.0, &pkt, Encap::Vxlan { outer_src: 1, outer_dst: 2, vni: 42 });
 //! trace.push(0.1, &[0xDE; 9]); // garbage: accounted for, never panics
 //!
+//! let frames: Vec<&[u8]> = trace.frames().collect();
 //! let mut scratch = ExtractScratch::new();
-//! extract_trace_into(&trace, &mut scratch);
+//! extract_keys_into(&frames, &mut scratch);
 //! assert_eq!(scratch.counts().decoded, 1);
 //! assert_eq!(scratch.counts().truncated, 1);
 //! assert_eq!(scratch.keys()[0], Ok(FlowKey::from_packet(&pkt)));
@@ -130,8 +130,9 @@
 //!     4,
 //!     Steering::Rss,
 //! );
-//! let frames: Vec<&[u8]> = trace.frames().collect();
-//! sharded.process_wire_batch(&frames, &mut scratch, 0.2);
+//! for frame in frames {
+//!     sharded.process_wire(frame, 0.2);
+//! }
 //! assert_eq!(sharded.shard(0).stats().truncated, 1);
 //! ```
 //!
@@ -325,9 +326,7 @@ pub mod prelude {
         Mitigation, MitigationAction, MitigationCtx, MitigationStack, PressureWindow,
     };
     pub use tse_packet::builder::PacketBuilder;
-    pub use tse_packet::extract::{
-        extract_keys_into, extract_trace_into, ExtractCounts, ExtractScratch,
-    };
+    pub use tse_packet::extract::{extract_keys_into, ExtractCounts, ExtractScratch};
     pub use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
     pub use tse_packet::flowkey::FlowKey;
     pub use tse_packet::wire::{DecodeError, Encap, WireFault, WireTrace};
