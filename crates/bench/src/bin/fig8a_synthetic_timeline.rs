@@ -43,18 +43,8 @@ fn main() {
     println!("paper: 9.7 Gbps aggregate drops below 0.5 Gbps during the attack; recovery lags t2 by ~10 s");
 
     use tse_bench::report::Metric;
-    let peak_masks = timeline
-        .samples
-        .iter()
-        .map(|s| s.mask_count)
-        .max()
-        .unwrap_or(0);
-    let peak_entries = timeline
-        .samples
-        .iter()
-        .map(|s| s.entry_count)
-        .max()
-        .unwrap_or(0);
+    let peak_masks = timeline.peak_masks();
+    let peak_entries = timeline.peak_entries();
     args.emit(
         env!("CARGO_BIN_NAME"),
         vec![

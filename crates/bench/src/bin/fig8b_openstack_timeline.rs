@@ -65,21 +65,11 @@ fn main() {
         "paper: >90 % reduction while both are active; recovery 10 s after the attacker stops."
     );
     println!("note: the paper's re-activation anomaly (long-lived flows barely affected when the");
-    println!("attacker returns) was tied to an unstable OVS build and is not modelled; see EXPERIMENTS.md.");
+    println!("attacker returns) was tied to an unstable OVS build and is not modelled.");
 
     use tse_bench::report::Metric;
-    let peak_masks = timeline
-        .samples
-        .iter()
-        .map(|s| s.mask_count)
-        .max()
-        .unwrap_or(0);
-    let peak_entries = timeline
-        .samples
-        .iter()
-        .map(|s| s.entry_count)
-        .max()
-        .unwrap_or(0);
+    let peak_masks = timeline.peak_masks();
+    let peak_entries = timeline.peak_entries();
     args.emit(
         env!("CARGO_BIN_NAME"),
         vec![

@@ -84,7 +84,7 @@ fn main() {
     use tse_bench::report::Metric;
     let peak_masks = [&phase1, &phase2, &phase3]
         .iter()
-        .flat_map(|p| p.samples.iter().map(|s| s.mask_count))
+        .map(|p| p.peak_masks())
         .max()
         .unwrap_or(0);
     args.emit(

@@ -4,7 +4,7 @@
 //!
 //! The mask counts are produced by actually replaying the Co-located traces of each use
 //! case through the datapath; the throughput at each point comes from the calibrated
-//! cost model (DESIGN.md §4).
+//! cost model (`tse_switch::cost`).
 
 use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;

@@ -24,32 +24,15 @@
 //! sharded flags: `--shards <n>` (default 16) and `--parallel <threads>` to drive the
 //! per-shard fan-out from a thread pool (timelines are executor-independent).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tse_attack::scenarios::Scenario;
-use tse_attack::sharding::{pin_to_shard, spray_shards};
-use tse_attack::source::{AttackGenerator, TrafficMix};
 use tse_bench::render_table;
+use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_mitigation::{MaskCap, RssKeyRandomizer, UpcallLimiter};
-use tse_packet::fields::{FieldSchema, Key};
-use tse_simnet::offload::OffloadConfig;
+use tse_packet::fields::FieldSchema;
 use tse_simnet::runner::{ExperimentRunner, Timeline};
-use tse_simnet::traffic::{VictimFlow, VictimSource};
-use tse_switch::datapath::Datapath;
-use tse_switch::pmd::{ShardedDatapath, Steering};
 
-const ATTACK_START: f64 = 20.0;
-const ATTACK_PPS: f64 = 100.0;
 const STACKS: [&str; 5] = ["none", "guard", "rekey", "guard+rekey", "full"];
-
-fn attack_keys(schema: &FieldSchema) -> tse_attack::colocated::BitInversionKeys {
-    let mut base = schema.zero_value();
-    base.set(schema.field_index("ip_proto").unwrap(), 6);
-    base.set(schema.field_index("ip_dst").unwrap(), 0x0a00_00c8);
-    Scenario::SipDp.key_iter(schema, &base)
-}
 
 fn with_stack(runner: ExperimentRunner, spec: &str) -> ExperimentRunner {
     let guard = || GuardMitigation::new(GuardConfig::default());
@@ -66,59 +49,6 @@ fn with_stack(runner: ExperimentRunner, spec: &str) -> ExperimentRunner {
             .with_mitigation(MaskCap::new(64)),
         other => panic!("unknown stack {other:?}"),
     }
-}
-
-fn run(
-    schema: &FieldSchema,
-    args: &tse_bench::FigArgs,
-    victims: &[VictimFlow],
-    keys: impl Iterator<Item = Key> + Send + 'static,
-    stack: &str,
-) -> (Timeline, f64) {
-    let duration = args.duration;
-    let table = Scenario::SipDp.flow_table(schema);
-    let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(table).with_executor(args.executor()),
-        args.shard_count(),
-        Steering::Rss,
-    );
-    let mut runner = with_stack(
-        ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off()),
-        stack,
-    );
-    let mut mix = TrafficMix::new();
-    for flow in victims {
-        mix.push(Box::new(VictimSource::new(
-            flow.clone(),
-            schema,
-            runner.sample_interval,
-        )));
-    }
-    let packets = ((duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize;
-    mix.push(Box::new(
-        AttackGenerator::new(
-            "Attacker",
-            schema,
-            keys,
-            StdRng::seed_from_u64(99),
-            ATTACK_PPS,
-            ATTACK_START,
-        )
-        .with_limit(packets),
-    ));
-    let timeline = runner.run_mix(mix, duration);
-    let busy = runner.datapath.busy_seconds();
-    (timeline, busy)
-}
-
-fn victim_mean(tl: &Timeline, idx: usize, start: f64, stop: f64) -> f64 {
-    let vals: Vec<f64> = tl
-        .samples
-        .iter()
-        .filter(|s| s.time >= start && s.time < stop)
-        .map(|s| s.victim_gbps[idx])
-        .collect();
-    vals.iter().sum::<f64>() / vals.len().max(1) as f64
 }
 
 /// Count the stack's actions by kind over the whole timeline.
@@ -159,7 +89,6 @@ fn main() {
     let args = tse_bench::fig_args(70.0, 16);
     let (duration, n_shards) = (args.duration, args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
-    let ip_dst = schema.field_index("ip_dst").unwrap();
     // Victim B must live off the attacked shard 0 (shard 5 in the default 16-shard
     // setup; clamped away from 0 for shard counts that would alias it).
     assert!(
@@ -168,18 +97,8 @@ fn main() {
     );
     let b_shard = (5 % n_shards).max(1);
     let victims = [
-        VictimFlow::iperf_tcp("Victim A", 0x0a00_0005, 0x0a00_0063, 4.0).steered_to_shard(
-            &schema,
-            Steering::Rss,
-            n_shards,
-            0,
-        ),
-        VictimFlow::iperf_tcp("Victim B", 0x0a00_0006, 0x0a00_0063, 4.0).steered_to_shard(
-            &schema,
-            Steering::Rss,
-            n_shards,
-            b_shard,
-        ),
+        sipdp::victim_on_shard("Victim A", 0x0a00_0005, 4.0, &schema, n_shards, 0),
+        sipdp::victim_on_shard("Victim B", 0x0a00_0006, 4.0, &schema, n_shards, b_shard),
     ];
     let during_start = (ATTACK_START + 10.0).min(duration - 2.0);
     let during_end = duration - 1.0;
@@ -201,25 +120,15 @@ fn main() {
     for attack in ["pinned", "sprayed"] {
         let mut rows = Vec::new();
         for stack in STACKS {
-            let (tl, busy) = match attack {
-                "pinned" => run(
-                    &schema,
-                    &args,
-                    &victims,
-                    pin_to_shard(&schema, attack_keys(&schema).cycle(), ip_dst, n_shards, 0),
-                    stack,
-                ),
-                _ => run(
-                    &schema,
-                    &args,
-                    &victims,
-                    spray_shards(&schema, attack_keys(&schema).cycle(), ip_dst, n_shards),
-                    stack,
-                ),
+            let keys = match attack {
+                "pinned" => sipdp::pinned_keys(&schema, n_shards),
+                _ => sipdp::sprayed_keys(&schema, n_shards),
             };
-            let a_before = victim_mean(&tl, 0, 5.0, ATTACK_START - 1.0);
-            let a_during = victim_mean(&tl, 0, during_start, during_end);
-            let b_during = victim_mean(&tl, 1, during_start, during_end);
+            let runner = with_stack(sipdp::runner(&schema, &args), stack);
+            let (tl, busy) = sipdp::run(runner, &schema, &victims, keys, Ingress::Keys, duration);
+            let a_before = tl.mean_victim_between(0, 5.0, ATTACK_START - 1.0);
+            let a_during = tl.mean_victim_between(0, during_start, during_end);
+            let b_during = tl.mean_victim_between(1, during_start, during_end);
             let peak_masks = tl
                 .samples
                 .iter()

@@ -19,25 +19,16 @@
 //! `--parallel <threads>` and `--json <path>` (CI smoke-runs it short and gates the
 //! deterministic metrics through `BENCH_wire.json`).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tse_attack::scenarios::Scenario;
-use tse_attack::sharding::pin_to_shard;
 use tse_attack::source::TrafficMix;
-use tse_attack::wire::{WireGenerator, WireSource};
+use tse_attack::wire::WireSource;
 use tse_bench::render_table;
+use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::RssKeyRandomizer;
 use tse_packet::fields::FieldSchema;
 use tse_packet::wire::{Encap, WireTrace};
-use tse_simnet::offload::OffloadConfig;
-use tse_simnet::runner::{ExperimentRunner, Timeline};
-use tse_simnet::traffic::{VictimFlow, VictimSource};
-use tse_switch::datapath::Datapath;
-use tse_switch::pmd::{ShardedDatapath, Steering};
-
-const ATTACK_START: f64 = 20.0;
-const ATTACK_PPS: f64 = 100.0;
+use tse_simnet::runner::Timeline;
+use tse_simnet::traffic::VictimSource;
 
 /// The three wire envelopes under test.
 const ENCAPS: [(&str, Encap); 3] = [
@@ -53,71 +44,11 @@ const ENCAPS: [(&str, Encap); 3] = [
     ),
 ];
 
-fn attack_keys(schema: &FieldSchema) -> tse_attack::colocated::BitInversionKeys {
-    let mut base = schema.zero_value();
-    base.set(schema.field_index("ip_proto").unwrap(), 6);
-    base.set(schema.field_index("ip_dst").unwrap(), 0x0a00_00c8);
-    Scenario::SipDp.key_iter(schema, &base)
-}
-
-fn runner(schema: &FieldSchema, args: &tse_bench::FigArgs, guarded: bool) -> ExperimentRunner {
-    let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(Scenario::SipDp.flow_table(schema)).with_executor(args.executor()),
-        args.shard_count(),
-        Steering::Rss,
-    );
-    let runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
-    if guarded {
-        runner
-            .with_mitigation(GuardMitigation::new(GuardConfig::default()))
-            .with_mitigation(RssKeyRandomizer::new(10.0, 0xC0FFEE))
-    } else {
-        runner
-    }
-}
-
-fn run_encap(
-    schema: &FieldSchema,
-    args: &tse_bench::FigArgs,
-    victim: &VictimFlow,
-    encap: Encap,
-    guarded: bool,
-) -> Timeline {
-    let n_shards = args.shard_count();
-    let ip_dst = schema.field_index("ip_dst").unwrap();
-    let packets = ((args.duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize;
-    let mut r = runner(schema, args, guarded);
-    let mix = TrafficMix::new()
-        .with(VictimSource::new(victim.clone(), schema, 1.0))
-        .with(
-            WireGenerator::new(
-                "Attacker",
-                schema,
-                pin_to_shard(schema, attack_keys(schema).cycle(), ip_dst, n_shards, 0),
-                StdRng::seed_from_u64(99),
-                ATTACK_PPS,
-                ATTACK_START,
-            )
-            .with_encap(encap)
-            .with_limit(packets),
-        );
-    r.run_mix(mix, args.duration)
-}
-
-fn victim_mean(tl: &Timeline, start: f64, stop: f64) -> f64 {
-    tl.mean_total_between(start, stop)
-}
-
 fn main() {
     let args = tse_bench::fig_args(70.0, 4);
     let (duration, n_shards) = (args.duration, args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
-    let victim = VictimFlow::iperf_tcp("Victim", 0x0a00_0005, 0x0a00_0063, 10.0).steered_to_shard(
-        &schema,
-        Steering::Rss,
-        n_shards,
-        0,
-    );
+    let victim = sipdp::victim_on_shard("Victim", 0x0a00_0005, 10.0, &schema, n_shards, 0);
     let during_start = (ATTACK_START + 10.0).min(duration - 2.0);
     let during_end = duration - 1.0;
     println!(
@@ -134,10 +65,25 @@ fn main() {
     for guarded in [false, true] {
         let stack = if guarded { "guard+rekey" } else { "none" };
         for (name, encap) in ENCAPS {
-            let tl = run_encap(&schema, &args, &victim, encap, guarded);
-            let before = victim_mean(&tl, 5.0, ATTACK_START - 1.0);
-            let during = victim_mean(&tl, during_start, during_end);
-            let peak_masks = tl.samples.iter().map(|s| s.mask_count).max().unwrap_or(0);
+            let mut runner = sipdp::runner(&schema, &args);
+            if guarded {
+                runner = runner
+                    .with_mitigation(GuardMitigation::new(GuardConfig::default()))
+                    .with_mitigation(RssKeyRandomizer::new(10.0, 0xC0FFEE));
+            }
+            let keys = sipdp::pinned_keys(&schema, n_shards);
+            let victims = std::slice::from_ref(&victim);
+            let (tl, _) = sipdp::run(
+                runner,
+                &schema,
+                victims,
+                keys,
+                Ingress::Wire(encap),
+                duration,
+            );
+            let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
+            let during = tl.mean_total_between(during_start, during_end);
+            let peak_masks = tl.peak_masks();
             // The overlay changes the bytes on the wire, not the classified key: the
             // timeline must be bit-for-bit the plain-Ethernet one.
             let reference = if guarded { &plain_guarded } else { &plain_none };
@@ -180,20 +126,20 @@ fn main() {
 
     // The garbage run: same rate, but the frames are undecodable. Nothing explodes;
     // every frame is counted by kind on shard 0 and in the malformed series.
-    let garbled_packets = ((duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize;
+    let garbled_packets = sipdp::attack_packets(duration);
     let mut garbage = WireTrace::new();
     let junk = [0xDEu8; 9]; // shorter than any Ethernet header: DecodeError::Truncated
     for i in 0..garbled_packets {
         garbage.push(ATTACK_START + i as f64 / ATTACK_PPS, &junk);
     }
-    let mut r = runner(&schema, &args, false);
+    let mut r = sipdp::runner(&schema, &args);
     let mix = TrafficMix::new()
         .with(VictimSource::new(victim.clone(), &schema, 1.0))
         .with(WireSource::replay("Garbage", garbage, &schema));
     let tl = r.run_mix(mix, duration);
-    let before = victim_mean(&tl, 5.0, ATTACK_START - 1.0);
-    let during = victim_mean(&tl, during_start, during_end);
-    let peak_masks = tl.samples.iter().map(|s| s.mask_count).max().unwrap_or(0);
+    let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
+    let during = tl.mean_total_between(during_start, during_end);
+    let peak_masks = tl.peak_masks();
     let malformed: f64 = tl.samples.iter().map(|s| s.malformed_pps).sum();
     assert_eq!(
         malformed.round() as usize,
@@ -244,10 +190,10 @@ fn main() {
 
     let none = plain_none.as_ref().expect("unguarded run recorded");
     let guarded_tl = plain_guarded.as_ref().expect("guarded run recorded");
-    let baseline = victim_mean(none, 5.0, ATTACK_START - 1.0);
-    let collapsed = victim_mean(none, during_start, during_end);
-    let restored = victim_mean(guarded_tl, during_start, during_end);
-    let explosion_masks = none.samples.iter().map(|s| s.mask_count).max().unwrap_or(0);
+    let baseline = none.mean_total_between(5.0, ATTACK_START - 1.0);
+    let collapsed = none.mean_total_between(during_start, during_end);
+    let restored = guarded_tl.mean_total_between(during_start, during_end);
+    let explosion_masks = none.peak_masks();
     assert!(
         peak_masks * 8 < explosion_masks.max(8),
         "garbage must not explode the tuple space: {peak_masks} vs {explosion_masks}"

@@ -25,93 +25,11 @@
 //! <threads>` drives the per-shard fan-out from a thread pool (CI exercises
 //! `--parallel 4`; the timelines are bit-for-bit identical to the sequential run's).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tse_attack::scenarios::Scenario;
-use tse_attack::sharding::{pin_to_shard, spray_shards, ShardSteeredKeys};
-use tse_attack::source::{AttackGenerator, TrafficMix};
-use tse_attack::BitInversionKeys;
+use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_packet::fields::FieldSchema;
-use tse_simnet::offload::OffloadConfig;
-use tse_simnet::runner::{ExperimentRunner, Timeline};
-use tse_simnet::traffic::{VictimFlow, VictimSource};
-use tse_switch::datapath::Datapath;
-use tse_switch::pmd::{ShardedDatapath, Steering};
-
-const ATTACK_START: f64 = 20.0;
-const ATTACK_PPS: f64 = 100.0;
-
-/// A victim whose source port steers its 5-tuple to `shard`. The victims offer 4 Gbps
-/// each so the 10 Gbps NIC is never the bottleneck — what moves a victim's throughput
-/// is purely its own shard's CPU.
-fn victim_on_shard(
-    name: &str,
-    src_ip: u32,
-    schema: &FieldSchema,
-    n_shards: usize,
-    shard: usize,
-) -> VictimFlow {
-    VictimFlow::iperf_tcp(name, src_ip, 0x0a00_0063, 4.0).steered_to_shard(
-        schema,
-        Steering::Rss,
-        n_shards,
-        shard,
-    )
-}
-
-/// The SipDp co-located key stream with the base fields the crafted packets will carry
-/// (TCP protocol, the attacker's own service as destination — the RSS-free field).
-fn attack_keys(schema: &FieldSchema) -> BitInversionKeys {
-    let mut base = schema.zero_value();
-    base.set(schema.field_index("ip_proto").unwrap(), 6);
-    base.set(schema.field_index("ip_dst").unwrap(), 0x0a00_00c8);
-    Scenario::SipDp.key_iter(schema, &base)
-}
-
-fn run(
-    schema: &FieldSchema,
-    args: &tse_bench::FigArgs,
-    victims: &[VictimFlow],
-    keys: ShardSteeredKeys<std::iter::Cycle<BitInversionKeys>>,
-    guard: Option<GuardMitigation>,
-) -> (Timeline, f64) {
-    let duration = args.duration;
-    let table = Scenario::SipDp.flow_table(schema);
-    let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(table).with_executor(args.executor()),
-        args.shard_count(),
-        Steering::Rss,
-    );
-    let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
-    if let Some(guard) = guard {
-        runner = runner.with_mitigation(guard);
-    }
-    let mut mix = TrafficMix::new();
-    for flow in victims {
-        mix.push(Box::new(VictimSource::new(
-            flow.clone(),
-            schema,
-            runner.sample_interval,
-        )));
-    }
-    let packets = ((duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize;
-    mix.push(Box::new(
-        AttackGenerator::new(
-            "Attacker",
-            schema,
-            keys,
-            StdRng::seed_from_u64(99),
-            ATTACK_PPS,
-            ATTACK_START,
-        )
-        .with_limit(packets),
-    ));
-    let timeline = runner.run_mix(mix, duration);
-    let busy = runner.datapath.busy_seconds();
-    (timeline, busy)
-}
+use tse_simnet::runner::Timeline;
 
 /// Per-victim (before, during) Gbps means plus the peak per-shard mask count.
 fn summarize(label: &str, tl: &Timeline, duration: f64) -> (Vec<(f64, f64)>, usize) {
@@ -122,16 +40,8 @@ fn summarize(label: &str, tl: &Timeline, duration: f64) -> (Vec<(f64, f64)>, usi
     println!("{}", tl.render_table());
     let mut victim_means = Vec::new();
     for (i, name) in tl.victim_names.iter().enumerate() {
-        let mean = |start: f64, stop: f64| {
-            let vals: Vec<f64> = tl
-                .samples
-                .iter()
-                .filter(|s| s.time >= start && s.time < stop)
-                .map(|s| s.victim_gbps[i])
-                .collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        };
-        let (before, during) = (mean(5.0, before_end), mean(during_start, during_end));
+        let before = tl.mean_victim_between(i, 5.0, before_end);
+        let during = tl.mean_victim_between(i, during_start, during_end);
         println!("{label}: {name} mean Gbps before {before:.2}, during attack {during:.2}",);
         victim_means.push((before, during));
     }
@@ -160,7 +70,7 @@ fn summarize(label: &str, tl: &Timeline, duration: f64) -> (Vec<(f64, f64)>, usi
 }
 
 /// Wall-clock microbenchmark of the batched datapath entry point: one pre-generated
-/// attack+victim event batch through [`ShardedDatapath::process_timed_batch`],
+/// attack+victim event batch through `ShardedDatapath::process_timed_batch`,
 /// reported as packets/s and megaflow installs (upcalls)/s of real time. The batch
 /// outcome itself (upcalls, simulated cost) is deterministic; only the rates are
 /// machine-dependent.
@@ -170,17 +80,11 @@ fn batch_microbench(
 ) -> Vec<tse_bench::report::Metric> {
     use tse_bench::report::Metric;
     let n_shards = args.shard_count();
-    let table = Scenario::SipDp.flow_table(schema);
-    let mut sharded = ShardedDatapath::from_builder(
-        Datapath::builder(table).with_executor(args.executor()),
-        n_shards,
-        Steering::Rss,
-    );
-    let ip_dst = schema.field_index("ip_dst").unwrap();
-    let victim = victim_on_shard("bench victim", 0x0a00_0005, schema, n_shards, 0);
+    let mut sharded = sipdp::datapath(schema, args);
+    let victim = sipdp::victim_on_shard("bench victim", 0x0a00_0005, 4.0, schema, n_shards, 0);
     let victim_key = victim.key(schema);
     let mut batch: Vec<(tse_packet::fields::Key, usize, f64)> = Vec::new();
-    let mut attack = spray_shards(schema, attack_keys(schema).cycle(), ip_dst, n_shards);
+    let mut attack = sipdp::sprayed_keys(schema, n_shards);
     for i in 0..50_000usize {
         let t = i as f64 * 1e-5;
         if i % 10 == 0 {
@@ -223,7 +127,6 @@ fn main() {
     let args = tse_bench::fig_args(70.0, 4);
     let (duration, n_shards) = (args.duration, args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
-    let ip_dst = schema.field_index("ip_dst").unwrap();
 
     // Victim B sits "half a ring" away from the attacked shard 0 (shard 2 in the
     // default 4-shard setup), so its shard is never the pinned target — which needs at
@@ -233,9 +136,18 @@ fn main() {
         "the blast-radius comparison needs --shards >= 2 (victim B must live off the attacked shard)"
     );
     let b_shard = (n_shards / 2).max(1);
-    let victim_a = victim_on_shard("Victim A", 0x0a00_0005, &schema, n_shards, 0);
-    let victim_b = victim_on_shard("Victim B", 0x0a00_0006, &schema, n_shards, b_shard);
-    let victims = [victim_a, victim_b];
+    // 4 Gbps each, so the 10 Gbps NIC is never the bottleneck.
+    let victims = [
+        sipdp::victim_on_shard("Victim A", 0x0a00_0005, 4.0, &schema, n_shards, 0),
+        sipdp::victim_on_shard("Victim B", 0x0a00_0006, 4.0, &schema, n_shards, b_shard),
+    ];
+    let run = |keys, guard: Option<GuardMitigation>| {
+        let mut runner = sipdp::runner(&schema, &args);
+        if let Some(guard) = guard {
+            runner = runner.with_mitigation(guard);
+        }
+        sipdp::run(runner, &schema, &victims, keys, Ingress::Keys, duration)
+    };
     println!(
         "== Shard blast radius: {n_shards} PMD shards (RSS, {} executor), SipDp @ {ATTACK_PPS} pps from t={ATTACK_START} s ==",
         args.executor_label()
@@ -270,21 +182,18 @@ fn main() {
     };
 
     // Shard-pinned explosion: every attack packet retagged onto Victim A's shard.
-    let pinned = pin_to_shard(&schema, attack_keys(&schema).cycle(), ip_dst, n_shards, 0);
-    let (tl, busy) = run(&schema, &args, &victims, pinned, None);
+    let (tl, busy) = run(sipdp::pinned_keys(&schema, n_shards), None);
     let (means, peak) = summarize("shard-pinned attack (shard 0)", &tl, duration);
     record("pinned", &means, peak, busy);
 
     // Spray: the same stream spread round-robin over every shard.
-    let sprayed = spray_shards(&schema, attack_keys(&schema).cycle(), ip_dst, n_shards);
-    let (tl, busy) = run(&schema, &args, &victims, sprayed, None);
+    let (tl, busy) = run(sipdp::sprayed_keys(&schema, n_shards), None);
     let (means, peak) = summarize("sprayed attack (all shards)", &tl, duration);
     record("sprayed", &means, peak, busy);
 
     // Pinned again, defended: a per-shard-configured guard on the mitigation stack —
     // the attacked shard sweeps under a tightened threshold, every other shard's guard
     // is left at the default (and never fires: their caches stay tiny).
-    let pinned = pin_to_shard(&schema, attack_keys(&schema).cycle(), ip_dst, n_shards, 0);
     let guard = GuardMitigation::new(GuardConfig::default()).with_shard_config(
         0,
         GuardConfig {
@@ -292,7 +201,7 @@ fn main() {
             ..GuardConfig::default()
         },
     );
-    let (tl, busy) = run(&schema, &args, &victims, pinned, Some(guard));
+    let (tl, busy) = run(sipdp::pinned_keys(&schema, n_shards), Some(guard));
     let (means, peak) = summarize("shard-pinned attack + per-shard guard", &tl, duration);
     record("pinned+guard", &means, peak, busy);
 

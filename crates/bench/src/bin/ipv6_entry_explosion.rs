@@ -102,8 +102,8 @@ fn main() {
                 ATTACK_START,
             ));
         let tl = runner.run_mix(mix, duration);
-        let peak_masks = tl.samples.iter().map(|s| s.mask_count).max().unwrap_or(0);
-        let peak_entries = tl.samples.iter().map(|s| s.entry_count).max().unwrap_or(0);
+        let peak_masks = tl.peak_masks();
+        let peak_entries = tl.peak_entries();
         let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
         let during = tl.mean_total_between(during_start, during_end);
         let malformed: f64 = tl.samples.iter().map(|s| s.malformed_pps).sum();

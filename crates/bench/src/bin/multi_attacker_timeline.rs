@@ -88,18 +88,8 @@ fn main() {
     );
 
     use tse_bench::report::Metric;
-    let peak_masks = timeline
-        .samples
-        .iter()
-        .map(|s| s.mask_count)
-        .max()
-        .unwrap_or(0);
-    let peak_entries = timeline
-        .samples
-        .iter()
-        .map(|s| s.entry_count)
-        .max()
-        .unwrap_or(0);
+    let peak_masks = timeline.peak_masks();
+    let peak_entries = timeline.peak_entries();
     args.emit(
         env!("CARGO_BIN_NAME"),
         vec![

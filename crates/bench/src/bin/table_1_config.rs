@@ -1,6 +1,7 @@
 //! E-T1: Table 1 of the paper lists the physical testbeds (Xeon servers, Mellanox CX-4,
 //! OpenStack Queens, Kubernetes 1.7). The reproduction runs no hardware; this binary
-//! prints the simulator calibration that substitutes for it (DESIGN.md §4).
+//! prints the simulator calibration that substitutes for it (the `tse_switch::cost`
+//! module docs state the model).
 
 use tse_bench::render_table;
 use tse_simnet::cloud::CloudPlatform;

@@ -3,8 +3,9 @@
 //! The figure harness of the reproduction. It has two halves:
 //!
 //! * **figure binaries** (`src/bin/`): one binary per table/figure of the paper's
-//!   evaluation, each printing the same rows/series the paper reports (see DESIGN.md §5
-//!   for the experiment index and EXPERIMENTS.md for recorded outputs);
+//!   evaluation, each printing the same rows/series the paper reports (the README's
+//!   "Running the figure binaries" section is the experiment index; the committed
+//!   `BENCH_*.json` files hold the recorded headline numbers);
 //! * **the [`report`] subsystem**: the machine-readable `BENCH_<area>.json` files at
 //!   the repo root that the figure binaries emit their headline numbers into through
 //!   the shared `--json <path>` flag ([`FigArgs::emit`]), and the `bench_diff`
@@ -22,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod report;
+pub mod sipdp;
 
 use std::path::PathBuf;
 

@@ -94,20 +94,22 @@ struct Tuple {
 }
 
 impl Tuple {
-    /// Recompute the summaries from scratch (after removals). No-op on an empty tuple
-    /// (it is about to be dropped).
+    /// Recompute the summaries from scratch (after removals), folding into the existing
+    /// vectors from the AND / OR identities: no allocation per stored key, however many
+    /// entries the sweep left behind. An empty tuple (about to be dropped) keeps the
+    /// identities, which rule out every conflict — as they should.
     fn rebuild_summary(&mut self) {
-        // lint: allow(nondet-iteration) — commutative AND/OR folds, order-free summary
-        let mut it = self.entries.keys();
-        let Some(first) = it.next() else { return };
-        let mut key_and = first.clone();
-        let mut key_or = first.clone();
-        for k in it {
-            key_and = key_and.and(k);
-            key_or = key_or.or(k);
+        for f in 0..self.mask.len() {
+            self.key_and.set(f, u128::MAX);
+            self.key_or.set(f, 0);
         }
-        self.key_and = key_and;
-        self.key_or = key_or;
+        // lint: allow(nondet-iteration) — commutative AND/OR folds, order-free summary
+        for k in self.entries.keys() {
+            for f in 0..k.len() {
+                self.key_and.set(f, self.key_and.get(f) & k.get(f));
+                self.key_or.set(f, self.key_or.get(f) | k.get(f));
+            }
+        }
     }
 }
 

@@ -5,7 +5,10 @@
 //! headers instead of trusting the bit tricks under test. After every operation the
 //! cache must report the model's probe order and hit counts, the model's action *and*
 //! `masks_scanned`, and a first hit (`peek`) equal to the model's any-hit — Alg. 1's
-//! early exit checked against Inv(2). The test pins behaviour, not layout.
+//! early exit checked against Inv(2) — and `find_conflict` must answer every
+//! prospective `(key, mask)` as a full scan of the model's entries does, so the
+//! per-tuple summaries a partial `remove_where` / `expire_idle` rebuilds are pinned too.
+//! The test pins behaviour, not layout.
 
 use proptest::prelude::*;
 use tse_classifier::rule::Action;
@@ -29,6 +32,13 @@ fn bits_of(v: &Key) -> u128 {
 
 fn covers(e: &MegaflowEntry, header: u128) -> bool {
     header & bits_of(&e.mask) == bits_of(&e.key)
+}
+
+/// The headers `key`/`mask` covers, as a bitmap over all 32 of them.
+fn footprint(key: u128, mask: u128) -> u32 {
+    (0..HEADERS)
+        .filter(|h| h & mask == key & mask)
+        .fold(0, |set, h| set | 1 << h)
 }
 
 struct Model {
@@ -118,6 +128,26 @@ fn check(cache: &TupleSpace, model: &Model, step: usize) -> Result<(), TestCaseE
         "{at}: entries()"
     );
     prop_assert!(cache.check_independence(), "{at}: Inv(2)");
+    // The conflict index against the model's full entry scan, for every prospective
+    // entry: a conflict exists iff some header would match both.
+    let taken: Vec<u32> = model
+        .entries
+        .iter()
+        .map(|e| footprint(bits_of(&e.key), bits_of(&e.mask)))
+        .collect();
+    for mask in 0..HEADERS {
+        for key in (0..HEADERS).filter(|key| key & !mask == 0) {
+            let new = footprint(key, mask);
+            prop_assert_eq!(
+                cache.find_conflict(&fv(key), &fv(mask)).is_some(),
+                taken.iter().any(|t| t & new != 0),
+                "{}: find_conflict({:05b}/{:05b})",
+                at,
+                key,
+                mask
+            );
+        }
+    }
     for h in 0..HEADERS {
         let any = model.any_hit(h);
         prop_assert!(any.len() <= 1, "{at}: model entries overlap on {h:05b}");

@@ -45,6 +45,42 @@ fn workspace_scans_clean() {
     );
 }
 
+/// Public items (`pub fn` / `struct` / `enum` / `trait` outside test code) each crate
+/// may carry: the counts at the last PR that touched the surface. The surface only
+/// shrinks without an explicit edit here — lower a ceiling when a PR deletes items,
+/// raise one only together with the reason the new item replaces more than it adds.
+const PUB_ITEM_CEILINGS: &[(&str, usize)] = &[
+    ("proptest", 14),
+    ("rand", 5),
+    ("tse", 0),
+    ("tse-attack", 80),
+    ("tse-bench", 61),
+    ("tse-classifier", 89),
+    ("tse-lint", 26),
+    ("tse-mitigation", 58),
+    ("tse-packet", 129),
+    ("tse-simnet", 137),
+    ("tse-switch", 129),
+];
+
+#[test]
+fn public_surface_stays_under_its_ceilings() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = tse_lint::scan_workspace(&root).expect("workspace scan");
+    let table = report.render_human();
+    for (name, surface) in &report.surface {
+        let ceiling = PUB_ITEM_CEILINGS.iter().find(|(n, _)| n == name);
+        let Some((_, ceiling)) = ceiling else {
+            panic!("crate {name} has no committed public-item ceiling\n{table}");
+        };
+        assert!(
+            surface.pub_items <= *ceiling,
+            "{name}: {} public items exceed the committed ceiling of {ceiling}\n{table}",
+            surface.pub_items
+        );
+    }
+}
+
 /// `benchmark/` is the only thing that times code. The in-workspace wall-clock tier —
 /// bench targets, the vendored harness stub they linked, its surface-table row — stays
 /// deleted.

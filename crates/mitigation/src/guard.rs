@@ -71,7 +71,6 @@ pub struct MfcGuard {
     config: GuardConfig,
     cpu_model: SlowPathCpuModel,
     last_run: Option<f64>,
-    reports: Vec<GuardReport>,
 }
 
 impl MfcGuard {
@@ -81,29 +80,13 @@ impl MfcGuard {
             config,
             cpu_model: SlowPathCpuModel::ovs_vswitchd_default(),
             last_run: None,
-            reports: Vec::new(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
-    }
-
-    /// All reports generated so far.
-    pub fn reports(&self) -> &[GuardReport] {
-        &self.reports
-    }
-
-    /// The CPU model used for the balancing decision.
-    pub fn cpu_model(&self) -> &SlowPathCpuModel {
-        &self.cpu_model
     }
 
     /// Reset the interval gate, as if the guard had never run: the next
     /// `maybe_run*` call fires regardless of how recently the previous run's last
-    /// pass was. Stored reports are kept. Used when a guard is re-armed for a new
-    /// experiment whose clock restarts at zero.
+    /// pass was. Used when a guard is re-armed for a new experiment whose clock restarts
+    /// at zero.
     pub fn reset_interval_gate(&mut self) {
         self.last_run = None;
     }
@@ -184,7 +167,7 @@ impl MfcGuard {
 
     /// One guard pass over one (shard's) datapath, recorded under `shard`.
     fn run_pass<B: FastPathBackend>(
-        &mut self,
+        &self,
         datapath: &mut Datapath<B>,
         now: f64,
         observed_attack_pps: f64,
@@ -220,7 +203,7 @@ impl MfcGuard {
             }
         }
 
-        let report = GuardReport {
+        GuardReport {
             time: now,
             shard,
             masks_before,
@@ -228,9 +211,7 @@ impl MfcGuard {
             entries_removed,
             projected_cpu_percent: projected_cpu,
             stopped_by_cpu,
-        };
-        self.reports.push(report);
-        report
+        }
     }
 }
 
@@ -289,15 +270,6 @@ impl GuardMitigation {
             .unwrap_or(self.default_config)
     }
 
-    /// Every per-shard report generated so far, flattened in (shard, pass) order.
-    /// Empty until the first sample (guards are created lazily).
-    pub fn reports(&self) -> Vec<GuardReport> {
-        self.guards
-            .iter()
-            .flat_map(|g| g.reports().iter().copied())
-            .collect()
-    }
-
     fn ensure_guards(&mut self, n_shards: usize) {
         if self.guards.len() != n_shards {
             self.guards = (0..n_shards)
@@ -315,7 +287,7 @@ impl<B: FastPathBackend> Mitigation<B> for GuardMitigation {
     fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
         // A new run's clock restarts at zero: reset every per-shard guard's interval
         // gate so a reused runner is defended from the first interval, not gated off
-        // by the previous run's final pass time. Reports accumulate across runs.
+        // by the previous run's final pass time.
         self.ensure_guards(ctx.shard_count());
         for guard in &mut self.guards {
             guard.reset_interval_gate();
@@ -416,10 +388,11 @@ mod tests {
             interval: 10.0,
             ..GuardConfig::default()
         });
-        assert!(guard.maybe_run_on_shard(&mut dp, 0.0, 100.0, 0).is_some());
-        assert!(guard.maybe_run_on_shard(&mut dp, 5.0, 100.0, 0).is_none());
-        assert!(guard.maybe_run_on_shard(&mut dp, 10.5, 100.0, 0).is_some());
-        assert_eq!(guard.reports().len(), 2);
+        let passes = [0.0, 5.0, 10.5].map(|t| guard.maybe_run_on_shard(&mut dp, t, 100.0, 0));
+        assert!(passes[0].is_some());
+        assert!(passes[1].is_none());
+        assert!(passes[2].is_some());
+        assert_eq!(passes.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -476,9 +449,6 @@ mod tests {
         assert_eq!(reports[2].entries_removed, 0);
         assert!(reports[1].entries_removed > 50);
         assert!(sharded.shard(1).mask_count() < reports[1].masks_before / 5);
-        // Stored reports carry the shard ids too.
-        assert_eq!(guard.reports().len(), 3);
-        assert_eq!(guard.reports()[1].shard, 1);
         // Interval gating applies to the whole sharded pass.
         assert!(guard
             .maybe_run_sharded(&mut sharded, 5.0, &[0.0, 100.0, 0.0])
@@ -546,7 +516,7 @@ mod tests {
         assert_eq!(reports[1].shard, 1);
         assert_eq!(reports[1].entries_removed, 0, "override idles shard 1");
         assert!(sharded.shard(0).mask_count() < sharded.shard(1).mask_count());
-        assert_eq!(mitigation.reports().len(), 2);
+        assert_eq!(reports.len(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use rand::Rng;
 
-use crate::ethernet::{EtherType, EthernetHeader, MacAddr};
+use crate::ethernet::{EtherType, EthernetHeader};
 use crate::ipv4::Ipv4Header;
 use crate::ipv6::Ipv6Header;
 use crate::l4::{IpProto, L4Header};
@@ -130,18 +130,6 @@ impl PacketBuilder {
             l4,
             payload_len: DEFAULT_ATTACK_PAYLOAD,
         }
-    }
-
-    /// Set the source MAC.
-    pub fn src_mac(mut self, mac: MacAddr) -> Self {
-        self.eth.src = mac;
-        self
-    }
-
-    /// Set the destination MAC.
-    pub fn dst_mac(mut self, mac: MacAddr) -> Self {
-        self.eth.dst = mac;
-        self
     }
 
     /// Set the TTL / hop limit.

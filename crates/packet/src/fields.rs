@@ -193,43 +193,32 @@ impl FieldVec {
         &self.values
     }
 
-    /// Bitwise AND with a mask, per field: `h AND M` in Alg. 1.
-    pub fn apply_mask(&self, mask: &Mask) -> FieldVec {
-        debug_assert_eq!(self.len(), mask.len());
+    /// Combine with `other` field by field.
+    fn zip_with(&self, other: &FieldVec, op: impl Fn(u128, u128) -> u128) -> FieldVec {
+        debug_assert_eq!(self.len(), other.len());
         FieldVec {
             values: self
                 .values
                 .iter()
-                .zip(mask.values.iter())
-                .map(|(v, m)| v & m)
+                .zip(&other.values)
+                .map(|(&a, &b)| op(a, b))
                 .collect(),
         }
+    }
+
+    /// Bitwise AND with a mask, per field: `h AND M` in Alg. 1.
+    pub fn apply_mask(&self, mask: &Mask) -> FieldVec {
+        self.zip_with(mask, |v, m| v & m)
     }
 
     /// Bitwise OR, per field (used to combine masks).
     pub fn or(&self, other: &FieldVec) -> FieldVec {
-        debug_assert_eq!(self.len(), other.len());
-        FieldVec {
-            values: self
-                .values
-                .iter()
-                .zip(other.values.iter())
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
+        self.zip_with(other, |a, b| a | b)
     }
 
     /// Bitwise AND, per field.
     pub fn and(&self, other: &FieldVec) -> FieldVec {
-        debug_assert_eq!(self.len(), other.len());
-        FieldVec {
-            values: self
-                .values
-                .iter()
-                .zip(other.values.iter())
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
+        self.zip_with(other, |a, b| a & b)
     }
 
     /// Total number of set bits across all fields. For a mask this is the number of
@@ -243,16 +232,9 @@ impl FieldVec {
         schema.total_width() - self.popcount()
     }
 
-    /// True if every set bit of `other` is also set in `self` (mask containment).
-    pub fn contains_mask(&self, other: &FieldVec) -> bool {
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .all(|(a, b)| a & b == *b)
-    }
-
-    /// Flip bit `bit` of field `idx` (used by the co-located bit-inversion trace
-    /// generator, §5.1).
+    /// Flip bit `bit` of field `idx` — one step of §5.1's bit inversion. (The co-located
+    /// trace generator enumerates whole inverted values instead, see
+    /// `tse_attack::colocated::bit_inversion_list`.)
     pub fn flip_bit(&mut self, idx: usize, bit: u32) {
         self.values[idx] ^= 1u128 << bit;
     }

@@ -202,11 +202,6 @@ impl ChurnSource {
     pub fn flows_spawned(&self) -> u64 {
         self.spawned
     }
-
-    /// Flows currently live (with a pending packet).
-    pub fn flows_live(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 impl TrafficSource for ChurnSource {

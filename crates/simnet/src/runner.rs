@@ -115,13 +115,28 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// The samples whose interval start lies in `[start, stop)`, in time order — the one
+    /// window every reducer below folds over.
+    fn window(&self, start: f64, stop: f64) -> impl Iterator<Item = &TimelineSample> {
+        self.samples
+            .iter()
+            .filter(move |s| s.time >= start && s.time < stop)
+    }
+
+    /// Mean of `value` over the window: in-order sum over the sample count, 0.0 for an
+    /// empty or out-of-range window.
+    fn mean_between(&self, start: f64, stop: f64, value: impl Fn(&TimelineSample) -> f64) -> f64 {
+        let (sum, n) = self
+            .window(start, stop)
+            .fold((0.0, 0usize), |(sum, n), s| (sum + value(s), n + 1));
+        sum / n.max(1) as f64
+    }
+
     /// Minimum aggregate victim throughput over a time window (0.0 for an empty or
     /// out-of-range window — not `+∞`, which would poison downstream JSON/metrics).
     pub fn min_total_between(&self, start: f64, stop: f64) -> f64 {
         let min = self
-            .samples
-            .iter()
-            .filter(|s| s.time >= start && s.time < stop)
+            .window(start, stop)
             .map(TimelineSample::total_victim_gbps)
             .fold(f64::INFINITY, f64::min);
         if min.is_finite() {
@@ -133,17 +148,17 @@ impl Timeline {
 
     /// Mean aggregate victim throughput over a time window.
     pub fn mean_total_between(&self, start: f64, stop: f64) -> f64 {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.time >= start && s.time < stop)
-            .map(TimelineSample::total_victim_gbps)
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+        self.mean_between(start, stop, TimelineSample::total_victim_gbps)
+    }
+
+    /// Mean achieved throughput of victim `idx` (its position in
+    /// [`Timeline::victim_names`]) over a time window, Gbps.
+    pub fn mean_victim_between(&self, idx: usize, start: f64, stop: f64) -> f64 {
+        // Defensive, like the attacker series below: a hand-built (or spill-reloaded)
+        // sample may carry fewer per-source entries than the timeline has names.
+        self.mean_between(start, stop, |s| {
+            s.victim_gbps.get(idx).copied().unwrap_or(0.0)
+        })
     }
 
     /// Mean delivered rate of one attacker source (by label) over a time window, pps.
@@ -151,19 +166,25 @@ impl Timeline {
         let Some(idx) = self.attacker_names.iter().position(|n| n == label) else {
             return 0.0;
         };
-        let vals: Vec<f64> = self
-            .samples
+        self.mean_between(start, stop, |s| {
+            s.attacker_pps_by_source.get(idx).copied().unwrap_or(0.0)
+        })
+    }
+
+    /// Largest whole-switch megaflow mask count any sample recorded (0 for an empty
+    /// timeline).
+    pub fn peak_masks(&self) -> usize {
+        self.samples.iter().map(|s| s.mask_count).max().unwrap_or(0)
+    }
+
+    /// Largest whole-switch megaflow entry count any sample recorded (0 for an empty
+    /// timeline).
+    pub fn peak_entries(&self) -> usize {
+        self.samples
             .iter()
-            .filter(|s| s.time >= start && s.time < stop)
-            // Defensive: a hand-built (or spill-reloaded) sample may carry fewer
-            // per-source entries than the timeline has attacker names.
-            .map(|s| s.attacker_pps_by_source.get(idx).copied().unwrap_or(0.0))
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+            .map(|s| s.entry_count)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Render the timeline as an aligned text table (one row per second), the textual
@@ -1093,6 +1114,9 @@ mod tests {
         assert_eq!(empty.min_total_between(0.0, 100.0), 0.0);
         assert_eq!(empty.mean_total_between(0.0, 100.0), 0.0);
         assert_eq!(empty.mean_attacker_pps_between("atk", 0.0, 100.0), 0.0);
+        assert_eq!(empty.mean_victim_between(0, 0.0, 100.0), 0.0);
+        assert!(empty.mean_victim_between(0, 0.0, 100.0).is_sign_positive());
+        assert_eq!((empty.peak_masks(), empty.peak_entries()), (0, 0));
 
         let tl = Timeline {
             victim_names: vec!["v".into()],
@@ -1107,11 +1131,11 @@ mod tests {
                 attacker_pps_by_source: Vec::new(),
                 background_pps: 0.0,
                 malformed_pps: 0.0,
-                mask_count: 0,
-                entry_count: 0,
+                mask_count: 3,
+                entry_count: 7,
                 victim_masks_scanned: 0,
-                shard_masks: vec![0],
-                shard_entries: vec![0],
+                shard_masks: vec![3],
+                shard_entries: vec![7],
                 shard_attacker_pps: vec![50.0],
                 mitigation_actions: Vec::new(),
             }],
@@ -1120,12 +1144,16 @@ mod tests {
         assert_eq!(tl.min_total_between(10.0, 20.0), 0.0);
         assert_eq!(tl.min_total_between(5.0, 1.0), 0.0);
         assert_eq!(tl.mean_total_between(10.0, 20.0), 0.0);
+        assert_eq!(tl.mean_victim_between(0, 10.0, 20.0), 0.0);
         // Unknown labels and missing per-source entries degrade to 0.0, not a panic.
         assert_eq!(tl.mean_attacker_pps_between("nope", 0.0, 1.0), 0.0);
         assert_eq!(tl.mean_attacker_pps_between("atk", 0.0, 1.0), 0.0);
+        assert_eq!(tl.mean_victim_between(1, 0.0, 1.0), 0.0);
         // A well-formed window still answers exactly.
         assert_eq!(tl.min_total_between(0.0, 1.0), 1.0);
         assert_eq!(tl.mean_total_between(0.0, 1.0), 1.0);
+        assert_eq!(tl.mean_victim_between(0, 0.0, 1.0), 1.0);
+        assert_eq!((tl.peak_masks(), tl.peak_entries()), (3, 7));
     }
 
     #[test]

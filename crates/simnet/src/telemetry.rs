@@ -99,11 +99,6 @@ impl LogHistogram {
         }
     }
 
-    /// Number of bucket slots (fixed; exposed for footprint accounting).
-    pub const fn bucket_count() -> usize {
-        BUCKETS
-    }
-
     fn bucket_index(v: f64) -> usize {
         // NaN fails this comparison too, so it lands in the underflow bucket along
         // with negatives, zero and subnormals below the tracked range.
@@ -634,11 +629,6 @@ impl TelemetryStore {
         }
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
     /// Victim source names, in series order.
     pub fn victim_names(&self) -> &[String] {
         &self.victim_names
@@ -724,11 +714,6 @@ impl TelemetryStore {
     /// in victim series order.
     pub fn slo_trackers(&self) -> &[SloTracker] {
         &self.slo
-    }
-
-    /// The SLO tracker for the named victim.
-    pub fn slo_for(&self, name: &str) -> Option<&SloTracker> {
-        self.slo.iter().find(|t| t.name() == name)
     }
 
     /// Deterministic memory footprint, in retained scalar slots: hot samples at their

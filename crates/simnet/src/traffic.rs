@@ -6,8 +6,8 @@ use tse_packet::builder::PacketBuilder;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::l4::IpProto;
-use tse_packet::{rss, Packet};
-use tse_switch::pmd::Steering;
+use tse_packet::Packet;
+use tse_switch::pmd::{Steering, SteeringView};
 
 /// An iperf-like victim flow: a single long-lived TCP or UDP stream offered at a fixed
 /// rate between two tenant endpoints.
@@ -128,17 +128,14 @@ impl VictimFlow {
         shard: usize,
     ) -> Self {
         assert!(shard < n_shards, "target shard out of range");
-        let fields = steering.steer_fields(schema);
-        let shard_of = |flow: &VictimFlow| match steering {
-            Steering::Pinned(i) => i,
-            _ => rss::shard_of(&flow.key(schema), &fields, n_shards),
-        };
+        let view = SteeringView::new(steering, schema, n_shards);
+        let shard_of = |flow: &VictimFlow| view.shard_of_key(&flow.key(schema));
         if shard_of(&self) == shard {
             return self;
         }
         let port_moves_hash = schema
             .field_index("tp_src")
-            .is_some_and(|tp_src| fields.contains(&tp_src));
+            .is_some_and(|tp_src| steering.steer_fields(schema).contains(&tp_src));
         assert!(
             port_moves_hash,
             "{steering:?} ignores the source port: {} cannot be moved to shard {shard}",
@@ -353,10 +350,8 @@ mod tests {
             let flow = VictimFlow::iperf_tcp("v", 0x0a000005, 0x0a000063, 4.0)
                 .with_src_port(40_000)
                 .steered_to_shard(&schema, Steering::Rss, 4, shard);
-            assert_eq!(
-                Steering::Rss.shard_of(&schema, &flow.key(&schema), 4),
-                shard
-            );
+            let view = SteeringView::new(Steering::Rss, &schema, 4);
+            assert_eq!(view.shard_of_key(&flow.key(&schema)), shard);
             assert!(flow.src_port >= 40_000);
         }
         // Pinned steering: reachable iff the pin matches.
@@ -374,13 +369,10 @@ mod tests {
     fn steered_to_shard_rejects_port_independent_steering() {
         let schema = FieldSchema::ovs_ipv4();
         // An ip_src whose PerTenant hash misses shard 0: no port can move it.
+        let view = SteeringView::new(Steering::PerTenant, &schema, 4);
         let src_ip = (1u32..)
             .find(|&ip| {
-                Steering::PerTenant.shard_of(
-                    &schema,
-                    &VictimFlow::iperf_tcp("v", ip, 2, 1.0).key(&schema),
-                    4,
-                ) != 0
+                view.shard_of_key(&VictimFlow::iperf_tcp("v", ip, 2, 1.0).key(&schema)) != 0
             })
             .unwrap();
         let _ = VictimFlow::iperf_tcp("v", src_ip, 2, 1.0).steered_to_shard(

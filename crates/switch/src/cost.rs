@@ -14,7 +14,8 @@
 //! testbed; with that calibration the relative degradation at 17 / 260 / 516 / 8200
 //! masks lands close to the §5.4 percentages. Absolute numbers are synthetic by
 //! construction; the *shape* (who wins, by what factor, where the knees are) is what the
-//! model preserves — see DESIGN.md §4.
+//! model preserves. How far the constants sit from what this implementation measures
+//! per mask is recorded in `benchmark/README.md`.
 
 /// Cost-model parameters. All times are in seconds per packet (or per classifier
 /// invocation when offloads aggregate several packets into one invocation).

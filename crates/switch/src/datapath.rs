@@ -55,8 +55,8 @@ pub struct DatapathConfig {
     pub cost: CostModel,
     /// Probe order of the megaflow masks. `NewestFirst` models the measured behaviour
     /// that established victim flows do not keep a privileged front position once the
-    /// attack starts creating masks (DESIGN.md §4). Backends without a mask list ignore
-    /// this.
+    /// attack starts creating masks (see [`MaskOrdering::NewestFirst`]). Backends without
+    /// a mask list ignore this.
     pub mask_ordering: MaskOrdering,
     /// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
     pub revalidation_interval: f64,
@@ -160,21 +160,9 @@ impl DatapathBuilder<TupleSpace> {
 }
 
 impl<B: FastPathBackend> DatapathBuilder<B> {
-    /// Replace the whole configuration.
-    pub fn config(mut self, config: DatapathConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Megaflow-generation strategy (default: bit-level wildcarding, OVS's behaviour).
     pub fn strategy(mut self, strategy: MegaflowStrategy) -> Self {
         self.strategy = Some(strategy);
-        self
-    }
-
-    /// Megaflow idle timeout, seconds.
-    pub fn idle_timeout(mut self, seconds: f64) -> Self {
-        self.config.idle_timeout = seconds;
         self
     }
 
@@ -187,18 +175,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
     /// Probe order of the megaflow masks (TSS-family backends only).
     pub fn mask_ordering(mut self, ordering: MaskOrdering) -> Self {
         self.config.mask_ordering = ordering;
-        self
-    }
-
-    /// Per-packet cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Idle-expiry sweep cadence, seconds.
-    pub fn revalidation_interval(mut self, seconds: f64) -> Self {
-        self.config.revalidation_interval = seconds;
         self
     }
 
@@ -335,11 +311,6 @@ impl<B: FastPathBackend> Datapath<B> {
         self.stats.reset();
     }
 
-    /// The datapath configuration.
-    pub fn config(&self) -> &DatapathConfig {
-        &self.config
-    }
-
     /// Run the idle-expiry sweep if the revalidation interval has elapsed.
     pub fn maybe_expire(&mut self, now: f64) {
         if now - self.last_sweep >= self.config.revalidation_interval {
@@ -373,7 +344,23 @@ impl<B: FastPathBackend> Datapath<B> {
         };
         let micro = MicroflowKey::from_packet(pkt);
         self.maybe_expire(now);
-        self.process_classified(&header, Some(micro), pkt.wire_len(), now)
+        // Level 1: microflow cache (exact match on everything, including noise fields).
+        // Only concrete packets carry a microflow identity, so only this entry point
+        // probes it.
+        let outcome = match self.microflow.lookup(&micro) {
+            Some(action) => ProcessOutcome {
+                action,
+                path: PathTaken::Microflow,
+                cost: self.config.cost.microflow(),
+                masks_scanned: 0,
+            },
+            None => {
+                let outcome = self.classify(&header, now);
+                self.microflow.insert(micro, outcome.action);
+                outcome
+            }
+        };
+        record(&mut self.stats, outcome, pkt.wire_len())
     }
 
     /// Process one raw Ethernet frame at `now`: run the wire parser (VLAN/VXLAN
@@ -397,7 +384,6 @@ impl<B: FastPathBackend> Datapath<B> {
     /// Neither kind runs the idle-expiry sweep.
     pub fn note_wire_fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
         let _ = now;
-        let cost = self.config.cost.microflow();
         let action = match fault {
             WireFault::Decode(e) => {
                 self.stats.record_decode_error(e);
@@ -405,14 +391,13 @@ impl<B: FastPathBackend> Datapath<B> {
             }
             WireFault::FamilyMismatch => Action::Allow,
         };
-        self.stats
-            .record(PathTaken::Unclassified, action.permits(), 0, cost, bytes);
-        ProcessOutcome {
+        let outcome = ProcessOutcome {
             action,
             path: PathTaken::Unclassified,
-            cost,
+            cost: self.config.cost.microflow(),
             masks_scanned: 0,
-        }
+        };
+        record(&mut self.stats, outcome, bytes)
     }
 
     /// Process a pre-extracted header key (used by the HYP-protocol experiments and unit
@@ -420,7 +405,8 @@ impl<B: FastPathBackend> Datapath<B> {
     /// throughput accounting.
     pub fn process_key(&mut self, header: &Key, bytes: usize, now: f64) -> ProcessOutcome {
         self.maybe_expire(now);
-        self.process_classified(header, None, bytes, now)
+        let outcome = self.classify(header, now);
+        record(&mut self.stats, outcome, bytes)
     }
 
     /// Process a batch of pre-extracted header keys `(header, wire_bytes)`, all stamped
@@ -480,7 +466,7 @@ impl<B: FastPathBackend> Datapath<B> {
         let mut max_masks_scanned = 0;
         for (header, bytes, now) in events {
             self.maybe_expire(now);
-            let outcome = self.process_classified_stats(header, bytes, now, &mut pending);
+            let outcome = record(&mut pending, self.classify(header, now), bytes);
             max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
         }
         self.stats.merge(&pending);
@@ -495,97 +481,50 @@ impl<B: FastPathBackend> Datapath<B> {
         }
     }
 
-    fn process_classified(
-        &mut self,
-        header: &Key,
-        micro: Option<MicroflowKey>,
-        bytes: usize,
-        now: f64,
-    ) -> ProcessOutcome {
-        // Level 1: microflow cache (exact match on everything, including noise fields).
-        if let Some(mk) = micro {
-            if let Some(action) = self.microflow.lookup(&mk) {
-                let cost = self.config.cost.microflow();
-                self.stats
-                    .record(PathTaken::Microflow, action.permits(), 0, cost, bytes);
-                return ProcessOutcome {
-                    action,
-                    path: PathTaken::Microflow,
-                    cost,
-                    masks_scanned: 0,
-                };
-            }
-        }
-        // Temporarily detach the stats accumulator so the borrow checker allows passing
-        // it alongside `&mut self` (merged back below; `record` only appends).
-        let mut stats = std::mem::take(&mut self.stats);
-        let outcome = self.process_classified_stats(header, bytes, now, &mut stats);
-        self.stats = stats;
-        if let Some(mk) = micro {
-            self.microflow.insert(mk, outcome.action);
-        }
-        outcome
-    }
-
-    /// Megaflow + slow-path levels, recording into an arbitrary stats accumulator (the
-    /// datapath's own for per-packet processing, a batch-local one for the batch
-    /// core).
-    fn process_classified_stats(
-        &mut self,
-        header: &Key,
-        bytes: usize,
-        now: f64,
-        stats: &mut DatapathStats,
-    ) -> ProcessOutcome {
+    /// The one classification core — levels 2 and 3 of Fig. 10, the fast-path backend
+    /// and, on a miss, the slow path — for a header at `now`. Every entry point, per key
+    /// or batched, classifies through here and hands the outcome to [`record`], so a
+    /// per-key call is a batch of one by construction.
+    fn classify(&mut self, header: &Key, now: f64) -> ProcessOutcome {
         // Level 2: the fast-path backend (TSS Alg. 1, or a baseline classifier).
-        let outcome = self.megaflow.lookup(header, now);
-        if let Some(action) = outcome.action {
-            let units = self.megaflow.cost_units(outcome.masks_scanned);
-            let cost = self.config.cost.fast_path(units);
-            stats.record(
-                PathTaken::Megaflow,
-                action.permits(),
-                outcome.masks_scanned,
-                cost,
-                bytes,
-            );
+        let lookup = self.megaflow.lookup(header, now);
+        let masks_scanned = lookup.masks_scanned;
+        if let Some(action) = lookup.action {
+            let units = self.megaflow.cost_units(masks_scanned);
             return ProcessOutcome {
                 action,
                 path: PathTaken::Megaflow,
-                cost,
-                masks_scanned: outcome.masks_scanned,
+                cost: self.config.cost.fast_path(units),
+                masks_scanned,
             };
         }
-
-        // Level 3: slow path (upcall).
-        let masks_at_miss = outcome.masks_scanned;
-        let up = self
+        // Level 3: slow path (upcall). A header no rule matches is dropped.
+        let action = self
             .slow_path
             .handle_upcall(&self.table, &mut self.megaflow, header, now)
-            .unwrap_or(crate::slowpath::UpcallOutcome {
-                action: Action::Deny,
-                rule_index: usize::MAX,
-                installed: false,
-                new_mask: false,
-            });
-        let cost = self
-            .config
-            .cost
-            .slow_path(self.megaflow.cost_units(masks_at_miss));
-        stats.record(
-            PathTaken::SlowPath,
-            up.action.permits(),
-            masks_at_miss,
-            cost,
-            bytes,
-        );
+            .map_or(Action::Deny, |up| up.action);
+        let units = self.megaflow.cost_units(masks_scanned);
         ProcessOutcome {
-            action: up.action,
+            action,
             path: PathTaken::SlowPath,
-            cost,
-            masks_scanned: masks_at_miss,
+            cost: self.config.cost.slow_path(units),
+            masks_scanned,
         }
     }
+}
+
+/// Record `outcome` for a packet of `bytes` wire bytes into `stats` — the datapath's
+/// own for per-packet processing, a batch-local accumulator for the batch core — and
+/// pass it through.
+fn record(stats: &mut DatapathStats, outcome: ProcessOutcome, bytes: usize) -> ProcessOutcome {
+    stats.record(
+        outcome.path,
+        outcome.action.permits(),
+        outcome.masks_scanned,
+        outcome.cost,
+        bytes,
+    );
+    outcome
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   on;
 //! * [`cost`] — the calibrated per-packet cost model that converts the classifier's
 //!   algorithmic work (masks scanned, upcalls) into simulated seconds and therefore
-//!   throughput (DESIGN.md §4 explains the substitution for the paper's hardware
+//!   throughput (its module docs explain the substitution for the paper's hardware
 //!   testbed);
 //! * [`pmd`] — the sharded multi-PMD form of the datapath: N per-shard caches behind an
 //!   RSS-style steering policy, modelling OVS-DPDK's one-megaflow-cache-per-PMD-thread

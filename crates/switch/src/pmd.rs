@@ -73,40 +73,6 @@ impl Steering {
             Steering::Pinned(_) => Vec::new(),
         }
     }
-
-    /// The shard `key` is steered to among `n_shards` under the default hash key — a
-    /// pure function of the key: every key maps to exactly one shard and repeated calls
-    /// always agree.
-    ///
-    /// # Panics
-    /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
-    pub fn shard_of(&self, schema: &FieldSchema, key: &Key, n_shards: usize) -> usize {
-        self.shard_of_keyed(schema, key, n_shards, rss::DEFAULT_HASH_KEY)
-    }
-
-    /// The shard `key` is steered to among `n_shards` under an explicit RSS `hash_key`
-    /// (see [`rss::rss_hash_keyed`]) — what a [`ShardedDatapath`] computes after
-    /// [`ShardedDatapath::rekey`]. [`Steering::Pinned`] ignores the key (there is no
-    /// hash to re-seed).
-    ///
-    /// # Panics
-    /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
-    pub fn shard_of_keyed(
-        &self,
-        schema: &FieldSchema,
-        key: &Key,
-        n_shards: usize,
-        hash_key: u64,
-    ) -> usize {
-        assert!(n_shards > 0, "shard count must be positive");
-        match self {
-            Steering::Pinned(i) => {
-                assert!(*i < n_shards, "pinned shard {i} out of range 0..{n_shards}");
-                *i
-            }
-            _ => rss::shard_of_keyed(key, &self.steer_fields(schema), n_shards, hash_key),
-        }
-    }
 }
 
 /// Reusable scratch buffers of the steering pre-partition pass: a stable counting
@@ -183,7 +149,28 @@ pub struct SteeringView {
 }
 
 impl SteeringView {
-    /// The shard `key` steers to under this view.
+    /// The steering function of `n_shards` shards over `schema` under `steering`, seeded
+    /// with [`rss::DEFAULT_HASH_KEY`] — what a freshly built [`ShardedDatapath`] steers
+    /// by, and how anything outside a datapath (victim placement, tests) asks the same
+    /// question.
+    ///
+    /// # Panics
+    /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
+    pub fn new(steering: Steering, schema: &FieldSchema, n_shards: usize) -> Self {
+        assert!(n_shards > 0, "shard count must be positive");
+        if let Steering::Pinned(i) = steering {
+            assert!(i < n_shards, "pinned shard {i} out of range 0..{n_shards}");
+        }
+        SteeringView {
+            steer_fields: steering.steer_fields(schema),
+            n_shards,
+            hash_key: rss::DEFAULT_HASH_KEY,
+            steering,
+        }
+    }
+
+    /// The shard `key` steers to under this view — a pure function of the key: every
+    /// key maps to exactly one shard and repeated calls always agree.
     pub fn shard_of_key(&self, key: &Key) -> usize {
         if self.n_shards == 1 {
             return 0;
@@ -335,12 +322,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
 
     fn from_shards(shards: Vec<Datapath<B>>, steering: Steering) -> Self {
         ShardedDatapath {
-            steer: SteeringView {
-                steer_fields: steering.steer_fields(shards[0].table().schema()),
-                n_shards: shards.len(),
-                hash_key: rss::DEFAULT_HASH_KEY,
-                steering,
-            },
+            steer: SteeringView::new(steering, shards[0].table().schema(), shards.len()),
             executor: Box::new(SequentialExecutor),
             prep: Prepartition::default(),
             shards,
@@ -361,9 +343,6 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         DatapathBuilder<B>: Clone,
     {
         assert!(n_shards > 0, "shard count must be positive");
-        if let Steering::Pinned(i) = steering {
-            assert!(i < n_shards, "pinned shard {i} out of range 0..{n_shards}");
-        }
         let executor = builder.take_executor();
         let shards: Vec<Datapath<B>> = (0..n_shards).map(|_| builder.clone().build()).collect();
         let mut sharded = Self::from_shards(shards, steering);
@@ -688,10 +667,11 @@ mod tests {
     fn steering_is_a_total_partition() {
         let schema = FieldSchema::ovs_ipv4();
         for steering in [Steering::Rss, Steering::PerTenant, Steering::Pinned(2)] {
+            let view = SteeringView::new(steering, &schema, 4);
             for key in key_spread(&schema, 200) {
-                let s = steering.shard_of(&schema, &key, 4);
+                let s = view.shard_of_key(&key);
                 assert!(s < 4);
-                assert_eq!(s, steering.shard_of(&schema, &key, 4));
+                assert_eq!(s, view.shard_of_key(&key));
             }
         }
     }
@@ -706,9 +686,10 @@ mod tests {
         a.set(tp_dst, 80);
         let mut b = a.clone();
         b.set(tp_dst, 443);
+        let view = SteeringView::new(Steering::PerTenant, &schema, 8);
         assert_eq!(
-            Steering::PerTenant.shard_of(&schema, &a, 8),
-            Steering::PerTenant.shard_of(&schema, &b, 8),
+            view.shard_of_key(&a),
+            view.shard_of_key(&b),
             "same tenant, different ports, same shard"
         );
     }

@@ -34,7 +34,7 @@ fn main() {
             "{:9}: victim mean under attack = {:.2} Gbps, peak MFC masks = {}",
             if guarded { "guarded" } else { "unguarded" },
             timeline.mean_total_between(20.0, 69.0),
-            timeline.samples.iter().map(|s| s.mask_count).max().unwrap()
+            timeline.peak_masks()
         );
     }
 

@@ -72,5 +72,7 @@ fn main() {
         );
     }
 
-    println!("\nSee EXPERIMENTS.md for the full figure reproductions.");
+    println!(
+        "\nSee the README's \"Running the figure binaries\" for the full figure reproductions."
+    );
 }

@@ -85,7 +85,7 @@ fn main() {
         "victim: {:.2} Gbps before, {:.2} Gbps under attack; peak masks {}",
         tl_wire.mean_total_between(2.0, 9.0),
         tl_wire.mean_total_between(20.0, 29.0),
-        tl_wire.samples.iter().map(|s| s.mask_count).max().unwrap(),
+        tl_wire.peak_masks(),
     );
     println!(
         "garbage: {malformed:.0} malformed frames, all truncated ({}) and charged to \

@@ -14,7 +14,8 @@ fn build_attack(schema: &FieldSchema, rate: f64, start: f64, count: usize) -> At
 // Note: the guard can only evict *drop* entries (requirement (i) of §8), so the scenario
 // here is SipDp — the pattern an OpenStack tenant can express. Under SipSpDp the
 // attacker's allow-side decomposition (hundreds of allow masks for its own service)
-// survives a drop-only clean; see EXPERIMENTS.md "Known divergences".
+// survives a drop-only clean (`guard_cleans_attack_masks_but_keeps_victim_entry` in
+// `crates/mitigation/src/guard.rs` pins what such a sweep leaves behind).
 #[test]
 fn guard_preserves_victim_throughput() {
     let schema = FieldSchema::ovs_ipv4();

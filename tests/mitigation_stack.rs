@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse::packet::rss;
 use tse::prelude::*;
 
 const N_SHARDS: usize = 4;
@@ -32,17 +31,18 @@ proptest! {
         let ip_src = schema.field_index("ip_src").unwrap();
         let tp_src = schema.field_index("tp_src").unwrap();
         let tp_dst = schema.field_index("tp_dst").unwrap();
+        // The rotation as the datapath performs it, asked the way a dispatch asks.
+        let mut dp = ShardedDatapath::new(Scenario::SpDp.flow_table(&schema), N_SHARDS, Steering::Rss);
+        dp.rekey(hash_key);
         for (src, sport, dport) in values {
             let mut key = tcp_base(&schema);
             key.set(ip_src, src as u128);
             key.set(tp_src, sport as u128);
             key.set(tp_dst, dport as u128);
-            let shard = Steering::Rss.shard_of_keyed(&schema, &key, N_SHARDS, hash_key);
+            let shard = dp.shard_of_key(&key);
             prop_assert!(shard < N_SHARDS);
-            prop_assert_eq!(
-                shard,
-                Steering::Rss.shard_of_keyed(&schema, &key, N_SHARDS, hash_key)
-            );
+            prop_assert_eq!(shard, dp.shard_of_key(&key));
+            prop_assert_eq!(shard, dp.steering_view().shard_of_key(&key));
         }
     }
 
@@ -56,7 +56,7 @@ proptest! {
     ) {
         let schema = FieldSchema::ovs_ipv4();
         let ip_dst = schema.field_index("ip_dst").unwrap();
-        let fields = rss::rss_fields(&schema);
+        let mut dp = ShardedDatapath::new(Scenario::SpDp.flow_table(&schema), N_SHARDS, Steering::Rss);
         let pinned: Vec<Key> = pin_to_shard(
             &schema,
             Scenario::SpDp.key_iter(&schema, &tcp_base(&schema)),
@@ -67,13 +67,11 @@ proptest! {
         .collect();
         // Under the old (default) key the aim is exact...
         for k in &pinned {
-            prop_assert_eq!(rss::shard_of(k, &fields, N_SHARDS), target);
+            prop_assert_eq!(dp.shard_of_key(k), target);
         }
         // ...under the rotated key it is gone: the stream scatters pseudo-randomly.
-        let still_on_target = pinned
-            .iter()
-            .filter(|k| rss::shard_of_keyed(k, &fields, N_SHARDS, hash_key) == target)
-            .count();
+        dp.rekey(hash_key);
+        let still_on_target = pinned.iter().filter(|k| dp.shard_of_key(k) == target).count();
         prop_assert!(
             still_on_target * 2 < pinned.len(),
             "{} of {} stale-pinned keys still hit shard {} under key {:#x}",

@@ -103,18 +103,24 @@ proptest! {
             Steering::PerTenant,
             Steering::Pinned(pinned % n_shards),
         ] {
-            // Every key maps to exactly one shard...
-            let shard = steering.shard_of(&schema, &key, n_shards);
-            prop_assert!(shard < n_shards, "{steering:?}: {shard} out of range");
-            // ...stable across calls...
-            prop_assert_eq!(shard, steering.shard_of(&schema, &key, n_shards));
-            // ...and the datapath's cached steering agrees with the pure function.
+            // What a dispatch runs: the datapath's own steering function.
             let dp = ShardedDatapath::new(
                 Scenario::Dp.flow_table(&schema),
                 n_shards,
                 steering,
             );
+            // Every key maps to exactly one shard...
+            let shard = dp.shard_of_key(&key);
+            prop_assert!(shard < n_shards, "{steering:?}: {shard} out of range");
+            // ...stable across calls...
             prop_assert_eq!(shard, dp.shard_of_key(&key));
+            // ...and a view built outside the datapath (victim placement, partitions
+            // computed ahead of dispatch) answers the same.
+            prop_assert_eq!(shard, dp.steering_view().shard_of_key(&key));
+            prop_assert_eq!(
+                shard,
+                SteeringView::new(steering, &schema, n_shards).shard_of_key(&key)
+            );
         }
     }
 
@@ -127,9 +133,10 @@ proptest! {
         let key = Key::from_values(&schema, &values);
         let mut noisy = key.clone();
         noisy.set(schema.field_index("ttl").unwrap(), ttl);
+        let dp = ShardedDatapath::new(Scenario::Dp.flow_table(&schema), 8, Steering::Rss);
         prop_assert_eq!(
-            Steering::Rss.shard_of(&schema, &key, 8),
-            Steering::Rss.shard_of(&schema, &noisy, 8),
+            dp.shard_of_key(&key),
+            dp.shard_of_key(&noisy),
             "TTL must not move a flow between shards"
         );
     }
