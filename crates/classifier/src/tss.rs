@@ -1,14 +1,29 @@
 //! The Tuple Space Search megaflow cache (MFC).
 //!
 //! The MFC is an unordered set of key/mask pairs `C = {(K, M)}` (§3.2). TSS maintains
-//! the list of distinct masks `M` (the "tuple space") and, for each mask, a hash map
-//! from masked keys to entries. Lookup (Alg. 1) iterates over the masks in order and
+//! the list of distinct masks `M` (the "tuple space") and, for each mask, a hash table
+//! of the entries under it. Lookup (Alg. 1) iterates over the masks in order and
 //! performs one hash probe per mask, early-exiting on the first hit — which is only
 //! correct because entries are kept pairwise disjoint (Inv(2)).
 //!
-//! Here that list is one `Vec` of tuples — a mask, its hit counter and its entries —
-//! held in probe order: position in the vector *is* Alg. 1's scan order, a tuple exists
+//! Here that list is one deque of tuples — a mask, its hit counter and its entries —
+//! held in probe order: position in the deque *is* Alg. 1's scan order, a tuple exists
 //! exactly as long as it has an entry, and nothing is keyed by mask.
+//!
+//! A tuple is written on the rare path and read on the hot one. Creating it compiles
+//! its mask into a *probe plan* — the mask's non-zero 64-bit words — and every insert
+//! appends to one dense `Vec<MegaflowEntry>` (so entries of a tuple are held, and
+//! [`TupleSpace::entries`] yields them, in insertion order; [`TupleSpace::render`] sorts
+//! them by key, so its output does not depend on arrival order) and files the entry's
+//! position in a flat open-addressed index of `u64` slots. A probe hashes
+//! `header AND mask` word by word straight off the plan, walks the index from the slot
+//! the hash's low bits name, and compares against a stored key only where a slot's tag
+//! (the hash's high 32 bits) matches: a missed probe materialises no masked key and
+//! allocates nothing.
+//!
+//! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
+//! linear-probe run — in *host* time only: `masks_scanned`, and with it every simulated
+//! cost, counts tuples probed and cannot be moved that way.
 //!
 //! > *Observation 1: the time-complexity of TSS lookup grows linearly with the number of
 //! > distinct masks O(|M|) and the space-complexity linearly with the number of entries
@@ -18,9 +33,10 @@
 //! [`TupleSpace::entry_count`]) plus the per-lookup work ([`LookupOutcome::masks_scanned`])
 //! that the switch's cost model converts into throughput.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use tse_packet::fields::{self, FieldSchema, Key, Mask};
+use tse_packet::rss::splitmix64_mix;
 
 use crate::rule::Action;
 
@@ -70,23 +86,67 @@ pub enum MaskOrdering {
     HitCount,
 }
 
-/// One tuple (all entries sharing a mask) plus the conflict-index summaries that let
-/// [`TupleSpace::find_conflict`] rule the whole tuple out without scanning its entries.
+/// One step of a tuple's probe plan: a non-zero 64-bit word of its mask.
+#[derive(Debug, Clone, Copy)]
+struct PlanWord {
+    /// Which of [`Probe::words`].
+    word: u8,
+    /// The mask's bits in that word.
+    bits: u64,
+}
+
+/// A header laid out for probing, once per lookup: every tuple's plan reads it.
+struct Probe<'a> {
+    header: &'a Key,
+    /// Field `f` in words `2f` (low half) and `2f + 1`. Sixteen slots, so a plan's word
+    /// number masked to four bits indexes without a bounds check.
+    words: [u64; 16],
+}
+
+impl<'a> Probe<'a> {
+    fn new(header: &'a Key) -> Self {
+        let mut words = [0; 16];
+        for (pair, &v) in words.chunks_exact_mut(2).zip(header.values()) {
+            pair[0] = v as u64;
+            pair[1] = (v >> 64) as u64;
+        }
+        Probe { header, words }
+    }
+}
+
+/// The hash's high half, kept in a slot as its tag.
+const TAG: u64 = !0 << 32;
+
+/// One tuple: every entry sharing a mask, the index that finds one of them in a single
+/// probe, and the conflict summaries that let [`TupleSpace::find_conflict`] rule the
+/// whole tuple out without scanning its entries.
 ///
-/// The summaries are the bitwise AND / OR of every stored (masked) key, maintained
-/// incrementally on insert and recomputed on removal. A prospective entry `(K, M)` can
-/// conflict with some entry of this tuple only if an entry agrees with `K` on every bit
-/// of `M AND mask`; if `K` has a 1 where *no* stored key does (`!key_or`), or a 0 where
-/// *every* stored key has a 1 (`key_and`), no entry can agree and the tuple is skipped
-/// in O(fields) instead of O(entries).
+/// **Store.** `entries` is dense and in insertion order; removal compacts it
+/// (`Vec::retain`) and rebuilds the index. `index` is an open-addressed table of
+/// `u64` slots, a power of two long and at most half full: a slot is 0 when free, else
+/// `tag << 32 | position + 1` — the high 32 bits of the key's hash and where in
+/// `entries` the key lives. It is rebuilt from the stored keys when it would pass half
+/// full and after a removal, so it never holds a tombstone. `plan` is the mask's
+/// non-zero 64-bit words, fixed at creation; hashing a header reads only those.
+///
+/// **Summaries.** `key_and` / `key_or` are the bitwise AND / OR of every stored (masked)
+/// key, maintained incrementally on insert and recomputed on removal. A prospective
+/// entry `(K, M)` can conflict with some entry of this tuple only if an entry agrees
+/// with `K` on every bit of `M AND mask`; if `K` has a 1 where *no* stored key does
+/// (`!key_or`), or a 0 where *every* stored key has a 1 (`key_and`), no entry can agree
+/// and the tuple is skipped in O(fields) instead of O(entries).
 #[derive(Debug, Clone)]
 struct Tuple {
     /// The mask every entry of this tuple shares.
     mask: Mask,
     /// Cumulative fast-path hits on this tuple, used by [`MaskOrdering::HitCount`].
     hits: u64,
-    /// Masked key -> entry. Never empty while the tuple is in the cache.
-    entries: HashMap<Key, MegaflowEntry>,
+    /// The non-zero 64-bit words of `mask`.
+    plan: Box<[PlanWord]>,
+    /// The entries, in insertion order. Never empty while the tuple is in the cache.
+    entries: Vec<MegaflowEntry>,
+    /// Hash slot -> position in `entries`; see the type's doc for the slot layout.
+    index: Vec<u64>,
     /// Bitwise AND of all stored keys (all-ones where every entry agrees on 1).
     key_and: Key,
     /// Bitwise OR of all stored keys (zero where every entry agrees on 0).
@@ -94,20 +154,119 @@ struct Tuple {
 }
 
 impl Tuple {
+    /// A tuple made for, and holding, its first entry. Most tuples of an explosion
+    /// never get a second one, so the store starts at exactly one.
+    fn new(first: MegaflowEntry) -> Self {
+        let mut plan = Vec::new();
+        for (word, &bits) in Probe::new(&first.mask).words.iter().enumerate() {
+            if bits != 0 {
+                plan.push(PlanWord {
+                    word: word as u8,
+                    bits,
+                });
+            }
+        }
+        let mut tuple = Tuple {
+            mask: first.mask.clone(),
+            hits: 0,
+            plan: plan.into_boxed_slice(),
+            entries: Vec::with_capacity(1),
+            index: Vec::new(),
+            key_and: first.key.clone(),
+            key_or: first.key.clone(),
+        };
+        tuple.push(first);
+        tuple
+    }
+
+    /// Hash of `header AND mask`, off the plan: multiply-rotate per non-zero mask word.
+    /// The index takes the low bits for the slot and the high bits for the tag, and the
+    /// low bits of a raw multiply depend on the low bits of its input alone, so the
+    /// SplitMix64 finaliser folds the whole state into both.
+    fn masked_hash(&self, probe: &Probe) -> u64 {
+        let mut h = 0u64;
+        for w in self.plan.iter() {
+            h = (h ^ (probe.words[usize::from(w.word & 15)] & w.bits))
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(31);
+        }
+        splitmix64_mix(h)
+    }
+
+    /// Position in `entries` of the entry the probed header matches under this tuple's
+    /// mask.
+    #[inline]
+    fn find(&self, probe: &Probe) -> Option<usize> {
+        let hash = self.masked_hash(probe);
+        let wrap = self.index.len() - 1;
+        let mut i = hash as usize & wrap;
+        // At most half the slots are taken, so the run ends at a free one.
+        loop {
+            let slot = self.index[i];
+            if slot == 0 {
+                return None;
+            }
+            let pos = (slot as u32 - 1) as usize;
+            if slot & TAG == hash & TAG && self.holds(pos, probe.header) {
+                return Some(pos);
+            }
+            i = (i + 1) & wrap;
+        }
+    }
+
+    /// Whether entry `pos` is the one `header` matches. Kept out of line: it runs once
+    /// per tag match, and inlined it would cost every missed probe its registers.
+    #[inline(never)]
+    fn holds(&self, pos: usize, header: &Key) -> bool {
+        fields::matches(header, &self.entries[pos].key, &self.mask)
+    }
+
+    /// Append an entry (the caller has checked Inv(2), so its key is not resident).
+    fn push(&mut self, entry: MegaflowEntry) {
+        self.key_and = self.key_and.and(&entry.key);
+        self.key_or = self.key_or.or(&entry.key);
+        self.entries.push(entry);
+        if self.entries.len() * 2 > self.index.len() {
+            self.rebuild_index();
+        } else {
+            self.file(self.entries.len() - 1);
+        }
+    }
+
+    /// File entry `pos` in the first free slot of its key's linear-probe run.
+    fn file(&mut self, pos: usize) {
+        debug_assert!(pos < u32::MAX as usize, "a slot holds 32 bits of position");
+        let hash = self.masked_hash(&Probe::new(&self.entries[pos].key));
+        let wrap = self.index.len() - 1;
+        let mut i = hash as usize & wrap;
+        while self.index[i] != 0 {
+            i = (i + 1) & wrap;
+        }
+        self.index[i] = (hash & TAG) | (pos as u64 + 1);
+    }
+
+    /// Refile every entry in an index sized for the current entry count.
+    fn rebuild_index(&mut self) {
+        let slots = (self.entries.len() * 2).next_power_of_two().max(2);
+        self.index.clear();
+        self.index.resize(slots, 0);
+        for pos in 0..self.entries.len() {
+            self.file(pos);
+        }
+    }
+
     /// Recompute the summaries from scratch (after removals), folding into the existing
-    /// vectors from the AND / OR identities: no allocation per stored key, however many
-    /// entries the sweep left behind. An empty tuple (about to be dropped) keeps the
-    /// identities, which rule out every conflict — as they should.
+    /// vectors from the AND / OR identities. An empty tuple (about to be dropped) keeps
+    /// the identities, which rule out every conflict — as they should.
     fn rebuild_summary(&mut self) {
         for f in 0..self.mask.len() {
             self.key_and.set(f, u128::MAX);
             self.key_or.set(f, 0);
         }
-        // lint: allow(nondet-iteration) — commutative AND/OR folds, order-free summary
-        for k in self.entries.keys() {
-            for f in 0..k.len() {
-                self.key_and.set(f, self.key_and.get(f) & k.get(f));
-                self.key_or.set(f, self.key_or.get(f) | k.get(f));
+        for e in &self.entries {
+            for (f, &k) in e.key.values().iter().enumerate() {
+                self.key_and.set(f, self.key_and.get(f) & k);
+                self.key_or.set(f, self.key_or.get(f) | k);
             }
         }
     }
@@ -118,8 +277,10 @@ impl Tuple {
 pub struct TupleSpace {
     schema: FieldSchema,
     ordering: MaskOrdering,
-    /// One tuple per distinct mask; position is Alg. 1's scan order.
-    tuples: Vec<Tuple>,
+    /// One tuple per distinct mask; position is Alg. 1's scan order. A deque because a
+    /// new tuple goes to either end ([`MaskOrdering::NewestFirst`] prepends) and a tuple
+    /// is too wide to shift the rest for.
+    tuples: VecDeque<Tuple>,
 }
 
 impl TupleSpace {
@@ -128,7 +289,7 @@ impl TupleSpace {
         TupleSpace {
             schema,
             ordering: MaskOrdering::Insertion,
-            tuples: Vec::new(),
+            tuples: VecDeque::new(),
         }
     }
 
@@ -180,32 +341,31 @@ impl TupleSpace {
     /// Remove one mask and every entry of its tuple (shrinking |M| by one); returns
     /// the number of entries removed (0 if the mask is not present).
     pub fn remove_mask(&mut self, mask: &Mask) -> usize {
-        match self.tuples.iter().position(|t| t.mask == *mask) {
-            Some(pos) => self.tuples.remove(pos).entries.len(),
-            None => 0,
-        }
+        let pos = self.tuples.iter().position(|t| t.mask == *mask);
+        pos.and_then(|pos| self.tuples.remove(pos))
+            .map_or(0, |t| t.entries.len())
     }
 
-    /// Iterate over all entries, tuple by tuple in probe order; the order *within* a
-    /// tuple is unspecified — callers that need a stable order (e.g.
-    /// [`TupleSpace::render`]) must sort what they collect.
+    /// Iterate over all entries, tuple by tuple in probe order, and within a tuple in
+    /// the order they were inserted.
     pub fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
-        // lint: allow(nondet-iteration) — unordered passthrough; ordered consumers sort
-        self.tuples.iter().flat_map(|t| t.entries.values())
+        self.tuples.iter().flat_map(|t| &t.entries)
     }
 
     /// Megaflow lookup — Algorithm 1 of the paper.
     ///
-    /// For each mask `M` in the mask list, compute `h AND M` and probe the mask's hash.
+    /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's index.
     /// Return a hit on the first match (correct thanks to entry disjointness); a miss
     /// after all masks have been probed. The hit's statistics are bumped in the same
     /// probe.
     pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
         let mut action = None;
         let mut masks_scanned = 0;
+        let probe = Probe::new(header);
         for tuple in &mut self.tuples {
             masks_scanned += 1;
-            if let Some(entry) = tuple.entries.get_mut(&header.apply_mask(&tuple.mask)) {
+            if let Some(pos) = tuple.find(&probe) {
+                let entry = &mut tuple.entries[pos];
                 entry.hits += 1;
                 entry.last_used = now;
                 tuple.hits += 1;
@@ -215,7 +375,9 @@ impl TupleSpace {
         }
         if action.is_some() && self.ordering == MaskOrdering::HitCount {
             // Stable: tuples with equal hit counts keep their relative order.
-            self.tuples.sort_by_key(|t| std::cmp::Reverse(t.hits));
+            self.tuples
+                .make_contiguous()
+                .sort_by_key(|t| std::cmp::Reverse(t.hits));
         }
         LookupOutcome {
             action,
@@ -225,9 +387,10 @@ impl TupleSpace {
 
     /// Read-only lookup that does not update statistics (used by tests and MFCGuard).
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
+        let probe = Probe::new(header);
         self.tuples
             .iter()
-            .find_map(|t| t.entries.get(&header.apply_mask(&t.mask)))
+            .find_map(|t| t.find(&probe).map(|pos| &t.entries[pos]))
     }
 
     /// Insert a new megaflow entry. Enforces the two slow-path invariants of §3.2:
@@ -245,42 +408,26 @@ impl TupleSpace {
         now: f64,
     ) -> Result<(), InsertError> {
         let key = key.apply_mask(&mask);
-        if let Some((existing_key, existing_mask)) = self.find_conflict(&key, &mask) {
+        if let Some(existing) = self.find_conflict(&key, &mask) {
             return Err(InsertError::Overlap {
-                existing_key,
-                existing_mask,
+                existing: Box::new(existing),
             });
         }
-        let pos = match self.tuples.iter().position(|t| t.mask == mask) {
-            Some(pos) => pos,
-            None => {
-                let pos = match self.ordering {
-                    MaskOrdering::NewestFirst => 0,
-                    _ => self.tuples.len(),
-                };
-                let tuple = Tuple {
-                    mask: mask.clone(),
-                    hits: 0,
-                    entries: HashMap::new(),
-                    key_and: key.clone(),
-                    key_or: key.clone(),
-                };
-                self.tuples.insert(pos, tuple);
-                pos
-            }
-        };
-        let tuple = &mut self.tuples[pos];
-        tuple.key_and = tuple.key_and.and(&key);
-        tuple.key_or = tuple.key_or.or(&key);
         let entry = MegaflowEntry {
-            key: key.clone(),
+            key,
             mask,
             action,
             hits: 0,
             last_used: now,
             installed_at: now,
         };
-        tuple.entries.insert(key, entry);
+        match self.tuples.iter_mut().find(|t| t.mask == entry.mask) {
+            Some(tuple) => tuple.push(entry),
+            None => match self.ordering {
+                MaskOrdering::NewestFirst => self.tuples.push_front(Tuple::new(entry)),
+                _ => self.tuples.push_back(Tuple::new(entry)),
+            },
+        }
         Ok(())
     }
 
@@ -300,8 +447,8 @@ impl TupleSpace {
     /// rules the whole tuple out in O(fields). Only surviving tuples are touched:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
-    ///   **single hash probe** (comparable entries conflict only if they agree on
-    ///   every common bit), which stays fast even when the tuple holds hundreds of
+    ///   **single probe of its index** (comparable entries conflict only if they agree
+    ///   on every common bit), which stays fast even when the tuple holds hundreds of
     ///   thousands of entries (the IPv6 exact-match anomaly of §5.4);
     /// * an incomparable tuple falls back to an entry scan — but since most tuples
     ///   were already excluded by their summaries, the common no-conflict case of
@@ -311,6 +458,7 @@ impl TupleSpace {
     /// index-less full entry scan.
     pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let key = key.apply_mask(mask);
+        let probe = Probe::new(&key);
         for tuple in &self.tuples {
             // Summary prefilter over common = mask & tuple.mask, computed inline.
             // `comparable` tracks whether tuple.mask ⊆ mask along the way.
@@ -336,17 +484,16 @@ impl TupleSpace {
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
-                let probe = key.apply_mask(&tuple.mask);
-                if tuple.entries.contains_key(&probe) {
-                    return Some((probe, tuple.mask.clone()));
+                if let Some(pos) = tuple.find(&probe) {
+                    return Some((tuple.entries[pos].key.clone(), tuple.mask.clone()));
                 }
             } else {
-                // Report the smallest conflicting key, not the first in hash order:
-                // the generation strategy narrows wildcards against the returned
-                // conflict, so the choice must not depend on bucket layout.
+                // Report the smallest conflicting key, not the first stored: the
+                // generation strategy narrows wildcards against the returned conflict,
+                // so the choice must not depend on the order entries arrived in.
                 let conflict = tuple
                     .entries
-                    .values()
+                    .iter()
                     .filter(|e| !fields::disjoint(&key, mask, &e.key, &e.mask))
                     .min_by(|a, b| a.key.cmp(&b.key));
                 if let Some(e) = conflict {
@@ -359,17 +506,18 @@ impl TupleSpace {
 
     /// Remove every entry for which `predicate` returns true; returns the number of
     /// removed entries. The predicate sees entries tuple by tuple in probe order
-    /// (unspecified order within a tuple). A tuple left without entries is dropped and
+    /// (insertion order within a tuple). A tuple left without entries is dropped and
     /// the survivors keep their relative probe order — this is what shrinks |M| back
     /// down (the entire point of MFCGuard).
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
         let mut removed = 0;
         for tuple in &mut self.tuples {
             let before = tuple.entries.len();
-            tuple.entries.retain(|_, e| !predicate(e));
+            tuple.entries.retain(|e| !predicate(e));
             if tuple.entries.len() < before {
                 removed += before - tuple.entries.len();
                 tuple.rebuild_summary();
+                tuple.rebuild_index();
             }
         }
         self.tuples.retain(|t| !t.entries.is_empty());
@@ -408,12 +556,11 @@ impl TupleSpace {
     }
 
     /// Render the cache in the style of Fig. 2 / Fig. 3 / Fig. 5 (one line per entry,
-    /// binary key and mask).
+    /// binary key and mask; a tuple's entries by ascending key).
     pub fn render(&self) -> String {
         let mut lines = Vec::new();
         for (i, tuple) in self.tuples.iter().enumerate() {
-            // lint: allow(nondet-iteration) — collected then sorted by key on the next line
-            let mut keys: Vec<&MegaflowEntry> = tuple.entries.values().collect();
+            let mut keys: Vec<&MegaflowEntry> = tuple.entries.iter().collect();
             keys.sort_by(|a, b| a.key.cmp(&b.key));
             for e in keys {
                 lines.push(format!(
@@ -433,22 +580,19 @@ impl TupleSpace {
 pub enum InsertError {
     /// The new entry overlaps an existing entry, violating Inv(2).
     Overlap {
-        /// Key of the conflicting entry.
-        existing_key: Key,
-        /// Mask of the conflicting entry.
-        existing_mask: Mask,
+        /// Key and mask of the conflicting entry. Boxed: two inline vectors would make
+        /// every `Result<(), InsertError>` 224 bytes wide for the error path's sake.
+        existing: Box<(Key, Mask)>,
     },
 }
 
 impl std::fmt::Display for InsertError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InsertError::Overlap {
-                existing_key,
-                existing_mask,
-            } => write!(
+            InsertError::Overlap { existing } => write!(
                 f,
-                "entry overlaps existing megaflow (key {existing_key}, mask {existing_mask})"
+                "entry overlaps existing megaflow (key {}, mask {})",
+                existing.0, existing.1
             ),
         }
     }
@@ -693,6 +837,114 @@ mod tests {
         assert_eq!(c.find_conflict(&k(0b100), &k(0b101)), None);
         // Flipping the query's bit 0 to 1 re-enables the conflict.
         assert!(c.find_conflict(&k(0b101), &k(0b101)).is_some());
+    }
+
+    /// The 5-bit probe-order model never grows a tuple past a few entries. This drives one
+    /// `ovs_ipv6` tuple — both halves of a 128-bit field in its plan — through index
+    /// growth, a compacting expiry, refill and removal, against a map of what it holds.
+    #[test]
+    fn one_large_tuple_follows_a_map_model() {
+        use std::collections::BTreeMap;
+        const N: u64 = 10_000;
+
+        let schema = FieldSchema::ovs_ipv6();
+        let (src, proto, tp_dst) = (0, 2, 5);
+        let mut big = schema.empty_mask();
+        big.set(src, u128::MAX);
+        big.set(tp_dst, 0xffff);
+        let key_of = |i: u64| {
+            let mut key = schema.zero_value();
+            key.set(src, u128::from(splitmix64_mix(i)) << 64 | u128::from(i));
+            key.set(tp_dst, u128::from(i % 7));
+            key
+        };
+        let action_of = |i: u64| [Action::Allow, Action::Deny, Action::Deny][(i % 3) as usize];
+
+        // Probed second: a tuple that stays behind when the large one is removed. No
+        // `key_of` source address is all-ones, so it is disjoint from every entry above.
+        let mut small = schema.empty_mask();
+        small.set(src, u128::MAX);
+        small.set(proto, 0xff);
+        let mut bystander = schema.zero_value();
+        bystander.set(src, u128::MAX);
+        bystander.set(proto, 6);
+
+        // What the large tuple holds, and in which order it was put there.
+        let mut model: BTreeMap<Key, Action> = BTreeMap::new();
+        let mut order: Vec<Key> = Vec::new();
+        let mut gone: Vec<Key> = Vec::new();
+        let check =
+            |cache: &TupleSpace, model: &BTreeMap<Key, Action>, order: &[Key], gone: &[Key]| {
+                // Lookups refresh `last_used`; keep them off the cache under test.
+                let mut scratch = cache.clone();
+                assert_eq!(cache.entry_count(), model.len() + 1);
+                for (key, &action) in model {
+                    let out = scratch.lookup(key, 0.0);
+                    assert_eq!((out.action, out.masks_scanned), (Some(action), 1));
+                    let hit = cache.peek(key).expect("peek agrees with lookup");
+                    assert_eq!((&hit.key, hit.action), (key, action));
+                    assert_eq!(
+                        cache.find_conflict(key, &big),
+                        Some((key.clone(), big.clone()))
+                    );
+                }
+                for key in gone {
+                    let out = scratch.lookup(key, 0.0);
+                    assert_eq!((out.action, out.masks_scanned), (None, cache.mask_count()));
+                    assert!(cache.peek(key).is_none());
+                }
+                let stored: Vec<&Key> = cache.entries().map(|e| &e.key).collect();
+                let expected: Vec<&Key> = order.iter().chain([&bystander]).collect();
+                assert_eq!(stored, expected, "entries() is insertion order per tuple");
+            };
+
+        let mut cache = TupleSpace::new(schema.clone());
+        // Even entries go in at t = 0, odd ones at t = 100.
+        for i in 0..N {
+            let now = (i % 2) as f64 * 100.0;
+            cache
+                .insert(key_of(i), big.clone(), action_of(i), now)
+                .unwrap();
+            model.insert(key_of(i), action_of(i));
+            order.push(key_of(i));
+        }
+        cache
+            .insert(bystander.clone(), small.clone(), Action::Deny, 100.0)
+            .unwrap();
+        assert_eq!(cache.mask_count(), 2);
+        check(&cache, &model, &order, &gone);
+
+        // Every other entry idles out; the survivors close ranks in order.
+        assert_eq!(cache.expire_idle(105.0, 10.0), (N / 2) as usize);
+        for i in (0..N).step_by(2) {
+            model.remove(&key_of(i));
+            gone.push(key_of(i));
+        }
+        order.retain(|k| model.contains_key(k));
+        check(&cache, &model, &order, &gone);
+
+        // The expired half comes back, behind the survivors, with fresh keys after it.
+        for i in (0..N).step_by(2).chain(N..N + N / 2) {
+            cache
+                .insert(key_of(i), big.clone(), action_of(i), 200.0)
+                .unwrap();
+            model.insert(key_of(i), action_of(i));
+            order.push(key_of(i));
+        }
+        gone.clear();
+        check(&cache, &model, &order, &gone);
+        assert!(matches!(
+            cache.insert(key_of(1), big.clone(), Action::Allow, 200.0),
+            Err(InsertError::Overlap { .. })
+        ));
+
+        // The whole tuple goes at once; its neighbour is untouched.
+        assert_eq!(cache.remove_mask(&big), model.len());
+        gone.extend(std::mem::take(&mut model).into_keys());
+        order.clear();
+        check(&cache, &model, &order, &gone);
+        assert_eq!(cache.mask_count(), 1);
+        assert_eq!(cache.peek(&bystander).map(|e| e.action), Some(Action::Deny));
     }
 
     #[test]

@@ -227,7 +227,8 @@ fn wall_clock(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 /// iteration in non-test code must neutralize the order in the same statement
 /// (sort, min/max, count, collect into a B-tree) or justify itself with a
 /// pragma. Receivers are recognised by local declaration: any identifier the
-/// file binds or annotates with a `HashMap`/`HashSet` type.
+/// file binds or annotates with a `HashMap`/`HashSet` type, or with a file-local
+/// `type` alias of one.
 fn nondet_iteration(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
     if ctx.class == ModuleClass::Test {
         return;
@@ -309,9 +310,31 @@ fn nondet_iteration(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) 
     }
 }
 
+/// The names that denote a hash container in this file: `HashMap`, `HashSet` and
+/// every `type X = ..;` alias whose right-hand side mentions one (an alias declared
+/// earlier counts, so chains resolve in file order).
+fn hash_type_names<'a>(code: &[&'a Token]) -> BTreeSet<&'a str> {
+    let mut names = BTreeSet::from(["HashMap", "HashSet"]);
+    for i in 0..code.len() {
+        let Some(alias) = code.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        if code[i].is_ident("type")
+            && code[i + 2..]
+                .iter()
+                .take_while(|t| !t.is_punct(';'))
+                .any(|t| t.kind == TokenKind::Ident && names.contains(t.text.as_str()))
+        {
+            names.insert(alias.text.as_str());
+        }
+    }
+    names
+}
+
 /// Identifiers this file binds (`x = HashMap::..`) or annotates
 /// (`x: HashMap<..>`, struct fields included) with a hash container type.
 fn hash_bound_idents<'a>(code: &[&'a Token]) -> BTreeSet<&'a str> {
+    let hash_types = hash_type_names(code);
     let mut set = BTreeSet::new();
     for i in 0..code.len() {
         if code[i].kind != TokenKind::Ident {
@@ -348,7 +371,7 @@ fn hash_bound_idents<'a>(code: &[&'a Token]) -> BTreeSet<&'a str> {
             {
                 break;
             }
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
+            if t.kind == TokenKind::Ident && hash_types.contains(t.text.as_str()) {
                 set.insert(code[i].text.as_str());
                 break;
             }

@@ -122,6 +122,28 @@ fn in_statement_neutralizer_passes() {
 }
 
 #[test]
+fn hash_iteration_through_a_type_alias_is_flagged() {
+    let src = "use std::collections::HashMap;\n\
+         type KeyMap = HashMap<u32, u32>;\n\
+         pub fn f(m: &KeyMap) -> Vec<u32> {\n    \
+         m.values().copied().collect()\n\
+         }\n";
+    let report = scan_file("crates/mitigation/src/fixture.rs", src);
+    assert_single(&report, "nondet-iteration", 4);
+}
+
+#[test]
+fn alias_of_an_ordered_container_passes_beside_a_hash_map() {
+    let src = "use std::collections::HashMap;\n\
+         type KeyList = Vec<u32>;\n\
+         pub fn f(m: &KeyList, h: &HashMap<u32, u32>) -> Vec<u32> {\n    \
+         m.iter().map(|k| h[k]).collect()\n\
+         }\n";
+    let report = scan_file("crates/mitigation/src/fixture.rs", src);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+}
+
+#[test]
 fn pragma_with_reason_suppresses_and_is_reported() {
     let src = NONDET_SRC.replace(
         "    m.values()",

@@ -32,15 +32,15 @@ fn workspace_scans_clean() {
             s.line
         );
     }
-    // The tuple space is one probe-ordered `Vec`: three hash-map walks remain (summary
-    // fold, `entries()`, `render`). A fourth means a second mask-keyed index came back.
+    // A tuple's entries are one dense `Vec` in insertion order, so the classifier walks
+    // no hash container at all. A suppression here means a `HashMap` came back.
     let classifier = report
         .suppressions
         .iter()
         .filter(|s| s.file.starts_with("crates/classifier/"))
         .count();
     assert!(
-        classifier <= 3,
+        classifier == 0,
         "{classifier} suppressions in tse-classifier"
     );
 }

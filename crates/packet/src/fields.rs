@@ -8,7 +8,15 @@
 //! code handles the paper's 3-bit hypothetical "HYP" protocol (Figs. 1–5), the canonical
 //! OVS IPv4 flow key, and IPv6 keys with 128-bit fields.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// The most fields a [`FieldSchema`] may have, and so the inline capacity of every
+/// [`FieldVec`]. A constant sized to the shipped schemas (both OVS flow keys have six
+/// fields), not an option: keys and masks live inline in every entry, event and rule, so
+/// raising it grows all of them.
+pub const MAX_FIELDS: usize = 6;
 
 /// Definition of a single header field: a human-readable name and a bit width (≤ 128).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,9 +61,13 @@ impl FieldSchema {
     /// Build a schema from an explicit field list.
     ///
     /// # Panics
-    /// Panics if the list is empty.
+    /// Panics if the list is empty or holds more than [`MAX_FIELDS`] fields.
     pub fn new(fields: Vec<FieldDef>) -> Self {
         assert!(!fields.is_empty(), "schema must have at least one field");
+        assert!(
+            fields.len() <= MAX_FIELDS,
+            "schema must have at most {MAX_FIELDS} fields"
+        );
         FieldSchema { fields }
     }
 
@@ -123,7 +135,8 @@ impl FieldSchema {
     /// An all-zero value vector for this schema.
     pub fn zero_value(&self) -> FieldVec {
         FieldVec {
-            values: vec![0; self.fields.len()],
+            values: [0; MAX_FIELDS],
+            len: self.fields.len(),
         }
     }
 
@@ -134,17 +147,26 @@ impl FieldSchema {
 
     /// A fully exact mask (all bits of all fields examined).
     pub fn full_mask(&self) -> Mask {
-        FieldVec {
-            values: self.fields.iter().map(|f| f.full_mask()).collect(),
+        let mut mask = self.zero_value();
+        for (m, f) in mask.values.iter_mut().zip(&self.fields) {
+            *m = f.full_mask();
         }
+        mask
     }
 }
 
 /// A per-field vector of bit values. Used both as a *key* (header values) and as a
 /// *mask* (which bits are significant), matching the paper's `(K, M)` notation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Storage is inline — [`MAX_FIELDS`] slots and a length, no heap — so a key is copied
+/// with a `memcpy` and read without chasing a pointer. Equality, ordering and hashing
+/// are those of the slice [`FieldVec::values`] returns. Deliberately not `Copy`: a
+/// 112-byte copy should stay visible as a `.clone()`.
+#[derive(Clone)]
 pub struct FieldVec {
-    values: Vec<u128>,
+    /// The first `len` slots are the fields; the rest stay zero.
+    values: [u128; MAX_FIELDS],
+    len: usize,
 }
 
 /// A key: per-field header bit values. Alias of [`FieldVec`].
@@ -160,53 +182,63 @@ impl FieldVec {
             schema.field_count(),
             "value count must match schema field count"
         );
-        let values = values
-            .iter()
-            .zip(schema.fields())
-            .map(|(v, f)| v & f.full_mask())
-            .collect();
-        FieldVec { values }
+        let mut out = schema.zero_value();
+        for ((o, v), f) in out.values.iter_mut().zip(values).zip(schema.fields()) {
+            *o = v & f.full_mask();
+        }
+        out
     }
 
     /// Number of fields.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// True if there are no fields (never the case for schema-derived vectors).
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Value of field `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not below [`FieldVec::len`].
+    #[inline]
     pub fn get(&self, idx: usize) -> u128 {
-        self.values[idx]
+        self.values()[idx]
     }
 
     /// Set the value of field `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not below [`FieldVec::len`].
+    #[inline]
     pub fn set(&mut self, idx: usize, value: u128) {
-        self.values[idx] = value;
+        self.values[..self.len][idx] = value;
     }
 
     /// Raw per-field values.
+    #[inline]
     pub fn values(&self) -> &[u128] {
-        &self.values
+        &self.values[..self.len]
     }
 
     /// Combine with `other` field by field.
     fn zip_with(&self, other: &FieldVec, op: impl Fn(u128, u128) -> u128) -> FieldVec {
         debug_assert_eq!(self.len(), other.len());
-        FieldVec {
-            values: self
-                .values
-                .iter()
-                .zip(&other.values)
-                .map(|(&a, &b)| op(a, b))
-                .collect(),
+        let mut out = FieldVec {
+            values: [0; MAX_FIELDS],
+            len: self.len.min(other.len),
+        };
+        for ((o, &a), &b) in out.values.iter_mut().zip(self.values()).zip(other.values()) {
+            *o = op(a, b);
         }
+        out
     }
 
     /// Bitwise AND with a mask, per field: `h AND M` in Alg. 1.
+    #[inline]
     pub fn apply_mask(&self, mask: &Mask) -> FieldVec {
         self.zip_with(mask, |v, m| v & m)
     }
@@ -224,7 +256,7 @@ impl FieldVec {
     /// Total number of set bits across all fields. For a mask this is the number of
     /// examined (non-wildcarded) bits.
     pub fn popcount(&self) -> u32 {
-        self.values.iter().map(|v| v.count_ones()).sum()
+        self.values().iter().map(|v| v.count_ones()).sum()
     }
 
     /// Number of wildcarded (unexamined) bits of a mask under `schema`.
@@ -236,13 +268,13 @@ impl FieldVec {
     /// trace generator enumerates whole inverted values instead, see
     /// `tse_attack::colocated::bit_inversion_list`.)
     pub fn flip_bit(&mut self, idx: usize, bit: u32) {
-        self.values[idx] ^= 1u128 << bit;
+        self.set(idx, self.get(idx) ^ (1u128 << bit));
     }
 
     /// Render as a binary string per field (LSB right), padded to the schema widths —
     /// mirrors the presentation of Figs. 1–5.
     pub fn to_binary_string(&self, schema: &FieldSchema) -> String {
-        self.values
+        self.values()
             .iter()
             .zip(schema.fields())
             .map(|(v, f)| format!("{v:0width$b}", width = f.width as usize))
@@ -251,12 +283,47 @@ impl FieldVec {
     }
 }
 
+impl PartialEq for FieldVec {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for FieldVec {}
+
+impl PartialOrd for FieldVec {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FieldVec {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.values().cmp(other.values())
+    }
+}
+
+impl Hash for FieldVec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().hash(state);
+    }
+}
+
+impl fmt::Debug for FieldVec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FieldVec")
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
 impl fmt::Display for FieldVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "[{}]",
-            self.values
+            self.values()
                 .iter()
                 .map(|v| format!("{v:x}"))
                 .collect::<Vec<_>>()
@@ -266,27 +333,29 @@ impl fmt::Display for FieldVec {
 }
 
 /// Check whether a header `h` matches a key/mask pair: `(h AND M) == K`.
+#[inline]
 pub fn matches(header: &Key, key: &Key, mask: &Mask) -> bool {
     debug_assert_eq!(header.len(), mask.len());
     header.len() == key.len()
         && header
-            .values
+            .values()
             .iter()
-            .zip(&mask.values)
-            .zip(&key.values)
+            .zip(mask.values())
+            .zip(key.values())
             .all(|((h, m), k)| h & m == *k)
 }
 
 /// Check whether two key/mask pairs are *disjoint* (the Independence invariant Inv(2)
 /// of §3.2): they are disjoint iff there exists a bit position examined by both masks
 /// on which their keys differ. If no such bit exists, some packet matches both.
+#[inline]
 pub fn disjoint(key_a: &Key, mask_a: &Mask, key_b: &Key, mask_b: &Mask) -> bool {
     debug_assert_eq!(mask_a.len(), mask_b.len());
     key_a
-        .values
+        .values()
         .iter()
-        .zip(&key_b.values)
-        .zip(mask_a.values.iter().zip(&mask_b.values))
+        .zip(key_b.values())
+        .zip(mask_a.values().iter().zip(mask_b.values()))
         .any(|((a, b), (ma, mb))| (a ^ b) & ma & mb != 0)
 }
 
@@ -397,5 +466,38 @@ mod tests {
     fn wrong_value_count_panics() {
         let s = FieldSchema::hyp2();
         let _ = Key::from_values(&s, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 6 fields")]
+    fn schema_wider_than_the_inline_capacity_panics() {
+        let _ = FieldSchema::new(vec![FieldDef::new("f", 8); MAX_FIELDS + 1]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn index_past_the_length_panics_though_the_storage_is_wider() {
+        let _ = FieldSchema::hyp().zero_value().get(1);
+    }
+
+    #[test]
+    fn eq_ord_and_hash_are_those_of_the_value_slice() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(v: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+        let raw: [&[u128]; 6] = [&[0], &[1], &[1, 0], &[1, 5], &[2], &[0, u128::MAX]];
+        for a in raw {
+            for b in raw {
+                let schema = |n| FieldSchema::new(vec![FieldDef::new("f", 128); n]);
+                let fa = Key::from_values(&schema(a.len()), a);
+                let fb = Key::from_values(&schema(b.len()), b);
+                assert_eq!(fa == fb, a.to_vec() == b.to_vec(), "{a:?} == {b:?}");
+                assert_eq!(fa.cmp(&fb), a.to_vec().cmp(&b.to_vec()), "{a:?} cmp {b:?}");
+                assert_eq!(hash_of(&fa), hash_of(&a.to_vec()), "hash {a:?}");
+            }
+        }
     }
 }

@@ -323,8 +323,7 @@ mod tests {
             _now: f64,
         ) -> Result<(), InsertError> {
             Err(InsertError::Overlap {
-                existing_key: key,
-                existing_mask: mask,
+                existing: Box::new((key, mask)),
             })
         }
         fn clear(&mut self) {}

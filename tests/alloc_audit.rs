@@ -1,25 +1,20 @@
-//! Steady-state allocation audit of the sharded batch fan-out.
+//! Steady-state allocation audit of the sharded batch path, classification included.
 //!
 //! The steering pre-partition pass (`PartitionScratch` / `Prepartition` in
 //! `tse-switch`) promises **zero per-event heap allocations** once its scratch
 //! buffers are warm: partitioning writes event indices into reusable buffers and each
 //! shard processes one contiguous index run against the shared event slice — no
-//! per-shard `Vec<(Key, bytes, t)>`, no per-event `Key` clones. This test pins that
-//! with a counting global allocator: after a warm-up batch, fanning out a batch of N
+//! per-shard `Vec<(Key, bytes, t)>`, no per-event `Key` clones. The tuple-space probe
+//! promises the same: it hashes `header AND mask` off each tuple's probe plan and
+//! materialises nothing. This test pins both with a counting global allocator and the
+//! real TSS backend: once the cache holds a megaflow for every key, a batch of N
 //! events costs exactly as many allocations as a batch of 2N (the per-*batch*
 //! constant — report vectors and executor slots — not per-event), on the sequential
 //! walk and on the persistent worker pool alike.
-//!
-//! The per-event *classification* path is excluded by construction: the TSS backend
-//! allocates per lookup (`apply_mask` builds a masked key), which is classifier work,
-//! not fan-out work. A stub backend with an allocation-free lookup isolates the
-//! machinery under audit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tse::classifier::backend::FastPathBackend;
-use tse::classifier::tss::{InsertError, LookupOutcome};
 use tse::prelude::*;
 
 /// Forwards to the system allocator, counting every allocation (and reallocation —
@@ -71,69 +66,29 @@ fn allocations_during(mut f: impl FnMut()) -> u64 {
     (0..5).map(|_| measure()).min().unwrap()
 }
 
-/// A fast-path backend whose lookup is allocation-free (constant Allow verdict, one
-/// mask scanned): every event terminates at level 2 without touching the slow path,
-/// so any allocation observed during a batch belongs to the fan-out machinery.
-#[derive(Debug, Clone)]
-struct NoAllocBackend {
-    schema: FieldSchema,
-}
-
-impl FastPathBackend for NoAllocBackend {
-    fn fresh(schema: &FieldSchema) -> Self {
-        NoAllocBackend {
-            schema: schema.clone(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "no-alloc-stub"
-    }
-
-    fn schema(&self) -> &FieldSchema {
-        &self.schema
-    }
-
-    fn lookup(&mut self, _header: &Key, _now: f64) -> LookupOutcome {
-        LookupOutcome {
-            action: Some(Action::Allow),
-            masks_scanned: 1,
-        }
-    }
-
-    fn insert_megaflow(
-        &mut self,
-        _key: Key,
-        _mask: Mask,
-        _action: Action,
-        _now: f64,
-    ) -> Result<(), InsertError> {
-        Ok(())
-    }
-
-    fn clear(&mut self) {}
-
-    fn mask_count(&self) -> usize {
-        0
-    }
-
-    fn entry_count(&self) -> usize {
-        0
-    }
-}
-
-fn stub_datapath(
+/// Four TSS shards behind `executor`, warmed with `warm` until every key of it is a
+/// megaflow hit: from then on a batch drawn from those keys never reaches the slow path,
+/// so any allocation observed belongs to fan-out or to the probe itself.
+fn warmed_datapath(
     schema: &FieldSchema,
     executor: impl ShardExecutor + 'static,
-) -> ShardedDatapath<NoAllocBackend> {
+    warm: &[(Key, usize, f64)],
+) -> ShardedDatapath {
     let tp_dst = schema.field_index("tp_dst").unwrap();
     let table = FlowTable::whitelist_default_deny(schema, &[(tp_dst, 80)]);
-    ShardedDatapath::from_builder(
-        Datapath::builder(table).backend_fresh::<NoAllocBackend>(),
-        4,
-        Steering::Rss,
-    )
-    .with_executor(executor)
+    let mut dp = ShardedDatapath::from_builder(Datapath::builder(table), 4, Steering::Rss)
+        .with_executor(executor);
+    dp.process_timed_batch(warm);
+    let upcalls = dp.stats().upcalls;
+    // Once more, so every scratch buffer has reached its final capacity too.
+    dp.process_timed_batch(warm);
+    assert_eq!(dp.stats().upcalls, upcalls, "warm keys still miss");
+    assert!(
+        dp.shard_mask_counts().iter().all(|&m| m > 1),
+        "every shard should scan more than one mask: {:?}",
+        dp.shard_mask_counts()
+    );
+    dp
 }
 
 fn spread_batch(schema: &FieldSchema, n: usize) -> Vec<(Key, usize, f64)> {
@@ -157,11 +112,10 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     let small = spread_batch(&schema, 600);
     let big = spread_batch(&schema, 1200);
 
-    // --- Sequential executor: the pure scratch-reuse claim. ---
-    let mut dp = stub_datapath(&schema, SequentialExecutor);
-    // Warm up with the *largest* batch so every scratch buffer reaches its final
-    // capacity, then with the small one so nothing below depends on first-touch costs.
-    dp.process_timed_batch(&big);
+    // --- Sequential executor: scratch reuse and an allocation-free probe. ---
+    // Warmed with the *largest* batch (the small one is a prefix of it), then run over
+    // the small one so nothing below depends on first-touch costs.
+    let mut dp = warmed_datapath(&schema, SequentialExecutor, &big);
     dp.process_timed_batch(&small);
 
     let d_small = allocations_during(|| {
@@ -172,7 +126,7 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     });
     assert_eq!(
         d_small, d_big,
-        "fan-out allocations must not scale with batch size \
+        "batch allocations must not scale with batch size \
          (600 events: {d_small} allocs, 1200 events: {d_big})"
     );
     // The per-batch constant is the dispatch overhead (executor slots, report
@@ -208,8 +162,7 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     );
 
     // --- Persistent pool: same independence with the fan-out on live workers. ---
-    let mut pooled = stub_datapath(&schema, PersistentPoolExecutor::new(2));
-    pooled.process_timed_batch(&big);
+    let mut pooled = warmed_datapath(&schema, PersistentPoolExecutor::new(2), &big);
     pooled.process_timed_batch(&small);
     let p_small = allocations_during(|| {
         pooled.process_timed_batch(&small);
@@ -219,7 +172,7 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     });
     assert_eq!(
         p_small, p_big,
-        "pooled fan-out allocations must not scale with batch size \
+        "pooled batch allocations must not scale with batch size \
          (600 events: {p_small} allocs, 1200 events: {p_big})"
     );
 
