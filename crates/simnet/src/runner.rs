@@ -3,19 +3,23 @@
 //! Fig. 8a/8b/8c and any mix the streaming API can express.
 //!
 //! The runner drains a [`TrafficMix`] one sample interval at a time. Packet events
-//! (attack traffic) are low-rate and are pushed through the datapath in timestamped
-//! [`Datapath::process_timed_batch`] chunks (they are what mutates the cache). Victim
-//! flows are multi-gigabit, so simulating them per packet would be pointless; instead
-//! each victim source emits one mid-interval *probe* event per interval (which also
-//! keeps the victim's megaflow entry alive, exactly like the real traffic would), the
-//! runner reads off the per-invocation cost, and converts the CPU budget left over from
-//! attack processing into achieved victim throughput — attributed per source in the
-//! [`TimelineSample`]s.
+//! (attack traffic) are what mutates the cache: the interval's packets, still cut into
+//! their per-source runs, cross the executor in **one**
+//! [`ShardedDatapath::process_timed_runs`] dispatch, every shard replaying its share
+//! run by run, each packet at its own timestamp. Victim flows are multi-gigabit, so
+//! simulating them per packet would be pointless; instead each victim source emits one
+//! mid-interval *probe* event per interval (which also keeps the victim's megaflow
+//! entry alive, exactly like the real traffic would), the interval's probes cross the
+//! executor in one second dispatch — each shard answers the victims steered to it —
+//! the runner reads off the per-invocation cost, and converts the CPU budget left over
+//! from attack processing into achieved victim throughput — attributed per source in
+//! the [`TimelineSample`]s.
 //!
 //! [`ExperimentRunner::run_mix`] is a sequence of named stage functions over one
 //! private `RunState`, so each stage is a seam a profile or trace can hang off. Every
-//! interval is drained from the mix and then processed, both on the calling thread;
-//! the executor runs shard jobs and nothing else.
+//! interval is drained from the mix on the calling thread and then processed; the
+//! executor runs shard jobs and nothing else, a number of times per interval that does
+//! not depend on how many events, runs or probes the interval holds.
 //!
 //! [`ExperimentRunner::run`] is the single-attack-trace entry point the original
 //! figure experiments use; it is a thin shim that wraps the trace and the stored
@@ -32,7 +36,7 @@ use tse_packet::fields::Key;
 use tse_packet::wire::WireFault;
 use tse_switch::datapath::Datapath;
 use tse_switch::exec::ShardExecutor;
-use tse_switch::pmd::{ShardedBatchReport, ShardedDatapath};
+use tse_switch::pmd::ShardedDatapath;
 use tse_switch::stats::PathTaken;
 
 use crate::offload::OffloadConfig;
@@ -394,13 +398,14 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     ///    and malformed-frame events are set aside;
     /// 2. `install_due_tables` — applies the flow-table replacements scheduled at or
     ///    before `t`;
-    /// 3. `replay_chunks` — replays the interval's packet events through
-    ///    [`ShardedDatapath::process_timed_batch`], one per-source run at a time (each
-    ///    packet at its own time);
+    /// 3. `replay_chunks` — replays the interval's packet events through one
+    ///    [`ShardedDatapath::process_timed_runs`] dispatch: every shard walks its share
+    ///    of the per-source runs (each packet at its own time, each run one batch);
     /// 4. `charge_faults_and_expire` — charges malformed frames to shard 0 and runs
     ///    the idle-expiry sweep at the interval end;
-    /// 5. `replay_probes` — each probe refreshes its victim's fast-path entry and
-    ///    yields the current per-invocation cost under the runner's offload model;
+    /// 5. `replay_probes` — one more dispatch: each shard's probes refresh their
+    ///    victims' fast-path entries and yield the current per-invocation cost under
+    ///    the runner's offload model;
     /// 6. `allocate_victim_throughput` — splits the CPU each shard has left over from
     ///    attack processing across its active victims (equal shares, one
     ///    redistribution pass, aggregate line-rate cap);
@@ -515,14 +520,34 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         }
     }
 
-    /// Replay the drained interval's packets one per-source run at a time, in merged
-    /// timestamp order, charging cost and packet counts per shard — every shard is a
-    /// PMD thread with a private CPU budget.
+    /// Replay the drained interval's packets in one dispatch, in merged timestamp order
+    /// within every shard, charging cost and packet counts per shard — every shard is a
+    /// PMD thread with a private CPU budget. A run belongs to one source, so its
+    /// packets are all-attack or all-background: background runs charge shard CPU like
+    /// any traffic but stay out of the attack-attribution series.
     fn replay_chunks(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
-        for (src, events) in st.batch.source_runs() {
-            let report = self.datapath.process_timed_batch(events);
-            tally.charge_chunk(st.slots[src], events.len() as u64, &report);
+        let slots = &st.slots;
+        let mut start = 0;
+        for &(src, end) in &st.batch.runs {
+            if let Slot::Attacker(a) = slots[src] {
+                tally.per_attacker[a] += (end - start) as u64;
+            }
+            start = end;
         }
+        let busy = tally.shard_busy.iter_mut();
+        let mut per_shard: Vec<(&mut f64, &mut u64)> =
+            busy.zip(tally.shard_packets.iter_mut()).collect();
+        self.datapath.process_timed_runs(
+            &st.batch.events,
+            &st.batch.runs,
+            &mut per_shard,
+            |(busy, packets), src, report| {
+                **busy += report.total_cost;
+                if !matches!(slots[src], Slot::Background) {
+                    **packets += report.processed as u64;
+                }
+            },
+        );
     }
 
     /// Charge the interval's malformed frames (wire-level sources only) to shard 0 —
@@ -541,40 +566,51 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         self.datapath.maybe_expire(t_end);
     }
 
-    /// Replay the probes (already in time-then-insertion order): refresh each active
-    /// victim's megaflow entry *on the shard it is steered to* and read its current
-    /// per-invocation cost. Work units go through the backend's cost hook, and the
-    /// scan is re-priced with this experiment's offload cost model (the datapath's own
-    /// model prices the attack packets).
+    /// Replay the probes (already in time-then-insertion order) in one dispatch: each
+    /// shard refreshes the megaflow entries of the victims *steered to it* and reads off
+    /// their current per-invocation cost; the answers are applied in drain order, so a
+    /// victim probed twice keeps its last one. Work units go through the backend's cost
+    /// hook, and the scan is re-priced with this experiment's offload cost model (the
+    /// datapath's own model prices the attack packets). A probe from a non-victim
+    /// source has nothing to attribute and is left untouched.
     fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
-        for (src, ev) in &st.batch.probes {
-            let (Slot::Victim(slot), EventPayload::Probe { offered_gbps }) =
-                (st.slots[*src], ev.payload)
-            else {
-                continue; // a probe from a non-victim source has nothing to attribute
-            };
-            let shard = self.datapath.shard_of_key(&ev.key);
-            tally.shard_probes[shard] += 1;
-            let outcome = self
-                .datapath
-                .shard_mut(shard)
-                .process_key(&ev.key, ev.bytes, ev.time);
-            tally.victim_masks_scanned = tally.victim_masks_scanned.max(outcome.masks_scanned);
-            let units = self
-                .datapath
-                .shard(shard)
-                .megaflow()
-                .cost_units(outcome.masks_scanned);
-            let cost = match outcome.path {
-                PathTaken::SlowPath => self.offload.cost.slow_path(units),
-                PathTaken::Microflow => self.offload.cost.microflow(),
-                _ => self.offload.cost.fast_path(units),
-            };
-            tally.probes[slot] = Some(VictimProbe {
-                shard,
-                cost,
-                offered_gbps,
+        let probes: Vec<(usize, usize, &TrafficEvent, f64)> = st
+            .batch
+            .probes
+            .iter()
+            .filter_map(|(src, ev)| match (st.slots[*src], ev.payload) {
+                (Slot::Victim(slot), EventPayload::Probe { offered_gbps }) => {
+                    Some((slot, self.datapath.shard_of_key(&ev.key), ev, offered_gbps))
+                }
+                _ => None,
+            })
+            .collect();
+        let cost_model = &self.offload.cost;
+        let answers = self.datapath.for_each_shard(|i, shard| {
+            let mine = probes.iter().filter(|probe| probe.1 == i);
+            let priced = mine.map(|&(_, _, ev, _)| {
+                let outcome = shard.process_key(&ev.key, ev.bytes, ev.time);
+                let units = shard.megaflow().cost_units(outcome.masks_scanned);
+                let cost = match outcome.path {
+                    PathTaken::SlowPath => cost_model.slow_path(units),
+                    PathTaken::Microflow => cost_model.microflow(),
+                    _ => cost_model.fast_path(units),
+                };
+                (outcome.masks_scanned, cost)
             });
+            priced.collect::<Vec<_>>()
+        });
+        let mut answers: Vec<_> = answers.into_iter().map(Vec::into_iter).collect();
+        for &(slot, shard, _, offered_gbps) in &probes {
+            if let Some((masks_scanned, cost)) = answers[shard].next() {
+                tally.shard_probes[shard] += 1;
+                tally.victim_masks_scanned = tally.victim_masks_scanned.max(masks_scanned);
+                tally.probes[slot] = Some(VictimProbe {
+                    shard,
+                    cost,
+                    offered_gbps,
+                });
+            }
         }
     }
 
@@ -622,12 +658,14 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     ) {
         let dt = self.sample_interval;
         let victim_active: Vec<bool> = tally.probes.iter().map(Option::is_some).collect();
+        // Every packet a shard counted is non-background; the rest of the interval is.
+        let attack_packets: u64 = tally.shard_packets.iter().sum();
         let sample = TimelineSample {
             time: t,
             victim_gbps,
-            attacker_pps: tally.attack_packets as f64 / dt,
+            attacker_pps: attack_packets as f64 / dt,
             attacker_pps_by_source: tally.per_attacker.iter().map(|&c| c as f64 / dt).collect(),
-            background_pps: tally.background_packets as f64 / dt,
+            background_pps: (st.batch.events.len() as u64 - attack_packets) as f64 / dt,
             malformed_pps: st.batch.faults.len() as f64 / dt,
             mask_count: self.datapath.mask_count(),
             entry_count: self.datapath.entry_count(),
@@ -710,8 +748,6 @@ impl<'a> RunState<'a> {
 
 /// One interval's counters, built zeroed at the top of every interval.
 struct IntervalTally {
-    attack_packets: u64,
-    background_packets: u64,
     /// Packets delivered by each attacker source.
     per_attacker: Vec<u64>,
     /// CPU seconds each shard spent on replayed packets and malformed frames.
@@ -729,36 +765,12 @@ struct IntervalTally {
 impl IntervalTally {
     fn new(n_shards: usize, n_victims: usize, n_attackers: usize) -> Self {
         IntervalTally {
-            attack_packets: 0,
-            background_packets: 0,
             per_attacker: vec![0; n_attackers],
             shard_busy: vec![0.0; n_shards],
             shard_packets: vec![0; n_shards],
             shard_probes: vec![0; n_shards],
             probes: vec![None; n_victims],
             victim_masks_scanned: 0,
-        }
-    }
-
-    /// Account one replayed chunk of `n` packets from a source attributed to `slot`.
-    /// A chunk belongs to one source, so its packets are all-attack or all-background:
-    /// background chunks charge shard CPU like any traffic but stay out of the
-    /// attack-attribution series.
-    fn charge_chunk(&mut self, slot: Slot, n: u64, report: &ShardedBatchReport) {
-        let background = matches!(slot, Slot::Background);
-        for (s, r) in report.per_shard.iter().enumerate() {
-            self.shard_busy[s] += r.total_cost;
-            if !background {
-                self.shard_packets[s] += r.processed as u64;
-            }
-        }
-        if let Slot::Attacker(a) = slot {
-            self.per_attacker[a] += n;
-        }
-        if background {
-            self.background_packets += n;
-        } else {
-            self.attack_packets += n;
         }
     }
 }
@@ -831,7 +843,7 @@ fn allocate_victim_throughput(
 struct IntervalBatch {
     /// The interval's packets, in merged timestamp order.
     events: Vec<(Key, usize, f64)>,
-    /// Per-source runs over `events` as `(source, end index)` — the chunks
+    /// Per-source runs over `events` as `(source, end index)` — the run list
     /// `replay_chunks` dispatches: a run starts where the previous one ends (the first
     /// at 0) and holds consecutive packets of one source.
     runs: Vec<(usize, usize)>,
@@ -840,18 +852,6 @@ struct IntervalBatch {
     /// Malformed-frame events as `(fault, wire bytes, time)`, in drain order. Charged
     /// to shard 0 (the ingestion point) when the interval is processed.
     faults: Vec<(WireFault, usize, f64)>,
-}
-
-impl IntervalBatch {
-    /// Each run's source and packets, in merged timestamp order.
-    fn source_runs(&self) -> impl Iterator<Item = (usize, &[(Key, usize, f64)])> {
-        let mut start = 0;
-        self.runs.iter().map(move |&(src, end)| {
-            let events = &self.events[start..end];
-            start = end;
-            (src, events)
-        })
-    }
 }
 
 /// Drain every event of `[t, t_end)` from the mix into `batch`: packet events append
@@ -1321,19 +1321,29 @@ mod tests {
         assert!(degenerate_run(1.0, 0.0).samples.is_empty());
     }
 
-    /// A source replaying a fixed list of `(time, payload)` events.
-    struct Scripted(&'static str, std::vec::IntoIter<(f64, EventPayload)>);
+    /// A source of one role replaying a fixed list of `(time, payload)` events of one
+    /// key.
+    struct Scripted(
+        &'static str,
+        SourceRole,
+        Key,
+        std::vec::IntoIter<(f64, EventPayload)>,
+    );
 
     impl tse_attack::source::TrafficSource for Scripted {
         fn label(&self) -> &str {
             self.0
         }
 
+        fn role(&self) -> SourceRole {
+            self.1
+        }
+
         fn next_event(&mut self) -> Option<TrafficEvent> {
-            let (time, payload) = self.1.next()?;
+            let (time, payload) = self.3.next()?;
             Some(TrafficEvent {
                 time,
-                key: FieldSchema::hyp().zero_value(),
+                key: self.2.clone(),
                 bytes: 64,
                 payload,
             })
@@ -1341,7 +1351,8 @@ mod tests {
     }
 
     fn scripted(label: &'static str, events: Vec<(f64, EventPayload)>) -> Scripted {
-        Scripted(label, events.into_iter())
+        let key = FieldSchema::hyp().zero_value();
+        Scripted(label, SourceRole::Attacker, key, events.into_iter())
     }
 
     fn packets(label: &'static str, times: &[f64]) -> Scripted {
@@ -1358,10 +1369,12 @@ mod tests {
 
     /// The batch's runs as `(source, packet times)`.
     fn runs_of(batch: &IntervalBatch) -> Vec<(usize, Vec<f64>)> {
-        batch
-            .source_runs()
-            .map(|(src, events)| (src, events.iter().map(|e| e.2).collect()))
-            .collect()
+        let mut start = 0;
+        let times = |&(src, end): &(usize, usize)| {
+            let events = &batch.events[std::mem::replace(&mut start, end)..end];
+            (src, events.iter().map(|e| e.2).collect())
+        };
+        batch.runs.iter().map(times).collect()
     }
 
     #[test]
@@ -1446,7 +1459,6 @@ mod tests {
 
         drain_interval(&mut mix, 1.0, 2.0, &mut batch);
         assert!(batch.events.is_empty() && batch.runs.is_empty());
-        assert_eq!(batch.source_runs().count(), 0);
         assert_eq!(batch.probes.len(), 1);
         assert!(batch.events.capacity() >= events_cap && batch.runs.capacity() >= runs_cap);
 
@@ -1458,6 +1470,183 @@ mod tests {
             events_buf,
             "the event buffer is reused"
         );
+    }
+
+    /// The serial probe walk `replay_probes` replaced — one `process_key` at a time on
+    /// the calling thread, in drain order — kept as its oracle.
+    fn serial_probe_walk(
+        runner: &mut ExperimentRunner,
+        st: &RunState<'_>,
+        tally: &mut IntervalTally,
+    ) {
+        for (src, ev) in &st.batch.probes {
+            let (Slot::Victim(slot), EventPayload::Probe { offered_gbps }) =
+                (st.slots[*src], ev.payload)
+            else {
+                continue;
+            };
+            let shard = runner.datapath.shard_of_key(&ev.key);
+            tally.shard_probes[shard] += 1;
+            let outcome = runner
+                .datapath
+                .shard_mut(shard)
+                .process_key(&ev.key, ev.bytes, ev.time);
+            tally.victim_masks_scanned = tally.victim_masks_scanned.max(outcome.masks_scanned);
+            let megaflow = runner.datapath.shard(shard).megaflow();
+            let units = megaflow.cost_units(outcome.masks_scanned);
+            let cost = match outcome.path {
+                PathTaken::SlowPath => runner.offload.cost.slow_path(units),
+                PathTaken::Microflow => runner.offload.cost.microflow(),
+                _ => runner.offload.cost.fast_path(units),
+            };
+            tally.probes[slot] = Some(VictimProbe {
+                shard,
+                cost,
+                offered_gbps,
+            });
+        }
+    }
+
+    #[test]
+    fn probe_pass_matches_the_serial_walk_on_every_executor() {
+        use tse_mitigation::guard::{GuardConfig, MfcGuard};
+        use tse_switch::exec::{ChaosExecutor, PersistentPoolExecutor, SequentialExecutor};
+        use tse_switch::pmd::{Steering, SteeringView};
+        let schema = FieldSchema::ovs_ipv4();
+        let field = |name: &str| schema.field_index(name).unwrap();
+        let (tp_src, tp_dst) = (field("tp_src"), field("tp_dst"));
+        let table = FlowTable::whitelist_default_deny(&schema, &[(tp_dst, 80)]);
+        let flow = |src_port: u128, dst_port: u128| {
+            let mut key = schema.zero_value();
+            key.set(field("ip_src"), 0x0a00_0005);
+            key.set(field("ip_dst"), VICTIM_IP as u128);
+            key.set(tp_src, src_port);
+            key.set(tp_dst, dst_port);
+            key
+        };
+        // Three victims: one probed twice per interval, one steered to another shard,
+        // and one the ACL denies.
+        let view = SteeringView::new(Steering::Rss, &schema, 4);
+        let twice = flow(40_000, 80);
+        let elsewhere = (40_001..)
+            .map(|port| flow(port, 80))
+            .find(|key| view.shard_of_key(key) != view.shard_of_key(&twice))
+            .unwrap();
+        let blocked = flow(40_000, 443);
+        let probers = |intervals: usize| {
+            let prober = |label, role, key: &Key, offsets: &[f64]| {
+                let times = (0..intervals).flat_map(|k| offsets.iter().map(move |o| k as f64 + o));
+                let probes: Vec<_> = times.map(|t| (t, PROBE)).collect();
+                Scripted(label, role, key.clone(), probes.into_iter())
+            };
+            TrafficMix::new()
+                .with(prober("twice", SourceRole::Victim, &twice, &[0.25, 0.75]))
+                .with(prober("elsewhere", SourceRole::Victim, &elsewhere, &[0.5]))
+                .with(prober("blocked", SourceRole::Victim, &blocked, &[0.5]))
+                // No victim: the probe is set aside untouched (the benchmark's tick
+                // clock is such a source).
+                .with(prober("clock", SourceRole::Background, &twice, &[0.0]))
+        };
+        // `blocked` was denied once, then a guard sweep removed its drop entry and
+        // suppressed the deny rule: its probes upcall from now on.
+        let swept_runner = |executor: Box<dyn ShardExecutor>| {
+            let datapath = ShardedDatapath::new(table.clone(), 4, Steering::Rss);
+            let mut runner = ExperimentRunner::sharded(datapath, vec![], OffloadConfig::gro_off())
+                .with_executor(executor);
+            let shard = runner.datapath.shard_of_key(&blocked);
+            let shard = runner.datapath.shard_mut(shard);
+            shard.process_key(&blocked, 64, 0.0);
+            let config = GuardConfig {
+                mask_threshold: 0,
+                ..GuardConfig::default()
+            };
+            assert_eq!(
+                MfcGuard::new(config)
+                    .run_once(shard, 0.0, 0.0)
+                    .entries_removed,
+                1
+            );
+            runner
+        };
+        let first_interval = || {
+            let mut st = RunState::new(probers(1), 1.0, 4, TelemetryConfig::default());
+            drain_interval(&mut st.mix, 0.0, 1.0, &mut st.batch);
+            let tally = IntervalTally::new(4, st.n_victims, st.n_attackers);
+            (st, tally)
+        };
+        let executors = || -> [Box<dyn ShardExecutor>; 3] {
+            [
+                Box::new(SequentialExecutor),
+                Box::new(PersistentPoolExecutor::new(2)),
+                Box::new(ChaosExecutor::new(3, 7)),
+            ]
+        };
+
+        let mut oracle = swept_runner(Box::new(SequentialExecutor));
+        let (st, mut expect) = first_interval();
+        serial_probe_walk(&mut oracle, &st, &mut expect);
+        let [Some(twice_probe), Some(elsewhere_probe), Some(blocked_probe)] = expect.probes[..]
+        else {
+            panic!("every victim was probed: {:?}", expect.probes);
+        };
+        // The first probe of `twice` upcalled, the second hit its one mask: the last in
+        // drain order is the one the interval keeps.
+        let cost = &oracle.offload.cost;
+        assert_eq!(twice_probe.cost.to_bits(), cost.fast_path(1).to_bits());
+        assert!(blocked_probe.cost >= cost.slow_path(0));
+        assert_ne!(twice_probe.shard, elsewhere_probe.shard);
+        assert_eq!(expect.shard_probes.iter().sum::<u64>(), 4);
+        let stats = oracle.datapath.stats();
+        assert_eq!(
+            (stats.packets(), stats.upcalls, stats.megaflow_hits),
+            (5, 4, 1)
+        );
+        assert_eq!(
+            oracle.datapath.entry_count(),
+            2,
+            "nothing reinstalled for `blocked`"
+        );
+
+        for executor in executors() {
+            let mut runner = swept_runner(executor);
+            let (st, mut tally) = first_interval();
+            runner.replay_probes(&st, &mut tally);
+            assert_eq!(tally.probes, expect.probes);
+            for (got, want) in tally
+                .probes
+                .iter()
+                .flatten()
+                .zip(expect.probes.iter().flatten())
+            {
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+            }
+            assert_eq!(tally.shard_probes, expect.shard_probes);
+            assert_eq!(tally.victim_masks_scanned, expect.victim_masks_scanned);
+            for shard in 0..4 {
+                let (got, want) = (
+                    runner.datapath.shard_stats(shard),
+                    oracle.datapath.shard_stats(shard),
+                );
+                assert_eq!(got, want, "shard {shard}");
+                assert_eq!(got.busy_seconds.to_bits(), want.busy_seconds.to_bits());
+            }
+        }
+
+        // And through `run_mix`: the same timeline, to the bit, on every executor.
+        let timelines = executors().map(|executor| swept_runner(executor).run_mix(probers(3), 3.0));
+        assert!(timelines[0].samples.iter().all(|s| s.victim_gbps[0] > 0.0));
+        for timeline in &timelines[1..] {
+            assert_eq!(timeline.samples, timelines[0].samples);
+            for (got, want) in timeline.samples.iter().zip(&timelines[0].samples) {
+                let bits = |s: &TimelineSample| {
+                    s.victim_gbps
+                        .iter()
+                        .map(|g| g.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(got), bits(want));
+            }
+        }
     }
 
     fn probe(shard: usize, cost: f64, offered_gbps: f64) -> Option<VictimProbe> {

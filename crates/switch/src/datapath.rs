@@ -434,12 +434,12 @@ impl<B: FastPathBackend> Datapath<B> {
     /// Indexed form of [`Datapath::process_timed_batch`]: process `batch[idx[0]]`,
     /// `batch[idx[1]]`, … in that order, without materialising the sub-batch — the
     /// zero-copy hand-off behind the sharded datapath's steering pre-partition (each
-    /// shard gets the full slice plus one contiguous index run; no [`Key`] clones).
-    /// Event times must be nondecreasing *along the index order*.
+    /// shard gets the full slice plus, per run, a piece of its own index list; no
+    /// [`Key`] clones). Event times must be nondecreasing *along the index order*.
     ///
     /// # Panics
     /// Panics if an index is out of bounds for `batch`.
-    pub fn process_timed_batch_indexed(
+    pub(crate) fn process_timed_batch_indexed(
         &mut self,
         batch: &[(Key, usize, f64)],
         idx: &[u32],
@@ -458,8 +458,7 @@ impl<B: FastPathBackend> Datapath<B> {
     ) -> BatchReport {
         let processed = events.len();
         if processed == 0 {
-            // A shard that drew no events from a 1-event chunk is the common case on a
-            // sharded datapath: nothing to classify, nothing to merge.
+            // An empty batch: nothing to classify, nothing to merge.
             return BatchReport::default();
         }
         let mut pending = DatapathStats::default();

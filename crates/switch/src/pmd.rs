@@ -24,10 +24,14 @@
 //! Results are always collected in shard order, so executor choice never changes a
 //! single bit of the outputs (`tests/executor_parity.rs`).
 //!
-//! There is one batch dispatch: a timed batch plus a [`Prepartition`] of it goes to
-//! the executor, shard `i` classifying its contiguous index run.
-//! [`ShardedDatapath::process_timed_batch`] partitions into the datapath's own
-//! buffers; [`ShardedDatapath::process_timed_batch_prepartitioned`] consumes a
+//! There is one batch dispatch, and it is run-aware: a timed batch, the list of
+//! consecutive *runs* it is cut into (a sample interval's per-source runs, say) and a
+//! [`Prepartition`] of the whole batch cross the executor **once**; shard `i` walks its
+//! own index list run by run, classifying each run's share as one batch and folding the
+//! run's [`BatchReport`] into a caller-owned per-shard accumulator
+//! ([`ShardedDatapath::process_timed_runs`]). [`ShardedDatapath::process_timed_batch`]
+//! is its one-run case over the datapath's own partition buffers;
+//! [`ShardedDatapath::process_timed_batch_prepartitioned`] the one-run case over a
 //! partition the caller computed ahead of dispatch.
 
 use tse_classifier::backend::FastPathBackend;
@@ -72,60 +76,6 @@ impl Steering {
             }
             Steering::Pinned(_) => Vec::new(),
         }
-    }
-}
-
-/// Reusable scratch buffers of the steering pre-partition pass: a stable counting
-/// sort of event *indices* by destination shard.
-///
-/// `order` holds `0..n_events` grouped shard-major (events of shard 0 first, then
-/// shard 1, …), preserving relative order within each shard — the order the PMD's RX
-/// queue would deliver them. `starts[s]..starts[s + 1]` is shard `s`'s contiguous run.
-/// All three buffers retain their capacity across batches, so the steady-state pass
-/// performs zero heap allocations and zero `Key` clones (asserted by
-/// `tests/alloc_audit.rs`).
-#[derive(Debug, Clone, Default)]
-struct PartitionScratch {
-    /// Destination shard of event `e` (pass 1; avoids re-hashing in pass 2).
-    shard_of: Vec<u32>,
-    /// Event indices grouped by shard, stable within a shard.
-    order: Vec<u32>,
-    /// Prefix offsets into `order`, length `n_shards + 1`.
-    starts: Vec<usize>,
-    /// Per-shard write cursors of pass 2.
-    cursors: Vec<usize>,
-}
-
-impl PartitionScratch {
-    /// Recompute the partition of `n_events` events over `n_shards` shards, where
-    /// event `e` steers to `shard_of(e)`.
-    fn partition(&mut self, n_shards: usize, n_events: usize, shard_of: impl Fn(usize) -> usize) {
-        self.shard_of.clear();
-        self.starts.clear();
-        self.starts.resize(n_shards + 1, 0);
-        for e in 0..n_events {
-            let s = shard_of(e);
-            debug_assert!(s < n_shards, "steering produced shard {s} of {n_shards}");
-            self.shard_of.push(s as u32);
-            self.starts[s + 1] += 1;
-        }
-        for s in 0..n_shards {
-            self.starts[s + 1] += self.starts[s];
-        }
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.starts[..n_shards]);
-        self.order.clear();
-        self.order.resize(n_events, 0);
-        for (e, &s) in self.shard_of.iter().enumerate() {
-            let cursor = &mut self.cursors[s as usize];
-            self.order[*cursor] = e as u32;
-            *cursor += 1;
-        }
-    }
-
-    /// The contiguous index run of `shard` (empty if the shard received no events).
-    fn slice(&self, shard: usize) -> &[u32] {
-        &self.order[self.starts[shard]..self.starts[shard + 1]]
     }
 }
 
@@ -200,25 +150,29 @@ impl SteeringView {
 /// A partition is tied to the batch it was computed for: call [`Prepartition::clear`]
 /// (or [`Prepartition::compute`] again) before reusing one for another batch.
 ///
-/// The buffers are reused across batches (`Default` starts empty; steady state
-/// allocates nothing).
+/// The index lists keep their capacity across batches (`Default` starts empty), so the
+/// steady-state pass performs zero heap allocations and zero `Key` clones (asserted by
+/// `tests/alloc_audit.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct Prepartition {
-    scratch: PartitionScratch,
+    /// `lists[s]`: the indices of the events steered to shard `s`, ascending — the
+    /// order the PMD's RX queue would deliver them.
+    lists: Vec<Vec<u32>>,
     hash_key: u64,
-    n_shards: usize,
     n_events: usize,
     valid: bool,
 }
 
 impl Prepartition {
-    /// Partition `batch` against the steering `view`.
+    /// Partition `batch` against the steering `view`: one pass, every event's index
+    /// appended to the list of the shard its key steers to.
     pub fn compute(&mut self, view: &SteeringView, batch: &[(Key, usize, f64)]) {
-        self.scratch.partition(view.n_shards, batch.len(), |e| {
-            view.shard_of_key(&batch[e].0)
-        });
+        self.lists.resize_with(view.n_shards, Vec::new);
+        self.lists.iter_mut().for_each(Vec::clear);
+        for (e, (key, ..)) in batch.iter().enumerate() {
+            self.lists[view.shard_of_key(key)].push(e as u32);
+        }
         self.hash_key = view.hash_key;
-        self.n_shards = view.n_shards;
         self.n_events = batch.len();
         self.valid = true;
     }
@@ -229,28 +183,24 @@ impl Prepartition {
     }
 
     /// Recompute against `view` unless the partition already describes a batch of this
-    /// length under the same shard count and hash key. A lone shard takes the whole
-    /// batch, so there is nothing to partition.
+    /// length under the same shard count and hash key.
     ///
     /// Length, shard count and hash key cannot tell two same-length batches apart:
     /// debug builds therefore re-steer every event of a partition that looks current
     /// and panic if it was computed for a different batch.
     fn ensure_current(&mut self, view: &SteeringView, batch: &[(Key, usize, f64)]) {
-        if view.n_shards == 1 {
-            return;
-        }
         let looks_current = self.valid
-            && self.n_shards == view.n_shards
+            && self.lists.len() == view.n_shards
             && self.hash_key == view.hash_key
             && self.n_events == batch.len();
         if !looks_current {
             return self.compute(view, batch);
         }
         debug_assert!(
-            batch
-                .iter()
-                .zip(&self.scratch.shard_of)
-                .all(|((key, ..), &shard)| view.shard_of_key(key) == shard as usize),
+            self.lists.iter().enumerate().all(|(shard, list)| {
+                let steers_here = |&e: &u32| view.shard_of_key(&batch[e as usize].0) == shard;
+                list.iter().all(steers_here)
+            }),
             "Prepartition reused for a different batch without clear()"
         );
     }
@@ -543,22 +493,21 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Fan a timestamped event batch out to the shards in one pass: every shard
-    /// classifies its share with [`Datapath::process_timed_batch_indexed`].
+    /// classifies its share as one batch.
     ///
     /// Events keep their relative order within each shard (the order the PMD's RX
     /// queue would deliver them), and each shard's expiry/entry liveness evolves at the
     /// events' own timestamps. With one shard this is exactly the monolithic
     /// [`Datapath::process_timed_batch`].
     ///
-    /// Steering is a single allocation-free pre-partition pass into the datapath's own
-    /// [`Prepartition`] buffers (a stable counting sort of event indices) — no
-    /// per-shard `Vec`s, no per-event [`Key`] clones. Each shard's [`BatchReport`] is
-    /// returned directly by its job and collected in shard order, so the report — like
-    /// every other output — is executor-independent.
+    /// This is the one-run case of [`ShardedDatapath::process_timed_runs`]: each
+    /// shard's [`BatchReport`] (zero counters if it drew no events) lands in its slot
+    /// of the returned report, so the report — like every other output — is
+    /// executor-independent.
     pub fn process_timed_batch(&mut self, batch: &[(Key, usize, f64)]) -> ShardedBatchReport {
-        self.prep.clear();
-        let (steer, executor) = (&self.steer, &*self.executor);
-        Self::dispatch(steer, executor, &mut self.shards, batch, &mut self.prep)
+        let mut per_shard = vec![BatchReport::default(); self.shards.len()];
+        self.process_timed_runs(batch, &[(0, batch.len())], &mut per_shard, keep_report);
+        ShardedBatchReport { per_shard }
     }
 
     /// Like [`ShardedDatapath::process_timed_batch`], but consuming a partition
@@ -575,30 +524,76 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         batch: &[(Key, usize, f64)],
         prep: &mut Prepartition,
     ) -> ShardedBatchReport {
-        let (steer, executor) = (&self.steer, &*self.executor);
-        Self::dispatch(steer, executor, &mut self.shards, batch, prep)
+        let mut per_shard = vec![BatchReport::default(); self.shards.len()];
+        let whole = [(0, batch.len())];
+        self.dispatch(batch, &whole, prep, &mut per_shard, keep_report);
+        ShardedBatchReport { per_shard }
     }
 
-    /// The one batch dispatch: bring `prep` up to date with the steering, then have
-    /// shard `i` classify its contiguous index run of the shared event slice. A lone
-    /// shard takes the whole batch, unpartitioned, with no executor round trip. Takes
-    /// the datapath's fields apart so [`ShardedDatapath::process_timed_batch`] can pass
-    /// its own partition buffers.
-    fn dispatch(
-        steer: &SteeringView,
-        executor: &dyn ShardExecutor,
-        shards: &mut [Datapath<B>],
+    /// Fan a timestamped event batch that is cut into consecutive *runs* out to the
+    /// shards in **one** executor round trip, keeping the runs apart: `runs` lists them
+    /// as `(tag, end index)` — a run starts where the previous one ends (the first at
+    /// 0) and the last ends at `batch.len()`; the tag is the caller's (the traffic
+    /// source a run came from, say) and is only handed back.
+    ///
+    /// The whole batch is partitioned once (an allocation-free pass into the
+    /// datapath's own [`Prepartition`] buffers — no per-shard event `Vec`s, no
+    /// [`Key`] clones). Shard `i` then walks its index list run by run and, for every
+    /// run it holds events of, classifies that share as one batch and calls
+    /// `fold(&mut per_shard[i], tag, &report)` with the share's [`BatchReport`]. A shard
+    /// therefore makes exactly the calls — same events, same batch boundaries, so the
+    /// same `f64` sums to the bit — that a loop of
+    /// [`ShardedDatapath::process_timed_batch`] over the runs would make on it
+    /// (`tests/executor_parity.rs`), and `fold` sees a shard's reports in run order.
+    /// Nothing is returned: what the caller wants to know it accumulates in
+    /// `per_shard`, whose size is the shard count's, not the run count's.
+    ///
+    /// # Panics
+    /// Panics if `per_shard` does not have exactly one element per shard, if the run
+    /// ends decrease, or if the last run does not end at `batch.len()` (an empty run
+    /// list describes an empty batch only).
+    pub fn process_timed_runs<S: Send>(
+        &mut self,
         batch: &[(Key, usize, f64)],
+        runs: &[(usize, usize)],
+        per_shard: &mut [S],
+        fold: impl Fn(&mut S, usize, &BatchReport) + Sync,
+    ) {
+        // Lend the datapath's own partition buffers to the dispatch.
+        let mut prep = std::mem::take(&mut self.prep);
+        prep.clear();
+        self.dispatch(batch, runs, &mut prep, per_shard, fold);
+        self.prep = prep;
+    }
+
+    /// The one batch dispatch: bring `prep` up to date with the steering, then cross
+    /// the executor once, shard `i` classifying run by run the events its index list
+    /// names.
+    fn dispatch<S: Send>(
+        &mut self,
+        batch: &[(Key, usize, f64)],
+        runs: &[(usize, usize)],
         prep: &mut Prepartition,
-    ) -> ShardedBatchReport {
-        prep.ensure_current(steer, batch);
-        let per_shard = match shards {
-            [lone] => vec![lone.process_timed_batch(batch)],
-            _ => executor.for_each_shard(shards, |i, shard| {
-                shard.process_timed_batch_indexed(batch, prep.scratch.slice(i))
-            }),
-        };
-        ShardedBatchReport { per_shard }
+        per_shard: &mut [S],
+        fold: impl Fn(&mut S, usize, &BatchReport) + Sync,
+    ) {
+        let covered = runs.iter().fold(0, |start, &(_, end)| {
+            assert!(start <= end, "run ends decrease: {start} then {end}");
+            end
+        });
+        assert_eq!(covered, batch.len(), "the runs must cover the batch");
+        prep.ensure_current(&self.steer, batch);
+        self.for_each_shard_with(per_shard, |i, shard, acc| {
+            let mut rest = &prep.lists[i][..];
+            for &(tag, end) in runs {
+                let held = rest.iter().take_while(|&&e| (e as usize) < end).count();
+                if held > 0 {
+                    let (share, later) = rest.split_at(held);
+                    fold(acc, tag, &shard.process_timed_batch_indexed(batch, share));
+                    rest = later;
+                }
+            }
+        });
     }
 
     /// Process one raw Ethernet frame: parse it (VLAN/VXLAN overlays included), steer
@@ -635,6 +630,11 @@ impl ShardedDatapath<TupleSpace> {
     pub fn new(table: FlowTable, n_shards: usize, steering: Steering) -> Self {
         ShardedDatapath::from_builder(Datapath::builder(table), n_shards, steering)
     }
+}
+
+/// The fold of the one-run dispatches: the run's report *is* the shard's.
+fn keep_report(slot: &mut BatchReport, _tag: usize, report: &BatchReport) {
+    *slot = *report;
 }
 
 #[cfg(test)]
@@ -983,23 +983,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "run ends decrease: 200 then 100")]
+    fn decreasing_run_ends_are_rejected() {
+        let (mut dp, batch) = parity_fixture();
+        let runs = [(0, 200), (1, 100), (2, batch.len())];
+        dp.process_timed_runs(&batch, &runs, &mut [(); 4], |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "the runs must cover the batch")]
+    fn a_run_list_that_stops_short_of_the_batch_is_rejected() {
+        let (mut dp, batch) = parity_fixture();
+        dp.process_timed_runs(&batch, &[(0, 100)], &mut [(); 4], |_, _, _| {});
+    }
+
+    #[test]
     fn partition_scratch_is_a_stable_total_partition() {
-        let mut scratch = PartitionScratch::default();
-        let shard_of = |e: usize| e % 3;
-        scratch.partition(3, 10, shard_of);
-        // Every index appears exactly once, grouped by shard, stable within a shard.
-        assert_eq!(scratch.slice(0), &[0, 3, 6, 9]);
-        assert_eq!(scratch.slice(1), &[1, 4, 7]);
-        assert_eq!(scratch.slice(2), &[2, 5, 8]);
-        // Reuse with different geometry: buffers adapt, results stay exact.
-        scratch.partition(2, 4, |e| if e < 2 { 1 } else { 0 });
-        assert_eq!(scratch.slice(0), &[2, 3]);
-        assert_eq!(scratch.slice(1), &[0, 1]);
-        // Empty batch: all runs empty, no panic.
-        scratch.partition(4, 0, shard_of);
-        for s in 0..4 {
-            assert!(scratch.slice(s).is_empty());
+        let (dp, batch) = parity_fixture();
+        let view = dp.steering_view();
+        let mut prep = Prepartition::default();
+        prep.compute(&view, &batch);
+        // Every index appears exactly once, in the list of the shard its key steers
+        // to, ascending within the list.
+        let mut seen = vec![false; batch.len()];
+        for (shard, list) in prep.lists.iter().enumerate() {
+            assert!(!list.is_empty() && list.windows(2).all(|w| w[0] < w[1]));
+            for &e in list {
+                assert_eq!(view.shard_of_key(&batch[e as usize].0), shard);
+                assert!(!std::mem::replace(&mut seen[e as usize], true));
+            }
         }
+        assert!(seen.iter().all(|&s| s));
+        // Reuse with different geometry: the lists adapt, results stay exact.
+        let narrow = SteeringView::new(Steering::Pinned(1), &FieldSchema::ovs_ipv4(), 2);
+        prep.compute(&narrow, &batch[..4]);
+        assert_eq!(prep.lists, [vec![], vec![0, 1, 2, 3]]);
+        // Empty batch: all lists empty, no panic.
+        prep.compute(&view, &[]);
+        assert_eq!(prep.lists, vec![Vec::<u32>::new(); 4]);
     }
 
     #[test]

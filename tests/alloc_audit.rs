@@ -1,16 +1,18 @@
 //! Steady-state allocation audit of the sharded batch path, classification included.
 //!
-//! The steering pre-partition pass (`PartitionScratch` / `Prepartition` in
-//! `tse-switch`) promises **zero per-event heap allocations** once its scratch
-//! buffers are warm: partitioning writes event indices into reusable buffers and each
-//! shard processes one contiguous index run against the shared event slice — no
-//! per-shard `Vec<(Key, bytes, t)>`, no per-event `Key` clones. The tuple-space probe
+//! The steering pre-partition pass (`Prepartition` in `tse-switch`) promises **zero
+//! per-event heap allocations** once its scratch buffers are warm: partitioning writes
+//! event indices into reusable per-shard lists and each shard processes its list
+//! against the shared event slice — no per-shard `Vec<(Key, bytes, t)>`, no per-event
+//! `Key` clones. The tuple-space probe
 //! promises the same: it hashes `header AND mask` off each tuple's probe plan and
 //! materialises nothing. This test pins both with a counting global allocator and the
 //! real TSS backend: once the cache holds a megaflow for every key, a batch of N
 //! events costs exactly as many allocations as a batch of 2N (the per-*batch*
 //! constant — report vectors and executor slots — not per-event), on the sequential
-//! walk and on the persistent worker pool alike.
+//! walk and on the persistent worker pool alike. `run_mix` inherits the promise: a
+//! steady-state sample interval costs the same allocations whether it holds N one-event
+//! per-source runs or 2N, because the interval crosses the executor once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,6 +106,64 @@ fn spread_batch(schema: &FieldSchema, n: usize) -> Vec<(Key, usize, f64)> {
         .collect()
 }
 
+/// A lazy constant-rate packet source cycling through exactly its `keys` (an
+/// `AttackGenerator` randomises the noise fields, which keeps a trickle of upcalls — and
+/// their allocations — alive): the audited `run_mix` call materialises no trace and,
+/// once every key is cached, takes no slow path.
+struct Cycler {
+    keys: Vec<Key>,
+    next: usize,
+    gap: f64,
+    start: f64,
+}
+
+impl TrafficSource for Cycler {
+    fn label(&self) -> &str {
+        "cycler"
+    }
+
+    fn next_event(&mut self) -> Option<TrafficEvent> {
+        let i = self.next;
+        self.next += 1;
+        Some(TrafficEvent {
+            time: self.start + i as f64 * self.gap,
+            key: self.keys[i % self.keys.len()].clone(),
+            bytes: 64,
+            payload: EventPayload::Packet,
+        })
+    }
+}
+
+/// Allocations of one `run_mix` call over `intervals` sample intervals of
+/// `per_interval` events on 2 shards: two sources half a gap apart, so the interval is
+/// all one-event runs of alternating source.
+fn run_mix_allocations(schema: &FieldSchema, per_interval: usize, intervals: usize) -> u64 {
+    let keys: Vec<Key> = spread_batch(schema, 100).into_iter().map(|e| e.0).collect();
+    let tp_dst = schema.field_index("tp_dst").unwrap();
+    let table = FlowTable::whitelist_default_deny(schema, &[(tp_dst, 80)]);
+    let measure = || {
+        let datapath = ShardedDatapath::new(table.clone(), 2, Steering::Rss);
+        let mut runner = ExperimentRunner::sharded(datapath, Vec::new(), OffloadConfig::gro_off());
+        let gap = 2.0 / per_interval as f64;
+        let source = |start: f64| Cycler {
+            keys: keys.clone(),
+            next: 0,
+            gap,
+            start,
+        };
+        let mix = TrafficMix::new()
+            .with(source(gap / 4.0))
+            .with(source(gap * 3.0 / 4.0));
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let timeline = runner.run_mix(mix, intervals as f64);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let last = timeline.samples.last().unwrap();
+        assert_eq!(last.attacker_pps, per_interval as f64);
+        allocs
+    };
+    (0..5).map(|_| measure()).min().unwrap()
+}
+
 // One test function on purpose: the counter is process-global, and the deltas stay
 // meaningful only while no sibling test allocates concurrently.
 #[test]
@@ -174,6 +234,21 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         p_small, p_big,
         "pooled batch allocations must not scale with batch size \
          (600 events: {p_small} allocs, 1200 events: {p_big})"
+    );
+
+    // --- `run_mix`: a steady-state interval allocates independently of its size. ---
+    // Three more intervals of the same run cost the same whether each holds 600
+    // one-event runs or 1200: the interval buffers and the whole-interval partition are
+    // warm after the first interval, and what is left is per interval (the tally, the
+    // sample, two dispatches), not per event or per run.
+    let per_interval = |events: usize| {
+        run_mix_allocations(&schema, events, 6) - run_mix_allocations(&schema, events, 3)
+    };
+    let (m_small, m_big) = (per_interval(600), per_interval(1200));
+    assert_eq!(
+        m_small, m_big,
+        "three steady-state run_mix intervals must not allocate by event count \
+         (600 events each: {m_small} allocs, 1200 events each: {m_big})"
     );
 
     // --- Wire ingestion: batched header extraction is allocation-free when warm. ---

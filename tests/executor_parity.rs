@@ -2,6 +2,13 @@
 //! the sequential walk — same `Timeline`s (f64-bit compares), same `DatapathStats`,
 //! same `ShardedBatchReport`s, same mitigation action logs — for every scenario,
 //! shard count and defense stack. The executor may only change wall-clock time.
+//!
+//! The same file pins the run-aware dispatch (`ShardedDatapath::process_timed_runs`,
+//! what `run_mix` crosses the executor with once per interval) to the loop of per-run
+//! `process_timed_batch` calls it replaced, and counts `run_mix`'s executor round trips.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -229,6 +236,165 @@ fn sharded_batch_report_is_consistent_with_shard_stats() {
     }
 }
 
+/// Counts [`ShardExecutor::run`] calls on their way to a real worker pool.
+#[derive(Debug, Clone)]
+struct CountingExecutor {
+    pool: PersistentPoolExecutor,
+    runs: Arc<AtomicUsize>,
+}
+
+impl ShardExecutor for CountingExecutor {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn run(&self, n_shards: usize, job: &(dyn Fn(usize) + Sync)) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        self.pool.run(n_shards, job);
+    }
+
+    fn clone_box(&self) -> Box<dyn ShardExecutor> {
+        Box::new(self.clone())
+    }
+}
+
+/// The work counter a 1-core box can gate on: `run_mix` crosses the executor a fixed
+/// number of times per sample interval — once for the interval's packets, once for the
+/// idle-expiry sweep, once for its probes — however many events, per-source runs or
+/// probes the interval holds. A `run_mix` that dispatched per run would cross it some
+/// 10 000 times per interval on the larger mix below.
+#[test]
+fn run_mix_crosses_the_executor_a_fixed_number_of_times_per_interval() {
+    const INTERVALS: usize = 4;
+    let executor_runs = |events_per_interval: usize| {
+        let schema = FieldSchema::ovs_ipv4();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let sharded = ShardedDatapath::new(Scenario::SpDp.flow_table(&schema), 4, Steering::Rss)
+            .with_executor(CountingExecutor {
+                pool: PersistentPoolExecutor::new(2),
+                runs: Arc::clone(&runs),
+            });
+        let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
+        let mut mix = TrafficMix::new().with(VictimSource::new(
+            VictimFlow::iperf_tcp("Victim", 0x0a00_0005, 0x0a00_0063, 10.0),
+            &schema,
+            1.0,
+        ));
+        // Three constant-rate sources a third of a packet gap apart: a, b, c, a, b, c, …
+        // — every run the interval is cut into holds one event.
+        let rate = events_per_interval as f64 / 3.0;
+        for (i, label) in ["a", "b", "c"].into_iter().enumerate() {
+            mix.push(Box::new(AttackGenerator::new(
+                label,
+                &schema,
+                Scenario::SpDp
+                    .key_iter(&schema, &schema.zero_value())
+                    .cycle(),
+                StdRng::seed_from_u64(i as u64),
+                rate,
+                i as f64 / (3.0 * rate),
+            )));
+        }
+        let timeline = runner.run_mix(mix, INTERVALS as f64);
+        let delivered: f64 = timeline.samples.iter().map(|s| s.attacker_pps).sum();
+        assert!(
+            delivered >= (events_per_interval * (INTERVALS - 1)) as f64,
+            "the mix delivered only {delivered} packets"
+        );
+        runs.load(Ordering::Relaxed)
+    };
+    assert_eq!(executor_runs(10), 3 * INTERVALS);
+    assert_eq!(executor_runs(10_000), 3 * INTERVALS);
+}
+
+/// Per-shard `(run, report)` lists: what a `process_timed_runs` fold collects, and what
+/// a loop of `process_timed_batch` per run returns for the shards each run reached.
+type RunReports = Vec<Vec<(usize, BatchReport)>>;
+
+/// The run-aware dispatch of `events` cut at `ends`, on `executor`, against the loop it
+/// replaces — one `process_timed_batch` per run on the sequential walk: the same
+/// per-(shard, run) reports, per-shard statistics (costs to the f64 bit), mask and
+/// entry counts and per-mask hit counters.
+fn assert_runs_dispatch_matches_the_per_run_loop(
+    n_shards: usize,
+    executor: impl ShardExecutor + 'static,
+    ordering: MaskOrdering,
+    events: &[(Key, usize, f64)],
+    ends: &[usize],
+) {
+    let schema = FieldSchema::ovs_ipv4();
+    let build = || {
+        let builder = Datapath::builder(Scenario::SpDp.flow_table(&schema)).mask_ordering(ordering);
+        ShardedDatapath::from_builder(builder, n_shards, Steering::Rss)
+    };
+    let mut looped = build();
+    let mut expect: RunReports = vec![Vec::new(); n_shards];
+    let mut start = 0;
+    for (run, &end) in ends.iter().enumerate() {
+        let report = looped.process_timed_batch(&events[start..end]);
+        for (shard, r) in report.per_shard.iter().enumerate() {
+            if r.processed > 0 {
+                expect[shard].push((run, *r));
+            }
+        }
+        start = end;
+    }
+
+    let mut fused = build().with_executor(executor);
+    let runs: Vec<(usize, usize)> = ends.iter().copied().enumerate().collect();
+    let mut got: RunReports = vec![Vec::new(); n_shards];
+    fused.process_timed_runs(events, &runs, &mut got, |reports, run, r| {
+        reports.push((run, *r))
+    });
+
+    let context = format!(
+        "{n_shards} shards, {ordering:?}, {}",
+        fused.executor().name()
+    );
+    assert_eq!(got, expect, "{context}");
+    for shard in 0..n_shards {
+        for ((_, g), (_, e)) in got[shard].iter().zip(&expect[shard]) {
+            assert_eq!(g.total_cost.to_bits(), e.total_cost.to_bits(), "{context}");
+        }
+        let (f, l) = (fused.shard_stats(shard), looped.shard_stats(shard));
+        assert_eq!(f, l, "{context}, shard {shard}");
+        assert_eq!(
+            f.busy_seconds.to_bits(),
+            l.busy_seconds.to_bits(),
+            "{context}"
+        );
+        assert_eq!(
+            fused.shard(shard).megaflow().mask_usage(),
+            looped.shard(shard).megaflow().mask_usage(),
+            "{context}, shard {shard}"
+        );
+    }
+    assert_eq!(
+        fused.shard_mask_counts(),
+        looped.shard_mask_counts(),
+        "{context}"
+    );
+    assert_eq!(
+        fused.shard_entry_counts(),
+        looped.shard_entry_counts(),
+        "{context}"
+    );
+}
+
+#[test]
+fn an_empty_run_list_dispatches_an_empty_batch() {
+    for n_shards in [1, 4] {
+        let pool = PersistentPoolExecutor::new(2);
+        assert_runs_dispatch_matches_the_per_run_loop(
+            n_shards,
+            pool,
+            MaskOrdering::HitCount,
+            &[],
+            &[],
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -270,6 +436,56 @@ proptest! {
         prop_assert_eq!(a.busy_seconds.to_bits(), c.busy_seconds.to_bits());
         for i in 0..n_shards {
             prop_assert_eq!(seq.shard_stats(i), pool.shard_stats(i), "shard {}", i);
+        }
+    }
+
+    /// The run-aware dispatch is the per-run loop, shard for shard: random batches of a
+    /// few recurring keys (so hit counters — `HitCount`'s probe order — matter) whose
+    /// timestamps span many revalidation intervals and idle timeouts (entries expire
+    /// mid-batch, mid-run), cut into runs of 0–3 events (most runs miss most shards),
+    /// on 1/2/4 shards × every executor × every mask ordering.
+    #[test]
+    fn run_aware_dispatch_matches_a_loop_of_per_run_batches(
+        packets in proptest::collection::vec((0u128..24, 0u128..6, 0u128..6, 0usize..4), 0..120),
+        run_lens in proptest::collection::vec(0usize..4, 0..150),
+    ) {
+        let schema = FieldSchema::ovs_ipv4();
+        let field = |name: &str| schema.field_index(name).unwrap();
+        let (ip_src, tp_src, tp_dst) = (field("ip_src"), field("tp_src"), field("tp_dst"));
+        let mut now = 0.0;
+        let events: Vec<(Key, usize, f64)> = packets
+            .iter()
+            .map(|&(src, sport, dport, gap)| {
+                let mut k = schema.zero_value();
+                k.set(ip_src, 0x0a00_0000 + src);
+                k.set(tp_src, sport);
+                k.set(tp_dst, 78 + dport);
+                now += [0.0, 0.003, 0.4, 4.0][gap];
+                (k, 64usize, now)
+            })
+            .collect();
+        let mut ends = Vec::new();
+        for len in run_lens {
+            let end = ends.last().map_or(0, |&e: &usize| e + len);
+            ends.push(end.min(events.len()));
+        }
+        if ends.last().copied().unwrap_or(0) < events.len() {
+            ends.push(events.len());
+        }
+        let pool = PersistentPoolExecutor::new(3);
+        let orderings = [MaskOrdering::Insertion, MaskOrdering::NewestFirst, MaskOrdering::HitCount];
+        for n_shards in [1usize, 2, 4] {
+            for ordering in orderings {
+                for executor in [
+                    Box::new(SequentialExecutor) as Box<dyn ShardExecutor>,
+                    Box::new(pool.clone()),
+                    Box::new(ChaosExecutor::new(3, events.len() as u64)),
+                ] {
+                    assert_runs_dispatch_matches_the_per_run_loop(
+                        n_shards, executor, ordering, &events, &ends,
+                    );
+                }
+            }
         }
     }
 }
