@@ -57,19 +57,6 @@ pub fn multi_field_bound(widths: &[u32], ks: &[u32]) -> (f64, f64) {
     (time, space)
 }
 
-/// The two extreme points of Theorem 4.2 for the given field widths:
-/// `(optimal_time, optimal_space)` where
-/// * optimal time (`k_i = 1`): 1 mask, `Π 2^{w_i}` entries (well, `Π (2^{w_i} − 1)`),
-/// * optimal space (`k_i = w_i`): `Π w_i` masks, `Π w_i` entries.
-pub fn multi_field_extremes(widths: &[u32]) -> ((f64, f64), (f64, f64)) {
-    let ones: Vec<u32> = widths.iter().map(|_| 1).collect();
-    let full: Vec<u32> = widths.to_vec();
-    (
-        multi_field_bound(widths, &ones),
-        multi_field_bound(widths, &full),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +92,10 @@ mod tests {
     fn multi_field_extremes_match_theorem() {
         // The Fig. 6 fields: 32-bit source IP, two 16-bit ports.
         let widths = [32u32, 16, 16];
-        let ((t_time, s_time), (t_space, s_space)) = multi_field_extremes(&widths);
+        // The two extreme points of Theorem 4.2: optimal time (`k_i = 1`, 1 mask,
+        // `Π (2^{w_i} − 1)` entries) and optimal space (`k_i = w_i`, `Π w_i` of both).
+        let (t_time, s_time) = multi_field_bound(&widths, &[1, 1, 1]);
+        let (t_space, s_space) = multi_field_bound(&widths, &widths);
         // k_i = 1: one "time unit", ~2^64 entries.
         assert_eq!(t_time, 1.0);
         assert!(s_time > 1e18);

@@ -30,18 +30,13 @@ pub fn bit_inversion_list(width: u32, allow_value: u128) -> Vec<u128> {
     out
 }
 
-/// Generate the Co-located TSE header trace for an arbitrary WhiteList+DefaultDeny ACL
-/// described as `(field index, allowed value)` pairs in priority order: the outer product
-/// of the per-field bit-inversion lists. Untargeted fields keep the value given in
-/// `base`, so the caller can pin e.g. the destination IP to the attacker's own service.
-pub fn bit_inversion_trace(schema: &FieldSchema, allows: &[(usize, u128)], base: &Key) -> Vec<Key> {
-    bit_inversion_keys(schema, allows, base).collect()
-}
-
-/// The lazy form of [`bit_inversion_trace`]: an iterator walking the outer product of
-/// the per-field bit-inversion lists without materialising the key vector. It is
-/// `Clone`, so `bit_inversion_keys(..).cycle()` gives the looping-replay attacker as an
-/// unbounded stream — the generator form consumed by
+/// The Co-located TSE header trace for an arbitrary WhiteList+DefaultDeny ACL described
+/// as `(field index, allowed value)` pairs in priority order: an iterator walking the
+/// outer product of the per-field bit-inversion lists without materialising the key
+/// vector. Untargeted fields keep the value given in `base`, so the caller can pin e.g.
+/// the destination IP to the attacker's own service. It is `Clone`, so
+/// `bit_inversion_keys(..).cycle()` gives the looping-replay attacker as an unbounded
+/// stream — the generator form consumed by
 /// [`AttackGenerator`](crate::source::AttackGenerator).
 pub fn bit_inversion_keys(
     schema: &FieldSchema,
@@ -130,18 +125,6 @@ pub fn scenario_key_iter(schema: &FieldSchema, scenario: Scenario, base: &Key) -
     bit_inversion_keys(schema, &allows, base)
 }
 
-/// Number of packets the Co-located trace contains for a scenario (Π (w_i + 1)).
-pub fn trace_len(schema: &FieldSchema, scenario: Scenario) -> usize {
-    if !scenario.has_attack_traffic() {
-        return 0;
-    }
-    scenario
-        .target_fields()
-        .iter()
-        .map(|t| schema.width(schema.field_index(t.name).expect("field")) as usize + 1)
-        .product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +152,7 @@ mod tests {
         let table = tse_classifier::flowtable::FlowTable::fig1_hyp();
         let strategy = MegaflowStrategy::wildcarding(&schema);
         let base = schema.zero_value();
-        let trace = bit_inversion_trace(&schema, &[(0, 0b001)], &base);
+        let trace: Vec<Key> = bit_inversion_keys(&schema, &[(0, 0b001)], &base).collect();
         assert_eq!(trace.len(), 4);
         let mut cache = TupleSpace::new(schema.clone());
         for h in &trace {
@@ -195,7 +178,8 @@ mod tests {
         let table = tse_classifier::flowtable::FlowTable::fig4_hyp2();
         let strategy = MegaflowStrategy::wildcarding(&schema);
         let base = schema.zero_value();
-        let trace = bit_inversion_trace(&schema, &[(0, 0b001), (1, 0b1111)], &base);
+        let allows = [(0, 0b001), (1, 0b1111)];
+        let trace: Vec<Key> = bit_inversion_keys(&schema, &allows, &base).collect();
         assert_eq!(trace.len(), 4 * 5);
         let mut cache = TupleSpace::new(schema.clone());
         for h in &trace {
@@ -216,12 +200,14 @@ mod tests {
     #[test]
     fn scenario_trace_lengths() {
         let schema = FieldSchema::ovs_ipv4();
-        assert_eq!(trace_len(&schema, Scenario::Baseline), 0);
-        assert_eq!(trace_len(&schema, Scenario::Dp), 17);
-        assert_eq!(trace_len(&schema, Scenario::SpDp), 17 * 17);
-        assert_eq!(trace_len(&schema, Scenario::SipDp), 17 * 33);
-        assert_eq!(trace_len(&schema, Scenario::SipSpDp), 17 * 33 * 17);
+        // Π (w_i + 1) packets over the scenario's target fields.
         let base = schema.zero_value();
+        let len = |scenario| scenario_key_iter(&schema, scenario, &base).count();
+        assert_eq!(len(Scenario::Baseline), 0);
+        assert_eq!(len(Scenario::Dp), 17);
+        assert_eq!(len(Scenario::SpDp), 17 * 17);
+        assert_eq!(len(Scenario::SipDp), 17 * 33);
+        assert_eq!(len(Scenario::SipSpDp), 17 * 33 * 17);
         assert_eq!(scenario_trace(&schema, Scenario::Dp, &base).len(), 17);
         assert!(scenario_trace(&schema, Scenario::Baseline, &base).is_empty());
     }

@@ -107,29 +107,6 @@ impl ExpectationModel {
             .map(|&p| spark_probability_n(p, n))
             .sum()
     }
-
-    /// Expected number of megaflow *entries* after `n` random packets (each enumerated
-    /// entry counted separately). Entries and masks coincide except for shared masks, so
-    /// this is an upper bound on [`ExpectationModel::expected_masks`].
-    pub fn expected_entries(&self, n: u64) -> f64 {
-        // Re-enumerate entries rather than masks: coverage per entry.
-        let total_bits: u32 = self.widths.iter().sum();
-        let m = self.widths.len();
-        let mut expected = 0.0;
-        for i in 0..m {
-            enumerate_prefixes(&self.widths[..i], &mut |prefix| {
-                let constrained: u32 = prefix.iter().sum::<u32>() + self.widths[i];
-                let p = spark_probability(total_bits - constrained, total_bits);
-                expected += spark_probability_n(p, n);
-            });
-        }
-        enumerate_prefixes(&self.widths, &mut |prefix| {
-            let constrained: u32 = prefix.iter().sum();
-            let p = spark_probability(total_bits - constrained, total_bits);
-            expected += spark_probability_n(p, n);
-        });
-        expected
-    }
 }
 
 /// Enumerate every combination of per-field prefix lengths `l_j ∈ 1..=w_j` and call `f`
@@ -229,22 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn entries_upper_bound_masks() {
-        let schema = FieldSchema::ovs_ipv4();
-        let m = ExpectationModel::for_scenario(&schema, Scenario::SipDp);
-        for n in [100u64, 5_000] {
-            assert!(m.expected_entries(n) + 1e-9 >= m.expected_masks(n));
-        }
-    }
-
-    #[test]
     fn single_small_field_exact() {
         // 3-bit HYP: masks = 3 deny prefixes, the allow mask shared with the longest one
         // (exactly Fig. 3's 3 masks); with huge n all are present.
         let m = ExpectationModel::new(vec![3]);
         assert_eq!(m.max_masks(), 3);
         assert!((m.expected_masks(1_000_000) - 3.0).abs() < 1e-3);
-        // One packet sparks exactly one entry on average.
-        assert!((m.expected_entries(1) - 1.0).abs() < 1e-9);
     }
 }

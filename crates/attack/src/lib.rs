@@ -42,10 +42,9 @@ pub mod source;
 pub mod trace;
 pub mod wire;
 
-pub use bounds::{multi_field_bound, multi_field_extremes, single_field_curve, TradeoffPoint};
+pub use bounds::{multi_field_bound, single_field_curve, TradeoffPoint};
 pub use colocated::{
-    bit_inversion_keys, bit_inversion_list, bit_inversion_trace, scenario_key_iter, scenario_trace,
-    BitInversionKeys,
+    bit_inversion_keys, bit_inversion_list, scenario_key_iter, scenario_trace, BitInversionKeys,
 };
 pub use expectation::ExpectationModel;
 pub use general::{random_trace, random_trace_on_fields, RandomKeys};

@@ -10,6 +10,13 @@
 //! `tse-simnet`) are another. The experiment runner drains the merged stream — a
 //! 100-million-packet scenario never has to exist in memory at once, and multi-attacker
 //! or staggered-onset mixes are just more sources.
+//!
+//! The sources here are *key-level*: they hand the consumer a pre-extracted header key.
+//! Their wire-level twins in [`crate::wire`] serialise every packet and recover the key
+//! through the parser. Both turn a packet into a key through the one conversion
+//! [`FlowKey::checked_key`] and into an event through [`TrafficEvent::classified`], so a
+//! packet the schema cannot express is the same `Malformed { FamilyMismatch }` event on
+//! either ingress.
 
 use rand::Rng;
 
@@ -17,7 +24,7 @@ use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
 
-use crate::trace::AttackTrace;
+use crate::trace::{AttackTrace, Crafter, TimedPacket};
 
 /// What an event means to the consumer (the experiment runner).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +60,39 @@ pub struct TrafficEvent {
     pub bytes: usize,
     /// How the consumer should treat the event.
     pub payload: EventPayload,
+}
+
+impl TrafficEvent {
+    /// The event of one `bytes`-long packet at `time` whose packet → key decision
+    /// ([`FlowKey::checked_key`], or `tse_packet::wire::decode_key` for a raw frame) came
+    /// out as `key` under `schema`: a classifiable packet is a keyed
+    /// [`EventPayload::Packet`]; a fault is an [`EventPayload::Malformed`] carrying the
+    /// schema's zero key (never steered — the runner charges it to shard 0).
+    #[inline]
+    pub fn classified(
+        time: f64,
+        bytes: usize,
+        key: Result<Key, WireFault>,
+        schema: &FieldSchema,
+    ) -> Self {
+        let (key, payload) = match key {
+            Ok(key) => (key, EventPayload::Packet),
+            Err(fault) => (schema.zero_value(), EventPayload::Malformed { fault }),
+        };
+        TrafficEvent {
+            time,
+            key,
+            bytes,
+            payload,
+        }
+    }
+
+    /// [`TrafficEvent::classified`] for a concrete packet: the key-level ingress.
+    #[inline]
+    pub(crate) fn of_packet(tp: &TimedPacket, schema: &FieldSchema) -> Self {
+        let key = FlowKey::from_packet(&tp.packet).checked_key(schema);
+        Self::classified(tp.time, tp.packet.wire_len(), key, schema)
+    }
 }
 
 /// How a source participates in an experiment.
@@ -99,6 +139,9 @@ pub trait TrafficSource: Send {
 /// Keys are extracted from the stored packets with the given schema, so replaying a
 /// trace through the keyed event pipeline classifies exactly the packets the trace
 /// holds (including their randomised noise fields, which are part of the OVS key).
+/// A packet whose family the schema cannot express comes out as
+/// `Malformed { FamilyMismatch }`, exactly as its frame would out of a
+/// [`WireSource`](crate::wire::WireSource).
 #[derive(Debug, Clone)]
 pub struct TraceSource<'a> {
     label: String,
@@ -108,8 +151,7 @@ pub struct TraceSource<'a> {
 }
 
 impl<'a> TraceSource<'a> {
-    /// Wrap a trace. `schema` must be the OVS schema family matching the packets
-    /// (key extraction panics otherwise, exactly like [`FlowKey::to_key`]).
+    /// Wrap a trace for replay under `schema`.
     pub fn new(label: impl Into<String>, trace: &'a AttackTrace, schema: &FieldSchema) -> Self {
         TraceSource {
             label: label.into(),
@@ -128,35 +170,24 @@ impl TrafficSource for TraceSource<'_> {
     fn next_event(&mut self) -> Option<TrafficEvent> {
         let tp = self.trace.packets().get(self.cursor)?;
         self.cursor += 1;
-        Some(TrafficEvent {
-            time: tp.time,
-            key: FlowKey::from_packet(&tp.packet).to_key(&self.schema),
-            bytes: tp.packet.wire_len(),
-            payload: EventPayload::Packet,
-        })
+        Some(TrafficEvent::of_packet(tp, &self.schema))
     }
 }
 
 /// The lazy generator form of an attack trace: synthesizes explosion traffic on the
 /// fly from a key iterator instead of materialising a `Vec<TimedPacket>`.
 ///
-/// Packets are crafted exactly as [`AttackTrace::from_keys`] crafts them — same
-/// builder, same noise randomisation, same constant-rate timestamps — so a generator
-/// over the same keys, rate, start time and RNG seed emits an event stream identical
-/// to replaying the materialised trace, at O(1) memory for any packet count. Combine
+/// Packets come out of the crafter [`AttackTrace::from_keys`] collects — same builder,
+/// same noise randomisation, same constant-rate timestamps — so a generator over the
+/// same keys, rate, start time and RNG seed emits an event stream identical to
+/// replaying the materialised trace, at O(1) memory for any packet count. Combine
 /// with [`crate::colocated::scenario_key_iter`] (cycled) or
 /// [`crate::general::RandomKeys`] for unbounded traffic.
 #[derive(Debug, Clone)]
 pub struct AttackGenerator<I, R> {
     label: String,
     schema: FieldSchema,
-    fields: (usize, usize, usize, usize, bool),
-    keys: I,
-    rng: R,
-    rate_pps: f64,
-    start_time: f64,
-    emitted: usize,
-    limit: Option<usize>,
+    crafter: Crafter<I, R>,
 }
 
 impl<I, R> AttackGenerator<I, R>
@@ -176,23 +207,16 @@ where
         rate_pps: f64,
         start_time: f64,
     ) -> Self {
-        assert!(rate_pps > 0.0, "rate must be positive");
         AttackGenerator {
             label: label.into(),
-            fields: crate::trace::crafting_fields(schema),
             schema: schema.clone(),
-            keys,
-            rng,
-            rate_pps,
-            start_time,
-            emitted: 0,
-            limit: None,
+            crafter: Crafter::new(schema, keys, rng, rate_pps, start_time),
         }
     }
 
     /// Cap the stream at `count` packets (the cyclic-replay form).
     pub fn with_limit(mut self, count: usize) -> Self {
-        self.limit = Some(count);
+        self.crafter = self.crafter.with_limit(count);
         self
     }
 }
@@ -207,23 +231,8 @@ where
     }
 
     fn next_event(&mut self) -> Option<TrafficEvent> {
-        if let Some(limit) = self.limit {
-            if self.emitted >= limit {
-                return None;
-            }
-        }
-        let key = self.keys.next()?;
-        let packet = crate::trace::craft_packet(&key, self.fields)
-            .randomize_noise(&mut self.rng)
-            .build();
-        let time = self.start_time + self.emitted as f64 * (1.0 / self.rate_pps);
-        self.emitted += 1;
-        Some(TrafficEvent {
-            time,
-            key: FlowKey::from_packet(&packet).to_key(&self.schema),
-            bytes: packet.wire_len(),
-            payload: EventPayload::Packet,
-        })
+        let tp = self.crafter.next()?;
+        Some(TrafficEvent::of_packet(&tp, &self.schema))
     }
 }
 
@@ -532,7 +541,10 @@ mod tests {
         while let Some(ev) = src.next_event() {
             let tp = &trace.packets()[n];
             assert_eq!(ev.time, tp.time);
-            assert_eq!(ev.key, FlowKey::from_packet(&tp.packet).to_key(&schema));
+            assert_eq!(
+                Ok(ev.key),
+                FlowKey::from_packet(&tp.packet).checked_key(&schema)
+            );
             assert_eq!(ev.bytes, tp.packet.wire_len());
             assert_eq!(ev.payload, EventPayload::Packet);
             n += 1;

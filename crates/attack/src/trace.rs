@@ -32,7 +32,7 @@ pub struct AttackTrace {
 ///
 /// # Panics
 /// Panics if `schema` is neither OVS family.
-pub(crate) fn crafting_fields(schema: &FieldSchema) -> (usize, usize, usize, usize, bool) {
+fn crafting_fields(schema: &FieldSchema) -> (usize, usize, usize, usize, bool) {
     let (ip_src, ip_dst, is_v6) = match schema.field_index("ip_src") {
         Some(src) => (
             src,
@@ -53,7 +53,7 @@ pub(crate) fn crafting_fields(schema: &FieldSchema) -> (usize, usize, usize, usi
 }
 
 /// Craft one attack packet (before noise randomisation) from a header key.
-pub(crate) fn craft_packet(key: &Key, fields: (usize, usize, usize, usize, bool)) -> PacketBuilder {
+fn craft_packet(key: &Key, fields: (usize, usize, usize, usize, bool)) -> PacketBuilder {
     let (ip_src, ip_dst, tp_src, tp_dst, is_v6) = fields;
     if is_v6 {
         PacketBuilder::from_numeric_v6(
@@ -74,6 +74,73 @@ pub(crate) fn craft_packet(key: &Key, fields: (usize, usize, usize, usize, bool)
     }
 }
 
+/// The one attack crafter: an iterator turning header keys into the attack's timed
+/// packets. Packet `i` is built from the `i`-th key, its noise fields (TTL, IP id / flow
+/// label, TCP seq) drawn from the crafter's RNG so every packet is a distinct microflow
+/// (§5.2), and stamped `start_time + i / rate_pps`; the stream ends with the keys or at
+/// the limit. A materialised [`AttackTrace`] is this collected; the lazy key-level and
+/// wire-level generators are this plus an ingress — so all three emit the same packets
+/// at the same times by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct Crafter<I, R> {
+    fields: (usize, usize, usize, usize, bool),
+    keys: I,
+    rng: R,
+    rate_pps: f64,
+    start_time: f64,
+    emitted: usize,
+    limit: Option<usize>,
+}
+
+impl<I, R> Crafter<I, R> {
+    /// A crafter over an OVS schema (IPv4 or IPv6), one packet per key of `keys`.
+    ///
+    /// # Panics
+    /// Panics if `rate_pps` is not positive or `schema` is neither OVS family.
+    pub(crate) fn new(
+        schema: &FieldSchema,
+        keys: I,
+        rng: R,
+        rate_pps: f64,
+        start_time: f64,
+    ) -> Self {
+        assert!(rate_pps > 0.0, "rate must be positive");
+        Crafter {
+            fields: crafting_fields(schema),
+            keys,
+            rng,
+            rate_pps,
+            start_time,
+            emitted: 0,
+            limit: None,
+        }
+    }
+
+    /// Stop after `count` packets even if keys remain.
+    pub(crate) fn with_limit(mut self, count: usize) -> Self {
+        self.limit = Some(count);
+        self
+    }
+}
+
+impl<I: Iterator<Item = Key>, R: Rng> Iterator for Crafter<I, R> {
+    type Item = TimedPacket;
+
+    #[inline]
+    fn next(&mut self) -> Option<TimedPacket> {
+        if self.limit.is_some_and(|limit| self.emitted >= limit) {
+            return None;
+        }
+        let key = self.keys.next()?;
+        let packet = craft_packet(&key, self.fields)
+            .randomize_noise(&mut self.rng)
+            .build();
+        let time = self.start_time + self.emitted as f64 * (1.0 / self.rate_pps);
+        self.emitted += 1;
+        Some(TimedPacket { time, packet })
+    }
+}
+
 impl AttackTrace {
     /// Build a trace from header keys over an OVS schema (IPv4 or IPv6), sent at
     /// `rate_pps` starting at `start_time`. Each packet's noise fields (TTL, IP id /
@@ -85,21 +152,10 @@ impl AttackTrace {
         rate_pps: f64,
         start_time: f64,
     ) -> Self {
-        assert!(rate_pps > 0.0, "rate must be positive");
-        let fields = crafting_fields(schema);
-        let interval = 1.0 / rate_pps;
-        let packets = keys
-            .iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let packet = craft_packet(key, fields).randomize_noise(rng).build();
-                TimedPacket {
-                    time: start_time + i as f64 * interval,
-                    packet,
-                }
-            })
-            .collect();
-        AttackTrace { packets }
+        let crafter = Crafter::new(schema, keys.iter().cloned(), rng, rate_pps, start_time);
+        AttackTrace {
+            packets: crafter.collect(),
+        }
     }
 
     /// Repeat the key sequence until `count` packets have been emitted (the attacker
@@ -115,19 +171,6 @@ impl AttackTrace {
         assert!(!keys.is_empty());
         let repeated: Vec<Key> = (0..count).map(|i| keys[i % keys.len()].clone()).collect();
         Self::from_keys(rng, schema, &repeated, rate_pps, start_time)
-    }
-
-    /// Build a trace directly from already-timed packets (used to stitch multiple attack
-    /// bursts — e.g. the on/off attacker of Fig. 8b — into one replayable trace).
-    ///
-    /// # Panics
-    /// Panics if the packets are not in non-decreasing time order.
-    pub fn from_timed(packets: Vec<TimedPacket>) -> Self {
-        assert!(
-            packets.windows(2).all(|w| w[0].time <= w[1].time),
-            "timed packets must be sorted by send time"
-        );
-        AttackTrace { packets }
     }
 
     /// The timed packets, in send order.
@@ -243,33 +286,6 @@ mod tests {
         let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
         let trace = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 50.0, 0.0, 100);
         assert_eq!(trace.len(), 100);
-    }
-
-    #[test]
-    fn from_timed_requires_sorted_times() {
-        let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(9);
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let a = AttackTrace::from_keys(&mut rng, &schema, &keys, 100.0, 0.0);
-        let b = AttackTrace::from_keys(&mut rng, &schema, &keys, 100.0, 10.0);
-        let mut all = a.packets().to_vec();
-        all.extend_from_slice(b.packets());
-        let stitched = AttackTrace::from_timed(all);
-        assert_eq!(stitched.len(), a.len() + b.len());
-        assert!((stitched.duration() - (10.0 + b.duration())).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_timed_rejects_unsorted() {
-        let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(9);
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let a = AttackTrace::from_keys(&mut rng, &schema, &keys, 100.0, 10.0);
-        let b = AttackTrace::from_keys(&mut rng, &schema, &keys, 100.0, 0.0);
-        let mut all = a.packets().to_vec();
-        all.extend_from_slice(b.packets());
-        let _ = AttackTrace::from_timed(all);
     }
 
     #[test]

@@ -4,25 +4,27 @@
 //! The key-level sources in [`crate::source`] hand the datapath pre-extracted header
 //! keys. The sources here instead serialise every packet to raw Ethernet bytes
 //! (optionally under a VLAN/VXLAN overlay, [`Encap`]) and recover the key through
-//! [`tse_packet::wire::decode`] — so the full header-layout code runs on the hot path,
-//! exactly as a switch fed from a NIC. For the same keys, seed, rate and start time a
-//! wire source emits an event stream **identical** to its key-level counterpart
-//! (encode→decode is exact), which the tests here pin; the only difference appears
-//! under an overlay, where the event's `bytes` honestly include the encapsulation
-//! overhead.
+//! [`tse_packet::wire::decode_key`] — so the full header-layout code runs on the hot
+//! path, exactly as a switch fed from a NIC. Key-level and wire-level sources share one
+//! packet → key conversion (`decode_key` is the parser followed by the
+//! `FlowKey::checked_key` the key-level sources call) and one crafter, so for the same
+//! keys, seed, rate and start time a wire source emits an event stream **identical** to
+//! its key-level counterpart (encode→decode is exact), which the tests here pin; the
+//! only difference appears under an overlay, where the event's `bytes` honestly include
+//! the encapsulation overhead.
 //!
-//! Frames that fail to decode (or decode into the wrong address family) are not
-//! dropped: they come out as [`EventPayload::Malformed`] events the experiment runner
-//! charges to shard 0, like the datapath's schema-mismatch path.
+//! Frames that fail to decode (or decode into an address family the schema cannot
+//! express) are not dropped: they come out as
+//! [`EventPayload::Malformed`](crate::source::EventPayload::Malformed) events the
+//! experiment runner charges to shard 0, like the datapath's schema-mismatch path.
 
 use rand::Rng;
 
 use tse_packet::fields::{FieldSchema, Key};
-use tse_packet::flowkey::FlowKey;
-use tse_packet::wire::{self, Encap, WireFault, WireTrace};
+use tse_packet::wire::{self, Encap, WireTrace};
 
-use crate::source::{EventPayload, TrafficEvent, TrafficSource};
-use crate::trace::AttackTrace;
+use crate::source::{TrafficEvent, TrafficSource};
+use crate::trace::{AttackTrace, Crafter};
 
 /// Serialise an [`AttackTrace`] into a [`WireTrace`] under the given encapsulation —
 /// the "write the pcap" half of wire-level replay.
@@ -34,55 +36,10 @@ pub fn wire_trace(trace: &AttackTrace, encap: Encap) -> WireTrace {
     out
 }
 
-/// Which OVS schema families a schema can classify (resolved once per source).
-#[derive(Debug, Clone, Copy)]
-struct Family {
-    v4: bool,
-    v6: bool,
-}
-
-impl Family {
-    fn of(schema: &FieldSchema) -> Self {
-        Family {
-            v4: schema.field_index("ip_src").is_some(),
-            v6: schema.field_index("ip6_src").is_some(),
-        }
-    }
-}
-
-/// Decode one frame into a traffic event: a classifiable packet becomes a keyed
-/// [`EventPayload::Packet`]; anything else becomes [`EventPayload::Malformed`] with a
-/// schema zero key (never steered — the runner charges it to shard 0).
-fn frame_event(
-    schema: &FieldSchema,
-    family: Family,
-    zero: &Key,
-    time: f64,
-    frame: &[u8],
-) -> TrafficEvent {
-    let payload = match wire::decode(frame) {
-        Ok(pkt) => {
-            let flow = FlowKey::from_packet(&pkt);
-            if (flow.is_v6 && family.v6) || (!flow.is_v6 && family.v4) {
-                return TrafficEvent {
-                    time,
-                    key: flow.to_key(schema),
-                    bytes: frame.len(),
-                    payload: EventPayload::Packet,
-                };
-            }
-            EventPayload::Malformed {
-                fault: WireFault::FamilyMismatch,
-            }
-        }
-        Err(e) => EventPayload::Malformed { fault: e.into() },
-    };
-    TrafficEvent {
-        time,
-        key: zero.clone(),
-        bytes: frame.len(),
-        payload,
-    }
+/// Decode one frame into a traffic event — the wire-level ingress.
+#[inline]
+fn frame_event(schema: &FieldSchema, time: f64, frame: &[u8]) -> TrafficEvent {
+    TrafficEvent::classified(time, frame.len(), wire::decode_key(frame, schema), schema)
 }
 
 /// A [`TrafficSource`] replaying a [`WireTrace`] frame by frame through the wire
@@ -91,8 +48,6 @@ fn frame_event(
 pub struct WireSource {
     label: String,
     schema: FieldSchema,
-    family: Family,
-    zero: Key,
     trace: WireTrace,
     cursor: usize,
 }
@@ -102,23 +57,10 @@ impl WireSource {
     pub fn replay(label: impl Into<String>, trace: WireTrace, schema: &FieldSchema) -> Self {
         WireSource {
             label: label.into(),
-            family: Family::of(schema),
-            zero: schema.zero_value(),
             schema: schema.clone(),
             trace,
             cursor: 0,
         }
-    }
-
-    /// Serialise an [`AttackTrace`] under `encap` and replay it — shorthand for
-    /// [`wire_trace`] + [`WireSource::replay`].
-    pub fn from_attack_trace(
-        label: impl Into<String>,
-        trace: &AttackTrace,
-        schema: &FieldSchema,
-        encap: Encap,
-    ) -> Self {
-        Self::replay(label, wire_trace(trace, encap), schema)
     }
 
     /// The frame trace being replayed.
@@ -140,32 +82,22 @@ impl TrafficSource for WireSource {
         self.cursor += 1;
         Some(frame_event(
             &self.schema,
-            self.family,
-            &self.zero,
             self.trace.time(i),
             self.trace.frame(i),
         ))
     }
 }
 
-/// The lazy wire-level generator: crafts each attack packet on the fly (identically to
-/// [`crate::source::AttackGenerator`] — same builder, same noise draws, same constant-
-/// rate timestamps), serialises it into a reusable frame buffer under the configured
-/// [`Encap`], and recovers the classification key through the real parser. O(1) memory
-/// for any packet count, zero per-packet buffer allocations in steady state.
+/// The lazy wire-level generator: draws each attack packet from the crafter
+/// [`crate::source::AttackGenerator`] draws from (same builder, same noise draws, same
+/// constant-rate timestamps), serialises it into a reusable frame buffer under the
+/// configured [`Encap`], and recovers the classification key through the real parser.
+/// O(1) memory for any packet count, zero per-packet buffer allocations in steady state.
 #[derive(Debug, Clone)]
 pub struct WireGenerator<I, R> {
     label: String,
     schema: FieldSchema,
-    family: Family,
-    fields: (usize, usize, usize, usize, bool),
-    zero: Key,
-    keys: I,
-    rng: R,
-    rate_pps: f64,
-    start_time: f64,
-    emitted: usize,
-    limit: Option<usize>,
+    crafter: Crafter<I, R>,
     encap: Encap,
     frame: Vec<u8>,
 }
@@ -185,19 +117,10 @@ where
         rate_pps: f64,
         start_time: f64,
     ) -> Self {
-        assert!(rate_pps > 0.0, "rate must be positive");
         WireGenerator {
             label: label.into(),
-            family: Family::of(schema),
-            fields: crate::trace::crafting_fields(schema),
-            zero: schema.zero_value(),
             schema: schema.clone(),
-            keys,
-            rng,
-            rate_pps,
-            start_time,
-            emitted: 0,
-            limit: None,
+            crafter: Crafter::new(schema, keys, rng, rate_pps, start_time),
             encap: Encap::None,
             frame: Vec::new(),
         }
@@ -213,7 +136,7 @@ where
 
     /// Cap the stream at `count` frames (the cyclic-replay form).
     pub fn with_limit(mut self, count: usize) -> Self {
-        self.limit = Some(count);
+        self.crafter = self.crafter.with_limit(count);
         self
     }
 }
@@ -228,26 +151,10 @@ where
     }
 
     fn next_event(&mut self) -> Option<TrafficEvent> {
-        if let Some(limit) = self.limit {
-            if self.emitted >= limit {
-                return None;
-            }
-        }
-        let key = self.keys.next()?;
-        let packet = crate::trace::craft_packet(&key, self.fields)
-            .randomize_noise(&mut self.rng)
-            .build();
+        let tp = self.crafter.next()?;
         self.frame.clear();
-        self.encap.encode_into(&packet, &mut self.frame);
-        let time = self.start_time + self.emitted as f64 * (1.0 / self.rate_pps);
-        self.emitted += 1;
-        Some(frame_event(
-            &self.schema,
-            self.family,
-            &self.zero,
-            time,
-            &self.frame,
-        ))
+        self.encap.encode_into(&tp.packet, &mut self.frame);
+        Some(frame_event(&self.schema, tp.time, &self.frame))
     }
 }
 
@@ -257,10 +164,10 @@ mod tests {
     use crate::colocated::{scenario_key_iter, scenario_trace};
     use crate::general::random_trace_on_fields;
     use crate::scenarios::Scenario;
-    use crate::source::{AttackGenerator, SourceRole, TraceSource};
+    use crate::source::{AttackGenerator, EventPayload, SourceRole, TraceSource};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tse_packet::wire::DecodeError;
+    use tse_packet::wire::{DecodeError, WireFault};
 
     fn stream(mut src: impl TrafficSource) -> Vec<TrafficEvent> {
         std::iter::from_fn(move || src.next_event()).collect()
@@ -272,37 +179,42 @@ mod tests {
         let keys = scenario_trace(&schema, Scenario::SpDp, &schema.zero_value());
         let trace =
             AttackTrace::from_keys(&mut StdRng::seed_from_u64(7), &schema, &keys, 200.0, 3.0);
-        let wire = WireSource::from_attack_trace("atk", &trace, &schema, Encap::None);
+        let wire = WireSource::replay("atk", wire_trace(&trace, Encap::None), &schema);
         assert_eq!(wire.trace().len(), trace.len());
         let keyed = TraceSource::new("atk", &trace, &schema);
         assert_eq!(stream(wire), stream(keyed));
     }
 
+    /// One crafter, three forms: the materialised trace replayed key-level, the lazy
+    /// key-level generator and the lazy wire-level generator (no encap) over the same
+    /// keys, seed, rate and start emit identical `(time, key, bytes, payload)` streams,
+    /// and a limit cuts both generators at the same event.
+    fn assert_crafter_parity(schema: &FieldSchema, keys: &[Key], seed: u64, rate: f64, start: f64) {
+        let rng = || StdRng::seed_from_u64(seed);
+        let trace = AttackTrace::from_keys(&mut rng(), schema, keys, rate, start);
+        let full = stream(trace.source("atk", schema));
+        assert_eq!(full.len(), keys.len());
+        assert!(full.iter().all(|ev| ev.payload == EventPayload::Packet));
+        let keyed =
+            || AttackGenerator::new("atk", schema, keys.iter().cloned(), rng(), rate, start);
+        let wire = || WireGenerator::new("atk", schema, keys.iter().cloned(), rng(), rate, start);
+        assert_eq!(stream(keyed()), full, "seed {seed}: key-level generator");
+        assert_eq!(stream(wire()), full, "seed {seed}: wire-level generator");
+        let limit = keys.len() / 3;
+        assert_eq!(stream(keyed().with_limit(limit)), full[..limit]);
+        assert_eq!(stream(wire().with_limit(limit)), full[..limit]);
+    }
+
     #[test]
     fn wire_generator_matches_key_level_generator_exactly() {
         let schema = FieldSchema::ovs_ipv4();
-        let mk_keys = || {
-            scenario_key_iter(&schema, Scenario::SipDp, &schema.zero_value())
-                .cycle()
-                .take(400)
-        };
-        let wire = WireGenerator::new(
-            "atk",
-            &schema,
-            mk_keys(),
-            StdRng::seed_from_u64(42),
-            250.0,
-            10.0,
-        );
-        let keyed = AttackGenerator::new(
-            "atk",
-            &schema,
-            mk_keys(),
-            StdRng::seed_from_u64(42),
-            250.0,
-            10.0,
-        );
-        assert_eq!(stream(wire), stream(keyed));
+        let keys: Vec<Key> = scenario_key_iter(&schema, Scenario::SipDp, &schema.zero_value())
+            .cycle()
+            .take(400)
+            .collect();
+        for seed in [42, 0x7c5e] {
+            assert_crafter_parity(&schema, &keys, seed, 250.0, 10.0);
+        }
     }
 
     #[test]
@@ -310,35 +222,16 @@ mod tests {
         let schema = FieldSchema::ovs_ipv6();
         let ip6_src = schema.field_index("ip6_src").unwrap();
         let tp_dst = schema.field_index("tp_dst").unwrap();
-        let mk_keys = || {
-            random_trace_on_fields(
-                &mut StdRng::seed_from_u64(99),
-                &schema,
-                &[ip6_src, tp_dst],
-                &schema.zero_value(),
-                300,
-            )
-            .into_iter()
-        };
-        let wire = WireGenerator::new(
-            "v6",
+        let keys = random_trace_on_fields(
+            &mut StdRng::seed_from_u64(99),
             &schema,
-            mk_keys(),
-            StdRng::seed_from_u64(5),
-            100.0,
-            0.0,
+            &[ip6_src, tp_dst],
+            &schema.zero_value(),
+            300,
         );
-        let keyed = AttackGenerator::new(
-            "v6",
-            &schema,
-            mk_keys(),
-            StdRng::seed_from_u64(5),
-            100.0,
-            0.0,
-        );
-        let wire_events = stream(wire);
-        assert_eq!(wire_events, stream(keyed));
-        assert_eq!(wire_events.len(), 300);
+        for seed in [5, 0x7c5e] {
+            assert_crafter_parity(&schema, &keys, seed, 100.0, 0.0);
+        }
     }
 
     #[test]
@@ -347,12 +240,8 @@ mod tests {
         let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
         let trace =
             AttackTrace::from_keys(&mut StdRng::seed_from_u64(1), &schema, &keys, 100.0, 0.0);
-        let plain = stream(WireSource::from_attack_trace(
-            "p",
-            &trace,
-            &schema,
-            Encap::None,
-        ));
+        let replay = |encap| stream(WireSource::replay("w", wire_trace(&trace, encap), &schema));
+        let plain = replay(Encap::None);
         for encap in [
             Encap::Vlan { tci: 100 },
             Encap::Vxlan {
@@ -361,7 +250,7 @@ mod tests {
                 vni: 42,
             },
         ] {
-            let tunneled = stream(WireSource::from_attack_trace("t", &trace, &schema, encap));
+            let tunneled = replay(encap);
             assert_eq!(tunneled.len(), plain.len());
             for (t, p) in tunneled.iter().zip(plain.iter()) {
                 // The overlay changes the wire bytes but not the classified key: the

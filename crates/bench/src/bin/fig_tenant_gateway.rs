@@ -61,10 +61,11 @@ fn run_variant(
     defended: bool,
 ) -> VariantSummary {
     let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(fleet.table()).with_executor(args.executor()),
+        Datapath::builder(fleet.table()),
         args.shard_count(),
         Steering::PerTenant,
-    );
+    )
+    .with_executor(args.executor());
     let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off())
         .with_telemetry(TelemetryConfig::with_hot_capacity(HOT_CAPACITY).with_slo_floor(slo_gbps))
         .with_table_updates(fleet.table_updates());

@@ -75,12 +75,11 @@ fn main() {
         ),
     ] {
         let sharded = ShardedDatapath::from_builder(
-            Datapath::builder(table.clone())
-                .strategy(strategy)
-                .with_executor(args.executor()),
+            Datapath::builder(table.clone()).strategy(strategy),
             n_shards,
             Steering::Rss,
-        );
+        )
+        .with_executor(args.executor());
         let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
         // Uniformly random attacker-controlled fields (the General TSE §6 shape),
         // serialised to raw frames and re-parsed on ingest.

@@ -286,11 +286,6 @@ pub fn gbps(v: f64) -> String {
     format!("{v:7.3} Gbps")
 }
 
-/// Format a percentage relative to a baseline.
-pub fn percent(value: f64, baseline: f64) -> String {
-    format!("{:6.2} %", 100.0 * value / baseline)
-}
-
 /// Render a simple aligned table: a header row plus data rows of equal arity.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -344,7 +339,6 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert!(gbps(1.5).contains("1.500 Gbps"));
-        assert!(percent(5.0, 10.0).contains("50.00"));
     }
 
     fn sharded() -> FigArgs {

@@ -85,10 +85,11 @@ pub fn victim_on_shard(
 /// the SipDp ACL, fanned out on the executor `--parallel` selects.
 pub fn datapath(schema: &FieldSchema, args: &FigArgs) -> ShardedDatapath {
     ShardedDatapath::from_builder(
-        Datapath::builder(Scenario::SipDp.flow_table(schema)).with_executor(args.executor()),
+        Datapath::builder(Scenario::SipDp.flow_table(schema)),
         args.shard_count(),
         Steering::Rss,
     )
+    .with_executor(args.executor())
 }
 
 /// An experiment runner over [`datapath`] with no stored victims and no mitigation —

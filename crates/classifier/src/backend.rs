@@ -255,15 +255,6 @@ impl<C: TableBacked> BaselineBackend<C> {
         }
     }
 
-    /// Create a backend with the classifier already built from `table`.
-    pub fn for_table(table: &FlowTable) -> Self {
-        BaselineBackend {
-            schema: table.schema().clone(),
-            classifier: Some(C::build_from(table)),
-            lookups: 0,
-        }
-    }
-
     /// The wrapped classifier, if a table has been installed.
     pub fn classifier(&self) -> Option<&C> {
         self.classifier.as_ref()
@@ -346,12 +337,19 @@ mod tests {
         Key::from_values(&FieldSchema::hyp(), &[v])
     }
 
+    /// A backend with the classifier already built from `table`.
+    fn for_table<B: FastPathBackend>(table: &FlowTable) -> B {
+        let mut backend = B::fresh(table.schema());
+        backend.install_table(table);
+        backend
+    }
+
     fn backends() -> Vec<Box<dyn FastPathBackend>> {
         let table = FlowTable::fig1_hyp();
         vec![
-            Box::new(LinearSearchBackend::for_table(&table)),
-            Box::new(TrieBackend::for_table(&table)),
-            Box::new(HyperCutsBackend::for_table(&table)),
+            Box::new(for_table::<LinearSearchBackend>(&table)),
+            Box::new(for_table::<TrieBackend>(&table)),
+            Box::new(for_table::<HyperCutsBackend>(&table)),
         ]
     }
 
@@ -416,7 +414,7 @@ mod tests {
     #[test]
     fn baseline_work_is_traffic_independent() {
         let table = FlowTable::fig1_hyp();
-        let mut b = TrieBackend::for_table(&table);
+        let mut b: TrieBackend = for_table(&table);
         let w0 = b.lookup(&hyp(0b000), 0.0).masks_scanned;
         for h in 0..8u128 {
             for _ in 0..10 {

@@ -97,19 +97,6 @@ impl FlowTable {
         None
     }
 
-    /// True if the table is *order-independent*: all pairs of rules are disjoint, so
-    /// priorities are irrelevant (§2.1).
-    pub fn is_order_independent(&self) -> bool {
-        for i in 0..self.rules.len() {
-            for j in (i + 1)..self.rules.len() {
-                if self.rules[i].overlaps(&self.rules[j]) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Render the table in the style of Fig. 1 / Fig. 4 / Fig. 6.
     pub fn render(&self) -> String {
         self.order
@@ -181,8 +168,9 @@ mod tests {
 
     #[test]
     fn fig1_is_order_dependent() {
-        // Fig. 1's rules overlap (001 matches both); the table is order-dependent.
-        assert!(!FlowTable::fig1_hyp().is_order_independent());
+        // Fig. 1's rules overlap (001 matches both), so priorities matter (§2.1).
+        let t = FlowTable::fig1_hyp();
+        assert!(t.rules()[0].overlaps(&t.rules()[1]));
     }
 
     #[test]
@@ -267,7 +255,6 @@ mod tests {
         let t = FlowTable::new(FieldSchema::hyp());
         assert!(t.lookup(&hyp_key(0)).is_none());
         assert!(t.is_empty());
-        assert!(t.is_order_independent());
     }
 
     #[test]

@@ -108,11 +108,11 @@ mod tests {
     use tse_packet::builder::PacketBuilder;
 
     fn mf(id: u16) -> MicroflowKey {
-        MicroflowKey::from_packet(
-            &PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80)
-                .ip_id(id)
-                .build(),
-        )
+        let mut pkt = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80).build();
+        if let tse_packet::NetHeader::V4(h) = &mut pkt.net {
+            h.identification = id;
+        }
+        MicroflowKey::from_packet(&pkt)
     }
 
     #[test]

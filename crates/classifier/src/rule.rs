@@ -97,11 +97,6 @@ impl Rule {
         !fields::disjoint(&self.key, &self.mask, &other.key, &other.mask)
     }
 
-    /// Number of examined (non-wildcarded) bits.
-    pub fn examined_bits(&self) -> u32 {
-        self.mask.popcount()
-    }
-
     /// Render in the style of the paper's figures (binary per field, `*` for fully
     /// wildcarded fields).
     pub fn render(&self, schema: &FieldSchema) -> String {
@@ -143,7 +138,7 @@ mod tests {
         let r = Rule::exact_on_field(&s, 0, 0b001, 10, Action::Allow);
         assert!(r.matches(&Key::from_values(&s, &[0b001])));
         assert!(!r.matches(&Key::from_values(&s, &[0b101])));
-        assert_eq!(r.examined_bits(), 3);
+        assert_eq!(r.mask.popcount(), 3);
     }
 
     #[test]

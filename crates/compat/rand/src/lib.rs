@@ -28,6 +28,14 @@ pub trait Rng {
     }
 }
 
+/// As in `rand`: a mutable reference to a generator is a generator, so code that owns
+/// its generator by value also accepts a borrowed one.
+impl<R: Rng + ?Sized> Rng for &mut R {
+    fn next_u64(&mut self) -> u64 {
+        (**self).next_u64()
+    }
+}
+
 /// Types that can be drawn uniformly from raw random bits (the `Standard` distribution).
 pub trait Standard: Sized {
     /// Build a value from a stream of random 64-bit words.

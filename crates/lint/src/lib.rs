@@ -35,7 +35,9 @@
 //! The scan also sizes every crate ([`Surface`]): code lines (non-blank, non-comment,
 //! outside `#[cfg(test)]` modules) and public items (`pub fn` / `pub struct` /
 //! `pub enum` / `pub trait`), printed with the human report and carried in the JSON
-//! one — so "the API shrank" is a number a PR can quote, not a feeling.
+//! one — so "the API shrank" is a number a PR can quote, not a feeling. A third column,
+//! `unreached` ([`WorkspaceReport::unreached`]), counts the public items that only
+//! tests name.
 //!
 //! # Exit codes (binary)
 //!
@@ -106,36 +108,81 @@ pub struct Surface {
 }
 
 impl Surface {
-    /// Measure one file's token stream. Integration tests and examples exercise a
-    /// crate rather than belong to it, so they measure as empty.
-    fn of(ctx: &context::FileContext, tokens: &[lexer::Token]) -> Surface {
-        use context::ModuleClass::{Example, Test};
-        if matches!(ctx.class, Test | Example) {
-            return Surface::default();
-        }
-        let code: Vec<&lexer::Token> = tokens
-            .iter()
-            .filter(|t| !t.is_comment() && !ctx.in_test_code(t.line))
-            .collect();
+    /// Measure a file's [`surface_tokens`].
+    fn of(code: &[&lexer::Token]) -> Surface {
         let lines: BTreeSet<u32> = code
             .iter()
             // A multi-line (raw) string literal occupies every line it spans.
             .flat_map(|t| t.line..=t.line + t.text.matches('\n').count() as u32)
             .collect();
-        let is_one_of = |t: &lexer::Token, kws: &[&str]| kws.iter().any(|kw| t.is_ident(kw));
-        let pub_items = code
-            .windows(3)
-            .filter(|w| {
-                w[0].is_ident("pub")
-                    && (is_one_of(w[1], &["fn", "struct", "enum", "trait"])
-                        || is_one_of(w[1], &["const", "async", "unsafe"]) && w[2].is_ident("fn"))
-            })
-            .count();
         Surface {
             code_lines: lines.len(),
-            pub_items,
+            pub_items: pub_item_names(code).count(),
         }
     }
+}
+
+/// The tokens of a file that belong to its crate's surface: everything outside comments
+/// and `#[cfg(test)]` modules. Integration tests and examples exercise a crate rather
+/// than belong to it, so they have none.
+fn surface_tokens<'a>(
+    ctx: &context::FileContext,
+    tokens: &'a [lexer::Token],
+) -> Vec<&'a lexer::Token> {
+    use context::ModuleClass::{Example, Test};
+    if matches!(ctx.class, Test | Example) {
+        return Vec::new();
+    }
+    tokens
+        .iter()
+        .filter(|t| !t.is_comment() && !ctx.in_test_code(t.line))
+        .collect()
+}
+
+/// The names of the public items in a comment-free, test-free token stream: the
+/// identifier after `pub fn` / `pub struct` / `pub enum` / `pub trait`, with an optional
+/// `const` / `async` / `unsafe` before the `fn`.
+fn pub_item_names<'a>(code: &'a [&'a lexer::Token]) -> impl Iterator<Item = &'a str> {
+    let is_one_of = |t: &lexer::Token, kws: &[&str]| kws.iter().any(|kw| t.is_ident(kw));
+    code.windows(4).filter_map(move |w| {
+        if !w[0].is_ident("pub") {
+            return None;
+        }
+        if is_one_of(w[1], &["fn", "struct", "enum", "trait"]) {
+            Some(w[2].text.as_str())
+        } else if is_one_of(w[1], &["const", "async", "unsafe"]) && w[2].is_ident("fn") {
+            Some(w[3].text.as_str())
+        } else {
+            None
+        }
+    })
+}
+
+/// The identifiers a file's non-test code *mentions*: every identifier outside comments,
+/// literals, `#[cfg(test)]` modules and `use` declarations that is not the name being
+/// declared by a `fn` / `struct` / `enum` / `trait` item. Importing or re-exporting a
+/// name is not reaching it; calling, constructing or naming it in a type is. Files of
+/// integration tests mention nothing; examples do.
+fn mentions(ctx: &context::FileContext, tokens: &[lexer::Token]) -> BTreeSet<String> {
+    let code = tokens
+        .iter()
+        .filter(|t| !t.is_comment() && !ctx.in_test_code(t.line));
+    let mut out = BTreeSet::new();
+    let mut in_use = false;
+    let mut declares = false;
+    for t in code {
+        if in_use {
+            in_use = !t.is_punct(';');
+        } else if t.is_ident("use") {
+            in_use = true;
+        } else if t.kind == lexer::TokenKind::Ident && !declares {
+            out.insert(t.text.clone());
+        }
+        declares = ["fn", "struct", "enum", "trait"]
+            .iter()
+            .any(|kw| t.is_ident(kw));
+    }
+    out
 }
 
 /// The crate a workspace-relative path belongs to, by package name: `crates/<n>/…` is
@@ -159,6 +206,12 @@ pub struct FileReport {
     pub suppressions: Vec<Suppression>,
     /// The file's size.
     pub surface: Surface,
+    /// The names of the file's public items, in source order (`surface.pub_items` of
+    /// them).
+    pub pub_names: Vec<String>,
+    /// The identifiers the file's non-test code mentions other than to declare or
+    /// import them — what [`WorkspaceReport::unreached`] is computed against.
+    pub mentions: BTreeSet<String>,
 }
 
 /// Scan one file's source. `path` must be workspace-relative with `/`
@@ -175,8 +228,11 @@ pub fn scan_file(path: &str, source: &str) -> FileReport {
         .map(|p| (p, false))
         .collect();
 
+    let code = surface_tokens(&ctx, &tokens);
     let mut report = FileReport {
-        surface: Surface::of(&ctx, &tokens),
+        surface: Surface::of(&code),
+        pub_names: pub_item_names(&code).map(str::to_string).collect(),
+        mentions: mentions(&ctx, &tokens),
         ..FileReport::default()
     };
     for finding in findings {
@@ -244,12 +300,23 @@ pub struct WorkspaceReport {
     pub suppressions: Vec<Suppression>,
     /// Per-crate size, keyed by package name.
     pub surface: BTreeMap<String, Surface>,
+    /// Per crate, the public items *unreached* by non-test code: named — other than to
+    /// declare or import them — in no non-test code of the workspace, `examples/` or
+    /// `benchmark/src`, so only tests keep them alive. Matching is by identifier on the
+    /// lexer's token stream, not by path: an item that shares its name with anything
+    /// mentioned elsewhere counts as reached, so the list can only under-report.
+    pub unreached: BTreeMap<String, Vec<String>>,
 }
 
 impl WorkspaceReport {
     /// True when the scan found no violations.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
+    }
+
+    /// The unreached public items of crate `name` (empty for an unknown crate).
+    fn unreached_in(&self, name: &str) -> &[String] {
+        self.unreached.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// Render the human-readable report.
@@ -270,11 +337,13 @@ impl WorkspaceReport {
                 ));
             }
         }
-        out.push_str("surface area (code lines / public items):\n");
+        out.push_str("surface area (code lines / public items / unreached):\n");
         for (name, s) in &self.surface {
             out.push_str(&format!(
-                "  {name:<16}{:>7}{:>6}\n",
-                s.code_lines, s.pub_items
+                "  {name:<16}{:>7}{:>6}{:>6}\n",
+                s.code_lines,
+                s.pub_items,
+                self.unreached_in(name).len()
             ));
         }
         out.push_str(&format!(
@@ -306,9 +375,11 @@ impl WorkspaceReport {
             ])
         };
         let surface = |(name, s): (&String, &Surface)| {
+            let unreached = self.unreached_in(name).len();
             let sizes = vec![
                 ("code_lines".to_string(), Json::Num(s.code_lines as f64)),
                 ("pub_items".to_string(), Json::Num(s.pub_items as f64)),
+                ("unreached".to_string(), Json::Num(unreached as f64)),
             ];
             (name.clone(), Json::Obj(sizes))
         };
@@ -337,20 +408,23 @@ impl WorkspaceReport {
 /// The directories scanned under the workspace root.
 const SCAN_ROOTS: &[&str] = &["src", "crates", "tests", "examples"];
 
-/// Scan the workspace rooted at `root`: every `.rs` file under `src/`,
-/// `crates/`, `tests/` and `examples/` (skipping any `target` directory), in
-/// sorted path order so output — and the JSON report — is deterministic.
-pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+/// Read for the identifiers it mentions only: `benchmark/` is its own workspace — no rule
+/// applies to it and it has no surface row — but what it calls is reached.
+const MENTION_ROOTS: &[&str] = &["benchmark/src"];
+
+/// Every `.rs` file under `root/<dir>` for each of `dirs` (skipping any `target`
+/// directory) as `(workspace-relative path, source)`, in sorted path order so output —
+/// and the JSON report — is deterministic.
+fn read_sources(root: &Path, dirs: &[&str]) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    for dir in SCAN_ROOTS {
+    for dir in dirs {
         let dir = root.join(dir);
         if dir.is_dir() {
             collect_rs_files(&dir, &mut files)?;
         }
     }
     files.sort();
-    let mut report = WorkspaceReport::default();
-    for path in files {
+    let read = |path: PathBuf| {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
@@ -358,15 +432,39 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let source = std::fs::read_to_string(&path)?;
+        Ok((rel, std::fs::read_to_string(&path)?))
+    };
+    files.into_iter().map(read).collect()
+}
+
+/// Scan the workspace rooted at `root`: every `.rs` file under `src/`, `crates/`,
+/// `tests/` and `examples/`; `benchmark/src` is read as well, but only to learn which
+/// public items it reaches.
+pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+    let mut report = WorkspaceReport::default();
+    let mut mentioned = BTreeSet::new();
+    for (rel, source) in read_sources(root, SCAN_ROOTS)? {
         let file_report = scan_file(&rel, &source);
         report.files_scanned += 1;
-        let total = report.surface.entry(crate_of(&rel)).or_default();
+        let name = crate_of(&rel);
+        let total = report.surface.entry(name.clone()).or_default();
         total.code_lines += file_report.surface.code_lines;
         total.pub_items += file_report.surface.pub_items;
         report.diagnostics.extend(file_report.diagnostics);
         report.suppressions.extend(file_report.suppressions);
+        mentioned.extend(file_report.mentions);
+        // Every public item is a candidate until the whole workspace has been read.
+        let candidates = report.unreached.entry(name).or_default();
+        candidates.extend(file_report.pub_names);
     }
+    for (rel, source) in read_sources(root, MENTION_ROOTS)? {
+        let tokens = lexer::lex(&source);
+        mentioned.extend(mentions(&context::FileContext::new(&rel, &tokens), &tokens));
+    }
+    for items in report.unreached.values_mut() {
+        items.retain(|item| !mentioned.contains(item));
+    }
+    report.unreached.retain(|_, items| !items.is_empty());
     Ok(report)
 }
 

@@ -244,7 +244,40 @@ fn surface_counts_code_lines_and_public_items_outside_tests() {
     assert_eq!(report.surface.code_lines, 9);
     // `S`, `c`, `E`, `T` — not the `pub(crate)` fn, not the test helper.
     assert_eq!(report.surface.pub_items, 4);
+    assert_eq!(report.pub_names, ["S", "c", "E", "T"]);
     // Tests and examples exercise a crate; they are not its surface.
     let test_file = scan_file("tests/executor_parity.rs", src);
     assert_eq!(test_file.surface, tse_lint::Surface::default());
+    assert!(test_file.pub_names.is_empty());
+}
+
+#[test]
+fn mentions_are_uses_outside_tests_imports_and_declarations() {
+    let src = "use other::imported;\n\
+               /// A doc link to [`documented`] is a comment.\n\
+               pub fn declared() { called(\"quoted\"); let x: Named = built::path(); }\n\
+               pub struct Shape;\n\
+               impl Shape { fn method(&self) {} }\n\
+               #[cfg(test)]\nmod tests {\n    fn t() { only_tests(); }\n}\n";
+    let report = scan_file("crates/simnet/src/runner.rs", src);
+    for used in ["called", "Named", "built", "path", "Shape", "x"] {
+        assert!(report.mentions.contains(used), "{used} is mentioned");
+    }
+    for unused in [
+        "imported",
+        "other",
+        "documented",
+        "declared",
+        "quoted",
+        "method",
+        "only_tests",
+    ] {
+        assert!(
+            !report.mentions.contains(unused),
+            "{unused} is not mentioned"
+        );
+    }
+    // An integration test mentions nothing, an example everything it calls.
+    assert!(scan_file("tests/t.rs", src).mentions.is_empty());
+    assert!(scan_file("examples/e.rs", src).mentions.contains("called"));
 }

@@ -45,22 +45,27 @@ fn workspace_scans_clean() {
     );
 }
 
-/// Public items (`pub fn` / `struct` / `enum` / `trait` outside test code) each crate
-/// may carry: the counts at the last PR that touched the surface. The surface only
-/// shrinks without an explicit edit here — lower a ceiling when a PR deletes items,
-/// raise one only together with the reason the new item replaces more than it adds.
-const PUB_ITEM_CEILINGS: &[(&str, usize)] = &[
-    ("proptest", 14),
-    ("rand", 5),
-    ("tse", 0),
-    ("tse-attack", 80),
-    ("tse-bench", 61),
-    ("tse-classifier", 89),
-    ("tse-lint", 26),
-    ("tse-mitigation", 58),
-    ("tse-packet", 129),
-    ("tse-simnet", 137),
-    ("tse-switch", 129),
+/// Per crate: the public items (`pub fn` / `struct` / `enum` / `trait` outside test code)
+/// it may carry, and how many of them may be *unreached* — named by no non-test code of
+/// the workspace, `examples/` or `benchmark/src`, so alive only for tests. Both are the
+/// counts at the last PR that touched the surface, and both only shrink without an
+/// explicit edit here: lower a ceiling when a PR deletes items, raise one only together
+/// with the reason the new item replaces more than it adds. An unreached item that stays
+/// is a test's observation point for behaviour the figures do reach (the telemetry
+/// `*_series` accessors, `check_independence`, `shard_stats`, …) or is pinned by
+/// `benchmark/` through a path the identifier match cannot see.
+const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
+    ("proptest", 14, 1),
+    ("rand", 5, 0),
+    ("tse", 0, 0),
+    ("tse-attack", 75, 0),
+    ("tse-bench", 60, 0),
+    ("tse-classifier", 86, 4),
+    ("tse-lint", 26, 0),
+    ("tse-mitigation", 54, 2),
+    ("tse-packet", 124, 4),
+    ("tse-simnet", 131, 11),
+    ("tse-switch", 125, 5),
 ];
 
 #[test]
@@ -69,14 +74,20 @@ fn public_surface_stays_under_its_ceilings() {
     let report = tse_lint::scan_workspace(&root).expect("workspace scan");
     let table = report.render_human();
     for (name, surface) in &report.surface {
-        let ceiling = PUB_ITEM_CEILINGS.iter().find(|(n, _)| n == name);
-        let Some((_, ceiling)) = ceiling else {
+        let ceiling = PUB_ITEM_CEILINGS.iter().find(|(n, ..)| n == name);
+        let Some(&(_, pub_items, unreached)) = ceiling else {
             panic!("crate {name} has no committed public-item ceiling\n{table}");
         };
         assert!(
-            surface.pub_items <= *ceiling,
-            "{name}: {} public items exceed the committed ceiling of {ceiling}\n{table}",
+            surface.pub_items <= pub_items,
+            "{name}: {} public items exceed the committed ceiling of {pub_items}\n{table}",
             surface.pub_items
+        );
+        let only_tests_reach = report.unreached.get(name).map_or(&[][..], Vec::as_slice);
+        assert!(
+            only_tests_reach.len() <= unreached,
+            "{name}: only tests reach {only_tests_reach:?} — more than the committed \
+             ceiling of {unreached} unreached public items\n{table}"
         );
     }
 }

@@ -33,11 +33,6 @@ impl SlowPathCpuModel {
         let raw = self.base_percent + upcall_rate_pps * self.per_upcall_seconds * 100.0;
         raw.min(self.max_percent)
     }
-
-    /// Inverse: the upcall rate that would drive the daemon to the given utilisation.
-    pub fn rate_for_utilization(&self, percent: f64) -> f64 {
-        ((percent - self.base_percent).max(0.0) / 100.0) / self.per_upcall_seconds
-    }
 }
 
 impl Default for SlowPathCpuModel {
@@ -80,13 +75,5 @@ mod tests {
             assert!(u <= m.max_percent);
             prev = u;
         }
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let m = SlowPathCpuModel::ovs_vswitchd_default();
-        let rate = m.rate_for_utilization(80.0);
-        assert!((m.utilization_percent(rate) - 80.0).abs() < 1e-6);
-        assert_eq!(m.rate_for_utilization(0.0), 0.0);
     }
 }

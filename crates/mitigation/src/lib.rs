@@ -33,5 +33,5 @@ pub mod stack;
 pub use cpu_model::SlowPathCpuModel;
 pub use defenses::{AdaptiveRekey, MaskCap, RssKeyRandomizer, UpcallLimiter};
 pub use guard::{GuardConfig, GuardMitigation, GuardReport, MfcGuard};
-pub use pattern::{allow_exact_fields, is_tse_pattern};
+pub use pattern::allow_exact_fields;
 pub use stack::{Mitigation, MitigationAction, MitigationCtx, MitigationStack, PressureWindow};

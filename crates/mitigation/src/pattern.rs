@@ -9,17 +9,12 @@ use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
 use tse_classifier::tss::MegaflowEntry;
 
-/// Does this megaflow entry look like it was spawned by a TSE attack against `table`?
+/// Does this megaflow entry look like it was spawned by a TSE attack against the table
+/// whose [`allow_exact_fields`] are `target_fields` (computed once per sweep)?
 ///
 /// Heuristic from §8: the entry drops traffic, and its mask examines bits of at least
 /// one field that an allow rule of the table exact-matches — i.e. it is one of the
 /// deny-side decomposition entries the attack multiplies.
-pub fn is_tse_pattern(entry: &MegaflowEntry, table: &FlowTable) -> bool {
-    examines_target_field(entry, &allow_exact_fields(table))
-}
-
-/// [`is_tse_pattern`] against a table's [`allow_exact_fields`] computed once — what a
-/// sweep over a whole cache calls per entry.
 pub(crate) fn examines_target_field(entry: &MegaflowEntry, target_fields: &[usize]) -> bool {
     entry.action == Action::Deny && target_fields.iter().any(|&f| entry.mask.get(f) != 0)
 }
@@ -79,8 +74,9 @@ mod tests {
         let (table, cache) = populated_fig1_cache();
         let mut flagged = 0;
         let mut spared = 0;
+        let targets = allow_exact_fields(&table);
         for entry in cache.entries() {
-            if is_tse_pattern(entry, &table) {
+            if examines_target_field(entry, &targets) {
                 assert_eq!(entry.action, Action::Deny);
                 flagged += 1;
             } else {
@@ -102,8 +98,10 @@ mod tests {
             Action::Deny,
         ));
         let (_, cache) = populated_fig1_cache();
+        let targets = allow_exact_fields(&table);
+        assert!(targets.is_empty());
         for entry in cache.entries() {
-            assert!(!is_tse_pattern(entry, &table));
+            assert!(!examines_target_field(entry, &targets));
         }
     }
 }

@@ -123,30 +123,12 @@ impl PressureWindow {
         sum / self.rows.len() as f64
     }
 
-    /// Peak attack pps on `shard` over the retained intervals (0.0 when empty or out
-    /// of range).
-    pub fn shard_peak(&self, shard: usize) -> f64 {
-        if shard >= self.shard_count {
-            return 0.0;
-        }
-        self.rows.iter().map(|r| r[shard]).fold(0.0, f64::max)
-    }
-
     /// The largest per-shard windowed mean — "how hard is the hottest shard being
     /// pushed, smoothed over the window". The usual trigger for adaptive stages.
     pub fn hottest_shard_mean(&self) -> f64 {
         (0..self.shard_count)
             .map(|s| self.shard_mean(s))
             .fold(0.0, f64::max)
-    }
-
-    /// Mean switch-wide attack pps (summed over shards) over the retained intervals.
-    pub fn total_mean(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.rows.iter().map(|r| r.iter().sum::<f64>()).sum();
-        sum / self.rows.len() as f64
     }
 }
 
@@ -450,9 +432,7 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert_eq!(w.shard_mean(0), 20.0);
         assert_eq!(w.shard_mean(1), 2.0);
-        assert_eq!(w.shard_peak(0), 30.0);
         assert_eq!(w.hottest_shard_mean(), 20.0);
-        assert_eq!(w.total_mean(), 22.0);
         // A fourth push ages out the first row: the window stays depth-bounded.
         w.push(&[40.0, 6.0]);
         assert_eq!(w.len(), 3);

@@ -141,22 +141,6 @@ impl PacketBuilder {
         self
     }
 
-    /// Set the IPv4 identification field (ignored for IPv6).
-    pub fn ip_id(mut self, id: u16) -> Self {
-        if let NetHeader::V4(h) = &mut self.net {
-            h.identification = id;
-        }
-        self
-    }
-
-    /// Set TCP flags (ignored for non-TCP).
-    pub fn tcp_flags(mut self, new_flags: u8) -> Self {
-        if let L4Header::Tcp { flags, .. } = &mut self.l4 {
-            *flags = new_flags;
-        }
-        self
-    }
-
     /// Set the payload length in bytes.
     pub fn payload_len(mut self, len: usize) -> Self {
         self.payload_len = len;
@@ -206,16 +190,12 @@ mod tests {
     fn builder_sets_fields() {
         let p = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1234, 80)
             .ttl(7)
-            .tcp_flags(0x02)
             .payload_len(500)
             .build();
         let k = FlowKey::from_packet(&p);
         assert_eq!(k.ttl, 7);
         assert_eq!(p.payload_len, 500);
-        match p.l4 {
-            L4Header::Tcp { flags, .. } => assert_eq!(flags, 0x02),
-            _ => panic!("expected tcp"),
-        }
+        assert_eq!(p.ip_proto(), IpProto::Tcp);
     }
 
     #[test]
@@ -251,7 +231,6 @@ mod tests {
         let p = PacketBuilder::udp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 5, 6)
             .randomize_noise(&mut rng)
             .build();
-        assert!(!p.is_ipv4());
         let k = FlowKey::from_packet(&p);
         assert!(k.is_v6);
         assert_eq!(k.tp_src, 5);

@@ -10,9 +10,6 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// Locally administered address used by the examples for the attacker VM.
     pub const fn local(last: u8) -> MacAddr {
         MacAddr([0x02, 0, 0, 0, 0, last])
@@ -149,7 +146,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let h = EthernetHeader::new(MacAddr::local(2), MacAddr::BROADCAST, EtherType::Ipv6);
+        let h = EthernetHeader::new(MacAddr::local(2), MacAddr([0xff; 6]), EtherType::Ipv6);
         let mut buf = Vec::new();
         h.encode(&mut buf);
         assert_eq!(buf.len(), ETHERNET_HEADER_LEN);

@@ -38,6 +38,7 @@ impl FieldDef {
     }
 
     /// All-ones mask value for this field.
+    #[inline]
     pub fn full_mask(&self) -> u128 {
         if self.width == 128 {
             u128::MAX
@@ -55,6 +56,10 @@ impl FieldDef {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FieldSchema {
     fields: Vec<FieldDef>,
+    /// `Some(is_v6)` when the fields are the six-field OVS flow key of that IP family
+    /// (the layout `FlowKey::to_key` writes), `None` for every other schema. Resolved
+    /// from the field names once, here, so no per-packet path compares strings.
+    ip_family: Option<bool>,
 }
 
 impl FieldSchema {
@@ -68,7 +73,12 @@ impl FieldSchema {
             fields.len() <= MAX_FIELDS,
             "schema must have at most {MAX_FIELDS} fields"
         );
-        FieldSchema { fields }
+        let ip_family = match (fields.len(), fields[0].name) {
+            (6, "ip_src") => Some(false),
+            (6, "ip6_src") => Some(true),
+            _ => None,
+        };
+        FieldSchema { fields, ip_family }
     }
 
     /// The 3-bit single-field hypothetical protocol of §3.2 / Fig. 1.
@@ -107,6 +117,16 @@ impl FieldSchema {
         ])
     }
 
+    /// Can a key of this schema express packets of the IPv6 (`is_v6`) or IPv4
+    /// (`!is_v6`) family? True only for the OVS flow key of that family; a packet of a
+    /// family the schema cannot express never reaches the ACL (§5.2 footnote). This is
+    /// the one place the question is answered — `FlowKey::checked_key` asks it per
+    /// packet and pays one compare.
+    #[inline]
+    pub fn expresses(&self, is_v6: bool) -> bool {
+        self.ip_family == Some(is_v6)
+    }
+
     /// Number of fields in the schema.
     pub fn field_count(&self) -> usize {
         self.fields.len()
@@ -133,6 +153,7 @@ impl FieldSchema {
     }
 
     /// An all-zero value vector for this schema.
+    #[inline]
     pub fn zero_value(&self) -> FieldVec {
         FieldVec {
             values: [0; MAX_FIELDS],
@@ -176,6 +197,7 @@ pub type Mask = FieldVec;
 
 impl FieldVec {
     /// Build from raw per-field values. Values are masked to the schema widths.
+    #[inline]
     pub fn from_values(schema: &FieldSchema, values: &[u128]) -> Self {
         assert_eq!(
             values.len(),
@@ -262,13 +284,6 @@ impl FieldVec {
     /// Number of wildcarded (unexamined) bits of a mask under `schema`.
     pub fn wildcarded_bits(&self, schema: &FieldSchema) -> u32 {
         schema.total_width() - self.popcount()
-    }
-
-    /// Flip bit `bit` of field `idx` — one step of §5.1's bit inversion. (The co-located
-    /// trace generator enumerates whole inverted values instead, see
-    /// `tse_attack::colocated::bit_inversion_list`.)
-    pub fn flip_bit(&mut self, idx: usize, bit: u32) {
-        self.set(idx, self.get(idx) ^ (1u128 << bit));
     }
 
     /// Render as a binary string per field (LSB right), padded to the schema widths —
@@ -442,7 +457,7 @@ mod tests {
         let s = FieldSchema::hyp2();
         let mut k = Key::from_values(&s, &[0b001, 0b1111]);
         assert_eq!(k.popcount(), 5);
-        k.flip_bit(1, 3);
+        k.set(1, k.get(1) ^ (1 << 3));
         assert_eq!(k.get(1), 0b0111);
         assert_eq!(k.wildcarded_bits(&s), 7 - 4);
     }

@@ -2,7 +2,7 @@
 //! classifier operates on.
 
 use crate::fields::{FieldSchema, Key};
-use crate::l4::IpProto;
+use crate::wire::WireFault;
 use crate::{NetHeader, Packet};
 
 /// The flow key the megaflow cache / slow path classify on. It mirrors the subset of the
@@ -28,6 +28,7 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Extract the flow key from a packet.
+    #[inline]
     pub fn from_packet(pkt: &Packet) -> Self {
         let (ip_src, ip_dst, ip_proto, ttl, is_v6) = match &pkt.net {
             NetHeader::V4(h) => (
@@ -65,9 +66,26 @@ impl FlowKey {
         }
     }
 
-    /// Convert to a generic [`Key`] under the given schema. The schema must be one of
-    /// [`FieldSchema::ovs_ipv4`] / [`FieldSchema::ovs_ipv6`] (six fields in the canonical
-    /// order).
+    /// The one packet → key decision: this flow's [`Key`] under `schema`, or
+    /// [`WireFault::FamilyMismatch`] when the schema cannot express the flow's IP family
+    /// ([`FieldSchema::expresses`]) — an IPv6 packet against an IPv4 ACL, or any packet
+    /// against a non-OVS schema. Every ingress, key-level or wire-level, converts through
+    /// here (the frame form is [`crate::wire::decode_key`]), so a mismatched packet is
+    /// the same fault on all of them and is never truncated into a wrong key.
+    #[inline]
+    pub fn checked_key(&self, schema: &FieldSchema) -> Result<Key, WireFault> {
+        if schema.expresses(self.is_v6) {
+            Ok(self.to_key(schema))
+        } else {
+            Err(WireFault::FamilyMismatch)
+        }
+    }
+
+    /// Convert to a generic [`Key`] under the given schema, unchecked: the schema must
+    /// be the OVS flow key of this flow's family (six fields in the canonical order) —
+    /// under the other family's schema the addresses are silently cut to its widths.
+    /// Everything outside this crate goes through [`FlowKey::checked_key`].
+    #[inline]
     pub fn to_key(&self, schema: &FieldSchema) -> Key {
         assert_eq!(
             schema.field_count(),
@@ -85,11 +103,6 @@ impl FlowKey {
                 u128::from(self.tp_dst),
             ],
         )
-    }
-
-    /// True if this key carries TCP or UDP ports.
-    pub fn has_ports(&self) -> bool {
-        matches!(IpProto::from_u8(self.ip_proto), IpProto::Tcp | IpProto::Udp)
     }
 }
 
@@ -137,7 +150,6 @@ mod tests {
         assert_eq!(k.tp_src, 34521);
         assert_eq!(k.tp_dst, 443);
         assert!(!k.is_v6);
-        assert!(k.has_ports());
     }
 
     #[test]
@@ -158,12 +170,11 @@ mod tests {
 
     #[test]
     fn microflow_key_differs_with_noise() {
-        let a = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2)
-            .ip_id(1)
-            .build();
-        let b = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2)
-            .ip_id(2)
-            .build();
+        let a = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1, 2).build();
+        let mut b = a.clone();
+        if let NetHeader::V4(h) = &mut b.net {
+            h.identification += 1;
+        }
         assert_eq!(FlowKey::from_packet(&a), FlowKey::from_packet(&b));
         assert_ne!(MicroflowKey::from_packet(&a), MicroflowKey::from_packet(&b));
     }

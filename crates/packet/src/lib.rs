@@ -80,11 +80,6 @@ impl Packet {
         ethernet::ETHERNET_HEADER_LEN + net_len + self.l4.header_len() + self.payload_len
     }
 
-    /// True if this is an IPv4 packet.
-    pub fn is_ipv4(&self) -> bool {
-        matches!(self.net, NetHeader::V4(_))
-    }
-
     /// IP protocol number of the transport header.
     pub fn ip_proto(&self) -> IpProto {
         self.l4.proto()
@@ -103,7 +98,6 @@ mod tests {
             .build();
         // 14 (eth) + 20 (ipv4) + 8 (udp) + 100
         assert_eq!(p.wire_len(), 142);
-        assert!(p.is_ipv4());
         assert_eq!(p.ip_proto(), IpProto::Udp);
     }
 
@@ -114,6 +108,5 @@ mod tests {
             .build();
         // 14 + 40 + 20
         assert_eq!(p.wire_len(), 74);
-        assert!(!p.is_ipv4());
     }
 }

@@ -39,23 +39,18 @@ pub fn rss_fields(schema: &FieldSchema) -> Vec<usize> {
     out
 }
 
-/// The default (unrandomised) hash key: [`rss_hash_keyed`] under this key is exactly
-/// the historical [`rss_hash`], so everything built before key rotation existed keeps
+/// The default (unrandomised) hash key: [`rss_hash_keyed`] under this key is plain
+/// FNV-1a over the field values, so everything built before key rotation existed keeps
 /// hashing identically.
 pub const DEFAULT_HASH_KEY: u64 = 0;
 
-/// FNV-1a over the values of `fields` (indices into `key`), in the given order.
+/// Keyed FNV-1a over the values of `fields` (indices into `key`), in the given order,
+/// with the `hash_key` folded into the hash state before any field value — the model of
+/// the NIC's (Toeplitz) RSS *key*, the secret an operator can rotate so an attacker who
+/// solved the placement function yesterday can no longer aim at a chosen queue today.
 ///
-/// Deterministic: the same key and field list always hash identically, across calls
-/// and across processes. Equivalent to [`rss_hash_keyed`] with [`DEFAULT_HASH_KEY`].
-pub fn rss_hash(key: &Key, fields: &[usize]) -> u64 {
-    rss_hash_keyed(key, fields, DEFAULT_HASH_KEY)
-}
-
-/// Keyed FNV-1a: like [`rss_hash`], but the `hash_key` is folded into the hash state
-/// before any field value — the model of the NIC's (Toeplitz) RSS *key*, the secret an
-/// operator can rotate so an attacker who solved the placement function yesterday can
-/// no longer aim at a chosen queue today.
+/// Deterministic: the same key, field list and hash key always hash identically, across
+/// calls and across processes.
 ///
 /// `hash_key == `[`DEFAULT_HASH_KEY`] contributes nothing, so the unkeyed hash is the
 /// `0` point of the keyed family; any other key permutes placements pseudo-randomly
@@ -70,7 +65,7 @@ pub fn rss_hash(key: &Key, fields: &[usize]) -> u64 {
 /// *together* and the "rotation" would be cosmetic. The finalizer folds the high bits
 /// into the low ones, making each flow's displacement under a new key independent.
 /// The default key skips both the prefix and the finalizer, so unkeyed placements are
-/// bit-identical to the historical [`rss_hash`].
+/// bit-identical to plain FNV-1a.
 pub fn rss_hash_keyed(key: &Key, fields: &[usize], hash_key: u64) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -141,7 +136,10 @@ mod tests {
         a.set(schema.field_index("tp_dst").unwrap(), 80);
         let mut b = a.clone();
         b.set(schema.field_index("ttl").unwrap(), 97);
-        assert_eq!(rss_hash(&a, &fields), rss_hash(&b, &fields));
+        assert_eq!(
+            rss_hash_keyed(&a, &fields, DEFAULT_HASH_KEY),
+            rss_hash_keyed(&b, &fields, DEFAULT_HASH_KEY)
+        );
     }
 
     #[test]
@@ -170,14 +168,18 @@ mod tests {
     fn default_hash_key_is_the_unkeyed_hash() {
         let schema = FieldSchema::ovs_ipv4();
         let fields = rss_fields(&schema);
+        // Plain FNV-1a, written out: no key prefix, no finalizer.
+        let fnv1a = |k: &Key| {
+            let bytes = fields.iter().flat_map(|&f| k.get(f).to_le_bytes());
+            bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
         for v in 0..32u128 {
             let mut k = schema.zero_value();
             k.set(0, v * 0x1_0001);
             k.set(4, v);
-            assert_eq!(
-                rss_hash(&k, &fields),
-                rss_hash_keyed(&k, &fields, DEFAULT_HASH_KEY)
-            );
+            assert_eq!(fnv1a(&k), rss_hash_keyed(&k, &fields, DEFAULT_HASH_KEY));
         }
     }
 

@@ -15,6 +15,8 @@
 //!   in one contiguous allocation, the replay format the wire-level traffic sources use.
 
 use crate::ethernet::{EtherType, EthernetHeader, MacAddr, ETHERNET_HEADER_LEN};
+use crate::fields::{FieldSchema, Key};
+use crate::flowkey::FlowKey;
 use crate::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
 use crate::ipv6::Ipv6Header;
 use crate::l4::{IpProto, L4Header, UDP_HEADER_LEN};
@@ -259,33 +261,13 @@ pub fn decode(buf: &[u8]) -> Result<Packet, DecodeError> {
     Err(DecodeError::BadHeader)
 }
 
-/// Serialise a trace (sequence of packets) into a single length-prefixed byte stream.
-pub fn encode_trace(packets: &[Packet]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for pkt in packets {
-        let frame = encode(pkt);
-        out.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-        out.extend_from_slice(&frame);
-    }
-    out
-}
-
-/// Deserialise a trace produced by [`encode_trace`].
-pub fn decode_trace(mut buf: &[u8]) -> Result<Vec<Packet>, DecodeError> {
-    let mut out = Vec::new();
-    while !buf.is_empty() {
-        if buf.len() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        buf = &buf[4..];
-        if buf.len() < len {
-            return Err(DecodeError::Truncated);
-        }
-        out.push(decode(&buf[..len])?);
-        buf = &buf[len..];
-    }
-    Ok(out)
+/// The frame form of the one packet → key decision ([`FlowKey::checked_key`]): decode
+/// `frame` and convert the innermost packet's flow to its [`Key`] under `schema`. A frame
+/// the parser rejects is a [`WireFault::Decode`], a frame of a family the schema cannot
+/// express a [`WireFault::FamilyMismatch`].
+#[inline]
+pub fn decode_key(frame: &[u8], schema: &FieldSchema) -> Result<Key, WireFault> {
+    FlowKey::from_packet(&decode(frame)?).checked_key(schema)
 }
 
 /// A pcap-style in-memory frame trace: timestamped raw frames packed back-to-back in
@@ -415,6 +397,7 @@ mod tests {
 
     #[test]
     fn trace_roundtrip() {
+        // Raw frames appended with `push` come back out of their slots exactly.
         let packets: Vec<Packet> = (0..10)
             .map(|i| {
                 PacketBuilder::udp_v4([10, 0, 0, i as u8], [10, 0, 0, 200], 1000 + i, 80)
@@ -422,17 +405,27 @@ mod tests {
                     .build()
             })
             .collect();
-        let bytes = encode_trace(&packets);
-        let back = decode_trace(&bytes).unwrap();
+        let mut trace = WireTrace::new();
+        for (i, p) in packets.iter().enumerate() {
+            trace.push(i as f64, &encode(p));
+        }
+        let back: Vec<Packet> = trace.frames().map(|f| decode(f).unwrap()).collect();
         assert_eq!(back, packets);
     }
 
     #[test]
     fn truncated_trace_rejected() {
+        // Frames are delimited by the trace, not by their content: a frame cut short is
+        // rejected on its own and its neighbours still decode.
         let p = PacketBuilder::udp_v4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2).build();
-        let mut bytes = encode_trace(&[p]);
-        bytes.truncate(bytes.len() - 3);
-        assert_eq!(decode_trace(&bytes), Err(DecodeError::Truncated));
+        let frame = encode(&p);
+        let mut trace = WireTrace::new();
+        trace.push(0.0, &frame);
+        trace.push(0.1, &frame[..frame.len() - 3 - p.payload_len]);
+        trace.push(0.2, &frame);
+        assert_eq!(decode(trace.frame(1)), Err(DecodeError::Truncated));
+        assert_eq!(decode(trace.frame(0)), Ok(p.clone()));
+        assert_eq!(decode(trace.frame(2)), Ok(p));
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //!   plain, VLAN-tagged and VXLAN-encapsulated (the decoder must recover the
 //!   innermost packet bit-for-bit, or wire-level replays would diverge from their
 //!   key-level twins);
-//! * arbitrary byte soup never panics `decode`/`decode_trace`/`extract_keys_into`
+//! * arbitrary byte soup never panics `decode`/`decode_key`/`extract_keys_into`
 //!   — the parser is total on adversarial input, it only ever *returns* errors;
 //! * for a well-formed frame, the key extracted through the wire path equals the
 //!   key crafted directly from the same numeric header fields, under the schema of
-//!   the packet's own address family.
+//!   the packet's own address family;
+//! * the one packet → key decision (`FlowKey::checked_key`, and `wire::decode_key` over
+//!   any envelope) yields that key iff the schema expresses the packet's family and
+//!   `FamilyMismatch` otherwise — never a truncated key.
 
 use proptest::prelude::*;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::l4::IpProto;
-use tse_packet::wire::{self, Encap};
+use tse_packet::wire::{self, Encap, WireFault, WireTrace};
 use tse_packet::{extract_keys_into, ExtractScratch, FlowKey, Packet, PacketBuilder};
 
 /// Widen a drawn 64-bit address into the generated family: a ULA-prefixed `u128` for
@@ -74,19 +77,29 @@ proptest! {
         prop_assert_eq!(&wire::decode(&encap.encode(&pkt)).unwrap(), &pkt);
     }
 
-    /// Length-prefixed traces round-trip as a whole.
+    /// A frame trace round-trips as a whole: every packet comes back out of its slot of
+    /// the shared buffer, at its timestamp, whatever the envelope.
     #[test]
     fn trace_round_trips_exactly(
         draws in proptest::collection::vec(
             ((0u64..=u64::MAX, 0u64..=u64::MAX), (0u16..=u16::MAX, 0u16..=u16::MAX), (0u8..2, 0u8..2)),
             0..20,
         ),
+        env in (0u8..=u8::MAX, 0u32..=u32::MAX, 0u16..=u16::MAX),
     ) {
         let pkts: Vec<Packet> = draws
             .into_iter()
             .map(|(addrs, ports, flags)| build(addrs, ports, flags, (64, 16)))
             .collect();
-        prop_assert_eq!(&wire::decode_trace(&wire::encode_trace(&pkts)).unwrap(), &pkts);
+        let mut trace = WireTrace::new();
+        for (i, pkt) in pkts.iter().enumerate() {
+            trace.push_packet(i as f64, pkt, encap_of(env));
+        }
+        prop_assert_eq!(trace.len(), pkts.len());
+        for (i, (time, frame)) in trace.iter().enumerate() {
+            prop_assert_eq!(time, i as f64);
+            prop_assert_eq!(&wire::decode(frame).unwrap(), &pkts[i]);
+        }
     }
 
     /// The parser is total: arbitrary bytes — including truncations of valid frames —
@@ -99,7 +112,7 @@ proptest! {
         cut in 0usize..200,
     ) {
         let _ = wire::decode(&soup);
-        let _ = wire::decode_trace(&soup);
+        let _ = wire::decode_key(&soup, &FieldSchema::ovs_ipv4());
         // A truncated prefix of a well-formed frame must also be handled totally.
         let frame = wire::encode(&build(addrs, (1, 2), (0, 0), (64, 32)));
         let prefix = &frame[..cut.min(frame.len())];
@@ -118,7 +131,8 @@ proptest! {
 
     /// Wire extraction and direct key crafting agree: serialising a packet and
     /// re-parsing it yields the very key its numeric header fields spell, under the
-    /// schema of its own address family.
+    /// schema of its own address family — and under every schema the checked conversion,
+    /// packet form and frame form alike, is that key or `FamilyMismatch`.
     #[test]
     fn extracted_key_equals_crafted_key(
         addrs in (0u64..=u64::MAX, 0u64..=u64::MAX),
@@ -150,6 +164,21 @@ proptest! {
                 u128::from(ports.1),
             ],
         );
-        prop_assert_eq!(flow.to_key(&schema), crafted);
+        prop_assert_eq!(flow.to_key(&schema), crafted.clone());
+
+        for (schema, schema_v6) in [
+            (FieldSchema::ovs_ipv4(), Some(false)),
+            (FieldSchema::ovs_ipv6(), Some(true)),
+            (FieldSchema::hyp(), None),
+        ] {
+            let expect = if schema_v6 == Some(v6) {
+                Ok(crafted.clone())
+            } else {
+                Err(WireFault::FamilyMismatch)
+            };
+            prop_assert_eq!(schema.expresses(v6), expect.is_ok());
+            prop_assert_eq!(flow.checked_key(&schema), expect.clone());
+            prop_assert_eq!(wire::decode_key(&frame, &schema), expect);
+        }
     }
 }

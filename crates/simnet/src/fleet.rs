@@ -28,14 +28,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tse_attack::colocated::bit_inversion_keys;
-use tse_attack::source::{
-    AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,
-};
+use tse_attack::source::{AttackGenerator, SourceRole, TrafficEvent, TrafficMix, TrafficSource};
 use tse_classifier::flowtable::FlowTable;
 use tse_packet::builder::PacketBuilder;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::l4::IpProto;
+use tse_packet::wire::WireFault;
 use tse_switch::tenant::{merge_tenant_acls, AclField, TenantAcl};
 
 use crate::traffic::{VictimFlow, VictimSource};
@@ -84,7 +83,8 @@ impl Default for ChurnConfig {
 struct ChurnFlow {
     time: f64,
     seq: u64,
-    key: Key,
+    /// The flow's packet → key decision, made once at spawn.
+    key: Result<Key, WireFault>,
     bytes: usize,
     interval: f64,
 }
@@ -187,7 +187,7 @@ impl ChurnSource {
             PacketBuilder::from_numeric_v4(src_ip, service, IpProto::Tcp, src_port, dst_port)
                 .randomize_noise(&mut self.rng)
                 .build();
-        let key = FlowKey::from_packet(&packet).to_key(&self.schema);
+        let key = FlowKey::from_packet(&packet).checked_key(&self.schema);
         self.heap.push(ChurnFlow {
             time: t,
             seq: self.spawned,
@@ -196,11 +196,6 @@ impl ChurnSource {
             interval: 1.0 / self.config.flow_pps,
         });
         self.spawned += 1;
-    }
-
-    /// Flows spawned so far (monotone; exposed for tests).
-    pub fn flows_spawned(&self) -> u64 {
-        self.spawned
     }
 }
 
@@ -226,12 +221,7 @@ impl TrafficSource for ChurnSource {
             self.spawn_flow();
         }
         let flow = self.heap.pop()?;
-        let event = TrafficEvent {
-            time: flow.time,
-            key: flow.key.clone(),
-            bytes: flow.bytes,
-            payload: EventPayload::Packet,
-        };
+        let event = TrafficEvent::classified(flow.time, flow.bytes, flow.key.clone(), &self.schema);
         let next_time = flow.time + flow.interval;
         if next_time < self.config.stop && self.rng.gen_range(0.0..1.0) < self.continue_p {
             self.heap.push(ChurnFlow {
@@ -504,7 +494,7 @@ mod tests {
             allowed > count / 3 && allowed < count,
             "mixed allowed/denied traffic: {allowed}/{count}"
         );
-        assert!(churn.flows_spawned() > 50);
+        assert!(churn.spawned > 50);
     }
 
     #[test]

@@ -37,7 +37,6 @@ use tse_packet::wire::WireFault;
 use tse_switch::datapath::Datapath;
 use tse_switch::exec::ShardExecutor;
 use tse_switch::pmd::ShardedDatapath;
-use tse_switch::stats::PathTaken;
 
 use crate::offload::OffloadConfig;
 use crate::telemetry::{TelemetryConfig, TelemetryStore};
@@ -92,15 +91,6 @@ impl TimelineSample {
     /// Aggregate victim throughput ("Victim SUM" in Fig. 8a).
     pub fn total_victim_gbps(&self) -> f64 {
         self.victim_gbps.iter().sum()
-    }
-
-    /// The mitigation actions that apply to `shard` this interval: the shard's own
-    /// actions plus switch-wide ones (rekeys), in pipeline order.
-    pub fn actions_on_shard(&self, shard: usize) -> Vec<&MitigationAction> {
-        self.mitigation_actions
-            .iter()
-            .filter(|a| a.shard().map(|s| s == shard).unwrap_or(true))
-            .collect()
     }
 }
 
@@ -420,9 +410,11 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// [`Mitigation::on_finish`] hooks disarm whatever per-shard state the stages
     /// installed, so a reused runner or datapath leaves the run undefended.
     ///
-    /// Draining is not overlapped with shard work: it is 0.3–2 % of the processing
-    /// time on the attack workloads (`benchmark/baseline/`), where the shards'
-    /// tuple-space scan owns the wall clock.
+    /// Draining is not overlapped with shard work. On the attack workloads it is
+    /// 0.3–2 % of the processing time (`benchmark/baseline/`) — there the shards'
+    /// tuple-space scan owns the wall clock. That does not hold for benign traffic: on
+    /// `benign_wire`, where a packet scans ≤ 2 masks, the drain (131–189 ns of ~220 ns
+    /// per event, `BENCH_pr20_compare.md`) is the largest stage.
     ///
     /// # Panics
     /// Panics if [`ExperimentRunner::sample_interval`] is not finite and positive, or
@@ -591,12 +583,10 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             let priced = mine.map(|&(_, _, ev, _)| {
                 let outcome = shard.process_key(&ev.key, ev.bytes, ev.time);
                 let units = shard.megaflow().cost_units(outcome.masks_scanned);
-                let cost = match outcome.path {
-                    PathTaken::SlowPath => cost_model.slow_path(units),
-                    PathTaken::Microflow => cost_model.microflow(),
-                    _ => cost_model.fast_path(units),
-                };
-                (outcome.masks_scanned, cost)
+                (
+                    outcome.masks_scanned,
+                    cost_model.path_cost(outcome.path, units),
+                )
             });
             priced.collect::<Vec<_>>()
         });
@@ -901,6 +891,7 @@ mod tests {
     use tse_attack::trace::AttackTrace;
     use tse_packet::fields::FieldSchema;
     use tse_switch::datapath::Datapath;
+    use tse_switch::stats::PathTaken;
 
     const VICTIM_IP: u32 = 0x0a00_0063;
 
@@ -1012,9 +1003,9 @@ mod tests {
             swept_entries > 50,
             "guard swept the explosion: {swept_entries}"
         );
-        // Shard attribution helper: every action here applies to shard 0.
+        // Shard attribution: every action here applies to shard 0.
         for s in &timeline.samples {
-            assert_eq!(s.actions_on_shard(0).len(), s.mitigation_actions.len());
+            assert!(s.mitigation_actions.iter().all(|a| a.shard() == Some(0)));
         }
         // An undefended runner reports no actions.
         let (mut plain, attack) = setup(Scenario::SipDp);
@@ -1247,11 +1238,10 @@ mod tests {
         );
         let mix = TrafficMix::new()
             .with(VictimSource::new(victim.clone(), &schema, 1.0))
-            .with(WireSource::from_attack_trace(
+            .with(WireSource::replay(
                 "Attacker",
-                &trace,
+                wire_trace(&trace, Encap::None),
                 &schema,
-                Encap::None,
             ));
         let tl_wire = by_wire.run_mix(mix, 40.0);
         assert_eq!(tl_key.samples, tl_wire.samples);

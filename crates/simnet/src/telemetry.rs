@@ -220,12 +220,7 @@ impl SeriesAgg {
         }
     }
 
-    /// The quantile histogram.
-    pub fn histogram(&self) -> &LogHistogram {
-        &self.hist
-    }
-
-    /// Shortcut for `histogram().quantile(q)`.
+    /// The q-quantile estimate of the observed values ([`LogHistogram::quantile`]).
     pub fn quantile(&self, q: f64) -> f64 {
         self.hist.quantile(q)
     }
@@ -364,12 +359,6 @@ impl SloTracker {
     /// Time of the first violating sample, if any.
     pub fn first_violation(&self) -> Option<f64> {
         self.first_violation
-    }
-
-    /// Seconds from `event_time` (e.g. attack onset) to the first violating sample —
-    /// the tenant-visible time-to-detect. `None` if the SLO never broke.
-    pub fn time_to_detect(&self, event_time: f64) -> Option<f64> {
-        self.first_violation.map(|t| t - event_time)
     }
 
     /// Length of the longest violation episode, seconds — the worst time-to-recover.
@@ -544,12 +533,6 @@ impl TelemetryStore {
             attacker_names,
             shard_count,
         }
-    }
-
-    /// Record one sample with every victim considered active (the standalone form;
-    /// the runner uses [`TelemetryStore::record`] with real activity flags).
-    pub fn record_sample(&mut self, sample: TimelineSample) {
-        self.record(sample, &[]);
     }
 
     /// Record one sample. `victim_active[i]` says whether victim `i` was active this
@@ -904,7 +887,6 @@ mod tests {
         assert_eq!(t.episode_count(), 2);
         assert_eq!(t.violating_intervals(), 5);
         assert_eq!(t.first_violation(), Some(3.0));
-        assert_eq!(t.time_to_detect(1.0), Some(2.0));
         assert_eq!(t.longest_episode_seconds(), 3.0);
         assert_eq!(t.total_violation_seconds(), 5.0);
         assert_eq!(t.episodes(), &[(3.0, 5.0), (7.0, 10.0)]);
@@ -950,7 +932,7 @@ mod tests {
                 1,
             );
             for i in 0..steps {
-                store.record_sample(sample(i as f64, 9.0));
+                store.record(sample(i as f64, 9.0), &[]);
             }
             store.footprint_units()
         };
@@ -968,7 +950,7 @@ mod tests {
         let config = TelemetryConfig::with_hot_capacity(2).with_spill(&path);
         let mut store = TelemetryStore::new(config, 1.0, vec!["v".into()], vec!["a".into()], 1);
         for i in 0..5 {
-            store.record_sample(sample(i as f64, 9.0));
+            store.record(sample(i as f64, 9.0), &[]);
         }
         store.finish();
         assert_eq!(store.spill_error(), None);

@@ -85,19 +85,6 @@ impl VictimFlow {
         }
     }
 
-    /// The UDP form of [`VictimFlow::iperf_tcp_v6`].
-    pub fn iperf_udp_v6(
-        name: impl Into<String>,
-        src_ip: u128,
-        dst_ip: u128,
-        offered_gbps: f64,
-    ) -> Self {
-        VictimFlow {
-            proto: IpProto::Udp,
-            ..Self::iperf_tcp_v6(name, src_ip, dst_ip, offered_gbps)
-        }
-    }
-
     /// Restrict the flow to a time window.
     pub fn active_between(mut self, start: f64, stop: f64) -> Self {
         self.start = start;
@@ -187,8 +174,26 @@ impl VictimFlow {
     /// Note this builds a representative packet and re-derives the key on every call;
     /// hot paths should derive it once — [`VictimSource`] caches it at construction,
     /// which is how the experiment runner uses victim flows.
+    ///
+    /// # Panics
+    /// Panics if `schema` cannot express the flow's IP family
+    /// ([`FlowKey::checked_key`]): a victim whose packets never reach the ACL measures
+    /// nothing, so the mistake is reported where the flow meets the schema.
     pub fn key(&self, schema: &FieldSchema) -> Key {
-        FlowKey::from_packet(&self.representative_packet()).to_key(schema)
+        self.probe(schema).0
+    }
+
+    /// The flow's key under `schema` and the wire size of its representative packet.
+    fn probe(&self, schema: &FieldSchema) -> (Key, usize) {
+        let packet = self.representative_packet();
+        match FlowKey::from_packet(&packet).checked_key(schema) {
+            Ok(key) => (key, packet.wire_len()),
+            Err(fault) => panic!(
+                "victim flow {:?} (IPv{}) cannot be classified under this schema: {fault}",
+                self.name,
+                if self.v6 { 6 } else { 4 }
+            ),
+        }
     }
 
     /// View the flow as a pull-based [`TrafficSource`] of measurement probes on the
@@ -225,11 +230,13 @@ pub struct VictimSource {
 
 impl VictimSource {
     /// Wrap a flow for a given sampling interval, pre-deriving its key under `schema`.
+    ///
+    /// # Panics
+    /// Panics if `sample_interval` is not positive, or if `schema` cannot express the
+    /// flow's IP family (see [`VictimFlow::key`]).
     pub fn new(flow: VictimFlow, schema: &FieldSchema, sample_interval: f64) -> Self {
         assert!(sample_interval > 0.0, "sample interval must be positive");
-        let probe = flow.representative_packet();
-        let key = FlowKey::from_packet(&probe).to_key(schema);
-        let bytes = probe.wire_len();
+        let (key, bytes) = flow.probe(schema);
         // Smallest k >= 0 with k*dt >= start (the first interval whose *start* falls
         // inside the activity window, matching `is_active` sampled at interval starts).
         let mut k = if flow.start <= 0.0 {
@@ -322,12 +329,12 @@ mod tests {
         const SRC: u128 = 0x2001_0db8_0000_0000_0000_0000_0000_0005;
         const DST: u128 = 0x2001_0db8_0000_0000_0000_0000_0000_0063;
         let schema = FieldSchema::ovs_ipv6();
-        let f = VictimFlow::iperf_udp_v6("v6", SRC, DST, 2.0).with_src_port(777);
+        let f = VictimFlow::iperf_tcp_v6("v6", SRC, DST, 2.0).with_src_port(777);
         let k = FlowKey::from_packet(&f.representative_packet());
         assert!(k.is_v6);
         assert_eq!(k.ip_src, SRC);
         assert_eq!(k.ip_dst, DST);
-        assert_eq!(k.ip_proto, 17);
+        assert_eq!(k.ip_proto, 6);
         assert_eq!(k.tp_src, 777);
         let key = f.key(&schema);
         assert_eq!(key.get(schema.field_index("ip6_src").unwrap()), SRC);

@@ -17,6 +17,8 @@
 //! model preserves. How far the constants sit from what this implementation measures
 //! per mask is recorded in `benchmark/README.md`.
 
+use crate::stats::PathTaken;
+
 /// Cost-model parameters. All times are in seconds per packet (or per classifier
 /// invocation when offloads aggregate several packets into one invocation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,19 +65,37 @@ impl CostModel {
     }
 
     /// Processing time of one fast-path invocation that scanned `masks_scanned` masks.
+    #[inline]
     pub fn fast_path(&self, masks_scanned: usize) -> f64 {
         self.fixed + self.per_mask * masks_scanned as f64
     }
 
     /// Processing time of a microflow-cache hit.
+    #[inline]
     pub fn microflow(&self) -> f64 {
         self.microflow_hit
     }
 
     /// Processing time of a slow-path miss that scanned `masks_scanned` masks before
     /// falling through.
+    #[inline]
     pub fn slow_path(&self, masks_scanned: usize) -> f64 {
         self.fast_path(masks_scanned) + self.upcall
+    }
+
+    /// The one function from what a packet did — the cache level that answered it and
+    /// the fast-path work `units` it scanned on the way — to seconds. Every charge goes
+    /// through here: the datapath's own accounting and the experiment runner's
+    /// re-pricing of victim probes under its offload model. A frame that never reached
+    /// the classifier ([`PathTaken::Unclassified`]) costs what a microflow hit costs:
+    /// parse and forward, no mask probed.
+    #[inline]
+    pub fn path_cost(&self, path: PathTaken, units: usize) -> f64 {
+        match path {
+            PathTaken::Microflow | PathTaken::Unclassified => self.microflow(),
+            PathTaken::Megaflow => self.fast_path(units),
+            PathTaken::SlowPath => self.slow_path(units),
+        }
     }
 
     /// Sustainable packet rate (packets/s) if every packet scans `masks` masks.
@@ -137,6 +157,11 @@ mod tests {
         let m = CostModel::ovs_kernel_default();
         assert!(m.slow_path(1) > 10.0 * m.fast_path(1));
         assert!(m.microflow() < m.fast_path(1));
+        // The path → seconds function is those three, by path.
+        assert_eq!(m.path_cost(PathTaken::SlowPath, 1), m.slow_path(1));
+        assert_eq!(m.path_cost(PathTaken::Megaflow, 1), m.fast_path(1));
+        assert_eq!(m.path_cost(PathTaken::Microflow, 1), m.microflow());
+        assert_eq!(m.path_cost(PathTaken::Unclassified, 1), m.microflow());
     }
 
     #[test]

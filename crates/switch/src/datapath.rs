@@ -34,7 +34,6 @@ use tse_packet::wire::WireFault;
 use tse_packet::Packet;
 
 use crate::cost::CostModel;
-use crate::exec::ShardExecutor;
 use crate::slowpath::SlowPath;
 use crate::stats::{DatapathStats, PathTaken};
 
@@ -88,8 +87,8 @@ pub struct ProcessOutcome {
     pub masks_scanned: usize,
 }
 
-/// Aggregate result of one batch through the datapath ([`Datapath::process_batch`],
-/// [`Datapath::process_timed_batch`] and its indexed form).
+/// Aggregate result of one batch through the datapath
+/// ([`Datapath::process_timed_batch`] and its indexed form).
 ///
 /// Events are processed **in order**, each at its own timestamp, exactly as a
 /// [`Datapath::process_key`] loop would: every event performs a real fast-path lookup
@@ -126,11 +125,6 @@ pub struct Datapath<B: FastPathBackend = TupleSpace> {
     config: DatapathConfig,
     stats: DatapathStats,
     last_sweep: f64,
-    /// Whether the schema carries the OVS IPv4 / IPv6 address fields — which packet
-    /// families [`Datapath::steerable_key`] can express. Fixed at build: every
-    /// replacement table must use the same schema.
-    schema_is_v4: bool,
-    schema_is_v6: bool,
 }
 
 /// Fluent constructor for [`Datapath`]: choose the wildcarding strategy, tune the
@@ -141,9 +135,6 @@ pub struct DatapathBuilder<B: FastPathBackend = TupleSpace> {
     strategy: Option<MegaflowStrategy>,
     config: DatapathConfig,
     backend: PhantomData<fn() -> B>,
-    /// Shard-execution model a `ShardedDatapath::from_builder` picks up; a plain
-    /// `build()` has no shards and ignores it.
-    executor: Option<Box<dyn ShardExecutor>>,
 }
 
 impl DatapathBuilder<TupleSpace> {
@@ -154,7 +145,6 @@ impl DatapathBuilder<TupleSpace> {
             strategy: None,
             config: DatapathConfig::default(),
             backend: PhantomData,
-            executor: None,
         }
     }
 }
@@ -178,21 +168,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
         self
     }
 
-    /// Shard-execution model for a `ShardedDatapath` built from this builder
-    /// (`ShardedDatapath::from_builder`): `SequentialExecutor` if never called. A
-    /// monolithic [`DatapathBuilder::build`] has no shards to fan out over and ignores
-    /// the choice.
-    pub fn with_executor(mut self, executor: impl ShardExecutor + 'static) -> Self {
-        self.executor = Some(Box::new(executor));
-        self
-    }
-
-    /// Detach the executor chosen via [`DatapathBuilder::with_executor`], if any
-    /// (consumed once by `ShardedDatapath::from_builder`).
-    pub(crate) fn take_executor(&mut self) -> Option<Box<dyn ShardExecutor>> {
-        self.executor.take()
-    }
-
     /// Use a freshly constructed backend of type `B2` as the fast path:
     /// `builder.backend_fresh::<TrieBackend>()`.
     pub fn backend_fresh<B2: FastPathBackend>(self) -> DatapathBuilder<B2> {
@@ -201,7 +176,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
             strategy: self.strategy,
             config: self.config,
             backend: PhantomData,
-            executor: self.executor,
         }
     }
 
@@ -220,8 +194,6 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
             slow_path: SlowPath::new(strategy),
             stats: DatapathStats::default(),
             last_sweep: 0.0,
-            schema_is_v4: schema.field_index("ip_src").is_some(),
-            schema_is_v6: schema.field_index("ip6_src").is_some(),
             schema,
             table: self.table,
             megaflow,
@@ -319,28 +291,16 @@ impl<B: FastPathBackend> Datapath<B> {
         }
     }
 
-    /// The header key of `flow` in the installed table's schema, or `None` when the
-    /// flow's address family is one the schema cannot express (an IPv6 packet against
-    /// an IPv4 table, or vice versa) — such traffic can be neither classified nor
-    /// steered.
-    pub fn steerable_key(&self, flow: &FlowKey) -> Option<Key> {
-        let family_matches = if flow.is_v6 {
-            self.schema_is_v6
-        } else {
-            self.schema_is_v4
-        };
-        family_matches.then(|| flow.to_key(&self.schema))
-    }
-
     /// Process a concrete packet at simulation time `now`.
     ///
-    /// A packet whose family does not match the installed table's schema never reaches
-    /// the tenant ACL (like non-IP traffic, §5.2 footnote): it is charged as a
-    /// [`WireFault::FamilyMismatch`] — [`PathTaken::Unclassified`], permitted, fixed
-    /// cost only.
+    /// A packet whose family the installed table's schema cannot express
+    /// ([`FlowKey::checked_key`]) never reaches the tenant ACL (like non-IP traffic,
+    /// §5.2 footnote): it is charged as a [`WireFault::FamilyMismatch`] —
+    /// [`PathTaken::Unclassified`], permitted, fixed cost only.
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let Some(header) = self.steerable_key(&FlowKey::from_packet(pkt)) else {
-            return self.note_wire_fault(WireFault::FamilyMismatch, pkt.wire_len(), now);
+        let header = match FlowKey::from_packet(pkt).checked_key(&self.schema) {
+            Ok(header) => header,
+            Err(fault) => return self.note_wire_fault(fault, pkt.wire_len(), now),
         };
         let micro = MicroflowKey::from_packet(pkt);
         self.maybe_expire(now);
@@ -348,12 +308,7 @@ impl<B: FastPathBackend> Datapath<B> {
         // Only concrete packets carry a microflow identity, so only this entry point
         // probes it.
         let outcome = match self.microflow.lookup(&micro) {
-            Some(action) => ProcessOutcome {
-                action,
-                path: PathTaken::Microflow,
-                cost: self.config.cost.microflow(),
-                masks_scanned: 0,
-            },
+            Some(action) => self.outcome(action, PathTaken::Microflow, 0),
             None => {
                 let outcome = self.classify(&header, now);
                 self.microflow.insert(micro, outcome.action);
@@ -373,7 +328,7 @@ impl<B: FastPathBackend> Datapath<B> {
                 self.stats.record_decoded();
                 self.process_packet(&pkt, now)
             }
-            Err(e) => self.note_wire_fault(WireFault::Decode(e), frame.len(), now),
+            Err(e) => self.note_wire_fault(e.into(), frame.len(), now),
         }
     }
 
@@ -391,12 +346,7 @@ impl<B: FastPathBackend> Datapath<B> {
             }
             WireFault::FamilyMismatch => Action::Allow,
         };
-        let outcome = ProcessOutcome {
-            action,
-            path: PathTaken::Unclassified,
-            cost: self.config.cost.microflow(),
-            masks_scanned: 0,
-        };
+        let outcome = self.outcome(action, PathTaken::Unclassified, 0);
         record(&mut self.stats, outcome, bytes)
     }
 
@@ -407,14 +357,6 @@ impl<B: FastPathBackend> Datapath<B> {
         self.maybe_expire(now);
         let outcome = self.classify(header, now);
         record(&mut self.stats, outcome, bytes)
-    }
-
-    /// Process a batch of pre-extracted header keys `(header, wire_bytes)`, all stamped
-    /// `now` — [`Datapath::process_timed_batch`] at a single timestamp. Verdicts, costs
-    /// and cache evolution are identical to calling [`Datapath::process_key`] in a loop
-    /// at the same `now`.
-    pub fn process_batch(&mut self, batch: &[(Key, usize)], now: f64) -> BatchReport {
-        self.process_events(batch.iter().map(|(header, bytes)| (header, *bytes, now)))
     }
 
     /// Process an ordered run of timestamped events `(header, wire_bytes, time)`,
@@ -487,26 +429,25 @@ impl<B: FastPathBackend> Datapath<B> {
     fn classify(&mut self, header: &Key, now: f64) -> ProcessOutcome {
         // Level 2: the fast-path backend (TSS Alg. 1, or a baseline classifier).
         let lookup = self.megaflow.lookup(header, now);
-        let masks_scanned = lookup.masks_scanned;
         if let Some(action) = lookup.action {
-            let units = self.megaflow.cost_units(masks_scanned);
-            return ProcessOutcome {
-                action,
-                path: PathTaken::Megaflow,
-                cost: self.config.cost.fast_path(units),
-                masks_scanned,
-            };
+            return self.outcome(action, PathTaken::Megaflow, lookup.masks_scanned);
         }
         // Level 3: slow path (upcall). A header no rule matches is dropped.
         let action = self
             .slow_path
             .handle_upcall(&self.table, &mut self.megaflow, header, now)
             .map_or(Action::Deny, |up| up.action);
+        self.outcome(action, PathTaken::SlowPath, lookup.masks_scanned)
+    }
+
+    /// The outcome of a packet answered with `action` on `path` after the fast path
+    /// scanned `masks_scanned` work units, priced by the datapath's cost model.
+    fn outcome(&self, action: Action, path: PathTaken, masks_scanned: usize) -> ProcessOutcome {
         let units = self.megaflow.cost_units(masks_scanned);
         ProcessOutcome {
             action,
-            path: PathTaken::SlowPath,
-            cost: self.config.cost.slow_path(units),
+            path,
+            cost: self.config.cost.path_cost(path, units),
             masks_scanned,
         }
     }
@@ -728,15 +669,15 @@ mod tests {
         for port in [80u128, 81, 80, 80, 9999, 80] {
             let mut k = schema.zero_value();
             k.set(tp_dst, port);
-            batch.push((k, 64usize));
+            batch.push((k, 64usize, 0.5));
         }
         let mut looped = Datapath::new(table.clone());
         let loop_actions: Vec<Action> = batch
             .iter()
-            .map(|(k, b)| looped.process_key(k, *b, 0.5).action)
+            .map(|(k, b, t)| looped.process_key(k, *b, *t).action)
             .collect();
         let mut batched = Datapath::new(table);
-        let report = batched.process_batch(&batch, 0.5);
+        let report = batched.process_timed_batch(&batch);
         assert_eq!(report.processed, 6);
         assert_eq!(
             report.allowed as usize,
@@ -841,11 +782,11 @@ mod tests {
         let table = FlowTable::fig1_hyp();
         let schema = table.schema().clone();
         let headers = [0b001u128, 0b001, 0b001, 0b111, 0b111, 0b001, 0b101, 0b001];
-        let batch: Vec<(Key, usize)> = headers
+        let batch: Vec<(Key, usize, f64)> = headers
             .iter()
             .cycle()
             .take(96)
-            .map(|&h| (Key::from_values(&schema, &[h]), 64))
+            .map(|&h| (Key::from_values(&schema, &[h]), 64, 0.5))
             .collect();
         let build = || {
             Datapath::builder(table.clone())
@@ -855,10 +796,10 @@ mod tests {
         let mut looped = build();
         let loop_cost: f64 = batch
             .iter()
-            .map(|(k, b)| looped.process_key(k, *b, 0.5).cost)
+            .map(|(k, b, t)| looped.process_key(k, *b, *t).cost)
             .sum();
         let mut batched = build();
-        let report = batched.process_batch(&batch, 0.5);
+        let report = batched.process_timed_batch(&batch);
 
         assert_eq!(report.processed, 96);
         assert_eq!(report.total_cost.to_bits(), loop_cost.to_bits());
@@ -867,7 +808,7 @@ mod tests {
             batched.megaflow().mask_usage(),
             looped.megaflow().mask_usage()
         );
-        for (key, _) in &batch[..headers.len()] {
+        for (key, ..) in &batch[..headers.len()] {
             let (b, l) = (batched.megaflow().peek(key), looped.megaflow().peek(key));
             assert_eq!(b.map(|e| e.hits), l.map(|e| e.hits), "hits of {key:?}");
             assert!(b.is_some_and(|e| e.hits > 1), "repeats must hit for real");

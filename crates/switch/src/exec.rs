@@ -52,8 +52,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// order regardless of execution order.
 ///
 /// The trait is object-safe so the datapath can hold a `Box<dyn ShardExecutor>` and
-/// swap execution models at runtime (`with_executor(..)` on the builder, the sharded
-/// datapath and the experiment runner).
+/// swap execution models at runtime (`with_executor(..)` on the sharded datapath and the
+/// experiment runner).
 pub trait ShardExecutor: std::fmt::Debug + Send + Sync {
     /// Short human-readable name for reports and bench labels.
     fn name(&self) -> &'static str;
@@ -201,16 +201,6 @@ impl ChaosExecutor {
     }
 }
 
-/// One step of the splitmix64 generator — the same tiny PRNG the compat `rand` stub
-/// builds on, inlined here so `tse-switch` keeps its zero-dependency core.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ShardExecutor for ChaosExecutor {
     fn name(&self) -> &'static str {
         "chaos"
@@ -220,22 +210,23 @@ impl ShardExecutor for ChaosExecutor {
         if n_shards == 0 {
             return;
         }
-        let mut state = self.seed ^ (n_shards as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // SplitMix64: step the state by the golden-ratio increment, mix the output.
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut state = self.seed ^ (n_shards as u64).wrapping_mul(GAMMA);
+        let mut draw = move || {
+            state = state.wrapping_add(GAMMA);
+            tse_packet::rss::splitmix64_mix(state)
+        };
         let mut order: Vec<usize> = (0..n_shards).collect();
         for i in (1..n_shards).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            let j = (draw() % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
         let workers = self.threads.min(n_shards);
         // Deal the permuted indices round-robin; each worker also draws a 64-bit
         // yield pattern deciding before which of its jobs it yields the CPU.
         let mut plans: Vec<(Vec<usize>, u64)> = (0..workers)
-            .map(|_| {
-                (
-                    Vec::with_capacity(n_shards / workers + 1),
-                    splitmix64(&mut state),
-                )
-            })
+            .map(|_| (Vec::with_capacity(n_shards / workers + 1), draw()))
             .collect();
         for (k, &shard) in order.iter().enumerate() {
             plans[k % workers].0.push(shard);

@@ -46,6 +46,4 @@ pub use exec::{
 pub use pmd::{ShardedBatchReport, ShardedDatapath, Steering};
 pub use slowpath::{SlowPath, UpcallOutcome};
 pub use stats::{DatapathStats, PathTaken};
-pub use tenant::{
-    destined_to, merge_tenant_acls, victim_and_attacker_table, AclField, AllowClause, TenantAcl,
-};
+pub use tenant::{merge_tenant_acls, victim_and_attacker_table, AclField, AllowClause, TenantAcl};

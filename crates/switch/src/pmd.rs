@@ -284,22 +284,13 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     ///
     /// # Panics
     /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
-    pub fn from_builder(
-        mut builder: DatapathBuilder<B>,
-        n_shards: usize,
-        steering: Steering,
-    ) -> Self
+    pub fn from_builder(builder: DatapathBuilder<B>, n_shards: usize, steering: Steering) -> Self
     where
         DatapathBuilder<B>: Clone,
     {
         assert!(n_shards > 0, "shard count must be positive");
-        let executor = builder.take_executor();
-        let shards: Vec<Datapath<B>> = (0..n_shards).map(|_| builder.clone().build()).collect();
-        let mut sharded = Self::from_shards(shards, steering);
-        if let Some(executor) = executor {
-            sharded.executor = executor;
-        }
-        sharded
+        let shards = (0..n_shards).map(|_| builder.clone().build()).collect();
+        Self::from_shards(shards, steering)
     }
 
     /// Replace the shard-execution model (builder form). The default is
@@ -477,9 +468,10 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
 
     /// Process a concrete packet on the shard its flow key is steered to.
     ///
-    /// Packets whose family does not match the installed schema (an IPv6 packet
-    /// against an IPv4 table, or vice versa) cannot be steered — the RSS fields the
-    /// policy hashes do not exist in their header — so they are **deterministically
+    /// Packets whose family the installed schema cannot express
+    /// ([`FlowKey::checked_key`]: an IPv6 packet against an IPv4 table, or vice versa)
+    /// cannot be steered — the RSS fields the policy hashes do not exist in their
+    /// header — so they are **deterministically
     /// accounted on shard 0**, where the per-shard datapath permits them unclassified
     /// at microflow cost (exactly like non-IP traffic, see
     /// [`Datapath::process_packet`]). This mirrors a NIC delivering non-matching
@@ -487,7 +479,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// across shards, and the choice of shard 0 is stable across runs and executors
     /// (pinned by `schema_mismatch_accounts_on_shard_zero`).
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let key = self.shards[0].steerable_key(&FlowKey::from_packet(pkt));
+        let key = FlowKey::from_packet(pkt).checked_key(self.table().schema());
         let shard = key.map_or(0, |key| self.shard_of_key(&key));
         self.shards[shard].process_packet(pkt, now)
     }
@@ -611,7 +603,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
                 self.shards[0].stats_mut().record_decoded();
                 self.process_packet(&pkt, now)
             }
-            Err(e) => self.note_wire_fault(WireFault::Decode(e), frame.len(), now),
+            Err(e) => self.note_wire_fault(e.into(), frame.len(), now),
         }
     }
 
@@ -810,7 +802,7 @@ mod tests {
         let schema = FieldSchema::ovs_ipv4();
         let mut sharded = ShardedDatapath::new(fig6_table(&schema), 4, Steering::Rss);
         let pkt = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
-        let key = FlowKey::from_packet(&pkt).to_key(&schema);
+        let key = FlowKey::from_packet(&pkt).checked_key(&schema).unwrap();
         let shard = sharded.shard_of_key(&key);
         let out = sharded.process_packet(&pkt, 0.0);
         assert_eq!(out.action, Action::Allow);

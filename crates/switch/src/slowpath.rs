@@ -67,11 +67,6 @@ impl SlowPath {
         }
     }
 
-    /// Remove a suppression (MFCGuard re-injection, §8).
-    pub fn unsuppress_rule(&mut self, rule_index: usize) {
-        self.suppressed_rules.retain(|&r| r != rule_index);
-    }
-
     /// Currently suppressed rule indices.
     pub fn suppressed_rules(&self) -> &[usize] {
         &self.suppressed_rules
@@ -219,12 +214,6 @@ mod tests {
         // Allowed traffic is unaffected.
         let out = sp
             .handle_upcall(&table, &mut cache, &hyp(0b001), 0.0)
-            .unwrap();
-        assert!(out.installed);
-        // Unsuppress and the deny megaflows come back.
-        sp.unsuppress_rule(1);
-        let out = sp
-            .handle_upcall(&table, &mut cache, &hyp(0b100), 0.0)
             .unwrap();
         assert!(out.installed);
     }
@@ -376,7 +365,5 @@ mod tests {
         sp.suppress_rule(3);
         sp.suppress_rule(3);
         assert_eq!(sp.suppressed_rules(), &[3]);
-        sp.unsuppress_rule(3);
-        assert!(sp.suppressed_rules().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! the abstraction the Co-located TSE attack exploits: the attacker's own ACL (for its
 //! own service) creates the adversarial rule pattern inside the shared cache.
 
-use tse_packet::fields::{FieldSchema, Key, Mask};
+use tse_packet::fields::{FieldSchema, Mask};
 
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::{Action, Rule};
@@ -195,15 +195,6 @@ pub fn victim_and_attacker_table(
     )
 }
 
-/// Check whether a header key is destined to the given tenant (matches its service IP).
-pub fn destined_to(schema: &FieldSchema, header: &Key, tenant: &TenantAcl) -> bool {
-    let ip_dst = schema
-        .field_index("ip_dst")
-        .or_else(|| schema.field_index("ip6_dst"))
-        .expect("OVS schema must have a destination address field");
-    header.get(ip_dst) == tenant.service_ip
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,19 +220,22 @@ mod tests {
         let ok = FlowKey::from_packet(
             &PacketBuilder::tcp_v4([192, 168, 1, 4], [10, 0, 0, 99], 40000, 80).build(),
         )
-        .to_key(&schema);
+        .checked_key(&schema)
+        .unwrap();
         assert_eq!(table.lookup(&ok).unwrap().action, Action::Allow);
         // Random traffic to the victim on another port: denied.
         let bad = FlowKey::from_packet(
             &PacketBuilder::tcp_v4([192, 168, 1, 4], [10, 0, 0, 99], 40000, 8080).build(),
         )
-        .to_key(&schema);
+        .checked_key(&schema)
+        .unwrap();
         assert_eq!(table.lookup(&bad).unwrap().action, Action::Deny);
         // Attacker's own service, matching its src-port clause: allowed.
         let atk_ok = FlowKey::from_packet(
             &PacketBuilder::tcp_v4([172, 16, 0, 1], [10, 0, 0, 200], 12345, 9999).build(),
         )
-        .to_key(&schema);
+        .checked_key(&schema)
+        .unwrap();
         assert_eq!(table.lookup(&atk_ok).unwrap().action, Action::Allow);
     }
 
@@ -253,9 +247,11 @@ mod tests {
         let header = FlowKey::from_packet(
             &PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 99], 12345, 443).build(),
         )
-        .to_key(&schema);
-        assert!(destined_to(&schema, &header, &victim));
-        assert!(!destined_to(&schema, &header, &attacker));
+        .checked_key(&schema)
+        .unwrap();
+        let ip_dst = schema.field_index("ip_dst").unwrap();
+        assert_eq!(header.get(ip_dst), victim.service_ip);
+        assert_ne!(header.get(ip_dst), attacker.service_ip);
         // Traffic matching the *attacker's* allow clauses but destined to the victim is
         // still denied: the src-ip clause only applies to the attacker's service.
         let table = merge_tenant_acls(&schema, &[victim, attacker]);
@@ -295,7 +291,8 @@ mod tests {
         let header = FlowKey::from_packet(
             &PacketBuilder::tcp_v4([1, 2, 3, 4], [10, 0, 0, 99], 1, 80).build(),
         )
-        .to_key(&schema);
+        .checked_key(&schema)
+        .unwrap();
         assert_eq!(table.lookup(&header).unwrap().action, Action::Deny);
     }
 

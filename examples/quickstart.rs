@@ -19,11 +19,11 @@ fn attack_report<B: FastPathBackend>(
     let baseline_cost = dp.process_packet(&victim, 0.001).cost;
 
     // The attacker: the co-located bit-inversion trace, pushed through in one batch.
-    let trace: Vec<(Key, usize)> = scenario_trace(schema, scenario, &schema.zero_value())
+    let trace: Vec<(Key, usize, f64)> = scenario_trace(schema, scenario, &schema.zero_value())
         .into_iter()
-        .map(|key| (key, 64))
+        .map(|key| (key, 64, 0.5))
         .collect();
-    let report = dp.process_batch(&trace, 0.5);
+    let report = dp.process_timed_batch(&trace);
 
     let attacked_cost = dp.process_packet(&victim, 1.0).cost;
     (

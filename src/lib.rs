@@ -44,10 +44,9 @@
 //! [`prelude::Datapath::process_timed_batch`] pushes an ordered slice of
 //! `(header, wire_bytes, time)` events through the datapath, each at its own
 //! timestamp, amortising the stats bookkeeping over the whole batch (see
-//! [`prelude::BatchReport`]) — the form the event-driven runner uses.
-//! [`prelude::Datapath::process_batch`] is the same thing for `(header, wire_bytes)`
-//! pairs all stamped with one time. Verdicts, costs and cache evolution are identical
-//! to a [`prelude::Datapath::process_key`] loop over the same events.
+//! [`prelude::BatchReport`]) — the form the event-driven runner uses. Verdicts, costs
+//! and cache evolution are identical to a [`prelude::Datapath::process_key`] loop over
+//! the same events.
 //!
 //! ## Streaming experiment construction
 //!
@@ -96,8 +95,8 @@
 //! real header parser over a whole batch into a reusable [`prelude::ExtractScratch`] —
 //! zero per-frame heap allocations in steady state (pinned by `tests/alloc_audit.rs`)
 //! with per-batch [`prelude::DecodeError`] accounting. On the traffic side,
-//! [`prelude::WireSource`] replays a trace (or an [`prelude::AttackTrace`], via
-//! `WireSource::from_attack_trace`) as serialized frames — producing the identical
+//! [`prelude::WireSource`] replays a trace (an [`prelude::AttackTrace`] serialised by
+//! [`prelude::wire_trace`], say) frame by frame — producing the identical
 //! event stream as its key-level twin — and the lazy [`prelude::WireGenerator`]
 //! crafts, serializes and re-parses explosion traffic on the fly, optionally inside
 //! an [`prelude::Encap`] envelope (802.1Q VLAN tag or VXLAN tunnel). The overlay is
@@ -191,11 +190,8 @@
 //!     8,
 //!     Steering::Rss,
 //! );
-//! let mut pooled = ShardedDatapath::from_builder(
-//!     Datapath::builder(table).with_executor(PersistentPoolExecutor::new(8)),
-//!     8,
-//!     Steering::Rss,
-//! );
+//! let mut pooled = ShardedDatapath::from_builder(Datapath::builder(table), 8, Steering::Rss)
+//!     .with_executor(PersistentPoolExecutor::new(8));
 //! let batch: Vec<(Key, usize, f64)> = Scenario::SipDp
 //!     .key_iter(&schema, &schema.zero_value())
 //!     .take(500)
@@ -296,8 +292,7 @@ pub use tse_switch as switch;
 pub mod prelude {
     pub use tse_attack::bounds::{multi_field_bound, single_field_curve};
     pub use tse_attack::colocated::{
-        bit_inversion_keys, bit_inversion_list, bit_inversion_trace, scenario_key_iter,
-        scenario_trace, BitInversionKeys,
+        bit_inversion_keys, bit_inversion_list, scenario_key_iter, scenario_trace, BitInversionKeys,
     };
     pub use tse_attack::expectation::ExpectationModel;
     pub use tse_attack::general::{random_trace, RandomKeys};

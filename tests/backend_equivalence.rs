@@ -106,21 +106,21 @@ fn process_batch_agrees_with_per_key_loop_on_every_backend() {
     let schema = FieldSchema::ovs_ipv4();
     let scenario = Scenario::SipDp;
     let table = scenario.flow_table(&schema);
-    let batch: Vec<(Key, usize)> = workload(&schema, scenario)
+    let batch: Vec<(Key, usize, f64)> = workload(&schema, scenario)
         .into_iter()
-        .map(|k| (k, 64))
+        .map(|k| (k, 64, 0.25))
         .collect();
 
     fn check<B: FastPathBackend>(
         mut looped: Datapath<B>,
         mut batched: Datapath<B>,
-        batch: &[(Key, usize)],
+        batch: &[(Key, usize, f64)],
         name: &str,
     ) {
-        for (k, b) in batch {
-            looped.process_key(k, *b, 0.25);
+        for (k, b, t) in batch {
+            looped.process_key(k, *b, *t);
         }
-        let report = batched.process_batch(batch, 0.25);
+        let report = batched.process_timed_batch(batch);
         assert_eq!(report.processed, batch.len());
         assert_eq!(
             batched.stats().allowed,

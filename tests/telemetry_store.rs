@@ -52,7 +52,7 @@ proptest! {
             1,
         );
         for (i, &v) in values.iter().enumerate() {
-            store.record_sample(sample(i as f64, v, 2.0 * v));
+            store.record(sample(i as f64, v, 2.0 * v), &[]);
         }
         store.finish();
 
@@ -104,11 +104,9 @@ proptest! {
 
 /// Run the same small tenant fleet through the runner and return its telemetry store.
 fn fleet_store(fleet: &TenantFleet, executor: Box<dyn ShardExecutor>) -> TelemetryStore {
-    let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(fleet.table()).with_executor(executor),
-        4,
-        Steering::PerTenant,
-    );
+    let sharded =
+        ShardedDatapath::from_builder(Datapath::builder(fleet.table()), 4, Steering::PerTenant)
+            .with_executor(executor);
     let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off())
         .with_telemetry(TelemetryConfig::with_hot_capacity(6).with_slo_floor(0.005))
         .with_table_updates(fleet.table_updates());

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse::attack::general::random_trace_on_fields;
+use tse::packet::wire::WireFault;
 use tse::prelude::*;
 
 const ATTACK_START: f64 = 15.0;
@@ -26,12 +27,11 @@ fn run(executor: impl ShardExecutor + 'static, guarded: bool) -> (Timeline, u64,
     let ip6_src = schema.field_index("ip6_src").unwrap();
     let table = FlowTable::whitelist_default_deny(&schema, &[(tp_dst, 80), (ip6_src, ALLOWED_SRC)]);
     let sharded = ShardedDatapath::from_builder(
-        Datapath::builder(table)
-            .strategy(MegaflowStrategy::wildcarding(&schema))
-            .with_executor(executor),
+        Datapath::builder(table).strategy(MegaflowStrategy::wildcarding(&schema)),
         4,
         Steering::Rss,
-    );
+    )
+    .with_executor(executor);
     let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
     if guarded {
         runner = runner
@@ -128,5 +128,68 @@ fn wire_replay_is_executor_invariant_degrades_and_recovers() {
                 "the wire-replayed explosion must degrade the victim: {before} -> {during}"
             );
         }
+    }
+}
+
+/// A packet of a family the schema cannot express is one fault, not two behaviours:
+/// the key-level replay of a trace and the wire-level replay of its frames emit the same
+/// `Malformed { FamilyMismatch }` events (zero key — no address is ever cut down to the
+/// other family's width), and a run over either charges shard 0 and installs nothing.
+#[test]
+fn a_family_the_schema_cannot_express_is_the_same_fault_on_both_ingresses() {
+    fn stream(mut src: impl TrafficSource) -> Vec<TrafficEvent> {
+        std::iter::from_fn(move || src.next_event()).collect()
+    }
+    let (v4, v6) = (FieldSchema::ovs_ipv4(), FieldSchema::ovs_ipv6());
+    for (packets, acl) in [(&v6, &v4), (&v4, &v6)] {
+        let keys = random_trace_on_fields(
+            &mut StdRng::seed_from_u64(0xfa17),
+            packets,
+            &[0, packets.field_index("tp_dst").unwrap()],
+            &packets.zero_value(),
+            64,
+        );
+        let trace =
+            AttackTrace::from_keys(&mut StdRng::seed_from_u64(3), packets, &keys, 50.0, 0.5);
+        let keyed = stream(trace.source("atk", acl));
+        let wired = stream(WireSource::replay(
+            "atk",
+            wire_trace(&trace, Encap::None),
+            acl,
+        ));
+        assert_eq!(keyed, wired);
+        assert_eq!(keyed.len(), trace.len());
+        for (ev, tp) in keyed.iter().zip(trace.packets()) {
+            let fault = WireFault::FamilyMismatch;
+            assert_eq!(ev.payload, EventPayload::Malformed { fault });
+            assert_eq!(ev.key, acl.zero_value());
+            assert_eq!((ev.time, ev.bytes), (tp.time, tp.packet.wire_len()));
+        }
+
+        let tp_dst = acl.field_index("tp_dst").unwrap();
+        let table = FlowTable::whitelist_default_deny(acl, &[(tp_dst, 80)]);
+        let run = |source: Box<dyn TrafficSource + '_>| {
+            let dp = ShardedDatapath::new(table.clone(), 4, Steering::Rss);
+            let mut runner = ExperimentRunner::sharded(dp, Vec::new(), OffloadConfig::gro_off());
+            let mut mix = TrafficMix::new();
+            mix.push(source);
+            let tl = runner.run_mix(mix, 3.0);
+            let dp = &runner.datapath;
+            assert_eq!(dp.shard_stats(0).unclassified, trace.len() as u64);
+            assert_eq!(dp.stats().packets(), trace.len() as u64, "shard 0 only");
+            assert_eq!(dp.stats().allowed, trace.len() as u64);
+            assert!(tl.samples.iter().all(|s| s.mask_count == 0));
+            assert_eq!((dp.mask_count(), dp.entry_count()), (0, 0));
+            tl
+        };
+        let by_key = run(Box::new(trace.source("atk", acl)));
+        let by_wire = run(Box::new(WireSource::replay(
+            "atk",
+            wire_trace(&trace, Encap::None),
+            acl,
+        )));
+        assert_eq!(by_key.samples, by_wire.samples);
+        let malformed: f64 = by_key.samples.iter().map(|s| s.malformed_pps).sum();
+        assert_eq!(malformed.round() as usize, trace.len());
     }
 }
