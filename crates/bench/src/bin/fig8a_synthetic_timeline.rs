@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
 use tse_attack::trace::AttackTrace;
+use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
 use tse_simnet::runner::ExperimentRunner;
@@ -14,8 +15,12 @@ use tse_simnet::traffic::VictimFlow;
 use tse_switch::datapath::Datapath;
 
 fn main() {
-    let args = tse_bench::fig_args_duration(90.0);
-    let duration = args.duration;
+    let defaults = FigArgs {
+        duration: 90.0,
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let duration = fig.args.duration;
     let schema = FieldSchema::ovs_ipv4();
     let table = Scenario::SipDp.flow_table(&schema);
     let victims = vec![
@@ -29,9 +34,7 @@ fn main() {
     let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 30.0, 3000);
 
     let mut runner = ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off());
-    let wall = std::time::Instant::now();
     let timeline = runner.run(&attack, duration);
-    let wall = wall.elapsed().as_secs_f64();
     println!("== Fig. 8a: synthetic timeline, 3 TCP victims, SipDp attack @100 pps, t1=30 s t2=60 s ==\n");
     println!("{}", timeline.render_table());
     let before = timeline.mean_total_between(5.0, 29.0);
@@ -42,23 +45,13 @@ fn main() {
     );
     println!("paper: 9.7 Gbps aggregate drops below 0.5 Gbps during the attack; recovery lags t2 by ~10 s");
 
-    use tse_bench::report::Metric;
-    let peak_masks = timeline.peak_masks();
-    let peak_entries = timeline.peak_entries();
-    args.emit(
-        env!("CARGO_BIN_NAME"),
-        vec![
-            Metric::deterministic("victim_gbps_before", "gbps", before).higher_is_better(),
-            Metric::deterministic("victim_gbps_under_attack", "gbps", during).higher_is_better(),
-            Metric::deterministic("victim_gbps_recovered", "gbps", after).higher_is_better(),
-            Metric::deterministic("peak_masks", "masks", peak_masks as f64),
-            Metric::deterministic("peak_entries", "entries", peak_entries as f64),
-            Metric::deterministic(
-                "total_cost_seconds",
-                "cost_seconds",
-                runner.datapath.busy_seconds(),
-            ),
-            Metric::wall("wall_seconds", "seconds_wall", wall),
-        ],
-    );
+    let stats = runner.datapath.stats();
+    fig.gbps("victim_gbps_before", before);
+    fig.gbps("victim_gbps_under_attack", during);
+    fig.gbps("victim_gbps_recovered", after);
+    fig.row("peak_masks", "masks", timeline.peak_masks() as f64);
+    fig.row("peak_entries", "entries", timeline.peak_entries() as f64);
+    fig.row("total_cost_seconds", "cost_seconds", stats.busy_seconds);
+    fig.account(&stats);
+    fig.finish();
 }

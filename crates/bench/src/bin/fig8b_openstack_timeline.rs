@@ -11,6 +11,7 @@ use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
 use tse_attack::source::TrafficMix;
 use tse_attack::trace::AttackTrace;
+use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::cloud::CloudPlatform;
 use tse_simnet::offload::OffloadConfig;
@@ -20,8 +21,12 @@ use tse_switch::cost::CostModel;
 use tse_switch::datapath::Datapath;
 
 fn main() {
-    let args = tse_bench::fig_args_duration(120.0);
-    let duration = args.duration;
+    let defaults = FigArgs {
+        duration: 120.0,
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let duration = fig.args.duration;
     let platform = CloudPlatform::OpenStack;
     let scenario = platform.clamp_scenario(Scenario::SipSpDp);
     let schema = FieldSchema::ovs_ipv4();
@@ -47,9 +52,7 @@ fn main() {
         .with(VictimSource::new(victim, &schema, runner.sample_interval))
         .with(first.source("Attacker (1st wave)", &schema))
         .with(second.source("Attacker (2nd wave)", &schema));
-    let wall = std::time::Instant::now();
     let timeline = runner.run_mix(mix, duration);
-    let wall = wall.elapsed().as_secs_f64();
     println!(
         "== Fig. 8b: OpenStack (OVN), {} scenario, victim joins at t=30 s ==\n",
         scenario.name()
@@ -67,26 +70,13 @@ fn main() {
     println!("note: the paper's re-activation anomaly (long-lived flows barely affected when the");
     println!("attacker returns) was tied to an unstable OVS build and is not modelled.");
 
-    use tse_bench::report::Metric;
-    let peak_masks = timeline.peak_masks();
-    let peak_entries = timeline.peak_entries();
-    args.emit(
-        env!("CARGO_BIN_NAME"),
-        vec![
-            Metric::deterministic("victim_gbps_attacker_on", "gbps", attacker_on)
-                .higher_is_better(),
-            Metric::deterministic("victim_gbps_attacker_off", "gbps", attacker_off)
-                .higher_is_better(),
-            Metric::deterministic("victim_gbps_attacker_back", "gbps", attacker_back)
-                .higher_is_better(),
-            Metric::deterministic("peak_masks", "masks", peak_masks as f64),
-            Metric::deterministic("peak_entries", "entries", peak_entries as f64),
-            Metric::deterministic(
-                "total_cost_seconds",
-                "cost_seconds",
-                runner.datapath.busy_seconds(),
-            ),
-            Metric::wall("wall_seconds", "seconds_wall", wall),
-        ],
-    );
+    let stats = runner.datapath.stats();
+    fig.gbps("victim_gbps_attacker_on", attacker_on);
+    fig.gbps("victim_gbps_attacker_off", attacker_off);
+    fig.gbps("victim_gbps_attacker_back", attacker_back);
+    fig.row("peak_masks", "masks", timeline.peak_masks() as f64);
+    fig.row("peak_entries", "entries", timeline.peak_entries() as f64);
+    fig.row("total_cost_seconds", "cost_seconds", stats.busy_seconds);
+    fig.account(&stats);
+    fig.finish();
 }

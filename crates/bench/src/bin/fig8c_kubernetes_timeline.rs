@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
 use tse_attack::trace::AttackTrace;
+use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::cloud::CloudPlatform;
 use tse_simnet::offload::OffloadConfig;
@@ -16,7 +17,7 @@ use tse_switch::cost::CostModel;
 use tse_switch::datapath::Datapath;
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     let platform = CloudPlatform::Kubernetes;
     let schema = FieldSchema::ovs_ipv4();
     let scenario = platform.clamp_scenario(Scenario::SipSpDp);
@@ -44,7 +45,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
 
     // Phase 1: t=0..50 s, benign ACL, attacker on from t=20 s at 1 000 pps.
-    let wall = std::time::Instant::now();
     let mut runner = ExperimentRunner::new(Datapath::new(benign_table), victims.clone(), offload);
     let attack1 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 1000.0, 20.0, 30_000);
     let phase1 = runner.run(&attack1, 50.0);
@@ -72,7 +72,6 @@ fn main() {
             );
         }
     }
-    let wall = wall.elapsed().as_secs_f64();
     let benign = phase1.mean_total_between(25.0, 49.0);
     let injected = phase2.mean_total_between(10.0, 49.0);
     let doubled = phase3.mean_total_between(10.0, 49.0);
@@ -81,25 +80,17 @@ fn main() {
     );
     println!("paper: ~1 Gbps baseline, ~80 % drop once the ACL lands, near-zero at 2 000 pps.");
 
-    use tse_bench::report::Metric;
     let peak_masks = [&phase1, &phase2, &phase3]
         .iter()
         .map(|p| p.peak_masks())
         .max()
         .unwrap_or(0);
-    args.emit(
-        env!("CARGO_BIN_NAME"),
-        vec![
-            Metric::deterministic("victim_gbps_benign_acl", "gbps", benign).higher_is_better(),
-            Metric::deterministic("victim_gbps_acl_injected", "gbps", injected).higher_is_better(),
-            Metric::deterministic("victim_gbps_2kpps", "gbps", doubled).higher_is_better(),
-            Metric::deterministic("peak_masks", "masks", peak_masks as f64),
-            Metric::deterministic(
-                "total_cost_seconds",
-                "cost_seconds",
-                runner.datapath.busy_seconds(),
-            ),
-            Metric::wall("wall_seconds", "seconds_wall", wall),
-        ],
-    );
+    let stats = runner.datapath.stats();
+    fig.gbps("victim_gbps_benign_acl", benign);
+    fig.gbps("victim_gbps_acl_injected", injected);
+    fig.gbps("victim_gbps_2kpps", doubled);
+    fig.row("peak_masks", "masks", peak_masks as f64);
+    fig.row("total_cost_seconds", "cost_seconds", stats.busy_seconds);
+    fig.account(&stats);
+    fig.finish();
 }

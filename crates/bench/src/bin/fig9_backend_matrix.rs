@@ -12,7 +12,7 @@
 use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
 use tse_attack::trace::AttackTrace;
-use tse_bench::render_table;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_classifier::backend::{
     FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
 };
@@ -21,6 +21,7 @@ use tse_simnet::offload::OffloadConfig;
 use tse_simnet::runner::ExperimentRunner;
 use tse_simnet::traffic::VictimFlow;
 use tse_switch::datapath::Datapath;
+use tse_switch::DatapathStats;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,6 +34,7 @@ struct CaseRow {
     attacked_us: f64,
     masks: usize,
     entries: usize,
+    stats: DatapathStats,
 }
 
 fn run_case<B: FastPathBackend>(mut dp: Datapath<B>, scenario: Scenario, victim: &Key) -> CaseRow {
@@ -52,12 +54,12 @@ fn run_case<B: FastPathBackend>(mut dp: Datapath<B>, scenario: Scenario, victim:
         attacked_us: attacked.cost * 1e6,
         masks: dp.mask_count(),
         entries: dp.entry_count(),
+        stats: *dp.stats(),
     }
 }
 
-fn backend_matrix() -> Vec<(Scenario, Vec<CaseRow>)> {
+fn backend_matrix(fig: &mut Figure) {
     let schema = FieldSchema::ovs_ipv4();
-    let mut out = Vec::new();
     println!("== Fig. 9 through the datapath: victim cost per backend, per use case ==\n");
     for scenario in [
         Scenario::Dp,
@@ -121,12 +123,21 @@ fn backend_matrix() -> Vec<(Scenario, Vec<CaseRow>)> {
                 &table_rows
             )
         );
-        out.push((scenario, rows));
+        for r in rows {
+            let tag = format!("{}/{}", scenario.name(), r.backend);
+            fig.row(
+                &format!("{tag}/attacked_us"),
+                "us_per_packet",
+                r.attacked_us,
+            );
+            fig.row(&format!("{tag}/masks"), "masks", r.masks as f64);
+            fig.account(&r.stats);
+        }
     }
-    out
 }
 
-fn timelines(duration: f64) -> Vec<(&'static str, f64, f64)> {
+fn timelines(fig: &mut Figure) {
+    let duration = fig.args.duration;
     let schema = FieldSchema::ovs_ipv4();
     let scenario = Scenario::SipDp;
     let table = scenario.flow_table(&schema);
@@ -163,57 +174,24 @@ fn timelines(duration: f64) -> Vec<(&'static str, f64, f64)> {
     println!("-- hypercuts --");
     println!("{}", hc_tl.render_table());
 
-    let mut summary = Vec::new();
     for (name, tl) in [("trie", &trie_tl), ("hypercuts", &hc_tl)] {
         let before = tl.mean_total_between(5.0, 19.0);
         let during = tl.mean_total_between(30.0, 49.0);
         println!("{name}: mean victim Gbps before attack {before:.2}, during attack {during:.2}");
-        summary.push((name, before, during));
+        fig.gbps(&format!("timeline/{name}/victim_gbps_under_attack"), during);
+        fig.gbps(&format!("timeline/{name}/victim_gbps_before"), before);
     }
-    summary
+    fig.account(&trie_runner.datapath.stats());
+    fig.account(&hc_runner.datapath.stats());
 }
 
 fn main() {
-    let args = tse_bench::fig_args_duration(70.0);
-    let wall = std::time::Instant::now();
-    let cases = backend_matrix();
-    let timeline_summary = timelines(args.duration);
-    let wall = wall.elapsed().as_secs_f64();
-
-    use tse_bench::report::Metric;
-    let mut metrics = Vec::new();
-    for (scenario, rows) in &cases {
-        for r in rows {
-            metrics.push(Metric::deterministic(
-                &format!("{}/{}/attacked_us", scenario.name(), r.backend),
-                "us_per_packet",
-                r.attacked_us,
-            ));
-            metrics.push(Metric::deterministic(
-                &format!("{}/{}/masks", scenario.name(), r.backend),
-                "masks",
-                r.masks as f64,
-            ));
-        }
-    }
-    for (name, before, during) in &timeline_summary {
-        metrics.push(
-            Metric::deterministic(
-                &format!("timeline/{name}/victim_gbps_under_attack"),
-                "gbps",
-                *during,
-            )
-            .higher_is_better(),
-        );
-        metrics.push(
-            Metric::deterministic(
-                &format!("timeline/{name}/victim_gbps_before"),
-                "gbps",
-                *before,
-            )
-            .higher_is_better(),
-        );
-    }
-    metrics.push(Metric::wall("wall_seconds", "seconds_wall", wall));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    let defaults = FigArgs {
+        duration: 70.0,
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    backend_matrix(&mut fig);
+    timelines(&mut fig);
+    fig.finish();
 }

@@ -8,7 +8,7 @@
 
 use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
-use tse_bench::render_table;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
 use tse_switch::datapath::Datapath;
@@ -30,7 +30,7 @@ fn measured_masks(scenario: Scenario) -> usize {
 }
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     let configs = OffloadConfig::fig9a_set();
 
     println!("== Fig. 9a: victim throughput vs. number of MFC masks ==\n");
@@ -75,23 +75,14 @@ fn main() {
     println!("{}", render_table(&header, &rows));
     println!("\npaper anchors (GRO ON / FHO / GRO OFF): Dp 97/88/53 %, SpDp 95/43/10 %, SipDp 76/29/4.7 %, SipSpDp 3.9/2.1/0.2 %");
 
-    use tse_bench::report::Metric;
     let gro_off = OffloadConfig::gro_off();
-    let mut metrics = Vec::new();
-    for (scenario, masks) in &per_case {
-        metrics.push(Metric::deterministic(
-            &format!("{}/masks", scenario.name()),
-            "masks",
-            *masks as f64,
-        ));
-        metrics.push(
-            Metric::deterministic(
-                &format!("{}/victim_gbps_gro_off", scenario.name()),
-                "gbps",
-                gro_off.victim_gbps(*masks),
-            )
-            .higher_is_better(),
+    for (scenario, masks) in per_case {
+        let name = scenario.name();
+        fig.row(&format!("{name}/masks"), "masks", masks as f64);
+        fig.gbps(
+            &format!("{name}/victim_gbps_gro_off"),
+            gro_off.victim_gbps(masks),
         );
     }
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use tse_attack::expectation::ExpectationModel;
 use tse_attack::general::random_trace;
 use tse_attack::scenarios::Scenario;
-use tse_bench::render_table;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
 use tse_switch::datapath::Datapath;
@@ -27,7 +27,7 @@ fn measure(scenario: Scenario, n: usize, seed: u64) -> usize {
 }
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     let schema = FieldSchema::ovs_ipv4();
     let cases = [Scenario::Dp, Scenario::SipDp, Scenario::SipSpDp];
     let packet_counts = [10usize, 100, 1_000, 5_000, 10_000, 50_000];
@@ -75,20 +75,16 @@ fn main() {
     );
     println!("\npaper anchors: 1 000 pkts -> 72.8 % (Dp), 25.4 % (SpDp/SipDp), 11.7 % (SipSpDp); 50 000 pkts -> 52 %, 12 %, 1 %");
 
-    use tse_bench::report::Metric;
-    let mut metrics = Vec::new();
-    for c in &cases {
-        let model = ExpectationModel::for_scenario(&schema, *c);
-        metrics.push(Metric::deterministic(
-            &format!("{}/expected_masks_50k", c.name()),
+    for c in cases {
+        let name = c.name();
+        let expected = ExpectationModel::for_scenario(&schema, c).expected_masks(50_000);
+        let measured = measure(c, 50_000, 1000 + 50_000);
+        fig.row(&format!("{name}/expected_masks_50k"), "masks", expected);
+        fig.row(
+            &format!("{name}/measured_masks_50k"),
             "masks",
-            model.expected_masks(50_000),
-        ));
-        metrics.push(Metric::deterministic(
-            &format!("{}/measured_masks_50k", c.name()),
-            "masks",
-            measure(*c, 50_000, 1000 + 50_000) as f64,
-        ));
+            measured as f64,
+        );
     }
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -16,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse_attack::scenarios::Scenario;
 use tse_attack::source::{AttackGenerator, TrafficMix};
-use tse_bench::render_table;
+use tse_bench::sipdp::attack_packets;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_mitigation::cpu_model::SlowPathCpuModel;
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
@@ -29,12 +30,14 @@ use tse_switch::datapath::Datapath;
 const ATTACK_START: f64 = 10.0;
 
 fn main() {
-    let args = tse_bench::fig_args_duration(60.0);
-    let duration = args.duration;
+    let defaults = FigArgs {
+        duration: 60.0,
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let duration = fig.args.duration;
     let schema = FieldSchema::ovs_ipv4();
     let scenario = Scenario::SipDp;
-    let wall = std::time::Instant::now();
-    let mut metrics = Vec::new();
 
     println!("== Fig. 9c: slow-path CPU usage vs. attack rate (MFCGuard active) ==\n");
     println!("-- guarded timelines (MitigationStack: one GuardMitigation stage) --");
@@ -61,7 +64,7 @@ fn main() {
                     rate,
                     ATTACK_START,
                 )
-                .with_limit(((duration - ATTACK_START).max(1.0) * rate) as usize),
+                .with_limit(attack_packets(ATTACK_START, rate, duration)),
             );
         let tl = runner.run_mix(mix, duration);
         let during_end = duration - 1.0;
@@ -85,25 +88,15 @@ fn main() {
             format!("{swept_entries}"),
             format!("{peak_cpu:6.1} %"),
         ]);
-        use tse_bench::report::Metric;
-        metrics.push(
-            Metric::deterministic(
-                &format!("guarded/{rate:.0}pps/victim_gbps"),
-                "gbps",
-                victim_during,
-            )
-            .higher_is_better(),
-        );
-        metrics.push(Metric::deterministic(
-            &format!("guarded/{rate:.0}pps/swept_entries"),
+        let tag = format!("guarded/{rate:.0}pps");
+        fig.gbps(&format!("{tag}/victim_gbps"), victim_during);
+        fig.row(
+            &format!("{tag}/swept_entries"),
             "entries",
             swept_entries as f64,
-        ));
-        metrics.push(Metric::deterministic(
-            &format!("guarded/{rate:.0}pps/peak_slow_path_cpu"),
-            "percent",
-            peak_cpu,
-        ));
+        );
+        fig.row(&format!("{tag}/peak_slow_path_cpu"), "percent", peak_cpu);
+        fig.account(&runner.datapath.stats());
     }
     println!(
         "{}",
@@ -138,18 +131,12 @@ fn main() {
     );
     println!("\npaper anchors: ~15 % at 1 000 pps, ~80 % at 10 000 pps, saturating ~250 % towards 50 000 pps");
 
-    use tse_bench::report::Metric;
     for rate in [1_000.0f64, 10_000.0, 50_000.0] {
-        metrics.push(Metric::deterministic(
+        fig.row(
             &format!("cpu_model/{rate:.0}pps"),
             "percent",
             model.utilization_percent(rate),
-        ));
+        );
     }
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -2,6 +2,7 @@
 //! exact-match MFC, the Fig. 3 wildcarded MFC, the Fig. 4 two-field ACL and its Fig. 5
 //! megaflow cache.
 
+use tse_bench::{FigArgs, Figure};
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
 use tse_classifier::tss::TupleSpace;
@@ -29,7 +30,7 @@ fn populate(
 }
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     let hyp = FieldSchema::hyp();
 
     println!("== Fig. 1: sample flow table (3-bit HYP) ==");
@@ -83,14 +84,9 @@ fn main() {
         fig5.mask_count()
     );
 
-    use tse_bench::report::Metric;
-    args.emit(
-        env!("CARGO_BIN_NAME"),
-        vec![
-            Metric::deterministic("fig2/exact_entries", "entries", exact.entry_count() as f64),
-            Metric::deterministic("fig3/wildcard_masks", "masks", wild.mask_count() as f64),
-            Metric::deterministic("fig5/masks", "masks", fig5.mask_count() as f64),
-            Metric::deterministic("fig5/entries", "entries", fig5.entry_count() as f64),
-        ],
-    );
+    fig.row("fig2/exact_entries", "entries", exact.entry_count() as f64);
+    fig.row("fig3/wildcard_masks", "masks", wild.mask_count() as f64);
+    fig.row("fig5/masks", "masks", fig5.mask_count() as f64);
+    fig.row("fig5/entries", "entries", fig5.entry_count() as f64);
+    fig.finish();
 }

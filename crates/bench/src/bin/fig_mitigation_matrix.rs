@@ -24,8 +24,8 @@
 //! sharded flags: `--shards <n>` (default 16) and `--parallel <threads>` to drive the
 //! per-shard fan-out from a thread pool (timelines are executor-independent).
 
-use tse_bench::render_table;
 use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_mitigation::{MaskCap, RssKeyRandomizer, UpcallLimiter};
@@ -86,8 +86,13 @@ fn action_summary(tl: &Timeline) -> String {
 }
 
 fn main() {
-    let args = tse_bench::fig_args(70.0, 16);
-    let (duration, n_shards) = (args.duration, args.shard_count());
+    let defaults = FigArgs {
+        duration: 70.0,
+        shards: Some(16),
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let (duration, n_shards) = (fig.args.duration, fig.args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
     // Victim B must live off the attacked shard 0 (shard 5 in the default 16-shard
     // setup; clamped away from 0 for shard counts that would alias it).
@@ -100,11 +105,11 @@ fn main() {
         sipdp::victim_on_shard("Victim A", 0x0a00_0005, 4.0, &schema, n_shards, 0),
         sipdp::victim_on_shard("Victim B", 0x0a00_0006, 4.0, &schema, n_shards, b_shard),
     ];
-    let during_start = (ATTACK_START + 10.0).min(duration - 2.0);
-    let during_end = duration - 1.0;
+    let ((before_start, before_end), (during_start, during_end)) =
+        sipdp::windows(ATTACK_START, duration);
     println!(
         "== Mitigation matrix: {n_shards} PMD shards (RSS, {} executor), SipDp @ {ATTACK_PPS} pps from t={ATTACK_START} s, duration {duration} s ==",
-        args.executor_label()
+        fig.args.executor_label()
     );
     println!(
         "Victim A on shard 0 (pinned target), Victim B on shard {b_shard}; 4 Gbps offered each."
@@ -114,9 +119,7 @@ fn main() {
     let mut rekey_restored_a = 0.0;
     let mut unmitigated_pinned_a = 0.0;
     let mut baseline_a = 0.0;
-    let mut metrics = Vec::new();
     let mut total_cost = 0.0;
-    let wall = std::time::Instant::now();
     for attack in ["pinned", "sprayed"] {
         let mut rows = Vec::new();
         for stack in STACKS {
@@ -124,9 +127,9 @@ fn main() {
                 "pinned" => sipdp::pinned_keys(&schema, n_shards),
                 _ => sipdp::sprayed_keys(&schema, n_shards),
             };
-            let runner = with_stack(sipdp::runner(&schema, &args), stack);
-            let (tl, busy) = sipdp::run(runner, &schema, &victims, keys, Ingress::Keys, duration);
-            let a_before = tl.mean_victim_between(0, 5.0, ATTACK_START - 1.0);
+            let runner = with_stack(sipdp::runner(&schema, &fig.args), stack);
+            let (tl, stats) = sipdp::run(runner, &schema, &victims, keys, Ingress::Keys, duration);
+            let a_before = tl.mean_victim_between(0, before_start, before_end);
             let a_during = tl.mean_victim_between(0, during_start, during_end);
             let b_during = tl.mean_victim_between(1, during_start, during_end);
             let peak_masks = tl
@@ -143,21 +146,16 @@ fn main() {
             if attack == "pinned" && stack == "rekey" {
                 rekey_restored_a = a_during;
             }
-            total_cost += busy;
-            use tse_bench::report::Metric;
-            metrics.push(
-                Metric::deterministic(&format!("{attack}/{stack}/victim_a_gbps"), "gbps", a_during)
-                    .higher_is_better(),
-            );
-            metrics.push(
-                Metric::deterministic(&format!("{attack}/{stack}/victim_b_gbps"), "gbps", b_during)
-                    .higher_is_better(),
-            );
-            metrics.push(Metric::deterministic(
-                &format!("{attack}/{stack}/peak_shard_masks"),
+            total_cost += stats.busy_seconds;
+            fig.account(&stats);
+            let tag = format!("{attack}/{stack}");
+            fig.gbps(&format!("{tag}/victim_a_gbps"), a_during);
+            fig.gbps(&format!("{tag}/victim_b_gbps"), b_during);
+            fig.row(
+                &format!("{tag}/peak_shard_masks"),
                 "masks",
                 peak_masks as f64,
-            ));
+            );
             rows.push(vec![
                 stack.to_string(),
                 format!("{a_during:6.2}"),
@@ -217,19 +215,7 @@ fn main() {
         );
     }
 
-    use tse_bench::report::Metric;
-    metrics.push(
-        Metric::deterministic("pinned/none/baseline_a_gbps", "gbps", baseline_a).higher_is_better(),
-    );
-    metrics.push(Metric::deterministic(
-        "total_cost_seconds",
-        "cost_seconds",
-        total_cost,
-    ));
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.gbps("pinned/none/baseline_a_gbps", baseline_a);
+    fig.row("total_cost_seconds", "cost_seconds", total_cost);
+    fig.finish();
 }

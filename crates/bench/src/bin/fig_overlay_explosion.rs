@@ -21,8 +21,8 @@
 
 use tse_attack::source::TrafficMix;
 use tse_attack::wire::WireSource;
-use tse_bench::render_table;
 use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::RssKeyRandomizer;
 use tse_packet::fields::FieldSchema;
@@ -45,27 +45,30 @@ const ENCAPS: [(&str, Encap); 3] = [
 ];
 
 fn main() {
-    let args = tse_bench::fig_args(70.0, 4);
-    let (duration, n_shards) = (args.duration, args.shard_count());
+    let defaults = FigArgs {
+        duration: 70.0,
+        shards: Some(4),
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let (duration, n_shards) = (fig.args.duration, fig.args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
     let victim = sipdp::victim_on_shard("Victim", 0x0a00_0005, 10.0, &schema, n_shards, 0);
-    let during_start = (ATTACK_START + 10.0).min(duration - 2.0);
-    let during_end = duration - 1.0;
+    let ((before_start, before_end), (during_start, during_end)) =
+        sipdp::windows(ATTACK_START, duration);
     println!(
         "== Overlay explosion: pinned SipDp @ {ATTACK_PPS} pps from t={ATTACK_START} s as raw \
          frames, {n_shards} shards ({} executor), duration {duration} s ==\n",
-        args.executor_label()
+        fig.args.executor_label()
     );
 
     let mut rows = Vec::new();
-    let mut metrics = Vec::new();
     let mut plain_none: Option<Timeline> = None;
     let mut plain_guarded: Option<Timeline> = None;
-    let wall = std::time::Instant::now();
     for guarded in [false, true] {
         let stack = if guarded { "guard+rekey" } else { "none" };
         for (name, encap) in ENCAPS {
-            let mut runner = sipdp::runner(&schema, &args);
+            let mut runner = sipdp::runner(&schema, &fig.args);
             if guarded {
                 runner = runner
                     .with_mitigation(GuardMitigation::new(GuardConfig::default()))
@@ -73,7 +76,7 @@ fn main() {
             }
             let keys = sipdp::pinned_keys(&schema, n_shards);
             let victims = std::slice::from_ref(&victim);
-            let (tl, _) = sipdp::run(
+            let (tl, stats) = sipdp::run(
                 runner,
                 &schema,
                 victims,
@@ -81,7 +84,8 @@ fn main() {
                 Ingress::Wire(encap),
                 duration,
             );
-            let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
+            fig.account(&stats);
+            let before = tl.mean_total_between(before_start, before_end);
             let during = tl.mean_total_between(during_start, during_end);
             let peak_masks = tl.peak_masks();
             // The overlay changes the bytes on the wire, not the classified key: the
@@ -100,20 +104,9 @@ fn main() {
                     }
                 }
             }
-            use tse_bench::report::Metric;
-            metrics.push(
-                Metric::deterministic(
-                    &format!("{name}/{stack}/victim_during_gbps"),
-                    "gbps",
-                    during,
-                )
-                .higher_is_better(),
-            );
-            metrics.push(Metric::deterministic(
-                &format!("{name}/{stack}/peak_masks"),
-                "masks",
-                peak_masks as f64,
-            ));
+            let tag = format!("{name}/{stack}");
+            fig.gbps(&format!("{tag}/victim_during_gbps"), during);
+            fig.row(&format!("{tag}/peak_masks"), "masks", peak_masks as f64);
             rows.push(vec![
                 name.to_string(),
                 stack.to_string(),
@@ -126,18 +119,19 @@ fn main() {
 
     // The garbage run: same rate, but the frames are undecodable. Nothing explodes;
     // every frame is counted by kind on shard 0 and in the malformed series.
-    let garbled_packets = sipdp::attack_packets(duration);
+    let garbled_packets = sipdp::attack_packets(ATTACK_START, ATTACK_PPS, duration);
     let mut garbage = WireTrace::new();
     let junk = [0xDEu8; 9]; // shorter than any Ethernet header: DecodeError::Truncated
     for i in 0..garbled_packets {
         garbage.push(ATTACK_START + i as f64 / ATTACK_PPS, &junk);
     }
-    let mut r = sipdp::runner(&schema, &args);
+    let mut r = sipdp::runner(&schema, &fig.args);
     let mix = TrafficMix::new()
         .with(VictimSource::new(victim.clone(), &schema, 1.0))
         .with(WireSource::replay("Garbage", garbage, &schema));
     let tl = r.run_mix(mix, duration);
-    let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
+    fig.account(&r.datapath.stats());
+    let before = tl.mean_total_between(before_start, before_end);
     let during = tl.mean_total_between(during_start, during_end);
     let peak_masks = tl.peak_masks();
     let malformed: f64 = tl.samples.iter().map(|s| s.malformed_pps).sum();
@@ -158,17 +152,8 @@ fn main() {
         format!("{during:6.2}"),
         format!("{peak_masks}"),
     ]);
-    use tse_bench::report::Metric;
-    metrics.push(Metric::deterministic(
-        "garbage/none/peak_masks",
-        "masks",
-        peak_masks as f64,
-    ));
-    metrics.push(Metric::deterministic(
-        "garbage/none/malformed_frames",
-        "frames",
-        malformed,
-    ));
+    fig.row("garbage/none/peak_masks", "masks", peak_masks as f64);
+    fig.row("garbage/none/malformed_frames", "frames", malformed);
 
     println!(
         "{}",
@@ -190,7 +175,7 @@ fn main() {
 
     let none = plain_none.as_ref().expect("unguarded run recorded");
     let guarded_tl = plain_guarded.as_ref().expect("guarded run recorded");
-    let baseline = none.mean_total_between(5.0, ATTACK_START - 1.0);
+    let baseline = none.mean_total_between(before_start, before_end);
     let collapsed = none.mean_total_between(during_start, during_end);
     let restored = guarded_tl.mean_total_between(during_start, during_end);
     let explosion_masks = none.peak_masks();
@@ -214,13 +199,6 @@ fn main() {
     } else {
         println!("(horizon too short to assert the guard+rekey recovery — run with --duration 70)");
     }
-    metrics.push(
-        Metric::deterministic("plain/none/baseline_gbps", "gbps", baseline).higher_is_better(),
-    );
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.gbps("plain/none/baseline_gbps", baseline);
+    fig.finish();
 }

@@ -26,10 +26,12 @@
 //! `--parallel 4`; the timelines are bit-for-bit identical to the sequential run's).
 
 use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
+use tse_bench::{FigArgs, Figure};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_packet::fields::FieldSchema;
 use tse_simnet::runner::Timeline;
+use tse_switch::DatapathStats;
 
 /// Per-victim (before, during) Gbps means plus the peak per-shard mask count.
 fn summarize(label: &str, tl: &Timeline, duration: f64) -> (Vec<(f64, f64)>, usize) {
@@ -69,18 +71,12 @@ fn summarize(label: &str, tl: &Timeline, duration: f64) -> (Vec<(f64, f64)>, usi
     (victim_means, peak.iter().copied().max().unwrap_or(0))
 }
 
-/// Wall-clock microbenchmark of the batched datapath entry point: one pre-generated
-/// attack+victim event batch through `ShardedDatapath::process_timed_batch`,
-/// reported as packets/s and megaflow installs (upcalls)/s of real time. The batch
-/// outcome itself (upcalls, simulated cost) is deterministic; only the rates are
-/// machine-dependent.
-fn batch_microbench(
-    schema: &FieldSchema,
-    args: &tse_bench::FigArgs,
-) -> Vec<tse_bench::report::Metric> {
-    use tse_bench::report::Metric;
-    let n_shards = args.shard_count();
-    let mut sharded = sipdp::datapath(schema, args);
+/// The batched datapath entry point on one pre-generated attack+victim event batch:
+/// `ShardedDatapath::process_timed_batch`'s upcall count and simulated cost, both
+/// deterministic. (How fast the host runs it is `benchmark/`'s question.)
+fn batch_outcome(fig: &mut Figure, schema: &FieldSchema) {
+    let n_shards = fig.args.shard_count();
+    let mut sharded = sipdp::runner(schema, &fig.args).datapath;
     let victim = sipdp::victim_on_shard("bench victim", 0x0a00_0005, 4.0, schema, n_shards, 0);
     let victim_key = victim.key(schema);
     let mut batch: Vec<(tse_packet::fields::Key, usize, f64)> = Vec::new();
@@ -95,36 +91,20 @@ fn batch_microbench(
             batch.push((victim_key.clone(), 1500, t));
         }
     }
-    let wall = std::time::Instant::now();
     let report = sharded.process_timed_batch(&batch).aggregate();
-    let wall = wall.elapsed().as_secs_f64().max(1e-9);
-    println!(
-        "\n-- batch microbench: {} events through process_timed_batch in {:.3} s ({:.2} Mpps, {} upcalls) --",
-        report.processed,
-        wall,
-        report.processed as f64 / wall / 1e6,
-        report.upcalls,
-    );
-    vec![
-        Metric::deterministic("batch/upcalls", "packets", report.upcalls as f64),
-        Metric::deterministic("batch/cost_seconds", "cost_seconds", report.total_cost),
-        Metric::wall(
-            "batch/mpps",
-            "mpps_wall",
-            report.processed as f64 / wall / 1e6,
-        )
-        .higher_is_better(),
-        Metric::wall(
-            "batch/installs_per_sec",
-            "installs_per_sec_wall",
-            report.upcalls as f64 / wall,
-        )
-        .higher_is_better(),
-    ]
+    fig.row("batch/upcalls", "packets", report.upcalls as f64);
+    fig.row("batch/cost_seconds", "cost_seconds", report.total_cost);
+    fig.account(&sharded.stats());
 }
 
 fn main() {
-    let args = tse_bench::fig_args(70.0, 4);
+    let defaults = FigArgs {
+        duration: 70.0,
+        shards: Some(4),
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let args = fig.args.clone();
     let (duration, n_shards) = (args.duration, args.shard_count());
     let schema = FieldSchema::ovs_ipv4();
 
@@ -154,42 +134,30 @@ fn main() {
     );
     println!("Victim A pinned to shard 0 (attacked); Victim B pinned to shard {b_shard}.");
 
-    use tse_bench::report::Metric;
-    let mut metrics = Vec::new();
     let mut total_cost = 0.0;
-    let wall = std::time::Instant::now();
-    let mut record = |tag: &str, means: &[(f64, f64)], peak_masks: usize, busy: f64| {
-        total_cost += busy;
+    let mut record = |tag: &str, means: &[(f64, f64)], peak_masks: usize, stats: DatapathStats| {
+        total_cost += stats.busy_seconds;
+        fig.account(&stats);
         for ((before, during), victim) in means.iter().zip(["victim_a", "victim_b"]) {
-            metrics.push(
-                Metric::deterministic(&format!("{tag}/{victim}_gbps_before"), "gbps", *before)
-                    .higher_is_better(),
-            );
-            metrics.push(
-                Metric::deterministic(
-                    &format!("{tag}/{victim}_gbps_under_attack"),
-                    "gbps",
-                    *during,
-                )
-                .higher_is_better(),
-            );
+            fig.gbps(&format!("{tag}/{victim}_gbps_before"), *before);
+            fig.gbps(&format!("{tag}/{victim}_gbps_under_attack"), *during);
         }
-        metrics.push(Metric::deterministic(
+        fig.row(
             &format!("{tag}/peak_shard_masks"),
             "masks",
             peak_masks as f64,
-        ));
+        );
     };
 
     // Shard-pinned explosion: every attack packet retagged onto Victim A's shard.
-    let (tl, busy) = run(sipdp::pinned_keys(&schema, n_shards), None);
+    let (tl, stats) = run(sipdp::pinned_keys(&schema, n_shards), None);
     let (means, peak) = summarize("shard-pinned attack (shard 0)", &tl, duration);
-    record("pinned", &means, peak, busy);
+    record("pinned", &means, peak, stats);
 
     // Spray: the same stream spread round-robin over every shard.
-    let (tl, busy) = run(sipdp::sprayed_keys(&schema, n_shards), None);
+    let (tl, stats) = run(sipdp::sprayed_keys(&schema, n_shards), None);
     let (means, peak) = summarize("sprayed attack (all shards)", &tl, duration);
-    record("sprayed", &means, peak, busy);
+    record("sprayed", &means, peak, stats);
 
     // Pinned again, defended: a per-shard-configured guard on the mitigation stack —
     // the attacked shard sweeps under a tightened threshold, every other shard's guard
@@ -201,20 +169,11 @@ fn main() {
             ..GuardConfig::default()
         },
     );
-    let (tl, busy) = run(sipdp::pinned_keys(&schema, n_shards), Some(guard));
+    let (tl, stats) = run(sipdp::pinned_keys(&schema, n_shards), Some(guard));
     let (means, peak) = summarize("shard-pinned attack + per-shard guard", &tl, duration);
-    record("pinned+guard", &means, peak, busy);
+    record("pinned+guard", &means, peak, stats);
 
-    metrics.push(Metric::deterministic(
-        "total_cost_seconds",
-        "cost_seconds",
-        total_cost,
-    ));
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    metrics.extend(batch_microbench(&schema, &args));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.row("total_cost_seconds", "cost_seconds", total_cost);
+    batch_outcome(&mut fig, &schema);
+    fig.finish();
 }

@@ -25,7 +25,7 @@
 //! plus the shared `--shards`, `--parallel` and `--json`. CI smoke-runs
 //! `--duration 35 --tenants 64`.
 
-use tse_bench::report::Metric;
+use tse_bench::{FigArgs, Figure};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::AdaptiveRekey;
 use tse_packet::fields::FieldSchema;
@@ -40,26 +40,16 @@ const OFFERED_GBPS: f64 = 0.01;
 const ATTACK_PPS: f64 = 1200.0;
 const HOT_CAPACITY: usize = 120;
 
-struct VariantSummary {
-    tag: &'static str,
-    tenants_violated: u64,
-    violation_seconds: f64,
-    worst_recovery_seconds: f64,
-    detect_seconds: f64,
-    hit_p50_gbps: f64,
-    best_p50_gbps: f64,
-    background_pps: f64,
-    footprint_units: u64,
-    rekeys: u64,
-}
-
+/// Runs one variant and records its rows; returns the fleet's total violation time and
+/// its worst recovery time, seconds.
 fn run_variant(
-    tag: &'static str,
-    args: &tse_bench::FigArgs,
+    tag: &str,
+    fig: &mut Figure,
     fleet: &TenantFleet,
     slo_gbps: f64,
     defended: bool,
-) -> VariantSummary {
+) -> (f64, f64) {
+    let args = &fig.args;
     let sharded = ShardedDatapath::from_builder(
         Datapath::builder(fleet.table()),
         args.shard_count(),
@@ -100,15 +90,17 @@ fn run_variant(
         .filter(|a| matches!(a, tse_mitigation::MitigationAction::Rekeyed { .. }))
         .count() as u64;
 
-    summarize(tag, fleet, &store, rekeys)
+    fig.account(&runner.datapath.stats());
+    summarize(fig, tag, fleet, &store, rekeys)
 }
 
 fn summarize(
-    tag: &'static str,
+    fig: &mut Figure,
+    tag: &str,
     fleet: &TenantFleet,
     store: &TelemetryStore,
     rekeys: u64,
-) -> VariantSummary {
+) -> (f64, f64) {
     let trackers = store.slo_trackers();
     let violated: Vec<_> = trackers.iter().filter(|t| t.episode_count() > 0).collect();
     let tenants_violated = violated.len() as u64;
@@ -174,55 +166,48 @@ fn summarize(
         );
     }
 
-    VariantSummary {
-        tag,
-        tenants_violated,
+    fig.row(
+        &format!("{tag}/tenants_violated"),
+        "tenants",
+        tenants_violated as f64,
+    );
+    fig.row(
+        &format!("{tag}/violation_seconds"),
+        "seconds",
         violation_seconds,
+    );
+    fig.row(
+        &format!("{tag}/worst_recovery_seconds"),
+        "seconds",
         worst_recovery_seconds,
-        detect_seconds,
-        hit_p50_gbps,
-        best_p50_gbps,
-        background_pps: store.background_series().mean(),
-        footprint_units: store.footprint_units(),
-        rekeys,
-    }
-}
-
-fn metrics_of(v: &VariantSummary) -> Vec<Metric> {
-    let t = v.tag;
-    vec![
-        Metric::deterministic(
-            &format!("{t}/tenants_violated"),
-            "tenants",
-            v.tenants_violated as f64,
-        ),
-        Metric::deterministic(
-            &format!("{t}/violation_seconds"),
-            "seconds",
-            v.violation_seconds,
-        ),
-        Metric::deterministic(
-            &format!("{t}/worst_recovery_seconds"),
-            "seconds",
-            v.worst_recovery_seconds,
-        ),
-        Metric::deterministic(&format!("{t}/detect_seconds"), "seconds", v.detect_seconds),
-        Metric::deterministic(&format!("{t}/hit_p50_gbps"), "gbps", v.hit_p50_gbps)
-            .higher_is_better(),
-        Metric::deterministic(&format!("{t}/best_p50_gbps"), "gbps", v.best_p50_gbps)
-            .higher_is_better(),
-        Metric::deterministic(&format!("{t}/background_pps"), "pps", v.background_pps),
-        Metric::deterministic(
-            &format!("{t}/telemetry_footprint_units"),
-            "scalar_slots",
-            v.footprint_units as f64,
-        ),
-        Metric::deterministic(&format!("{t}/rekeys"), "rotations", v.rekeys as f64),
-    ]
+    );
+    fig.row(&format!("{tag}/detect_seconds"), "seconds", detect_seconds);
+    fig.gbps(&format!("{tag}/hit_p50_gbps"), hit_p50_gbps);
+    fig.gbps(&format!("{tag}/best_p50_gbps"), best_p50_gbps);
+    fig.row(
+        &format!("{tag}/background_pps"),
+        "pps",
+        store.background_series().mean(),
+    );
+    fig.row(
+        &format!("{tag}/telemetry_footprint_units"),
+        "scalar_slots",
+        store.footprint_units() as f64,
+    );
+    fig.row(&format!("{tag}/rekeys"), "rotations", rekeys as f64);
+    (violation_seconds, worst_recovery_seconds)
 }
 
 fn main() {
-    let args = tse_bench::fig_args_fleet(3600.0, 4, 1000, 0.005);
+    let defaults = FigArgs {
+        duration: 3600.0,
+        shards: Some(4),
+        tenants: Some(1000),
+        slo_gbps: Some(0.005),
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let args = &fig.args;
     let tenants = args.tenants.expect("fleet binary always has --tenants");
     let slo_gbps = args.slo_gbps.expect("fleet binary always has --slo-gbps");
     let schema = FieldSchema::ovs_ipv4();
@@ -254,24 +239,12 @@ fn main() {
         );
     }
 
-    let wall = std::time::Instant::now();
-    let open = run_variant("open", &args, &fleet, slo_gbps, false);
-    let defended = run_variant("defended", &args, &fleet, slo_gbps, true);
+    let open = run_variant("open", &mut fig, &fleet, slo_gbps, false);
+    let defended = run_variant("defended", &mut fig, &fleet, slo_gbps, true);
 
     println!(
         "\n== defense effect: violation time {:.0} s -> {:.0} s, worst recovery {:.0} s -> {:.0} s ==",
-        open.violation_seconds,
-        defended.violation_seconds,
-        open.worst_recovery_seconds,
-        defended.worst_recovery_seconds
+        open.0, defended.0, open.1, defended.1
     );
-
-    let mut metrics = metrics_of(&open);
-    metrics.extend(metrics_of(&defended));
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

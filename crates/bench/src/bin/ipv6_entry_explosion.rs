@@ -22,7 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse_attack::source::TrafficMix;
 use tse_attack::wire::WireGenerator;
-use tse_bench::render_table;
+use tse_bench::sipdp::{attack_packets, windows};
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_classifier::strategy::MegaflowStrategy;
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
@@ -37,8 +38,13 @@ const ALLOWED_SRC: u128 = 0xfd00_0000_0000_0000_0000_0000_0000_0001;
 const SERVICE_DST: u128 = 0xfd00_0000_0000_0000_0000_0000_0000_0063;
 
 fn main() {
-    let args = tse_bench::fig_args(70.0, 4);
-    let (duration, n_shards) = (args.duration, args.shard_count());
+    let defaults = FigArgs {
+        duration: 70.0,
+        shards: Some(4),
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let (duration, n_shards) = (fig.args.duration, fig.args.shard_count());
     let schema = FieldSchema::ovs_ipv6();
     let tp_dst = schema.field_index("tp_dst").unwrap();
     let ip6_src = schema.field_index("ip6_src").unwrap();
@@ -48,20 +54,17 @@ fn main() {
         &[(tp_dst, 80), (ip6_src, ALLOWED_SRC)],
     );
     let victim = VictimFlow::iperf_tcp_v6("Victim", ALLOWED_SRC, SERVICE_DST, 10.0);
-    let packets = ((duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize;
-    let during_start = (ATTACK_START + 10.0).min(duration - 2.0);
-    let during_end = duration - 1.0;
+    let packets = attack_packets(ATTACK_START, ATTACK_PPS, duration);
+    let ((before_start, before_end), (during_start, during_end)) = windows(ATTACK_START, duration);
 
     println!(
         "== §5.4 IPv6 anomaly: {packets} random SipDp-over-IPv6 frames through the wire \
          parser, {n_shards} shards ({} executor), duration {duration} s ==\n",
-        args.executor_label()
+        fig.args.executor_label()
     );
 
     let mut rows = Vec::new();
-    let mut metrics = Vec::new();
     let mut results = Vec::new();
-    let wall = std::time::Instant::now();
     for (label, strategy, tag) in [
         (
             "bit-level wildcarding (IPv4-style)",
@@ -79,7 +82,7 @@ fn main() {
             n_shards,
             Steering::Rss,
         )
-        .with_executor(args.executor());
+        .with_executor(fig.args.executor());
         let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off());
         // Uniformly random attacker-controlled fields (the General TSE §6 shape),
         // serialised to raw frames and re-parsed on ingest.
@@ -101,9 +104,10 @@ fn main() {
                 ATTACK_START,
             ));
         let tl = runner.run_mix(mix, duration);
+        fig.account(&runner.datapath.stats());
         let peak_masks = tl.peak_masks();
         let peak_entries = tl.peak_entries();
-        let before = tl.mean_total_between(5.0, ATTACK_START - 1.0);
+        let before = tl.mean_total_between(before_start, before_end);
         let during = tl.mean_total_between(during_start, during_end);
         let malformed: f64 = tl.samples.iter().map(|s| s.malformed_pps).sum();
         assert_eq!(malformed, 0.0, "well-formed frames must all classify");
@@ -114,21 +118,13 @@ fn main() {
             format!("{before:6.2}"),
             format!("{during:6.2}"),
         ]);
-        use tse_bench::report::Metric;
-        metrics.push(Metric::deterministic(
-            &format!("{tag}/peak_masks"),
-            "masks",
-            peak_masks as f64,
-        ));
-        metrics.push(Metric::deterministic(
+        fig.row(&format!("{tag}/peak_masks"), "masks", peak_masks as f64);
+        fig.row(
             &format!("{tag}/peak_entries"),
             "entries",
             peak_entries as f64,
-        ));
-        metrics.push(
-            Metric::deterministic(&format!("{tag}/victim_during_gbps"), "gbps", during)
-                .higher_is_better(),
         );
+        fig.gbps(&format!("{tag}/victim_during_gbps"), during);
         results.push((tag, peak_masks, peak_entries, before, during));
     }
 
@@ -169,11 +165,5 @@ fn main() {
         println!("(horizon too short for the acceptance assertions — run with --duration 70)");
     }
 
-    use tse_bench::report::Metric;
-    metrics.push(Metric::wall(
-        "wall_seconds",
-        "seconds_wall",
-        wall.elapsed().as_secs_f64(),
-    ));
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use tse_attack::general::RandomKeys;
 use tse_attack::scenarios::Scenario;
 use tse_attack::source::{AttackGenerator, TrafficMix};
+use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
 use tse_simnet::runner::ExperimentRunner;
@@ -18,8 +19,12 @@ use tse_simnet::traffic::{VictimFlow, VictimSource};
 use tse_switch::datapath::Datapath;
 
 fn main() {
-    let args = tse_bench::fig_args_duration(140.0);
-    let duration = args.duration;
+    let defaults = FigArgs {
+        duration: 140.0,
+        ..FigArgs::default()
+    };
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    let duration = fig.args.duration;
     let schema = FieldSchema::ovs_ipv4();
     let base = schema.zero_value();
     let table = Scenario::SipSpDp.flow_table(&schema);
@@ -72,9 +77,7 @@ fn main() {
             .with_limit(20_000),
         );
 
-    let wall = std::time::Instant::now();
     let timeline = runner.run_mix(mix, duration);
-    let wall = wall.elapsed().as_secs_f64();
     println!(
         "== Multi-attacker staggered onset: Dp@20s + SipDp@50s + General-TSE@80s, 2 victims ==\n"
     );
@@ -87,25 +90,14 @@ fn main() {
         "victim sum: clean {clean:.2} Gbps | Dp only {dp_only:.2} | +SipDp {plus_sipdp:.2} | +General {plus_general:.2}",
     );
 
-    use tse_bench::report::Metric;
-    let peak_masks = timeline.peak_masks();
-    let peak_entries = timeline.peak_entries();
-    args.emit(
-        env!("CARGO_BIN_NAME"),
-        vec![
-            Metric::deterministic("victim_gbps_clean", "gbps", clean).higher_is_better(),
-            Metric::deterministic("victim_gbps_dp_only", "gbps", dp_only).higher_is_better(),
-            Metric::deterministic("victim_gbps_plus_sipdp", "gbps", plus_sipdp).higher_is_better(),
-            Metric::deterministic("victim_gbps_plus_general", "gbps", plus_general)
-                .higher_is_better(),
-            Metric::deterministic("peak_masks", "masks", peak_masks as f64),
-            Metric::deterministic("peak_entries", "entries", peak_entries as f64),
-            Metric::deterministic(
-                "total_cost_seconds",
-                "cost_seconds",
-                runner.datapath.busy_seconds(),
-            ),
-            Metric::wall("wall_seconds", "seconds_wall", wall),
-        ],
-    );
+    let stats = runner.datapath.stats();
+    fig.gbps("victim_gbps_clean", clean);
+    fig.gbps("victim_gbps_dp_only", dp_only);
+    fig.gbps("victim_gbps_plus_sipdp", plus_sipdp);
+    fig.gbps("victim_gbps_plus_general", plus_general);
+    fig.row("peak_masks", "masks", timeline.peak_masks() as f64);
+    fig.row("peak_entries", "entries", timeline.peak_entries() as f64);
+    fig.row("total_cost_seconds", "cost_seconds", stats.busy_seconds);
+    fig.account(&stats);
+    fig.finish();
 }

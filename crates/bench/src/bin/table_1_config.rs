@@ -3,12 +3,12 @@
 //! prints the simulator calibration that substitutes for it (the `tse_switch::cost`
 //! module docs state the model).
 
-use tse_bench::render_table;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_simnet::cloud::CloudPlatform;
 use tse_simnet::offload::OffloadConfig;
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     println!("== Table 1 substitute: simulator calibration ==\n");
     let rows: Vec<Vec<String>> = OffloadConfig::fig9a_set()
         .iter()
@@ -64,17 +64,8 @@ fn main() {
         )
     );
 
-    use tse_bench::report::Metric;
-    let mut metrics = Vec::new();
     for c in OffloadConfig::fig9a_set() {
-        metrics.push(
-            Metric::deterministic(
-                &format!("{}/baseline_gbps", c.name),
-                "gbps",
-                c.baseline_gbps(),
-            )
-            .higher_is_better(),
-        );
+        fig.gbps(&format!("{}/baseline_gbps", c.name), c.baseline_gbps());
     }
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -2,14 +2,14 @@
 //! mask/entry counts of the chunked generation strategies that realise them.
 
 use tse_attack::bounds::{multi_field_bound, single_field_curve};
-use tse_bench::render_table;
+use tse_bench::{render_table, FigArgs, Figure};
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::strategy::{generate_megaflow, MegaflowStrategy};
 use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::{FieldDef, FieldSchema, Key};
 
 fn main() {
-    let args = tse_bench::fig_args_static();
+    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
     println!("== Theorem 4.1: single 16-bit field (e.g. a TCP port) ==\n");
     let rows: Vec<Vec<String>> = single_field_curve(16)
         .iter()
@@ -44,7 +44,6 @@ fn main() {
     let schema = FieldSchema::new(vec![FieldDef::new("f", width)]);
     let table = FlowTable::whitelist_default_deny(&schema, &[(0, 0xABC)]);
     let mut rows = Vec::new();
-    let mut metrics = Vec::new();
     for chunk in [1u32, 2, 3, 4, 6, 12] {
         let strategy = MegaflowStrategy::chunked(&schema, chunk);
         let mut cache = TupleSpace::new(schema.clone());
@@ -63,17 +62,16 @@ fn main() {
             format!("{}", cache.mask_count()),
             format!("{}", cache.entry_count()),
         ]);
-        use tse_bench::report::Metric;
-        metrics.push(Metric::deterministic(
+        fig.row(
             &format!("chunk{chunk}/masks"),
             "masks",
             cache.mask_count() as f64,
-        ));
-        metrics.push(Metric::deterministic(
+        );
+        fig.row(
             &format!("chunk{chunk}/entries"),
             "entries",
             cache.entry_count() as f64,
-        ));
+        );
     }
     println!(
         "{}",
@@ -87,5 +85,5 @@ fn main() {
             &rows
         )
     );
-    args.emit(env!("CARGO_BIN_NAME"), metrics);
+    fig.finish();
 }

@@ -1,27 +1,29 @@
 //! # tse-bench
 //!
-//! The figure harness of the reproduction. It has two halves:
+//! The figure layer of the reproduction. It has three parts:
 //!
 //! * **figure binaries** (`src/bin/`): one binary per table/figure of the paper's
 //!   evaluation, each printing the same rows/series the paper reports (the README's
 //!   "Running the figure binaries" section is the experiment index; the committed
 //!   `BENCH_*.json` files hold the recorded headline numbers);
+//! * **the [`Figure`] harness** ([`figure`]) every one of them runs inside: it parses
+//!   the shared CLI from a [`FigArgs`] of defaults, holds the run's only stopwatch,
+//!   takes the headline rows in call order and, on `finish()`, prints the end-of-run
+//!   summary and appends the report the `--json <path>` flag asked for;
 //! * **the [`report`] subsystem**: the machine-readable `BENCH_<area>.json` files at
-//!   the repo root that the figure binaries emit their headline numbers into through
-//!   the shared `--json <path>` flag ([`FigArgs::emit`]), and the `bench_diff`
-//!   regression gate that compares two such files (strict equality for deterministic
-//!   cost-model metrics, a tolerance band for the advisory `wall_seconds`). See the
-//!   README's "Benchmark reports & regression gate" section.
+//!   the repo root those reports land in, and the `bench_diff` regression gate that
+//!   compares two such files (strict equality for deterministic cost-model metrics, a
+//!   tolerance band for the advisory `wall_seconds`). See the README's "Benchmark
+//!   reports & regression gate" section.
 //!
 //! Nothing here times a layer: per-layer and end-to-end wall-clock measurement is the
-//! standalone `benchmark/` package's job.
-//!
-//! This library crate hosts the report model and small shared helpers for the
-//! binaries.
+//! standalone `benchmark/` package's job. The one clock read of the workspace is the
+//! harness's whole-run stopwatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figure;
 pub mod report;
 pub mod sipdp;
 
@@ -29,14 +31,14 @@ use std::path::PathBuf;
 
 use tse_switch::exec::{PersistentPoolExecutor, SequentialExecutor, ShardExecutor};
 
-use report::{BenchReport, Metric};
+pub use figure::Figure;
 
-/// Parsed command line of a figure binary (see [`fig_args`], [`fig_args_duration`]
-/// and [`fig_args_static`]).
+/// Command line of a figure binary: the defaults a binary hands [`Figure::parse`], and
+/// what comes back as [`Figure::args`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigArgs {
     /// Experiment horizon, seconds (`--duration`); `0.0` for binaries with no time
-    /// axis ([`fig_args_static`]).
+    /// axis.
     pub duration: f64,
     /// Number of datapath shards / PMD threads to model (`--shards`), or `None` for
     /// binaries without a sharded datapath — there is no sentinel shard count.
@@ -71,11 +73,11 @@ impl Default for FigArgs {
 }
 
 impl FigArgs {
-    /// The shard count of a sharded figure binary. Panics if the binary was not
-    /// parsed with [`fig_args`] — a non-sharded binary has no shard count to ask for.
+    /// The shard count of a sharded figure binary. Panics if the binary's defaults
+    /// carry none — a non-sharded binary has no shard count to ask for.
     pub fn shard_count(&self) -> usize {
         self.shards
-            .expect("this binary has no --shards flag; use fig_args(..) to enable it")
+            .expect("this binary has no --shards flag; give its defaults a shard count")
     }
 
     /// The shard executor the flags select: a [`PersistentPoolExecutor`] when
@@ -104,7 +106,7 @@ impl FigArgs {
     /// `"default"` when the binary has no parameters at all. Reports from different
     /// configurations (a CI smoke run vs. a full-length baseline run) coexist in the
     /// same file under distinct identities.
-    pub fn params(&self) -> String {
+    pub(crate) fn params(&self) -> String {
         let mut parts = Vec::new();
         if self.duration > 0.0 {
             parts.push(format!("duration={}", self.duration));
@@ -125,83 +127,20 @@ impl FigArgs {
             parts.join(",")
         }
     }
-
-    /// Append a report carrying `metrics` under this binary's `name` to the file the
-    /// `--json` flag named (no-op without the flag). Exits with an error message if
-    /// the target file exists but cannot be parsed — a corrupt committed baseline
-    /// must be fixed, not overwritten.
-    pub fn emit(&self, name: &str, metrics: Vec<Metric>) {
-        let Some(path) = &self.json else { return };
-        let mut report = BenchReport::new(name, &self.params());
-        for m in metrics {
-            report.push(m);
-        }
-        if let Err(e) = report::append_report(path, report) {
-            eprintln!("error: failed to write benchmark report: {e}");
-            std::process::exit(2);
-        }
-        println!("[report] {name} appended to {}", path.display());
-    }
 }
 
-/// Parse the shared CLI of the sharded figure binaries: `--duration <seconds>`,
-/// `--shards <n>`, `--parallel <threads>` and `--json <path>` (each also in
-/// `--flag=value` form), falling back to the given defaults (`--parallel` defaults
-/// to 1, i.e. the sequential executor). An unknown flag prints the offending
-/// argument plus the supported flag set to stderr and exits with status 2, so a
+/// The one parser of the figure CLI: `--duration <seconds>`, `--shards <n>`,
+/// `--parallel <threads>`, `--tenants <n>`, `--slo-gbps <gbps>` and `--json <path>`,
+/// each also in `--flag=value` form, falling back to `defaults`. The defaults select
+/// the accepted flags: a positive default duration enables `--duration`, a default shard
+/// count `--shards` / `--parallel` (`--parallel` defaults to 1, the sequential
+/// executor), a default tenant count `--tenants` / `--slo-gbps`; `--json` is always on.
+/// An unknown flag is an error naming the offending argument and the supported set, so a
 /// typo'd CI smoke invocation fails loudly instead of silently running full-length.
-pub fn fig_args(default_duration: f64, default_shards: usize) -> FigArgs {
-    parse_or_exit(FigArgs {
-        duration: default_duration,
-        shards: Some(default_shards),
-        ..FigArgs::default()
-    })
-}
-
-/// Parse the CLI of a tenant-fleet binary: everything [`fig_args`] accepts plus
-/// `--tenants <n>` (fleet size) and `--slo-gbps <gbps>` (per-tenant delivered-rate
-/// floor), each also in `--flag=value` form. Same error behaviour as [`fig_args`].
-pub fn fig_args_fleet(
-    default_duration: f64,
-    default_shards: usize,
-    default_tenants: usize,
-    default_slo_gbps: f64,
-) -> FigArgs {
-    parse_or_exit(FigArgs {
-        duration: default_duration,
-        shards: Some(default_shards),
-        tenants: Some(default_tenants),
-        slo_gbps: Some(default_slo_gbps),
-        ..FigArgs::default()
-    })
-}
-
-/// Parse the CLI of a non-sharded timeline binary: `--duration <seconds>` and
-/// `--json <path>` only. Same error behaviour as [`fig_args`].
-pub fn fig_args_duration(default_duration: f64) -> FigArgs {
-    parse_or_exit(FigArgs {
-        duration: default_duration,
-        ..FigArgs::default()
-    })
-}
-
-/// Parse the CLI of a parameterless figure binary: `--json <path>` only. Same error
-/// behaviour as [`fig_args`].
-pub fn fig_args_static() -> FigArgs {
-    parse_or_exit(FigArgs::default())
-}
-
-fn parse_or_exit(defaults: FigArgs) -> FigArgs {
-    parse_args(std::env::args().skip(1), defaults).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The parser behind the `fig_args*` entry points. The defaults select the accepted
-/// flags: a positive default duration enables `--duration`, a default shard count
-/// `--shards` / `--parallel`, a default tenant count `--tenants` / `--slo-gbps`.
-fn parse_args(args: impl Iterator<Item = String>, defaults: FigArgs) -> Result<FigArgs, String> {
+pub(crate) fn parse_args(
+    args: impl Iterator<Item = String>,
+    defaults: FigArgs,
+) -> Result<FigArgs, String> {
     fn value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
@@ -281,11 +220,6 @@ fn parse_args(args: impl Iterator<Item = String>, defaults: FigArgs) -> Result<F
     Ok(out)
 }
 
-/// Format a throughput value as `x.xx Gbps`.
-pub fn gbps(v: f64) -> String {
-    format!("{v:7.3} Gbps")
-}
-
 /// Render a simple aligned table: a header row plus data rows of equal arity.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -334,11 +268,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("masks"));
         assert!(lines[3].contains("8200"));
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert!(gbps(1.5).contains("1.500 Gbps"));
     }
 
     fn sharded() -> FigArgs {

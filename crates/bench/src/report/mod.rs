@@ -1,9 +1,9 @@
 //! Machine-readable benchmark reports: the `BENCH_<area>.json` files at the repo root.
 //!
-//! Every figure binary (via the shared `--json <path>` flag, see
-//! [`FigArgs`](crate::FigArgs)) emits its headline numbers through this module, so
-//! the repo's cost-model story lives in diffable, regression-gated files instead of
-//! commit messages. Figure binaries are the only producers: wall-clock measurement of
+//! Every figure binary emits its headline numbers through this module (its
+//! [`Figure`](crate::Figure) harness appends one [`BenchReport`] on `finish()` when the
+//! shared `--json <path>` flag names a file), so the repo's cost-model story lives in
+//! diffable, regression-gated files instead of commit messages. Figure binaries are the only producers: wall-clock measurement of
 //! the code itself is the standalone `benchmark/` package's job, not a report row.
 //!
 //! The model is deliberately small:
@@ -47,8 +47,7 @@ pub struct Metric {
     pub name: String,
     /// Unit label. Deterministic units in use: `gbps`, `pps`, `masks`, `entries`,
     /// `packets`, `percent`, `cost_seconds` (summed `tse-switch::cost` model time).
-    /// Wall-clock units carry a `_wall` suffix: `seconds_wall`, `mpps_wall`,
-    /// `installs_per_sec_wall`.
+    /// Wall-clock units carry a `_wall` suffix; the one in use is `seconds_wall`.
     pub unit: String,
     /// The value. Always finite — constructors reject NaN/inf.
     pub value: f64,
@@ -246,7 +245,7 @@ impl ReportFile {
 
     /// Derive the area label from a report path: `BENCH_sharding.json` → `sharding`;
     /// any other filename is its own stem.
-    pub fn area_of(path: &Path) -> String {
+    fn area_of(path: &Path) -> String {
         let stem = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())

@@ -24,6 +24,7 @@ use tse_simnet::runner::{ExperimentRunner, Timeline};
 use tse_simnet::traffic::{VictimFlow, VictimSource};
 use tse_switch::datapath::Datapath;
 use tse_switch::pmd::{ShardedDatapath, Steering};
+use tse_switch::DatapathStats;
 
 use crate::FigArgs;
 
@@ -81,9 +82,7 @@ pub fn victim_on_shard(
     )
 }
 
-/// The undefended datapath under test: `--shards` TSS shards behind RSS steering over
-/// the SipDp ACL, fanned out on the executor `--parallel` selects.
-pub fn datapath(schema: &FieldSchema, args: &FigArgs) -> ShardedDatapath {
+fn datapath(schema: &FieldSchema, args: &FigArgs) -> ShardedDatapath {
     ShardedDatapath::from_builder(
         Datapath::builder(Scenario::SipDp.flow_table(schema)),
         args.shard_count(),
@@ -92,16 +91,28 @@ pub fn datapath(schema: &FieldSchema, args: &FigArgs) -> ShardedDatapath {
     .with_executor(args.executor())
 }
 
-/// An experiment runner over [`datapath`] with no stored victims and no mitigation —
-/// the caller attaches its defense stack with `with_mitigation`.
+/// An experiment runner over the undefended datapath under test — `--shards` TSS shards
+/// behind RSS steering over the SipDp ACL, fanned out on the executor `--parallel`
+/// selects — with no stored victims and no mitigation: the caller attaches its defense
+/// stack with `with_mitigation`.
 pub fn runner(schema: &FieldSchema, args: &FigArgs) -> ExperimentRunner {
     ExperimentRunner::sharded(datapath(schema, args), Vec::new(), OffloadConfig::gro_off())
 }
 
-/// The attacker's packet budget for a run of `duration` seconds: [`ATTACK_PPS`] from
-/// [`ATTACK_START`] to the horizon.
-pub fn attack_packets(duration: f64) -> usize {
-    ((duration - ATTACK_START).max(1.0) * ATTACK_PPS) as usize
+/// The packet budget of an attacker sending `rate` pps from `start` to the horizon of a
+/// `duration`-second run (at least one second's worth, so an ultra-short smoke horizon
+/// still sends something).
+pub fn attack_packets(start: f64, rate: f64, duration: f64) -> usize {
+    ((duration - start).max(1.0) * rate) as usize
+}
+
+/// The `(before, during)` measurement windows, each a `(from, to)` pair of seconds, of an
+/// attack starting at `start` in a `duration`-second run: `before` skips the warm-up and
+/// stops a second short of the onset; `during` opens once the cache has filled (10 s in,
+/// pulled forward on a smoke horizon) and closes a second short of the horizon.
+pub fn windows(start: f64, duration: f64) -> ((f64, f64), (f64, f64)) {
+    let during_start = (start + 10.0).min(duration - 2.0);
+    ((5.0, start - 1.0), (during_start, duration - 1.0))
 }
 
 /// How the attack stream enters the switch.
@@ -115,7 +126,7 @@ pub enum Ingress {
 }
 
 /// Run `victims` plus the attacker sending `keys` through `runner` for `duration`
-/// seconds; returns the timeline and the datapath's total simulated busy time.
+/// seconds; returns the timeline and the datapath's aggregate statistics.
 pub fn run(
     mut runner: ExperimentRunner,
     schema: &FieldSchema,
@@ -123,7 +134,7 @@ pub fn run(
     keys: SteeredKeys,
     ingress: Ingress,
     duration: f64,
-) -> (Timeline, f64) {
+) -> (Timeline, DatapathStats) {
     let mut mix = TrafficMix::new();
     for flow in victims {
         mix.push(Box::new(VictimSource::new(
@@ -132,7 +143,8 @@ pub fn run(
             runner.sample_interval,
         )));
     }
-    let (rng, packets) = (StdRng::seed_from_u64(99), attack_packets(duration));
+    let rng = StdRng::seed_from_u64(99);
+    let packets = attack_packets(ATTACK_START, ATTACK_PPS, duration);
     mix.push(match ingress {
         Ingress::Keys => Box::new(
             AttackGenerator::new("Attacker", schema, keys, rng, ATTACK_PPS, ATTACK_START)
@@ -145,5 +157,5 @@ pub fn run(
         ),
     });
     let timeline = runner.run_mix(mix, duration);
-    (timeline, runner.datapath.busy_seconds())
+    (timeline, runner.datapath.stats())
 }

@@ -16,6 +16,11 @@
 /// the one file with a nonzero `unsafe` budget.
 pub const EXEC_FILE: &str = "crates/switch/src/exec.rs";
 
+/// The one file allowed to read the wall clock (`wall-clock`), and only into a `*wall*`
+/// binding: the figure harness's whole-run stopwatch, the advisory `wall_seconds` row of
+/// every report. Figure binaries themselves have no dispensation.
+pub const FIGURE_HARNESS_FILE: &str = "crates/bench/src/figure.rs";
+
 /// Per-file `unsafe` budgets: `(file, max occurrences of the `unsafe`
 /// keyword)`. Files not listed here have a budget of zero. Every occurrence,
 /// budgeted or not, must still carry a `// SAFETY:` comment immediately above.

@@ -14,14 +14,11 @@ pub enum ModuleClass {
     /// `crates/switch/src/exec.rs` — the one sanctioned home of thread spawns
     /// (and, budgeted, of `unsafe`).
     Exec,
-    /// A figure binary under `crates/bench/src/bin/` — may capture wall-clock
-    /// time, but only into the advisory `*wall*` metrics.
-    BenchBin,
     /// An integration test (top-level or per-crate `tests/` directory).
     Test,
     /// An example under `examples/`.
     Example,
-    /// Everything else: ordinary library code.
+    /// Everything else: ordinary library code, figure binaries included.
     Lib,
 }
 
@@ -63,9 +60,6 @@ pub fn classify(path: &str) -> ModuleClass {
     }
     if path.starts_with("examples/") || path.contains("/examples/") {
         return ModuleClass::Example;
-    }
-    if path.starts_with("crates/bench/src/bin/") {
-        return ModuleClass::BenchBin;
     }
     if path == allowlist::EXEC_FILE {
         return ModuleClass::Exec;
@@ -156,12 +150,12 @@ mod tests {
             classify("crates/classifier/src/tss.rs"),
             ModuleClass::HotPath
         );
+        // A figure binary and a vendored stand-in are ordinary code: no class of their
+        // own, no dispensation.
         assert_eq!(
             classify("crates/bench/src/bin/fig9_backend_matrix.rs"),
-            ModuleClass::BenchBin
+            ModuleClass::Lib
         );
-        // A vendored stand-in is ordinary library code: no class of its own, no
-        // dispensation.
         assert_eq!(classify("crates/compat/rand/src/lib.rs"), ModuleClass::Lib);
         assert_eq!(classify("tests/executor_parity.rs"), ModuleClass::Test);
         assert_eq!(classify("crates/lint/tests/fixtures.rs"), ModuleClass::Test);

@@ -24,7 +24,7 @@
 //! |------|-----------|
 //! | `unsafe-budget` | `unsafe` only at allowlisted `(file, max_count)` sites, each with a `// SAFETY:` comment |
 //! | `unsafe-attr` | every crate root forbids `unsafe_code` (denies it in budgeted crates) |
-//! | `wall-clock` | `Instant::now`/`SystemTime::now` only in `*wall*` captures of figure binaries |
+//! | `wall-clock` | `Instant::now`/`SystemTime::now` only in a `*wall*` binding of the figure harness (`crates/bench/src/figure.rs`) |
 //! | `nondet-iteration` | hash-container iteration in non-test code must neutralize order in-statement or carry a pragma |
 //! | `thread-containment` | thread creation only in `crates/switch/src/exec.rs` |
 //! | `panic-hygiene` | no `unwrap`/`expect`/panicking macros in hot-path modules outside tests |

@@ -76,21 +76,24 @@ fn wall_clock_read_outside_capture_sites_is_flagged() {
 }
 
 #[test]
-fn wall_clock_capture_in_figure_binary_is_sanctioned() {
-    // A `*wall*` binding in a figure binary is the sanctioned advisory capture...
-    let ok = "fn main() {\n    let wall_start = std::time::Instant::now();\n}\n";
-    let report = scan_file("crates/bench/src/bin/fig_fixture.rs", ok);
+fn wall_clock_capture_is_sanctioned_in_the_figure_harness_only() {
+    // A `*wall*` binding in the figure harness is the sanctioned advisory capture...
+    let ok = "pub fn start() {\n    let wall_start = std::time::Instant::now();\n}\n";
+    let report = scan_file("crates/bench/src/figure.rs", ok);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-    // ...any other binding there is still a violation.
-    let bad = "fn main() {\n    let t = std::time::Instant::now();\n}\n";
-    let report = scan_file("crates/bench/src/bin/fig_fixture.rs", bad);
+    // ...a second clock read there under any other binding is still a violation...
+    let bad = "pub fn start() {\n    let t = std::time::Instant::now();\n}\n";
+    let report = scan_file("crates/bench/src/figure.rs", bad);
+    assert_single(&report, "wall-clock", 2);
+    // ...and a figure binary may not read the clock at all: the harness hands it the time.
+    let report = scan_file("crates/bench/src/bin/fig_fixture.rs", ok);
     assert_single(&report, "wall-clock", 2);
 }
 
 #[test]
 fn wall_clock_has_no_whole_file_exemption() {
     // Neither a vendored stand-in nor a bench target may read the clock — not even
-    // into a `*wall*` binding, which is a figure-binary dispensation only.
+    // into a `*wall*` binding, which is the figure harness's dispensation only.
     let src = "pub fn f() {\n    let wall_start = std::time::Instant::now();\n}\n";
     for path in [
         "crates/compat/timing/src/timer.rs",

@@ -363,6 +363,9 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// capacity the event path diverges slightly: it classifies pre-extracted keys,
     /// which carry no microflow identity and therefore never hit the EMC, whereas the
     /// old per-packet runner could.
+    ///
+    /// Calling this again on the same runner is not a continuation — see "Reusing a
+    /// runner" on [`ExperimentRunner::run_mix`].
     pub fn run(&mut self, attack: &AttackTrace, duration: f64) -> Timeline {
         let schema = self.datapath.table().schema().clone();
         let mut mix = TrafficMix::new();
@@ -415,6 +418,17 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// tuple-space scan owns the wall clock. That does not hold for benign traffic: on
     /// `benign_wire`, where a packet scans ≤ 2 masks, the drain (131–189 ns of ~220 ns
     /// per event, `BENCH_pr20_compare.md`) is the largest stage.
+    ///
+    /// # Reusing a runner
+    /// Every call restarts simulated time at 0, but the datapath is not reset: it keeps
+    /// its cache, its `last_sweep` and every entry's `last_used` from the previous call.
+    /// `Datapath::maybe_expire` sweeps when `now - last_sweep >= interval`, so after a
+    /// first run that ended at T the second run's idle expiry is off until its own
+    /// clock passes T (plus the interval) — entries installed earlier neither age nor
+    /// expire in between. `fig8c_kubernetes_timeline` stitches three 50 s `run` calls
+    /// this way, so its phases 2 and 3 never sweep. An experiment with phases belongs in
+    /// one `run_mix` over the whole horizon, with
+    /// [`ExperimentRunner::with_table_updates`] for mid-run ACL changes.
     ///
     /// # Panics
     /// Panics if [`ExperimentRunner::sample_interval`] is not finite and positive, or
