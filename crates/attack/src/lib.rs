@@ -49,7 +49,7 @@ pub use colocated::{
 pub use expectation::ExpectationModel;
 pub use general::{random_trace, random_trace_on_fields, RandomKeys};
 pub use scenarios::{Scenario, TargetField};
-pub use sharding::{pin_to_shard, retag_key_to_shard, spray_shards, ShardSteeredKeys};
+pub use sharding::{pin_to_shard, spray_shards, ShardSteeredKeys};
 pub use source::{
     AttackGenerator, EventPayload, SourceRole, TraceSource, TrafficEvent, TrafficMix, TrafficSource,
 };

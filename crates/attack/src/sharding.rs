@@ -24,47 +24,8 @@
 //! `AttackGenerator` builds TCP packets, so set `ip_proto` to 6 in the base key the
 //! scenario iterator fills in (noise fields like TTL are not hashed and stay free).
 
-use tse_packet::fields::{FieldSchema, Key};
-use tse_packet::rss;
-
-/// Retag `key`'s `free_field` with the smallest non-negative offset from its current
-/// value that steers the key to `target` among `n_shards` under the RSS hash over
-/// `hash_fields`. Expected cost: `n_shards` hash evaluations.
-///
-/// # Panics
-/// Panics if `free_field` is not one of `hash_fields` (retagging it could never move
-/// the key) or if no value of the free field reaches the target shard (cannot happen
-/// for a field of ≥ 16 bits and realistic shard counts; guarded with a generous try
-/// cap).
-pub fn retag_key_to_shard(
-    schema: &FieldSchema,
-    mut key: Key,
-    free_field: usize,
-    hash_fields: &[usize],
-    n_shards: usize,
-    target: usize,
-) -> Key {
-    assert!(target < n_shards, "target shard out of range");
-    assert!(
-        hash_fields.contains(&free_field),
-        "free field {} must participate in the RSS hash",
-        schema.fields()[free_field].name
-    );
-    let full = schema.fields()[free_field].full_mask();
-    let base = key.get(free_field);
-    let width = schema.width(free_field) as u128;
-    let tries = (1u128 << width.min(20)).max(64 * n_shards as u128);
-    for v in 0..tries {
-        key.set(free_field, (base.wrapping_add(v)) & full);
-        if rss::shard_of(&key, hash_fields, n_shards) == target {
-            return key;
-        }
-    }
-    panic!(
-        "no value of field {} steers the key to shard {target}/{n_shards}",
-        schema.fields()[free_field].name
-    );
-}
+use tse_packet::fields::{FieldDef, FieldSchema, Key};
+use tse_packet::rss::{self, RssHasher};
 
 /// Whether a steered stream pins one shard or cycles through all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +39,41 @@ enum ShardTarget {
 /// scenario iterators.
 #[derive(Debug, Clone)]
 pub struct ShardSteeredKeys<I> {
-    schema: FieldSchema,
     inner: I,
     free_field: usize,
-    hash_fields: Vec<usize>,
+    free: FieldDef,
+    /// Offsets from a key's own free-field value tried before giving up.
+    tries: u128,
+    /// The switch's steering function ([`tse_packet::rss`]), compiled once.
+    hasher: RssHasher,
     n_shards: usize,
     target: ShardTarget,
     next_spray: usize,
+}
+
+impl<I> ShardSteeredKeys<I> {
+    /// Retag `key`'s free field with the smallest non-negative offset from its current
+    /// value that steers the key to `target`: hash and compare, `n_shards` hash
+    /// evaluations expected.
+    ///
+    /// # Panics
+    /// Panics if no value of the free field reaches the target shard (cannot happen for
+    /// a field of ≥ 16 bits and realistic shard counts; guarded with a generous try
+    /// cap).
+    fn retag(&self, mut key: Key, target: usize) -> Key {
+        let base = key.get(self.free_field);
+        let mask = self.free.full_mask();
+        for v in 0..self.tries {
+            key.set(self.free_field, base.wrapping_add(v) & mask);
+            if self.hasher.shard_of(&key) == target {
+                return key;
+            }
+        }
+        panic!(
+            "no value of field {} steers the key to shard {target}/{}",
+            self.free.name, self.n_shards
+        );
+    }
 }
 
 impl<I: Iterator<Item = Key>> Iterator for ShardSteeredKeys<I> {
@@ -100,17 +89,13 @@ impl<I: Iterator<Item = Key>> Iterator for ShardSteeredKeys<I> {
                 t
             }
         };
-        Some(retag_key_to_shard(
-            &self.schema,
-            key,
-            self.free_field,
-            &self.hash_fields,
-            self.n_shards,
-            target,
-        ))
+        Some(self.retag(key, target))
     }
 }
 
+/// The adapter behind [`pin_to_shard`] / [`spray_shards`]. Everything that can be
+/// checked without a key is checked here, once: panics if `n_shards` is zero or
+/// `free_field` is not RSS-hashed (retagging it could never move a key).
 fn steered<I>(
     schema: &FieldSchema,
     keys: I,
@@ -118,20 +103,19 @@ fn steered<I>(
     n_shards: usize,
     target: ShardTarget,
 ) -> ShardSteeredKeys<I> {
-    assert!(n_shards > 0, "shard count must be positive");
     let hash_fields = rss::rss_fields(schema);
+    let free = schema.fields()[free_field];
     assert!(
         hash_fields.contains(&free_field),
         "free field {} must participate in the RSS hash",
-        schema.fields()[free_field].name
+        free.name
     );
-    // (retag_key_to_shard re-checks the containment per key; asserting here too makes
-    // a misconfigured adapter fail at construction, before any key is pulled.)
     ShardSteeredKeys {
-        schema: schema.clone(),
         inner: keys,
         free_field,
-        hash_fields,
+        free,
+        tries: (1u128 << free.width.min(20)).max(64 * n_shards as u128),
+        hasher: RssHasher::new(&hash_fields, n_shards, rss::DEFAULT_HASH_KEY),
         n_shards,
         target,
         next_spray: 0,
@@ -181,7 +165,7 @@ mod tests {
     fn pinned_keys_all_land_on_the_target_shard() {
         let schema = FieldSchema::ovs_ipv4();
         let ip_dst = schema.field_index("ip_dst").unwrap();
-        let fields = rss::rss_fields(&schema);
+        let hasher = RssHasher::new(&rss::rss_fields(&schema), 4, rss::DEFAULT_HASH_KEY);
         for target in 0..4 {
             let keys: Vec<Key> = pin_to_shard(
                 &schema,
@@ -193,7 +177,7 @@ mod tests {
             .collect();
             assert_eq!(keys.len(), 17 * 17);
             for k in &keys {
-                assert_eq!(rss::shard_of(k, &fields, 4), target);
+                assert_eq!(hasher.shard_of(k), target);
             }
         }
     }
@@ -219,7 +203,7 @@ mod tests {
     fn spray_cycles_through_every_shard() {
         let schema = FieldSchema::ovs_ipv4();
         let ip_dst = schema.field_index("ip_dst").unwrap();
-        let fields = rss::rss_fields(&schema);
+        let hasher = RssHasher::new(&rss::rss_fields(&schema), 3, rss::DEFAULT_HASH_KEY);
         let keys: Vec<Key> = spray_shards(
             &schema,
             scenario_key_iter(&schema, Scenario::Dp, &tcp_base(&schema)),
@@ -229,7 +213,7 @@ mod tests {
         .collect();
         assert_eq!(keys.len(), 17);
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(rss::shard_of(k, &fields, 3), i % 3);
+            assert_eq!(hasher.shard_of(k), i % 3);
         }
     }
 
@@ -247,8 +231,8 @@ mod tests {
         let cycled: Vec<Key> = gen.clone().cycle().take(40).collect();
         let one_pass: Vec<Key> = gen.collect();
         assert_eq!(cycled[17], one_pass[0], "cycle replays deterministically");
-        let fields = rss::rss_fields(&schema);
-        assert!(cycled.iter().all(|k| rss::shard_of(k, &fields, 4) == 2));
+        let hasher = RssHasher::new(&rss::rss_fields(&schema), 4, rss::DEFAULT_HASH_KEY);
+        assert!(cycled.iter().all(|k| hasher.shard_of(k) == 2));
     }
 
     #[test]

@@ -266,8 +266,9 @@ impl PartialOrd for MergeKey {
 ///
 /// Events are pulled lazily; ties are broken by source insertion order, so e.g. victim
 /// probes sharing a timestamp are delivered in the order the victims were added. A
-/// source whose stream regresses in time is clamped to its own previous timestamp, so
-/// the merged stream is always nondecreasing.
+/// source whose stream regresses in time — or yields NaN — is clamped to its own previous
+/// timestamp (`0.0` for a NaN first event), so the merged stream is always
+/// nondecreasing and never NaN.
 ///
 /// The merge is heap-based: `next()` and `peek_time()` are O(log S) in the source
 /// count S, so a tenant fleet with thousands of victim sources does not pay a linear
@@ -346,9 +347,12 @@ impl<'a> TrafficMix<'a> {
         let mut ev = self.sources[i].next_event();
         if let Some(e) = &mut ev {
             // Defensive monotonicity clamp: a regressive source cannot drag the merged
-            // stream backwards in time.
-            if e.time < self.last_times[i] {
-                e.time = self.last_times[i];
+            // stream backwards in time. NaN is clamped too (it compares false both
+            // ways): a sign-bit-set NaN would sort first under `total_cmp`, fail every
+            // `< t_end` test and so blackhole the whole mix behind it.
+            let last = self.last_times[i];
+            if e.time.is_nan() || e.time < last {
+                e.time = if last == f64::NEG_INFINITY { 0.0 } else { last };
             }
             // `+ 0.0` collapses -0.0 to +0.0 so the heap's total order matches the
             // numeric order the linear scan used.
@@ -528,6 +532,59 @@ mod tests {
             .map(|(_, e)| e.time)
             .collect();
         assert_eq!(times, vec![3.0, 3.0, 4.0]);
+    }
+
+    /// Drain `mix` the way the runner does — interval by interval through
+    /// `next_before` — and return `(source, time)` per event.
+    fn drain_by_intervals(mut mix: TrafficMix<'_>, dt: f64, intervals: usize) -> Vec<(usize, f64)> {
+        let mut got = Vec::new();
+        for k in 1..=intervals {
+            while let Some((i, ev)) = mix.next_before(k as f64 * dt) {
+                got.push((i, ev.time));
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn nan_timestamps_are_clamped_to_the_previous_one() {
+        // -NaN sorts before every number under `total_cmp`, +NaN after: unclamped, the
+        // first would stall `next_before` forever and the second until the very end.
+        for nan in [f64::NAN, -f64::NAN] {
+            let mix = TrafficMix::new()
+                .with(Scripted::new("bad", vec![0.5, nan, 2.5]))
+                .with(Scripted::new("good", vec![0.25, 1.25, 2.25, 3.25]));
+            let got = drain_by_intervals(mix, 1.0, 4);
+            assert_eq!(
+                got,
+                vec![
+                    (1, 0.25),
+                    (0, 0.5),
+                    (0, 0.5),
+                    (1, 1.25),
+                    (1, 2.25),
+                    (0, 2.5),
+                    (1, 3.25)
+                ],
+                "nan = {nan:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn first_event_nan_becomes_time_zero() {
+        for nan in [f64::NAN, -f64::NAN] {
+            let mix = TrafficMix::new()
+                .with(Scripted::new("bad", vec![nan, nan, 1.5]))
+                .with(Scripted::new("good", vec![0.0, 1.0, 2.0]));
+            let got = drain_by_intervals(mix, 1.0, 3);
+            // The healthy source still drains in full, in order, tie broken by index.
+            assert_eq!(
+                got,
+                vec![(0, 0.0), (0, 0.0), (1, 0.0), (1, 1.0), (0, 1.5), (1, 2.0)],
+                "nan = {nan:?}"
+            );
+        }
     }
 
     #[test]

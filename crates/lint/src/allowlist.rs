@@ -58,6 +58,15 @@ pub const HOT_PATH_FILES: &[&str] = &[
     // raw frame, including attacker-crafted byte soup.
     "crates/packet/src/wire.rs",
     "crates/packet/src/extract.rs",
+    // The header codecs and the packet → key conversion run on every frame crafted or
+    // parsed; the steering hash on every steered event and on every candidate value an
+    // attacker's shard-aware crafter tries.
+    "crates/packet/src/ethernet.rs",
+    "crates/packet/src/ipv4.rs",
+    "crates/packet/src/ipv6.rs",
+    "crates/packet/src/l4.rs",
+    "crates/packet/src/flowkey.rs",
+    "crates/packet/src/rss.rs",
 ];
 
 /// The `unsafe` budget for `file` (0 when unlisted).

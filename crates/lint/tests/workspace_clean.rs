@@ -58,7 +58,7 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("proptest", 14, 1),
     ("rand", 5, 0),
     ("tse", 0, 0),
-    ("tse-attack", 75, 0),
+    ("tse-attack", 74, 0),
     ("tse-bench", 58, 0),
     ("tse-classifier", 86, 4),
     ("tse-lint", 26, 0),

@@ -89,11 +89,18 @@ impl EthernetHeader {
         }
     }
 
+    /// The 14 wire bytes.
+    pub(crate) fn to_bytes(self) -> [u8; ETHERNET_HEADER_LEN] {
+        let mut b = [0u8; ETHERNET_HEADER_LEN];
+        b[0..6].copy_from_slice(&self.dst.0);
+        b[6..12].copy_from_slice(&self.src.0);
+        b[12..14].copy_from_slice(&self.ethertype.to_u16().to_be_bytes());
+        b
+    }
+
     /// Encode into 14 wire bytes.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
+        out.extend_from_slice(&self.to_bytes());
     }
 
     /// Decode from wire bytes; returns the header and the number of bytes consumed.

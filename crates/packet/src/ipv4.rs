@@ -39,23 +39,30 @@ impl Ipv4Header {
         }
     }
 
+    /// The 20 wire bytes, header checksum included. `payload_len` is the length of
+    /// everything after the IPv4 header.
+    pub(crate) fn to_bytes(self, payload_len: usize) -> [u8; IPV4_HEADER_LEN] {
+        let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
+        let mut b = [0u8; IPV4_HEADER_LEN];
+        b[0] = 0x45; // version 4, IHL 5
+        b[1] = self.dscp_ecn;
+        b[2..4].copy_from_slice(&total_len.to_be_bytes());
+        b[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        // 6..8: flags + fragment offset, zero.
+        b[8] = self.ttl;
+        b[9] = self.proto.to_u8();
+        // 10..12: the checksum field, zero while the sum is taken.
+        b[12..16].copy_from_slice(&self.src.octets());
+        b[16..20].copy_from_slice(&self.dst.octets());
+        let csum = internet_checksum(&b);
+        b[10..12].copy_from_slice(&csum.to_be_bytes());
+        b
+    }
+
     /// Encode into 20 wire bytes, computing the header checksum. `payload_len` is the
     /// length of everything after the IPv4 header.
     pub fn encode(&self, payload_len: usize, out: &mut Vec<u8>) {
-        let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
-        let start = out.len();
-        out.push(0x45); // version 4, IHL 5
-        out.push(self.dscp_ecn);
-        out.extend_from_slice(&total_len.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // flags + fragment offset
-        out.push(self.ttl);
-        out.push(self.proto.to_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&out[start..start + IPV4_HEADER_LEN]);
-        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        out.extend_from_slice(&self.to_bytes(payload_len));
     }
 
     /// Decode a header from wire bytes; returns the header and bytes consumed.

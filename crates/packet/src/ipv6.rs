@@ -38,17 +38,25 @@ impl Ipv6Header {
         }
     }
 
+    /// The 40 wire bytes. `payload_len` is the length of everything after the IPv6
+    /// header.
+    pub(crate) fn to_bytes(self, payload_len: usize) -> [u8; IPV6_HEADER_LEN] {
+        let vtf: u32 =
+            (6u32 << 28) | ((self.traffic_class as u32) << 20) | (self.flow_label & 0x000f_ffff);
+        let mut b = [0u8; IPV6_HEADER_LEN];
+        b[0..4].copy_from_slice(&vtf.to_be_bytes());
+        b[4..6].copy_from_slice(&(payload_len as u16).to_be_bytes());
+        b[6] = self.proto.to_u8();
+        b[7] = self.hop_limit;
+        b[8..24].copy_from_slice(&self.src.octets());
+        b[24..40].copy_from_slice(&self.dst.octets());
+        b
+    }
+
     /// Encode into 40 wire bytes. `payload_len` is the length of everything after the
     /// IPv6 header.
     pub fn encode(&self, payload_len: usize, out: &mut Vec<u8>) {
-        let vtf: u32 =
-            (6u32 << 28) | ((self.traffic_class as u32) << 20) | (self.flow_label & 0x000f_ffff);
-        out.extend_from_slice(&vtf.to_be_bytes());
-        out.extend_from_slice(&(payload_len as u16).to_be_bytes());
-        out.push(self.proto.to_u8());
-        out.push(self.hop_limit);
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
+        out.extend_from_slice(&self.to_bytes(payload_len));
     }
 
     /// Decode a header from wire bytes; returns the header and bytes consumed.

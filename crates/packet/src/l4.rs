@@ -152,39 +152,53 @@ impl L4Header {
         }
     }
 
+    /// The 8 wire bytes of a UDP header over `payload_len` bytes of payload (checksum
+    /// zero, see [`L4Header::encode`]).
+    pub(crate) fn udp_bytes(
+        src_port: u16,
+        dst_port: u16,
+        payload_len: usize,
+    ) -> [u8; UDP_HEADER_LEN] {
+        let mut b = [0u8; UDP_HEADER_LEN];
+        b[0..2].copy_from_slice(&src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        b[4..6].copy_from_slice(&((UDP_HEADER_LEN + payload_len) as u16).to_be_bytes());
+        b
+    }
+
     /// Encode into wire bytes (checksums are left zero; the switch model never verifies
     /// L4 checksums, matching OVS's behaviour of not recomputing them on forwarding).
     pub fn encode(&self, payload_len: usize, out: &mut Vec<u8>) {
-        match self {
+        match *self {
             L4Header::Tcp {
                 src_port,
                 dst_port,
                 seq,
                 flags,
             } => {
-                out.extend_from_slice(&src_port.to_be_bytes());
-                out.extend_from_slice(&dst_port.to_be_bytes());
-                out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(&0u32.to_be_bytes()); // ack
-                out.push(0x50); // data offset 5
-                out.push(*flags);
-                out.extend_from_slice(&0xffffu16.to_be_bytes()); // window
-                out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
+                let mut b = [0u8; TCP_HEADER_LEN];
+                b[0..2].copy_from_slice(&src_port.to_be_bytes());
+                b[2..4].copy_from_slice(&dst_port.to_be_bytes());
+                b[4..8].copy_from_slice(&seq.to_be_bytes());
+                // 8..12: ack, zero.
+                b[12] = 0x50; // data offset 5
+                b[13] = flags;
+                // 14..16: window; 16..20: checksum + urgent, zero.
+                b[14..16].copy_from_slice(&0xffffu16.to_be_bytes());
+                out.extend_from_slice(&b);
             }
             L4Header::Udp { src_port, dst_port } => {
-                out.extend_from_slice(&src_port.to_be_bytes());
-                out.extend_from_slice(&dst_port.to_be_bytes());
-                out.extend_from_slice(&((UDP_HEADER_LEN + payload_len) as u16).to_be_bytes());
-                out.extend_from_slice(&[0, 0]); // checksum
+                out.extend_from_slice(&Self::udp_bytes(src_port, dst_port, payload_len));
             }
             L4Header::Icmp {
                 icmp_type,
                 icmp_code,
                 ..
             } => {
-                out.push(*icmp_type);
-                out.push(*icmp_code);
-                out.extend_from_slice(&[0; 6]);
+                let mut b = [0u8; ICMP_HEADER_LEN];
+                b[0] = icmp_type;
+                b[1] = icmp_code;
+                out.extend_from_slice(&b);
             }
             L4Header::Other { .. } => {}
         }

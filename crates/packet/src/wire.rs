@@ -31,6 +31,10 @@ pub const VXLAN_PORT: u16 = 4789;
 /// Bytes of a VXLAN header (flags, reserved, 24-bit VNI, reserved).
 pub const VXLAN_HEADER_LEN: usize = 8;
 
+/// Bytes a VXLAN tunnel prepends: outer Ethernet + IPv4 + UDP + VXLAN header.
+const VXLAN_OUTER_LEN: usize =
+    ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + VXLAN_HEADER_LEN;
+
 /// Maximum number of nested tunnels the decoder will unwrap. A deeper frame is rejected
 /// as [`DecodeError::BadHeader`], keeping `decode` total on adversarial input.
 pub const MAX_ENCAP_DEPTH: usize = 4;
@@ -147,9 +151,7 @@ impl Encap {
         match self {
             Encap::None => 0,
             Encap::Vlan { .. } => VLAN_TAG_LEN,
-            Encap::Vxlan { .. } => {
-                ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN + VXLAN_HEADER_LEN
-            }
+            Encap::Vxlan { .. } => VXLAN_OUTER_LEN,
         }
     }
 
@@ -158,11 +160,14 @@ impl Encap {
         match *self {
             Encap::None => encode_into(pkt, out),
             Encap::Vlan { tci } => {
-                out.extend_from_slice(&pkt.eth.dst.0);
-                out.extend_from_slice(&pkt.eth.src.0);
-                out.extend_from_slice(&EtherType::Vlan.to_u16().to_be_bytes());
-                out.extend_from_slice(&tci.to_be_bytes());
-                out.extend_from_slice(&pkt.eth.ethertype.to_u16().to_be_bytes());
+                // The Ethernet header with the tag spliced in before its ethertype.
+                let mut l2 = [0u8; ETHERNET_HEADER_LEN + VLAN_TAG_LEN];
+                l2[0..6].copy_from_slice(&pkt.eth.dst.0);
+                l2[6..12].copy_from_slice(&pkt.eth.src.0);
+                l2[12..14].copy_from_slice(&EtherType::Vlan.to_u16().to_be_bytes());
+                l2[14..16].copy_from_slice(&tci.to_be_bytes());
+                l2[16..18].copy_from_slice(&pkt.eth.ethertype.to_u16().to_be_bytes());
+                out.extend_from_slice(&l2);
                 encode_l3_into(pkt, out);
             }
             Encap::Vxlan {
@@ -170,20 +175,33 @@ impl Encap {
                 outer_dst,
                 vni,
             } => {
+                // Offsets of the outer headers in the 50 bytes a tunnel prepends.
+                const IP: usize = ETHERNET_HEADER_LEN;
+                const UDP: usize = IP + IPV4_HEADER_LEN;
+                const VXLAN: usize = UDP + UDP_HEADER_LEN;
                 let udp_payload = VXLAN_HEADER_LEN + pkt.wire_len();
                 // Outer frame: VTEP-to-VTEP Ethernet + IPv4 + UDP. The UDP source port
                 // is derived from the VNI the way real VTEPs derive it from a flow hash
                 // — deterministic here so traces replay bit-identically.
-                EthernetHeader::new(MacAddr::local(0xA0), MacAddr::local(0xA1), EtherType::Ipv4)
-                    .encode(out);
-                Ipv4Header::new(outer_src.into(), outer_dst.into(), IpProto::Udp)
-                    .encode(UDP_HEADER_LEN + udp_payload, out);
-                L4Header::udp(0xC000 | (vni & 0x3FFF) as u16, VXLAN_PORT).encode(udp_payload, out);
+                let eth = EthernetHeader::new(
+                    MacAddr::local(0xA0),
+                    MacAddr::local(0xA1),
+                    EtherType::Ipv4,
+                );
+                let ip = Ipv4Header::new(outer_src.into(), outer_dst.into(), IpProto::Udp);
+                let src_port = 0xC000 | (vni & 0x3FFF) as u16;
+                let mut outer = [0u8; VXLAN_OUTER_LEN];
+                outer[..IP].copy_from_slice(&eth.to_bytes());
+                outer[IP..UDP].copy_from_slice(&ip.to_bytes(UDP_HEADER_LEN + udp_payload));
+                outer[UDP..VXLAN].copy_from_slice(&L4Header::udp_bytes(
+                    src_port,
+                    VXLAN_PORT,
+                    udp_payload,
+                ));
                 // VXLAN header: I-flag set, reserved zero, 24-bit VNI, reserved zero.
-                out.push(0x08);
-                out.extend_from_slice(&[0, 0, 0]);
-                out.extend_from_slice(&vni.to_be_bytes()[1..4]);
-                out.push(0);
+                outer[VXLAN] = 0x08;
+                outer[VXLAN + 4..VXLAN + 7].copy_from_slice(&vni.to_be_bytes()[1..4]);
+                out.extend_from_slice(&outer);
                 encode_into(pkt, out);
             }
         }
@@ -368,6 +386,249 @@ impl WireTrace {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use proptest::prelude::*;
+
+    /// The oracle: the encoders as they were when every field was its own `push` /
+    /// `extend_from_slice` — kept to pin the one-array forms byte for byte.
+    mod pushed {
+        use super::super::*;
+        use crate::ipv4::internet_checksum;
+
+        fn eth(h: &EthernetHeader, out: &mut Vec<u8>) {
+            out.extend_from_slice(&h.dst.0);
+            out.extend_from_slice(&h.src.0);
+            out.extend_from_slice(&h.ethertype.to_u16().to_be_bytes());
+        }
+
+        fn ipv4(h: &Ipv4Header, payload_len: usize, out: &mut Vec<u8>) {
+            let total_len = (IPV4_HEADER_LEN + payload_len) as u16;
+            let start = out.len();
+            out.push(0x45); // version 4, IHL 5
+            out.push(h.dscp_ecn);
+            out.extend_from_slice(&total_len.to_be_bytes());
+            out.extend_from_slice(&h.identification.to_be_bytes());
+            out.extend_from_slice(&[0, 0]); // flags + fragment offset
+            out.push(h.ttl);
+            out.push(h.proto.to_u8());
+            out.extend_from_slice(&[0, 0]); // checksum placeholder
+            out.extend_from_slice(&h.src.octets());
+            out.extend_from_slice(&h.dst.octets());
+            let csum = internet_checksum(&out[start..start + IPV4_HEADER_LEN]);
+            out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        }
+
+        fn ipv6(h: &Ipv6Header, payload_len: usize, out: &mut Vec<u8>) {
+            let vtf: u32 =
+                (6u32 << 28) | ((h.traffic_class as u32) << 20) | (h.flow_label & 0x000f_ffff);
+            out.extend_from_slice(&vtf.to_be_bytes());
+            out.extend_from_slice(&(payload_len as u16).to_be_bytes());
+            out.push(h.proto.to_u8());
+            out.push(h.hop_limit);
+            out.extend_from_slice(&h.src.octets());
+            out.extend_from_slice(&h.dst.octets());
+        }
+
+        fn l4(h: &L4Header, payload_len: usize, out: &mut Vec<u8>) {
+            match h {
+                L4Header::Tcp {
+                    src_port,
+                    dst_port,
+                    seq,
+                    flags,
+                } => {
+                    out.extend_from_slice(&src_port.to_be_bytes());
+                    out.extend_from_slice(&dst_port.to_be_bytes());
+                    out.extend_from_slice(&seq.to_be_bytes());
+                    out.extend_from_slice(&0u32.to_be_bytes()); // ack
+                    out.push(0x50); // data offset 5
+                    out.push(*flags);
+                    out.extend_from_slice(&0xffffu16.to_be_bytes()); // window
+                    out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
+                }
+                L4Header::Udp { src_port, dst_port } => {
+                    out.extend_from_slice(&src_port.to_be_bytes());
+                    out.extend_from_slice(&dst_port.to_be_bytes());
+                    out.extend_from_slice(&((UDP_HEADER_LEN + payload_len) as u16).to_be_bytes());
+                    out.extend_from_slice(&[0, 0]); // checksum
+                }
+                L4Header::Icmp {
+                    icmp_type,
+                    icmp_code,
+                    ..
+                } => {
+                    out.push(*icmp_type);
+                    out.push(*icmp_code);
+                    out.extend_from_slice(&[0; 6]);
+                }
+                L4Header::Other { .. } => {}
+            }
+        }
+
+        fn l3(pkt: &Packet, out: &mut Vec<u8>) {
+            let l4_plus_payload = pkt.l4.header_len() + pkt.payload_len;
+            match &pkt.net {
+                NetHeader::V4(h) => ipv4(h, l4_plus_payload, out),
+                NetHeader::V6(h) => ipv6(h, l4_plus_payload, out),
+            }
+            l4(&pkt.l4, pkt.payload_len, out);
+            out.resize(out.len() + pkt.payload_len, 0);
+        }
+
+        fn frame(pkt: &Packet, out: &mut Vec<u8>) {
+            eth(&pkt.eth, out);
+            l3(pkt, out);
+        }
+
+        pub fn encode_into(encap: Encap, pkt: &Packet, out: &mut Vec<u8>) {
+            match encap {
+                Encap::None => frame(pkt, out),
+                Encap::Vlan { tci } => {
+                    out.extend_from_slice(&pkt.eth.dst.0);
+                    out.extend_from_slice(&pkt.eth.src.0);
+                    out.extend_from_slice(&EtherType::Vlan.to_u16().to_be_bytes());
+                    out.extend_from_slice(&tci.to_be_bytes());
+                    out.extend_from_slice(&pkt.eth.ethertype.to_u16().to_be_bytes());
+                    l3(pkt, out);
+                }
+                Encap::Vxlan {
+                    outer_src,
+                    outer_dst,
+                    vni,
+                } => {
+                    let udp_payload = VXLAN_HEADER_LEN + pkt.wire_len();
+                    let outer_eth = EthernetHeader::new(
+                        MacAddr::local(0xA0),
+                        MacAddr::local(0xA1),
+                        EtherType::Ipv4,
+                    );
+                    eth(&outer_eth, out);
+                    ipv4(
+                        &Ipv4Header::new(outer_src.into(), outer_dst.into(), IpProto::Udp),
+                        UDP_HEADER_LEN + udp_payload,
+                        out,
+                    );
+                    let outer_udp = L4Header::udp(0xC000 | (vni & 0x3FFF) as u16, VXLAN_PORT);
+                    l4(&outer_udp, udp_payload, out);
+                    out.push(0x08);
+                    out.extend_from_slice(&[0, 0, 0]);
+                    out.extend_from_slice(&vni.to_be_bytes()[1..4]);
+                    out.push(0);
+                    frame(pkt, out);
+                }
+            }
+        }
+    }
+
+    /// A packet of every header combination the encoders have an arm for: `shape` picks
+    /// v4/v6 and TCP/UDP/ICMP/Other, the raw draws fill every encoded field.
+    fn any_packet(shape: (u8, u8), raw: (u128, u128, u64), payload_len: usize) -> Packet {
+        let (src, dst, bits) = raw;
+        let v6 = shape.0 % 2 == 1;
+        let byte = |i: u32| (bits >> (8 * i)) as u8;
+        let port = |i: u32| (bits >> (16 * i)) as u16;
+        let l4 = match shape.1 % 4 {
+            0 => L4Header::Tcp {
+                src_port: port(0),
+                dst_port: port(1),
+                seq: (bits >> 32) as u32,
+                flags: byte(3),
+            },
+            1 => L4Header::udp(port(0), port(1)),
+            2 => L4Header::Icmp {
+                icmp_type: byte(0),
+                icmp_code: byte(1),
+                v6,
+            },
+            _ => L4Header::Other { proto: 200 },
+        };
+        let net = if v6 {
+            NetHeader::V6(Ipv6Header {
+                hop_limit: byte(4),
+                flow_label: (bits >> 40) as u32,
+                traffic_class: byte(5),
+                ..Ipv6Header::new(src.into(), dst.into(), l4.proto())
+            })
+        } else {
+            NetHeader::V4(Ipv4Header {
+                ttl: byte(4),
+                identification: port(3),
+                dscp_ecn: byte(5),
+                ..Ipv4Header::new((src as u32).into(), (dst as u32).into(), l4.proto())
+            })
+        };
+        let ethertype = if v6 { EtherType::Ipv6 } else { EtherType::Ipv4 };
+        Packet {
+            eth: EthernetHeader::new(MacAddr::local(byte(6)), MacAddr::local(byte(7)), ethertype),
+            net,
+            l4,
+            payload_len,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every envelope's one-array encoder writes exactly the bytes the push-based
+        /// one did, into an empty buffer and appended to a non-empty one.
+        #[test]
+        fn one_array_encoders_match_the_pushed_oracle(
+            shape in (0u8..2, 0u8..4),
+            addrs in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+            bits in 0u64..=u64::MAX,
+            payload_len in 0usize..=1500,
+            env in (0u32..=u32::MAX, 0u32..=u32::MAX, 0u16..=u16::MAX),
+        ) {
+            let wide = |hi: u64, lo: u64| u128::from(hi) << 64 | u128::from(lo);
+            let raw = (wide(addrs.0, addrs.1), wide(addrs.2, addrs.3), bits);
+            let pkt = any_packet(shape, raw, payload_len);
+            let (a, vni, tci) = env;
+            let encaps = [
+                Encap::None,
+                Encap::Vlan { tci },
+                Encap::Vxlan { outer_src: a, outer_dst: !a, vni },
+            ];
+            for encap in encaps {
+                for prefix in [&[][..], &[0xAA, 0xBB, 0xCC][..]] {
+                    let mut want = prefix.to_vec();
+                    pushed::encode_into(encap, &pkt, &mut want);
+                    let mut got = prefix.to_vec();
+                    encap.encode_into(&pkt, &mut got);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(got.len(), prefix.len() + encap.overhead() + pkt.wire_len());
+                }
+            }
+        }
+    }
+
+    /// One frame per envelope, recorded from the push-based encoders: encoder and oracle
+    /// cannot drift together past these.
+    #[test]
+    fn pinned_frames() {
+        const INNER: &str = "02000000000102000000000208004500002b000000000906e71b0a000001\
+                             c0a8000986d901bb00000000000000005000ffff00000000000000";
+        let p = PacketBuilder::tcp_v4([10, 0, 0, 1], [192, 168, 0, 9], 34521, 443)
+            .ttl(9)
+            .payload_len(3)
+            .build();
+        let hex = |frame: &[u8]| frame.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(hex(&Encap::None.encode(&p)), INNER);
+        assert_eq!(
+            hex(&Encap::Vlan { tci: 0x2042 }.encode(&p)),
+            format!("{}8100204208{}", &INNER[..24], &INNER[26..])
+        );
+        let vxlan = Encap::Vxlan {
+            outer_src: 0xc0a8_0001,
+            outer_dst: 0xc0a8_0002,
+            vni: 0x00BEEF,
+        };
+        assert_eq!(
+            hex(&vxlan.encode(&p)),
+            format!(
+                "0200000000a10200000000a008004500005d000000004011f93cc0a80001c0a80002\
+                 feef12b5004900000800000000beef00{INNER}"
+            )
+        );
+    }
 
     #[test]
     fn frame_roundtrip_tcp_v4() {

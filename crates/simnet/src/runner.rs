@@ -414,10 +414,12 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// installed, so a reused runner or datapath leaves the run undefended.
     ///
     /// Draining is not overlapped with shard work. On the attack workloads it is
-    /// 0.3–2 % of the processing time (`benchmark/baseline/`) — there the shards'
-    /// tuple-space scan owns the wall clock. That does not hold for benign traffic: on
-    /// `benign_wire`, where a packet scans ≤ 2 masks, the drain (131–189 ns of ~220 ns
-    /// per event, `BENCH_pr20_compare.md`) is the largest stage.
+    /// 2–10 % of the run (`BENCH_pr23_compare.md`, in-run stage split) — there the
+    /// shards' tuple-space scan and the upcalls own the wall clock. That does not hold
+    /// for benign traffic: on `benign_wire`, where a packet scans ≤ 2 masks, the drain
+    /// (craft, encode, decode and merge one frame: ~155 ns of ~220 ns per event) is the
+    /// largest stage by far, ahead of partition + classification (~65 ns since the
+    /// steering hash skips zero bytes; ~115 ns before).
     ///
     /// # Reusing a runner
     /// Every call restarts simulated time at 0, but the datapath is not reset: it keeps

@@ -39,7 +39,7 @@ use tse_classifier::flowtable::FlowTable;
 use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
-use tse_packet::rss;
+use tse_packet::rss::{self, RssHasher};
 use tse_packet::wire::WireFault;
 use tse_packet::Packet;
 
@@ -91,11 +91,14 @@ impl Steering {
 #[derive(Debug, Clone)]
 pub struct SteeringView {
     steering: Steering,
-    /// Field indices the steering policy hashes (cached from the schema at build).
+    /// Field indices the steering policy hashes (cached from the schema at build; what
+    /// a rekey recompiles the hasher from).
     steer_fields: Vec<usize>,
     n_shards: usize,
     /// The RSS hash key in effect; [`rss::DEFAULT_HASH_KEY`] until rotated.
     hash_key: u64,
+    /// The steering hash compiled over `steer_fields`, `n_shards` and `hash_key`.
+    hasher: RssHasher,
 }
 
 impl SteeringView {
@@ -107,16 +110,24 @@ impl SteeringView {
     /// # Panics
     /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
     pub fn new(steering: Steering, schema: &FieldSchema, n_shards: usize) -> Self {
-        assert!(n_shards > 0, "shard count must be positive");
         if let Steering::Pinned(i) = steering {
             assert!(i < n_shards, "pinned shard {i} out of range 0..{n_shards}");
         }
+        let steer_fields = steering.steer_fields(schema);
         SteeringView {
-            steer_fields: steering.steer_fields(schema),
+            hasher: RssHasher::new(&steer_fields, n_shards, rss::DEFAULT_HASH_KEY),
+            steer_fields,
             n_shards,
             hash_key: rss::DEFAULT_HASH_KEY,
             steering,
         }
+    }
+
+    /// Steer under `hash_key` from now on: the hasher is recompiled once, here, so the
+    /// per-key path never sees the key's bytes again.
+    fn rekey(&mut self, hash_key: u64) {
+        self.hash_key = hash_key;
+        self.hasher = RssHasher::new(&self.steer_fields, self.n_shards, hash_key);
     }
 
     /// The shard `key` steers to under this view — a pure function of the key: every
@@ -127,7 +138,7 @@ impl SteeringView {
         }
         match self.steering {
             Steering::Pinned(i) => i,
-            _ => rss::shard_of_keyed(key, &self.steer_fields, self.n_shards, self.hash_key),
+            _ => self.hasher.shard_of(key),
         }
     }
 
@@ -366,7 +377,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// refreshed and age out through the normal idle timeout. [`Steering::Pinned`]
     /// placement ignores the key entirely.
     pub fn rekey(&mut self, hash_key: u64) {
-        self.steer.hash_key = hash_key;
+        self.steer.rekey(hash_key);
     }
 
     /// Shard `i` (read-only).

@@ -297,9 +297,7 @@ pub mod prelude {
     pub use tse_attack::expectation::ExpectationModel;
     pub use tse_attack::general::{random_trace, RandomKeys};
     pub use tse_attack::scenarios::Scenario;
-    pub use tse_attack::sharding::{
-        pin_to_shard, retag_key_to_shard, spray_shards, ShardSteeredKeys,
-    };
+    pub use tse_attack::sharding::{pin_to_shard, spray_shards, ShardSteeredKeys};
     pub use tse_attack::source::{
         AttackGenerator, EventPayload, SourceRole, TraceSource, TrafficEvent, TrafficMix,
         TrafficSource,

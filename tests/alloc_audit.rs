@@ -12,7 +12,9 @@
 //! constant — report vectors and executor slots — not per-event), on the sequential
 //! walk and on the persistent worker pool alike. `run_mix` inherits the promise: a
 //! steady-state sample interval costs the same allocations whether it holds N one-event
-//! per-source runs or 2N, because the interval crosses the executor once.
+//! per-source runs or 2N, because the interval crosses the executor once. The wire
+//! ingress is held to zero outright: a warm `extract_keys_into` and a warm
+//! `Encap::encode_into` (every envelope) allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -287,4 +289,31 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         "warm batched extraction must be allocation-free \
          (600 frames: {w_small} allocs, 1200 frames: {w_big})"
     );
+
+    // --- Wire crafting: a warm frame buffer is all an encoder touches. ---
+    // Every header is built in a stack array and appended once, so re-encoding into a
+    // cleared buffer that has held the largest frame costs zero heap allocations under
+    // every envelope (what `WireGenerator::next_event` does per packet).
+    let pkt = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 99], 1024, 80).build();
+    let encaps = [
+        Encap::None,
+        Encap::Vlan { tci: 100 },
+        Encap::Vxlan {
+            outer_src: 0x0a00_0001,
+            outer_dst: 0x0a00_0002,
+            vni: 42,
+        },
+    ];
+    let mut frame = Vec::new();
+    encaps[2].encode_into(&pkt, &mut frame); // warm to the largest frame
+    for encap in encaps {
+        let allocs = allocations_during(|| {
+            frame.clear();
+            encap.encode_into(&pkt, &mut frame);
+        });
+        assert_eq!(
+            allocs, 0,
+            "warm {encap:?} encode_into must be allocation-free"
+        );
+    }
 }
