@@ -6,23 +6,44 @@
 //! performs one hash probe per mask, early-exiting on the first hit — which is only
 //! correct because entries are kept pairwise disjoint (Inv(2)).
 //!
-//! Here that list is one deque of tuples — a mask, its hit counter and its entries —
-//! held in probe order: position in the deque *is* Alg. 1's scan order, a tuple exists
-//! exactly as long as it has an entry, and nothing is keyed by mask.
+//! Alg. 1's scan is the hottest loop of the simulator — a deny miss probes every mask —
+//! and nearly every probe of it misses. So what the scan reads is kept apart from what a
+//! hit needs, in three parts:
 //!
-//! A tuple is written on the rare path and read on the hot one. Creating it compiles
-//! its mask into a *probe plan* — the mask's non-zero 64-bit words — and every insert
-//! appends to one dense `Vec<MegaflowEntry>` (so entries of a tuple are held, and
-//! [`TupleSpace::entries`] yields them, in insertion order; [`TupleSpace::render`] sorts
-//! them by key, so its output does not depend on arrival order) and files the entry's
-//! position in a flat open-addressed index of `u64` slots. A probe hashes
-//! `header AND mask` word by word straight off the plan, walks the index from the slot
-//! the hash's low bits name, and compares against a stored key only where a slot's tag
-//! (the hash's high 32 bits) matches: a missed probe materialises no masked key and
-//! allocates nothing.
+//! * the **probe lane**, one small record per tuple held in probe order — position in
+//!   the lane *is* Alg. 1's scan order. A record carries the tuple's hit counter, where
+//!   its plan words sit in the slab, which tuple it stands for, and a 64-bit **miss
+//!   filter**: one bit per resident key, chosen by the top six bits of the key's hash;
+//! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
+//!   in one tuple-space-wide vector. The plan is the only form the scan reads a mask in,
+//!   and it is stored once: a plan determines its mask, so finding a mask's tuple
+//!   compares plans too;
+//! * the **tuples** — a mask, its entries, the index over them and the conflict
+//!   summaries — in slots the lane points at. A tuple exists exactly as long as it has
+//!   an entry, and nothing is keyed by mask.
+//!
+//! A probe hashes `header AND mask` word by word straight off the slab and tests the
+//! filter bit the hash names. A clear bit proves the miss, having read a lane record and
+//! a few plan words that sit beside their neighbours'; for an explosion — one entry per
+//! mask — that is 63 probes of 64, and the whole scan stays cache-resident. Only on a set
+//! bit does the probe go on, hash in hand, to the tuple: it walks the tuple's flat
+//! open-addressed index of `u64` slots from the slot the hash names, and compares
+//! against a stored key only where a slot's tag (the hash's high 32 bits) matches. A
+//! missed probe materialises no masked key and allocates nothing. The filter stands in
+//! front of every probe alike; on a tuple with more resident keys than bits it is
+//! all-ones and costs one AND.
+//!
+//! A tuple is written on the rare path. Creating it compiles its mask's plan into the
+//! slab, and every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a
+//! tuple are held, and [`TupleSpace::entries`] yields them, in insertion order;
+//! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
+//! order), files the entry's position in the index and sets its filter bit. Every
+//! mutation leaves lane, slab and tuples describing the same tuple space; debug builds
+//! check that after each one.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
-//! linear-probe run — in *host* time only: `masks_scanned`, and with it every simulated
+//! linear-probe run, or all land on filter bits that are set and so send every probe on
+//! to the tuple — in *host* time only: `masks_scanned`, and with it every simulated
 //! cost, counts tuples probed and cannot be moved that way.
 //!
 //! > *Observation 1: the time-complexity of TSS lookup grows linearly with the number of
@@ -34,6 +55,7 @@
 //! that the switch's cost model converts into throughput.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use tse_packet::fields::{self, FieldSchema, Key, Mask};
 use tse_packet::rss::splitmix64_mix;
@@ -86,13 +108,43 @@ pub enum MaskOrdering {
     HitCount,
 }
 
-/// One step of a tuple's probe plan: a non-zero 64-bit word of its mask.
-#[derive(Debug, Clone, Copy)]
+/// One step of a probe plan: a non-zero 64-bit word of a mask.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PlanWord {
     /// Which of [`Probe::words`].
     word: u8,
     /// The mask's bits in that word.
     bits: u64,
+}
+
+/// A mask compiled into its probe plan, on the stack: what the slab holds for a tuple,
+/// before (or without) a tuple to hold it for.
+struct Plan {
+    words: [PlanWord; 16],
+    len: usize,
+}
+
+impl Plan {
+    fn of(mask: &Mask) -> Self {
+        let mut plan = Plan {
+            words: [PlanWord { word: 0, bits: 0 }; 16],
+            len: 0,
+        };
+        for (word, &bits) in Probe::new(mask).words.iter().enumerate() {
+            if bits != 0 {
+                plan.words[plan.len] = PlanWord {
+                    word: word as u8,
+                    bits,
+                };
+                plan.len += 1;
+            }
+        }
+        plan
+    }
+
+    fn words(&self) -> &[PlanWord] {
+        &self.words[..self.len]
+    }
 }
 
 /// A header laid out for probing, once per lookup: every tuple's plan reads it.
@@ -114,23 +166,98 @@ impl<'a> Probe<'a> {
     }
 }
 
+/// Hash of `header AND mask`, off the mask's plan: multiply-rotate per non-zero mask
+/// word. The index takes the hash's high half (slot and tag) and the miss filter its top
+/// six bits; a bit of a raw multiply depends on the input bits at or below it alone, so
+/// the SplitMix64 finaliser folds the whole state into every one of them.
+#[inline]
+fn masked_hash(plan: &[PlanWord], probe: &Probe) -> u64 {
+    let mut h = 0u64;
+    for w in plan {
+        h = (h ^ (probe.words[usize::from(w.word & 15)] & w.bits))
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31);
+    }
+    splitmix64_mix(h)
+}
+
+/// The miss-filter bit of a key with this hash.
+#[inline]
+fn filter_bit(hash: u64) -> u64 {
+    1 << (hash >> 58)
+}
+
 /// The hash's high half, kept in a slot as its tag.
 const TAG: u64 = !0 << 32;
 
-/// One tuple: every entry sharing a mask, the index that finds one of them in a single
-/// probe, and the conflict summaries that let [`TupleSpace::find_conflict`] rule the
-/// whole tuple out without scanning its entries.
+/// Index slots for this many entries: a power of two, at most half full.
+fn slots_for(entries: usize) -> usize {
+    (entries * 2).next_power_of_two().max(2)
+}
+
+/// Put a slot value in the first free slot of its linear-probe run. The run starts
+/// where the tag's low bits say, so a slot can be re-placed without its key.
+fn place(index: &mut [u64], slot: u64) {
+    let wrap = index.len() - 1;
+    let mut i = (slot >> 32) as usize & wrap;
+    while index[i] != 0 {
+        i = (i + 1) & wrap;
+    }
+    index[i] = slot;
+}
+
+/// File entry `pos`, whose key hashes to `hash`.
+fn file(index: &mut [u64], hash: u64, pos: usize) {
+    debug_assert!(pos < u32::MAX as usize, "a slot holds 32 bits of position");
+    place(index, (hash & TAG) | (pos as u64 + 1));
+}
+
+/// Fold a stored key into a tuple's conflict summaries.
+fn summarise(key_and: &mut Key, key_or: &mut Key, key: &Key) {
+    for (f, &k) in key.values().iter().enumerate() {
+        key_and.set(f, key_and.get(f) & k);
+        key_or.set(f, key_or.get(f) | k);
+    }
+}
+
+/// One tuple as Alg. 1's scan reads it: a record of the probe lane.
+#[derive(Debug, Clone)]
+struct LaneRecord {
+    /// The miss filter: the OR of [`filter_bit`] over the tuple's resident keys (a sweep
+    /// recomputes it exactly; 0 marks a tuple left empty, about to be dropped). A probe
+    /// whose bit is clear has missed.
+    filter: u64,
+    /// Cumulative fast-path hits on this tuple, used by [`MaskOrdering::HitCount`].
+    hits: u64,
+    /// Where in [`TupleSpace::slab`] the tuple's plan starts, and how many words it has.
+    plan_start: u32,
+    plan_len: u32,
+    /// The tuple's slot in [`TupleSpace::tuples`].
+    tuple: u32,
+}
+
+impl LaneRecord {
+    fn plan(&self) -> Range<usize> {
+        let start = self.plan_start as usize;
+        start..start + self.plan_len as usize
+    }
+}
+
+/// One tuple off the scan's path: every entry sharing a mask, the index that finds one
+/// of them from its hash, and the conflict summaries that let
+/// [`TupleSpace::find_conflict`] rule the whole tuple out without scanning its entries.
+/// Its plan lives in the slab and its hit counter and miss filter in its lane record;
+/// whatever hashes a key here is handed the plan.
 ///
-/// **Store.** `entries` is dense and in insertion order; removal compacts it
-/// (`Vec::retain`) and rebuilds the index. `index` is an open-addressed table of
-/// `u64` slots, a power of two long and at most half full: a slot is 0 when free, else
-/// `tag << 32 | position + 1` — the high 32 bits of the key's hash and where in
-/// `entries` the key lives. It is rebuilt from the stored keys when it would pass half
-/// full and after a removal, so it never holds a tombstone. `plan` is the mask's
-/// non-zero 64-bit words, fixed at creation; hashing a header reads only those.
+/// **Store.** `entries` is dense and in insertion order; a sweep compacts it in place.
+/// `index` is an open-addressed table of `u64` slots, a power of two long and at most
+/// half full: a slot is 0 when free, else `tag << 32 | position + 1` — the high 32 bits
+/// of the key's hash and where in `entries` the key lives. A key's run starts at the
+/// slot its tag's low bits name, so growing the index re-places the slots without
+/// reading a key; a sweep empties and refiles it, so it never holds a tombstone.
 ///
 /// **Summaries.** `key_and` / `key_or` are the bitwise AND / OR of every stored (masked)
-/// key, maintained incrementally on insert and recomputed on removal. A prospective
+/// key, maintained incrementally on insert and recomputed by a sweep. A prospective
 /// entry `(K, M)` can conflict with some entry of this tuple only if an entry agrees
 /// with `K` on every bit of `M AND mask`; if `K` has a 1 where *no* stored key does
 /// (`!key_or`), or a 0 where *every* stored key has a 1 (`key_and`), no entry can agree
@@ -139,10 +266,6 @@ const TAG: u64 = !0 << 32;
 struct Tuple {
     /// The mask every entry of this tuple shares.
     mask: Mask,
-    /// Cumulative fast-path hits on this tuple, used by [`MaskOrdering::HitCount`].
-    hits: u64,
-    /// The non-zero 64-bit words of `mask`.
-    plan: Box<[PlanWord]>,
     /// The entries, in insertion order. Never empty while the tuple is in the cache.
     entries: Vec<MegaflowEntry>,
     /// Hash slot -> position in `entries`; see the type's doc for the slot layout.
@@ -154,52 +277,27 @@ struct Tuple {
 }
 
 impl Tuple {
-    /// A tuple made for, and holding, its first entry. Most tuples of an explosion
-    /// never get a second one, so the store starts at exactly one.
-    fn new(first: MegaflowEntry) -> Self {
-        let mut plan = Vec::new();
-        for (word, &bits) in Probe::new(&first.mask).words.iter().enumerate() {
-            if bits != 0 {
-                plan.push(PlanWord {
-                    word: word as u8,
-                    bits,
-                });
-            }
-        }
+    /// A tuple made for, and holding, its first entry, and that entry's filter bit. Most
+    /// tuples of an explosion never get a second one, so the store starts at exactly one.
+    fn new(first: MegaflowEntry, plan: &[PlanWord]) -> (Self, u64) {
         let mut tuple = Tuple {
             mask: first.mask.clone(),
-            hits: 0,
-            plan: plan.into_boxed_slice(),
             entries: Vec::with_capacity(1),
             index: Vec::new(),
             key_and: first.key.clone(),
             key_or: first.key.clone(),
         };
-        tuple.push(first);
-        tuple
+        let filter = tuple.push(plan, first);
+        (tuple, filter)
     }
 
-    /// Hash of `header AND mask`, off the plan: multiply-rotate per non-zero mask word.
-    /// The index takes the low bits for the slot and the high bits for the tag, and the
-    /// low bits of a raw multiply depend on the low bits of its input alone, so the
-    /// SplitMix64 finaliser folds the whole state into both.
-    fn masked_hash(&self, probe: &Probe) -> u64 {
-        let mut h = 0u64;
-        for w in self.plan.iter() {
-            h = (h ^ (probe.words[usize::from(w.word & 15)] & w.bits))
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .rotate_left(31);
-        }
-        splitmix64_mix(h)
-    }
-
-    /// Position in `entries` of the entry the probed header matches under this tuple's
-    /// mask.
-    #[inline]
-    fn find(&self, probe: &Probe) -> Option<usize> {
-        let hash = self.masked_hash(probe);
+    /// Position in `entries` of the entry `header` matches under this tuple's mask,
+    /// given the hash of `header AND mask`. Kept out of line: only a probe that passed
+    /// the filter gets here, and inlined it would cost every other probe its registers.
+    #[inline(never)]
+    fn find(&self, hash: u64, header: &Key) -> Option<usize> {
         let wrap = self.index.len() - 1;
-        let mut i = hash as usize & wrap;
+        let mut i = (hash >> 32) as usize & wrap;
         // At most half the slots are taken, so the run ends at a free one.
         loop {
             let slot = self.index[i];
@@ -207,80 +305,95 @@ impl Tuple {
                 return None;
             }
             let pos = (slot as u32 - 1) as usize;
-            if slot & TAG == hash & TAG && self.holds(pos, probe.header) {
+            if slot & TAG == hash & TAG && self.holds(pos, header) {
                 return Some(pos);
             }
             i = (i + 1) & wrap;
         }
     }
 
-    /// Whether entry `pos` is the one `header` matches. Kept out of line: it runs once
-    /// per tag match, and inlined it would cost every missed probe its registers.
-    #[inline(never)]
+    /// Whether entry `pos` is the one `header` matches.
     fn holds(&self, pos: usize, header: &Key) -> bool {
         fields::matches(header, &self.entries[pos].key, &self.mask)
     }
 
-    /// Append an entry (the caller has checked Inv(2), so its key is not resident).
-    fn push(&mut self, entry: MegaflowEntry) {
-        self.key_and = self.key_and.and(&entry.key);
-        self.key_or = self.key_or.or(&entry.key);
+    /// Append an entry (the caller has checked Inv(2), so its key is not resident);
+    /// returns its filter bit.
+    fn push(&mut self, plan: &[PlanWord], entry: MegaflowEntry) -> u64 {
+        summarise(&mut self.key_and, &mut self.key_or, &entry.key);
+        let hash = masked_hash(plan, &Probe::new(&entry.key));
         self.entries.push(entry);
         if self.entries.len() * 2 > self.index.len() {
-            self.rebuild_index();
-        } else {
-            self.file(self.entries.len() - 1);
+            // Grow: the filed slots move into an index sized for the entries there are.
+            let grown = vec![0; slots_for(self.entries.len())];
+            for slot in std::mem::replace(&mut self.index, grown) {
+                if slot != 0 {
+                    place(&mut self.index, slot);
+                }
+            }
         }
+        file(&mut self.index, hash, self.entries.len() - 1);
+        filter_bit(hash)
     }
 
-    /// File entry `pos` in the first free slot of its key's linear-probe run.
-    fn file(&mut self, pos: usize) {
-        debug_assert!(pos < u32::MAX as usize, "a slot holds 32 bits of position");
-        let hash = self.masked_hash(&Probe::new(&self.entries[pos].key));
-        let wrap = self.index.len() - 1;
-        let mut i = hash as usize & wrap;
-        while self.index[i] != 0 {
-            i = (i + 1) & wrap;
-        }
-        self.index[i] = (hash & TAG) | (pos as u64 + 1);
-    }
-
-    /// Refile every entry in an index sized for the current entry count.
-    fn rebuild_index(&mut self) {
-        let slots = (self.entries.len() * 2).next_power_of_two().max(2);
-        self.index.clear();
-        self.index.resize(slots, 0);
-        for pos in 0..self.entries.len() {
-            self.file(pos);
-        }
-    }
-
-    /// Recompute the summaries from scratch (after removals), folding into the existing
-    /// vectors from the AND / OR identities. An empty tuple (about to be dropped) keeps
-    /// the identities, which rule out every conflict — as they should.
-    fn rebuild_summary(&mut self) {
+    /// Drop every entry `expired` names, in one walk: the survivors close ranks in order
+    /// and are re-summarised and refiled as they pass, each hashed once. Returns the
+    /// miss filter of what is left — 0 for a tuple left empty, whose summaries are then
+    /// the AND / OR identities and rule out every conflict, as they should — or `None`,
+    /// with nothing written, if no entry went. `expired` sees each entry once, in order.
+    fn sweep(
+        &mut self,
+        plan: &[PlanWord],
+        mut expired: impl FnMut(&MegaflowEntry) -> bool,
+    ) -> Option<u64> {
+        let first = self.entries.iter().position(&mut expired)?;
         for f in 0..self.mask.len() {
             self.key_and.set(f, u128::MAX);
             self.key_or.set(f, 0);
         }
-        for e in &self.entries {
-            for (f, &k) in e.key.values().iter().enumerate() {
-                self.key_and.set(f, self.key_and.get(f) & k);
-                self.key_or.set(f, self.key_or.get(f) | k);
+        let before = self.entries.len();
+        let (mut kept, mut filter) = (0, 0);
+        for pos in 0..before {
+            // `expired` has answered for the entries up to `first` already.
+            if pos == first || (pos > first && expired(&self.entries[pos])) {
+                continue;
             }
+            if kept == 0 {
+                // The index is emptied for the first survivor — a tuple left empty skips
+                // it — and sized for every entry from that one on, the most there can be
+                // left: exact when the oldest entries are the ones to go.
+                self.index.clear();
+                self.index.resize(slots_for(before - pos), 0);
+            }
+            if kept < pos {
+                self.entries[kept] = self.entries[pos].clone();
+            }
+            let key = &self.entries[kept].key;
+            summarise(&mut self.key_and, &mut self.key_or, key);
+            let hash = masked_hash(plan, &Probe::new(key));
+            file(&mut self.index, hash, kept);
+            filter |= filter_bit(hash);
+            kept += 1;
         }
+        self.entries.truncate(kept);
+        Some(filter)
     }
 }
 
-/// The TSS megaflow cache: its tuples, in probe order.
+/// The TSS megaflow cache: its probe lane, plan slab and tuples.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
     schema: FieldSchema,
     ordering: MaskOrdering,
-    /// One tuple per distinct mask; position is Alg. 1's scan order. A deque because a
-    /// new tuple goes to either end ([`MaskOrdering::NewestFirst`] prepends) and a tuple
-    /// is too wide to shift the rest for.
-    tuples: VecDeque<Tuple>,
+    /// One record per distinct mask; position is Alg. 1's scan order. A deque because a
+    /// new record goes to either end ([`MaskOrdering::NewestFirst`] prepends).
+    lane: VecDeque<LaneRecord>,
+    /// Every tuple's plan words, each tuple's together; a lane record's
+    /// [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples repacks
+    /// the survivors' in probe order.
+    slab: Vec<PlanWord>,
+    /// The tuples, each in the slot its lane record names. Slot order means nothing.
+    tuples: Vec<Tuple>,
 }
 
 impl TupleSpace {
@@ -289,7 +402,9 @@ impl TupleSpace {
         TupleSpace {
             schema,
             ordering: MaskOrdering::Insertion,
-            tuples: VecDeque::new(),
+            lane: VecDeque::new(),
+            slab: Vec::new(),
+            tuples: Vec::new(),
         }
     }
 
@@ -319,7 +434,7 @@ impl TupleSpace {
 
     /// Number of distinct masks |M| — the attacker's target metric.
     pub fn mask_count(&self) -> usize {
-        self.tuples.len()
+        self.lane.len()
     }
 
     /// Number of entries |C|.
@@ -327,57 +442,96 @@ impl TupleSpace {
         self.tuples.iter().map(|t| t.entries.len()).sum()
     }
 
+    /// The tuple a lane record stands for.
+    fn tuple(&self, rec: &LaneRecord) -> &Tuple {
+        &self.tuples[rec.tuple as usize]
+    }
+
+    /// Where in the lane the tuple of `plan`'s mask is.
+    fn position_of(&self, plan: &Plan) -> Option<usize> {
+        self.lane
+            .iter()
+            .position(|rec| self.slab[rec.plan()] == *plan.words())
+    }
+
     /// The distinct masks in probe order, each with its cumulative fast-path hit count
     /// — the signal a mask-pressure eviction policy ranks on (attack masks accumulate
     /// hits slowly because every adversarial key is fresh; a victim's long-lived mask
     /// is hit once per packet).
     pub fn mask_usage(&self) -> Vec<(Mask, u64)> {
-        self.tuples
+        self.lane
             .iter()
-            .map(|t| (t.mask.clone(), t.hits))
+            .map(|rec| (self.tuple(rec).mask.clone(), rec.hits))
             .collect()
     }
 
     /// Remove one mask and every entry of its tuple (shrinking |M| by one); returns
     /// the number of entries removed (0 if the mask is not present).
     pub fn remove_mask(&mut self, mask: &Mask) -> usize {
-        let pos = self.tuples.iter().position(|t| t.mask == *mask);
-        pos.and_then(|pos| self.tuples.remove(pos))
-            .map_or(0, |t| t.entries.len())
+        let Some(pos) = self.position_of(&Plan::of(mask)) else {
+            return 0;
+        };
+        let rec = &mut self.lane[pos];
+        rec.filter = 0;
+        let entries = std::mem::take(&mut self.tuples[rec.tuple as usize].entries);
+        self.drop_emptied();
+        debug_assert!(self.lane_consistent());
+        entries.len()
     }
 
     /// Iterate over all entries, tuple by tuple in probe order, and within a tuple in
     /// the order they were inserted.
     pub fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
-        self.tuples.iter().flat_map(|t| &t.entries)
+        self.lane.iter().flat_map(|rec| &self.tuple(rec).entries)
+    }
+
+    /// One probe of Alg. 1: the position, among its tuple's entries, of the entry the
+    /// probed header matches under the record's mask. Every probe — [`Self::lookup`],
+    /// [`Self::peek`], [`Self::find_conflict`] — is this one, and on a clear filter bit
+    /// it has read the lane record and its plan words, nothing of the tuple. It borrows
+    /// the slab and the tuples, not `self`: `lookup` scans the lane mutably.
+    #[inline(always)]
+    fn probe(
+        slab: &[PlanWord],
+        tuples: &[Tuple],
+        rec: &LaneRecord,
+        probe: &Probe,
+    ) -> Option<usize> {
+        let hash = masked_hash(&slab[rec.plan()], probe);
+        if rec.filter & filter_bit(hash) == 0 {
+            return None;
+        }
+        tuples[rec.tuple as usize].find(hash, probe.header)
     }
 
     /// Megaflow lookup — Algorithm 1 of the paper.
     ///
-    /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's index.
+    /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's tuple.
     /// Return a hit on the first match (correct thanks to entry disjointness); a miss
     /// after all masks have been probed. The hit's statistics are bumped in the same
     /// probe.
     pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
-        let mut action = None;
-        let mut masks_scanned = 0;
         let probe = Probe::new(header);
-        for tuple in &mut self.tuples {
+        let mut masks_scanned = 0;
+        let mut action = None;
+        for rec in &mut self.lane {
             masks_scanned += 1;
-            if let Some(pos) = tuple.find(&probe) {
-                let entry = &mut tuple.entries[pos];
+            if let Some(pos) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
+                rec.hits += 1;
+                let entry = &mut self.tuples[rec.tuple as usize].entries[pos];
                 entry.hits += 1;
                 entry.last_used = now;
-                tuple.hits += 1;
                 action = Some(entry.action);
                 break;
             }
         }
         if action.is_some() && self.ordering == MaskOrdering::HitCount {
-            // Stable: tuples with equal hit counts keep their relative order.
-            self.tuples
+            // Stable: tuples with equal hit counts keep their relative order. Only lane
+            // records move.
+            self.lane
                 .make_contiguous()
-                .sort_by_key(|t| std::cmp::Reverse(t.hits));
+                .sort_by_key(|rec| std::cmp::Reverse(rec.hits));
+            debug_assert!(self.lane_consistent());
         }
         LookupOutcome {
             action,
@@ -388,9 +542,10 @@ impl TupleSpace {
     /// Read-only lookup that does not update statistics (used by tests and MFCGuard).
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
         let probe = Probe::new(header);
-        self.tuples
-            .iter()
-            .find_map(|t| t.find(&probe).map(|pos| &t.entries[pos]))
+        self.lane.iter().find_map(|rec| {
+            Self::probe(&self.slab, &self.tuples, rec, &probe)
+                .map(|pos| &self.tuple(rec).entries[pos])
+        })
     }
 
     /// Insert a new megaflow entry. Enforces the two slow-path invariants of §3.2:
@@ -421,19 +576,41 @@ impl TupleSpace {
             last_used: now,
             installed_at: now,
         };
-        match self.tuples.iter_mut().find(|t| t.mask == entry.mask) {
-            Some(tuple) => tuple.push(entry),
-            None => match self.ordering {
-                MaskOrdering::NewestFirst => self.tuples.push_front(Tuple::new(entry)),
-                _ => self.tuples.push_back(Tuple::new(entry)),
-            },
+        let plan = Plan::of(&entry.mask);
+        match self.position_of(&plan) {
+            Some(pos) => {
+                let rec = &mut self.lane[pos];
+                rec.filter |= self.tuples[rec.tuple as usize].push(plan.words(), entry);
+            }
+            None => {
+                debug_assert!(
+                    self.slab.len() + plan.len <= u32::MAX as usize,
+                    "a lane record holds 32 bits of slab position and of tuple slot"
+                );
+                let (tuple, filter) = Tuple::new(entry, plan.words());
+                let rec = LaneRecord {
+                    filter,
+                    hits: 0,
+                    plan_start: self.slab.len() as u32,
+                    plan_len: plan.len as u32,
+                    tuple: self.tuples.len() as u32,
+                };
+                self.slab.extend_from_slice(plan.words());
+                self.tuples.push(tuple);
+                match self.ordering {
+                    MaskOrdering::NewestFirst => self.lane.push_front(rec),
+                    _ => self.lane.push_back(rec),
+                }
+            }
         }
+        debug_assert!(self.lane_consistent());
         Ok(())
     }
 
     /// Find an existing entry that overlaps a prospective `(key, mask)` entry, i.e. one
-    /// that would violate the Independence invariant. Returns the conflicting entry's
-    /// key and mask.
+    /// that would violate the Independence invariant. `key` is the entry's key as it
+    /// would be stored, `key AND mask` — both callers hold it in that form. Returns the
+    /// conflicting entry's key and mask.
     ///
     /// This is both the guard used by [`TupleSpace::insert`] and the primitive the
     /// slow-path megaflow generation uses to decide which extra bits to un-wildcard
@@ -447,7 +624,7 @@ impl TupleSpace {
     /// rules the whole tuple out in O(fields). Only surviving tuples are touched:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
-    ///   **single probe of its index** (comparable entries conflict only if they agree
+    ///   **single probe** (comparable entries conflict only if they agree
     ///   on every common bit), which stays fast even when the tuple holds hundreds of
     ///   thousands of entries (the IPv6 exact-match anomaly of §5.4);
     /// * an incomparable tuple falls back to an entry scan — but since most tuples
@@ -457,9 +634,10 @@ impl TupleSpace {
     /// The `conflict_index_agrees_with_full_scan` unit test pins this path to the
     /// index-less full entry scan.
     pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
-        let key = key.apply_mask(mask);
-        let probe = Probe::new(&key);
-        for tuple in &self.tuples {
+        debug_assert_eq!(*key, key.apply_mask(mask), "the key is stored masked");
+        let probe = Probe::new(key);
+        for rec in &self.lane {
+            let tuple = self.tuple(rec);
             // Summary prefilter over common = mask & tuple.mask, computed inline.
             // `comparable` tracks whether tuple.mask ⊆ mask along the way.
             let mut excluded = false;
@@ -484,7 +662,7 @@ impl TupleSpace {
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
-                if let Some(pos) = tuple.find(&probe) {
+                if let Some(pos) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
                     return Some((tuple.entries[pos].key.clone(), tuple.mask.clone()));
                 }
             } else {
@@ -494,7 +672,7 @@ impl TupleSpace {
                 let conflict = tuple
                     .entries
                     .iter()
-                    .filter(|e| !fields::disjoint(&key, mask, &e.key, &e.mask))
+                    .filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask))
                     .min_by(|a, b| a.key.cmp(&b.key));
                 if let Some(e) = conflict {
                     return Some((e.key.clone(), e.mask.clone()));
@@ -511,17 +689,73 @@ impl TupleSpace {
     /// down (the entire point of MFCGuard).
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
         let mut removed = 0;
-        for tuple in &mut self.tuples {
+        let mut emptied = false;
+        for rec in &mut self.lane {
+            let tuple = &mut self.tuples[rec.tuple as usize];
             let before = tuple.entries.len();
-            tuple.entries.retain(|e| !predicate(e));
-            if tuple.entries.len() < before {
+            if let Some(filter) = tuple.sweep(&self.slab[rec.plan()], &mut predicate) {
                 removed += before - tuple.entries.len();
-                tuple.rebuild_summary();
-                tuple.rebuild_index();
+                rec.filter = filter;
+                emptied |= filter == 0;
             }
         }
-        self.tuples.retain(|t| !t.entries.is_empty());
+        if emptied {
+            self.drop_emptied();
+        }
+        debug_assert!(self.lane_consistent());
         removed
+    }
+
+    /// Drop every tuple left without entries: its lane record (marked by a zero
+    /// filter), its slot and its plan words. The surviving records keep their order,
+    /// and find their tuples and plans where those moved to.
+    fn drop_emptied(&mut self) {
+        // Tuples close ranks in slot order; `moved[old]` is a survivor's new slot.
+        let mut kept = 0;
+        let moved: Vec<u32> = self
+            .tuples
+            .iter()
+            .map(|t| {
+                let slot = kept;
+                kept += u32::from(!t.entries.is_empty());
+                slot
+            })
+            .collect();
+        self.tuples.retain(|t| !t.entries.is_empty());
+        let old = std::mem::take(&mut self.slab);
+        let slab = &mut self.slab;
+        self.lane.retain_mut(|rec| {
+            if rec.filter == 0 {
+                return false;
+            }
+            let plan = rec.plan();
+            rec.plan_start = slab.len() as u32;
+            slab.extend_from_slice(&old[plan]);
+            rec.tuple = moved[rec.tuple as usize];
+            true
+        });
+    }
+
+    /// Whether lane, slab and tuples describe one tuple space: the records name each
+    /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
+    /// nothing else, and every resident key has its bit in its record's filter. What
+    /// debug builds assert after every mutation.
+    fn lane_consistent(&self) -> bool {
+        let mut slots: Vec<u32> = self.lane.iter().map(|rec| rec.tuple).collect();
+        slots.sort_unstable();
+        slots.into_iter().eq(0..self.tuples.len() as u32)
+            && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
+            && self.lane.iter().all(|rec| {
+                let tuple = self.tuple(rec);
+                let Some(plan) = self.slab.get(rec.plan()) else {
+                    return false;
+                };
+                plan == Plan::of(&tuple.mask).words()
+                    && !tuple.entries.is_empty()
+                    && tuple.entries.iter().all(|e| {
+                        rec.filter & filter_bit(masked_hash(plan, &Probe::new(&e.key))) != 0
+                    })
+            })
     }
 
     /// Expire entries idle for longer than `idle_timeout` seconds (OVS's 10 s policy,
@@ -533,6 +767,8 @@ impl TupleSpace {
 
     /// Remove everything.
     pub fn clear(&mut self) {
+        self.lane.clear();
+        self.slab.clear();
         self.tuples.clear();
     }
 
@@ -559,8 +795,8 @@ impl TupleSpace {
     /// binary key and mask; a tuple's entries by ascending key).
     pub fn render(&self) -> String {
         let mut lines = Vec::new();
-        for (i, tuple) in self.tuples.iter().enumerate() {
-            let mut keys: Vec<&MegaflowEntry> = tuple.entries.iter().collect();
+        for (i, rec) in self.lane.iter().enumerate() {
+            let mut keys: Vec<&MegaflowEntry> = self.tuple(rec).entries.iter().collect();
             keys.sort_by(|a, b| a.key.cmp(&b.key));
             for e in keys {
                 lines.push(format!(
@@ -819,7 +1055,7 @@ mod tests {
             }
             for key in 0..8u128 {
                 for mask in 0..8u128 {
-                    let fast = c.find_conflict(&k(key), &k(mask)).is_some();
+                    let fast = c.find_conflict(&k(key & mask), &k(mask)).is_some();
                     let slow = find_conflict_scan(&c, &k(key), &k(mask)).is_some();
                     assert_eq!(fast, slow, "phase {phase} key {key:03b} mask {mask:03b}");
                 }
@@ -912,10 +1148,18 @@ mod tests {
             .insert(bystander.clone(), small.clone(), Action::Deny, 100.0)
             .unwrap();
         assert_eq!(cache.mask_count(), 2);
+        // Ten thousand keys over 64 bits: the large tuple's miss filter passes every
+        // probe, and the index alone has to tell a resident key from a stranger.
+        assert_eq!(cache.lane[0].filter, u64::MAX);
         check(&cache, &model, &order, &gone);
 
         // Every other entry idles out; the survivors close ranks in order.
         assert_eq!(cache.expire_idle(105.0, 10.0), (N / 2) as usize);
+        assert_eq!(
+            cache.lane[0].filter,
+            u64::MAX,
+            "recomputed, still saturated"
+        );
         for i in (0..N).step_by(2) {
             model.remove(&key_of(i));
             gone.push(key_of(i));
@@ -944,7 +1188,43 @@ mod tests {
         order.clear();
         check(&cache, &model, &order, &gone);
         assert_eq!(cache.mask_count(), 1);
+        assert_eq!(cache.lane[0].filter.count_ones(), 1, "one key, one bit");
         assert_eq!(cache.peek(&bystander).map(|e| e.action), Some(Action::Deny));
+    }
+
+    /// `lane_consistent` is what debug builds assert after every mutation; it has to be
+    /// able to say no.
+    #[test]
+    fn lane_consistent_rejects_a_lane_that_drifted() {
+        let cache = fig3_cache();
+        assert!(cache.lane_consistent());
+
+        let mut stale_filter = cache.clone();
+        stale_filter.lane[0].filter = 0;
+        assert!(!stale_filter.lane_consistent());
+
+        let mut crossed = cache.clone();
+        let (a, b) = (crossed.lane[0].tuple, crossed.lane[1].tuple);
+        (crossed.lane[0].tuple, crossed.lane[1].tuple) = (b, a);
+        assert!(
+            !crossed.lane_consistent(),
+            "a record's plan is its tuple's mask"
+        );
+
+        let mut shared = cache.clone();
+        shared.lane[1].tuple = shared.lane[0].tuple;
+        assert!(!shared.lane_consistent(), "each slot is named once");
+
+        let mut leaked = cache.clone();
+        leaked.slab.push(PlanWord { word: 0, bits: 1 });
+        assert!(
+            !leaked.lane_consistent(),
+            "the slab holds plans and nothing else"
+        );
+
+        let mut reordered = cache;
+        reordered.lane.swap(0, 2);
+        assert!(reordered.lane_consistent(), "order is the lane's to choose");
     }
 
     #[test]

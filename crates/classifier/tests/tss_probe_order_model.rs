@@ -8,7 +8,10 @@
 //! early exit checked against Inv(2) — and `find_conflict` must answer every
 //! prospective `(key, mask)` as a full scan of the model's entries does, so the
 //! per-tuple summaries a partial `remove_where` / `expire_idle` rebuilds are pinned too.
-//! The test pins behaviour, not layout.
+//! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
+//! `debug_assert!(self.lane_consistent())`, so each operation below (all three orderings,
+//! partial `remove_where`, `remove_mask`, the `HitCount` re-sort) also holds the probe
+//! lane, the plan slab and the tuples to each other.
 
 use proptest::prelude::*;
 use tse_classifier::rule::Action;

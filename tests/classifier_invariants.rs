@@ -84,3 +84,84 @@ fn baselines_agree_with_tss_and_stay_flat() {
         "baseline lookup work must stay small: {max_work}"
     );
 }
+
+/// Alg. 1 by hand over `entries()`, which runs tuple by tuple in probe order: one probe
+/// per run of equal masks, stopping at the first entry the header matches.
+fn linear_scan(cache: &TupleSpace, header: &Key) -> (Option<Action>, usize) {
+    let mut scanned = 0;
+    let mut probing: Option<&Mask> = None;
+    for e in cache.entries() {
+        if probing != Some(&e.mask) {
+            probing = Some(&e.mask);
+            scanned += 1;
+        }
+        if tse::packet::fields::matches(header, &e.key, &e.mask) {
+            return (Some(e.action), scanned);
+        }
+    }
+    (None, scanned)
+}
+
+/// The 513-mask SipDp explosion under `NewestFirst` — the table the deep scan is
+/// measured on, one entry per mask nearly everywhere, so almost every probe is decided
+/// by a tuple's miss filter alone. Every resident key and twelve thousand arbitrary
+/// headers must get the action *and* the `masks_scanned` a linear scan of `entries()`
+/// gives them, before and after an expiry that drops half the tuples.
+#[test]
+fn exploded_cache_answers_like_a_linear_scan_of_its_entries() {
+    let schema = FieldSchema::ovs_ipv4();
+    let src = schema.field_index("ip_src").unwrap();
+    let tp_dst = schema.field_index("tp_dst").unwrap();
+    let allows = [(tp_dst, 80), (src, 0x0a00_0001)];
+    let mut dp = Datapath::builder(FlowTable::whitelist_default_deny(&schema, &allows)).build();
+    // Every other key arrives late enough to outlive the expiry below.
+    for (i, key) in bit_inversion_keys(&schema, &allows, &schema.zero_value()).enumerate() {
+        dp.process_key(&key, 64, (i % 2) as f64 * 100.0);
+    }
+    let mut cache = dp.megaflow().clone();
+    assert_eq!(cache.ordering(), MaskOrdering::NewestFirst);
+    assert_eq!(cache.mask_count(), 513);
+
+    let mut state = 0x5eed_u64;
+    let mut arbitrary = || {
+        let mut header = schema.zero_value();
+        for f in 0..schema.field_count() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            header.set(f, u128::from(state >> 16) & ((1 << schema.width(f)) - 1));
+        }
+        header
+    };
+    let (mut hits, mut misses) = (0, 0);
+    for phase in ["exploded", "half expired"] {
+        // Lookups refresh `last_used`; keep them off the cache the expiry is for.
+        let mut probed = cache.clone();
+        let resident: Vec<Key> = cache.entries().map(|e| e.key.clone()).collect();
+        let headers = resident.into_iter().chain((0..12_000).map(|_| arbitrary()));
+        for header in headers {
+            let expected = linear_scan(&cache, &header);
+            let got = probed.lookup(&header, 0.0);
+            assert_eq!(
+                (got.action, got.masks_scanned),
+                expected,
+                "{phase}: {header}"
+            );
+            assert_eq!(cache.peek(&header).map(|e| e.action), expected.0);
+            match expected.0 {
+                Some(_) => hits += 1,
+                None => misses += 1,
+            }
+        }
+        if phase == "exploded" {
+            let expired = cache.expire_idle(105.0, 10.0);
+            assert!(expired > 200, "about half the entries idle out: {expired}");
+            assert!(
+                (200..320).contains(&cache.mask_count()),
+                "and about half the tuples with them: {}",
+                cache.mask_count()
+            );
+        }
+    }
+    assert!(hits > 1000 && misses > 1000, "{hits} hits, {misses} misses");
+}
