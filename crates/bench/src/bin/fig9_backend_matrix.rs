@@ -1,8 +1,8 @@
 //! E-F9-DP: the §7 / Fig. 9 classifier comparison run through the **real datapath**
 //! instead of bare classify loops — every [`FastPathBackend`] (TSS plus the three
 //! attack-immune baselines) processes the same Co-located attack traces through the
-//! full microflow → fast path → slow path pipeline, and the victim's per-invocation
-//! cost is read off the datapath itself.
+//! full fast path → slow path pipeline, and the victim's per-invocation cost is read
+//! off the datapath itself.
 //!
 //! The second half replays the Fig. 8a timeline experiment (victims + attacker sharing
 //! one switch, sampled per second) over the trie and HyperCuts backends: with an

@@ -3,8 +3,8 @@
 //! The paper's §7 names attack-immune classifiers (linear search, hierarchical tries,
 //! HyperCuts) as the long-term mitigation for Tuple Space Explosion, and Fig. 9 compares
 //! them head-to-head with TSS. To measure that comparison *through the full datapath* —
-//! microflow cache, slow path, idle expiry, MFCGuard sweeps — the switch must be generic
-//! over the structure that answers fast-path lookups. [`FastPathBackend`] is that seam:
+//! slow path, idle expiry, MFCGuard sweeps — the switch must be generic over the
+//! structure that answers fast-path lookups. [`FastPathBackend`] is that seam:
 //!
 //! * [`TupleSpace`] is the canonical implementation — the traffic-driven megaflow cache
 //!   whose mask list an attacker can explode (Observation 1);
@@ -37,8 +37,7 @@ use crate::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleS
 ///
 /// The `masks_scanned` field of the returned [`LookupOutcome`] is the backend's abstract
 /// per-lookup work (hash probes for TSS, nodes visited + rules compared for the
-/// baselines); [`FastPathBackend::cost_units`] converts it into the units the switch's
-/// cost model charges per probe.
+/// baselines), and the switch's cost model charges it per probe as it is.
 ///
 /// `Send` is a supertrait: the sharded datapath's `ShardExecutor` hands each shard —
 /// and therefore its backend — to a worker thread, so a backend built on `Rc`/`RefCell`
@@ -52,9 +51,6 @@ pub trait FastPathBackend: Send {
 
     /// Short human-readable name for reports and figure legends.
     fn name(&self) -> &'static str;
-
-    /// The schema of keys this backend classifies.
-    fn schema(&self) -> &FieldSchema;
 
     /// Fast-path lookup at simulation time `now`. `masks_scanned` reports the lookup's
     /// work in backend-native units even on a miss.
@@ -106,37 +102,23 @@ pub trait FastPathBackend: Send {
         0
     }
 
-    /// Drop all per-traffic state.
-    fn clear(&mut self);
-
     /// Number of distinct megaflow masks (the TSE attacker's target metric; 0 for
     /// backends without traffic-driven masks).
     fn mask_count(&self) -> usize;
 
     /// Number of cached megaflow entries (0 for table-built backends).
     fn entry_count(&self) -> usize;
-
-    /// Probe-order policy hint; only meaningful for mask-list caches.
-    fn set_mask_ordering(&mut self, _ordering: MaskOrdering) {}
-
-    /// Per-lookup cost hook: convert a lookup's `masks_scanned` into the work units the
-    /// cost model charges per probe. Identity by default.
-    fn cost_units(&self, masks_scanned: usize) -> usize {
-        masks_scanned
-    }
 }
 
 impl FastPathBackend for TupleSpace {
+    /// A datapath's megaflow cache probes its masks newest-first
+    /// ([`MaskOrdering::NewestFirst`]): the regime of Fig. 8a/9a.
     fn fresh(schema: &FieldSchema) -> Self {
-        TupleSpace::new(schema.clone())
+        TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst)
     }
 
     fn name(&self) -> &'static str {
         "tss"
-    }
-
-    fn schema(&self) -> &FieldSchema {
-        TupleSpace::schema(self)
     }
 
     fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
@@ -178,47 +160,12 @@ impl FastPathBackend for TupleSpace {
         TupleSpace::remove_mask(self, mask)
     }
 
-    fn clear(&mut self) {
-        TupleSpace::clear(self)
-    }
-
     fn mask_count(&self) -> usize {
         TupleSpace::mask_count(self)
     }
 
     fn entry_count(&self) -> usize {
         TupleSpace::entry_count(self)
-    }
-
-    fn set_mask_ordering(&mut self, ordering: MaskOrdering) {
-        TupleSpace::set_ordering(self, ordering);
-    }
-}
-
-/// Classifiers that can be (re)built from a flow table — the constructor side of the
-/// [`Classifier`] trait, needed so [`BaselineBackend`] can rebuild on table install.
-/// `Send` because the wrapping [`BaselineBackend`] is a [`FastPathBackend`], which
-/// shard worker threads take ownership of during parallel execution.
-pub trait TableBacked: Classifier + Send {
-    /// Build the classifier from the installed flow table.
-    fn build_from(table: &FlowTable) -> Self;
-}
-
-impl TableBacked for LinearSearch {
-    fn build_from(table: &FlowTable) -> Self {
-        LinearSearch::build(table)
-    }
-}
-
-impl TableBacked for HierarchicalTrie {
-    fn build_from(table: &FlowTable) -> Self {
-        HierarchicalTrie::build(table)
-    }
-}
-
-impl TableBacked for HyperCuts {
-    fn build_from(table: &FlowTable) -> Self {
-        HyperCuts::build(table)
     }
 }
 
@@ -230,11 +177,13 @@ impl TableBacked for HyperCuts {
 /// megaflow installs are accepted but discarded. Because no packet can mutate the
 /// structure, the per-lookup work reported in `masks_scanned` stays bounded by the rule
 /// set — the attack-immunity property Fig. 9 measures.
+///
+/// `C: Send` because the adapter is a [`FastPathBackend`], which shard worker threads
+/// take ownership of during parallel execution.
 #[derive(Debug, Clone)]
 pub struct BaselineBackend<C> {
-    schema: FieldSchema,
+    /// Built on the first table install (`DatapathBuilder::build` does this).
     classifier: Option<C>,
-    lookups: u64,
 }
 
 /// [`BaselineBackend`] over priority-ordered linear search.
@@ -244,31 +193,9 @@ pub type TrieBackend = BaselineBackend<HierarchicalTrie>;
 /// [`BaselineBackend`] over the HyperCuts decision tree.
 pub type HyperCutsBackend = BaselineBackend<HyperCuts>;
 
-impl<C: TableBacked> BaselineBackend<C> {
-    /// Create an empty backend; the classifier is built on the first table install
-    /// (`DatapathBuilder::build` does this automatically).
-    pub fn new(schema: FieldSchema) -> Self {
-        BaselineBackend {
-            schema,
-            classifier: None,
-            lookups: 0,
-        }
-    }
-
-    /// The wrapped classifier, if a table has been installed.
-    pub fn classifier(&self) -> Option<&C> {
-        self.classifier.as_ref()
-    }
-
-    /// Number of lookups served (traffic volume, for reports).
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-}
-
-impl<C: TableBacked> FastPathBackend for BaselineBackend<C> {
-    fn fresh(schema: &FieldSchema) -> Self {
-        Self::new(schema.clone())
+impl<C: Classifier + Send> FastPathBackend for BaselineBackend<C> {
+    fn fresh(_schema: &FieldSchema) -> Self {
+        BaselineBackend { classifier: None }
     }
 
     fn name(&self) -> &'static str {
@@ -278,12 +205,7 @@ impl<C: TableBacked> FastPathBackend for BaselineBackend<C> {
         }
     }
 
-    fn schema(&self) -> &FieldSchema {
-        &self.schema
-    }
-
     fn lookup(&mut self, header: &Key, _now: f64) -> LookupOutcome {
-        self.lookups += 1;
         match &self.classifier {
             Some(c) => {
                 let r = c.classify(header);
@@ -311,11 +233,7 @@ impl<C: TableBacked> FastPathBackend for BaselineBackend<C> {
     }
 
     fn install_table(&mut self, table: &FlowTable) {
-        self.classifier = Some(C::build_from(table));
-    }
-
-    fn clear(&mut self) {
-        // No per-traffic state to drop; the table-built structure stays valid.
+        self.classifier = Some(C::build(table));
     }
 
     fn mask_count(&self) -> usize {
@@ -395,20 +313,16 @@ mod tests {
             assert!(b.mask_usage().is_empty());
             assert_eq!(b.evict_mask(&hyp(0b100)), 0);
             assert!(b.find_conflict(&hyp(0), &hyp(0b111)).is_none());
-            // A cleared baseline still classifies (nothing traffic-driven to lose).
-            b.clear();
-            assert!(b.lookup(&hyp(0b001), 0.0).action.is_some());
         }
     }
 
     #[test]
     fn unbuilt_baseline_misses_until_table_install() {
         let schema = FieldSchema::hyp();
-        let mut b = LinearSearchBackend::new(schema.clone());
+        let mut b = LinearSearchBackend::fresh(&schema);
         assert!(b.lookup(&hyp(0b001), 0.0).action.is_none());
         b.install_table(&FlowTable::fig1_hyp());
         assert_eq!(b.lookup(&hyp(0b001), 0.0).action, Some(Action::Allow));
-        assert_eq!(b.lookups(), 2);
     }
 
     #[test]

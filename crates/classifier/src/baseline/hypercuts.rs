@@ -51,11 +51,6 @@ pub struct HyperCuts {
 const DEFAULT_BINTH: usize = 4;
 
 impl HyperCuts {
-    /// Build with the default leaf threshold.
-    pub fn build(table: &FlowTable) -> Self {
-        Self::build_with_binth(table, DEFAULT_BINTH)
-    }
-
     /// Build with an explicit leaf threshold (`binth`).
     pub fn build_with_binth(table: &FlowTable, binth: usize) -> Self {
         let schema = table.schema().clone();
@@ -196,6 +191,11 @@ fn build_node(
 }
 
 impl Classifier for HyperCuts {
+    /// Build with the default leaf threshold.
+    fn build(table: &FlowTable) -> Self {
+        Self::build_with_binth(table, DEFAULT_BINTH)
+    }
+
     fn classify(&self, header: &Key) -> Classification {
         let mut node = &self.root;
         let mut work = 0;

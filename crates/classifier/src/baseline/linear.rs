@@ -15,16 +15,13 @@ pub struct LinearSearch {
     rules: Vec<(usize, Rule)>,
 }
 
-impl LinearSearch {
-    /// Build from a flow table (the table is copied; later table edits are not seen).
-    pub fn build(table: &FlowTable) -> Self {
+impl Classifier for LinearSearch {
+    fn build(table: &FlowTable) -> Self {
         let mut rules: Vec<(usize, Rule)> = table.rules().iter().cloned().enumerate().collect();
         rules.sort_by_key(|(i, r)| (std::cmp::Reverse(r.priority), *i));
         LinearSearch { rules }
     }
-}
 
-impl Classifier for LinearSearch {
     fn classify(&self, header: &Key) -> Classification {
         let mut work = 0;
         for (index, rule) in &self.rules {

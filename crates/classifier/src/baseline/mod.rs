@@ -19,6 +19,7 @@ pub mod trie;
 
 use tse_packet::fields::Key;
 
+use crate::flowtable::FlowTable;
 use crate::rule::Action;
 
 /// Result of a baseline classification.
@@ -39,6 +40,12 @@ pub struct Classification {
 /// so an attacker cannot grow the structure by sending packets — the property that makes
 /// these algorithms immune to tuple-space explosion.
 pub trait Classifier {
+    /// Build the classifier from a flow table (the table is copied; later table edits
+    /// are not seen).
+    fn build(table: &FlowTable) -> Self
+    where
+        Self: Sized;
+
     /// Classify one header.
     fn classify(&self, header: &Key) -> Classification;
 

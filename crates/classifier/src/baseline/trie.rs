@@ -74,52 +74,6 @@ fn prefix_len(mask: u128, width: u32) -> Option<u32> {
 }
 
 impl HierarchicalTrie {
-    /// Build from a flow table.
-    ///
-    /// # Panics
-    /// Panics if any rule uses a non-prefix per-field mask (not the case for the paper's
-    /// ACLs; a production implementation would split such rules into prefix rules).
-    pub fn build(table: &FlowTable) -> Self {
-        let schema = table.schema().clone();
-        let mut trie = HierarchicalTrie {
-            root: FieldTrie {
-                field: 0,
-                root: Node::default(),
-            },
-            node_count: 1,
-            schema,
-        };
-        for (index, rule) in table.rules().iter().enumerate() {
-            let stored = StoredRule {
-                index,
-                priority: rule.priority,
-                action: rule.action,
-            };
-            // Pre-compute prefix lengths per field, panicking on non-prefix masks.
-            let prefixes: Vec<(u128, u32)> = (0..trie.schema.field_count())
-                .map(|f| {
-                    let width = trie.schema.width(f);
-                    let mask = rule.mask.get(f);
-                    let len = prefix_len(mask, width).unwrap_or_else(|| {
-                        panic!("hierarchical trie requires prefix masks (rule {index}, field {f})")
-                    });
-                    (rule.key.get(f), len)
-                })
-                .collect();
-            let field_count = trie.schema.field_count();
-            let schema = trie.schema.clone();
-            insert(
-                &mut trie.root,
-                &schema,
-                &prefixes,
-                field_count,
-                stored,
-                &mut trie.node_count,
-            );
-        }
-        trie
-    }
-
     /// Total number of trie nodes (memory proxy).
     pub fn node_count(&self) -> usize {
         self.node_count
@@ -218,6 +172,50 @@ fn search(
 }
 
 impl Classifier for HierarchicalTrie {
+    /// # Panics
+    /// Panics if any rule uses a non-prefix per-field mask (not the case for the paper's
+    /// ACLs; a production implementation would split such rules into prefix rules).
+    fn build(table: &FlowTable) -> Self {
+        let schema = table.schema().clone();
+        let mut trie = HierarchicalTrie {
+            root: FieldTrie {
+                field: 0,
+                root: Node::default(),
+            },
+            node_count: 1,
+            schema,
+        };
+        for (index, rule) in table.rules().iter().enumerate() {
+            let stored = StoredRule {
+                index,
+                priority: rule.priority,
+                action: rule.action,
+            };
+            // Pre-compute prefix lengths per field, panicking on non-prefix masks.
+            let prefixes: Vec<(u128, u32)> = (0..trie.schema.field_count())
+                .map(|f| {
+                    let width = trie.schema.width(f);
+                    let mask = rule.mask.get(f);
+                    let len = prefix_len(mask, width).unwrap_or_else(|| {
+                        panic!("hierarchical trie requires prefix masks (rule {index}, field {f})")
+                    });
+                    (rule.key.get(f), len)
+                })
+                .collect();
+            let field_count = trie.schema.field_count();
+            let schema = trie.schema.clone();
+            insert(
+                &mut trie.root,
+                &schema,
+                &prefixes,
+                field_count,
+                stored,
+                &mut trie.node_count,
+            );
+        }
+        trie
+    }
+
     fn classify(&self, header: &Key) -> Classification {
         let mut best: Option<StoredRule> = None;
         let mut work = 0;

@@ -10,7 +10,9 @@
 //! * [`strategy`] — slow-path megaflow generation under the Cover and Independence
 //!   invariants, with the exact-match / wildcarding / chunked / per-field strategies that
 //!   realise the Theorem 4.1–4.2 space–time trade-offs;
-//! * [`microflow`] — the small exact-match first-level cache;
+//! * [`microflow`] — a small exact-match cache, wired into no datapath (the kernel
+//!   datapath the paper measures has none); kept for a `benchmark/` drill until the
+//!   `[benchmark]` re-anchor retires it;
 //! * [`baseline`] — attack-immune alternatives (linear search, hierarchical tries,
 //!   HyperCuts) recommended by §7 as long-term mitigations.
 //!
@@ -30,8 +32,7 @@ pub mod strategy;
 pub mod tss;
 
 pub use backend::{
-    BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TableBacked,
-    TrieBackend,
+    BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
 };
 pub use baseline::{Classification, Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
 pub use flowtable::{FlowTable, TableMatch};

@@ -1,10 +1,16 @@
 //! The microflow cache: a small exact-match, per-transport-connection store (§2.2).
 //!
-//! The microflow cache sits in front of the megaflow cache. It matches on *all* header
-//! fields (including noise fields such as TTL), holds only a couple of hundred entries,
-//! and acts as "short-term memory" — it is often exhausted even in normal operation.
-//! The attack traces deliberately randomise noise fields so that every packet is a new
-//! microflow and therefore always falls through to the TSS megaflow lookup.
+//! In OVS's userspace datapath the microflow cache sits in front of the megaflow cache.
+//! It matches on *all* header fields (including noise fields such as TTL), holds only a
+//! couple of hundred entries, and acts as "short-term memory" — it is often exhausted
+//! even in normal operation. The attack traces deliberately randomise noise fields so
+//! that every packet is a new microflow and would always fall through to the TSS
+//! megaflow lookup.
+//!
+//! It is wired into no datapath here: the kernel datapath the paper measures (§5.2) has
+//! no such cache, so `tse_switch::Datapath` goes straight to the megaflow cache. The
+//! type stays only for the `benchmark/` drill that times it, until the `[benchmark]`
+//! re-anchor retires both.
 
 use std::collections::HashMap;
 

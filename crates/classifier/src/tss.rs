@@ -90,10 +90,8 @@ pub struct LookupOutcome {
     pub masks_scanned: usize,
 }
 
-/// How the mask list is ordered during lookup. Real OVS periodically sorts masks by hit
-/// count so that frequently hit tuples are probed first; this is exposed as an ablation
-/// (it helps benign traffic a little but cannot help the deny-miss path the attack
-/// exercises, because a miss always scans every mask).
+/// Where a newly created mask joins the probe order. The order is fixed from then on: a
+/// miss scans every mask whatever the order, and that is the path the attack exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaskOrdering {
     /// Probe masks in insertion order (simplest; the paper's model).
@@ -102,10 +100,9 @@ pub enum MaskOrdering {
     /// Probe masks newest-first: a newly created mask is prepended to the probe order.
     /// This models the observed OVS datapath behaviour that a long-established flow's
     /// mask does not stay at the front of the scan once an attack starts spawning masks,
-    /// so victim traffic pays the (near-)full scan — the regime measured in Fig. 8a/9a.
+    /// so victim traffic pays the (near-)full scan — the regime measured in Fig. 8a/9a,
+    /// and the order every datapath's TSS backend is built with.
     NewestFirst,
-    /// Probe masks in decreasing hit-count order (OVS's periodic re-sort).
-    HitCount,
 }
 
 /// One step of a probe plan: a non-zero 64-bit word of a mask.
@@ -227,7 +224,7 @@ struct LaneRecord {
     /// recomputes it exactly; 0 marks a tuple left empty, about to be dropped). A probe
     /// whose bit is clear has missed.
     filter: u64,
-    /// Cumulative fast-path hits on this tuple, used by [`MaskOrdering::HitCount`].
+    /// Cumulative fast-path hits on this tuple, reported by [`TupleSpace::mask_usage`].
     hits: u64,
     /// Where in [`TupleSpace::slab`] the tuple's plan starts, and how many words it has.
     plan_start: u32,
@@ -426,12 +423,6 @@ impl TupleSpace {
         self.ordering
     }
 
-    /// Change the probe-order policy. Takes effect for subsequent inserts/lookups; the
-    /// existing probe order is left as-is (callers normally set this on an empty cache).
-    pub fn set_ordering(&mut self, ordering: MaskOrdering) {
-        self.ordering = ordering;
-    }
-
     /// Number of distinct masks |M| — the attacker's target metric.
     pub fn mask_count(&self) -> usize {
         self.lane.len()
@@ -524,14 +515,6 @@ impl TupleSpace {
                 action = Some(entry.action);
                 break;
             }
-        }
-        if action.is_some() && self.ordering == MaskOrdering::HitCount {
-            // Stable: tuples with equal hit counts keep their relative order. Only lane
-            // records move.
-            self.lane
-                .make_contiguous()
-                .sort_by_key(|rec| std::cmp::Reverse(rec.hits));
-            debug_assert!(self.lane_consistent());
         }
         LookupOutcome {
             action,
@@ -983,20 +966,6 @@ mod tests {
         // untouched — MFCGuard's requirement (i).
         assert_eq!(c.lookup(&k(0b000), 0.0).action, None);
         assert_eq!(c.lookup(&k(0b001), 0.0).action, Some(Action::Allow));
-    }
-
-    #[test]
-    fn hit_count_ordering_moves_hot_mask_forward() {
-        let mut c = TupleSpace::with_ordering(hyp_schema(), MaskOrdering::HitCount);
-        c.insert(k(0b100), k(0b100), Action::Deny, 0.0).unwrap();
-        c.insert(k(0b001), k(0b111), Action::Allow, 0.0).unwrap();
-        // Initially the deny mask (insertion order) is probed first: allow costs 2.
-        assert_eq!(c.lookup(&k(0b001), 0.0).masks_scanned, 2);
-        // Hit it a few times; the hot mask gets sorted to the front.
-        for _ in 0..3 {
-            c.lookup(&k(0b001), 0.0);
-        }
-        assert_eq!(c.lookup(&k(0b001), 0.0).masks_scanned, 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `TupleSpace` against an obviously-correct model of Alg. 1: a mask list updated by the
-//! three `MaskOrdering` rules and a flat entry list scanned linearly.
+//! two `MaskOrdering` rules and a flat entry list scanned linearly.
 //!
 //! The schema is 5 bits wide, so "overlaps" and "matches" are brute-forced over all 32
 //! headers instead of trusting the bit tricks under test. After every operation the
@@ -9,9 +9,9 @@
 //! prospective `(key, mask)` as a full scan of the model's entries does, so the
 //! per-tuple summaries a partial `remove_where` / `expire_idle` rebuilds are pinned too.
 //! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
-//! `debug_assert!(self.lane_consistent())`, so each operation below (all three orderings,
-//! partial `remove_where`, `remove_mask`, the `HitCount` re-sort) also holds the probe
-//! lane, the plan slab and the tuples to each other.
+//! `debug_assert!(self.lane_consistent())`, so each operation below (both orderings,
+//! partial `remove_where`, `remove_mask`) also holds the probe lane, the plan slab and
+//! the tuples to each other.
 
 use proptest::prelude::*;
 use tse_classifier::rule::Action;
@@ -88,9 +88,6 @@ impl Model {
                 e.hits += 1;
                 e.last_used = now;
                 self.masks[scanned - 1].1 += 1;
-                if self.ordering == MaskOrdering::HitCount {
-                    self.masks.sort_by_key(|(_, hits)| std::cmp::Reverse(*hits));
-                }
                 return (Some(e.action), scanned);
             }
         }
@@ -230,7 +227,7 @@ proptest! {
     fn tuple_space_follows_the_probe_order_model(
         ops in proptest::collection::vec((0u8..8, 0u128..32, 0u128..32, 0u8..5), 1..120),
     ) {
-        for ordering in [MaskOrdering::Insertion, MaskOrdering::NewestFirst, MaskOrdering::HitCount] {
+        for ordering in [MaskOrdering::Insertion, MaskOrdering::NewestFirst] {
             run(ordering, &ops)?;
         }
     }

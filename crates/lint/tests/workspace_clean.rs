@@ -60,12 +60,12 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse", 0, 0),
     ("tse-attack", 74, 0),
     ("tse-bench", 58, 0),
-    ("tse-classifier", 86, 4),
+    ("tse-classifier", 78, 4),
     ("tse-lint", 26, 0),
     ("tse-mitigation", 54, 2),
     ("tse-packet", 124, 4),
     ("tse-simnet", 131, 11),
-    ("tse-switch", 125, 5),
+    ("tse-switch", 121, 5),
 ];
 
 #[test]

@@ -374,8 +374,8 @@ impl TenantFleet {
 
     /// The scheduled ACL changes: 2 s before each attacker's onset, the merged table
     /// is replaced with one where that attacker (and every earlier one) runs the SpDp
-    /// attack ACL — the CMS-side policy update that arms the attack, flushing the
-    /// microflow cache and revalidating megaflows on install. Feed to
+    /// attack ACL — the CMS-side policy update that arms the attack, revalidating
+    /// megaflows on install. Feed to
     /// [`ExperimentRunner::with_table_updates`](crate::runner::ExperimentRunner::with_table_updates).
     pub fn table_updates(&self) -> Vec<(f64, FlowTable)> {
         (0..self.config.attackers)

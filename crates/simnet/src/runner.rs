@@ -312,9 +312,20 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// Schedule mid-run flow-table replacements (builder form): at the start of the
     /// first sample interval whose start time is ≥ each entry's time, the table is
     /// installed on every shard via [`ShardedDatapath::install_table`] — megaflows
-    /// are revalidated against the new ACL and the microflow cache is flushed,
-    /// exactly like an OVS controller update. Entries are applied in time order.
+    /// are revalidated against the new ACL, exactly like an OVS controller update.
+    /// Entries are applied in time order.
+    ///
+    /// # Panics
+    /// Panics if an entry's time is not finite, naming the entry's index and time: a
+    /// NaN or infinite time would never come due — and a `-NaN`, sorted first, would
+    /// hold back every update after it — so the schedule would be silently dropped.
     pub fn with_table_updates(mut self, mut updates: Vec<(f64, FlowTable)>) -> Self {
+        for (i, (at, _)) in updates.iter().enumerate() {
+            assert!(
+                at.is_finite(),
+                "table update {i} is scheduled at a non-finite time, got {at}"
+            );
+        }
         updates.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.table_updates = updates;
         self
@@ -355,14 +366,10 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// the runner's stored victim flows, and return the timeline.
     ///
     /// This is the classic single-attacker entry point; it wraps the trace and victims
-    /// into a [`TrafficMix`] and defers to [`ExperimentRunner::run_mix`]. For the
-    /// paper's datapath configuration — the kernel datapath, whose experiment configs
-    /// leave the microflow cache disabled (`microflow_capacity = 0`, the default) —
-    /// the produced timeline is identical bit-for-bit to the pre-streaming runner's
-    /// (asserted by `tests/golden_runner_parity.rs`). With a non-zero microflow
-    /// capacity the event path diverges slightly: it classifies pre-extracted keys,
-    /// which carry no microflow identity and therefore never hit the EMC, whereas the
-    /// old per-packet runner could.
+    /// into a [`TrafficMix`] and defers to [`ExperimentRunner::run_mix`]. The produced
+    /// timeline is identical bit-for-bit to the pre-streaming runner's, which fed
+    /// concrete packets where this one feeds their keys (asserted by
+    /// `tests/golden_runner_parity.rs`).
     ///
     /// Calling this again on the same runner is not a continuation — see "Reusing a
     /// runner" on [`ExperimentRunner::run_mix`].
@@ -577,9 +584,9 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// Replay the probes (already in time-then-insertion order) in one dispatch: each
     /// shard refreshes the megaflow entries of the victims *steered to it* and reads off
     /// their current per-invocation cost; the answers are applied in drain order, so a
-    /// victim probed twice keeps its last one. Work units go through the backend's cost
-    /// hook, and the scan is re-priced with this experiment's offload cost model (the
-    /// datapath's own model prices the attack packets). A probe from a non-victim
+    /// victim probed twice keeps its last one. The scan is re-priced with this
+    /// experiment's offload cost model (the datapath's own model prices the attack
+    /// packets). A probe from a non-victim
     /// source has nothing to attribute and is left untouched.
     fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
         let probes: Vec<(usize, usize, &TrafficEvent, f64)> = st
@@ -598,10 +605,9 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             let mine = probes.iter().filter(|probe| probe.1 == i);
             let priced = mine.map(|&(_, _, ev, _)| {
                 let outcome = shard.process_key(&ev.key, ev.bytes, ev.time);
-                let units = shard.megaflow().cost_units(outcome.masks_scanned);
                 (
                     outcome.masks_scanned,
-                    cost_model.path_cost(outcome.path, units),
+                    cost_model.path_cost(outcome.path, outcome.masks_scanned),
                 )
             });
             priced.collect::<Vec<_>>()
@@ -1322,6 +1328,28 @@ mod tests {
         degenerate_run(1.0, f64::INFINITY);
     }
 
+    /// A `-NaN` update time sorts first under `total_cmp` and is never `<= t`: before
+    /// the check, the run completed with the update cursor stuck on it, and the valid
+    /// update behind it was silently never installed.
+    #[test]
+    #[should_panic(expected = "table update 0 is scheduled at a non-finite time, got NaN")]
+    fn non_finite_table_update_time_is_rejected() {
+        let schema = FieldSchema::ovs_ipv4();
+        let (a, b) = (
+            Scenario::Dp.flow_table(&schema),
+            Scenario::SpDp.flow_table(&schema),
+        );
+        let mut runner =
+            ExperimentRunner::new(Datapath::new(a.clone()), vec![], OffloadConfig::gro_off())
+                .with_table_updates(vec![(-f64::NAN, a), (5.0, b.clone())]);
+        runner.run_mix(TrafficMix::new(), 10.0);
+        assert_eq!(
+            runner.datapath.table().rules(),
+            b.rules(),
+            "the update at t = 5 is installed"
+        );
+    }
+
     #[test]
     fn zero_duration_is_a_legal_empty_run() {
         assert!(degenerate_run(1.0, 0.0).samples.is_empty());
@@ -1498,11 +1526,9 @@ mod tests {
                 .shard_mut(shard)
                 .process_key(&ev.key, ev.bytes, ev.time);
             tally.victim_masks_scanned = tally.victim_masks_scanned.max(outcome.masks_scanned);
-            let megaflow = runner.datapath.shard(shard).megaflow();
-            let units = megaflow.cost_units(outcome.masks_scanned);
+            let units = outcome.masks_scanned;
             let cost = match outcome.path {
                 PathTaken::SlowPath => runner.offload.cost.slow_path(units),
-                PathTaken::Microflow => runner.offload.cost.microflow(),
                 _ => runner.offload.cost.fast_path(units),
             };
             tally.probes[slot] = Some(VictimProbe {

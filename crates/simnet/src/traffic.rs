@@ -92,7 +92,8 @@ impl VictimFlow {
         self
     }
 
-    /// Use a distinct source port (so concurrent victim flows are distinct microflows).
+    /// Use a distinct source port, so concurrent victim flows between the same two hosts
+    /// are distinct 5-tuples (their own flow keys and, under RSS, their own steering).
     pub fn with_src_port(mut self, port: u16) -> Self {
         self.src_port = port;
         self

@@ -23,16 +23,16 @@ use crate::stats::PathTaken;
 /// invocation when offloads aggregate several packets into one invocation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
-    /// Fixed per-invocation cost of the fast path (parsing, microflow probe, action
-    /// execution).
+    /// Fixed per-invocation cost of the fast path (parsing, action execution).
     pub fixed: f64,
     /// Cost of probing one megaflow mask (one hash lookup in Alg. 1).
     pub per_mask: f64,
     /// Extra cost of a slow-path upcall (full flow-table lookup, megaflow generation,
     /// flow install via netlink).
     pub upcall: f64,
-    /// Cost of one microflow-cache hit (cheaper than a full fast-path pass).
-    pub microflow_hit: f64,
+    /// Cost of a packet that never reaches the classifier (parse and forward, no mask
+    /// probed — cheaper than a full fast-path pass).
+    pub unclassified: f64,
 }
 
 impl CostModel {
@@ -48,7 +48,7 @@ impl CostModel {
             fixed: 1.17e-6,
             per_mask: 60e-9,
             upcall: 80e-6,
-            microflow_hit: 0.45e-6,
+            unclassified: 0.45e-6,
         }
     }
 
@@ -60,7 +60,7 @@ impl CostModel {
             fixed: 0.40e-6,
             per_mask: 3.0e-9,
             upcall: 80e-6,
-            microflow_hit: 0.10e-6,
+            unclassified: 0.10e-6,
         }
     }
 
@@ -68,12 +68,6 @@ impl CostModel {
     #[inline]
     pub fn fast_path(&self, masks_scanned: usize) -> f64 {
         self.fixed + self.per_mask * masks_scanned as f64
-    }
-
-    /// Processing time of a microflow-cache hit.
-    #[inline]
-    pub fn microflow(&self) -> f64 {
-        self.microflow_hit
     }
 
     /// Processing time of a slow-path miss that scanned `masks_scanned` masks before
@@ -87,12 +81,11 @@ impl CostModel {
     /// the fast-path work `units` it scanned on the way — to seconds. Every charge goes
     /// through here: the datapath's own accounting and the experiment runner's
     /// re-pricing of victim probes under its offload model. A frame that never reached
-    /// the classifier ([`PathTaken::Unclassified`]) costs what a microflow hit costs:
-    /// parse and forward, no mask probed.
+    /// the classifier ([`PathTaken::Unclassified`]) costs [`CostModel::unclassified`].
     #[inline]
     pub fn path_cost(&self, path: PathTaken, units: usize) -> f64 {
         match path {
-            PathTaken::Microflow | PathTaken::Unclassified => self.microflow(),
+            PathTaken::Unclassified => self.unclassified,
             PathTaken::Megaflow => self.fast_path(units),
             PathTaken::SlowPath => self.slow_path(units),
         }
@@ -156,12 +149,11 @@ mod tests {
     fn slow_path_dominated_by_upcall() {
         let m = CostModel::ovs_kernel_default();
         assert!(m.slow_path(1) > 10.0 * m.fast_path(1));
-        assert!(m.microflow() < m.fast_path(1));
+        assert!(m.unclassified < m.fast_path(1));
         // The path → seconds function is those three, by path.
         assert_eq!(m.path_cost(PathTaken::SlowPath, 1), m.slow_path(1));
         assert_eq!(m.path_cost(PathTaken::Megaflow, 1), m.fast_path(1));
-        assert_eq!(m.path_cost(PathTaken::Microflow, 1), m.microflow());
-        assert_eq!(m.path_cost(PathTaken::Unclassified, 1), m.microflow());
+        assert_eq!(m.path_cost(PathTaken::Unclassified, 1), m.unclassified);
     }
 
     #[test]

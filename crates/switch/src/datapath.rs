@@ -1,10 +1,17 @@
-//! The OVS-like datapath: microflow cache → megaflow fast path → slow path, with
-//! idle-timeout eviction and per-packet cost accounting (Fig. 10).
+//! The OVS-like datapath: megaflow fast path → slow path, with idle-timeout eviction and
+//! per-packet cost accounting (Fig. 10).
+//!
+//! It models the kernel datapath the paper measures (§5.2, Table 1), which has no
+//! userspace exact-match (microflow) cache: every packet that reaches the classifier is
+//! looked up in the megaflow cache, and a miss goes to the slow path. Every entry point
+//! hands the classifier a header key — a concrete packet or a frame is reduced to its key
+//! first ([`FlowKey::checked_key`]) — so a packet *is* its key.
 //!
 //! The fast path is pluggable: [`Datapath`] is generic over any
 //! [`FastPathBackend`] — the TSS megaflow cache ([`TupleSpace`], the default and the
-//! structure the TSE attack explodes) or one of the §7 attack-immune baselines wrapped
-//! in `BaselineBackend`. Construction goes through [`DatapathBuilder`]:
+//! structure the TSE attack explodes, probed newest-first) or one of the §7
+//! attack-immune baselines wrapped in `BaselineBackend`. Construction goes through
+//! [`DatapathBuilder`]:
 //!
 //! ```
 //! use tse_classifier::backend::TrieBackend;
@@ -24,12 +31,11 @@ use std::marker::PhantomData;
 
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
-use tse_classifier::microflow::MicroflowCache;
 use tse_classifier::rule::Action;
 use tse_classifier::strategy::MegaflowStrategy;
-use tse_classifier::tss::{MaskOrdering, TupleSpace};
-use tse_packet::fields::{FieldSchema, Key};
-use tse_packet::flowkey::{FlowKey, MicroflowKey};
+use tse_classifier::tss::TupleSpace;
+use tse_packet::fields::Key;
+use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
 use tse_packet::Packet;
 
@@ -41,37 +47,8 @@ use crate::stats::{DatapathStats, PathTaken};
 /// attack by 10 s because attacker entries stay alive this long).
 pub const DEFAULT_IDLE_TIMEOUT: f64 = 10.0;
 
-/// Datapath configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatapathConfig {
-    /// Megaflow idle timeout in seconds.
-    pub idle_timeout: f64,
-    /// Capacity of the exact-match microflow cache. The kernel datapath the paper
-    /// measures has no userspace EMC, so the experiment configurations default to 0;
-    /// set a non-zero capacity to model the DPDK datapath's EMC (ablation).
-    pub microflow_capacity: usize,
-    /// Per-packet cost model.
-    pub cost: CostModel,
-    /// Probe order of the megaflow masks. `NewestFirst` models the measured behaviour
-    /// that established victim flows do not keep a privileged front position once the
-    /// attack starts creating masks (see [`MaskOrdering::NewestFirst`]). Backends without
-    /// a mask list ignore this.
-    pub mask_ordering: MaskOrdering,
-    /// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
-    pub revalidation_interval: f64,
-}
-
-impl Default for DatapathConfig {
-    fn default() -> Self {
-        DatapathConfig {
-            idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            microflow_capacity: 0,
-            cost: CostModel::ovs_kernel_default(),
-            mask_ordering: MaskOrdering::NewestFirst,
-            revalidation_interval: 1.0,
-        }
-    }
-}
+/// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
+const REVALIDATION_INTERVAL: f64 = 1.0;
 
 /// Result of processing one packet through the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +60,7 @@ pub struct ProcessOutcome {
     /// Simulated processing time in seconds.
     pub cost: f64,
     /// Fast-path work units for this packet (megaflow masks scanned for TSS, nodes
-    /// visited for the baseline backends; 0 for microflow hits).
+    /// visited for the baseline backends; 0 for unclassified packets).
     pub masks_scanned: usize,
 }
 
@@ -92,9 +69,9 @@ pub struct ProcessOutcome {
 ///
 /// Events are processed **in order**, each at its own timestamp, exactly as a
 /// [`Datapath::process_key`] loop would: every event performs a real fast-path lookup
-/// (so per-entry hit counters and mask probe order evolve identically), and the
-/// idle-expiry sweep is checked per event. Only the statistics bookkeeping is
-/// amortised — accumulated batch-locally and merged once.
+/// (so per-entry hit counters evolve identically), and the idle-expiry sweep is checked
+/// per event. Only the statistics bookkeeping is amortised — accumulated batch-locally
+/// and merged once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Packets processed (= the batch length).
@@ -115,25 +92,24 @@ pub struct BatchReport {
 
 /// A single software-switch datapath instance (one hypervisor switch shared by all
 /// co-located tenants), generic over the fast-path backend `B`.
+///
+/// Megaflows idle out after [`DEFAULT_IDLE_TIMEOUT`], swept once per revalidation
+/// interval (1 s), and every packet is priced by [`CostModel::ovs_kernel_default`].
 #[derive(Debug, Clone)]
 pub struct Datapath<B: FastPathBackend = TupleSpace> {
-    schema: FieldSchema,
     table: FlowTable,
     slow_path: SlowPath,
     megaflow: B,
-    microflow: MicroflowCache,
-    config: DatapathConfig,
     stats: DatapathStats,
     last_sweep: f64,
 }
 
-/// Fluent constructor for [`Datapath`]: choose the wildcarding strategy, tune the
-/// [`DatapathConfig`], and swap the fast-path backend, all from defaults.
+/// Fluent constructor for [`Datapath`]: choose the wildcarding strategy and swap the
+/// fast-path backend, both from defaults.
 #[derive(Debug, Clone)]
 pub struct DatapathBuilder<B: FastPathBackend = TupleSpace> {
     table: FlowTable,
     strategy: Option<MegaflowStrategy>,
-    config: DatapathConfig,
     backend: PhantomData<fn() -> B>,
 }
 
@@ -143,7 +119,6 @@ impl DatapathBuilder<TupleSpace> {
         DatapathBuilder {
             table,
             strategy: None,
-            config: DatapathConfig::default(),
             backend: PhantomData,
         }
     }
@@ -156,25 +131,12 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
         self
     }
 
-    /// Microflow (EMC) capacity; 0 disables the first-level cache.
-    pub fn microflow_capacity(mut self, capacity: usize) -> Self {
-        self.config.microflow_capacity = capacity;
-        self
-    }
-
-    /// Probe order of the megaflow masks (TSS-family backends only).
-    pub fn mask_ordering(mut self, ordering: MaskOrdering) -> Self {
-        self.config.mask_ordering = ordering;
-        self
-    }
-
     /// Use a freshly constructed backend of type `B2` as the fast path:
     /// `builder.backend_fresh::<TrieBackend>()`.
     pub fn backend_fresh<B2: FastPathBackend>(self) -> DatapathBuilder<B2> {
         DatapathBuilder {
             table: self.table,
             strategy: self.strategy,
-            config: self.config,
             backend: PhantomData,
         }
     }
@@ -182,29 +144,25 @@ impl<B: FastPathBackend> DatapathBuilder<B> {
     /// Finalise: construct the backend, install the flow table into it, and assemble
     /// the datapath.
     pub fn build(self) -> Datapath<B> {
-        let schema = self.table.schema().clone();
-        let mut megaflow = B::fresh(&schema);
-        megaflow.set_mask_ordering(self.config.mask_ordering);
+        let schema = self.table.schema();
+        let mut megaflow = B::fresh(schema);
         megaflow.install_table(&self.table);
         let strategy = self
             .strategy
-            .unwrap_or_else(|| MegaflowStrategy::wildcarding(&schema));
+            .unwrap_or_else(|| MegaflowStrategy::wildcarding(schema));
         Datapath {
-            microflow: MicroflowCache::with_capacity(self.config.microflow_capacity),
             slow_path: SlowPath::new(strategy),
             stats: DatapathStats::default(),
             last_sweep: 0.0,
-            schema,
             table: self.table,
             megaflow,
-            config: self.config,
         }
     }
 }
 
 impl Datapath<TupleSpace> {
-    /// Create a TSS datapath with the OVS-default wildcarding strategy and default
-    /// config — shorthand for `Datapath::builder(table).build()`.
+    /// Create a TSS datapath with the OVS-default wildcarding strategy — shorthand for
+    /// `Datapath::builder(table).build()`.
     pub fn new(table: FlowTable) -> Self {
         Datapath::builder(table).build()
     }
@@ -228,12 +186,11 @@ impl<B: FastPathBackend> Datapath<B> {
     pub fn install_table(&mut self, table: FlowTable) {
         assert_eq!(
             table.schema(),
-            &self.schema,
+            self.table.schema(),
             "replacement flow table must use the same schema"
         );
         self.table = table;
         self.megaflow.install_table(&self.table);
-        self.microflow.clear();
     }
 
     /// The fast-path backend (read-only).
@@ -285,37 +242,24 @@ impl<B: FastPathBackend> Datapath<B> {
 
     /// Run the idle-expiry sweep if the revalidation interval has elapsed.
     pub fn maybe_expire(&mut self, now: f64) {
-        if now - self.last_sweep >= self.config.revalidation_interval {
-            self.megaflow.expire_idle(now, self.config.idle_timeout);
+        if now - self.last_sweep >= REVALIDATION_INTERVAL {
+            self.megaflow.expire_idle(now, DEFAULT_IDLE_TIMEOUT);
             self.last_sweep = now;
         }
     }
 
-    /// Process a concrete packet at simulation time `now`.
+    /// Process a concrete packet at simulation time `now`: its flow key
+    /// ([`FlowKey::checked_key`]) through [`Datapath::process_key`].
     ///
-    /// A packet whose family the installed table's schema cannot express
-    /// ([`FlowKey::checked_key`]) never reaches the tenant ACL (like non-IP traffic,
-    /// §5.2 footnote): it is charged as a [`WireFault::FamilyMismatch`] —
-    /// [`PathTaken::Unclassified`], permitted, fixed cost only.
+    /// A packet whose family the installed table's schema cannot express never reaches
+    /// the tenant ACL (like non-IP traffic, §5.2 footnote): it is charged as a
+    /// [`WireFault::FamilyMismatch`] — [`PathTaken::Unclassified`], permitted, fixed cost
+    /// only.
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let header = match FlowKey::from_packet(pkt).checked_key(&self.schema) {
-            Ok(header) => header,
-            Err(fault) => return self.note_wire_fault(fault, pkt.wire_len(), now),
-        };
-        let micro = MicroflowKey::from_packet(pkt);
-        self.maybe_expire(now);
-        // Level 1: microflow cache (exact match on everything, including noise fields).
-        // Only concrete packets carry a microflow identity, so only this entry point
-        // probes it.
-        let outcome = match self.microflow.lookup(&micro) {
-            Some(action) => self.outcome(action, PathTaken::Microflow, 0),
-            None => {
-                let outcome = self.classify(&header, now);
-                self.microflow.insert(micro, outcome.action);
-                outcome
-            }
-        };
-        record(&mut self.stats, outcome, pkt.wire_len())
+        match FlowKey::from_packet(pkt).checked_key(self.table.schema()) {
+            Ok(header) => self.process_key(&header, pkt.wire_len(), now),
+            Err(fault) => self.note_wire_fault(fault, pkt.wire_len(), now),
+        }
     }
 
     /// Process one raw Ethernet frame at `now`: run the wire parser (VLAN/VXLAN
@@ -346,13 +290,13 @@ impl<B: FastPathBackend> Datapath<B> {
             }
             WireFault::FamilyMismatch => Action::Allow,
         };
-        let outcome = self.outcome(action, PathTaken::Unclassified, 0);
+        let outcome = outcome(action, PathTaken::Unclassified, 0);
         record(&mut self.stats, outcome, bytes)
     }
 
-    /// Process a pre-extracted header key (used by the HYP-protocol experiments and unit
-    /// tests that bypass packet construction). `bytes` is the wire size used for
-    /// throughput accounting.
+    /// Process one header key at `now` — what every concrete packet becomes, and what
+    /// the HYP-protocol experiments and victim probes hand in directly. `bytes` is the
+    /// wire size used for throughput accounting.
     pub fn process_key(&mut self, header: &Key, bytes: usize, now: f64) -> ProcessOutcome {
         self.maybe_expire(now);
         let outcome = self.classify(header, now);
@@ -367,8 +311,7 @@ impl<B: FastPathBackend> Datapath<B> {
     /// checked per event and each lookup refreshes entry liveness at the event's time,
     /// so per-packet verdicts, costs and cache evolution are identical to calling
     /// [`Datapath::process_key`] in a loop over the same `(header, bytes, time)`
-    /// sequence. Times must be nondecreasing. Like all keyed entry points, the
-    /// microflow cache is bypassed (keys carry no microflow identity).
+    /// sequence. Times must be nondecreasing.
     pub fn process_timed_batch(&mut self, batch: &[(Key, usize, f64)]) -> BatchReport {
         self.process_events(batch.iter().map(|(header, bytes, t)| (header, *bytes, *t)))
     }
@@ -422,34 +365,33 @@ impl<B: FastPathBackend> Datapath<B> {
         }
     }
 
-    /// The one classification core — levels 2 and 3 of Fig. 10, the fast-path backend
-    /// and, on a miss, the slow path — for a header at `now`. Every entry point, per key
-    /// or batched, classifies through here and hands the outcome to [`record`], so a
-    /// per-key call is a batch of one by construction.
+    /// The one classification core — the fast-path backend and, on a miss, the slow
+    /// path (Fig. 10) — for a header at `now`. Every entry point, per key or batched,
+    /// classifies through here and hands the outcome to [`record`], so a per-key call is
+    /// a batch of one by construction.
     fn classify(&mut self, header: &Key, now: f64) -> ProcessOutcome {
-        // Level 2: the fast-path backend (TSS Alg. 1, or a baseline classifier).
+        // The fast-path backend (TSS Alg. 1, or a baseline classifier).
         let lookup = self.megaflow.lookup(header, now);
         if let Some(action) = lookup.action {
-            return self.outcome(action, PathTaken::Megaflow, lookup.masks_scanned);
+            return outcome(action, PathTaken::Megaflow, lookup.masks_scanned);
         }
-        // Level 3: slow path (upcall). A header no rule matches is dropped.
+        // Slow path (upcall). A header no rule matches is dropped.
         let action = self
             .slow_path
             .handle_upcall(&self.table, &mut self.megaflow, header, now)
             .map_or(Action::Deny, |up| up.action);
-        self.outcome(action, PathTaken::SlowPath, lookup.masks_scanned)
+        outcome(action, PathTaken::SlowPath, lookup.masks_scanned)
     }
+}
 
-    /// The outcome of a packet answered with `action` on `path` after the fast path
-    /// scanned `masks_scanned` work units, priced by the datapath's cost model.
-    fn outcome(&self, action: Action, path: PathTaken, masks_scanned: usize) -> ProcessOutcome {
-        let units = self.megaflow.cost_units(masks_scanned);
-        ProcessOutcome {
-            action,
-            path,
-            cost: self.config.cost.path_cost(path, units),
-            masks_scanned,
-        }
+/// The outcome of a packet answered with `action` on `path` after the fast path scanned
+/// `masks_scanned` work units, priced by [`CostModel::ovs_kernel_default`].
+fn outcome(action: Action, path: PathTaken, masks_scanned: usize) -> ProcessOutcome {
+    ProcessOutcome {
+        action,
+        path,
+        cost: CostModel::ovs_kernel_default().path_cost(path, masks_scanned),
+        masks_scanned,
     }
 }
 
@@ -568,18 +510,6 @@ mod tests {
             dp.mask_count() < with_attack / 2,
             "idle entries must expire after the timeout"
         );
-    }
-
-    #[test]
-    fn microflow_cache_short_circuits_when_enabled() {
-        let mut dp = Datapath::builder(fig6_table())
-            .microflow_capacity(64)
-            .build();
-        let pkt = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
-        dp.process_packet(&pkt, 0.0);
-        let out = dp.process_packet(&pkt, 0.001);
-        assert_eq!(out.path, PathTaken::Microflow);
-        assert_eq!(out.masks_scanned, 0);
     }
 
     #[test]
@@ -776,9 +706,8 @@ mod tests {
 
     #[test]
     fn process_batch_evolves_the_cache_like_a_per_key_loop() {
-        // Runs of repeated headers under HitCount ordering: every packet must perform a
-        // real lookup, so per-entry hit counters — and through them the mask probe
-        // order — evolve exactly as in per-key processing.
+        // Runs of repeated headers: every packet must perform a real lookup, so per-entry
+        // and per-mask hit counters evolve exactly as in per-key processing.
         let table = FlowTable::fig1_hyp();
         let schema = table.schema().clone();
         let headers = [0b001u128, 0b001, 0b001, 0b111, 0b111, 0b001, 0b101, 0b001];
@@ -788,17 +717,12 @@ mod tests {
             .take(96)
             .map(|&h| (Key::from_values(&schema, &[h]), 64, 0.5))
             .collect();
-        let build = || {
-            Datapath::builder(table.clone())
-                .mask_ordering(MaskOrdering::HitCount)
-                .build()
-        };
-        let mut looped = build();
+        let mut looped = Datapath::new(table.clone());
         let loop_cost: f64 = batch
             .iter()
             .map(|(k, b, t)| looped.process_key(k, *b, *t).cost)
             .sum();
-        let mut batched = build();
+        let mut batched = Datapath::new(table);
         let report = batched.process_timed_batch(&batch);
 
         assert_eq!(report.processed, 96);

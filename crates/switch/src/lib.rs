@@ -2,9 +2,9 @@
 //!
 //! An OVS-like software-switch datapath built on the `tse-classifier` substrate:
 //!
-//! * [`datapath`] — the fast-path/slow-path pipeline (microflow cache → TSS megaflow
-//!   cache → slow path) with idle-timeout eviction, exactly the architecture of §2.2 and
-//!   Fig. 10;
+//! * [`datapath`] — the fast-path/slow-path pipeline (TSS megaflow cache → slow path)
+//!   with idle-timeout eviction: the architecture of §2.2 and Fig. 10 as the kernel
+//!   datapath the paper measures has it, with no exact-match microflow level in front;
 //! * [`slowpath`] — upcall handling: full flow-table classification plus megaflow
 //!   generation/installation, including the entry-suppression behaviour MFCGuard relies
 //!   on;
@@ -37,9 +37,7 @@ pub mod stats;
 pub mod tenant;
 
 pub use cost::CostModel;
-pub use datapath::{
-    BatchReport, Datapath, DatapathBuilder, DatapathConfig, ProcessOutcome, DEFAULT_IDLE_TIMEOUT,
-};
+pub use datapath::{BatchReport, Datapath, DatapathBuilder, ProcessOutcome, DEFAULT_IDLE_TIMEOUT};
 pub use exec::{
     ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
 };

@@ -477,22 +477,23 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         self.shards[shard].process_key(header, bytes, now)
     }
 
-    /// Process a concrete packet on the shard its flow key is steered to.
+    /// Process a concrete packet: its flow key ([`FlowKey::checked_key`]), derived once,
+    /// through [`ShardedDatapath::process_key`] on the shard the key is steered to.
     ///
-    /// Packets whose family the installed schema cannot express
-    /// ([`FlowKey::checked_key`]: an IPv6 packet against an IPv4 table, or vice versa)
-    /// cannot be steered — the RSS fields the policy hashes do not exist in their
-    /// header — so they are **deterministically
-    /// accounted on shard 0**, where the per-shard datapath permits them unclassified
-    /// at microflow cost (exactly like non-IP traffic, see
+    /// Packets whose family the installed schema cannot express (an IPv6 packet against
+    /// an IPv4 table, or vice versa) cannot be steered — the RSS fields the policy
+    /// hashes do not exist in their header — so they are **deterministically accounted
+    /// on shard 0** through [`ShardedDatapath::note_wire_fault`]: permitted
+    /// unclassified at the fixed unclassified cost (exactly like non-IP traffic, see
     /// [`Datapath::process_packet`]). This mirrors a NIC delivering non-matching
     /// frames to the default RX queue: such traffic never spreads cache state or cost
     /// across shards, and the choice of shard 0 is stable across runs and executors
     /// (pinned by `schema_mismatch_accounts_on_shard_zero`).
     pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        let key = FlowKey::from_packet(pkt).checked_key(self.table().schema());
-        let shard = key.map_or(0, |key| self.shard_of_key(&key));
-        self.shards[shard].process_packet(pkt, now)
+        match FlowKey::from_packet(pkt).checked_key(self.table().schema()) {
+            Ok(key) => self.process_key(&key, pkt.wire_len(), now),
+            Err(fault) => self.note_wire_fault(fault, pkt.wire_len(), now),
+        }
     }
 
     /// Fan a timestamped event batch out to the shards in one pass: every shard

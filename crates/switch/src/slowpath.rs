@@ -286,17 +286,14 @@ mod tests {
 
     /// A backend whose `find_conflict` and `insert_megaflow` disagree: generation sees
     /// no conflict, the install is refused anyway.
-    struct RefusingBackend(FieldSchema);
+    struct RefusingBackend;
 
     impl FastPathBackend for RefusingBackend {
-        fn fresh(schema: &FieldSchema) -> Self {
-            RefusingBackend(schema.clone())
+        fn fresh(_schema: &FieldSchema) -> Self {
+            RefusingBackend
         }
         fn name(&self) -> &'static str {
             "refusing"
-        }
-        fn schema(&self) -> &FieldSchema {
-            &self.0
         }
         fn lookup(&mut self, _header: &Key, _now: f64) -> LookupOutcome {
             LookupOutcome {
@@ -315,7 +312,6 @@ mod tests {
                 existing: Box::new((key, mask)),
             })
         }
-        fn clear(&mut self) {}
         fn mask_count(&self) -> usize {
             0
         }

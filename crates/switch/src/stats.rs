@@ -5,8 +5,6 @@ use tse_packet::wire::DecodeError;
 /// Which level of the cache hierarchy handled a packet (Fig. 10's pipeline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathTaken {
-    /// Exact-match microflow cache hit.
-    Microflow,
     /// Megaflow (TSS) cache hit.
     Megaflow,
     /// Full slow-path processing (flow-table lookup + megaflow install).
@@ -18,7 +16,9 @@ pub enum PathTaken {
 /// Aggregated counters for a datapath.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DatapathStats {
-    /// Packets handled by the microflow cache.
+    /// Always 0: the datapath has no exact-match microflow level (the kernel datapath
+    /// the paper measures has none). The field stays because `benchmark/` destructures
+    /// the struct.
     pub microflow_hits: u64,
     /// Packets handled by the megaflow cache.
     pub megaflow_hits: u64,
@@ -85,7 +85,6 @@ impl DatapathStats {
         bytes: usize,
     ) {
         match path {
-            PathTaken::Microflow => self.microflow_hits += 1,
             PathTaken::Megaflow => self.megaflow_hits += 1,
             PathTaken::SlowPath => self.upcalls += 1,
             PathTaken::Unclassified => self.unclassified += 1,
@@ -171,7 +170,7 @@ mod tests {
         let mut s = DatapathStats::default();
         s.record(PathTaken::Megaflow, true, 5, 1e-6, 1500);
         s.record(PathTaken::SlowPath, false, 10, 8e-5, 60);
-        s.record(PathTaken::Microflow, true, 0, 4e-7, 1500);
+        s.record(PathTaken::Unclassified, true, 0, 4e-7, 1500);
         assert_eq!(s.packets(), 3);
         assert_eq!(s.allowed, 2);
         assert_eq!(s.denied, 1);
@@ -189,10 +188,13 @@ mod tests {
         assert_eq!(s.upcall_ratio(), 0.0);
     }
 
-    /// A stats value with every field nonzero, built through the public API only.
+    /// A stats value with every field nonzero, built through the public API only —
+    /// bar `microflow_hits`, which no path records, so it is set by hand.
     fn all_fields_nonzero() -> DatapathStats {
-        let mut s = DatapathStats::default();
-        s.record(PathTaken::Microflow, true, 0, 1e-7, 100);
+        let mut s = DatapathStats {
+            microflow_hits: 1,
+            ..DatapathStats::default()
+        };
         s.record(PathTaken::Megaflow, true, 3, 1e-6, 200);
         s.record(PathTaken::SlowPath, false, 7, 1e-4, 60);
         s.record(PathTaken::Unclassified, true, 0, 1e-7, 42);

@@ -89,7 +89,7 @@ fn main() {
     );
     println!(
         "garbage: {malformed:.0} malformed frames, all truncated ({}) and charged to \
-         shard 0 at microflow cost",
+         shard 0 at the unclassified cost",
         stats0.truncated,
     );
     assert_eq!(malformed as u64, stats0.truncated);

@@ -305,8 +305,7 @@ pub mod prelude {
     pub use tse_attack::trace::AttackTrace;
     pub use tse_attack::wire::{wire_trace, WireGenerator, WireSource};
     pub use tse_classifier::backend::{
-        BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TableBacked,
-        TrieBackend,
+        BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
     };
     pub use tse_classifier::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
     pub use tse_classifier::flowtable::FlowTable;
@@ -333,7 +332,7 @@ pub mod prelude {
     };
     pub use tse_simnet::traffic::{VictimFlow, VictimSource};
     pub use tse_switch::cost::CostModel;
-    pub use tse_switch::datapath::{BatchReport, Datapath, DatapathBuilder, DatapathConfig};
+    pub use tse_switch::datapath::{BatchReport, Datapath, DatapathBuilder};
     pub use tse_switch::exec::{
         ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
     };

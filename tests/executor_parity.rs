@@ -318,15 +318,12 @@ type RunReports = Vec<Vec<(usize, BatchReport)>>;
 fn assert_runs_dispatch_matches_the_per_run_loop(
     n_shards: usize,
     executor: impl ShardExecutor + 'static,
-    ordering: MaskOrdering,
     events: &[(Key, usize, f64)],
     ends: &[usize],
 ) {
     let schema = FieldSchema::ovs_ipv4();
-    let build = || {
-        let builder = Datapath::builder(Scenario::SpDp.flow_table(&schema)).mask_ordering(ordering);
-        ShardedDatapath::from_builder(builder, n_shards, Steering::Rss)
-    };
+    let build =
+        || ShardedDatapath::new(Scenario::SpDp.flow_table(&schema), n_shards, Steering::Rss);
     let mut looped = build();
     let mut expect: RunReports = vec![Vec::new(); n_shards];
     let mut start = 0;
@@ -347,10 +344,7 @@ fn assert_runs_dispatch_matches_the_per_run_loop(
         reports.push((run, *r))
     });
 
-    let context = format!(
-        "{n_shards} shards, {ordering:?}, {}",
-        fused.executor().name()
-    );
+    let context = format!("{n_shards} shards, {}", fused.executor().name());
     assert_eq!(got, expect, "{context}");
     for shard in 0..n_shards {
         for ((_, g), (_, e)) in got[shard].iter().zip(&expect[shard]) {
@@ -385,13 +379,7 @@ fn assert_runs_dispatch_matches_the_per_run_loop(
 fn an_empty_run_list_dispatches_an_empty_batch() {
     for n_shards in [1, 4] {
         let pool = PersistentPoolExecutor::new(2);
-        assert_runs_dispatch_matches_the_per_run_loop(
-            n_shards,
-            pool,
-            MaskOrdering::HitCount,
-            &[],
-            &[],
-        );
+        assert_runs_dispatch_matches_the_per_run_loop(n_shards, pool, &[], &[]);
     }
 }
 
@@ -440,10 +428,10 @@ proptest! {
     }
 
     /// The run-aware dispatch is the per-run loop, shard for shard: random batches of a
-    /// few recurring keys (so hit counters — `HitCount`'s probe order — matter) whose
-    /// timestamps span many revalidation intervals and idle timeouts (entries expire
-    /// mid-batch, mid-run), cut into runs of 0–3 events (most runs miss most shards),
-    /// on 1/2/4 shards × every executor × every mask ordering.
+    /// few recurring keys (so hit counters matter) whose timestamps span many
+    /// revalidation intervals and idle timeouts (entries expire mid-batch, mid-run), cut
+    /// into runs of 0–3 events (most runs miss most shards), on 1/2/4 shards × every
+    /// executor.
     #[test]
     fn run_aware_dispatch_matches_a_loop_of_per_run_batches(
         packets in proptest::collection::vec((0u128..24, 0u128..6, 0u128..6, 0usize..4), 0..120),
@@ -473,18 +461,13 @@ proptest! {
             ends.push(events.len());
         }
         let pool = PersistentPoolExecutor::new(3);
-        let orderings = [MaskOrdering::Insertion, MaskOrdering::NewestFirst, MaskOrdering::HitCount];
         for n_shards in [1usize, 2, 4] {
-            for ordering in orderings {
-                for executor in [
-                    Box::new(SequentialExecutor) as Box<dyn ShardExecutor>,
-                    Box::new(pool.clone()),
-                    Box::new(ChaosExecutor::new(3, events.len() as u64)),
-                ] {
-                    assert_runs_dispatch_matches_the_per_run_loop(
-                        n_shards, executor, ordering, &events, &ends,
-                    );
-                }
+            for executor in [
+                Box::new(SequentialExecutor) as Box<dyn ShardExecutor>,
+                Box::new(pool.clone()),
+                Box::new(ChaosExecutor::new(3, events.len() as u64)),
+            ] {
+                assert_runs_dispatch_matches_the_per_run_loop(n_shards, executor, &events, &ends);
             }
         }
     }

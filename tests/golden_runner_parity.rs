@@ -71,10 +71,9 @@ fn reference_run(
             let probe = flow.representative_packet();
             let outcome = datapath.process_packet(&probe, t + dt * 0.5);
             victim_masks_scanned = victim_masks_scanned.max(outcome.masks_scanned);
-            let units = datapath.megaflow().cost_units(outcome.masks_scanned);
+            let units = outcome.masks_scanned;
             let cost = match outcome.path {
                 PathTaken::SlowPath => offload.cost.slow_path(units),
-                PathTaken::Microflow => offload.cost.microflow(),
                 _ => offload.cost.fast_path(units),
             };
             victim_costs.push(Some(cost));
@@ -383,13 +382,9 @@ fn reference_guarded_run(
                 .shard_mut(shard)
                 .process_key(&ev.key, ev.bytes, ev.time);
             victim_masks_scanned = victim_masks_scanned.max(outcome.masks_scanned);
-            let units = datapath
-                .shard(shard)
-                .megaflow()
-                .cost_units(outcome.masks_scanned);
+            let units = outcome.masks_scanned;
             let cost = match outcome.path {
                 PathTaken::SlowPath => offload.cost.slow_path(units),
-                PathTaken::Microflow => offload.cost.microflow(),
                 _ => offload.cost.fast_path(units),
             };
             victim_costs[slot] = Some(cost);
