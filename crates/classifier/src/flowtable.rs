@@ -3,17 +3,86 @@
 
 use tse_packet::fields::{FieldSchema, Key};
 
+use crate::key_words;
 use crate::rule::{Action, Rule};
+
+/// One non-zero 64-bit word of a rule's mask, with the rule's key bits under it.
+#[derive(Debug, Clone, Copy)]
+struct RuleWord {
+    /// The mask's bits in that word.
+    bits: u64,
+    /// The rule's key bits in that word (`key AND mask`).
+    key: u64,
+    /// Which header word, as [`key_words`] lays a header out.
+    word: u8,
+}
+
+impl RuleWord {
+    /// Test this word of the rule against `header`, OR-ing into `examined` the bits the
+    /// test reaches: all of them where the header agrees, else those from the first —
+    /// most significant — differing bit up. True if the header agrees.
+    #[inline(always)]
+    fn test(&self, header: &[u64; 16], examined: &mut [u64; 16]) -> bool {
+        let at = usize::from(self.word & 15);
+        let diff = (header[at] & self.bits) ^ self.key;
+        examined[at] |= match diff.checked_ilog2() {
+            Some(first_differing) => self.bits & (!0 << first_differing),
+            None => self.bits,
+        };
+        diff == 0
+    }
+}
+
+/// One rule as the priority walk reads it: a record of the walk lane. Its first mask
+/// word is inline, so a rule the header differs from there — nearly every rule a walk
+/// passes — costs one 32-byte record and nothing else.
+#[derive(Debug, Clone)]
+struct WalkRecord {
+    /// The rule's first non-zero mask word (all zero for a match-all rule, which every
+    /// header agrees with).
+    bits: u64,
+    key: u64,
+    word: u8,
+    /// How many more words the rule has, from `rest_start` in [`FlowTable::slab`].
+    rest_len: u8,
+    rest_start: u32,
+    /// Index into [`FlowTable::rules`].
+    rule: u32,
+}
+
+impl WalkRecord {
+    fn first(&self) -> RuleWord {
+        RuleWord {
+            bits: self.bits,
+            key: self.key,
+            word: self.word,
+        }
+    }
+
+    fn rest(&self) -> std::ops::Range<usize> {
+        let start = self.rest_start as usize;
+        start..start + usize::from(self.rest_len)
+    }
+}
 
 /// An ordered set of wildcard rules. Lookup returns the highest-priority matching rule;
 /// ties are broken by insertion order (earlier wins), matching OVS/OpenFlow semantics.
+///
+/// Each rule is compiled as it is pushed into a **walk lane**: one record per rule, held
+/// in the order a lookup walks (decreasing priority, ties in insertion order), carrying
+/// the rule's index and its first non-zero 64-bit mask word inline; the rule's remaining
+/// words sit in one table-wide slab. A rule's words run in field order, high half first,
+/// so the first word the header differs in holds §3.2's first differing bit, most
+/// significant first — and the walk that classifies a header is the record of the bits
+/// it examined (see [`crate::strategy`]). `rules` keeps the rules as pushed.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     schema: FieldSchema,
     rules: Vec<Rule>,
-    /// Indices into `rules` in decreasing priority, equal priorities in insertion
-    /// order — the order `lookup` walks. Maintained by `push`.
-    order: Vec<usize>,
+    /// One record per rule, in walk order. Maintained by `push`.
+    lane: Vec<WalkRecord>,
+    /// Every rule's mask words after its first, each rule's together, in push order.
+    slab: Vec<RuleWord>,
 }
 
 /// Result of a slow-path lookup: the matched rule index and its action.
@@ -34,7 +103,8 @@ impl FlowTable {
         FlowTable {
             schema,
             rules: Vec::new(),
-            order: Vec::new(),
+            lane: Vec::new(),
+            slab: Vec::new(),
         }
     }
 
@@ -50,11 +120,35 @@ impl FlowTable {
             self.schema.field_count(),
             "rule key arity must match the table schema"
         );
+        let (mask, key) = (key_words(&rule.mask), key_words(&rule.key));
+        let mut words = (0..rule.mask.len())
+            .flat_map(|f| [2 * f + 1, 2 * f])
+            .filter(|&w| mask[w] != 0)
+            .map(|w| RuleWord {
+                bits: mask[w],
+                key: key[w] & mask[w],
+                word: w as u8,
+            });
+        let first = words.next().unwrap_or(RuleWord {
+            bits: 0,
+            key: 0,
+            word: 0,
+        });
+        let rest_start = self.slab.len();
+        self.slab.extend(words);
+        let record = WalkRecord {
+            bits: first.bits,
+            key: first.key,
+            word: first.word,
+            rest_len: (self.slab.len() - rest_start) as u8,
+            rest_start: rest_start as u32,
+            rule: self.rules.len() as u32,
+        };
         // After every rule of equal or higher priority: earlier insertion wins ties.
         let at = self
-            .order
-            .partition_point(|&i| self.rules[i].priority >= rule.priority);
-        self.order.insert(at, self.rules.len());
+            .lane
+            .partition_point(|r| self.rules[r.rule as usize].priority >= rule.priority);
+        self.lane.insert(at, record);
         self.rules.push(rule);
     }
 
@@ -76,32 +170,41 @@ impl FlowTable {
     /// Highest-priority match for `header`, if any. Walks rules in decreasing priority
     /// (stable for equal priorities).
     pub fn lookup(&self, header: &Key) -> Option<TableMatch> {
-        self.walk(header, |_| {})
+        self.walk(header, &mut [0; 16])
     }
 
-    /// The priority walk behind [`FlowTable::lookup`], reporting to `rejected` every rule
-    /// the header failed to match on the way to the verdict — the rules a megaflow for
-    /// `header` must be told apart from. The only loop over the rules an upcall runs.
-    pub(crate) fn walk(&self, header: &Key, mut rejected: impl FnMut(&Rule)) -> Option<TableMatch> {
-        for (inspected, &i) in self.order.iter().enumerate() {
-            let rule = &self.rules[i];
-            if rule.matches(header) {
+    /// The priority walk behind [`FlowTable::lookup`] and the only loop over the rules an
+    /// upcall runs. On the way to the verdict it ORs into `examined` (laid out as
+    /// [`key_words`] lays out a header) every bit it tested: each rejected rule's mask
+    /// words up to and including the first differing one — of that one, the bits from
+    /// the first differing bit up — and the matched rule's whole mask.
+    pub(crate) fn walk(&self, header: &Key, examined: &mut [u64; 16]) -> Option<TableMatch> {
+        let words = key_words(header);
+        for (inspected, record) in self.lane.iter().enumerate() {
+            if record.first().test(&words, examined)
+                && self.slab[record.rest()]
+                    .iter()
+                    .all(|w| w.test(&words, examined))
+            {
+                let rule_index = record.rule as usize;
                 return Some(TableMatch {
-                    rule_index: i,
-                    action: rule.action,
+                    rule_index,
+                    action: self.rules[rule_index].action,
                     rules_inspected: inspected + 1,
                 });
             }
-            rejected(rule);
         }
         None
     }
 
     /// Render the table in the style of Fig. 1 / Fig. 4 / Fig. 6.
     pub fn render(&self) -> String {
-        self.order
+        self.lane
             .iter()
-            .map(|&i| format!("#{i} {}", self.rules[i].render(&self.schema)))
+            .map(|r| {
+                let i = r.rule as usize;
+                format!("#{i} {}", self.rules[i].render(&self.schema))
+            })
             .collect::<Vec<_>>()
             .join("\n")
     }
@@ -150,7 +253,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tse_packet::fields::Key;
+    use tse_packet::fields::{FieldDef, Key};
 
     fn hyp_key(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -226,7 +329,8 @@ mod tests {
             t.push(Rule::match_all(&schema, p, Action::Allow));
             let mut reference: Vec<usize> = (0..=n).collect();
             reference.sort_by_key(|&i| std::cmp::Reverse(priorities[i]));
-            assert_eq!(t.order, reference, "after {} pushes", n + 1);
+            let order: Vec<usize> = t.lane.iter().map(|r| r.rule as usize).collect();
+            assert_eq!(order, reference, "after {} pushes", n + 1);
             let m = t.lookup(&hyp_key(0b101)).unwrap();
             assert_eq!((m.rule_index, m.rules_inspected), (reference[0], 1));
             let rendered: Vec<String> = reference
@@ -248,6 +352,33 @@ mod tests {
         }
         let m = t.lookup(&hyp_key(0b111)).unwrap();
         assert_eq!((m.rule_index, m.rules_inspected), (1, 4));
+    }
+
+    #[test]
+    fn walk_tests_words_in_field_order_high_half_first() {
+        let schema = FieldSchema::new(vec![FieldDef::new("a", 8), FieldDef::new("wide", 128)]);
+        let mut t = FlowTable::new(schema.clone());
+        let mut mask = schema.empty_mask();
+        mask.set(1, u128::MAX);
+        let mut key = schema.zero_value();
+        key.set(1, 1 << 64 | 0b1010);
+        t.push(Rule::new(key, mask, 1, Action::Allow));
+        t.push(Rule::match_all(&schema, 0, Action::Deny));
+        // The wide field's high half is the inline word, its low half the one slab word.
+        assert_eq!((t.lane[0].word, t.lane[0].rest_len), (3, 1));
+        assert_eq!(t.slab[0].word, 2);
+
+        // Agreeing on the high half, differing first at bit 3 of the low half: the walk
+        // examined the whole high half and the low half's bits 63..=3, and nothing else.
+        let mut header = schema.zero_value();
+        header.set(0, 0xff);
+        header.set(1, 1 << 64 | 0b0010);
+        let mut examined = [0; 16];
+        let m = t.walk(&header, &mut examined).unwrap();
+        assert_eq!((m.rule_index, m.rules_inspected), (1, 2));
+        let mut expected = [0; 16];
+        (expected[3], expected[2]) = (u64::MAX, !0 << 3);
+        assert_eq!(examined, expected);
     }
 
     #[test]

@@ -43,6 +43,22 @@ pub use strategy::{
 };
 pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 
+use tse_packet::fields::Key;
+
+/// A key (or mask) as sixteen 64-bit words: field `f` in words `2f` (low half) and
+/// `2f + 1` (high half), the slots past the schema's fields zero. The form the TSS probe
+/// plan and the flow table's walk lane read a header in; sixteen slots, so a word number
+/// masked to four bits indexes without a bounds check.
+#[inline]
+pub(crate) fn key_words(key: &Key) -> [u64; 16] {
+    let mut words = [0; 16];
+    for (pair, &v) in words.chunks_exact_mut(2).zip(key.values()) {
+        pair[0] = v as u64;
+        pair[1] = (v >> 64) as u64;
+    }
+    words
+}
+
 #[cfg(test)]
 mod proptests {
     //! Property-based tests over the classifier invariants.

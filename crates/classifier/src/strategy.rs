@@ -20,18 +20,19 @@
 //!
 //! Whatever the strategy, the invariant is §3.2's: **the megaflow mask is the record of
 //! the header bits the slow path examined on the way to its verdict** (Figs. 3 and 5;
-//! OVS accumulates the wildcards while the classifier looks the packet up). So
-//! generation is not a pass of its own: the flow table's one priority walk reports each
-//! rule it rejects, the bits tested to reject it — that rule's mask, field by field and
-//! most-significant bit first, down to the first bit on which the header differs — are
-//! OR-ed into the mask at the strategy's granularity, and the matched rule's own mask
-//! joins them.
+//! OVS's `classifier_lookup()` takes the `flow_wildcards` and un-wildcards as it goes).
+//! So generation is not a pass of its own: the flow table's one priority walk records,
+//! in sixteen 64-bit words, the bits it tests — for each rule it rejects, that rule's
+//! mask in field order, most-significant bit first, down to and including the first bit
+//! on which the header differs; for the rule it matches, the whole mask — and generation
+//! widens that record to the strategy's granularity. The walk reads each rule as
+//! compiled into the table's walk lane (see [`FlowTable`]), a word at a time.
 
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 use crate::backend::FastPathBackend;
 use crate::flowtable::{FlowTable, TableMatch};
-use crate::rule::{Action, Rule};
+use crate::rule::Action;
 
 /// How un-wildcarding is performed within one header field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,24 +130,6 @@ impl MegaflowStrategy {
     }
 }
 
-/// OR into `examined` the bits tested to reject `rule` for `header`: the rule's mask,
-/// field by field and most-significant bit first, down to and including the first bit
-/// on which the header differs.
-fn examine_rejected(examined: &mut Mask, header: &Key, rule: &Rule) {
-    for f in 0..header.len() {
-        let tested = rule.mask.get(f);
-        let diff = (header.get(f) ^ rule.key.get(f)) & tested;
-        let reached = match diff.checked_ilog2() {
-            Some(first_differing) => tested & (u128::MAX << first_differing),
-            None => tested,
-        };
-        examined.set(f, examined.get(f) | reached);
-        if diff != 0 {
-            break;
-        }
-    }
-}
-
 /// A megaflow entry produced by the slow path, ready for insertion into the MFC.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedMegaflow {
@@ -195,13 +178,15 @@ impl std::error::Error for GenerationError {}
 ///
 /// The construction follows the OVS heuristic the paper describes:
 ///
-/// 1. classify `header` with one priority walk of the table, un-wildcarding for every
-///    higher-priority rule the header *fails* to match the bits of that rule's mask
-///    scanned (field order, most-significant bit first) up to and including the first
-///    bit on which the header differs — the "test the bits one by one" decomposition
-///    that yields Fig. 3 and Fig. 5;
-/// 2. add the matched rule's own mask (so every packet covered by the new entry also
-///    matches that rule — Cover plus action-correctness);
+/// 1. classify `header` with one priority walk of the table's walk lane, un-wildcarding
+///    for every higher-priority rule the header *fails* to match the bits of that rule's
+///    mask scanned (field order, most-significant bit first) up to and including the
+///    first bit on which the header differs — the "test the bits one by one"
+///    decomposition that yields Fig. 3 and Fig. 5, done a 64-bit word at a time: a word
+///    the header agrees with is examined whole, the first one it differs in from its
+///    first differing bit up;
+/// 2. add the matched rule's own mask, which the same walk tested whole (so every packet
+///    covered by the new entry also matches that rule — Cover plus action-correctness);
 /// 3. as a safety net, while the candidate still overlaps an existing cache entry,
 ///    un-wildcard one more differing bit (this loop does not fire for the
 ///    WhiteList+DefaultDeny ACLs the paper studies, but keeps generation correct for
@@ -214,16 +199,16 @@ pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
 ) -> Result<GeneratedMegaflow, GenerationError> {
     let schema = table.schema();
 
-    // Steps 1–2: the one walk, recording the bits it tested to reject each rule, plus
-    // the matched rule's own mask — widened once, since widening distributes over OR.
-    let mut mask = schema.empty_mask();
+    // Steps 1–2: the one walk records the bits it tested to reject each rule and the
+    // matched rule's own mask; widened once, since widening distributes over OR.
+    let mut examined = [0; 16];
     let matched = table
-        .walk(header, |rule| examine_rejected(&mut mask, header, rule))
+        .walk(header, &mut examined)
         .ok_or(GenerationError::NoMatchingRule)?;
-    let rule = &table.rules()[matched.rule_index];
+    let mut mask = schema.empty_mask();
     for f in 0..schema.field_count() {
-        let examined = mask.get(f) | rule.mask.get(f);
-        mask.set(f, strategy.widen(schema, f, examined));
+        let bits = u128::from(examined[2 * f + 1]) << 64 | u128::from(examined[2 * f]);
+        mask.set(f, strategy.widen(schema, f, bits));
     }
 
     // Step 3: safety net — resolve any residual overlap with existing cache entries.

@@ -17,10 +17,12 @@
 //! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
 //!   in one tuple-space-wide vector. The plan is the only form the scan reads a mask in,
 //!   and it is stored once: a plan determines its mask, so finding a mask's tuple
-//!   compares plans too;
-//! * the **tuples** — a mask, its entries, the index over them and the conflict
-//!   summaries — in slots the lane points at. A tuple exists exactly as long as it has
-//!   an entry, and nothing is keyed by mask.
+//!   compares plans too. Beside it, word for word in a parallel vector, sit the tuple's
+//!   **conflict summaries** (the AND and OR of each plan word over its resident keys),
+//!   which Inv(2)'s conflict check reads instead of the tuple;
+//! * the **tuples** — a mask, its entries and the index over them — in slots the lane
+//!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
+//!   by mask.
 //!
 //! A probe hashes `header AND mask` word by word straight off the slab and tests the
 //! filter bit the hash names. A clear bit proves the miss, having read a lane record and
@@ -37,9 +39,9 @@
 //! slab, and every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a
 //! tuple are held, and [`TupleSpace::entries`] yields them, in insertion order;
 //! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
-//! order), files the entry's position in the index and sets its filter bit. Every
-//! mutation leaves lane, slab and tuples describing the same tuple space; debug builds
-//! check that after each one.
+//! order), files the entry's position in the index, sets its filter bit and folds the
+//! key into the summaries. Every mutation leaves lane, slab, summaries and tuples
+//! describing the same tuple space; debug builds check that after each one.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
 //! linear-probe run, or all land on filter bits that are set and so send every probe on
@@ -60,6 +62,7 @@ use std::ops::Range;
 use tse_packet::fields::{self, FieldSchema, Key, Mask};
 use tse_packet::rss::splitmix64_mix;
 
+use crate::key_words;
 use crate::rule::Action;
 
 /// One megaflow entry: a key under a mask, its action, and bookkeeping used by the
@@ -127,7 +130,7 @@ impl Plan {
             words: [PlanWord { word: 0, bits: 0 }; 16],
             len: 0,
         };
-        for (word, &bits) in Probe::new(mask).words.iter().enumerate() {
+        for (word, &bits) in key_words(mask).iter().enumerate() {
             if bits != 0 {
                 plan.words[plan.len] = PlanWord {
                     word: word as u8,
@@ -147,19 +150,16 @@ impl Plan {
 /// A header laid out for probing, once per lookup: every tuple's plan reads it.
 struct Probe<'a> {
     header: &'a Key,
-    /// Field `f` in words `2f` (low half) and `2f + 1`. Sixteen slots, so a plan's word
-    /// number masked to four bits indexes without a bounds check.
+    /// The header as [`key_words`] lays it out.
     words: [u64; 16],
 }
 
 impl<'a> Probe<'a> {
     fn new(header: &'a Key) -> Self {
-        let mut words = [0; 16];
-        for (pair, &v) in words.chunks_exact_mut(2).zip(header.values()) {
-            pair[0] = v as u64;
-            pair[1] = (v >> 64) as u64;
+        Probe {
+            header,
+            words: key_words(header),
         }
-        Probe { header, words }
     }
 }
 
@@ -209,11 +209,28 @@ fn file(index: &mut [u64], hash: u64, pos: usize) {
     place(index, (hash & TAG) | (pos as u64 + 1));
 }
 
-/// Fold a stored key into a tuple's conflict summaries.
-fn summarise(key_and: &mut Key, key_or: &mut Key, key: &Key) {
-    for (f, &k) in key.values().iter().enumerate() {
-        key_and.set(f, key_and.get(f) & k);
-        key_or.set(f, key_or.get(f) | k);
+/// A tuple's conflict summary of one plan word: the bitwise AND and OR of that word over
+/// every resident (masked) key. [`TupleSpace::summaries`] holds one beside each word of
+/// the plan slab.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Summary {
+    /// All-ones where every resident key has a 1.
+    and: u64,
+    /// Zero where every resident key has a 0.
+    or: u64,
+}
+
+impl Summary {
+    /// The summary of no key at all: the AND and OR identities.
+    const NONE: Summary = Summary { and: !0, or: 0 };
+}
+
+/// Fold a resident key, laid out for probing, into its tuple's summaries.
+fn summarise(summaries: &mut [Summary], plan: &[PlanWord], key: &Probe) {
+    for (s, w) in summaries.iter_mut().zip(plan) {
+        let k = key.words[usize::from(w.word & 15)];
+        s.and &= k;
+        s.or |= k;
     }
 }
 
@@ -240,11 +257,10 @@ impl LaneRecord {
     }
 }
 
-/// One tuple off the scan's path: every entry sharing a mask, the index that finds one
-/// of them from its hash, and the conflict summaries that let
-/// [`TupleSpace::find_conflict`] rule the whole tuple out without scanning its entries.
-/// Its plan lives in the slab and its hit counter and miss filter in its lane record;
-/// whatever hashes a key here is handed the plan.
+/// One tuple off the scan's path: every entry sharing a mask and the index that finds
+/// one of them from its hash. Its plan lives in the slab, its conflict summaries beside
+/// the plan, its hit counter and miss filter in its lane record; whatever hashes or
+/// summarises a key here is handed the plan and the summaries.
 ///
 /// **Store.** `entries` is dense and in insertion order; a sweep compacts it in place.
 /// `index` is an open-addressed table of `u64` slots, a power of two long and at most
@@ -252,13 +268,6 @@ impl LaneRecord {
 /// of the key's hash and where in `entries` the key lives. A key's run starts at the
 /// slot its tag's low bits name, so growing the index re-places the slots without
 /// reading a key; a sweep empties and refiles it, so it never holds a tombstone.
-///
-/// **Summaries.** `key_and` / `key_or` are the bitwise AND / OR of every stored (masked)
-/// key, maintained incrementally on insert and recomputed by a sweep. A prospective
-/// entry `(K, M)` can conflict with some entry of this tuple only if an entry agrees
-/// with `K` on every bit of `M AND mask`; if `K` has a 1 where *no* stored key does
-/// (`!key_or`), or a 0 where *every* stored key has a 1 (`key_and`), no entry can agree
-/// and the tuple is skipped in O(fields) instead of O(entries).
 #[derive(Debug, Clone)]
 struct Tuple {
     /// The mask every entry of this tuple shares.
@@ -267,24 +276,19 @@ struct Tuple {
     entries: Vec<MegaflowEntry>,
     /// Hash slot -> position in `entries`; see the type's doc for the slot layout.
     index: Vec<u64>,
-    /// Bitwise AND of all stored keys (all-ones where every entry agrees on 1).
-    key_and: Key,
-    /// Bitwise OR of all stored keys (zero where every entry agrees on 0).
-    key_or: Key,
 }
 
 impl Tuple {
-    /// A tuple made for, and holding, its first entry, and that entry's filter bit. Most
-    /// tuples of an explosion never get a second one, so the store starts at exactly one.
-    fn new(first: MegaflowEntry, plan: &[PlanWord]) -> (Self, u64) {
+    /// A tuple made for, and holding, its first entry, and that entry's filter bit;
+    /// `summaries` start as [`Summary::NONE`]. Most tuples of an explosion never get a
+    /// second entry, so the store starts at exactly one.
+    fn new(first: MegaflowEntry, plan: &[PlanWord], summaries: &mut [Summary]) -> (Self, u64) {
         let mut tuple = Tuple {
             mask: first.mask.clone(),
             entries: Vec::with_capacity(1),
             index: Vec::new(),
-            key_and: first.key.clone(),
-            key_or: first.key.clone(),
         };
-        let filter = tuple.push(plan, first);
+        let filter = tuple.push(plan, summaries, first);
         (tuple, filter)
     }
 
@@ -314,11 +318,12 @@ impl Tuple {
         fields::matches(header, &self.entries[pos].key, &self.mask)
     }
 
-    /// Append an entry (the caller has checked Inv(2), so its key is not resident);
-    /// returns its filter bit.
-    fn push(&mut self, plan: &[PlanWord], entry: MegaflowEntry) -> u64 {
-        summarise(&mut self.key_and, &mut self.key_or, &entry.key);
-        let hash = masked_hash(plan, &Probe::new(&entry.key));
+    /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
+    /// fold it into the summaries; returns its filter bit.
+    fn push(&mut self, plan: &[PlanWord], summaries: &mut [Summary], entry: MegaflowEntry) -> u64 {
+        let key = Probe::new(&entry.key);
+        summarise(summaries, plan, &key);
+        let hash = masked_hash(plan, &key);
         self.entries.push(entry);
         if self.entries.len() * 2 > self.index.len() {
             // Grow: the filed slots move into an index sized for the entries there are.
@@ -334,20 +339,18 @@ impl Tuple {
     }
 
     /// Drop every entry `expired` names, in one walk: the survivors close ranks in order
-    /// and are re-summarised and refiled as they pass, each hashed once. Returns the
-    /// miss filter of what is left — 0 for a tuple left empty, whose summaries are then
-    /// the AND / OR identities and rule out every conflict, as they should — or `None`,
-    /// with nothing written, if no entry went. `expired` sees each entry once, in order.
+    /// and are re-summarised and refiled as they pass, each laid out and hashed once.
+    /// Returns the miss filter of what is left — 0 for a tuple left empty, whose
+    /// summaries are then [`Summary::NONE`] — or `None`, with nothing written, if no entry
+    /// went. `expired` sees each entry once, in order.
     fn sweep(
         &mut self,
         plan: &[PlanWord],
+        summaries: &mut [Summary],
         mut expired: impl FnMut(&MegaflowEntry) -> bool,
     ) -> Option<u64> {
         let first = self.entries.iter().position(&mut expired)?;
-        for f in 0..self.mask.len() {
-            self.key_and.set(f, u128::MAX);
-            self.key_or.set(f, 0);
-        }
+        summaries.fill(Summary::NONE);
         let before = self.entries.len();
         let (mut kept, mut filter) = (0, 0);
         for pos in 0..before {
@@ -365,9 +368,9 @@ impl Tuple {
             if kept < pos {
                 self.entries[kept] = self.entries[pos].clone();
             }
-            let key = &self.entries[kept].key;
-            summarise(&mut self.key_and, &mut self.key_or, key);
-            let hash = masked_hash(plan, &Probe::new(key));
+            let key = Probe::new(&self.entries[kept].key);
+            summarise(summaries, plan, &key);
+            let hash = masked_hash(plan, &key);
             file(&mut self.index, hash, kept);
             filter |= filter_bit(hash);
             kept += 1;
@@ -389,6 +392,13 @@ pub struct TupleSpace {
     /// [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples repacks
     /// the survivors' in probe order.
     slab: Vec<PlanWord>,
+    /// Parallel to `slab`: the tuple's conflict summary of each plan word. A prospective
+    /// entry `(K, M)` can conflict with an entry of the tuple only if that entry agrees
+    /// with `K` on every bit of `M AND mask`; if `K` has a 1 where *no* resident key does
+    /// (`!or`), or a 0 where *every* resident key has a 1 (`and`), none can, and
+    /// [`TupleSpace::find_conflict`] rules the tuple out without touching it. Kept in
+    /// step by every mutator: insert folds the new key in, a sweep recomputes them.
+    summaries: Vec<Summary>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
 }
@@ -401,6 +411,7 @@ impl TupleSpace {
             ordering: MaskOrdering::Insertion,
             lane: VecDeque::new(),
             slab: Vec::new(),
+            summaries: Vec::new(),
             tuples: Vec::new(),
         }
     }
@@ -563,22 +574,26 @@ impl TupleSpace {
         match self.position_of(&plan) {
             Some(pos) => {
                 let rec = &mut self.lane[pos];
-                rec.filter |= self.tuples[rec.tuple as usize].push(plan.words(), entry);
+                let summaries = &mut self.summaries[rec.plan()];
+                rec.filter |= self.tuples[rec.tuple as usize].push(plan.words(), summaries, entry);
             }
             None => {
                 debug_assert!(
                     self.slab.len() + plan.len <= u32::MAX as usize,
                     "a lane record holds 32 bits of slab position and of tuple slot"
                 );
-                let (tuple, filter) = Tuple::new(entry, plan.words());
+                let plan_start = self.slab.len();
+                self.slab.extend_from_slice(plan.words());
+                self.summaries.resize(self.slab.len(), Summary::NONE);
+                let (tuple, filter) =
+                    Tuple::new(entry, plan.words(), &mut self.summaries[plan_start..]);
                 let rec = LaneRecord {
                     filter,
                     hits: 0,
-                    plan_start: self.slab.len() as u32,
+                    plan_start: plan_start as u32,
                     plan_len: plan.len as u32,
                     tuple: self.tuples.len() as u32,
                 };
-                self.slab.extend_from_slice(plan.words());
                 self.tuples.push(tuple);
                 match self.ordering {
                     MaskOrdering::NewestFirst => self.lane.push_front(rec),
@@ -600,11 +615,13 @@ impl TupleSpace {
     /// (§3.2): while a conflict exists, the generator narrows the new entry.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
-    /// probe order, and each is first checked against its per-tuple key-bit
-    /// summaries, field-wise and without allocating: a conflicting entry must agree
-    /// with the new key on every bit of `M AND mask`, so a common bit where the key
-    /// has a 1 and *no* stored key does (or a 0 where *every* stored key has a 1)
-    /// rules the whole tuple out in O(fields). Only surviving tuples are touched:
+    /// probe order, and each is first checked against its key-bit summaries, which sit
+    /// beside its plan words ([`TupleSpace::summaries`]): a conflicting entry must agree
+    /// with the new key on every bit of `M AND mask`, so a common bit where the key has
+    /// a 1 and *no* stored key does (or a 0 where *every* stored key has a 1) rules the
+    /// whole tuple out. That prefilter reads the lane record, the plan words and the
+    /// summary words — word-wise, without allocating — and nothing of the tuple. Only
+    /// surviving tuples are touched:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
     ///   **single probe** (comparable entries conflict only if they agree
@@ -614,34 +631,32 @@ impl TupleSpace {
     ///   were already excluded by their summaries, the common no-conflict case of
     ///   megaflow generation never reaches it.
     ///
-    /// The `conflict_index_agrees_with_full_scan` unit test pins this path to the
-    /// index-less full entry scan.
+    /// The `conflict_index_agrees_with_full_scan` unit test (every query of the 3-bit
+    /// space) and the `find_conflict_matches_the_entry_scan_across_mutations` proptest
+    /// (a 128-bit field, through every mutator) pin this path to the index-less entry
+    /// scan.
     pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         debug_assert_eq!(*key, key.apply_mask(mask), "the key is stored masked");
         let probe = Probe::new(key);
+        let mask_words = key_words(mask);
         for rec in &self.lane {
-            let tuple = self.tuple(rec);
-            // Summary prefilter over common = mask & tuple.mask, computed inline.
-            // `comparable` tracks whether tuple.mask ⊆ mask along the way.
-            let mut excluded = false;
+            // `comparable` tracks whether the tuple's mask ⊆ `mask` along the way; it is
+            // complete wherever the prefilter did not exclude the tuple.
             let mut comparable = true;
-            for (((k, m), e), (and, or)) in key
-                .values()
+            let plan = rec.plan();
+            let excluded = self.slab[plan.clone()]
                 .iter()
-                .zip(mask.values())
-                .zip(tuple.mask.values())
-                .zip(tuple.key_and.values().iter().zip(tuple.key_or.values()))
-            {
-                let c = m & e;
-                comparable &= c == *e;
-                if (k & c & !or) | (!k & c & and) != 0 {
-                    excluded = true;
-                    break;
-                }
-            }
+                .zip(&self.summaries[plan])
+                .any(|(w, s)| {
+                    let at = usize::from(w.word & 15);
+                    let (k, common) = (probe.words[at], mask_words[at] & w.bits);
+                    comparable &= common == w.bits;
+                    (k & common & !s.or) | (!k & common & s.and) != 0
+                });
             if excluded {
                 continue;
             }
+            let tuple = self.tuple(rec);
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
@@ -676,7 +691,8 @@ impl TupleSpace {
         for rec in &mut self.lane {
             let tuple = &mut self.tuples[rec.tuple as usize];
             let before = tuple.entries.len();
-            if let Some(filter) = tuple.sweep(&self.slab[rec.plan()], &mut predicate) {
+            let (plan, summaries) = (&self.slab[rec.plan()], &mut self.summaries[rec.plan()]);
+            if let Some(filter) = tuple.sweep(plan, summaries, &mut predicate) {
                 removed += before - tuple.entries.len();
                 rec.filter = filter;
                 emptied |= filter == 0;
@@ -690,8 +706,8 @@ impl TupleSpace {
     }
 
     /// Drop every tuple left without entries: its lane record (marked by a zero
-    /// filter), its slot and its plan words. The surviving records keep their order,
-    /// and find their tuples and plans where those moved to.
+    /// filter), its slot, its plan words and their summaries. The surviving records keep
+    /// their order, and find their tuples and plans where those moved to.
     fn drop_emptied(&mut self) {
         // Tuples close ranks in slot order; `moved[old]` is a survivor's new slot.
         let mut kept = 0;
@@ -705,39 +721,49 @@ impl TupleSpace {
             })
             .collect();
         self.tuples.retain(|t| !t.entries.is_empty());
-        let old = std::mem::take(&mut self.slab);
-        let slab = &mut self.slab;
+        let old_slab = std::mem::take(&mut self.slab);
+        let old_summaries = std::mem::take(&mut self.summaries);
+        let (slab, summaries) = (&mut self.slab, &mut self.summaries);
         self.lane.retain_mut(|rec| {
             if rec.filter == 0 {
                 return false;
             }
             let plan = rec.plan();
             rec.plan_start = slab.len() as u32;
-            slab.extend_from_slice(&old[plan]);
+            slab.extend_from_slice(&old_slab[plan.clone()]);
+            summaries.extend_from_slice(&old_summaries[plan]);
             rec.tuple = moved[rec.tuple as usize];
             true
         });
     }
 
-    /// Whether lane, slab and tuples describe one tuple space: the records name each
-    /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, and every resident key has its bit in its record's filter. What
-    /// debug builds assert after every mutation.
+    /// Whether lane, slab, summaries and tuples describe one tuple space: the records
+    /// name each tuple slot once, a record's plan is its tuple's mask compiled and the
+    /// slab holds nothing else, each plan word's summary is the AND / OR of the resident
+    /// keys, and every resident key has its bit in its record's filter. What debug
+    /// builds assert after every mutation.
     fn lane_consistent(&self) -> bool {
         let mut slots: Vec<u32> = self.lane.iter().map(|rec| rec.tuple).collect();
         slots.sort_unstable();
         slots.into_iter().eq(0..self.tuples.len() as u32)
             && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
+            && self.summaries.len() == self.slab.len()
             && self.lane.iter().all(|rec| {
                 let tuple = self.tuple(rec);
                 let Some(plan) = self.slab.get(rec.plan()) else {
                     return false;
                 };
+                let mut summaries = [Summary::NONE; 16];
+                let summaries = &mut summaries[..plan.len()];
+                let filtered = tuple.entries.iter().all(|e| {
+                    let key = Probe::new(&e.key);
+                    summarise(summaries, plan, &key);
+                    rec.filter & filter_bit(masked_hash(plan, &key)) != 0
+                });
                 plan == Plan::of(&tuple.mask).words()
                     && !tuple.entries.is_empty()
-                    && tuple.entries.iter().all(|e| {
-                        rec.filter & filter_bit(masked_hash(plan, &Probe::new(&e.key))) != 0
-                    })
+                    && filtered
+                    && *summaries == self.summaries[rec.plan()]
             })
     }
 
@@ -752,6 +778,7 @@ impl TupleSpace {
     pub fn clear(&mut self) {
         self.lane.clear();
         self.slab.clear();
+        self.summaries.clear();
         self.tuples.clear();
     }
 
@@ -822,6 +849,8 @@ impl std::error::Error for InsertError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tse_packet::fields::FieldDef;
 
     fn hyp_schema() -> FieldSchema {
         FieldSchema::hyp()
@@ -1000,13 +1029,19 @@ mod tests {
         assert_eq!(c.lookup(&k(0b001), 0.0).masks_scanned, 0);
     }
 
-    /// Reference implementation: scan every entry (what `find_conflict` did before the
-    /// comparable-mask index).
+    /// Reference implementation, index-less: scan every entry for the first tuple, in
+    /// probe order, holding an entry that overlaps `(key, mask)`, and report that tuple's
+    /// smallest overlapping key — what `find_conflict` promises, without summaries,
+    /// plans or probes.
     fn find_conflict_scan(c: &TupleSpace, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let key = key.apply_mask(mask);
+        let overlaps = |e: &&MegaflowEntry| !fields::disjoint(&key, mask, &e.key, &e.mask);
+        let first = c.entries().find(overlaps)?;
         c.entries()
-            .find(|e| !fields::disjoint(&key, mask, &e.key, &e.mask))
+            .filter(|e| e.mask == first.mask)
+            .filter(overlaps)
             .map(|e| (e.key.clone(), e.mask.clone()))
+            .min()
     }
 
     #[test]
@@ -1024,11 +1059,103 @@ mod tests {
             }
             for key in 0..8u128 {
                 for mask in 0..8u128 {
-                    let fast = c.find_conflict(&k(key & mask), &k(mask)).is_some();
-                    let slow = find_conflict_scan(&c, &k(key), &k(mask)).is_some();
+                    let fast = c.find_conflict(&k(key & mask), &k(mask));
+                    let slow = find_conflict_scan(&c, &k(key), &k(mask));
                     assert_eq!(fast, slow, "phase {phase} key {key:03b} mask {mask:03b}");
                 }
             }
+        }
+    }
+
+    /// A key of a three-field schema with a 128-bit field in the middle: `w`'s high
+    /// nibble lands on bits 127..124, its low nibble on bits 63..60 and 3..0, so both
+    /// halves' plan words and summaries carry bits, independently of each other.
+    fn wide_key(schema: &FieldSchema, (a, w, b): (u128, u128, u128)) -> Key {
+        let (hi, lo) = (w >> 4 & 15, w & 15);
+        Key::from_values(schema, &[a, hi << 124 | lo << 60 | lo, b])
+    }
+
+    /// One of 256 masks, so tuples share masks and grow past one entry.
+    fn palette_mask(schema: &FieldSchema, (a, w, b): (u128, u128, u128)) -> Mask {
+        let pick = |palette: [u128; 4], i: u128| palette[i as usize % 4];
+        let wide = [0, 0xf, 0b1000, 0b0011];
+        wide_key(
+            schema,
+            (
+                pick([0, 0b11111, 0b10100, 0b00011], a),
+                pick(wide, w >> 2) << 4 | pick(wide, w),
+                pick([0, 0xf, 0b1001, 0b0110], b),
+            ),
+        )
+    }
+
+    type Triple = (u128, u128, u128);
+
+    fn arb_triple() -> impl Strategy<Value = Triple> {
+        (0u128..32, 0u128..256, 0u128..16)
+    }
+
+    proptest! {
+        /// `find_conflict` — summaries beside the plan words, a probe for comparable
+        /// tuples, an entry scan for the rest — answers exactly as the index-less scan
+        /// after every `insert` / `lookup` / `remove_where` / `expire_idle` /
+        /// `remove_mask`, on a schema with a 128-bit field; debug builds check the
+        /// summaries against the resident keys after each mutation besides.
+        #[test]
+        fn find_conflict_matches_the_entry_scan_across_mutations(
+            ops in proptest::collection::vec((0u8..10, arb_triple(), arb_triple(), 0u64..30), 1..60),
+            queries in proptest::collection::vec((arb_triple(), arb_triple()), 1..24),
+        ) {
+            let schema = FieldSchema::new(vec![
+                FieldDef::new("a", 5),
+                FieldDef::new("wide", 128),
+                FieldDef::new("b", 4),
+            ]);
+            let queries: Vec<(Key, Mask)> = queries
+                .iter()
+                .map(|&(key, mask)| {
+                    let mask = palette_mask(&schema, mask);
+                    (wide_key(&schema, key).apply_mask(&mask), mask)
+                })
+                .collect();
+            let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+            for &(op, key, mask, t) in &ops {
+                let (key, mask, now) = (wide_key(&schema, key), palette_mask(&schema, mask), t as f64);
+                match op {
+                    0..=4 => {
+                        let action = if op % 2 == 0 { Action::Allow } else { Action::Deny };
+                        let conflict = find_conflict_scan(&c, &key, &mask);
+                        let inserted = c.insert(key, mask, action, now);
+                        prop_assert_eq!(inserted.is_err(), conflict.is_some());
+                    }
+                    5 => {
+                        c.lookup(&key, now);
+                    }
+                    6 => {
+                        c.remove_where(|e| e.key.get(0) & 3 == key.get(0) & 3);
+                    }
+                    7 => {
+                        c.expire_idle(now, 5.0);
+                    }
+                    8 => {
+                        let resident = c.entries().nth(key.get(0) as usize % c.entry_count().max(1));
+                        if let Some(mask) = resident.map(|e| e.mask.clone()) {
+                            prop_assert!(c.remove_mask(&mask) > 0);
+                        }
+                    }
+                    _ => {
+                        c.remove_mask(&mask);
+                    }
+                }
+                for (key, mask) in &queries {
+                    prop_assert_eq!(
+                        c.find_conflict(key, mask),
+                        find_conflict_scan(&c, key, mask),
+                        "query key {} mask {} after op {}", key, mask, op
+                    );
+                }
+            }
+            prop_assert!(c.check_independence());
         }
     }
 
@@ -1184,8 +1311,17 @@ mod tests {
         shared.lane[1].tuple = shared.lane[0].tuple;
         assert!(!shared.lane_consistent(), "each slot is named once");
 
+        let mut stale_summary = cache.clone();
+        let word = stale_summary.lane[0].plan().start;
+        stale_summary.summaries[word].or ^= 0b100;
+        assert!(
+            !stale_summary.lane_consistent(),
+            "a summary is the AND / OR of the resident keys"
+        );
+
         let mut leaked = cache.clone();
         leaked.slab.push(PlanWord { word: 0, bits: 1 });
+        leaked.summaries.push(Summary::NONE);
         assert!(
             !leaked.lane_consistent(),
             "the slab holds plans and nothing else"

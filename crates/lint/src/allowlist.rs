@@ -52,8 +52,11 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/classifier/src/microflow.rs",
     "crates/switch/src/datapath.rs",
     "crates/switch/src/pmd.rs",
-    // The upcall handler runs on every cache miss, on shard worker threads.
+    // The upcall handler runs on every cache miss, on shard worker threads, and with it
+    // the flow table's priority walk and megaflow generation.
     "crates/switch/src/slowpath.rs",
+    "crates/classifier/src/flowtable.rs",
+    "crates/classifier/src/strategy.rs",
     // Wire ingestion: the frame parser and the batched extractor run on every
     // raw frame, including attacker-crafted byte soup.
     "crates/packet/src/wire.rs",

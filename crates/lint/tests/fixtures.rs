@@ -226,7 +226,7 @@ fn panic_in_hot_path_is_flagged_but_tests_are_exempt() {
 #[test]
 fn panic_outside_hot_path_modules_is_allowed() {
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.expect(\"caller checked\")\n}\n";
-    let report = scan_file("crates/classifier/src/strategy.rs", src);
+    let report = scan_file("crates/classifier/src/rule.rs", src);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
 

@@ -63,7 +63,7 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse-classifier", 78, 4),
     ("tse-lint", 26, 0),
     ("tse-mitigation", 54, 2),
-    ("tse-packet", 124, 4),
+    ("tse-packet", 122, 4),
     ("tse-simnet", 131, 11),
     ("tse-switch", 121, 5),
 ];

@@ -246,33 +246,18 @@ impl FieldVec {
         &self.values[..self.len]
     }
 
-    /// Combine with `other` field by field.
-    fn zip_with(&self, other: &FieldVec, op: impl Fn(u128, u128) -> u128) -> FieldVec {
-        debug_assert_eq!(self.len(), other.len());
-        let mut out = FieldVec {
-            values: [0; MAX_FIELDS],
-            len: self.len.min(other.len),
-        };
-        for ((o, &a), &b) in out.values.iter_mut().zip(self.values()).zip(other.values()) {
-            *o = op(a, b);
-        }
-        out
-    }
-
     /// Bitwise AND with a mask, per field: `h AND M` in Alg. 1.
     #[inline]
     pub fn apply_mask(&self, mask: &Mask) -> FieldVec {
-        self.zip_with(mask, |v, m| v & m)
-    }
-
-    /// Bitwise OR, per field (used to combine masks).
-    pub fn or(&self, other: &FieldVec) -> FieldVec {
-        self.zip_with(other, |a, b| a | b)
-    }
-
-    /// Bitwise AND, per field.
-    pub fn and(&self, other: &FieldVec) -> FieldVec {
-        self.zip_with(other, |a, b| a & b)
+        debug_assert_eq!(self.len(), mask.len());
+        let mut out = FieldVec {
+            values: [0; MAX_FIELDS],
+            len: self.len.min(mask.len),
+        };
+        for ((o, &v), &m) in out.values.iter_mut().zip(self.values()).zip(mask.values()) {
+            *o = v & m;
+        }
+        out
     }
 
     /// Total number of set bits across all fields. For a mask this is the number of

@@ -291,7 +291,8 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Build `n_shards` identical datapaths from one builder (each shard gets its own
-    /// fresh backend) behind `steering`.
+    /// fresh backend) behind `steering`. The last shard takes the builder itself, so
+    /// `n_shards - 1` copies of the flow table are made, not `n_shards`.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
@@ -300,7 +301,8 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
         DatapathBuilder<B>: Clone,
     {
         assert!(n_shards > 0, "shard count must be positive");
-        let shards = (0..n_shards).map(|_| builder.clone().build()).collect();
+        let mut shards: Vec<_> = (1..n_shards).map(|_| builder.clone().build()).collect();
+        shards.push(builder.build());
         Self::from_shards(shards, steering)
     }
 

@@ -14,7 +14,9 @@
 //! steady-state sample interval costs the same allocations whether it holds N one-event
 //! per-source runs or 2N, because the interval crosses the executor once. The wire
 //! ingress is held to zero outright: a warm `extract_keys_into` and a warm
-//! `Encap::encode_into` (every envelope) allocate nothing.
+//! `Encap::encode_into` (every envelope) allocate nothing. So is the slow path's
+//! generation: a warm `generate_megaflow` against the gateway's 1001-rule table and a
+//! populated cache allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -251,6 +253,45 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         m_small, m_big,
         "three steady-state run_mix intervals must not allocate by event count \
          (600 events each: {m_small} allocs, 1200 events each: {m_big})"
+    );
+
+    // --- Megaflow generation: a warm upcall allocates nothing. ---
+    // The gateway's 1001-rule merged table against a cache its traffic has populated:
+    // the priority walk records the bits it examines in a stack array, widening fills
+    // an inline mask, and both conflict checks read the summaries beside the plan words.
+    let fleet = TenantFleet::new(&schema, FleetConfig::default());
+    let table = fleet.table();
+    let strategy = MegaflowStrategy::wildcarding(&schema);
+    let field = |name| schema.field_index(name).unwrap();
+    let (ip_src, ip_dst) = (field("ip_src"), field("ip_dst"));
+    let (tp_src, tp_dst) = (field("tp_src"), field("tp_dst"));
+    let header = |tenant: usize, port: u128| {
+        let mut h = schema.zero_value();
+        h.set(ip_src, fleet.client_ip(tenant) as u128);
+        h.set(ip_dst, fleet.service_ip(tenant) as u128);
+        h.set(tp_src, 40_000 + tenant as u128);
+        h.set(tp_dst, port);
+        h
+    };
+    let mut cache = TupleSpace::new(schema.clone());
+    let benign = (0..fleet.config().tenants)
+        .step_by(7)
+        .flat_map(|tenant| [80, 443, 8080].map(|port| header(tenant, port)));
+    let attack = bit_inversion_keys(&schema, &[(tp_dst, 80)], &header(3, 80)).take(16);
+    for h in benign.chain(attack) {
+        if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
+            cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+        }
+    }
+    assert!(cache.mask_count() >= 16, "{} masks", cache.mask_count());
+    let fresh = header(fleet.config().tenants / 2 + 1, 9999);
+    assert!(generate_megaflow(&table, &cache, &fresh, &strategy).is_ok());
+    let g_allocs = allocations_during(|| {
+        std::hint::black_box(generate_megaflow(&table, &cache, &fresh, &strategy)).ok();
+    });
+    assert_eq!(
+        g_allocs, 0,
+        "warm generate_megaflow must be allocation-free"
     );
 
     // --- Wire ingestion: batched header extraction is allocation-free when warm. ---
