@@ -616,7 +616,7 @@ impl TupleSpace {
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
     /// probe order, and each is first checked against its key-bit summaries, which sit
-    /// beside its plan words ([`TupleSpace::summaries`]): a conflicting entry must agree
+    /// beside its plan words (`TupleSpace::summaries`): a conflicting entry must agree
     /// with the new key on every bit of `M AND mask`, so a common bit where the key has
     /// a 1 and *no* stored key does (or a 0 where *every* stored key has a 1) rules the
     /// whole tuple out. That prefilter reads the lane record, the plan words and the

@@ -64,7 +64,7 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse-lint", 26, 0),
     ("tse-mitigation", 54, 2),
     ("tse-packet", 122, 4),
-    ("tse-simnet", 131, 11),
+    ("tse-simnet", 134, 11),
     ("tse-switch", 121, 5),
 ];
 

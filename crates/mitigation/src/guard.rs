@@ -250,7 +250,8 @@ impl GuardMitigation {
     }
 
     /// Override the configuration of one shard (builder form; the last override for a
-    /// shard wins). Must be called before the first sample.
+    /// shard wins). Must be called before the first sample. An override for a shard
+    /// the datapath does not have panics at the stage's first hook.
     pub fn with_shard_config(mut self, shard: usize, config: GuardConfig) -> Self {
         assert!(
             self.guards.is_empty(),
@@ -270,8 +271,19 @@ impl GuardMitigation {
             .unwrap_or(self.default_config)
     }
 
+    /// Build one guard per shard on first use.
+    ///
+    /// # Panics
+    /// Panics if an override names a shard the datapath does not have, naming the
+    /// shard and the shard count: that shard's config would otherwise never apply.
     fn ensure_guards(&mut self, n_shards: usize) {
         if self.guards.len() != n_shards {
+            for &(shard, _) in &self.overrides {
+                assert!(
+                    shard < n_shards,
+                    "guard override for shard {shard}, but the datapath has {n_shards} shards"
+                );
+            }
             self.guards = (0..n_shards)
                 .map(|s| MfcGuard::new(self.config_for(s)))
                 .collect();
@@ -517,6 +529,33 @@ mod tests {
         assert_eq!(reports[1].entries_removed, 0, "override idles shard 1");
         assert!(sharded.shard(0).mask_count() < sharded.shard(1).mask_count());
         assert_eq!(reports.len(), 2);
+
+        // An override for a shard the datapath does not have is rejected on the first
+        // hook, not dropped while the run goes on under the default config.
+        let mut stray = GuardMitigation::new(GuardConfig::default()).with_shard_config(
+            2,
+            GuardConfig {
+                mask_threshold: 0,
+                ..GuardConfig::default()
+            },
+        );
+        let mut ctx = MitigationCtx {
+            datapath: &mut sharded,
+            now: 2.0,
+            dt: 1.0,
+            shard_attack_pps: &pps,
+            shard_delivered_pps: &pps,
+            shard_busy_seconds: &zeros,
+            pressure: &pressure,
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Mitigation::<tse_classifier::tss::TupleSpace>::on_sample(&mut stray, &mut ctx)
+        }))
+        .expect_err("an override for shard 2 of a 2-shard datapath must panic");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some("guard override for shard 2, but the datapath has 2 shards")
+        );
     }
 
     #[test]

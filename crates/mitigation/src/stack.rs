@@ -149,8 +149,9 @@ pub struct MitigationCtx<'a, B: FastPathBackend> {
     /// All packets per second (attack events plus victim probes) processed by each
     /// shard during the interval.
     pub shard_delivered_pps: &'a [f64],
-    /// CPU seconds each shard spent on attack processing during the interval (out of
-    /// its `dt`-second budget; the remainder went to victim traffic).
+    /// CPU seconds each shard spent during the interval on every packet it replayed —
+    /// attack and background alike — plus, on shard 0, the malformed frames charged
+    /// to it (out of its `dt`-second budget; the remainder went to victim traffic).
     pub shard_busy_seconds: &'a [f64],
     /// Smoothed attack pressure over the last few intervals, maintained by the
     /// telemetry store. Adaptive stages gate on this instead of the single-interval

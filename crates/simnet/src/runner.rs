@@ -15,9 +15,10 @@
 //! from attack processing into achieved victim throughput — attributed per source in
 //! the [`TimelineSample`]s.
 //!
-//! [`ExperimentRunner::run_mix`] is a sequence of named stage functions over one
-//! private `RunState`, so each stage is a seam a profile or trace can hang off. Every
-//! interval is drained from the mix on the calling thread and then processed; the
+//! [`ExperimentRunner::run_mix`] is a sequence of eight named stage functions over one
+//! private `RunState`; [`ExperimentRunner::run_mix_observed`] runs the same loop and
+//! tells a [`RunObserver`] as each [`Stage`] starts and ends, on the calling thread.
+//! Every interval is drained from the mix on the calling thread and then processed; the
 //! executor runs shard jobs and nothing else, a number of times per interval that does
 //! not depend on how many events, runs or probes the interval holds.
 //!
@@ -234,6 +235,44 @@ impl Timeline {
     }
 }
 
+/// The eight stages of one [`ExperimentRunner::run_mix`] sample interval, in run order.
+/// Each variant's doc says what the `items` count handed to [`RunObserver::exit`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// `drain_interval`: packets, probes and malformed frames kept for the interval.
+    Drain,
+    /// `install_due_tables`: flow tables installed.
+    InstallTables,
+    /// `replay_chunks`: packet events replayed by the one
+    /// [`ShardedDatapath::process_timed_runs`] dispatch.
+    Replay,
+    /// `charge_faults_and_expire`: malformed frames charged to shard 0.
+    FaultsAndExpiry,
+    /// `replay_probes`: victim probes replayed.
+    Probes,
+    /// `allocate_victim_throughput`: victims with a probe this interval.
+    Allocate,
+    /// `run_mitigations`: actions the mitigation stack returned.
+    Mitigations,
+    /// `record_sample`: always 1, the sample recorded.
+    Record,
+}
+
+/// Watches [`ExperimentRunner::run_mix_observed`]'s interval loop. `enter` and `exit`
+/// bracket every stage call of interval `interval` (0-based); they run on the calling
+/// thread between stages, never inside a shard job, so the sequence of calls — and
+/// every `items` count — is the same on every executor. The runner reads no clock: an
+/// observer that wants stage times reads its own at the hooks.
+pub trait RunObserver {
+    /// `stage` of interval `interval` is about to run.
+    fn enter(&mut self, _interval: usize, _stage: Stage) {}
+    /// `stage` of interval `interval` has run over `items` (see [`Stage`]).
+    fn exit(&mut self, _interval: usize, _stage: Stage, _items: usize) {}
+}
+
+/// The observer [`ExperimentRunner::run_mix`] runs under: it does nothing.
+impl RunObserver for () {}
+
 /// The experiment runner, generic over the datapath's fast-path backend — a Fig. 8
 /// timeline can be produced for the TSS cache (the default) or for any of the §7
 /// attack-immune baselines, which is how the backend comparison of Fig. 9 is run
@@ -391,28 +430,35 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// any number of attacker sources (materialised traces, lazy generators) and
     /// victim sources, merged by timestamp — and return the timeline.
     ///
-    /// Per sample interval `[t, t + dt)` the loop runs one stage function each:
+    /// Per sample interval `[t, t + dt)` the loop runs one stage function each. In
+    /// brackets: the [`Stage`] a [`RunObserver`] sees it as, and what its `items` count.
     ///
-    /// 1. `drain_interval` — pulls every event below `t + dt` out of the mix into one
-    ///    flat buffer (merged timestamp order), noting where the source changes; probe
-    ///    and malformed-frame events are set aside;
-    /// 2. `install_due_tables` — applies the flow-table replacements scheduled at or
-    ///    before `t`;
-    /// 3. `replay_chunks` — replays the interval's packet events through one
-    ///    [`ShardedDatapath::process_timed_runs`] dispatch: every shard walks its share
-    ///    of the per-source runs (each packet at its own time, each run one batch);
-    /// 4. `charge_faults_and_expire` — charges malformed frames to shard 0 and runs
-    ///    the idle-expiry sweep at the interval end;
-    /// 5. `replay_probes` — one more dispatch: each shard's probes refresh their
-    ///    victims' fast-path entries and yield the current per-invocation cost under
-    ///    the runner's offload model;
-    /// 6. `allocate_victim_throughput` — splits the CPU each shard has left over from
-    ///    attack processing across its active victims (equal shares, one
-    ///    redistribution pass, aggregate line-rate cap);
-    /// 7. `run_mitigations` — [`MitigationStack::on_sample`], stages in order, each
-    ///    seeing per-shard telemetry for the interval;
-    /// 8. `record_sample` — emits the [`TimelineSample`] with per-attacker
-    ///    delivered-pps attribution and the stack's [`MitigationAction`]s.
+    /// 1. `drain_interval` ([`Stage::Drain`]: packets, probes and malformed frames
+    ///    kept) — pulls every event below `t + dt` out of the mix into one flat buffer
+    ///    (merged timestamp order), noting where the source changes; probe and
+    ///    malformed-frame events are set aside;
+    /// 2. `install_due_tables` ([`Stage::InstallTables`]: tables installed) — applies
+    ///    the flow-table replacements scheduled at or before `t`;
+    /// 3. `replay_chunks` ([`Stage::Replay`]: packet events replayed) — replays the
+    ///    interval's packet events through one [`ShardedDatapath::process_timed_runs`]
+    ///    dispatch: every shard walks its share of the per-source runs (each packet at
+    ///    its own time, each run one batch);
+    /// 4. `charge_faults_and_expire` ([`Stage::FaultsAndExpiry`]: malformed frames
+    ///    charged) — charges malformed frames to shard 0 and runs the idle-expiry
+    ///    sweep at the interval end;
+    /// 5. `replay_probes` ([`Stage::Probes`]: victim probes replayed) — one more
+    ///    dispatch: each shard's probes refresh their victims' fast-path entries and
+    ///    yield the current per-invocation cost under the runner's offload model;
+    /// 6. `allocate_victim_throughput` ([`Stage::Allocate`]: victims with a probe) —
+    ///    splits the CPU each shard has left over from packet processing across its
+    ///    active victims (equal shares, one redistribution pass, aggregate line-rate
+    ///    cap);
+    /// 7. `run_mitigations` ([`Stage::Mitigations`]: actions returned) —
+    ///    [`MitigationStack::on_sample`], stages in order, each seeing per-shard
+    ///    telemetry for the interval;
+    /// 8. `record_sample` ([`Stage::Record`]: always 1) — emits the
+    ///    [`TimelineSample`] with per-attacker delivered-pps attribution and the
+    ///    stack's [`MitigationAction`]s.
     ///
     /// Before the first interval the stack's [`Mitigation::on_start`] hooks run with
     /// zeroed telemetry, so defenses that must be armed *during* the first interval
@@ -420,13 +466,13 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// [`Mitigation::on_finish`] hooks disarm whatever per-shard state the stages
     /// installed, so a reused runner or datapath leaves the run undefended.
     ///
-    /// Draining is not overlapped with shard work. On the attack workloads it is
-    /// 2–10 % of the run (`BENCH_pr23_compare.md`, in-run stage split) — there the
-    /// shards' tuple-space scan and the upcalls own the wall clock. That does not hold
-    /// for benign traffic: on `benign_wire`, where a packet scans ≤ 2 masks, the drain
-    /// (craft, encode, decode and merge one frame: ~155 ns of ~220 ns per event) is the
-    /// largest stage by far, ahead of partition + classification (~65 ns since the
-    /// steering hash skips zero bytes; ~115 ns before).
+    /// Draining is not overlapped with shard work. What each stage costs is measured by
+    /// an observer that reads a clock at the hooks of
+    /// [`ExperimentRunner::run_mix_observed`]; the per-workload stage table lives in
+    /// `ROADMAP.md`. On the attack workloads the drain is 7–15 % of the run and the
+    /// shards' tuple-space scan and upcalls own the wall clock. On `benign_wire`, where
+    /// a packet scans ≤ 2 masks, the drain (craft, encode, decode and merge one frame)
+    /// is 71 %, the largest stage by far.
     ///
     /// # Reusing a runner
     /// Every call restarts simulated time at 0, but the datapath is not reset: it keeps
@@ -444,6 +490,22 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// if `duration` is not finite or is negative — either would make the interval
     /// count endless or silently empty. A `duration` of `0.0` is a legal empty run.
     pub fn run_mix(&mut self, mix: TrafficMix<'_>, duration: f64) -> Timeline {
+        self.run_mix_observed(mix, duration, &mut ())
+    }
+
+    /// [`ExperimentRunner::run_mix`], telling `observer` as each [`Stage`] of every
+    /// interval starts and ends. The observer sees the run and cannot change it: the
+    /// timeline, the datapath and the telemetry are the ones `run_mix` produces. No
+    /// hook runs around the stack's `on_start` / `on_finish`.
+    ///
+    /// # Panics
+    /// As [`ExperimentRunner::run_mix`].
+    pub fn run_mix_observed(
+        &mut self,
+        mix: TrafficMix<'_>,
+        duration: f64,
+        observer: &mut dyn RunObserver,
+    ) -> Timeline {
         let dt = self.sample_interval;
         assert!(
             dt.is_finite() && dt > 0.0,
@@ -469,15 +531,31 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             let t = step as f64 * dt;
             let t_end = t + dt;
             let mut tally = IntervalTally::new(n_shards, st.n_victims, st.n_attackers);
-            drain_interval(&mut st.mix, t, t_end, &mut st.batch);
-            self.install_due_tables(&mut st, t);
-            self.replay_chunks(&st, &mut tally);
-            self.charge_faults_and_expire(&st, &mut tally, t_end);
-            self.replay_probes(&st, &mut tally);
+            observer.enter(step, Stage::Drain);
+            let kept = drain_interval(&mut st.mix, t, t_end, &mut st.batch);
+            observer.exit(step, Stage::Drain, kept);
+            observer.enter(step, Stage::InstallTables);
+            let installed = self.install_due_tables(&mut st, t);
+            observer.exit(step, Stage::InstallTables, installed);
+            observer.enter(step, Stage::Replay);
+            let replayed = self.replay_chunks(&st, &mut tally);
+            observer.exit(step, Stage::Replay, replayed);
+            observer.enter(step, Stage::FaultsAndExpiry);
+            let charged = self.charge_faults_and_expire(&st, &mut tally, t_end);
+            observer.exit(step, Stage::FaultsAndExpiry, charged);
+            observer.enter(step, Stage::Probes);
+            let probed = self.replay_probes(&st, &mut tally);
+            observer.exit(step, Stage::Probes, probed);
+            observer.enter(step, Stage::Allocate);
             let victim_gbps =
                 allocate_victim_throughput(&tally.shard_busy, &tally.probes, &self.offload, dt);
+            observer.exit(step, Stage::Allocate, tally.probes.iter().flatten().count());
+            observer.enter(step, Stage::Mitigations);
             let (shard_attacker_pps, actions) = self.run_mitigations(&mut st.store, &tally, t_end);
+            observer.exit(step, Stage::Mitigations, actions.len());
+            observer.enter(step, Stage::Record);
             self.record_sample(&mut st, t, &tally, victim_gbps, shard_attacker_pps, actions);
+            observer.exit(step, Stage::Record, 1);
         }
         // Teardown: stages disarm whatever per-shard state they installed (e.g. upcall
         // quotas), so a reused runner/datapath leaves the run undefended.
@@ -523,8 +601,9 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     }
 
     /// Apply every flow-table replacement scheduled at or before the interval start
-    /// `t` — the controller-side half of tenant churn.
-    fn install_due_tables(&mut self, st: &mut RunState<'_>, t: f64) {
+    /// `t` — the controller-side half of tenant churn. Returns how many were installed.
+    fn install_due_tables(&mut self, st: &mut RunState<'_>, t: f64) -> usize {
+        let first = st.update_cursor;
         while let Some((_, table)) = self
             .table_updates
             .get(st.update_cursor)
@@ -533,14 +612,16 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
             self.datapath.install_table(table.clone());
             st.update_cursor += 1;
         }
+        st.update_cursor - first
     }
 
     /// Replay the drained interval's packets in one dispatch, in merged timestamp order
     /// within every shard, charging cost and packet counts per shard — every shard is a
     /// PMD thread with a private CPU budget. A run belongs to one source, so its
     /// packets are all-attack or all-background: background runs charge shard CPU like
-    /// any traffic but stay out of the attack-attribution series.
-    fn replay_chunks(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
+    /// any traffic but stay out of the attack-attribution series. Returns the number of
+    /// packets replayed.
+    fn replay_chunks(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) -> usize {
         let slots = &st.slots;
         let mut start = 0;
         for &(src, end) in &st.batch.runs {
@@ -563,22 +644,25 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
                 }
             },
         );
+        st.batch.events.len()
     }
 
     /// Charge the interval's malformed frames (wire-level sources only) to shard 0 —
     /// the ingestion point, matching [`ShardedDatapath::process_wire`] — each at its
     /// own timestamp, consuming shard 0's CPU budget without joining any
     /// attack-attribution series; then run the idle-expiry sweep at the interval end.
+    /// Returns the number of frames charged.
     fn charge_faults_and_expire(
         &mut self,
         st: &RunState<'_>,
         tally: &mut IntervalTally,
         t_end: f64,
-    ) {
+    ) -> usize {
         for &(fault, bytes, time) in &st.batch.faults {
             tally.shard_busy[0] += self.datapath.note_wire_fault(fault, bytes, time).cost;
         }
         self.datapath.maybe_expire(t_end);
+        st.batch.faults.len()
     }
 
     /// Replay the probes (already in time-then-insertion order) in one dispatch: each
@@ -586,9 +670,9 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
     /// their current per-invocation cost; the answers are applied in drain order, so a
     /// victim probed twice keeps its last one. The scan is re-priced with this
     /// experiment's offload cost model (the datapath's own model prices the attack
-    /// packets). A probe from a non-victim
-    /// source has nothing to attribute and is left untouched.
-    fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) {
+    /// packets). A probe from a non-victim source has nothing to attribute and is left
+    /// untouched. Returns the number of probes replayed.
+    fn replay_probes(&mut self, st: &RunState<'_>, tally: &mut IntervalTally) -> usize {
         let probes: Vec<(usize, usize, &TrafficEvent, f64)> = st
             .batch
             .probes
@@ -624,6 +708,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
                 });
             }
         }
+        probes.len()
     }
 
     /// Run the mitigation pipeline at the interval end `t_end` — each stage sees this
@@ -872,8 +957,13 @@ struct IntervalBatch {
 /// malformed-frame events land in the faults list (they carry no steerable key, so
 /// they never join a run). Packet and malformed events that predate the window
 /// (possible in the very first interval) are consumed without being recorded, like
-/// the classic replay loop; probes are always kept.
-fn drain_interval(mix: &mut TrafficMix<'_>, t: f64, t_end: f64, batch: &mut IntervalBatch) {
+/// the classic replay loop; probes are always kept. Returns the number of events kept.
+fn drain_interval(
+    mix: &mut TrafficMix<'_>,
+    t: f64,
+    t_end: f64,
+    batch: &mut IntervalBatch,
+) -> usize {
     batch.events.clear();
     batch.runs.clear();
     batch.probes.clear();
@@ -900,6 +990,7 @@ fn drain_interval(mix: &mut TrafficMix<'_>, t: f64, t_end: f64, batch: &mut Inte
             }
         }
     }
+    batch.events.len() + batch.probes.len() + batch.faults.len()
 }
 
 #[cfg(test)]
@@ -1283,7 +1374,18 @@ mod tests {
         let mix = TrafficMix::new()
             .with(VictimSource::new(victim, &schema, 1.0))
             .with(WireSource::replay("Attacker", frames, &schema));
-        let tl_bad = by_bad.run_mix(mix, 40.0);
+        /// Sums the frames `charge_faults_and_expire` reports charging.
+        struct Charged(usize);
+        impl RunObserver for Charged {
+            fn exit(&mut self, _interval: usize, stage: Stage, items: usize) {
+                if stage == Stage::FaultsAndExpiry {
+                    self.0 += items;
+                }
+            }
+        }
+        let mut charged = Charged(0);
+        let tl_bad = by_bad.run_mix_observed(mix, 40.0, &mut charged);
+        assert_eq!(charged.0, 50);
         let malformed: f64 = tl_bad.samples.iter().map(|s| s.malformed_pps).sum();
         assert_eq!(malformed.round() as u64, 50);
         assert_eq!(by_bad.datapath.shard(0).stats().truncated, 50);

@@ -339,9 +339,9 @@ impl SloTracker {
         self.delivered.quantile(0.5)
     }
 
-    /// 99th-percentile *low* tail — note the delivered histogram is a distribution of
-    /// per-interval rates, so p99 here is "the rate exceeded by the top 1 % of
-    /// intervals".
+    /// 99th-percentile delivered throughput, Gbps — the *high* tail: the delivered
+    /// histogram is a distribution of per-interval rates, so p99 is "the rate only the
+    /// top 1 % of intervals exceed", not a measure of the worst intervals.
     pub fn p99_gbps(&self) -> f64 {
         self.delivered.quantile(0.99)
     }

@@ -6,6 +6,10 @@
 //! The same file pins the run-aware dispatch (`ShardedDatapath::process_timed_runs`,
 //! what `run_mix` crosses the executor with once per interval) to the loop of per-run
 //! `process_timed_batch` calls it replaced, and counts `run_mix`'s executor round trips.
+//!
+//! Every experiment here runs under a recording `RunObserver`: its log of stage hooks
+//! is pinned in shape and accounting, must match across executors like the timeline,
+//! and must not change the run it watches.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,51 +18,142 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse::prelude::*;
+use tse::simnet::runner::{RunObserver, Stage};
 use tse::switch::stats::DatapathStats;
+
+/// `run_mix`'s stages in run order: every interval brackets each of them once.
+const STAGES: [Stage; 8] = [
+    Stage::Drain,
+    Stage::InstallTables,
+    Stage::Replay,
+    Stage::FaultsAndExpiry,
+    Stage::Probes,
+    Stage::Allocate,
+    Stage::Mitigations,
+    Stage::Record,
+];
+
+/// Every observer hook call of one run as `(interval, stage, items)`, in call order:
+/// `None` for an `enter`, the stage's count for an `exit`.
+#[derive(Debug, Default, PartialEq)]
+struct StageLog(Vec<(usize, Stage, Option<usize>)>);
+
+impl RunObserver for StageLog {
+    fn enter(&mut self, interval: usize, stage: Stage) {
+        self.0.push((interval, stage, None));
+    }
+
+    fn exit(&mut self, interval: usize, stage: Stage, items: usize) {
+        self.0.push((interval, stage, Some(items)));
+    }
+}
+
+impl StageLog {
+    /// The `items` of every `stage` exit, one per interval in interval order.
+    fn items(&self, stage: Stage) -> Vec<usize> {
+        let exits = self.0.iter().filter(|(_, s, _)| *s == stage);
+        exits.filter_map(|&(_, _, items)| items).collect()
+    }
+}
+
+/// The log's shape and accounting against the run it watched: sixteen calls per
+/// interval, each stage entered then exited in run order; the replayed packets, probes
+/// and charged frames are every packet the datapath counted; per interval the replayed
+/// packets, the mitigation actions and the recorded sample agree with the timeline.
+fn assert_stage_log_accounts_for_the_run(log: &StageLog, timeline: &Timeline, packets: u64) {
+    let intervals = timeline.samples.len();
+    assert_eq!(log.0.len(), 16 * intervals, "16 hook calls per interval");
+    for (i, calls) in log.0.chunks(16).enumerate() {
+        for (stage, pair) in STAGES.iter().zip(calls.chunks(2)) {
+            assert_eq!(pair[0], (i, *stage, None));
+            assert!(matches!(pair[1], (j, s, Some(_)) if j == i && s == *stage));
+        }
+    }
+    let total = |stage| log.items(stage).iter().sum::<usize>() as u64;
+    assert_eq!(
+        total(Stage::Replay) + total(Stage::Probes) + total(Stage::FaultsAndExpiry),
+        packets
+    );
+    assert_eq!(total(Stage::Record), intervals as u64);
+    let (replayed, actions) = (log.items(Stage::Replay), log.items(Stage::Mitigations));
+    for (i, s) in timeline.samples.iter().enumerate() {
+        // The runner samples once a second, so a rate is a per-interval count.
+        assert_eq!(
+            replayed[i] as f64,
+            s.attacker_pps + s.background_pps,
+            "t={}",
+            s.time
+        );
+        assert_eq!(actions[i], s.mitigation_actions.len(), "t={}", s.time);
+    }
+}
 
 /// Run one full experiment — two victims, a lazy scenario attacker, the full
 /// mitigation stack (guard + rekey + upcall quota + mask cap) — on `n_shards` shards
-/// under the given executor.
+/// under the given executor, observed by a [`StageLog`]. A twin runner on the same
+/// executor runs the same experiment through plain `run_mix`: its timeline and stats
+/// must be bit-identical, so observing changes nothing.
 fn run_experiment(
     scenario: Scenario,
     n_shards: usize,
     executor: impl ShardExecutor + 'static,
-) -> Timeline {
+) -> (Timeline, StageLog) {
     let schema = FieldSchema::ovs_ipv4();
-    let table = scenario.flow_table(&schema);
-    let sharded = ShardedDatapath::from_builder(Datapath::builder(table), n_shards, Steering::Rss)
-        .with_executor(executor);
-    let mut runner = ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off())
-        .with_mitigation(GuardMitigation::new(GuardConfig {
-            mask_threshold: 30,
-            ..GuardConfig::default()
-        }))
-        .with_mitigation(RssKeyRandomizer::new(15.0, 0xC0FFEE))
-        .with_mitigation(UpcallLimiter::new(200))
-        .with_mitigation(MaskCap::new(400));
+    let twin_executor = executor.clone_box();
+    let runner = |executor: Box<dyn ShardExecutor>| {
+        let table = scenario.flow_table(&schema);
+        let sharded =
+            ShardedDatapath::from_builder(Datapath::builder(table), n_shards, Steering::Rss)
+                .with_executor(executor);
+        ExperimentRunner::sharded(sharded, Vec::new(), OffloadConfig::gro_off())
+            .with_mitigation(GuardMitigation::new(GuardConfig {
+                mask_threshold: 30,
+                ..GuardConfig::default()
+            }))
+            .with_mitigation(RssKeyRandomizer::new(15.0, 0xC0FFEE))
+            .with_mitigation(UpcallLimiter::new(200))
+            .with_mitigation(MaskCap::new(400))
+    };
+    let (mut observed, mut twin) = (runner(Box::new(executor)), runner(twin_executor));
+    let mut log = StageLog::default();
+    let timeline = observed.run_mix_observed(experiment_mix(&schema, scenario), 40.0, &mut log);
+    let unobserved = twin.run_mix(experiment_mix(&schema, scenario), 40.0);
+    assert_timelines_identical(&unobserved, &timeline);
+    let stats = observed.datapath.stats();
+    assert_eq!(stats, twin.datapath.stats());
+    assert_eq!(
+        stats.busy_seconds.to_bits(),
+        twin.datapath.stats().busy_seconds.to_bits()
+    );
+    assert_stage_log_accounts_for_the_run(&log, &timeline, stats.packets());
+    (timeline, log)
+}
+
+/// [`run_experiment`]'s traffic: two victims and a lazy `scenario` attacker.
+fn experiment_mix(schema: &FieldSchema, scenario: Scenario) -> TrafficMix<'_> {
     let mut mix = TrafficMix::new()
         .with(VictimSource::new(
             VictimFlow::iperf_tcp("Victim 1", 0x0a00_0005, 0x0a00_0063, 10.0),
-            &schema,
+            schema,
             1.0,
         ))
         .with(VictimSource::new(
             VictimFlow::iperf_tcp("Victim 2", 0x0a00_0007, 0x0a00_0064, 4.0),
-            &schema,
+            schema,
             1.0,
         ));
     mix.push(Box::new(
         AttackGenerator::new(
             "Attacker",
-            &schema,
-            scenario.key_iter(&schema, &schema.zero_value()).cycle(),
+            schema,
+            scenario.key_iter(schema, &schema.zero_value()).cycle(),
             StdRng::seed_from_u64(42),
             100.0,
             10.0,
         )
         .with_limit(2500),
     ));
-    runner.run_mix(mix, 40.0)
+    mix
 }
 
 /// Bitwise f64 slice equality (stricter than `==`: distinguishes -0.0 and would catch
@@ -100,6 +195,12 @@ fn assert_timelines_identical(seq: &Timeline, par: &Timeline) {
     }
 }
 
+/// Two observed runs agree: the same timeline to the bit and the same stage log.
+fn assert_runs_identical(a: &(Timeline, StageLog), b: &(Timeline, StageLog)) {
+    assert_timelines_identical(&a.0, &b.0);
+    assert_eq!(a.1, b.1, "the stage logs diverged");
+}
+
 #[test]
 fn persistent_pool_timelines_match_sequential_on_every_scenario_and_shard_count() {
     // Same exhaustive sweep for the long-lived worker pool: the shard jobs really run
@@ -108,7 +209,7 @@ fn persistent_pool_timelines_match_sequential_on_every_scenario_and_shard_count(
         for n_shards in [1usize, 4, 16] {
             let seq = run_experiment(scenario, n_shards, SequentialExecutor);
             let par = run_experiment(scenario, n_shards, PersistentPoolExecutor::new(4));
-            assert_timelines_identical(&seq, &par);
+            assert_runs_identical(&seq, &par);
         }
     }
 }
@@ -121,13 +222,13 @@ fn chaos_timelines_match_sequential_across_seeds() {
     let seq = run_experiment(Scenario::SipDp, 8, SequentialExecutor);
     for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
         let chaos = run_experiment(Scenario::SipDp, 8, ChaosExecutor::new(4, seed));
-        assert_timelines_identical(&seq, &chaos);
+        assert_runs_identical(&seq, &chaos);
     }
     for scenario in Scenario::ALL {
         for n_shards in [1usize, 4, 16] {
             let seq = run_experiment(scenario, n_shards, SequentialExecutor);
             let chaos = run_experiment(scenario, n_shards, ChaosExecutor::new(4, 7));
-            assert_timelines_identical(&seq, &chaos);
+            assert_runs_identical(&seq, &chaos);
         }
     }
 }
@@ -141,7 +242,7 @@ fn one_persistent_pool_is_reusable_across_runs() {
     for scenario in [Scenario::SipDp, Scenario::SpDp, Scenario::SipDp] {
         let seq = run_experiment(scenario, 8, SequentialExecutor);
         let par = run_experiment(scenario, 8, pool.clone());
-        assert_timelines_identical(&seq, &par);
+        assert_runs_identical(&seq, &par);
     }
 }
 
@@ -151,7 +252,7 @@ fn threaded_runs_are_reproducible() {
     // dependence), not just with the sequential reference.
     let a = run_experiment(Scenario::SipDp, 8, PersistentPoolExecutor::new(3));
     let b = run_experiment(Scenario::SipDp, 8, PersistentPoolExecutor::new(5));
-    assert_timelines_identical(&a, &b);
+    assert_runs_identical(&a, &b);
 }
 
 /// The raw sharded batch entry points agree across executors, report for report.
