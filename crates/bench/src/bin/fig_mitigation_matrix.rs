@@ -8,214 +8,112 @@
 //! experiment runs five defense stacks:
 //!
 //! * `none`        — the undefended datapath;
-//! * `guard`       — per-shard MFCGuard ([`GuardMitigation`]);
-//! * `rekey`       — RSS hash-key rotation every 10 s ([`RssKeyRandomizer`]);
+//! * `guard`       — per-shard MFCGuard;
+//! * `rekey`       — RSS hash-key rotation every 10 s;
 //! * `guard+rekey` — both, guard first;
-//! * `full`        — guard + rekey + per-shard upcall quotas ([`UpcallLimiter`]) +
-//!   mask ceilings ([`MaskCap`]).
+//! * `full`        — guard + rekey + per-shard upcall quotas + mask ceilings.
 //!
 //! The headline cell is `pinned × rekey`: rotation alone restores Victim A to within
 //! 2x of its baseline (the stale-pinned stream dilutes to ~1/16 per shard, under the
 //! ~83-mask knee of the cost model) while the undefended pinned run collapses her to
 //! ~10 % of baseline — and rotation costs nothing on the benign path, unlike the
-//! guard's suppression or the cap's collateral evictions.
+//! guard's suppression or the cap's collateral evictions. `tests/paper_claims.rs`
+//! judges both on this binary's sweeps at its defaults.
 //!
 //! Run with `--duration <s>` (default 70) — CI smoke-runs it short — plus the shared
 //! sharded flags: `--shards <n>` (default 16) and `--parallel <threads>` to drive the
 //! per-shard fan-out from a thread pool (timelines are executor-independent).
 
-use tse_bench::sipdp::{self, Ingress, ATTACK_PPS, ATTACK_START};
-use tse_bench::{render_table, FigArgs, Figure};
-use tse_mitigation::guard::{GuardConfig, GuardMitigation};
-use tse_mitigation::stack::MitigationAction;
-use tse_mitigation::{MaskCap, RssKeyRandomizer, UpcallLimiter};
+use tse_bench::sipdp::Aim::{Pinned, Sprayed};
+use tse_bench::sipdp::Cell::*;
+use tse_bench::sipdp::{self, Fixture, Variant, ATTACK_PPS, ATTACK_START};
+use tse_bench::sipdp::{FULL, GUARD, GUARD_REKEY, REKEY, UNDEFENDED};
+use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
-use tse_simnet::runner::{ExperimentRunner, Timeline};
 
-const STACKS: [&str; 5] = ["none", "guard", "rekey", "guard+rekey", "full"];
-
-fn with_stack(runner: ExperimentRunner, spec: &str) -> ExperimentRunner {
-    let guard = || GuardMitigation::new(GuardConfig::default());
-    let rekey = || RssKeyRandomizer::new(10.0, 0xC0FFEE);
-    match spec {
-        "none" => runner,
-        "guard" => runner.with_mitigation(guard()),
-        "rekey" => runner.with_mitigation(rekey()),
-        "guard+rekey" => runner.with_mitigation(guard()).with_mitigation(rekey()),
-        "full" => runner
-            .with_mitigation(guard())
-            .with_mitigation(rekey())
-            .with_mitigation(UpcallLimiter::new(10))
-            .with_mitigation(MaskCap::new(64)),
-        other => panic!("unknown stack {other:?}"),
-    }
-}
-
-/// Count the stack's actions by kind over the whole timeline.
-fn action_summary(tl: &Timeline) -> String {
-    let (mut sweeps, mut rekeys, mut clamps, mut caps) = (0usize, 0usize, 0usize, 0usize);
-    for s in &tl.samples {
-        for a in &s.mitigation_actions {
-            match a {
-                MitigationAction::GuardSweep(r) if r.entries_removed > 0 => sweeps += 1,
-                MitigationAction::GuardSweep(_) => {}
-                MitigationAction::Rekeyed { .. } => rekeys += 1,
-                MitigationAction::UpcallsClamped { .. } => clamps += 1,
-                MitigationAction::MaskCapped { .. } => caps += 1,
-            }
-        }
-    }
-    let mut parts = Vec::new();
-    if sweeps > 0 {
-        parts.push(format!("{sweeps} sweeps"));
-    }
-    if rekeys > 0 {
-        parts.push(format!("{rekeys} rekeys"));
-    }
-    if clamps > 0 {
-        parts.push(format!("{clamps} clamps"));
-    }
-    if caps > 0 {
-        parts.push(format!("{caps} caps"));
-    }
-    if parts.is_empty() {
-        "-".into()
-    } else {
-        parts.join(", ")
-    }
-}
-
-fn main() {
-    let defaults = FigArgs {
+pub(crate) fn defaults() -> FigArgs {
+    FigArgs {
         duration: 70.0,
         shards: Some(16),
         ..FigArgs::default()
-    };
-    let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), defaults);
+    }
+}
+
+/// Victim B lives off the attacked shard 0: shard 5 in the default 16-shard setup,
+/// clamped away from 0 for shard counts that would alias it.
+fn b_shard(n_shards: usize) -> usize {
+    (5 % n_shards).max(1)
+}
+
+pub(crate) const FIXTURE: Fixture = Fixture {
+    schema: FieldSchema::ovs_ipv4,
+    pps: ATTACK_PPS,
+    victims: &[
+        ("Victim A", 0x0a00_0005, 4.0, |_| Some(0)),
+        ("Victim B", 0x0a00_0006, 4.0, |n| Some(b_shard(n))),
+    ],
+    during_cap: None,
+    columns: &[
+        ("stack", Stack, ""),
+        ("A Gbps (attack)", VictimDuring(0), "victim_a_gbps"),
+        ("B Gbps (attack)", VictimDuring(1), "victim_b_gbps"),
+        ("A vs baseline", VsBaseline(0), ""),
+        ("peak shard masks", PeakShardMasks, "peak_shard_masks"),
+        ("actions", Actions, ""),
+    ],
+    timelines: false,
+};
+
+pub(crate) const PINNED: [Variant; 5] = [
+    Variant::new("pinned/none", Pinned, None, UNDEFENDED),
+    Variant::new("pinned/guard", Pinned, None, GUARD),
+    Variant::new("pinned/rekey", Pinned, None, REKEY),
+    Variant::new("pinned/guard+rekey", Pinned, None, GUARD_REKEY),
+    Variant::new("pinned/full", Pinned, None, FULL),
+];
+
+pub(crate) const SPRAYED: [Variant; 5] = [
+    Variant::new("sprayed/none", Sprayed, None, UNDEFENDED),
+    Variant::new("sprayed/guard", Sprayed, None, GUARD),
+    Variant::new("sprayed/rekey", Sprayed, None, REKEY),
+    Variant::new("sprayed/guard+rekey", Sprayed, None, GUARD_REKEY),
+    Variant::new("sprayed/full", Sprayed, None, FULL),
+];
+
+fn main() {
+    // `CARGO_CRATE_NAME` (the binary's name): `tests/paper_claims.rs` compiles this file
+    // as a module, where `CARGO_BIN_NAME` is not set.
+    let mut fig = Figure::parse(env!("CARGO_CRATE_NAME"), defaults());
     let (duration, n_shards) = (fig.args.duration, fig.args.shard_count());
-    let schema = FieldSchema::ovs_ipv4();
-    // Victim B must live off the attacked shard 0 (shard 5 in the default 16-shard
-    // setup; clamped away from 0 for shard counts that would alias it).
     assert!(
         n_shards >= 2,
         "the pinned/sprayed comparison needs --shards >= 2 (victim B must live off the attacked shard)"
     );
-    let b_shard = (5 % n_shards).max(1);
-    let victims = [
-        sipdp::victim_on_shard("Victim A", 0x0a00_0005, 4.0, &schema, n_shards, 0),
-        sipdp::victim_on_shard("Victim B", 0x0a00_0006, 4.0, &schema, n_shards, b_shard),
-    ];
-    let ((before_start, before_end), (during_start, during_end)) =
-        sipdp::windows(ATTACK_START, duration);
+    let pinned = sipdp::sweep(&mut fig, &FIXTURE, &PINNED);
+    let sprayed = sipdp::sweep(&mut fig, &FIXTURE, &SPRAYED);
+    let (_, (during_start, during_end)) = pinned.windows;
     println!(
         "== Mitigation matrix: {n_shards} PMD shards (RSS, {} executor), SipDp @ {ATTACK_PPS} pps from t={ATTACK_START} s, duration {duration} s ==",
         fig.args.executor_label()
     );
     println!(
-        "Victim A on shard 0 (pinned target), Victim B on shard {b_shard}; 4 Gbps offered each."
+        "Victim A on shard 0 (pinned target), Victim B on shard {}; 4 Gbps offered each.",
+        b_shard(n_shards)
     );
     println!("During-attack window: t = {during_start}..{during_end} s.\n");
+    println!("-- pinned attack --\n{pinned}");
+    println!("-- sprayed attack --\n{sprayed}");
 
-    let mut rekey_restored_a = 0.0;
-    let mut unmitigated_pinned_a = 0.0;
-    let mut baseline_a = 0.0;
-    let mut total_cost = 0.0;
-    for attack in ["pinned", "sprayed"] {
-        let mut rows = Vec::new();
-        for stack in STACKS {
-            let keys = match attack {
-                "pinned" => sipdp::pinned_keys(&schema, n_shards),
-                _ => sipdp::sprayed_keys(&schema, n_shards),
-            };
-            let runner = with_stack(sipdp::runner(&schema, &fig.args), stack);
-            let (tl, stats) = sipdp::run(runner, &schema, &victims, keys, Ingress::Keys, duration);
-            let a_before = tl.mean_victim_between(0, before_start, before_end);
-            let a_during = tl.mean_victim_between(0, during_start, during_end);
-            let b_during = tl.mean_victim_between(1, during_start, during_end);
-            let peak_masks = tl
-                .samples
-                .iter()
-                .flat_map(|s| s.shard_masks.iter())
-                .max()
-                .copied()
-                .unwrap_or(0);
-            if attack == "pinned" && stack == "none" {
-                baseline_a = a_before;
-                unmitigated_pinned_a = a_during;
-            }
-            if attack == "pinned" && stack == "rekey" {
-                rekey_restored_a = a_during;
-            }
-            total_cost += stats.busy_seconds;
-            fig.account(&stats);
-            let tag = format!("{attack}/{stack}");
-            fig.gbps(&format!("{tag}/victim_a_gbps"), a_during);
-            fig.gbps(&format!("{tag}/victim_b_gbps"), b_during);
-            fig.row(
-                &format!("{tag}/peak_shard_masks"),
-                "masks",
-                peak_masks as f64,
-            );
-            rows.push(vec![
-                stack.to_string(),
-                format!("{a_during:6.2}"),
-                format!("{b_during:6.2}"),
-                format!("{:5.1} %", 100.0 * a_during / a_before.max(1e-9)),
-                format!("{peak_masks}"),
-                action_summary(&tl),
-            ]);
-        }
-        println!("-- {attack} attack --");
-        println!(
-            "{}",
-            render_table(
-                &[
-                    "stack",
-                    "A Gbps (attack)",
-                    "B Gbps (attack)",
-                    "A vs baseline",
-                    "peak shard masks",
-                    "actions",
-                ],
-                &rows,
-            )
-        );
-    }
-
+    let baseline_a = pinned.value("pinned/none", VictimBefore(0));
     println!(
-        "acceptance: unmitigated pinned run collapses Victim A to {unmitigated_pinned_a:.2} Gbps \
-         (baseline {baseline_a:.2}); RSS rekeying alone restores her to {rekey_restored_a:.2} Gbps"
+        "acceptance: unmitigated pinned run collapses Victim A to {:.2} Gbps \
+         (baseline {baseline_a:.2}); RSS rekeying alone restores her to {:.2} Gbps",
+        pinned.value("pinned/none", VictimDuring(0)),
+        pinned.value("pinned/rekey", VictimDuring(0)),
     );
-    // The collapse needs the attack to actually land inside the measurement window
-    // (it starts at ATTACK_START and takes a few intervals to fill the cache); an
-    // ultra-short smoke horizon measures only pre-attack seconds.
-    if duration >= ATTACK_START + 12.0 {
-        assert!(
-            unmitigated_pinned_a < baseline_a * 0.25,
-            "pinned attack must collapse the undefended victim"
-        );
-    } else {
-        println!(
-            "(horizon too short to assert the pinned collapse — run with --duration 70 \
-             for the acceptance measurement)"
-        );
-    }
-    // The within-2x claim needs a window long enough to average over the rotation
-    // transients (stranded masks linger up to one idle timeout after each rekey); a
-    // short smoke horizon samples only the worst seconds right after a rotation.
-    if during_end - during_start >= 20.0 {
-        assert!(
-            rekey_restored_a > baseline_a * 0.5,
-            "rekeying must restore the pinned victim to within 2x of baseline"
-        );
-    } else {
-        println!(
-            "(horizon too short to assert the within-2x rekey recovery — run with \
-             --duration 70 for the acceptance measurement)"
-        );
-    }
-
     fig.gbps("pinned/none/baseline_a_gbps", baseline_a);
+    let runs = pinned.runs.iter().chain(&sprayed.runs);
+    let total_cost = runs.map(|r| r.stats.busy_seconds).sum();
     fig.row("total_cost_seconds", "cost_seconds", total_cost);
     fig.finish();
 }

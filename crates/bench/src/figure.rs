@@ -1,7 +1,9 @@
 //! The harness every figure binary runs inside.
 //!
 //! A binary's `main` is `Figure::parse(env!("CARGO_BIN_NAME"), defaults)`, the
-//! experiment, one adder call per headline number, `finish()`. Everything the sixteen
+//! experiment, one adder call per headline number, `finish()`. (A binary that
+//! `tests/paper_claims.rs` compiles as a module names itself with `CARGO_CRATE_NAME`,
+//! the same string, which is also set there.) Everything the sixteen
 //! binaries used to choreograph by hand lives here once: the CLI ([`FigArgs`] defaults in,
 //! parsed flags out, exit 2 on a bad command line), the run's only stopwatch, the row
 //! list in call order, the advisory `wall_seconds` row, the end-of-run summary line and
@@ -38,10 +40,12 @@ impl Figure {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-        Figure::start(name, args)
+        Figure::new(name, args)
     }
 
-    fn start(name: &'static str, args: FigArgs) -> Figure {
+    /// A run over already-parsed `args`, its stopwatch started — for a caller that is
+    /// not a binary's `main`, such as a test judging a binary's sweep.
+    pub fn new(name: &'static str, args: FigArgs) -> Figure {
         Figure {
             args,
             name,
@@ -126,7 +130,7 @@ mod tests {
             duration: 35.0,
             ..FigArgs::default()
         };
-        let mut fig = Figure::start("fig_x", defaults);
+        let mut fig = Figure::new("fig_x", defaults);
         fig.row("peak_masks", "masks", 513.0);
         fig.gbps("victim_gbps", 3.75);
         fig.row("total_cost_seconds", "cost_seconds", 1.25e-3);
@@ -167,7 +171,7 @@ mod tests {
 
     #[test]
     fn a_closed_form_binary_reports_wall_time_on_stdout_only() {
-        let mut fig = Figure::start("theorem_x", FigArgs::default());
+        let mut fig = Figure::new("theorem_x", FigArgs::default());
         fig.row("chunk1/masks", "masks", 12.0);
         let (summary, report) = fig.close();
         assert_eq!(report.params, "default");

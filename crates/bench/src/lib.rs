@@ -1,15 +1,21 @@
 //! # tse-bench
 //!
-//! The figure layer of the reproduction. It has three parts:
+//! The figure layer of the reproduction. It has four parts:
 //!
 //! * **figure binaries** (`src/bin/`): one binary per table/figure of the paper's
 //!   evaluation, each printing the same rows/series the paper reports (the README's
 //!   "Running the figure binaries" section is the experiment index; the committed
-//!   `BENCH_*.json` files hold the recorded headline numbers);
+//!   `BENCH_*.json` files hold the recorded headline numbers). They report; they do not
+//!   judge — `tests/paper_claims.rs` holds the paper's claims as named rows checked on
+//!   the binaries' own runs;
 //! * **the [`Figure`] harness** ([`figure`]) every one of them runs inside: it parses
 //!   the shared CLI from a [`FigArgs`] of defaults, holds the run's only stopwatch,
 //!   takes the headline rows in call order and, on `finish()`, prints the end-of-run
 //!   summary and appends the report the `--json <path>` flag asked for;
+//! * **the SipDp experiments as data** ([`sipdp`]): the shard-targeted binaries
+//!   (`fig_mitigation_matrix`, `fig_overlay_explosion`, `fig_shard_blast_radius`,
+//!   `ipv6_entry_explosion`) are each a fixture and a table of `const` variants that
+//!   [`sipdp::sweep`] runs, names `<variant>/<row>` and tabulates;
 //! * **the [`report`] subsystem**: the machine-readable `BENCH_<area>.json` files at
 //!   the repo root those reports land in, and the `bench_diff` regression gate that
 //!   compares two such files (strict equality for deterministic cost-model metrics, a

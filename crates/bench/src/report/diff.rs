@@ -7,7 +7,8 @@
 //!   functions of the code: *any* bit-level drift against the baseline is a
 //!   [`Severity::Fail`] — including improvements, because an unexplained improvement
 //!   means either the baseline is stale or the model changed, and both must be
-//!   acknowledged by regenerating the committed file;
+//!   acknowledged by regenerating the committed file. A changed unit or direction
+//!   fails the same way, even at equal bits;
 //! * **wall-clock metrics** are machine- and load-dependent: drift beyond the
 //!   configured band in the *worse* direction is a [`Severity::Warn`], never a
 //!   failure (the CI container has 1 core and noisy neighbours).
@@ -81,7 +82,7 @@ impl DiffReport {
     }
 
     /// Count entries at a given severity.
-    pub fn count(&self, severity: Severity) -> usize {
+    fn count(&self, severity: Severity) -> usize {
         self.entries
             .iter()
             .filter(|e| e.severity == severity)
@@ -155,9 +156,24 @@ pub fn diff_files(old: &ReportFile, new: &ReportFile, cfg: &DiffConfig) -> DiffR
             let (o, n) = (old_metric.value, new_metric.value);
             if old_metric.deterministic {
                 out.compared_deterministic += 1;
-                // Strict bit equality: the value is a pure function of the code, so
-                // any drift means the code's observable behaviour changed.
-                if o.to_bits() != n.to_bits() {
+                // A row is its unit and direction as much as its bits: the same value
+                // re-emitted as `masks` instead of `gbps` is a different row.
+                let kind =
+                    |m: &Metric| format!("{}, higher_is_better {}", m.unit, m.higher_is_better);
+                if kind(old_metric) != kind(new_metric) {
+                    out.entries.push(DiffEntry {
+                        severity: Severity::Fail,
+                        report: ident.clone(),
+                        metric: Some(old_metric.name.clone()),
+                        message: format!(
+                            "deterministic metric changed kind: {} -> {}",
+                            kind(old_metric),
+                            kind(new_metric)
+                        ),
+                    });
+                } else if o.to_bits() != n.to_bits() {
+                    // Strict bit equality: the value is a pure function of the code, so
+                    // any drift means the code's observable behaviour changed.
                     out.entries.push(DiffEntry {
                         severity: Severity::Fail,
                         report: ident.clone(),
@@ -280,6 +296,23 @@ mod tests {
             let d = diff_files(&old, &new, &DiffConfig::default());
             assert!(!d.has_failures(), "wall drift must never fail");
             assert_eq!(d.count(Severity::Warn), warns, "value {new_value}");
+        }
+    }
+
+    #[test]
+    fn deterministic_unit_or_direction_change_fails_at_equal_bits() {
+        let old = file_with(vec![
+            Metric::deterministic("gbps", "gbps", 3.0).higher_is_better()
+        ]);
+        for new in [
+            Metric::deterministic("gbps", "gbps", 3.0),
+            Metric::deterministic("gbps", "masks", 3.0).higher_is_better(),
+        ] {
+            let d = diff_files(&old, &file_with(vec![new]), &DiffConfig::default());
+            assert!(d.has_failures(), "{}", d.render());
+            assert!(d
+                .render()
+                .contains("changed kind: gbps, higher_is_better true -> "));
         }
     }
 

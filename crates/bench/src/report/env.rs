@@ -28,7 +28,7 @@ impl RunEnv {
     /// Capture the current environment. Git queries failing (no repo, no git binary)
     /// degrade to `"unknown"` / clean rather than erroring — reports must be emittable
     /// from an exported tarball too.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         let git = |args: &[&str]| -> Option<String> {
             let out = Command::new("git").args(args).output().ok()?;
             out.status
@@ -47,7 +47,7 @@ impl RunEnv {
     }
 
     /// Serialize as a JSON object.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("git_sha".into(), Json::Str(self.git_sha.clone())),
             ("git_dirty".into(), Json::Bool(self.git_dirty)),
@@ -58,7 +58,7 @@ impl RunEnv {
     }
 
     /// Deserialize from a JSON object, tolerating missing fields (older files).
-    pub fn from_json(v: &Json) -> Self {
+    pub(crate) fn from_json(v: &Json) -> Self {
         RunEnv {
             git_sha: v
                 .get("git_sha")

@@ -102,37 +102,34 @@ impl Metric {
     }
 
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |k: &str| {
-            v.get(k).ok_or(JsonError {
-                message: format!("metric is missing {k:?}"),
-                offset: 0,
-            })
-        };
-        let num = |k: &str| {
-            field(k)?.as_num().ok_or(JsonError {
-                message: format!("metric {k:?} is not a number"),
-                offset: 0,
-            })
-        };
-        let text = |k: &str| {
-            Ok::<_, JsonError>(
-                field(k)?
-                    .as_str()
-                    .ok_or(JsonError {
-                        message: format!("metric {k:?} is not a string"),
-                        offset: 0,
-                    })?
-                    .to_string(),
-            )
-        };
+        let text = |k: &str| member(v, "metric", k, "a string", Json::as_str).map(str::to_string);
+        // A flag that is not a JSON bool is an error, not `false`: reading
+        // `"deterministic": "true"` as false would demote a gated metric to advisory.
+        let flag = |k: &str| member(v, "metric", k, "a bool", Json::as_bool);
         Ok(Metric {
             name: text("name")?,
             unit: text("unit")?,
-            value: num("value")?,
-            higher_is_better: field("higher_is_better")?.as_bool().unwrap_or(false),
-            deterministic: field("deterministic")?.as_bool().unwrap_or(false),
+            value: member(v, "metric", "value", "a number", Json::as_num)?,
+            higher_is_better: flag("higher_is_better")?,
+            deterministic: flag("deterministic")?,
         })
     }
+}
+
+/// Member `k` of the JSON object `v` (a `what`: a metric, a report), read by `read`. The
+/// error names the member when it is missing or not a `kind`.
+fn member<'a, T>(
+    v: &'a Json,
+    what: &str,
+    k: &str,
+    kind: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, JsonError> {
+    let fail = |message| JsonError { message, offset: 0 };
+    let m = v
+        .get(k)
+        .ok_or_else(|| fail(format!("{what} is missing {k:?}")))?;
+    read(m).ok_or_else(|| fail(format!("{what} {k:?} is not {kind}")))
 }
 
 /// One producer's report: a named, parameterised set of metrics.
@@ -192,25 +189,21 @@ impl BenchReport {
     }
 
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let text = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(JsonError {
-                    message: format!("report is missing string {k:?}"),
-                    offset: 0,
-                })
-        };
-        let metrics = v
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or(JsonError {
-                message: "report is missing \"metrics\" array".into(),
-                offset: 0,
-            })?
+        let text = |k: &str| member(v, "report", k, "a string", Json::as_str).map(str::to_string);
+        let metrics = member(v, "report", "metrics", "an array", Json::as_arr)?
             .iter()
             .map(Metric::from_json)
             .collect::<Result<Vec<_>, _>>()?;
+        // `push` forbids a duplicate name; a parsed file must not sneak one past it, or
+        // `metric(name)` — and with it the diff — would see only the first.
+        for (i, m) in metrics.iter().enumerate() {
+            if metrics[..i].iter().any(|earlier| earlier.name == m.name) {
+                return Err(JsonError {
+                    message: format!("report has a duplicate metric {:?}", m.name),
+                    offset: 0,
+                });
+            }
+        }
         Ok(BenchReport {
             name: text("name")?,
             params: text("params")?,
@@ -256,7 +249,7 @@ impl ReportFile {
     /// Load `path`, or return an empty file (with the area derived from the filename)
     /// if it does not exist yet. Parse or I/O errors other than "not found" are
     /// returned — a corrupt baseline must not be silently clobbered.
-    pub fn load_or_empty(path: &Path) -> Result<Self, String> {
+    fn load_or_empty(path: &Path) -> Result<Self, String> {
         match std::fs::read_to_string(path) {
             Ok(text) => Self::from_json_text(&text)
                 .map_err(|e| format!("{}: invalid report file: {e}", path.display())),
@@ -283,13 +276,7 @@ impl ReportFile {
             .and_then(Json::as_str)
             .unwrap_or("unknown")
             .to_string();
-        let reports = v
-            .get("reports")
-            .and_then(Json::as_arr)
-            .ok_or(JsonError {
-                message: "report file is missing \"reports\" array".into(),
-                offset: 0,
-            })?
+        let reports = member(&v, "report file", "reports", "an array", Json::as_arr)?
             .iter()
             .map(BenchReport::from_json)
             .collect::<Result<Vec<_>, _>>()?;
@@ -339,7 +326,7 @@ impl ReportFile {
 
 /// Load-or-create the file at `path`, upsert `report` into it, and write it back —
 /// the append operation behind every producer's `--json` flag.
-pub fn append_report(path: &Path, report: BenchReport) -> Result<(), String> {
+pub(crate) fn append_report(path: &Path, report: BenchReport) -> Result<(), String> {
     let mut file = ReportFile::load_or_empty(path)?;
     file.upsert(report);
     file.save(path)
@@ -414,6 +401,44 @@ mod tests {
         let mut r = BenchReport::new("r", "default");
         r.push(Metric::deterministic("m", "masks", 1.0));
         r.push(Metric::deterministic("m", "masks", 2.0));
+    }
+
+    /// A one-report file holding `metrics` (JSON object text) verbatim.
+    fn file_text(metrics: &str) -> String {
+        format!(
+            r#"{{"area": "x", "reports": [{{"name": "r", "params": "default", "metrics": [{metrics}]}}]}}"#
+        )
+    }
+
+    fn metric_text(deterministic: &str, higher_is_better: &str) -> String {
+        format!(
+            r#"{{"name": "m", "unit": "masks", "value": 1, "higher_is_better": {higher_is_better}, "deterministic": {deterministic}}}"#
+        )
+    }
+
+    #[test]
+    fn a_flag_that_is_not_a_bool_is_an_error_naming_it() {
+        let ok = ReportFile::from_json_text(&file_text(&metric_text("true", "false"))).unwrap();
+        assert!(ok.reports[0].metrics[0].deterministic);
+        for (deterministic, higher_is_better, field) in [
+            ("\"true\"", "false", "deterministic"),
+            ("1", "false", "deterministic"),
+            ("true", "null", "higher_is_better"),
+        ] {
+            let text = file_text(&metric_text(deterministic, higher_is_better));
+            let e = ReportFile::from_json_text(&text).unwrap_err();
+            assert!(
+                e.message.contains(&format!("{field:?} is not a bool")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_parsed_duplicate_metric_name_is_an_error() {
+        let m = metric_text("true", "false");
+        let e = ReportFile::from_json_text(&file_text(&format!("{m}, {m}"))).unwrap_err();
+        assert!(e.message.contains("duplicate metric \"m\""), "{e}");
     }
 
     #[test]

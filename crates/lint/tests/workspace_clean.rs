@@ -59,7 +59,7 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("rand", 5, 0),
     ("tse", 0, 0),
     ("tse-attack", 74, 0),
-    ("tse-bench", 58, 0),
+    ("tse-bench", 57, 0),
     ("tse-classifier", 78, 4),
     ("tse-lint", 26, 0),
     ("tse-mitigation", 54, 2),
