@@ -11,8 +11,6 @@
 
 use tse_packet::fields::{FieldSchema, Key};
 
-use crate::scenarios::Scenario;
-
 /// The bit-inversion list for a single field: the allowed value first, then the value
 /// with each bit inverted, most-significant bit first (the order used in §5.1).
 pub fn bit_inversion_list(width: u32, allow_value: u128) -> Vec<u128> {
@@ -61,7 +59,9 @@ pub struct BitInversionKeys {
     lists: Vec<(usize, Vec<u128>)>,
     indices: Vec<usize>,
     base: Key,
-    done: bool,
+    /// Set once the odometer wraps — or from the start, for a scenario that sends no
+    /// attack traffic ([`Scenario::key_iter`](crate::scenarios::Scenario::key_iter)).
+    pub(crate) done: bool,
 }
 
 impl Iterator for BitInversionKeys {
@@ -93,41 +93,10 @@ impl Iterator for BitInversionKeys {
     }
 }
 
-/// Generate the Co-located trace for one of the paper's scenarios over the OVS schema.
-/// `base` pins the untargeted fields (destination IP of the attacker's service, IP
-/// protocol, etc.).
-pub fn scenario_trace(schema: &FieldSchema, scenario: Scenario, base: &Key) -> Vec<Key> {
-    scenario_key_iter(schema, scenario, base).collect()
-}
-
-/// Lazy form of [`scenario_trace`]: the Co-located key sequence for a scenario as a
-/// cloneable iterator (empty for [`Scenario::Baseline`]). `scenario_key_iter(..).cycle()`
-/// is the cyclic-replay attacker without a materialised trace.
-pub fn scenario_key_iter(schema: &FieldSchema, scenario: Scenario, base: &Key) -> BitInversionKeys {
-    if !scenario.has_attack_traffic() {
-        return BitInversionKeys {
-            lists: Vec::new(),
-            indices: Vec::new(),
-            base: base.clone(),
-            done: true,
-        };
-    }
-    let allows: Vec<(usize, u128)> = scenario
-        .target_fields()
-        .iter()
-        .map(|t| {
-            (
-                schema.field_index(t.name).expect("schema field"),
-                t.allow_value,
-            )
-        })
-        .collect();
-    bit_inversion_keys(schema, &allows, base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::Scenario;
     use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
     use tse_classifier::tss::TupleSpace;
 
@@ -202,33 +171,29 @@ mod tests {
         let schema = FieldSchema::ovs_ipv4();
         // Π (w_i + 1) packets over the scenario's target fields.
         let base = schema.zero_value();
-        let len = |scenario| scenario_key_iter(&schema, scenario, &base).count();
+        let len = |scenario: Scenario| scenario.key_iter(&schema, &base).count();
         assert_eq!(len(Scenario::Baseline), 0);
         assert_eq!(len(Scenario::Dp), 17);
         assert_eq!(len(Scenario::SpDp), 17 * 17);
         assert_eq!(len(Scenario::SipDp), 17 * 33);
         assert_eq!(len(Scenario::SipSpDp), 17 * 33 * 17);
-        assert_eq!(scenario_trace(&schema, Scenario::Dp, &base).len(), 17);
-        assert!(scenario_trace(&schema, Scenario::Baseline, &base).is_empty());
     }
 
     #[test]
     fn lazy_iterator_matches_materialised_trace() {
+        // Cycling the cloneable iterator is the looping-replay attacker: pass k of the
+        // cycle is the one-pass sequence again, for every scenario (Baseline stays empty).
         let schema = FieldSchema::ovs_ipv4();
         let base = schema.zero_value();
         for scenario in Scenario::ALL {
-            let eager = scenario_trace(&schema, scenario, &base);
-            let lazy: Vec<_> = scenario_key_iter(&schema, scenario, &base).collect();
-            assert_eq!(eager, lazy, "{scenario}");
+            let one_pass: Vec<Key> = scenario.key_iter(&schema, &base).collect();
+            let cycled: Vec<Key> = scenario
+                .key_iter(&schema, &base)
+                .cycle()
+                .take(3 * one_pass.len())
+                .collect();
+            assert_eq!(cycled, [&one_pass[..]; 3].concat(), "{scenario}");
         }
-        // Cycling the cloneable iterator reproduces the cyclic replay.
-        let cycled: Vec<_> = scenario_key_iter(&schema, Scenario::Dp, &base)
-            .cycle()
-            .take(40)
-            .collect();
-        let eager = scenario_trace(&schema, Scenario::Dp, &base);
-        assert_eq!(cycled[17], eager[0]);
-        assert_eq!(cycled[39], eager[39 % 17]);
     }
 
     #[test]
@@ -237,7 +202,7 @@ mod tests {
         let ip_dst = schema.field_index("ip_dst").unwrap();
         let mut base = schema.zero_value();
         base.set(ip_dst, 0x0a0000c8);
-        let trace = scenario_trace(&schema, Scenario::Dp, &base);
-        assert!(trace.iter().all(|k| k.get(ip_dst) == 0x0a0000c8));
+        let mut keys = Scenario::Dp.key_iter(&schema, &base);
+        assert!(keys.all(|k| k.get(ip_dst) == 0x0a0000c8));
     }
 }

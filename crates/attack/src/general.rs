@@ -12,46 +12,10 @@ use tse_packet::fields::{FieldSchema, Key};
 
 use crate::scenarios::Scenario;
 
-/// Generate `n` random attack headers for a scenario: the scenario's targeted fields are
-/// drawn uniformly at random, all other fields are copied from `base`.
-pub fn random_trace<R: Rng + ?Sized>(
-    rng: &mut R,
-    schema: &FieldSchema,
-    scenario: Scenario,
-    base: &Key,
-    n: usize,
-) -> Vec<Key> {
-    let fields: Vec<usize> = scenario
-        .target_fields()
-        .iter()
-        .map(|t| schema.field_index(t.name).expect("schema field"))
-        .collect();
-    random_trace_on_fields(rng, schema, &fields, base, n)
-}
-
-/// Generate `n` random headers randomising an explicit set of fields.
-pub fn random_trace_on_fields<R: Rng + ?Sized>(
-    rng: &mut R,
-    schema: &FieldSchema,
-    fields: &[usize],
-    base: &Key,
-    n: usize,
-) -> Vec<Key> {
-    (0..n)
-        .map(|_| {
-            let mut key = base.clone();
-            for &f in fields {
-                key.set(f, random_field_value(rng, schema.width(f)));
-            }
-            key
-        })
-        .collect()
-}
-
-/// The unbounded, lazy form of the General TSE: an infinite iterator of random attack
-/// headers, one draw per pull — the key stream behind a
-/// [`AttackGenerator`](crate::source::AttackGenerator) that never materialises a trace.
-/// Draws match [`random_trace`] for the same RNG state and scenario.
+/// The General TSE's header stream: an infinite iterator of random attack headers, one
+/// draw per pull — the targeted fields uniformly random, every other field copied from
+/// `base`. Feed it to an [`AttackGenerator`](crate::source::AttackGenerator), or
+/// `.take(n).collect()` it where a fixed set of `n` headers is wanted.
 #[derive(Debug, Clone)]
 pub struct RandomKeys<R> {
     widths: Vec<(usize, u32)>,
@@ -62,11 +26,7 @@ pub struct RandomKeys<R> {
 impl<R: Rng> RandomKeys<R> {
     /// Random headers for a scenario's targeted fields; untargeted fields keep `base`.
     pub fn new(rng: R, schema: &FieldSchema, scenario: Scenario, base: &Key) -> Self {
-        let fields: Vec<usize> = scenario
-            .target_fields()
-            .iter()
-            .map(|t| schema.field_index(t.name).expect("schema field"))
-            .collect();
+        let fields: Vec<usize> = scenario.allows(schema).iter().map(|&(f, _)| f).collect();
         Self::on_fields(rng, schema, &fields, base)
     }
 
@@ -108,17 +68,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn keys(seed: u64, scenario: Scenario, base: &Key, n: usize) -> Vec<Key> {
+        let schema = FieldSchema::ovs_ipv4();
+        RandomKeys::new(StdRng::seed_from_u64(seed), &schema, scenario, base)
+            .take(n)
+            .collect()
+    }
+
     #[test]
     fn randomises_only_targeted_fields() {
         let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(7);
         let ip_dst = schema.field_index("ip_dst").unwrap();
         let tp_dst = schema.field_index("tp_dst").unwrap();
         let ip_src = schema.field_index("ip_src").unwrap();
         let mut base = schema.zero_value();
         base.set(ip_dst, 0xdead_beef);
-        let trace = random_trace(&mut rng, &schema, Scenario::Dp, &base, 200);
-        assert_eq!(trace.len(), 200);
+        let trace = keys(7, Scenario::Dp, &base, 200);
         // Destination IP untouched, source IP untouched (Dp only randomises tp_dst).
         assert!(trace.iter().all(|k| k.get(ip_dst) == 0xdead_beef));
         assert!(trace.iter().all(|k| k.get(ip_src) == 0));
@@ -144,49 +109,16 @@ mod tests {
 
     #[test]
     fn deterministic_with_seed() {
-        let schema = FieldSchema::ovs_ipv4();
-        let base = schema.zero_value();
-        let a = random_trace(
-            &mut StdRng::seed_from_u64(3),
-            &schema,
-            Scenario::SipSpDp,
-            &base,
-            50,
-        );
-        let b = random_trace(
-            &mut StdRng::seed_from_u64(3),
-            &schema,
-            Scenario::SipSpDp,
-            &base,
-            50,
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn random_keys_stream_matches_materialised_trace() {
-        let schema = FieldSchema::ovs_ipv4();
-        let base = schema.zero_value();
-        let eager = random_trace(
-            &mut StdRng::seed_from_u64(13),
-            &schema,
-            Scenario::SipDp,
-            &base,
-            80,
-        );
-        let lazy: Vec<_> =
-            RandomKeys::new(StdRng::seed_from_u64(13), &schema, Scenario::SipDp, &base)
-                .take(80)
-                .collect();
-        assert_eq!(eager, lazy);
+        let base = FieldSchema::ovs_ipv4().zero_value();
+        let a = keys(3, Scenario::SipSpDp, &base, 50);
+        assert_eq!(a, keys(3, Scenario::SipSpDp, &base, 50));
+        assert_ne!(a, keys(4, Scenario::SipSpDp, &base, 50));
     }
 
     #[test]
     fn sipspdp_randomises_three_fields() {
         let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(11);
-        let base = schema.zero_value();
-        let trace = random_trace(&mut rng, &schema, Scenario::SipSpDp, &base, 64);
+        let trace = keys(11, Scenario::SipSpDp, &schema.zero_value(), 64);
         let ip_src = schema.field_index("ip_src").unwrap();
         let tp_src = schema.field_index("tp_src").unwrap();
         let tp_dst = schema.field_index("tp_dst").unwrap();

@@ -16,18 +16,19 @@
 //! * [`sharding`] — shard-aware crafting for multi-PMD switches: retag the free field
 //!   of a key stream so the explosion RSS-targets one chosen shard (the shard-pinned
 //!   worst case) or sprays every shard evenly;
-//! * [`trace`] — turning header sequences into timed, noise-randomised packet traces;
 //! * [`source`] — the streaming form: pull-based [`source::TrafficSource`] event
-//!   streams ([`trace::AttackTrace`] replay, the lazy [`source::AttackGenerator`]) and
-//!   the [`source::TrafficMix`] timestamp merge that composes them into experiment
-//!   workloads;
-//! * [`wire`] — the wire-level form of the same sources: [`wire::WireSource`] /
-//!   [`wire::WireGenerator`] serialise every packet to raw Ethernet bytes (optionally
-//!   under a VLAN/VXLAN overlay) and recover the key through the real parser, emitting
-//!   [`source::EventPayload::Malformed`] for frames the datapath cannot classify.
+//!   streams, the lazy [`source::AttackGenerator`] that crafts the attack's
+//!   noise-randomised packets from a key iterator at a constant rate (the pcap replayed
+//!   in a loop is a cycled key iterator plus a limit), and the [`source::TrafficMix`]
+//!   timestamp merge that composes sources into experiment workloads;
+//! * [`wire`] — the wire-level form: [`wire::WireGenerator`] serialises every crafted
+//!   packet to raw Ethernet bytes (optionally under a VLAN/VXLAN overlay) and recovers
+//!   the key through the real parser, [`wire::WireSource`] replays recorded frames the
+//!   same way, and frames the datapath cannot classify come out as
+//!   [`source::EventPayload::Malformed`].
 //!
 //! Everything here is *generation and analysis*: the effect on a switch is measured by
-//! feeding these traces into `tse-switch` / `tse-simnet`.
+//! feeding these sources into `tse-switch` / `tse-simnet`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,19 +40,16 @@ pub mod general;
 pub mod scenarios;
 pub mod sharding;
 pub mod source;
-pub mod trace;
+mod trace;
 pub mod wire;
 
 pub use bounds::{multi_field_bound, single_field_curve, TradeoffPoint};
-pub use colocated::{
-    bit_inversion_keys, bit_inversion_list, scenario_key_iter, scenario_trace, BitInversionKeys,
-};
+pub use colocated::{bit_inversion_keys, bit_inversion_list, BitInversionKeys};
 pub use expectation::ExpectationModel;
-pub use general::{random_trace, random_trace_on_fields, RandomKeys};
+pub use general::RandomKeys;
 pub use scenarios::{Scenario, TargetField};
 pub use sharding::{pin_to_shard, spray_shards, ShardSteeredKeys};
 pub use source::{
-    AttackGenerator, EventPayload, SourceRole, TraceSource, TrafficEvent, TrafficMix, TrafficSource,
+    AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,
 };
-pub use trace::{AttackTrace, TimedPacket};
-pub use wire::{wire_trace, WireGenerator, WireSource};
+pub use wire::{WireGenerator, WireSource};

@@ -6,6 +6,8 @@
 use tse_classifier::flowtable::FlowTable;
 use tse_packet::fields::{FieldSchema, Key};
 
+use crate::colocated::{bit_inversion_keys, BitInversionKeys};
+
 /// The allowed values of the Fig. 6 ACL.
 pub mod fig6 {
     /// Rule #1: allow TCP destination port 80.
@@ -94,8 +96,15 @@ impl Scenario {
     /// The ACL for this scenario over the given OVS schema: one exact-match allow rule
     /// per targeted field plus DefaultDeny — the subset of Fig. 6 the use case installs.
     pub fn flow_table(&self, schema: &FieldSchema) -> FlowTable {
-        let allows: Vec<(usize, u128)> = self
-            .target_fields()
+        FlowTable::whitelist_default_deny(schema, &self.allows(schema))
+    }
+
+    /// The `(field index, allowed value)` pairs of the targeted fields under `schema`.
+    ///
+    /// # Panics
+    /// Panics if `schema` lacks a targeted field.
+    pub(crate) fn allows(&self, schema: &FieldSchema) -> Vec<(usize, u128)> {
+        self.target_fields()
             .iter()
             .map(|t| {
                 (
@@ -105,8 +114,7 @@ impl Scenario {
                     t.allow_value,
                 )
             })
-            .collect();
-        FlowTable::whitelist_default_deny(schema, &allows)
+            .collect()
     }
 
     /// The paper's quoted number of MFC masks attainable by the Co-located attack
@@ -121,11 +129,16 @@ impl Scenario {
             .product::<usize>()
     }
 
-    /// The Co-located key sequence for this scenario as a lazy, cloneable iterator
-    /// (see [`crate::colocated::scenario_key_iter`]); `.cycle()` it for the
-    /// looping-replay attacker without materialising a trace.
-    pub fn key_iter(&self, schema: &FieldSchema, base: &Key) -> crate::colocated::BitInversionKeys {
-        crate::colocated::scenario_key_iter(schema, *self, base)
+    /// The Co-located key sequence for this scenario over an OVS schema: the outer
+    /// product of the targeted fields' bit-inversion lists ([`bit_inversion_keys`]) as a
+    /// lazy, cloneable iterator — empty for [`Scenario::Baseline`], which sends no attack
+    /// traffic. `base` pins the untargeted fields (destination IP of the attacker's
+    /// service, IP protocol, etc.). `.cycle()` it for the looping-replay attacker; collect
+    /// `.take(n)` of it where a `Vec` is wanted.
+    pub fn key_iter(&self, schema: &FieldSchema, base: &Key) -> BitInversionKeys {
+        let mut keys = bit_inversion_keys(schema, &self.allows(schema), base);
+        keys.done = !self.has_attack_traffic();
+        keys
     }
 
     /// Total targeted header bits (the `h` of Eq. 1).

@@ -151,7 +151,6 @@ pub fn spray_shards<I: Iterator<Item = Key>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colocated::scenario_key_iter;
     use crate::scenarios::Scenario;
 
     fn tcp_base(schema: &FieldSchema) -> Key {
@@ -169,7 +168,7 @@ mod tests {
         for target in 0..4 {
             let keys: Vec<Key> = pin_to_shard(
                 &schema,
-                scenario_key_iter(&schema, Scenario::SpDp, &tcp_base(&schema)),
+                Scenario::SpDp.key_iter(&schema, &tcp_base(&schema)),
                 ip_dst,
                 4,
                 target,
@@ -186,8 +185,9 @@ mod tests {
     fn retag_touches_only_the_free_field() {
         let schema = FieldSchema::ovs_ipv4();
         let ip_dst = schema.field_index("ip_dst").unwrap();
-        let originals: Vec<Key> =
-            scenario_key_iter(&schema, Scenario::SipDp, &tcp_base(&schema)).collect();
+        let originals: Vec<Key> = Scenario::SipDp
+            .key_iter(&schema, &tcp_base(&schema))
+            .collect();
         let pinned: Vec<Key> =
             pin_to_shard(&schema, originals.iter().cloned(), ip_dst, 8, 5).collect();
         for (orig, steered) in originals.iter().zip(&pinned) {
@@ -206,7 +206,7 @@ mod tests {
         let hasher = RssHasher::new(&rss::rss_fields(&schema), 3, rss::DEFAULT_HASH_KEY);
         let keys: Vec<Key> = spray_shards(
             &schema,
-            scenario_key_iter(&schema, Scenario::Dp, &tcp_base(&schema)),
+            Scenario::Dp.key_iter(&schema, &tcp_base(&schema)),
             ip_dst,
             3,
         )
@@ -223,7 +223,7 @@ mod tests {
         let ip_dst = schema.field_index("ip_dst").unwrap();
         let gen = pin_to_shard(
             &schema,
-            scenario_key_iter(&schema, Scenario::Dp, &tcp_base(&schema)),
+            Scenario::Dp.key_iter(&schema, &tcp_base(&schema)),
             ip_dst,
             4,
             2,
@@ -242,7 +242,7 @@ mod tests {
         let ttl = schema.field_index("ttl").unwrap();
         let _ = pin_to_shard(
             &schema,
-            scenario_key_iter(&schema, Scenario::Dp, &schema.zero_value()),
+            Scenario::Dp.key_iter(&schema, &schema.zero_value()),
             ttl,
             4,
             0,

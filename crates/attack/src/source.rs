@@ -3,16 +3,15 @@
 //! The paper's experiments all reduce to "some mix of victim traffic and crafted
 //! tuple-space-explosion traffic hitting one datapath over time". This module expresses
 //! that directly: a [`TrafficSource`] lazily yields timestamped classification events,
-//! and a [`TrafficMix`] k-way-merges any number of sources by timestamp. An
-//! [`AttackTrace`] is one source
-//! ([`TraceSource`]); [`AttackGenerator`] is the lazy form that synthesizes explosion
-//! traffic on the fly instead of materialising a packet vector; victim flows (in
-//! `tse-simnet`) are another. The experiment runner drains the merged stream — a
-//! 100-million-packet scenario never has to exist in memory at once, and multi-attacker
-//! or staggered-onset mixes are just more sources.
+//! and a [`TrafficMix`] k-way-merges any number of sources by timestamp. An attacker is
+//! one source: [`AttackGenerator`] crafts its packets on the fly from a key iterator —
+//! the pcap replayed in a loop is a cycled key iterator plus a limit — so attack traffic
+//! is never materialised; victim flows (in `tse-simnet`) are another. The experiment
+//! runner drains the merged stream — a 100-million-packet scenario never has to exist in
+//! memory at once, and multi-attacker or staggered-onset mixes are just more sources.
 //!
-//! The sources here are *key-level*: they hand the consumer a pre-extracted header key.
-//! Their wire-level twins in [`crate::wire`] serialise every packet and recover the key
+//! [`AttackGenerator`] is *key-level*: it hands the consumer a pre-extracted header key.
+//! Its wire-level twin in [`crate::wire`] serialises every packet and recovers the key
 //! through the parser. Both turn a packet into a key through the one conversion
 //! [`FlowKey::checked_key`] and into an event through [`TrafficEvent::classified`], so a
 //! packet the schema cannot express is the same `Malformed { FamilyMismatch }` event on
@@ -24,7 +23,7 @@ use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
 
-use crate::trace::{AttackTrace, Crafter, TimedPacket};
+use crate::trace::{Crafter, TimedPacket};
 
 /// What an event means to the consumer (the experiment runner).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,7 +119,7 @@ pub enum SourceRole {
 ///
 /// `Send` is a supertrait so a [`TrafficMix`] — and an experiment holding one — can
 /// move to another thread (`tests/send_audit.rs`); every source is plain owned data
-/// (traces, RNG state), so this costs implementors nothing.
+/// (key iterators, RNG state, frame buffers), so this costs implementors nothing.
 pub trait TrafficSource: Send {
     /// Display label (per-source attribution in timelines, e.g. `"Attacker 2"`).
     fn label(&self) -> &str;
@@ -134,55 +133,14 @@ pub trait TrafficSource: Send {
     fn next_event(&mut self) -> Option<TrafficEvent>;
 }
 
-/// A [`TrafficSource`] replaying a pre-materialised [`AttackTrace`].
+/// The key-level attacker: synthesizes explosion traffic on the fly from a key
+/// iterator, at O(1) memory for any packet count.
 ///
-/// Keys are extracted from the stored packets with the given schema, so replaying a
-/// trace through the keyed event pipeline classifies exactly the packets the trace
-/// holds (including their randomised noise fields, which are part of the OVS key).
-/// A packet whose family the schema cannot express comes out as
-/// `Malformed { FamilyMismatch }`, exactly as its frame would out of a
-/// [`WireSource`](crate::wire::WireSource).
-#[derive(Debug, Clone)]
-pub struct TraceSource<'a> {
-    label: String,
-    schema: FieldSchema,
-    trace: &'a AttackTrace,
-    cursor: usize,
-}
-
-impl<'a> TraceSource<'a> {
-    /// Wrap a trace for replay under `schema`.
-    pub fn new(label: impl Into<String>, trace: &'a AttackTrace, schema: &FieldSchema) -> Self {
-        TraceSource {
-            label: label.into(),
-            schema: schema.clone(),
-            trace,
-            cursor: 0,
-        }
-    }
-}
-
-impl TrafficSource for TraceSource<'_> {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn next_event(&mut self) -> Option<TrafficEvent> {
-        let tp = self.trace.packets().get(self.cursor)?;
-        self.cursor += 1;
-        Some(TrafficEvent::of_packet(tp, &self.schema))
-    }
-}
-
-/// The lazy generator form of an attack trace: synthesizes explosion traffic on the
-/// fly from a key iterator instead of materialising a `Vec<TimedPacket>`.
-///
-/// Packets come out of the crafter [`AttackTrace::from_keys`] collects — same builder,
-/// same noise randomisation, same constant-rate timestamps — so a generator over the
-/// same keys, rate, start time and RNG seed emits an event stream identical to
-/// replaying the materialised trace, at O(1) memory for any packet count. Combine
-/// with [`crate::colocated::scenario_key_iter`] (cycled) or
-/// [`crate::general::RandomKeys`] for unbounded traffic.
+/// Packets come out of the crate's one crafter — same builder, same noise
+/// randomisation, same constant-rate timestamps as a
+/// [`WireGenerator`](crate::wire::WireGenerator) over the same keys, rate, start time
+/// and RNG seed. Combine with [`Scenario::key_iter`](crate::scenarios::Scenario::key_iter)
+/// (cycled) or [`crate::general::RandomKeys`] for unbounded traffic.
 #[derive(Debug, Clone)]
 pub struct AttackGenerator<I, R> {
     label: String,
@@ -406,7 +364,6 @@ impl<'a> TrafficMix<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colocated::{scenario_key_iter, scenario_trace};
     use crate::scenarios::Scenario;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -588,64 +545,30 @@ mod tests {
     }
 
     #[test]
-    fn trace_source_replays_the_trace_exactly() {
-        let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(5);
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let trace = AttackTrace::from_keys(&mut rng, &schema, &keys, 50.0, 2.0);
-        let mut src = TraceSource::new("atk", &trace, &schema);
-        let mut n = 0;
-        while let Some(ev) = src.next_event() {
-            let tp = &trace.packets()[n];
-            assert_eq!(ev.time, tp.time);
-            assert_eq!(
-                Ok(ev.key),
-                FlowKey::from_packet(&tp.packet).checked_key(&schema)
-            );
-            assert_eq!(ev.bytes, tp.packet.wire_len());
-            assert_eq!(ev.payload, EventPayload::Packet);
-            n += 1;
-        }
-        assert_eq!(n, trace.len());
-        assert_eq!(src.role(), SourceRole::Attacker);
-    }
-
-    #[test]
     fn generator_matches_materialised_trace() {
-        // The lazy generator over the same keys, seed, rate and start time emits the
-        // exact event stream of the materialised AttackTrace — without the Vec.
+        // The crafter's packets collected, then classified one by one under the schema:
+        // the lazy generator over the same keys, seed, rate and start time emits exactly
+        // those events — without the Vec.
         let schema = FieldSchema::ovs_ipv4();
-        let keys = scenario_trace(&schema, Scenario::SpDp, &schema.zero_value());
-        let trace = AttackTrace::from_keys_cyclic(
-            &mut StdRng::seed_from_u64(42),
-            &schema,
-            &keys,
-            250.0,
-            10.0,
-            700,
-        );
-        let mut lazy = AttackGenerator::new(
-            "atk",
-            &schema,
-            scenario_key_iter(&schema, Scenario::SpDp, &schema.zero_value())
+        let keys = || {
+            Scenario::SpDp
+                .key_iter(&schema, &schema.zero_value())
                 .cycle()
-                .take(700),
-            StdRng::seed_from_u64(42),
-            250.0,
-            10.0,
-        );
-        let mut reference = TraceSource::new("atk", &trace, &schema);
-        let mut count = 0;
-        loop {
-            match (reference.next_event(), lazy.next_event()) {
-                (None, None) => break,
-                (a, b) => {
-                    assert_eq!(a, b, "event {count} diverged");
-                    count += 1;
-                }
-            }
+        };
+        let rng = || StdRng::seed_from_u64(42);
+        let trace: Vec<TimedPacket> = Crafter::new(&schema, keys(), rng(), 250.0, 10.0)
+            .with_limit(700)
+            .collect();
+        let mut lazy =
+            AttackGenerator::new("atk", &schema, keys(), rng(), 250.0, 10.0).with_limit(700);
+        let events: Vec<TrafficEvent> = std::iter::from_fn(|| lazy.next_event()).collect();
+        assert_eq!(events.len(), trace.len());
+        for (i, (ev, tp)) in events.iter().zip(&trace).enumerate() {
+            let key = FlowKey::from_packet(&tp.packet).checked_key(&schema);
+            assert_eq!(Ok(&ev.key), key.as_ref(), "event {i}");
+            assert_eq!((ev.time, ev.bytes), (tp.time, tp.packet.wire_len()));
+            assert_eq!(ev.payload, EventPayload::Packet);
         }
-        assert_eq!(count, 700);
     }
 
     #[test]
@@ -654,7 +577,7 @@ mod tests {
         let mut gen = AttackGenerator::new(
             "atk",
             &schema,
-            scenario_key_iter(&schema, Scenario::Dp, &schema.zero_value()).cycle(),
+            Scenario::Dp.key_iter(&schema, &schema.zero_value()).cycle(),
             StdRng::seed_from_u64(1),
             100.0,
             0.0,

@@ -1,9 +1,10 @@
-//! Attack traces as concrete, timed packets.
+//! The attack crafter: header keys turned into concrete, timed packets.
 //!
 //! The generators in [`crate::colocated`] and [`crate::general`] work on header *keys*;
-//! this module turns them into real [`Packet`]s (with randomised noise fields, §5.2) and
-//! attaches send times for a given packet rate, yielding the trace a real attacker would
-//! replay from a pcap (§5.4).
+//! this module turns them into real [`Packet`]s (with randomised noise fields, §5.2) sent
+//! at a constant rate — the packets a real attacker replays from a pcap in a loop (§5.4).
+//! Its one consumer form is a source: [`AttackGenerator`](crate::source::AttackGenerator)
+//! at the key level, [`WireGenerator`](crate::wire::WireGenerator) at the wire level.
 
 use rand::Rng;
 
@@ -12,19 +13,13 @@ use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::l4::IpProto;
 use tse_packet::Packet;
 
-/// One timed packet of an attack trace.
+/// One timed packet of an attack.
 #[derive(Debug, Clone)]
-pub struct TimedPacket {
-    /// Send time in seconds from the start of the trace.
-    pub time: f64,
+pub(crate) struct TimedPacket {
+    /// Send time in seconds from the start of the experiment.
+    pub(crate) time: f64,
     /// The packet itself.
-    pub packet: Packet,
-}
-
-/// A replayable attack trace: packets with send times, produced at a constant rate.
-#[derive(Debug, Clone, Default)]
-pub struct AttackTrace {
-    packets: Vec<TimedPacket>,
+    pub(crate) packet: Packet,
 }
 
 /// Field indices an attack crafter needs, resolved once per schema. Works on both OVS
@@ -78,9 +73,8 @@ fn craft_packet(key: &Key, fields: (usize, usize, usize, usize, bool)) -> Packet
 /// packets. Packet `i` is built from the `i`-th key, its noise fields (TTL, IP id / flow
 /// label, TCP seq) drawn from the crafter's RNG so every packet is a distinct microflow
 /// (§5.2), and stamped `start_time + i / rate_pps`; the stream ends with the keys or at
-/// the limit. A materialised [`AttackTrace`] is this collected; the lazy key-level and
-/// wire-level generators are this plus an ingress — so all three emit the same packets
-/// at the same times by construction.
+/// the limit. The key-level and wire-level generators are this plus an ingress — so
+/// both emit the same packets at the same times by construction.
 #[derive(Debug, Clone)]
 pub(crate) struct Crafter<I, R> {
     fields: (usize, usize, usize, usize, bool),
@@ -141,119 +135,52 @@ impl<I: Iterator<Item = Key>, R: Rng> Iterator for Crafter<I, R> {
     }
 }
 
-impl AttackTrace {
-    /// Build a trace from header keys over an OVS schema (IPv4 or IPv6), sent at
-    /// `rate_pps` starting at `start_time`. Each packet's noise fields (TTL, IP id /
-    /// flow label, TCP seq) are randomised so every packet is a distinct microflow.
-    pub fn from_keys<R: Rng + ?Sized>(
-        rng: &mut R,
-        schema: &FieldSchema,
-        keys: &[Key],
-        rate_pps: f64,
-        start_time: f64,
-    ) -> Self {
-        let crafter = Crafter::new(schema, keys.iter().cloned(), rng, rate_pps, start_time);
-        AttackTrace {
-            packets: crafter.collect(),
-        }
-    }
-
-    /// Repeat the key sequence until `count` packets have been emitted (the attacker
-    /// replays the pcap in a loop to keep entries alive).
-    pub fn from_keys_cyclic<R: Rng + ?Sized>(
-        rng: &mut R,
-        schema: &FieldSchema,
-        keys: &[Key],
-        rate_pps: f64,
-        start_time: f64,
-        count: usize,
-    ) -> Self {
-        assert!(!keys.is_empty());
-        let repeated: Vec<Key> = (0..count).map(|i| keys[i % keys.len()].clone()).collect();
-        Self::from_keys(rng, schema, &repeated, rate_pps, start_time)
-    }
-
-    /// The timed packets, in send order.
-    pub fn packets(&self) -> &[TimedPacket] {
-        &self.packets
-    }
-
-    /// View the trace as a pull-based [`TrafficSource`](crate::source::TrafficSource)
-    /// replaying its packets as keyed events under `schema` — the adapter that plugs a
-    /// materialised trace into a [`TrafficMix`](crate::source::TrafficMix).
-    pub fn source<'a>(
-        &'a self,
-        label: impl Into<String>,
-        schema: &FieldSchema,
-    ) -> crate::source::TraceSource<'a> {
-        crate::source::TraceSource::new(label, self, schema)
-    }
-
-    /// Number of packets in the trace.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// True if the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
-    /// Total trace duration in seconds (0 for traces with fewer than two packets).
-    pub fn duration(&self) -> f64 {
-        match (self.packets.first(), self.packets.last()) {
-            (Some(first), Some(last)) => last.time - first.time,
-            _ => 0.0,
-        }
-    }
-
-    /// Aggregate attack bandwidth in bits per second (wire bytes / duration), the number
-    /// the paper quotes as "0.67 Mbps is enough to tear down OVS".
-    pub fn bandwidth_bps(&self) -> f64 {
-        if self.packets.len() < 2 {
-            return 0.0;
-        }
-        let bytes: usize = self.packets.iter().map(|p| p.packet.wire_len()).sum();
-        bytes as f64 * 8.0 / self.duration()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colocated::scenario_trace;
     use crate::scenarios::Scenario;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tse_packet::flowkey::MicroflowKey;
+    use tse_packet::flowkey::{FlowKey, MicroflowKey};
+
+    fn crafter(
+        scenario: Scenario,
+        seed: u64,
+        rate_pps: f64,
+        start_time: f64,
+    ) -> Crafter<impl Iterator<Item = Key>, StdRng> {
+        let schema = FieldSchema::ovs_ipv4();
+        let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+        Crafter::new(
+            &schema,
+            keys,
+            StdRng::seed_from_u64(seed),
+            rate_pps,
+            start_time,
+        )
+    }
 
     #[test]
     fn trace_timing_matches_rate() {
         let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(1);
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let trace = AttackTrace::from_keys(&mut rng, &schema, &keys, 100.0, 5.0);
-        assert_eq!(trace.len(), 17);
-        assert!((trace.packets()[0].time - 5.0).abs() < 1e-9);
-        assert!((trace.packets()[1].time - 5.01).abs() < 1e-9);
-        assert!((trace.duration() - 0.16).abs() < 1e-9);
+        let keys = Scenario::Dp.key_iter(&schema, &schema.zero_value());
+        let packets: Vec<TimedPacket> =
+            Crafter::new(&schema, keys, StdRng::seed_from_u64(1), 100.0, 5.0).collect();
+        assert_eq!(packets.len(), 17);
+        assert!((packets[0].time - 5.0).abs() < 1e-9);
+        assert!((packets[1].time - 5.01).abs() < 1e-9);
+        assert!((packets[16].time - 5.16).abs() < 1e-9);
     }
 
     #[test]
     fn low_rate_attack_is_sub_mbps() {
         // §5/§10: ~1 000 packets at 1 000 pps is ≈0.7 Mbps — a low-rate attack.
-        let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(2);
-        let keys = scenario_trace(&schema, Scenario::SipSpDp, &schema.zero_value());
-        let trace = AttackTrace::from_keys_cyclic(
-            &mut rng,
-            &schema,
-            &keys[..1000.min(keys.len())],
-            1000.0,
-            0.0,
-            1000,
-        );
-        let mbps = trace.bandwidth_bps() / 1e6;
+        let packets: Vec<TimedPacket> = crafter(Scenario::SipSpDp, 2, 1000.0, 0.0)
+            .with_limit(1000)
+            .collect();
+        let bytes: usize = packets.iter().map(|p| p.packet.wire_len()).sum();
+        let seconds = packets[999].time - packets[0].time;
+        let mbps = bytes as f64 * 8.0 / seconds / 1e6;
         assert!(
             mbps < 1.0,
             "attack rate {mbps} Mbps should stay below 1 Mbps"
@@ -264,14 +191,11 @@ mod tests {
     #[test]
     fn noise_makes_every_packet_a_distinct_microflow() {
         let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(3);
-        let keys = vec![schema.zero_value(); 50];
-        let trace = AttackTrace::from_keys(&mut rng, &schema, &keys, 10.0, 0.0);
-        let micro: std::collections::HashSet<MicroflowKey> = trace
-            .packets()
-            .iter()
-            .map(|p| MicroflowKey::from_packet(&p.packet))
-            .collect();
+        let keys = std::iter::repeat_n(schema.zero_value(), 50);
+        let micro: std::collections::HashSet<MicroflowKey> =
+            Crafter::new(&schema, keys, StdRng::seed_from_u64(3), 10.0, 0.0)
+                .map(|p| MicroflowKey::from_packet(&p.packet))
+                .collect();
         assert!(
             micro.len() > 45,
             "noise should make microflow keys distinct: {}",
@@ -281,18 +205,17 @@ mod tests {
 
     #[test]
     fn cyclic_replay_repeats_keys() {
-        let schema = FieldSchema::ovs_ipv4();
-        let mut rng = StdRng::seed_from_u64(4);
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let trace = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 50.0, 0.0, 100);
-        assert_eq!(trace.len(), 100);
-    }
-
-    #[test]
-    fn empty_trace_is_harmless() {
-        let t = AttackTrace::default();
-        assert!(t.is_empty());
-        assert_eq!(t.duration(), 0.0);
-        assert_eq!(t.bandwidth_bps(), 0.0);
+        // The pcap replayed in a loop: packet 17 of the cycled 17-key Dp sequence
+        // carries packet 0's header again, with fresh noise, until the limit.
+        let packets: Vec<TimedPacket> = crafter(Scenario::Dp, 4, 50.0, 0.0)
+            .with_limit(100)
+            .collect();
+        assert_eq!(packets.len(), 100);
+        let tuple = |p: &TimedPacket| {
+            let k = FlowKey::from_packet(&p.packet);
+            (k.ip_src, k.ip_dst, k.tp_src, k.tp_dst)
+        };
+        assert_eq!(tuple(&packets[17]), tuple(&packets[0]));
+        assert_ne!(tuple(&packets[1]), tuple(&packets[0]));
     }
 }

@@ -1,17 +1,20 @@
 //! Wire-level traffic sources: pcap-style replay of serialised frames through the real
 //! parser.
 //!
-//! The key-level sources in [`crate::source`] hand the datapath pre-extracted header
-//! keys. The sources here instead serialise every packet to raw Ethernet bytes
-//! (optionally under a VLAN/VXLAN overlay, [`Encap`]) and recover the key through
-//! [`tse_packet::wire::decode_key`] — so the full header-layout code runs on the hot
-//! path, exactly as a switch fed from a NIC. Key-level and wire-level sources share one
+//! The key-level [`AttackGenerator`](crate::source::AttackGenerator) hands the datapath
+//! pre-extracted header keys. [`WireGenerator`] instead serialises every crafted packet
+//! to raw Ethernet bytes (optionally under a VLAN/VXLAN overlay, [`Encap`]) and recovers
+//! the key through [`tse_packet::wire::decode_key`] — so the full header-layout code runs
+//! on the hot path, exactly as a switch fed from a NIC. The two generators share one
 //! packet → key conversion (`decode_key` is the parser followed by the
-//! `FlowKey::checked_key` the key-level sources call) and one crafter, so for the same
-//! keys, seed, rate and start time a wire source emits an event stream **identical** to
-//! its key-level counterpart (encode→decode is exact), which the tests here pin; the
-//! only difference appears under an overlay, where the event's `bytes` honestly include
-//! the encapsulation overhead.
+//! `FlowKey::checked_key` the key-level generator calls) and one crafter, so for the same
+//! keys, seed, rate and start time they emit **identical** event streams (encode→decode
+//! is exact), which the tests here pin; the only difference appears under an overlay,
+//! where the event's `bytes` honestly include the encapsulation overhead.
+//!
+//! [`WireSource`] replays a [`WireTrace`] — raw frames no crafter produces, such as the
+//! truncated garbage a malformed-traffic experiment rides along the attack — through the
+//! same parser.
 //!
 //! Frames that fail to decode (or decode into an address family the schema cannot
 //! express) are not dropped: they come out as
@@ -24,17 +27,7 @@ use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::wire::{self, Encap, WireTrace};
 
 use crate::source::{TrafficEvent, TrafficSource};
-use crate::trace::{AttackTrace, Crafter};
-
-/// Serialise an [`AttackTrace`] into a [`WireTrace`] under the given encapsulation —
-/// the "write the pcap" half of wire-level replay.
-pub fn wire_trace(trace: &AttackTrace, encap: Encap) -> WireTrace {
-    let mut out = WireTrace::new();
-    for tp in trace.packets() {
-        out.push_packet(tp.time, &tp.packet, encap);
-    }
-    out
-}
+use crate::trace::Crafter;
 
 /// Decode one frame into a traffic event — the wire-level ingress.
 #[inline]
@@ -42,8 +35,9 @@ fn frame_event(schema: &FieldSchema, time: f64, frame: &[u8]) -> TrafficEvent {
     TrafficEvent::classified(time, frame.len(), wire::decode_key(frame, schema), schema)
 }
 
-/// A [`TrafficSource`] replaying a [`WireTrace`] frame by frame through the wire
-/// parser — the pcap-replay attacker of §5.4, down to the bytes.
+/// A [`TrafficSource`] replaying a recorded [`WireTrace`] frame by frame through the
+/// wire parser — for frames no crafter produces (garbage, foreign captures); crafted
+/// attack traffic comes from a [`WireGenerator`].
 #[derive(Debug, Clone)]
 pub struct WireSource {
     label: String,
@@ -61,11 +55,6 @@ impl WireSource {
             trace,
             cursor: 0,
         }
-    }
-
-    /// The frame trace being replayed.
-    pub fn trace(&self) -> &WireTrace {
-        &self.trace
     }
 }
 
@@ -161,10 +150,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colocated::{scenario_key_iter, scenario_trace};
-    use crate::general::random_trace_on_fields;
+    use crate::general::RandomKeys;
     use crate::scenarios::Scenario;
-    use crate::source::{AttackGenerator, EventPayload, SourceRole, TraceSource};
+    use crate::source::{AttackGenerator, EventPayload, SourceRole};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tse_packet::wire::{DecodeError, WireFault};
@@ -175,30 +163,41 @@ mod tests {
 
     #[test]
     fn wire_replay_matches_key_level_replay_exactly() {
+        // The crafted packets recorded as frames and replayed by a WireSource classify
+        // exactly like the key-level generator that crafts them.
         let schema = FieldSchema::ovs_ipv4();
-        let keys = scenario_trace(&schema, Scenario::SpDp, &schema.zero_value());
-        let trace =
-            AttackTrace::from_keys(&mut StdRng::seed_from_u64(7), &schema, &keys, 200.0, 3.0);
-        let wire = WireSource::replay("atk", wire_trace(&trace, Encap::None), &schema);
-        assert_eq!(wire.trace().len(), trace.len());
-        let keyed = TraceSource::new("atk", &trace, &schema);
-        assert_eq!(stream(wire), stream(keyed));
+        let keys = || Scenario::SpDp.key_iter(&schema, &schema.zero_value());
+        let rng = || StdRng::seed_from_u64(7);
+        let mut frames = WireTrace::new();
+        for tp in Crafter::new(&schema, keys(), rng(), 200.0, 3.0) {
+            frames.push_packet(tp.time, &tp.packet, Encap::None);
+        }
+        assert_eq!(frames.len(), 17 * 17);
+        let keyed = AttackGenerator::new("atk", &schema, keys(), rng(), 200.0, 3.0);
+        let replayed = WireSource::replay("atk", frames, &schema);
+        assert_eq!(stream(replayed), stream(keyed));
     }
 
-    /// One crafter, three forms: the materialised trace replayed key-level, the lazy
-    /// key-level generator and the lazy wire-level generator (no encap) over the same
-    /// keys, seed, rate and start emit identical `(time, key, bytes, payload)` streams,
-    /// and a limit cuts both generators at the same event.
+    /// One crafter, two ingresses: the key-level and the wire-level generator (no encap)
+    /// over the same keys, seed, rate and start emit identical `(time, key, bytes,
+    /// payload)` streams — one classified packet per key, carrying the key's crafted
+    /// fields, at the constant-rate time — and a limit cuts both at the same event.
     fn assert_crafter_parity(schema: &FieldSchema, keys: &[Key], seed: u64, rate: f64, start: f64) {
         let rng = || StdRng::seed_from_u64(seed);
-        let trace = AttackTrace::from_keys(&mut rng(), schema, keys, rate, start);
-        let full = stream(trace.source("atk", schema));
-        assert_eq!(full.len(), keys.len());
-        assert!(full.iter().all(|ev| ev.payload == EventPayload::Packet));
         let keyed =
             || AttackGenerator::new("atk", schema, keys.iter().cloned(), rng(), rate, start);
         let wire = || WireGenerator::new("atk", schema, keys.iter().cloned(), rng(), rate, start);
-        assert_eq!(stream(keyed()), full, "seed {seed}: key-level generator");
+        let full = stream(keyed());
+        assert_eq!(full.len(), keys.len());
+        // The crafter fills in the protocol and draws the TTL; every other field is the key's.
+        let crafted: Vec<usize> = (0..schema.field_count())
+            .filter(|&f| !matches!(schema.fields()[f].name, "ip_proto" | "ttl"))
+            .collect();
+        for (i, (ev, key)) in full.iter().zip(keys).enumerate() {
+            assert_eq!(ev.payload, EventPayload::Packet);
+            assert_eq!(ev.time, start + i as f64 * (1.0 / rate));
+            assert!(crafted.iter().all(|&f| ev.key.get(f) == key.get(f)));
+        }
         assert_eq!(stream(wire()), full, "seed {seed}: wire-level generator");
         let limit = keys.len() / 3;
         assert_eq!(stream(keyed().with_limit(limit)), full[..limit]);
@@ -208,7 +207,8 @@ mod tests {
     #[test]
     fn wire_generator_matches_key_level_generator_exactly() {
         let schema = FieldSchema::ovs_ipv4();
-        let keys: Vec<Key> = scenario_key_iter(&schema, Scenario::SipDp, &schema.zero_value())
+        let keys: Vec<Key> = Scenario::SipDp
+            .key_iter(&schema, &schema.zero_value())
             .cycle()
             .take(400)
             .collect();
@@ -222,13 +222,11 @@ mod tests {
         let schema = FieldSchema::ovs_ipv6();
         let ip6_src = schema.field_index("ip6_src").unwrap();
         let tp_dst = schema.field_index("tp_dst").unwrap();
-        let keys = random_trace_on_fields(
-            &mut StdRng::seed_from_u64(99),
-            &schema,
-            &[ip6_src, tp_dst],
-            &schema.zero_value(),
-            300,
-        );
+        let rng = StdRng::seed_from_u64(99);
+        let fields = [ip6_src, tp_dst];
+        let keys: Vec<Key> = RandomKeys::on_fields(rng, &schema, &fields, &schema.zero_value())
+            .take(300)
+            .collect();
         for seed in [5, 0x7c5e] {
             assert_crafter_parity(&schema, &keys, seed, 100.0, 0.0);
         }
@@ -237,11 +235,12 @@ mod tests {
     #[test]
     fn overlay_encap_extracts_the_inner_key() {
         let schema = FieldSchema::ovs_ipv4();
-        let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-        let trace =
-            AttackTrace::from_keys(&mut StdRng::seed_from_u64(1), &schema, &keys, 100.0, 0.0);
-        let replay = |encap| stream(WireSource::replay("w", wire_trace(&trace, encap), &schema));
-        let plain = replay(Encap::None);
+        let generator = || {
+            let keys = Scenario::Dp.key_iter(&schema, &schema.zero_value());
+            WireGenerator::new("w", &schema, keys, StdRng::seed_from_u64(1), 100.0, 0.0)
+        };
+        let plain = stream(generator());
+        assert_eq!(plain.len(), 17);
         for encap in [
             Encap::Vlan { tci: 100 },
             Encap::Vxlan {
@@ -250,7 +249,7 @@ mod tests {
                 vni: 42,
             },
         ] {
-            let tunneled = replay(encap);
+            let tunneled = stream(generator().with_encap(encap));
             assert_eq!(tunneled.len(), plain.len());
             for (t, p) in tunneled.iter().zip(plain.iter()) {
                 // The overlay changes the wire bytes but not the classified key: the

@@ -4,9 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
-use tse_attack::trace::AttackTrace;
+use tse_attack::source::AttackGenerator;
 use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::offload::OffloadConfig;
@@ -29,12 +28,14 @@ fn main() {
         VictimFlow::iperf_tcp("Victim 3", 0x0a000007, 0x0a000063, 10.0).with_src_port(40003),
     ];
     // Attack: 100 pps from t1 = 30 s for 30 s (3000 packets), cycling the SipDp trace.
-    let keys = scenario_trace(&schema, Scenario::SipDp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(8);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 30.0, 3000);
+    let keys = Scenario::SipDp
+        .key_iter(&schema, &schema.zero_value())
+        .cycle();
+    let rng = StdRng::seed_from_u64(8);
+    let attack = AttackGenerator::new("Attacker", &schema, keys, rng, 100.0, 30.0).with_limit(3000);
 
     let mut runner = ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off());
-    let timeline = runner.run(&attack, duration);
+    let timeline = runner.run(attack, duration);
     println!("== Fig. 8a: synthetic timeline, 3 TCP victims, SipDp attack @100 pps, t1=30 s t2=60 s ==\n");
     println!("{}", timeline.render_table());
     let before = timeline.mean_total_between(5.0, 29.0);

@@ -2,15 +2,13 @@
 //! security-group API can express), attacker active 0–60 s and again from 90 s, victim
 //! (full-rate UDP iperf) joining at t = 30 s.
 //!
-//! The on/off attacker is expressed with the streaming API: two attack sources in one
-//! `TrafficMix` (no hand-stitched trace), the late-joining victim is a third source.
+//! The on/off attacker is expressed with the streaming API: two attack generators in
+//! one `TrafficMix` (no hand-stitched trace), the late-joining victim is a third source.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
-use tse_attack::source::TrafficMix;
-use tse_attack::trace::AttackTrace;
+use tse_attack::source::{AttackGenerator, TrafficMix};
 use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::cloud::CloudPlatform;
@@ -35,11 +33,13 @@ fn main() {
     // Victim: UDP iperf joining at t = 30 s, offered at the platform's line rate.
     let victim = VictimFlow::iperf_udp("Victim", 0x0a000005, 0x0a000063, platform.line_rate_gbps())
         .active_between(30.0, f64::INFINITY);
-    // Attacker: 100 pps, on during 0–60 s and again 90–120 s — two sources, one mix.
-    let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(21);
-    let first = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 0.0, 6000);
-    let second = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 90.0, 3000);
+    // Attacker: 100 pps, on during 0–60 s and again 90–120 s — two sources, one mix,
+    // each wave with its own noise seed.
+    let wave = |label, seed, start, count| {
+        let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+        let rng = StdRng::seed_from_u64(seed);
+        AttackGenerator::new(label, &schema, keys, rng, 100.0, start).with_limit(count)
+    };
 
     let offload = OffloadConfig {
         name: "OpenStack UDP",
@@ -50,8 +50,8 @@ fn main() {
     let mut runner = ExperimentRunner::new(Datapath::new(table), Vec::new(), offload);
     let mix = TrafficMix::new()
         .with(VictimSource::new(victim, &schema, runner.sample_interval))
-        .with(first.source("Attacker (1st wave)", &schema))
-        .with(second.source("Attacker (2nd wave)", &schema));
+        .with(wave("Attacker (1st wave)", 21, 0.0, 6000))
+        .with(wave("Attacker (2nd wave)", 22, 90.0, 3000));
     let timeline = runner.run_mix(mix, duration);
     println!(
         "== Fig. 8b: OpenStack (OVN), {} scenario, victim joins at t=30 s ==\n",

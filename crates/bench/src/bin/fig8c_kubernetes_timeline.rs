@@ -4,9 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
-use tse_attack::trace::AttackTrace;
+use tse_attack::source::AttackGenerator;
 use tse_bench::{FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
 use tse_simnet::cloud::CloudPlatform;
@@ -41,22 +40,24 @@ fn main() {
         cost: CostModel::ovs_kernel_default(),
     };
 
-    let keys = scenario_trace(&schema, scenario, &schema.zero_value());
+    // One noise RNG across the three phases. Each phase's last packet is sent before its
+    // 50 s run ends, so every phase drains its attacker — and its draws — in full.
     let mut rng = StdRng::seed_from_u64(3);
+    let keys = || scenario.key_iter(&schema, &schema.zero_value()).cycle();
 
     // Phase 1: t=0..50 s, benign ACL, attacker on from t=20 s at 1 000 pps.
     let mut runner = ExperimentRunner::new(Datapath::new(benign_table), victims.clone(), offload);
-    let attack1 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 1000.0, 20.0, 30_000);
-    let phase1 = runner.run(&attack1, 50.0);
+    let attack1 = AttackGenerator::new("Attacker", &schema, keys(), &mut rng, 1000.0, 20.0);
+    let phase1 = runner.run(attack1.with_limit(30_000), 50.0);
 
     // Phase 2: ACL injected at t2 = 50 s, attack continues at 1 000 pps until t4 = 100 s.
     runner.datapath.install_table(malicious_table);
-    let attack2 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 1000.0, 0.0, 50_000);
-    let phase2 = runner.run(&attack2, 50.0);
+    let attack2 = AttackGenerator::new("Attacker", &schema, keys(), &mut rng, 1000.0, 0.0);
+    let phase2 = runner.run(attack2.with_limit(50_000), 50.0);
 
     // Phase 3: rate doubled to 2 000 pps from t4 = 100 s to t = 150 s.
-    let attack3 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 2000.0, 0.0, 100_000);
-    let phase3 = runner.run(&attack3, 50.0);
+    let attack3 = AttackGenerator::new("Attacker", &schema, keys(), &mut rng, 2000.0, 0.0);
+    let phase3 = runner.run(attack3.with_limit(100_000), 50.0);
 
     println!("== Fig. 8c: Kubernetes (OVN), SipSpDp, ACL injected at t2=50 s, rate 1k->2k pps at t4=100 s ==\n");
     println!("time_s\tvictim_gbps\tattack_pps\tmfc_masks\tmfc_entries");

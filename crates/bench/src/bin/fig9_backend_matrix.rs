@@ -9,9 +9,8 @@
 //! attack-immune fast path the victim's throughput stays at baseline through the whole
 //! attack window — the end-to-end form of the paper's mitigation claim.
 
-use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
-use tse_attack::trace::AttackTrace;
+use tse_attack::source::AttackGenerator;
 use tse_bench::{render_table, FigArgs, Figure};
 use tse_classifier::backend::{
     FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
@@ -41,11 +40,8 @@ fn run_case<B: FastPathBackend>(mut dp: Datapath<B>, scenario: Scenario, victim:
     dp.process_key(victim, 1500, 0.0);
     let baseline = dp.process_key(victim, 1500, 0.001);
     let schema = dp.table().schema().clone();
-    for (i, key) in scenario_trace(&schema, scenario, &schema.zero_value())
-        .iter()
-        .enumerate()
-    {
-        dp.process_key(key, 64, 0.01 + i as f64 * 1e-4);
+    for (i, key) in scenario.key_iter(&schema, &schema.zero_value()).enumerate() {
+        dp.process_key(&key, 64, 0.01 + i as f64 * 1e-4);
     }
     let attacked = dp.process_key(victim, 1500, 0.9);
     CaseRow {
@@ -147,9 +143,12 @@ fn timelines(fig: &mut Figure) {
         0x0a00_0063,
         10.0,
     )];
-    let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(99);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 20.0, 3000);
+    // The same attack for both runners: 3000 packets at 100 pps from t = 20 s.
+    let attack = || {
+        let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+        let rng = StdRng::seed_from_u64(99);
+        AttackGenerator::new("Attacker", &schema, keys, rng, 100.0, 20.0).with_limit(3000)
+    };
 
     println!("\n== Fig. 8a-style timelines under attack-immune backends (SipDp, 100 pps) ==");
     let mut trie_runner = ExperimentRunner::new(
@@ -159,7 +158,7 @@ fn timelines(fig: &mut Figure) {
         victims.clone(),
         OffloadConfig::gro_off(),
     );
-    let trie_tl = trie_runner.run(&attack, duration);
+    let trie_tl = trie_runner.run(attack(), duration);
     println!("\n-- hierarchical tries --");
     println!("{}", trie_tl.render_table());
 
@@ -170,7 +169,7 @@ fn timelines(fig: &mut Figure) {
         victims,
         OffloadConfig::gro_off(),
     );
-    let hc_tl = hc_runner.run(&attack, duration);
+    let hc_tl = hc_runner.run(attack(), duration);
     println!("-- hypercuts --");
     println!("{}", hc_tl.render_table());
 

@@ -6,7 +6,6 @@
 //! case through the datapath; the throughput at each point comes from the calibrated
 //! cost model (`tse_switch::cost`).
 
-use tse_attack::colocated::scenario_trace;
 use tse_attack::scenarios::Scenario;
 use tse_bench::{render_table, FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
@@ -20,11 +19,8 @@ fn measured_masks(scenario: Scenario) -> usize {
     }
     let table = scenario.flow_table(&schema);
     let mut dp = Datapath::new(table);
-    for (i, key) in scenario_trace(&schema, scenario, &schema.zero_value())
-        .iter()
-        .enumerate()
-    {
-        dp.process_key(key, 64, i as f64 * 1e-5);
+    for (i, key) in scenario.key_iter(&schema, &schema.zero_value()).enumerate() {
+        dp.process_key(&key, 64, i as f64 * 1e-5);
     }
     dp.mask_count()
 }

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse_attack::expectation::ExpectationModel;
-use tse_attack::general::random_trace;
+use tse_attack::general::RandomKeys;
 use tse_attack::scenarios::Scenario;
 use tse_bench::{render_table, FigArgs, Figure};
 use tse_packet::fields::FieldSchema;
@@ -16,12 +16,10 @@ fn measure(scenario: Scenario, n: usize, seed: u64) -> usize {
     let schema = FieldSchema::ovs_ipv4();
     let table = scenario.flow_table(&schema);
     let mut dp = Datapath::new(table);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for (i, key) in random_trace(&mut rng, &schema, scenario, &schema.zero_value(), n)
-        .iter()
-        .enumerate()
-    {
-        dp.process_key(key, 64, i as f64 * 1e-5);
+    let rng = StdRng::seed_from_u64(seed);
+    let keys = RandomKeys::new(rng, &schema, scenario, &schema.zero_value()).take(n);
+    for (i, key) in keys.enumerate() {
+        dp.process_key(&key, 64, i as f64 * 1e-5);
     }
     dp.mask_count()
 }

@@ -58,13 +58,13 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("proptest", 14, 1),
     ("rand", 5, 0),
     ("tse", 0, 0),
-    ("tse-attack", 74, 0),
+    ("tse-attack", 56, 0),
     ("tse-bench", 57, 0),
     ("tse-classifier", 78, 4),
     ("tse-lint", 26, 0),
-    ("tse-mitigation", 54, 2),
+    ("tse-mitigation", 53, 1),
     ("tse-packet", 122, 4),
-    ("tse-simnet", 134, 11),
+    ("tse-simnet", 132, 10),
     ("tse-switch", 121, 5),
 ];
 

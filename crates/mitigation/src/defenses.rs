@@ -598,7 +598,6 @@ mod tests {
 
     #[test]
     fn mask_cap_evicts_coldest_masks_first() {
-        use tse_attack::colocated::scenario_trace;
         use tse_attack::scenarios::Scenario;
         let schema = FieldSchema::ovs_ipv4();
         let table = Scenario::SpDp.flow_table(&schema);
@@ -612,11 +611,11 @@ mod tests {
             dp.process_key(&victim, 1500, 0.01 + i as f64 * 1e-3);
         }
         // The SpDp explosion: hundreds of cold masks, each key seen once.
-        for (i, h) in scenario_trace(&schema, Scenario::SpDp, &schema.zero_value())
-            .iter()
+        for (i, h) in Scenario::SpDp
+            .key_iter(&schema, &schema.zero_value())
             .enumerate()
         {
-            dp.process_key(h, 60, 0.5 + i as f64 * 1e-3);
+            dp.process_key(&h, 60, 0.5 + i as f64 * 1e-3);
         }
         let total = dp.shard(0).mask_count();
         assert!(total > 50, "attack spawned masks: {total}");

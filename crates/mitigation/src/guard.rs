@@ -84,9 +84,9 @@ impl MfcGuard {
     }
 
     /// Reset the interval gate, as if the guard had never run: the next
-    /// `maybe_run*` call fires regardless of how recently the previous run's last
-    /// pass was. Used when a guard is re-armed for a new experiment whose clock restarts
-    /// at zero.
+    /// [`MfcGuard::maybe_run_on_shard`] call fires regardless of how recently the
+    /// previous run's last pass was. Used when a guard is re-armed for a new experiment
+    /// whose clock restarts at zero.
     pub fn reset_interval_gate(&mut self) {
         self.last_run = None;
     }
@@ -100,33 +100,6 @@ impl MfcGuard {
         }
         self.last_run = Some(now);
         true
-    }
-
-    /// Sharded form of [`MfcGuard::maybe_run_on_shard`]: if the interval has elapsed, run
-    /// one pass **per shard**, each with its own eviction budget — shard `s`'s mask count
-    /// is compared against the threshold and its own `per_shard_attack_pps[s]` drives
-    /// the CPU exit, so a clean PMD is never swept because a different PMD is under
-    /// attack (and vice versa). Returns one report per shard, or an empty vector when
-    /// gated by the interval.
-    ///
-    /// `per_shard_attack_pps` must have one entry per shard.
-    pub fn maybe_run_sharded<B: FastPathBackend>(
-        &mut self,
-        datapath: &mut tse_switch::pmd::ShardedDatapath<B>,
-        now: f64,
-        per_shard_attack_pps: &[f64],
-    ) -> Vec<GuardReport> {
-        if !self.interval_elapsed(now) {
-            return Vec::new();
-        }
-        assert_eq!(
-            per_shard_attack_pps.len(),
-            datapath.shard_count(),
-            "one observed attack rate per shard"
-        );
-        (0..datapath.shard_count())
-            .map(|s| self.run_pass(datapath.shard_mut(s), now, per_shard_attack_pps[s], s))
-            .collect()
     }
 
     /// Run one guard pass unconditionally (Alg. 2 lines 2–14).
@@ -149,9 +122,9 @@ impl MfcGuard {
     /// baselines) are left untouched — their mask count never crosses the threshold.
     ///
     /// This is the building block [`GuardMitigation`] uses to run one *independently
-    /// configured* guard per shard (each with its own cadence and thresholds), in
-    /// contrast to [`MfcGuard::maybe_run_sharded`], which sweeps every shard under a
-    /// single shared config whenever the shared interval elapses.
+    /// configured* guard per shard, each with its own cadence and thresholds: a sharded
+    /// datapath is guarded by one `MfcGuard` per shard, not by one guard over all of
+    /// them.
     pub fn maybe_run_on_shard<B: FastPathBackend>(
         &mut self,
         datapath: &mut Datapath<B>,
@@ -228,9 +201,9 @@ impl MfcGuard {
 /// the timeline.
 ///
 /// With a uniform config this is behaviourally identical to the pre-stack runner's
-/// `Option<MfcGuard>` + [`MfcGuard::maybe_run_sharded`] plumbing (asserted bit-for-bit
-/// by `tests/golden_runner_parity.rs`): per-shard gating fires at exactly the times
-/// the shared gate did, because every shard observes the same clock.
+/// hard-wired guard hook, which swept every shard under one shared interval gate
+/// (asserted bit-for-bit by `tests/golden_runner_parity.rs`): per-shard gating fires at
+/// exactly the times the shared gate did, because every shard observes the same clock.
 pub struct GuardMitigation {
     default_config: GuardConfig,
     overrides: Vec<(usize, GuardConfig)>,
@@ -340,9 +313,9 @@ impl std::fmt::Debug for GuardMitigation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tse_attack::colocated::scenario_trace;
     use tse_attack::scenarios::Scenario;
-    use tse_classifier::rule::Action;
+    use tse_classifier::flowtable::FlowTable;
+    use tse_classifier::rule::{Action, Rule};
     use tse_packet::fields::FieldSchema;
     use tse_switch::datapath::Datapath;
 
@@ -358,11 +331,8 @@ mod tests {
         victim.set(tp_dst, 80);
         dp.process_key(&victim, 1500, 0.0);
         // Attack trace.
-        for (i, h) in scenario_trace(&schema, scenario, &schema.zero_value())
-            .iter()
-            .enumerate()
-        {
-            dp.process_key(h, 60, 0.1 + i as f64 * 1e-3);
+        for (i, h) in scenario.key_iter(&schema, &schema.zero_value()).enumerate() {
+            dp.process_key(&h, 60, 0.1 + i as f64 * 1e-3);
         }
         (dp, victim)
     }
@@ -441,16 +411,20 @@ mod tests {
         let table = Scenario::SpDp.flow_table(&schema);
         // Pin everything to shard 1 of 3: only that shard's cache explodes.
         let mut sharded = ShardedDatapath::new(table, 3, Steering::Pinned(1));
-        for (i, h) in scenario_trace(&schema, Scenario::SpDp, &schema.zero_value())
-            .iter()
-            .enumerate()
-        {
-            sharded.process_key(h, 60, 0.1 + i as f64 * 1e-3);
+        let keys = Scenario::SpDp.key_iter(&schema, &schema.zero_value());
+        for (i, h) in keys.enumerate() {
+            sharded.process_key(&h, 60, 0.1 + i as f64 * 1e-3);
         }
         assert!(sharded.shard(1).mask_count() > 50);
-        let mut guard = MfcGuard::new(GuardConfig::default());
-        let reports = guard.maybe_run_sharded(&mut sharded, 1.0, &[0.0, 100.0, 0.0]);
-        assert_eq!(reports.len(), 3);
+        // One guard per shard, each on its own shard's observed attack rate.
+        let mut guards = vec![MfcGuard::new(GuardConfig::default()); 3];
+        let pps = [0.0, 100.0, 0.0];
+        let mut sweep = |sharded: &mut ShardedDatapath, now: f64| -> Vec<GuardReport> {
+            (0..3)
+                .filter_map(|s| guards[s].maybe_run_on_shard(sharded.shard_mut(s), now, pps[s], s))
+                .collect()
+        };
+        let reports = sweep(&mut sharded, 1.0);
         assert_eq!(
             reports.iter().map(|r| r.shard).collect::<Vec<_>>(),
             vec![0, 1, 2]
@@ -461,10 +435,10 @@ mod tests {
         assert_eq!(reports[2].entries_removed, 0);
         assert!(reports[1].entries_removed > 50);
         assert!(sharded.shard(1).mask_count() < reports[1].masks_before / 5);
-        // Interval gating applies to the whole sharded pass.
-        assert!(guard
-            .maybe_run_sharded(&mut sharded, 5.0, &[0.0, 100.0, 0.0])
-            .is_empty());
+        // Every shard sees the same clock, so every gate holds until the interval has
+        // elapsed.
+        assert!(sweep(&mut sharded, 5.0).is_empty());
+        assert_eq!(sweep(&mut sharded, 11.0).len(), 3);
     }
 
     #[test]
@@ -474,7 +448,9 @@ mod tests {
         let table = Scenario::SpDp.flow_table(&schema);
         // Two shards, both exploded identically via pinned replays.
         let mut sharded = ShardedDatapath::new(table, 2, Steering::Pinned(0));
-        let keys = scenario_trace(&schema, Scenario::SpDp, &schema.zero_value());
+        let keys: Vec<_> = Scenario::SpDp
+            .key_iter(&schema, &schema.zero_value())
+            .collect();
         for (i, h) in keys.iter().enumerate() {
             sharded.process_key(h, 60, 0.1 + i as f64 * 1e-3);
         }
@@ -566,11 +542,11 @@ mod tests {
         guard.run_once(&mut dp, 1.0, 100.0);
         let cleaned = dp.mask_count();
         // Replay the attack: with suppression the deny megaflows are not re-created.
-        for (i, h) in scenario_trace(&schema, Scenario::SpDp, &schema.zero_value())
-            .iter()
+        for (i, h) in Scenario::SpDp
+            .key_iter(&schema, &schema.zero_value())
             .enumerate()
         {
-            dp.process_key(h, 60, 2.0 + i as f64 * 1e-3);
+            dp.process_key(&h, 60, 2.0 + i as f64 * 1e-3);
         }
         assert_eq!(
             dp.mask_count(),
@@ -578,6 +554,50 @@ mod tests {
             "suppressed deny rules must not re-spark masks"
         );
         assert!(dp.slow_path().suppressed_upcalls() > 100);
+    }
+
+    #[test]
+    fn suppression_follows_the_deny_rule_across_a_table_install() {
+        // An ACL update that adds a clause in front of the DefaultDeny moves the deny
+        // from index N to N + 1. The suppression must move with it: left on N, it would
+        // name the new allow clause and let the attack's deny megaflows re-spark.
+        let (mut dp, _) = attacked_datapath(Scenario::SpDp);
+        let schema = FieldSchema::ovs_ipv4();
+        MfcGuard::new(GuardConfig::default()).run_once(&mut dp, 1.0, 100.0);
+        let deny = dp.table().len() - 1;
+        assert_eq!(dp.slow_path().suppressed_rules(), &[deny]);
+
+        let rules = dp.table().rules().to_vec();
+        let mut update = FlowTable::new(schema.clone());
+        for rule in &rules[..deny] {
+            update.push(rule.clone());
+        }
+        let ip_src = schema.field_index("ip_src").unwrap();
+        update.push(Rule::exact_on_field(
+            &schema,
+            ip_src,
+            0x0a00_0009,
+            5,
+            Action::Allow,
+        ));
+        update.push(rules[deny].clone());
+        dp.install_table(update);
+        assert_eq!(dp.slow_path().suppressed_rules(), &[deny + 1]);
+        assert_eq!(dp.table().rules()[deny + 1].action, Action::Deny);
+
+        // The attack replayed against the updated table installs no deny megaflow.
+        for (i, h) in Scenario::SpDp
+            .key_iter(&schema, &schema.zero_value())
+            .enumerate()
+        {
+            dp.process_key(&h, 60, 2.0 + i as f64 * 1e-3);
+        }
+        assert!(dp.megaflow().entries().all(|e| e.action == Action::Allow));
+        assert!(dp.slow_path().suppressed_upcalls() > 100);
+
+        // A table without the deny rule forgets the suppression.
+        dp.install_table(FlowTable::new(schema));
+        assert!(dp.slow_path().suppressed_rules().is_empty());
     }
 
     #[test]
@@ -590,11 +610,11 @@ mod tests {
         });
         guard.run_once(&mut dp, 1.0, 100.0);
         let cleaned = dp.mask_count();
-        for (i, h) in scenario_trace(&schema, Scenario::SpDp, &schema.zero_value())
-            .iter()
+        for (i, h) in Scenario::SpDp
+            .key_iter(&schema, &schema.zero_value())
             .enumerate()
         {
-            dp.process_key(h, 60, 2.0 + i as f64 * 1e-3);
+            dp.process_key(&h, 60, 2.0 + i as f64 * 1e-3);
         }
         assert!(
             dp.mask_count() > cleaned * 10,

@@ -43,5 +43,5 @@ pub use telemetry::{
 };
 pub use traffic::{VictimFlow, VictimSource};
 pub use tse_attack::source::{
-    AttackGenerator, EventPayload, SourceRole, TraceSource, TrafficEvent, TrafficMix, TrafficSource,
+    AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,
 };

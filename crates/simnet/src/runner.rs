@@ -22,13 +22,12 @@
 //! executor runs shard jobs and nothing else, a number of times per interval that does
 //! not depend on how many events, runs or probes the interval holds.
 //!
-//! [`ExperimentRunner::run`] is the single-attack-trace entry point the original
-//! figure experiments use; it is a thin shim that wraps the trace and the stored
-//! victims into a [`TrafficMix`] and produces a timeline identical to the
-//! pre-streaming runner (asserted bit-for-bit by `tests/golden_runner_parity.rs`).
+//! [`ExperimentRunner::run`] is the single-attacker entry point the original figure
+//! experiments use; it is a thin shim that puts the stored victims and one attack
+//! source into a [`TrafficMix`] and produces a timeline identical to the pre-streaming
+//! runner (asserted bit-for-bit by `tests/golden_runner_parity.rs`).
 
-use tse_attack::source::{EventPayload, SourceRole, TrafficEvent, TrafficMix};
-use tse_attack::trace::AttackTrace;
+use tse_attack::source::{EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource};
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::tss::TupleSpace;
@@ -125,20 +124,6 @@ impl Timeline {
             .window(start, stop)
             .fold((0.0, 0usize), |(sum, n), s| (sum + value(s), n + 1));
         sum / n.max(1) as f64
-    }
-
-    /// Minimum aggregate victim throughput over a time window (0.0 for an empty or
-    /// out-of-range window — not `+∞`, which would poison downstream JSON/metrics).
-    pub fn min_total_between(&self, start: f64, stop: f64) -> f64 {
-        let min = self
-            .window(start, stop)
-            .map(TimelineSample::total_victim_gbps)
-            .fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            min
-        } else {
-            0.0
-        }
     }
 
     /// Mean aggregate victim throughput over a time window.
@@ -285,10 +270,8 @@ impl RunObserver for () {}
 /// so an attack only costs the victims steered to the shards it actually hits.
 ///
 /// Workloads are composed as [`TrafficMix`]es of [`TrafficSource`]s
-/// (see [`ExperimentRunner::run_mix`]); [`ExperimentRunner::run`] is the legacy
-/// one-trace-plus-stored-victims entry point, now a shim over the mix form.
-///
-/// [`TrafficSource`]: tse_attack::source::TrafficSource
+/// (see [`ExperimentRunner::run_mix`]); [`ExperimentRunner::run`] is the
+/// one-attacker-plus-stored-victims entry point, a shim over the mix form.
 #[derive(Debug)]
 pub struct ExperimentRunner<B: FastPathBackend = TupleSpace> {
     /// The (possibly sharded) hypervisor datapath under test.
@@ -401,18 +384,19 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         self
     }
 
-    /// Run the experiment for `duration` seconds against the given attack trace and
-    /// the runner's stored victim flows, and return the timeline.
+    /// Run the experiment for `duration` seconds against one attack source — an
+    /// `AttackGenerator` or `WireGenerator`, say, labelled as the timeline's attacker
+    /// series — and the runner's stored victim flows, and return the timeline.
     ///
-    /// This is the classic single-attacker entry point; it wraps the trace and victims
-    /// into a [`TrafficMix`] and defers to [`ExperimentRunner::run_mix`]. The produced
-    /// timeline is identical bit-for-bit to the pre-streaming runner's, which fed
-    /// concrete packets where this one feeds their keys (asserted by
-    /// `tests/golden_runner_parity.rs`).
+    /// This is the classic single-attacker entry point: it puts one [`VictimSource`] per
+    /// stored victim, then `attack`, into a [`TrafficMix`] and defers to
+    /// [`ExperimentRunner::run_mix`]. The produced timeline is identical bit-for-bit to
+    /// the pre-streaming runner's, which fed concrete packets where this one feeds their
+    /// keys (asserted by `tests/golden_runner_parity.rs`).
     ///
     /// Calling this again on the same runner is not a continuation — see "Reusing a
-    /// runner" on [`ExperimentRunner::run_mix`].
-    pub fn run(&mut self, attack: &AttackTrace, duration: f64) -> Timeline {
+    /// runner" on [`ExperimentRunner::run_mix`]; each call takes a fresh source.
+    pub fn run(&mut self, attack: impl TrafficSource, duration: f64) -> Timeline {
         let schema = self.datapath.table().schema().clone();
         let mut mix = TrafficMix::new();
         for flow in &self.victims {
@@ -422,13 +406,12 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
                 self.sample_interval,
             )));
         }
-        mix.push(Box::new(attack.source("Attacker", &schema)));
-        self.run_mix(mix, duration)
+        self.run_mix(mix.with(attack), duration)
     }
 
     /// Run the experiment for `duration` seconds over an arbitrary [`TrafficMix`] —
-    /// any number of attacker sources (materialised traces, lazy generators) and
-    /// victim sources, merged by timestamp — and return the timeline.
+    /// any number of attacker sources (key- or wire-level generators, recorded frame
+    /// traces) and victim sources, merged by timestamp — and return the timeline.
     ///
     /// Per sample interval `[t, t + dt)` the loop runs one stage function each. In
     /// brackets: the [`Stage`] a [`RunObserver`] sees it as, and what its `items` count.
@@ -998,35 +981,42 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tse_attack::colocated::scenario_trace;
     use tse_attack::scenarios::Scenario;
     use tse_attack::source::AttackGenerator;
-    use tse_attack::trace::AttackTrace;
     use tse_packet::fields::FieldSchema;
     use tse_switch::datapath::Datapath;
     use tse_switch::stats::PathTaken;
 
     const VICTIM_IP: u32 = 0x0a00_0063;
 
-    fn setup(scenario: Scenario) -> (ExperimentRunner, AttackTrace) {
+    /// A runner over the scenario's ACL with one 10 Gbps victim.
+    fn setup(scenario: Scenario) -> ExperimentRunner {
         let schema = FieldSchema::ovs_ipv4();
-        let table = scenario.flow_table(&schema);
-        let datapath = Datapath::new(table);
+        let datapath = Datapath::new(scenario.flow_table(&schema));
         let victims = vec![VictimFlow::iperf_tcp(
             "Victim 1", 0x0a000005, VICTIM_IP, 10.0,
         )];
-        let runner = ExperimentRunner::new(datapath, victims, OffloadConfig::gro_off());
-        // Attack: co-located trace at 100 pps between t=30 s and t≈when the trace ends.
-        let mut rng = StdRng::seed_from_u64(99);
-        let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-        let trace = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 30.0, 3000);
-        (runner, trace)
+        ExperimentRunner::new(datapath, victims, OffloadConfig::gro_off())
+    }
+
+    /// The scenario's co-located key sequence, cycled: `count` packets at `rate` pps
+    /// from `start`.
+    fn attack(scenario: Scenario, rate: f64, start: f64, count: usize) -> impl TrafficSource {
+        let schema = FieldSchema::ovs_ipv4();
+        let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+        let rng = StdRng::seed_from_u64(99);
+        AttackGenerator::new("Attacker", &schema, keys, rng, rate, start).with_limit(count)
+    }
+
+    /// The attack `setup`'s runner replays: 100 pps from t = 30 s, 3000 packets.
+    fn attack_at_30(scenario: Scenario) -> impl TrafficSource {
+        attack(scenario, 100.0, 30.0, 3000)
     }
 
     #[test]
     fn victim_runs_at_baseline_before_attack_and_degrades_during() {
-        let (mut runner, attack) = setup(Scenario::SipDp);
-        let timeline = runner.run(&attack, 90.0);
+        let mut runner = setup(Scenario::SipDp);
+        let timeline = runner.run(attack_at_30(Scenario::SipDp), 90.0);
         assert_eq!(timeline.samples.len(), 90);
         let before = timeline.mean_total_between(5.0, 29.0);
         let during = timeline.mean_total_between(45.0, 59.0);
@@ -1042,9 +1032,9 @@ mod tests {
 
     #[test]
     fn victim_recovers_after_idle_timeout() {
-        let (mut runner, attack) = setup(Scenario::SipDp);
+        let mut runner = setup(Scenario::SipDp);
         // Attack packets span t=30..60 s (3000 packets at 100 pps).
-        let timeline = runner.run(&attack, 90.0);
+        let timeline = runner.run(attack_at_30(Scenario::SipDp), 90.0);
         let recovered = timeline.mean_total_between(75.0, 89.0);
         assert!(
             recovered > 8.0,
@@ -1060,8 +1050,8 @@ mod tests {
 
     #[test]
     fn masks_grow_during_attack() {
-        let (mut runner, attack) = setup(Scenario::SpDp);
-        let timeline = runner.run(&attack, 70.0);
+        let mut runner = setup(Scenario::SpDp);
+        let timeline = runner.run(attack_at_30(Scenario::SpDp), 70.0);
         let peak = timeline.samples.iter().map(|s| s.mask_count).max().unwrap();
         assert!(peak > 100, "SpDp should spawn >100 masks, got {peak}");
     }
@@ -1069,13 +1059,13 @@ mod tests {
     #[test]
     fn guarded_run_keeps_victim_fast() {
         use tse_mitigation::guard::{GuardConfig, GuardMitigation};
-        let (runner, attack) = setup(Scenario::SipDp);
-        let mut runner = runner.with_mitigation(GuardMitigation::new(GuardConfig {
-            interval: 10.0,
-            mask_threshold: 30,
-            ..GuardConfig::default()
-        }));
-        let timeline = runner.run(&attack, 90.0);
+        let mut runner =
+            setup(Scenario::SipDp).with_mitigation(GuardMitigation::new(GuardConfig {
+                interval: 10.0,
+                mask_threshold: 30,
+                ..GuardConfig::default()
+            }));
+        let timeline = runner.run(attack_at_30(Scenario::SipDp), 90.0);
         // With the guard wiping drop entries every 10 s, the victim's average rate during
         // the attack stays much higher than the unguarded run.
         let during = timeline.mean_total_between(45.0, 59.0);
@@ -1089,14 +1079,14 @@ mod tests {
     fn mitigation_actions_land_in_the_timeline() {
         use tse_mitigation::guard::{GuardConfig, GuardMitigation};
         use tse_mitigation::stack::MitigationAction;
-        let (runner, attack) = setup(Scenario::SipDp);
-        let mut runner = runner.with_mitigation(GuardMitigation::new(GuardConfig {
-            interval: 10.0,
-            mask_threshold: 30,
-            ..GuardConfig::default()
-        }));
+        let mut runner =
+            setup(Scenario::SipDp).with_mitigation(GuardMitigation::new(GuardConfig {
+                interval: 10.0,
+                mask_threshold: 30,
+                ..GuardConfig::default()
+            }));
         assert_eq!(runner.mitigations.names(), vec!["mfcguard"]);
-        let timeline = runner.run(&attack, 60.0);
+        let timeline = runner.run(attack_at_30(Scenario::SipDp), 60.0);
         // Guard passes fire once per 10 s interval, one report per shard (1 shard
         // here); during the attack they actually sweep.
         let sweeps: Vec<&MitigationAction> = timeline
@@ -1121,8 +1111,7 @@ mod tests {
             assert!(s.mitigation_actions.iter().all(|a| a.shard() == Some(0)));
         }
         // An undefended runner reports no actions.
-        let (mut plain, attack) = setup(Scenario::SipDp);
-        let tl = plain.run(&attack, 20.0);
+        let tl = setup(Scenario::SipDp).run(attack_at_30(Scenario::SipDp), 20.0);
         assert!(tl.samples.iter().all(|s| s.mitigation_actions.is_empty()));
     }
 
@@ -1131,8 +1120,7 @@ mod tests {
         use tse_mitigation::defenses::RssKeyRandomizer;
         use tse_mitigation::guard::{GuardConfig, GuardMitigation};
         use tse_mitigation::stack::MitigationAction;
-        let (runner, attack) = setup(Scenario::SipDp);
-        let mut runner = runner
+        let mut runner = setup(Scenario::SipDp)
             .with_mitigation(GuardMitigation::new(GuardConfig {
                 interval: 10.0,
                 mask_threshold: 30,
@@ -1157,7 +1145,7 @@ mod tests {
             }
             (sweeps, rekeys)
         };
-        let tl1 = runner.run(&attack, 60.0);
+        let tl1 = runner.run(attack_at_30(Scenario::SipDp), 60.0);
         let (sweeps1, rekeys1) = count(&tl1);
         assert!(
             sweeps1 > 0 && rekeys1 > 0,
@@ -1170,7 +1158,7 @@ mod tests {
         );
         // Run 2 on the same runner: the stages re-arm (interval gates and the rekey
         // schedule re-anchor at the new t = 0) instead of staying silently inert.
-        let tl2 = runner.run(&attack, 60.0);
+        let tl2 = runner.run(attack_at_30(Scenario::SipDp), 60.0);
         let (sweeps2, rekeys2) = count(&tl2);
         assert!(
             sweeps2 > 0 && rekeys2 > 0,
@@ -1185,9 +1173,8 @@ mod tests {
     #[test]
     fn upcall_quota_is_disarmed_after_the_run() {
         use tse_mitigation::UpcallLimiter;
-        let (runner, attack) = setup(Scenario::Dp);
-        let mut runner = runner.with_mitigation(UpcallLimiter::new(3));
-        runner.run(&attack, 40.0);
+        let mut runner = setup(Scenario::Dp).with_mitigation(UpcallLimiter::new(3));
+        runner.run(attack_at_30(Scenario::Dp), 40.0);
         assert_eq!(
             runner
                 .datapath
@@ -1206,7 +1193,7 @@ mod tests {
         let victims =
             vec![VictimFlow::iperf_udp("late", 1, VICTIM_IP, 1.0).active_between(30.0, 60.0)];
         let mut runner = ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::udp());
-        let timeline = runner.run(&AttackTrace::default(), 40.0);
+        let timeline = runner.run(attack_at_30(Scenario::Baseline), 40.0);
         assert_eq!(timeline.samples[10].total_victim_gbps(), 0.0);
         assert!(timeline.samples[35].total_victim_gbps() > 0.5);
     }
@@ -1215,7 +1202,6 @@ mod tests {
     fn timeline_window_accessors_are_total_on_degenerate_input() {
         // Empty timeline: every window accessor answers 0.0, never NaN/∞/panic.
         let empty = Timeline::default();
-        assert_eq!(empty.min_total_between(0.0, 100.0), 0.0);
         assert_eq!(empty.mean_total_between(0.0, 100.0), 0.0);
         assert_eq!(empty.mean_attacker_pps_between("atk", 0.0, 100.0), 0.0);
         assert_eq!(empty.mean_victim_between(0, 0.0, 100.0), 0.0);
@@ -1245,16 +1231,14 @@ mod tests {
             }],
         };
         // Out-of-range and inverted windows select nothing and answer 0.0.
-        assert_eq!(tl.min_total_between(10.0, 20.0), 0.0);
-        assert_eq!(tl.min_total_between(5.0, 1.0), 0.0);
         assert_eq!(tl.mean_total_between(10.0, 20.0), 0.0);
+        assert_eq!(tl.mean_total_between(5.0, 1.0), 0.0);
         assert_eq!(tl.mean_victim_between(0, 10.0, 20.0), 0.0);
         // Unknown labels and missing per-source entries degrade to 0.0, not a panic.
         assert_eq!(tl.mean_attacker_pps_between("nope", 0.0, 1.0), 0.0);
         assert_eq!(tl.mean_attacker_pps_between("atk", 0.0, 1.0), 0.0);
         assert_eq!(tl.mean_victim_between(1, 0.0, 1.0), 0.0);
         // A well-formed window still answers exactly.
-        assert_eq!(tl.min_total_between(0.0, 1.0), 1.0);
         assert_eq!(tl.mean_total_between(0.0, 1.0), 1.0);
         assert_eq!(tl.mean_victim_between(0, 0.0, 1.0), 1.0);
         assert_eq!((tl.peak_masks(), tl.peak_entries()), (3, 7));
@@ -1262,8 +1246,7 @@ mod tests {
 
     #[test]
     fn render_table_has_header_and_rows() {
-        let (mut runner, attack) = setup(Scenario::Dp);
-        let timeline = runner.run(&attack, 5.0);
+        let timeline = setup(Scenario::Dp).run(attack_at_30(Scenario::Dp), 5.0);
         let table = timeline.render_table();
         assert!(table.starts_with("time_s"));
         assert_eq!(table.lines().count(), 6);
@@ -1271,68 +1254,42 @@ mod tests {
     }
 
     #[test]
-    fn run_mix_with_lazy_generator_matches_trace_replay() {
-        // A lazy AttackGenerator over the same keys/seed/rate is a drop-in replacement
-        // for a materialised AttackTrace: the timelines agree exactly.
+    fn run_is_run_mix_over_the_stored_victims() {
+        // `run(attack)` is the mix of the stored victims' probe sources, then `attack`:
+        // the timelines agree exactly.
         let schema = FieldSchema::ovs_ipv4();
-        let scenario = Scenario::SipDp;
-        let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-        let trace = AttackTrace::from_keys_cyclic(
-            &mut StdRng::seed_from_u64(7),
-            &schema,
-            &keys,
-            100.0,
-            10.0,
-            2000,
-        );
-        let (mut by_trace, mut by_gen) = (
-            ExperimentRunner::new(
-                Datapath::new(scenario.flow_table(&schema)),
-                vec![VictimFlow::iperf_tcp("V", 0x0a000005, VICTIM_IP, 10.0)],
-                OffloadConfig::gro_off(),
-            ),
-            ExperimentRunner::new(
-                Datapath::new(scenario.flow_table(&schema)),
-                vec![],
-                OffloadConfig::gro_off(),
-            ),
-        );
-        let tl_trace = by_trace.run(&trace, 40.0);
+        let victim = VictimFlow::iperf_tcp("V", 0x0a000005, VICTIM_IP, 10.0);
+        let runner = |victims| {
+            let datapath = Datapath::new(Scenario::SipDp.flow_table(&schema));
+            ExperimentRunner::new(datapath, victims, OffloadConfig::gro_off())
+        };
+        let by_run =
+            runner(vec![victim.clone()]).run(attack(Scenario::SipDp, 100.0, 10.0, 2000), 40.0);
         let mix = TrafficMix::new()
-            .with(VictimSource::new(
-                VictimFlow::iperf_tcp("V", 0x0a000005, VICTIM_IP, 10.0),
-                &schema,
-                1.0,
-            ))
-            .with(AttackGenerator::new(
-                "Attacker",
-                &schema,
-                scenario
-                    .key_iter(&schema, &schema.zero_value())
-                    .cycle()
-                    .take(2000),
-                StdRng::seed_from_u64(7),
-                100.0,
-                10.0,
-            ));
-        let tl_gen = by_gen.run_mix(mix, 40.0);
-        assert_eq!(tl_trace.victim_names, tl_gen.victim_names);
-        for (a, b) in tl_trace.samples.iter().zip(&tl_gen.samples) {
+            .with(VictimSource::new(victim, &schema, 1.0))
+            .with(attack(Scenario::SipDp, 100.0, 10.0, 2000));
+        let by_mix = runner(vec![]).run_mix(mix, 40.0);
+        assert_eq!(by_run.victim_names, by_mix.victim_names);
+        assert_eq!(by_run.attacker_names, vec!["Attacker"]);
+        for (a, b) in by_run.samples.iter().zip(&by_mix.samples) {
             assert_eq!(a, b, "samples diverged at t={}", a.time);
         }
     }
 
     #[test]
     fn wire_mix_reproduces_key_level_timeline_and_charges_malformed_to_shard_zero() {
-        use tse_attack::wire::{wire_trace, WireSource};
-        use tse_packet::wire::Encap;
+        use tse_attack::wire::{WireGenerator, WireSource};
+        use tse_packet::wire::WireTrace;
         let schema = FieldSchema::ovs_ipv4();
         let scenario = Scenario::SipDp;
         let table = scenario.flow_table(&schema);
         let victim = VictimFlow::iperf_tcp("V", 0x0a000005, VICTIM_IP, 10.0);
-        let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-        let mut rng = StdRng::seed_from_u64(99);
-        let trace = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 10.0, 2000);
+        // The key-level attack's packets, serialised to raw Ethernet frames and re-parsed.
+        let wire_attack = || {
+            let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+            let rng = StdRng::seed_from_u64(99);
+            WireGenerator::new("Attacker", &schema, keys, rng, 100.0, 10.0).with_limit(2000)
+        };
 
         // Key-level reference run.
         let mut by_key = ExperimentRunner::new(
@@ -1340,10 +1297,9 @@ mod tests {
             vec![victim.clone()],
             OffloadConfig::gro_off(),
         );
-        let tl_key = by_key.run(&trace, 40.0);
+        let tl_key = by_key.run(attack(scenario, 100.0, 10.0, 2000), 40.0);
 
-        // The same attack serialised to raw Ethernet frames and re-parsed: the
-        // timeline is reproduced bit-for-bit (frame length == modelled wire length).
+        // The timeline is reproduced bit-for-bit (frame length == modelled wire length).
         let mut by_wire = ExperimentRunner::new(
             Datapath::new(table.clone()),
             vec![],
@@ -1351,29 +1307,25 @@ mod tests {
         );
         let mix = TrafficMix::new()
             .with(VictimSource::new(victim.clone(), &schema, 1.0))
-            .with(WireSource::replay(
-                "Attacker",
-                wire_trace(&trace, Encap::None),
-                &schema,
-            ));
+            .with(wire_attack());
         let tl_wire = by_wire.run_mix(mix, 40.0);
         assert_eq!(tl_key.samples, tl_wire.samples);
         assert!(tl_wire.samples.iter().all(|s| s.malformed_pps == 0.0));
 
-        // Now corrupt the wire: append truncated frames. They never reach the cache
+        // Now corrupt the wire: truncated frames ride along. They never reach the cache
         // (same masks/entries), are charged to shard 0's counters, and surface in the
         // malformed series instead of any attacker series.
-        let mut frames = wire_trace(&trace, Encap::None);
-        let garbled = frames.frame(0)[..9].to_vec();
+        let mut garbage = WireTrace::new();
         for i in 0..50 {
-            // After the last well-formed frame (~t = 30 s): frame times are monotonic.
-            frames.push(30.0 + i as f64 * 0.01, &garbled);
+            // 9 bytes: shorter than an Ethernet header.
+            garbage.push(30.0 + i as f64 * 0.01, &[0xDE; 9]);
         }
         let mut by_bad =
             ExperimentRunner::new(Datapath::new(table), vec![], OffloadConfig::gro_off());
         let mix = TrafficMix::new()
             .with(VictimSource::new(victim, &schema, 1.0))
-            .with(WireSource::replay("Attacker", frames, &schema));
+            .with(wire_attack())
+            .with(WireSource::replay("Garbage", garbage, &schema));
         /// Sums the frames `charge_faults_and_expire` reports charging.
         struct Charged(usize);
         impl RunObserver for Charged {
@@ -1864,18 +1816,19 @@ mod tests {
     fn per_attacker_attribution_sums_to_total() {
         let schema = FieldSchema::ovs_ipv4();
         let scenario = Scenario::SpDp;
-        let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-        let mut rng = StdRng::seed_from_u64(1);
-        let a1 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 5.0, 500);
-        let a2 = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 200.0, 10.0, 600);
+        let source = |label, rate, start, count| {
+            let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+            let rng = StdRng::seed_from_u64(1);
+            AttackGenerator::new(label, &schema, keys, rng, rate, start).with_limit(count)
+        };
         let mut runner = ExperimentRunner::new(
             Datapath::new(scenario.flow_table(&schema)),
             vec![],
             OffloadConfig::gro_off(),
         );
         let mix = TrafficMix::new()
-            .with(a1.source("atk-1", &schema))
-            .with(a2.source("atk-2", &schema));
+            .with(source("atk-1", 100.0, 5.0, 500))
+            .with(source("atk-2", 200.0, 10.0, 600));
         let tl = runner.run_mix(mix, 20.0);
         assert_eq!(tl.attacker_names, vec!["atk-1", "atk-2"]);
         let mut delivered = [0.0f64; 2];

@@ -196,12 +196,6 @@ impl VictimFlow {
             ),
         }
     }
-
-    /// View the flow as a pull-based [`TrafficSource`] of measurement probes on the
-    /// runner's sampling grid (see [`VictimSource`]).
-    pub fn source(&self, schema: &FieldSchema, sample_interval: f64) -> VictimSource {
-        VictimSource::new(self.clone(), schema, sample_interval)
-    }
 }
 
 /// The streaming form of a [`VictimFlow`]: a [`TrafficSource`] emitting one measurement
@@ -395,7 +389,7 @@ mod tests {
     fn victim_source_probes_mid_interval_while_active() {
         let schema = FieldSchema::ovs_ipv4();
         let f = VictimFlow::iperf_tcp("v", 1, 2, 4.0).active_between(3.0, 6.0);
-        let mut src = f.source(&schema, 1.0);
+        let mut src = VictimSource::new(f.clone(), &schema, 1.0);
         assert_eq!(src.label(), "v");
         assert_eq!(src.role(), SourceRole::Victim);
         let mut events = Vec::new();
@@ -420,7 +414,7 @@ mod tests {
     #[test]
     fn always_on_victim_source_is_unbounded() {
         let schema = FieldSchema::ovs_ipv4();
-        let mut src = VictimFlow::iperf_udp("v", 1, 2, 1.0).source(&schema, 0.5);
+        let mut src = VictimSource::new(VictimFlow::iperf_udp("v", 1, 2, 1.0), &schema, 0.5);
         for step in 0..1000 {
             let ev = src.next_event().expect("infinite source");
             assert_eq!(ev.time, step as f64 * 0.5 + 0.25);
@@ -432,7 +426,7 @@ mod tests {
         let schema = FieldSchema::ovs_ipv4();
         // Start at 2.3 with dt=1: the first interval whose *start* is active is t=3.
         let f = VictimFlow::iperf_tcp("v", 1, 2, 1.0).active_between(2.3, 5.0);
-        let mut src = f.source(&schema, 1.0);
+        let mut src = VictimSource::new(f, &schema, 1.0);
         assert_eq!(src.next_event().unwrap().time, 3.5);
     }
 }

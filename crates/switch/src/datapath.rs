@@ -182,14 +182,16 @@ impl<B: FastPathBackend> Datapath<B> {
     /// Replace the flow table (e.g. when a tenant injects a new ACL mid-experiment, as in
     /// the Kubernetes timeline of Fig. 8c). Traffic-driven backends are revalidated:
     /// all entries are flushed, exactly as OVS does on a flow-table change; table-built
-    /// backends rebuild their structure.
+    /// backends rebuild their structure. A suppressed rule stays suppressed wherever the
+    /// new table puts it, and is forgotten if the new table drops it.
     pub fn install_table(&mut self, table: FlowTable) {
         assert_eq!(
             table.schema(),
             self.table.schema(),
             "replacement flow table must use the same schema"
         );
-        self.table = table;
+        let old = std::mem::replace(&mut self.table, table);
+        self.slow_path.carry_suppression(&old, &self.table);
         self.megaflow.install_table(&self.table);
     }
 

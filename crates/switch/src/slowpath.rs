@@ -72,6 +72,27 @@ impl SlowPath {
         &self.suppressed_rules
     }
 
+    /// Carry suppression across a table install: a suppressed index names a rule of
+    /// `old`, and the install may move that rule (an ACL update that adds a clause in
+    /// front of the merged table's DefaultDeny shifts it by one). Each suppressed rule
+    /// is re-pointed at the index of the equal rule in `new` — the first, the one a
+    /// lookup would match — and dropped if `new` has none.
+    pub(crate) fn carry_suppression(&mut self, old: &FlowTable, new: &FlowTable) {
+        let mut carried = Vec::with_capacity(self.suppressed_rules.len());
+        for rule in self
+            .suppressed_rules
+            .iter()
+            .filter_map(|&i| old.rules().get(i))
+        {
+            if let Some(index) = new.rules().iter().position(|r| r == rule) {
+                if !carried.contains(&index) {
+                    carried.push(index);
+                }
+            }
+        }
+        self.suppressed_rules = carried;
+    }
+
     /// Number of upcalls answered without a fast-path install because of suppression.
     pub fn suppressed_upcalls(&self) -> u64 {
         self.suppressed_upcalls

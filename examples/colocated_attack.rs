@@ -38,17 +38,22 @@ fn main() {
         schema.field_index("ip_dst").unwrap(),
         u128::from(ATTACKER_IP),
     );
-    let keys = scenario_trace(&schema, Scenario::SipSpDp, &base);
-    let mut rng = StdRng::seed_from_u64(42);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 30.0, 3000);
+    let keys = Scenario::SipSpDp.key_iter(&schema, &base).cycle();
+    let rng = StdRng::seed_from_u64(42);
+    let attack = AttackGenerator::new("Attacker", &schema, keys, rng, 100.0, 30.0).with_limit(3000);
+    // What the attacker puts on the wire, read off a copy of the stream.
+    let mut copy = attack.clone();
+    let events: Vec<TrafficEvent> = std::iter::from_fn(|| copy.next_event()).collect();
+    let bytes: usize = events.iter().map(|ev| ev.bytes).sum();
+    let seconds = events[events.len() - 1].time - events[0].time;
     println!(
         "attack trace: {} packets, {:.2} Mbps on the wire",
-        attack.len(),
-        attack.bandwidth_bps() / 1e6
+        events.len(),
+        bytes as f64 * 8.0 / seconds / 1e6
     );
 
     let mut runner = ExperimentRunner::new(datapath, victims, OffloadConfig::gro_off());
-    let timeline = runner.run(&attack, 90.0);
+    let timeline = runner.run(attack, 90.0);
     println!("{}", timeline.render_table());
     println!(
         "mean victim throughput: before {:.2} Gbps, under attack {:.2} Gbps, after recovery {:.2} Gbps",

@@ -18,10 +18,10 @@ fn main() {
     for &n in &[100usize, 1_000, 5_000, 20_000] {
         let table = scenario.flow_table(&schema);
         let mut dp = Datapath::new(table);
-        let mut rng = StdRng::seed_from_u64(7);
-        let keys = random_trace(&mut rng, &schema, scenario, &schema.zero_value(), n);
-        for (i, key) in keys.iter().enumerate() {
-            dp.process_key(key, 64, i as f64 * 1e-3);
+        let rng = StdRng::seed_from_u64(7);
+        let keys = RandomKeys::new(rng, &schema, scenario, &schema.zero_value()).take(n);
+        for (i, key) in keys.enumerate() {
+            dp.process_key(&key, 64, i as f64 * 1e-3);
         }
         println!(
             "{:>10} {:>12.1} {:>12}",

@@ -19,9 +19,14 @@ fn main() {
         0x0a00_0063,
         10.0,
     )];
-    let keys = scenario_trace(&schema, Scenario::SipSpDp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(1);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 1000.0, 10.0, 60_000);
+    // 60 000 packets at 1 000 pps from t = 10 s, the same stream for both runs.
+    let attack = || {
+        let keys = Scenario::SipSpDp
+            .key_iter(&schema, &schema.zero_value())
+            .cycle();
+        let rng = StdRng::seed_from_u64(1);
+        AttackGenerator::new("Attacker", &schema, keys, rng, 1000.0, 10.0).with_limit(60_000)
+    };
 
     for guarded in [false, true] {
         let datapath = Datapath::new(table.clone());
@@ -29,7 +34,7 @@ fn main() {
         if guarded {
             runner = runner.with_mitigation(GuardMitigation::new(GuardConfig::default()));
         }
-        let timeline = runner.run(&attack, 80.0);
+        let timeline = runner.run(attack(), 80.0);
         println!(
             "{:9}: victim mean under attack = {:.2} Gbps, peak MFC masks = {}",
             if guarded { "guarded" } else { "unguarded" },

@@ -19,8 +19,8 @@ fn attack_report<B: FastPathBackend>(
     let baseline_cost = dp.process_packet(&victim, 0.001).cost;
 
     // The attacker: the co-located bit-inversion trace, pushed through in one batch.
-    let trace: Vec<(Key, usize, f64)> = scenario_trace(schema, scenario, &schema.zero_value())
-        .into_iter()
+    let trace: Vec<(Key, usize, f64)> = scenario
+        .key_iter(schema, &schema.zero_value())
         .map(|key| (key, 64, 0.5))
         .collect();
     let report = dp.process_timed_batch(&trace);

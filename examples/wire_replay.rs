@@ -1,11 +1,12 @@
 //! The tuple-space explosion replayed as raw Ethernet frames.
 //!
-//! The same SipDp attack, twice: once as pre-parsed keys (`AttackTrace`) and once
-//! serialized to wire bytes and re-parsed per frame (`WireSource`) — the timelines
-//! are bit-for-bit identical, so everything proven at the key level holds on the
-//! byte level. A burst of truncated garbage rides along: the parser never panics,
-//! the frames are charged to shard 0's per-kind decode counters, and the timeline
-//! reports them in its own `malformed_pps` series instead of any attacker series.
+//! The same SipDp attack, twice: once as pre-parsed keys (`AttackGenerator`) and once
+//! serialized to wire bytes and re-parsed per frame (`WireGenerator`, inside a VLAN
+//! tag) — the timelines are bit-for-bit identical, so everything proven at the key
+//! level holds on the byte level. A burst of truncated garbage rides along
+//! (`WireSource`): the parser never panics, the frames are charged to shard 0's per-kind
+//! decode counters, and the timeline reports them in its own `malformed_pps` series
+//! instead of any attacker series.
 //!
 //! Run with `cargo run --release --example wire_replay`.
 
@@ -29,42 +30,39 @@ fn main() {
     let schema = FieldSchema::ovs_ipv4();
     let victim = VictimFlow::iperf_tcp("Victim", 0x0a00_0005, 0x0a00_0063, 10.0);
 
-    // One materialised SipDp attack trace: 2000 packets at 100 pps from t = 10 s.
-    let keys: Vec<Key> = Scenario::SipDp
-        .key_iter(&schema, &schema.zero_value())
-        .take(512)
-        .collect();
-    let trace = AttackTrace::from_keys_cyclic(
-        &mut StdRng::seed_from_u64(42),
-        &schema,
-        &keys,
-        100.0,
-        10.0,
-        2000,
-    );
+    // One SipDp attack: the first 512 keys replayed in a loop, 2000 packets at 100 pps
+    // from t = 10 s.
+    let keys = || {
+        let one_pass = Scenario::SipDp.key_iter(&schema, &schema.zero_value());
+        one_pass.take(512).cycle()
+    };
+    let rng = || StdRng::seed_from_u64(42);
 
     // Replay it at the key level...
     let mut by_key = runner(&schema);
+    let attack = AttackGenerator::new("Attacker", &schema, keys(), rng(), 100.0, 10.0);
     let tl_key = by_key.run_mix(
         TrafficMix::new()
             .with(VictimSource::new(victim.clone(), &schema, 1.0))
-            .with(TraceSource::new("Attacker", &trace, &schema)),
+            .with(attack.with_limit(2000)),
         DURATION,
     );
 
     // ...and as raw frames through the wire parser (VLAN-tagged, for good measure —
-    // the decoder strips the envelope and classifies the same inner 5-tuple).
-    let frames = wire_trace(&trace, Encap::Vlan { tci: 7 });
-    let mut garbled = frames.clone();
-    // Truncated junk after the last well-formed frame (trace times are monotonic).
+    // the decoder strips the envelope and classifies the same inner 5-tuple), with
+    // truncated junk after the last well-formed frame.
+    let attack = WireGenerator::new("Attacker", &schema, keys(), rng(), 100.0, 10.0)
+        .with_encap(Encap::Vlan { tci: 7 });
+    let mut garbage = WireTrace::new();
     for i in 0..200 {
-        garbled.push(30.0 + i as f64 * 0.004, &[0xDE; 9]);
+        garbage.push(30.0 + i as f64 * 0.004, &[0xDE; 9]);
     }
     let mut by_wire = runner(&schema);
     let tl_wire = by_wire.run_mix(
         TrafficMix::new()
             .with(VictimSource::new(victim.clone(), &schema, 1.0))
-            .with(WireSource::replay("Attacker", garbled, &schema)),
+            .with(attack.with_limit(2000))
+            .with(WireSource::replay("Garbage", garbage, &schema)),
         DURATION,
     );
 

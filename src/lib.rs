@@ -25,7 +25,7 @@
 //! let schema = FieldSchema::ovs_ipv4();
 //! let table = Scenario::SipDp.flow_table(&schema);
 //! let mut dp = Datapath::builder(table).build();
-//! for key in scenario_trace(&schema, Scenario::SipDp, &schema.zero_value()) {
+//! for key in Scenario::SipDp.key_iter(&schema, &schema.zero_value()) {
 //!     dp.process_key(&key, 64, 0.0);
 //! }
 //! assert!(dp.mask_count() > 400);
@@ -33,7 +33,7 @@
 //! // The same attack against a hierarchical-trie fast path grows nothing.
 //! let table = Scenario::SipDp.flow_table(&schema);
 //! let mut trie_dp = Datapath::builder(table).backend_fresh::<TrieBackend>().build();
-//! for key in scenario_trace(&schema, Scenario::SipDp, &schema.zero_value()) {
+//! for key in Scenario::SipDp.key_iter(&schema, &schema.zero_value()) {
 //!     trie_dp.process_key(&key, 64, 0.0);
 //! }
 //! assert_eq!(trie_dp.mask_count(), 0);
@@ -52,12 +52,13 @@
 //!
 //! Experiments are composed from pull-based [`prelude::TrafficSource`]s — lazily
 //! yielded, timestamped `(key, bytes)` events — merged by a [`prelude::TrafficMix`]
-//! and drained through the event-driven [`prelude::ExperimentRunner`]. An
-//! [`prelude::AttackTrace`] is one source, the lazy [`prelude::AttackGenerator`]
-//! synthesizes explosion traffic on the fly (no materialised packet vector, so a
-//! 100M-packet run is O(1) memory), and [`prelude::VictimSource`] wraps a
-//! [`prelude::VictimFlow`] as per-interval measurement probes. Multi-attacker,
-//! staggered-onset or background-churn scenarios are just more sources:
+//! and drained through the event-driven [`prelude::ExperimentRunner`]. The lazy
+//! [`prelude::AttackGenerator`] is the attacker: it crafts explosion traffic on the fly
+//! from a key iterator (no materialised packet vector, so a 100M-packet run is O(1)
+//! memory; the looping pcap replay is a `.cycle()`d key iterator plus a limit), and
+//! [`prelude::VictimSource`] wraps a [`prelude::VictimFlow`] as per-interval
+//! measurement probes. Multi-attacker, staggered-onset or background-churn scenarios
+//! are just more sources:
 //!
 //! ```
 //! use rand::rngs::StdRng;
@@ -94,12 +95,12 @@
 //! packed into one contiguous allocation); [`prelude::extract_keys_into`] runs the
 //! real header parser over a whole batch into a reusable [`prelude::ExtractScratch`] —
 //! zero per-frame heap allocations in steady state (pinned by `tests/alloc_audit.rs`)
-//! with per-batch [`prelude::DecodeError`] accounting. On the traffic side,
-//! [`prelude::WireSource`] replays a trace (an [`prelude::AttackTrace`] serialised by
-//! [`prelude::wire_trace`], say) frame by frame — producing the identical
-//! event stream as its key-level twin — and the lazy [`prelude::WireGenerator`]
-//! crafts, serializes and re-parses explosion traffic on the fly, optionally inside
-//! an [`prelude::Encap`] envelope (802.1Q VLAN tag or VXLAN tunnel). The overlay is
+//! with per-batch [`prelude::DecodeError`] accounting. On the traffic side, the lazy
+//! [`prelude::WireGenerator`] crafts, serializes and re-parses explosion traffic on the
+//! fly — the identical event stream as its key-level twin, the
+//! [`prelude::AttackGenerator`] — optionally inside an [`prelude::Encap`] envelope
+//! (802.1Q VLAN tag or VXLAN tunnel), and [`prelude::WireSource`] replays a recorded
+//! trace (truncated garbage, say) frame by frame through the same parser. The overlay is
 //! no defense: the decoder strips the envelope and classifies the attacker's inner
 //! header, so the explosion passes through untouched (`fig_overlay_explosion`),
 //! while undecodable frames are charged to shard 0 — the ingestion point — and
@@ -291,19 +292,15 @@ pub use tse_switch as switch;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use tse_attack::bounds::{multi_field_bound, single_field_curve};
-    pub use tse_attack::colocated::{
-        bit_inversion_keys, bit_inversion_list, scenario_key_iter, scenario_trace, BitInversionKeys,
-    };
+    pub use tse_attack::colocated::{bit_inversion_keys, bit_inversion_list, BitInversionKeys};
     pub use tse_attack::expectation::ExpectationModel;
-    pub use tse_attack::general::{random_trace, RandomKeys};
+    pub use tse_attack::general::RandomKeys;
     pub use tse_attack::scenarios::Scenario;
     pub use tse_attack::sharding::{pin_to_shard, spray_shards, ShardSteeredKeys};
     pub use tse_attack::source::{
-        AttackGenerator, EventPayload, SourceRole, TraceSource, TrafficEvent, TrafficMix,
-        TrafficSource,
+        AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,
     };
-    pub use tse_attack::trace::AttackTrace;
-    pub use tse_attack::wire::{wire_trace, WireGenerator, WireSource};
+    pub use tse_attack::wire::{WireGenerator, WireSource};
     pub use tse_classifier::backend::{
         BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
     };

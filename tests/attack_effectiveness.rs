@@ -14,11 +14,8 @@ fn colocated_reaches_paper_mask_counts() {
     ] {
         let table = scenario.flow_table(&schema);
         let mut dp = Datapath::new(table);
-        for (i, key) in scenario_trace(&schema, scenario, &schema.zero_value())
-            .iter()
-            .enumerate()
-        {
-            dp.process_key(key, 64, i as f64 * 1e-4);
+        for (i, key) in scenario.key_iter(&schema, &schema.zero_value()).enumerate() {
+            dp.process_key(&key, 64, i as f64 * 1e-4);
         }
         let masks = dp.mask_count();
         assert!(
@@ -38,11 +35,9 @@ fn full_blown_attack_is_in_the_8200_mask_regime() {
     let schema = FieldSchema::ovs_ipv4();
     let table = Scenario::SipSpDp.flow_table(&schema);
     let mut dp = Datapath::new(table);
-    for (i, key) in scenario_trace(&schema, Scenario::SipSpDp, &schema.zero_value())
-        .iter()
-        .enumerate()
-    {
-        dp.process_key(key, 64, i as f64 * 1e-5);
+    let keys = Scenario::SipSpDp.key_iter(&schema, &schema.zero_value());
+    for (i, key) in keys.enumerate() {
+        dp.process_key(&key, 64, i as f64 * 1e-5);
     }
     let masks = dp.mask_count();
     assert!((8192..=8400).contains(&masks), "SipSpDp masks = {masks}");
@@ -59,11 +54,11 @@ fn general_tse_tracks_expectation() {
         let model = ExpectationModel::for_scenario(&schema, scenario);
         let table = scenario.flow_table(&schema);
         let mut dp = Datapath::new(table);
-        let mut rng = StdRng::seed_from_u64(2024);
+        let rng = StdRng::seed_from_u64(2024);
         let n = 5_000usize;
-        let keys = random_trace(&mut rng, &schema, scenario, &schema.zero_value(), n);
-        for (i, key) in keys.iter().enumerate() {
-            dp.process_key(key, 64, i as f64 * 1e-4);
+        let keys = RandomKeys::new(rng, &schema, scenario, &schema.zero_value()).take(n);
+        for (i, key) in keys.enumerate() {
+            dp.process_key(&key, 64, i as f64 * 1e-4);
         }
         let expected = model.expected_masks(n as u64);
         let measured = dp.mask_count() as f64;
@@ -76,18 +71,19 @@ fn general_tse_tracks_expectation() {
     }
 }
 
-/// The attack needs only a sub-Mbps packet stream (the "low-rate" claim of the title).
+/// The attack needs only a sub-Mbps packet stream (the "low-rate" claim of the title):
+/// the wire bytes of the generator's events over the time they span.
 #[test]
 fn attack_bandwidth_stays_low_rate() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let schema = FieldSchema::ovs_ipv4();
-    let keys = scenario_trace(&schema, Scenario::SipSpDp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(5);
-    let trace = AttackTrace::from_keys(&mut rng, &schema, &keys, 1000.0, 0.0);
-    assert!(
-        trace.bandwidth_bps() < 1.0e6,
-        "attack uses {} bps",
-        trace.bandwidth_bps()
-    );
+    let keys = Scenario::SipSpDp.key_iter(&schema, &schema.zero_value());
+    let rng = StdRng::seed_from_u64(5);
+    let mut attack = AttackGenerator::new("atk", &schema, keys, rng, 1000.0, 0.0);
+    let events: Vec<TrafficEvent> = std::iter::from_fn(|| attack.next_event()).collect();
+    assert_eq!(events.len(), 17 * 33 * 17);
+    let bytes: usize = events.iter().map(|ev| ev.bytes).sum();
+    let bps = bytes as f64 * 8.0 / (events[events.len() - 1].time - events[0].time);
+    assert!(bps < 1.0e6, "attack uses {bps} bps");
 }

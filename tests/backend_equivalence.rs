@@ -12,7 +12,7 @@ fn workload(schema: &FieldSchema, scenario: Scenario) -> Vec<Key> {
     let mut victim = schema.zero_value();
     victim.set(schema.field_index("tp_dst").unwrap(), 80);
     let mut keys = vec![victim.clone()];
-    keys.extend(scenario_trace(schema, scenario, &schema.zero_value()));
+    keys.extend(scenario.key_iter(schema, &schema.zero_value()));
     keys.push(victim);
     keys
 }
@@ -190,9 +190,12 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
 
     let schema = FieldSchema::ovs_ipv4();
     let scenario = Scenario::SipDp;
-    let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(7);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 10.0, 2000);
+    // The same attack for every backend: 2000 packets at 100 pps from t = 10 s.
+    let attack = || {
+        let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+        let rng = StdRng::seed_from_u64(7);
+        AttackGenerator::new("Attacker", &schema, keys, rng, 100.0, 10.0).with_limit(2000)
+    };
     let victims = vec![VictimFlow::iperf_tcp(
         "victim",
         0x0a000005,
@@ -207,7 +210,7 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
         victims.clone(),
         OffloadConfig::default(),
     );
-    let tss_tl = tss_runner.run(&attack, 50.0);
+    let tss_tl = tss_runner.run(attack(), 50.0);
 
     // Fig. 8-style timelines over two attack-immune backends: flat throughput.
     let table = scenario.flow_table(&schema);
@@ -218,7 +221,7 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
         victims.clone(),
         OffloadConfig::default(),
     );
-    let trie_tl = trie_runner.run(&attack, 50.0);
+    let trie_tl = trie_runner.run(attack(), 50.0);
 
     let table = scenario.flow_table(&schema);
     let mut hc_runner = ExperimentRunner::new(
@@ -228,7 +231,7 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
         victims,
         OffloadConfig::default(),
     );
-    let hc_tl = hc_runner.run(&attack, 50.0);
+    let hc_tl = hc_runner.run(attack(), 50.0);
 
     for tl in [&tss_tl, &trie_tl, &hc_tl] {
         assert_eq!(tl.samples.len(), 50);

@@ -40,9 +40,9 @@ fn measured_victim_cost_tracks_mask_count() {
     dp.process_packet(&victim, 0.0);
 
     let mut samples: Vec<(usize, f64)> = Vec::new();
-    let trace = scenario_trace(&schema, Scenario::SipDp, &schema.zero_value());
-    for (i, key) in trace.iter().enumerate() {
-        dp.process_key(key, 64, 0.01 + i as f64 * 1e-4);
+    let trace = Scenario::SipDp.key_iter(&schema, &schema.zero_value());
+    for (i, key) in trace.enumerate() {
+        dp.process_key(&key, 64, 0.01 + i as f64 * 1e-4);
         if i % 100 == 0 {
             let cost = dp.process_packet(&victim, 0.5 + i as f64 * 1e-4).cost;
             samples.push((dp.mask_count(), cost));

@@ -18,15 +18,9 @@ fn expectation_matches_monte_carlo_on_small_schema() {
     let mut rng = StdRng::seed_from_u64(4242);
     for _ in 0..runs {
         let mut dp = Datapath::new(table.clone());
-        let keys = tse::attack::general::random_trace_on_fields(
-            &mut rng,
-            &schema,
-            &[0, 1],
-            &schema.zero_value(),
-            n_packets as usize,
-        );
-        for (i, key) in keys.iter().enumerate() {
-            dp.process_key(key, 64, i as f64 * 1e-3);
+        let keys = RandomKeys::on_fields(&mut rng, &schema, &[0, 1], &schema.zero_value());
+        for (i, key) in keys.take(n_packets as usize).enumerate() {
+            dp.process_key(&key, 64, i as f64 * 1e-3);
         }
         total_masks += dp.mask_count();
     }

@@ -1,17 +1,20 @@
 //! Golden parity: the event-driven `ExperimentRunner` must reproduce the
 //! pre-streaming-redesign runner's `Timeline` **bit-for-bit** for single-source runs.
 //!
-//! `reference_run` below is a frozen, verbatim copy of the old `ExperimentRunner::run`
-//! loop (pre `TrafficSource` redesign), expressed against the public datapath API. It
-//! is the ground truth the redesigned runner (trace + victims wrapped in a
-//! `TrafficMix`, drained through `Datapath::process_timed_batch`) is compared against:
-//! every sample of every scenario must match exactly, down to the f64 bits.
+//! `reference_run` below is a frozen copy of the old `ExperimentRunner::run` loop (pre
+//! `TrafficSource` redesign), expressed against the public datapath API. It is the
+//! ground truth the redesigned runner (attacker + victims wrapped in a `TrafficMix`,
+//! drained through the sharded batch dispatch) is compared against: every sample of every
+//! scenario must match exactly, down to the f64 bits. The old loop replayed concrete
+//! packets; this copy replays the attack generator's events through `process_key`,
+//! which `tests/sharded_datapath.rs` holds equal to `process_packet` on the packet.
 //!
 //! `reference_guarded_run` is a second frozen copy: the pre-mitigation-stack runner's
-//! `run_mix` loop with its hard-wired `Option<MfcGuard>` (the `guard.maybe_run_sharded`
-//! call after throughput accounting). It is the ground truth a uniform
-//! `GuardMitigation` stage on the composable `MitigationStack` is compared against,
-//! on every scenario, single- and multi-shard, down to the f64 bits.
+//! `run_mix` loop with its hard-wired guard hook after throughput accounting — one
+//! `MfcGuard` per shard, all under one config and one clock, so every gate fires at the
+//! same times. It is the ground truth a uniform `GuardMitigation` stage on the
+//! composable `MitigationStack` is compared against, on every scenario, single- and
+//! multi-shard, down to the f64 bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,12 +36,12 @@ fn reference_run(
     datapath: &mut Datapath,
     victims: &[VictimFlow],
     offload: &OffloadConfig,
-    attack: &AttackTrace,
+    mut attack: impl TrafficSource,
     duration: f64,
 ) -> Vec<RefSample> {
     let dt = 1.0; // the old default sample interval
     let mut samples = Vec::new();
-    let mut attack_iter = attack.packets().iter().peekable();
+    let mut attack_iter = std::iter::from_fn(|| attack.next_event()).peekable();
     let steps = (duration / dt).ceil() as usize;
     for step in 0..steps {
         let t = step as f64 * dt;
@@ -47,13 +50,13 @@ fn reference_run(
         // 1. Replay the attack packets that fall into this interval.
         let mut attack_packets = 0u64;
         let mut attack_busy = 0.0f64;
-        while let Some(tp) = attack_iter.peek() {
-            if tp.time >= t_end {
+        while let Some(ev) = attack_iter.peek() {
+            if ev.time >= t_end {
                 break;
             }
-            let tp = attack_iter.next().expect("peeked");
-            if tp.time >= t {
-                let outcome = datapath.process_packet(&tp.packet, tp.time);
+            let ev = attack_iter.next().expect("peeked");
+            if ev.time >= t {
+                let outcome = datapath.process_key(&ev.key, ev.bytes, ev.time);
                 attack_packets += 1;
                 attack_busy += outcome.cost;
             }
@@ -170,8 +173,8 @@ fn assert_bit_for_bit(reference: &[RefSample], timeline: &Timeline, context: &st
 }
 
 /// The canonical Fig. 8a-style setup, per scenario: three victims with staggered
-/// activity windows, a cyclic co-located attack at 100 pps from t=30 s.
-fn scenario_fixture(scenario: Scenario) -> (FlowTable, Vec<VictimFlow>, AttackTrace) {
+/// activity windows. The attack is [`attack`].
+fn scenario_fixture(scenario: Scenario) -> (FlowTable, Vec<VictimFlow>) {
     let schema = FieldSchema::ovs_ipv4();
     let table = scenario.flow_table(&schema);
     let victims = vec![
@@ -179,27 +182,29 @@ fn scenario_fixture(scenario: Scenario) -> (FlowTable, Vec<VictimFlow>, AttackTr
         VictimFlow::iperf_tcp("Victim 2", 0x0a000006, 0x0a000063, 6.0).with_src_port(40002),
         VictimFlow::iperf_udp("Victim 3", 0x0a000007, 0x0a000063, 3.0).active_between(20.0, 70.0),
     ];
-    let keys = scenario_trace(&schema, scenario, &schema.zero_value());
-    let attack = if keys.is_empty() {
-        AttackTrace::default()
-    } else {
-        let mut rng = StdRng::seed_from_u64(99);
-        AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 30.0, 3000)
-    };
-    (table, victims, attack)
+    (table, victims)
+}
+
+/// The scenario's cyclic co-located attack: 3000 packets at 100 pps from t=30 s (none
+/// for Baseline). Every call is the same stream from its start.
+fn attack(scenario: Scenario) -> impl TrafficSource {
+    let schema = FieldSchema::ovs_ipv4();
+    let keys = scenario.key_iter(&schema, &schema.zero_value()).cycle();
+    let rng = StdRng::seed_from_u64(99);
+    AttackGenerator::new("Attacker", &schema, keys, rng, 100.0, 30.0).with_limit(3000)
 }
 
 #[test]
 fn event_driven_runner_matches_frozen_reference_for_every_scenario() {
     for scenario in Scenario::ALL {
-        let (table, victims, attack) = scenario_fixture(scenario);
+        let (table, victims) = scenario_fixture(scenario);
         let offload = OffloadConfig::gro_off();
 
         let mut ref_dp = Datapath::new(table.clone());
-        let reference = reference_run(&mut ref_dp, &victims, &offload, &attack, 90.0);
+        let reference = reference_run(&mut ref_dp, &victims, &offload, attack(scenario), 90.0);
 
         let mut runner = ExperimentRunner::new(Datapath::new(table), victims.clone(), offload);
-        let timeline = runner.run(&attack, 90.0);
+        let timeline = runner.run(attack(scenario), 90.0);
 
         assert_eq!(
             timeline.victim_names,
@@ -215,15 +220,15 @@ fn one_shard_sharded_runner_matches_frozen_reference_for_every_scenario() {
     // a 1-shard ShardedDatapath (any steering policy — with one shard they are all the
     // same total partition) reproduces the frozen pre-sharding runner bit-for-bit.
     for scenario in Scenario::ALL {
-        let (table, victims, attack) = scenario_fixture(scenario);
+        let (table, victims) = scenario_fixture(scenario);
         let offload = OffloadConfig::gro_off();
 
         let mut ref_dp = Datapath::new(table.clone());
-        let reference = reference_run(&mut ref_dp, &victims, &offload, &attack, 90.0);
+        let reference = reference_run(&mut ref_dp, &victims, &offload, attack(scenario), 90.0);
 
         let sharded = ShardedDatapath::from_builder(Datapath::builder(table), 1, Steering::Rss);
         let mut runner = ExperimentRunner::sharded(sharded, victims.clone(), offload);
-        let timeline = runner.run(&attack, 90.0);
+        let timeline = runner.run(attack(scenario), 90.0);
 
         assert_eq!(timeline.shard_count, 1);
         for s in &timeline.samples {
@@ -254,15 +259,15 @@ struct RefGuardedSample {
 }
 
 /// Frozen copy of the pre-mitigation-stack `ExperimentRunner::run` path: the event
-/// loop over a `TrafficMix` of victims plus one attack trace, with the hard-wired
-/// `Option<MfcGuard>` swept via `maybe_run_sharded` after throughput accounting —
-/// exactly the runner this PR redesigned away.
+/// loop over a `TrafficMix` of victims plus one attacker, with the hard-wired guard
+/// swept after throughput accounting — one copy of `guard` per shard, each gated on the
+/// same clock — exactly the runner the mitigation stack replaced.
 fn reference_guarded_run(
     datapath: &mut ShardedDatapath,
     victims: &[VictimFlow],
     offload: &OffloadConfig,
-    attack: &AttackTrace,
-    mut guard: Option<MfcGuard>,
+    attack: impl TrafficSource,
+    guard: Option<MfcGuard>,
     duration: f64,
 ) -> Vec<RefGuardedSample> {
     let dt = 1.0;
@@ -271,7 +276,7 @@ fn reference_guarded_run(
     for flow in victims {
         mix.push(Box::new(VictimSource::new(flow.clone(), &schema, dt)));
     }
-    mix.push(Box::new(attack.source("Attacker", &schema)));
+    mix.push(Box::new(attack));
 
     let roles = mix.roles();
     let mut victim_slot = vec![usize::MAX; roles.len()];
@@ -294,6 +299,7 @@ fn reference_guarded_run(
         }
     }
     let n_shards = datapath.shard_count();
+    let mut guards: Vec<MfcGuard> = guard.into_iter().flat_map(|g| vec![g; n_shards]).collect();
     let mut samples = Vec::new();
     let steps = (duration / dt).ceil() as usize;
     let mut chunk: Vec<(Key, usize, f64)> = Vec::new();
@@ -443,10 +449,10 @@ fn reference_guarded_run(
         }
 
         // The pre-redesign guard hook: one shared-config sweep per shard whenever the
-        // shared interval elapses.
-        if let Some(guard) = &mut guard {
-            let per_shard_pps: Vec<f64> = shard_packets.iter().map(|&c| c as f64 / dt).collect();
-            guard.maybe_run_sharded(datapath, t_end, &per_shard_pps);
+        // interval elapses, each on its own shard's packet rate.
+        for (s, guard) in guards.iter_mut().enumerate() {
+            let pps = shard_packets[s] as f64 / dt;
+            guard.maybe_run_on_shard(datapath.shard_mut(s), t_end, pps, s);
         }
 
         samples.push(RefGuardedSample {
@@ -514,7 +520,7 @@ fn parity_guard_config() -> GuardConfig {
 #[test]
 fn guard_stage_matches_frozen_guarded_reference_for_every_scenario() {
     for scenario in Scenario::ALL {
-        let (table, victims, attack) = scenario_fixture(scenario);
+        let (table, victims) = scenario_fixture(scenario);
         let offload = OffloadConfig::gro_off();
 
         let mut ref_dp = ShardedDatapath::single(Datapath::new(table.clone()));
@@ -522,14 +528,14 @@ fn guard_stage_matches_frozen_guarded_reference_for_every_scenario() {
             &mut ref_dp,
             &victims,
             &offload,
-            &attack,
+            attack(scenario),
             Some(MfcGuard::new(parity_guard_config())),
             90.0,
         );
 
         let mut runner = ExperimentRunner::new(Datapath::new(table), victims, offload)
             .with_mitigation(GuardMitigation::new(parity_guard_config()));
-        let timeline = runner.run(&attack, 90.0);
+        let timeline = runner.run(attack(scenario), 90.0);
         assert_guarded_bit_for_bit(&reference, &timeline, &format!("guarded/{scenario}"));
     }
 }
@@ -540,7 +546,7 @@ fn guard_stage_matches_frozen_guarded_reference_on_a_sharded_datapath() {
     // scenario. The stage's per-shard guards must fire at exactly the times the
     // old shared gate did and sweep the shards in the same order.
     for scenario in Scenario::ALL {
-        let (table, victims, attack) = scenario_fixture(scenario);
+        let (table, victims) = scenario_fixture(scenario);
         let offload = OffloadConfig::gro_off();
 
         let mut ref_dp =
@@ -549,7 +555,7 @@ fn guard_stage_matches_frozen_guarded_reference_on_a_sharded_datapath() {
             &mut ref_dp,
             &victims,
             &offload,
-            &attack,
+            attack(scenario),
             Some(MfcGuard::new(parity_guard_config())),
             90.0,
         );
@@ -557,7 +563,7 @@ fn guard_stage_matches_frozen_guarded_reference_on_a_sharded_datapath() {
         let sharded = ShardedDatapath::from_builder(Datapath::builder(table), 4, Steering::Rss);
         let mut runner = ExperimentRunner::sharded(sharded, victims, offload)
             .with_mitigation(GuardMitigation::new(parity_guard_config()));
-        let timeline = runner.run(&attack, 90.0);
+        let timeline = runner.run(attack(scenario), 90.0);
         assert_eq!(timeline.shard_count, 4);
         assert_guarded_bit_for_bit(
             &reference,
@@ -571,12 +577,19 @@ fn guard_stage_matches_frozen_guarded_reference_on_a_sharded_datapath() {
 fn unguarded_reference_agrees_with_guardless_frozen_reference() {
     // Internal consistency of the two frozen references: with no guard attached the
     // guarded copy reduces to the original single-shard reference.
-    let (table, victims, attack) = scenario_fixture(Scenario::SipDp);
+    let (table, victims) = scenario_fixture(Scenario::SipDp);
     let offload = OffloadConfig::gro_off();
     let mut a_dp = Datapath::new(table.clone());
-    let a = reference_run(&mut a_dp, &victims, &offload, &attack, 60.0);
+    let a = reference_run(&mut a_dp, &victims, &offload, attack(Scenario::SipDp), 60.0);
     let mut b_dp = ShardedDatapath::single(Datapath::new(table));
-    let b = reference_guarded_run(&mut b_dp, &victims, &offload, &attack, None, 60.0);
+    let b = reference_guarded_run(
+        &mut b_dp,
+        &victims,
+        &offload,
+        attack(Scenario::SipDp),
+        None,
+        60.0,
+    );
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.time.to_bits(), y.time.to_bits());
@@ -591,11 +604,11 @@ fn unguarded_reference_agrees_with_guardless_frozen_reference() {
 #[test]
 fn parity_holds_for_udp_offload_and_partial_duration() {
     // A second configuration axis: UDP offload model, shorter horizon, Dp scenario.
-    let (table, victims, attack) = scenario_fixture(Scenario::Dp);
+    let (table, victims) = scenario_fixture(Scenario::Dp);
     let offload = OffloadConfig::udp();
     let mut ref_dp = Datapath::new(table.clone());
-    let reference = reference_run(&mut ref_dp, &victims, &offload, &attack, 47.0);
+    let reference = reference_run(&mut ref_dp, &victims, &offload, attack(Scenario::Dp), 47.0);
     let mut runner = ExperimentRunner::new(Datapath::new(table), victims, offload);
-    let timeline = runner.run(&attack, 47.0);
+    let timeline = runner.run(attack(Scenario::Dp), 47.0);
     assert_bit_for_bit(&reference, &timeline, "Dp/udp/47s");
 }

@@ -5,10 +5,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse::prelude::*;
 
-fn build_attack(schema: &FieldSchema, rate: f64, start: f64, count: usize) -> AttackTrace {
-    let keys = scenario_trace(schema, Scenario::SipDp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(77);
-    AttackTrace::from_keys_cyclic(&mut rng, schema, &keys, rate, start, count)
+/// The SipDp key sequence cycled: `count` packets at `rate` pps from `start`.
+fn build_attack(
+    schema: &FieldSchema,
+    seed: u64,
+    rate: f64,
+    start: f64,
+    count: usize,
+) -> impl TrafficSource {
+    let keys = Scenario::SipDp
+        .key_iter(schema, &schema.zero_value())
+        .cycle();
+    let rng = StdRng::seed_from_u64(seed);
+    AttackGenerator::new("Attacker", schema, keys, rng, rate, start).with_limit(count)
 }
 
 // Note: the guard can only evict *drop* entries (requirement (i) of §8), so the scenario
@@ -23,14 +32,13 @@ fn guard_preserves_victim_throughput() {
     let victims = vec![VictimFlow::iperf_tcp(
         "victim", 0x0a000005, 0x0a000063, 10.0,
     )];
-    let attack = build_attack(&schema, 500.0, 10.0, 25_000);
 
     let mut unguarded = ExperimentRunner::new(
         Datapath::new(table.clone()),
         victims.clone(),
         OffloadConfig::gro_off(),
     );
-    let unguarded_tl = unguarded.run(&attack, 60.0);
+    let unguarded_tl = unguarded.run(build_attack(&schema, 77, 500.0, 10.0, 25_000), 60.0);
 
     let mut guarded =
         ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off())
@@ -38,7 +46,7 @@ fn guard_preserves_victim_throughput() {
                 mask_threshold: 50,
                 ..GuardConfig::default()
             }));
-    let guarded_tl = guarded.run(&attack, 60.0);
+    let guarded_tl = guarded.run(build_attack(&schema, 77, 500.0, 10.0, 25_000), 60.0);
 
     let unguarded_mean = unguarded_tl.mean_total_between(25.0, 59.0);
     let guarded_mean = guarded_tl.mean_total_between(25.0, 59.0);
@@ -60,11 +68,9 @@ fn unguarded_datapath_recovers_via_idle_timeout() {
         "victim", 0x0a000005, 0x0a000063, 10.0,
     )];
     // Attack runs t=10..40 s.
-    let keys = scenario_trace(&schema, Scenario::SipDp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(3);
-    let attack = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 100.0, 10.0, 3000);
+    let attack = build_attack(&schema, 3, 100.0, 10.0, 3000);
     let mut runner = ExperimentRunner::new(Datapath::new(table), victims, OffloadConfig::gro_off());
-    let tl = runner.run(&attack, 70.0);
+    let tl = runner.run(attack, 70.0);
     let during = tl.mean_total_between(20.0, 39.0);
     let after = tl.mean_total_between(55.0, 69.0);
     assert!(
@@ -85,11 +91,11 @@ fn guard_removes_only_drop_entries() {
     // Victim entry plus attack entries.
     let victim = PacketBuilder::tcp_v4([192, 168, 0, 2], [10, 0, 0, 99], 40000, 80).build();
     dp.process_packet(&victim, 0.0);
-    for (i, key) in scenario_trace(&schema, Scenario::SpDp, &schema.zero_value())
-        .iter()
+    for (i, key) in Scenario::SpDp
+        .key_iter(&schema, &schema.zero_value())
         .enumerate()
     {
-        dp.process_key(key, 64, 0.01 + i as f64 * 1e-4);
+        dp.process_key(&key, 64, 0.01 + i as f64 * 1e-4);
     }
     let allows_before = dp
         .megaflow()

@@ -9,10 +9,10 @@ use tse::simnet::VictimSource;
 
 const VICTIM_IP: u32 = 0x0a00_0063;
 
-/// Two victims (one joining late) and two staggered attackers: a materialised SipDp
-/// trace over t=20..60 s and a lazy SpDp generator joining at t=40 s (overlapping
-/// onset, both active in 40..60 s).
-fn staggered_mix<'a>(schema: &FieldSchema, trace1: &'a AttackTrace) -> TrafficMix<'a> {
+/// Two victims (one joining late) and two staggered attackers: a SipDp generator over
+/// t=20..60 s and an SpDp generator joining at t=40 s (overlapping onset, both active in
+/// 40..60 s).
+fn staggered_mix(schema: &FieldSchema) -> TrafficMix<'static> {
     TrafficMix::new()
         .with(VictimSource::new(
             VictimFlow::iperf_tcp("Victim 1", 0x0a000005, VICTIM_IP, 10.0).with_src_port(40001),
@@ -26,7 +26,19 @@ fn staggered_mix<'a>(schema: &FieldSchema, trace1: &'a AttackTrace) -> TrafficMi
             schema,
             1.0,
         ))
-        .with(trace1.source("Attacker 1", schema))
+        .with(
+            AttackGenerator::new(
+                "Attacker 1",
+                schema,
+                Scenario::SipDp
+                    .key_iter(schema, &schema.zero_value())
+                    .cycle(),
+                StdRng::seed_from_u64(3),
+                100.0,
+                20.0,
+            )
+            .with_limit(4000),
+        )
         .with(
             AttackGenerator::new(
                 "Attacker 2",
@@ -42,27 +54,14 @@ fn staggered_mix<'a>(schema: &FieldSchema, trace1: &'a AttackTrace) -> TrafficMi
         )
 }
 
-fn attack_trace(schema: &FieldSchema) -> AttackTrace {
-    let keys = scenario_trace(schema, Scenario::SipDp, &schema.zero_value());
-    AttackTrace::from_keys_cyclic(
-        &mut StdRng::seed_from_u64(3),
-        schema,
-        &keys,
-        100.0,
-        20.0,
-        4000,
-    )
-}
-
 #[test]
 fn staggered_multi_attacker_mix_on_tss() {
     let schema = FieldSchema::ovs_ipv4();
     // The merged ACL: both attackers' scenarios target the same Fig. 6 rules.
     let table = Scenario::SipSpDp.flow_table(&schema);
-    let trace1 = attack_trace(&schema);
     let mut runner =
         ExperimentRunner::new(Datapath::new(table), Vec::new(), OffloadConfig::gro_off());
-    let tl = runner.run_mix(staggered_mix(&schema, &trace1), 90.0);
+    let tl = runner.run_mix(staggered_mix(&schema), 90.0);
 
     assert_eq!(tl.victim_names, vec!["Victim 1", "Victim 2"]);
     assert_eq!(tl.attacker_names, vec!["Attacker 1", "Attacker 2"]);
@@ -115,7 +114,6 @@ fn staggered_multi_attacker_mix_on_baseline_backend() {
     // and the victims keep (nearly) full throughput through both attack waves.
     let schema = FieldSchema::ovs_ipv4();
     let table = Scenario::SipSpDp.flow_table(&schema);
-    let trace1 = attack_trace(&schema);
     let mut runner = ExperimentRunner::new(
         Datapath::builder(table)
             .backend_fresh::<TrieBackend>()
@@ -123,7 +121,7 @@ fn staggered_multi_attacker_mix_on_baseline_backend() {
         Vec::new(),
         OffloadConfig::gro_off(),
     );
-    let tl = runner.run_mix(staggered_mix(&schema, &trace1), 90.0);
+    let tl = runner.run_mix(staggered_mix(&schema), 90.0);
     assert_eq!(tl.samples.len(), 90);
     assert_eq!(tl.attacker_names.len(), 2);
 

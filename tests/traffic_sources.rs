@@ -1,5 +1,5 @@
 //! Properties of the streaming traffic API: `TrafficMix` merge ordering (proptest) and
-//! cross-form equivalences between materialised traces and lazy generators.
+//! the lazy attack generators drained the way the runner drains them.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,10 +101,10 @@ fn mix_drained_interval_by_interval_loses_nothing() {
     // next_before over successive windows visits every event exactly once, in order —
     // the contract the event-driven runner is built on.
     let schema = FieldSchema::ovs_ipv4();
-    let keys = scenario_trace(&schema, Scenario::Dp, &schema.zero_value());
-    let mut rng = StdRng::seed_from_u64(11);
-    let trace = AttackTrace::from_keys_cyclic(&mut rng, &schema, &keys, 7.0, 0.3, 40);
-    let mut mix = TrafficMix::new().with(trace.source("atk", &schema));
+    let keys = Scenario::Dp.key_iter(&schema, &schema.zero_value()).cycle();
+    let rng = StdRng::seed_from_u64(11);
+    let attack = AttackGenerator::new("atk", &schema, keys, rng, 7.0, 0.3).with_limit(40);
+    let mut mix = TrafficMix::new().with(attack);
     let mut times = Vec::new();
     for step in 0..10 {
         let t_end = (step + 1) as f64;

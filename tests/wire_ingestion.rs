@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse::attack::general::random_trace_on_fields;
 use tse::packet::wire::WireFault;
 use tse::prelude::*;
 
@@ -39,13 +38,9 @@ fn run(executor: impl ShardExecutor + 'static, guarded: bool) -> (Timeline, u64,
             .with_mitigation(RssKeyRandomizer::new(10.0, 0xC0FFEE));
     }
 
-    let keys = random_trace_on_fields(
-        &mut StdRng::seed_from_u64(99),
-        &schema,
-        &[ip6_src, tp_dst],
-        &schema.zero_value(),
-        ((DURATION - ATTACK_START) * ATTACK_PPS) as usize,
-    );
+    let rng = StdRng::seed_from_u64(99);
+    let keys = RandomKeys::on_fields(rng, &schema, &[ip6_src, tp_dst], &schema.zero_value())
+        .take(((DURATION - ATTACK_START) * ATTACK_PPS) as usize);
     let mut garbage = WireTrace::new();
     for i in 0..GARBAGE_FRAMES {
         // 9 bytes: shorter than an Ethernet header, so every frame is Truncated.
@@ -60,7 +55,7 @@ fn run(executor: impl ShardExecutor + 'static, guarded: bool) -> (Timeline, u64,
         .with(WireGenerator::new(
             "Attacker",
             &schema,
-            keys.into_iter(),
+            keys,
             StdRng::seed_from_u64(7),
             ATTACK_PPS,
             ATTACK_START,
@@ -131,65 +126,90 @@ fn wire_replay_is_executor_invariant_degrades_and_recovers() {
     }
 }
 
+/// Replays a fixed list of events — a key-level source of packets it did not craft.
+struct Replay(std::vec::IntoIter<TrafficEvent>);
+
+impl TrafficSource for Replay {
+    fn label(&self) -> &str {
+        "atk"
+    }
+
+    fn next_event(&mut self) -> Option<TrafficEvent> {
+        self.0.next()
+    }
+}
+
 /// A packet of a family the schema cannot express is one fault, not two behaviours:
-/// the key-level replay of a trace and the wire-level replay of its frames emit the same
-/// `Malformed { FamilyMismatch }` events (zero key — no address is ever cut down to the
-/// other family's width), and a run over either charges shard 0 and installs nothing.
+/// the key-level ingress (`FlowKey::checked_key` into `TrafficEvent::classified`) and the
+/// wire-level replay of the packets' frames emit the same `Malformed { FamilyMismatch }`
+/// events (zero key — no address is ever cut down to the other family's width), and a
+/// run over either charges shard 0 and installs nothing.
 #[test]
 fn a_family_the_schema_cannot_express_is_the_same_fault_on_both_ingresses() {
     fn stream(mut src: impl TrafficSource) -> Vec<TrafficEvent> {
         std::iter::from_fn(move || src.next_event()).collect()
     }
     let (v4, v6) = (FieldSchema::ovs_ipv4(), FieldSchema::ovs_ipv6());
-    for (packets, acl) in [(&v6, &v4), (&v4, &v6)] {
-        let keys = random_trace_on_fields(
-            &mut StdRng::seed_from_u64(0xfa17),
-            packets,
-            &[0, packets.field_index("tp_dst").unwrap()],
-            &packets.zero_value(),
-            64,
-        );
-        let trace =
-            AttackTrace::from_keys(&mut StdRng::seed_from_u64(3), packets, &keys, 50.0, 0.5);
-        let keyed = stream(trace.source("atk", acl));
-        let wired = stream(WireSource::replay(
-            "atk",
-            wire_trace(&trace, Encap::None),
-            acl,
-        ));
-        assert_eq!(keyed, wired);
-        assert_eq!(keyed.len(), trace.len());
-        for (ev, tp) in keyed.iter().zip(trace.packets()) {
+    for (packets_v6, acl) in [(true, &v4), (false, &v6)] {
+        // 64 TCP packets of the other family at 50 pps from t = 0.5 s.
+        let packets: Vec<(f64, Packet)> = (0..64u16)
+            .map(|i| {
+                let builder = if packets_v6 {
+                    PacketBuilder::tcp_v6(
+                        [0xfd00, 0, 0, 0, 0, 0, 0, i],
+                        [0xfd00, 0, 0, 0, 0, 0, 0, 0x63],
+                        40_000 + i,
+                        80,
+                    )
+                } else {
+                    PacketBuilder::tcp_v4([10, 0, 1, i as u8], [10, 0, 0, 0x63], 40_000 + i, 80)
+                };
+                (0.5 + f64::from(i) / 50.0, builder.build())
+            })
+            .collect();
+        let keyed: Vec<TrafficEvent> = packets
+            .iter()
+            .map(|(time, p)| {
+                let key = FlowKey::from_packet(p).checked_key(acl);
+                TrafficEvent::classified(*time, p.wire_len(), key, acl)
+            })
+            .collect();
+        let frames = || {
+            let mut frames = WireTrace::new();
+            for (time, p) in &packets {
+                frames.push_packet(*time, p, Encap::None);
+            }
+            WireSource::replay("atk", frames, acl)
+        };
+        assert_eq!(keyed, stream(frames()));
+        for (ev, (time, p)) in keyed.iter().zip(&packets) {
             let fault = WireFault::FamilyMismatch;
             assert_eq!(ev.payload, EventPayload::Malformed { fault });
             assert_eq!(ev.key, acl.zero_value());
-            assert_eq!((ev.time, ev.bytes), (tp.time, tp.packet.wire_len()));
+            assert_eq!((ev.time, ev.bytes), (*time, p.wire_len()));
         }
 
         let tp_dst = acl.field_index("tp_dst").unwrap();
         let table = FlowTable::whitelist_default_deny(acl, &[(tp_dst, 80)]);
-        let run = |source: Box<dyn TrafficSource + '_>| {
+        let n = packets.len() as u64;
+        let run = |source: Box<dyn TrafficSource>| {
             let dp = ShardedDatapath::new(table.clone(), 4, Steering::Rss);
             let mut runner = ExperimentRunner::sharded(dp, Vec::new(), OffloadConfig::gro_off());
             let mut mix = TrafficMix::new();
             mix.push(source);
             let tl = runner.run_mix(mix, 3.0);
             let dp = &runner.datapath;
-            assert_eq!(dp.shard_stats(0).unclassified, trace.len() as u64);
-            assert_eq!(dp.stats().packets(), trace.len() as u64, "shard 0 only");
-            assert_eq!(dp.stats().allowed, trace.len() as u64);
+            assert_eq!(dp.shard_stats(0).unclassified, n);
+            assert_eq!(dp.stats().packets(), n, "shard 0 only");
+            assert_eq!(dp.stats().allowed, n);
             assert!(tl.samples.iter().all(|s| s.mask_count == 0));
             assert_eq!((dp.mask_count(), dp.entry_count()), (0, 0));
             tl
         };
-        let by_key = run(Box::new(trace.source("atk", acl)));
-        let by_wire = run(Box::new(WireSource::replay(
-            "atk",
-            wire_trace(&trace, Encap::None),
-            acl,
-        )));
+        let by_key = run(Box::new(Replay(keyed.clone().into_iter())));
+        let by_wire = run(Box::new(frames()));
         assert_eq!(by_key.samples, by_wire.samples);
         let malformed: f64 = by_key.samples.iter().map(|s| s.malformed_pps).sum();
-        assert_eq!(malformed.round() as usize, trace.len());
+        assert_eq!(malformed.round() as u64, n);
     }
 }
