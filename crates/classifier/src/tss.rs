@@ -15,38 +15,41 @@
 //!   its plan words sit in the slab, which tuple it stands for, and a 64-bit **miss
 //!   filter**: one bit per resident key, chosen by the top six bits of the key's hash;
 //! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
-//!   in one tuple-space-wide vector. The plan is the only form the scan reads a mask in,
-//!   and it is stored once: a plan determines its mask, so finding a mask's tuple
-//!   compares plans too. Beside it, word for word in a parallel vector, sit the tuple's
-//!   **conflict summaries** (the AND and OR of each plan word over its resident keys),
-//!   which Inv(2)'s conflict check reads instead of the tuple;
+//!   in one tuple-space-wide vector of 32-byte records. The plan is the only form the
+//!   scan reads a mask in, and it is stored once: a plan determines its mask, so finding
+//!   a mask's tuple compares plans too. Each record also carries the word's
+//!   **agreement**: the bits on which every resident key of the tuple agrees, and their
+//!   common value — for a one-key tuple, the whole word of that key;
 //! * the **tuples** — a mask, its entries and the index over them — in slots the lane
 //!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
 //!   by mask.
 //!
-//! A probe hashes `header AND mask` word by word straight off the slab and tests the
-//! filter bit the hash names. A clear bit proves the miss, having read a lane record and
-//! a few plan words that sit beside their neighbours'; for an explosion — one entry per
-//! mask — that is 63 probes of 64, and the whole scan stays cache-resident. Only on a set
-//! bit does the probe go on, hash in hand, to the tuple: it walks the tuple's flat
-//! open-addressed index of `u64` slots from the slot the hash names, and compares
-//! against a stored key only where a slot's tag (the hash's high 32 bits) matches. A
-//! missed probe materialises no masked key and allocates nothing. The filter stands in
-//! front of every probe alike; on a tuple with more resident keys than bits it is
-//! all-ones and costs one AND.
+//! A probe first compares the header with the agreement, word by word straight off the
+//! slab: a header that differs from the common value on an agreed bit matches no entry,
+//! and the probe has missed without a hash. For an explosion — one entry per mask — that
+//! test is exact, so it ends every miss, having read a lane record and a few plan words
+//! that sit beside their neighbours', and the whole scan stays cache-resident. A probe
+//! that survives hashes `header AND mask` off the same words and tests the **miss
+//! filter** bit the hash names: a clear bit proves the miss. Only on a set bit does the
+//! probe go on, hash in hand, to the tuple: it walks the tuple's flat open-addressed
+//! index of `u64` slots from the slot the hash names, and compares against a stored key
+//! only where a slot's tag (the hash's high 32 bits) matches. A missed probe materialises
+//! no masked key and allocates nothing. Inv(2)'s conflict check rules tuples out with the
+//! same agreement test, restricted to the bits the prospective entry keeps.
 //!
 //! A tuple is written on the rare path. Creating it compiles its mask's plan into the
 //! slab, and every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a
 //! tuple are held, and [`TupleSpace::entries`] yields them, in insertion order;
 //! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
 //! order), files the entry's position in the index, sets its filter bit and folds the
-//! key into the summaries. Every mutation leaves lane, slab, summaries and tuples
-//! describing the same tuple space; debug builds check that after each one.
+//! key into the agreement. Every mutation leaves lane, slab and tuples describing the
+//! same tuple space; debug builds check that after each one.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
-//! linear-probe run, or all land on filter bits that are set and so send every probe on
-//! to the tuple — in *host* time only: `masks_scanned`, and with it every simulated
-//! cost, counts tuples probed and cannot be moved that way.
+//! linear-probe run, spread a tuple's keys until they agree on no bit, or all land on
+//! filter bits that are set and so send every probe on to the tuple — in *host* time
+//! only: `masks_scanned`, and with it every simulated cost, counts tuples probed and
+//! cannot be moved that way.
 //!
 //! > *Observation 1: the time-complexity of TSS lookup grows linearly with the number of
 //! > distinct masks O(|M|) and the space-complexity linearly with the number of entries
@@ -108,17 +111,40 @@ pub enum MaskOrdering {
     NewestFirst,
 }
 
-/// One step of a probe plan: a non-zero 64-bit word of a mask.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One step of a probe plan — a non-zero 64-bit word of a mask — and its tuple's
+/// **agreement word**: the bits of it on which every resident key agrees, and their
+/// common value. A header whose word differs from `value` anywhere on `agree` matches no
+/// entry of the tuple, and neither does a prospective entry that differs there on a bit
+/// it keeps ([`PlanWord::excludes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct PlanWord {
     /// Which of [`Probe::words`].
     word: u8,
     /// The mask's bits in that word.
     bits: u64,
+    /// The bits of `bits` every resident key has alike: all of them for a one-key tuple.
+    agree: u64,
+    /// The resident keys' bits on `agree`, zero elsewhere.
+    value: u64,
+}
+
+// The scan reads one lane record and its plan words per tuple, two records to a cache
+// line. A field added to either widens every step of every scan: it has to fail here
+// first.
+const _: () = assert!(std::mem::size_of::<PlanWord>() == 32);
+const _: () = assert!(std::mem::size_of::<LaneRecord>() == 32);
+
+impl PlanWord {
+    /// The bits of key word `k` that rule every entry of the tuple out: non-zero iff `k`
+    /// differs on some bit all resident keys agree on.
+    #[inline]
+    fn excludes(&self, k: u64) -> u64 {
+        (k ^ self.value) & self.agree
+    }
 }
 
 /// A mask compiled into its probe plan, on the stack: what the slab holds for a tuple,
-/// before (or without) a tuple to hold it for.
+/// before (or without) a tuple to hold it for. Its agreement words are empty.
 struct Plan {
     words: [PlanWord; 16],
     len: usize,
@@ -127,7 +153,7 @@ struct Plan {
 impl Plan {
     fn of(mask: &Mask) -> Self {
         let mut plan = Plan {
-            words: [PlanWord { word: 0, bits: 0 }; 16],
+            words: [PlanWord::default(); 16],
             len: 0,
         };
         for (word, &bits) in key_words(mask).iter().enumerate() {
@@ -135,6 +161,7 @@ impl Plan {
                 plan.words[plan.len] = PlanWord {
                     word: word as u8,
                     bits,
+                    ..PlanWord::default()
                 };
                 plan.len += 1;
             }
@@ -144,6 +171,15 @@ impl Plan {
 
     fn words(&self) -> &[PlanWord] {
         &self.words[..self.len]
+    }
+
+    /// Whether `words` is this plan, agreement aside: whether they compile one mask.
+    fn is(&self, words: &[PlanWord]) -> bool {
+        words.len() == self.len
+            && words
+                .iter()
+                .zip(self.words())
+                .all(|(a, b)| (a.word, a.bits) == (b.word, b.bits))
     }
 }
 
@@ -161,6 +197,25 @@ impl<'a> Probe<'a> {
             words: key_words(header),
         }
     }
+
+    /// The header's word that plan word `w` reads.
+    #[inline]
+    fn word(&self, w: &PlanWord) -> u64 {
+        self.words[usize::from(w.word & 15)]
+    }
+}
+
+/// Fold a resident (masked) key, laid out for probing, into its tuple's agreement words;
+/// `first` starts the fold over at that key.
+fn agree(plan: &mut [PlanWord], key: &Probe, first: bool) {
+    for w in plan {
+        let k = key.word(w);
+        if first {
+            (w.agree, w.value) = (w.bits, k);
+        }
+        w.agree &= !(w.value ^ k);
+        w.value &= w.agree;
+    }
 }
 
 /// Hash of `header AND mask`, off the mask's plan: multiply-rotate per non-zero mask
@@ -171,7 +226,7 @@ impl<'a> Probe<'a> {
 fn masked_hash(plan: &[PlanWord], probe: &Probe) -> u64 {
     let mut h = 0u64;
     for w in plan {
-        h = (h ^ (probe.words[usize::from(w.word & 15)] & w.bits))
+        h = (h ^ (probe.word(w) & w.bits))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(31);
     }
@@ -209,31 +264,6 @@ fn file(index: &mut [u64], hash: u64, pos: usize) {
     place(index, (hash & TAG) | (pos as u64 + 1));
 }
 
-/// A tuple's conflict summary of one plan word: the bitwise AND and OR of that word over
-/// every resident (masked) key. [`TupleSpace::summaries`] holds one beside each word of
-/// the plan slab.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Summary {
-    /// All-ones where every resident key has a 1.
-    and: u64,
-    /// Zero where every resident key has a 0.
-    or: u64,
-}
-
-impl Summary {
-    /// The summary of no key at all: the AND and OR identities.
-    const NONE: Summary = Summary { and: !0, or: 0 };
-}
-
-/// Fold a resident key, laid out for probing, into its tuple's summaries.
-fn summarise(summaries: &mut [Summary], plan: &[PlanWord], key: &Probe) {
-    for (s, w) in summaries.iter_mut().zip(plan) {
-        let k = key.words[usize::from(w.word & 15)];
-        s.and &= k;
-        s.or |= k;
-    }
-}
-
 /// One tuple as Alg. 1's scan reads it: a record of the probe lane.
 #[derive(Debug, Clone)]
 struct LaneRecord {
@@ -258,9 +288,9 @@ impl LaneRecord {
 }
 
 /// One tuple off the scan's path: every entry sharing a mask and the index that finds
-/// one of them from its hash. Its plan lives in the slab, its conflict summaries beside
-/// the plan, its hit counter and miss filter in its lane record; whatever hashes or
-/// summarises a key here is handed the plan and the summaries.
+/// one of them from its hash. Its plan and agreement words live in the slab, its hit
+/// counter and miss filter in its lane record; whatever hashes or folds a key in here
+/// is handed its plan words.
 ///
 /// **Store.** `entries` is dense and in insertion order; a sweep compacts it in place.
 /// `index` is an open-addressed table of `u64` slots, a power of two long and at most
@@ -279,16 +309,16 @@ struct Tuple {
 }
 
 impl Tuple {
-    /// A tuple made for, and holding, its first entry, and that entry's filter bit;
-    /// `summaries` start as [`Summary::NONE`]. Most tuples of an explosion never get a
-    /// second entry, so the store starts at exactly one.
-    fn new(first: MegaflowEntry, plan: &[PlanWord], summaries: &mut [Summary]) -> (Self, u64) {
+    /// A tuple made for, and holding, its first entry, and that entry's filter bit.
+    /// Most tuples of an explosion never get a second entry, so the store starts at
+    /// exactly one.
+    fn new(first: MegaflowEntry, plan: &mut [PlanWord]) -> (Self, u64) {
         let mut tuple = Tuple {
             mask: first.mask.clone(),
             entries: Vec::with_capacity(1),
             index: Vec::new(),
         };
-        let filter = tuple.push(plan, summaries, first);
+        let filter = tuple.push(plan, first);
         (tuple, filter)
     }
 
@@ -319,10 +349,10 @@ impl Tuple {
     }
 
     /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
-    /// fold it into the summaries; returns its filter bit.
-    fn push(&mut self, plan: &[PlanWord], summaries: &mut [Summary], entry: MegaflowEntry) -> u64 {
+    /// fold it into the agreement words; returns its filter bit.
+    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry) -> u64 {
         let key = Probe::new(&entry.key);
-        summarise(summaries, plan, &key);
+        agree(plan, &key, self.entries.is_empty());
         let hash = masked_hash(plan, &key);
         self.entries.push(entry);
         if self.entries.len() * 2 > self.index.len() {
@@ -339,18 +369,16 @@ impl Tuple {
     }
 
     /// Drop every entry `expired` names, in one walk: the survivors close ranks in order
-    /// and are re-summarised and refiled as they pass, each laid out and hashed once.
-    /// Returns the miss filter of what is left — 0 for a tuple left empty, whose
-    /// summaries are then [`Summary::NONE`] — or `None`, with nothing written, if no entry
-    /// went. `expired` sees each entry once, in order.
+    /// and are folded into the agreement words afresh and refiled as they pass, each laid
+    /// out and hashed once. Returns the miss filter of what is left — 0 for a tuple left
+    /// empty, whose agreement words are then stale — or `None`, with nothing written, if
+    /// no entry went. `expired` sees each entry once, in order.
     fn sweep(
         &mut self,
-        plan: &[PlanWord],
-        summaries: &mut [Summary],
+        plan: &mut [PlanWord],
         mut expired: impl FnMut(&MegaflowEntry) -> bool,
     ) -> Option<u64> {
         let first = self.entries.iter().position(&mut expired)?;
-        summaries.fill(Summary::NONE);
         let before = self.entries.len();
         let (mut kept, mut filter) = (0, 0);
         for pos in 0..before {
@@ -369,7 +397,7 @@ impl Tuple {
                 self.entries[kept] = self.entries[pos].clone();
             }
             let key = Probe::new(&self.entries[kept].key);
-            summarise(summaries, plan, &key);
+            agree(plan, &key, kept == 0);
             let hash = masked_hash(plan, &key);
             file(&mut self.index, hash, kept);
             filter |= filter_bit(hash);
@@ -388,17 +416,11 @@ pub struct TupleSpace {
     /// One record per distinct mask; position is Alg. 1's scan order. A deque because a
     /// new record goes to either end ([`MaskOrdering::NewestFirst`] prepends).
     lane: VecDeque<LaneRecord>,
-    /// Every tuple's plan words, each tuple's together; a lane record's
-    /// [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples repacks
-    /// the survivors' in probe order.
+    /// Every tuple's plan words with their agreement, each tuple's together; a lane
+    /// record's [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples
+    /// repacks the survivors' in probe order. The agreement is kept in step by every
+    /// mutator: insert folds the new key in, a sweep folds the survivors afresh.
     slab: Vec<PlanWord>,
-    /// Parallel to `slab`: the tuple's conflict summary of each plan word. A prospective
-    /// entry `(K, M)` can conflict with an entry of the tuple only if that entry agrees
-    /// with `K` on every bit of `M AND mask`; if `K` has a 1 where *no* resident key does
-    /// (`!or`), or a 0 where *every* resident key has a 1 (`and`), none can, and
-    /// [`TupleSpace::find_conflict`] rules the tuple out without touching it. Kept in
-    /// step by every mutator: insert folds the new key in, a sweep recomputes them.
-    summaries: Vec<Summary>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
 }
@@ -411,7 +433,6 @@ impl TupleSpace {
             ordering: MaskOrdering::Insertion,
             lane: VecDeque::new(),
             slab: Vec::new(),
-            summaries: Vec::new(),
             tuples: Vec::new(),
         }
     }
@@ -453,7 +474,7 @@ impl TupleSpace {
     fn position_of(&self, plan: &Plan) -> Option<usize> {
         self.lane
             .iter()
-            .position(|rec| self.slab[rec.plan()] == *plan.words())
+            .position(|rec| plan.is(&self.slab[rec.plan()]))
     }
 
     /// The distinct masks in probe order, each with its cumulative fast-path hit count
@@ -489,9 +510,11 @@ impl TupleSpace {
 
     /// One probe of Alg. 1: the position, among its tuple's entries, of the entry the
     /// probed header matches under the record's mask. Every probe — [`Self::lookup`],
-    /// [`Self::peek`], [`Self::find_conflict`] — is this one, and on a clear filter bit
-    /// it has read the lane record and its plan words, nothing of the tuple. It borrows
-    /// the slab and the tuples, not `self`: `lookup` scans the lane mutably.
+    /// [`Self::peek`], [`Self::find_conflict`] — is this one. A header that disagrees
+    /// with the agreement words misses without a hash; one that survives them is hashed,
+    /// and on a clear filter bit misses having read the lane record and its plan words,
+    /// nothing of the tuple. It borrows the slab and the tuples, not `self`: `lookup`
+    /// scans the lane mutably.
     #[inline(always)]
     fn probe(
         slab: &[PlanWord],
@@ -499,7 +522,11 @@ impl TupleSpace {
         rec: &LaneRecord,
         probe: &Probe,
     ) -> Option<usize> {
-        let hash = masked_hash(&slab[rec.plan()], probe);
+        let plan = &slab[rec.plan()];
+        if plan.iter().fold(0, |x, w| x | w.excludes(probe.word(w))) != 0 {
+            return None;
+        }
+        let hash = masked_hash(plan, probe);
         if rec.filter & filter_bit(hash) == 0 {
             return None;
         }
@@ -574,8 +601,8 @@ impl TupleSpace {
         match self.position_of(&plan) {
             Some(pos) => {
                 let rec = &mut self.lane[pos];
-                let summaries = &mut self.summaries[rec.plan()];
-                rec.filter |= self.tuples[rec.tuple as usize].push(plan.words(), summaries, entry);
+                let words = &mut self.slab[rec.plan()];
+                rec.filter |= self.tuples[rec.tuple as usize].push(words, entry);
             }
             None => {
                 debug_assert!(
@@ -584,9 +611,7 @@ impl TupleSpace {
                 );
                 let plan_start = self.slab.len();
                 self.slab.extend_from_slice(plan.words());
-                self.summaries.resize(self.slab.len(), Summary::NONE);
-                let (tuple, filter) =
-                    Tuple::new(entry, plan.words(), &mut self.summaries[plan_start..]);
+                let (tuple, filter) = Tuple::new(entry, &mut self.slab[plan_start..]);
                 let rec = LaneRecord {
                     filter,
                     hits: 0,
@@ -615,20 +640,19 @@ impl TupleSpace {
     /// (§3.2): while a conflict exists, the generator narrows the new entry.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
-    /// probe order, and each is first checked against its key-bit summaries, which sit
-    /// beside its plan words (`TupleSpace::summaries`): a conflicting entry must agree
-    /// with the new key on every bit of `M AND mask`, so a common bit where the key has
-    /// a 1 and *no* stored key does (or a 0 where *every* stored key has a 1) rules the
-    /// whole tuple out. That prefilter reads the lane record, the plan words and the
-    /// summary words — word-wise, without allocating — and nothing of the tuple. Only
-    /// surviving tuples are touched:
+    /// probe order, and each is first checked against its agreement words, the ones a
+    /// probe tests first: a conflicting entry must agree with the new key on every bit
+    /// of `M AND mask`, so a common bit on which every stored key has the other value
+    /// rules the whole tuple out. That prefilter reads the lane record and the plan
+    /// words — word-wise, without allocating — and nothing of the tuple. Only surviving
+    /// tuples are touched:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
     ///   **single probe** (comparable entries conflict only if they agree
     ///   on every common bit), which stays fast even when the tuple holds hundreds of
     ///   thousands of entries (the IPv6 exact-match anomaly of §5.4);
     /// * an incomparable tuple falls back to an entry scan — but since most tuples
-    ///   were already excluded by their summaries, the common no-conflict case of
+    ///   were already excluded by their agreement, the common no-conflict case of
     ///   megaflow generation never reaches it.
     ///
     /// The `conflict_index_agrees_with_full_scan` unit test (every query of the 3-bit
@@ -643,16 +667,11 @@ impl TupleSpace {
             // `comparable` tracks whether the tuple's mask ⊆ `mask` along the way; it is
             // complete wherever the prefilter did not exclude the tuple.
             let mut comparable = true;
-            let plan = rec.plan();
-            let excluded = self.slab[plan.clone()]
-                .iter()
-                .zip(&self.summaries[plan])
-                .any(|(w, s)| {
-                    let at = usize::from(w.word & 15);
-                    let (k, common) = (probe.words[at], mask_words[at] & w.bits);
-                    comparable &= common == w.bits;
-                    (k & common & !s.or) | (!k & common & s.and) != 0
-                });
+            let excluded = self.slab[rec.plan()].iter().any(|w| {
+                let common = mask_words[usize::from(w.word & 15)] & w.bits;
+                comparable &= common == w.bits;
+                w.excludes(probe.word(w)) & common != 0
+            });
             if excluded {
                 continue;
             }
@@ -691,8 +710,7 @@ impl TupleSpace {
         for rec in &mut self.lane {
             let tuple = &mut self.tuples[rec.tuple as usize];
             let before = tuple.entries.len();
-            let (plan, summaries) = (&self.slab[rec.plan()], &mut self.summaries[rec.plan()]);
-            if let Some(filter) = tuple.sweep(plan, summaries, &mut predicate) {
+            if let Some(filter) = tuple.sweep(&mut self.slab[rec.plan()], &mut predicate) {
                 removed += before - tuple.entries.len();
                 rec.filter = filter;
                 emptied |= filter == 0;
@@ -706,8 +724,8 @@ impl TupleSpace {
     }
 
     /// Drop every tuple left without entries: its lane record (marked by a zero
-    /// filter), its slot, its plan words and their summaries. The surviving records keep
-    /// their order, and find their tuples and plans where those moved to.
+    /// filter), its slot and its plan words. The surviving records keep their order, and
+    /// find their tuples and plans where those moved to.
     fn drop_emptied(&mut self) {
         // Tuples close ranks in slot order; `moved[old]` is a survivor's new slot.
         let mut kept = 0;
@@ -722,48 +740,41 @@ impl TupleSpace {
             .collect();
         self.tuples.retain(|t| !t.entries.is_empty());
         let old_slab = std::mem::take(&mut self.slab);
-        let old_summaries = std::mem::take(&mut self.summaries);
-        let (slab, summaries) = (&mut self.slab, &mut self.summaries);
+        let slab = &mut self.slab;
         self.lane.retain_mut(|rec| {
             if rec.filter == 0 {
                 return false;
             }
             let plan = rec.plan();
             rec.plan_start = slab.len() as u32;
-            slab.extend_from_slice(&old_slab[plan.clone()]);
-            summaries.extend_from_slice(&old_summaries[plan]);
+            slab.extend_from_slice(&old_slab[plan]);
             rec.tuple = moved[rec.tuple as usize];
             true
         });
     }
 
-    /// Whether lane, slab, summaries and tuples describe one tuple space: the records
-    /// name each tuple slot once, a record's plan is its tuple's mask compiled and the
-    /// slab holds nothing else, each plan word's summary is the AND / OR of the resident
-    /// keys, and every resident key has its bit in its record's filter. What debug
-    /// builds assert after every mutation.
+    /// Whether lane, slab and tuples describe one tuple space: the records name each
+    /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
+    /// nothing else, each plan word's agreement is the fold over the resident keys, and
+    /// every resident key has its bit in its record's filter. What debug builds assert
+    /// after every mutation.
     fn lane_consistent(&self) -> bool {
         let mut slots: Vec<u32> = self.lane.iter().map(|rec| rec.tuple).collect();
         slots.sort_unstable();
         slots.into_iter().eq(0..self.tuples.len() as u32)
             && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
-            && self.summaries.len() == self.slab.len()
             && self.lane.iter().all(|rec| {
                 let tuple = self.tuple(rec);
-                let Some(plan) = self.slab.get(rec.plan()) else {
-                    return false;
-                };
-                let mut summaries = [Summary::NONE; 16];
-                let summaries = &mut summaries[..plan.len()];
-                let filtered = tuple.entries.iter().all(|e| {
+                let mut expected = Plan::of(&tuple.mask);
+                let plan = &mut expected.words[..expected.len];
+                let filtered = tuple.entries.iter().enumerate().all(|(i, e)| {
                     let key = Probe::new(&e.key);
-                    summarise(summaries, plan, &key);
+                    agree(plan, &key, i == 0);
                     rec.filter & filter_bit(masked_hash(plan, &key)) != 0
                 });
-                plan == Plan::of(&tuple.mask).words()
-                    && !tuple.entries.is_empty()
+                !tuple.entries.is_empty()
                     && filtered
-                    && *summaries == self.summaries[rec.plan()]
+                    && self.slab.get(rec.plan()) == Some(expected.words())
             })
     }
 
@@ -778,7 +789,6 @@ impl TupleSpace {
     pub fn clear(&mut self) {
         self.lane.clear();
         self.slab.clear();
-        self.summaries.clear();
         self.tuples.clear();
     }
 
@@ -1031,8 +1041,8 @@ mod tests {
 
     /// Reference implementation, index-less: scan every entry for the first tuple, in
     /// probe order, holding an entry that overlaps `(key, mask)`, and report that tuple's
-    /// smallest overlapping key — what `find_conflict` promises, without summaries,
-    /// plans or probes.
+    /// smallest overlapping key — what `find_conflict` promises, without agreement
+    /// words, plans or probes.
     fn find_conflict_scan(c: &TupleSpace, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let key = key.apply_mask(mask);
         let overlaps = |e: &&MegaflowEntry| !fields::disjoint(&key, mask, &e.key, &e.mask);
@@ -1048,7 +1058,7 @@ mod tests {
     fn conflict_index_agrees_with_full_scan() {
         // Exhaustively compare the indexed find_conflict with the entry scan over every
         // (key, mask) pair of the 3-bit space, on a populated cache, after a lookup
-        // refresh, and after removals (which rebuild the summaries).
+        // refresh, and after removals (which fold the agreement words afresh).
         let mut c = fig3_cache();
         for phase in 0..3 {
             if phase == 1 {
@@ -1069,7 +1079,7 @@ mod tests {
 
     /// A key of a three-field schema with a 128-bit field in the middle: `w`'s high
     /// nibble lands on bits 127..124, its low nibble on bits 63..60 and 3..0, so both
-    /// halves' plan words and summaries carry bits, independently of each other.
+    /// halves' plan and agreement words carry bits, independently of each other.
     fn wide_key(schema: &FieldSchema, (a, w, b): (u128, u128, u128)) -> Key {
         let (hi, lo) = (w >> 4 & 15, w & 15);
         Key::from_values(schema, &[a, hi << 124 | lo << 60 | lo, b])
@@ -1095,12 +1105,32 @@ mod tests {
         (0u128..32, 0u128..256, 0u128..16)
     }
 
+    /// Reference Alg. 1, index-less: the entry `header` matches in the first tuple, in
+    /// probe order, that holds one, and how many tuples the scan probed to find it (all
+    /// of them on a miss) — what `lookup` and `peek` promise, without agreement words,
+    /// hashes or filters.
+    fn lookup_scan<'a>(c: &'a TupleSpace, header: &Key) -> (Option<&'a MegaflowEntry>, usize) {
+        let masks: Vec<Mask> = c.mask_usage().into_iter().map(|(m, _)| m).collect();
+        let hit = c
+            .entries()
+            .find(|e| fields::matches(header, &e.key, &e.mask));
+        let scanned = hit.map_or(masks.len(), |e| {
+            1 + masks
+                .iter()
+                .position(|m| *m == e.mask)
+                .expect("a resident mask")
+        });
+        (hit, scanned)
+    }
+
     proptest! {
-        /// `find_conflict` — summaries beside the plan words, a probe for comparable
-        /// tuples, an entry scan for the rest — answers exactly as the index-less scan
-        /// after every `insert` / `lookup` / `remove_where` / `expire_idle` /
-        /// `remove_mask`, on a schema with a 128-bit field; debug builds check the
-        /// summaries against the resident keys after each mutation besides.
+        /// `find_conflict` — agreement words beside the plan words, a probe for
+        /// comparable tuples, an entry scan for the rest — answers exactly as the
+        /// index-less scan after every `insert` / `lookup` / `remove_where` /
+        /// `expire_idle` / `remove_mask`, on a schema with a 128-bit field, and `lookup`
+        /// and `peek` hit the entry the index-less Alg. 1 does after `masks_scanned` as
+        /// many tuples; debug builds check the agreement words against the resident keys
+        /// after each mutation besides.
         #[test]
         fn find_conflict_matches_the_entry_scan_across_mutations(
             ops in proptest::collection::vec((0u8..10, arb_triple(), arb_triple(), 0u64..30), 1..60),
@@ -1111,11 +1141,13 @@ mod tests {
                 FieldDef::new("wide", 128),
                 FieldDef::new("b", 4),
             ]);
-            let queries: Vec<(Key, Mask)> = queries
+            // Each query is a header to look up, and the entry it would spark under a
+            // palette mask to check for conflicts.
+            let queries: Vec<(Key, Key, Mask)> = queries
                 .iter()
                 .map(|&(key, mask)| {
-                    let mask = palette_mask(&schema, mask);
-                    (wide_key(&schema, key).apply_mask(&mask), mask)
+                    let (header, mask) = (wide_key(&schema, key), palette_mask(&schema, mask));
+                    (header.clone(), header.apply_mask(&mask), mask)
                 })
                 .collect();
             let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
@@ -1147,12 +1179,26 @@ mod tests {
                         c.remove_mask(&mask);
                     }
                 }
-                for (key, mask) in &queries {
+                for (header, key, mask) in &queries {
                     prop_assert_eq!(
                         c.find_conflict(key, mask),
                         find_conflict_scan(&c, key, mask),
                         "query key {} mask {} after op {}", key, mask, op
                     );
+                    let (hit, scanned) = lookup_scan(&c, header);
+                    prop_assert_eq!(c.peek(header), hit, "peek {} after op {}", header, op);
+                    // Lookups bump hit counters; keep them off the cache under test.
+                    let mut scratch = c.clone();
+                    let out = scratch.lookup(header, 99.0);
+                    prop_assert_eq!(
+                        (out.action, out.masks_scanned),
+                        (hit.map(|e| e.action), scanned),
+                        "lookup {} after op {}", header, op
+                    );
+                    if let Some(e) = hit {
+                        let bumped = scratch.peek(header).map(|b| (&b.key, b.hits, b.last_used));
+                        prop_assert_eq!(bumped, Some((&e.key, e.hits + 1, 99.0)));
+                    }
                 }
             }
             prop_assert!(c.check_independence());
@@ -1162,7 +1208,7 @@ mod tests {
     #[test]
     fn conflict_index_summary_excludes_incomparable_tuples() {
         // Two entries under mask 011 agree on bit 0 = 1; a query under the incomparable
-        // mask 101 with bit 0 = 0 is excluded by the summary (key_and has bit 0 set).
+        // mask 101 with bit 0 = 0 is excluded by the agreement word (bit 0 agreed, 1).
         let mut c = TupleSpace::new(hyp_schema());
         c.insert(k(0b001), k(0b011), Action::Deny, 0.0).unwrap();
         c.insert(k(0b011), k(0b011), Action::Deny, 0.0).unwrap();
@@ -1311,17 +1357,27 @@ mod tests {
         shared.lane[1].tuple = shared.lane[0].tuple;
         assert!(!shared.lane_consistent(), "each slot is named once");
 
-        let mut stale_summary = cache.clone();
-        let word = stale_summary.lane[0].plan().start;
-        stale_summary.summaries[word].or ^= 0b100;
+        // Lane record 1 is the one-entry tuple (100, 100). A stale value would turn a hit
+        // on it into a miss, and with that the entry's next install into an overlap.
+        let mut stale_value = cache.clone();
+        let word = stale_value.lane[1].plan().start;
+        stale_value.slab[word].value ^= 0b100;
         assert!(
-            !stale_summary.lane_consistent(),
-            "a summary is the AND / OR of the resident keys"
+            !stale_value.lane_consistent(),
+            "an agreement word is the fold over the resident keys"
+        );
+
+        let mut stale_agree = cache.clone();
+        let word = stale_agree.lane[0].plan().start;
+        stale_agree.slab[word].agree |= 0b001;
+        assert!(
+            !stale_agree.lane_consistent(),
+            "(001, 111) and (000, 111) disagree on bit 0"
         );
 
         let mut leaked = cache.clone();
-        leaked.slab.push(PlanWord { word: 0, bits: 1 });
-        leaked.summaries.push(Summary::NONE);
+        let plan = Plan::of(&k(0b001));
+        leaked.slab.extend_from_slice(plan.words());
         assert!(
             !leaked.lane_consistent(),
             "the slab holds plans and nothing else"

@@ -7,7 +7,8 @@
 //! `masks_scanned`, and a first hit (`peek`) equal to the model's any-hit — Alg. 1's
 //! early exit checked against Inv(2) — and `find_conflict` must answer every
 //! prospective `(key, mask)` as a full scan of the model's entries does, so the
-//! per-tuple summaries a partial `remove_where` / `expire_idle` rebuilds are pinned too.
+//! per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are pinned
+//! too.
 //! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
 //! `debug_assert!(self.lane_consistent())`, so each operation below (both orderings,
 //! partial `remove_where`, `remove_mask`) also holds the probe lane, the plan slab and

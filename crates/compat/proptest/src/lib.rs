@@ -5,7 +5,9 @@
 //! `#![proptest_config(..)]` header), `prop_assert!` / `prop_assert_eq!`, integer-range
 //! and tuple strategies, and [`collection::vec`]. Cases are generated from a fixed seed
 //! (deterministic CI); there is no shrinking — a failing case reports its index and the
-//! assertion message instead.
+//! assertion message instead. A property without a `with_cases` header runs 64 cases, or
+//! as many as the `PROPTEST_CASES` environment variable names; case `i` is the same
+//! input whatever the count, so a longer run extends the default one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -159,11 +161,19 @@ pub mod test_runner {
     }
 
     impl Default for Config {
+        /// 64 cases, or as many as `PROPTEST_CASES` names, as in real proptest.
         fn default() -> Self {
-            // Real proptest defaults to 256; 64 keeps the heavier datapath properties
-            // fast while still exploring a meaningful sample.
-            Config { cases: 64 }
+            Config {
+                cases: default_cases(std::env::var("PROPTEST_CASES").ok().as_deref()),
+            }
         }
+    }
+
+    /// The default case count given the value of `PROPTEST_CASES`, if set. Real proptest
+    /// defaults to 256; 64 keeps the heavier datapath properties fast while still
+    /// exploring a meaningful sample. A value that is not a count is ignored.
+    pub(crate) fn default_cases(var: Option<&str>) -> u32 {
+        var.and_then(|n| n.trim().parse().ok()).unwrap_or(64)
     }
 
     /// Runs a property over `config.cases` generated cases.
@@ -322,6 +332,15 @@ mod tests {
         fn config_header_accepted(x in 0u8..10) {
             prop_assert_eq!(x as u16 * 2, u16::from(x) * 2);
         }
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_count() {
+        use crate::test_runner::default_cases;
+        assert_eq!(default_cases(None), 64);
+        assert_eq!(default_cases(Some("2048")), 2048);
+        assert_eq!(default_cases(Some(" 7\n")), 7);
+        assert_eq!(default_cases(Some("many")), 64);
     }
 
     #[test]

@@ -258,7 +258,7 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     // --- Megaflow generation: a warm upcall allocates nothing. ---
     // The gateway's 1001-rule merged table against a cache its traffic has populated:
     // the priority walk records the bits it examines in a stack array, widening fills
-    // an inline mask, and both conflict checks read the summaries beside the plan words.
+    // an inline mask, and both conflict checks read the agreement words in the plan slab.
     let fleet = TenantFleet::new(&schema, FleetConfig::default());
     let table = fleet.table();
     let strategy = MegaflowStrategy::wildcarding(&schema);
