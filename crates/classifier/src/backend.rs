@@ -56,6 +56,20 @@ pub trait FastPathBackend: Send {
     /// work in backend-native units even on a miss.
     fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome;
 
+    /// Look up a run of headers at nondecreasing times: the outcomes [`Self::lookup`] on
+    /// each in turn gives, up to and including the first miss, written to `out`'s first
+    /// slots, so that a miss's upcall comes before the headers behind it are looked up.
+    /// Returns how many headers were answered — at least one of a non-empty run; the rest
+    /// are left untouched. The default answers the first header alone; [`TupleSpace`]
+    /// walks its probe lane once for up to four.
+    fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
+        let Some((&(header, now), slot)) = run.first().zip(out.first_mut()) else {
+            return 0;
+        };
+        *slot = self.lookup(header, now);
+        1
+    }
+
     /// Install a megaflow entry generated by the slow path. Backends that classify
     /// directly from the flow table accept and discard the entry (their verdicts already
     /// cover it).
@@ -123,6 +137,10 @@ impl FastPathBackend for TupleSpace {
 
     fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
         TupleSpace::lookup(self, header, now)
+    }
+
+    fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
+        TupleSpace::lookup_run(self, run, out)
     }
 
     fn insert_megaflow(

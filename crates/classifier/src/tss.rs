@@ -37,6 +37,18 @@
 //! no masked key and allocates nothing. Inv(2)'s conflict check rules tuples out with the
 //! same agreement test, restricted to the bits the prospective entry keeps.
 //!
+//! A datapath's run of consecutive hits is looked up together, up to four headers to a
+//! walk of the lane ([`lookup_run`](crate::backend::FastPathBackend::lookup_run)): the
+//! run's header words are laid out word-major, so each lane record and its plan words
+//! are read once for the run, and the agreement test runs for every header still looking
+//! at once, without a branch. A header that survives it goes on alone, exactly as a probe
+//! does, and leaves the walk at its first hit; the walk ends when every header has hit,
+//! or at the end of the lane. The results are committed afterwards, header by header in
+//! run order — the hit counters bumped and `last_used` stamped as [`TupleSpace::lookup`]
+//! would have — up to and including the first miss. The headers behind that miss are left
+//! as they were, for the datapath to look up again once the miss's upcall has installed
+//! its entry.
+//!
 //! A tuple is written on the rare path. Creating it compiles its mask's plan into the
 //! slab, and every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a
 //! tuple are held, and [`TupleSpace::entries`] yields them, in insertion order;
@@ -87,7 +99,7 @@ pub struct MegaflowEntry {
 }
 
 /// Result of a TSS lookup.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LookupOutcome {
     /// The matched action, or `None` on a cache miss.
     pub action: Option<Action>,
@@ -218,15 +230,16 @@ fn agree(plan: &mut [PlanWord], key: &Probe, first: bool) {
     }
 }
 
-/// Hash of `header AND mask`, off the mask's plan: multiply-rotate per non-zero mask
-/// word. The index takes the hash's high half (slot and tag) and the miss filter its top
-/// six bits; a bit of a raw multiply depends on the input bits at or below it alone, so
-/// the SplitMix64 finaliser folds the whole state into every one of them.
+/// Hash of `header AND mask`, off the mask's plan and `word`, the header's word each plan
+/// word reads: multiply-rotate per non-zero mask word. The index takes the hash's high
+/// half (slot and tag) and the miss filter its top six bits; a bit of a raw multiply
+/// depends on the input bits at or below it alone, so the SplitMix64 finaliser folds the
+/// whole state into every one of them.
 #[inline]
-fn masked_hash(plan: &[PlanWord], probe: &Probe) -> u64 {
+fn masked_hash(plan: &[PlanWord], word: impl Fn(&PlanWord) -> u64) -> u64 {
     let mut h = 0u64;
     for w in plan {
-        h = (h ^ (probe.word(w) & w.bits))
+        h = (h ^ (word(w) & w.bits))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .rotate_left(31);
     }
@@ -238,6 +251,9 @@ fn masked_hash(plan: &[PlanWord], probe: &Probe) -> u64 {
 fn filter_bit(hash: u64) -> u64 {
     1 << (hash >> 58)
 }
+
+/// The most headers [`TupleSpace::lookup_run`] walks the lane for at once.
+const RUN: usize = 4;
 
 /// The hash's high half, kept in a slot as its tag.
 const TAG: u64 = !0 << 32;
@@ -353,7 +369,7 @@ impl Tuple {
     fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry) -> u64 {
         let key = Probe::new(&entry.key);
         agree(plan, &key, self.entries.is_empty());
-        let hash = masked_hash(plan, &key);
+        let hash = masked_hash(plan, |w| key.word(w));
         self.entries.push(entry);
         if self.entries.len() * 2 > self.index.len() {
             // Grow: the filed slots move into an index sized for the entries there are.
@@ -398,7 +414,7 @@ impl Tuple {
             }
             let key = Probe::new(&self.entries[kept].key);
             agree(plan, &key, kept == 0);
-            let hash = masked_hash(plan, &key);
+            let hash = masked_hash(plan, |w| key.word(w));
             file(&mut self.index, hash, kept);
             filter |= filter_bit(hash);
             kept += 1;
@@ -526,11 +542,18 @@ impl TupleSpace {
         if plan.iter().fold(0, |x, w| x | w.excludes(probe.word(w))) != 0 {
             return None;
         }
-        let hash = masked_hash(plan, probe);
+        let hash = masked_hash(plan, |w| probe.word(w));
+        Self::find_hashed(tuples, rec, hash, probe.header)
+    }
+
+    /// The rest of a probe that passed the agreement test, hash in hand: the miss filter,
+    /// then the tuple.
+    #[inline(always)]
+    fn find_hashed(tuples: &[Tuple], rec: &LaneRecord, hash: u64, header: &Key) -> Option<usize> {
         if rec.filter & filter_bit(hash) == 0 {
             return None;
         }
-        tuples[rec.tuple as usize].find(hash, probe.header)
+        tuples[rec.tuple as usize].find(hash, header)
     }
 
     /// Megaflow lookup — Algorithm 1 of the paper.
@@ -558,6 +581,87 @@ impl TupleSpace {
             action,
             masks_scanned,
         }
+    }
+
+    /// Alg. 1 for a run of headers at nondecreasing times, up to [`RUN`] of them, with the
+    /// lane walked once for all: the outcomes [`Self::lookup`] on each in turn gives, up to
+    /// and including the first miss, written to `out`'s first slots. Returns how many
+    /// headers were answered. Those after a miss are left untouched — no counter bumped —
+    /// for the caller to look up again once the miss's upcall has installed its entry.
+    ///
+    /// Each lane record's plan words are tested against every header still looking, word
+    /// by word and without a branch; only a header that survives hashes, and a header
+    /// leaves the walk at its first hit, at the position `lookup` would stop at. The hits
+    /// are committed afterwards, header by header in run order. A hit bumps counters and
+    /// stamps `last_used`, none of which a probe reads, so the walk cannot tell the run
+    /// from `lookup` called on each header in turn.
+    pub(crate) fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
+        let n = run.len().min(out.len()).min(RUN);
+        if n <= 1 {
+            let Some((&(header, now), slot)) = run.first().zip(out.first_mut()) else {
+                return 0;
+            };
+            *slot = self.lookup(header, now);
+            return 1;
+        }
+        // The run's header words, word-major: plan word `w` reads row `w.word`, a column
+        // per header.
+        let mut words = [[0u64; RUN]; 16];
+        for (j, (header, _)) in run[..n].iter().enumerate() {
+            for (row, &k) in words.iter_mut().zip(key_words(header).iter()) {
+                row[j] = k;
+            }
+        }
+        // One bit per header still looking; where in the lane, and in its tuple, each
+        // header that left hit.
+        let mut active = (1u32 << n) - 1;
+        let mut found = [(0, 0); RUN];
+        for (i, rec) in self.lane.iter().enumerate() {
+            let plan = &self.slab[rec.plan()];
+            let mut excluded = [0u64; RUN];
+            for w in plan {
+                let row = &words[usize::from(w.word & 15)];
+                for (x, &k) in excluded.iter_mut().zip(row) {
+                    *x |= w.excludes(k);
+                }
+            }
+            let mut live = active;
+            for (j, &x) in excluded.iter().enumerate() {
+                live &= !(u32::from(x != 0) << j);
+            }
+            while live != 0 {
+                let j = live.trailing_zeros() as usize;
+                live &= live - 1;
+                let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
+                if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, run[j].0) {
+                    found[j] = (i, pos);
+                    active &= !(1 << j);
+                }
+            }
+            if active == 0 {
+                break;
+            }
+        }
+        for (j, &(_, now)) in run[..n].iter().enumerate() {
+            if active & 1 << j != 0 {
+                out[j] = LookupOutcome {
+                    action: None,
+                    masks_scanned: self.lane.len(),
+                };
+                return j + 1;
+            }
+            let (i, pos) = found[j];
+            let rec = &mut self.lane[i];
+            rec.hits += 1;
+            let entry = &mut self.tuples[rec.tuple as usize].entries[pos];
+            entry.hits += 1;
+            entry.last_used = now;
+            out[j] = LookupOutcome {
+                action: Some(entry.action),
+                masks_scanned: i + 1,
+            };
+        }
+        n
     }
 
     /// Read-only lookup that does not update statistics (used by tests and MFCGuard).
@@ -770,7 +874,7 @@ impl TupleSpace {
                 let filtered = tuple.entries.iter().enumerate().all(|(i, e)| {
                     let key = Probe::new(&e.key);
                     agree(plan, &key, i == 0);
-                    rec.filter & filter_bit(masked_hash(plan, &key)) != 0
+                    rec.filter & filter_bit(masked_hash(plan, |w| key.word(w))) != 0
                 });
                 !tuple.entries.is_empty()
                     && filtered
@@ -1123,6 +1227,30 @@ mod tests {
         (hit, scanned)
     }
 
+    /// `lookup_run` on one clone of `c` against `lookup` on each header of `run` in turn
+    /// on another, stopping after the first miss: the same outcomes, as many answered,
+    /// and the same hit counts and `last_used` stamps left on every mask and entry.
+    fn run_matches_lookups(c: &TupleSpace, run: &[(&Key, f64)]) -> Result<(), TestCaseError> {
+        let (mut batched, mut looped) = (c.clone(), c.clone());
+        let mut out = [LookupOutcome::default(); RUN];
+        let answered = batched.lookup_run(run, &mut out);
+        let mut expected = Vec::new();
+        for &(header, now) in run {
+            let outcome = looped.lookup(header, now);
+            expected.push(outcome);
+            if outcome.action.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(&out[..answered], &expected[..], "run {:?}", run);
+        prop_assert_eq!(batched.mask_usage(), looped.mask_usage());
+        let stamps = |c: &TupleSpace| -> Vec<(u64, f64)> {
+            c.entries().map(|e| (e.hits, e.last_used)).collect()
+        };
+        prop_assert_eq!(stamps(&batched), stamps(&looped), "run {:?}", run);
+        Ok(())
+    }
+
     proptest! {
         /// `find_conflict` — agreement words beside the plan words, a probe for
         /// comparable tuples, an entry scan for the rest — answers exactly as the
@@ -1130,7 +1258,9 @@ mod tests {
         /// `expire_idle` / `remove_mask`, on a schema with a 128-bit field, and `lookup`
         /// and `peek` hit the entry the index-less Alg. 1 does after `masks_scanned` as
         /// many tuples; debug builds check the agreement words against the resident keys
-        /// after each mutation besides.
+        /// after each mutation besides. After each mutation, runs of one to four headers
+        /// through `lookup_run` answer as `lookup` on each in turn: runs of the queries,
+        /// and runs of resident keys with a header that misses at every position in turn.
         #[test]
         fn find_conflict_matches_the_entry_scan_across_mutations(
             ops in proptest::collection::vec((0u8..10, arb_triple(), arb_triple(), 0u64..30), 1..60),
@@ -1198,6 +1328,33 @@ mod tests {
                     if let Some(e) = hit {
                         let bumped = scratch.peek(header).map(|b| (&b.key, b.hits, b.last_used));
                         prop_assert_eq!(bumped, Some((&e.key, e.hits + 1, 99.0)));
+                    }
+                }
+                // Nondecreasing times, with ties.
+                let at = |i: usize| 99.0 + (i / 2) as f64;
+                for run in queries.windows(RUN).chain(queries.chunks(3)).step_by(3) {
+                    let run: Vec<(&Key, f64)> =
+                        run.iter().enumerate().map(|(i, q)| (&q.0, at(i))).collect();
+                    run_matches_lookups(&c, &run)?;
+                }
+                let resident: Vec<Key> = c.entries().map(|e| e.key.clone()).collect();
+                let missing = queries.iter().map(|q| &q.0).find(|h| c.peek(h).is_none());
+                for len in 1..=RUN {
+                    // `miss == len` puts no miss in the run.
+                    for miss in 0..=len {
+                        let run: Option<Vec<(&Key, f64)>> = (0..len)
+                            .map(|i| {
+                                let header = if i == miss {
+                                    missing
+                                } else {
+                                    resident.get((i + miss) % resident.len().max(1))
+                                };
+                                header.map(|h| (h, at(i)))
+                            })
+                            .collect();
+                        if let Some(run) = run {
+                            run_matches_lookups(&c, &run)?;
+                        }
                     }
                 }
             }

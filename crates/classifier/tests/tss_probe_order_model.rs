@@ -9,14 +9,18 @@
 //! prospective `(key, mask)` as a full scan of the model's entries does, so the
 //! per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are pinned
 //! too.
+//! A run of headers through `FastPathBackend::lookup_run` must answer as the model's
+//! lookups on each header in turn, up to and including the first miss, and leave the same
+//! counters behind.
 //! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
 //! `debug_assert!(self.lane_consistent())`, so each operation below (both orderings,
 //! partial `remove_where`, `remove_mask`) also holds the probe lane, the plan slab and
 //! the tuples to each other.
 
 use proptest::prelude::*;
+use tse_classifier::backend::FastPathBackend;
 use tse_classifier::rule::Action;
-use tse_classifier::tss::{InsertError, MaskOrdering, MegaflowEntry, TupleSpace};
+use tse_classifier::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
 
 const HEADERS: u128 = 32;
@@ -215,7 +219,35 @@ fn run(ordering: MaskOrdering, ops: &[(u8, u128, u128, u8)]) -> Result<(), TestC
                     prop_assert_eq!(cache.remove_mask(&mask), gone);
                 }
             },
-            _ => unreachable!("kind is drawn from 0..8"),
+            8 => {
+                // A run of one to four headers, times nondecreasing with a tie, through
+                // the backend seam against the model's Alg. 1 on each in turn, up to and
+                // including the first miss; `check` then compares every hit count and
+                // `last_used` stamp the run left.
+                let headers = [a, b, a ^ b, a];
+                let run: Vec<(Key, f64)> = headers[..1 + usize::from(c) % 4]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &h)| (fv(h), now + (i / 2) as f64 / 4.0))
+                    .collect();
+                let run: Vec<(&Key, f64)> = run.iter().map(|(h, t)| (h, *t)).collect();
+                let mut out = [LookupOutcome::default(); 4];
+                let answered = FastPathBackend::lookup_run(&mut cache, &run, &mut out);
+                let mut expected = Vec::new();
+                for (i, &h) in headers[..run.len()].iter().enumerate() {
+                    let (action, scanned) = model.lookup(h, run[i].1);
+                    expected.push((action, scanned));
+                    if action.is_none() {
+                        break;
+                    }
+                }
+                let got: Vec<_> = out[..answered]
+                    .iter()
+                    .map(|o| (o.action, o.masks_scanned))
+                    .collect();
+                prop_assert_eq!(got, expected, "lookup_run at step {}", step);
+            }
+            _ => unreachable!("kind is drawn from 0..9"),
         }
         check(&cache, &model, step)?;
     }
@@ -226,7 +258,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
     fn tuple_space_follows_the_probe_order_model(
-        ops in proptest::collection::vec((0u8..8, 0u128..32, 0u128..32, 0u8..5), 1..120),
+        ops in proptest::collection::vec((0u8..9, 0u128..32, 0u128..32, 0u8..5), 1..120),
     ) {
         for ordering in [MaskOrdering::Insertion, MaskOrdering::NewestFirst] {
             run(ordering, &ops)?;

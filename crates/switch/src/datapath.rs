@@ -33,7 +33,7 @@ use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
 use tse_classifier::strategy::MegaflowStrategy;
-use tse_classifier::tss::TupleSpace;
+use tse_classifier::tss::{LookupOutcome, TupleSpace};
 use tse_packet::fields::Key;
 use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
@@ -49,6 +49,10 @@ pub const DEFAULT_IDLE_TIMEOUT: f64 = 10.0;
 
 /// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
 const REVALIDATION_INTERVAL: f64 = 1.0;
+
+/// The longest run of events the batch core hands [`FastPathBackend::lookup_run`] at once:
+/// as many as [`TupleSpace`] walks its probe lane for together.
+const RUN: usize = 4;
 
 /// Result of processing one packet through the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,8 +74,10 @@ pub struct ProcessOutcome {
 /// Events are processed **in order**, each at its own timestamp, exactly as a
 /// [`Datapath::process_key`] loop would: every event performs a real fast-path lookup
 /// (so per-entry hit counters evolve identically), and the idle-expiry sweep is checked
-/// per event. Only the statistics bookkeeping is amortised — accumulated batch-locally
-/// and merged once.
+/// per event. Consecutive fast-path hits are looked up a run at a time
+/// ([`FastPathBackend::lookup_run`]); a run ends at a miss, whose upcall comes before the
+/// next lookup, and where a sweep is due. Only host time and the statistics bookkeeping
+/// are amortised — the latter accumulated batch-locally, in event order, and merged once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchReport {
     /// Packets processed (= the batch length).
@@ -339,6 +345,13 @@ impl<B: FastPathBackend> Datapath<B> {
 
     /// The batch core: classify each `(header, wire_bytes, time)` in order, recording
     /// into a batch-local accumulator that is merged into the datapath's stats once.
+    ///
+    /// After a hit the events go to the fast path in runs ([`FastPathBackend::lookup_run`]),
+    /// and the run doubles, up to [`RUN`] events, while every event of it hits; a miss
+    /// drops it back to one event, so a stream of upcalls never looks a header up ahead of
+    /// its turn. A run ends early where the next event would run the idle-expiry sweep,
+    /// and at its first miss: that event's upcall is made, and the events behind it are
+    /// classified one by one. Each event is then resolved and recorded in order.
     fn process_events<'a>(
         &mut self,
         events: impl ExactSizeIterator<Item = (&'a Key, usize, f64)>,
@@ -350,10 +363,51 @@ impl<B: FastPathBackend> Datapath<B> {
         }
         let mut pending = DatapathStats::default();
         let mut max_masks_scanned = 0;
-        for (header, bytes, now) in events {
+        // A run's hits commit in event order, and hit bumps and `last_used` stamps land
+        // as a per-key loop's would only because that order is time order.
+        let mut last = f64::NEG_INFINITY;
+        let mut events = events
+            .inspect(move |&(_, _, now)| {
+                debug_assert!(now >= last, "event times must be nondecreasing");
+                last = now;
+            })
+            .peekable();
+        let mut width = 1;
+        while let Some(first) = events.next() {
+            let (header, bytes, now) = first;
             self.maybe_expire(now);
-            let outcome = record(&mut pending, self.classify(header, now), bytes);
-            max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
+            if width == 1 {
+                let outcome = record(&mut pending, self.classify(header, now), bytes);
+                max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
+                width = 1 + usize::from(outcome.path == PathTaken::Megaflow);
+                continue;
+            }
+            let (mut run, mut len) = ([first; RUN], 1);
+            let last_sweep = self.last_sweep;
+            while len < width {
+                match events.next_if(|e| e.2 - last_sweep < REVALIDATION_INTERVAL) {
+                    Some(event) => run[len] = event,
+                    None => break,
+                }
+                len += 1;
+            }
+            let mut looked = [LookupOutcome::default(); RUN];
+            let keys = run.map(|(header, _, now)| (header, now));
+            let answered = self.megaflow.lookup_run(&keys[..len], &mut looked[..len]);
+            let mut hits = true;
+            for (i, &(header, bytes, now)) in run[..len].iter().enumerate() {
+                // The events behind a miss: no sweep is due before the run's end, so
+                // `maybe_expire` would do nothing for them.
+                let outcome = if i < answered {
+                    self.resolve(looked[i], header, now)
+                } else {
+                    self.classify(header, now)
+                };
+                let outcome = record(&mut pending, outcome, bytes);
+                hits &= outcome.path == PathTaken::Megaflow;
+                max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
+            }
+            width = if hits { (width * 2).min(RUN) } else { 1 };
         }
         self.stats.merge(&pending);
         BatchReport {
@@ -369,11 +423,18 @@ impl<B: FastPathBackend> Datapath<B> {
 
     /// The one classification core — the fast-path backend and, on a miss, the slow
     /// path (Fig. 10) — for a header at `now`. Every entry point, per key or batched,
-    /// classifies through here and hands the outcome to [`record`], so a per-key call is
-    /// a batch of one by construction.
+    /// classifies through here (a run of hits through its second half, [`Self::resolve`])
+    /// and hands the outcome to [`record`], so a per-key call is a batch of one by
+    /// construction.
     fn classify(&mut self, header: &Key, now: f64) -> ProcessOutcome {
         // The fast-path backend (TSS Alg. 1, or a baseline classifier).
         let lookup = self.megaflow.lookup(header, now);
+        self.resolve(lookup, header, now)
+    }
+
+    /// The outcome of `header`'s fast-path `lookup` at `now`: a hit's verdict, or the
+    /// slow path's on a miss.
+    fn resolve(&mut self, lookup: LookupOutcome, header: &Key, now: f64) -> ProcessOutcome {
         if let Some(action) = lookup.action {
             return outcome(action, PathTaken::Megaflow, lookup.masks_scanned);
         }
@@ -414,6 +475,8 @@ fn record(stats: &mut DatapathStats, outcome: ProcessOutcome, bytes: usize) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tse_attack::scenarios::Scenario;
     use tse_classifier::backend::{LinearSearchBackend, TrieBackend};
     use tse_classifier::flowtable::FlowTable;
     use tse_packet::builder::PacketBuilder;
@@ -661,6 +724,90 @@ mod tests {
         assert_eq!(batched.stats(), looped.stats());
         assert_eq!(batched.mask_count(), looped.mask_count());
         assert_eq!(batched.entry_count(), looped.entry_count());
+    }
+
+    /// A datapath over the SipDp ACL whose cache the co-located attack has exploded:
+    /// keys `0..320` of the attack's sequence resident — the first 192 installed at
+    /// `t = 0`, the rest at `t = 1` — and the keys behind them still fresh. Stats reset.
+    fn sipdp_exploded() -> &'static (Datapath, Vec<Key>) {
+        static FIXTURE: std::sync::OnceLock<(Datapath, Vec<Key>)> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let schema = FieldSchema::ovs_ipv4();
+            let scenario = Scenario::SipDp;
+            let keys: Vec<Key> = scenario
+                .key_iter(&schema, &schema.zero_value())
+                .take(400)
+                .collect();
+            let mut dp = Datapath::new(scenario.flow_table(&schema));
+            for (i, key) in keys[..320].iter().enumerate() {
+                dp.process_key(key, 64, if i < 192 { 0.0 } else { 1.0 });
+            }
+            assert!(dp.mask_count() >= 64, "{} masks", dp.mask_count());
+            dp.reset_stats();
+            (dp, keys)
+        })
+    }
+
+    /// Every entry's key, hit count and `last_used` stamp, in probe order.
+    fn stamps(dp: &Datapath) -> Vec<(Key, u64, f64)> {
+        let entries = dp.megaflow().entries();
+        entries
+            .map(|e| (e.key.clone(), e.hits, e.last_used))
+            .collect()
+    }
+
+    proptest! {
+        /// The batch core's runs of hits ([`FastPathBackend::lookup_run`]) against a
+        /// `process_key` loop on an exploded cache: resident keys hit, fresh keys take an
+        /// upcall, timestamps tie, and the batch spans four revalidation intervals around
+        /// the idle timeout, so sweeps expire the `t = 0` entries in the middle of it.
+        /// Stats, the reported cost to the bit, and every hit count and `last_used` stamp
+        /// agree.
+        #[test]
+        fn lane_major_runs_match_the_per_key_loop(
+            picks in proptest::collection::vec(0usize..400, 40..240),
+        ) {
+            let (fixture, keys) = sipdp_exploded();
+            let n = picks.len();
+            let batch: Vec<(Key, usize, f64)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (keys[k].clone(), 64, 8.5 + (i * 40 / n) as f64 / 10.0))
+                .collect();
+            let mut looped = fixture.clone();
+            let costs: Vec<f64> = batch
+                .iter()
+                .map(|(k, b, t)| looped.process_key(k, *b, *t).cost)
+                .collect();
+            let mut batched = fixture.clone();
+            let report = batched.process_timed_batch(&batch);
+            prop_assert_eq!(batched.stats(), looped.stats());
+            prop_assert_eq!(
+                batched.stats().busy_seconds.to_bits(),
+                looped.stats().busy_seconds.to_bits()
+            );
+            prop_assert_eq!(
+                report.total_cost.to_bits(),
+                costs.iter().sum::<f64>().to_bits()
+            );
+            prop_assert_eq!(
+                batched.megaflow().mask_usage(),
+                looped.megaflow().mask_usage()
+            );
+            prop_assert_eq!(stamps(&batched), stamps(&looped));
+        }
+    }
+
+    /// The batch core commits a run's hits in event order, which is a per-key loop's
+    /// only while time does not go backwards; debug builds refuse a batch where it does.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "nondecreasing")]
+    fn a_batch_out_of_time_order_is_refused() {
+        let table = FlowTable::fig1_hyp();
+        let key = Key::from_values(table.schema(), &[0b001]);
+        let batch = [(key.clone(), 64, 1.0), (key, 64, 0.5)];
+        Datapath::new(table).process_timed_batch(&batch);
     }
 
     #[test]
