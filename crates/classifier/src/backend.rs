@@ -21,8 +21,8 @@
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 use crate::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
-use crate::flowtable::FlowTable;
-use crate::rule::Action;
+use crate::flowtable::{FlowTable, TableMatch};
+use crate::strategy::{settle, GeneratedMegaflow, GenerationError, MegaflowStrategy};
 use crate::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 
 /// A structure that answers the datapath's fast-path lookups.
@@ -70,16 +70,23 @@ pub trait FastPathBackend: Send {
         1
     }
 
-    /// Install a megaflow entry generated by the slow path. Backends that classify
-    /// directly from the flow table accept and discard the entry (their verdicts already
-    /// cover it).
-    fn insert_megaflow(
+    /// Install the megaflow the slow path generates for `header`. `examined` is the
+    /// verdict of `table`'s walk and the bits it examined, widened to `strategy` (what
+    /// [`examined_megaflow`](crate::strategy::examined_megaflow) returns); the entry is
+    /// narrowed (Inv(2)) by each entry this cache reports it overlapping until the cache
+    /// takes it — the megaflow
+    /// [`generate_megaflow`](crate::strategy::generate_megaflow) would return, installed.
+    /// Returns it, or [`GenerationError::AlreadyCovered`] where an existing entry covers
+    /// `header`, with nothing installed. Backends that classify directly from the flow
+    /// table accept and discard the entry (their verdicts already cover it).
+    fn install_megaflow(
         &mut self,
-        key: Key,
-        mask: Mask,
-        action: Action,
+        table: &FlowTable,
+        header: &Key,
+        examined: (TableMatch, Mask),
+        strategy: &MegaflowStrategy,
         now: f64,
-    ) -> Result<(), InsertError>;
+    ) -> Result<GeneratedMegaflow, GenerationError>;
 
     /// An existing entry overlapping the prospective `(key, mask)` entry, if any — the
     /// primitive megaflow generation narrows entries against (Inv(2) Independence).
@@ -143,14 +150,23 @@ impl FastPathBackend for TupleSpace {
         TupleSpace::lookup_run(self, run, out)
     }
 
-    fn insert_megaflow(
+    /// Each attempt is one [`TupleSpace::insert`]: its one walk of the probe lane both
+    /// checks Inv(2) and files the entry, and a refusal names the entry to narrow by.
+    fn install_megaflow(
         &mut self,
-        key: Key,
-        mask: Mask,
-        action: Action,
+        table: &FlowTable,
+        header: &Key,
+        examined: (TableMatch, Mask),
+        strategy: &MegaflowStrategy,
         now: f64,
-    ) -> Result<(), InsertError> {
-        TupleSpace::insert(self, key, mask, action, now)
+    ) -> Result<GeneratedMegaflow, GenerationError> {
+        let action = examined.0.action;
+        settle(table.schema(), strategy, header, examined, |key, mask| {
+            let inserted = self.insert(key.clone(), mask.clone(), action, now);
+            inserted
+                .err()
+                .map(|InsertError::Overlap { existing }| *existing)
+        })
     }
 
     fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
@@ -239,15 +255,16 @@ impl<C: Classifier + Send> FastPathBackend for BaselineBackend<C> {
         }
     }
 
-    fn insert_megaflow(
+    fn install_megaflow(
         &mut self,
-        _key: Key,
-        _mask: Mask,
-        _action: Action,
+        table: &FlowTable,
+        header: &Key,
+        examined: (TableMatch, Mask),
+        strategy: &MegaflowStrategy,
         _now: f64,
-    ) -> Result<(), InsertError> {
+    ) -> Result<GeneratedMegaflow, GenerationError> {
         // Native wildcard support: the table-built structure already covers the entry.
-        Ok(())
+        settle(table.schema(), strategy, header, examined, |_, _| None)
     }
 
     fn install_table(&mut self, table: &FlowTable) {
@@ -267,6 +284,8 @@ impl<C: Classifier + Send> FastPathBackend for BaselineBackend<C> {
 mod tests {
     use super::*;
     use crate::flowtable::FlowTable;
+    use crate::rule::Action;
+    use crate::strategy::examined_megaflow;
     use tse_packet::fields::{FieldSchema, Key};
 
     fn hyp(v: u128) -> Key {
@@ -289,14 +308,22 @@ mod tests {
         ]
     }
 
+    /// Install, as the slow path does, the Fig. 1 ACL's megaflow for header `h`.
+    fn install(b: &mut dyn FastPathBackend, h: u128) -> Result<GeneratedMegaflow, GenerationError> {
+        let table = FlowTable::fig1_hyp();
+        let strategy = MegaflowStrategy::wildcarding(table.schema());
+        let examined = examined_megaflow(&table, &hyp(h), &strategy).unwrap();
+        b.install_megaflow(&table, &hyp(h), examined, &strategy, 0.0)
+    }
+
     #[test]
     fn tuple_space_implements_the_trait() {
         let schema = FieldSchema::hyp();
         let mut b = <TupleSpace as FastPathBackend>::fresh(&schema);
         assert_eq!(FastPathBackend::name(&b), "tss");
         assert!(b.lookup(&hyp(0b001), 0.0).action.is_none());
-        b.insert_megaflow(hyp(0b001), hyp(0b111), Action::Allow, 0.0)
-            .unwrap();
+        let g = install(&mut b, 0b001).unwrap();
+        assert_eq!((g.key, g.mask), (hyp(0b001), hyp(0b111)));
         assert_eq!(b.lookup(&hyp(0b001), 0.0).action, Some(Action::Allow));
         assert_eq!(FastPathBackend::mask_count(&b), 1);
         assert_eq!(b.evict_where(&mut |e| e.action == Action::Allow), 1);
@@ -322,8 +349,7 @@ mod tests {
     #[test]
     fn baseline_lifecycle_hooks_are_inert() {
         for mut b in backends() {
-            b.insert_megaflow(hyp(0b100), hyp(0b100), Action::Deny, 0.0)
-                .unwrap();
+            install(b.as_mut(), 0b100).unwrap();
             assert_eq!(b.mask_count(), 0);
             assert_eq!(b.entry_count(), 0);
             assert_eq!(b.expire_idle(100.0, 10.0), 0);

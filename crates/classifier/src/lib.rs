@@ -39,7 +39,8 @@ pub use flowtable::{FlowTable, TableMatch};
 pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
 pub use strategy::{
-    generate_megaflow, FieldStrategy, GeneratedMegaflow, GenerationError, MegaflowStrategy,
+    examined_megaflow, generate_megaflow, FieldStrategy, GeneratedMegaflow, GenerationError,
+    MegaflowStrategy,
 };
 pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 

@@ -72,7 +72,7 @@ impl MegaflowStrategy {
     }
 
     /// The same strategy for every field.
-    pub fn uniform(schema: &FieldSchema, strategy: FieldStrategy) -> Self {
+    fn uniform(schema: &FieldSchema, strategy: FieldStrategy) -> Self {
         MegaflowStrategy {
             per_field: vec![strategy; schema.field_count()],
         }
@@ -188,69 +188,103 @@ impl std::error::Error for GenerationError {}
 /// 2. add the matched rule's own mask, which the same walk tested whole (so every packet
 ///    covered by the new entry also matches that rule — Cover plus action-correctness);
 /// 3. as a safety net, while the candidate still overlaps an existing cache entry,
-///    un-wildcard one more differing bit (this loop does not fire for the
-///    WhiteList+DefaultDeny ACLs the paper studies, but keeps generation correct for
-///    arbitrary rule sets).
+///    un-wildcard one more bit of that entry's mask on which the header differs from it
+///    (this loop does not fire for the WhiteList+DefaultDeny ACLs the paper studies, but
+///    keeps generation correct for arbitrary rule sets). The entry to narrow by is the
+///    one [`FastPathBackend::find_conflict`] reports; the slow path's install
+///    ([`FastPathBackend::install_megaflow`]) runs the same loop on the entry each refused
+///    insert reports instead, so the two settle on the same megaflow.
+///
+/// Steps 1–2 alone are [`examined_megaflow`].
 pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
     table: &FlowTable,
     cache: &B,
     header: &Key,
     strategy: &MegaflowStrategy,
 ) -> Result<GeneratedMegaflow, GenerationError> {
-    let schema = table.schema();
+    let examined =
+        examined_megaflow(table, header, strategy).ok_or(GenerationError::NoMatchingRule)?;
+    settle(table.schema(), strategy, header, examined, |key, mask| {
+        cache.find_conflict(key, mask)
+    })
+}
 
-    // Steps 1–2: the one walk records the bits it tested to reject each rule and the
-    // matched rule's own mask; widened once, since widening distributes over OR.
+/// Steps 1–2 of [`generate_megaflow`]: the table's verdict for `header` and the bits
+/// its one walk examined on the way, widened to `strategy` — the megaflow's mask before
+/// any cache has been asked about it. `None` if no rule matches.
+pub fn examined_megaflow(
+    table: &FlowTable,
+    header: &Key,
+    strategy: &MegaflowStrategy,
+) -> Option<(TableMatch, Mask)> {
+    let schema = table.schema();
+    // The one walk records the bits it tested to reject each rule and the matched rule's
+    // own mask; widened once, since widening distributes over OR.
     let mut examined = [0; 16];
-    let matched = table
-        .walk(header, &mut examined)
-        .ok_or(GenerationError::NoMatchingRule)?;
+    let matched = table.walk(header, &mut examined)?;
     let mut mask = schema.empty_mask();
     for f in 0..schema.field_count() {
         let bits = u128::from(examined[2 * f + 1]) << 64 | u128::from(examined[2 * f]);
         mask.set(f, strategy.widen(schema, f, bits));
     }
+    Some((matched, mask))
+}
 
-    // Step 3: safety net — resolve any residual overlap with existing cache entries.
-    let total_bits = schema.total_width();
+/// Step 3 of [`generate_megaflow`], the one narrowing loop: offer `header`'s megaflow
+/// under the examined mask to `place`, which answers with an existing entry it overlaps,
+/// if any, and narrow the mask by each such entry until `place` answers `None` — then
+/// that megaflow is the result. `place` asks a cache ([`generate_megaflow`]) or inserts
+/// into one (a [`FastPathBackend::install_megaflow`]).
+pub(crate) fn settle(
+    schema: &FieldSchema,
+    strategy: &MegaflowStrategy,
+    header: &Key,
+    (matched, mut mask): (TableMatch, Mask),
+    mut place: impl FnMut(&Key, &Mask) -> Option<(Key, Mask)>,
+) -> Result<GeneratedMegaflow, GenerationError> {
     let mut iterations = 0;
     loop {
         let key = header.apply_mask(&mask);
-        match cache.find_conflict(&key, &mask) {
-            None => {
-                return Ok(GeneratedMegaflow {
-                    key,
-                    mask,
-                    action: matched.action,
-                    rule_index: matched.rule_index,
-                });
-            }
-            Some((conflict_key, conflict_mask)) => {
-                iterations += 1;
-                if iterations > total_bits {
-                    return Err(GenerationError::CannotDisambiguate);
-                }
-                // Find a bit examined by the conflicting entry on which the header
-                // differs and which we have not yet un-wildcarded.
-                let mut added = false;
-                for f in 0..schema.field_count() {
-                    let candidate_bits =
-                        conflict_mask.get(f) & !mask.get(f) & (header.get(f) ^ conflict_key.get(f));
-                    if candidate_bits != 0 {
-                        let bit = 127 - candidate_bits.leading_zeros();
-                        mask.set(f, mask.get(f) | strategy.widen(schema, f, 1 << bit));
-                        added = true;
-                        break;
-                    }
-                }
-                if !added {
-                    // No differing bit exists: the conflicting entry already covers this
-                    // header, so the fast path would have hit it.
-                    return Err(GenerationError::AlreadyCovered(matched));
-                }
-            }
+        let Some(conflict) = place(&key, &mask) else {
+            return Ok(GeneratedMegaflow {
+                key,
+                mask,
+                action: matched.action,
+                rule_index: matched.rule_index,
+            });
+        };
+        iterations += 1;
+        if iterations > schema.total_width() {
+            return Err(GenerationError::CannotDisambiguate);
+        }
+        if !narrow(schema, strategy, header, &mut mask, &conflict) {
+            // No differing bit exists: the conflicting entry already covers this
+            // header, so the fast path would have hit it.
+            return Err(GenerationError::AlreadyCovered(matched));
         }
     }
+}
+
+/// One narrowing step: un-wildcard, widened to `strategy`, the most significant bit of
+/// the first field on which `conflict` examines a bit that `mask` does not and the
+/// header differs from it. Returns whether there was one.
+fn narrow(
+    schema: &FieldSchema,
+    strategy: &MegaflowStrategy,
+    header: &Key,
+    mask: &mut Mask,
+    (conflict_key, conflict_mask): &(Key, Mask),
+) -> bool {
+    for f in 0..schema.field_count() {
+        let candidate_bits =
+            conflict_mask.get(f) & !mask.get(f) & (header.get(f) ^ conflict_key.get(f));
+        if candidate_bits != 0 {
+            let bit = 127 - candidate_bits.leading_zeros();
+            mask.set(f, mask.get(f) | strategy.widen(schema, f, 1 << bit));
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

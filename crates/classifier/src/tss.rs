@@ -49,9 +49,12 @@
 //! as they were, for the datapath to look up again once the miss's upcall has installed
 //! its entry.
 //!
-//! A tuple is written on the rare path. Creating it compiles its mask's plan into the
-//! slab, and every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a
-//! tuple are held, and [`TupleSpace::entries`] yields them, in insertion order;
+//! A tuple is written on the rare path, and each write is one pass. An insert walks the
+//! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
+//! entry's mask, and where it hashed the key to probe that tuple, the hash is the one the
+//! entry is filed under. Creating a tuple compiles its mask's plan into the slab, and
+//! every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a tuple are
+//! held, and [`TupleSpace::entries`] yields them, in insertion order;
 //! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
 //! order), files the entry's position in the index, sets its filter bit and folds the
 //! key into the agreement. Every mutation leaves lane, slab and tuples describing the
@@ -334,7 +337,7 @@ impl Tuple {
             entries: Vec::with_capacity(1),
             index: Vec::new(),
         };
-        let filter = tuple.push(plan, first);
+        let filter = tuple.push(plan, first, None);
         (tuple, filter)
     }
 
@@ -365,11 +368,12 @@ impl Tuple {
     }
 
     /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
-    /// fold it into the agreement words; returns its filter bit.
-    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry) -> u64 {
+    /// fold it into the agreement words; returns its filter bit. `hash` is the key's, if
+    /// the caller has it already.
+    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry, hash: Option<u64>) -> u64 {
         let key = Probe::new(&entry.key);
         agree(plan, &key, self.entries.is_empty());
-        let hash = masked_hash(plan, |w| key.word(w));
+        let hash = hash.unwrap_or_else(|| masked_hash(plan, |w| key.word(w)));
         self.entries.push(entry);
         if self.entries.len() * 2 > self.index.len() {
             // Grow: the filed slots move into an index sized for the entries there are.
@@ -486,13 +490,6 @@ impl TupleSpace {
         &self.tuples[rec.tuple as usize]
     }
 
-    /// Where in the lane the tuple of `plan`'s mask is.
-    fn position_of(&self, plan: &Plan) -> Option<usize> {
-        self.lane
-            .iter()
-            .position(|rec| plan.is(&self.slab[rec.plan()]))
-    }
-
     /// The distinct masks in probe order, each with its cumulative fast-path hit count
     /// — the signal a mask-pressure eviction policy ranks on (attack masks accumulate
     /// hits slowly because every adversarial key is fresh; a victim's long-lived mask
@@ -507,7 +504,12 @@ impl TupleSpace {
     /// Remove one mask and every entry of its tuple (shrinking |M| by one); returns
     /// the number of entries removed (0 if the mask is not present).
     pub fn remove_mask(&mut self, mask: &Mask) -> usize {
-        let Some(pos) = self.position_of(&Plan::of(mask)) else {
+        let plan = Plan::of(mask);
+        let Some(pos) = self
+            .lane
+            .iter()
+            .position(|rec| plan.is(&self.slab[rec.plan()]))
+        else {
             return 0;
         };
         let rec = &mut self.lane[pos];
@@ -525,8 +527,9 @@ impl TupleSpace {
     }
 
     /// One probe of Alg. 1: the position, among its tuple's entries, of the entry the
-    /// probed header matches under the record's mask. Every probe — [`Self::lookup`],
-    /// [`Self::peek`], [`Self::find_conflict`] — is this one. A header that disagrees
+    /// probed header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
+    /// probe with this one; [`Self::lookup_run`] and the Inv(2) walk ([`Self::walk_for`])
+    /// run the agreement test their own way and share its tail. A header that disagrees
     /// with the agreement words misses without a hash; one that survives them is hashed,
     /// and on a clear filter bit misses having read the lane record and its plan words,
     /// nothing of the tuple. It borrows the slab and the tuples, not `self`: `lookup`
@@ -678,8 +681,14 @@ impl TupleSpace {
     /// * **Inv(1) Cover** is the caller's responsibility (the generation strategy always
     ///   derives `key` from the header that sparked the entry);
     /// * **Inv(2) Independence** is checked here: inserting an entry that overlaps an
-    ///   existing one returns [`InsertError::Overlap`] (a real OVS bug class this
-    ///   reproduction treats as a hard error).
+    ///   existing one returns [`InsertError::Overlap`] with the entry
+    ///   [`Self::find_conflict`] reports (a real OVS bug class this reproduction treats
+    ///   as a hard error; the slow path narrows the entry by it and tries again).
+    ///
+    /// It is one walk of the lane: the Inv(2) check finds the tuple of the entry's mask
+    /// on its way, and the key is hashed once — by that walk, where it probed the tuple.
+    /// A mask no tuple has yet gets a new tuple, which joins the probe order where
+    /// [`Self::ordering`] says.
     pub fn insert(
         &mut self,
         key: Key,
@@ -688,11 +697,12 @@ impl TupleSpace {
         now: f64,
     ) -> Result<(), InsertError> {
         let key = key.apply_mask(&mask);
-        if let Some(existing) = self.find_conflict(&key, &mask) {
-            return Err(InsertError::Overlap {
-                existing: Box::new(existing),
-            });
-        }
+        let plan = Plan::of(&mask);
+        let (home, hash) = self
+            .walk_for(&key, &mask, &plan)
+            .map_err(|e| InsertError::Overlap {
+                existing: Box::new((e.key.clone(), e.mask.clone())),
+            })?;
         let entry = MegaflowEntry {
             key,
             mask,
@@ -701,12 +711,11 @@ impl TupleSpace {
             last_used: now,
             installed_at: now,
         };
-        let plan = Plan::of(&entry.mask);
-        match self.position_of(&plan) {
+        match home {
             Some(pos) => {
                 let rec = &mut self.lane[pos];
                 let words = &mut self.slab[rec.plan()];
-                rec.filter |= self.tuples[rec.tuple as usize].push(words, entry);
+                rec.filter |= self.tuples[rec.tuple as usize].push(words, entry, hash);
             }
             None => {
                 debug_assert!(
@@ -736,12 +745,28 @@ impl TupleSpace {
 
     /// Find an existing entry that overlaps a prospective `(key, mask)` entry, i.e. one
     /// that would violate the Independence invariant. `key` is the entry's key as it
-    /// would be stored, `key AND mask` — both callers hold it in that form. Returns the
-    /// conflicting entry's key and mask.
+    /// would be stored, `key AND mask` — every caller holds it in that form. Returns the
+    /// conflicting entry's key and mask: of the first tuple in probe order that holds
+    /// one, its smallest overlapping key.
     ///
-    /// This is both the guard used by [`TupleSpace::insert`] and the primitive the
-    /// slow-path megaflow generation uses to decide which extra bits to un-wildcard
-    /// (§3.2): while a conflict exists, the generator narrows the new entry.
+    /// This is the primitive the slow-path megaflow generation uses to decide which extra
+    /// bits to un-wildcard (§3.2): while a conflict exists, the generator narrows the new
+    /// entry. [`TupleSpace::insert`] answers the same question on the same walk of the
+    /// lane, and reports the same entry when it refuses one.
+    ///
+    /// The `conflict_index_agrees_with_full_scan` unit test (every query of the 3-bit
+    /// space) and the `find_conflict_matches_the_entry_scan_across_mutations` proptest
+    /// (a 128-bit field, through every mutator, `insert` included) pin this path to the
+    /// index-less entry scan.
+    pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
+        let conflict = self.walk_for(key, mask, &Plan::of(mask)).err();
+        conflict.map(|e| (e.key.clone(), e.mask.clone()))
+    }
+
+    /// The one walk of the lane for a prospective entry `(key, mask)`, `key` stored
+    /// masked and `plan` compiled from `mask`: `Err` with the entry it overlaps, as
+    /// [`Self::find_conflict`] reports it, or else where in the lane the tuple of `mask`
+    /// is, if one is resident, and the key's hash under `mask` if the walk took it.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
     /// probe order, and each is first checked against its agreement words, the ones a
@@ -754,37 +779,53 @@ impl TupleSpace {
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
     ///   **single probe** (comparable entries conflict only if they agree
     ///   on every common bit), which stays fast even when the tuple holds hundreds of
-    ///   thousands of entries (the IPv6 exact-match anomaly of §5.4);
+    ///   thousands of entries (the IPv6 exact-match anomaly of §5.4). The tuple of
+    ///   `mask` itself is one of these, and its probe's hash is the key's;
     /// * an incomparable tuple falls back to an entry scan — but since most tuples
     ///   were already excluded by their agreement, the common no-conflict case of
     ///   megaflow generation never reaches it.
     ///
-    /// The `conflict_index_agrees_with_full_scan` unit test (every query of the 3-bit
-    /// space) and the `find_conflict_matches_the_entry_scan_across_mutations` proptest
-    /// (a 128-bit field, through every mutator) pin this path to the index-less entry
-    /// scan.
-    pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
+    /// The tuple of `mask` is found whether or not its agreement excludes the key: the
+    /// plan words that test reads are the ones that say whose mask it is.
+    fn walk_for(
+        &self,
+        key: &Key,
+        mask: &Mask,
+        plan: &Plan,
+    ) -> Result<(Option<usize>, Option<u64>), &MegaflowEntry> {
         debug_assert_eq!(*key, key.apply_mask(mask), "the key is stored masked");
         let probe = Probe::new(key);
         let mask_words = key_words(mask);
-        for rec in &self.lane {
-            // `comparable` tracks whether the tuple's mask ⊆ `mask` along the way; it is
-            // complete wherever the prefilter did not exclude the tuple.
-            let mut comparable = true;
-            let excluded = self.slab[rec.plan()].iter().any(|w| {
+        let (mut home, mut home_hash) = (None, None);
+        for (i, rec) in self.lane.iter().enumerate() {
+            let words = &self.slab[rec.plan()];
+            // Whether the tuple's mask is within `mask`, and the bits both keep on which
+            // the key differs from every resident key: every word, without a branch.
+            let (mut comparable, mut excluded) = (true, 0);
+            for w in words {
                 let common = mask_words[usize::from(w.word & 15)] & w.bits;
                 comparable &= common == w.bits;
-                w.excludes(probe.word(w)) & common != 0
-            });
-            if excluded {
+                excluded |= w.excludes(probe.word(w)) & common;
+            }
+            // The tuple of `mask` is comparable; whether the key is excluded from it or
+            // not, it is the one the entry joins.
+            let own = comparable && home.is_none() && plan.is(words);
+            if own {
+                home = Some(i);
+            }
+            if excluded != 0 {
                 continue;
             }
             let tuple = self.tuple(rec);
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
-                if let Some(pos) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
-                    return Some((tuple.entries[pos].key.clone(), tuple.mask.clone()));
+                let hash = masked_hash(words, |w| probe.word(w));
+                if own {
+                    home_hash = Some(hash);
+                }
+                if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, key) {
+                    return Err(&tuple.entries[pos]);
                 }
             } else {
                 // Report the smallest conflicting key, not the first stored: the
@@ -796,11 +837,11 @@ impl TupleSpace {
                     .filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask))
                     .min_by(|a, b| a.key.cmp(&b.key));
                 if let Some(e) = conflict {
-                    return Some((e.key.clone(), e.mask.clone()));
+                    return Err(e);
                 }
             }
         }
-        None
+        Ok((home, home_hash))
     }
 
     /// Remove every entry for which `predicate` returns true; returns the number of
@@ -859,25 +900,46 @@ impl TupleSpace {
 
     /// Whether lane, slab and tuples describe one tuple space: the records name each
     /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, each plan word's agreement is the fold over the resident keys, and
-    /// every resident key has its bit in its record's filter. What debug builds assert
-    /// after every mutation.
+    /// nothing else, each plan word's agreement is the fold over the resident keys, every
+    /// resident key has its bit in its record's filter, and each tuple's index holds one
+    /// slot per entry, through which [`Tuple::find`] finds the entry where it is. What
+    /// debug builds assert after every mutation. It allocates nothing, so that the
+    /// allocation audit can hold a warm mutation, this check included, to zero.
     fn lane_consistent(&self) -> bool {
-        let mut slots: Vec<u32> = self.lane.iter().map(|rec| rec.tuple).collect();
-        slots.sort_unstable();
-        slots.into_iter().eq(0..self.tuples.len() as u32)
+        // As many records as slots, each naming a slot in range, none named twice: the
+        // last checked 4096 slots at a time, against a bitmap on the stack.
+        let slots = self.tuples.len();
+        let named_once = self.lane.len() == slots
+            && self.lane.iter().all(|rec| (rec.tuple as usize) < slots)
+            && (0..slots).step_by(4096).all(|base| {
+                let mut seen = [0u64; 64];
+                self.lane.iter().all(|rec| {
+                    let Some(i) = (rec.tuple as usize).checked_sub(base).filter(|&i| i < 4096)
+                    else {
+                        return true;
+                    };
+                    let bit = 1 << (i % 64);
+                    let fresh = seen[i / 64] & bit == 0;
+                    seen[i / 64] |= bit;
+                    fresh
+                })
+            });
+        named_once
             && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
             && self.lane.iter().all(|rec| {
                 let tuple = self.tuple(rec);
                 let mut expected = Plan::of(&tuple.mask);
                 let plan = &mut expected.words[..expected.len];
-                let filtered = tuple.entries.iter().enumerate().all(|(i, e)| {
-                    let key = Probe::new(&e.key);
-                    agree(plan, &key, i == 0);
-                    rec.filter & filter_bit(masked_hash(plan, |w| key.word(w))) != 0
-                });
+                let filed = tuple.index.iter().filter(|&&slot| slot != 0).count();
+                let found = filed == tuple.entries.len()
+                    && tuple.entries.iter().enumerate().all(|(i, e)| {
+                        let key = Probe::new(&e.key);
+                        agree(plan, &key, i == 0);
+                        let hash = masked_hash(plan, |w| key.word(w));
+                        rec.filter & filter_bit(hash) != 0 && tuple.find(hash, &e.key) == Some(i)
+                    });
                 !tuple.entries.is_empty()
-                    && filtered
+                    && found
                     && self.slab.get(rec.plan()) == Some(expected.words())
             })
     }
@@ -1287,8 +1349,24 @@ mod tests {
                     0..=4 => {
                         let action = if op % 2 == 0 { Action::Allow } else { Action::Deny };
                         let conflict = find_conflict_scan(&c, &key, &mask);
-                        let inserted = c.insert(key, mask, action, now);
-                        prop_assert_eq!(inserted.is_err(), conflict.is_some());
+                        let (masks, had_mask) = (c.mask_count(), c.mask_usage().iter().any(|(m, _)| *m == mask));
+                        match c.insert(key, mask.clone(), action, now) {
+                            // Refused with exactly the entry the scan names: the first
+                            // tuple in probe order, its smallest overlapping key.
+                            Err(InsertError::Overlap { existing }) => {
+                                prop_assert_eq!(Some(*existing), conflict);
+                                prop_assert_eq!(c.mask_count(), masks);
+                            }
+                            // Accepted into the tuple of its mask, or else a new tuple,
+                            // probed first.
+                            Ok(()) => {
+                                prop_assert_eq!(conflict, None);
+                                prop_assert_eq!(c.mask_count(), masks + usize::from(!had_mask));
+                                if !had_mask {
+                                    prop_assert_eq!(&c.mask_usage()[0].0, &mask);
+                                }
+                            }
+                        }
                     }
                     5 => {
                         c.lookup(&key, now);
@@ -1310,11 +1388,16 @@ mod tests {
                     }
                 }
                 for (header, key, mask) in &queries {
+                    let conflict = find_conflict_scan(&c, key, mask);
                     prop_assert_eq!(
                         c.find_conflict(key, mask),
-                        find_conflict_scan(&c, key, mask),
+                        conflict.clone(),
                         "query key {} mask {} after op {}", key, mask, op
                     );
+                    // `insert` refuses with the same entry, on its own walk.
+                    let refused = c.clone().insert(key.clone(), mask.clone(), Action::Deny, 99.0);
+                    let refused = refused.err().map(|InsertError::Overlap { existing }| *existing);
+                    prop_assert_eq!(refused, conflict, "insert {} / {} after op {}", key, mask, op);
                     let (hit, scanned) = lookup_scan(&c, header);
                     prop_assert_eq!(c.peek(header), hit, "peek {} after op {}", header, op);
                     // Lookups bump hit counters; keep them off the cache under test.
@@ -1530,6 +1613,28 @@ mod tests {
         assert!(
             !stale_agree.lane_consistent(),
             "(001, 111) and (000, 111) disagree on bit 0"
+        );
+
+        // Lane record 0 is the tuple under 111, two entries: (001) at position 0 and
+        // (000) at position 1.
+        let index = &cache.tuples[cache.lane[0].tuple as usize].index;
+        let filed: Vec<usize> = (0..index.len()).filter(|&i| index[i] != 0).collect();
+        let mut mispointed = cache.clone();
+        let index = &mut mispointed.tuples[mispointed.lane[0].tuple as usize].index;
+        let (a, b) = (index[filed[0]], index[filed[1]]);
+        (index[filed[0]], index[filed[1]]) = (a & TAG | b & !TAG, b & TAG | a & !TAG);
+        assert!(
+            !mispointed.lane_consistent(),
+            "a slot names its own entry's position"
+        );
+
+        let mut stale_slot = cache.clone();
+        let index = &mut stale_slot.tuples[stale_slot.lane[0].tuple as usize].index;
+        let copy = index[filed[0]];
+        place(index, copy);
+        assert!(
+            !stale_slot.lane_consistent(),
+            "an index holds one slot per entry"
         );
 
         let mut leaked = cache.clone();

@@ -5,7 +5,6 @@
 //! against a cache that fills as the headers arrive.
 
 use proptest::prelude::*;
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::{Action, Rule};
 use tse_classifier::strategy::{generate_megaflow, MegaflowStrategy};
@@ -72,7 +71,7 @@ proptest! {
                 prop_assert_eq!(&got, &reference_generate(&table, &cache, &h, &strategy),
                                 "header {} under {:?}", h, strategy);
                 if let Ok(g) = got {
-                    cache.insert_megaflow(g.key, g.mask, g.action, 0.0).unwrap();
+                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
                 }
             }
             prop_assert!(cache.check_independence());

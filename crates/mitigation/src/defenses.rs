@@ -665,7 +665,6 @@ mod tests {
 
     #[test]
     fn mask_cap_tie_break_is_probe_order_stable() {
-        use tse_classifier::backend::FastPathBackend as _;
         use tse_classifier::rule::Action;
         // All-cold masks (zero hits): eviction must take them in probe order — the
         // first `excess` masks of the probe list go, the rest keep their order.
@@ -676,13 +675,13 @@ mod tests {
         // The Fig. 3 cache: three distinct masks (111, 100, 110), all with zero hits.
         let backend = dp.shard_mut(0).megaflow_mut();
         backend
-            .insert_megaflow(k(0b001), k(0b111), Action::Allow, 0.0)
+            .insert(k(0b001), k(0b111), Action::Allow, 0.0)
             .unwrap();
         backend
-            .insert_megaflow(k(0b100), k(0b100), Action::Deny, 0.0)
+            .insert(k(0b100), k(0b100), Action::Deny, 0.0)
             .unwrap();
         backend
-            .insert_megaflow(k(0b010), k(0b110), Action::Deny, 0.0)
+            .insert(k(0b010), k(0b110), Action::Deny, 0.0)
             .unwrap();
         let before: Vec<_> = dp.shard(0).megaflow().mask_usage();
         assert_eq!(before.len(), 3);

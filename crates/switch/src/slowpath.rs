@@ -4,7 +4,9 @@
 use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
-use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
+use tse_classifier::strategy::{
+    examined_megaflow, generate_megaflow, GenerationError, MegaflowStrategy,
+};
 use tse_packet::fields::Key;
 
 /// Outcome of one slow-path invocation (one upcall).
@@ -127,6 +129,16 @@ impl SlowPath {
     /// the Cover/Independence invariants and install it into `cache` (unless the matched
     /// rule is suppressed or the header is already covered). Works against any
     /// [`FastPathBackend`]; table-built backends absorb the install as a no-op.
+    ///
+    /// One walk of the table gives the verdict and the widened megaflow together. A
+    /// suppressed rule's answer is that verdict alone, so nothing else runs. Otherwise
+    /// the megaflow goes straight to [`FastPathBackend::install_megaflow`]: a TSS cache
+    /// checks Inv(2) on the walk of its probe lane that files the entry, and a refusal
+    /// narrows the megaflow by the entry it names and tries again — the entry
+    /// [`generate_megaflow`] settles on, installed without asking the cache first. Only
+    /// an upcall whose quota window is exhausted, which installs nothing, asks: its dry
+    /// `generate_megaflow` tells a would-be install, which it is charged for, from an
+    /// already-covered header.
     pub fn handle_upcall<B: FastPathBackend + ?Sized>(
         &mut self,
         table: &FlowTable,
@@ -134,47 +146,41 @@ impl SlowPath {
         header: &Key,
         now: f64,
     ) -> Option<UpcallOutcome> {
-        // One walk of the table yields the verdict and the megaflow together.
-        let (action, rule_index, generated) =
-            match generate_megaflow(table, cache, header, &self.strategy) {
-                Ok(g) => (g.action, g.rule_index, Some(g)),
-                Err(GenerationError::AlreadyCovered(m)) => (m.action, m.rule_index, None),
-                Err(_) => return None,
-            };
+        let (verdict, mask) = examined_megaflow(table, header, &self.strategy)?;
         let mut outcome = UpcallOutcome {
-            action,
-            rule_index,
+            action: verdict.action,
+            rule_index: verdict.rule_index,
             installed: false,
             new_mask: false,
         };
-        if self.suppressed_rules.contains(&rule_index) {
+        if self.suppressed_rules.contains(&verdict.rule_index) {
             self.suppressed_upcalls += 1;
             return Some(outcome);
         }
-        let Some(generated) = generated else {
-            return Some(outcome);
-        };
         if self.install_quota == Some(0) {
             // Quota window exhausted: classify, but install nothing — the packet (and
             // every sibling behind it) keeps paying the slow-path price until the quota
-            // is re-armed. Only real would-be installs are charged; already-covered
-            // upcalls returned above as usual.
-            self.quota_denied_upcalls += 1;
+            // is re-armed. Only real would-be installs are charged, not already-covered
+            // upcalls.
+            match generate_megaflow(table, cache, header, &self.strategy) {
+                Ok(_) => self.quota_denied_upcalls += 1,
+                Err(GenerationError::AlreadyCovered(_)) => {}
+                Err(_) => return None,
+            }
             return Some(outcome);
         }
         let masks_before = cache.mask_count();
-        let install = cache.insert_megaflow(generated.key, generated.mask, generated.action, now);
-        // Generation narrowed the entry until the backend reported no conflict, so a
-        // refusal is a backend bug: loud in debug builds, answered like a quota denial
-        // otherwise — this runs on shard worker threads.
-        debug_assert!(install.is_ok(), "generated megaflow refused: {install:?}");
-        outcome.installed = install.is_ok();
-        if outcome.installed {
-            if let Some(quota) = &mut self.install_quota {
-                *quota -= 1;
+        match cache.install_megaflow(table, header, (verdict, mask), &self.strategy, now) {
+            Ok(_) => {
+                outcome.installed = true;
+                outcome.new_mask = cache.mask_count() > masks_before;
+                if let Some(quota) = &mut self.install_quota {
+                    *quota -= 1;
+                }
             }
+            Err(GenerationError::AlreadyCovered(_)) => {}
+            Err(_) => return None,
         }
-        outcome.new_mask = outcome.installed && cache.mask_count() > masks_before;
         Some(outcome)
     }
 }
@@ -182,9 +188,12 @@ impl SlowPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tse_classifier::flowtable::FlowTable;
-    use tse_classifier::tss::{InsertError, LookupOutcome, TupleSpace};
-    use tse_packet::fields::{FieldSchema, Key, Mask};
+    use proptest::prelude::*;
+    use tse_classifier::flowtable::{FlowTable, TableMatch};
+    use tse_classifier::rule::Rule;
+    use tse_classifier::strategy::{FieldStrategy, GeneratedMegaflow};
+    use tse_classifier::tss::{LookupOutcome, TupleSpace};
+    use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
 
     fn hyp(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -305,8 +314,8 @@ mod tests {
         assert_eq!(sp.quota_denied_upcalls(), 0);
     }
 
-    /// A backend whose `find_conflict` and `insert_megaflow` disagree: generation sees
-    /// no conflict, the install is refused anyway.
+    /// A backend that refuses every install: each one is answered as covered by an
+    /// entry it already holds.
     struct RefusingBackend;
 
     impl FastPathBackend for RefusingBackend {
@@ -322,16 +331,15 @@ mod tests {
                 masks_scanned: 0,
             }
         }
-        fn insert_megaflow(
+        fn install_megaflow(
             &mut self,
-            key: Key,
-            mask: Mask,
-            _action: Action,
+            _table: &FlowTable,
+            _header: &Key,
+            (verdict, _mask): (TableMatch, Mask),
+            _strategy: &MegaflowStrategy,
             _now: f64,
-        ) -> Result<(), InsertError> {
-            Err(InsertError::Overlap {
-                existing: Box::new((key, mask)),
-            })
+        ) -> Result<GeneratedMegaflow, GenerationError> {
+            Err(GenerationError::AlreadyCovered(verdict))
         }
         fn mask_count(&self) -> usize {
             0
@@ -347,23 +355,121 @@ mod tests {
         let mut cache = RefusingBackend::fresh(table.schema());
         let mut sp = SlowPath::new(MegaflowStrategy::wildcarding(table.schema()));
         sp.set_install_quota(Some(5));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sp.handle_upcall(&table, &mut cache, &hyp(0b001), 0.0)
-        }));
-        // Debug builds stop at the `debug_assert!`; release builds answer the packet
-        // and install nothing.
-        assert_eq!(out.is_err(), cfg!(debug_assertions));
-        if let Ok(out) = out {
-            let expected = UpcallOutcome {
-                action: Action::Allow,
-                rule_index: 0,
-                installed: false,
-                new_mask: false,
-            };
-            assert_eq!(out, Some(expected));
-        }
+        let out = sp.handle_upcall(&table, &mut cache, &hyp(0b001), 0.0);
+        let expected = UpcallOutcome {
+            action: Action::Allow,
+            rule_index: 0,
+            installed: false,
+            new_mask: false,
+        };
+        assert_eq!(out, Some(expected), "answered as already covered");
         assert_eq!(sp.install_quota_remaining(), Some(5), "nothing installed");
         assert_eq!(sp.quota_denied_upcalls(), 0);
+        assert_eq!(sp.suppressed_upcalls(), 0);
+    }
+
+    /// What `handle_upcall` did before it installed directly: generate against the
+    /// cache, then insert, under the same suppression and quota rules. Returns the
+    /// outcome and advances `(suppressed upcalls, quota-denied upcalls, quota)`.
+    fn reference_upcall(
+        table: &FlowTable,
+        cache: &mut TupleSpace,
+        header: &Key,
+        strategy: &MegaflowStrategy,
+        suppressed: &[usize],
+        counters: &mut (u64, u64, Option<u64>),
+    ) -> Option<UpcallOutcome> {
+        let (action, rule_index, generated) =
+            match generate_megaflow(table, cache, header, strategy) {
+                Ok(g) => (g.action, g.rule_index, Some(g)),
+                Err(GenerationError::AlreadyCovered(m)) => (m.action, m.rule_index, None),
+                Err(_) => return None,
+            };
+        let mut outcome = UpcallOutcome {
+            action,
+            rule_index,
+            installed: false,
+            new_mask: false,
+        };
+        if suppressed.contains(&rule_index) {
+            counters.0 += 1;
+            return Some(outcome);
+        }
+        let Some(g) = generated else {
+            return Some(outcome);
+        };
+        if counters.2 == Some(0) {
+            counters.1 += 1;
+            return Some(outcome);
+        }
+        let masks = cache.mask_count();
+        cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+        outcome.installed = true;
+        outcome.new_mask = cache.mask_count() > masks;
+        if let Some(quota) = &mut counters.2 {
+            *quota -= 1;
+        }
+        Some(outcome)
+    }
+
+    proptest! {
+        /// `handle_upcall` against the reference it replaced, on two random tables of
+        /// prioritised allow/deny rules over two 4-bit fields, each header classified by
+        /// one of them against the one cache — a table replaced under a cache nobody
+        /// flushed. Megaflows of one table never overlap (each records the bits its walk
+        /// examined, and two walks part on a bit both examine); across the two they do, so
+        /// installs are refused and narrowed. A rule may be suppressed, and a quota may
+        /// run out part-way. Every header is looked up on both caches first, as the
+        /// datapath does, then upcalled whether it hit or not: the same outcomes, the same
+        /// counters, and the same caches, hit counts included.
+        #[test]
+        fn upcalls_match_generate_then_insert(
+            rules in proptest::collection::vec((0u128..256, 0u128..256, 0u32..8, 0usize..2), 1..12),
+            headers in proptest::collection::vec((0u128..256, 0usize..2), 1..60),
+            policy in (0usize..3, 0usize..12, 0u64..12),
+        ) {
+            let schema = FieldSchema::new(vec![FieldDef::new("a", 4), FieldDef::new("b", 4)]);
+            let key = |v: u128| Key::from_values(&schema, &[v >> 4, v & 15]);
+            let mut tables = [FlowTable::new(schema.clone()), FlowTable::new(schema.clone())];
+            for &(k, m, rank, t) in &rules {
+                let action = if rank % 2 == 1 { Action::Allow } else { Action::Deny };
+                tables[t].push(Rule::new(key(k), key(m), rank / 2, action));
+            }
+            for table in &mut tables {
+                table.push(Rule::match_all(&schema, 0, Action::Deny));
+            }
+            let (strategy, suppressed, quota) = policy;
+            let strategy = match strategy {
+                0 => MegaflowStrategy::wildcarding(&schema),
+                1 => MegaflowStrategy::chunked(&schema, 2),
+                _ => MegaflowStrategy::per_field(vec![FieldStrategy::Exact, FieldStrategy::BitLevel]),
+            };
+            let suppressed: Vec<usize> = (suppressed < 8).then_some(suppressed).into_iter().collect();
+            let quota = (quota < 8).then_some(quota);
+
+            let mut sp = SlowPath::new(strategy.clone());
+            for &rule in &suppressed {
+                sp.suppress_rule(rule);
+            }
+            sp.set_install_quota(quota);
+            let mut counters = (0, 0, quota);
+            let mut cache = TupleSpace::new(schema.clone());
+            let mut reference = TupleSpace::new(schema.clone());
+            for (i, &(h, t)) in headers.iter().enumerate() {
+                let (h, now, table) = (key(h), i as f64, &tables[t]);
+                prop_assert_eq!(cache.lookup(&h, now), reference.lookup(&h, now));
+                let got = sp.handle_upcall(table, &mut cache, &h, now);
+                let want = reference_upcall(table, &mut reference, &h, &strategy, &suppressed, &mut counters);
+                prop_assert_eq!(got, want, "header {} on table {}", h, t);
+                prop_assert_eq!(
+                    (sp.suppressed_upcalls(), sp.quota_denied_upcalls(), sp.install_quota_remaining()),
+                    counters
+                );
+                prop_assert_eq!(cache.render(), reference.render());
+                prop_assert_eq!(cache.mask_usage(), reference.mask_usage());
+            }
+            prop_assert!(cache.check_independence());
+        }
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! ingress is held to zero outright: a warm `extract_keys_into` and a warm
 //! `Encap::encode_into` (every envelope) allocate nothing. So is the slow path's
 //! generation: a warm `generate_megaflow` against the gateway's 1001-rule table and a
-//! populated cache allocates nothing.
+//! populated cache allocates nothing. So are the cache's writes: a warm upcall whose
+//! megaflow joins a tuple with room to spare, and a warm expiry sweep of a large tuple.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tse::prelude::*;
+use tse::switch::SlowPath;
 
 /// Forwards to the system allocator, counting every allocation (and reallocation —
 /// a `Vec` growing in place is still heap traffic we claim not to produce).
@@ -258,7 +260,7 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     // --- Megaflow generation: a warm upcall allocates nothing. ---
     // The gateway's 1001-rule merged table against a cache its traffic has populated:
     // the priority walk records the bits it examines in a stack array, widening fills
-    // an inline mask, and both conflict checks read the agreement words in the plan slab.
+    // an inline mask, and the conflict check reads the agreement words in the plan slab.
     let fleet = TenantFleet::new(&schema, FleetConfig::default());
     let table = fleet.table();
     let strategy = MegaflowStrategy::wildcarding(&schema);
@@ -293,6 +295,68 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         g_allocs, 0,
         "warm generate_megaflow must be allocation-free"
     );
+
+    // --- The cache's writes: a warm install and a warm sweep allocate nothing. ---
+    // The ACL examines `tp_dst` alone, so its exact-match megaflows all share one mask
+    // and every upcall below, each to a port of its own, joins one tuple. Nine entries
+    // leave it room for seven more (entries 16, index 32 slots), so each of the five
+    // audited upcalls installs a fresh header with no growth: the table walk, the one
+    // walk of the probe lane that checks Inv(2) and finds the tuple, and the filing,
+    // debug builds' consistency check after it included.
+    let table = FlowTable::whitelist_default_deny(&schema, &[(tp_dst, 80)]);
+    let mut slow = SlowPath::new(MegaflowStrategy::exact_match(&schema));
+    let mut cache = TupleSpace::new(schema.clone());
+    let fresh_headers: Vec<Key> = (0..14).map(|i| header(3, 9000 + i as u128)).collect();
+    for h in &fresh_headers[..9] {
+        assert!(
+            slow.handle_upcall(&table, &mut cache, h, 0.0)
+                .unwrap()
+                .installed
+        );
+    }
+    let mut next = fresh_headers[9..].iter();
+    let mut installed = 0;
+    let u_allocs = allocations_during(|| {
+        let h = next.next().unwrap();
+        installed += usize::from(
+            slow.handle_upcall(&table, &mut cache, h, 0.0)
+                .unwrap()
+                .installed,
+        );
+    });
+    assert_eq!(
+        (installed, cache.mask_count()),
+        (5, 1),
+        "every audited upcall joined the tuple"
+    );
+    assert_eq!(
+        u_allocs, 0,
+        "a warm upcall into a roomy tuple must be allocation-free"
+    );
+
+    // A sweep compacts the survivors in place and refiles them into the index the tuple
+    // already has, emptied: after one sweep of a large tuple, each further one that
+    // removes entries from it allocates nothing.
+    let mut cache = TupleSpace::new(schema.clone());
+    let big: Vec<Key> = (0..4096).map(|i| header(i, 9000)).collect();
+    for (i, h) in big.iter().enumerate() {
+        cache
+            .insert(h.clone(), schema.full_mask(), Action::Deny, i as f64)
+            .unwrap();
+    }
+    assert_eq!(
+        cache.expire_idle(10.0 + 512.0, 10.0),
+        512,
+        "warm: the oldest go"
+    );
+    let mut now = 10.0 + 512.0;
+    let mut expired = 0;
+    let e_allocs = allocations_during(|| {
+        now += 256.0;
+        expired += cache.expire_idle(now, 10.0);
+    });
+    assert_eq!(expired, 5 * 256, "every audited sweep removed entries");
+    assert_eq!(e_allocs, 0, "a warm expiry sweep must be allocation-free");
 
     // --- Wire ingestion: batched header extraction is allocation-free when warm. ---
     // Frames live in two contiguous WireTraces; the scratch's result buffer is the
