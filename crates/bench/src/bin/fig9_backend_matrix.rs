@@ -1,8 +1,8 @@
 //! E-F9-DP: the §7 / Fig. 9 classifier comparison run through the **real datapath**
-//! instead of bare classify loops — every [`FastPathBackend`] (TSS plus the three
-//! attack-immune baselines) processes the same Co-located attack traces through the
-//! full fast path → slow path pipeline, and the victim's per-invocation cost is read
-//! off the datapath itself.
+//! instead of bare classify loops — a datapath of every [`FastPathKind`] (TSS, and the
+//! three attack-immune classifiers in front of the megaflow cache) processes the same
+//! Co-located attack traces through the full fast path → slow path pipeline, and the
+//! victim's per-invocation cost is read off the datapath itself.
 //!
 //! The second half replays the Fig. 8a timeline experiment (victims + attacker sharing
 //! one switch, sampled per second) over the trie and HyperCuts backends: with an
@@ -12,14 +12,12 @@
 use tse_attack::scenarios::Scenario;
 use tse_attack::source::AttackGenerator;
 use tse_bench::{render_table, FigArgs, Figure};
-use tse_classifier::backend::{
-    FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
-};
+use tse_classifier::flowtable::FlowTable;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_simnet::offload::OffloadConfig;
 use tse_simnet::runner::ExperimentRunner;
 use tse_simnet::traffic::VictimFlow;
-use tse_switch::datapath::Datapath;
+use tse_switch::datapath::{Datapath, FastPathKind};
 use tse_switch::DatapathStats;
 
 use rand::rngs::StdRng;
@@ -36,7 +34,8 @@ struct CaseRow {
     stats: DatapathStats,
 }
 
-fn run_case<B: FastPathBackend>(mut dp: Datapath<B>, scenario: Scenario, victim: &Key) -> CaseRow {
+fn run_case(table: &FlowTable, kind: FastPathKind, scenario: Scenario, victim: &Key) -> CaseRow {
+    let mut dp = Datapath::builder(table.clone()).fast_path(kind).build();
     dp.process_key(victim, 1500, 0.0);
     let baseline = dp.process_key(victim, 1500, 0.001);
     let schema = dp.table().schema().clone();
@@ -45,7 +44,7 @@ fn run_case<B: FastPathBackend>(mut dp: Datapath<B>, scenario: Scenario, victim:
     }
     let attacked = dp.process_key(victim, 1500, 0.9);
     CaseRow {
-        backend: dp.megaflow().name(),
+        backend: kind.name(),
         baseline_us: baseline.cost * 1e6,
         attacked_us: attacked.cost * 1e6,
         masks: dp.mask_count(),
@@ -67,30 +66,13 @@ fn backend_matrix(fig: &mut Figure) {
         let mut victim = schema.zero_value();
         victim.set(schema.field_index("tp_dst").unwrap(), 80);
 
-        let rows: Vec<CaseRow> = vec![
-            run_case(Datapath::builder(table.clone()).build(), scenario, &victim),
-            run_case(
-                Datapath::builder(table.clone())
-                    .backend_fresh::<LinearSearchBackend>()
-                    .build(),
-                scenario,
-                &victim,
-            ),
-            run_case(
-                Datapath::builder(table.clone())
-                    .backend_fresh::<TrieBackend>()
-                    .build(),
-                scenario,
-                &victim,
-            ),
-            run_case(
-                Datapath::builder(table)
-                    .backend_fresh::<HyperCutsBackend>()
-                    .build(),
-                scenario,
-                &victim,
-            ),
-        ];
+        let rows = [
+            FastPathKind::Tss,
+            FastPathKind::LinearSearch,
+            FastPathKind::Trie,
+            FastPathKind::HyperCuts,
+        ]
+        .map(|kind| run_case(&table, kind, scenario, &victim));
         println!("-- use case {} --", scenario.name());
         let table_rows: Vec<Vec<String>> = rows
             .iter()
@@ -153,7 +135,7 @@ fn timelines(fig: &mut Figure) {
     println!("\n== Fig. 8a-style timelines under attack-immune backends (SipDp, 100 pps) ==");
     let mut trie_runner = ExperimentRunner::new(
         Datapath::builder(table.clone())
-            .backend_fresh::<TrieBackend>()
+            .fast_path(FastPathKind::Trie)
             .build(),
         victims.clone(),
         OffloadConfig::gro_off(),
@@ -164,7 +146,7 @@ fn timelines(fig: &mut Figure) {
 
     let mut hc_runner = ExperimentRunner::new(
         Datapath::builder(table)
-            .backend_fresh::<HyperCutsBackend>()
+            .fast_path(FastPathKind::HyperCuts)
             .build(),
         victims,
         OffloadConfig::gro_off(),

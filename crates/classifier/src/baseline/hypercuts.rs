@@ -28,7 +28,7 @@ struct StoredRule {
     rule: Rule,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf(Vec<StoredRule>),
     Internal {
@@ -40,7 +40,7 @@ enum Node {
 }
 
 /// The HyperCuts classifier.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HyperCuts {
     root: Node,
     node_count: usize,

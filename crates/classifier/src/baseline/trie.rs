@@ -25,7 +25,7 @@ struct StoredRule {
     action: Action,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Node {
     zero: Option<Box<Node>>,
     one: Option<Box<Node>>,
@@ -35,14 +35,14 @@ struct Node {
     next_field: Option<Box<FieldTrie>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FieldTrie {
     field: usize,
     root: Node,
 }
 
 /// A hierarchical (multi-field) trie classifier.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HierarchicalTrie {
     schema: FieldSchema,
     root: FieldTrie,

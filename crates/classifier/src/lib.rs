@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod baseline;
 pub mod flowtable;
 pub mod microflow;
@@ -31,16 +30,13 @@ pub mod rule;
 pub mod strategy;
 pub mod tss;
 
-pub use backend::{
-    BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
-};
 pub use baseline::{Classification, Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
 pub use flowtable::{FlowTable, TableMatch};
 pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
 pub use strategy::{
-    examined_megaflow, generate_megaflow, FieldStrategy, GeneratedMegaflow, GenerationError,
-    MegaflowStrategy,
+    examined_megaflow, generate_megaflow, install_megaflow, FieldStrategy, GeneratedMegaflow,
+    GenerationError, MegaflowStrategy,
 };
 pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 

@@ -30,9 +30,9 @@
 
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
-use crate::backend::FastPathBackend;
 use crate::flowtable::{FlowTable, TableMatch};
 use crate::rule::Action;
+use crate::tss::{InsertError, TupleSpace};
 
 /// How un-wildcarding is performed within one header field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,14 +191,14 @@ impl std::error::Error for GenerationError {}
 ///    un-wildcard one more bit of that entry's mask on which the header differs from it
 ///    (this loop does not fire for the WhiteList+DefaultDeny ACLs the paper studies, but
 ///    keeps generation correct for arbitrary rule sets). The entry to narrow by is the
-///    one [`FastPathBackend::find_conflict`] reports; the slow path's install
-///    ([`FastPathBackend::install_megaflow`]) runs the same loop on the entry each refused
-///    insert reports instead, so the two settle on the same megaflow.
+///    one [`TupleSpace::find_conflict`] reports; the slow path's [`install_megaflow`]
+///    runs the same loop on the entry each refused insert reports instead, so the two
+///    settle on the same megaflow.
 ///
 /// Steps 1–2 alone are [`examined_megaflow`].
-pub fn generate_megaflow<B: FastPathBackend + ?Sized>(
+pub fn generate_megaflow(
     table: &FlowTable,
-    cache: &B,
+    cache: &TupleSpace,
     header: &Key,
     strategy: &MegaflowStrategy,
 ) -> Result<GeneratedMegaflow, GenerationError> {
@@ -230,12 +230,36 @@ pub fn examined_megaflow(
     Some((matched, mask))
 }
 
+/// Install into `cache` the megaflow the slow path generates for `header`: `examined` is
+/// what [`examined_megaflow`] returns for it, and the entry is narrowed (Inv(2)) by each
+/// entry `cache` reports it overlapping until the cache takes it — the megaflow
+/// [`generate_megaflow`] would return, installed. Each attempt is one
+/// [`TupleSpace::insert`], whose one walk of the probe lane both checks Inv(2) and files
+/// the entry. Returns the megaflow, or [`GenerationError::AlreadyCovered`] where an
+/// existing entry covers `header`, with nothing installed.
+pub fn install_megaflow(
+    table: &FlowTable,
+    cache: &mut TupleSpace,
+    header: &Key,
+    examined: (TableMatch, Mask),
+    strategy: &MegaflowStrategy,
+    now: f64,
+) -> Result<GeneratedMegaflow, GenerationError> {
+    let action = examined.0.action;
+    settle(table.schema(), strategy, header, examined, |key, mask| {
+        let inserted = cache.insert(key.clone(), mask.clone(), action, now);
+        inserted
+            .err()
+            .map(|InsertError::Overlap { existing }| *existing)
+    })
+}
+
 /// Step 3 of [`generate_megaflow`], the one narrowing loop: offer `header`'s megaflow
 /// under the examined mask to `place`, which answers with an existing entry it overlaps,
 /// if any, and narrow the mask by each such entry until `place` answers `None` — then
 /// that megaflow is the result. `place` asks a cache ([`generate_megaflow`]) or inserts
-/// into one (a [`FastPathBackend::install_megaflow`]).
-pub(crate) fn settle(
+/// into one ([`install_megaflow`]).
+fn settle(
     schema: &FieldSchema,
     strategy: &MegaflowStrategy,
     header: &Key,

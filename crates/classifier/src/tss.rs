@@ -38,16 +38,15 @@
 //! same agreement test, restricted to the bits the prospective entry keeps.
 //!
 //! A datapath's run of consecutive hits is looked up together, up to four headers to a
-//! walk of the lane ([`lookup_run`](crate::backend::FastPathBackend::lookup_run)): the
-//! run's header words are laid out word-major, so each lane record and its plan words
-//! are read once for the run, and the agreement test runs for every header still looking
-//! at once, without a branch. A header that survives it goes on alone, exactly as a probe
-//! does, and leaves the walk at its first hit; the walk ends when every header has hit,
-//! or at the end of the lane. The results are committed afterwards, header by header in
-//! run order — the hit counters bumped and `last_used` stamped as [`TupleSpace::lookup`]
-//! would have — up to and including the first miss. The headers behind that miss are left
-//! as they were, for the datapath to look up again once the miss's upcall has installed
-//! its entry.
+//! walk of the lane ([`TupleSpace::lookup_run`]): the run's header words are laid out
+//! word-major, so each lane record and its plan words are read once for the run, and the
+//! agreement test runs for every header still looking at once, without a branch. A header
+//! that survives it goes on alone, exactly as a probe does, and leaves the walk at its
+//! first hit; the walk ends when every header has hit, or at the end of the lane. The
+//! results are committed afterwards, header by header in run order — the hit counters
+//! bumped and `last_used` stamped as [`TupleSpace::lookup`] would have — up to and
+//! including the first miss. The headers behind that miss are left as they were, for the
+//! datapath to look up again once the miss's upcall has installed its entry.
 //!
 //! A tuple is written on the rare path, and each write is one pass. An insert walks the
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
@@ -122,7 +121,7 @@ pub enum MaskOrdering {
     /// This models the observed OVS datapath behaviour that a long-established flow's
     /// mask does not stay at the front of the scan once an attack starts spawning masks,
     /// so victim traffic pays the (near-)full scan — the regime measured in Fig. 8a/9a,
-    /// and the order every datapath's TSS backend is built with.
+    /// and the order every datapath's megaflow cache is built with.
     NewestFirst,
 }
 
@@ -586,11 +585,12 @@ impl TupleSpace {
         }
     }
 
-    /// Alg. 1 for a run of headers at nondecreasing times, up to [`RUN`] of them, with the
+    /// Alg. 1 for a run of headers at nondecreasing times, up to four of them, with the
     /// lane walked once for all: the outcomes [`Self::lookup`] on each in turn gives, up to
     /// and including the first miss, written to `out`'s first slots. Returns how many
-    /// headers were answered. Those after a miss are left untouched — no counter bumped —
-    /// for the caller to look up again once the miss's upcall has installed its entry.
+    /// headers were answered — at least one of a non-empty run. Those after a miss are left
+    /// untouched — no counter bumped — for the caller to look up again once the miss's
+    /// upcall has installed its entry.
     ///
     /// Each lane record's plan words are tested against every header still looking, word
     /// by word and without a branch; only a header that survives hashes, and a header
@@ -598,7 +598,7 @@ impl TupleSpace {
     /// are committed afterwards, header by header in run order. A hit bumps counters and
     /// stamps `last_used`, none of which a probe reads, so the walk cannot tell the run
     /// from `lookup` called on each header in turn.
-    pub(crate) fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
+    pub fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
         let n = run.len().min(out.len()).min(RUN);
         if n <= 1 {
             let Some((&(header, now), slot)) = run.first().zip(out.first_mut()) else {

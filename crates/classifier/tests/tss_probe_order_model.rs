@@ -9,7 +9,7 @@
 //! prospective `(key, mask)` as a full scan of the model's entries does, so the
 //! per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are pinned
 //! too.
-//! A run of headers through `FastPathBackend::lookup_run` must answer as the model's
+//! A run of headers through `TupleSpace::lookup_run` must answer as the model's
 //! lookups on each header in turn, up to and including the first miss, and leave the same
 //! counters behind.
 //! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
@@ -18,7 +18,6 @@
 //! the tuples to each other.
 
 use proptest::prelude::*;
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::rule::Action;
 use tse_classifier::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
 use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
@@ -221,7 +220,7 @@ fn run(ordering: MaskOrdering, ops: &[(u8, u128, u128, u8)]) -> Result<(), TestC
             },
             8 => {
                 // A run of one to four headers, times nondecreasing with a tie, through
-                // the backend seam against the model's Alg. 1 on each in turn, up to and
+                // `lookup_run` against the model's Alg. 1 on each in turn, up to and
                 // including the first miss; `check` then compares every hit count and
                 // `last_used` stamp the run left.
                 let headers = [a, b, a ^ b, a];
@@ -232,7 +231,7 @@ fn run(ordering: MaskOrdering, ops: &[(u8, u128, u128, u8)]) -> Result<(), TestC
                     .collect();
                 let run: Vec<(&Key, f64)> = run.iter().map(|(h, t)| (h, *t)).collect();
                 let mut out = [LookupOutcome::default(); 4];
-                let answered = FastPathBackend::lookup_run(&mut cache, &run, &mut out);
+                let answered = cache.lookup_run(&run, &mut out);
                 let mut expected = Vec::new();
                 for (i, &h) in headers[..run.len()].iter().enumerate() {
                     let (action, scanned) = model.lookup(h, run[i].1);

@@ -65,7 +65,10 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse-mitigation", 53, 1),
     ("tse-packet", 122, 4),
     ("tse-simnet", 132, 10),
-    ("tse-switch", 121, 5),
+    // One more than before: `FastPathKind`, its `name` and `DatapathBuilder::fast_path`
+    // replace the generic fast-path parameter (a trait, an adapter, three aliases and a
+    // builder method that swapped the type), and `DatapathBuilder::new` went private.
+    ("tse-switch", 122, 5),
 ];
 
 #[test]

@@ -2,8 +2,6 @@
 //! and mask-pressure caps — the defenses the sharded multi-PMD datapath makes possible
 //! and the composable [`Mitigation`] pipeline makes pluggable.
 
-use tse_classifier::backend::FastPathBackend;
-
 use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 
 /// The rotation both rekey stages share: a deterministic SplitMix64 key sequence, the
@@ -40,7 +38,7 @@ impl KeyRotation {
         }
     }
 
-    fn start<B: FastPathBackend>(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn start(&mut self, ctx: &mut MitigationCtx<'_>) {
         // Re-anchor the schedule at the new run's t = 0 (a reused runner's previous
         // run would otherwise leave `last_rotate` past the whole horizon and the
         // stage silently inert), and remember the entry key for restoration.
@@ -49,10 +47,7 @@ impl KeyRotation {
     }
 
     /// Rotate to the next key unless the last rotation is less than `period` ago.
-    fn rotate_if_due<B: FastPathBackend>(
-        &mut self,
-        ctx: &mut MitigationCtx<'_, B>,
-    ) -> Vec<MitigationAction> {
+    fn rotate_if_due(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         if ctx.now - self.last_rotate < self.period {
             return Vec::new();
         }
@@ -67,7 +62,7 @@ impl KeyRotation {
         }]
     }
 
-    fn finish<B: FastPathBackend>(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         // Restore the entry key: steering must not outlive the run on a reused
         // datapath (stranded cache entries still age out on their own, exactly like
         // after any mid-run rotation). Driven without `start`, there is nothing to
@@ -122,23 +117,23 @@ impl AdaptiveRekey {
     }
 }
 
-impl<B: FastPathBackend> Mitigation<B> for AdaptiveRekey {
+impl Mitigation for AdaptiveRekey {
     fn name(&self) -> &str {
         "adaptive-rekey"
     }
 
-    fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         self.rotation.start(ctx);
     }
 
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         if ctx.pressure.hottest_shard_mean() < self.threshold_pps {
             return Vec::new();
         }
         self.rotation.rotate_if_due(ctx)
     }
 
-    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         self.rotation.finish(ctx);
     }
 }
@@ -181,20 +176,20 @@ impl RssKeyRandomizer {
     }
 }
 
-impl<B: FastPathBackend> Mitigation<B> for RssKeyRandomizer {
+impl Mitigation for RssKeyRandomizer {
     fn name(&self) -> &str {
         "rss-rekey"
     }
 
-    fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         self.rotation.start(ctx);
     }
 
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         self.rotation.rotate_if_due(ctx)
     }
 
-    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         self.rotation.finish(ctx);
     }
 }
@@ -235,7 +230,7 @@ impl UpcallLimiter {
         self.quota
     }
 
-    fn arm<B: FastPathBackend>(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn arm(&mut self, ctx: &mut MitigationCtx<'_>) {
         for shard in 0..ctx.shard_count() {
             ctx.datapath
                 .shard_mut(shard)
@@ -245,12 +240,12 @@ impl UpcallLimiter {
     }
 }
 
-impl<B: FastPathBackend> Mitigation<B> for UpcallLimiter {
+impl Mitigation for UpcallLimiter {
     fn name(&self) -> &str {
         "upcall-limiter"
     }
 
-    fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         // Baseline from the live counters (not zero): a reused runner's shards carry
         // the previous run's cumulative denial totals.
         self.seen_denied = (0..ctx.shard_count())
@@ -259,7 +254,7 @@ impl<B: FastPathBackend> Mitigation<B> for UpcallLimiter {
         self.arm(ctx);
     }
 
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         let n = ctx.shard_count();
         // Tolerate a stack driven without on_start (the first interval then ran
         // unclamped): initialise the baseline from the current counters.
@@ -285,7 +280,7 @@ impl<B: FastPathBackend> Mitigation<B> for UpcallLimiter {
         actions
     }
 
-    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         // Disarm: the quota must not outlive the run on a reused datapath.
         for shard in 0..ctx.shard_count() {
             ctx.datapath
@@ -328,12 +323,12 @@ impl MaskCap {
     }
 }
 
-impl<B: FastPathBackend> Mitigation<B> for MaskCap {
+impl Mitigation for MaskCap {
     fn name(&self) -> &str {
         "mask-cap"
     }
 
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         let mut actions = Vec::new();
         for shard in 0..ctx.shard_count() {
             let dp = ctx.datapath.shard_mut(shard);
@@ -348,7 +343,7 @@ impl<B: FastPathBackend> Mitigation<B> for MaskCap {
             let excess = count - self.ceiling;
             let mut entries_removed = 0;
             for (mask, _) in usage.into_iter().take(excess) {
-                entries_removed += dp.megaflow_mut().evict_mask(&mask);
+                entries_removed += dp.megaflow_mut().remove_mask(&mask);
             }
             actions.push(MitigationAction::MaskCapped {
                 shard,
@@ -365,7 +360,6 @@ impl<B: FastPathBackend> Mitigation<B> for MaskCap {
 mod tests {
     use super::*;
     use tse_classifier::flowtable::FlowTable;
-    use tse_classifier::tss::TupleSpace;
     use tse_packet::fields::FieldSchema;
     use tse_switch::pmd::{ShardedDatapath, Steering};
 
@@ -384,11 +378,7 @@ mod tests {
 
     static DETACHED: crate::stack::PressureWindow = crate::stack::PressureWindow::detached();
 
-    fn ctx<'a>(
-        datapath: &'a mut ShardedDatapath,
-        now: f64,
-        zeros: &'a [f64],
-    ) -> MitigationCtx<'a, TupleSpace> {
+    fn ctx<'a>(datapath: &'a mut ShardedDatapath, now: f64, zeros: &'a [f64]) -> MitigationCtx<'a> {
         MitigationCtx {
             datapath,
             now,
@@ -408,17 +398,17 @@ mod tests {
         // Run 1: arm, rotate at t = 10, disarm.
         {
             let mut c = ctx(&mut dp, 0.0, &zeros);
-            Mitigation::<TupleSpace>::on_start(&mut rekey, &mut c);
+            Mitigation::on_start(&mut rekey, &mut c);
         }
         let actions = {
             let mut c = ctx(&mut dp, 10.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut rekey, &mut c)
+            Mitigation::on_sample(&mut rekey, &mut c)
         };
         assert_eq!(actions.len(), 1);
         assert_ne!(dp.hash_key(), tse_packet::rss::DEFAULT_HASH_KEY);
         {
             let mut c = ctx(&mut dp, 60.0, &zeros);
-            Mitigation::<TupleSpace>::on_finish(&mut rekey, &mut c);
+            Mitigation::on_finish(&mut rekey, &mut c);
         }
         assert_eq!(
             dp.hash_key(),
@@ -430,11 +420,11 @@ mod tests {
         // rotations off); the stage keeps defending.
         {
             let mut c = ctx(&mut dp, 0.0, &zeros);
-            Mitigation::<TupleSpace>::on_start(&mut rekey, &mut c);
+            Mitigation::on_start(&mut rekey, &mut c);
         }
         let actions = {
             let mut c = ctx(&mut dp, 10.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut rekey, &mut c)
+            Mitigation::on_sample(&mut rekey, &mut c)
         };
         assert_eq!(
             actions.len(),
@@ -453,7 +443,7 @@ mod tests {
             let mut log = Vec::new();
             for step in 1..=30 {
                 let mut c = ctx(dp, step as f64, &zeros);
-                log.extend(Mitigation::<TupleSpace>::on_sample(&mut rekey, &mut c));
+                log.extend(Mitigation::on_sample(&mut rekey, &mut c));
             }
             log
         };
@@ -495,7 +485,7 @@ mod tests {
         let mut pressure = PressureWindow::new(4, 3);
         {
             let mut c = ctx(&mut dp, 0.0, &zeros);
-            Mitigation::<TupleSpace>::on_start(&mut rekey, &mut c);
+            Mitigation::on_start(&mut rekey, &mut c);
         }
         let sample = |dp: &mut ShardedDatapath,
                       rekey: &mut AdaptiveRekey,
@@ -511,7 +501,7 @@ mod tests {
                 shard_busy_seconds: zeros,
                 pressure,
             };
-            Mitigation::<TupleSpace>::on_sample(rekey, &mut c)
+            Mitigation::on_sample(rekey, &mut c)
         };
         // Quiet window: no rotation, no matter how much time passes.
         pressure.push(&[0.0; 4]);
@@ -545,7 +535,7 @@ mod tests {
         // on_finish restores the entry key.
         {
             let mut c = ctx(&mut dp, 61.0, &zeros);
-            Mitigation::<TupleSpace>::on_finish(&mut rekey, &mut c);
+            Mitigation::on_finish(&mut rekey, &mut c);
         }
         assert_eq!(dp.hash_key(), tse_packet::rss::DEFAULT_HASH_KEY);
     }
@@ -559,7 +549,7 @@ mod tests {
         let mut limiter = UpcallLimiter::new(5);
         {
             let mut c = ctx(&mut dp, 0.0, &zeros);
-            Mitigation::<TupleSpace>::on_start(&mut limiter, &mut c);
+            Mitigation::on_start(&mut limiter, &mut c);
         }
         // 20 distinct deny keys, all pinned to shard 0: 5 install, 15 are denied.
         for i in 0..20u128 {
@@ -570,7 +560,7 @@ mod tests {
         }
         let actions = {
             let mut c = ctx(&mut dp, 1.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut limiter, &mut c)
+            Mitigation::on_sample(&mut limiter, &mut c)
         };
         assert_eq!(
             actions,
@@ -590,7 +580,7 @@ mod tests {
         }
         let actions = {
             let mut c = ctx(&mut dp, 2.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut limiter, &mut c)
+            Mitigation::on_sample(&mut limiter, &mut c)
         };
         assert!(actions.is_empty(), "under quota: no clamping reported");
         assert_eq!(dp.shard(0).slow_path().quota_denied_upcalls(), 15);
@@ -633,7 +623,7 @@ mod tests {
         let mut cap = MaskCap::new(20);
         let actions = {
             let mut c = ctx(&mut dp, 1.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut cap, &mut c)
+            Mitigation::on_sample(&mut cap, &mut c)
         };
         assert_eq!(actions.len(), 1);
         let MitigationAction::MaskCapped {
@@ -658,7 +648,7 @@ mod tests {
         // Under the ceiling: no action.
         let actions = {
             let mut c = ctx(&mut dp, 2.0, &zeros);
-            Mitigation::<TupleSpace>::on_sample(&mut cap, &mut c)
+            Mitigation::on_sample(&mut cap, &mut c)
         };
         assert!(actions.is_empty());
     }
@@ -673,16 +663,12 @@ mod tests {
         let mut dp = ShardedDatapath::new(table, 1, Steering::Pinned(0));
         let k = |v: u128| tse_packet::fields::Key::from_values(&schema, &[v]);
         // The Fig. 3 cache: three distinct masks (111, 100, 110), all with zero hits.
-        let backend = dp.shard_mut(0).megaflow_mut();
-        backend
+        let cache = dp.shard_mut(0).megaflow_mut();
+        cache
             .insert(k(0b001), k(0b111), Action::Allow, 0.0)
             .unwrap();
-        backend
-            .insert(k(0b100), k(0b100), Action::Deny, 0.0)
-            .unwrap();
-        backend
-            .insert(k(0b010), k(0b110), Action::Deny, 0.0)
-            .unwrap();
+        cache.insert(k(0b100), k(0b100), Action::Deny, 0.0).unwrap();
+        cache.insert(k(0b010), k(0b110), Action::Deny, 0.0).unwrap();
         let before: Vec<_> = dp.shard(0).megaflow().mask_usage();
         assert_eq!(before.len(), 3);
         assert!(before.iter().all(|(_, h)| *h == 0));
@@ -690,7 +676,7 @@ mod tests {
         let zeros = vec![0.0; 1];
         let mut cap = MaskCap::new(2);
         let mut c = ctx(&mut dp, 1.0, &zeros);
-        Mitigation::<TupleSpace>::on_sample(&mut cap, &mut c);
+        Mitigation::on_sample(&mut cap, &mut c);
         let after: Vec<_> = dp
             .shard(0)
             .megaflow()

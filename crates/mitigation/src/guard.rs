@@ -12,7 +12,6 @@
 //! deny rules are *suppressed*), so adversarial packets keep paying the slow-path price
 //! while the victim's fast path stays clean.
 
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::rule::Action;
 use tse_switch::datapath::Datapath;
 
@@ -103,9 +102,9 @@ impl MfcGuard {
     }
 
     /// Run one guard pass unconditionally (Alg. 2 lines 2–14).
-    pub fn run_once<B: FastPathBackend>(
+    pub fn run_once(
         &mut self,
-        datapath: &mut Datapath<B>,
+        datapath: &mut Datapath,
         now: f64,
         observed_attack_pps: f64,
     ) -> GuardReport {
@@ -117,17 +116,17 @@ impl MfcGuard {
     /// path (what `top` shows translated to a rate); it drives the projected-CPU exit
     /// condition.
     ///
-    /// Generic over the fast-path backend: the sweep goes through
-    /// [`FastPathBackend::evict_where`], so backends without per-traffic entries (the §7
-    /// baselines) are left untouched — their mask count never crosses the threshold.
+    /// The sweep removes entries from the shard's megaflow cache. Behind a §7 classifier
+    /// that cache stays empty, so its mask count never crosses the threshold and the pass
+    /// leaves the datapath untouched.
     ///
     /// This is the building block [`GuardMitigation`] uses to run one *independently
     /// configured* guard per shard, each with its own cadence and thresholds: a sharded
     /// datapath is guarded by one `MfcGuard` per shard, not by one guard over all of
     /// them.
-    pub fn maybe_run_on_shard<B: FastPathBackend>(
+    pub fn maybe_run_on_shard(
         &mut self,
-        datapath: &mut Datapath<B>,
+        datapath: &mut Datapath,
         now: f64,
         observed_attack_pps: f64,
         shard: usize,
@@ -139,9 +138,9 @@ impl MfcGuard {
     }
 
     /// One guard pass over one (shard's) datapath, recorded under `shard`.
-    fn run_pass<B: FastPathBackend>(
+    fn run_pass(
         &self,
-        datapath: &mut Datapath<B>,
+        datapath: &mut Datapath,
         now: f64,
         observed_attack_pps: f64,
         shard: usize,
@@ -167,7 +166,7 @@ impl MfcGuard {
                     .collect();
                 entries_removed = datapath
                     .megaflow_mut()
-                    .evict_where(&mut |entry| examines_target_field(entry, &target_fields));
+                    .remove_where(|entry| examines_target_field(entry, &target_fields));
                 if self.config.suppress_reinstall {
                     for r in deny_rules {
                         datapath.slow_path_mut().suppress_rule(r);
@@ -264,12 +263,12 @@ impl GuardMitigation {
     }
 }
 
-impl<B: FastPathBackend> Mitigation<B> for GuardMitigation {
+impl Mitigation for GuardMitigation {
     fn name(&self) -> &str {
         "mfcguard"
     }
 
-    fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         // A new run's clock restarts at zero: reset every per-shard guard's interval
         // gate so a reused runner is defended from the first interval, not gated off
         // by the previous run's final pass time.
@@ -279,7 +278,7 @@ impl<B: FastPathBackend> Mitigation<B> for GuardMitigation {
         }
     }
 
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         let n = ctx.shard_count();
         assert_eq!(ctx.shard_attack_pps.len(), n);
         self.ensure_guards(n);
@@ -489,8 +488,7 @@ mod tests {
             shard_busy_seconds: &zeros,
             pressure: &pressure,
         };
-        let actions =
-            Mitigation::<tse_classifier::tss::TupleSpace>::on_sample(&mut mitigation, &mut ctx);
+        let actions = Mitigation::on_sample(&mut mitigation, &mut ctx);
         assert_eq!(actions.len(), 2, "one sweep report per shard");
         let reports: Vec<GuardReport> = actions
             .iter()
@@ -525,7 +523,7 @@ mod tests {
             pressure: &pressure,
         };
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Mitigation::<tse_classifier::tss::TupleSpace>::on_sample(&mut stray, &mut ctx)
+            Mitigation::on_sample(&mut stray, &mut ctx)
         }))
         .expect_err("an override for shard 2 of a 2-shard datapath must panic");
         assert_eq!(

@@ -35,7 +35,6 @@
 
 use std::collections::VecDeque;
 
-use tse_classifier::backend::FastPathBackend;
 use tse_switch::pmd::ShardedDatapath;
 
 use crate::guard::GuardReport;
@@ -135,10 +134,10 @@ impl PressureWindow {
 /// One sample interval's view of the experiment, handed to every mitigation in the
 /// stack. All slices have one element per datapath shard.
 #[derive(Debug)]
-pub struct MitigationCtx<'a, B: FastPathBackend> {
+pub struct MitigationCtx<'a> {
     /// The (possibly sharded) datapath under defense. Mitigations mutate it through
     /// its public per-shard interface.
-    pub datapath: &'a mut ShardedDatapath<B>,
+    pub datapath: &'a mut ShardedDatapath,
     /// End of the sample interval just measured, in simulation seconds.
     pub now: f64,
     /// Length of the sample interval, seconds. Each shard's CPU budget for the
@@ -160,7 +159,7 @@ pub struct MitigationCtx<'a, B: FastPathBackend> {
     pub pressure: &'a PressureWindow,
 }
 
-impl<B: FastPathBackend> MitigationCtx<'_, B> {
+impl MitigationCtx<'_> {
     /// Number of datapath shards (PMD threads).
     pub fn shard_count(&self) -> usize {
         self.datapath.shard_count()
@@ -229,29 +228,29 @@ impl MitigationAction {
 /// randomness (e.g. the rekeying schedule) is derived from seeds fixed at
 /// construction, so a rerun of the same experiment reproduces the same action log.
 ///
-/// Stages are stored as `Box<dyn Mitigation<B> + Send>`, so a stack — and the
+/// Stages are stored as `Box<dyn Mitigation + Send>`, so a stack — and the
 /// experiment runner holding one — can cross threads alongside the sharded datapath it
 /// defends (the compile-time audit in `tests/send_audit.rs` covers this).
-pub trait Mitigation<B: FastPathBackend> {
+pub trait Mitigation {
     /// Short human-readable name for reports and stack listings.
     fn name(&self) -> &str;
 
     /// Called once before the first sample interval, with `ctx.now == 0` and zeroed
     /// telemetry — the place to arm per-shard state that must be in force *during*
     /// the first interval (e.g. install quotas). Defaults to doing nothing.
-    fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         let _ = ctx;
     }
 
     /// Called once at the end of every sample interval, after throughput accounting.
     /// Returns the actions taken (possibly none).
-    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction>;
+    fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction>;
 
     /// Called once after the final sample interval — the place to disarm per-shard
     /// state the mitigation installed into the datapath (e.g. install quotas), so the
     /// datapath leaves the run undefended exactly as it entered it. Defaults to doing
     /// nothing.
-    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    fn on_finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         let _ = ctx;
     }
 }
@@ -264,23 +263,23 @@ pub trait Mitigation<B: FastPathBackend> {
 /// sweeps them after the steering already moved. The combined action log preserves
 /// stage order within the interval.
 #[derive(Default)]
-pub struct MitigationStack<B: FastPathBackend> {
-    stages: Vec<Box<dyn Mitigation<B> + Send>>,
+pub struct MitigationStack {
+    stages: Vec<Box<dyn Mitigation + Send>>,
 }
 
-impl<B: FastPathBackend> MitigationStack<B> {
+impl MitigationStack {
     /// An empty stack (no defense; the runner's default).
     pub fn new() -> Self {
         MitigationStack { stages: Vec::new() }
     }
 
     /// Append a mitigation to the end of the pipeline.
-    pub fn push(&mut self, mitigation: impl Mitigation<B> + Send + 'static) {
+    pub fn push(&mut self, mitigation: impl Mitigation + Send + 'static) {
         self.stages.push(Box::new(mitigation));
     }
 
     /// Builder form of [`MitigationStack::push`].
-    pub fn with(mut self, mitigation: impl Mitigation<B> + Send + 'static) -> Self {
+    pub fn with(mut self, mitigation: impl Mitigation + Send + 'static) -> Self {
         self.push(mitigation);
         self
     }
@@ -301,14 +300,14 @@ impl<B: FastPathBackend> MitigationStack<B> {
     }
 
     /// Run every stage's [`Mitigation::on_start`] hook, in order.
-    pub fn on_start(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    pub fn on_start(&mut self, ctx: &mut MitigationCtx<'_>) {
         for stage in &mut self.stages {
             stage.on_start(ctx);
         }
     }
 
     /// Run every stage in order and concatenate their actions.
-    pub fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+    pub fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
         let mut actions = Vec::new();
         for stage in &mut self.stages {
             actions.extend(stage.on_sample(ctx));
@@ -317,14 +316,14 @@ impl<B: FastPathBackend> MitigationStack<B> {
     }
 
     /// Run every stage's [`Mitigation::on_finish`] hook, in order.
-    pub fn on_finish(&mut self, ctx: &mut MitigationCtx<'_, B>) {
+    pub fn on_finish(&mut self, ctx: &mut MitigationCtx<'_>) {
         for stage in &mut self.stages {
             stage.on_finish(ctx);
         }
     }
 }
 
-impl<B: FastPathBackend> std::fmt::Debug for MitigationStack<B> {
+impl std::fmt::Debug for MitigationStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("MitigationStack")
             .field(&self.names())
@@ -342,11 +341,11 @@ mod tests {
     /// A test mitigation that logs a rekey-shaped action every call.
     struct Tattle(u64);
 
-    impl<B: FastPathBackend> Mitigation<B> for Tattle {
+    impl Mitigation for Tattle {
         fn name(&self) -> &str {
             "tattle"
         }
-        fn on_sample(&mut self, ctx: &mut MitigationCtx<'_, B>) -> Vec<MitigationAction> {
+        fn on_sample(&mut self, ctx: &mut MitigationCtx<'_>) -> Vec<MitigationAction> {
             vec![MitigationAction::Rekeyed {
                 time: ctx.now,
                 old_key: self.0,
@@ -368,8 +367,7 @@ mod tests {
     #[test]
     fn stack_runs_stages_in_order() {
         let mut datapath = ctx_fixture();
-        let mut stack: MitigationStack<tse_classifier::tss::TupleSpace> =
-            MitigationStack::new().with(Tattle(10)).with(Tattle(20));
+        let mut stack: MitigationStack = MitigationStack::new().with(Tattle(10)).with(Tattle(20));
         assert_eq!(stack.names(), vec!["tattle", "tattle"]);
         assert_eq!(stack.len(), 2);
         let zeros = [0.0, 0.0];
@@ -405,7 +403,7 @@ mod tests {
     #[test]
     fn empty_stack_is_a_no_op() {
         let mut datapath = ctx_fixture();
-        let mut stack: MitigationStack<tse_classifier::tss::TupleSpace> = MitigationStack::new();
+        let mut stack: MitigationStack = MitigationStack::new();
         assert!(stack.is_empty());
         let zeros = [0.0, 0.0];
         let pressure = PressureWindow::detached();

@@ -28,9 +28,7 @@
 //! runner (asserted bit-for-bit by `tests/golden_runner_parity.rs`).
 
 use tse_attack::source::{EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource};
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
-use tse_classifier::tss::TupleSpace;
 use tse_mitigation::stack::{Mitigation, MitigationAction, MitigationCtx, MitigationStack};
 use tse_packet::fields::Key;
 use tse_packet::wire::WireFault;
@@ -258,10 +256,10 @@ pub trait RunObserver {
 /// The observer [`ExperimentRunner::run_mix`] runs under: it does nothing.
 impl RunObserver for () {}
 
-/// The experiment runner, generic over the datapath's fast-path backend — a Fig. 8
-/// timeline can be produced for the TSS cache (the default) or for any of the §7
-/// attack-immune baselines, which is how the backend comparison of Fig. 9 is run
-/// through the real pipeline instead of bare classify loops.
+/// The experiment runner — a Fig. 8 timeline can be produced for the TSS cache (the
+/// default) or for a datapath built with any of the §7 attack-immune classifiers
+/// ([`FastPathKind`](tse_switch::datapath::FastPathKind)), which is how the comparison
+/// of Fig. 9 is run through the real pipeline instead of bare classify loops.
 ///
 /// The datapath under test is a [`ShardedDatapath`]: [`ExperimentRunner::new`] wraps a
 /// plain [`Datapath`] as a single shard (bit-for-bit the monolithic behaviour, see
@@ -273,9 +271,9 @@ impl RunObserver for () {}
 /// (see [`ExperimentRunner::run_mix`]); [`ExperimentRunner::run`] is the
 /// one-attacker-plus-stored-victims entry point, a shim over the mix form.
 #[derive(Debug)]
-pub struct ExperimentRunner<B: FastPathBackend = TupleSpace> {
+pub struct ExperimentRunner {
     /// The (possibly sharded) hypervisor datapath under test.
-    pub datapath: ShardedDatapath<B>,
+    pub datapath: ShardedDatapath,
     /// Victim flows used by the [`ExperimentRunner::run`] shim (wrapped into
     /// [`VictimSource`]s; [`ExperimentRunner::run_mix`] ignores them).
     pub victims: Vec<VictimFlow>,
@@ -283,7 +281,7 @@ pub struct ExperimentRunner<B: FastPathBackend = TupleSpace> {
     pub offload: OffloadConfig,
     /// The ordered mitigation pipeline protecting the datapath, invoked once per
     /// sample interval (empty by default — no defense).
-    pub mitigations: MitigationStack<B>,
+    pub mitigations: MitigationStack,
     /// Sampling/measurement interval in seconds.
     pub sample_interval: f64,
     /// Telemetry recording configuration ([`TelemetryConfig::default`] keeps every
@@ -298,17 +296,17 @@ pub struct ExperimentRunner<B: FastPathBackend = TupleSpace> {
     table_updates: Vec<(f64, FlowTable)>,
 }
 
-impl<B: FastPathBackend> ExperimentRunner<B> {
+impl ExperimentRunner {
     /// Create a runner over a monolithic datapath (wrapped as one shard) with a
     /// 1-second sampling interval and no guard.
-    pub fn new(datapath: Datapath<B>, victims: Vec<VictimFlow>, offload: OffloadConfig) -> Self {
+    pub fn new(datapath: Datapath, victims: Vec<VictimFlow>, offload: OffloadConfig) -> Self {
         Self::sharded(ShardedDatapath::single(datapath), victims, offload)
     }
 
     /// Create a runner over a sharded multi-PMD datapath with a 1-second sampling
     /// interval and no guard.
     pub fn sharded(
-        datapath: ShardedDatapath<B>,
+        datapath: ShardedDatapath,
         victims: Vec<VictimFlow>,
         offload: OffloadConfig,
     ) -> Self {
@@ -367,7 +365,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
 
     /// Append a mitigation to the runner's defense pipeline (builder form; stages run
     /// in the order they were added, once per sample interval).
-    pub fn with_mitigation(mut self, mitigation: impl Mitigation<B> + Send + 'static) -> Self {
+    pub fn with_mitigation(mut self, mitigation: impl Mitigation + Send + 'static) -> Self {
         self.mitigations.push(mitigation);
         self
     }
@@ -569,7 +567,7 @@ impl<B: FastPathBackend> ExperimentRunner<B> {
         shard_attack_pps: &[f64],
         shard_delivered_pps: &[f64],
         shard_busy_seconds: &[f64],
-        hook: impl FnOnce(&mut MitigationStack<B>, &mut MitigationCtx<'_, B>) -> R,
+        hook: impl FnOnce(&mut MitigationStack, &mut MitigationCtx<'_>) -> R,
     ) -> R {
         let mut ctx = MitigationCtx {
             datapath: &mut self.datapath,

@@ -7,33 +7,31 @@
 //! hands the classifier a header key — a concrete packet or a frame is reduced to its key
 //! first ([`FlowKey::checked_key`]) — so a packet *is* its key.
 //!
-//! The fast path is pluggable: [`Datapath`] is generic over any
-//! [`FastPathBackend`] — the TSS megaflow cache ([`TupleSpace`], the default and the
-//! structure the TSE attack explodes, probed newest-first) or one of the §7
-//! attack-immune baselines wrapped in `BaselineBackend`. Construction goes through
-//! [`DatapathBuilder`]:
+//! A [`Datapath`] always owns its TSS megaflow cache ([`TupleSpace`], probed
+//! newest-first: the structure the TSE attack explodes). For the §7 / Fig. 9 comparison a
+//! [`FastPathKind`] other than [`FastPathKind::Tss`] puts one of the attack-immune
+//! classifiers (linear search, hierarchical tries, HyperCuts), built from the flow table,
+//! in front of the cache: it answers every lookup, so the cache stays empty. Construction
+//! goes through [`DatapathBuilder`]:
 //!
 //! ```
-//! use tse_classifier::backend::TrieBackend;
 //! use tse_classifier::flowtable::FlowTable;
-//! use tse_switch::datapath::Datapath;
+//! use tse_switch::datapath::{Datapath, FastPathKind};
 //!
 //! let table = FlowTable::fig1_hyp();
 //! // Default TSS fast path:
 //! let tss_dp = Datapath::builder(table.clone()).build();
-//! // Same pipeline over a hierarchical-trie fast path:
-//! let trie_dp = Datapath::builder(table).backend_fresh::<TrieBackend>().build();
+//! // Same pipeline with a hierarchical trie answering in front of the cache:
+//! let trie_dp = Datapath::builder(table).fast_path(FastPathKind::Trie).build();
 //! # assert_eq!(tss_dp.mask_count(), 0);
 //! # assert_eq!(trie_dp.mask_count(), 0);
 //! ```
 
-use std::marker::PhantomData;
-
-use tse_classifier::backend::FastPathBackend;
+use tse_classifier::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
 use tse_classifier::strategy::MegaflowStrategy;
-use tse_classifier::tss::{LookupOutcome, TupleSpace};
+use tse_classifier::tss::{LookupOutcome, MaskOrdering, TupleSpace};
 use tse_packet::fields::Key;
 use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
@@ -50,8 +48,8 @@ pub const DEFAULT_IDLE_TIMEOUT: f64 = 10.0;
 /// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
 const REVALIDATION_INTERVAL: f64 = 1.0;
 
-/// The longest run of events the batch core hands [`FastPathBackend::lookup_run`] at once:
-/// as many as [`TupleSpace`] walks its probe lane for together.
+/// The longest run of events the batch core hands [`TupleSpace::lookup_run`] at once: as
+/// many as it walks its probe lane for together.
 const RUN: usize = 4;
 
 /// Result of processing one packet through the datapath.
@@ -64,7 +62,7 @@ pub struct ProcessOutcome {
     /// Simulated processing time in seconds.
     pub cost: f64,
     /// Fast-path work units for this packet (megaflow masks scanned for TSS, nodes
-    /// visited for the baseline backends; 0 for unclassified packets).
+    /// visited + rules compared for a §7 classifier; 0 for unclassified packets).
     pub masks_scanned: usize,
 }
 
@@ -75,7 +73,7 @@ pub struct ProcessOutcome {
 /// [`Datapath::process_key`] loop would: every event performs a real fast-path lookup
 /// (so per-entry hit counters evolve identically), and the idle-expiry sweep is checked
 /// per event. Consecutive fast-path hits are looked up a run at a time
-/// ([`FastPathBackend::lookup_run`]); a run ends at a miss, whose upcall comes before the
+/// ([`TupleSpace::lookup_run`]); a run ends at a miss, whose upcall comes before the
 /// next lookup, and where a sweep is due. Only host time and the statistics bookkeeping
 /// are amortised — the latter accumulated batch-locally, in event order, and merged once.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -96,100 +94,163 @@ pub struct BatchReport {
     pub max_masks_scanned: usize,
 }
 
-/// A single software-switch datapath instance (one hypervisor switch shared by all
-/// co-located tenants), generic over the fast-path backend `B`.
-///
-/// Megaflows idle out after [`DEFAULT_IDLE_TIMEOUT`], swept once per revalidation
-/// interval (1 s), and every packet is priced by [`CostModel::ovs_kernel_default`].
-#[derive(Debug, Clone)]
-pub struct Datapath<B: FastPathBackend = TupleSpace> {
-    table: FlowTable,
-    slow_path: SlowPath,
-    megaflow: B,
-    stats: DatapathStats,
-    last_sweep: f64,
+/// Which structure answers a datapath's fast-path lookups: the TSS megaflow cache alone
+/// (the default), or one of the §7 attack-immune classifiers in front of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FastPathKind {
+    /// The TSS megaflow cache, filled by the slow path (OVS's datapath).
+    Tss,
+    /// Priority-ordered linear search over the rules.
+    LinearSearch,
+    /// Hierarchical tries (per-field prefix masks only).
+    Trie,
+    /// The HyperCuts decision tree.
+    HyperCuts,
 }
 
-/// Fluent constructor for [`Datapath`]: choose the wildcarding strategy and swap the
-/// fast-path backend, both from defaults.
-#[derive(Debug, Clone)]
-pub struct DatapathBuilder<B: FastPathBackend = TupleSpace> {
-    table: FlowTable,
-    strategy: Option<MegaflowStrategy>,
-    backend: PhantomData<fn() -> B>,
-}
-
-impl DatapathBuilder<TupleSpace> {
-    /// Start building a datapath over `table` with the default TSS backend.
-    pub fn new(table: FlowTable) -> Self {
-        DatapathBuilder {
-            table,
-            strategy: None,
-            backend: PhantomData,
+impl FastPathKind {
+    /// Short name for reports and figure legends.
+    pub fn name(self) -> &'static str {
+        match self {
+            FastPathKind::Tss => "tss",
+            FastPathKind::LinearSearch => "linear-search",
+            FastPathKind::Trie => "hierarchical-trie",
+            FastPathKind::HyperCuts => "hypercuts",
         }
     }
 }
 
-impl<B: FastPathBackend> DatapathBuilder<B> {
+/// A §7 classifier built from the flow table. It supports wildcard rules natively and
+/// classifies exactly as the table does, so a header it misses is one no rule matches:
+/// its upcall installs nothing, and the megaflow cache behind it stays empty.
+#[derive(Debug, Clone)]
+enum Baseline {
+    LinearSearch(LinearSearch),
+    Trie(HierarchicalTrie),
+    HyperCuts(HyperCuts),
+}
+
+impl Baseline {
+    /// The classifier `kind` names, built from `table`; `None` for TSS.
+    fn build(kind: FastPathKind, table: &FlowTable) -> Option<Self> {
+        Some(match kind {
+            FastPathKind::Tss => return None,
+            FastPathKind::LinearSearch => Baseline::LinearSearch(LinearSearch::build(table)),
+            FastPathKind::Trie => Baseline::Trie(HierarchicalTrie::build(table)),
+            FastPathKind::HyperCuts => Baseline::HyperCuts(HyperCuts::build(table)),
+        })
+    }
+
+    fn kind(&self) -> FastPathKind {
+        match self {
+            Baseline::LinearSearch(_) => FastPathKind::LinearSearch,
+            Baseline::Trie(_) => FastPathKind::Trie,
+            Baseline::HyperCuts(_) => FastPathKind::HyperCuts,
+        }
+    }
+
+    /// The lookup's verdict and work (nodes visited + rules compared) as a fast-path
+    /// outcome. Nothing is cached, so the work does not depend on the traffic.
+    fn lookup(&self, header: &Key) -> LookupOutcome {
+        let c = match self {
+            Baseline::LinearSearch(c) => c.classify(header),
+            Baseline::Trie(c) => c.classify(header),
+            Baseline::HyperCuts(c) => c.classify(header),
+        };
+        LookupOutcome {
+            action: c.action,
+            masks_scanned: c.work,
+        }
+    }
+}
+
+/// A single software-switch datapath instance (one hypervisor switch shared by all
+/// co-located tenants).
+///
+/// Megaflows idle out after [`DEFAULT_IDLE_TIMEOUT`], swept once per revalidation
+/// interval (1 s), and every packet is priced by [`CostModel::ovs_kernel_default`].
+#[derive(Debug, Clone)]
+pub struct Datapath {
+    table: FlowTable,
+    slow_path: SlowPath,
+    megaflow: TupleSpace,
+    /// The §7 classifier answering in front of `megaflow`, if one was chosen.
+    baseline: Option<Baseline>,
+    stats: DatapathStats,
+    last_sweep: f64,
+}
+
+/// Fluent constructor for [`Datapath`]: choose the wildcarding strategy and the fast
+/// path, both from defaults.
+#[derive(Debug, Clone)]
+pub struct DatapathBuilder {
+    table: FlowTable,
+    strategy: Option<MegaflowStrategy>,
+    fast_path: FastPathKind,
+}
+
+impl DatapathBuilder {
+    fn new(table: FlowTable) -> Self {
+        DatapathBuilder {
+            table,
+            strategy: None,
+            fast_path: FastPathKind::Tss,
+        }
+    }
+
     /// Megaflow-generation strategy (default: bit-level wildcarding, OVS's behaviour).
     pub fn strategy(mut self, strategy: MegaflowStrategy) -> Self {
         self.strategy = Some(strategy);
         self
     }
 
-    /// Use a freshly constructed backend of type `B2` as the fast path:
-    /// `builder.backend_fresh::<TrieBackend>()`.
-    pub fn backend_fresh<B2: FastPathBackend>(self) -> DatapathBuilder<B2> {
-        DatapathBuilder {
-            table: self.table,
-            strategy: self.strategy,
-            backend: PhantomData,
-        }
+    /// The structure that answers fast-path lookups (default: [`FastPathKind::Tss`]).
+    pub fn fast_path(mut self, kind: FastPathKind) -> Self {
+        self.fast_path = kind;
+        self
     }
 
-    /// Finalise: construct the backend, install the flow table into it, and assemble
-    /// the datapath.
-    pub fn build(self) -> Datapath<B> {
+    /// Finalise: an empty megaflow cache probed newest-first
+    /// ([`MaskOrdering::NewestFirst`], the regime of Fig. 8a/9a), the chosen classifier
+    /// built from the flow table, and the datapath around them.
+    pub fn build(self) -> Datapath {
         let schema = self.table.schema();
-        let mut megaflow = B::fresh(schema);
-        megaflow.install_table(&self.table);
         let strategy = self
             .strategy
             .unwrap_or_else(|| MegaflowStrategy::wildcarding(schema));
         Datapath {
             slow_path: SlowPath::new(strategy),
+            megaflow: TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst),
+            baseline: Baseline::build(self.fast_path, &self.table),
             stats: DatapathStats::default(),
             last_sweep: 0.0,
             table: self.table,
-            megaflow,
         }
     }
 }
 
-impl Datapath<TupleSpace> {
+impl Datapath {
     /// Create a TSS datapath with the OVS-default wildcarding strategy — shorthand for
     /// `Datapath::builder(table).build()`.
     pub fn new(table: FlowTable) -> Self {
         Datapath::builder(table).build()
     }
 
-    /// Start a [`DatapathBuilder`] over `table` (default backend: [`TupleSpace`]).
-    pub fn builder(table: FlowTable) -> DatapathBuilder<TupleSpace> {
+    /// Start a [`DatapathBuilder`] over `table` (default fast path: [`FastPathKind::Tss`]).
+    pub fn builder(table: FlowTable) -> DatapathBuilder {
         DatapathBuilder::new(table)
     }
-}
 
-impl<B: FastPathBackend> Datapath<B> {
     /// The installed flow table (the merged ACLs of all tenants).
     pub fn table(&self) -> &FlowTable {
         &self.table
     }
 
     /// Replace the flow table (e.g. when a tenant injects a new ACL mid-experiment, as in
-    /// the Kubernetes timeline of Fig. 8c). Traffic-driven backends are revalidated:
-    /// all entries are flushed, exactly as OVS does on a flow-table change; table-built
-    /// backends rebuild their structure. A suppressed rule stays suppressed wherever the
-    /// new table puts it, and is forgotten if the new table drops it.
+    /// the Kubernetes timeline of Fig. 8c). The megaflow cache is revalidated: all
+    /// entries are flushed, exactly as OVS does on a flow-table change; a §7 classifier
+    /// is rebuilt from the new table. A suppressed rule stays suppressed wherever the new
+    /// table puts it, and is forgotten if the new table drops it.
     pub fn install_table(&mut self, table: FlowTable) {
         assert_eq!(
             table.schema(),
@@ -198,17 +259,20 @@ impl<B: FastPathBackend> Datapath<B> {
         );
         let old = std::mem::replace(&mut self.table, table);
         self.slow_path.carry_suppression(&old, &self.table);
-        self.megaflow.install_table(&self.table);
+        self.megaflow.clear();
+        if let Some(kind) = self.baseline.as_ref().map(Baseline::kind) {
+            self.baseline = Baseline::build(kind, &self.table);
+        }
     }
 
-    /// The fast-path backend (read-only).
-    pub fn megaflow(&self) -> &B {
+    /// The megaflow cache (read-only).
+    pub fn megaflow(&self) -> &TupleSpace {
         &self.megaflow
     }
 
-    /// Mutable access to the fast-path backend — this is the interface MFCGuard uses to
+    /// Mutable access to the megaflow cache — this is the interface MFCGuard uses to
     /// wipe entries (the real tool drives `ovs-dpctl del-flow`).
-    pub fn megaflow_mut(&mut self) -> &mut B {
+    pub fn megaflow_mut(&mut self) -> &mut TupleSpace {
         &mut self.megaflow
     }
 
@@ -222,12 +286,12 @@ impl<B: FastPathBackend> Datapath<B> {
         &mut self.slow_path
     }
 
-    /// Current number of megaflow masks (0 for backends without a mask list).
+    /// Current number of megaflow masks (0 behind a §7 classifier).
     pub fn mask_count(&self) -> usize {
         self.megaflow.mask_count()
     }
 
-    /// Current number of megaflow entries (0 for table-built backends).
+    /// Current number of megaflow entries (0 behind a §7 classifier).
     pub fn entry_count(&self) -> usize {
         self.megaflow.entry_count()
     }
@@ -346,10 +410,10 @@ impl<B: FastPathBackend> Datapath<B> {
     /// The batch core: classify each `(header, wire_bytes, time)` in order, recording
     /// into a batch-local accumulator that is merged into the datapath's stats once.
     ///
-    /// After a hit the events go to the fast path in runs ([`FastPathBackend::lookup_run`]),
-    /// and the run doubles, up to [`RUN`] events, while every event of it hits; a miss
-    /// drops it back to one event, so a stream of upcalls never looks a header up ahead of
-    /// its turn. A run ends early where the next event would run the idle-expiry sweep,
+    /// After a hit the events go to the fast path in runs ([`TupleSpace::lookup_run`]; a §7
+    /// classifier answers a run's first event alone), and the run doubles, up to [`RUN`]
+    /// events, while every event of it hits; a miss drops it back to one event, so a
+    /// stream of upcalls never looks a header up ahead of its turn. A run ends early where the next event would run the idle-expiry sweep,
     /// and at its first miss: that event's upcall is made, and the events behind it are
     /// classified one by one. Each event is then resolved and recorded in order.
     fn process_events<'a>(
@@ -393,7 +457,13 @@ impl<B: FastPathBackend> Datapath<B> {
             }
             let mut looked = [LookupOutcome::default(); RUN];
             let keys = run.map(|(header, _, now)| (header, now));
-            let answered = self.megaflow.lookup_run(&keys[..len], &mut looked[..len]);
+            let answered = match &self.baseline {
+                None => self.megaflow.lookup_run(&keys[..len], &mut looked[..len]),
+                Some(baseline) => {
+                    looked[0] = baseline.lookup(header);
+                    1
+                }
+            };
             let mut hits = true;
             for (i, &(header, bytes, now)) in run[..len].iter().enumerate() {
                 // The events behind a miss: no sweep is due before the run's end, so
@@ -421,14 +491,17 @@ impl<B: FastPathBackend> Datapath<B> {
         }
     }
 
-    /// The one classification core — the fast-path backend and, on a miss, the slow
-    /// path (Fig. 10) — for a header at `now`. Every entry point, per key or batched,
+    /// The one classification core — the fast path and, on a miss, the slow path
+    /// (Fig. 10) — for a header at `now`. Every entry point, per key or batched,
     /// classifies through here (a run of hits through its second half, [`Self::resolve`])
     /// and hands the outcome to [`record`], so a per-key call is a batch of one by
     /// construction.
     fn classify(&mut self, header: &Key, now: f64) -> ProcessOutcome {
-        // The fast-path backend (TSS Alg. 1, or a baseline classifier).
-        let lookup = self.megaflow.lookup(header, now);
+        // TSS Alg. 1, or the §7 classifier in front of the cache.
+        let lookup = match &self.baseline {
+            None => self.megaflow.lookup(header, now),
+            Some(baseline) => baseline.lookup(header),
+        };
         self.resolve(lookup, header, now)
     }
 
@@ -439,10 +512,14 @@ impl<B: FastPathBackend> Datapath<B> {
             return outcome(action, PathTaken::Megaflow, lookup.masks_scanned);
         }
         // Slow path (upcall). A header no rule matches is dropped.
-        let action = self
+        let upcall = self
             .slow_path
-            .handle_upcall(&self.table, &mut self.megaflow, header, now)
-            .map_or(Action::Deny, |up| up.action);
+            .handle_upcall(&self.table, &mut self.megaflow, header, now);
+        debug_assert!(
+            self.baseline.is_none() || !upcall.is_some_and(|up| up.installed),
+            "an upcall behind a §7 classifier installed a megaflow"
+        );
+        let action = upcall.map_or(Action::Deny, |up| up.action);
         outcome(action, PathTaken::SlowPath, lookup.masks_scanned)
     }
 }
@@ -477,8 +554,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tse_attack::scenarios::Scenario;
-    use tse_classifier::backend::{LinearSearchBackend, TrieBackend};
     use tse_classifier::flowtable::FlowTable;
+    use tse_classifier::rule::Rule;
     use tse_packet::builder::PacketBuilder;
     use tse_packet::fields::FieldSchema;
 
@@ -610,16 +687,74 @@ mod tests {
         assert_eq!(dp.stats().upcalls, 2);
     }
 
+    /// The three §7 classifiers.
+    const BASELINES: [FastPathKind; 3] = [
+        FastPathKind::LinearSearch,
+        FastPathKind::Trie,
+        FastPathKind::HyperCuts,
+    ];
+
+    #[test]
+    fn baseline_backends_classify_like_the_table() {
+        let table = FlowTable::fig1_hyp();
+        for kind in BASELINES {
+            let mut dp = Datapath::builder(table.clone()).fast_path(kind).build();
+            for h in 0..8u128 {
+                let header = Key::from_values(table.schema(), &[h]);
+                let expect = table.lookup(&header).map(|m| m.action);
+                let got = dp.process_key(&header, 100, 0.0);
+                assert_eq!(Some(got.action), expect, "{} on {h:03b}", kind.name());
+                // Every lookup answers on the fast path; nothing reaches the slow path.
+                assert_eq!(got.path, PathTaken::Megaflow, "{} on {h:03b}", kind.name());
+            }
+            assert_eq!(dp.stats().upcalls, 0);
+            assert_eq!((dp.mask_count(), dp.entry_count()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn install_table_rebuilds_the_classifier() {
+        let table = FlowTable::fig1_hyp();
+        let schema = table.schema().clone();
+        let deny = Key::from_values(&schema, &[0b111]);
+        let mut dp = Datapath::builder(table)
+            .fast_path(FastPathKind::HyperCuts)
+            .build();
+        assert_eq!(dp.process_key(&deny, 100, 0.0).action, Action::Deny);
+        let mut allow_all = FlowTable::new(schema.clone());
+        allow_all.push(Rule::match_all(&schema, 0, Action::Allow));
+        dp.install_table(allow_all);
+        assert_eq!(dp.process_key(&deny, 100, 1.0).action, Action::Allow);
+        assert_eq!(dp.stats().upcalls, 0);
+    }
+
+    #[test]
+    fn baseline_work_is_traffic_independent() {
+        let table = FlowTable::fig1_hyp();
+        let key = |h: u128| Key::from_values(table.schema(), &[h]);
+        for kind in BASELINES {
+            let mut dp = Datapath::builder(table.clone()).fast_path(kind).build();
+            let w0 = dp.process_key(&key(0b000), 64, 0.0).masks_scanned;
+            for h in 0..8u128 {
+                for _ in 0..10 {
+                    dp.process_key(&key(h), 64, 0.0);
+                }
+            }
+            let w1 = dp.process_key(&key(0b000), 64, 1.0).masks_scanned;
+            assert_eq!(w1, w0, "{}", kind.name());
+        }
+    }
+
     #[test]
     fn builder_swaps_backends() {
         let table = FlowTable::fig1_hyp();
         let schema = table.schema().clone();
         let mut dp = Datapath::builder(table)
-            .backend_fresh::<LinearSearchBackend>()
+            .fast_path(FastPathKind::LinearSearch)
             .build();
         let allow = Key::from_values(&schema, &[0b001]);
         let deny = Key::from_values(&schema, &[0b111]);
-        // Table-built backend: every lookup hits, nothing reaches the slow path.
+        // A §7 classifier answers every lookup; nothing reaches the slow path.
         assert_eq!(dp.process_key(&allow, 100, 0.0).action, Action::Allow);
         assert_eq!(dp.process_key(&deny, 100, 0.0).action, Action::Deny);
         assert_eq!(dp.stats().upcalls, 0);
@@ -631,7 +766,7 @@ mod tests {
     fn trie_backend_work_stays_flat_under_attack() {
         let table = fig6_table();
         let mut dp = Datapath::builder(table)
-            .backend_fresh::<TrieBackend>()
+            .fast_path(FastPathKind::Trie)
             .build();
         let victim = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
         let baseline_work = dp.process_packet(&victim, 0.0).masks_scanned;
@@ -757,7 +892,7 @@ mod tests {
     }
 
     proptest! {
-        /// The batch core's runs of hits ([`FastPathBackend::lookup_run`]) against a
+        /// The batch core's runs of hits ([`TupleSpace::lookup_run`]) against a
         /// `process_key` loop on an exploded cache: resident keys hit, fresh keys take an
         /// upcall, timestamps tie, and the batch spans four revalidation intervals around
         /// the idle timeout, so sweeps expire the `t = 0` entries in the middle of it.

@@ -37,7 +37,9 @@ pub mod stats;
 pub mod tenant;
 
 pub use cost::CostModel;
-pub use datapath::{BatchReport, Datapath, DatapathBuilder, ProcessOutcome, DEFAULT_IDLE_TIMEOUT};
+pub use datapath::{
+    BatchReport, Datapath, DatapathBuilder, FastPathKind, ProcessOutcome, DEFAULT_IDLE_TIMEOUT,
+};
 pub use exec::{
     ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
 };

@@ -34,9 +34,7 @@
 //! [`ShardedDatapath::process_timed_batch_prepartitioned`] the one-run case over a
 //! partition the caller computed ahead of dispatch.
 
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
-use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::{FieldSchema, Key};
 use tse_packet::flowkey::FlowKey;
 use tse_packet::rss::{self, RssHasher};
@@ -258,12 +256,12 @@ impl ShardedBatchReport {
 }
 
 /// N per-shard datapaths behind a [`Steering`] policy — the multi-PMD form of
-/// [`Datapath`]. Generic over the same fast-path backend `B`; every shard runs an
-/// identical configuration over an identical flow table, but owns private megaflow
+/// [`Datapath`]. Every shard runs an identical configuration over an identical flow
+/// table, but owns private megaflow
 /// state, private statistics and (in the experiment runner) a private CPU budget.
 #[derive(Debug, Clone)]
-pub struct ShardedDatapath<B: FastPathBackend = TupleSpace> {
-    shards: Vec<Datapath<B>>,
+pub struct ShardedDatapath {
+    shards: Vec<Datapath>,
     /// The steering function in effect ([`ShardedDatapath::rekey`] rotates its hash
     /// key).
     steer: SteeringView,
@@ -274,14 +272,20 @@ pub struct ShardedDatapath<B: FastPathBackend = TupleSpace> {
     prep: Prepartition,
 }
 
-impl<B: FastPathBackend> ShardedDatapath<B> {
+impl ShardedDatapath {
+    /// `n_shards` TSS datapaths over `table` with default configuration behind `steering`
+    /// — shorthand for `ShardedDatapath::from_builder(Datapath::builder(table), ..)`.
+    pub fn new(table: FlowTable, n_shards: usize, steering: Steering) -> Self {
+        ShardedDatapath::from_builder(Datapath::builder(table), n_shards, steering)
+    }
+
     /// Wrap an existing datapath as a single shard. This is the compatibility form:
     /// every entry point behaves bit-for-bit like the wrapped [`Datapath`].
-    pub fn single(datapath: Datapath<B>) -> Self {
+    pub fn single(datapath: Datapath) -> Self {
         Self::from_shards(vec![datapath], Steering::Rss)
     }
 
-    fn from_shards(shards: Vec<Datapath<B>>, steering: Steering) -> Self {
+    fn from_shards(shards: Vec<Datapath>, steering: Steering) -> Self {
         ShardedDatapath {
             steer: SteeringView::new(steering, shards[0].table().schema(), shards.len()),
             executor: Box::new(SequentialExecutor),
@@ -291,15 +295,12 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Build `n_shards` identical datapaths from one builder (each shard gets its own
-    /// fresh backend) behind `steering`. The last shard takes the builder itself, so
+    /// megaflow cache) behind `steering`. The last shard takes the builder itself, so
     /// `n_shards - 1` copies of the flow table are made, not `n_shards`.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero or a [`Steering::Pinned`] target is out of range.
-    pub fn from_builder(builder: DatapathBuilder<B>, n_shards: usize, steering: Steering) -> Self
-    where
-        DatapathBuilder<B>: Clone,
-    {
+    pub fn from_builder(builder: DatapathBuilder, n_shards: usize, steering: Steering) -> Self {
         assert!(n_shards > 0, "shard count must be positive");
         let mut shards: Vec<_> = (1..n_shards).map(|_| builder.clone().build()).collect();
         shards.push(builder.build());
@@ -332,7 +333,7 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// run through it).
     pub fn for_each_shard<R: Send>(
         &mut self,
-        f: impl Fn(usize, &mut Datapath<B>) -> R + Sync,
+        f: impl Fn(usize, &mut Datapath) -> R + Sync,
     ) -> Vec<R> {
         self.executor.for_each_shard(&mut self.shards, f)
     }
@@ -344,14 +345,14 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     pub fn for_each_shard_with<S: Send, R: Send>(
         &mut self,
         per_shard: &mut [S],
-        f: impl Fn(usize, &mut Datapath<B>, &mut S) -> R + Sync,
+        f: impl Fn(usize, &mut Datapath, &mut S) -> R + Sync,
     ) -> Vec<R> {
         assert_eq!(
             per_shard.len(),
             self.shards.len(),
             "one external state slot per shard"
         );
-        let mut pairs: Vec<(&mut Datapath<B>, &mut S)> =
+        let mut pairs: Vec<(&mut Datapath, &mut S)> =
             self.shards.iter_mut().zip(per_shard.iter_mut()).collect();
         self.executor
             .for_each_shard(&mut pairs, |i, (shard, state)| f(i, shard, state))
@@ -383,12 +384,12 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Shard `i` (read-only).
-    pub fn shard(&self, i: usize) -> &Datapath<B> {
+    pub fn shard(&self, i: usize) -> &Datapath {
         &self.shards[i]
     }
 
     /// Mutable access to shard `i` (the per-shard interface MFCGuard sweeps use).
-    pub fn shard_mut(&mut self, i: usize) -> &mut Datapath<B> {
+    pub fn shard_mut(&mut self, i: usize) -> &mut Datapath {
         &mut self.shards[i]
     }
 
@@ -411,8 +412,8 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     }
 
     /// Replace the flow table on every shard (OVS revalidation semantics per shard).
-    /// Runs through the executor: table-built backends rebuild their structure once
-    /// per shard, which parallelises like any other per-shard work.
+    /// Runs through the executor: a §7 classifier is rebuilt once per shard, which
+    /// parallelises like any other per-shard work.
     pub fn install_table(&mut self, table: FlowTable) {
         self.for_each_shard(|_, shard| shard.install_table(table.clone()));
     }
@@ -627,14 +628,6 @@ impl<B: FastPathBackend> ShardedDatapath<B> {
     /// ingestion shard.
     pub fn note_wire_fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
         self.shards[0].note_wire_fault(fault, bytes, now)
-    }
-}
-
-impl ShardedDatapath<TupleSpace> {
-    /// `n_shards` TSS datapaths over `table` with default configuration behind `steering`
-    /// — shorthand for `ShardedDatapath::from_builder(Datapath::builder(table), ..)`.
-    pub fn new(table: FlowTable, n_shards: usize, steering: Steering) -> Self {
-        ShardedDatapath::from_builder(Datapath::builder(table), n_shards, steering)
     }
 }
 
@@ -892,7 +885,7 @@ mod tests {
     }
 
     /// Build the standard 4-shard parity fixture: a fresh datapath plus a timed batch.
-    fn parity_fixture() -> (ShardedDatapath<TupleSpace>, Vec<(Key, usize, f64)>) {
+    fn parity_fixture() -> (ShardedDatapath, Vec<(Key, usize, f64)>) {
         let schema = FieldSchema::ovs_ipv4();
         let sharded = ShardedDatapath::new(fig6_table(&schema), 4, Steering::Rss);
         let batch: Vec<(Key, usize, f64)> = key_spread(&schema, 240)

@@ -1,12 +1,12 @@
 //! The slow path: full flow-table processing plus megaflow generation and installation
 //! (`ovs-vswitchd`'s upcall handling in the real system).
 
-use tse_classifier::backend::FastPathBackend;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
 use tse_classifier::strategy::{
-    examined_megaflow, generate_megaflow, GenerationError, MegaflowStrategy,
+    examined_megaflow, generate_megaflow, install_megaflow, GenerationError, MegaflowStrategy,
 };
+use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::Key;
 
 /// Outcome of one slow-path invocation (one upcall).
@@ -127,22 +127,21 @@ impl SlowPath {
 
     /// Handle one upcall: classify `header` against `table`, generate a megaflow under
     /// the Cover/Independence invariants and install it into `cache` (unless the matched
-    /// rule is suppressed or the header is already covered). Works against any
-    /// [`FastPathBackend`]; table-built backends absorb the install as a no-op.
+    /// rule is suppressed or the header is already covered).
     ///
     /// One walk of the table gives the verdict and the widened megaflow together. A
     /// suppressed rule's answer is that verdict alone, so nothing else runs. Otherwise
-    /// the megaflow goes straight to [`FastPathBackend::install_megaflow`]: a TSS cache
-    /// checks Inv(2) on the walk of its probe lane that files the entry, and a refusal
-    /// narrows the megaflow by the entry it names and tries again — the entry
+    /// the megaflow goes straight to [`install_megaflow`]: the cache checks Inv(2) on the
+    /// walk of its probe lane that files the entry, and a refusal narrows the megaflow by
+    /// the entry it names and tries again — the entry
     /// [`generate_megaflow`] settles on, installed without asking the cache first. Only
     /// an upcall whose quota window is exhausted, which installs nothing, asks: its dry
     /// `generate_megaflow` tells a would-be install, which it is charged for, from an
     /// already-covered header.
-    pub fn handle_upcall<B: FastPathBackend + ?Sized>(
+    pub fn handle_upcall(
         &mut self,
         table: &FlowTable,
-        cache: &mut B,
+        cache: &mut TupleSpace,
         header: &Key,
         now: f64,
     ) -> Option<UpcallOutcome> {
@@ -170,7 +169,7 @@ impl SlowPath {
             return Some(outcome);
         }
         let masks_before = cache.mask_count();
-        match cache.install_megaflow(table, header, (verdict, mask), &self.strategy, now) {
+        match install_megaflow(table, cache, header, (verdict, mask), &self.strategy, now) {
             Ok(_) => {
                 outcome.installed = true;
                 outcome.new_mask = cache.mask_count() > masks_before;
@@ -189,11 +188,10 @@ impl SlowPath {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use tse_classifier::flowtable::{FlowTable, TableMatch};
+    use tse_classifier::flowtable::FlowTable;
     use tse_classifier::rule::Rule;
-    use tse_classifier::strategy::{FieldStrategy, GeneratedMegaflow};
-    use tse_classifier::tss::{LookupOutcome, TupleSpace};
-    use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
+    use tse_classifier::strategy::FieldStrategy;
+    use tse_packet::fields::{FieldDef, FieldSchema, Key};
 
     fn hyp(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -314,56 +312,30 @@ mod tests {
         assert_eq!(sp.quota_denied_upcalls(), 0);
     }
 
-    /// A backend that refuses every install: each one is answered as covered by an
-    /// entry it already holds.
-    struct RefusingBackend;
-
-    impl FastPathBackend for RefusingBackend {
-        fn fresh(_schema: &FieldSchema) -> Self {
-            RefusingBackend
-        }
-        fn name(&self) -> &'static str {
-            "refusing"
-        }
-        fn lookup(&mut self, _header: &Key, _now: f64) -> LookupOutcome {
-            LookupOutcome {
-                action: None,
-                masks_scanned: 0,
-            }
-        }
-        fn install_megaflow(
-            &mut self,
-            _table: &FlowTable,
-            _header: &Key,
-            (verdict, _mask): (TableMatch, Mask),
-            _strategy: &MegaflowStrategy,
-            _now: f64,
-        ) -> Result<GeneratedMegaflow, GenerationError> {
-            Err(GenerationError::AlreadyCovered(verdict))
-        }
-        fn mask_count(&self) -> usize {
-            0
-        }
-        fn entry_count(&self) -> usize {
-            0
-        }
-    }
-
+    /// With the quota armed, a header an entry already covers takes the install's
+    /// `AlreadyCovered` arm: answered with the table's verdict, nothing installed, nothing
+    /// charged.
     #[test]
     fn refused_install_is_answered_without_charging_the_quota() {
         let table = FlowTable::fig1_hyp();
-        let mut cache = RefusingBackend::fresh(table.schema());
+        let mut cache = TupleSpace::new(table.schema().clone());
+        // The (1**) deny megaflow, resident before the quota is armed.
+        cache
+            .insert(hyp(0b100), hyp(0b100), Action::Deny, 0.0)
+            .unwrap();
+        let before = cache.render();
         let mut sp = SlowPath::new(MegaflowStrategy::wildcarding(table.schema()));
         sp.set_install_quota(Some(5));
-        let out = sp.handle_upcall(&table, &mut cache, &hyp(0b001), 0.0);
+        let out = sp.handle_upcall(&table, &mut cache, &hyp(0b101), 0.0);
         let expected = UpcallOutcome {
-            action: Action::Allow,
-            rule_index: 0,
+            action: Action::Deny,
+            rule_index: 1,
             installed: false,
             new_mask: false,
         };
         assert_eq!(out, Some(expected), "answered as already covered");
-        assert_eq!(sp.install_quota_remaining(), Some(5), "nothing installed");
+        assert_eq!(cache.render(), before, "nothing installed");
+        assert_eq!(sp.install_quota_remaining(), Some(5), "nothing charged");
         assert_eq!(sp.quota_denied_upcalls(), 0);
         assert_eq!(sp.suppressed_upcalls(), 0);
     }

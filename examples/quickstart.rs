@@ -1,15 +1,15 @@
 //! Quickstart: build the Fig. 6 ACL, run the Co-located TSE attack against a simulated
-//! OVS datapath, and watch the tuple space explode — then swap in an attack-immune
-//! fast-path backend (§7) and watch nothing happen.
+//! OVS datapath, and watch the tuple space explode — then put an attack-immune classifier
+//! (§7) on the fast path and watch nothing happen.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use tse::prelude::*;
 
-/// Replay a scenario's attack trace through a datapath (any backend) and report the
+/// Replay a scenario's attack trace through a datapath (any fast path) and report the
 /// victim's per-packet cost before and after, using the batched entry point.
-fn attack_report<B: FastPathBackend>(
-    mut dp: Datapath<B>,
+fn attack_report(
+    mut dp: Datapath,
     schema: &FieldSchema,
     scenario: Scenario,
 ) -> (f64, f64, usize, usize) {
@@ -58,7 +58,7 @@ fn main() {
     for scenario in Scenario::ALL {
         let table = scenario.flow_table(&schema);
         let dp = Datapath::builder(table)
-            .backend_fresh::<TrieBackend>()
+            .fast_path(FastPathKind::Trie)
             .build();
         let (base, attacked, packets, masks) = attack_report(dp, &schema, scenario);
         println!(

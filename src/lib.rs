@@ -10,13 +10,13 @@
 //! This facade crate re-exports the public API of the workspace crates so downstream
 //! users can depend on a single crate.
 //!
-//! ## The pluggable fast path
+//! ## The fast path
 //!
-//! The datapath is generic over a [`prelude::FastPathBackend`]: the TSS megaflow cache
-//! ([`prelude::TupleSpace`], the default — the structure the attack explodes) or any of
-//! the §7 attack-immune baselines (linear search, hierarchical tries, HyperCuts)
-//! wrapped in [`prelude::BaselineBackend`]. Construction goes through the fluent
-//! [`prelude::DatapathBuilder`]:
+//! A datapath always owns the TSS megaflow cache ([`prelude::TupleSpace`] — the
+//! structure the attack explodes). A [`prelude::FastPathKind`] other than the default
+//! `Tss` puts one of the §7 attack-immune classifiers (linear search, hierarchical tries,
+//! HyperCuts), built from the flow table, in front of it: it answers every lookup, so the
+//! cache stays empty. Construction goes through the fluent [`prelude::DatapathBuilder`]:
 //!
 //! ```
 //! use tse::prelude::*;
@@ -32,7 +32,7 @@
 //!
 //! // The same attack against a hierarchical-trie fast path grows nothing.
 //! let table = Scenario::SipDp.flow_table(&schema);
-//! let mut trie_dp = Datapath::builder(table).backend_fresh::<TrieBackend>().build();
+//! let mut trie_dp = Datapath::builder(table).fast_path(FastPathKind::Trie).build();
 //! for key in Scenario::SipDp.key_iter(&schema, &schema.zero_value()) {
 //!     trie_dp.process_key(&key, 64, 0.0);
 //! }
@@ -301,9 +301,6 @@ pub mod prelude {
         AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,
     };
     pub use tse_attack::wire::{WireGenerator, WireSource};
-    pub use tse_classifier::backend::{
-        BaselineBackend, FastPathBackend, HyperCutsBackend, LinearSearchBackend, TrieBackend,
-    };
     pub use tse_classifier::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
     pub use tse_classifier::flowtable::FlowTable;
     pub use tse_classifier::rule::{Action, Rule};
@@ -329,7 +326,7 @@ pub mod prelude {
     };
     pub use tse_simnet::traffic::{VictimFlow, VictimSource};
     pub use tse_switch::cost::CostModel;
-    pub use tse_switch::datapath::{BatchReport, Datapath, DatapathBuilder};
+    pub use tse_switch::datapath::{BatchReport, Datapath, DatapathBuilder, FastPathKind};
     pub use tse_switch::exec::{
         ChaosExecutor, PersistentPoolExecutor, SequentialExecutor, ShardExecutor, ShardExecutorExt,
     };

@@ -1,10 +1,21 @@
-//! Backend equivalence: every fast-path backend, run through the full datapath, must
-//! classify every scenario's traffic exactly like the default TSS backend — same
-//! verdict per packet, whatever cache level produced it. This is the correctness half
-//! of the §7 claim; the performance half (baselines stay flat under attack) is asserted
-//! alongside.
+//! Backend equivalence: a datapath of every [`FastPathKind`], run through the full
+//! pipeline, must classify every scenario's traffic exactly like the default TSS
+//! datapath — same verdict per packet, whatever level produced it. This is the
+//! correctness half of the §7 claim; the performance half (the §7 classifiers stay flat
+//! under attack) is asserted alongside. The property at the end pins the invariant the
+//! design rests on: a §7 classifier classifies exactly as the table does, so the
+//! megaflow cache behind it stays empty.
 
+use proptest::prelude::*;
 use tse::prelude::*;
+
+/// Every fast path, TSS first.
+const KINDS: [FastPathKind; 4] = [
+    FastPathKind::Tss,
+    FastPathKind::LinearSearch,
+    FastPathKind::Trie,
+    FastPathKind::HyperCuts,
+];
 
 /// The per-packet workload of one scenario: a victim probe, the whole co-located attack
 /// trace, then the victim again.
@@ -17,7 +28,11 @@ fn workload(schema: &FieldSchema, scenario: Scenario) -> Vec<Key> {
     keys
 }
 
-fn verdicts<B: FastPathBackend>(mut dp: Datapath<B>, keys: &[Key]) -> Vec<Action> {
+fn datapath(table: &FlowTable, kind: FastPathKind) -> Datapath {
+    Datapath::builder(table.clone()).fast_path(kind).build()
+}
+
+fn verdicts(mut dp: Datapath, keys: &[Key]) -> Vec<Action> {
     keys.iter()
         .enumerate()
         .map(|(i, k)| dp.process_key(k, 64, i as f64 * 1e-4).action)
@@ -30,43 +45,16 @@ fn all_backends_classify_every_scenario_identically() {
     for scenario in Scenario::ALL {
         let keys = workload(&schema, scenario);
         let table = scenario.flow_table(&schema);
-        let reference = verdicts(Datapath::builder(table.clone()).build(), &keys);
-        let linear = verdicts(
-            Datapath::builder(table.clone())
-                .backend_fresh::<LinearSearchBackend>()
-                .build(),
-            &keys,
-        );
-        let trie = verdicts(
-            Datapath::builder(table.clone())
-                .backend_fresh::<TrieBackend>()
-                .build(),
-            &keys,
-        );
-        let hypercuts = verdicts(
-            Datapath::builder(table)
-                .backend_fresh::<HyperCutsBackend>()
-                .build(),
-            &keys,
-        );
-        assert_eq!(
-            reference,
-            linear,
-            "{}: linear search diverges from TSS",
-            scenario.name()
-        );
-        assert_eq!(
-            reference,
-            trie,
-            "{}: hierarchical trie diverges from TSS",
-            scenario.name()
-        );
-        assert_eq!(
-            reference,
-            hypercuts,
-            "{}: hypercuts diverges from TSS",
-            scenario.name()
-        );
+        let reference = verdicts(datapath(&table, FastPathKind::Tss), &keys);
+        for kind in &KINDS[1..] {
+            assert_eq!(
+                reference,
+                verdicts(datapath(&table, *kind), &keys),
+                "{}: {} diverges from TSS",
+                scenario.name(),
+                kind.name()
+            );
+        }
     }
 }
 
@@ -78,9 +66,7 @@ fn baseline_backends_never_grow_under_attack() {
     let table = scenario.flow_table(&schema);
 
     let mut tss = Datapath::builder(table.clone()).build();
-    let mut trie = Datapath::builder(table)
-        .backend_fresh::<TrieBackend>()
-        .build();
+    let mut trie = datapath(&table, FastPathKind::Trie);
     let mut trie_work = Vec::new();
     for (i, k) in keys.iter().enumerate() {
         tss.process_key(k, 64, i as f64 * 1e-4);
@@ -111,32 +97,15 @@ fn process_batch_agrees_with_per_key_loop_on_every_backend() {
         .map(|k| (k, 64, 0.25))
         .collect();
 
-    fn check<B: FastPathBackend>(
-        mut looped: Datapath<B>,
-        mut batched: Datapath<B>,
-        batch: &[(Key, usize, f64)],
-        name: &str,
-    ) {
-        for (k, b, t) in batch {
+    for kind in KINDS {
+        let (mut looped, mut batched) = (datapath(&table, kind), datapath(&table, kind));
+        for (k, b, t) in &batch {
             looped.process_key(k, *b, *t);
         }
-        let report = batched.process_timed_batch(batch);
+        let report = batched.process_timed_batch(&batch);
+        let name = kind.name();
         assert_eq!(report.processed, batch.len());
-        assert_eq!(
-            batched.stats().allowed,
-            looped.stats().allowed,
-            "{name}: allowed"
-        );
-        assert_eq!(
-            batched.stats().denied,
-            looped.stats().denied,
-            "{name}: denied"
-        );
-        assert_eq!(
-            batched.stats().upcalls,
-            looped.stats().upcalls,
-            "{name}: upcalls"
-        );
+        assert_eq!(batched.stats(), looped.stats(), "{name}: stats");
         assert_eq!(batched.mask_count(), looped.mask_count(), "{name}: masks");
         assert_eq!(
             batched.entry_count(),
@@ -144,43 +113,6 @@ fn process_batch_agrees_with_per_key_loop_on_every_backend() {
             "{name}: entries"
         );
     }
-
-    check(
-        Datapath::builder(table.clone()).build(),
-        Datapath::builder(table.clone()).build(),
-        &batch,
-        "tss",
-    );
-    check(
-        Datapath::builder(table.clone())
-            .backend_fresh::<LinearSearchBackend>()
-            .build(),
-        Datapath::builder(table.clone())
-            .backend_fresh::<LinearSearchBackend>()
-            .build(),
-        &batch,
-        "linear",
-    );
-    check(
-        Datapath::builder(table.clone())
-            .backend_fresh::<TrieBackend>()
-            .build(),
-        Datapath::builder(table.clone())
-            .backend_fresh::<TrieBackend>()
-            .build(),
-        &batch,
-        "trie",
-    );
-    check(
-        Datapath::builder(table.clone())
-            .backend_fresh::<HyperCutsBackend>()
-            .build(),
-        Datapath::builder(table)
-            .backend_fresh::<HyperCutsBackend>()
-            .build(),
-        &batch,
-        "hypercuts",
-    );
 }
 
 #[test]
@@ -215,9 +147,7 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
     // Fig. 8-style timelines over two attack-immune backends: flat throughput.
     let table = scenario.flow_table(&schema);
     let mut trie_runner = ExperimentRunner::new(
-        Datapath::builder(table)
-            .backend_fresh::<TrieBackend>()
-            .build(),
+        datapath(&table, FastPathKind::Trie),
         victims.clone(),
         OffloadConfig::default(),
     );
@@ -225,9 +155,7 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
 
     let table = scenario.flow_table(&schema);
     let mut hc_runner = ExperimentRunner::new(
-        Datapath::builder(table)
-            .backend_fresh::<HyperCutsBackend>()
-            .build(),
+        datapath(&table, FastPathKind::HyperCuts),
         victims,
         OffloadConfig::default(),
     );
@@ -250,5 +178,79 @@ fn experiment_runner_produces_timelines_for_non_tss_backends() {
             "{name} victim must be unaffected by the attack: {before:.2} -> {during:.2} Gbps"
         );
         assert!(tl.samples.iter().all(|s| s.mask_count == 0));
+    }
+}
+
+/// A prioritised table over a 12-bit schema (two 6-bit fields): each rule a key, a mask
+/// per field — any bits, or with `prefix` a prefix of the given length, the only shape
+/// the hierarchical trie accepts — a priority and an action. No default rule, so some
+/// headers match nothing.
+fn random_table(rules: &[(u128, u128, u32, u32)], prefix: bool) -> FlowTable {
+    let schema = FieldSchema::new(vec![FieldDef::new("a", 6), FieldDef::new("b", 6)]);
+    let split = |v: u128| Key::from_values(&schema, &[v >> 6 & 63, v & 63]);
+    let prefix_mask = |len: u128| (63u128 << (6 - len.min(6))) & 63;
+    let mut table = FlowTable::new(schema.clone());
+    for &(key, bits, priority, action) in rules {
+        let mask = if prefix {
+            Key::from_values(
+                &schema,
+                &[prefix_mask(bits >> 6 & 7), prefix_mask(bits & 7)],
+            )
+        } else {
+            split(bits)
+        };
+        let action = if action == 0 {
+            Action::Deny
+        } else {
+            Action::Allow
+        };
+        table.push(Rule::new(
+            split(key).apply_mask(&mask),
+            mask,
+            priority,
+            action,
+        ));
+    }
+    table
+}
+
+proptest! {
+    /// On random prioritised tables of the shapes each classifier accepts, every fast
+    /// path gives each header the table's verdict (`Deny` where no rule matches), per key
+    /// and through the batch core alike. Behind a §7 classifier nothing ever reaches the
+    /// megaflow cache: it holds no mask and no entry, and the only upcalls are the
+    /// headers no rule matches.
+    #[test]
+    fn every_fast_path_classifies_like_the_table(
+        rules in proptest::collection::vec((0u128..4096, 0u128..4096, 0u32..6, 0u32..2), 1..12),
+        headers in proptest::collection::vec(0u128..4096, 1..40),
+    ) {
+        for prefix in [false, true] {
+            let table = random_table(&rules, prefix);
+            let schema = table.schema().clone();
+            let batch: Vec<(Key, usize, f64)> = headers
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| (Key::from_values(&schema, &[h >> 6, h & 63]), 64, i as f64 * 0.1))
+                .collect();
+            let unmatched = batch.iter().filter(|(h, ..)| table.lookup(h).is_none()).count();
+            for kind in KINDS {
+                if kind == FastPathKind::Trie && !prefix {
+                    continue;
+                }
+                let (mut looped, mut batched) = (datapath(&table, kind), datapath(&table, kind));
+                for (h, bytes, now) in &batch {
+                    let want = table.lookup(h).map_or(Action::Deny, |m| m.action);
+                    let got = looped.process_key(h, *bytes, *now).action;
+                    prop_assert_eq!(got, want, "{} on {}", kind.name(), h);
+                }
+                batched.process_timed_batch(&batch);
+                prop_assert_eq!(batched.stats(), looped.stats(), "{}", kind.name());
+                if kind != FastPathKind::Tss {
+                    prop_assert_eq!((looped.mask_count(), looped.entry_count()), (0, 0));
+                    prop_assert_eq!(looped.stats().upcalls, unmatched as u64, "{}", kind.name());
+                }
+            }
+        }
     }
 }

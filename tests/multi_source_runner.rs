@@ -116,7 +116,7 @@ fn staggered_multi_attacker_mix_on_baseline_backend() {
     let table = Scenario::SipSpDp.flow_table(&schema);
     let mut runner = ExperimentRunner::new(
         Datapath::builder(table)
-            .backend_fresh::<TrieBackend>()
+            .fast_path(FastPathKind::Trie)
             .build(),
         Vec::new(),
         OffloadConfig::gro_off(),

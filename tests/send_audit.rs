@@ -1,12 +1,12 @@
 //! Compile-time `Send`/`Sync` audit for everything the `ShardExecutor` hands to
 //! worker threads.
 //!
-//! `PersistentPoolExecutor` moves each shard's `&mut Datapath<B>` — backend, slow path,
-//! caches, stats — across a thread boundary, and the experiment runner (datapath +
-//! mitigation stack) must be free to live on a worker thread too. These assertions
-//! pin that down at `cargo test` time: a future `Rc`/`RefCell`/raw-pointer regression
-//! in any backend or mitigation fails here, at the type level, instead of surfacing
-//! as an inscrutable executor-integration error (or not at all).
+//! `PersistentPoolExecutor` moves each shard's `&mut Datapath` — megaflow cache, §7
+//! classifier, slow path, stats — across a thread boundary, and the experiment runner
+//! (datapath + mitigation stack) must be free to live on a worker thread too. These
+//! assertions pin that down at `cargo test` time: a future `Rc`/`RefCell`/raw-pointer
+//! regression in any fast path or mitigation fails here, at the type level, instead of
+//! surfacing as an inscrutable executor-integration error (or not at all).
 
 use tse::prelude::*;
 
@@ -15,31 +15,23 @@ fn assert_sync<T: Sync>() {}
 
 #[test]
 fn fast_path_backends_are_send() {
-    // All four backends; `FastPathBackend: Send` is a supertrait, so a non-Send
-    // implementation would already fail to compile — these make the guarantee
-    // explicit per concrete type.
+    // The megaflow cache and the three §7 classifiers a datapath may hold.
     assert_send::<TupleSpace>();
-    assert_send::<LinearSearchBackend>();
-    assert_send::<TrieBackend>();
-    assert_send::<HyperCutsBackend>();
+    assert_send::<LinearSearch>();
+    assert_send::<HierarchicalTrie>();
+    assert_send::<HyperCuts>();
 }
 
 #[test]
 fn datapaths_are_send_for_every_backend() {
-    assert_send::<Datapath<TupleSpace>>();
-    assert_send::<Datapath<LinearSearchBackend>>();
-    assert_send::<Datapath<TrieBackend>>();
-    assert_send::<Datapath<HyperCutsBackend>>();
-    assert_send::<ShardedDatapath<TupleSpace>>();
-    assert_send::<ShardedDatapath<LinearSearchBackend>>();
-    assert_send::<ShardedDatapath<TrieBackend>>();
-    assert_send::<ShardedDatapath<HyperCutsBackend>>();
+    // One type whatever its `FastPathKind`.
+    assert_send::<Datapath>();
+    assert_send::<ShardedDatapath>();
 }
 
 #[test]
 fn mitigation_machinery_is_send() {
-    assert_send::<MitigationStack<TupleSpace>>();
-    assert_send::<MitigationStack<TrieBackend>>();
+    assert_send::<MitigationStack>();
     assert_send::<MfcGuard>();
     assert_send::<GuardMitigation>();
     assert_send::<RssKeyRandomizer>();
@@ -49,7 +41,7 @@ fn mitigation_machinery_is_send() {
 
 #[test]
 fn runner_and_reports_are_send() {
-    assert_send::<ExperimentRunner<TupleSpace>>();
+    assert_send::<ExperimentRunner>();
     assert_send::<Timeline>();
     assert_send::<TimelineSample>();
     assert_send::<ShardedBatchReport>();
