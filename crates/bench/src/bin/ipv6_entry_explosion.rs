@@ -16,6 +16,9 @@
 //!   memory/revalidation exhaustion instead of lookup slowdown.
 //!
 //! `tests/paper_claims.rs` judges the anomaly on this binary's sweep at its defaults.
+//! Each variant also records its idle sweeps' host-side work, summed over shards, as
+//! deterministic `<variant>/work/sweep_*` rows: entries examined, removed and moved,
+//! keys refolded and index slots written.
 //!
 //! Run with `--duration <s>` (default 70), `--shards <n>` (default 4),
 //! `--parallel <threads>` and `--json <path>` (CI smoke-runs it short and gates the
@@ -73,6 +76,20 @@ fn main() {
     let (duration, n_shards) = (fig.args.duration, fig.args.shard_count());
     let packets = sipdp::attack_packets(ATTACK_START, FIXTURE.pps, duration);
     let sweep = sipdp::sweep(&mut fig, &FIXTURE, &VARIANTS);
+    // Idle expiry is this experiment's revalidation: what its sweeps did, in counts.
+    for run in &sweep.runs {
+        let w = run.sweep_work;
+        for (row, unit, count) in [
+            ("examined", "entries", w.examined),
+            ("removed", "entries", w.removed),
+            ("moved", "entries", w.moved),
+            ("refolded", "keys", w.refolded),
+            ("slots", "slots", w.slots),
+        ] {
+            let name = format!("{}/work/sweep_{row}", run.variant.name);
+            fig.row(&name, unit, count as f64);
+        }
+    }
     println!(
         "== §5.4 IPv6 anomaly: {packets} random SipDp-over-IPv6 frames through the wire \
          parser, {n_shards} shards ({} executor), duration {duration} s ==\n",

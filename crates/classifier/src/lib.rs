@@ -38,7 +38,7 @@ pub use strategy::{
     examined_megaflow, generate_megaflow, install_megaflow, FieldStrategy, GeneratedMegaflow,
     GenerationError, MegaflowStrategy,
 };
-pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
+pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, SweepWork, TupleSpace};
 
 use tse_packet::fields::Key;
 

@@ -52,12 +52,23 @@
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
 //! entry's mask, and where it hashed the key to probe that tuple, the hash is the one the
 //! entry is filed under. Creating a tuple compiles its mask's plan into the slab, and
-//! every insert appends to one dense `Vec<MegaflowEntry>` (so entries of a tuple are
-//! held, and [`TupleSpace::entries`] yields them, in insertion order;
-//! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
-//! order), files the entry's position in the index, sets its filter bit and folds the
-//! key into the agreement. Every mutation leaves lane, slab and tuples describing the
-//! same tuple space; debug builds check that after each one.
+//! every insert appends to the tuple's *log*, an insertion-ordered run of fixed-size
+//! blocks (so entries of a tuple are held, and [`TupleSpace::entries`] yields them, in
+//! insertion order; [`TupleSpace::render`] sorts them by key, so its output does not
+//! depend on arrival order), files the entry's sequence number in the index, sets its
+//! filter bit and folds the key into the agreement. A tuple that never outgrows one
+//! block is one `Vec` that starts at capacity 1. Every mutation leaves lane, slab and
+//! tuples describing the same tuple space; debug builds check that after each one.
+//!
+//! Idle expiry (§5.4's revalidation) is O(expired): installs arrive in time order, so a
+//! tuple's entries that can have idled out are the ones in front of the first entry
+//! whose own installation has not. A sweep reads that *old region* and nothing else,
+//! frees the expired entries' index slots, slides the few survivors up against the
+//! cut, and frees the blocks left dead; the entries behind the cut keep their places,
+//! slots and hashes. Each chunk of a log keeps a summary of its keys' agreement and
+//! filter bits, so the tuple's agreement and filter are remade exactly from the
+//! summaries and the one or two chunks the sweep changed. Any other removal compacts
+//! the tuple, as does a sweep of a tuple whose log is out of time order.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
 //! linear-probe run, spread a tuple's keys until they agree on no bit, or all land on
@@ -219,16 +230,24 @@ impl<'a> Probe<'a> {
     }
 }
 
+/// The agreement of two sets of keys, each an `(agree, value)` pair: the bits both
+/// agree on, where their values agree too, and that common value. A key is the set of
+/// one, agreeing on all of its mask's bits.
+fn meet((agree, value): (u64, u64), (a, v): (u64, u64)) -> (u64, u64) {
+    let agree = agree & a & !(value ^ v);
+    (agree, value & agree)
+}
+
 /// Fold a resident (masked) key, laid out for probing, into its tuple's agreement words;
 /// `first` starts the fold over at that key.
 fn agree(plan: &mut [PlanWord], key: &Probe, first: bool) {
     for w in plan {
-        let k = key.word(w);
-        if first {
-            (w.agree, w.value) = (w.bits, k);
-        }
-        w.agree &= !(w.value ^ k);
-        w.value &= w.agree;
+        let k = (w.bits, key.word(w));
+        (w.agree, w.value) = if first {
+            k
+        } else {
+            meet((w.agree, w.value), k)
+        };
     }
 }
 
@@ -260,26 +279,82 @@ const RUN: usize = 4;
 /// The hash's high half, kept in a slot as its tag.
 const TAG: u64 = !0 << 32;
 
+/// Set in every filed slot's tag, so that no filed slot reads 0, a free one, whatever
+/// sequence number it holds. A slot's home is its tag's low bits, and no index is long
+/// enough to reach this one.
+const FILED: u64 = 1 << 63;
+
+/// Entries to a block of a tuple's log, the unit it is allocated and freed in: a power of
+/// two. The crate's unit tests run with small blocks and chunks, so that their fixtures
+/// span many of them.
+const BLOCK: usize = if cfg!(test) { 16 } else { 256 };
+
+/// Entries to a chunk of a tuple's log, the unit its keys are summarised in
+/// ([`Summary`]): a power of two that divides [`BLOCK`]. A sweep refolds the chunks it
+/// changed, so this bounds its refolds per tuple; each chunk's summary costs 264 bytes.
+const CHUNK: usize = if cfg!(test) { 4 } else { 64 };
+
+const _: () = assert!(BLOCK.is_multiple_of(CHUNK) && CHUNK.is_power_of_two());
+
 /// Index slots for this many entries: a power of two, at most half full.
 fn slots_for(entries: usize) -> usize {
     (entries * 2).next_power_of_two().max(2)
 }
 
-/// Put a slot value in the first free slot of its linear-probe run. The run starts
-/// where the tag's low bits say, so a slot can be re-placed without its key.
+/// The slot of the entry with log sequence number `seq` (modulo 2^32), whose key hashes
+/// to `hash`.
+fn slot(hash: u64, seq: u32) -> u64 {
+    (hash | FILED) & TAG | u64::from(seq)
+}
+
+/// Where `slot`'s linear-probe run starts in `index`: where its tag's low bits say, so a
+/// slot can be re-placed without its key.
+fn home(index: &[u64], slot: u64) -> usize {
+    (slot >> 32) as usize & (index.len() - 1)
+}
+
+/// Put a slot value in the first free slot of its run.
 fn place(index: &mut [u64], slot: u64) {
     let wrap = index.len() - 1;
-    let mut i = (slot >> 32) as usize & wrap;
+    let mut i = home(index, slot);
     while index[i] != 0 {
         i = (i + 1) & wrap;
     }
     index[i] = slot;
 }
 
-/// File entry `pos`, whose key hashes to `hash`.
-fn file(index: &mut [u64], hash: u64, pos: usize) {
-    debug_assert!(pos < u32::MAX as usize, "a slot holds 32 bits of position");
-    place(index, (hash & TAG) | (pos as u64 + 1));
+/// Where in `index` the slot value `slot` is filed, if it is.
+fn seek(index: &[u64], slot: u64) -> Option<usize> {
+    let wrap = index.len() - 1;
+    let mut i = home(index, slot);
+    loop {
+        match index[i] {
+            0 => return None,
+            s if s == slot => return Some(i),
+            _ => i = (i + 1) & wrap,
+        }
+    }
+}
+
+/// Free index slot `i` by backward-shift deletion: each later slot of its run whose home
+/// is not cyclically within (hole, slot] moves back into the hole, and the hole moves on
+/// to where it was. No run is left with a free slot inside it, so the index never holds
+/// a tombstone.
+fn unplace(index: &mut [u64], mut i: usize) {
+    let wrap = index.len() - 1;
+    let mut j = i;
+    loop {
+        j = (j + 1) & wrap;
+        let slot = index[j];
+        if slot == 0 {
+            break;
+        }
+        if j.wrapping_sub(home(index, slot)) & wrap >= j.wrapping_sub(i) & wrap {
+            index[i] = slot;
+            i = j;
+        }
+    }
+    index[i] = 0;
 }
 
 /// One tuple as Alg. 1's scan reads it: a record of the probe lane.
@@ -305,25 +380,143 @@ impl LaneRecord {
     }
 }
 
+/// What some of a tuple's keys contribute to its agreement words and miss filter: per
+/// plan word, the bits they agree on and their common value, and the OR of their filter
+/// bits — 0 for no key at all. A tuple's agreement and filter are the meet of its
+/// chunks' summaries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Summary {
+    /// `(agree, value)` of each plan word, as [`PlanWord`] holds them.
+    words: [(u64, u64); 16],
+    filter: u64,
+}
+
+impl Summary {
+    const EMPTY: Summary = Summary {
+        words: [(0, 0); 16],
+        filter: 0,
+    };
+
+    /// What the slab's plan words and a lane filter hold.
+    fn of(plan: &[PlanWord], filter: u64) -> Self {
+        let mut summary = Summary {
+            filter,
+            ..Summary::EMPTY
+        };
+        for (s, w) in summary.words.iter_mut().zip(plan) {
+            *s = (w.agree, w.value);
+        }
+        summary
+    }
+
+    /// Fold in a (masked) key, laid out for probing, whose hash is `hash`.
+    fn add(&mut self, plan: &[PlanWord], key: &Probe, hash: u64) {
+        let first = self.filter == 0;
+        for (s, w) in self.words.iter_mut().zip(plan) {
+            let k = (w.bits, key.word(w));
+            *s = if first { k } else { meet(*s, k) };
+        }
+        self.filter |= filter_bit(hash);
+    }
+
+    /// Meet `other` into this summary: what their keys contribute together.
+    fn meet(&mut self, other: &Summary) {
+        if self.filter == 0 {
+            *self = *other;
+            return;
+        }
+        if other.filter == 0 {
+            return;
+        }
+        for (s, &o) in self.words.iter_mut().zip(&other.words) {
+            *s = meet(*s, o);
+        }
+        self.filter |= other.filter;
+    }
+
+    /// Write the agreement into the plan words; returns the miss filter.
+    fn store(&self, plan: &mut [PlanWord]) -> u64 {
+        for (w, &(agree, value)) in plan.iter_mut().zip(&self.words) {
+            (w.agree, w.value) = (agree, value);
+        }
+        self.filter
+    }
+}
+
+/// The chunk summaries of a tuple that outgrew its first chunk, and the newer blocks of
+/// one that outgrew its first block.
+#[derive(Debug, Clone)]
+struct Log {
+    /// The blocks after [`Tuple::entries`], oldest first. Every one but the newest holds
+    /// [`BLOCK`] entries.
+    blocks: VecDeque<Vec<MegaflowEntry>>,
+    /// The summary of each full chunk, from offset 0 on: folded as the chunk filled,
+    /// refolded where a sweep changes it.
+    sealed: VecDeque<Summary>,
+    /// The summary of the newest chunk while it has room, kept as it fills;
+    /// [`Summary::EMPTY`] once it is full.
+    open: Summary,
+    /// A freed block's storage, kept for the next block, so that steady churn allocates
+    /// nothing.
+    spare: Vec<MegaflowEntry>,
+}
+
+impl Log {
+    /// Free a dead block: kept as the spare if there is none.
+    fn free(&mut self, mut block: Vec<MegaflowEntry>) {
+        if self.spare.capacity() == 0 {
+            block.clear();
+            self.spare = block;
+        }
+    }
+}
+
 /// One tuple off the scan's path: every entry sharing a mask and the index that finds
 /// one of them from its hash. Its plan and agreement words live in the slab, its hit
 /// counter and miss filter in its lane record; whatever hashes or folds a key in here
 /// is handed its plan words.
 ///
-/// **Store.** `entries` is dense and in insertion order; a sweep compacts it in place.
+/// **Store.** The entries are a log in insertion order, each at an *offset* from the
+/// start of its oldest block: `entries` is that block, and [`Log`] the newer ones, each
+/// [`BLOCK`] entries long but the newest. A tuple that never outgrew one block is
+/// `entries` alone, which starts at capacity 1. An entry's log sequence number is
+/// `base + offset` (modulo 2^32); the live entries are the contiguous run from offset
+/// `head` on, and the ones in front of it are dead copies a sweep left behind. A tuple
+/// that outgrew its first [`CHUNK`] also keeps a summary of each chunk in its [`Log`].
+///
 /// `index` is an open-addressed table of `u64` slots, a power of two long and at most
-/// half full: a slot is 0 when free, else `tag << 32 | position + 1` — the high 32 bits
-/// of the key's hash and where in `entries` the key lives. A key's run starts at the
-/// slot its tag's low bits name, so growing the index re-places the slots without
-/// reading a key; a sweep empties and refiles it, so it never holds a tombstone.
+/// half full: a slot is 0 when free, else `tag << 32 | seq` — the high 32 bits of the
+/// key's hash ([`FILED`] set) and the key's sequence number, which
+/// `seq.wrapping_sub(base)` turns back into an offset. A key's run starts at the slot its
+/// tag's low bits name, so growing the index re-places the slots without reading a key;
+/// a slot is freed by backward-shift deletion ([`unplace`]), so the index never holds a
+/// tombstone.
+///
+/// **Sweeps.** Idle expiry ([`Tuple::expire`]) reads the *old region* — the live
+/// entries in front of the first one whose own installation is not yet past the
+/// timeout — and nothing else, drops the expired ones, frees the blocks left dead and
+/// refolds the chunks it changed; the entries behind the cut keep their offsets, slots
+/// and hashes, and their chunks' summaries. Everything else that removes entries
+/// compacts ([`Tuple::sweep`]).
 #[derive(Debug, Clone)]
 struct Tuple {
     /// The mask every entry of this tuple shares.
     mask: Mask,
-    /// The entries, in insertion order. Never empty while the tuple is in the cache.
+    /// The log's oldest block. Never without a live entry while the tuple is in the
+    /// cache.
     entries: Vec<MegaflowEntry>,
-    /// Hash slot -> position in `entries`; see the type's doc for the slot layout.
+    /// Hash slot -> sequence number of an entry; see the type's doc for the slot layout.
     index: Vec<u64>,
+    /// The sequence number, modulo 2^32, of `entries[0]`.
+    base: u32,
+    /// The offset of the oldest live entry, within `entries`.
+    head: u32,
+    /// Whether `installed_at` never decreases along the log and no hit stamped a
+    /// `last_used` below its entry's `installed_at`: what lets [`Tuple::expire`] leave
+    /// everything behind the old region unread. A compaction recomputes it.
+    ordered: bool,
+    /// The chunk summaries and newer blocks, once the tuple has outgrown its first chunk.
+    log: Option<Box<Log>>,
 }
 
 impl Tuple {
@@ -335,17 +528,72 @@ impl Tuple {
             mask: first.mask.clone(),
             entries: Vec::with_capacity(1),
             index: Vec::new(),
+            base: 0,
+            head: 0,
+            ordered: true,
+            log: None,
         };
-        let filter = tuple.push(plan, first, None);
+        let filter = tuple.push(plan, 0, first, None);
         (tuple, filter)
     }
 
-    /// Position in `entries` of the entry `header` matches under this tuple's mask,
-    /// given the hash of `header AND mask`. Kept out of line: only a probe that passed
-    /// the filter gets here, and inlined it would cost every other probe its registers.
+    /// One past the offset of the newest entry.
+    fn end(&self) -> usize {
+        let newest = self.log.as_deref().and_then(|log| log.blocks.back());
+        match (&self.log, newest) {
+            (Some(log), Some(newest)) => BLOCK * log.blocks.len() + newest.len(),
+            _ => self.entries.len(),
+        }
+    }
+
+    /// The number of live entries.
+    fn len(&self) -> usize {
+        self.end() - self.head as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sequence number of the entry at `offset`.
+    fn seq(&self, offset: usize) -> u32 {
+        self.base.wrapping_add(offset as u32)
+    }
+
+    /// The entry at `offset`.
+    #[inline]
+    fn entry(&self, offset: usize) -> &MegaflowEntry {
+        if offset < self.entries.len() {
+            return &self.entries[offset];
+        }
+        match self.log.as_deref() {
+            Some(log) => &log.blocks[offset / BLOCK - 1][offset % BLOCK],
+            None => &self.entries[offset],
+        }
+    }
+
+    fn entry_mut(&mut self, offset: usize) -> &mut MegaflowEntry {
+        if offset < self.entries.len() {
+            return &mut self.entries[offset];
+        }
+        match self.log.as_deref_mut() {
+            Some(log) => &mut log.blocks[offset / BLOCK - 1][offset % BLOCK],
+            None => &mut self.entries[offset],
+        }
+    }
+
+    /// The live entries, in insertion order.
+    fn iter(&self) -> impl Iterator<Item = &MegaflowEntry> {
+        let newer = self.log.iter().flat_map(|log| log.blocks.iter().flatten());
+        self.entries[self.head as usize..].iter().chain(newer)
+    }
+
+    /// Offset of the entry `header` matches under this tuple's mask, given the hash of
+    /// `header AND mask`. Kept out of line: only a probe that passed the filter gets
+    /// here, and inlined it would cost every other probe its registers.
     #[inline(never)]
     fn find(&self, hash: u64, header: &Key) -> Option<usize> {
-        let wrap = self.index.len() - 1;
+        let (wrap, tag) = (self.index.len() - 1, (hash | FILED) & TAG);
         let mut i = (hash >> 32) as usize & wrap;
         // At most half the slots are taken, so the run ends at a free one.
         loop {
@@ -353,56 +601,253 @@ impl Tuple {
             if slot == 0 {
                 return None;
             }
-            let pos = (slot as u32 - 1) as usize;
-            if slot & TAG == hash & TAG && self.holds(pos, header) {
-                return Some(pos);
+            let offset = (slot as u32).wrapping_sub(self.base) as usize;
+            if slot & TAG == tag && self.holds(offset, header) {
+                return Some(offset);
             }
             i = (i + 1) & wrap;
         }
     }
 
-    /// Whether entry `pos` is the one `header` matches.
-    fn holds(&self, pos: usize, header: &Key) -> bool {
-        fields::matches(header, &self.entries[pos].key, &self.mask)
+    /// Whether the entry at `offset` is the one `header` matches.
+    fn holds(&self, offset: usize, header: &Key) -> bool {
+        fields::matches(header, &self.entry(offset).key, &self.mask)
+    }
+
+    /// Count a fast-path hit at `now` on the entry at `offset`; returns its action. A hit
+    /// stamped before the entry's installation clears [`Tuple::ordered`].
+    #[inline]
+    fn hit(&mut self, offset: usize, now: f64) -> Action {
+        let entry = self.entry_mut(offset);
+        entry.hits += 1;
+        entry.last_used = now;
+        let (action, in_order) = (entry.action, now >= entry.installed_at);
+        self.ordered &= in_order;
+        action
     }
 
     /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
-    /// fold it into the agreement words; returns its filter bit. `hash` is the key's, if
-    /// the caller has it already.
-    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry, hash: Option<u64>) -> u64 {
+    /// fold it into the agreement words; returns its filter bit. `filter` is the tuple's
+    /// miss filter before it, and `hash` the key's, if the caller has it already.
+    fn push(
+        &mut self,
+        plan: &mut [PlanWord],
+        filter: u64,
+        entry: MegaflowEntry,
+        hash: Option<u64>,
+    ) -> u64 {
         let key = Probe::new(&entry.key);
-        agree(plan, &key, self.entries.is_empty());
         let hash = hash.unwrap_or_else(|| masked_hash(plan, |w| key.word(w)));
-        self.entries.push(entry);
-        if self.entries.len() * 2 > self.index.len() {
+        let end = self.end();
+        if end > self.head as usize {
+            let newest = self.entry(end - 1).installed_at;
+            self.ordered &= entry.installed_at >= newest;
+        }
+        if self.log.is_none() && end == CHUNK {
+            // Outgrown: the full chunk's summary is what the slab and the lane hold.
+            let mut log = Box::new(Log {
+                blocks: VecDeque::new(),
+                sealed: VecDeque::new(),
+                open: Summary::EMPTY,
+                spare: Vec::new(),
+            });
+            log.sealed.push_back(Summary::of(plan, filter));
+            self.log = Some(log);
+        }
+        agree(plan, &key, self.is_empty());
+        match self.log.as_deref_mut() {
+            None => self.entries.push(entry),
+            Some(log) => {
+                log.open.add(plan, &key, hash);
+                if log.blocks.back().map_or(self.entries.len(), Vec::len) == BLOCK {
+                    let spare = std::mem::take(&mut log.spare);
+                    log.blocks.push_back(match spare.capacity() {
+                        0 => Vec::with_capacity(BLOCK),
+                        _ => spare,
+                    });
+                }
+                let newest = match log.blocks.back_mut() {
+                    Some(block) => block,
+                    None => &mut self.entries,
+                };
+                newest.push(entry);
+                if (end + 1).is_multiple_of(CHUNK) {
+                    log.sealed
+                        .push_back(std::mem::replace(&mut log.open, Summary::EMPTY));
+                }
+            }
+        }
+        if self.len() * 2 > self.index.len() {
             // Grow: the filed slots move into an index sized for the entries there are.
-            let grown = vec![0; slots_for(self.entries.len())];
+            let grown = vec![0; slots_for(self.len())];
             for slot in std::mem::replace(&mut self.index, grown) {
                 if slot != 0 {
                     place(&mut self.index, slot);
                 }
             }
         }
-        file(&mut self.index, hash, self.entries.len() - 1);
+        debug_assert!(
+            self.len() < u32::MAX as usize,
+            "a slot holds 32 bits of sequence"
+        );
+        let filed = slot(hash, self.seq(end));
+        place(&mut self.index, filed);
         filter_bit(hash)
     }
 
-    /// Drop every entry `expired` names, in one walk: the survivors close ranks in order
-    /// and are folded into the agreement words afresh and refiled as they pass, each laid
-    /// out and hashed once. Returns the miss filter of what is left — 0 for a tuple left
-    /// empty, whose agreement words are then stale — or `None`, with nothing written, if
-    /// no entry went. `expired` sees each entry once, in order.
+    /// The summary of the live keys at `offsets`, each laid out and hashed afresh.
+    fn summary(&self, plan: &[PlanWord], offsets: Range<usize>, work: &mut SweepWork) -> Summary {
+        work.refolded += offsets.len() as u64;
+        let mut summary = Summary::EMPTY;
+        for offset in offsets {
+            let key = Probe::new(&self.entry(offset).key);
+            summary.add(plan, &key, masked_hash(plan, |w| key.word(w)));
+        }
+        summary
+    }
+
+    /// Drop every entry idle for longer than `timeout` at `now`, reading the old region
+    /// and nothing else. Only for an [`ordered`](Tuple::ordered) tuple: an entry behind
+    /// the cut has `installed_at` no earlier than the cut's, which is not past the
+    /// timeout, and `last_used` no earlier than its `installed_at`, so the predicate's
+    /// own float expression cannot be true of it.
+    ///
+    /// Walking the old region backwards, each expired entry's slot is freed, its key
+    /// hashed once to find it; each survivor slides up against the cut, in order, and
+    /// its slot, found the same way, is re-pointed in place. The blocks left dead are
+    /// freed, one kept as the spare; the chunks the sweep changed are refolded from
+    /// their live keys, and the slab agreement and the filter become the meet of the
+    /// chunks' summaries. Returns what [`Tuple::sweep`] does; nothing is written if no
+    /// entry went.
+    fn expire(
+        &mut self,
+        plan: &mut [PlanWord],
+        now: f64,
+        timeout: f64,
+        work: &mut SweepWork,
+    ) -> Option<u64> {
+        let idle = |e: &MegaflowEntry| now - e.last_used > timeout;
+        let (head, end) = (self.head as usize, self.end());
+        let (mut cut, mut expired) = (head, 0);
+        while cut < end {
+            let entry = self.entry(cut);
+            let old = now - entry.installed_at > timeout;
+            if !old {
+                break;
+            }
+            expired += u64::from(idle(entry));
+            cut += 1;
+        }
+        work.examined += (cut - head + usize::from(cut < end)) as u64;
+        if expired == 0 {
+            return None;
+        }
+        work.removed += expired;
+        let mut to = cut;
+        for from in (head..cut).rev() {
+            let entry = self.entry(from);
+            let gone = idle(entry);
+            if !gone {
+                to -= 1;
+                if to == from {
+                    continue;
+                }
+            }
+            let key = Probe::new(&entry.key);
+            let filed = seek(
+                &self.index,
+                slot(masked_hash(plan, |w| key.word(w)), self.seq(from)),
+            );
+            debug_assert!(filed.is_some(), "every live entry has its slot");
+            work.slots += 1;
+            if gone {
+                if let Some(i) = filed {
+                    unplace(&mut self.index, i);
+                }
+                continue;
+            }
+            let moved = entry.clone();
+            *self.entry_mut(to) = moved;
+            if let Some(i) = filed {
+                self.index[i] = self.index[i] & TAG | u64::from(self.seq(to));
+            }
+            work.moved += 1;
+        }
+        self.head = to as u32;
+        // Free the blocks left dead, keeping one for the next block.
+        while self.head as usize >= BLOCK {
+            let Some(log) = self.log.as_deref_mut() else {
+                break;
+            };
+            let Some(next) = log.blocks.pop_front() else {
+                break;
+            };
+            log.free(std::mem::replace(&mut self.entries, next));
+            log.sealed.drain(..BLOCK / CHUNK);
+            self.base = self.base.wrapping_add(BLOCK as u32);
+            self.head -= BLOCK as u32;
+            cut -= BLOCK;
+        }
+        let (head, end) = (self.head as usize, self.end());
+        if head == end {
+            return Some(0);
+        }
+        if self.log.is_none() {
+            return Some(self.summary(plan, head..end, work).store(plan));
+        }
+        // The chunks in front of the head's are dead: they contribute nothing. Refold the
+        // chunks that hold any of `head..cut`: each lost entries, or took a survivor, or
+        // both.
+        if let Some(log) = self.log.as_deref_mut() {
+            for dead in log.sealed.iter_mut().take(head / CHUNK) {
+                *dead = Summary::EMPTY;
+            }
+        }
+        for chunk in head / CHUNK..=(cut.max(head + 1) - 1) / CHUNK {
+            let live = (chunk * CHUNK).max(head)..((chunk + 1) * CHUNK).min(end);
+            let full = live.end == (chunk + 1) * CHUNK;
+            let summary = self.summary(plan, live, work);
+            if let Some(log) = self.log.as_deref_mut() {
+                match full {
+                    true => log.sealed[chunk] = summary,
+                    false => log.open = summary,
+                }
+            }
+        }
+        let mut meet = Summary::EMPTY;
+        if let Some(log) = self.log.as_deref() {
+            for summary in log.sealed.iter().chain([&log.open]) {
+                meet.meet(summary);
+            }
+        }
+        Some(meet.store(plan))
+    }
+
+    /// Drop every entry `expired` names, by compaction: the survivors close ranks at the
+    /// front of the log in order and are folded into the agreement words and the chunk
+    /// summaries afresh and refiled as they pass, each laid out and hashed once; the
+    /// blocks left over are freed, one kept as the spare, and [`Tuple::ordered`] is
+    /// recomputed. Returns the miss filter of what is left — 0 for a tuple left empty,
+    /// whose agreement words are then stale — or `None`, with nothing written, if no
+    /// entry went. `expired` sees each live entry once, in order.
     fn sweep(
         &mut self,
         plan: &mut [PlanWord],
         mut expired: impl FnMut(&MegaflowEntry) -> bool,
+        work: &mut SweepWork,
     ) -> Option<u64> {
-        let first = self.entries.iter().position(&mut expired)?;
-        let before = self.entries.len();
-        let (mut kept, mut filter) = (0, 0);
-        for pos in 0..before {
+        let (head, end) = (self.head as usize, self.end());
+        work.examined += (end - head) as u64;
+        let first = (head..end).find(|&offset| expired(self.entry(offset)))?;
+        if let Some(log) = self.log.as_deref_mut() {
+            log.sealed.clear();
+        }
+        let (mut kept, mut filter, mut chunk) = (0, 0, Summary::EMPTY);
+        self.ordered = true;
+        for from in head..end {
             // `expired` has answered for the entries up to `first` already.
-            if pos == first || (pos > first && expired(&self.entries[pos])) {
+            if from == first || (from > first && expired(self.entry(from))) {
+                work.removed += 1;
                 continue;
             }
             if kept == 0 {
@@ -410,21 +855,114 @@ impl Tuple {
                 // it — and sized for every entry from that one on, the most there can be
                 // left: exact when the oldest entries are the ones to go.
                 self.index.clear();
-                self.index.resize(slots_for(before - pos), 0);
+                self.index.resize(slots_for(end - from), 0);
             }
-            if kept < pos {
-                self.entries[kept] = self.entries[pos].clone();
+            if kept < from {
+                let moved = self.entry(from).clone();
+                *self.entry_mut(kept) = moved;
+                work.moved += 1;
             }
-            let key = Probe::new(&self.entries[kept].key);
+            let entry = self.entry(kept);
+            let ordered = entry.last_used >= entry.installed_at
+                && (kept == 0 || entry.installed_at >= self.entry(kept - 1).installed_at);
+            let key = Probe::new(&entry.key);
             agree(plan, &key, kept == 0);
             let hash = masked_hash(plan, |w| key.word(w));
-            file(&mut self.index, hash, kept);
+            chunk.add(plan, &key, hash);
+            self.ordered &= ordered;
+            let filed = slot(hash, self.seq(kept));
+            place(&mut self.index, filed);
             filter |= filter_bit(hash);
             kept += 1;
+            if kept % CHUNK == 0 {
+                if let Some(log) = self.log.as_deref_mut() {
+                    log.sealed
+                        .push_back(std::mem::replace(&mut chunk, Summary::EMPTY));
+                }
+            }
         }
+        work.refolded += kept as u64;
+        work.slots += kept as u64;
+        // Cut the log back to `kept` entries from offset 0.
+        self.head = 0;
         self.entries.truncate(kept);
+        if let Some(log) = self.log.as_deref_mut() {
+            let newer = kept.div_ceil(BLOCK).saturating_sub(1);
+            while log.blocks.len() > newer {
+                if let Some(dead) = log.blocks.pop_back() {
+                    log.free(dead);
+                }
+            }
+            if let Some(newest) = log.blocks.back_mut() {
+                newest.truncate(kept - BLOCK * newer);
+            }
+            log.open = if kept % CHUNK == 0 {
+                Summary::EMPTY
+            } else {
+                chunk
+            };
+        }
         Some(filter)
     }
+
+    /// Whether this tuple is what `words`, its plan words, and `filter`, its miss filter,
+    /// say it is: it holds an entry; its index holds one slot per live entry, through
+    /// which [`Tuple::find`] finds the entry where it is; each chunk's summary is the
+    /// fold over its live keys; the agreement words and the filter are exactly the meet
+    /// of those; and an [`ordered`](Tuple::ordered) log is ordered.
+    fn consistent(&self, words: &[PlanWord], filter: u64) -> bool {
+        let (head, end) = (self.head as usize, self.end());
+        let filed = self.index.iter().filter(|&&slot| slot != 0).count();
+        let mut ok = head < end && filed == end - head;
+        let mut meet = Summary::EMPTY;
+        for chunk in 0..end.div_ceil(CHUNK) {
+            let live = (chunk * CHUNK).max(head)..((chunk + 1) * CHUNK).min(end);
+            let full = live.end == (chunk + 1) * CHUNK;
+            let mut summary = Summary::EMPTY;
+            for offset in live {
+                let entry = self.entry(offset);
+                let key = Probe::new(&entry.key);
+                let hash = masked_hash(words, |w| key.word(w));
+                summary.add(words, &key, hash);
+                ok &= self.find(hash, &entry.key) == Some(offset);
+                ok &= !self.ordered
+                    || (entry.last_used >= entry.installed_at
+                        && (offset == head
+                            || entry.installed_at >= self.entry(offset - 1).installed_at));
+            }
+            if let Some(log) = self.log.as_deref() {
+                let stored = if full {
+                    log.sealed.get(chunk)
+                } else {
+                    Some(&log.open)
+                };
+                ok &= stored == Some(&summary);
+            }
+            meet.meet(&summary);
+        }
+        if let Some(log) = self.log.as_deref() {
+            ok &=
+                log.sealed.len() == end / CHUNK && (end % CHUNK != 0 || log.open == Summary::EMPTY);
+        }
+        ok && Summary::of(words, filter) == meet
+    }
+}
+
+/// Host-side work of the sweeps that drop entries — [`TupleSpace::expire_idle`] and
+/// [`TupleSpace::remove_where`] — summed over the cache's life: deterministic counts,
+/// read through [`TupleSpace::sweep_work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepWork {
+    /// Entries read to decide whether they go.
+    pub examined: u64,
+    /// Entries removed.
+    pub removed: u64,
+    /// Surviving entries copied to another place in their tuple's log.
+    pub moved: u64,
+    /// Keys laid out, hashed and folded into an agreement again.
+    pub refolded: u64,
+    /// Index slots freed, re-pointed or refiled.
+    pub slots: u64,
 }
 
 /// The TSS megaflow cache: its probe lane, plan slab and tuples.
@@ -442,9 +980,15 @@ pub struct TupleSpace {
     slab: Vec<PlanWord>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
+    /// What the sweeps have done; see [`Self::sweep_work`].
+    work: SweepWork,
 }
 
 impl TupleSpace {
+    /// Entries to a block of a tuple's log: a tuple that outgrows one grows, and an idle
+    /// sweep frees it, a block at a time.
+    pub const BLOCK: usize = BLOCK;
+
     /// Create an empty cache.
     pub fn new(schema: FieldSchema) -> Self {
         TupleSpace {
@@ -453,6 +997,7 @@ impl TupleSpace {
             lane: VecDeque::new(),
             slab: Vec::new(),
             tuples: Vec::new(),
+            work: SweepWork::default(),
         }
     }
 
@@ -481,7 +1026,14 @@ impl TupleSpace {
 
     /// Number of entries |C|.
     pub fn entry_count(&self) -> usize {
-        self.tuples.iter().map(|t| t.entries.len()).sum()
+        self.tuples.iter().map(Tuple::len).sum()
+    }
+
+    /// The host-side work every sweep of this cache has done so far, summed: entries
+    /// examined and removed, survivors moved, keys refolded and index slots written.
+    /// Deterministic, and never part of a simulated cost.
+    pub fn sweep_work(&self) -> SweepWork {
+        self.work
     }
 
     /// The tuple a lane record stands for.
@@ -513,20 +1065,22 @@ impl TupleSpace {
         };
         let rec = &mut self.lane[pos];
         rec.filter = 0;
-        let entries = std::mem::take(&mut self.tuples[rec.tuple as usize].entries);
+        let tuple = &mut self.tuples[rec.tuple as usize];
+        let removed = tuple.len();
+        (tuple.entries, tuple.head, tuple.log) = (Vec::new(), 0, None);
         self.drop_emptied();
         debug_assert!(self.lane_consistent());
-        entries.len()
+        removed
     }
 
     /// Iterate over all entries, tuple by tuple in probe order, and within a tuple in
     /// the order they were inserted.
     pub fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
-        self.lane.iter().flat_map(|rec| &self.tuple(rec).entries)
+        self.lane.iter().flat_map(|rec| self.tuple(rec).iter())
     }
 
-    /// One probe of Alg. 1: the position, among its tuple's entries, of the entry the
-    /// probed header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
+    /// One probe of Alg. 1: the offset, in its tuple's log, of the entry the probed
+    /// header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
     /// probe with this one; [`Self::lookup_run`] and the Inv(2) walk ([`Self::walk_for`])
     /// run the agreement test their own way and share its tail. A header that disagrees
     /// with the agreement words misses without a hash; one that survives them is hashed,
@@ -570,12 +1124,9 @@ impl TupleSpace {
         let mut action = None;
         for rec in &mut self.lane {
             masks_scanned += 1;
-            if let Some(pos) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
+            if let Some(offset) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
                 rec.hits += 1;
-                let entry = &mut self.tuples[rec.tuple as usize].entries[pos];
-                entry.hits += 1;
-                entry.last_used = now;
-                action = Some(entry.action);
+                action = Some(self.tuples[rec.tuple as usize].hit(offset, now));
                 break;
             }
         }
@@ -653,14 +1204,11 @@ impl TupleSpace {
                 };
                 return j + 1;
             }
-            let (i, pos) = found[j];
+            let (i, offset) = found[j];
             let rec = &mut self.lane[i];
             rec.hits += 1;
-            let entry = &mut self.tuples[rec.tuple as usize].entries[pos];
-            entry.hits += 1;
-            entry.last_used = now;
             out[j] = LookupOutcome {
-                action: Some(entry.action),
+                action: Some(self.tuples[rec.tuple as usize].hit(offset, now)),
                 masks_scanned: i + 1,
             };
         }
@@ -671,8 +1219,7 @@ impl TupleSpace {
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
         let probe = Probe::new(header);
         self.lane.iter().find_map(|rec| {
-            Self::probe(&self.slab, &self.tuples, rec, &probe)
-                .map(|pos| &self.tuple(rec).entries[pos])
+            Self::probe(&self.slab, &self.tuples, rec, &probe).map(|o| self.tuple(rec).entry(o))
         })
     }
 
@@ -715,7 +1262,7 @@ impl TupleSpace {
             Some(pos) => {
                 let rec = &mut self.lane[pos];
                 let words = &mut self.slab[rec.plan()];
-                rec.filter |= self.tuples[rec.tuple as usize].push(words, entry, hash);
+                rec.filter |= self.tuples[rec.tuple as usize].push(words, rec.filter, entry, hash);
             }
             None => {
                 debug_assert!(
@@ -824,15 +1371,14 @@ impl TupleSpace {
                 if own {
                     home_hash = Some(hash);
                 }
-                if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, key) {
-                    return Err(&tuple.entries[pos]);
+                if let Some(offset) = Self::find_hashed(&self.tuples, rec, hash, key) {
+                    return Err(tuple.entry(offset));
                 }
             } else {
                 // Report the smallest conflicting key, not the first stored: the
                 // generation strategy narrows wildcards against the returned conflict,
                 // so the choice must not depend on the order entries arrived in.
                 let conflict = tuple
-                    .entries
                     .iter()
                     .filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask))
                     .min_by(|a, b| a.key.cmp(&b.key));
@@ -848,15 +1394,26 @@ impl TupleSpace {
     /// removed entries. The predicate sees entries tuple by tuple in probe order
     /// (insertion order within a tuple). A tuple left without entries is dropped and
     /// the survivors keep their relative probe order — this is what shrinks |M| back
-    /// down (the entire point of MFCGuard).
+    /// down (the entire point of MFCGuard). Each tuple that loses an entry is compacted:
+    /// its survivors are moved up, refolded and refiled.
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
+        self.sweep_tuples(|tuple, plan, work| tuple.sweep(plan, &mut predicate, work))
+    }
+
+    /// Run `sweep` over every tuple in probe order, with its plan words and the work
+    /// counters; a tuple it returns `Some(filter)` for has lost entries and gets that
+    /// filter. Drops the tuples left empty; returns how many entries went.
+    fn sweep_tuples(
+        &mut self,
+        mut sweep: impl FnMut(&mut Tuple, &mut [PlanWord], &mut SweepWork) -> Option<u64>,
+    ) -> usize {
         let mut removed = 0;
         let mut emptied = false;
         for rec in &mut self.lane {
             let tuple = &mut self.tuples[rec.tuple as usize];
-            let before = tuple.entries.len();
-            if let Some(filter) = tuple.sweep(&mut self.slab[rec.plan()], &mut predicate) {
-                removed += before - tuple.entries.len();
+            let before = tuple.len();
+            if let Some(filter) = sweep(tuple, &mut self.slab[rec.plan()], &mut self.work) {
+                removed += before - tuple.len();
                 rec.filter = filter;
                 emptied |= filter == 0;
             }
@@ -879,11 +1436,11 @@ impl TupleSpace {
             .iter()
             .map(|t| {
                 let slot = kept;
-                kept += u32::from(!t.entries.is_empty());
+                kept += u32::from(!t.is_empty());
                 slot
             })
             .collect();
-        self.tuples.retain(|t| !t.entries.is_empty());
+        self.tuples.retain(|t| !t.is_empty());
         let old_slab = std::mem::take(&mut self.slab);
         let slab = &mut self.slab;
         self.lane.retain_mut(|rec| {
@@ -900,11 +1457,10 @@ impl TupleSpace {
 
     /// Whether lane, slab and tuples describe one tuple space: the records name each
     /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, each plan word's agreement is the fold over the resident keys, every
-    /// resident key has its bit in its record's filter, and each tuple's index holds one
-    /// slot per entry, through which [`Tuple::find`] finds the entry where it is. What
-    /// debug builds assert after every mutation. It allocates nothing, so that the
-    /// allocation audit can hold a warm mutation, this check included, to zero.
+    /// nothing else, and each tuple is [`Tuple::consistent`] with its plan words and its
+    /// record's filter. What debug builds assert after every mutation. It allocates
+    /// nothing, so that the allocation audit can hold a warm mutation, this check
+    /// included, to zero.
     fn lane_consistent(&self) -> bool {
         // As many records as slots, each naming a slot in range, none named twice: the
         // last checked 4096 slots at a time, against a bitmap on the stack.
@@ -928,27 +1484,27 @@ impl TupleSpace {
             && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
             && self.lane.iter().all(|rec| {
                 let tuple = self.tuple(rec);
-                let mut expected = Plan::of(&tuple.mask);
-                let plan = &mut expected.words[..expected.len];
-                let filed = tuple.index.iter().filter(|&&slot| slot != 0).count();
-                let found = filed == tuple.entries.len()
-                    && tuple.entries.iter().enumerate().all(|(i, e)| {
-                        let key = Probe::new(&e.key);
-                        agree(plan, &key, i == 0);
-                        let hash = masked_hash(plan, |w| key.word(w));
-                        rec.filter & filter_bit(hash) != 0 && tuple.find(hash, &e.key) == Some(i)
-                    });
-                !tuple.entries.is_empty()
-                    && found
-                    && self.slab.get(rec.plan()) == Some(expected.words())
+                let words = self.slab.get(rec.plan());
+                let words = words.filter(|words| Plan::of(&tuple.mask).is(words));
+                words.is_some_and(|words| tuple.consistent(words, rec.filter))
             })
     }
 
     /// Expire entries idle for longer than `idle_timeout` seconds (OVS's 10 s policy,
     /// §5.4: "the 10 sec idle MFC timeout in OVS, keeping the attacker's entries alive
     /// for an extended time"). Returns the number of expired entries.
+    ///
+    /// It removes exactly what `remove_where(|e| now - e.last_used > idle_timeout)` does,
+    /// leaving the same entries in the same order, but reads only each tuple's *old
+    /// region* — the entries in front of the first one whose own installation is not past
+    /// the timeout: the entries behind it stay where they are, with their slots and
+    /// hashes. A tuple installed out of time order, or hit before an entry's
+    /// installation, is compacted instead.
     pub fn expire_idle(&mut self, now: f64, idle_timeout: f64) -> usize {
-        self.remove_where(|e| now - e.last_used > idle_timeout)
+        self.sweep_tuples(|tuple, plan, work| match tuple.ordered {
+            true => tuple.expire(plan, now, idle_timeout, work),
+            false => tuple.sweep(plan, |e| now - e.last_used > idle_timeout, work),
+        })
     }
 
     /// Remove everything.
@@ -982,7 +1538,7 @@ impl TupleSpace {
     pub fn render(&self) -> String {
         let mut lines = Vec::new();
         for (i, rec) in self.lane.iter().enumerate() {
-            let mut keys: Vec<&MegaflowEntry> = self.tuple(rec).entries.iter().collect();
+            let mut keys: Vec<&MegaflowEntry> = self.tuple(rec).iter().collect();
             keys.sort_by(|a, b| a.key.cmp(&b.key));
             for e in keys {
                 lines.push(format!(
@@ -1648,6 +2204,261 @@ mod tests {
         let mut reordered = cache;
         reordered.lane.swap(0, 2);
         assert!(reordered.lane_consistent(), "order is the lane's to choose");
+    }
+
+    /// The schema of the sweep oracle, and the full mask its exact-match tuples share.
+    fn oracle_schema() -> (FieldSchema, Mask) {
+        let schema = FieldSchema::new(vec![
+            FieldDef::new("a", 5),
+            FieldDef::new("wide", 128),
+            FieldDef::new("b", 4),
+        ]);
+        let full = schema.full_mask();
+        (schema, full)
+    }
+
+    /// `a` and `b` hold the same tuple space: the same entries in the same order, field by
+    /// field, the same mask usage, the same verdicts and `masks_scanned` for every
+    /// resident key and every header of `headers`, and the same conflicts for `queries`.
+    fn same_cache(
+        a: &TupleSpace,
+        b: &TupleSpace,
+        headers: &[Key],
+        queries: &[(Key, Mask)],
+    ) -> Result<(), TestCaseError> {
+        let entries = |c: &TupleSpace| -> Vec<MegaflowEntry> { c.entries().cloned().collect() };
+        prop_assert_eq!(entries(a), entries(b));
+        prop_assert_eq!(a.mask_usage(), b.mask_usage());
+        let resident: Vec<Key> = a.entries().map(|e| e.key.clone()).collect();
+        let (mut a, mut b) = (a.clone(), b.clone());
+        for header in resident.iter().chain(headers) {
+            prop_assert_eq!(
+                a.lookup(header, 1e6),
+                b.lookup(header, 1e6),
+                "lookup {}",
+                header
+            );
+        }
+        for (key, mask) in queries {
+            prop_assert_eq!(a.find_conflict(key, mask), b.find_conflict(key, mask));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// `expire_idle` reads only each tuple's old region and leaves the rest of the log
+        /// where it is; `remove_where` with the idle predicate compacts every tuple that
+        /// loses an entry. On exact-match tuples that grow past three blocks and wildcard
+        /// tuples beside them, insert times that mostly advance but sometimes go back, and
+        /// hits at the clock or before it, the two agree after every sweep on what they
+        /// return, the entries left (field by field, in order), the mask usage, every
+        /// lookup and `masks_scanned`, and `find_conflict`. The run goes on from either
+        /// side, so each sweep also starts from a log the other one left.
+        #[test]
+        fn expire_idle_matches_remove_where(
+            ops in proptest::collection::vec((0u8..20, arb_triple(), 0u8..8, 0u64..40), 1..200),
+            probes in proptest::collection::vec((arb_triple(), arb_triple()), 1..12),
+        ) {
+            let (schema, full) = oracle_schema();
+            let headers: Vec<Key> = probes.iter().map(|&(k, _)| wide_key(&schema, k)).collect();
+            let queries: Vec<(Key, Mask)> = probes
+                .iter()
+                .map(|&(k, m)| {
+                    let mask = palette_mask(&schema, m);
+                    (wide_key(&schema, k).apply_mask(&mask), mask)
+                })
+                .collect();
+            let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+            let mut clock = 0.0;
+            for &(op, key, pick, t) in &ops {
+                let key = wide_key(&schema, key);
+                // Mostly forward; one step in eight goes back.
+                let now = match pick {
+                    0 => clock - t as f64,
+                    _ => clock,
+                };
+                match op {
+                    0..=11 => {
+                        c.insert(key, full.clone(), Action::Deny, now).ok();
+                        clock += 0.5;
+                    }
+                    12 => {
+                        let mask = palette_mask(&schema, (t as u128, u128::from(pick) * 37, t as u128));
+                        c.insert(key, mask, Action::Allow, now).ok();
+                    }
+                    13..=15 => {
+                        let resident = c.entries().nth(t as usize % c.entry_count().max(1));
+                        if let Some(header) = resident.map(|e| e.key.clone()) {
+                            c.lookup(&header, now);
+                        }
+                    }
+                    16 | 17 => {
+                        c.lookup(&key, now);
+                    }
+                    _ => {
+                        let timeout = [0.0, 5.0, 20.0, 40.0][usize::from(pick % 4)];
+                        let (mut a, mut b) = (c.clone(), c.clone());
+                        let expired = a.expire_idle(clock, timeout);
+                        let removed = b.remove_where(|e| clock - e.last_used > timeout);
+                        prop_assert_eq!(expired, removed, "sweep at {} / {}", clock, timeout);
+                        same_cache(&a, &b, &headers, &queries)?;
+                        c = if pick < 4 { a } else { b };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rebase `c`'s tuple in slot `tuple` so that its oldest entry's sequence number is
+    /// `base`, re-pointing every slot.
+    fn rebase(c: &mut TupleSpace, tuple: usize, base: u32) {
+        let tuple = &mut c.tuples[tuple];
+        let shift = base.wrapping_sub(tuple.base);
+        for slot in tuple.index.iter_mut().filter(|slot| **slot != 0) {
+            *slot = *slot & TAG | u64::from((*slot as u32).wrapping_add(shift));
+        }
+        tuple.base = base;
+        assert!(c.lane_consistent());
+    }
+
+    /// A tuple whose sequence numbers start just below 2^32 churns across the wrap:
+    /// rounds of inserts of more than two blocks each and sweeps that drop the oldest,
+    /// against the set of keys it should hold.
+    #[test]
+    fn a_log_churns_across_the_sequence_wrap() {
+        let (schema, full) = oracle_schema();
+        let key = |i: u128| wide_key(&schema, (i % 32, i / 32 % 256, i / 8192));
+        let mut c = TupleSpace::new(schema.clone());
+        c.insert(key(0), full.clone(), Action::Deny, 0.0).unwrap();
+        rebase(&mut c, 0, u32::MAX - 5);
+        // Each key and when it went in.
+        let mut model = vec![(key(0), 0.0)];
+        let mut next = 1;
+        for r in 1..12 {
+            let now = f64::from(r) * 10.0;
+            for _ in 0..2 * BLOCK + 3 {
+                let k = key(next);
+                next += 1;
+                c.insert(k.clone(), full.clone(), Action::Deny, now)
+                    .unwrap();
+                model.push((k, now));
+            }
+            // Everything but the last two rounds idles out.
+            c.expire_idle(now, 15.0);
+            model.retain(|&(_, at)| now - at <= 15.0);
+            let held: Vec<Key> = c.entries().map(|e| e.key.clone()).collect();
+            let expected: Vec<Key> = model.iter().map(|(k, _)| k.clone()).collect();
+            assert_eq!(held, expected, "round {r}");
+            for k in &held {
+                assert_eq!(c.peek(k).map(|e| &e.key), Some(k));
+            }
+        }
+        let tuple = &c.tuples[0];
+        assert!(tuple.log.as_ref().is_some_and(|log| log.blocks.len() >= 2));
+        assert!(
+            tuple.base < u32::MAX - 5,
+            "the sequence numbers wrapped (base {})",
+            tuple.base
+        );
+    }
+
+    /// What an idle sweep of an ordered log costs, tuple by tuple: it examines the
+    /// entries it removes or moves and the one at the cut, and refolds at most two
+    /// chunks. A long-lived entry at the front of the log, hit every step, is the one
+    /// survivor each sweep moves; batches behind it idle out a step at a time. A sweep
+    /// that removes nothing reads that entry and the one at the cut, and writes nothing.
+    #[test]
+    fn an_idle_sweep_examines_what_it_removes_or_moves() {
+        let (schema, full) = oracle_schema();
+        let key = |i: u128| wide_key(&schema, (i % 32, i / 32 % 256, i / 8192));
+        let mut c = TupleSpace::new(schema.clone());
+        c.insert(key(0), full.clone(), Action::Allow, 0.0).unwrap();
+        let (mut next, mut swept) = (1, 0);
+        for step in 1..60 {
+            let now = f64::from(step);
+            for _ in 0..5 {
+                c.insert(key(next), full.clone(), Action::Deny, now)
+                    .unwrap();
+                next += 1;
+            }
+            assert_eq!(c.lookup(&key(0), now).action, Some(Action::Allow));
+            let before = c.sweep_work();
+            let removed = c.expire_idle(now, 10.0);
+            let w = c.sweep_work();
+            let d = |f: fn(&SweepWork) -> u64| f(&w) - f(&before);
+            assert_eq!(d(|w| w.removed), removed as u64);
+            let (examined, removed_and_moved) = (d(|w| w.examined), d(|w| w.removed + w.moved));
+            assert!(
+                examined <= removed_and_moved + 1 || (removed == 0 && examined <= 2),
+                "step {step}: {w:?} after {before:?}"
+            );
+            assert!(d(|w| w.refolded) <= 2 * CHUNK as u64, "step {step}");
+            assert_eq!(d(|w| w.slots), d(|w| w.removed) + d(|w| w.moved));
+            if removed > 0 {
+                assert_eq!(d(|w| w.moved), 1, "the long-lived entry slides up");
+                swept += 1;
+            }
+        }
+        assert!(swept > 40, "most steps removed a batch");
+        let log = c.tuples[0].log.as_ref();
+        assert!(
+            log.is_some_and(|log| log.blocks.len() >= 2),
+            "the tuple spans blocks"
+        );
+        assert_eq!(
+            c.entry_count(),
+            1 + 5 * 11,
+            "the last eleven batches are live"
+        );
+    }
+
+    /// Backward-shift deletion, on an index of eight slots whose six keys share two
+    /// homes, one run wrapping past the end: deleted in every order, each deletion leaves
+    /// every remaining key found and no free slot inside a run.
+    #[test]
+    fn index_deletion_keeps_every_run_whole() {
+        let homes = [6u64, 6, 7, 6, 0, 7];
+        let slots: Vec<u64> = homes
+            .iter()
+            .enumerate()
+            .map(|(seq, &home)| slot(home << 32 | (seq as u64) << 40, seq as u32))
+            .collect();
+        let mut full = vec![0u64; 8];
+        for &s in &slots {
+            place(&mut full, s);
+        }
+        // Every permutation of the six, by Heap's algorithm.
+        fn orders(k: usize, a: &mut [usize], out: &mut Vec<Vec<usize>>) {
+            if k <= 1 {
+                out.push(a.to_vec());
+                return;
+            }
+            for i in 0..k {
+                orders(k - 1, a, out);
+                a.swap(if k.is_multiple_of(2) { i } else { 0 }, k - 1);
+            }
+        }
+        let mut all = Vec::new();
+        orders(slots.len(), &mut [0, 1, 2, 3, 4, 5], &mut all);
+        assert_eq!(all.len(), 720);
+        for order in &all {
+            let mut index = full.clone();
+            for (n, &gone) in order.iter().enumerate() {
+                let i = seek(&index, slots[gone]).expect("filed");
+                unplace(&mut index, i);
+                assert_eq!(seek(&index, slots[gone]), None);
+                for &left in &order[n + 1..] {
+                    let at = seek(&index, slots[left]).expect("still found");
+                    // Every slot from the key's home up to it is taken.
+                    let mut i = home(&index, slots[left]);
+                    while i != at {
+                        assert_ne!(index[i], 0, "a free slot inside a run: order {order:?}");
+                        i = (i + 1) % index.len();
+                    }
+                }
+            }
+            assert!(index.iter().all(|&s| s == 0));
+        }
     }
 
     #[test]

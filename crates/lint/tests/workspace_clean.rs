@@ -60,7 +60,9 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse", 0, 0),
     ("tse-attack", 56, 0),
     ("tse-bench", 57, 0),
-    ("tse-classifier", 78, 4),
+    // Two more than before: `SweepWork` and `TupleSpace::sweep_work`, the idle sweeps'
+    // work counters `ipv6_entry_explosion` records as deterministic rows.
+    ("tse-classifier", 80, 4),
     ("tse-lint", 26, 0),
     ("tse-mitigation", 53, 1),
     ("tse-packet", 122, 4),

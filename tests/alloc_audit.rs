@@ -17,7 +17,9 @@
 //! `Encap::encode_into` (every envelope) allocate nothing. So is the slow path's
 //! generation: a warm `generate_megaflow` against the gateway's 1001-rule table and a
 //! populated cache allocates nothing. So are the cache's writes: a warm upcall whose
-//! megaflow joins a tuple with room to spare, and a warm expiry sweep of a large tuple.
+//! megaflow joins a tuple with room to spare, a warm expiry sweep of a large tuple, and
+//! warm churn — a block of installs, then a sweep that expires a block — of a tuple
+//! four blocks long.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -334,9 +336,10 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         "a warm upcall into a roomy tuple must be allocation-free"
     );
 
-    // A sweep compacts the survivors in place and refiles them into the index the tuple
-    // already has, emptied: after one sweep of a large tuple, each further one that
-    // removes entries from it allocates nothing.
+    // An idle sweep reads a tuple's old region alone: it frees the slots of the expired
+    // entries in place and drops the blocks of the log they leave dead, keeping one
+    // as the spare. After one sweep of a large tuple, each further one that removes
+    // entries from it allocates nothing.
     let mut cache = TupleSpace::new(schema.clone());
     let big: Vec<Key> = (0..4096).map(|i| header(i, 9000)).collect();
     for (i, h) in big.iter().enumerate() {
@@ -357,6 +360,38 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     });
     assert_eq!(expired, 5 * 256, "every audited sweep removed entries");
     assert_eq!(e_allocs, 0, "a warm expiry sweep must be allocation-free");
+
+    // Steady churn of a four-block tuple: each round installs a block's worth of
+    // entries, which opens a block, and a sweep expires the oldest block's worth, which
+    // frees one. The freed block is the next round's new one, and the index is already
+    // sized for the most entries the tuple holds, so five warm rounds allocate nothing.
+    let block = TupleSpace::BLOCK;
+    let mut cache = TupleSpace::new(schema.clone());
+    let mut next = 0;
+    let mut churn = |cache: &mut TupleSpace, round: usize| {
+        for _ in 0..block {
+            let h = header(next, 9001);
+            let t = round as f64;
+            cache
+                .insert(h, schema.full_mask(), Action::Deny, t)
+                .unwrap();
+            next += 1;
+        }
+        // Rounds more than three behind idle out: four blocks stay.
+        cache.expire_idle(round as f64, 3.5)
+    };
+    for round in 0..6 {
+        churn(&mut cache, round);
+    }
+    assert_eq!((cache.mask_count(), cache.entry_count()), (1, 4 * block));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let expired: usize = (6..11).map(|round| churn(&mut cache, round)).sum();
+    let c_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(expired, 5 * block, "each round expired a block's worth");
+    assert_eq!(
+        c_allocs, 0,
+        "warm churn of a four-block tuple must be allocation-free"
+    );
 
     // --- Wire ingestion: batched header extraction is allocation-free when warm. ---
     // Frames live in two contiguous WireTraces; the scratch's result buffer is the
