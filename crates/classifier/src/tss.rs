@@ -60,15 +60,16 @@
 //! block is one `Vec` that starts at capacity 1. Every mutation leaves lane, slab and
 //! tuples describing the same tuple space; debug builds check that after each one.
 //!
-//! Idle expiry (§5.4's revalidation) is O(expired): installs arrive in time order, so a
-//! tuple's entries that can have idled out are the ones in front of the first entry
-//! whose own installation has not. A sweep reads that *old region* and nothing else,
-//! frees the expired entries' index slots, slides the few survivors up against the
-//! cut, and frees the blocks left dead; the entries behind the cut keep their places,
-//! slots and hashes. Each chunk of a log keeps a summary of its keys' agreement and
-//! filter bits, so the tuple's agreement and filter are remade exactly from the
-//! summaries and the one or two chunks the sweep changed. Any other removal compacts
-//! the tuple, as does a sweep of a tuple whose log is out of time order.
+//! Every removal from a tuple is one walk back from a *cut*: it reads the live entries
+//! in front of the cut, newest first, frees the index slots of the ones that go, slides
+//! the survivors up against the cut, and frees the blocks left dead; the entries behind
+//! the cut keep their places, slots and hashes. Each chunk of a log keeps a summary of
+//! its keys' agreement and filter bits, so the tuple's agreement and filter are remade
+//! exactly from the summaries and the chunks the walk changed. Idle expiry (§5.4's
+//! revalidation) is O(expired): installs arrive in time order, so a tuple's entries that
+//! can have idled out are the ones in front of the first entry whose own installation
+//! has not, and that entry is the cut. MFCGuard's removal, and idle expiry of a tuple
+//! whose log is out of time order, walk from the end of the log.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
 //! linear-probe run, spread a tuple's keys until they agree on no bit, or all land on
@@ -492,12 +493,13 @@ impl Log {
 /// a slot is freed by backward-shift deletion ([`unplace`]), so the index never holds a
 /// tombstone.
 ///
-/// **Sweeps.** Idle expiry ([`Tuple::expire`]) reads the *old region* — the live
-/// entries in front of the first one whose own installation is not yet past the
-/// timeout — and nothing else, drops the expired ones, frees the blocks left dead and
-/// refolds the chunks it changed; the entries behind the cut keep their offsets, slots
-/// and hashes, and their chunks' summaries. Everything else that removes entries
-/// compacts ([`Tuple::sweep`]).
+/// **Sweeps.** Every removal is [`Tuple::remove`]: it reads the live entries in front
+/// of a cut and nothing else, drops the ones it is told to, frees the blocks left dead
+/// and refolds the chunks it changed; the entries behind the cut keep their offsets,
+/// slots and hashes, and their chunks' summaries. Idle expiry of an
+/// [`ordered`](Tuple::ordered) tuple cuts at the first entry whose own installation is
+/// not yet past the timeout, so it reads the *old region* alone; every other removal
+/// cuts at the end of the log.
 #[derive(Debug, Clone)]
 struct Tuple {
     /// The mask every entry of this tuple shares.
@@ -512,8 +514,9 @@ struct Tuple {
     /// The offset of the oldest live entry, within `entries`.
     head: u32,
     /// Whether `installed_at` never decreases along the log and no hit stamped a
-    /// `last_used` below its entry's `installed_at`: what lets [`Tuple::expire`] leave
-    /// everything behind the old region unread. A compaction recomputes it.
+    /// `last_used` below its entry's `installed_at`: what lets idle expiry leave
+    /// everything behind the old region unread. A [`Tuple::remove`] from the end of the
+    /// log that drops an entry recomputes it.
     ordered: bool,
     /// The chunk summaries and newer blocks, once the tuple has outgrown its first chunk.
     log: Option<Box<Log>>,
@@ -706,48 +709,37 @@ impl Tuple {
         summary
     }
 
-    /// Drop every entry idle for longer than `timeout` at `now`, reading the old region
-    /// and nothing else. Only for an [`ordered`](Tuple::ordered) tuple: an entry behind
-    /// the cut has `installed_at` no earlier than the cut's, which is not past the
-    /// timeout, and `last_used` no earlier than its `installed_at`, so the predicate's
-    /// own float expression cannot be true of it.
+    /// Drop every live entry in front of `cut` that `gone` names, reading those entries
+    /// and nothing else; `gone` sees each once, newest first. The entries behind the cut
+    /// keep their offsets, slots and hashes, and their chunks' summaries.
     ///
-    /// Walking the old region backwards, each expired entry's slot is freed, its key
-    /// hashed once to find it; each survivor slides up against the cut, in order, and
-    /// its slot, found the same way, is re-pointed in place. The blocks left dead are
-    /// freed, one kept as the spare; the chunks the sweep changed are refolded from
-    /// their live keys, and the slab agreement and the filter become the meet of the
-    /// chunks' summaries. Returns what [`Tuple::sweep`] does; nothing is written if no
-    /// entry went.
-    fn expire(
+    /// Each entry that goes has its slot freed, its key hashed once to find it; each
+    /// survivor slides up against the cut, in order, and its slot, found the same way,
+    /// is re-pointed in place. The blocks left dead are freed, one kept as the spare; the
+    /// chunks that held any of `head..cut` are refolded from their live keys, and the
+    /// slab agreement and the filter become the meet of the chunks' summaries. A walk
+    /// from the end of the log that drops an entry recomputes [`Tuple::ordered`] from the
+    /// survivors it read.
+    /// Returns the miss filter of what is left — 0 for a tuple left empty, whose
+    /// agreement words are then stale — or `None`, with nothing written, if no entry
+    /// went.
+    fn remove(
         &mut self,
         plan: &mut [PlanWord],
-        now: f64,
-        timeout: f64,
+        mut cut: usize,
+        mut gone: impl FnMut(&MegaflowEntry) -> bool,
         work: &mut SweepWork,
     ) -> Option<u64> {
-        let idle = |e: &MegaflowEntry| now - e.last_used > timeout;
         let (head, end) = (self.head as usize, self.end());
-        let (mut cut, mut expired) = (head, 0);
-        while cut < end {
-            let entry = self.entry(cut);
-            let old = now - entry.installed_at > timeout;
-            if !old {
-                break;
-            }
-            expired += u64::from(idle(entry));
-            cut += 1;
-        }
-        work.examined += (cut - head + usize::from(cut < end)) as u64;
-        if expired == 0 {
-            return None;
-        }
-        work.removed += expired;
-        let mut to = cut;
+        work.examined += (cut - head) as u64;
+        // Survivors are read newest first: `newer` is the last one's installation.
+        let (mut to, mut ordered, mut newer) = (cut, true, f64::INFINITY);
         for from in (head..cut).rev() {
             let entry = self.entry(from);
-            let gone = idle(entry);
-            if !gone {
+            let went = gone(entry);
+            if !went {
+                ordered &= entry.last_used >= entry.installed_at && entry.installed_at <= newer;
+                newer = entry.installed_at;
                 to -= 1;
                 if to == from {
                     continue;
@@ -760,7 +752,8 @@ impl Tuple {
             );
             debug_assert!(filed.is_some(), "every live entry has its slot");
             work.slots += 1;
-            if gone {
+            if went {
+                work.removed += 1;
                 if let Some(i) = filed {
                     unplace(&mut self.index, i);
                 }
@@ -772,6 +765,12 @@ impl Tuple {
                 self.index[i] = self.index[i] & TAG | u64::from(self.seq(to));
             }
             work.moved += 1;
+        }
+        if to == head {
+            return None;
+        }
+        if cut == end {
+            self.ordered = ordered;
         }
         self.head = to as u32;
         // Free the blocks left dead, keeping one for the next block.
@@ -821,88 +820,6 @@ impl Tuple {
             }
         }
         Some(meet.store(plan))
-    }
-
-    /// Drop every entry `expired` names, by compaction: the survivors close ranks at the
-    /// front of the log in order and are folded into the agreement words and the chunk
-    /// summaries afresh and refiled as they pass, each laid out and hashed once; the
-    /// blocks left over are freed, one kept as the spare, and [`Tuple::ordered`] is
-    /// recomputed. Returns the miss filter of what is left — 0 for a tuple left empty,
-    /// whose agreement words are then stale — or `None`, with nothing written, if no
-    /// entry went. `expired` sees each live entry once, in order.
-    fn sweep(
-        &mut self,
-        plan: &mut [PlanWord],
-        mut expired: impl FnMut(&MegaflowEntry) -> bool,
-        work: &mut SweepWork,
-    ) -> Option<u64> {
-        let (head, end) = (self.head as usize, self.end());
-        work.examined += (end - head) as u64;
-        let first = (head..end).find(|&offset| expired(self.entry(offset)))?;
-        if let Some(log) = self.log.as_deref_mut() {
-            log.sealed.clear();
-        }
-        let (mut kept, mut filter, mut chunk) = (0, 0, Summary::EMPTY);
-        self.ordered = true;
-        for from in head..end {
-            // `expired` has answered for the entries up to `first` already.
-            if from == first || (from > first && expired(self.entry(from))) {
-                work.removed += 1;
-                continue;
-            }
-            if kept == 0 {
-                // The index is emptied for the first survivor — a tuple left empty skips
-                // it — and sized for every entry from that one on, the most there can be
-                // left: exact when the oldest entries are the ones to go.
-                self.index.clear();
-                self.index.resize(slots_for(end - from), 0);
-            }
-            if kept < from {
-                let moved = self.entry(from).clone();
-                *self.entry_mut(kept) = moved;
-                work.moved += 1;
-            }
-            let entry = self.entry(kept);
-            let ordered = entry.last_used >= entry.installed_at
-                && (kept == 0 || entry.installed_at >= self.entry(kept - 1).installed_at);
-            let key = Probe::new(&entry.key);
-            agree(plan, &key, kept == 0);
-            let hash = masked_hash(plan, |w| key.word(w));
-            chunk.add(plan, &key, hash);
-            self.ordered &= ordered;
-            let filed = slot(hash, self.seq(kept));
-            place(&mut self.index, filed);
-            filter |= filter_bit(hash);
-            kept += 1;
-            if kept % CHUNK == 0 {
-                if let Some(log) = self.log.as_deref_mut() {
-                    log.sealed
-                        .push_back(std::mem::replace(&mut chunk, Summary::EMPTY));
-                }
-            }
-        }
-        work.refolded += kept as u64;
-        work.slots += kept as u64;
-        // Cut the log back to `kept` entries from offset 0.
-        self.head = 0;
-        self.entries.truncate(kept);
-        if let Some(log) = self.log.as_deref_mut() {
-            let newer = kept.div_ceil(BLOCK).saturating_sub(1);
-            while log.blocks.len() > newer {
-                if let Some(dead) = log.blocks.pop_back() {
-                    log.free(dead);
-                }
-            }
-            if let Some(newest) = log.blocks.back_mut() {
-                newest.truncate(kept - BLOCK * newer);
-            }
-            log.open = if kept % CHUNK == 0 {
-                Summary::EMPTY
-            } else {
-                chunk
-            };
-        }
-        Some(filter)
     }
 
     /// Whether this tuple is what `words`, its plan words, and `filter`, its miss filter,
@@ -976,7 +893,7 @@ pub struct TupleSpace {
     /// Every tuple's plan words with their agreement, each tuple's together; a lane
     /// record's [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples
     /// repacks the survivors' in probe order. The agreement is kept in step by every
-    /// mutator: insert folds the new key in, a sweep folds the survivors afresh.
+    /// mutator: insert folds the new key in, a sweep refolds the chunks it changed.
     slab: Vec<PlanWord>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
@@ -1391,13 +1308,14 @@ impl TupleSpace {
     }
 
     /// Remove every entry for which `predicate` returns true; returns the number of
-    /// removed entries. The predicate sees entries tuple by tuple in probe order
-    /// (insertion order within a tuple). A tuple left without entries is dropped and
-    /// the survivors keep their relative probe order — this is what shrinks |M| back
-    /// down (the entire point of MFCGuard). Each tuple that loses an entry is compacted:
-    /// its survivors are moved up, refolded and refiled.
+    /// removed entries. The predicate sees entries tuple by tuple in probe order, and
+    /// within a tuple newest first. A tuple left without entries is dropped and the
+    /// survivors keep their relative probe order — this is what shrinks |M| back down
+    /// (the entire point of MFCGuard). Within a tuple the survivors keep their order;
+    /// those older than the newest entry removed slide up, their index slots re-pointed
+    /// in place.
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
-        self.sweep_tuples(|tuple, plan, work| tuple.sweep(plan, &mut predicate, work))
+        self.sweep_tuples(|tuple, plan, work| tuple.remove(plan, tuple.end(), &mut predicate, work))
     }
 
     /// Run `sweep` over every tuple in probe order, with its plan words and the work
@@ -1499,11 +1417,20 @@ impl TupleSpace {
     /// region* — the entries in front of the first one whose own installation is not past
     /// the timeout: the entries behind it stay where they are, with their slots and
     /// hashes. A tuple installed out of time order, or hit before an entry's
-    /// installation, is compacted instead.
+    /// installation, is read whole instead.
     pub fn expire_idle(&mut self, now: f64, idle_timeout: f64) -> usize {
-        self.sweep_tuples(|tuple, plan, work| match tuple.ordered {
-            true => tuple.expire(plan, now, idle_timeout, work),
-            false => tuple.sweep(plan, |e| now - e.last_used > idle_timeout, work),
+        self.sweep_tuples(|tuple, plan, work| {
+            let (head, end) = (tuple.head as usize, tuple.end());
+            let mut cut = end;
+            if tuple.ordered {
+                // Cut at the first entry whose installation is not past the timeout: the
+                // entries behind it were installed no earlier and used no earlier than
+                // installed, so none is idle. The entry at the cut is read to find it.
+                let old = |&offset: &usize| now - tuple.entry(offset).installed_at > idle_timeout;
+                cut = head + (head..end).take_while(old).count();
+                work.examined += u64::from(cut < end);
+            }
+            tuple.remove(plan, cut, |e| now - e.last_used > idle_timeout, work)
         })
     }
 
@@ -1827,19 +1754,24 @@ mod tests {
         (0u128..32, 0u128..256, 0u128..16)
     }
 
-    /// Reference Alg. 1, index-less: the entry `header` matches in the first tuple, in
-    /// probe order, that holds one, and how many tuples the scan probed to find it (all
-    /// of them on a miss) — what `lookup` and `peek` promise, without agreement words,
-    /// hashes or filters.
-    fn lookup_scan<'a>(c: &'a TupleSpace, header: &Key) -> (Option<&'a MegaflowEntry>, usize) {
-        let masks: Vec<Mask> = c.mask_usage().into_iter().map(|(m, _)| m).collect();
-        let hit = c
-            .entries()
+    /// Reference Alg. 1, index-less, over a flat list of entries in [`TupleSpace::entries`]
+    /// order (a tuple's entries together, tuples in probe order): the entry `header`
+    /// matches in the first tuple that holds one, and how many tuples the scan probed to
+    /// find it (all of them on a miss) — what `lookup` and `peek` promise, without
+    /// agreement words, hashes or filters.
+    fn lookup_scan<'a>(
+        entries: &'a [MegaflowEntry],
+        header: &Key,
+    ) -> (Option<&'a MegaflowEntry>, usize) {
+        let mut masks: Vec<&Mask> = entries.iter().map(|e| &e.mask).collect();
+        masks.dedup();
+        let hit = entries
+            .iter()
             .find(|e| fields::matches(header, &e.key, &e.mask));
         let scanned = hit.map_or(masks.len(), |e| {
             1 + masks
                 .iter()
-                .position(|m| *m == e.mask)
+                .position(|&m| *m == e.mask)
                 .expect("a resident mask")
         });
         (hit, scanned)
@@ -1943,6 +1875,7 @@ mod tests {
                         c.remove_mask(&mask);
                     }
                 }
+                let held: Vec<MegaflowEntry> = c.entries().cloned().collect();
                 for (header, key, mask) in &queries {
                     let conflict = find_conflict_scan(&c, key, mask);
                     prop_assert_eq!(
@@ -1954,7 +1887,7 @@ mod tests {
                     let refused = c.clone().insert(key.clone(), mask.clone(), Action::Deny, 99.0);
                     let refused = refused.err().map(|InsertError::Overlap { existing }| *existing);
                     prop_assert_eq!(refused, conflict, "insert {} / {} after op {}", key, mask, op);
-                    let (hit, scanned) = lookup_scan(&c, header);
+                    let (hit, scanned) = lookup_scan(&held, header);
                     prop_assert_eq!(c.peek(header), hit, "peek {} after op {}", header, op);
                     // Lookups bump hit counters; keep them off the cache under test.
                     let mut scratch = c.clone();
@@ -2015,7 +1948,7 @@ mod tests {
 
     /// The 5-bit probe-order model never grows a tuple past a few entries. This drives one
     /// `ovs_ipv6` tuple — both halves of a 128-bit field in its plan — through index
-    /// growth, a compacting expiry, refill and removal, against a map of what it holds.
+    /// growth, an expiry, refill and removal, against a map of what it holds.
     #[test]
     fn one_large_tuple_follows_a_map_model() {
         use std::collections::BTreeMap;
@@ -2245,15 +2178,60 @@ mod tests {
         Ok(())
     }
 
+    /// `c` holds exactly `model`, a flat list of entries in `entries()` order: the same
+    /// entries, field by field, and for every resident key and every header of `headers`
+    /// the verdict and `masks_scanned` that the index-less scan of `model` gives.
+    fn holds_model(
+        c: &TupleSpace,
+        model: &[MegaflowEntry],
+        headers: &[Key],
+    ) -> Result<(), TestCaseError> {
+        let held: Vec<&MegaflowEntry> = c.entries().collect();
+        prop_assert_eq!(held, model.iter().collect::<Vec<_>>());
+        // Lookups bump hit counters; keep them off the cache under test.
+        let mut c = c.clone();
+        for header in model.iter().map(|e| &e.key).chain(headers) {
+            let (hit, scanned) = lookup_scan(model, header);
+            let out = c.lookup(header, 1e6);
+            prop_assert_eq!(
+                (out.action, out.masks_scanned),
+                (hit.map(|e| e.action), scanned),
+                "lookup {}",
+                header
+            );
+        }
+        Ok(())
+    }
+
+    /// Run `sweep` on `c` against a flat model of it: a snapshot of `entries()` from which
+    /// `retain` drops what `gone` names. The sweep returns how many entries the model lost
+    /// and leaves `c` holding the model.
+    fn sweep_matches_model(
+        c: &mut TupleSpace,
+        headers: &[Key],
+        gone: impl Fn(&MegaflowEntry) -> bool,
+        sweep: impl FnOnce(&mut TupleSpace) -> usize,
+    ) -> Result<(), TestCaseError> {
+        let mut model: Vec<MegaflowEntry> = c.entries().cloned().collect();
+        let before = model.len();
+        model.retain(|e| !gone(e));
+        prop_assert_eq!(sweep(c), before - model.len());
+        holds_model(c, &model, headers)
+    }
+
     proptest! {
-        /// `expire_idle` reads only each tuple's old region and leaves the rest of the log
-        /// where it is; `remove_where` with the idle predicate compacts every tuple that
-        /// loses an entry. On exact-match tuples that grow past three blocks and wildcard
-        /// tuples beside them, insert times that mostly advance but sometimes go back, and
-        /// hits at the clock or before it, the two agree after every sweep on what they
-        /// return, the entries left (field by field, in order), the mask usage, every
-        /// lookup and `masks_scanned`, and `find_conflict`. The run goes on from either
-        /// side, so each sweep also starts from a log the other one left.
+        /// Every removal against a flat model of the cache, with `retain` for the sweep.
+        /// `expire_idle` walks each ordered tuple's old region alone and every other tuple
+        /// whole; `remove_where` with the idle predicate walks every tuple whole, and with
+        /// a predicate on what an entry examines, blind to time as MFCGuard's is, takes
+        /// entries out of the middle of tuples. On exact-match tuples that grow past
+        /// three blocks and wildcard tuples beside them, insert times that mostly advance
+        /// but sometimes go back — by seconds, or by less than one as the gateway's
+        /// replay of one source after another does — and hits at the clock or before it,
+        /// every sweep agrees with the model on what it returns, the entries left (field
+        /// by field, in order) and every lookup and `masks_scanned`; the two idle sweeps
+        /// also agree with each other on the mask usage and `find_conflict`. The run goes
+        /// on from either idle sweep, so each also starts from a log the other one left.
         #[test]
         fn expire_idle_matches_remove_where(
             ops in proptest::collection::vec((0u8..20, arb_triple(), 0u8..8, 0u64..40), 1..200),
@@ -2272,9 +2250,11 @@ mod tests {
             let mut clock = 0.0;
             for &(op, key, pick, t) in &ops {
                 let key = wide_key(&schema, key);
-                // Mostly forward; one step in eight goes back.
+                // Mostly forward; one step in eight goes back by seconds, one by less
+                // than one.
                 let now = match pick {
                     0 => clock - t as f64,
+                    1 => clock - t as f64 / 40.0,
                     _ => clock,
                 };
                 match op {
@@ -2292,15 +2272,21 @@ mod tests {
                             c.lookup(&header, now);
                         }
                     }
-                    16 | 17 => {
+                    16 => {
                         c.lookup(&key, now);
+                    }
+                    17 => {
+                        let guard = |e: &MegaflowEntry| {
+                            e.mask.get(0) != 0 && e.key.get(0) % 4 == u128::from(pick % 4)
+                        };
+                        sweep_matches_model(&mut c, &headers, guard, |c| c.remove_where(guard))?;
                     }
                     _ => {
                         let timeout = [0.0, 5.0, 20.0, 40.0][usize::from(pick % 4)];
+                        let idle = |e: &MegaflowEntry| clock - e.last_used > timeout;
                         let (mut a, mut b) = (c.clone(), c.clone());
-                        let expired = a.expire_idle(clock, timeout);
-                        let removed = b.remove_where(|e| clock - e.last_used > timeout);
-                        prop_assert_eq!(expired, removed, "sweep at {} / {}", clock, timeout);
+                        sweep_matches_model(&mut a, &headers, idle, |a| a.expire_idle(clock, timeout))?;
+                        sweep_matches_model(&mut b, &headers, idle, |b| b.remove_where(idle))?;
                         same_cache(&a, &b, &headers, &queries)?;
                         c = if pick < 4 { a } else { b };
                     }
@@ -2410,6 +2396,136 @@ mod tests {
             1 + 5 * 11,
             "the last eleven batches are live"
         );
+    }
+
+    /// The work a sweep did, as the difference of two [`TupleSpace::sweep_work`] reads.
+    fn work_since(c: &TupleSpace, before: SweepWork) -> SweepWork {
+        let w = c.sweep_work();
+        SweepWork {
+            examined: w.examined - before.examined,
+            removed: w.removed - before.removed,
+            moved: w.moved - before.moved,
+            refolded: w.refolded - before.refolded,
+            slots: w.slots - before.slots,
+        }
+    }
+
+    /// The gateway's pattern: installs replayed a fraction of a second behind the tuple's
+    /// newest entry leave its log out of time order, so an idle sweep walks the whole
+    /// log, reading every live entry and writing the slots of only what it removes or
+    /// moves. Once such a walk has dropped the entries installed back in time, the tuple
+    /// is ordered again, and the next idle sweep reads its old region alone.
+    #[test]
+    fn a_tuple_out_of_order_is_ordered_again_once_its_offenders_go() {
+        let (schema, full) = oracle_schema();
+        let key = |i: u128| wide_key(&schema, (i % 32, i / 32 % 256, i / 8192));
+        let mut c = TupleSpace::new(schema.clone());
+        let mut next = 0;
+        let mut install = |c: &mut TupleSpace, n: usize, now: f64| {
+            for _ in 0..n {
+                c.insert(key(next), full.clone(), Action::Deny, now)
+                    .unwrap();
+                next += 1;
+            }
+        };
+        // Three blocks a quarter second apart (0 .. 11.75 s), three entries 0.4 s behind
+        // the newest, and a block at 20 s.
+        for i in 0..3 * BLOCK {
+            install(&mut c, 1, i as f64 / 4.0);
+        }
+        install(&mut c, 3, 11.35);
+        assert!(!c.tuples[0].ordered);
+        install(&mut c, BLOCK, 20.0);
+        let live = c.entry_count() as u64;
+
+        // Nothing idles out: the walk reads every entry and writes nothing.
+        let (held, before) = (c.entries().cloned().collect::<Vec<_>>(), c.sweep_work());
+        assert_eq!(c.expire_idle(20.0, 30.0), 0);
+        let w = work_since(&c, before);
+        assert_eq!(
+            w,
+            SweepWork {
+                examined: live,
+                ..SweepWork::default()
+            }
+        );
+        assert!(c.entries().eq(held.iter()));
+
+        // At 21.5 s everything used before 11.5 s goes, the offenders too: the two
+        // survivors in front of them slide up, the block behind them stays put.
+        let before = c.sweep_work();
+        assert_eq!(c.expire_idle(21.5, 10.0), 3 * BLOCK - 2 + 3);
+        let w = work_since(&c, before);
+        assert_eq!(
+            (w.examined, w.removed, w.moved),
+            (live, live - 2 - BLOCK as u64, 2)
+        );
+        assert_eq!(w.slots, w.removed + w.moved);
+        assert!(c.tuples[0].ordered, "the survivors are in time order");
+        let held: Vec<f64> = c.entries().map(|e| e.installed_at).collect();
+        let mut expected = vec![11.5, 11.75];
+        expected.extend([20.0; BLOCK]);
+        assert_eq!(held, expected);
+
+        // A block at 30 s; at 31 s the 18 entries installed before 21 s go, and the sweep
+        // reads them and the entry at the cut, nothing more.
+        install(&mut c, BLOCK, 30.0);
+        let before = c.sweep_work();
+        assert_eq!(c.expire_idle(31.0, 10.0), BLOCK + 2);
+        let w = work_since(&c, before);
+        assert!(w.examined <= w.removed + w.moved + 1, "{w:?}");
+        assert_eq!(c.entry_count(), BLOCK);
+    }
+
+    /// `remove_where` walks every tuple's whole log: it examines every live entry, and
+    /// writes the slot of each entry it removes or moves and nothing else. A predicate
+    /// that names no entry leaves every entry and every write counter as they were; one
+    /// that names entries in the middle of a tuple four blocks long moves only the
+    /// survivors older than the newest entry it removes.
+    #[test]
+    fn remove_where_writes_only_what_it_removes_or_moves() {
+        let (schema, full) = oracle_schema();
+        let key = |i: u128| wide_key(&schema, (i % 32, i / 32 % 256, i / 8192));
+        let mut c = TupleSpace::new(schema.clone());
+        let n = 4 * BLOCK;
+        for i in 0..n {
+            c.insert(key(i as u128), full.clone(), Action::Deny, i as f64)
+                .unwrap();
+        }
+        let mut held: Vec<MegaflowEntry> = c.entries().cloned().collect();
+        let before = c.sweep_work();
+        assert_eq!(c.remove_where(|e| e.action == Action::Allow), 0);
+        let w = work_since(&c, before);
+        assert_eq!(
+            w,
+            SweepWork {
+                examined: n as u64,
+                ..SweepWork::default()
+            }
+        );
+        assert!(c.entries().eq(held.iter()));
+
+        // Every fourth entry of the second and third blocks; the newest of them is the
+        // entry at offset 3 * BLOCK - 3.
+        let middle = |e: &MegaflowEntry| {
+            let i = e.installed_at as usize;
+            (BLOCK..3 * BLOCK).contains(&i) && i % 4 == 1
+        };
+        let before = c.sweep_work();
+        assert_eq!(c.remove_where(middle), BLOCK / 2);
+        let w = work_since(&c, before);
+        let older = (3 * BLOCK - 3) - (BLOCK / 2 - 1);
+        assert_eq!(
+            (w.examined, w.removed, w.moved),
+            (n as u64, BLOCK as u64 / 2, older as u64)
+        );
+        assert_eq!(w.slots, w.removed + w.moved);
+        held.retain(|e| !middle(e));
+        assert!(c.entries().eq(held.iter()));
+        for e in &held {
+            assert_eq!(c.peek(&e.key), Some(e));
+        }
+        assert!(c.tuples[0].ordered);
     }
 
     /// Backward-shift deletion, on an index of eight slots whose six keys share two

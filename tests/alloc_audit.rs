@@ -17,13 +17,15 @@
 //! `Encap::encode_into` (every envelope) allocate nothing. So is the slow path's
 //! generation: a warm `generate_megaflow` against the gateway's 1001-rule table and a
 //! populated cache allocates nothing. So are the cache's writes: a warm upcall whose
-//! megaflow joins a tuple with room to spare, a warm expiry sweep of a large tuple, and
-//! warm churn — a block of installs, then a sweep that expires a block — of a tuple
-//! four blocks long.
+//! megaflow joins a tuple with room to spare, a warm expiry sweep of a large tuple, warm
+//! churn — a block of installs, then a sweep that expires a block — of a tuple four
+//! blocks long, a warm `remove_where` out of the middle of a long tuple, and a warm idle
+//! sweep of a tuple installed out of time order.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tse::classifier::tss::MegaflowEntry;
 use tse::prelude::*;
 use tse::switch::SlowPath;
 
@@ -391,6 +393,60 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     assert_eq!(
         c_allocs, 0,
         "warm churn of a four-block tuple must be allocation-free"
+    );
+
+    // MFCGuard's removal walks a tuple's whole log: out of the middle of a tuple five
+    // blocks long, each warm `remove_where` frees the slots of what it removes and slides
+    // the older survivors up, in place.
+    let mut cache = TupleSpace::new(schema.clone());
+    for i in 0..5 * block {
+        cache
+            .insert(header(i, 9002), schema.full_mask(), Action::Deny, i as f64)
+            .unwrap();
+    }
+    let window = |lo: f64| move |e: &MegaflowEntry| (lo..lo + 8.0).contains(&e.installed_at);
+    let mut lo = 2.0 * block as f64;
+    assert_eq!(cache.remove_where(window(lo)), 8, "warm");
+    let mut removed = 0;
+    let r_allocs = allocations_during(|| {
+        lo += 64.0;
+        removed += cache.remove_where(window(lo));
+    });
+    assert_eq!(removed, 5 * 8, "every audited removal took entries");
+    assert_eq!(
+        r_allocs, 0,
+        "a warm remove_where out of a tuple's middle must be allocation-free"
+    );
+
+    // A tuple installed out of time order is swept whole: the last two entries went in
+    // a second apart, newest first. Each warm sweep expires the oldest block's worth and
+    // reads every live entry, the pair at the end included, in place.
+    let mut cache = TupleSpace::new(schema.clone());
+    let n = 6 * block;
+    for i in 0..n {
+        cache
+            .insert(header(i, 9003), schema.full_mask(), Action::Deny, i as f64)
+            .unwrap();
+    }
+    for (i, t) in [(n, 1e6), (n + 1, 1e6 - 1.0)] {
+        cache
+            .insert(header(i, 9003), schema.full_mask(), Action::Deny, t)
+            .unwrap();
+    }
+    let mut now = 10.0 + block as f64;
+    assert_eq!(cache.expire_idle(now, 10.0), block, "warm");
+    let (mut expired, mut unordered) = (0, true);
+    let o_allocs = allocations_during(|| {
+        now += block as f64;
+        let (live, before) = (cache.entry_count(), cache.sweep_work().examined);
+        expired += cache.expire_idle(now, 10.0);
+        unordered &= cache.sweep_work().examined - before == live as u64;
+    });
+    assert_eq!(expired, 5 * block, "every audited sweep removed entries");
+    assert!(unordered, "every audited sweep read the whole log");
+    assert_eq!(
+        o_allocs, 0,
+        "a warm idle sweep of an unordered tuple must be allocation-free"
     );
 
     // --- Wire ingestion: batched header extraction is allocation-free when warm. ---
