@@ -425,8 +425,9 @@ impl ExperimentRunner {
     ///    dispatch: every shard walks its share of the per-source runs (each packet at
     ///    its own time, each run one batch);
     /// 4. `charge_faults_and_expire` ([`Stage::FaultsAndExpiry`]: malformed frames
-    ///    charged) — charges malformed frames to shard 0 and runs the idle-expiry
-    ///    sweep at the interval end;
+    ///    charged) — charges malformed frames to shard 0
+    ///    ([`ShardedDatapath::note_wire_fault`]) and runs the idle-expiry sweep at the
+    ///    interval end;
     /// 5. `replay_probes` ([`Stage::Probes`]: victim probes replayed) — one more
     ///    dispatch: each shard's probes refresh their victims' fast-path entries and
     ///    yield the current per-invocation cost under the runner's offload model;
@@ -629,7 +630,7 @@ impl ExperimentRunner {
     }
 
     /// Charge the interval's malformed frames (wire-level sources only) to shard 0 —
-    /// the ingestion point, matching [`ShardedDatapath::process_wire`] — each at its
+    /// the ingestion point, through [`ShardedDatapath::note_wire_fault`] — each at its
     /// own timestamp, consuming shard 0's CPU budget without joining any
     /// attack-attribution series; then run the idle-expiry sweep at the interval end.
     /// Returns the number of frames charged.

@@ -301,12 +301,6 @@ impl Datapath {
         &self.stats
     }
 
-    /// Mutable statistics access for in-crate composition (the sharded datapath's wire
-    /// ingestion charges its decode bookkeeping through this).
-    pub(crate) fn stats_mut(&mut self) -> &mut DatapathStats {
-        &mut self.stats
-    }
-
     /// Reset the statistics (between measurement intervals).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
@@ -331,20 +325,6 @@ impl Datapath {
         match FlowKey::from_packet(pkt).checked_key(self.table.schema()) {
             Ok(header) => self.process_key(&header, pkt.wire_len(), now),
             Err(fault) => self.note_wire_fault(fault, pkt.wire_len(), now),
-        }
-    }
-
-    /// Process one raw Ethernet frame at `now`: run the wire parser (VLAN/VXLAN
-    /// overlays included), then feed the decoded packet through the normal pipeline.
-    /// Frames the parser rejects never reach the ACL — they are charged via
-    /// [`Datapath::note_wire_fault`].
-    pub fn process_wire(&mut self, frame: &[u8], now: f64) -> ProcessOutcome {
-        match tse_packet::wire::decode(frame) {
-            Ok(pkt) => {
-                self.stats.record_decoded();
-                self.process_packet(&pkt, now)
-            }
-            Err(e) => self.note_wire_fault(e.into(), frame.len(), now),
         }
     }
 
@@ -558,6 +538,7 @@ mod tests {
     use tse_classifier::rule::Rule;
     use tse_packet::builder::PacketBuilder;
     use tse_packet::fields::FieldSchema;
+    use tse_packet::wire;
 
     /// The Fig. 6 ACL over the OVS IPv4 schema: dst port 80, src 10.0.0.1, src port
     /// 12345 allowed; everything else denied.
@@ -946,43 +927,33 @@ mod tests {
     }
 
     #[test]
-    fn process_wire_runs_the_frame_through_the_full_pipeline() {
-        let mut dp = Datapath::new(fig6_table());
-        let pkt = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
-        let frame = tse_packet::wire::encode(&pkt);
-        let first = dp.process_wire(&frame, 0.0);
-        assert_eq!(first.path, PathTaken::SlowPath);
-        assert_eq!(first.action, Action::Allow);
-        let second = dp.process_wire(&frame, 0.001);
-        assert_eq!(second.path, PathTaken::Megaflow);
-        assert_eq!(dp.stats().decoded, 2);
-        assert_eq!(dp.stats().wire_errors(), 0);
-        // A VLAN-tagged copy of the same packet classifies identically: the parser
-        // strips the overlay before key extraction.
-        let tagged = tse_packet::wire::Encap::Vlan { tci: 7 }.encode(&pkt);
-        assert_eq!(dp.process_wire(&tagged, 0.002).action, Action::Allow);
-    }
-
-    #[test]
     fn undecodable_frames_are_dropped_and_counted_by_kind() {
+        // Frames reach a datapath as the wire parser's verdict: a key, or a fault.
         let mut dp = Datapath::new(fig6_table());
+        let schema = dp.table().schema().clone();
+        let mut ingest = |frame: &[u8], now: f64| match wire::decode_key(frame, &schema) {
+            Ok(key) => dp.process_key(&key, frame.len(), now),
+            Err(fault) => dp.note_wire_fault(fault, frame.len(), now),
+        };
         let pkt = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
-        let frame = tse_packet::wire::encode(&pkt);
-        let out = dp.process_wire(&frame[..9], 0.0);
-        assert_eq!(out.action, Action::Deny);
-        assert_eq!(out.path, PathTaken::Unclassified);
-        assert_eq!(out.masks_scanned, 0);
-        assert_eq!(dp.stats().truncated, 1);
-        assert_eq!(dp.stats().decoded, 0);
-        // A decodable frame of the wrong family is *permitted* unclassified — the
-        // existing schema-mismatch semantics, now fed from raw bytes.
+        let frame = wire::encode(&pkt);
+        let mut arp = frame.clone();
+        arp[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
+        for (bad, now) in [(&frame[..9], 0.0), (&arp[..], 0.1)] {
+            let out = ingest(bad, now);
+            assert_eq!(out.action, Action::Deny);
+            assert_eq!(out.path, PathTaken::Unclassified);
+            assert_eq!(out.masks_scanned, 0);
+        }
+        // A decodable frame of the wrong family is *permitted* unclassified.
         let v6 = PacketBuilder::tcp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 1, 80)
             .build();
-        let out = dp.process_wire(&tse_packet::wire::encode(&v6), 0.1);
+        let out = ingest(&wire::encode(&v6), 0.2);
         assert_eq!(out.action, Action::Allow);
         assert_eq!(out.path, PathTaken::Unclassified);
-        assert_eq!(dp.stats().decoded, 1);
-        assert_eq!(dp.stats().unclassified, 2);
+        let stats = dp.stats();
+        assert_eq!((stats.truncated, stats.unsupported_ethertype), (1, 1));
+        assert_eq!(stats.unclassified, 3);
         // No cache state was installed by any of it.
         assert_eq!(dp.mask_count(), 0);
         assert_eq!(dp.entry_count(), 0);

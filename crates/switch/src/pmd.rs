@@ -36,10 +36,8 @@
 
 use tse_classifier::flowtable::FlowTable;
 use tse_packet::fields::{FieldSchema, Key};
-use tse_packet::flowkey::FlowKey;
 use tse_packet::rss::{self, RssHasher};
 use tse_packet::wire::WireFault;
-use tse_packet::Packet;
 
 use crate::datapath::{BatchReport, Datapath, DatapathBuilder, ProcessOutcome};
 use crate::exec::{SequentialExecutor, ShardExecutor, ShardExecutorExt};
@@ -452,13 +450,6 @@ impl ShardedDatapath {
         total
     }
 
-    /// Total simulated busy time across all shards, in cost-model seconds — the
-    /// deterministic per-run cost metric the benchmark reports gate on (same commit,
-    /// same flags → same bits, regardless of machine or executor).
-    pub fn busy_seconds(&self) -> f64 {
-        self.stats().busy_seconds
-    }
-
     /// Reset the statistics of every shard.
     pub fn reset_stats(&mut self) {
         for shard in &mut self.shards {
@@ -478,25 +469,6 @@ impl ShardedDatapath {
     pub fn process_key(&mut self, header: &Key, bytes: usize, now: f64) -> ProcessOutcome {
         let shard = self.shard_of_key(header);
         self.shards[shard].process_key(header, bytes, now)
-    }
-
-    /// Process a concrete packet: its flow key ([`FlowKey::checked_key`]), derived once,
-    /// through [`ShardedDatapath::process_key`] on the shard the key is steered to.
-    ///
-    /// Packets whose family the installed schema cannot express (an IPv6 packet against
-    /// an IPv4 table, or vice versa) cannot be steered — the RSS fields the policy
-    /// hashes do not exist in their header — so they are **deterministically accounted
-    /// on shard 0** through [`ShardedDatapath::note_wire_fault`]: permitted
-    /// unclassified at the fixed unclassified cost (exactly like non-IP traffic, see
-    /// [`Datapath::process_packet`]). This mirrors a NIC delivering non-matching
-    /// frames to the default RX queue: such traffic never spreads cache state or cost
-    /// across shards, and the choice of shard 0 is stable across runs and executors
-    /// (pinned by `schema_mismatch_accounts_on_shard_zero`).
-    pub fn process_packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        match FlowKey::from_packet(pkt).checked_key(self.table().schema()) {
-            Ok(key) => self.process_key(&key, pkt.wire_len(), now),
-            Err(fault) => self.note_wire_fault(fault, pkt.wire_len(), now),
-        }
     }
 
     /// Fan a timestamped event batch out to the shards in one pass: every shard
@@ -603,29 +575,12 @@ impl ShardedDatapath {
         });
     }
 
-    /// Process one raw Ethernet frame: parse it (VLAN/VXLAN overlays included), steer
-    /// by RSS over the extracted key, and classify on the destination shard — the
-    /// sharded form of [`Datapath::process_wire`].
-    ///
-    /// Wire-ingestion bookkeeping always lands on **shard 0**, the ingestion point:
-    /// the `decoded` counter, the per-kind decode-error counters, and the charge for
-    /// every unclassifiable frame (decode failure → dropped; family mismatch →
-    /// permitted unclassified, see [`ShardedDatapath::process_packet`]).
-    /// Classification work is steered per key as usual.
-    pub fn process_wire(&mut self, frame: &[u8], now: f64) -> ProcessOutcome {
-        match tse_packet::wire::decode(frame) {
-            Ok(pkt) => {
-                self.shards[0].stats_mut().record_decoded();
-                self.process_packet(&pkt, now)
-            }
-            Err(e) => self.note_wire_fault(e.into(), frame.len(), now),
-        }
-    }
-
     /// Charge one unclassifiable frame to shard 0 — the entry point the event-driven
     /// runner uses for `Malformed` traffic events (frames a wire-level source could
     /// not turn into a key). Same semantics as [`Datapath::note_wire_fault`] on the
-    /// ingestion shard.
+    /// ingestion shard. Such a frame has no key to steer by, so it lands where a NIC
+    /// delivers it, on the default RX queue: it never spreads cache state or cost across
+    /// shards, and the choice is stable across runs and executors.
     pub fn note_wire_fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
         self.shards[0].note_wire_fault(fault, bytes, now)
     }
@@ -641,7 +596,6 @@ mod tests {
     use super::*;
     use crate::PathTaken;
     use tse_classifier::rule::Action;
-    use tse_packet::builder::PacketBuilder;
 
     fn fig6_table(schema: &FieldSchema) -> FlowTable {
         let tp_dst = schema.field_index("tp_dst").unwrap();
@@ -805,18 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn process_packet_routes_by_flow_key() {
-        let schema = FieldSchema::ovs_ipv4();
-        let mut sharded = ShardedDatapath::new(fig6_table(&schema), 4, Steering::Rss);
-        let pkt = PacketBuilder::tcp_v4([10, 0, 0, 9], [10, 0, 0, 99], 5555, 80).build();
-        let key = FlowKey::from_packet(&pkt).checked_key(&schema).unwrap();
-        let shard = sharded.shard_of_key(&key);
-        let out = sharded.process_packet(&pkt, 0.0);
-        assert_eq!(out.action, Action::Allow);
-        assert_eq!(sharded.shard_stats(shard).packets(), 1);
-    }
-
-    #[test]
     fn rekey_moves_flows_but_keeps_a_total_partition() {
         let schema = FieldSchema::ovs_ipv4();
         let mut sharded = ShardedDatapath::new(fig6_table(&schema), 4, Steering::Rss);
@@ -850,38 +792,6 @@ mod tests {
         for key in key_spread(&schema, 50) {
             assert_eq!(sharded.shard_of_key(&key), 3);
         }
-    }
-
-    #[test]
-    fn schema_mismatch_accounts_on_shard_zero() {
-        // A v6 frame hitting a v4-schema datapath can't produce a flow key in the
-        // table's schema, so steering is impossible: it must land — deterministically —
-        // on shard 0, the "default RX queue", as Unclassified/Allow. This pins the
-        // behaviour documented on `ShardedDatapath::process_packet`.
-        let schema = FieldSchema::ovs_ipv4();
-        let mut sharded = ShardedDatapath::new(fig6_table(&schema), 4, Steering::Rss);
-        let v6 = PacketBuilder::tcp_v6(
-            [0x2001, 0xdb8, 0, 0, 0, 0, 0, 1],
-            [0x2001, 0xdb8, 0, 0, 0, 0, 0, 2],
-            5555,
-            80,
-        )
-        .build();
-        let out = sharded.process_packet(&v6, 0.0);
-        assert_eq!(out.path, PathTaken::Unclassified);
-        assert_eq!(out.action, Action::Allow);
-        assert_eq!(out.masks_scanned, 0);
-        assert_eq!(sharded.shard_stats(0).packets(), 1);
-        for i in 1..4 {
-            assert_eq!(
-                sharded.shard_stats(i).packets(),
-                0,
-                "mismatched frames must never spread beyond shard 0"
-            );
-        }
-        // And it installs no cache state anywhere — not even on shard 0.
-        assert_eq!(sharded.entry_count(), 0);
-        assert_eq!(sharded.mask_count(), 0);
     }
 
     /// Build the standard 4-shard parity fixture: a fresh datapath plus a timed batch.

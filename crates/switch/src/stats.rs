@@ -37,8 +37,9 @@ pub struct DatapathStats {
     pub busy_seconds: f64,
     /// Total bytes of permitted traffic.
     pub allowed_bytes: u64,
-    /// Raw frames decoded successfully by the wire-ingestion path. Key-level entry
-    /// points never touch this, so `decoded == 0` on a purely key-driven datapath.
+    /// Always 0: a datapath takes keys and faults, never frames — sources decode each
+    /// frame once, and the runner hands the datapath its key or its fault. The field
+    /// stays because `benchmark/` destructures the struct; it goes with `microflow_hits`.
     pub decoded: u64,
     /// Raw frames rejected because the buffer was shorter than the headers claim.
     pub truncated: u64,
@@ -99,11 +100,6 @@ impl DatapathStats {
         self.busy_seconds += cost;
     }
 
-    /// Count one successfully decoded raw frame (wire-ingestion entry points only).
-    pub fn record_decoded(&mut self) {
-        self.decoded += 1;
-    }
-
     /// Count one wire-parser rejection under its per-kind counter. The frame itself is
     /// still recorded (as [`PathTaken::Unclassified`]) by the caller.
     pub fn record_decode_error(&mut self, err: DecodeError) {
@@ -112,11 +108,6 @@ impl DatapathStats {
             DecodeError::UnsupportedEtherType(_) => self.unsupported_ethertype += 1,
             DecodeError::BadHeader => self.bad_header += 1,
         }
-    }
-
-    /// Raw frames the wire parser rejected, all kinds summed.
-    pub fn wire_errors(&self) -> u64 {
-        self.truncated + self.bad_header + self.unsupported_ethertype
     }
 
     /// Fold another accumulator into this one (used by the batch entry points, which
@@ -189,16 +180,16 @@ mod tests {
     }
 
     /// A stats value with every field nonzero, built through the public API only —
-    /// bar `microflow_hits`, which no path records, so it is set by hand.
+    /// bar `microflow_hits` and `decoded`, which no path records, so they are set by hand.
     fn all_fields_nonzero() -> DatapathStats {
         let mut s = DatapathStats {
             microflow_hits: 1,
+            decoded: 1,
             ..DatapathStats::default()
         };
         s.record(PathTaken::Megaflow, true, 3, 1e-6, 200);
         s.record(PathTaken::SlowPath, false, 7, 1e-4, 60);
         s.record(PathTaken::Unclassified, true, 0, 1e-7, 42);
-        s.record_decoded();
         s.record_decode_error(DecodeError::Truncated);
         s.record_decode_error(DecodeError::BadHeader);
         s.record_decode_error(DecodeError::UnsupportedEtherType(0x0806));
@@ -255,7 +246,6 @@ mod tests {
             (s.truncated, s.bad_header, s.unsupported_ethertype),
             (2, 1, 1)
         );
-        assert_eq!(s.wire_errors(), 4);
         // Path recording (Unclassified) is the caller's job; the per-kind counters are
         // orthogonal to the packet totals.
         assert_eq!(s.packets(), 0);

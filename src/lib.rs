@@ -123,15 +123,18 @@
 //! assert_eq!(scratch.counts().truncated, 1);
 //! assert_eq!(scratch.keys()[0], Ok(FlowKey::from_packet(&pkt)));
 //!
-//! // Raw frames drive the sharded datapath directly: classification is steered by
-//! // the extracted key, decode errors are charged to shard 0.
+//! // A frame reaches the sharded datapath as its key, steered by RSS, or as its
+//! // fault, charged to shard 0.
 //! let mut sharded = ShardedDatapath::from_builder(
 //!     Datapath::builder(Scenario::SipDp.flow_table(&schema)),
 //!     4,
 //!     Steering::Rss,
 //! );
 //! for frame in frames {
-//!     sharded.process_wire(frame, 0.2);
+//!     match tse::packet::wire::decode_key(frame, &schema) {
+//!         Ok(key) => sharded.process_key(&key, frame.len(), 0.2),
+//!         Err(fault) => sharded.note_wire_fault(fault, frame.len(), 0.2),
+//!     };
 //! }
 //! assert_eq!(sharded.shard(0).stats().truncated, 1);
 //! ```

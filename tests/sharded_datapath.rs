@@ -1,12 +1,11 @@
 //! Sharded-datapath invariants: a 1-shard [`ShardedDatapath`] is bit-for-bit the plain
 //! [`Datapath`] on every scenario, steering is a total stable partition of the key
-//! space, aggregate stats are exactly the merge of the per-shard stats, and at both
-//! layers a concrete packet is its flow key.
+//! space, aggregate stats are exactly the merge of the per-shard stats, and a concrete
+//! packet is its flow key.
 
 use proptest::prelude::*;
 use tse::prelude::*;
 use tse::switch::stats::DatapathStats;
-use tse::switch::ProcessOutcome;
 
 /// Replay a scenario's co-located trace (capped for the heavy SipSpDp case) as a
 /// timed event batch.
@@ -144,95 +143,14 @@ proptest! {
     }
 }
 
-/// The entry points a packet can take into a datapath of either layer, and the state
-/// its twin is compared on.
-trait Ingress {
-    fn packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome;
-    fn key(&mut self, key: &Key, bytes: usize, now: f64) -> ProcessOutcome;
-    fn fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome;
-    /// Per-shard statistics, mask counts and entry counts, in shard order.
-    fn state(&self) -> (Vec<DatapathStats>, Vec<usize>, Vec<usize>);
-}
-
-impl Ingress for Datapath {
-    fn packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        self.process_packet(pkt, now)
-    }
-    fn key(&mut self, key: &Key, bytes: usize, now: f64) -> ProcessOutcome {
-        self.process_key(key, bytes, now)
-    }
-    fn fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
-        self.note_wire_fault(fault, bytes, now)
-    }
-    fn state(&self) -> (Vec<DatapathStats>, Vec<usize>, Vec<usize>) {
-        (
-            vec![*self.stats()],
-            vec![self.mask_count()],
-            vec![self.entry_count()],
-        )
-    }
-}
-
-impl Ingress for ShardedDatapath {
-    fn packet(&mut self, pkt: &Packet, now: f64) -> ProcessOutcome {
-        self.process_packet(pkt, now)
-    }
-    fn key(&mut self, key: &Key, bytes: usize, now: f64) -> ProcessOutcome {
-        self.process_key(key, bytes, now)
-    }
-    fn fault(&mut self, fault: WireFault, bytes: usize, now: f64) -> ProcessOutcome {
-        self.note_wire_fault(fault, bytes, now)
-    }
-    fn state(&self) -> (Vec<DatapathStats>, Vec<usize>, Vec<usize>) {
-        let stats = (0..self.shard_count()).map(|i| *self.shard_stats(i));
-        (
-            stats.collect(),
-            self.shard_mask_counts(),
-            self.shard_entry_counts(),
-        )
-    }
-}
-
-/// Drive `by_packet` with `packets` through `process_packet` and `by_key` with what each
-/// packet is under the IPv4 schema — its checked key through `process_key`, or (an IPv6
-/// packet) a family mismatch through `note_wire_fault` — and require the same outcome
-/// per packet and the same per-shard state after each one.
-fn packet_is_its_key(
-    what: &str,
-    mut by_packet: impl Ingress,
-    mut by_key: impl Ingress,
-    packets: &[(bool, Packet, f64)],
-) -> Result<(), TestCaseError> {
-    let schema = FieldSchema::ovs_ipv4();
-    for (i, (v6, pkt, now)) in packets.iter().enumerate() {
-        let bytes = pkt.wire_len();
-        let got = by_packet.packet(pkt, *now);
-        let expect = if *v6 {
-            by_key.fault(WireFault::FamilyMismatch, bytes, *now)
-        } else {
-            let key = FlowKey::from_packet(pkt).checked_key(&schema);
-            prop_assert!(key.is_ok(), "{}: packet {} is IPv4", what, i);
-            by_key.key(&key.unwrap(), bytes, *now)
-        };
-        prop_assert_eq!(got, expect, "{}: packet {}", what, i);
-        prop_assert_eq!(got.cost.to_bits(), expect.cost.to_bits());
-        let (got, expect) = (by_packet.state(), by_key.state());
-        for (g, e) in got.0.iter().zip(&expect.0) {
-            prop_assert_eq!(g.busy_seconds.to_bits(), e.busy_seconds.to_bits());
-        }
-        prop_assert_eq!(got, expect, "{}: state after packet {}", what, i);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `process_packet` is `process_key` on the packet's checked key, or a family
-    /// mismatch charged through `note_wire_fault`, on the plain datapath and on 1- and
-    /// 4-shard RSS datapaths: random IPv4 and IPv6, TCP and UDP packets around the
-    /// Fig. 6 ACL's allow values, their times spanning revalidation intervals and idle
-    /// timeouts.
+    /// mismatch charged through `note_wire_fault`: random IPv4 and IPv6, TCP and UDP
+    /// packets around the Fig. 6 ACL's allow values, their times spanning revalidation
+    /// intervals and idle timeouts, give the same outcome per packet and the same
+    /// statistics, mask count and entry count after each one.
     #[test]
     fn process_packet_is_process_key_on_the_checked_key(
         flows in proptest::collection::vec((0u8..4, 0u8..4, 0u16..16, 0usize..4), 1..80),
@@ -258,16 +176,26 @@ proptest! {
                 (v6, builder.build(), now)
             })
             .collect();
-        let table = Scenario::SipSpDp.flow_table(&FieldSchema::ovs_ipv4());
-        packet_is_its_key(
-            "plain",
-            Datapath::new(table.clone()),
-            Datapath::new(table.clone()),
-            &packets,
-        )?;
-        for n_shards in [1, 4] {
-            let sharded = || ShardedDatapath::new(table.clone(), n_shards, Steering::Rss);
-            packet_is_its_key(&format!("{n_shards} shards"), sharded(), sharded(), &packets)?;
+        let schema = FieldSchema::ovs_ipv4();
+        let table = Scenario::SipSpDp.flow_table(&schema);
+        let (mut by_packet, mut by_key) = (Datapath::new(table.clone()), Datapath::new(table));
+        for (i, (v6, pkt, now)) in packets.iter().enumerate() {
+            let bytes = pkt.wire_len();
+            let got = by_packet.process_packet(pkt, *now);
+            let expect = if *v6 {
+                by_key.note_wire_fault(WireFault::FamilyMismatch, bytes, *now)
+            } else {
+                let key = FlowKey::from_packet(pkt).checked_key(&schema);
+                prop_assert!(key.is_ok(), "packet {} is IPv4", i);
+                by_key.process_key(&key.unwrap(), bytes, *now)
+            };
+            prop_assert_eq!(got, expect, "packet {}", i);
+            prop_assert_eq!(got.cost.to_bits(), expect.cost.to_bits());
+            let (got, expect) = (by_packet.stats(), by_key.stats());
+            prop_assert_eq!(got.busy_seconds.to_bits(), expect.busy_seconds.to_bits());
+            prop_assert_eq!(got, expect, "stats after packet {}", i);
+            prop_assert_eq!(by_packet.mask_count(), by_key.mask_count());
+            prop_assert_eq!(by_packet.entry_count(), by_key.entry_count());
         }
     }
 }
