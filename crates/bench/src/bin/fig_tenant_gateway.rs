@@ -22,8 +22,9 @@
 //!
 //! Flags: `--duration <s>` (default 3600), `--tenants <n>` (default 1000),
 //! `--slo-gbps <g>` (default 0.005 — half the 0.01 Gbps per-tenant offered load),
-//! plus the shared `--shards`, `--parallel` and `--json`. CI smoke-runs
-//! `--duration 35 --tenants 64`.
+//! plus the shared `--shards`, `--parallel` and `--json`. CI re-runs
+//! `--duration 35 --tenants 64` (also with `--parallel 4`) and the default hour-long
+//! 1000-tenant run, and diffs each against `BENCH_telemetry.json`.
 
 use tse_bench::{FigArgs, Figure};
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};

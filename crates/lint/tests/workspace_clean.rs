@@ -67,7 +67,8 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("tse-mitigation", 53, 1),
     // A batch's keys are read through `ExtractScratch::keys`, with no second accessor.
     ("tse-packet", 121, 3),
-    ("tse-simnet", 132, 10),
+    // The telemetry store keeps only what a run reads: no cold spill, two cold aggregates.
+    ("tse-simnet", 121, 1),
     // Frames reach a datapath only as keys or faults: it has no wire entry point.
     ("tse-switch", 116, 2),
 ];

@@ -14,8 +14,8 @@
 //! * [`cloud`] — the platform models (synthetic, OpenStack/OVN, Kubernetes/OVN) with
 //!   their ACL expressiveness limits and link rates (§5.5, §5.6, §7);
 //! * [`telemetry`] — the two-tier hot/cold telemetry store: a bounded ring of recent
-//!   samples plus streaming whole-run aggregates and per-tenant SLO trackers, so
-//!   hour-long tenant-scale runs hold constant memory;
+//!   samples plus streaming whole-run attack and background aggregates and per-tenant
+//!   SLO trackers, so hour-long tenant-scale runs hold constant memory;
 //! * [`fleet`] — tenant-scale workload builders: [`fleet::TenantFleet`] (hundreds to
 //!   thousands of tenants behind one gateway, a few of them hostile) and
 //!   [`fleet::ChurnSource`] (Poisson benign flow churn as background traffic).
@@ -38,9 +38,7 @@ pub use cloud::{section7_mask_ceiling, CloudPlatform};
 pub use fleet::{ChurnConfig, ChurnSource, FleetConfig, TenantFleet};
 pub use offload::OffloadConfig;
 pub use runner::{ExperimentRunner, Timeline, TimelineSample};
-pub use telemetry::{
-    LogHistogram, SeriesAgg, SloConfig, SloTracker, TelemetryConfig, TelemetryStore,
-};
+pub use telemetry::{LogHistogram, SeriesAgg, SloTracker, TelemetryConfig, TelemetryStore};
 pub use traffic::{VictimFlow, VictimSource};
 pub use tse_attack::source::{
     AttackGenerator, EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource,

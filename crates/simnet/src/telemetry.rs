@@ -10,18 +10,19 @@
 //!   the unbounded timeline would hold for that window (when a run fits entirely in
 //!   the ring, [`TelemetryStore::recent_timeline`] *is* the classic timeline,
 //!   bit-for-bit — proven by the golden-parity suite);
-//! * a **cold tier**: streaming per-series aggregates ([`SeriesAgg`]: count / sum /
-//!   min / max plus a fixed-log-bucket [`LogHistogram`] for p50/p99) updated on every
-//!   record. Nothing in the cold tier allocates per sample, so an hour-long
-//!   10k-tenant run retains exactly as much telemetry as a 60-second one plus the
-//!   fixed ring;
-//! * per-tenant [`SloTracker`]s: delivered-throughput quantiles against a configured
-//!   SLO floor, violation episodes, time-to-detect and time-to-recover;
+//! * a **cold tier**: the switch-wide attack and background totals as streaming
+//!   aggregates ([`SeriesAgg`]: count / sum / min / max plus a fixed-log-bucket
+//!   [`LogHistogram`] for p50/p99) updated on every record. The cold tier is two
+//!   aggregates whatever the fleet or shard count, and nothing in it allocates per
+//!   sample, so an hour-long 10k-tenant run retains exactly as much telemetry as a
+//!   60-second one plus the fixed ring;
+//! * per-tenant [`SloTracker`]s, which hold each tenant's delivered-throughput
+//!   distribution: quantiles against a configured SLO floor, violation episodes,
+//!   time-to-detect and time-to-recover. A run without an SLO floor keeps nothing
+//!   per tenant;
 //! * a [`PressureWindow`] over the last few intervals' per-shard attack rates, which
 //!   the runner hands to adaptive [`Mitigation`](tse_mitigation::stack::Mitigation)
-//!   stages;
-//! * optional **cold spill**: samples aged out of the hot ring can be appended to a
-//!   JSON-lines file, so full detail survives on disk while memory stays bounded.
+//!   stages.
 //!
 //! Everything is deterministic: bucket boundaries are fixed functions of the f64 bit
 //! pattern (no data-dependent allocation), sums are accumulated in sample order, and
@@ -29,8 +30,6 @@
 //! (`tests/telemetry_store.rs`).
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::path::PathBuf;
 
 use tse_mitigation::stack::PressureWindow;
 
@@ -226,14 +225,6 @@ impl SeriesAgg {
     }
 }
 
-/// Per-tenant SLO configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Delivered-throughput floor, Gbps: a sample below this (while the flow is
-    /// active) is an SLO violation.
-    pub floor_gbps: f64,
-}
-
 /// Maximum violation episodes stored as explicit `(start, end)` intervals per tracker
 /// — counters keep counting past this, so the tracker's memory stays bounded no
 /// matter how long the run or how flappy the tenant.
@@ -390,15 +381,9 @@ pub struct TelemetryConfig {
     /// unbounded [`Timeline`] bit-for-bit. Must be at least 1.
     pub hot_capacity: usize,
     /// Per-tenant SLO tracking: when set, every victim source gets an [`SloTracker`]
-    /// against this floor.
-    pub slo: Option<SloConfig>,
-    /// Depth (in sample intervals) of the [`PressureWindow`] handed to adaptive
-    /// mitigation stages.
-    pub pressure_depth: usize,
-    /// When set, samples aged out of the hot ring are appended to this file as JSON
-    /// lines (the cold spill), so full detail survives on disk while memory stays
-    /// bounded. Mitigation actions are spilled as a count, not structurally.
-    pub spill: Option<PathBuf>,
+    /// against this delivered-throughput floor, Gbps (a sample below it while the
+    /// flow is active is a violation).
+    pub slo_floor_gbps: Option<f64>,
 }
 
 impl Default for TelemetryConfig {
@@ -407,9 +392,7 @@ impl Default for TelemetryConfig {
             // Large enough that every classic (≤ 90 s, 1 s interval) scenario fits the
             // hot tier entirely: short-horizon runs keep today's Timeline bit-for-bit.
             hot_capacity: 4096,
-            slo: None,
-            pressure_depth: 5,
-            spill: None,
+            slo_floor_gbps: None,
         }
     }
 }
@@ -425,16 +408,14 @@ impl TelemetryConfig {
 
     /// Builder: track per-tenant SLOs against `floor_gbps`.
     pub fn with_slo_floor(mut self, floor_gbps: f64) -> Self {
-        self.slo = Some(SloConfig { floor_gbps });
-        self
-    }
-
-    /// Builder: spill aged-out samples to a JSON-lines file.
-    pub fn with_spill(mut self, path: impl Into<PathBuf>) -> Self {
-        self.spill = Some(path.into());
+        self.slo_floor_gbps = Some(floor_gbps);
         self
     }
 }
+
+/// Depth, in sample intervals, of the [`PressureWindow`] handed to adaptive
+/// mitigation stages.
+const PRESSURE_DEPTH: usize = 5;
 
 /// Scalar slots retained by one hot sample (footprint accounting): the fixed fields
 /// plus each per-source/per-shard vector entry, with mitigation actions charged a
@@ -450,6 +431,9 @@ fn sample_units(s: &TimelineSample) -> u64 {
 
 /// Scalar slots per [`SeriesAgg`].
 const AGG_UNITS: u64 = 4 + BUCKETS as u64;
+
+/// Scalar slots of the cold tier: the total-attack and background aggregates.
+const COLD_UNITS: u64 = 2 * AGG_UNITS;
 
 /// The two-tier telemetry store: a bounded hot ring of recent samples plus streaming
 /// cold aggregates, per-tenant SLO trackers and the mitigation pressure window. See
@@ -471,20 +455,10 @@ pub struct TelemetryStore {
     hot: VecDeque<TimelineSample>,
     aged: u64,
     recorded: u64,
-    victim_gbps: Vec<SeriesAgg>,
-    attacker_pps: Vec<SeriesAgg>,
-    shard_attacker_pps: Vec<SeriesAgg>,
-    shard_masks: Vec<SeriesAgg>,
-    total_victim_gbps: SeriesAgg,
     total_attacker_pps: SeriesAgg,
     background_pps: SeriesAgg,
-    malformed_pps: SeriesAgg,
-    mask_count: SeriesAgg,
-    entry_count: SeriesAgg,
     slo: Vec<SloTracker>,
     pressure: PressureWindow,
-    spill: Option<std::io::BufWriter<std::fs::File>>,
-    spill_error: Option<String>,
 }
 
 impl TelemetryStore {
@@ -501,32 +475,21 @@ impl TelemetryStore {
     ) -> Self {
         assert!(config.hot_capacity >= 1, "hot ring needs capacity >= 1");
         assert!(sample_interval > 0.0, "sample interval must be positive");
-        let slo = match &config.slo {
-            Some(slo) => victim_names
+        let slo = match config.slo_floor_gbps {
+            Some(floor_gbps) => victim_names
                 .iter()
-                .map(|n| SloTracker::new(n.clone(), slo.floor_gbps))
+                .map(|n| SloTracker::new(n.clone(), floor_gbps))
                 .collect(),
             None => Vec::new(),
         };
-        let pressure = PressureWindow::new(shard_count, config.pressure_depth);
         TelemetryStore {
             hot: VecDeque::with_capacity(config.hot_capacity),
             aged: 0,
             recorded: 0,
-            victim_gbps: vec![SeriesAgg::new(); victim_names.len()],
-            attacker_pps: vec![SeriesAgg::new(); attacker_names.len()],
-            shard_attacker_pps: vec![SeriesAgg::new(); shard_count],
-            shard_masks: vec![SeriesAgg::new(); shard_count],
-            total_victim_gbps: SeriesAgg::new(),
             total_attacker_pps: SeriesAgg::new(),
             background_pps: SeriesAgg::new(),
-            malformed_pps: SeriesAgg::new(),
-            mask_count: SeriesAgg::new(),
-            entry_count: SeriesAgg::new(),
             slo,
-            pressure,
-            spill: None,
-            spill_error: None,
+            pressure: PressureWindow::new(shard_count, PRESSURE_DEPTH),
             config,
             sample_interval,
             victim_names,
@@ -539,37 +502,19 @@ impl TelemetryStore {
     /// interval (an inactive victim's 0 Gbps is idleness, not an SLO violation);
     /// victims beyond the slice are treated as active.
     pub fn record(&mut self, sample: TimelineSample, victim_active: &[bool]) {
-        // Cold tier: stream every series in sample order.
-        for (i, agg) in self.victim_gbps.iter_mut().enumerate() {
-            agg.observe(sample.victim_gbps.get(i).copied().unwrap_or(0.0));
-        }
-        for (i, agg) in self.attacker_pps.iter_mut().enumerate() {
-            agg.observe(sample.attacker_pps_by_source.get(i).copied().unwrap_or(0.0));
-        }
-        for (i, agg) in self.shard_attacker_pps.iter_mut().enumerate() {
-            agg.observe(sample.shard_attacker_pps.get(i).copied().unwrap_or(0.0));
-        }
-        for (i, agg) in self.shard_masks.iter_mut().enumerate() {
-            agg.observe(sample.shard_masks.get(i).copied().unwrap_or(0) as f64);
-        }
-        self.total_victim_gbps.observe(sample.total_victim_gbps());
+        // Cold tier: stream the switch-wide totals in sample order.
         self.total_attacker_pps.observe(sample.attacker_pps);
         self.background_pps.observe(sample.background_pps);
-        self.malformed_pps.observe(sample.malformed_pps);
-        self.mask_count.observe(sample.mask_count as f64);
-        self.entry_count.observe(sample.entry_count as f64);
         for (i, tracker) in self.slo.iter_mut().enumerate() {
             if victim_active.get(i).copied().unwrap_or(true) {
                 let gbps = sample.victim_gbps.get(i).copied().unwrap_or(0.0);
                 tracker.observe(sample.time, self.sample_interval, gbps);
             }
         }
-        // Hot tier: bounded ring; overflow ages the oldest sample out (to the spill
-        // file, when configured).
+        // Hot tier: bounded ring; overflow ages the oldest sample out.
         if self.hot.len() == self.config.hot_capacity {
-            let old = self.hot.pop_front().expect("ring is full");
+            self.hot.pop_front();
             self.aged += 1;
-            self.spill_sample(&old);
         }
         self.hot.push_back(sample);
         self.recorded += 1;
@@ -587,16 +532,10 @@ impl TelemetryStore {
         &self.pressure
     }
 
-    /// Close open SLO episodes and flush the spill file (end of run).
+    /// Close open SLO episodes (end of run).
     pub fn finish(&mut self) {
         for tracker in &mut self.slo {
             tracker.finish();
-        }
-        if let Some(w) = &mut self.spill {
-            if let Err(e) = w.flush() {
-                self.spill_error = Some(e.to_string());
-                self.spill = None;
-            }
         }
     }
 
@@ -632,7 +571,7 @@ impl TelemetryStore {
         self.hot.len()
     }
 
-    /// Samples aged out of the hot ring into the cold tier (and spill, if any).
+    /// Samples aged out of the hot ring (the cold tier and SLO trackers still saw them).
     pub fn aged_out(&self) -> u64 {
         self.aged
     }
@@ -642,59 +581,18 @@ impl TelemetryStore {
         self.recorded
     }
 
-    /// Cold aggregate of victim `i`'s delivered Gbps over the whole run.
-    pub fn victim_series(&self, i: usize) -> Option<&SeriesAgg> {
-        self.victim_gbps.get(i)
-    }
-
-    /// Cold aggregate of attacker `i`'s delivered pps over the whole run.
-    pub fn attacker_series(&self, i: usize) -> Option<&SeriesAgg> {
-        self.attacker_pps.get(i)
-    }
-
-    /// Cold aggregate of shard `s`'s attack pps over the whole run.
-    pub fn shard_attack_series(&self, s: usize) -> Option<&SeriesAgg> {
-        self.shard_attacker_pps.get(s)
-    }
-
-    /// Cold aggregate of shard `s`'s mask count over the whole run.
-    pub fn shard_mask_series(&self, s: usize) -> Option<&SeriesAgg> {
-        self.shard_masks.get(s)
-    }
-
-    /// Cold aggregate of the victims' summed Gbps.
-    pub fn total_victim_series(&self) -> &SeriesAgg {
-        &self.total_victim_gbps
-    }
-
-    /// Cold aggregate of total attack pps.
+    /// Cold aggregate of total attack pps over the whole run.
     pub fn total_attacker_series(&self) -> &SeriesAgg {
         &self.total_attacker_pps
     }
 
-    /// Cold aggregate of background (benign churn) pps.
+    /// Cold aggregate of background (benign churn) pps over the whole run.
     pub fn background_series(&self) -> &SeriesAgg {
         &self.background_pps
     }
 
-    /// Cold aggregate of the malformed-frame rate (wire-level frames per second the
-    /// parser could not classify; identically zero for key-level mixes).
-    pub fn malformed_series(&self) -> &SeriesAgg {
-        &self.malformed_pps
-    }
-
-    /// Cold aggregate of the switch-wide mask count.
-    pub fn mask_series(&self) -> &SeriesAgg {
-        &self.mask_count
-    }
-
-    /// Cold aggregate of the switch-wide entry count.
-    pub fn entry_series(&self) -> &SeriesAgg {
-        &self.entry_count
-    }
-
-    /// The per-tenant SLO trackers (empty unless [`TelemetryConfig::slo`] is set),
-    /// in victim series order.
+    /// The per-tenant SLO trackers (empty unless [`TelemetryConfig::slo_floor_gbps`]
+    /// is set), in victim series order.
     pub fn slo_trackers(&self) -> &[SloTracker] {
         &self.slo
     }
@@ -706,7 +604,7 @@ impl TelemetryStore {
     /// any horizon `h ≥ hot_capacity` it is independent of `h`.
     pub fn footprint_units(&self) -> u64 {
         let hot: u64 = self.hot.iter().map(sample_units).sum();
-        hot + self.cold_units() + self.slo_units() + self.pressure_units()
+        hot + COLD_UNITS + self.slo_units() + self.pressure_units()
     }
 
     /// Upper bound on [`TelemetryStore::footprint_units`] for *any* horizon, given
@@ -723,14 +621,9 @@ impl TelemetryStore {
             + 4 * max_actions_per_interval;
         let slo_ceiling = self.slo.len() as u64 * (AGG_UNITS + 8 + 2 * MAX_STORED_EPISODES as u64);
         self.config.hot_capacity as u64 * width as u64
-            + self.cold_units()
+            + COLD_UNITS
             + slo_ceiling
             + self.pressure_units_ceiling()
-    }
-
-    fn cold_units(&self) -> u64 {
-        let series = self.victim_gbps.len() + self.attacker_pps.len() + 2 * self.shard_count + 6;
-        series as u64 * AGG_UNITS
     }
 
     fn slo_units(&self) -> u64 {
@@ -747,78 +640,6 @@ impl TelemetryStore {
     fn pressure_units_ceiling(&self) -> u64 {
         (self.pressure.depth() * self.shard_count) as u64
     }
-
-    /// The spill I/O error, if writing the cold spill ever failed (spilling is
-    /// best-effort: the first error disables it and is recorded here).
-    pub fn spill_error(&self) -> Option<&str> {
-        self.spill_error.as_deref()
-    }
-
-    fn spill_sample(&mut self, s: &TimelineSample) {
-        let Some(path) = &self.config.spill else {
-            return;
-        };
-        if self.spill.is_none() && self.spill_error.is_none() {
-            match std::fs::File::create(path) {
-                Ok(f) => self.spill = Some(std::io::BufWriter::new(f)),
-                Err(e) => {
-                    self.spill_error = Some(e.to_string());
-                    return;
-                }
-            }
-        }
-        let Some(w) = &mut self.spill else {
-            return;
-        };
-        let mut line = String::with_capacity(256);
-        line.push_str(&format!("{{\"time\":{}", s.time));
-        push_array(&mut line, "victim_gbps", &s.victim_gbps);
-        line.push_str(&format!(",\"attacker_pps\":{}", s.attacker_pps));
-        push_array(
-            &mut line,
-            "attacker_pps_by_source",
-            &s.attacker_pps_by_source,
-        );
-        line.push_str(&format!(",\"background_pps\":{}", s.background_pps));
-        line.push_str(&format!(",\"malformed_pps\":{}", s.malformed_pps));
-        line.push_str(&format!(
-            ",\"mask_count\":{},\"entry_count\":{},\"victim_masks_scanned\":{}",
-            s.mask_count, s.entry_count, s.victim_masks_scanned
-        ));
-        push_usize_array(&mut line, "shard_masks", &s.shard_masks);
-        push_usize_array(&mut line, "shard_entries", &s.shard_entries);
-        push_array(&mut line, "shard_attacker_pps", &s.shard_attacker_pps);
-        line.push_str(&format!(
-            ",\"mitigation_actions\":{}}}\n",
-            s.mitigation_actions.len()
-        ));
-        if let Err(e) = w.write_all(line.as_bytes()) {
-            self.spill_error = Some(e.to_string());
-            self.spill = None;
-        }
-    }
-}
-
-fn push_array(out: &mut String, name: &str, vals: &[f64]) {
-    out.push_str(&format!(",\"{name}\":["));
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v}"));
-    }
-    out.push(']');
-}
-
-fn push_usize_array(out: &mut String, name: &str, vals: &[usize]) {
-    out.push_str(&format!(",\"{name}\":["));
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v}"));
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -909,12 +730,13 @@ mod tests {
         let tl = store.recent_timeline();
         assert_eq!(tl.samples.len(), 4);
         assert_eq!(tl.samples[0].time, 6.0);
-        // … while the cold tier streamed all 10 samples.
-        assert_eq!(store.victim_series(0).unwrap().count(), 10);
-        assert_eq!(store.victim_series(0).unwrap().max(), 9.0);
-        assert_eq!(store.victim_series(0).unwrap().min(), 1.0);
+        // … while the cold tier and the SLO tracker streamed all 10 samples.
+        assert_eq!(store.total_attacker_series().count(), 10);
         assert_eq!(store.total_attacker_series().mean(), 100.0);
         let slo = &store.slo_trackers()[0];
+        assert_eq!(slo.delivered().count(), 10);
+        assert_eq!(slo.delivered().max(), 9.0);
+        assert_eq!(slo.delivered().min(), 1.0);
         assert_eq!(slo.violating_intervals(), 4);
         assert_eq!(slo.episode_count(), 1);
         // The footprint never exceeds the ceiling, whatever the horizon.
@@ -943,23 +765,31 @@ mod tests {
     }
 
     #[test]
-    fn spill_writes_aged_samples_as_json_lines() {
-        let dir = std::env::temp_dir().join("tse_telemetry_spill_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spill.jsonl");
-        let config = TelemetryConfig::with_hot_capacity(2).with_spill(&path);
-        let mut store = TelemetryStore::new(config, 1.0, vec!["v".into()], vec!["a".into()], 1);
-        for i in 0..5 {
-            store.record(sample(i as f64, 9.0), &[]);
-        }
-        store.finish();
-        assert_eq!(store.spill_error(), None);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "3 of 5 samples aged out");
-        assert!(lines[0].starts_with("{\"time\":0"));
-        assert!(lines[0].contains("\"victim_gbps\":[9]"));
-        assert!(lines[2].contains("\"mitigation_actions\":0"));
-        std::fs::remove_file(&path).ok();
+    fn footprint_does_not_grow_with_the_fleet_without_slo() {
+        let empty = |victims: usize, shards: usize, slo_floor_gbps: Option<f64>| {
+            let config = TelemetryConfig {
+                slo_floor_gbps,
+                ..TelemetryConfig::default()
+            };
+            let victims = (0..victims).map(|i| format!("v{i}")).collect();
+            TelemetryStore::new(config, 1.0, victims, vec!["a".into()], shards).footprint_units()
+        };
+        let base = empty(1, 1, None);
+        assert_eq!(base, COLD_UNITS);
+        assert_eq!(
+            empty(1000, 1, None),
+            base,
+            "no per-victim state without SLO"
+        );
+        assert_eq!(
+            empty(1, 16, None),
+            base,
+            "no per-shard state before a sample"
+        );
+        assert_eq!(
+            empty(1000, 1, Some(1.0)) - empty(1, 1, Some(1.0)),
+            999 * (AGG_UNITS + 8),
+            "each SLO tracker is one delivered aggregate plus its scalars"
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! switch behind per-tenant steering. The runner records into a bounded
 //! [`TelemetryStore`]: only the last 10 s stay in full detail, yet whole-run
 //! per-tenant SLO violations, recovery times and delivered-throughput percentiles
-//! come out of the streaming cold tier — in memory that would be the same for an
-//! hour-long run.
+//! come out of the streaming per-tenant SLO trackers — in memory that would be the
+//! same for an hour-long run.
 //!
 //! Run with: `cargo run --release --example tenant_gateway`
 

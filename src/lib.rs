@@ -243,11 +243,12 @@
 //!
 //! For fleet-sized, hour-long runs the unbounded timeline is replaced by the two-tier
 //! [`prelude::TelemetryStore`]: a bounded hot ring of recent full-detail
-//! [`prelude::TimelineSample`]s plus streaming cold aggregates
-//! ([`prelude::SeriesAgg`]: count/sum/min/max and a deterministic log-bucket
-//! histogram for p50/p99) covering the *whole* run in memory that never grows with
-//! the horizon. Per-tenant [`prelude::SloTracker`]s measure delivered throughput
-//! against a floor — violation episodes, time-to-detect, time-to-recover.
+//! [`prelude::TimelineSample`]s plus streaming cold aggregates of the switch-wide
+//! attack and background rates ([`prelude::SeriesAgg`]: count/sum/min/max and a
+//! deterministic log-bucket histogram for p50/p99) covering the *whole* run in memory
+//! that never grows with the horizon. Per-tenant [`prelude::SloTracker`]s hold each
+//! tenant's delivered-throughput distribution against a floor — violation episodes,
+//! time-to-detect, time-to-recover.
 //! [`prelude::TenantFleet`] builds the whole multi-tenant gateway scenario (per-tenant
 //! ACLs, iperf-like victims, Poisson background churn via [`prelude::ChurnSource`],
 //! staggered mid-run attackers armed by scheduled ACL updates), and the runner
@@ -325,7 +326,7 @@ pub mod prelude {
     pub use tse_simnet::offload::OffloadConfig;
     pub use tse_simnet::runner::{ExperimentRunner, Timeline, TimelineSample};
     pub use tse_simnet::telemetry::{
-        LogHistogram, SeriesAgg, SloConfig, SloTracker, TelemetryConfig, TelemetryStore,
+        LogHistogram, SeriesAgg, SloTracker, TelemetryConfig, TelemetryStore,
     };
     pub use tse_simnet::traffic::{VictimFlow, VictimSource};
     pub use tse_switch::cost::CostModel;
