@@ -19,6 +19,8 @@
 //! Two variants: **open** (no defense) and **defended** (pressure-gated
 //! [`AdaptiveRekey`] — rotates the RSS key only while the telemetry window shows a
 //! shard under sustained attack — plus a per-shard [`GuardMitigation`] sweep).
+//! Each records `<variant>/work/rules_walked`, the rules its upcalls' table walks
+//! looked at, summed over the shards — deterministic, like every row here.
 //!
 //! Flags: `--duration <s>` (default 3600), `--tenants <n>` (default 1000),
 //! `--slo-gbps <g>` (default 0.005 — half the 0.01 Gbps per-tenant offered load),
@@ -92,6 +94,16 @@ fn run_variant(
         .count() as u64;
 
     fig.account(&runner.datapath.stats());
+    // The upcalls' table walks, in rules: the slow path's classification work.
+    let sharded = &runner.datapath;
+    let rules_walked: u64 = (0..sharded.shard_count())
+        .map(|i| sharded.shard(i).slow_path().rules_walked())
+        .sum();
+    fig.row(
+        &format!("{tag}/work/rules_walked"),
+        "rules",
+        rules_walked as f64,
+    );
     summarize(fig, tag, fleet, &store, rekeys)
 }
 

@@ -33,15 +33,14 @@ impl RuleWord {
     }
 }
 
-/// One rule as the priority walk reads it: a record of the walk lane. Its first mask
-/// word is inline, so a rule the header differs from there — nearly every rule a walk
-/// passes — costs one 32-byte record and nothing else.
+/// One rule of the walk lane: where its first mask word sits, and what the walk reads
+/// only once the header agrees with that word. The first word's key bits are not here
+/// but in [`FlowTable::keys`], beside the keys of the rest of its run.
 #[derive(Debug, Clone)]
 struct WalkRecord {
     /// The rule's first non-zero mask word (all zero for a match-all rule, which every
-    /// header agrees with).
+    /// header agrees with), and which header word it tests.
     bits: u64,
-    key: u64,
     word: u8,
     /// How many more words the rule has, from `rest_start` in [`FlowTable::slab`].
     rest_len: u8,
@@ -51,18 +50,19 @@ struct WalkRecord {
 }
 
 impl WalkRecord {
-    fn first(&self) -> RuleWord {
-        RuleWord {
-            bits: self.bits,
-            key: self.key,
-            word: self.word,
-        }
-    }
-
     fn rest(&self) -> std::ops::Range<usize> {
         let start = self.rest_start as usize;
         start..start + usize::from(self.rest_len)
     }
+}
+
+/// A maximal stretch of the walk lane whose records' first mask words test the same
+/// header word under the same bits: the lane from the previous run's `end` to this one's.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    bits: u64,
+    word: u8,
+    end: u32,
 }
 
 /// An ordered set of wildcard rules. Lookup returns the highest-priority matching rule;
@@ -70,17 +70,25 @@ impl WalkRecord {
 ///
 /// Each rule is compiled as it is pushed into a **walk lane**: one record per rule, held
 /// in the order a lookup walks (decreasing priority, ties in insertion order), carrying
-/// the rule's index and its first non-zero 64-bit mask word inline; the rule's remaining
-/// words sit in one table-wide slab. A rule's words run in field order, high half first,
-/// so the first word the header differs in holds §3.2's first differing bit, most
+/// the rule's index and its first non-zero 64-bit mask word; the rule's remaining words
+/// sit in one table-wide slab. A rule's words run in field order, high half first, so
+/// the first word the header differs in holds §3.2's first differing bit, most
 /// significant first — and the walk that classifies a header is the record of the bits
-/// it examined (see [`crate::strategy`]). `rules` keeps the rules as pushed.
+/// it examined (see [`crate::strategy`]). The lane is cut into maximal **runs** of
+/// records whose first words test the same header word under the same bits — a merged
+/// tenant table is one long run on the destination address — and the first words' key
+/// bits form one dense column, so the walk passes a run's rejected rules at one 8-byte
+/// key each. `rules` keeps the rules as pushed.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     schema: FieldSchema,
     rules: Vec<Rule>,
     /// One record per rule, in walk order. Maintained by `push`.
     lane: Vec<WalkRecord>,
+    /// Each record's first-word key bits, at the record's place in the lane.
+    keys: Vec<u64>,
+    /// The lane's runs, in walk order; they tile it.
+    runs: Vec<Run>,
     /// Every rule's mask words after its first, each rule's together, in push order.
     slab: Vec<RuleWord>,
 }
@@ -92,8 +100,9 @@ pub struct TableMatch {
     pub rule_index: usize,
     /// The matched rule's action.
     pub action: Action,
-    /// Number of rules inspected before the match was found (the slow-path's linear
-    /// cost; feeds the CPU model).
+    /// How many rules the priority walk looked at, the matched one included: its place
+    /// in walk order, counted from 1. The slow path sums it over its upcalls as
+    /// `SlowPath::rules_walked` (in `tse-switch`).
     pub rules_inspected: usize,
 }
 
@@ -104,6 +113,8 @@ impl FlowTable {
             schema,
             rules: Vec::new(),
             lane: Vec::new(),
+            keys: Vec::new(),
+            runs: Vec::new(),
             slab: Vec::new(),
         }
     }
@@ -113,7 +124,9 @@ impl FlowTable {
         &self.schema
     }
 
-    /// Append a rule.
+    /// Append a rule. A rule that walks after every rule already pushed (a merged
+    /// tenant table's priorities strictly decrease) extends the last run; one that lands
+    /// mid-lane re-cuts the runs.
     pub fn push(&mut self, rule: Rule) {
         assert_eq!(
             rule.key.len(),
@@ -138,7 +151,6 @@ impl FlowTable {
         self.slab.extend(words);
         let record = WalkRecord {
             bits: first.bits,
-            key: first.key,
             word: first.word,
             rest_len: (self.slab.len() - rest_start) as u8,
             rest_start: rest_start as u32,
@@ -149,7 +161,28 @@ impl FlowTable {
             .lane
             .partition_point(|r| self.rules[r.rule as usize].priority >= rule.priority);
         self.lane.insert(at, record);
+        self.keys.insert(at, first.key);
         self.rules.push(rule);
+        if at + 1 == self.lane.len() {
+            self.extend_runs(at);
+        } else {
+            self.runs.clear();
+            (0..self.lane.len()).for_each(|i| self.extend_runs(i));
+        }
+    }
+
+    /// Close the runs over lane record `i`, the one after the last run's end: the last
+    /// run takes it if its first word is that run's, else it starts a run of its own.
+    fn extend_runs(&mut self, i: usize) {
+        let (bits, word) = (self.lane[i].bits, self.lane[i].word);
+        match self.runs.last_mut() {
+            Some(run) if (run.bits, run.word) == (bits, word) => run.end += 1,
+            _ => self.runs.push(Run {
+                bits,
+                word,
+                end: i as u32 + 1,
+            }),
+        }
     }
 
     /// All rules in insertion order.
@@ -178,21 +211,48 @@ impl FlowTable {
     /// [`key_words`] lays out a header) every bit it tested: each rejected rule's mask
     /// words up to and including the first differing one — of that one, the bits from
     /// the first differing bit up — and the matched rule's whole mask.
+    ///
+    /// It walks a run at a time. A rule the header differs from in the run's first word,
+    /// by `d = (header & bits) ^ key`, reaches `bits & (!0 << d.ilog2())`, which only
+    /// shrinks as `d` grows, so the run's rejected rules together reach exactly the term
+    /// of their least `d`: the walk keeps that minimum over the key column and ORs it in
+    /// once, where the run ends. It stops only at a key the header agrees with, to test
+    /// that rule's other words; there it examines the whole first word, which already
+    /// covers every rejected rule's part of it, so a match returns at once.
     pub(crate) fn walk(&self, header: &Key, examined: &mut [u64; 16]) -> Option<TableMatch> {
         let words = key_words(header);
-        for (inspected, record) in self.lane.iter().enumerate() {
-            if record.first().test(&words, examined)
-                && self.slab[record.rest()]
-                    .iter()
-                    .all(|w| w.test(&words, examined))
-            {
-                let rule_index = record.rule as usize;
-                return Some(TableMatch {
-                    rule_index,
-                    action: self.rules[rule_index].action,
-                    rules_inspected: inspected + 1,
-                });
+        let mut start = 0;
+        for run in &self.runs {
+            let end = run.end as usize;
+            let at = usize::from(run.word & 15);
+            let masked = words[at] & run.bits;
+            // The least `d` of a rejected rule, less one: an agreeing key, `d == 0`, wraps
+            // to `u64::MAX` and leaves it as it was.
+            let mut least = u64::MAX;
+            for (i, &key) in (start..end).zip(&self.keys[start..end]) {
+                let diff = masked ^ key;
+                least = least.min(diff.wrapping_sub(1));
+                if diff == 0 {
+                    // The whole first word, which covers every rejected rule's part of it.
+                    examined[at] |= run.bits;
+                    let record = &self.lane[i];
+                    if self.slab[record.rest()]
+                        .iter()
+                        .all(|w| w.test(&words, examined))
+                    {
+                        let rule_index = record.rule as usize;
+                        return Some(TableMatch {
+                            rule_index,
+                            action: self.rules[rule_index].action,
+                            rules_inspected: i + 1,
+                        });
+                    }
+                }
             }
+            if let Some(first_differing) = least.wrapping_add(1).checked_ilog2() {
+                examined[at] |= run.bits & (!0 << first_differing);
+            }
+            start = end;
         }
         None
     }
@@ -379,6 +439,82 @@ mod tests {
         let mut expected = [0; 16];
         (expected[3], expected[2]) = (u64::MAX, !0 << 3);
         assert_eq!(examined, expected);
+    }
+
+    /// The runs tile the lane from 0 to its end with no empty run, neighbours differ in
+    /// their first word, and every record tests its run's first word under the key bits
+    /// its rule has there.
+    fn assert_runs_cut_the_lane(t: &FlowTable) {
+        let mut start = 0;
+        for (n, run) in t.runs.iter().enumerate() {
+            let end = run.end as usize;
+            assert!(
+                start < end && end <= t.lane.len(),
+                "run {n} spans {start}..{end}"
+            );
+            if let Some(next) = t.runs.get(n + 1) {
+                assert_ne!(
+                    (run.bits, run.word),
+                    (next.bits, next.word),
+                    "runs {n}, {}",
+                    n + 1
+                );
+            }
+            for i in start..end {
+                let record = &t.lane[i];
+                assert_eq!(
+                    (record.bits, record.word),
+                    (run.bits, run.word),
+                    "record {i}"
+                );
+                let key = key_words(&t.rules[record.rule as usize].key);
+                assert_eq!(t.keys[i], key[usize::from(run.word)] & run.bits, "key {i}");
+            }
+            start = end;
+        }
+        assert_eq!((start, t.keys.len()), (t.lane.len(), t.lane.len()));
+    }
+
+    #[test]
+    fn runs_stay_maximal_through_appends_and_mid_lane_inserts() {
+        let schema = FieldSchema::new(vec![
+            FieldDef::new("a", 8),
+            FieldDef::new("b", 8),
+            FieldDef::new("wide", 128),
+        ]);
+        let exact =
+            |f: usize, v: u128, p: u32| Rule::exact_on_field(&schema, f, v, p, Action::Allow);
+        let mut a_and_b = exact(0, 7, 40);
+        a_and_b.key.set(1, 9);
+        a_and_b.mask.set(1, 0xff);
+        let mut a_high_nibble = exact(0, 0x30, 60);
+        a_high_nibble.mask.set(0, 0xf0);
+        let pushes = [
+            exact(0, 1, 50),
+            a_and_b,
+            exact(1, 2, 30),
+            Rule::match_all(&schema, 0, Action::Deny),
+            // Mid-lane, between the `a` rules and the `b` rule: the `a` run takes it.
+            exact(0, 3, 35),
+            // Mid-lane inside the `a` run: splits it.
+            exact(1, 4, 45),
+            // Ties the `b` rule above, after it: the wide field's high half, a run alone.
+            exact(2, 5 << 64 | 5, 45),
+            // At the head: a partial mask on `a` is a word of its own.
+            a_high_nibble,
+            Rule::match_all(&schema, 60, Action::Deny),
+            exact(0, 6, 10),
+            exact(0, 1, 0),
+        ];
+        let mut t = FlowTable::new(schema.clone());
+        for rule in pushes {
+            t.push(rule);
+            assert_runs_cut_the_lane(&t);
+        }
+        let firsts: Vec<(u64, u8)> = t.runs.iter().map(|r| (r.bits, r.word)).collect();
+        let (a, b, wide_high) = ((0xff, 0), (0xff, 2), (u64::MAX, 5));
+        let expected = [(0xf0, 0), (0, 0), a, b, wide_high, a, b, a, (0, 0), a];
+        assert_eq!(firsts, expected);
     }
 
     #[test]

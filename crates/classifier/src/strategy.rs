@@ -26,7 +26,9 @@
 //! mask in field order, most-significant bit first, down to and including the first bit
 //! on which the header differs; for the rule it matches, the whole mask — and generation
 //! widens that record to the strategy's granularity. The walk reads each rule as
-//! compiled into the table's walk lane (see [`FlowTable`]), a word at a time.
+//! compiled into the table's walk lane (see [`FlowTable`]), a word at a time; the
+//! rules of a run, whose first words test the same bits, it passes at one key each and
+//! folds their rejections into one term.
 
 use tse_packet::fields::{FieldSchema, Key, Mask};
 

@@ -78,3 +78,83 @@ proptest! {
         }
     }
 }
+
+/// A merged tenant table in small: every clause is exact on the destination plus one
+/// more field, so the walk lane is one long run on `dst` — cut where a port-only clause,
+/// a /24 clause or a match-all lands between pushes out of priority order.
+fn tenant_schema() -> FieldSchema {
+    FieldSchema::new(vec![
+        FieldDef::new("dst", 32),
+        FieldDef::new("port", 16),
+        FieldDef::new("wide", 128),
+    ])
+}
+
+/// Eight destinations, so clauses repeat one and the walk stops on a key whose rule's
+/// other words then fail.
+fn dst(i: u32) -> u32 {
+    0x0a00_0000 | ((i % 8) * 0x0101_0111)
+}
+
+/// `(destination, shape, other value, priority)`; shapes 0–3 are `dst` plus `port`
+/// (0, 1) or `wide` (2, 3), 4 is `port` alone, 5 a /24 on `dst`, 6 a match-all.
+type Clause = (u32, u8, u128, u32);
+
+fn tenant_rule(schema: &FieldSchema, &(d, shape, other, priority): &Clause) -> Rule {
+    let action = if priority % 2 == 0 {
+        Action::Allow
+    } else {
+        Action::Deny
+    };
+    // `(field, value, mask)` per matched field.
+    let dst = (0, u128::from(dst(d)), 0xffff_ffff);
+    let fields = match shape {
+        0 | 1 => vec![dst, (1, other, 0xffff)],
+        2 | 3 => vec![dst, (2, wide(other), u128::MAX)],
+        4 => vec![(1, other, 0xffff)],
+        5 => vec![(dst.0, dst.1, 0xffff_ff00)],
+        _ => vec![],
+    };
+    let mut rule = Rule::match_all(schema, priority, action);
+    for (field, value, mask) in fields {
+        rule.key.set(field, value & mask);
+        rule.mask.set(field, mask);
+    }
+    rule
+}
+
+proptest! {
+    #[test]
+    fn run_walk_generation_equals_the_per_bit_construction(
+        clauses in proptest::collection::vec((0u32..8, 0u8..7, 0u128..4, 0u32..6), 1..65),
+        headers in proptest::collection::vec(
+            (0usize..64, (0u32..32, 0u32..32, 0usize..3), 0u128..4, 0u128..4), 1..40),
+    ) {
+        let schema = tenant_schema();
+        let mut table = FlowTable::new(schema.clone());
+        for clause in &clauses {
+            table.push(tenant_rule(&schema, clause));
+        }
+        table.push(Rule::match_all(&schema, 0, Action::Deny));
+
+        for strategy in strategies(&schema) {
+            let mut cache = TupleSpace::new(schema.clone());
+            for &(at, (bit, other_bit, flips), port, w) in &headers {
+                // A clause's own destination, 0–2 bits flipped.
+                let mut d = dst(clauses[at % clauses.len()].0);
+                for b in [bit, other_bit].into_iter().take(flips) {
+                    d ^= 1 << b;
+                }
+                let h = Key::from_values(&schema, &[u128::from(d), port, wide(w)]);
+                prop_assert_eq!(table.lookup(&h), linear_scan(&table, &h));
+                let got = generate_megaflow(&table, &cache, &h, &strategy);
+                prop_assert_eq!(&got, &reference_generate(&table, &cache, &h, &strategy),
+                                "header {} under {:?}", h, strategy);
+                if let Ok(g) = got {
+                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+                }
+            }
+            prop_assert!(cache.check_independence());
+        }
+    }
+}

@@ -42,6 +42,8 @@ pub struct SlowPath {
     /// Cumulative count of upcalls answered without an install because the quota was
     /// exhausted.
     quota_denied_upcalls: u64,
+    /// Rules the upcalls' table walks looked at; see [`SlowPath::rules_walked`].
+    rules_walked: u64,
 }
 
 impl SlowPath {
@@ -53,6 +55,7 @@ impl SlowPath {
             suppressed_upcalls: 0,
             install_quota: None,
             quota_denied_upcalls: 0,
+            rules_walked: 0,
         }
     }
 
@@ -125,6 +128,16 @@ impl SlowPath {
         self.quota_denied_upcalls
     }
 
+    /// Rules walked, summed over every upcall: each upcall's one priority walk of the
+    /// table adds its verdict's [`TableMatch::rules_inspected`] — a deterministic count
+    /// of the slow path's classification work (the dry walk of a quota-exhausted upcall
+    /// repeats it and is not counted again).
+    ///
+    /// [`TableMatch::rules_inspected`]: tse_classifier::flowtable::TableMatch::rules_inspected
+    pub fn rules_walked(&self) -> u64 {
+        self.rules_walked
+    }
+
     /// Handle one upcall: classify `header` against `table`, generate a megaflow under
     /// the Cover/Independence invariants and install it into `cache` (unless the matched
     /// rule is suppressed or the header is already covered).
@@ -146,6 +159,7 @@ impl SlowPath {
         now: f64,
     ) -> Option<UpcallOutcome> {
         let (verdict, mask) = examined_megaflow(table, header, &self.strategy)?;
+        self.rules_walked += verdict.rules_inspected as u64;
         let mut outcome = UpcallOutcome {
             action: verdict.action,
             rule_index: verdict.rule_index,
@@ -224,6 +238,8 @@ mod tests {
         assert_eq!(out.action, Action::Deny);
         assert!(!out.installed);
         assert_eq!(cache.entry_count(), 1);
+        // Each walk passed the allow rule and matched the DefaultDeny, installed or not.
+        assert_eq!(sp.rules_walked(), 2 + 2);
     }
 
     #[test]
