@@ -5,11 +5,12 @@
 //! `tests/paper_claims.rs` compiles as a module names itself with `CARGO_CRATE_NAME`,
 //! the same string, which is also set there.) Everything the sixteen
 //! binaries used to choreograph by hand lives here once: the CLI ([`FigArgs`] defaults in,
-//! parsed flags out, exit 2 on a bad command line), the run's only stopwatch, the row
+//! parsed flags out, exit 2 on a bad command line), the run's stopwatches, the row
 //! list in call order, the advisory `wall_seconds` row, the end-of-run summary line and
-//! the `--json` append. A binary cannot read a clock (this file holds the workspace's one
-//! `tse-lint`-sanctioned `*wall*` binding) and cannot forget or misplace the advisory
-//! row.
+//! the `--json` append. A binary cannot read a clock (this file holds the workspace's
+//! only `tse-lint`-sanctioned `*wall*` bindings: the whole-run stopwatch, and the rounds
+//! of [`Figure::host_ns`] behind a binary's advisory host-time rows) and cannot forget
+//! or misplace the advisory row.
 
 use std::time::Instant;
 
@@ -66,6 +67,35 @@ impl Figure {
     /// `entries`, `packets`, …), a `percent`, or `cost_seconds` of simulated time.
     pub fn row(&mut self, name: &str, unit: &str, value: f64) {
         self.rows.push(Metric::deterministic(name, unit, value));
+    }
+
+    /// Host nanoseconds per call of `f`: the least, over seven rounds of `reps` calls
+    /// each, of a round's time per call, so that the first round warms what `f` reads and
+    /// a round the machine interrupted does not count. Machine- and load-dependent: it
+    /// feeds [`Figure::advisory`] rows only, never a deterministic one.
+    pub fn host_ns(&self, reps: usize, mut f: impl FnMut()) -> f64 {
+        let reps = reps.max(1);
+        (0..7)
+            .map(|_| {
+                let wall_round = Instant::now();
+                for _ in 0..reps {
+                    f();
+                }
+                wall_round.elapsed().as_nanos() as f64 / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Record an advisory row ([`Metric::wall`]): host time measured by
+    /// [`Figure::host_ns`], or a figure fitted to such times. `bench_diff` warns on its
+    /// drift and never fails on it.
+    ///
+    /// # Panics
+    /// Panics if `metric` is deterministic: those go through [`Figure::row`] or
+    /// [`Figure::gbps`].
+    pub fn advisory(&mut self, metric: Metric) {
+        assert!(!metric.deterministic, "{} is deterministic", metric.name);
+        self.rows.push(metric);
     }
 
     /// Account a datapath this run drove, for the end-of-run summary: its packets are
@@ -167,6 +197,32 @@ mod tests {
             "{summary}"
         );
         assert!(summary.ends_with(" events/s"), "{summary}");
+    }
+
+    #[test]
+    fn host_time_lands_in_advisory_rows_only() {
+        let mut fig = Figure::new("fig_x", FigArgs::default());
+        let mut calls = 0;
+        let ns = fig.host_ns(3, || calls += 1);
+        assert_eq!(calls, 21, "seven rounds of three");
+        assert!(ns.is_finite() && ns >= 0.0, "{ns}");
+        fig.row("SipDp/miss_masks_scanned", "masks", 513.0);
+        fig.advisory(Metric::wall("lookup/ns_per_mask", "ns_per_mask_wall", ns));
+        fig.advisory(Metric::wall("lookup/fit_r2", "r2", 0.99).higher_is_better());
+        let (_, report) = fig.close();
+        let flags: Vec<(bool, bool)> = report
+            .metrics
+            .iter()
+            .map(|m| (m.deterministic, m.higher_is_better))
+            .collect();
+        assert_eq!(flags, [(true, false), (false, false), (false, true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is deterministic")]
+    fn an_advisory_row_is_not_deterministic() {
+        let mut fig = Figure::new("fig_x", FigArgs::default());
+        fig.advisory(Metric::deterministic("masks", "masks", 1.0));
     }
 
     #[test]

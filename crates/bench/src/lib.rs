@@ -9,7 +9,7 @@
 //!   judge — `tests/paper_claims.rs` holds the paper's claims as named rows checked on
 //!   the binaries' own runs;
 //! * **the [`Figure`] harness** ([`figure`]) every one of them runs inside: it parses
-//!   the shared CLI from a [`FigArgs`] of defaults, holds the run's only stopwatch,
+//!   the shared CLI from a [`FigArgs`] of defaults, holds the run's stopwatches,
 //!   takes the headline rows in call order and, on `finish()`, prints the end-of-run
 //!   summary and appends the report the `--json <path>` flag asked for;
 //! * **the SipDp experiments as data** ([`sipdp`]): the shard-targeted binaries
@@ -22,9 +22,10 @@
 //!   tolerance band for the advisory `wall_seconds`). See the README's "Benchmark
 //!   reports & regression gate" section.
 //!
-//! Nothing here times a layer: per-layer and end-to-end wall-clock measurement is the
-//! standalone `benchmark/` package's job. The one clock read of the workspace is the
-//! harness's whole-run stopwatch.
+//! Nothing here times a run's layers: per-layer and end-to-end wall-clock measurement
+//! of a run is the standalone `benchmark/` package's job. The workspace reads a clock
+//! only in the harness: its whole-run stopwatch, and [`Figure::host_ns`], which times
+//! one call a binary hands it for an advisory row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,10 +10,11 @@
 //! and nearly every probe of it misses. So what the scan reads is kept apart from what a
 //! hit needs, in three parts:
 //!
-//! * the **probe lane**, one small record per tuple held in probe order — position in
-//!   the lane *is* Alg. 1's scan order. A record carries the tuple's hit counter, where
-//!   its plan words sit in the slab, which tuple it stands for, and a 64-bit **miss
-//!   filter**: one bit per resident key, chosen by the top six bits of the key's hash;
+//! * the **probe lane**, one 64-byte record per tuple, a cache line each, held in probe
+//!   order — position in the lane *is* Alg. 1's scan order. A record carries the tuple's
+//!   hit counter, where its plan words sit in the slab, which tuple it stands for, a
+//!   64-bit **miss filter** (one bit per resident key, chosen by the top six bits of the
+//!   key's hash), and a copy of the agreement (below) of its plan's first two words;
 //! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
 //!   in one tuple-space-wide vector of 32-byte records. The plan is the only form the
 //!   scan reads a mask in, and it is stored once: a plan determines its mask, so finding
@@ -24,29 +25,34 @@
 //!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
 //!   by mask.
 //!
-//! A probe first compares the header with the agreement, word by word straight off the
-//! slab: a header that differs from the common value on an agreed bit matches no entry,
-//! and the probe has missed without a hash. For an explosion — one entry per mask — that
-//! test is exact, so it ends every miss, having read a lane record and a few plan words
-//! that sit beside their neighbours', and the whole scan stays cache-resident. A probe
-//! that survives hashes `header AND mask` off the same words and tests the **miss
-//! filter** bit the hash names: a clear bit proves the miss. Only on a set bit does the
-//! probe go on, hash in hand, to the tuple: it walks the tuple's flat open-addressed
-//! index of `u64` slots from the slot the hash names, and compares against a stored key
-//! only where a slot's tag (the hash's high 32 bits) matches. A missed probe materialises
-//! no masked key and allocates nothing. Inv(2)'s conflict check rules tuples out with the
-//! same agreement test, restricted to the bits the prospective entry keeps.
+//! A probe first compares the header with the agreement, word by word: the first two
+//! words off the lane record's copy, any further ones off the slab. A header that
+//! differs from the common value on an agreed bit matches no entry, and the probe has
+//! missed without a hash. For an explosion — one entry per mask, and most masks' plans
+//! two words long — that test is exact, so it ends every miss having read one lane
+//! record, one cache line, and nothing of the slab, and the whole scan stays
+//! cache-resident. The slab stays the agreement's only source: every mutator that
+//! rewrites a record's filter after the agreement changed copies the agreement into the
+//! record too. A probe that survives hashes `header AND mask` off the slab's plan words
+//! and tests the **miss filter** bit the hash names: a clear bit proves the miss. Only
+//! on a set bit does the probe go on, hash in hand, to the tuple: it walks the tuple's
+//! flat open-addressed index of `u64` slots from the slot the hash names, and compares
+//! against a stored key only where a slot's tag (the hash's high 32 bits) matches. A
+//! missed probe materialises no masked key and allocates nothing. Inv(2)'s conflict
+//! check rules tuples out with the same agreement test, restricted to the bits the
+//! prospective entry keeps.
 //!
 //! A datapath's run of consecutive hits is looked up together, up to four headers to a
 //! walk of the lane ([`TupleSpace::lookup_run`]): the run's header words are laid out
-//! word-major, so each lane record and its plan words are read once for the run, and the
-//! agreement test runs for every header still looking at once, without a branch. A header
-//! that survives it goes on alone, exactly as a probe does, and leaves the walk at its
-//! first hit; the walk ends when every header has hit, or at the end of the lane. The
-//! results are committed afterwards, header by header in run order — the hit counters
-//! bumped and `last_used` stamped as [`TupleSpace::lookup`] would have — up to and
-//! including the first miss. The headers behind that miss are left as they were, for the
-//! datapath to look up again once the miss's upcall has installed its entry.
+//! word-major, so each lane record (and any plan words past its copy) is read once for
+//! the run, and the agreement test runs for every header still looking at once, without
+//! a branch. A header that survives it goes on alone, exactly as a probe does, and
+//! leaves the walk at its first hit; the walk ends when every header has hit, or at the
+//! end of the lane. The results are committed afterwards, header by header in run order
+//! — the hit counters bumped and `last_used` stamped as [`TupleSpace::lookup`] would
+//! have — up to and including the first miss. The headers behind that miss are left as
+//! they were, for the datapath to look up again once the miss's upcall has installed
+//! its entry.
 //!
 //! A tuple is written on the rare path, and each write is one pass. An insert walks the
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
@@ -154,11 +160,11 @@ struct PlanWord {
     value: u64,
 }
 
-// The scan reads one lane record and its plan words per tuple, two records to a cache
-// line. A field added to either widens every step of every scan: it has to fail here
-// first.
+// The scan reads one lane record per tuple, one record to a cache line, and the slab's
+// plan words only past the record's copy or to hash a header that survives it. A field
+// added to either widens every step of every scan: it has to fail here first.
 const _: () = assert!(std::mem::size_of::<PlanWord>() == 32);
-const _: () = assert!(std::mem::size_of::<LaneRecord>() == 32);
+const _: () = assert!(std::mem::size_of::<LaneRecord>() == 64);
 
 impl PlanWord {
     /// The bits of key word `k` that rule every entry of the tuple out: non-zero iff `k`
@@ -358,8 +364,18 @@ fn unplace(index: &mut [u64], mut i: usize) {
     index[i] = 0;
 }
 
-/// One tuple as Alg. 1's scan reads it: a record of the probe lane.
-#[derive(Debug, Clone)]
+/// How many of a plan's agreement words its lane record carries a copy of.
+const INLINE: usize = 2;
+
+/// One tuple as Alg. 1's scan reads it: a record of the probe lane, one cache line, and
+/// aligned to one (a record straddling two lines measured markedly slower). Beside the
+/// filter, the hit counter and where the tuple and its plan are, it carries a copy of
+/// the agreement of its plan's first [`INLINE`] words, so that a probe tests a header
+/// against them without reading the slab. The slab stays the agreement's one source:
+/// [`LaneRecord::sync`] copies it, wherever a mutator has rewritten the record's filter
+/// after the agreement changed.
+#[derive(Debug, Clone, Default, PartialEq)]
+#[repr(align(64))]
 struct LaneRecord {
     /// The miss filter: the OR of [`filter_bit`] over the tuple's resident keys (a sweep
     /// recomputes it exactly; 0 marks a tuple left empty, about to be dropped). A probe
@@ -367,6 +383,11 @@ struct LaneRecord {
     filter: u64,
     /// Cumulative fast-path hits on this tuple, reported by [`TupleSpace::mask_usage`].
     hits: u64,
+    /// The first plan words' `agree` and `value`, and which header word each reads; a
+    /// plan with fewer words pads with `agree = 0`, which excludes nothing.
+    agree: [u64; INLINE],
+    value: [u64; INLINE],
+    word: [u8; INLINE],
     /// Where in [`TupleSpace::slab`] the tuple's plan starts, and how many words it has.
     plan_start: u32,
     plan_len: u32,
@@ -378,6 +399,31 @@ impl LaneRecord {
     fn plan(&self) -> Range<usize> {
         let start = self.plan_start as usize;
         start..start + self.plan_len as usize
+    }
+
+    /// The plan words the record does not carry: those past the first [`INLINE`].
+    fn tail(&self) -> Range<usize> {
+        let plan = self.plan();
+        (plan.start + INLINE).min(plan.end)..plan.end
+    }
+
+    /// Copy the agreement of the first [`INLINE`] of `plan`, the record's plan words.
+    fn sync(&mut self, plan: &[PlanWord]) {
+        for i in 0..INLINE {
+            let w = plan.get(i).copied().unwrap_or_default();
+            (self.word[i], self.agree[i], self.value[i]) = (w.word, w.agree, w.value);
+        }
+    }
+
+    /// What [`PlanWord::excludes`] gives over the inline words, ORed, for a header whose
+    /// key word `w` is `word(w)`: non-zero iff those words rule every entry out.
+    #[inline(always)]
+    fn excludes(&self, word: impl Fn(usize) -> u64) -> u64 {
+        let mut excluded = 0;
+        for i in 0..INLINE {
+            excluded |= (word(usize::from(self.word[i] & 15)) ^ self.value[i]) & self.agree[i];
+        }
+        excluded
     }
 }
 
@@ -999,11 +1045,12 @@ impl TupleSpace {
     /// One probe of Alg. 1: the offset, in its tuple's log, of the entry the probed
     /// header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
     /// probe with this one; [`Self::lookup_run`] and the Inv(2) walk ([`Self::walk_for`])
-    /// run the agreement test their own way and share its tail. A header that disagrees
-    /// with the agreement words misses without a hash; one that survives them is hashed,
-    /// and on a clear filter bit misses having read the lane record and its plan words,
-    /// nothing of the tuple. It borrows the slab and the tuples, not `self`: `lookup`
-    /// scans the lane mutably.
+    /// run the agreement test their own way and share its tail. The test reads the lane
+    /// record's copy of the first agreement words, then the slab's plan words past them,
+    /// if the plan has more: a header that disagrees misses without a hash, having read
+    /// for most plans the record alone. One that survives is hashed off the slab's plan
+    /// words, and on a clear filter bit misses having read nothing of the tuple. It
+    /// borrows the slab and the tuples, not `self`: `lookup` scans the lane mutably.
     #[inline(always)]
     fn probe(
         slab: &[PlanWord],
@@ -1011,11 +1058,14 @@ impl TupleSpace {
         rec: &LaneRecord,
         probe: &Probe,
     ) -> Option<usize> {
-        let plan = &slab[rec.plan()];
-        if plan.iter().fold(0, |x, w| x | w.excludes(probe.word(w))) != 0 {
+        if rec.excludes(|w| probe.words[w]) != 0 {
             return None;
         }
-        let hash = masked_hash(plan, |w| probe.word(w));
+        let tail = &slab[rec.tail()];
+        if tail.iter().fold(0, |x, w| x | w.excludes(probe.word(w))) != 0 {
+            return None;
+        }
+        let hash = masked_hash(&slab[rec.plan()], |w| probe.word(w));
         Self::find_hashed(tuples, rec, hash, probe.header)
     }
 
@@ -1060,12 +1110,14 @@ impl TupleSpace {
     /// untouched — no counter bumped — for the caller to look up again once the miss's
     /// upcall has installed its entry.
     ///
-    /// Each lane record's plan words are tested against every header still looking, word
-    /// by word and without a branch; only a header that survives hashes, and a header
-    /// leaves the walk at its first hit, at the position `lookup` would stop at. The hits
-    /// are committed afterwards, header by header in run order. A hit bumps counters and
-    /// stamps `last_used`, none of which a probe reads, so the walk cannot tell the run
-    /// from `lookup` called on each header in turn.
+    /// Each lane record's agreement words are tested against every header still looking,
+    /// word by word and without a branch: the record's inline copy first, and a record
+    /// that rules out all four headers there is passed at once; otherwise the slab's plan
+    /// words past the copy, if any. Only a header that survives hashes, off the slab's
+    /// plan words, and a header leaves the walk at its first hit, at the position `lookup`
+    /// would stop at. The hits are committed afterwards, header by header in run order.
+    /// A hit bumps counters and stamps `last_used`, none of which a probe reads, so the
+    /// walk cannot tell the run from `lookup` called on each header in turn.
     pub fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
         let n = run.len().min(out.len()).min(RUN);
         if n <= 1 {
@@ -1088,9 +1140,17 @@ impl TupleSpace {
         let mut active = (1u32 << n) - 1;
         let mut found = [(0, 0); RUN];
         for (i, rec) in self.lane.iter().enumerate() {
-            let plan = &self.slab[rec.plan()];
             let mut excluded = [0u64; RUN];
-            for w in plan {
+            for (j, x) in excluded.iter_mut().enumerate() {
+                *x = rec.excludes(|w| words[w][j]);
+            }
+            // In an explosion nearly every record rules every header out on its inline
+            // words alone, and the walk moves on without another test: on a warm lane
+            // this pass more than halved a run's cost per record.
+            if excluded.iter().all(|&x| x != 0) {
+                continue;
+            }
+            for w in &self.slab[rec.tail()] {
                 let row = &words[usize::from(w.word & 15)];
                 for (x, &k) in excluded.iter_mut().zip(row) {
                     *x |= w.excludes(k);
@@ -1103,6 +1163,7 @@ impl TupleSpace {
             while live != 0 {
                 let j = live.trailing_zeros() as usize;
                 live &= live - 1;
+                let plan = &self.slab[rec.plan()];
                 let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
                 if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, run[j].0) {
                     found[j] = (i, pos);
@@ -1180,6 +1241,7 @@ impl TupleSpace {
                 let rec = &mut self.lane[pos];
                 let words = &mut self.slab[rec.plan()];
                 rec.filter |= self.tuples[rec.tuple as usize].push(words, rec.filter, entry, hash);
+                rec.sync(words);
             }
             None => {
                 debug_assert!(
@@ -1188,14 +1250,16 @@ impl TupleSpace {
                 );
                 let plan_start = self.slab.len();
                 self.slab.extend_from_slice(plan.words());
-                let (tuple, filter) = Tuple::new(entry, &mut self.slab[plan_start..]);
-                let rec = LaneRecord {
+                let words = &mut self.slab[plan_start..];
+                let (tuple, filter) = Tuple::new(entry, words);
+                let mut rec = LaneRecord {
                     filter,
-                    hits: 0,
                     plan_start: plan_start as u32,
                     plan_len: plan.len as u32,
                     tuple: self.tuples.len() as u32,
+                    ..LaneRecord::default()
                 };
+                rec.sync(words);
                 self.tuples.push(tuple);
                 match self.ordering {
                     MaskOrdering::NewestFirst => self.lane.push_front(rec),
@@ -1330,9 +1394,11 @@ impl TupleSpace {
         for rec in &mut self.lane {
             let tuple = &mut self.tuples[rec.tuple as usize];
             let before = tuple.len();
-            if let Some(filter) = sweep(tuple, &mut self.slab[rec.plan()], &mut self.work) {
+            let words = &mut self.slab[rec.plan()];
+            if let Some(filter) = sweep(tuple, words, &mut self.work) {
                 removed += before - tuple.len();
                 rec.filter = filter;
+                rec.sync(words);
                 emptied |= filter == 0;
             }
         }
@@ -1375,10 +1441,10 @@ impl TupleSpace {
 
     /// Whether lane, slab and tuples describe one tuple space: the records name each
     /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, and each tuple is [`Tuple::consistent`] with its plan words and its
-    /// record's filter. What debug builds assert after every mutation. It allocates
-    /// nothing, so that the allocation audit can hold a warm mutation, this check
-    /// included, to zero.
+    /// nothing else, a record's inline agreement words are its plan's first ones, and
+    /// each tuple is [`Tuple::consistent`] with its plan words and its record's filter.
+    /// What debug builds assert after every mutation. It allocates nothing, so that the
+    /// allocation audit can hold a warm mutation, this check included, to zero.
     fn lane_consistent(&self) -> bool {
         // As many records as slots, each naming a slot in range, none named twice: the
         // last checked 4096 slots at a time, against a bitmap on the stack.
@@ -1404,7 +1470,11 @@ impl TupleSpace {
                 let tuple = self.tuple(rec);
                 let words = self.slab.get(rec.plan());
                 let words = words.filter(|words| Plan::of(&tuple.mask).is(words));
-                words.is_some_and(|words| tuple.consistent(words, rec.filter))
+                words.is_some_and(|words| {
+                    let mut synced = rec.clone();
+                    synced.sync(words);
+                    synced == *rec && tuple.consistent(words, rec.filter)
+                })
             })
     }
 
@@ -2126,6 +2196,27 @@ mod tests {
             "an index holds one slot per entry"
         );
 
+        // Lane record 0's inline copy of word 0 says bits 2..1 agree, at 00; its second
+        // inline word pads a one-word plan, and excludes nothing.
+        let mut stale_inline_agree = cache.clone();
+        stale_inline_agree.lane[0].agree[0] ^= 0b001;
+        assert!(
+            !stale_inline_agree.lane_consistent(),
+            "the inline agreement is the slab's"
+        );
+        let mut stale_inline_value = cache.clone();
+        stale_inline_value.lane[1].value[0] ^= 0b100;
+        assert!(
+            !stale_inline_value.lane_consistent(),
+            "the inline value is the slab's"
+        );
+        let mut stale_padding = cache.clone();
+        stale_padding.lane[0].agree[1] ^= 0b001;
+        assert!(
+            !stale_padding.lane_consistent(),
+            "a padding word agrees on nothing"
+        );
+
         let mut leaked = cache.clone();
         let plan = Plan::of(&k(0b001));
         leaked.slab.extend_from_slice(plan.words());
@@ -2137,6 +2228,147 @@ mod tests {
         let mut reordered = cache;
         reordered.lane.swap(0, 2);
         assert!(reordered.lane_consistent(), "order is the lane's to choose");
+    }
+
+    /// `lookup`, `lookup_run`, `peek` and `find_conflict` on `c` answer as the index-less
+    /// scans do: every header of `headers` looked up alone and in runs, and every header
+    /// under every mask in `masks` checked for conflicts.
+    fn agrees_with_the_scan(
+        c: &TupleSpace,
+        headers: &[Key],
+        masks: &[Mask],
+    ) -> Result<(), TestCaseError> {
+        let held: Vec<MegaflowEntry> = c.entries().cloned().collect();
+        for header in headers {
+            let (hit, scanned) = lookup_scan(&held, header);
+            prop_assert_eq!(c.peek(header), hit, "peek {}", header);
+            let out = c.clone().lookup(header, 9.0);
+            prop_assert_eq!(
+                (out.action, out.masks_scanned),
+                (hit.map(|e| e.action), scanned),
+                "lookup {}",
+                header
+            );
+            for mask in masks {
+                let key = header.apply_mask(mask);
+                prop_assert_eq!(
+                    c.find_conflict(&key, mask),
+                    find_conflict_scan(c, &key, mask),
+                    "conflict {} / {}",
+                    key,
+                    mask
+                );
+            }
+        }
+        for len in 2..=RUN {
+            for run in headers.windows(len) {
+                let run: Vec<(&Key, f64)> = run.iter().map(|h| (h, 9.0)).collect();
+                run_matches_lookups(c, &run)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A lane record carries its plan's first two agreement words; the slab holds the
+    /// rest. On a schema of three byte fields, a full mask's plan reads key words 0, 2
+    /// and 4, so its record carries the first two and the slab word 4 alone; beside it
+    /// are a two-word plan (no tail) and a one-word plan (a padding word). A header that
+    /// agrees with the full mask's entry on `a` and `b` and differs on `c` alone is ruled
+    /// out by the tail only, and misses after scanning every tuple. Through inserts that
+    /// widen the tail's disagreement, an idle sweep and `remove_where` that narrow it
+    /// again, and `remove_mask`, every probe path answers as the index-less scans do. A
+    /// match-all entry overlaps every other one, so its zero-word plan, all padding, is
+    /// checked in a cache of its own.
+    #[test]
+    fn a_probe_reads_the_inline_words_then_the_slab_tail() {
+        let schema = FieldSchema::new(vec![
+            FieldDef::new("a", 8),
+            FieldDef::new("b", 8),
+            FieldDef::new("c", 8),
+        ]);
+        let key = |a: u128, b: u128, c: u128| Key::from_values(&schema, &[a, b, c]);
+        let (full, pair, top) = (schema.full_mask(), key(0xff, 0, 0xf0), key(0, 0, 0xf0));
+        let masks = [full.clone(), pair.clone(), top.clone()];
+        let headers: Vec<Key> = [
+            (1, 2, 3),
+            (1, 2, 4),
+            (1, 2, 5),
+            (1, 2, 7),
+            (1, 3, 3),
+            (7, 9, 0x61),
+            (7, 9, 0x51),
+            (8, 8, 0x5f),
+            (0, 0, 0),
+        ]
+        .iter()
+        .map(|&(a, b, c)| key(a, b, c))
+        .collect();
+        let stranger = key(1, 2, 4);
+
+        let mut c = TupleSpace::new(schema.clone());
+        c.insert(key(1, 2, 3), full.clone(), Action::Allow, 0.0)
+            .unwrap();
+        c.insert(key(7, 0, 0x60), pair.clone(), Action::Deny, 0.0)
+            .unwrap();
+        c.insert(key(0, 0, 0x50), top.clone(), Action::Deny, 0.0)
+            .unwrap();
+        let shapes: Vec<(u32, [u8; INLINE], usize)> = c
+            .lane
+            .iter()
+            .map(|rec| (rec.plan_len, rec.word, rec.tail().len()))
+            .collect();
+        assert_eq!(shapes, [(3, [0, 2], 1), (2, [0, 4], 0), (1, [4, 0], 0)]);
+        assert_eq!(c.lane[2].agree[1], 0, "a padding word agrees on nothing");
+        assert_eq!(
+            c.clone().lookup(&stranger, 1.0),
+            LookupOutcome {
+                action: None,
+                masks_scanned: 3
+            }
+        );
+        assert_eq!(
+            c.clone().lookup(&key(1, 2, 3), 1.0).action,
+            Some(Action::Allow)
+        );
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+
+        // (1, 2, 3) and (1, 2, 5) agree on bit 0 of `c`, and on its bits 7..3: the tail
+        // still rules out (1, 2, 4) without a hash, but not (1, 2, 7).
+        c.insert(key(1, 2, 5), full.clone(), Action::Deny, 5.0)
+            .unwrap();
+        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xf9);
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+        let refused = c.insert(key(8, 8, 0x5f), full.clone(), Action::Deny, 5.0);
+        assert!(refused.is_err(), "(8, 8, 0x5f) is within (*, *, 0x5*)");
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+
+        // The entries installed at 0 go; the full mask's tuple is (1, 2, 5) alone again.
+        assert_eq!(c.expire_idle(12.0, 10.0), 3);
+        assert_eq!(c.lane.len(), 1);
+        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xff);
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+
+        c.insert(key(7, 0, 0x61), pair.clone(), Action::Allow, 13.0)
+            .unwrap();
+        c.insert(key(1, 3, 3), full.clone(), Action::Allow, 13.0)
+            .unwrap();
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+        assert_eq!(c.remove_where(|e| e.key == key(1, 2, 5)), 1);
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+        assert_eq!(c.remove_mask(&pair), 1);
+        agrees_with_the_scan(&c, &headers, &masks).unwrap();
+        assert_eq!(c.remove_mask(&full), 1);
+        assert_eq!(c.mask_count(), 0);
+
+        let mut all = TupleSpace::new(schema.clone());
+        let none = schema.empty_mask();
+        all.insert(none.clone(), none.clone(), Action::Deny, 0.0)
+            .unwrap();
+        assert_eq!((all.lane[0].plan_len, all.lane[0].agree), (0, [0; INLINE]));
+        agrees_with_the_scan(&all, &headers, &[none, full]).unwrap();
+        assert!(headers
+            .iter()
+            .all(|h| all.clone().lookup(h, 1.0).masks_scanned == 1));
     }
 
     /// The schema of the sweep oracle, and the full mask its exact-match tuples share.

@@ -59,7 +59,9 @@ const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("rand", 5, 0),
     ("tse", 0, 0),
     ("tse-attack", 56, 0),
-    ("tse-bench", 57, 0),
+    // Two more than before: `Figure::host_ns` and `Figure::advisory`, the harness's
+    // host-time probe and advisory rows behind fig9a's Observation 1 rows.
+    ("tse-bench", 59, 0),
     // Two more than before: `SweepWork` and `TupleSpace::sweep_work`, the idle sweeps'
     // work counters `ipv6_entry_explosion` records as deterministic rows.
     ("tse-classifier", 80, 4),

@@ -43,6 +43,14 @@ impl CostModel {
     /// is ≈813 kpps → ≈1.23 µs per packet. We split that into 1.17 µs fixed + 60 ns per
     /// mask so that the degradation knee matches §5.4 (≈53 % of baseline at 17 masks for
     /// GRO OFF).
+    ///
+    /// The 60 ns per mask is the paper's kernel datapath, not this implementation: a
+    /// warm, missed `TupleSpace::lookup` at the five use cases' mask counts (1 to 8209)
+    /// fits **2.7–3.0 ns per mask**, R² ≥ 0.9999 (`fig9a_throughput_vs_masks`'s
+    /// `lookup/ns_per_mask` row; five runs on a 2-vCPU Intel Xeon VM, 2.0 in a quiet
+    /// moment of that host), where the same rows at the scan before the lane record
+    /// carried its agreement words read 6.5–7.4 ns. Observation 1's linearity holds in
+    /// host time too; its slope is ~20× below the modelled one.
     pub fn ovs_kernel_default() -> Self {
         CostModel {
             fixed: 1.17e-6,
