@@ -265,9 +265,10 @@ mod tests {
     #[test]
     fn unclassifiable_frames_become_malformed_events() {
         let schema = FieldSchema::ovs_ipv4();
-        let v6 = tse_packet::PacketBuilder::tcp_v6(
-            [1, 0, 0, 0, 0, 0, 0, 2],
-            [3, 0, 0, 0, 0, 0, 0, 4],
+        let v6 = tse_packet::PacketBuilder::from_numeric_v6(
+            (1 << 112) | 2,
+            (3 << 112) | 4,
+            tse_packet::IpProto::Tcp,
             1,
             2,
         )

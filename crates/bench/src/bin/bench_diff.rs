@@ -1,14 +1,14 @@
 //! Compare two benchmark report files — the CI regression gate.
 //!
 //! ```text
-//! bench_diff <baseline.json> <new.json> [--wall-tolerance <percent>]
+//! bench_diff <baseline.json> <new.json>
 //! ```
 //!
 //! Deterministic metrics (cost-model units, mask/entry counts) must match the
 //! baseline bit-for-bit: any drift — in either direction — exits nonzero, because an
 //! unexplained improvement means a stale baseline just as much as a regression means
 //! broken code. Wall-clock metrics (`*_wall` units) only warn when they regress past
-//! the tolerance band (default 25 %), since CI wall clocks are noisy.
+//! a fixed 25 % band, since CI wall clocks are noisy.
 //!
 //! A comparison that matched no deterministic metric at all — every `(name, params)`
 //! identity renamed, say — guards nothing and fails too.
@@ -19,33 +19,14 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use tse_bench::report::{diff_files, DiffConfig, ReportFile};
+use tse_bench::report::{diff_files, ReportFile};
 
-const USAGE: &str = "usage: bench_diff <baseline.json> <new.json> [--wall-tolerance <percent>]";
+const USAGE: &str = "usage: bench_diff <baseline.json> <new.json>";
 
 fn main() {
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut cfg = DiffConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let tolerance = if a == "--wall-tolerance" {
-            Some(args.next().unwrap_or_else(|| {
-                eprintln!("error: --wall-tolerance needs a value\n{USAGE}");
-                exit(2);
-            }))
-        } else {
-            a.strip_prefix("--wall-tolerance=").map(str::to_string)
-        };
-        if let Some(v) = tolerance {
-            cfg.wall_tolerance_percent = v.parse().unwrap_or_else(|e| {
-                eprintln!("error: bad --wall-tolerance {v:?}: {e}\n{USAGE}");
-                exit(2);
-            });
-            if !cfg.wall_tolerance_percent.is_finite() || cfg.wall_tolerance_percent < 0.0 {
-                eprintln!("error: --wall-tolerance must be a non-negative percent\n{USAGE}");
-                exit(2);
-            }
-        } else if a.starts_with("--") {
+    for a in std::env::args().skip(1) {
+        if a.starts_with("--") {
             eprintln!("error: unknown argument {a:?}\n{USAGE}");
             exit(2);
         } else {
@@ -72,7 +53,7 @@ fn main() {
         old.reports.len().max(new.reports.len()),
         new.area,
     );
-    let diff = diff_files(&old, &new, &cfg);
+    let diff = diff_files(&old, &new);
     print!("{}", diff.render());
     if diff.has_failures() {
         eprintln!("error: deterministic metrics drifted from the baseline");

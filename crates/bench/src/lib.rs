@@ -19,8 +19,9 @@
 //! * **the [`report`] subsystem**: the machine-readable `BENCH_<area>.json` files at
 //!   the repo root those reports land in, and the `bench_diff` regression gate that
 //!   compares two such files (strict equality for deterministic cost-model metrics, a
-//!   tolerance band for the advisory `wall_seconds`). See the README's "Benchmark
-//!   reports & regression gate" section.
+//!   fixed 25 % warning band for the advisory `wall_seconds`). A report holds its
+//!   identity and metrics only, nothing about the machine or tree that produced it.
+//!   See the README's "Benchmark reports & regression gate" section.
 //!
 //! Nothing here times a run's layers: per-layer and end-to-end wall-clock measurement
 //! of a run is the standalone `benchmark/` package's job. The workspace reads a clock

@@ -9,9 +9,9 @@
 //!   means either the baseline is stale or the model changed, and both must be
 //!   acknowledged by regenerating the committed file. A changed unit or direction
 //!   fails the same way, even at equal bits;
-//! * **wall-clock metrics** are machine- and load-dependent: drift beyond the
-//!   configured band in the *worse* direction is a [`Severity::Warn`], never a
-//!   failure (the CI container has 1 core and noisy neighbours).
+//! * **wall-clock metrics** are machine- and load-dependent: drift beyond a fixed
+//!   25 % band in the *worse* direction is a [`Severity::Warn`], never a failure (the
+//!   CI container has 1 core and noisy neighbours).
 //!
 //! Reports present only in one file are informational: the baseline legitimately
 //! carries full-length runs that CI's smoke configs never re-execute. A diff in which
@@ -20,23 +20,11 @@
 
 use super::{Metric, ReportFile};
 
-/// Tunables for a diff.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffConfig {
-    /// Allowed relative drift for wall-clock metrics, in percent, before a warning is
-    /// raised (drift in the improving direction never warns).
-    pub wall_tolerance_percent: f64,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        // Wall clocks on shared CI runners jitter easily by double-digit percents;
-        // 25 % keeps the signal (a 2x regression still warns) without crying wolf.
-        DiffConfig {
-            wall_tolerance_percent: 25.0,
-        }
-    }
-}
+/// Allowed relative drift for wall-clock metrics, in percent, before a warning is
+/// raised (drift in the improving direction never warns). Wall clocks on shared CI
+/// runners jitter easily by double-digit percents; 25 % keeps the signal (a 2x
+/// regression still warns) without crying wolf.
+const WALL_TOLERANCE_PERCENT: f64 = 25.0;
 
 /// How serious one diff finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -125,7 +113,7 @@ fn direction(m: &Metric, old: f64, new: f64) -> &'static str {
 }
 
 /// Compare `new` against the `old` baseline.
-pub fn diff_files(old: &ReportFile, new: &ReportFile, cfg: &DiffConfig) -> DiffReport {
+pub fn diff_files(old: &ReportFile, new: &ReportFile) -> DiffReport {
     let mut out = DiffReport::default();
     for old_report in &old.reports {
         let ident = format!("{} [{}]", old_report.name, old_report.params);
@@ -191,7 +179,7 @@ pub fn diff_files(old: &ReportFile, new: &ReportFile, cfg: &DiffConfig) -> DiffR
                 let denom = o.abs().max(f64::MIN_POSITIVE);
                 let drift_percent = (n - o) / denom * 100.0;
                 let worse = (n > o) != old_metric.higher_is_better && n != o;
-                if worse && drift_percent.abs() > cfg.wall_tolerance_percent {
+                if worse && drift_percent.abs() > WALL_TOLERANCE_PERCENT {
                     out.entries.push(DiffEntry {
                         severity: Severity::Warn,
                         report: ident.clone(),
@@ -201,7 +189,7 @@ pub fn diff_files(old: &ReportFile, new: &ReportFile, cfg: &DiffConfig) -> DiffR
                              tolerance {} %)",
                             drift_percent.abs(),
                             old_metric.unit,
-                            cfg.wall_tolerance_percent,
+                            WALL_TOLERANCE_PERCENT,
                         ),
                     });
                 }
@@ -252,7 +240,7 @@ mod tests {
             Metric::deterministic("cost", "cost_seconds", 1.5e-3),
             Metric::wall("wall", "seconds_wall", 2.0),
         ]);
-        let d = diff_files(&f, &f.clone(), &DiffConfig::default());
+        let d = diff_files(&f, &f.clone());
         assert!(!d.has_failures());
         assert_eq!((d.compared, d.compared_deterministic), (2, 1));
         assert_eq!(d.count(Severity::Warn), 0);
@@ -267,7 +255,7 @@ mod tests {
             let new = file_with(vec![
                 Metric::deterministic("gbps", "gbps", new_value).higher_is_better()
             ]);
-            let d = diff_files(&old, &new, &DiffConfig::default());
+            let d = diff_files(&old, &new);
             assert!(d.has_failures(), "drift to {new_value} must fail");
         }
     }
@@ -280,7 +268,7 @@ mod tests {
             "cost_seconds",
             f64::from_bits(1.0f64.to_bits() + 1),
         )]);
-        assert!(diff_files(&old, &new, &DiffConfig::default()).has_failures());
+        assert!(diff_files(&old, &new).has_failures());
     }
 
     #[test]
@@ -293,7 +281,7 @@ mod tests {
         ];
         for (new_value, warns) in cases {
             let new = file_with(vec![Metric::wall("t", "seconds_wall", new_value)]);
-            let d = diff_files(&old, &new, &DiffConfig::default());
+            let d = diff_files(&old, &new);
             assert!(!d.has_failures(), "wall drift must never fail");
             assert_eq!(d.count(Severity::Warn), warns, "value {new_value}");
         }
@@ -308,7 +296,7 @@ mod tests {
             Metric::deterministic("gbps", "gbps", 3.0),
             Metric::deterministic("gbps", "masks", 3.0).higher_is_better(),
         ] {
-            let d = diff_files(&old, &file_with(vec![new]), &DiffConfig::default());
+            let d = diff_files(&old, &file_with(vec![new]));
             assert!(d.has_failures(), "{}", d.render());
             assert!(d
                 .render()
@@ -323,7 +311,7 @@ mod tests {
             Metric::deterministic("gone", "masks", 2.0),
         ]);
         let new = file_with(vec![Metric::deterministic("kept", "masks", 1.0)]);
-        let d = diff_files(&old, &new, &DiffConfig::default());
+        let d = diff_files(&old, &new);
         assert!(d.has_failures());
     }
 
@@ -332,7 +320,7 @@ mod tests {
         let old = file_with(vec![Metric::deterministic("m", "masks", 1.0)]);
         let mut new = ReportFile::new("test");
         new.upsert(BenchReport::new("other_fig", "default"));
-        let d = diff_files(&old, &new, &DiffConfig::default());
+        let d = diff_files(&old, &new);
         assert!(!d.has_failures());
         assert_eq!(d.count(Severity::Info), 2); // not re-run + new report
         assert_eq!((d.compared, d.compared_deterministic), (0, 0));
@@ -348,7 +336,7 @@ mod tests {
             Metric::deterministic("c", "cost_seconds", 2.0),
             Metric::wall("t", "seconds_wall", 10.0),
         ]);
-        let d = diff_files(&old, &new, &DiffConfig::default());
+        let d = diff_files(&old, &new);
         let text = d.render();
         assert!(text.starts_with("FAIL"));
         assert!(text.contains("warn"));

@@ -16,28 +16,26 @@
 //!   (`*_wall` units — a binary's own advisory run time) are machine-dependent and
 //!   only ever warn.
 //! * a [`BenchReport`] is one run of one producer (a figure binary) under one
-//!   parameterisation, with the [`RunEnv`] it ran in;
+//!   parameterisation;
 //! * a [`ReportFile`] is one `BENCH_<area>.json`: a set of reports keyed by
 //!   `(name, params)`. Re-running a producer replaces its previous report in place
-//!   (byte-identically so, when the deterministic metrics are unchanged and the tree
-//!   is at the same commit).
+//!   (byte-identically so, when the deterministic metrics are unchanged).
 //!
 //! `report::diff` compares two files: strict bit-equality for deterministic metrics
-//! (any drift fails), a configurable percentage band for wall-clock ones (drift
-//! warns). See the README's "Benchmark reports & regression gate" section for the
+//! (any drift fails), a fixed 25 % band for wall-clock ones (drift warns). See the README's "Benchmark reports & regression gate" section for the
 //! workflow.
 
 pub mod diff;
-pub mod env;
 pub mod json;
 
 use std::path::Path;
 
-pub use diff::{diff_files, DiffConfig, DiffEntry, DiffReport, Severity};
-pub use env::RunEnv;
+pub use diff::{diff_files, DiffEntry, DiffReport, Severity};
 pub use json::{Json, JsonError};
 
-/// Current report-file format version, bumped on incompatible layout changes.
+/// Current report-file format version, bumped on incompatible layout changes. A file
+/// whose `version` is missing or differs is refused on load, so a bump keeps
+/// `bench_diff` from reading a file of another layout leniently.
 pub const FORMAT_VERSION: f64 = 1.0;
 
 /// One measured number.
@@ -142,19 +140,16 @@ pub struct BenchReport {
     /// the report in its file: CI smoke runs and full-length runs of the same binary
     /// coexist as separate entries, each diffed against its own baseline.
     pub params: String,
-    /// The environment the run happened in.
-    pub env: RunEnv,
     /// The metrics, in the producer's emission order.
     pub metrics: Vec<Metric>,
 }
 
 impl BenchReport {
-    /// Start an empty report for the current environment.
+    /// Start an empty report.
     pub fn new(name: &str, params: &str) -> Self {
         BenchReport {
             name: name.to_string(),
             params: params.to_string(),
-            env: RunEnv::capture(),
             metrics: Vec::new(),
         }
     }
@@ -180,7 +175,6 @@ impl BenchReport {
         Json::Obj(vec![
             ("name".into(), Json::Str(self.name.clone())),
             ("params".into(), Json::Str(self.params.clone())),
-            ("env".into(), self.env.to_json()),
             (
                 "metrics".into(),
                 Json::Arr(self.metrics.iter().map(Metric::to_json).collect()),
@@ -207,10 +201,6 @@ impl BenchReport {
         Ok(BenchReport {
             name: text("name")?,
             params: text("params")?,
-            env: v
-                .get("env")
-                .map(RunEnv::from_json)
-                .unwrap_or_else(|| RunEnv::from_json(&Json::Obj(vec![]))),
             metrics,
         })
     }
@@ -268,9 +258,19 @@ impl ReportFile {
             .map_err(|e| format!("{}: invalid report file: {e}", path.display()))
     }
 
-    /// Parse a report file from its JSON text.
+    /// Parse a report file from its JSON text. A member the layout does not name (the
+    /// `env` block older files carry) is ignored.
     pub fn from_json_text(text: &str) -> Result<Self, JsonError> {
         let v = json::parse(text)?;
+        let version = member(&v, "report file", "version", "a number", Json::as_num)?;
+        if version != FORMAT_VERSION {
+            return Err(JsonError {
+                message: format!(
+                    "report file \"version\" is {version}; this build reads version {FORMAT_VERSION}"
+                ),
+                offset: 0,
+            });
+        }
         let area = v
             .get("area")
             .and_then(Json::as_str)
@@ -406,7 +406,7 @@ mod tests {
     /// A one-report file holding `metrics` (JSON object text) verbatim.
     fn file_text(metrics: &str) -> String {
         format!(
-            r#"{{"area": "x", "reports": [{{"name": "r", "params": "default", "metrics": [{metrics}]}}]}}"#
+            r#"{{"version": 1, "area": "x", "reports": [{{"name": "r", "params": "default", "metrics": [{metrics}]}}]}}"#
         )
     }
 

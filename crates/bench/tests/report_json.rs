@@ -192,16 +192,6 @@ fn bench_diff_wall_drift_warns_but_passes() {
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("2 warning(s)"), "{stdout}");
-    // A generous tolerance silences the warnings.
-    let out = bench_diff(&[
-        old.to_str().unwrap(),
-        new.to_str().unwrap(),
-        "--wall-tolerance",
-        "150",
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 warning(s)"), "{stdout}");
 }
 
 #[test]
@@ -214,9 +204,12 @@ fn bench_diff_usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = bench_diff(&[present.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let out = bench_diff(&["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--frobnicate"));
+    // The wall band is fixed: there is no option to widen it.
+    for flag in ["--frobnicate", "--wall-tolerance"] {
+        let out = bench_diff(&[present.to_str().unwrap(), present.to_str().unwrap(), flag]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag));
+    }
 }
 
 #[test]
@@ -233,4 +226,73 @@ fn bench_diff_fails_when_no_deterministic_metric_was_compared() {
     assert!(stdout.contains("0 metric(s) compared"), "{stdout}");
     assert!(stdout.contains("0 failure(s)"), "{stdout}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("gated nothing"));
+}
+
+// ---------------------------------------------------------------------------
+// The file layout on disk.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_missing_or_other_format_version_is_refused_by_name() {
+    let body = r#""area": "x", "reports": []"#;
+    assert!(ReportFile::from_json_text(&format!(r#"{{"version": 1, {body}}}"#)).is_ok());
+    for (version, expect) in [
+        (r#""version": 2, "#, "\"version\" is 2"),
+        ("", "missing \"version\""),
+        (r#""version": "1", "#, "\"version\" is not a number"),
+    ] {
+        let e = ReportFile::from_json_text(&format!("{{{version}{body}}}")).unwrap_err();
+        assert!(e.message.contains(expect), "{version:?}: {e}");
+    }
+}
+
+#[test]
+fn every_committed_report_file_loads() {
+    // The committed `BENCH_*.json` files live at the repo root.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut loaded = 0;
+    for entry in std::fs::read_dir(root).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            let file = ReportFile::load(&path).unwrap();
+            assert!(!file.reports.is_empty(), "{name}");
+            loaded += 1;
+        }
+    }
+    assert!(loaded >= 6, "found {loaded} committed report files");
+}
+
+#[test]
+fn an_env_block_loads_and_is_dropped_on_save() {
+    // One report, with or without the `env` member older files carry. The cost sits one
+    // ULP above 1.5e-3, so a lossy round trip would show.
+    let file = |env: &str| {
+        format!(
+            r#"{{"version": 1, "area": "it", "reports": [{{"name": "fig_x", "params": "default", {env}"metrics": [
+                {{"name": "cost", "unit": "cost_seconds", "value": 0.0015000000000000002, "higher_is_better": false, "deterministic": true}},
+                {{"name": "gbps", "unit": "gbps", "value": 3.75, "higher_is_better": true, "deterministic": true}},
+                {{"name": "wall_seconds", "unit": "seconds_wall", "value": 0.42, "higher_is_better": false, "deterministic": false}}
+            ]}}]}}"#
+        )
+    };
+    let dir = temp_dir("env_dropped");
+    let path = dir.join("BENCH_it.json");
+    let env = r#""env": {"git_sha": "0123abc", "git_dirty": true, "nproc": 2, "os": "linux", "arch": "x86_64"}, "#;
+    std::fs::write(&path, file(env)).unwrap();
+    ReportFile::load(&path).unwrap().save(&path).unwrap();
+    let saved = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        !saved.contains("\"env\"") && !saved.contains("git_sha"),
+        "{saved}"
+    );
+    // Byte for byte the file without `env`, so every metric is bit-identical.
+    let without = ReportFile::from_json_text(&file("")).unwrap();
+    assert_eq!(saved, without.to_json_text());
+    let cost = without
+        .report("fig_x", "default")
+        .unwrap()
+        .metric("cost")
+        .unwrap();
+    assert_eq!(cost.value.to_bits(), 1.5e-3f64.to_bits() + 1);
 }

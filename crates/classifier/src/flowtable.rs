@@ -333,7 +333,8 @@ mod tests {
     fn fig1_is_order_dependent() {
         // Fig. 1's rules overlap (001 matches both), so priorities matter (§2.1).
         let t = FlowTable::fig1_hyp();
-        assert!(t.rules()[0].overlaps(&t.rules()[1]));
+        let both = hyp_key(0b001);
+        assert!(t.rules()[0].matches(&both) && t.rules()[1].matches(&both));
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Rule {
         fields::matches(header, &self.key, &self.mask)
     }
 
-    /// Do this rule and `other` overlap (some packet matches both)?
-    pub fn overlaps(&self, other: &Rule) -> bool {
-        !fields::disjoint(&self.key, &self.mask, &other.key, &other.mask)
-    }
-
     /// Render in the style of the paper's figures (binary per field, `*` for fully
     /// wildcarded fields).
     pub fn render(&self, schema: &FieldSchema) -> String {
@@ -157,8 +152,8 @@ mod tests {
         let s = FieldSchema::hyp();
         let allow = Rule::exact_on_field(&s, 0, 0b001, 10, Action::Allow);
         let deny = Rule::match_all(&s, 0, Action::Deny);
-        assert!(allow.overlaps(&deny));
-        assert!(deny.overlaps(&allow));
+        let both = Key::from_values(&s, &[0b001]);
+        assert!(allow.matches(&both) && deny.matches(&both));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The committed allowlist: the complete, reviewed set of places where a rule's
-//! blanket prohibition is deliberately relaxed.
+//! blanket prohibition is deliberately relaxed, and the one exemption mechanism.
 //!
 //! Policy (also documented in the top-level README):
 //!
 //! * the allowlist covers **whole-file budgets** — facts about the
 //!   architecture, like "`exec.rs` is the one home of thread spawns" — and is
 //!   changed only by editing this file, in review;
-//! * *individual sites* that are safe for a local reason (an order-independent
-//!   fold over a hash map, say) use an inline pragma with a mandatory reason
-//!   instead (`// lint: allow(<rule>) — <reason>`), next to the code they
-//!   justify;
+//! * there are no per-site exemptions: a site that is safe for a local reason
+//!   (an order-independent fold over a hash map, say) says so in code the rule
+//!   can read — for `nondet-iteration`, an order neutralizer in the same
+//!   statement;
 //! * everything else is a violation, and the CI gate fails.
 
 /// The one file allowed to spawn or scope threads (`thread-containment`), and

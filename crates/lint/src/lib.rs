@@ -14,9 +14,9 @@
 //! crates.io is unreachable in the build environment, so this is a hand-rolled
 //! analyzer: a comment-, string- and raw-string-aware token scanner
 //! ([`lexer`]), a per-file context model ([`context`]), a set of
-//! token-sequence rules ([`rules`]), inline suppression pragmas with mandatory
-//! reasons ([`pragma`]) and a committed allowlist for the known whole-file
-//! exceptions ([`allowlist`]).
+//! token-sequence rules ([`rules`]) and a committed allowlist for the known
+//! whole-file exceptions ([`allowlist`]). The allowlist is the one exemption
+//! mechanism: a comment cannot silence a finding, so every finding is a violation.
 //!
 //! # Rules
 //!
@@ -25,10 +25,9 @@
 //! | `unsafe-budget` | `unsafe` only at allowlisted `(file, max_count)` sites, each with a `// SAFETY:` comment |
 //! | `unsafe-attr` | every crate root forbids `unsafe_code` (denies it in budgeted crates) |
 //! | `wall-clock` | `Instant::now`/`SystemTime::now` only in a `*wall*` binding of the figure harness (`crates/bench/src/figure.rs`) |
-//! | `nondet-iteration` | hash-container iteration in non-test code must neutralize order in-statement or carry a pragma |
+//! | `nondet-iteration` | hash-container iteration in non-test code must neutralize order in-statement |
 //! | `thread-containment` | thread creation only in `crates/switch/src/exec.rs` |
 //! | `panic-hygiene` | no `unwrap`/`expect`/panicking macros in hot-path modules outside tests |
-//! | `pragma-hygiene` | pragmas need a reason, a known rule, and a matching finding |
 //!
 //! # Surface area
 //!
@@ -50,7 +49,6 @@
 pub mod allowlist;
 pub mod context;
 pub mod lexer;
-pub mod pragma;
 pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,7 +57,7 @@ use std::path::{Path, PathBuf};
 
 use tse_bench::report::json::Json;
 
-/// A confirmed violation (after pragma processing).
+/// A violation: one rule's finding at one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Rule identifier.
@@ -80,20 +78,6 @@ impl fmt::Display for Diagnostic {
             self.file, self.line, self.rule, self.message
         )
     }
-}
-
-/// A finding suppressed by a valid pragma — reported (not failed) so every
-/// active suppression stays auditable in the output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Suppression {
-    /// Rule identifier of the suppressed finding.
-    pub rule: String,
-    /// Workspace-relative file path.
-    pub file: String,
-    /// 1-indexed line of the suppressed finding.
-    pub line: u32,
-    /// The pragma's mandatory justification.
-    pub reason: String,
 }
 
 /// How much code and public API a file (or, summed, a crate) carries.
@@ -202,8 +186,6 @@ fn crate_of(path: &str) -> String {
 pub struct FileReport {
     /// Violations.
     pub diagnostics: Vec<Diagnostic>,
-    /// Pragma-suppressed findings.
-    pub suppressions: Vec<Suppression>,
     /// The file's size.
     pub surface: Surface,
     /// The names of the file's public items, in source order (`surface.pub_items` of
@@ -219,74 +201,23 @@ pub struct FileReport {
 pub fn scan_file(path: &str, source: &str) -> FileReport {
     let tokens = lexer::lex(source);
     let ctx = context::FileContext::new(path, &tokens);
-    let findings = rules::check_file(&ctx, &tokens);
-
-    let mut pragmas: Vec<(pragma::Pragma, bool)> = tokens
-        .iter()
-        .filter(|t| t.kind == lexer::TokenKind::LineComment)
-        .filter_map(|t| pragma::parse(&t.text, t.line))
-        .map(|p| (p, false))
+    let mut diagnostics: Vec<Diagnostic> = rules::check_file(&ctx, &tokens)
+        .into_iter()
+        .map(|finding| Diagnostic {
+            rule: finding.rule.to_string(),
+            file: path.to_string(),
+            line: finding.line,
+            message: finding.message,
+        })
         .collect();
-
+    diagnostics.sort_by(|a, b| (a.line, a.rule.as_str()).cmp(&(b.line, b.rule.as_str())));
     let code = surface_tokens(&ctx, &tokens);
-    let mut report = FileReport {
+    FileReport {
+        diagnostics,
         surface: Surface::of(&code),
         pub_names: pub_item_names(&code).map(str::to_string).collect(),
         mentions: mentions(&ctx, &tokens),
-        ..FileReport::default()
-    };
-    for finding in findings {
-        let matched = pragmas.iter_mut().find(|(p, _)| {
-            p.rule == finding.rule
-                && p.reason.is_some()
-                && (p.line == finding.line || p.line + 1 == finding.line)
-        });
-        if let Some((p, used)) = matched {
-            *used = true;
-            report.suppressions.push(Suppression {
-                rule: finding.rule.to_string(),
-                file: path.to_string(),
-                line: finding.line,
-                reason: p.reason.clone().unwrap_or_default(),
-            });
-        } else {
-            report.diagnostics.push(Diagnostic {
-                rule: finding.rule.to_string(),
-                file: path.to_string(),
-                line: finding.line,
-                message: finding.message,
-            });
-        }
     }
-    for (p, used) in &pragmas {
-        let problem = if p.reason.is_none() {
-            Some("suppression pragma without a reason (the reason is mandatory)".to_string())
-        } else if !rules::RULE_IDS.contains(&p.rule.as_str()) {
-            Some(format!(
-                "suppression pragma names unknown rule `{}`",
-                p.rule
-            ))
-        } else if !used {
-            Some(format!(
-                "unused suppression pragma for `{}` — no finding on this or the next line",
-                p.rule
-            ))
-        } else {
-            None
-        };
-        if let Some(message) = problem {
-            report.diagnostics.push(Diagnostic {
-                rule: "pragma-hygiene".to_string(),
-                file: path.to_string(),
-                line: p.line,
-                message,
-            });
-        }
-    }
-    report
-        .diagnostics
-        .sort_by(|a, b| (a.line, a.rule.as_str()).cmp(&(b.line, b.rule.as_str())));
-    report
 }
 
 /// A whole-workspace scan result.
@@ -296,8 +227,6 @@ pub struct WorkspaceReport {
     pub files_scanned: usize,
     /// All violations, ordered by (file, line, rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// All pragma suppressions, same order.
-    pub suppressions: Vec<Suppression>,
     /// Per-crate size, keyed by package name.
     pub surface: BTreeMap<String, Surface>,
     /// Per crate, the public items *unreached* by non-test code: named — other than to
@@ -325,18 +254,6 @@ impl WorkspaceReport {
         for d in &self.diagnostics {
             out.push_str(&format!("{d}\n"));
         }
-        if !self.suppressions.is_empty() {
-            out.push_str(&format!(
-                "{} pragma-suppressed finding(s):\n",
-                self.suppressions.len()
-            ));
-            for s in &self.suppressions {
-                out.push_str(&format!(
-                    "  {}:{}: [{}] suppressed — {}\n",
-                    s.file, s.line, s.rule, s.reason
-                ));
-            }
-        }
         out.push_str("surface area (code lines / public items / unreached):\n");
         for (name, s) in &self.surface {
             out.push_str(&format!(
@@ -347,10 +264,9 @@ impl WorkspaceReport {
             ));
         }
         out.push_str(&format!(
-            "tse-lint: {} file(s) scanned, {} violation(s), {} suppression(s)\n",
+            "tse-lint: {} file(s) scanned, {} violation(s)\n",
             self.files_scanned,
-            self.diagnostics.len(),
-            self.suppressions.len()
+            self.diagnostics.len()
         ));
         out
     }
@@ -364,14 +280,6 @@ impl WorkspaceReport {
                 ("file".to_string(), Json::Str(d.file.clone())),
                 ("line".to_string(), Json::Num(f64::from(d.line))),
                 ("message".to_string(), Json::Str(d.message.clone())),
-            ])
-        };
-        let supp = |s: &Suppression| {
-            Json::Obj(vec![
-                ("rule".to_string(), Json::Str(s.rule.clone())),
-                ("file".to_string(), Json::Str(s.file.clone())),
-                ("line".to_string(), Json::Num(f64::from(s.line))),
-                ("reason".to_string(), Json::Str(s.reason.clone())),
             ])
         };
         let surface = |(name, s): (&String, &Surface)| {
@@ -392,10 +300,6 @@ impl WorkspaceReport {
             (
                 "diagnostics".to_string(),
                 Json::Arr(self.diagnostics.iter().map(diag).collect()),
-            ),
-            (
-                "suppressions".to_string(),
-                Json::Arr(self.suppressions.iter().map(supp).collect()),
             ),
             (
                 "surface".to_string(),
@@ -451,7 +355,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
         total.code_lines += file_report.surface.code_lines;
         total.pub_items += file_report.surface.pub_items;
         report.diagnostics.extend(file_report.diagnostics);
-        report.suppressions.extend(file_report.suppressions);
         mentioned.extend(file_report.mentions);
         // Every public item is a candidate until the whole workspace has been read.
         let candidates = report.unreached.entry(name).or_default();

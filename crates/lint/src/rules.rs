@@ -2,37 +2,26 @@
 //!
 //! Each rule is a pure function from a file's [`FileContext`] and token stream
 //! to findings. Rules are token-sequence matchers, not type checkers: they are
-//! deliberately conservative (a site a rule cannot prove orderly needs a
-//! pragma with a reason), and they only ever see real code tokens — anything
-//! inside strings or comments was made opaque by the lexer.
+//! deliberately conservative (a site a rule cannot prove orderly is rewritten
+//! until it can, since no comment silences a finding), and they only ever see
+//! real code tokens — anything inside strings or comments was made opaque by the
+//! lexer.
 
 use crate::allowlist;
 use crate::context::{FileContext, ModuleClass};
 use crate::lexer::{Token, TokenKind};
 use std::collections::BTreeSet;
 
-/// A rule match before pragma/suppression processing.
+/// A rule match: one [`Diagnostic`](crate::Diagnostic) once the file's path is attached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule identifier (one of [`RULE_IDS`]).
+    /// The rule identifier (a row of the crate doc's rule table).
     pub rule: &'static str,
     /// 1-indexed source line.
     pub line: u32,
     /// Human-readable description of the violation.
     pub message: String,
 }
-
-/// Every rule the engine knows, including the meta rule guarding the pragmas
-/// themselves.
-pub const RULE_IDS: &[&str] = &[
-    "unsafe-budget",
-    "unsafe-attr",
-    "wall-clock",
-    "nondet-iteration",
-    "thread-containment",
-    "panic-hygiene",
-    "pragma-hygiene",
-];
 
 /// Methods whose call on a `HashMap`/`HashSet` observes iteration order.
 const ITER_METHODS: &[&str] = &[
@@ -227,8 +216,7 @@ fn wall_clock(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {
 /// **nondet-iteration** — iterating a `HashMap`/`HashSet` observes a
 /// randomized order (std's `RandomState` reseeds per process), so any such
 /// iteration in non-test code must neutralize the order in the same statement
-/// (sort, min/max, count, collect into a B-tree) or justify itself with a
-/// pragma. Receivers are recognised by local declaration: any identifier the
+/// (sort, min/max, count, collect into a B-tree). Receivers are recognised by local declaration: any identifier the
 /// file binds or annotates with a `HashMap`/`HashSet` type, or with a file-local
 /// `type` alias of one.
 fn nondet_iteration(ctx: &FileContext, code: &[&Token], out: &mut Vec<Finding>) {

@@ -21,7 +21,6 @@ fn triggers_inside_strings_and_comments_are_opaque() {
     );
     let report = scan_file("crates/classifier/src/tss.rs", src);
     assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
-    assert!(report.suppressions.is_empty());
 }
 
 #[test]

@@ -13,36 +13,6 @@ fn workspace_scans_clean() {
         report.files_scanned
     );
     assert!(report.is_clean(), "\n{}", report.render_human());
-    // Every active suppression is auditable: rule known, reason non-empty.
-    for s in &report.suppressions {
-        assert!(!s.reason.is_empty(), "{}:{} [{}]", s.file, s.line, s.rule);
-        assert!(
-            tse_lint::rules::RULE_IDS.contains(&s.rule.as_str()),
-            "{}:{} suppresses unknown rule {}",
-            s.file,
-            s.line,
-            s.rule
-        );
-        // The hot-path crate carries no panic-hygiene pragma: a panicking macro in
-        // `tse-switch` gets designed away, not suppressed.
-        assert!(
-            !(s.rule == "panic-hygiene" && s.file.starts_with("crates/switch/")),
-            "{}:{} suppresses panic-hygiene in the hot-path crate",
-            s.file,
-            s.line
-        );
-    }
-    // A tuple's entries are one dense `Vec` in insertion order, so the classifier walks
-    // no hash container at all. A suppression here means a `HashMap` came back.
-    let classifier = report
-        .suppressions
-        .iter()
-        .filter(|s| s.file.starts_with("crates/classifier/"))
-        .count();
-    assert!(
-        classifier == 0,
-        "{classifier} suppressions in tse-classifier"
-    );
 }
 
 /// Per crate: the public items (`pub fn` / `struct` / `enum` / `trait` outside test code)
@@ -51,30 +21,36 @@ fn workspace_scans_clean() {
 /// counts at the last PR that touched the surface, and both only shrink without an
 /// explicit edit here: lower a ceiling when a PR deletes items, raise one only together
 /// with the reason the new item replaces more than it adds. An unreached item that stays
-/// is a test's observation point for behaviour the figures do reach (the telemetry
-/// `*_series` accessors, `check_independence`, `shard_stats`, …) or is pinned by
-/// `benchmark/` through a path the identifier match cannot see.
+/// is a test's reference or observation point for behaviour the figures do reach
+/// (`check_independence`, `agrees_with_table_exhaustively`, `small_multi_field_table`,
+/// `Timeline::mean_attacker_pps_between`, …) or is pinned by `benchmark/` through a path
+/// the identifier match cannot see.
 const PUB_ITEM_CEILINGS: &[(&str, usize, usize)] = &[
     ("proptest", 14, 1),
     ("rand", 5, 0),
     ("tse", 0, 0),
     ("tse-attack", 56, 0),
-    // Two more than before: `Figure::host_ns` and `Figure::advisory`, the harness's
-    // host-time probe and advisory rows behind fig9a's Observation 1 rows.
-    ("tse-bench", 59, 0),
-    // Two more than before: `SweepWork` and `TupleSpace::sweep_work`, the idle sweeps'
-    // work counters `ipv6_entry_explosion` records as deterministic rows.
-    ("tse-classifier", 80, 4),
-    ("tse-lint", 26, 0),
-    ("tse-mitigation", 53, 1),
-    // A batch's keys are read through `ExtractScratch::keys`, with no second accessor.
-    ("tse-packet", 121, 3),
+    // Reports carry no run environment (`RunEnv` gone) and the wall band is a constant
+    // (`DiffConfig` gone).
+    ("tse-bench", 57, 0),
+    // `Rule::overlaps` gone: only tests asked it. The three unreached items left are
+    // test references: `check_independence`, `agrees_with_table_exhaustively` and
+    // `small_multi_field_table`.
+    ("tse-classifier", 79, 3),
+    // The allowlist is the one exemption: `Pragma`, `pragma::parse` and `Suppression`
+    // gone.
+    ("tse-lint", 23, 0),
+    // `PressureWindow::detached` gone: a depth-0 `PressureWindow::new(0, 0)` is the same
+    // value.
+    ("tse-mitigation", 52, 0),
+    // `PacketBuilder::{udp_v4, tcp_v6, udp_v6}` gone: tests build packets through
+    // `tcp_v4` or `from_numeric_v4` / `from_numeric_v6`.
+    ("tse-packet", 118, 0),
     // The telemetry store keeps only what a run reads: no cold spill, two cold aggregates.
     ("tse-simnet", 121, 1),
-    // Frames reach a datapath only as keys or faults: it has no wire entry point. One
-    // more than that: `SlowPath::rules_walked`, the upcalls' table-walk work counter
-    // `fig_tenant_gateway` records as deterministic rows.
-    ("tse-switch", 117, 2),
+    // `SlowPath::install_quota_remaining` and `ShardedDatapath::shard_stats` gone: tests
+    // observe the quota through installs and read `shard(i).stats()`.
+    ("tse-switch", 115, 0),
 ];
 
 #[test]

@@ -84,7 +84,7 @@ impl KeyRotation {
 /// rotation fires in the first triggered interval at least `period` after the last
 /// rotation, so a fresh attack is answered within one sample). Keys come from the same
 /// deterministic SplitMix64 sequence as [`RssKeyRandomizer`]; driven through a
-/// detached/empty pressure window the stage is provably inert.
+/// depth-0 or empty pressure window the stage is provably inert.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRekey {
     rotation: KeyRotation,
@@ -376,7 +376,7 @@ mod tests {
         (schema, dp)
     }
 
-    static DETACHED: crate::stack::PressureWindow = crate::stack::PressureWindow::detached();
+    static NO_PRESSURE: crate::stack::PressureWindow = crate::stack::PressureWindow::new(0, 0);
 
     fn ctx<'a>(datapath: &'a mut ShardedDatapath, now: f64, zeros: &'a [f64]) -> MitigationCtx<'a> {
         MitigationCtx {
@@ -386,7 +386,7 @@ mod tests {
             shard_attack_pps: zeros,
             shard_delivered_pps: zeros,
             shard_busy_seconds: zeros,
-            pressure: &DETACHED,
+            pressure: &NO_PRESSURE,
         }
     }
 

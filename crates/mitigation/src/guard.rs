@@ -19,7 +19,9 @@ use crate::cpu_model::SlowPathCpuModel;
 use crate::pattern::{allow_exact_fields, examines_target_field};
 use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 
-/// MFCGuard configuration.
+/// MFCGuard configuration: the cadence and the two thresholds of Alg. 2. A pass that
+/// wipes entries always suppresses the deny rules behind them (the observed OVS
+/// behaviour, see the module doc), so that part of a pass has no setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Run the check every this many seconds (Alg. 2 line 1).
@@ -28,10 +30,6 @@ pub struct GuardConfig {
     pub mask_threshold: usize,
     /// Slow-path CPU utilisation threshold `c_th` (percent) at which cleaning stops.
     pub cpu_threshold: f64,
-    /// Whether wiped deny rules are suppressed from re-installation (the observed OVS
-    /// behaviour; setting this to `false` models a datapath where deleted entries
-    /// re-spark and get wiped again on the next pass).
-    pub suppress_reinstall: bool,
 }
 
 impl Default for GuardConfig {
@@ -40,7 +38,6 @@ impl Default for GuardConfig {
             interval: 10.0,
             mask_threshold: 50,
             cpu_threshold: 200.0,
-            suppress_reinstall: true,
         }
     }
 }
@@ -167,10 +164,8 @@ impl MfcGuard {
                 entries_removed = datapath
                     .megaflow_mut()
                     .remove_where(|entry| examines_target_field(entry, &target_fields));
-                if self.config.suppress_reinstall {
-                    for r in deny_rules {
-                        datapath.slow_path_mut().suppress_rule(r);
-                    }
+                for r in deny_rules {
+                    datapath.slow_path_mut().suppress_rule(r);
                 }
             }
         }
@@ -197,7 +192,9 @@ impl MfcGuard {
 /// guard (`mask_threshold: usize::MAX`) on a shard reserved for bulk traffic. Every
 /// pass surfaces its [`GuardReport`] as a
 /// [`MitigationAction::GuardSweep`], so per-shard guard activity is attributable in
-/// the timeline.
+/// the timeline. A sweep suppresses the deny rules it wiped on its own shard's slow
+/// path only, so an override changes when and whether a shard is swept, never what a
+/// sweep does.
 ///
 /// With a uniform config this is behaviourally identical to the pre-stack runner's
 /// hard-wired guard hook, which swept every shard under one shared interval gate
@@ -478,7 +475,7 @@ mod tests {
         );
         let pps = [100.0, 100.0];
         let zeros = [0.0, 0.0];
-        let pressure = crate::stack::PressureWindow::detached();
+        let pressure = crate::stack::PressureWindow::new(0, 0);
         let mut ctx = MitigationCtx {
             datapath: &mut sharded,
             now: 1.0,
@@ -596,27 +593,5 @@ mod tests {
         // A table without the deny rule forgets the suppression.
         dp.install_table(FlowTable::new(schema));
         assert!(dp.slow_path().suppressed_rules().is_empty());
-    }
-
-    #[test]
-    fn without_suppression_attack_masks_return() {
-        let (mut dp, _) = attacked_datapath(Scenario::SpDp);
-        let schema = FieldSchema::ovs_ipv4();
-        let mut guard = MfcGuard::new(GuardConfig {
-            suppress_reinstall: false,
-            ..GuardConfig::default()
-        });
-        guard.run_once(&mut dp, 1.0, 100.0);
-        let cleaned = dp.mask_count();
-        for (i, h) in Scenario::SpDp
-            .key_iter(&schema, &schema.zero_value())
-            .enumerate()
-        {
-            dp.process_key(&h, 60, 2.0 + i as f64 * 1e-3);
-        }
-        assert!(
-            dp.mask_count() > cleaned * 10,
-            "without suppression the attack re-explodes the cache"
-        );
     }
 }

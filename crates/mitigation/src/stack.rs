@@ -43,8 +43,8 @@ use crate::guard::GuardReport;
 /// window" adaptive mitigations read to decide whether the switch is under pressure.
 ///
 /// The telemetry layer (the runner's `TelemetryStore`) pushes one row per sample
-/// interval, keeping at most `depth` rows; a detached window (depth 0, never pushed)
-/// reads as "no pressure anywhere", so stages that gate on pressure are inert when
+/// interval, keeping at most `depth` rows; a depth-0 window (never pushed) reads as
+/// "no pressure anywhere", so stages that gate on pressure are inert when
 /// driven by a consumer that does not track it. Everything is plain streaming
 /// arithmetic over the retained rows: deterministic, allocation-bounded, executor-
 /// independent.
@@ -56,21 +56,13 @@ pub struct PressureWindow {
 }
 
 impl PressureWindow {
-    /// A window retaining the last `depth` intervals for `shard_count` shards.
-    pub fn new(shard_count: usize, depth: usize) -> Self {
+    /// A window retaining the last `depth` intervals for `shard_count` shards. A
+    /// depth-0 window (`new(0, 0)`) never retains a row, so it never reports pressure:
+    /// what a consumer that does not track telemetry hands its stages.
+    pub const fn new(shard_count: usize, depth: usize) -> Self {
         PressureWindow {
             depth,
             shard_count,
-            rows: VecDeque::new(),
-        }
-    }
-
-    /// A depth-0 window that never reports pressure — the default for consumers that
-    /// do not track telemetry (e.g. driving a stack by hand in tests).
-    pub const fn detached() -> Self {
-        PressureWindow {
-            depth: 0,
-            shard_count: 0,
             rows: VecDeque::new(),
         }
     }
@@ -97,7 +89,7 @@ impl PressureWindow {
         self.rows.len()
     }
 
-    /// True when no intervals have been recorded (always true for a detached window).
+    /// True when no intervals have been recorded (always true for a depth-0 window).
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -155,7 +147,7 @@ pub struct MitigationCtx<'a> {
     /// Smoothed attack pressure over the last few intervals, maintained by the
     /// telemetry store. Adaptive stages gate on this instead of the single-interval
     /// slices above; it reads as zero pressure when the consumer does not track it
-    /// ([`PressureWindow::detached`]).
+    /// (a depth-0 [`PressureWindow::new`]).
     pub pressure: &'a PressureWindow,
 }
 
@@ -371,7 +363,7 @@ mod tests {
         assert_eq!(stack.names(), vec!["tattle", "tattle"]);
         assert_eq!(stack.len(), 2);
         let zeros = [0.0, 0.0];
-        let pressure = PressureWindow::detached();
+        let pressure = PressureWindow::new(0, 0);
         let mut ctx = MitigationCtx {
             datapath: &mut datapath,
             now: 1.0,
@@ -406,7 +398,7 @@ mod tests {
         let mut stack: MitigationStack = MitigationStack::new();
         assert!(stack.is_empty());
         let zeros = [0.0, 0.0];
-        let pressure = PressureWindow::detached();
+        let pressure = PressureWindow::new(0, 0);
         let mut ctx = MitigationCtx {
             datapath: &mut datapath,
             now: 1.0,
@@ -440,8 +432,8 @@ mod tests {
         assert_eq!(w.shard_mean(7), 0.0);
         w.push(&[1.0]);
         assert_eq!(w.len(), 3);
-        // Detached windows never retain anything.
-        let mut d = PressureWindow::detached();
+        // Depth-0 windows never retain anything.
+        let mut d = PressureWindow::new(0, 0);
         d.push(&[100.0, 100.0]);
         assert!(d.is_empty());
         assert_eq!(d.hottest_shard_mean(), 0.0);

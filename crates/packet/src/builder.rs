@@ -36,50 +36,6 @@ impl PacketBuilder {
         }
     }
 
-    /// A UDP/IPv4 packet between the given addresses and ports.
-    pub fn udp_v4(src: [u8; 4], dst: [u8; 4], src_port: u16, dst_port: u16) -> Self {
-        PacketBuilder {
-            eth: EthernetHeader::default(),
-            net: NetHeader::V4(Ipv4Header::new(src.into(), dst.into(), IpProto::Udp)),
-            l4: L4Header::udp(src_port, dst_port),
-            payload_len: DEFAULT_ATTACK_PAYLOAD,
-        }
-    }
-
-    /// A TCP/IPv6 packet (segments given per 16-bit group).
-    pub fn tcp_v6(src: [u16; 8], dst: [u16; 8], src_port: u16, dst_port: u16) -> Self {
-        PacketBuilder {
-            eth: EthernetHeader {
-                ethertype: EtherType::Ipv6,
-                ..EthernetHeader::default()
-            },
-            net: NetHeader::V6(Ipv6Header::new(
-                Ipv6Addr::from(src),
-                Ipv6Addr::from(dst),
-                IpProto::Tcp,
-            )),
-            l4: L4Header::tcp(src_port, dst_port),
-            payload_len: DEFAULT_ATTACK_PAYLOAD,
-        }
-    }
-
-    /// A UDP/IPv6 packet.
-    pub fn udp_v6(src: [u16; 8], dst: [u16; 8], src_port: u16, dst_port: u16) -> Self {
-        PacketBuilder {
-            eth: EthernetHeader {
-                ethertype: EtherType::Ipv6,
-                ..EthernetHeader::default()
-            },
-            net: NetHeader::V6(Ipv6Header::new(
-                Ipv6Addr::from(src),
-                Ipv6Addr::from(dst),
-                IpProto::Udp,
-            )),
-            l4: L4Header::udp(src_port, dst_port),
-            payload_len: DEFAULT_ATTACK_PAYLOAD,
-        }
-    }
-
     /// A packet built directly from raw IPv4 address/port integers — convenient for the
     /// attack generators which work on numeric header values.
     pub fn from_numeric_v4(
@@ -201,7 +157,7 @@ mod tests {
     #[test]
     fn noise_changes_microflow_not_flow() {
         let mut rng = StdRng::seed_from_u64(1);
-        let base = PacketBuilder::udp_v4([10, 0, 0, 1], [10, 0, 0, 2], 100, 200);
+        let base = PacketBuilder::from_numeric_v4(0x0a00_0001, 0x0a00_0002, IpProto::Udp, 100, 200);
         let a = base.clone().randomize_noise(&mut rng).build();
         let b = base.clone().randomize_noise(&mut rng).build();
         let fa = FlowKey::from_packet(&a);
@@ -228,7 +184,7 @@ mod tests {
     #[test]
     fn v6_builder() {
         let mut rng = StdRng::seed_from_u64(2);
-        let p = PacketBuilder::udp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 5, 6)
+        let p = PacketBuilder::from_numeric_v6((1 << 112) | 2, (3 << 112) | 4, IpProto::Udp, 5, 6)
             .randomize_noise(&mut rng)
             .build();
         let k = FlowKey::from_packet(&p);

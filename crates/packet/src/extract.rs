@@ -97,6 +97,7 @@ mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
     use crate::wire::{Encap, WireTrace};
+    use crate::IpProto;
 
     #[test]
     fn batch_extraction_matches_per_frame_decode() {
@@ -119,7 +120,9 @@ mod tests {
 
     #[test]
     fn error_kinds_are_counted_per_batch() {
-        let good = wire::encode(&PacketBuilder::udp_v4([1, 2, 3, 4], [5, 6, 7, 8], 1, 2).build());
+        let good = wire::encode(
+            &PacketBuilder::from_numeric_v4(0x0102_0304, 0x0506_0708, IpProto::Udp, 1, 2).build(),
+        );
         let truncated = good[..10].to_vec();
         let mut arp = vec![0u8; 60];
         arp[12] = 0x08;
@@ -147,9 +150,10 @@ mod tests {
     fn trace_extraction_sees_through_overlays() {
         let mut trace = WireTrace::new();
         let p4 = PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 5, 80).build();
-        let p6 = PacketBuilder::udp_v6(
-            [0xfd00, 0, 0, 0, 0, 0, 0, 1],
-            [0xfd00, 0, 0, 0, 0, 0, 0, 2],
+        let p6 = PacketBuilder::from_numeric_v6(
+            (0xfd00 << 112) | 1,
+            (0xfd00 << 112) | 2,
+            IpProto::Udp,
             7,
             53,
         )

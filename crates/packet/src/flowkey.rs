@@ -139,6 +139,7 @@ impl MicroflowKey {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::IpProto;
 
     #[test]
     fn flow_key_from_tcp_v4() {
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn to_key_matches_schema_layout() {
-        let p = PacketBuilder::udp_v4([1, 2, 3, 4], [5, 6, 7, 8], 1000, 53)
+        let p = PacketBuilder::from_numeric_v4(0x0102_0304, 0x0506_0708, IpProto::Udp, 1000, 53)
             .ttl(17)
             .build();
         let k = FlowKey::from_packet(&p);
@@ -181,9 +182,10 @@ mod tests {
 
     #[test]
     fn ipv6_flow_key() {
-        let p = PacketBuilder::tcp_v6(
-            [0xfd00, 0, 0, 0, 0, 0, 0, 1],
-            [0xfd00, 0, 0, 0, 0, 0, 0, 2],
+        let p = PacketBuilder::from_numeric_v6(
+            (0xfd00 << 112) | 1,
+            (0xfd00 << 112) | 2,
+            IpProto::Tcp,
             500,
             80,
         )

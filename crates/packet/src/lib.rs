@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn wire_len_accounts_for_all_layers() {
-        let p = PacketBuilder::udp_v4([10, 0, 0, 1], [10, 0, 0, 2], 1234, 80)
+        let p = PacketBuilder::from_numeric_v4(0x0a00_0001, 0x0a00_0002, IpProto::Udp, 1234, 80)
             .payload_len(100)
             .build();
         // 14 (eth) + 20 (ipv4) + 8 (udp) + 100
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn tcp_v6_wire_len() {
-        let p = PacketBuilder::tcp_v6([0u16; 8], [0u16; 8], 1, 2)
+        let p = PacketBuilder::from_numeric_v6(0, 0, IpProto::Tcp, 1, 2)
             .payload_len(0)
             .build();
         // 14 + 40 + 20

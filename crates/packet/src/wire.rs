@@ -644,9 +644,10 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_udp_v6() {
-        let p = PacketBuilder::udp_v6(
-            [0xfd00, 0, 0, 0, 0, 0, 0, 1],
-            [0xfd00, 0, 0, 0, 0, 0, 0, 2],
+        let p = PacketBuilder::from_numeric_v6(
+            (0xfd00 << 112) | 1,
+            (0xfd00 << 112) | 2,
+            IpProto::Udp,
             53,
             4444,
         )
@@ -661,9 +662,15 @@ mod tests {
         // Raw frames appended with `push` come back out of their slots exactly.
         let packets: Vec<Packet> = (0..10)
             .map(|i| {
-                PacketBuilder::udp_v4([10, 0, 0, i as u8], [10, 0, 0, 200], 1000 + i, 80)
-                    .payload_len(i as usize * 7)
-                    .build()
+                PacketBuilder::from_numeric_v4(
+                    0x0a00_0000 | u32::from(i),
+                    0x0a00_00c8,
+                    IpProto::Udp,
+                    1000 + i,
+                    80,
+                )
+                .payload_len(i as usize * 7)
+                .build()
             })
             .collect();
         let mut trace = WireTrace::new();
@@ -678,7 +685,8 @@ mod tests {
     fn truncated_trace_rejected() {
         // Frames are delimited by the trace, not by their content: a frame cut short is
         // rejected on its own and its neighbours still decode.
-        let p = PacketBuilder::udp_v4([1, 1, 1, 1], [2, 2, 2, 2], 1, 2).build();
+        let p =
+            PacketBuilder::from_numeric_v4(0x0101_0101, 0x0202_0202, IpProto::Udp, 1, 2).build();
         let frame = encode(&p);
         let mut trace = WireTrace::new();
         trace.push(0.0, &frame);
@@ -715,9 +723,10 @@ mod tests {
     fn vxlan_tunnel_roundtrips_to_the_inner_packet() {
         for inner in [
             PacketBuilder::tcp_v4([10, 0, 0, 1], [10, 0, 0, 2], 7777, 80).build(),
-            PacketBuilder::udp_v6(
-                [0xfd00, 0, 0, 0, 0, 0, 0, 9],
-                [0xfd00, 0, 0, 0, 0, 0, 0, 1],
+            PacketBuilder::from_numeric_v6(
+                (0xfd00 << 112) | 9,
+                (0xfd00 << 112) | 1,
+                IpProto::Udp,
                 5,
                 6,
             )
@@ -736,7 +745,8 @@ mod tests {
 
     #[test]
     fn vlan_inside_vxlan_unwraps_both() {
-        let p = PacketBuilder::udp_v4([1, 2, 3, 4], [5, 6, 7, 8], 1000, 53).build();
+        let p = PacketBuilder::from_numeric_v4(0x0102_0304, 0x0506_0708, IpProto::Udp, 1000, 53)
+            .build();
         let mut inner = Vec::new();
         Encap::Vlan { tci: 7 }.encode_into(&p, &mut inner);
         // Wrap the tagged frame by hand (Encap::Vxlan wraps Packets, not raw frames).
@@ -755,9 +765,15 @@ mod tests {
     #[test]
     fn udp_4789_without_vxlan_header_is_a_plain_packet() {
         // Zero payload to the VXLAN port: the I-flag byte is 0, so no decapsulation.
-        let p = PacketBuilder::udp_v4([10, 0, 0, 1], [10, 0, 0, 2], 5555, VXLAN_PORT)
-            .payload_len(64)
-            .build();
+        let p = PacketBuilder::from_numeric_v4(
+            0x0a00_0001,
+            0x0a00_0002,
+            IpProto::Udp,
+            5555,
+            VXLAN_PORT,
+        )
+        .payload_len(64)
+        .build();
         assert_eq!(decode(&encode(&p)).unwrap(), p);
     }
 
@@ -770,7 +786,8 @@ mod tests {
 
     #[test]
     fn nesting_beyond_max_depth_rejected() {
-        let p = PacketBuilder::udp_v4([1, 2, 3, 4], [5, 6, 7, 8], 9, 10).build();
+        let p =
+            PacketBuilder::from_numeric_v4(0x0102_0304, 0x0506_0708, IpProto::Udp, 9, 10).build();
         let mut frame = encode(&p);
         for _ in 0..MAX_ENCAP_DEPTH + 1 {
             let udp_payload = VXLAN_HEADER_LEN + frame.len();

@@ -1116,6 +1116,7 @@ mod tests {
 
     #[test]
     fn reused_runner_stays_defended_and_restores_steering() {
+        use tse_classifier::flowtable::FlowTable;
         use tse_mitigation::defenses::RssKeyRandomizer;
         use tse_mitigation::guard::{GuardConfig, GuardMitigation};
         use tse_mitigation::stack::MitigationAction;
@@ -1123,10 +1124,6 @@ mod tests {
             .with_mitigation(GuardMitigation::new(GuardConfig {
                 interval: 10.0,
                 mask_threshold: 30,
-                // Suppression persists in the slow path by design (the observed OVS
-                // behaviour), which would leave run 2 with nothing to sweep; disable
-                // it so the second run re-explodes and must be re-defended.
-                suppress_reinstall: false,
                 ..GuardConfig::default()
             }))
             .with_mitigation(RssKeyRandomizer::new(15.0, 9));
@@ -1155,6 +1152,22 @@ mod tests {
             runner.datapath.hash_key(),
             tse_packet::rss::DEFAULT_HASH_KEY
         );
+        // Suppression persists in the slow path by design (the observed OVS behaviour),
+        // which would leave run 2 with nothing to sweep. A table without the deny rule
+        // forgets it; the original table then comes back unsuppressed, so run 2
+        // re-explodes and must be re-defended.
+        let suppressed =
+            |r: &ExperimentRunner| r.datapath.shard(0).slow_path().suppressed_rules().len();
+        assert_eq!(suppressed(&runner), 1, "run 1 suppressed the deny rule");
+        let original = runner.datapath.table().clone();
+        let deny = original.len() - 1;
+        let mut without_deny = FlowTable::new(original.schema().clone());
+        for rule in &original.rules()[..deny] {
+            without_deny.push(rule.clone());
+        }
+        runner.datapath.install_table(without_deny);
+        runner.datapath.install_table(original);
+        assert_eq!(suppressed(&runner), 0);
         // Run 2 on the same runner: the stages re-arm (interval gates and the rekey
         // schedule re-anchor at the new t = 0) instead of staying silently inert.
         let tl2 = runner.run(attack_at_30(Scenario::SipDp), 60.0);
@@ -1174,15 +1187,26 @@ mod tests {
         use tse_mitigation::UpcallLimiter;
         let mut runner = setup(Scenario::Dp).with_mitigation(UpcallLimiter::new(3));
         runner.run(attack_at_30(Scenario::Dp), 40.0);
-        assert_eq!(
-            runner
-                .datapath
-                .shard(0)
-                .slow_path()
-                .install_quota_remaining(),
-            None,
-            "on_finish must remove the install quota from every shard"
+        // On an emptied cache, the attack's keys replayed after the run install more
+        // megaflows than one quota window allows, and none is denied: on_finish removed
+        // the quota from every shard.
+        let shard = runner.datapath.shard_mut(0);
+        let denied = shard.slow_path().quota_denied_upcalls();
+        assert!(denied > 0, "the quota bound during the run");
+        shard.megaflow_mut().clear();
+        let schema = FieldSchema::ovs_ipv4();
+        for (i, key) in Scenario::Dp
+            .key_iter(&schema, &schema.zero_value())
+            .enumerate()
+        {
+            shard.process_key(&key, 60, 40.0 + i as f64 * 1e-3);
+        }
+        assert!(
+            shard.entry_count() > 3,
+            "installs resume: {} entries",
+            shard.entry_count()
         );
+        assert_eq!(shard.slow_path().quota_denied_upcalls(), denied);
     }
 
     #[test]
@@ -1706,8 +1730,8 @@ mod tests {
             assert_eq!(tally.victim_masks_scanned, expect.victim_masks_scanned);
             for shard in 0..4 {
                 let (got, want) = (
-                    runner.datapath.shard_stats(shard),
-                    oracle.datapath.shard_stats(shard),
+                    runner.datapath.shard(shard).stats(),
+                    oracle.datapath.shard(shard).stats(),
                 );
                 assert_eq!(got, want, "shard {shard}");
                 assert_eq!(got.busy_seconds.to_bits(), want.busy_seconds.to_bits());

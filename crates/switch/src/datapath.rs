@@ -539,6 +539,7 @@ mod tests {
     use tse_packet::builder::PacketBuilder;
     use tse_packet::fields::FieldSchema;
     use tse_packet::wire;
+    use tse_packet::IpProto;
 
     /// The Fig. 6 ACL over the OVS IPv4 schema: dst port 80, src 10.0.0.1, src port
     /// 12345 allowed; everything else denied.
@@ -571,7 +572,9 @@ mod tests {
     #[test]
     fn denied_traffic_is_dropped_and_cached() {
         let mut dp = Datapath::new(fig6_table());
-        let pkt = PacketBuilder::udp_v4([10, 3, 3, 3], [10, 0, 0, 99], 4444, 9999).build();
+        let pkt =
+            PacketBuilder::from_numeric_v4(0x0a03_0303, 0x0a00_0063, IpProto::Udp, 4444, 9999)
+                .build();
         assert_eq!(dp.process_packet(&pkt, 0.0).action, Action::Deny);
         assert_eq!(dp.process_packet(&pkt, 0.1).action, Action::Deny);
         assert_eq!(dp.stats().denied, 2);
@@ -649,8 +652,9 @@ mod tests {
     #[test]
     fn ipv6_packet_against_ipv4_table_is_unclassified() {
         let mut dp = Datapath::new(fig6_table());
-        let pkt = PacketBuilder::tcp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 1, 80)
-            .build();
+        let pkt =
+            PacketBuilder::from_numeric_v6((1 << 112) | 2, (3 << 112) | 4, IpProto::Tcp, 1, 80)
+                .build();
         let out = dp.process_packet(&pkt, 0.0);
         assert_eq!(out.path, PathTaken::Unclassified);
         assert_eq!(dp.mask_count(), 0);
@@ -946,8 +950,9 @@ mod tests {
             assert_eq!(out.masks_scanned, 0);
         }
         // A decodable frame of the wrong family is *permitted* unclassified.
-        let v6 = PacketBuilder::tcp_v6([1, 0, 0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0, 0, 4], 1, 80)
-            .build();
+        let v6 =
+            PacketBuilder::from_numeric_v6((1 << 112) | 2, (3 << 112) | 4, IpProto::Tcp, 1, 80)
+                .build();
         let out = ingest(&wire::encode(&v6), 0.2);
         assert_eq!(out.action, Action::Allow);
         assert_eq!(out.path, PathTaken::Unclassified);

@@ -436,11 +436,6 @@ impl ShardedDatapath {
         self.shards.iter().map(Datapath::entry_count).collect()
     }
 
-    /// Statistics of shard `i`.
-    pub fn shard_stats(&self, i: usize) -> &DatapathStats {
-        self.shards[i].stats()
-    }
-
     /// Aggregate statistics: every shard's counters folded with [`DatapathStats::merge`].
     pub fn stats(&self) -> DatapathStats {
         let mut total = DatapathStats::default();
@@ -688,7 +683,7 @@ mod tests {
         }
         // Aggregate stats account for every packet.
         assert_eq!(sharded.stats().packets(), 200);
-        let per_shard: u64 = (0..4).map(|i| sharded.shard_stats(i).packets()).sum();
+        let per_shard: u64 = (0..4).map(|i| sharded.shard(i).stats().packets()).sum();
         assert_eq!(per_shard, 200);
     }
 
@@ -704,7 +699,7 @@ mod tests {
         sharded.process_timed_batch(&batch);
         let mut merged = DatapathStats::default();
         for i in 0..sharded.shard_count() {
-            merged.merge(sharded.shard_stats(i));
+            merged.merge(sharded.shard(i).stats());
         }
         assert_eq!(merged, sharded.stats());
         assert_eq!(merged.packets(), 150);
@@ -717,9 +712,9 @@ mod tests {
         for (i, key) in key_spread(&schema, 60).iter().enumerate() {
             sharded.process_key(key, 64, i as f64 * 1e-3);
         }
-        assert_eq!(sharded.shard_stats(3).packets(), 60);
+        assert_eq!(sharded.shard(3).stats().packets(), 60);
         for i in 0..3 {
-            assert_eq!(sharded.shard_stats(i).packets(), 0);
+            assert_eq!(sharded.shard(i).stats().packets(), 0);
             assert_eq!(sharded.shard(i).mask_count(), 0);
         }
         assert!(sharded.shard(3).mask_count() > 0);
@@ -943,10 +938,10 @@ mod tests {
         );
         assert_eq!(out.action, Action::Deny);
         assert_eq!(out.path, PathTaken::Unclassified);
-        assert_eq!(sharded.shard_stats(0).bad_header, 1);
-        assert_eq!(sharded.shard_stats(0).denied, 1);
+        assert_eq!(sharded.shard(0).stats().bad_header, 1);
+        assert_eq!(sharded.shard(0).stats().denied, 1);
         for i in 1..4 {
-            assert_eq!(sharded.shard_stats(i).packets(), 0);
+            assert_eq!(sharded.shard(i).stats().packets(), 0);
         }
         // A family mismatch is permitted, mirroring the schema-mismatch path.
         let out = sharded.note_wire_fault(WireFault::FamilyMismatch, 60, 0.1);

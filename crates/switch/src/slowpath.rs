@@ -116,11 +116,6 @@ impl SlowPath {
         self.install_quota = quota;
     }
 
-    /// Installs still allowed in the current quota window (`None` = unlimited).
-    pub fn install_quota_remaining(&self) -> Option<u64> {
-        self.install_quota
-    }
-
     /// Cumulative number of upcalls answered without an install because the quota was
     /// exhausted (monotone; callers interested in per-interval counts diff successive
     /// readings).
@@ -283,7 +278,6 @@ mod tests {
             assert_eq!(out.installed, i < 2, "only the first two installs land");
         }
         assert_eq!(cache.entry_count(), 2);
-        assert_eq!(sp.install_quota_remaining(), Some(0));
         assert_eq!(sp.quota_denied_upcalls(), 3);
         // Re-arm: installs resume; the cumulative denial counter keeps its history.
         sp.set_install_quota(Some(1));
@@ -330,7 +324,7 @@ mod tests {
 
     /// With the quota armed, a header an entry already covers takes the install's
     /// `AlreadyCovered` arm: answered with the table's verdict, nothing installed, nothing
-    /// charged.
+    /// charged — the window's one install is still there for the next new megaflow.
     #[test]
     fn refused_install_is_answered_without_charging_the_quota() {
         let table = FlowTable::fig1_hyp();
@@ -341,7 +335,7 @@ mod tests {
             .unwrap();
         let before = cache.render();
         let mut sp = SlowPath::new(MegaflowStrategy::wildcarding(table.schema()));
-        sp.set_install_quota(Some(5));
+        sp.set_install_quota(Some(1));
         let out = sp.handle_upcall(&table, &mut cache, &hyp(0b101), 0.0);
         let expected = UpcallOutcome {
             action: Action::Deny,
@@ -351,14 +345,16 @@ mod tests {
         };
         assert_eq!(out, Some(expected), "answered as already covered");
         assert_eq!(cache.render(), before, "nothing installed");
-        assert_eq!(sp.install_quota_remaining(), Some(5), "nothing charged");
         assert_eq!(sp.quota_denied_upcalls(), 0);
         assert_eq!(sp.suppressed_upcalls(), 0);
+        let allowed = sp.handle_upcall(&table, &mut cache, &hyp(0b001), 0.0);
+        assert!(allowed.is_some_and(|o| o.installed), "nothing charged");
     }
 
     /// What `handle_upcall` did before it installed directly: generate against the
     /// cache, then insert, under the same suppression and quota rules. Returns the
-    /// outcome and advances `(suppressed upcalls, quota-denied upcalls, quota)`.
+    /// outcome and advances `(suppressed upcalls, quota-denied upcalls, quota)`; the
+    /// quota left is observed only through the outcomes it allows.
     fn reference_upcall(
         table: &FlowTable,
         cache: &mut TupleSpace,
@@ -450,8 +446,8 @@ mod tests {
                 let want = reference_upcall(table, &mut reference, &h, &strategy, &suppressed, &mut counters);
                 prop_assert_eq!(got, want, "header {} on table {}", h, t);
                 prop_assert_eq!(
-                    (sp.suppressed_upcalls(), sp.quota_denied_upcalls(), sp.install_quota_remaining()),
-                    counters
+                    (sp.suppressed_upcalls(), sp.quota_denied_upcalls()),
+                    (counters.0, counters.1)
                 );
                 prop_assert_eq!(cache.render(), reference.render());
                 prop_assert_eq!(cache.mask_usage(), reference.mask_usage());

@@ -2,6 +2,7 @@
 //! datapath (packet -> flow key -> caches -> verdict).
 
 use proptest::prelude::*;
+use tse::packet::IpProto;
 use tse::prelude::*;
 
 /// Every packet gets the same verdict from the datapath (whatever cache level answers)
@@ -38,7 +39,7 @@ proptest! {
         let table = Scenario::SpDp.flow_table(&schema);
         let mut dp = Datapath::new(table);
         for (i, (src, sport, dport)) in headers.iter().enumerate() {
-            let pkt = PacketBuilder::udp_v4(src.to_be_bytes(), [10, 0, 0, 99], *sport, *dport).build();
+            let pkt = PacketBuilder::from_numeric_v4(*src, 0x0a00_0063, IpProto::Udp, *sport, *dport).build();
             dp.process_packet(&pkt, i as f64 * 1e-3);
         }
         prop_assert!(dp.megaflow().check_independence());

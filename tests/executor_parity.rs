@@ -290,7 +290,7 @@ fn batch_reports_and_stats_match_across_executors() {
 }
 
 /// Satellite: the per-shard reports the executor returns must agree with what the
-/// shards themselves recorded — `per_shard[i]` against `shard_stats(i)` and the
+/// shards themselves recorded — `per_shard[i]` against `shard(i).stats()` and the
 /// aggregate against the merged stats, counter for counter and cost bit for bit.
 #[test]
 fn sharded_batch_report_is_consistent_with_shard_stats() {
@@ -311,7 +311,7 @@ fn sharded_batch_report_is_consistent_with_shard_stats() {
         let report = dp.process_timed_batch(&events);
         assert_eq!(report.per_shard.len(), 4);
         for (i, r) in report.per_shard.iter().enumerate() {
-            let stats = dp.shard_stats(i);
+            let stats = dp.shard(i).stats();
             assert_eq!(r.processed as u64, stats.packets(), "shard {i} processed");
             assert_eq!(r.allowed, stats.allowed, "shard {i} allowed");
             assert_eq!(r.denied, stats.denied, "shard {i} denied");
@@ -451,7 +451,7 @@ fn assert_runs_dispatch_matches_the_per_run_loop(
         for ((_, g), (_, e)) in got[shard].iter().zip(&expect[shard]) {
             assert_eq!(g.total_cost.to_bits(), e.total_cost.to_bits(), "{context}");
         }
-        let (f, l) = (fused.shard_stats(shard), looped.shard_stats(shard));
+        let (f, l) = (fused.shard(shard).stats(), looped.shard(shard).stats());
         assert_eq!(f, l, "{context}, shard {shard}");
         assert_eq!(
             f.busy_seconds.to_bits(),
@@ -524,7 +524,7 @@ proptest! {
         prop_assert_eq!(&a, &c);
         prop_assert_eq!(a.busy_seconds.to_bits(), c.busy_seconds.to_bits());
         for i in 0..n_shards {
-            prop_assert_eq!(seq.shard_stats(i), pool.shard_stats(i), "shard {}", i);
+            prop_assert_eq!(seq.shard(i).stats(), pool.shard(i).stats(), "shard {}", i);
         }
     }
 

@@ -4,6 +4,7 @@
 //! packet is its flow key.
 
 use proptest::prelude::*;
+use tse::packet::IpProto;
 use tse::prelude::*;
 use tse::switch::stats::DatapathStats;
 
@@ -75,7 +76,7 @@ fn merged_shard_stats_equal_aggregate_and_monolithic_verdict_counters() {
 
         let mut merged = DatapathStats::default();
         for i in 0..sharded.shard_count() {
-            merged.merge(sharded.shard_stats(i));
+            merged.merge(sharded.shard(i).stats());
         }
         assert_eq!(merged, sharded.stats(), "{n_shards} shards: merge identity");
 
@@ -161,16 +162,13 @@ proptest! {
             .map(|&(kind, host, ports, gap)| {
                 let (v6, udp) = (kind & 1 == 1, kind & 2 == 2);
                 let (sport, dport) = (12_344 + (ports & 3), 79 + (ports >> 2));
-                let (src4, dst4) = ([10, 0, 0, host], [10, 0, 0, 99]);
-                let (src6, dst6) = (
-                    [0x2001, 0xdb8, 0, 0, 0, 0, 0, host.into()],
-                    [0x2001, 0xdb8, 0, 0, 0, 0, 0, 99],
-                );
-                let builder = match (v6, udp) {
-                    (false, false) => PacketBuilder::tcp_v4(src4, dst4, sport, dport),
-                    (false, true) => PacketBuilder::udp_v4(src4, dst4, sport, dport),
-                    (true, false) => PacketBuilder::tcp_v6(src6, dst6, sport, dport),
-                    (true, true) => PacketBuilder::udp_v6(src6, dst6, sport, dport),
+                let proto = if udp { IpProto::Udp } else { IpProto::Tcp };
+                let builder = if v6 {
+                    let net = 0x2001_0db8 << 96;
+                    PacketBuilder::from_numeric_v6(net | u128::from(host), net | 99, proto, sport, dport)
+                } else {
+                    let net = 0x0a00_0000;
+                    PacketBuilder::from_numeric_v4(net | u32::from(host), net | 99, proto, sport, dport)
                 };
                 now += [0.0, 0.003, 0.4, 4.0][gap];
                 (v6, builder.build(), now)

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tse::packet::wire::WireFault;
+use tse::packet::IpProto;
 use tse::prelude::*;
 
 const ATTACK_START: f64 = 15.0;
@@ -155,9 +156,10 @@ fn a_family_the_schema_cannot_express_is_the_same_fault_on_both_ingresses() {
         let packets: Vec<(f64, Packet)> = (0..64u16)
             .map(|i| {
                 let builder = if packets_v6 {
-                    PacketBuilder::tcp_v6(
-                        [0xfd00, 0, 0, 0, 0, 0, 0, i],
-                        [0xfd00, 0, 0, 0, 0, 0, 0, 0x63],
+                    PacketBuilder::from_numeric_v6(
+                        (0xfd00 << 112) | u128::from(i),
+                        (0xfd00 << 112) | 0x63,
+                        IpProto::Tcp,
                         40_000 + i,
                         80,
                     )
@@ -199,7 +201,7 @@ fn a_family_the_schema_cannot_express_is_the_same_fault_on_both_ingresses() {
             mix.push(source);
             let tl = runner.run_mix(mix, 3.0);
             let dp = &runner.datapath;
-            assert_eq!(dp.shard_stats(0).unclassified, n);
+            assert_eq!(dp.shard(0).stats().unclassified, n);
             assert_eq!(dp.stats().packets(), n, "shard 0 only");
             assert_eq!(dp.stats().allowed, n);
             assert!(tl.samples.iter().all(|s| s.mask_count == 0));
