@@ -18,7 +18,7 @@ use tse_attack::scenarios::Scenario;
 use tse_attack::source::{AttackGenerator, TrafficMix};
 use tse_bench::sipdp::attack_packets;
 use tse_bench::{render_table, FigArgs, Figure};
-use tse_mitigation::cpu_model::SlowPathCpuModel;
+use tse_mitigation::cpu_model;
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_packet::fields::FieldSchema;
@@ -113,7 +113,6 @@ fn main() {
     );
 
     println!("-- calibrated ovs-vswitchd CPU model --");
-    let model = SlowPathCpuModel::ovs_vswitchd_default();
     let rows: Vec<Vec<String>> = [
         10.0f64, 100.0, 1_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0,
     ]
@@ -121,7 +120,7 @@ fn main() {
     .map(|&rate| {
         vec![
             format!("{rate:.0}"),
-            format!("{:.1} %", model.utilization_percent(rate)),
+            format!("{:.1} %", cpu_model::utilization_percent(rate)),
         ]
     })
     .collect();
@@ -135,7 +134,7 @@ fn main() {
         fig.row(
             &format!("cpu_model/{rate:.0}pps"),
             "percent",
-            model.utilization_percent(rate),
+            cpu_model::utilization_percent(rate),
         );
     }
     fig.finish();

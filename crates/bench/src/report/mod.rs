@@ -271,11 +271,7 @@ impl ReportFile {
                 offset: 0,
             });
         }
-        let area = v
-            .get("area")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
+        let area = member(&v, "report file", "area", "a string", Json::as_str)?.to_string();
         let reports = member(&v, "report file", "reports", "an array", Json::as_arr)?
             .iter()
             .map(BenchReport::from_json)

@@ -247,6 +247,19 @@ fn a_missing_or_other_format_version_is_refused_by_name() {
 }
 
 #[test]
+fn a_missing_or_non_string_area_is_refused_by_name() {
+    // Read as a default label, a file with no area would write that label back on save.
+    for (area, expect) in [
+        ("", "missing \"area\""),
+        (r#""area": 7, "#, "\"area\" is not a string"),
+    ] {
+        let text = format!(r#"{{"version": 1, {area}"reports": []}}"#);
+        let e = ReportFile::from_json_text(&text).unwrap_err();
+        assert!(e.message.contains(expect), "{area:?}: {e}");
+    }
+}
+
+#[test]
 fn every_committed_report_file_loads() {
     // The committed `BENCH_*.json` files live at the repo root.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -1,7 +1,8 @@
 //! Megaflow generation as it was before the one-walk rewrite, kept as the reference the
 //! rewrite is tested against: classify with a plain linear scan, enumerate the
 //! higher-priority rules by definition, then test their mask bits one by one. Shared by
-//! `examined_bits_model.rs` here and the workspace's `tests/gateway_upcall_model.rs`.
+//! `examined_bits_model.rs` here and the workspace's `tests/oracle_switch.rs`, which
+//! builds its model switch from these two functions.
 
 use std::cmp::Reverse;
 
@@ -9,8 +10,7 @@ use tse_classifier::flowtable::{FlowTable, TableMatch};
 use tse_classifier::strategy::{
     FieldStrategy, GeneratedMegaflow, GenerationError, MegaflowStrategy,
 };
-use tse_classifier::tss::TupleSpace;
-use tse_packet::fields::{FieldSchema, Key};
+use tse_packet::fields::{FieldSchema, Key, Mask};
 
 /// The slow path's verdict by a plain scan: stable sort by decreasing priority, first
 /// match wins, every rule looked at is counted.
@@ -72,10 +72,11 @@ fn expand_mask_field(
 }
 
 /// The matched rule's mask, per-bit narrowing against every higher-priority rule, then
-/// the conflict safety net.
+/// the conflict safety net, narrowing by each entry `find_conflict` names for the
+/// candidate `(key, mask)` until it names none.
 pub fn reference_generate(
     table: &FlowTable,
-    cache: &TupleSpace,
+    find_conflict: impl Fn(&Key, &Mask) -> Option<(Key, Mask)>,
     header: &Key,
     strategy: &MegaflowStrategy,
 ) -> Result<GeneratedMegaflow, GenerationError> {
@@ -119,7 +120,7 @@ pub fn reference_generate(
     let mut iterations = 0;
     loop {
         let key = header.apply_mask(&mask);
-        match cache.find_conflict(&key, &mask) {
+        match find_conflict(&key, &mask) {
             None => {
                 return Ok(GeneratedMegaflow {
                     key,

@@ -6,39 +6,18 @@
 //! saturating around 250 % (the daemon spreads over a handful of handler threads) at
 //! 50 000 pps.
 
-/// CPU model of the slow-path daemon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowPathCpuModel {
-    /// Idle/base utilisation of the daemon in percent (bookkeeping, revalidation).
-    pub base_percent: f64,
-    /// Seconds of CPU consumed per upcall.
-    pub per_upcall_seconds: f64,
-    /// Saturation ceiling in percent (total across handler threads).
-    pub max_percent: f64,
-}
+/// Idle/base utilisation of the daemon in percent (bookkeeping, revalidation).
+const BASE_PERCENT: f64 = 7.0;
+/// Seconds of CPU consumed per upcall.
+const PER_UPCALL_SECONDS: f64 = 75e-6;
+/// Saturation ceiling in percent (total across handler threads).
+const MAX_PERCENT: f64 = 250.0;
 
-impl SlowPathCpuModel {
-    /// Calibration matching Fig. 9c.
-    pub fn ovs_vswitchd_default() -> Self {
-        SlowPathCpuModel {
-            base_percent: 7.0,
-            per_upcall_seconds: 75e-6,
-            max_percent: 250.0,
-        }
-    }
-
-    /// CPU utilisation (percent) at a sustained upcall rate (packets/s hitting the slow
-    /// path).
-    pub fn utilization_percent(&self, upcall_rate_pps: f64) -> f64 {
-        let raw = self.base_percent + upcall_rate_pps * self.per_upcall_seconds * 100.0;
-        raw.min(self.max_percent)
-    }
-}
-
-impl Default for SlowPathCpuModel {
-    fn default() -> Self {
-        Self::ovs_vswitchd_default()
-    }
+/// `ovs-vswitchd`'s CPU utilisation (percent) at a sustained upcall rate (packets/s
+/// hitting the slow path).
+pub fn utilization_percent(upcall_rate_pps: f64) -> f64 {
+    let raw = BASE_PERCENT + upcall_rate_pps * PER_UPCALL_SECONDS * 100.0;
+    raw.min(MAX_PERCENT)
 }
 
 #[cfg(test)]
@@ -47,10 +26,9 @@ mod tests {
 
     #[test]
     fn fig9c_anchor_points() {
-        let m = SlowPathCpuModel::ovs_vswitchd_default();
-        let at_1k = m.utilization_percent(1_000.0);
-        let at_10k = m.utilization_percent(10_000.0);
-        let at_50k = m.utilization_percent(50_000.0);
+        let at_1k = utilization_percent(1_000.0);
+        let at_10k = utilization_percent(10_000.0);
+        let at_50k = utilization_percent(50_000.0);
         assert!(
             (10.0..=20.0).contains(&at_1k),
             "≈15 % at 1 kpps, got {at_1k}"
@@ -67,12 +45,11 @@ mod tests {
 
     #[test]
     fn monotone_and_capped() {
-        let m = SlowPathCpuModel::ovs_vswitchd_default();
         let mut prev = 0.0;
         for rate in [0.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6] {
-            let u = m.utilization_percent(rate);
+            let u = utilization_percent(rate);
             assert!(u >= prev);
-            assert!(u <= m.max_percent);
+            assert!(u <= MAX_PERCENT);
             prev = u;
         }
     }

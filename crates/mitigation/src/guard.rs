@@ -15,7 +15,7 @@
 use tse_classifier::rule::Action;
 use tse_switch::datapath::Datapath;
 
-use crate::cpu_model::SlowPathCpuModel;
+use crate::cpu_model;
 use crate::pattern::{allow_exact_fields, examines_target_field};
 use crate::stack::{Mitigation, MitigationAction, MitigationCtx};
 
@@ -65,16 +65,14 @@ pub struct GuardReport {
 #[derive(Debug, Clone)]
 pub struct MfcGuard {
     config: GuardConfig,
-    cpu_model: SlowPathCpuModel,
     last_run: Option<f64>,
 }
 
 impl MfcGuard {
-    /// Create a guard with the given configuration and the default CPU model.
+    /// Create a guard with the given configuration.
     pub fn new(config: GuardConfig) -> Self {
         MfcGuard {
             config,
-            cpu_model: SlowPathCpuModel::ovs_vswitchd_default(),
             last_run: None,
         }
     }
@@ -83,7 +81,7 @@ impl MfcGuard {
     /// [`MfcGuard::maybe_run_on_shard`] call fires regardless of how recently the
     /// previous run's last pass was. Used when a guard is re-armed for a new experiment
     /// whose clock restarts at zero.
-    pub fn reset_interval_gate(&mut self) {
+    pub(crate) fn reset_interval_gate(&mut self) {
         self.last_run = None;
     }
 
@@ -121,7 +119,7 @@ impl MfcGuard {
     /// configured* guard per shard, each with its own cadence and thresholds: a sharded
     /// datapath is guarded by one `MfcGuard` per shard, not by one guard over all of
     /// them.
-    pub fn maybe_run_on_shard(
+    pub(crate) fn maybe_run_on_shard(
         &mut self,
         datapath: &mut Datapath,
         now: f64,
@@ -143,7 +141,7 @@ impl MfcGuard {
         shard: usize,
     ) -> GuardReport {
         let masks_before = datapath.mask_count();
-        let projected_cpu = self.cpu_model.utilization_percent(observed_attack_pps);
+        let projected_cpu = cpu_model::utilization_percent(observed_attack_pps);
         let mut entries_removed = 0;
         let mut stopped_by_cpu = false;
 
@@ -198,7 +196,8 @@ impl MfcGuard {
 ///
 /// With a uniform config this is behaviourally identical to the pre-stack runner's
 /// hard-wired guard hook, which swept every shard under one shared interval gate
-/// (asserted bit-for-bit by `tests/golden_runner_parity.rs`): per-shard gating fires at
+/// (pinned by the guarded runs of `tests/golden_runner_parity.rs`, recorded while a frozen
+/// copy of that hook still ran beside the stage): per-shard gating fires at
 /// exactly the times the shared gate did, because every shard observes the same clock.
 pub struct GuardMitigation {
     default_config: GuardConfig,

@@ -30,7 +30,6 @@ pub mod guard;
 pub mod pattern;
 pub mod stack;
 
-pub use cpu_model::SlowPathCpuModel;
 pub use defenses::{AdaptiveRekey, MaskCap, RssKeyRandomizer, UpcallLimiter};
 pub use guard::{GuardConfig, GuardMitigation, GuardReport, MfcGuard};
 pub use pattern::allow_exact_fields;

@@ -25,7 +25,8 @@
 //! [`ExperimentRunner::run`] is the single-attacker entry point the original figure
 //! experiments use; it is a thin shim that puts the stored victims and one attack
 //! source into a [`TrafficMix`] and produces a timeline identical to the pre-streaming
-//! runner (asserted bit-for-bit by `tests/golden_runner_parity.rs`).
+//! runner (pinned run by run by the digests of `tests/golden_runner_parity.rs`, recorded
+//! while a frozen copy of that runner still ran beside this one).
 
 use tse_attack::source::{EventPayload, SourceRole, TrafficEvent, TrafficMix, TrafficSource};
 use tse_classifier::flowtable::FlowTable;
@@ -263,7 +264,7 @@ impl RunObserver for () {}
 ///
 /// The datapath under test is a [`ShardedDatapath`]: [`ExperimentRunner::new`] wraps a
 /// plain [`Datapath`] as a single shard (bit-for-bit the monolithic behaviour, see
-/// `tests/golden_runner_parity.rs`), while [`ExperimentRunner::sharded`] runs a true
+/// `tests/sharded_datapath.rs`), while [`ExperimentRunner::sharded`] runs a true
 /// multi-PMD experiment — every shard owns a private cache *and a private CPU budget*,
 /// so an attack only costs the victims steered to the shards it actually hits.
 ///
@@ -390,7 +391,7 @@ impl ExperimentRunner {
     /// stored victim, then `attack`, into a [`TrafficMix`] and defers to
     /// [`ExperimentRunner::run_mix`]. The produced timeline is identical bit-for-bit to
     /// the pre-streaming runner's, which fed concrete packets where this one feeds their
-    /// keys (asserted by `tests/golden_runner_parity.rs`).
+    /// keys (pinned by the recorded digests of `tests/golden_runner_parity.rs`).
     ///
     /// Calling this again on the same runner is not a continuation — see "Reusing a
     /// runner" on [`ExperimentRunner::run_mix`]; each call takes a fresh source.
@@ -451,10 +452,10 @@ impl ExperimentRunner {
     /// Draining is not overlapped with shard work. What each stage costs is measured by
     /// an observer that reads a clock at the hooks of
     /// [`ExperimentRunner::run_mix_observed`]; the per-workload stage table lives in
-    /// `ROADMAP.md`. On the attack workloads the drain is 7–15 % of the run and the
+    /// `ROADMAP.md`. On the attack workloads the drain is 15–29 % of the run and the
     /// shards' tuple-space scan and upcalls own the wall clock. On `benign_wire`, where
     /// a packet scans ≤ 2 masks, the drain (craft, encode, decode and merge one frame)
-    /// is 71 %, the largest stage by far.
+    /// is 66 %, the largest stage by far.
     ///
     /// # Reusing a runner
     /// Every call restarts simulated time at 0, but the datapath is not reset: it keeps

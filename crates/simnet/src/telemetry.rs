@@ -9,7 +9,7 @@
 //! * a **hot tier**: a bounded ring of the most recent samples, bit-identical to what
 //!   the unbounded timeline would hold for that window (when a run fits entirely in
 //!   the ring, [`TelemetryStore::recent_timeline`] *is* the classic timeline,
-//!   bit-for-bit — proven by the golden-parity suite);
+//!   bit-for-bit — pinned by `tests/golden_runner_parity.rs`);
 //! * a **cold tier**: the switch-wide attack and background totals as streaming
 //!   aggregates ([`SeriesAgg`]: count / sum / min / max plus a fixed-log-bucket
 //!   [`LogHistogram`] for p50/p99) updated on every record. The cold tier is two

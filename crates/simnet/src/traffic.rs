@@ -147,9 +147,9 @@ impl VictimFlow {
         t >= self.start && t < self.stop
     }
 
-    /// A representative packet of the flow (used to probe the datapath's current cost
-    /// for this flow and to install/refresh its megaflow entry).
-    pub fn representative_packet(&self) -> Packet {
+    /// A representative packet of the flow: what [`VictimFlow::probe`] reduces to the
+    /// probe's key and wire size.
+    fn representative_packet(&self) -> Packet {
         let builder = if self.v6 {
             PacketBuilder::from_numeric_v6(
                 self.src_ip,

@@ -393,9 +393,10 @@ impl Datapath {
     /// After a hit the events go to the fast path in runs ([`TupleSpace::lookup_run`]; a §7
     /// classifier answers a run's first event alone), and the run doubles, up to [`RUN`]
     /// events, while every event of it hits; a miss drops it back to one event, so a
-    /// stream of upcalls never looks a header up ahead of its turn. A run ends early where the next event would run the idle-expiry sweep,
-    /// and at its first miss: that event's upcall is made, and the events behind it are
-    /// classified one by one. Each event is then resolved and recorded in order.
+    /// stream of upcalls never looks a header up ahead of its turn. A run ends early
+    /// where the next event would run the idle-expiry sweep, and at its first miss: that
+    /// event's upcall is made, and the events behind it are classified one by one. Each
+    /// event is then resolved and recorded in order.
     fn process_events<'a>(
         &mut self,
         events: impl ExactSizeIterator<Item = (&'a Key, usize, f64)>,

@@ -14,8 +14,9 @@
 //! entry points fan events out per shard in one pass, and statistics/mask counts are
 //! reported both per shard and aggregated via [`DatapathStats::merge`]. A 1-shard
 //! `ShardedDatapath` is bit-for-bit identical to the plain [`Datapath`] (asserted by
-//! the golden-parity suite), so everything built on the monolithic switch carries
-//! over unchanged.
+//! `tests/sharded_datapath.rs`; `tests/oracle_switch.rs` holds every shard count to one
+//! model switch per shard), so everything built on the monolithic switch carries over
+//! unchanged.
 //!
 //! *How* the per-shard fan-out executes is pluggable: every batched entry point runs
 //! through a [`ShardExecutor`] ([`SequentialExecutor`] by default; swap in a

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tse::mitigation::cpu_model::SlowPathCpuModel;
+use tse::mitigation::cpu_model;
 use tse::prelude::*;
 
 fn main() {
@@ -43,13 +43,12 @@ fn main() {
         );
     }
 
-    let cpu = SlowPathCpuModel::ovs_vswitchd_default();
     println!("\nMFCGuard cost (slow-path CPU, Fig. 9c):");
     for rate in [100.0, 1_000.0, 10_000.0, 50_000.0] {
         println!(
             "  {:>7.0} pps -> {:>6.1} % CPU",
             rate,
-            cpu.utilization_percent(rate)
+            cpu_model::utilization_percent(rate)
         );
     }
 }
