@@ -13,7 +13,7 @@ use tse_packet::fields::{FieldSchema, Key};
 
 /// The bit-inversion list for a single field: the allowed value first, then the value
 /// with each bit inverted, most-significant bit first (the order used in §5.1).
-pub fn bit_inversion_list(width: u32, allow_value: u128) -> Vec<u128> {
+pub(crate) fn bit_inversion_list(width: u32, allow_value: u128) -> Vec<u128> {
     let mut out = Vec::with_capacity(width as usize + 1);
     let full = if width == 128 {
         u128::MAX
@@ -97,7 +97,7 @@ impl Iterator for BitInversionKeys {
 mod tests {
     use super::*;
     use crate::scenarios::Scenario;
-    use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
+    use tse_classifier::strategy::{examined_megaflow, MegaflowStrategy};
     use tse_classifier::tss::TupleSpace;
 
     #[test]
@@ -128,13 +128,8 @@ mod tests {
             if cache.lookup(h, 0.0).action.is_some() {
                 continue;
             }
-            match generate_megaflow(&table, &cache, h, &strategy) {
-                Ok(g) => {
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-                }
-                Err(GenerationError::AlreadyCovered(_)) => {}
-                Err(e) => panic!("{e}"),
-            }
+            let (verdict, mask) = examined_megaflow(&table, h, &strategy).unwrap();
+            cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
         }
         assert_eq!(cache.mask_count(), 3);
         assert_eq!(cache.entry_count(), 4);
@@ -155,13 +150,8 @@ mod tests {
             if cache.lookup(h, 0.0).action.is_some() {
                 continue;
             }
-            match generate_megaflow(&table, &cache, h, &strategy) {
-                Ok(g) => {
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-                }
-                Err(GenerationError::AlreadyCovered(_)) => {}
-                Err(e) => panic!("{e}"),
-            }
+            let (verdict, mask) = examined_megaflow(&table, h, &strategy).unwrap();
+            cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
         }
         assert_eq!(cache.mask_count(), 13, "3*4 + 1 masks as computed in §4.2");
     }

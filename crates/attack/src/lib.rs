@@ -44,7 +44,7 @@ mod trace;
 pub mod wire;
 
 pub use bounds::{multi_field_bound, single_field_curve, TradeoffPoint};
-pub use colocated::{bit_inversion_keys, bit_inversion_list, BitInversionKeys};
+pub use colocated::{bit_inversion_keys, BitInversionKeys};
 pub use expectation::ExpectationModel;
 pub use general::RandomKeys;
 pub use scenarios::{Scenario, TargetField};

@@ -4,26 +4,22 @@
 
 use tse_bench::{FigArgs, Figure};
 use tse_classifier::flowtable::FlowTable;
-use tse_classifier::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
+use tse_classifier::strategy::MegaflowStrategy;
 use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::{FieldSchema, Key};
+use tse_switch::SlowPath;
 
+/// The datapath's fill: each header a lookup misses is upcalled to the slow path.
 fn populate(
     table: &FlowTable,
-    strategy: &MegaflowStrategy,
+    strategy: MegaflowStrategy,
     headers: impl Iterator<Item = Key>,
 ) -> TupleSpace {
     let mut cache = TupleSpace::new(table.schema().clone());
+    let mut slow_path = SlowPath::new(strategy);
     for h in headers {
-        if cache.lookup(&h, 0.0).action.is_some() {
-            continue;
-        }
-        match generate_megaflow(table, &cache, &h, strategy) {
-            Ok(g) => {
-                cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-            }
-            Err(GenerationError::AlreadyCovered(_)) => {}
-            Err(e) => panic!("{e}"),
+        if cache.lookup(&h, 0.0).action.is_none() {
+            slow_path.handle_upcall(table, &mut cache, &h, 0.0);
         }
     }
     cache
@@ -40,7 +36,7 @@ fn main() {
     println!("== Fig. 2: exact-match MFC construction ==");
     let exact = populate(
         &fig1,
-        &MegaflowStrategy::exact_match(&hyp),
+        MegaflowStrategy::exact_match(&hyp),
         (0..8u128).map(|v| Key::from_values(&hyp, &[v])),
     );
     println!("{}", exact.render());
@@ -53,7 +49,7 @@ fn main() {
     println!("== Fig. 3: wildcarding MFC construction (adversarial trace 001,101,011,000) ==");
     let wild = populate(
         &fig1,
-        &MegaflowStrategy::wildcarding(&hyp),
+        MegaflowStrategy::wildcarding(&hyp),
         [0b001u128, 0b101, 0b011, 0b000]
             .into_iter()
             .map(|v| Key::from_values(&hyp, &[v])),
@@ -74,7 +70,7 @@ fn main() {
     let all = (0..8u128).flat_map(|a| (0..16u128).map(move |b| (a, b)));
     let fig5 = populate(
         &fig4,
-        &MegaflowStrategy::wildcarding(&hyp2),
+        MegaflowStrategy::wildcarding(&hyp2),
         all.map(|(a, b)| Key::from_values(&hyp2, &[a, b])),
     );
     println!("{}", fig5.render());

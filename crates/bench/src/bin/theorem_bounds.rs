@@ -4,9 +4,10 @@
 use tse_attack::bounds::{multi_field_bound, single_field_curve};
 use tse_bench::{render_table, FigArgs, Figure};
 use tse_classifier::flowtable::FlowTable;
-use tse_classifier::strategy::{generate_megaflow, MegaflowStrategy};
+use tse_classifier::strategy::MegaflowStrategy;
 use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::{FieldDef, FieldSchema, Key};
+use tse_switch::SlowPath;
 
 fn main() {
     let mut fig = Figure::parse(env!("CARGO_BIN_NAME"), FigArgs::default());
@@ -45,15 +46,12 @@ fn main() {
     let table = FlowTable::whitelist_default_deny(&schema, &[(0, 0xABC)]);
     let mut rows = Vec::new();
     for chunk in [1u32, 2, 3, 4, 6, 12] {
-        let strategy = MegaflowStrategy::chunked(&schema, chunk);
+        let mut slow_path = SlowPath::new(MegaflowStrategy::chunked(&schema, chunk));
         let mut cache = TupleSpace::new(schema.clone());
         for v in 0..(1u128 << width) {
             let h = Key::from_values(&schema, &[v]);
-            if cache.lookup(&h, 0.0).action.is_some() {
-                continue;
-            }
-            if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
-                cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+            if cache.lookup(&h, 0.0).action.is_none() {
+                slow_path.handle_upcall(&table, &mut cache, &h, 0.0);
             }
         }
         rows.push(vec![

@@ -7,9 +7,10 @@
 //! * [`tss`] — the Tuple Space Search megaflow cache: distinct masks, one hash per mask,
 //!   and the Alg. 1 lookup whose cost grows linearly with the number of masks
 //!   (Observation 1) — the data structure the TSE attack explodes;
-//! * [`strategy`] — slow-path megaflow generation under the Cover and Independence
-//!   invariants, with the exact-match / wildcarding / chunked / per-field strategies that
-//!   realise the Theorem 4.1–4.2 space–time trade-offs;
+//! * [`strategy`] — slow-path megaflow generation: the bits the table walk examined,
+//!   widened by the exact-match / wildcarding / chunked / per-field strategies that
+//!   realise the Theorem 4.1–4.2 space–time trade-offs; Cover holds by construction, and
+//!   so does Independence among one table's megaflows, which are equal or disjoint;
 //! * [`microflow`] — a small exact-match cache, wired into no datapath (the kernel
 //!   datapath the paper measures has none); kept for a `benchmark/` drill until the
 //!   `[benchmark]` re-anchor retires it;
@@ -34,10 +35,7 @@ pub use baseline::{Classification, Classifier, HierarchicalTrie, HyperCuts, Line
 pub use flowtable::{FlowTable, TableMatch};
 pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
-pub use strategy::{
-    examined_megaflow, generate_megaflow, install_megaflow, FieldStrategy, GeneratedMegaflow,
-    GenerationError, MegaflowStrategy,
-};
+pub use strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
 pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, SweepWork, TupleSpace};
 
 use tse_packet::fields::Key;
@@ -64,7 +62,7 @@ mod proptests {
     use tse_packet::fields::{FieldDef, FieldSchema, Key};
 
     use crate::flowtable::FlowTable;
-    use crate::strategy::{generate_megaflow, GenerationError, MegaflowStrategy};
+    use crate::strategy::{examined_megaflow, MegaflowStrategy};
     use crate::tss::TupleSpace;
 
     fn small_schema() -> FieldSchema {
@@ -90,11 +88,8 @@ mod proptests {
                 if cache.lookup(&h, 0.0).action.is_some() {
                     continue;
                 }
-                match generate_megaflow(&table, &cache, &h, &strategy) {
-                    Ok(g) => { cache.insert(g.key, g.mask, g.action, 0.0).unwrap(); }
-                    Err(GenerationError::AlreadyCovered(_)) => {}
-                    Err(e) => panic!("unexpected generation error: {e}"),
-                }
+                let (verdict, mask) = examined_megaflow(&table, &h, &strategy).unwrap();
+                cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
             }
             prop_assert!(cache.check_independence());
             for &(a, b) in &headers {
@@ -118,9 +113,8 @@ mod proptests {
                 if cache.lookup(&h, 0.0).action.is_some() {
                     continue;
                 }
-                if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-                }
+                let (verdict, mask) = examined_megaflow(&table, &h, &strategy).unwrap();
+                cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
             }
             let bound = (5 * 4 + 1 + 1) as usize; // prod(w_i) + allow tuples
             prop_assert!(cache.mask_count() <= bound,

@@ -29,12 +29,18 @@
 //! compiled into the table's walk lane (see [`FlowTable`]), a word at a time; the
 //! rules of a run, whose first words test the same bits, it passes at one key each and
 //! folds their rejections into one term.
+//!
+//! Independence then holds by construction. A header inside the megaflow agrees with `h`
+//! on every bit the walk examined, so it walks the same way to the same rule and the
+//! same mask: two megaflows of one table are equal or disjoint. The slow path installs
+//! the examined megaflow as it is, and [`TupleSpace::insert`], which checks Inv(2),
+//! refuses it only where an entry already covers `h` or came from another table.
+//!
+//! [`TupleSpace::insert`]: crate::tss::TupleSpace::insert
 
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 use crate::flowtable::{FlowTable, TableMatch};
-use crate::rule::Action;
-use crate::tss::{InsertError, TupleSpace};
 
 /// How un-wildcarding is performed within one header field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,88 +138,18 @@ impl MegaflowStrategy {
     }
 }
 
-/// A megaflow entry produced by the slow path, ready for insertion into the MFC.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratedMegaflow {
-    /// The masked key.
-    pub key: Key,
-    /// The generated mask.
-    pub mask: Mask,
-    /// The action of the matched flow-table rule.
-    pub action: Action,
-    /// Index of the matched rule in the flow table.
-    pub rule_index: usize,
-}
-
-/// Errors from megaflow generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GenerationError {
-    /// The flow table has no matching rule for the header (no DefaultDeny installed).
-    NoMatchingRule,
-    /// An existing cache entry already covers this header (the fast path should have hit;
-    /// the caller usually treats this as "nothing to install"). The table's verdict
-    /// stands regardless and rides along.
-    AlreadyCovered(TableMatch),
-    /// Could not make the new entry disjoint from the existing cache (should not happen
-    /// for well-formed tables; kept as a defensive error).
-    CannotDisambiguate,
-}
-
-impl std::fmt::Display for GenerationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GenerationError::NoMatchingRule => write!(f, "no matching rule in the flow table"),
-            GenerationError::AlreadyCovered(_) => {
-                write!(f, "an existing megaflow already covers the header")
-            }
-            GenerationError::CannotDisambiguate => {
-                write!(f, "unable to construct a disjoint megaflow entry")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GenerationError {}
-
-/// Generate a megaflow entry for `header` against `table`, disjoint from everything in
-/// `cache`, under the given `strategy`.
+/// The megaflow the slow path generates for `header` against `table` under `strategy`:
+/// the table's verdict and the mask, `None` if no rule matches. The construction is the
+/// OVS heuristic the paper describes, in one priority walk of the table's walk lane:
 ///
-/// The construction follows the OVS heuristic the paper describes:
-///
-/// 1. classify `header` with one priority walk of the table's walk lane, un-wildcarding
-///    for every higher-priority rule the header *fails* to match the bits of that rule's
-///    mask scanned (field order, most-significant bit first) up to and including the
-///    first bit on which the header differs — the "test the bits one by one"
-///    decomposition that yields Fig. 3 and Fig. 5, done a 64-bit word at a time: a word
-///    the header agrees with is examined whole, the first one it differs in from its
-///    first differing bit up;
+/// 1. for every higher-priority rule the header *fails* to match, un-wildcard the bits
+///    of that rule's mask scanned (field order, most-significant bit first) up to and
+///    including the first bit on which the header differs — the "test the bits one by
+///    one" decomposition that yields Fig. 3 and Fig. 5, done a 64-bit word at a time: a
+///    word the header agrees with is examined whole, the first one it differs in from
+///    its first differing bit up;
 /// 2. add the matched rule's own mask, which the same walk tested whole (so every packet
-///    covered by the new entry also matches that rule — Cover plus action-correctness);
-/// 3. as a safety net, while the candidate still overlaps an existing cache entry,
-///    un-wildcard one more bit of that entry's mask on which the header differs from it
-///    (this loop does not fire for the WhiteList+DefaultDeny ACLs the paper studies, but
-///    keeps generation correct for arbitrary rule sets). The entry to narrow by is the
-///    one [`TupleSpace::find_conflict`] reports; the slow path's [`install_megaflow`]
-///    runs the same loop on the entry each refused insert reports instead, so the two
-///    settle on the same megaflow.
-///
-/// Steps 1–2 alone are [`examined_megaflow`].
-pub fn generate_megaflow(
-    table: &FlowTable,
-    cache: &TupleSpace,
-    header: &Key,
-    strategy: &MegaflowStrategy,
-) -> Result<GeneratedMegaflow, GenerationError> {
-    let examined =
-        examined_megaflow(table, header, strategy).ok_or(GenerationError::NoMatchingRule)?;
-    settle(table.schema(), strategy, header, examined, |key, mask| {
-        cache.find_conflict(key, mask)
-    })
-}
-
-/// Steps 1–2 of [`generate_megaflow`]: the table's verdict for `header` and the bits
-/// its one walk examined on the way, widened to `strategy` — the megaflow's mask before
-/// any cache has been asked about it. `None` if no rule matches.
+///    covered by the new entry also matches that rule — Cover plus action-correctness).
 pub fn examined_megaflow(
     table: &FlowTable,
     header: &Key,
@@ -232,92 +168,11 @@ pub fn examined_megaflow(
     Some((matched, mask))
 }
 
-/// Install into `cache` the megaflow the slow path generates for `header`: `examined` is
-/// what [`examined_megaflow`] returns for it, and the entry is narrowed (Inv(2)) by each
-/// entry `cache` reports it overlapping until the cache takes it — the megaflow
-/// [`generate_megaflow`] would return, installed. Each attempt is one
-/// [`TupleSpace::insert`], whose one walk of the probe lane both checks Inv(2) and files
-/// the entry. Returns the megaflow, or [`GenerationError::AlreadyCovered`] where an
-/// existing entry covers `header`, with nothing installed.
-pub fn install_megaflow(
-    table: &FlowTable,
-    cache: &mut TupleSpace,
-    header: &Key,
-    examined: (TableMatch, Mask),
-    strategy: &MegaflowStrategy,
-    now: f64,
-) -> Result<GeneratedMegaflow, GenerationError> {
-    let action = examined.0.action;
-    settle(table.schema(), strategy, header, examined, |key, mask| {
-        let inserted = cache.insert(key.clone(), mask.clone(), action, now);
-        inserted
-            .err()
-            .map(|InsertError::Overlap { existing }| *existing)
-    })
-}
-
-/// Step 3 of [`generate_megaflow`], the one narrowing loop: offer `header`'s megaflow
-/// under the examined mask to `place`, which answers with an existing entry it overlaps,
-/// if any, and narrow the mask by each such entry until `place` answers `None` — then
-/// that megaflow is the result. `place` asks a cache ([`generate_megaflow`]) or inserts
-/// into one ([`install_megaflow`]).
-fn settle(
-    schema: &FieldSchema,
-    strategy: &MegaflowStrategy,
-    header: &Key,
-    (matched, mut mask): (TableMatch, Mask),
-    mut place: impl FnMut(&Key, &Mask) -> Option<(Key, Mask)>,
-) -> Result<GeneratedMegaflow, GenerationError> {
-    let mut iterations = 0;
-    loop {
-        let key = header.apply_mask(&mask);
-        let Some(conflict) = place(&key, &mask) else {
-            return Ok(GeneratedMegaflow {
-                key,
-                mask,
-                action: matched.action,
-                rule_index: matched.rule_index,
-            });
-        };
-        iterations += 1;
-        if iterations > schema.total_width() {
-            return Err(GenerationError::CannotDisambiguate);
-        }
-        if !narrow(schema, strategy, header, &mut mask, &conflict) {
-            // No differing bit exists: the conflicting entry already covers this
-            // header, so the fast path would have hit it.
-            return Err(GenerationError::AlreadyCovered(matched));
-        }
-    }
-}
-
-/// One narrowing step: un-wildcard, widened to `strategy`, the most significant bit of
-/// the first field on which `conflict` examines a bit that `mask` does not and the
-/// header differs from it. Returns whether there was one.
-fn narrow(
-    schema: &FieldSchema,
-    strategy: &MegaflowStrategy,
-    header: &Key,
-    mask: &mut Mask,
-    (conflict_key, conflict_mask): &(Key, Mask),
-) -> bool {
-    for f in 0..schema.field_count() {
-        let candidate_bits =
-            conflict_mask.get(f) & !mask.get(f) & (header.get(f) ^ conflict_key.get(f));
-        if candidate_bits != 0 {
-            let bit = 127 - candidate_bits.leading_zeros();
-            mask.set(f, mask.get(f) | strategy.widen(schema, f, 1 << bit));
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flowtable::FlowTable;
-    use crate::tss::TupleSpace;
+    use crate::tss::{InsertError, TupleSpace};
 
     fn hyp_key(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -330,11 +185,8 @@ mod tests {
             if cache.lookup(h, 0.0).action.is_some() {
                 continue;
             }
-            match generate_megaflow(table, &cache, h, strategy) {
-                Ok(g) => cache.insert(g.key, g.mask, g.action, 0.0).unwrap(),
-                Err(GenerationError::AlreadyCovered(_)) => {}
-                Err(e) => panic!("generation failed: {e}"),
-            }
+            let (verdict, mask) = examined_megaflow(table, h, strategy).unwrap();
+            cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
         }
         cache
     }
@@ -452,27 +304,22 @@ mod tests {
     fn already_covered_reported() {
         let table = FlowTable::fig1_hyp();
         let strategy = MegaflowStrategy::wildcarding(table.schema());
-        let mut cache = TupleSpace::new(table.schema().clone());
-        let g = generate_megaflow(&table, &cache, &hyp_key(0b111), &strategy).unwrap();
-        cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-        // 101 is covered by the (1**, deny) entry.
-        let err = generate_megaflow(&table, &cache, &hyp_key(0b101), &strategy);
-        let verdict = table.lookup(&hyp_key(0b101)).unwrap();
-        assert_eq!(err, Err(GenerationError::AlreadyCovered(verdict)));
+        let mut cache = populate(&table, &strategy, &[hyp_key(0b111)]);
+        // 101 is covered by the (1**, deny) entry, which is its own megaflow: the cache
+        // refuses it, naming that entry.
+        let (verdict, mask) = examined_megaflow(&table, &hyp_key(0b101), &strategy).unwrap();
+        assert_eq!(verdict, table.lookup(&hyp_key(0b101)).unwrap());
+        let refused = cache.insert(hyp_key(0b101), mask.clone(), verdict.action, 0.0);
+        let existing = Box::new((hyp_key(0b100), mask));
+        assert_eq!(refused, Err(InsertError::Overlap { existing }));
     }
 
     #[test]
     fn empty_table_is_an_error() {
         let schema = FieldSchema::hyp();
         let table = FlowTable::new(schema.clone());
-        let cache = TupleSpace::new(schema.clone());
-        let err = generate_megaflow(
-            &table,
-            &cache,
-            &hyp_key(0),
-            &MegaflowStrategy::wildcarding(&schema),
-        );
-        assert_eq!(err, Err(GenerationError::NoMatchingRule));
+        let strategy = MegaflowStrategy::wildcarding(&schema);
+        assert_eq!(examined_megaflow(&table, &hyp_key(0), &strategy), None);
     }
 
     #[test]

@@ -1206,9 +1206,10 @@ impl TupleSpace {
     /// * **Inv(1) Cover** is the caller's responsibility (the generation strategy always
     ///   derives `key` from the header that sparked the entry);
     /// * **Inv(2) Independence** is checked here: inserting an entry that overlaps an
-    ///   existing one returns [`InsertError::Overlap`] with the entry
-    ///   [`Self::find_conflict`] reports (a real OVS bug class this reproduction treats
-    ///   as a hard error; the slow path narrows the entry by it and tries again).
+    ///   existing one returns [`InsertError::Overlap`] naming that entry — of the first
+    ///   tuple in probe order that holds one, its smallest overlapping key. Megaflows of
+    ///   one table are equal or disjoint, so the slow path answers a refused upcall with
+    ///   the table's verdict and installs nothing.
     ///
     /// It is one walk of the lane: the Inv(2) check finds the tuple of the entry's mask
     /// on its way, and the key is hashed once — by that walk, where it probed the tuple.
@@ -1271,29 +1272,20 @@ impl TupleSpace {
         Ok(())
     }
 
-    /// Find an existing entry that overlaps a prospective `(key, mask)` entry, i.e. one
-    /// that would violate the Independence invariant. `key` is the entry's key as it
-    /// would be stored, `key AND mask` — every caller holds it in that form. Returns the
-    /// conflicting entry's key and mask: of the first tuple in probe order that holds
-    /// one, its smallest overlapping key.
-    ///
-    /// This is the primitive the slow-path megaflow generation uses to decide which extra
-    /// bits to un-wildcard (§3.2): while a conflict exists, the generator narrows the new
-    /// entry. [`TupleSpace::insert`] answers the same question on the same walk of the
-    /// lane, and reports the same entry when it refuses one.
-    ///
-    /// The `conflict_index_agrees_with_full_scan` unit test (every query of the 3-bit
-    /// space) and the `find_conflict_matches_the_entry_scan_across_mutations` proptest
-    /// (a 128-bit field, through every mutator, `insert` included) pin this path to the
-    /// index-less entry scan.
-    pub fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
+    /// The entry a prospective `(key AND mask, mask)` entry overlaps, as
+    /// [`Self::insert`] would name it, without inserting: the unit tests' view of the
+    /// Inv(2) walk, which `conflict_index_agrees_with_full_scan` (every query of the
+    /// 3-bit space) and `find_conflict_matches_the_entry_scan_across_mutations` (a
+    /// 128-bit field, through every mutator) pin to the index-less entry scan.
+    #[cfg(test)]
+    fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
         let conflict = self.walk_for(key, mask, &Plan::of(mask)).err();
         conflict.map(|e| (e.key.clone(), e.mask.clone()))
     }
 
     /// The one walk of the lane for a prospective entry `(key, mask)`, `key` stored
     /// masked and `plan` compiled from `mask`: `Err` with the entry it overlaps, as
-    /// [`Self::find_conflict`] reports it, or else where in the lane the tuple of `mask`
+    /// [`Self::insert`] reports it, or else where in the lane the tuple of `mask`
     /// is, if one is resident, and the key's hash under `mask` if the walk took it.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
@@ -1311,7 +1303,7 @@ impl TupleSpace {
     ///   `mask` itself is one of these, and its probe's hash is the key's;
     /// * an incomparable tuple falls back to an entry scan — but since most tuples
     ///   were already excluded by their agreement, the common no-conflict case of
-    ///   megaflow generation never reaches it.
+    ///   an install never reaches it.
     ///
     /// The tuple of `mask` is found whether or not its agreement excludes the key: the
     /// plan words that test reads are the ones that say whose mask it is.
@@ -1357,8 +1349,8 @@ impl TupleSpace {
                 }
             } else {
                 // Report the smallest conflicting key, not the first stored: the
-                // generation strategy narrows wildcards against the returned conflict,
-                // so the choice must not depend on the order entries arrived in.
+                // refused insert names it, and the name must not depend on the order
+                // entries arrived in.
                 let conflict = tuple
                     .iter()
                     .filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask))

@@ -1,14 +1,15 @@
-//! `generate_megaflow` against the construction it replaced (`per_bit_reference`). The
+//! `examined_megaflow` against the construction it replaced (`per_bit_reference`). The
 //! megaflow mask is the record of the bits examined on the way to the verdict, so the
 //! one-walk, word-arithmetic generation must produce the same mask bit for bit — on
-//! tables with priority ties, partial masks and a 128-bit field, under every strategy,
-//! against a cache that fills as the headers arrive.
+//! tables with priority ties, partial masks and a 128-bit field, under every strategy.
+//!
+//! And the lemma Inv(2) rests on: every header inside a header's megaflow walks to the
+//! same rule and the same mask, so two megaflows of one table are equal or disjoint.
 
 use proptest::prelude::*;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::{Action, Rule};
-use tse_classifier::strategy::{generate_megaflow, MegaflowStrategy};
-use tse_classifier::tss::TupleSpace;
+use tse_classifier::strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
 use tse_packet::fields::{FieldDef, FieldSchema, Key};
 
 mod per_bit_reference;
@@ -63,19 +64,13 @@ proptest! {
         table.push(Rule::match_all(&schema, 0, Action::Deny));
 
         for strategy in strategies(&schema) {
-            let mut cache = TupleSpace::new(schema.clone());
             for &h in &headers {
                 let h = key(&schema, h);
                 prop_assert_eq!(table.lookup(&h), linear_scan(&table, &h));
-                let got = generate_megaflow(&table, &cache, &h, &strategy);
-                let want = reference_generate(&table, |k, m| cache.find_conflict(k, m), &h, &strategy);
-                prop_assert_eq!(&got, &want,
+                prop_assert_eq!(examined_megaflow(&table, &h, &strategy),
+                                reference_generate(&table, &h, &strategy),
                                 "header {} under {:?}", h, strategy);
-                if let Ok(g) = got {
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-                }
             }
-            prop_assert!(cache.check_independence());
         }
     }
 }
@@ -139,7 +134,6 @@ proptest! {
         table.push(Rule::match_all(&schema, 0, Action::Deny));
 
         for strategy in strategies(&schema) {
-            let mut cache = TupleSpace::new(schema.clone());
             for &(at, (bit, other_bit, flips), port, w) in &headers {
                 // A clause's own destination, 0–2 bits flipped.
                 let mut d = dst(clauses[at % clauses.len()].0);
@@ -148,15 +142,54 @@ proptest! {
                 }
                 let h = Key::from_values(&schema, &[u128::from(d), port, wide(w)]);
                 prop_assert_eq!(table.lookup(&h), linear_scan(&table, &h));
-                let got = generate_megaflow(&table, &cache, &h, &strategy);
-                let want = reference_generate(&table, |k, m| cache.find_conflict(k, m), &h, &strategy);
-                prop_assert_eq!(&got, &want,
+                prop_assert_eq!(examined_megaflow(&table, &h, &strategy),
+                                reference_generate(&table, &h, &strategy),
                                 "header {} under {:?}", h, strategy);
-                if let Ok(g) = got {
-                    cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The lemma on every header of two 4-bit fields: random tables of rules with
+    /// arbitrary masks and priorities, a DefaultDeny in two cases of three, under
+    /// bit-level, exact, chunked and per-field strategies. Each header's megaflow is
+    /// computed once; every header inside it must have the same one.
+    #[test]
+    fn every_header_inside_a_megaflow_walks_to_its_rule_and_mask(
+        rules in proptest::collection::vec((0u128..256, 0u128..256, 0u32..4), 0..10),
+        open in 0u32..3,
+    ) {
+        let schema = FieldSchema::new(vec![FieldDef::new("a", 4), FieldDef::new("b", 4)]);
+        let key = |v: u128| Key::from_values(&schema, &[v >> 4, v & 15]);
+        let bits = |k: &Key| k.get(0) << 4 | k.get(1);
+        let mut table = FlowTable::new(schema.clone());
+        for &(k, m, priority) in &rules {
+            let action = if priority % 2 == 0 { Action::Allow } else { Action::Deny };
+            table.push(Rule::new(key(k & m), key(m), priority, action));
+        }
+        if open != 0 {
+            table.push(Rule::match_all(&schema, 0, Action::Deny));
+        }
+        let strategies = [
+            MegaflowStrategy::wildcarding(&schema),
+            MegaflowStrategy::exact_match(&schema),
+            MegaflowStrategy::chunked(&schema, 3),
+            MegaflowStrategy::per_field(vec![FieldStrategy::Exact, FieldStrategy::BitLevel]),
+        ];
+        for strategy in &strategies {
+            let megaflows: Vec<_> = (0..256)
+                .map(|h| examined_megaflow(&table, &key(h), strategy))
+                .collect();
+            for (h, megaflow) in megaflows.iter().enumerate() {
+                let Some((_, mask)) = megaflow else { continue };
+                let mask = bits(mask) as usize;
+                for inside in (0..256).filter(|g| g & mask == h & mask) {
+                    prop_assert_eq!(&megaflows[inside], megaflow,
+                                    "{:08b} inside {:08b}/{:08b} under {:?}",
+                                    inside, h, mask, strategy);
                 }
             }
-            prop_assert!(cache.check_independence());
         }
     }
 }

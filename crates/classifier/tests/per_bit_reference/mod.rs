@@ -7,9 +7,7 @@
 use std::cmp::Reverse;
 
 use tse_classifier::flowtable::{FlowTable, TableMatch};
-use tse_classifier::strategy::{
-    FieldStrategy, GeneratedMegaflow, GenerationError, MegaflowStrategy,
-};
+use tse_classifier::strategy::{FieldStrategy, MegaflowStrategy};
 use tse_packet::fields::{FieldSchema, Key, Mask};
 
 /// The slow path's verdict by a plain scan: stable sort by decreasing priority, first
@@ -71,17 +69,15 @@ fn expand_mask_field(
     }
 }
 
-/// The matched rule's mask, per-bit narrowing against every higher-priority rule, then
-/// the conflict safety net, narrowing by each entry `find_conflict` names for the
-/// candidate `(key, mask)` until it names none.
+/// The verdict and the megaflow's mask: the matched rule's mask, then per-bit narrowing
+/// against every higher-priority rule. `None` if no rule matches.
 pub fn reference_generate(
     table: &FlowTable,
-    find_conflict: impl Fn(&Key, &Mask) -> Option<(Key, Mask)>,
     header: &Key,
     strategy: &MegaflowStrategy,
-) -> Result<GeneratedMegaflow, GenerationError> {
+) -> Option<(TableMatch, Mask)> {
     let schema = table.schema();
-    let matched = linear_scan(table, header).ok_or(GenerationError::NoMatchingRule)?;
+    let matched = linear_scan(table, header)?;
     let rule = &table.rules()[matched.rule_index];
 
     let mut mask = schema.empty_mask();
@@ -116,39 +112,5 @@ pub fn reference_generate(
         }
     }
 
-    let total_bits = schema.total_width();
-    let mut iterations = 0;
-    loop {
-        let key = header.apply_mask(&mask);
-        match find_conflict(&key, &mask) {
-            None => {
-                return Ok(GeneratedMegaflow {
-                    key,
-                    mask,
-                    action: matched.action,
-                    rule_index: matched.rule_index,
-                });
-            }
-            Some((conflict_key, conflict_mask)) => {
-                iterations += 1;
-                if iterations > total_bits {
-                    return Err(GenerationError::CannotDisambiguate);
-                }
-                let mut added = false;
-                'outer: for f in 0..schema.field_count() {
-                    let candidate_bits =
-                        conflict_mask.get(f) & !mask.get(f) & (header.get(f) ^ conflict_key.get(f));
-                    if candidate_bits != 0 {
-                        let bit = 127 - candidate_bits.leading_zeros();
-                        mask.set(f, mask.get(f) | expand_bit(strategy, schema, f, bit));
-                        added = true;
-                        break 'outer;
-                    }
-                }
-                if !added {
-                    return Err(GenerationError::AlreadyCovered(matched));
-                }
-            }
-        }
-    }
+    Some((matched, mask))
 }

@@ -5,10 +5,10 @@
 //! headers instead of trusting the bit tricks under test. After every operation the
 //! cache must report the model's probe order and hit counts, the model's action *and*
 //! `masks_scanned`, and a first hit (`peek`) equal to the model's any-hit — Alg. 1's
-//! early exit checked against Inv(2) — and `find_conflict` must answer every
-//! prospective `(key, mask)` as a full scan of the model's entries does, so the
-//! per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are pinned
-//! too.
+//! early exit checked against Inv(2) — and `insert` must refuse every prospective
+//! `(key, mask)` exactly where a full scan of the model's entries finds an overlap, so
+//! the per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are
+//! pinned too.
 //! A run of headers through `TupleSpace::lookup_run` must answer as the model's
 //! lookups on each header in turn, up to and including the first miss, and leave the same
 //! counters behind.
@@ -132,20 +132,26 @@ fn check(cache: &TupleSpace, model: &Model, step: usize) -> Result<(), TestCaseE
         "{at}: entries()"
     );
     prop_assert!(cache.check_independence(), "{at}: Inv(2)");
-    // The conflict index against the model's full entry scan, for every prospective
-    // entry: a conflict exists iff some header would match both.
+    // The Inv(2) check against the model's full entry scan, for every prospective
+    // entry offered to a copy of the cache (a fresh one after each it takes): refused
+    // iff some header would match both.
     let taken: Vec<u32> = model
         .entries
         .iter()
         .map(|e| footprint(bits_of(&e.key), bits_of(&e.mask)))
         .collect();
+    let mut copy = cache.clone();
     for mask in 0..HEADERS {
         for key in (0..HEADERS).filter(|key| key & !mask == 0) {
             let new = footprint(key, mask);
+            let refused = copy.insert(fv(key), fv(mask), Action::Deny, 0.0).is_err();
+            if !refused {
+                copy = cache.clone();
+            }
             prop_assert_eq!(
-                cache.find_conflict(&fv(key), &fv(mask)).is_some(),
+                refused,
                 taken.iter().any(|t| t & new != 0),
-                "{}: find_conflict({:05b}/{:05b})",
+                "{}: insert({:05b}/{:05b})",
                 at,
                 key,
                 mask

@@ -40,7 +40,7 @@ pub fn allow_exact_fields(table: &FlowTable) -> Vec<usize> {
 mod tests {
     use super::*;
     use tse_classifier::flowtable::FlowTable;
-    use tse_classifier::strategy::{generate_megaflow, MegaflowStrategy};
+    use tse_classifier::strategy::{examined_megaflow, MegaflowStrategy};
     use tse_classifier::tss::TupleSpace;
     use tse_packet::fields::{FieldSchema, Key};
 
@@ -54,9 +54,8 @@ mod tests {
             if cache.lookup(&h, 0.0).action.is_some() {
                 continue;
             }
-            if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
-                cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-            }
+            let (verdict, mask) = examined_megaflow(&table, &h, &strategy).unwrap();
+            cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
         }
         (table, cache)
     }

@@ -3,9 +3,7 @@
 
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
-use tse_classifier::strategy::{
-    examined_megaflow, generate_megaflow, install_megaflow, GenerationError, MegaflowStrategy,
-};
+use tse_classifier::strategy::{examined_megaflow, MegaflowStrategy};
 use tse_classifier::tss::TupleSpace;
 use tse_packet::fields::Key;
 
@@ -125,27 +123,24 @@ impl SlowPath {
 
     /// Rules walked, summed over every upcall: each upcall's one priority walk of the
     /// table adds its verdict's [`TableMatch::rules_inspected`] — a deterministic count
-    /// of the slow path's classification work (the dry walk of a quota-exhausted upcall
-    /// repeats it and is not counted again).
+    /// of the slow path's classification work.
     ///
     /// [`TableMatch::rules_inspected`]: tse_classifier::flowtable::TableMatch::rules_inspected
     pub fn rules_walked(&self) -> u64 {
         self.rules_walked
     }
 
-    /// Handle one upcall: classify `header` against `table`, generate a megaflow under
-    /// the Cover/Independence invariants and install it into `cache` (unless the matched
-    /// rule is suppressed or the header is already covered).
+    /// Handle one upcall: classify `header` against `table` and install the megaflow its
+    /// walk examined into `cache` (unless the matched rule is suppressed, the quota
+    /// window is exhausted or the cache refuses the entry).
     ///
-    /// One walk of the table gives the verdict and the widened megaflow together. A
-    /// suppressed rule's answer is that verdict alone, so nothing else runs. Otherwise
-    /// the megaflow goes straight to [`install_megaflow`]: the cache checks Inv(2) on the
-    /// walk of its probe lane that files the entry, and a refusal narrows the megaflow by
-    /// the entry it names and tries again — the entry
-    /// [`generate_megaflow`] settles on, installed without asking the cache first. Only
-    /// an upcall whose quota window is exhausted, which installs nothing, asks: its dry
-    /// `generate_megaflow` tells a would-be install, which it is charged for, from an
-    /// already-covered header.
+    /// One walk of the table gives the verdict and the widened megaflow together, and
+    /// the entry goes straight to [`TupleSpace::insert`], whose walk of the probe lane
+    /// checks Inv(2) on the way to filing it. Megaflows of one table are equal or
+    /// disjoint, so a refusal means an entry already covers `header` — or was made by
+    /// another table under a cache nobody flushed — and the upcall is answered with the
+    /// table's verdict, nothing installed. An upcall whose quota window is exhausted is
+    /// charged only where no entry covers `header`, where it would have installed.
     pub fn handle_upcall(
         &mut self,
         table: &FlowTable,
@@ -168,26 +163,22 @@ impl SlowPath {
         if self.install_quota == Some(0) {
             // Quota window exhausted: classify, but install nothing — the packet (and
             // every sibling behind it) keeps paying the slow-path price until the quota
-            // is re-armed. Only real would-be installs are charged, not already-covered
-            // upcalls.
-            match generate_megaflow(table, cache, header, &self.strategy) {
-                Ok(_) => self.quota_denied_upcalls += 1,
-                Err(GenerationError::AlreadyCovered(_)) => {}
-                Err(_) => return None,
+            // is re-armed.
+            if cache.peek(header).is_none() {
+                self.quota_denied_upcalls += 1;
             }
             return Some(outcome);
         }
         let masks_before = cache.mask_count();
-        match install_megaflow(table, cache, header, (verdict, mask), &self.strategy, now) {
-            Ok(_) => {
-                outcome.installed = true;
-                outcome.new_mask = cache.mask_count() > masks_before;
-                if let Some(quota) = &mut self.install_quota {
-                    *quota -= 1;
-                }
+        if cache
+            .insert(header.apply_mask(&mask), mask, verdict.action, now)
+            .is_ok()
+        {
+            outcome.installed = true;
+            outcome.new_mask = cache.mask_count() > masks_before;
+            if let Some(quota) = &mut self.install_quota {
+                *quota -= 1;
             }
-            Err(GenerationError::AlreadyCovered(_)) => {}
-            Err(_) => return None,
         }
         Some(outcome)
     }
@@ -200,7 +191,7 @@ mod tests {
     use tse_classifier::flowtable::FlowTable;
     use tse_classifier::rule::Rule;
     use tse_classifier::strategy::FieldStrategy;
-    use tse_packet::fields::{FieldDef, FieldSchema, Key};
+    use tse_packet::fields::{self, FieldDef, FieldSchema, Key};
 
     fn hyp(v: u128) -> Key {
         Key::from_values(&FieldSchema::hyp(), &[v])
@@ -322,9 +313,9 @@ mod tests {
         assert_eq!(sp.quota_denied_upcalls(), 0);
     }
 
-    /// With the quota armed, a header an entry already covers takes the install's
-    /// `AlreadyCovered` arm: answered with the table's verdict, nothing installed, nothing
-    /// charged — the window's one install is still there for the next new megaflow.
+    /// With the quota armed, the install of a header an entry already covers is refused:
+    /// answered with the table's verdict, nothing installed, nothing charged — the
+    /// window's one install is still there for the next new megaflow.
     #[test]
     fn refused_install_is_answered_without_charging_the_quota() {
         let table = FlowTable::fig1_hyp();
@@ -351,10 +342,11 @@ mod tests {
         assert!(allowed.is_some_and(|o| o.installed), "nothing charged");
     }
 
-    /// What `handle_upcall` did before it installed directly: generate against the
-    /// cache, then insert, under the same suppression and quota rules. Returns the
-    /// outcome and advances `(suppressed upcalls, quota-denied upcalls, quota)`; the
-    /// quota left is observed only through the outcomes it allows.
+    /// The upcall by definition, resident entries found by a scan: the megaflow the
+    /// walk examined, then suppression, then the quota, charged where no entry matches
+    /// the header, then the install, refused where an entry overlaps the megaflow.
+    /// Returns the outcome and advances `(suppressed upcalls, quota-denied upcalls,
+    /// quota)`; the quota left is observed only through the outcomes it allows.
     fn reference_upcall(
         table: &FlowTable,
         cache: &mut TupleSpace,
@@ -363,31 +355,31 @@ mod tests {
         suppressed: &[usize],
         counters: &mut (u64, u64, Option<u64>),
     ) -> Option<UpcallOutcome> {
-        let (action, rule_index, generated) =
-            match generate_megaflow(table, cache, header, strategy) {
-                Ok(g) => (g.action, g.rule_index, Some(g)),
-                Err(GenerationError::AlreadyCovered(m)) => (m.action, m.rule_index, None),
-                Err(_) => return None,
-            };
+        let (verdict, mask) = examined_megaflow(table, header, strategy)?;
         let mut outcome = UpcallOutcome {
-            action,
-            rule_index,
+            action: verdict.action,
+            rule_index: verdict.rule_index,
             installed: false,
             new_mask: false,
         };
-        if suppressed.contains(&rule_index) {
+        if suppressed.contains(&verdict.rule_index) {
             counters.0 += 1;
             return Some(outcome);
         }
-        let Some(g) = generated else {
-            return Some(outcome);
-        };
         if counters.2 == Some(0) {
-            counters.1 += 1;
+            let covered = cache.entries().any(|e| header.apply_mask(&e.mask) == e.key);
+            counters.1 += u64::from(!covered);
+            return Some(outcome);
+        }
+        let key = header.apply_mask(&mask);
+        if cache
+            .entries()
+            .any(|e| !fields::disjoint(&key, &mask, &e.key, &e.mask))
+        {
             return Some(outcome);
         }
         let masks = cache.mask_count();
-        cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
+        cache.insert(key, mask, verdict.action, 0.0).unwrap();
         outcome.installed = true;
         outcome.new_mask = cache.mask_count() > masks;
         if let Some(quota) = &mut counters.2 {
@@ -397,12 +389,12 @@ mod tests {
     }
 
     proptest! {
-        /// `handle_upcall` against the reference it replaced, on two random tables of
-        /// prioritised allow/deny rules over two 4-bit fields, each header classified by
-        /// one of them against the one cache — a table replaced under a cache nobody
-        /// flushed. Megaflows of one table never overlap (each records the bits its walk
-        /// examined, and two walks part on a bit both examine); across the two they do, so
-        /// installs are refused and narrowed. A rule may be suppressed, and a quota may
+        /// `handle_upcall` against the reference, on two random tables of prioritised
+        /// allow/deny rules over two 4-bit fields, each header classified by one of them
+        /// against the one cache — a table replaced under a cache nobody flushed.
+        /// Megaflows of one table never overlap (each records the bits its walk examined,
+        /// and two walks part on a bit both examine); across the two they do, so installs
+        /// are refused and the upcall answered. A rule may be suppressed, and a quota may
         /// run out part-way. Every header is looked up on both caches first, as the
         /// datapath does, then upcalled whether it hit or not: the same outcomes, the same
         /// counters, and the same caches, hit counts included.

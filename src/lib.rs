@@ -296,7 +296,7 @@ pub use tse_switch as switch;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use tse_attack::bounds::{multi_field_bound, single_field_curve};
-    pub use tse_attack::colocated::{bit_inversion_keys, bit_inversion_list, BitInversionKeys};
+    pub use tse_attack::colocated::{bit_inversion_keys, BitInversionKeys};
     pub use tse_attack::expectation::ExpectationModel;
     pub use tse_attack::general::RandomKeys;
     pub use tse_attack::scenarios::Scenario;
@@ -308,7 +308,7 @@ pub mod prelude {
     pub use tse_classifier::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSearch};
     pub use tse_classifier::flowtable::FlowTable;
     pub use tse_classifier::rule::{Action, Rule};
-    pub use tse_classifier::strategy::{generate_megaflow, FieldStrategy, MegaflowStrategy};
+    pub use tse_classifier::strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
     pub use tse_classifier::tss::{MaskOrdering, TupleSpace};
     pub use tse_mitigation::defenses::{AdaptiveRekey, MaskCap, RssKeyRandomizer, UpcallLimiter};
     pub use tse_mitigation::guard::{GuardConfig, GuardMitigation, GuardReport, MfcGuard};

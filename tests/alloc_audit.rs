@@ -15,8 +15,8 @@
 //! per-source runs or 2N, because the interval crosses the executor once. The wire
 //! ingress is held to zero outright: a warm `extract_keys_into` and a warm
 //! `Encap::encode_into` (every envelope) allocate nothing. So is the slow path's
-//! generation: a warm `generate_megaflow` against the gateway's 1001-rule table and a
-//! populated cache allocates nothing. So are the cache's writes: a warm upcall whose
+//! generation: a warm `examined_megaflow` against the gateway's 1001-rule table
+//! allocates nothing. So are the cache's writes: a warm upcall whose
 //! megaflow joins a tuple with room to spare, a warm expiry sweep of a large tuple, warm
 //! churn — a block of installs, then a sweep that expires a block — of a tuple four
 //! blocks long, a warm `remove_where` out of the middle of a long tuple, and a warm idle
@@ -261,10 +261,9 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
          (600 events each: {m_small} allocs, 1200 events each: {m_big})"
     );
 
-    // --- Megaflow generation: a warm upcall allocates nothing. ---
-    // The gateway's 1001-rule merged table against a cache its traffic has populated:
-    // the priority walk records the bits it examines in a stack array, widening fills
-    // an inline mask, and the conflict check reads the agreement words in the plan slab.
+    // --- Megaflow generation: a warm table walk allocates nothing. ---
+    // The gateway's 1001-rule merged table: the priority walk records the bits it
+    // examines in a stack array, and widening fills an inline mask.
     let fleet = TenantFleet::new(&schema, FleetConfig::default());
     let table = fleet.table();
     let strategy = MegaflowStrategy::wildcarding(&schema);
@@ -279,25 +278,14 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
         h.set(tp_dst, port);
         h
     };
-    let mut cache = TupleSpace::new(schema.clone());
-    let benign = (0..fleet.config().tenants)
-        .step_by(7)
-        .flat_map(|tenant| [80, 443, 8080].map(|port| header(tenant, port)));
-    let attack = bit_inversion_keys(&schema, &[(tp_dst, 80)], &header(3, 80)).take(16);
-    for h in benign.chain(attack) {
-        if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
-            cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-        }
-    }
-    assert!(cache.mask_count() >= 16, "{} masks", cache.mask_count());
     let fresh = header(fleet.config().tenants / 2 + 1, 9999);
-    assert!(generate_megaflow(&table, &cache, &fresh, &strategy).is_ok());
+    assert!(examined_megaflow(&table, &fresh, &strategy).is_some());
     let g_allocs = allocations_during(|| {
-        std::hint::black_box(generate_megaflow(&table, &cache, &fresh, &strategy)).ok();
+        std::hint::black_box(examined_megaflow(&table, &fresh, &strategy));
     });
     assert_eq!(
         g_allocs, 0,
-        "warm generate_megaflow must be allocation-free"
+        "warm examined_megaflow must be allocation-free"
     );
 
     // --- The cache's writes: a warm install and a warm sweep allocate nothing. ---

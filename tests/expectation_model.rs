@@ -66,9 +66,8 @@ fn chunked_strategies_respect_theorem_bound() {
             if cache.lookup(&h, 0.0).action.is_some() {
                 continue;
             }
-            if let Ok(g) = generate_megaflow(&table, &cache, &h, &strategy) {
-                cache.insert(g.key, g.mask, g.action, 0.0).unwrap();
-            }
+            let (verdict, mask) = examined_megaflow(&table, &h, &strategy).unwrap();
+            cache.insert(h.clone(), mask, verdict.action, 0.0).unwrap();
         }
         let k = width.div_ceil(chunk);
         // Deny-side entries must be at least the Theorem 4.1 lower bound for this k.

@@ -5,20 +5,22 @@
 //! linear scan of the flow table (`per_bit_reference::linear_scan`). The megaflow cache
 //! is a flat list of `(mask, entries)` pairs, newest mask first and each pair's entries
 //! in insertion order, probed pair by pair (Alg. 1). A miss installs the megaflow
-//! `per_bit_reference::reference_generate` builds against that list. Idle expiry is
-//! checked per event (a 1 s sweep, a 10 s timeout), suppressed rules are carried across
-//! table installs by rule equality, and each packet is priced by
-//! `CostModel::ovs_kernel_default`, summed in event order per shard. The model has no
-//! index, no shards and no executor: a sharded datapath is compared against one oracle
-//! per shard, each event routed by `shard_of_key`.
+//! `per_bit_reference::reference_generate` builds, unless it overlaps an entry of the
+//! list — which, on a run of one table, it never does. Idle expiry is checked per event
+//! (a 1 s sweep, a 10 s timeout), suppressed rules are carried across table installs by
+//! rule equality, and each packet is priced by `CostModel::ovs_kernel_default`, summed
+//! in event order per shard. The model has no index, no shards and no executor: a
+//! sharded datapath is compared against one oracle per shard, each event routed by
+//! `shard_of_key`.
 //!
 //! Compared: each `process_key`'s action, path, masks scanned and cost bits; each batch's
 //! per-shard `BatchReport`; every shard's entry list after every step; Inv(2) on every
-//! shard after every mutation. Inv(1) and Alg. 1's first-hit correctness are asserted
-//! inside the model. `tests/golden_runner_parity.rs` pins what the runner makes of it all.
+//! shard after every mutation. The model checks that no install of a one-table run met
+//! an overlapping entry after every step; Inv(1) holds by its construction, and Alg. 1's
+//! first-hit correctness is asserted inside it. `tests/golden_runner_parity.rs` pins what
+//! the runner makes of it all.
 
 use proptest::prelude::*;
-use tse::classifier::strategy::GenerationError;
 use tse::classifier::tss::MegaflowEntry;
 use tse::mitigation::allow_exact_fields;
 use tse::packet::fields;
@@ -47,6 +49,8 @@ struct OracleSwitch {
     cache: Cache,
     /// Rules whose megaflows are never installed.
     suppressed: Vec<Rule>,
+    /// Installs refused for overlapping a resident entry: only a stale table makes one.
+    overlaps: usize,
     last_sweep: f64,
 }
 
@@ -61,6 +65,7 @@ impl OracleSwitch {
             classifier: kind != FastPathKind::Tss,
             cache: Vec::new(),
             suppressed: Vec::new(),
+            overlaps: 0,
             last_sweep: 0.0,
         }
     }
@@ -109,34 +114,34 @@ impl OracleSwitch {
     }
 
     /// The slow path: the table's verdict and whether a megaflow was installed; `None`
-    /// where no rule matches or no disjoint megaflow exists.
+    /// where no rule matches. A megaflow that overlaps a resident entry is not.
     fn upcall(&mut self, header: &Key, now: f64) -> Option<(Action, bool)> {
-        let verdict = linear_scan(&self.table, header)?;
+        let (verdict, mask) = reference_generate(&self.table, header, &self.strategy)?;
         if self
             .suppressed
             .contains(&self.table.rules()[verdict.rule_index])
         {
             return Some((verdict.action, false));
         }
-        let cache = &self.cache;
-        let conflict = |key: &Key, mask: &Mask| find_conflict(cache, key, mask);
-        let g = match reference_generate(&self.table, conflict, header, &self.strategy) {
-            Ok(g) => g,
-            Err(GenerationError::AlreadyCovered(_)) => return Some((verdict.action, false)),
-            Err(_) => return None,
-        };
-        assert_eq!(header.apply_mask(&g.mask), g.key, "Inv(1)");
+        let key = header.apply_mask(&mask);
+        if self
+            .entries()
+            .any(|e| !fields::disjoint(&key, &mask, &e.key, &e.mask))
+        {
+            self.overlaps += 1;
+            return Some((verdict.action, false));
+        }
         let entry = MegaflowEntry {
-            key: g.key,
-            mask: g.mask.clone(),
-            action: g.action,
+            key,
+            mask: mask.clone(),
+            action: verdict.action,
             hits: 0,
             last_used: now,
             installed_at: now,
         };
-        match self.cache.iter_mut().find(|(mask, _)| *mask == g.mask) {
+        match self.cache.iter_mut().find(|(m, _)| *m == mask) {
             Some((_, entries)) => entries.push(entry),
-            None => self.cache.insert(0, (g.mask, vec![entry])),
+            None => self.cache.insert(0, (mask, vec![entry])),
         }
         Some((verdict.action, true))
     }
@@ -167,17 +172,6 @@ impl OracleSwitch {
     fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
         self.cache.iter().flat_map(|(_, entries)| entries)
     }
-}
-
-/// The entry a prospective `(key, mask)` overlaps: of the first pair in probe order that
-/// holds one, the smallest overlapping key.
-fn find_conflict(cache: &Cache, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
-    let e = cache.iter().find_map(|(_, entries)| {
-        let overlapping = entries.iter();
-        let overlapping = overlapping.filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask));
-        overlapping.min_by(|a, b| a.key.cmp(&b.key))
-    })?;
-    Some((e.key.clone(), e.mask.clone()))
 }
 
 /// One step of a differential run.
@@ -285,6 +279,7 @@ fn differential(
             let (got, want): (Vec<_>, Vec<_>) =
                 (cache.entries().collect(), oracle.entries().collect());
             assert_eq!(got, want, "{}: shard {s}'s entries", at(step));
+            assert_eq!(oracle.overlaps, 0, "{}: shard {s} met an overlap", at(step));
             if mutation {
                 assert!(cache.check_independence(), "{}: Inv(2)", at(step));
             }
@@ -481,9 +476,9 @@ fn every_short_hyp_sequence_matches_the_oracle() {
 proptest! {
     /// A cache filled under one table meets upcalls classified by another, with no flush
     /// between: the window between a table change and revalidation, on the two-field
-    /// HYP+HYP2 schema. Megaflows of two tables overlap, so installs are narrowed by the
-    /// entries they conflict with. Every header is looked up, then upcalled whether it
-    /// hit or not.
+    /// HYP+HYP2 schema. Megaflows of two tables overlap, so installs are refused and the
+    /// upcall answered with the table's verdict. Every header is looked up, then upcalled
+    /// whether it hit or not.
     #[test]
     fn stale_table_upcalls_match_the_oracle(
         rules in proptest::collection::vec((0u128..128, 0u128..128, 0u32..8, 0usize..2), 1..12),
