@@ -11,6 +11,12 @@
 //! gives this implementation's nanoseconds per mask scanned — the number the cost model's
 //! `per_mask` stands in for — and the fixed cost is the one-mask miss less one mask. The
 //! times are advisory rows; how many masks each miss scanned is a deterministic one.
+//!
+//! The write side of the same explosions: what each use case's installs cost the Inv(2)
+//! walk of `TupleSpace::insert`, as its deterministic work counts (walks, lane records
+//! tested, plan words read off the slab, tuples entry-scanned), and in host time, SipDp's
+//! explosion built from an empty datapath per upcall — the figure-level twin of the
+//! benchmark's `classifier.insert_ns` — as an advisory row.
 
 use std::hint::black_box;
 
@@ -83,12 +89,15 @@ fn main() {
     header.push("FCT 1GB GRO OFF [s]");
     let mut rows = Vec::new();
     let mut per_case = Vec::new();
-    // Per use case: how many masks a missed lookup scanned, and its host nanoseconds.
+    // Per use case: how many masks a missed lookup scanned, and its host nanoseconds;
+    // what its installs' walks did.
     let mut misses = Vec::new();
+    let mut installs = Vec::new();
     for scenario in Scenario::ALL {
         let (dp, header) = exploded(scenario);
         let masks = dp.mask_count();
         per_case.push((scenario, masks));
+        installs.push((scenario.name(), dp.megaflow().install_work()));
         let mut cache = dp.megaflow().clone();
         let scanned = cache.lookup(&header, 0.0).masks_scanned;
         let ns = fig.host_ns(PROBES_PER_ROUND / scanned.max(1), || {
@@ -148,6 +157,32 @@ fn main() {
         "fit: {ns_per_mask:.2} ns per mask + {fixed_ns:.0} ns, R² {r2:.4} (the cost model charges {modelled:.0} ns per mask)"
     );
 
+    println!("\n== The Inv(2) walk of each install, summed over the explosion ==\n");
+    let rows: Vec<Vec<String>> = installs
+        .iter()
+        .map(|(name, w)| {
+            let counts = [w.walks, w.records, w.slab_reads, w.entry_scans];
+            let mut row = vec![name.to_string()];
+            row.extend(counts.iter().map(u64::to_string));
+            row
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["use case", "walks", "records", "slab reads", "entry scans"],
+            &rows
+        )
+    );
+    // The explosion whose installs the benchmark's insert drill times, from scratch.
+    let upcalls = exploded(Scenario::SipDp).0.stats().upcalls;
+    let ns_per_upcall = fig.host_ns(1, || {
+        black_box(exploded(black_box(Scenario::SipDp)));
+    }) / upcalls.max(1) as f64;
+    println!(
+        "SipDp from an empty datapath: {ns_per_upcall:.0} host ns per upcall ({upcalls} upcalls)"
+    );
+
     let gro_off = OffloadConfig::gro_off();
     for (scenario, masks) in per_case {
         let name = scenario.name();
@@ -164,6 +199,16 @@ fn main() {
             scanned as f64,
         );
     }
+    for (name, w) in installs {
+        for (row, unit, count) in [
+            ("walks", "walks", w.walks),
+            ("records", "records", w.records),
+            ("slab_reads", "records", w.slab_reads),
+            ("entry_scans", "tuples", w.entry_scans),
+        ] {
+            fig.row(&format!("{name}/work/install_{row}"), unit, count as f64);
+        }
+    }
     fig.advisory(Metric::wall(
         "lookup/ns_per_mask",
         "ns_per_mask_wall",
@@ -171,5 +216,10 @@ fn main() {
     ));
     fig.advisory(Metric::wall("lookup/fixed_ns", "ns_wall", fixed_ns));
     fig.advisory(Metric::wall("lookup/fit_r2", "r2", r2).higher_is_better());
+    fig.advisory(Metric::wall(
+        "install/ns_per_upcall",
+        "ns_wall",
+        ns_per_upcall,
+    ));
     fig.finish();
 }

@@ -36,7 +36,9 @@ pub use flowtable::{FlowTable, TableMatch};
 pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
 pub use strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
-pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, SweepWork, TupleSpace};
+pub use tss::{
+    InsertError, InstallWork, LookupOutcome, MaskOrdering, MegaflowEntry, SweepWork, TupleSpace,
+};
 
 use tse_packet::fields::Key;
 

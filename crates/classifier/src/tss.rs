@@ -11,10 +11,11 @@
 //! hit needs, in three parts:
 //!
 //! * the **probe lane**, one 64-byte record per tuple, a cache line each, held in probe
-//!   order — position in the lane *is* Alg. 1's scan order. A record carries the tuple's
-//!   hit counter, where its plan words sit in the slab, which tuple it stands for, a
-//!   64-bit **miss filter** (one bit per resident key, chosen by the top six bits of the
-//!   key's hash), and a copy of the agreement (below) of its plan's first two words;
+//!   order — position in the lane *is* Alg. 1's scan order. A record carries where the
+//!   tuple's plan words sit in the slab, which tuple it stands for, a 64-bit **miss
+//!   filter** (one bit per resident key, chosen by the top six bits of the key's hash), a
+//!   64-bit **fingerprint** of the plan's mask, and a copy of the agreement (below) of its
+//!   plan's first two words. A hit writes nothing of it: the hit counter is the tuple's;
 //! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
 //!   in one tuple-space-wide vector of 32-byte records. The plan is the only form the
 //!   scan reads a mask in, and it is stored once: a plan determines its mask, so finding
@@ -40,7 +41,10 @@
 //! against a stored key only where a slot's tag (the hash's high 32 bits) matches. A
 //! missed probe materialises no masked key and allocates nothing. Inv(2)'s conflict
 //! check rules tuples out with the same agreement test, restricted to the bits the
-//! prospective entry keeps.
+//! prospective entry keeps, and off the lane record alone: it reads a tuple's plan words
+//! off the slab only where the record's inline words do not rule the tuple out, or where
+//! the record's fingerprint is the prospective entry's mask's — the walk has to find that
+//! mask's tuple whether its agreement excludes the key or not.
 //!
 //! A datapath's run of consecutive hits is looked up together, up to four headers to a
 //! walk of the lane ([`TupleSpace::lookup_run`]): the run's header words are laid out
@@ -180,6 +184,8 @@ impl PlanWord {
 struct Plan {
     words: [PlanWord; 16],
     len: usize,
+    /// The [`fingerprint`] of its words, which its tuple's lane record carries.
+    fingerprint: u64,
 }
 
 impl Plan {
@@ -187,6 +193,7 @@ impl Plan {
         let mut plan = Plan {
             words: [PlanWord::default(); 16],
             len: 0,
+            fingerprint: 0,
         };
         for (word, &bits) in key_words(mask).iter().enumerate() {
             if bits != 0 {
@@ -198,6 +205,7 @@ impl Plan {
                 plan.len += 1;
             }
         }
+        plan.fingerprint = fingerprint(plan.words());
         plan
     }
 
@@ -213,6 +221,19 @@ impl Plan {
                 .zip(self.words())
                 .all(|(a, b)| (a.word, a.bits) == (b.word, b.bits))
     }
+}
+
+/// A 64-bit fingerprint of a plan's `(word, bits)` pairs, and so of its mask: equal plans
+/// print alike. The Inv(2) walk tells the tuple of a mask by it without reading the slab;
+/// two masks that collide cost the walk a slab read, never a wrong answer. Every upcall
+/// prints its mask, so it is one multiply-rotate per word, as [`masked_hash`] takes.
+fn fingerprint(words: &[PlanWord]) -> u64 {
+    words.iter().fold(0, |h, w| {
+        (h ^ w.bits)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(31)
+            ^ u64::from(w.word)
+    })
 }
 
 /// A header laid out for probing, once per lookup: every tuple's plan reads it.
@@ -369,11 +390,12 @@ const INLINE: usize = 2;
 
 /// One tuple as Alg. 1's scan reads it: a record of the probe lane, one cache line, and
 /// aligned to one (a record straddling two lines measured markedly slower). Beside the
-/// filter, the hit counter and where the tuple and its plan are, it carries a copy of
-/// the agreement of its plan's first [`INLINE`] words, so that a probe tests a header
-/// against them without reading the slab. The slab stays the agreement's one source:
-/// [`LaneRecord::sync`] copies it, wherever a mutator has rewritten the record's filter
-/// after the agreement changed.
+/// filter, the plan's fingerprint and where the tuple and its plan are, it carries a
+/// copy of the agreement of its plan's first [`INLINE`] words, so that a probe — and the
+/// Inv(2) walk — tests a key against them without reading the slab. The slab stays the
+/// agreement's one source: [`LaneRecord::sync`] copies it, wherever a mutator has
+/// rewritten the record's filter after the agreement changed. A hit reads the record and
+/// writes nothing of it: the hit counter is the tuple's.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[repr(align(64))]
 struct LaneRecord {
@@ -381,8 +403,8 @@ struct LaneRecord {
     /// recomputes it exactly; 0 marks a tuple left empty, about to be dropped). A probe
     /// whose bit is clear has missed.
     filter: u64,
-    /// Cumulative fast-path hits on this tuple, reported by [`TupleSpace::mask_usage`].
-    hits: u64,
+    /// The [`fingerprint`] of the tuple's plan, written once when the tuple is made.
+    fingerprint: u64,
     /// The first plan words' `agree` and `value`, and which header word each reads; a
     /// plan with fewer words pads with `agree = 0`, which excludes nothing.
     agree: [u64; INLINE],
@@ -419,9 +441,19 @@ impl LaneRecord {
     /// key word `w` is `word(w)`: non-zero iff those words rule every entry out.
     #[inline(always)]
     fn excludes(&self, word: impl Fn(usize) -> u64) -> u64 {
+        self.excludes_within(word, |_| !0)
+    }
+
+    /// [`Self::excludes`] on the bits `keep(w)` of key word `w` alone: non-zero iff the
+    /// inline words rule out every entry overlapping a prospective entry whose key word
+    /// `w` is `word(w)` under a mask whose word `w` is `keep(w)`. Each `agree` is within
+    /// its plan word's bits, so this is the restriction to the bits both masks keep.
+    #[inline(always)]
+    fn excludes_within(&self, word: impl Fn(usize) -> u64, keep: impl Fn(usize) -> u64) -> u64 {
         let mut excluded = 0;
         for i in 0..INLINE {
-            excluded |= (word(usize::from(self.word[i] & 15)) ^ self.value[i]) & self.agree[i];
+            let w = usize::from(self.word[i] & 15);
+            excluded |= (word(w) ^ self.value[i]) & self.agree[i] & keep(w);
         }
         excluded
     }
@@ -518,10 +550,10 @@ impl Log {
     }
 }
 
-/// One tuple off the scan's path: every entry sharing a mask and the index that finds
-/// one of them from its hash. Its plan and agreement words live in the slab, its hit
-/// counter and miss filter in its lane record; whatever hashes or folds a key in here
-/// is handed its plan words.
+/// One tuple off the scan's path: every entry sharing a mask, the index that finds one
+/// of them from its hash, and the hit counter a hit bumps beside the entry's own. Its
+/// plan and agreement words live in the slab, its miss filter and plan fingerprint in
+/// its lane record; whatever hashes or folds a key in here is handed its plan words.
 ///
 /// **Store.** The entries are a log in insertion order, each at an *offset* from the
 /// start of its oldest block: `entries` is that block, and [`Log`] the newer ones, each
@@ -564,6 +596,8 @@ struct Tuple {
     /// everything behind the old region unread. A [`Tuple::remove`] from the end of the
     /// log that drops an entry recomputes it.
     ordered: bool,
+    /// Cumulative fast-path hits on this tuple, reported by [`TupleSpace::mask_usage`].
+    hits: u64,
     /// The chunk summaries and newer blocks, once the tuple has outgrown its first chunk.
     log: Option<Box<Log>>,
 }
@@ -580,6 +614,7 @@ impl Tuple {
             base: 0,
             head: 0,
             ordered: true,
+            hits: 0,
             log: None,
         };
         let filter = tuple.push(plan, 0, first, None);
@@ -663,10 +698,12 @@ impl Tuple {
         fields::matches(header, &self.entry(offset).key, &self.mask)
     }
 
-    /// Count a fast-path hit at `now` on the entry at `offset`; returns its action. A hit
-    /// stamped before the entry's installation clears [`Tuple::ordered`].
+    /// Count a fast-path hit at `now` on the entry at `offset`, and on the tuple; returns
+    /// the entry's action. A hit stamped before the entry's installation clears
+    /// [`Tuple::ordered`].
     #[inline]
     fn hit(&mut self, offset: usize, now: f64) -> Action {
+        self.hits += 1;
         let entry = self.entry_mut(offset);
         entry.hits += 1;
         entry.last_used = now;
@@ -928,6 +965,23 @@ pub struct SweepWork {
     pub slots: u64,
 }
 
+/// Host-side work of [`TupleSpace::insert`]'s Inv(2) walks, refused inserts' too, summed
+/// over the cache's life: deterministic counts, read through
+/// [`TupleSpace::install_work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InstallWork {
+    /// Walks of the lane: one per insert.
+    pub walks: u64,
+    /// Lane records the walks tested: the whole lane, or up to the tuple of a conflict.
+    pub records: u64,
+    /// Records whose plan words the walks read off the slab: those the inline words did
+    /// not rule out, and the tuple of the entry's mask (or a fingerprint collision).
+    pub slab_reads: u64,
+    /// Tuples under a mask not within the entry's, not ruled out by their agreement,
+    /// whose entries the walks scanned.
+    pub entry_scans: u64,
+}
+
 /// The TSS megaflow cache: its probe lane, plan slab and tuples.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
@@ -945,6 +999,8 @@ pub struct TupleSpace {
     tuples: Vec<Tuple>,
     /// What the sweeps have done; see [`Self::sweep_work`].
     work: SweepWork,
+    /// What the inserts' walks have done; see [`Self::install_work`].
+    installs: InstallWork,
 }
 
 impl TupleSpace {
@@ -961,6 +1017,7 @@ impl TupleSpace {
             slab: Vec::new(),
             tuples: Vec::new(),
             work: SweepWork::default(),
+            installs: InstallWork::default(),
         }
     }
 
@@ -999,6 +1056,13 @@ impl TupleSpace {
         self.work
     }
 
+    /// The host-side work every insert's Inv(2) walk has done so far, summed: walks, lane
+    /// records tested, plan words read off the slab and tuples entry-scanned.
+    /// Deterministic, and never part of a simulated cost.
+    pub fn install_work(&self) -> InstallWork {
+        self.installs
+    }
+
     /// The tuple a lane record stands for.
     fn tuple(&self, rec: &LaneRecord) -> &Tuple {
         &self.tuples[rec.tuple as usize]
@@ -1011,7 +1075,10 @@ impl TupleSpace {
     pub fn mask_usage(&self) -> Vec<(Mask, u64)> {
         self.lane
             .iter()
-            .map(|rec| (self.tuple(rec).mask.clone(), rec.hits))
+            .map(|rec| {
+                let tuple = self.tuple(rec);
+                (tuple.mask.clone(), tuple.hits)
+            })
             .collect()
     }
 
@@ -1050,7 +1117,8 @@ impl TupleSpace {
     /// if the plan has more: a header that disagrees misses without a hash, having read
     /// for most plans the record alone. One that survives is hashed off the slab's plan
     /// words, and on a clear filter bit misses having read nothing of the tuple. It
-    /// borrows the slab and the tuples, not `self`: `lookup` scans the lane mutably.
+    /// borrows the slab and the tuples, not `self`: `lookup` writes a tuple's hit counter
+    /// while it holds the lane.
     #[inline(always)]
     fn probe(
         slab: &[PlanWord],
@@ -1089,10 +1157,9 @@ impl TupleSpace {
         let probe = Probe::new(header);
         let mut masks_scanned = 0;
         let mut action = None;
-        for rec in &mut self.lane {
+        for rec in &self.lane {
             masks_scanned += 1;
             if let Some(offset) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
-                rec.hits += 1;
                 action = Some(self.tuples[rec.tuple as usize].hit(offset, now));
                 break;
             }
@@ -1183,10 +1250,9 @@ impl TupleSpace {
                 return j + 1;
             }
             let (i, offset) = found[j];
-            let rec = &mut self.lane[i];
-            rec.hits += 1;
+            let tuple = self.lane[i].tuple as usize;
             out[j] = LookupOutcome {
-                action: Some(self.tuples[rec.tuple as usize].hit(offset, now)),
+                action: Some(self.tuples[tuple].hit(offset, now)),
                 masks_scanned: i + 1,
             };
         }
@@ -1224,11 +1290,14 @@ impl TupleSpace {
     ) -> Result<(), InsertError> {
         let key = key.apply_mask(&mask);
         let plan = Plan::of(&mask);
-        let (home, hash) = self
-            .walk_for(&key, &mask, &plan)
+        let mut installs = self.installs;
+        let walked = self
+            .walk_for(&key, &mask, &plan, &mut installs)
             .map_err(|e| InsertError::Overlap {
                 existing: Box::new((e.key.clone(), e.mask.clone())),
-            })?;
+            });
+        self.installs = installs;
+        let (home, hash) = walked?;
         let entry = MegaflowEntry {
             key,
             mask,
@@ -1255,6 +1324,7 @@ impl TupleSpace {
                 let (tuple, filter) = Tuple::new(entry, words);
                 let mut rec = LaneRecord {
                     filter,
+                    fingerprint: plan.fingerprint,
                     plan_start: plan_start as u32,
                     plan_len: plan.len as u32,
                     tuple: self.tuples.len() as u32,
@@ -1279,22 +1349,31 @@ impl TupleSpace {
     /// 128-bit field, through every mutator) pin to the index-less entry scan.
     #[cfg(test)]
     fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
-        let conflict = self.walk_for(key, mask, &Plan::of(mask)).err();
+        let mut uncounted = InstallWork::default();
+        let conflict = self
+            .walk_for(key, mask, &Plan::of(mask), &mut uncounted)
+            .err();
         conflict.map(|e| (e.key.clone(), e.mask.clone()))
     }
 
     /// The one walk of the lane for a prospective entry `(key, mask)`, `key` stored
     /// masked and `plan` compiled from `mask`: `Err` with the entry it overlaps, as
     /// [`Self::insert`] reports it, or else where in the lane the tuple of `mask`
-    /// is, if one is resident, and the key's hash under `mask` if the walk took it.
+    /// is, if one is resident, and the key's hash under `mask` if the walk took it. What
+    /// it did is added to `work`, once.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
     /// probe order, and each is first checked against its agreement words, the ones a
     /// probe tests first: a conflicting entry must agree with the new key on every bit
     /// of `M AND mask`, so a common bit on which every stored key has the other value
-    /// rules the whole tuple out. That prefilter reads the lane record and the plan
-    /// words — word-wise, without allocating — and nothing of the tuple. Only surviving
-    /// tuples are touched:
+    /// rules the whole tuple out. The lane record's inline words are tested first: a
+    /// record they rule out is passed having read that one cache line, unless its
+    /// fingerprint is `plan`'s. In an explosion that is nearly every record, so an
+    /// install costs about what a missed lookup does. A record that survives, or prints
+    /// as `plan`, has its plan words read off the slab — all of them to tell whether its
+    /// mask is within `mask`, those past the inline copy to finish the agreement test —
+    /// word-wise, without allocating, and still nothing of the tuple. Only tuples that
+    /// survive that are touched:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
     ///   **single probe** (comparable entries conflict only if they agree
@@ -1305,28 +1384,38 @@ impl TupleSpace {
     ///   were already excluded by their agreement, the common no-conflict case of
     ///   an install never reaches it.
     ///
-    /// The tuple of `mask` is found whether or not its agreement excludes the key: the
-    /// plan words that test reads are the ones that say whose mask it is.
+    /// The tuple of `mask` is found whether or not its agreement excludes the key: its
+    /// fingerprint sends it on to the plan words, and those say whose mask it is.
     fn walk_for(
         &self,
         key: &Key,
         mask: &Mask,
         plan: &Plan,
+        work: &mut InstallWork,
     ) -> Result<(Option<usize>, Option<u64>), &MegaflowEntry> {
         debug_assert_eq!(*key, key.apply_mask(mask), "the key is stored masked");
         let probe = Probe::new(key);
         let mask_words = key_words(mask);
-        let (mut home, mut home_hash) = (None, None);
+        let (mut home, mut home_hash, mut conflict) = (None, None, None);
+        let (mut records, mut slab_reads, mut entry_scans) = (self.lane.len(), 0, 0);
         for (i, rec) in self.lane.iter().enumerate() {
-            let words = &self.slab[rec.plan()];
-            // Whether the tuple's mask is within `mask`, and the bits both keep on which
-            // the key differs from every resident key: every word, without a branch.
-            let (mut comparable, mut excluded) = (true, 0);
-            for w in words {
-                let common = mask_words[usize::from(w.word & 15)] & w.bits;
-                comparable &= common == w.bits;
-                excluded |= w.excludes(probe.word(w)) & common;
+            let inline = rec.excludes_within(|w| probe.words[w], |w| mask_words[w]);
+            if inline != 0 && rec.fingerprint != plan.fingerprint {
+                continue;
             }
+            slab_reads += 1;
+            let words = &self.slab[rec.plan()];
+            // Whether the tuple's mask is within `mask`, every word; and the bits both
+            // keep on which the key differs from every resident key, the inline words'
+            // and then the tail's: without a branch.
+            let keep = |w: &PlanWord| mask_words[usize::from(w.word & 15)];
+            let comparable = words
+                .iter()
+                .fold(true, |c, w| c & (keep(w) & w.bits == w.bits));
+            let tail = &self.slab[rec.tail()];
+            let excluded = tail
+                .iter()
+                .fold(inline, |x, w| x | w.excludes(probe.word(w)) & keep(w));
             // The tuple of `mask` is comparable; whether the key is excluded from it or
             // not, it is the one the entry joins.
             let own = comparable && home.is_none() && plan.is(words);
@@ -1344,23 +1433,30 @@ impl TupleSpace {
                 if own {
                     home_hash = Some(hash);
                 }
-                if let Some(offset) = Self::find_hashed(&self.tuples, rec, hash, key) {
-                    return Err(tuple.entry(offset));
-                }
+                conflict = Self::find_hashed(&self.tuples, rec, hash, key).map(|o| tuple.entry(o));
             } else {
                 // Report the smallest conflicting key, not the first stored: the
                 // refused insert names it, and the name must not depend on the order
                 // entries arrived in.
-                let conflict = tuple
+                entry_scans += 1;
+                conflict = tuple
                     .iter()
                     .filter(|e| !fields::disjoint(key, mask, &e.key, &e.mask))
                     .min_by(|a, b| a.key.cmp(&b.key));
-                if let Some(e) = conflict {
-                    return Err(e);
-                }
+            }
+            if conflict.is_some() {
+                records = i + 1;
+                break;
             }
         }
-        Ok((home, home_hash))
+        work.walks += 1;
+        work.records += records as u64;
+        work.slab_reads += slab_reads;
+        work.entry_scans += entry_scans;
+        match conflict {
+            Some(entry) => Err(entry),
+            None => Ok((home, home_hash)),
+        }
     }
 
     /// Remove every entry for which `predicate` returns true; returns the number of
@@ -1433,7 +1529,8 @@ impl TupleSpace {
 
     /// Whether lane, slab and tuples describe one tuple space: the records name each
     /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, a record's inline agreement words are its plan's first ones, and
+    /// nothing else, a record's fingerprint is its plan's, its inline agreement words are
+    /// its plan's first ones, and
     /// each tuple is [`Tuple::consistent`] with its plan words and its record's filter.
     /// What debug builds assert after every mutation. It allocates nothing, so that the
     /// allocation audit can hold a warm mutation, this check included, to zero.
@@ -1460,13 +1557,15 @@ impl TupleSpace {
             && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
             && self.lane.iter().all(|rec| {
                 let tuple = self.tuple(rec);
+                let plan = Plan::of(&tuple.mask);
                 let words = self.slab.get(rec.plan());
-                let words = words.filter(|words| Plan::of(&tuple.mask).is(words));
-                words.is_some_and(|words| {
-                    let mut synced = rec.clone();
-                    synced.sync(words);
-                    synced == *rec && tuple.consistent(words, rec.filter)
-                })
+                let words = words.filter(|words| plan.is(words));
+                rec.fingerprint == plan.fingerprint
+                    && words.is_some_and(|words| {
+                        let mut synced = rec.clone();
+                        synced.sync(words);
+                        synced == *rec && tuple.consistent(words, rec.filter)
+                    })
             })
     }
 
@@ -2209,6 +2308,13 @@ mod tests {
             "a padding word agrees on nothing"
         );
 
+        let mut stale_fingerprint = cache.clone();
+        stale_fingerprint.lane[1].fingerprint ^= 1;
+        assert!(
+            !stale_fingerprint.lane_consistent(),
+            "a record's fingerprint is its plan's"
+        );
+
         let mut leaked = cache.clone();
         let plan = Plan::of(&k(0b001));
         leaked.slab.extend_from_slice(plan.words());
@@ -2220,6 +2326,134 @@ mod tests {
         let mut reordered = cache;
         reordered.lane.swap(0, 2);
         assert!(reordered.lane_consistent(), "order is the lane's to choose");
+    }
+
+    /// The Inv(2) walk reads a tuple's plan words only where the lane record's inline words
+    /// do not rule it out, or where the record prints as the new entry's mask: the tuple
+    /// under 111 holds 001 alone, so its agreement is the whole word and excludes 011, and
+    /// the walk finds it by its fingerprint. The key joins it, and no tuple is made. A
+    /// record that prints as another mask's, as a collision would, costs one slab read and
+    /// changes no answer.
+    #[test]
+    fn an_install_finds_its_tuple_past_an_agreement_that_excludes_the_key() {
+        let mut c = TupleSpace::new(hyp_schema());
+        c.insert(k(0b001), k(0b111), Action::Allow, 0.0).unwrap();
+        c.insert(k(0b100), k(0b110), Action::Deny, 0.0).unwrap();
+        let plan = Plan::of(&k(0b111));
+        let (key, mask) = (key_words(&k(0b011)), key_words(&k(0b111)));
+        assert_ne!(c.lane[0].excludes_within(|w| key[w], |w| mask[w]), 0);
+        assert_eq!(c.lane[0].fingerprint, plan.fingerprint);
+
+        let before = c.install_work();
+        c.insert(k(0b011), k(0b111), Action::Deny, 1.0).unwrap();
+        assert_eq!((c.mask_count(), c.entry_count()), (2, 3));
+        assert_eq!(
+            c.install_work(),
+            InstallWork {
+                walks: before.walks + 1,
+                records: before.records + 2,
+                slab_reads: before.slab_reads + 1,
+                entry_scans: 0,
+            },
+            "one slab read: the tuple under 111; (100, 110) is ruled out by its record"
+        );
+        let out = c.lookup(&k(0b011), 2.0);
+        assert_eq!((out.action, out.masks_scanned), (Some(Action::Deny), 1));
+
+        // Record 1 (under 110) forged to print as 111.
+        let mut collided = c.clone();
+        collided.lane[1].fingerprint = plan.fingerprint;
+        for (key, mask) in [
+            (0b000, 0b111),
+            (0b101, 0b111),
+            (0b010, 0b110),
+            (0b000, 0b000),
+        ] {
+            let (key, mask) = (k(key), k(mask));
+            let (mut honest, mut forged) = (InstallWork::default(), InstallWork::default());
+            let plan = Plan::of(&mask);
+            let expected = c.walk_for(&key, &mask, &plan, &mut honest);
+            let walked = collided.walk_for(&key, &mask, &plan, &mut forged);
+            assert_eq!(walked.map_err(|e| &e.key), expected.map_err(|e| &e.key));
+            let extra = forged.slab_reads - honest.slab_reads;
+            assert!(extra <= 1, "{key} / {mask}: {extra} more slab reads");
+        }
+    }
+
+    /// SipDp's explosion, its megaflows pinned to TCP: the slow path's widened megaflow
+    /// for every header of the Co-located trace that no entry covers yet, pinned on
+    /// `ip_proto` as well. Then every megaflow is installed again for UDP: each joins the
+    /// tuple of its mask, past an agreement (on `ip_proto`, an inline word) that excludes
+    /// it. No mask is made twice, and what the walks did is pinned.
+    #[test]
+    fn a_reinstall_into_every_tuple_of_an_explosion_makes_no_mask_twice() {
+        use crate::flowtable::FlowTable;
+        use crate::strategy::{examined_megaflow, MegaflowStrategy};
+
+        let schema = FieldSchema::ovs_ipv4();
+        let field = |name| schema.field_index(name).unwrap();
+        let (sip, proto, dp) = (field("ip_src"), field("ip_proto"), field("tp_dst"));
+        let (allow_dp, allow_sip) = (80, 0x0a00_0001);
+        let table = FlowTable::whitelist_default_deny(&schema, &[(dp, allow_dp), (sip, allow_sip)]);
+        let strategy = MegaflowStrategy::wildcarding(&schema);
+        // Each field's bit-inversion list: the allowed value, then each bit inverted,
+        // most significant first; the trace is their outer product, `ip_src` fastest.
+        let inversions = |width: u32, allow: u128| {
+            [allow]
+                .into_iter()
+                .chain((0..width).rev().map(move |b| allow ^ 1 << b))
+        };
+        let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+        let mut header = schema.zero_value();
+        header.set(proto, 6);
+        let mut t = 0.0;
+        for d in inversions(16, allow_dp) {
+            for s in inversions(32, allow_sip) {
+                header.set(dp, d);
+                header.set(sip, s);
+                if c.peek(&header).is_some() {
+                    continue;
+                }
+                let (verdict, mut mask) = examined_megaflow(&table, &header, &strategy).unwrap();
+                mask.set(proto, 0xff);
+                c.insert(header.clone(), mask, verdict.action, t).unwrap();
+                t += 1e-5;
+            }
+        }
+        assert_eq!((c.mask_count(), c.entry_count()), (513, 529));
+        let exploded = c.install_work();
+        assert_eq!(
+            exploded,
+            InstallWork {
+                walks: 529,
+                records: 135_696,
+                slab_reads: 3_976,
+                entry_scans: 0,
+            },
+            "`tp_dst` is past the inline words: a record whose `ip_src` agrees is read"
+        );
+
+        let tcp: Vec<MegaflowEntry> = c.entries().cloned().collect();
+        for e in &tcp {
+            let mut key = e.key.clone();
+            key.set(proto, 17);
+            c.insert(key, e.mask.clone(), e.action, t).unwrap();
+        }
+        assert_eq!((c.mask_count(), c.entry_count()), (513, 2 * 529));
+        let masks: std::collections::BTreeSet<Mask> =
+            c.mask_usage().into_iter().map(|(m, _)| m).collect();
+        assert_eq!(masks.len(), c.mask_count(), "no mask has two tuples");
+        let w = c.install_work();
+        assert_eq!(
+            (w.walks - exploded.walks, w.records - exploded.records),
+            (529, 529 * 513)
+        );
+        // Each walk reads the tuple it joins, and the tuples already joined whose
+        // `ip_src` agrees: those no longer agree on `ip_proto`.
+        assert_eq!(
+            (w.slab_reads - exploded.slab_reads, w.entry_scans),
+            (5_001, 0)
+        );
     }
 
     /// `lookup`, `lookup_run`, `peek` and `find_conflict` on `c` answer as the index-less

@@ -135,12 +135,13 @@ impl SlowPath {
     /// window is exhausted or the cache refuses the entry).
     ///
     /// One walk of the table gives the verdict and the widened megaflow together, and
-    /// the entry goes straight to [`TupleSpace::insert`], whose walk of the probe lane
-    /// checks Inv(2) on the way to filing it. Megaflows of one table are equal or
-    /// disjoint, so a refusal means an entry already covers `header` — or was made by
-    /// another table under a cache nobody flushed — and the upcall is answered with the
-    /// table's verdict, nothing installed. An upcall whose quota window is exhausted is
-    /// charged only where no entry covers `header`, where it would have installed.
+    /// the header goes straight to [`TupleSpace::insert`], which masks it into the
+    /// entry's key and whose walk of the probe lane checks Inv(2) on the way to filing
+    /// it. Megaflows of one table are equal or disjoint, so a refusal means an entry
+    /// already covers `header` — or was made by another table under a cache nobody
+    /// flushed — and the upcall is answered with the table's verdict, nothing installed.
+    /// An upcall whose quota window is exhausted is charged only where no entry covers
+    /// `header`, where it would have installed.
     pub fn handle_upcall(
         &mut self,
         table: &FlowTable,
@@ -171,7 +172,7 @@ impl SlowPath {
         }
         let masks_before = cache.mask_count();
         if cache
-            .insert(header.apply_mask(&mask), mask, verdict.action, now)
+            .insert(header.clone(), mask, verdict.action, now)
             .is_ok()
         {
             outcome.installed = true;
