@@ -12,6 +12,12 @@
 //! `per_mask` stands in for — and the fixed cost is the one-mask miss less one mask. The
 //! times are advisory rows; how many masks each miss scanned is a deterministic one.
 //!
+//! Runs of hits: each use case's key list, replayed through `TupleSpace::lookup_run` in
+//! runs of four over the cache it built, as the datapath hands a run of hits over — what
+//! the walks did as deterministic work counts (runs, headers, lane records read, records
+//! whose second inline agreement word was read, hashes taken), and SipDp's replay in host
+//! nanoseconds per mask scanned as an advisory row beside the missed lookup's fit.
+//!
 //! The write side of the same explosions: what each use case's installs cost the Inv(2)
 //! walk of `TupleSpace::insert`, as its deterministic work counts (walks, lane records
 //! tested, plan words read off the slab, tuples entry-scanned), and in host time, SipDp's
@@ -23,6 +29,7 @@ use std::hint::black_box;
 use tse_attack::scenarios::Scenario;
 use tse_bench::report::Metric;
 use tse_bench::{render_table, FigArgs, Figure};
+use tse_classifier::tss::{LookupOutcome, TupleSpace};
 use tse_packet::fields::{FieldSchema, Key};
 use tse_simnet::offload::OffloadConfig;
 use tse_switch::cost::CostModel;
@@ -53,6 +60,30 @@ fn exploded(scenario: Scenario) -> (Datapath, Key) {
         dp.process_key(&key, 64, i as f64 * 1e-5);
     }
     (dp, victim)
+}
+
+/// Headers to a run of [`replay_runs`]: as many as `lookup_run` walks the lane for at
+/// once, and the longest run the datapath's batch core hands it.
+const RUN: usize = 4;
+
+/// Look `keys` up through `cache.lookup_run` in runs of [`RUN`], each run starting at the
+/// first key the last one left unanswered. Returns the masks the lookups scanned, summed.
+fn replay_runs(cache: &mut TupleSpace, keys: &[Key]) -> usize {
+    let mut out = [LookupOutcome::default(); RUN];
+    let (mut rest, mut scanned) = (keys, 0);
+    while let Some(first) = rest.first() {
+        let mut run = [(first, 0.0); RUN];
+        for (slot, key) in run.iter_mut().zip(rest) {
+            slot.0 = key;
+        }
+        let answered = cache.lookup_run(&run[..rest.len().min(RUN)], &mut out);
+        scanned += out[..answered]
+            .iter()
+            .map(|o| o.masks_scanned)
+            .sum::<usize>();
+        rest = &rest[answered..];
+    }
+    scanned
 }
 
 /// Least-squares slope of `y` over `x`, and the fit's R².
@@ -90,9 +121,12 @@ fn main() {
     let mut rows = Vec::new();
     let mut per_case = Vec::new();
     // Per use case: how many masks a missed lookup scanned, and its host nanoseconds;
-    // what its installs' walks did.
+    // what its installs' walks did, and the walks of its key list's runs.
+    let schema = FieldSchema::ovs_ipv4();
     let mut misses = Vec::new();
     let mut installs = Vec::new();
+    let mut runs = Vec::new();
+    let mut run_ns_per_mask = 0.0;
     for scenario in Scenario::ALL {
         let (dp, header) = exploded(scenario);
         let masks = dp.mask_count();
@@ -104,6 +138,15 @@ fn main() {
             black_box(cache.lookup(black_box(&header), 0.0));
         });
         misses.push((scenario.name(), scanned, ns));
+        let keys: Vec<Key> = scenario.key_iter(&schema, &schema.zero_value()).collect();
+        let mut cache = dp.megaflow().clone();
+        let scanned = replay_runs(&mut cache, &keys);
+        runs.push((scenario.name(), cache.run_work()));
+        if scenario == Scenario::SipDp {
+            run_ns_per_mask = fig.host_ns(PROBES_PER_ROUND / scanned.max(1), || {
+                black_box(replay_runs(&mut cache, black_box(&keys)));
+            }) / scanned as f64;
+        }
         let mut row = vec![scenario.name().to_string(), format!("{masks}")];
         for c in &configs {
             row.push(format!("{:.3}", c.victim_gbps(masks)));
@@ -155,6 +198,35 @@ fn main() {
     let modelled = CostModel::ovs_kernel_default().per_mask * 1e9;
     println!(
         "fit: {ns_per_mask:.2} ns per mask + {fixed_ns:.0} ns, R² {r2:.4} (the cost model charges {modelled:.0} ns per mask)"
+    );
+
+    println!(
+        "SipDp's key list in runs of four: {run_ns_per_mask:.2} ns per mask scanned (lookup_run)"
+    );
+
+    println!("\n== The lane walks of each key list's runs of four, summed ==\n");
+    let rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|(name, w)| {
+            let counts = [w.runs, w.headers, w.records, w.second_word, w.hashed];
+            let mut row = vec![name.to_string()];
+            row.extend(counts.iter().map(u64::to_string));
+            row
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "use case",
+                "runs",
+                "headers",
+                "records",
+                "second word",
+                "hashed"
+            ],
+            &rows
+        )
     );
 
     println!("\n== The Inv(2) walk of each install, summed over the explosion ==\n");
@@ -209,10 +281,26 @@ fn main() {
             fig.row(&format!("{name}/work/install_{row}"), unit, count as f64);
         }
     }
+    for (name, w) in runs {
+        for (row, unit, count) in [
+            ("runs", "runs", w.runs),
+            ("headers", "headers", w.headers),
+            ("records", "records", w.records),
+            ("second_word", "records", w.second_word),
+            ("hashed", "hashes", w.hashed),
+        ] {
+            fig.row(&format!("{name}/work/run_{row}"), unit, count as f64);
+        }
+    }
     fig.advisory(Metric::wall(
         "lookup/ns_per_mask",
         "ns_per_mask_wall",
         ns_per_mask,
+    ));
+    fig.advisory(Metric::wall(
+        "lookup/run_ns_per_mask",
+        "ns_per_mask_wall",
+        run_ns_per_mask,
     ));
     fig.advisory(Metric::wall("lookup/fixed_ns", "ns_wall", fixed_ns));
     fig.advisory(Metric::wall("lookup/fit_r2", "r2", r2).higher_is_better());

@@ -37,7 +37,8 @@ pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
 pub use strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
 pub use tss::{
-    InsertError, InstallWork, LookupOutcome, MaskOrdering, MegaflowEntry, SweepWork, TupleSpace,
+    InsertError, InstallWork, LookupOutcome, MaskOrdering, MegaflowEntry, RunWork, SweepWork,
+    TupleSpace,
 };
 
 use tse_packet::fields::Key;

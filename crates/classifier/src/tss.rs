@@ -49,14 +49,18 @@
 //! A datapath's run of consecutive hits is looked up together, up to four headers to a
 //! walk of the lane ([`TupleSpace::lookup_run`]): the run's header words are laid out
 //! word-major, so each lane record (and any plan words past its copy) is read once for
-//! the run, and the agreement test runs for every header still looking at once, without
-//! a branch. A header that survives it goes on alone, exactly as a probe does, and
-//! leaves the walk at its first hit; the walk ends when every header has hit, or at the
-//! end of the lane. The results are committed afterwards, header by header in run order
-//! — the hit counters bumped and `last_used` stamped as [`TupleSpace::lookup`] would
-//! have — up to and including the first miss. The headers behind that miss are left as
-//! they were, for the datapath to look up again once the miss's upcall has installed
-//! its entry.
+//! the run, and the agreement test runs for all of the run's headers at once, a word at
+//! a time, each word in one fold without a branch. It tests the record's first inline
+//! word, then its second only where some header survived the first, then the slab's
+//! words past the copy only where some header survived both — the order a probe tests
+//! its one header in. On an explosion the first word alone rules every header out on
+//! seven records in eight. A header that survives every word goes on alone, exactly as a
+//! probe does, and leaves the walk at its first hit; the walk ends when every header has
+//! hit, or at the end of the lane. The results are committed afterwards, header by
+//! header in run order — the hit counters bumped and `last_used` stamped as
+//! [`TupleSpace::lookup`] would have — up to and including the first miss. The headers
+//! behind that miss are left as they were, for the datapath to look up again once the
+//! miss's upcall has installed its entry.
 //!
 //! A tuple is written on the rare path, and each write is one pass. An insert walks the
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
@@ -437,17 +441,19 @@ impl LaneRecord {
         }
     }
 
-    /// What [`PlanWord::excludes`] gives over the inline words, ORed, for a header whose
-    /// key word `w` is `word(w)`: non-zero iff those words rule every entry out.
+    /// What [`PlanWord::excludes`] gives for inline word `i`, for a header whose key word
+    /// `w` is `word(w)`: non-zero iff that word alone rules every entry out. A padding
+    /// word gives 0.
     #[inline(always)]
-    fn excludes(&self, word: impl Fn(usize) -> u64) -> u64 {
-        self.excludes_within(word, |_| !0)
+    fn excludes(&self, i: usize, word: impl Fn(usize) -> u64) -> u64 {
+        (word(usize::from(self.word[i] & 15)) ^ self.value[i]) & self.agree[i]
     }
 
-    /// [`Self::excludes`] on the bits `keep(w)` of key word `w` alone: non-zero iff the
-    /// inline words rule out every entry overlapping a prospective entry whose key word
-    /// `w` is `word(w)` under a mask whose word `w` is `keep(w)`. Each `agree` is within
-    /// its plan word's bits, so this is the restriction to the bits both masks keep.
+    /// [`Self::excludes`] over both inline words, ORed, on the bits `keep(w)` of key word
+    /// `w` alone: non-zero iff the inline words rule out every entry overlapping a
+    /// prospective entry whose key word `w` is `word(w)` under a mask whose word `w` is
+    /// `keep(w)`. Each `agree` is within its plan word's bits, so this is the restriction
+    /// to the bits both masks keep.
     #[inline(always)]
     fn excludes_within(&self, word: impl Fn(usize) -> u64, keep: impl Fn(usize) -> u64) -> u64 {
         let mut excluded = 0;
@@ -982,6 +988,28 @@ pub struct InstallWork {
     pub entry_scans: u64,
 }
 
+/// Host-side work of [`TupleSpace::lookup_run`]'s walks of the lane for two to four
+/// headers, summed over the cache's life: deterministic counts, read through
+/// [`TupleSpace::run_work`]. A run of one header is a [`TupleSpace::lookup`], and not
+/// counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunWork {
+    /// Walks of the lane: one per run.
+    pub runs: u64,
+    /// Headers the walks looked up.
+    pub headers: u64,
+    /// Lane records the walks read: the whole lane, or up to the record where the run's
+    /// last header hit.
+    pub records: u64,
+    /// Records whose second inline word the walks read: those whose first word did not
+    /// rule out all of the run's columns (a header that has hit keeps its column, and a
+    /// run of two or three has zero columns beside its headers).
+    pub second_word: u64,
+    /// Hashes the walks took: one per header still looking, per record whose agreement
+    /// words did not rule that header out.
+    pub hashed: u64,
+}
+
 /// The TSS megaflow cache: its probe lane, plan slab and tuples.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
@@ -1001,6 +1029,8 @@ pub struct TupleSpace {
     work: SweepWork,
     /// What the inserts' walks have done; see [`Self::install_work`].
     installs: InstallWork,
+    /// What the runs' walks have done; see [`Self::run_work`].
+    runs: RunWork,
 }
 
 impl TupleSpace {
@@ -1018,6 +1048,7 @@ impl TupleSpace {
             tuples: Vec::new(),
             work: SweepWork::default(),
             installs: InstallWork::default(),
+            runs: RunWork::default(),
         }
     }
 
@@ -1061,6 +1092,13 @@ impl TupleSpace {
     /// Deterministic, and never part of a simulated cost.
     pub fn install_work(&self) -> InstallWork {
         self.installs
+    }
+
+    /// The host-side work every [`Self::lookup_run`] walk has done so far, summed: runs,
+    /// headers, lane records read, records whose second inline word was read and hashes
+    /// taken. Deterministic, and never part of a simulated cost.
+    pub fn run_work(&self) -> RunWork {
+        self.runs
     }
 
     /// The tuple a lane record stands for.
@@ -1113,12 +1151,13 @@ impl TupleSpace {
     /// header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
     /// probe with this one; [`Self::lookup_run`] and the Inv(2) walk ([`Self::walk_for`])
     /// run the agreement test their own way and share its tail. The test reads the lane
-    /// record's copy of the first agreement words, then the slab's plan words past them,
-    /// if the plan has more: a header that disagrees misses without a hash, having read
-    /// for most plans the record alone. One that survives is hashed off the slab's plan
-    /// words, and on a clear filter bit misses having read nothing of the tuple. It
-    /// borrows the slab and the tuples, not `self`: `lookup` writes a tuple's hit counter
-    /// while it holds the lane.
+    /// record's copy of the first agreement word, then of the second, then the slab's
+    /// plan words past them, if the plan has more — the order `lookup_run` tests a run's
+    /// headers in: a header that disagrees misses without a hash, having read for most
+    /// plans the record alone. One that survives is hashed off the slab's plan words, and
+    /// on a clear filter bit misses having read nothing of the tuple. It borrows the slab
+    /// and the tuples, not `self`: `lookup` writes a tuple's hit counter while it holds
+    /// the lane.
     #[inline(always)]
     fn probe(
         slab: &[PlanWord],
@@ -1126,7 +1165,7 @@ impl TupleSpace {
         rec: &LaneRecord,
         probe: &Probe,
     ) -> Option<usize> {
-        if rec.excludes(|w| probe.words[w]) != 0 {
+        if rec.excludes(0, |w| probe.words[w]) != 0 || rec.excludes(1, |w| probe.words[w]) != 0 {
             return None;
         }
         let tail = &slab[rec.tail()];
@@ -1177,14 +1216,16 @@ impl TupleSpace {
     /// untouched — no counter bumped — for the caller to look up again once the miss's
     /// upcall has installed its entry.
     ///
-    /// Each lane record's agreement words are tested against every header still looking,
-    /// word by word and without a branch: the record's inline copy first, and a record
-    /// that rules out all four headers there is passed at once; otherwise the slab's plan
-    /// words past the copy, if any. Only a header that survives hashes, off the slab's
-    /// plan words, and a header leaves the walk at its first hit, at the position `lookup`
+    /// Each lane record's agreement words are tested against all of the run's headers
+    /// together, a word at a time, each word in one fold without a branch: the record's
+    /// first inline word, and a record that rules out every header on it is passed at
+    /// once; then its second inline word, with the same pass; then the slab's plan words
+    /// past the copy, if any. Only a header that survives hashes, off the slab's plan
+    /// words, and a header leaves the walk at its first hit, at the position `lookup`
     /// would stop at. The hits are committed afterwards, header by header in run order.
     /// A hit bumps counters and stamps `last_used`, none of which a probe reads, so the
-    /// walk cannot tell the run from `lookup` called on each header in turn.
+    /// walk cannot tell the run from `lookup` called on each header in turn. What the
+    /// walk read is added to [`Self::run_work`], once.
     pub fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
         let n = run.len().min(out.len()).min(RUN);
         if n <= 1 {
@@ -1206,15 +1247,23 @@ impl TupleSpace {
         // header that left hit.
         let mut active = (1u32 << n) - 1;
         let mut found = [(0, 0); RUN];
+        let (mut records, mut second_word, mut hashed) = (self.lane.len(), 0, 0);
+        // Whether every column of the run is ruled out: a fold with no branch in it.
+        let all_out = |x: &[u64; RUN]| x.iter().fold(true, |all, &x| all & (x != 0));
         for (i, rec) in self.lane.iter().enumerate() {
-            let mut excluded = [0u64; RUN];
-            for (j, x) in excluded.iter_mut().enumerate() {
-                *x = rec.excludes(|w| words[w][j]);
+            // In an explosion nearly every record rules every header out on its first
+            // inline word alone (87 % of the records SipDp's runs read), and the walk
+            // moves on having tested one word per header, not both inline words.
+            let mut excluded: [u64; RUN] =
+                std::array::from_fn(|j| rec.excludes(0, |w| words[w][j]));
+            if all_out(&excluded) {
+                continue;
             }
-            // In an explosion nearly every record rules every header out on its inline
-            // words alone, and the walk moves on without another test: on a warm lane
-            // this pass more than halved a run's cost per record.
-            if excluded.iter().all(|&x| x != 0) {
+            second_word += 1;
+            for (j, x) in excluded.iter_mut().enumerate() {
+                *x |= rec.excludes(1, |w| words[w][j]);
+            }
+            if all_out(&excluded) {
                 continue;
             }
             for w in &self.slab[rec.tail()] {
@@ -1230,6 +1279,7 @@ impl TupleSpace {
             while live != 0 {
                 let j = live.trailing_zeros() as usize;
                 live &= live - 1;
+                hashed += 1;
                 let plan = &self.slab[rec.plan()];
                 let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
                 if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, run[j].0) {
@@ -1238,9 +1288,16 @@ impl TupleSpace {
                 }
             }
             if active == 0 {
+                records = i + 1;
                 break;
             }
         }
+        let work = &mut self.runs;
+        work.runs += 1;
+        work.headers += n as u64;
+        work.records += records as u64;
+        work.second_word += second_word;
+        work.hashed += hashed;
         for (j, &(_, now)) in run[..n].iter().enumerate() {
             if active & 1 << j != 0 {
                 out[j] = LookupOutcome {
@@ -1317,6 +1374,15 @@ impl TupleSpace {
                 debug_assert!(
                     self.slab.len() + plan.len <= u32::MAX as usize,
                     "a lane record holds 32 bits of slab position and of tuple slot"
+                );
+                debug_assert!(
+                    !self
+                        .lane
+                        .iter()
+                        .any(|rec| rec.fingerprint == plan.fingerprint
+                            && plan.is(&self.slab[rec.plan()])),
+                    "the walk missed the tuple of {}: a mask has one tuple",
+                    entry.mask
                 );
                 let plan_start = self.slab.len();
                 self.slab.extend_from_slice(plan.words());
@@ -2380,13 +2446,10 @@ mod tests {
         }
     }
 
-    /// SipDp's explosion, its megaflows pinned to TCP: the slow path's widened megaflow
-    /// for every header of the Co-located trace that no entry covers yet, pinned on
-    /// `ip_proto` as well. Then every megaflow is installed again for UDP: each joins the
-    /// tuple of its mask, past an agreement (on `ip_proto`, an inline word) that excludes
-    /// it. No mask is made twice, and what the walks did is pinned.
-    #[test]
-    fn a_reinstall_into_every_tuple_of_an_explosion_makes_no_mask_twice() {
+    /// SipDp's explosion: the Co-located trace's TCP headers, and the cache of the slow
+    /// path's widened megaflow for every header no entry covers yet, installed newest
+    /// mask first, with `ip_proto` pinned in each mask where `pin_proto` says.
+    fn sipdp_explosion(pin_proto: bool) -> (TupleSpace, Vec<Key>) {
         use crate::flowtable::FlowTable;
         use crate::strategy::{examined_megaflow, MegaflowStrategy};
 
@@ -2406,21 +2469,37 @@ mod tests {
         let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
         let mut header = schema.zero_value();
         header.set(proto, 6);
+        let mut trace = Vec::new();
         let mut t = 0.0;
         for d in inversions(16, allow_dp) {
             for s in inversions(32, allow_sip) {
                 header.set(dp, d);
                 header.set(sip, s);
+                trace.push(header.clone());
                 if c.peek(&header).is_some() {
                     continue;
                 }
                 let (verdict, mut mask) = examined_megaflow(&table, &header, &strategy).unwrap();
-                mask.set(proto, 0xff);
+                if pin_proto {
+                    mask.set(proto, 0xff);
+                }
                 c.insert(header.clone(), mask, verdict.action, t).unwrap();
                 t += 1e-5;
             }
         }
         assert_eq!((c.mask_count(), c.entry_count()), (513, 529));
+        (c, trace)
+    }
+
+    /// SipDp's explosion, its megaflows pinned to TCP. Then every megaflow is installed
+    /// again for UDP: each joins the tuple of its mask, past an agreement (on `ip_proto`,
+    /// an inline word) that excludes it. No mask is made twice, and what the walks did
+    /// is pinned.
+    #[test]
+    fn a_reinstall_into_every_tuple_of_an_explosion_makes_no_mask_twice() {
+        let (mut c, _) = sipdp_explosion(true);
+        let proto = c.schema().field_index("ip_proto").unwrap();
+        let t = 1.0;
         let exploded = c.install_work();
         assert_eq!(
             exploded,
@@ -2595,6 +2674,145 @@ mod tests {
         assert!(headers
             .iter()
             .all(|h| all.clone().lookup(h, 1.0).masks_scanned == 1));
+    }
+
+    /// What one `lookup_run` of `run` on a clone of `c`, a cache no run has walked yet,
+    /// did, after `run_matches_lookups` has held its answers to `lookup`'s.
+    fn work_of_run(c: &TupleSpace, run: &[Triple]) -> RunWork {
+        let keys: Vec<Key> = run
+            .iter()
+            .map(|&(a, b, cc)| Key::from_values(c.schema(), &[a, b, cc]))
+            .collect();
+        let run: Vec<(&Key, f64)> = keys.iter().map(|k| (k, 1.0)).collect();
+        run_matches_lookups(c, &run).unwrap();
+        let mut c = c.clone();
+        c.lookup_run(&run, &mut [LookupOutcome::default(); RUN]);
+        c.run_work()
+    }
+
+    /// A cache over three byte fields, `a`, `b` and `c` (key words 0, 2 and 4), of one
+    /// entry per `(key, mask)`, in insertion order.
+    fn byte_cache(entries: &[(Triple, Triple)]) -> TupleSpace {
+        let schema = FieldSchema::new(vec![
+            FieldDef::new("a", 8),
+            FieldDef::new("b", 8),
+            FieldDef::new("c", 8),
+        ]);
+        let mut c = TupleSpace::new(schema.clone());
+        for &((a, b, cc), (ma, mb, mc)) in entries {
+            let (key, mask) = (
+                Key::from_values(&schema, &[a, b, cc]),
+                Key::from_values(&schema, &[ma, mb, mc]),
+            );
+            c.insert(key, mask, Action::Allow, 0.0).unwrap();
+        }
+        c
+    }
+
+    /// A run's walk tests a record's first inline word against every column of the run
+    /// and passes the record on it when it rules all of them out; the second inline
+    /// word, the slab tail and the hash follow only for a column that survives. The lane
+    /// is `full` (plan `a`, `b` | tail `c`), `pair` (`a`, `c`) and `top` (`c` and a
+    /// padding word), whose entry's first word is 0 and so passes a zero column. Each
+    /// run answers as `lookup` on each header in turn, and what its walk read is pinned.
+    #[test]
+    fn a_run_walk_tests_the_first_word_then_the_second_then_the_tail() {
+        let (full, pair, top) = ((0xff, 0xff, 0xff), (0xff, 0, 0xf0), (0, 0, 0xf0));
+        let c = byte_cache(&[
+            ((1, 2, 0x33), full),
+            ((7, 0, 0x60), pair),
+            ((0, 0, 0x05), top),
+        ]);
+        let work = |runs, headers, records, second_word, hashed| RunWork {
+            runs,
+            headers,
+            records,
+            second_word,
+            hashed,
+        };
+        // `full`'s first word rules out the first three headers and not the fourth,
+        // which hits there; `pair` and `top` each read their second word for the
+        // headers that hit them.
+        let three_out = [(7, 0, 0x61), (0, 9, 0x05), (7, 5, 0x6f), (1, 2, 0x33)];
+        assert_eq!(work_of_run(&c, &three_out), work(1, 4, 3, 3, 4));
+        // Every header passes `full`'s first word and is ruled out by its second, with
+        // no tail read and no hash; `pair` and `top` rule them all out on their first.
+        let second_out = [(1, 5, 0x33), (1, 6, 0x33), (1, 7, 0x33), (1, 8, 0x33)];
+        assert_eq!(work_of_run(&c, &second_out), work(1, 4, 3, 1, 0));
+        // Runs of two and three: their zero columns pass `top`'s first word, whose
+        // value is 0. The first run's second header passes both of `full`'s inline words,
+        // is ruled out by its tail, and misses; `top` reads its second word for the zero
+        // columns alone.
+        assert_eq!(
+            work_of_run(&c, &[(1, 2, 0x33), (1, 2, 0x34)]),
+            work(1, 2, 3, 2, 1)
+        );
+        assert_eq!(
+            work_of_run(&c, &[(1, 2, 0x33), (7, 0, 0x61)]),
+            work(1, 2, 2, 2, 2)
+        );
+        assert_eq!(
+            work_of_run(&c, &[(1, 2, 0x33), (7, 0, 0x61), (0, 1, 0x01)]),
+            work(1, 3, 3, 3, 3)
+        );
+        // A single header is a `lookup`, which the counters do not see.
+        assert_eq!(work_of_run(&c, &[(1, 2, 0x33)]), RunWork::default());
+    }
+
+    /// A header that has hit keeps its column in the walk's tests: here the first header
+    /// hits `ab`'s tuple, and passes both inline words of `full`'s (whose two keys agree
+    /// on `a` and on `b`'s high bits) — so the walk reads that record's tail — but is not
+    /// hashed there; the three others hit `pair`.
+    #[test]
+    fn a_run_hashes_no_header_after_its_hit() {
+        let (full, pair, ab) = ((0xff, 0xff, 0xff), (0xff, 0, 0xf0), (0xff, 0xff, 0));
+        let c = byte_cache(&[
+            ((1, 2, 3), ab),
+            ((1, 0, 5), full),
+            ((1, 3, 5), full),
+            ((7, 0, 0x60), pair),
+        ]);
+        let run = [(1, 2, 3), (7, 9, 0x61), (7, 8, 0x62), (7, 7, 0x63)];
+        assert_eq!(
+            work_of_run(&c, &run),
+            RunWork {
+                runs: 1,
+                headers: 4,
+                records: 3,
+                second_word: 3,
+                hashed: 4,
+            }
+        );
+    }
+
+    /// SipDp's explosion, its trace replayed in runs of four as the datapath hands a run
+    /// of hits over: each run answers as `lookup` on each header in turn, and what the
+    /// walks read is pinned — `fig9a_throughput_vs_masks`'s gated `SipDp/work/run_*`
+    /// rows. The first inline word (`ip_src`) passes one record in eight to the second
+    /// (`tp_dst`), and every hash a walk takes is a hit.
+    #[test]
+    fn sipdp_runs_read_the_second_word_of_one_record_in_eight() {
+        let (mut c, trace) = sipdp_explosion(false);
+        let mut out = [LookupOutcome::default(); RUN];
+        let mut rest = &trace[..];
+        while !rest.is_empty() {
+            let run: Vec<(&Key, f64)> = rest.iter().take(RUN).map(|h| (h, 1.0)).collect();
+            run_matches_lookups(&c, &run).unwrap();
+            let answered = c.lookup_run(&run, &mut out);
+            assert!(out[..answered].iter().all(|o| o.action.is_some()));
+            rest = &rest[answered..];
+        }
+        assert_eq!(
+            c.run_work(),
+            RunWork {
+                runs: 140,
+                headers: 560,
+                records: 38_673,
+                second_word: 4_926,
+                hashed: 560,
+            },
+            "561 headers: 140 runs of four, and one `lookup`"
+        );
     }
 
     /// The schema of the sweep oracle, and the full mask its exact-match tuples share.
