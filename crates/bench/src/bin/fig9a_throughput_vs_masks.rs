@@ -10,7 +10,9 @@
 //! of a header every megaflow misses is timed, and a line fitted through the five points
 //! gives this implementation's nanoseconds per mask scanned — the number the cost model's
 //! `per_mask` stands in for — and the fixed cost is the one-mask miss less one mask. The
-//! times are advisory rows; how many masks each miss scanned is a deterministic one.
+//! times are advisory rows; how many masks each miss scanned, and what its walk of the
+//! lane read (lane records, records whose second inline agreement word was read, hashes
+//! taken), are deterministic ones, counted on the first lookup, before any timing.
 //!
 //! Runs of hits: each use case's key list, replayed through `TupleSpace::lookup_run` in
 //! runs of four over the cache it built, as the datapath hands a run of hits over — what
@@ -62,21 +64,18 @@ fn exploded(scenario: Scenario) -> (Datapath, Key) {
     (dp, victim)
 }
 
-/// Headers to a run of [`replay_runs`]: as many as `lookup_run` walks the lane for at
-/// once, and the longest run the datapath's batch core hands it.
-const RUN: usize = 4;
-
-/// Look `keys` up through `cache.lookup_run` in runs of [`RUN`], each run starting at the
-/// first key the last one left unanswered. Returns the masks the lookups scanned, summed.
+/// Look `keys` up through `cache.lookup_run` in runs of [`TupleSpace::RUN`] — the longest
+/// run the datapath's batch core hands it — each run starting at the first key the last
+/// one left unanswered. Returns the masks the lookups scanned, summed.
 fn replay_runs(cache: &mut TupleSpace, keys: &[Key]) -> usize {
-    let mut out = [LookupOutcome::default(); RUN];
+    let mut out = [LookupOutcome::default(); TupleSpace::RUN];
     let (mut rest, mut scanned) = (keys, 0);
     while let Some(first) = rest.first() {
-        let mut run = [(first, 0.0); RUN];
+        let mut run = [(first, 0.0); TupleSpace::RUN];
         for (slot, key) in run.iter_mut().zip(rest) {
             slot.0 = key;
         }
-        let answered = cache.lookup_run(&run[..rest.len().min(RUN)], &mut out);
+        let answered = cache.lookup_run(&run[..rest.len().min(TupleSpace::RUN)], &mut out);
         scanned += out[..answered]
             .iter()
             .map(|o| o.masks_scanned)
@@ -120,10 +119,11 @@ fn main() {
     header.push("FCT 1GB GRO OFF [s]");
     let mut rows = Vec::new();
     let mut per_case = Vec::new();
-    // Per use case: how many masks a missed lookup scanned, and its host nanoseconds;
-    // what its installs' walks did, and the walks of its key list's runs.
+    // Per use case: how many masks a missed lookup scanned, what its walk read, and its
+    // host nanoseconds; what its installs' walks did, and the walks of its key list's runs.
     let schema = FieldSchema::ovs_ipv4();
     let mut misses = Vec::new();
+    let mut probes = Vec::new();
     let mut installs = Vec::new();
     let mut runs = Vec::new();
     let mut run_ns_per_mask = 0.0;
@@ -131,9 +131,21 @@ fn main() {
         let (dp, header) = exploded(scenario);
         let masks = dp.mask_count();
         per_case.push((scenario, masks));
-        installs.push((scenario.name(), dp.megaflow().install_work()));
+        installs.push((scenario.name(), dp.megaflow().work()));
+        // The clone carries the datapath's counts: the miss's are what it adds to them.
         let mut cache = dp.megaflow().clone();
+        let before = cache.work();
         let scanned = cache.lookup(&header, 0.0).masks_scanned;
+        let after = cache.work();
+        probes.push((
+            scenario.name(),
+            [
+                after.probe_lookups - before.probe_lookups,
+                after.probe_records - before.probe_records,
+                after.probe_second_word - before.probe_second_word,
+                after.probe_hashed - before.probe_hashed,
+            ],
+        ));
         let ns = fig.host_ns(PROBES_PER_ROUND / scanned.max(1), || {
             black_box(cache.lookup(black_box(&header), 0.0));
         });
@@ -141,7 +153,7 @@ fn main() {
         let keys: Vec<Key> = scenario.key_iter(&schema, &schema.zero_value()).collect();
         let mut cache = dp.megaflow().clone();
         let scanned = replay_runs(&mut cache, &keys);
-        runs.push((scenario.name(), cache.run_work()));
+        runs.push((scenario.name(), cache.work()));
         if scenario == Scenario::SipDp {
             run_ns_per_mask = fig.host_ns(PROBES_PER_ROUND / scanned.max(1), || {
                 black_box(replay_runs(&mut cache, black_box(&keys)));
@@ -204,11 +216,34 @@ fn main() {
         "SipDp's key list in runs of four: {run_ns_per_mask:.2} ns per mask scanned (lookup_run)"
     );
 
+    println!("\n== The lane walk of each missed lookup ==\n");
+    let rows: Vec<Vec<String>> = probes
+        .iter()
+        .map(|(name, counts)| {
+            let mut row = vec![name.to_string()];
+            row.extend(counts.iter().map(u64::to_string));
+            row
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["use case", "lookups", "records", "second word", "hashed"],
+            &rows
+        )
+    );
+
     println!("\n== The lane walks of each key list's runs of four, summed ==\n");
     let rows: Vec<Vec<String>> = runs
         .iter()
         .map(|(name, w)| {
-            let counts = [w.runs, w.headers, w.records, w.second_word, w.hashed];
+            let counts = [
+                w.run_runs,
+                w.run_headers,
+                w.run_records,
+                w.run_second_word,
+                w.run_hashed,
+            ];
             let mut row = vec![name.to_string()];
             row.extend(counts.iter().map(u64::to_string));
             row
@@ -233,7 +268,12 @@ fn main() {
     let rows: Vec<Vec<String>> = installs
         .iter()
         .map(|(name, w)| {
-            let counts = [w.walks, w.records, w.slab_reads, w.entry_scans];
+            let counts = [
+                w.install_walks,
+                w.install_records,
+                w.install_slab_reads,
+                w.install_entry_scans,
+            ];
             let mut row = vec![name.to_string()];
             row.extend(counts.iter().map(u64::to_string));
             row
@@ -271,23 +311,33 @@ fn main() {
             scanned as f64,
         );
     }
+    for (name, [lookups, records, second_word, hashed]) in probes {
+        for (row, unit, count) in [
+            ("lookups", "lookups", lookups),
+            ("records", "records", records),
+            ("second_word", "records", second_word),
+            ("hashed", "hashes", hashed),
+        ] {
+            fig.row(&format!("{name}/work/probe_{row}"), unit, count as f64);
+        }
+    }
     for (name, w) in installs {
         for (row, unit, count) in [
-            ("walks", "walks", w.walks),
-            ("records", "records", w.records),
-            ("slab_reads", "records", w.slab_reads),
-            ("entry_scans", "tuples", w.entry_scans),
+            ("walks", "walks", w.install_walks),
+            ("records", "records", w.install_records),
+            ("slab_reads", "records", w.install_slab_reads),
+            ("entry_scans", "tuples", w.install_entry_scans),
         ] {
             fig.row(&format!("{name}/work/install_{row}"), unit, count as f64);
         }
     }
     for (name, w) in runs {
         for (row, unit, count) in [
-            ("runs", "runs", w.runs),
-            ("headers", "headers", w.headers),
-            ("records", "records", w.records),
-            ("second_word", "records", w.second_word),
-            ("hashed", "hashes", w.hashed),
+            ("runs", "runs", w.run_runs),
+            ("headers", "headers", w.run_headers),
+            ("records", "records", w.run_records),
+            ("second_word", "records", w.run_second_word),
+            ("hashed", "hashes", w.run_hashed),
         ] {
             fig.row(&format!("{name}/work/run_{row}"), unit, count as f64);
         }

@@ -78,13 +78,13 @@ fn main() {
     let sweep = sipdp::sweep(&mut fig, &FIXTURE, &VARIANTS);
     // Idle expiry is this experiment's revalidation: what its sweeps did, in counts.
     for run in &sweep.runs {
-        let w = run.sweep_work;
+        let w = run.work;
         for (row, unit, count) in [
-            ("examined", "entries", w.examined),
-            ("removed", "entries", w.removed),
-            ("moved", "entries", w.moved),
-            ("refolded", "keys", w.refolded),
-            ("slots", "slots", w.slots),
+            ("examined", "entries", w.sweep_examined),
+            ("removed", "entries", w.sweep_removed),
+            ("moved", "entries", w.sweep_moved),
+            ("refolded", "keys", w.sweep_refolded),
+            ("slots", "slots", w.sweep_slots),
         ] {
             let name = format!("{}/work/sweep_{row}", run.variant.name);
             fig.row(&name, unit, count as f64);

@@ -12,12 +12,26 @@
 //! of [`Figure::host_ns`] behind a binary's advisory host-time rows) and cannot forget
 //! or misplace the advisory row.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tse_switch::DatapathStats;
 
 use crate::report::{self, BenchReport, Metric};
 use crate::FigArgs;
+
+/// The rounds [`Figure::host_ns`] takes of each measurement.
+const HOST_ROUNDS: u32 = 25;
+
+/// The span [`Figure::host_ns`] spreads a measurement's rounds over: longer than the
+/// 1–4 s phases in which a shared host runs at one of its speeds (measured 1.6× apart on
+/// a 2-vCPU VM), so that a measurement's rounds see more than one phase and its least
+/// round is a fast phase's, whichever phase it starts in. The crate's unit tests take
+/// their rounds back to back.
+const HOST_SPAN: Duration = if cfg!(test) {
+    Duration::ZERO
+} else {
+    Duration::from_secs(5)
+};
 
 /// One run of one figure binary, from command line to report.
 #[derive(Debug)]
@@ -69,14 +83,19 @@ impl Figure {
         self.rows.push(Metric::deterministic(name, unit, value));
     }
 
-    /// Host nanoseconds per call of `f`: the least, over seven rounds of `reps` calls
-    /// each, of a round's time per call, so that the first round warms what `f` reads and
-    /// a round the machine interrupted does not count. Machine- and load-dependent: it
+    /// Host nanoseconds per call of `f`: the least, over [`HOST_ROUNDS`] rounds of `reps`
+    /// calls each, of a round's time per call, so that the first round warms what `f`
+    /// reads and a round the machine interrupted does not count. The rounds start evenly
+    /// spread over [`HOST_SPAN`], the measurement sleeping in between, so that it takes
+    /// that long and little more CPU than its rounds. Machine- and load-dependent: it
     /// feeds [`Figure::advisory`] rows only, never a deterministic one.
     pub fn host_ns(&self, reps: usize, mut f: impl FnMut()) -> f64 {
         let reps = reps.max(1);
-        (0..7)
-            .map(|_| {
+        let wall_span = Instant::now();
+        (0..HOST_ROUNDS)
+            .map(|round| {
+                let due = HOST_SPAN * round / HOST_ROUNDS;
+                std::thread::sleep(due.saturating_sub(wall_span.elapsed()));
                 let wall_round = Instant::now();
                 for _ in 0..reps {
                     f();
@@ -204,7 +223,7 @@ mod tests {
         let mut fig = Figure::new("fig_x", FigArgs::default());
         let mut calls = 0;
         let ns = fig.host_ns(3, || calls += 1);
-        assert_eq!(calls, 21, "seven rounds of three");
+        assert_eq!(calls, 3 * HOST_ROUNDS, "rounds of three");
         assert!(ns.is_finite() && ns >= 0.0, "{ns}");
         fig.row("SipDp/miss_masks_scanned", "masks", 513.0);
         fig.advisory(Metric::wall("lookup/ns_per_mask", "ns_per_mask_wall", ns));

@@ -33,7 +33,7 @@ use tse_attack::wire::WireGenerator;
 use tse_attack::BitInversionKeys;
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::strategy::MegaflowStrategy;
-use tse_classifier::SweepWork;
+use tse_classifier::TssWork;
 use tse_mitigation::guard::{GuardConfig, GuardMitigation};
 use tse_mitigation::stack::MitigationAction;
 use tse_mitigation::{MaskCap, RssKeyRandomizer, UpcallLimiter};
@@ -213,8 +213,8 @@ pub struct Outcome {
     pub timeline: Timeline,
     /// The datapath's aggregate statistics at the end of the run.
     pub stats: DatapathStats,
-    /// The megaflow caches' sweep work over the run, summed over shards.
-    pub sweep_work: SweepWork,
+    /// The megaflow caches' host-side work over the run, summed over shards.
+    pub work: TssWork,
 }
 
 /// A run variant table: its outcomes and the table `Display` prints.
@@ -394,15 +394,9 @@ pub fn sweep(fig: &mut Figure, fixture: &Fixture, variants: &[Variant]) -> Sweep
             variant,
             timeline,
             stats,
-            sweep_work: (0..dp.shard_count()).fold(SweepWork::default(), |sum, i| {
-                let w = dp.shard(i).megaflow().sweep_work();
-                SweepWork {
-                    examined: sum.examined + w.examined,
-                    removed: sum.removed + w.removed,
-                    moved: sum.moved + w.moved,
-                    refolded: sum.refolded + w.refolded,
-                    slots: sum.slots + w.slots,
-                }
+            work: (0..dp.shard_count()).fold(TssWork::default(), |mut sum, i| {
+                sum += dp.shard(i).megaflow().work();
+                sum
             }),
         };
         let mut cells = Vec::new();

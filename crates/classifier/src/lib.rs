@@ -36,10 +36,7 @@ pub use flowtable::{FlowTable, TableMatch};
 pub use microflow::MicroflowCache;
 pub use rule::{Action, Rule};
 pub use strategy::{examined_megaflow, FieldStrategy, MegaflowStrategy};
-pub use tss::{
-    InsertError, InstallWork, LookupOutcome, MaskOrdering, MegaflowEntry, RunWork, SweepWork,
-    TupleSpace,
-};
+pub use tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TssWork, TupleSpace};
 
 use tse_packet::fields::Key;
 

@@ -26,41 +26,40 @@
 //!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
 //!   by mask.
 //!
-//! A probe first compares the header with the agreement, word by word: the first two
-//! words off the lane record's copy, any further ones off the slab. A header that
-//! differs from the common value on an agreed bit matches no entry, and the probe has
-//! missed without a hash. For an explosion — one entry per mask, and most masks' plans
-//! two words long — that test is exact, so it ends every miss having read one lane
-//! record, one cache line, and nothing of the slab, and the whole scan stays
-//! cache-resident. The slab stays the agreement's only source: every mutator that
+//! Every lookup is one walk of the lane, generic over how many headers it looks up at
+//! once: one for [`TupleSpace::lookup`] and [`TupleSpace::peek`], up to
+//! [`TupleSpace::RUN`] for a datapath's run of consecutive hits
+//! ([`TupleSpace::lookup_run`]; a run of two or three fills the other columns with zero
+//! words). The headers' words are laid out word-major, a column per header, so each lane
+//! record (and any plan words past its copy) is read once for all of them. A record's
+//! agreement is tested against every column at once, a word at a time, each word in one
+//! fold without a branch: its first inline word, then its second only where some column
+//! survived the first, then the slab's words past the copy only where some column
+//! survived both. A header that differs from the common value on an agreed bit matches
+//! no entry of the tuple, and is past it without a hash. For an explosion — one entry per
+//! mask, and most masks' plans two words long — that test is exact, so it ends every
+//! miss having read one lane record, one cache line, and nothing of the slab, and the
+//! whole scan stays cache-resident; the first word alone rules a header out on seven
+//! records in eight. The slab stays the agreement's only source: every mutator that
 //! rewrites a record's filter after the agreement changed copies the agreement into the
-//! record too. A probe that survives hashes `header AND mask` off the slab's plan words
+//! record too. A header that survives hashes `header AND mask` off the slab's plan words
 //! and tests the **miss filter** bit the hash names: a clear bit proves the miss. Only
-//! on a set bit does the probe go on, hash in hand, to the tuple: it walks the tuple's
-//! flat open-addressed index of `u64` slots from the slot the hash names, and compares
-//! against a stored key only where a slot's tag (the hash's high 32 bits) matches. A
-//! missed probe materialises no masked key and allocates nothing. Inv(2)'s conflict
-//! check rules tuples out with the same agreement test, restricted to the bits the
-//! prospective entry keeps, and off the lane record alone: it reads a tuple's plan words
-//! off the slab only where the record's inline words do not rule the tuple out, or where
-//! the record's fingerprint is the prospective entry's mask's — the walk has to find that
-//! mask's tuple whether its agreement excludes the key or not.
-//!
-//! A datapath's run of consecutive hits is looked up together, up to four headers to a
-//! walk of the lane ([`TupleSpace::lookup_run`]): the run's header words are laid out
-//! word-major, so each lane record (and any plan words past its copy) is read once for
-//! the run, and the agreement test runs for all of the run's headers at once, a word at
-//! a time, each word in one fold without a branch. It tests the record's first inline
-//! word, then its second only where some header survived the first, then the slab's
-//! words past the copy only where some header survived both — the order a probe tests
-//! its one header in. On an explosion the first word alone rules every header out on
-//! seven records in eight. A header that survives every word goes on alone, exactly as a
-//! probe does, and leaves the walk at its first hit; the walk ends when every header has
-//! hit, or at the end of the lane. The results are committed afterwards, header by
-//! header in run order — the hit counters bumped and `last_used` stamped as
-//! [`TupleSpace::lookup`] would have — up to and including the first miss. The headers
+//! on a set bit does it go on, hash in hand, to the tuple: it walks the tuple's flat
+//! open-addressed index of `u64` slots from the slot the hash names, and compares against
+//! a stored key only where a slot's tag (the hash's high 32 bits) matches. A header
+//! leaves the walk at its first hit, and the walk ends when every header has hit, or at
+//! the end of the lane. A walk materialises no masked key and allocates nothing. The
+//! results are committed afterwards, header by header in run order — the hit counters
+//! bumped and `last_used` stamped — up to and including the first miss; a run's headers
 //! behind that miss are left as they were, for the datapath to look up again once the
 //! miss's upcall has installed its entry.
+//!
+//! Inv(2)'s conflict check walks the lane too, with the same per-record test
+//! ([`LaneRecord::excludes`]) restricted to the bits the prospective entry keeps, and
+//! rules tuples out off the lane record alone: it reads a tuple's plan words off the slab
+//! only where the record's inline words do not rule the tuple out, or where the record's
+//! fingerprint is the prospective entry's mask's — the walk has to find that mask's tuple
+//! whether its agreement excludes the key or not.
 //!
 //! A tuple is written on the rare path, and each write is one pass. An insert walks the
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
@@ -240,18 +239,18 @@ fn fingerprint(words: &[PlanWord]) -> u64 {
     })
 }
 
-/// A header laid out for probing, once per lookup: every tuple's plan reads it.
-struct Probe<'a> {
-    header: &'a Key,
-    /// The header as [`key_words`] lays it out.
+/// A key laid out for plans to read, once per use: a resident key folded into its tuple's
+/// agreement or hashed, or a prospective entry's key on the Inv(2) walk. (A lookup lays
+/// its headers out a column each: [`TupleSpace::walk`].)
+struct Probe {
+    /// The key as [`key_words`] lays it out.
     words: [u64; 16],
 }
 
-impl<'a> Probe<'a> {
-    fn new(header: &'a Key) -> Self {
+impl Probe {
+    fn new(key: &Key) -> Self {
         Probe {
-            header,
-            words: key_words(header),
+            words: key_words(key),
         }
     }
 
@@ -305,7 +304,7 @@ fn filter_bit(hash: u64) -> u64 {
     1 << (hash >> 58)
 }
 
-/// The most headers [`TupleSpace::lookup_run`] walks the lane for at once.
+/// The most headers a walk of the lane looks up at once ([`TupleSpace::lookup_run`]).
 const RUN: usize = 4;
 
 /// The hash's high half, kept in a slot as its tag.
@@ -441,27 +440,16 @@ impl LaneRecord {
         }
     }
 
-    /// What [`PlanWord::excludes`] gives for inline word `i`, for a header whose key word
-    /// `w` is `word(w)`: non-zero iff that word alone rules every entry out. A padding
-    /// word gives 0.
+    /// What [`PlanWord::excludes`] gives for inline word `i` on the bits `keep(w)` of key
+    /// word `w`, for a key whose word `w` is `word(w)`: non-zero iff that word alone rules
+    /// out every entry the key could match there. A probe keeps every bit (a header matches
+    /// no entry); the Inv(2) walk keeps the prospective entry's mask's, and is then told
+    /// whether it overlaps no entry — each `agree` is within its plan word's bits, so this
+    /// is the restriction to the bits both masks keep. A padding word gives 0.
     #[inline(always)]
-    fn excludes(&self, i: usize, word: impl Fn(usize) -> u64) -> u64 {
-        (word(usize::from(self.word[i] & 15)) ^ self.value[i]) & self.agree[i]
-    }
-
-    /// [`Self::excludes`] over both inline words, ORed, on the bits `keep(w)` of key word
-    /// `w` alone: non-zero iff the inline words rule out every entry overlapping a
-    /// prospective entry whose key word `w` is `word(w)` under a mask whose word `w` is
-    /// `keep(w)`. Each `agree` is within its plan word's bits, so this is the restriction
-    /// to the bits both masks keep.
-    #[inline(always)]
-    fn excludes_within(&self, word: impl Fn(usize) -> u64, keep: impl Fn(usize) -> u64) -> u64 {
-        let mut excluded = 0;
-        for i in 0..INLINE {
-            let w = usize::from(self.word[i] & 15);
-            excluded |= (word(w) ^ self.value[i]) & self.agree[i] & keep(w);
-        }
-        excluded
+    fn excludes(&self, i: usize, word: impl Fn(usize) -> u64, keep: impl Fn(usize) -> u64) -> u64 {
+        let w = usize::from(self.word[i] & 15);
+        (word(w) ^ self.value[i]) & self.agree[i] & keep(w)
     }
 }
 
@@ -788,8 +776,8 @@ impl Tuple {
     }
 
     /// The summary of the live keys at `offsets`, each laid out and hashed afresh.
-    fn summary(&self, plan: &[PlanWord], offsets: Range<usize>, work: &mut SweepWork) -> Summary {
-        work.refolded += offsets.len() as u64;
+    fn summary(&self, plan: &[PlanWord], offsets: Range<usize>, work: &mut TssWork) -> Summary {
+        work.sweep_refolded += offsets.len() as u64;
         let mut summary = Summary::EMPTY;
         for offset in offsets {
             let key = Probe::new(&self.entry(offset).key);
@@ -817,10 +805,10 @@ impl Tuple {
         plan: &mut [PlanWord],
         mut cut: usize,
         mut gone: impl FnMut(&MegaflowEntry) -> bool,
-        work: &mut SweepWork,
+        work: &mut TssWork,
     ) -> Option<u64> {
         let (head, end) = (self.head as usize, self.end());
-        work.examined += (cut - head) as u64;
+        work.sweep_examined += (cut - head) as u64;
         // Survivors are read newest first: `newer` is the last one's installation.
         let (mut to, mut ordered, mut newer) = (cut, true, f64::INFINITY);
         for from in (head..cut).rev() {
@@ -840,9 +828,9 @@ impl Tuple {
                 slot(masked_hash(plan, |w| key.word(w)), self.seq(from)),
             );
             debug_assert!(filed.is_some(), "every live entry has its slot");
-            work.slots += 1;
+            work.sweep_slots += 1;
             if went {
-                work.removed += 1;
+                work.sweep_removed += 1;
                 if let Some(i) = filed {
                     unplace(&mut self.index, i);
                 }
@@ -853,7 +841,7 @@ impl Tuple {
             if let Some(i) = filed {
                 self.index[i] = self.index[i] & TAG | u64::from(self.seq(to));
             }
-            work.moved += 1;
+            work.sweep_moved += 1;
         }
         if to == head {
             return None;
@@ -954,60 +942,90 @@ impl Tuple {
     }
 }
 
-/// Host-side work of the sweeps that drop entries — [`TupleSpace::expire_idle`] and
-/// [`TupleSpace::remove_where`] — summed over the cache's life: deterministic counts,
-/// read through [`TupleSpace::sweep_work`].
+/// Host-side work of the cache's walks of its lane and sweeps of its tuples, summed over
+/// its life: deterministic counts, read through [`TupleSpace::work`] and never part of a
+/// simulated cost. Each field is named as the `work/*` row a figure records it in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepWork {
-    /// Entries read to decide whether they go.
-    pub examined: u64,
-    /// Entries removed.
-    pub removed: u64,
-    /// Surviving entries copied to another place in their tuple's log.
-    pub moved: u64,
-    /// Keys laid out, hashed and folded into an agreement again.
-    pub refolded: u64,
-    /// Index slots freed, re-pointed or refiled.
-    pub slots: u64,
-}
-
-/// Host-side work of [`TupleSpace::insert`]'s Inv(2) walks, refused inserts' too, summed
-/// over the cache's life: deterministic counts, read through
-/// [`TupleSpace::install_work`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InstallWork {
-    /// Walks of the lane: one per insert.
-    pub walks: u64,
-    /// Lane records the walks tested: the whole lane, or up to the tuple of a conflict.
-    pub records: u64,
-    /// Records whose plan words the walks read off the slab: those the inline words did
-    /// not rule out, and the tuple of the entry's mask (or a fingerprint collision).
-    pub slab_reads: u64,
+pub struct TssWork {
+    /// [`TupleSpace::lookup`]'s walks, one header each (a run of one is one).
+    pub probe_lookups: u64,
+    /// Lane records they read: the whole lane on a miss, up to the hit's record on a hit
+    /// — `masks_scanned`, summed.
+    pub probe_records: u64,
+    /// Records whose second inline agreement word they read: those whose first did not
+    /// rule the header out.
+    pub probe_second_word: u64,
+    /// Hashes they took: records whose agreement words did not rule the header out.
+    pub probe_hashed: u64,
+    /// [`TupleSpace::lookup_run`]'s walks of two to four headers.
+    pub run_runs: u64,
+    /// Headers they looked up.
+    pub run_headers: u64,
+    /// Lane records they read: the whole lane, or up to the record where the run's last
+    /// header hit.
+    pub run_records: u64,
+    /// Records whose second inline word they read: those whose first word did not rule
+    /// out all of the run's columns (a header that has hit keeps its column, and a run of
+    /// two or three has zero columns beside its headers).
+    pub run_second_word: u64,
+    /// Hashes they took: one per header still looking, per record whose agreement words
+    /// did not rule that header out.
+    pub run_hashed: u64,
+    /// [`TupleSpace::insert`]'s Inv(2) walks, refused inserts' too: one per insert.
+    pub install_walks: u64,
+    /// Lane records they tested: the whole lane, or up to the tuple of a conflict.
+    pub install_records: u64,
+    /// Records whose plan words they read off the slab: those the inline words did not
+    /// rule out, and the tuple of the entry's mask (or a fingerprint collision).
+    pub install_slab_reads: u64,
     /// Tuples under a mask not within the entry's, not ruled out by their agreement,
-    /// whose entries the walks scanned.
-    pub entry_scans: u64,
+    /// whose entries they scanned.
+    pub install_entry_scans: u64,
+    /// Entries the sweeps that drop entries — [`TupleSpace::expire_idle`] and
+    /// [`TupleSpace::remove_where`] — read to decide whether they go.
+    pub sweep_examined: u64,
+    /// Entries they removed.
+    pub sweep_removed: u64,
+    /// Surviving entries they copied to another place in their tuple's log.
+    pub sweep_moved: u64,
+    /// Keys they laid out, hashed and folded into an agreement again.
+    pub sweep_refolded: u64,
+    /// Index slots they freed, re-pointed or refiled.
+    pub sweep_slots: u64,
 }
 
-/// Host-side work of [`TupleSpace::lookup_run`]'s walks of the lane for two to four
-/// headers, summed over the cache's life: deterministic counts, read through
-/// [`TupleSpace::run_work`]. A run of one header is a [`TupleSpace::lookup`], and not
-/// counted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunWork {
-    /// Walks of the lane: one per run.
-    pub runs: u64,
-    /// Headers the walks looked up.
-    pub headers: u64,
-    /// Lane records the walks read: the whole lane, or up to the record where the run's
-    /// last header hit.
-    pub records: u64,
-    /// Records whose second inline word the walks read: those whose first word did not
-    /// rule out all of the run's columns (a header that has hit keeps its column, and a
-    /// run of two or three has zero columns beside its headers).
-    pub second_word: u64,
-    /// Hashes the walks took: one per header still looking, per record whose agreement
-    /// words did not rule that header out.
-    pub hashed: u64,
+impl std::ops::AddAssign for TssWork {
+    fn add_assign(&mut self, other: TssWork) {
+        // Destructured whole, so that a field added to the block is summed too.
+        macro_rules! add {
+            ($($field:ident)*) => {{
+                let TssWork { $($field),* } = other;
+                $(self.$field += $field;)*
+            }};
+        }
+        add!(
+            probe_lookups probe_records probe_second_word probe_hashed
+            run_runs run_headers run_records run_second_word run_hashed
+            install_walks install_records install_slab_reads install_entry_scans
+            sweep_examined sweep_removed sweep_moved sweep_refolded sweep_slots
+        );
+    }
+}
+
+/// What one walk of the lane for up to `N` headers found, and what it read.
+struct Walk<const N: usize> {
+    /// One bit per header that missed: the walk reached the end of the lane without
+    /// matching it.
+    missed: u32,
+    /// Where each header that hit did: its record's position in the lane, its tuple's
+    /// slot, and the entry's offset in the tuple's log.
+    found: [(usize, usize, usize); N],
+    /// Lane records read: the whole lane, or up to the record where the last header hit.
+    records: usize,
+    /// Records whose second inline word was read.
+    second_word: u64,
+    /// Hashes taken.
+    hashed: u64,
 }
 
 /// The TSS megaflow cache: its probe lane, plan slab and tuples.
@@ -1025,18 +1043,17 @@ pub struct TupleSpace {
     slab: Vec<PlanWord>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
-    /// What the sweeps have done; see [`Self::sweep_work`].
-    work: SweepWork,
-    /// What the inserts' walks have done; see [`Self::install_work`].
-    installs: InstallWork,
-    /// What the runs' walks have done; see [`Self::run_work`].
-    runs: RunWork,
+    /// What the walks and sweeps have done; see [`Self::work`].
+    work: TssWork,
 }
 
 impl TupleSpace {
     /// Entries to a block of a tuple's log: a tuple that outgrows one grows, and an idle
     /// sweep frees it, a block at a time.
     pub const BLOCK: usize = BLOCK;
+
+    /// The most headers [`Self::lookup_run`] looks up in one walk of the lane.
+    pub const RUN: usize = RUN;
 
     /// Create an empty cache.
     pub fn new(schema: FieldSchema) -> Self {
@@ -1046,9 +1063,7 @@ impl TupleSpace {
             lane: VecDeque::new(),
             slab: Vec::new(),
             tuples: Vec::new(),
-            work: SweepWork::default(),
-            installs: InstallWork::default(),
-            runs: RunWork::default(),
+            work: TssWork::default(),
         }
     }
 
@@ -1080,25 +1095,10 @@ impl TupleSpace {
         self.tuples.iter().map(Tuple::len).sum()
     }
 
-    /// The host-side work every sweep of this cache has done so far, summed: entries
-    /// examined and removed, survivors moved, keys refolded and index slots written.
-    /// Deterministic, and never part of a simulated cost.
-    pub fn sweep_work(&self) -> SweepWork {
+    /// The host-side work every walk of the lane and every sweep of this cache has done
+    /// so far, summed.
+    pub fn work(&self) -> TssWork {
         self.work
-    }
-
-    /// The host-side work every insert's Inv(2) walk has done so far, summed: walks, lane
-    /// records tested, plan words read off the slab and tuples entry-scanned.
-    /// Deterministic, and never part of a simulated cost.
-    pub fn install_work(&self) -> InstallWork {
-        self.installs
-    }
-
-    /// The host-side work every [`Self::lookup_run`] walk has done so far, summed: runs,
-    /// headers, lane records read, records whose second inline word was read and hashes
-    /// taken. Deterministic, and never part of a simulated cost.
-    pub fn run_work(&self) -> RunWork {
-        self.runs
     }
 
     /// The tuple a lane record stands for.
@@ -1147,121 +1147,49 @@ impl TupleSpace {
         self.lane.iter().flat_map(|rec| self.tuple(rec).iter())
     }
 
-    /// One probe of Alg. 1: the offset, in its tuple's log, of the entry the probed
-    /// header matches under the record's mask. [`Self::lookup`] and [`Self::peek`]
-    /// probe with this one; [`Self::lookup_run`] and the Inv(2) walk ([`Self::walk_for`])
-    /// run the agreement test their own way and share its tail. The test reads the lane
-    /// record's copy of the first agreement word, then of the second, then the slab's
-    /// plan words past them, if the plan has more — the order `lookup_run` tests a run's
-    /// headers in: a header that disagrees misses without a hash, having read for most
-    /// plans the record alone. One that survives is hashed off the slab's plan words, and
-    /// on a clear filter bit misses having read nothing of the tuple. It borrows the slab
-    /// and the tuples, not `self`: `lookup` writes a tuple's hit counter while it holds
-    /// the lane.
-    #[inline(always)]
-    fn probe(
-        slab: &[PlanWord],
-        tuples: &[Tuple],
-        rec: &LaneRecord,
-        probe: &Probe,
-    ) -> Option<usize> {
-        if rec.excludes(0, |w| probe.words[w]) != 0 || rec.excludes(1, |w| probe.words[w]) != 0 {
-            return None;
-        }
-        let tail = &slab[rec.tail()];
-        if tail.iter().fold(0, |x, w| x | w.excludes(probe.word(w))) != 0 {
-            return None;
-        }
-        let hash = masked_hash(&slab[rec.plan()], |w| probe.word(w));
-        Self::find_hashed(tuples, rec, hash, probe.header)
-    }
-
-    /// The rest of a probe that passed the agreement test, hash in hand: the miss filter,
-    /// then the tuple.
-    #[inline(always)]
-    fn find_hashed(tuples: &[Tuple], rec: &LaneRecord, hash: u64, header: &Key) -> Option<usize> {
-        if rec.filter & filter_bit(hash) == 0 {
-            return None;
-        }
-        tuples[rec.tuple as usize].find(hash, header)
-    }
-
-    /// Megaflow lookup — Algorithm 1 of the paper.
+    /// Alg. 1's scan for `headers`, at most `N` of them, in one walk of the lane: where
+    /// each header hits first, and what the walk read. [`Self::lookup`] and [`Self::peek`]
+    /// walk for one header, [`Self::lookup_run`] for up to [`RUN`], with zero columns
+    /// beside a shorter run's headers.
     ///
-    /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's tuple.
-    /// Return a hit on the first match (correct thanks to entry disjointness); a miss
-    /// after all masks have been probed. The hit's statistics are bumped in the same
-    /// probe.
-    pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
-        let probe = Probe::new(header);
-        let mut masks_scanned = 0;
-        let mut action = None;
-        for rec in &self.lane {
-            masks_scanned += 1;
-            if let Some(offset) = Self::probe(&self.slab, &self.tuples, rec, &probe) {
-                action = Some(self.tuples[rec.tuple as usize].hit(offset, now));
-                break;
-            }
-        }
-        LookupOutcome {
-            action,
-            masks_scanned,
-        }
-    }
-
-    /// Alg. 1 for a run of headers at nondecreasing times, up to four of them, with the
-    /// lane walked once for all: the outcomes [`Self::lookup`] on each in turn gives, up to
-    /// and including the first miss, written to `out`'s first slots. Returns how many
-    /// headers were answered — at least one of a non-empty run. Those after a miss are left
-    /// untouched — no counter bumped — for the caller to look up again once the miss's
-    /// upcall has installed its entry.
-    ///
-    /// Each lane record's agreement words are tested against all of the run's headers
-    /// together, a word at a time, each word in one fold without a branch: the record's
-    /// first inline word, and a record that rules out every header on it is passed at
-    /// once; then its second inline word, with the same pass; then the slab's plan words
-    /// past the copy, if any. Only a header that survives hashes, off the slab's plan
-    /// words, and a header leaves the walk at its first hit, at the position `lookup`
-    /// would stop at. The hits are committed afterwards, header by header in run order.
-    /// A hit bumps counters and stamps `last_used`, none of which a probe reads, so the
-    /// walk cannot tell the run from `lookup` called on each header in turn. What the
-    /// walk read is added to [`Self::run_work`], once.
-    pub fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
-        let n = run.len().min(out.len()).min(RUN);
-        if n <= 1 {
-            let Some((&(header, now), slot)) = run.first().zip(out.first_mut()) else {
-                return 0;
-            };
-            *slot = self.lookup(header, now);
-            return 1;
-        }
-        // The run's header words, word-major: plan word `w` reads row `w.word`, a column
-        // per header.
-        let mut words = [[0u64; RUN]; 16];
-        for (j, (header, _)) in run[..n].iter().enumerate() {
+    /// The header words are laid out word-major, a column per header, so that each lane
+    /// record (and any plan words past its copy) is read once for all of them, and each
+    /// agreement word is tested against every column in one fold without a branch: the
+    /// record's first inline word, and a record that rules out every column on it is
+    /// passed at once; then its second inline word, with the same pass; then the slab's
+    /// plan words past the copy, if any. Only a header that survives them all hashes, off
+    /// the slab's plan words, and on a clear filter bit misses having read nothing of the
+    /// tuple; a header leaves the walk at its first hit. The walk ends when every header
+    /// has hit, or at the end of the lane. It writes nothing: the caller commits the hits
+    /// and counts the work.
+    #[inline(always)]
+    fn walk<const N: usize>(&self, headers: &[&Key]) -> Walk<N> {
+        let n = headers.len().min(N);
+        // Plan word `w` reads row `w.word`, a column per header.
+        let mut words = [[0u64; N]; 16];
+        for (j, header) in headers[..n].iter().enumerate() {
             for (row, &k) in words.iter_mut().zip(key_words(header).iter()) {
                 row[j] = k;
             }
         }
-        // One bit per header still looking; where in the lane, and in its tuple, each
-        // header that left hit.
+        // One bit per header still looking.
         let mut active = (1u32 << n) - 1;
-        let mut found = [(0, 0); RUN];
+        let mut found = [(0, 0, 0); N];
         let (mut records, mut second_word, mut hashed) = (self.lane.len(), 0, 0);
-        // Whether every column of the run is ruled out: a fold with no branch in it.
-        let all_out = |x: &[u64; RUN]| x.iter().fold(true, |all, &x| all & (x != 0));
+        // Whether every column is ruled out: a fold with no branch in it.
+        let all_out = |x: &[u64; N]| x.iter().fold(true, |all, &x| all & (x != 0));
         for (i, rec) in self.lane.iter().enumerate() {
             // In an explosion nearly every record rules every header out on its first
             // inline word alone (87 % of the records SipDp's runs read), and the walk
             // moves on having tested one word per header, not both inline words.
-            let mut excluded: [u64; RUN] =
-                std::array::from_fn(|j| rec.excludes(0, |w| words[w][j]));
+            let mut excluded: [u64; N] =
+                std::array::from_fn(|j| rec.excludes(0, |w| words[w][j], |_| !0));
             if all_out(&excluded) {
                 continue;
             }
             second_word += 1;
             for (j, x) in excluded.iter_mut().enumerate() {
-                *x |= rec.excludes(1, |w| words[w][j]);
+                *x |= rec.excludes(1, |w| words[w][j], |_| !0);
             }
             if all_out(&excluded) {
                 continue;
@@ -1282,8 +1210,8 @@ impl TupleSpace {
                 hashed += 1;
                 let plan = &self.slab[rec.plan()];
                 let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
-                if let Some(pos) = Self::find_hashed(&self.tuples, rec, hash, run[j].0) {
-                    found[j] = (i, pos);
+                if let Some(offset) = Self::find_hashed(&self.tuples, rec, hash, headers[j]) {
+                    found[j] = (i, rec.tuple as usize, offset);
                     active &= !(1 << j);
                 }
             }
@@ -1292,36 +1220,117 @@ impl TupleSpace {
                 break;
             }
         }
-        let work = &mut self.runs;
-        work.runs += 1;
-        work.headers += n as u64;
-        work.records += records as u64;
-        work.second_word += second_word;
-        work.hashed += hashed;
-        for (j, &(_, now)) in run[..n].iter().enumerate() {
-            if active & 1 << j != 0 {
-                out[j] = LookupOutcome {
-                    action: None,
-                    masks_scanned: self.lane.len(),
-                };
+        Walk {
+            missed: active,
+            found,
+            records,
+            second_word,
+            hashed,
+        }
+    }
+
+    /// [`Self::walk`] at [`RUN`] wide, in a function of its own, so that its loop is placed
+    /// alike whatever `lookup_run` grows into: inlined there, the same instructions at
+    /// another offset ran `scan_deep` 6 % slower end to end. A single header's walk stays
+    /// inlined: called, it cost each `lookup` 8 ns.
+    #[inline(never)]
+    fn walk_run(&self, headers: &[&Key]) -> Walk<RUN> {
+        self.walk(headers)
+    }
+
+    /// The rest of a probe that passed the agreement test, hash in hand: the miss filter,
+    /// then the tuple.
+    #[inline(always)]
+    fn find_hashed(tuples: &[Tuple], rec: &LaneRecord, hash: u64, header: &Key) -> Option<usize> {
+        if rec.filter & filter_bit(hash) == 0 {
+            return None;
+        }
+        tuples[rec.tuple as usize].find(hash, header)
+    }
+
+    /// Header `j`'s outcome of `walk`, committed at `now`: a hit bumps its tuple's and its
+    /// entry's hit counters and stamps the entry's `last_used`.
+    fn commit<const N: usize>(&mut self, walk: &Walk<N>, j: usize, now: f64) -> LookupOutcome {
+        if walk.missed & 1 << j != 0 {
+            return LookupOutcome {
+                action: None,
+                masks_scanned: self.lane.len(),
+            };
+        }
+        let (i, tuple, offset) = walk.found[j];
+        LookupOutcome {
+            action: Some(self.tuples[tuple].hit(offset, now)),
+            masks_scanned: i + 1,
+        }
+    }
+
+    /// Megaflow lookup — Algorithm 1 of the paper.
+    ///
+    /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's tuple.
+    /// Return a hit on the first match (correct thanks to entry disjointness); a miss
+    /// after all masks have been probed. It is the lane walk ([`Self::walk`]) for one
+    /// header: a header that disagrees with a tuple's agreement misses it without a hash,
+    /// having read for most plans the lane record alone. The hit's statistics are bumped
+    /// after the walk, and what the walk read is added to [`Self::work`]'s `probe_*`
+    /// counts, once.
+    pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
+        let walk = self.walk::<1>(&[header]);
+        let work = &mut self.work;
+        work.probe_lookups += 1;
+        work.probe_records += walk.records as u64;
+        work.probe_second_word += walk.second_word;
+        work.probe_hashed += walk.hashed;
+        self.commit(&walk, 0, now)
+    }
+
+    /// Alg. 1 for a run of headers at nondecreasing times, up to [`RUN`] of them, with the
+    /// lane walked once for all: the outcomes [`Self::lookup`] on each in turn gives, up to
+    /// and including the first miss, written to `out`'s first slots. Returns how many
+    /// headers were answered — at least one of a non-empty run. Those after a miss are left
+    /// untouched — no counter bumped — for the caller to look up again once the miss's
+    /// upcall has installed its entry.
+    ///
+    /// A run of two to four is one [`RUN`]-wide walk of the lane ([`Self::walk`]), each
+    /// header leaving it at the position `lookup` would stop at; a run of one is a
+    /// `lookup`. The hits are committed afterwards, header by header in run order. A hit
+    /// bumps counters and stamps `last_used`, none of which the walk reads, so it cannot
+    /// tell the run from `lookup` called on each header in turn. What the walk read is
+    /// added to [`Self::work`]'s `run_*` counts, once.
+    pub fn lookup_run(&mut self, run: &[(&Key, f64)], out: &mut [LookupOutcome]) -> usize {
+        let n = run.len().min(out.len()).min(RUN);
+        if n <= 1 {
+            let Some((&(header, now), slot)) = run.first().zip(out.first_mut()) else {
+                return 0;
+            };
+            *slot = self.lookup(header, now);
+            return 1;
+        }
+        let mut headers = [run[0].0; RUN];
+        for (slot, &(header, _)) in headers.iter_mut().zip(run) {
+            *slot = header;
+        }
+        let walk = self.walk_run(&headers[..n]);
+        let work = &mut self.work;
+        work.run_runs += 1;
+        work.run_headers += n as u64;
+        work.run_records += walk.records as u64;
+        work.run_second_word += walk.second_word;
+        work.run_hashed += walk.hashed;
+        for (j, (&(_, now), slot)) in run[..n].iter().zip(out.iter_mut()).enumerate() {
+            *slot = self.commit(&walk, j, now);
+            if slot.action.is_none() {
                 return j + 1;
             }
-            let (i, offset) = found[j];
-            let tuple = self.lane[i].tuple as usize;
-            out[j] = LookupOutcome {
-                action: Some(self.tuples[tuple].hit(offset, now)),
-                masks_scanned: i + 1,
-            };
         }
         n
     }
 
-    /// Read-only lookup that does not update statistics (used by tests and MFCGuard).
+    /// Read-only lookup that does not update statistics (used by tests and MFCGuard): the
+    /// lane walk of [`Self::lookup`], nothing committed and nothing counted.
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
-        let probe = Probe::new(header);
-        self.lane.iter().find_map(|rec| {
-            Self::probe(&self.slab, &self.tuples, rec, &probe).map(|o| self.tuple(rec).entry(o))
-        })
+        let walk = self.walk::<1>(&[header]);
+        let (_, tuple, offset) = walk.found[0];
+        (walk.missed == 0).then(|| self.tuples[tuple].entry(offset))
     }
 
     /// Insert a new megaflow entry. Enforces the two slow-path invariants of §3.2:
@@ -1347,13 +1356,13 @@ impl TupleSpace {
     ) -> Result<(), InsertError> {
         let key = key.apply_mask(&mask);
         let plan = Plan::of(&mask);
-        let mut installs = self.installs;
-        let walked = self
-            .walk_for(&key, &mask, &plan, &mut installs)
-            .map_err(|e| InsertError::Overlap {
-                existing: Box::new((e.key.clone(), e.mask.clone())),
-            });
-        self.installs = installs;
+        let mut work = TssWork::default();
+        let walked =
+            self.walk_for(&key, &mask, &plan, &mut work)
+                .map_err(|e| InsertError::Overlap {
+                    existing: Box::new((e.key.clone(), e.mask.clone())),
+                });
+        self.work += work;
         let (home, hash) = walked?;
         let entry = MegaflowEntry {
             key,
@@ -1415,7 +1424,7 @@ impl TupleSpace {
     /// 128-bit field, through every mutator) pin to the index-less entry scan.
     #[cfg(test)]
     fn find_conflict(&self, key: &Key, mask: &Mask) -> Option<(Key, Mask)> {
-        let mut uncounted = InstallWork::default();
+        let mut uncounted = TssWork::default();
         let conflict = self
             .walk_for(key, mask, &Plan::of(mask), &mut uncounted)
             .err();
@@ -1426,14 +1435,16 @@ impl TupleSpace {
     /// masked and `plan` compiled from `mask`: `Err` with the entry it overlaps, as
     /// [`Self::insert`] reports it, or else where in the lane the tuple of `mask`
     /// is, if one is resident, and the key's hash under `mask` if the walk took it. What
-    /// it did is added to `work`, once.
+    /// it did is added to `work`'s `install_*` counts, once.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
     /// probe order, and each is first checked against its agreement words, the ones a
-    /// probe tests first: a conflicting entry must agree with the new key on every bit
-    /// of `M AND mask`, so a common bit on which every stored key has the other value
-    /// rules the whole tuple out. The lane record's inline words are tested first: a
-    /// record they rule out is passed having read that one cache line, unless its
+    /// lookup's walk ([`Self::walk`]) tests first: a conflicting entry must agree with the
+    /// new key on every bit of `M AND mask`, so a common bit on which every stored key has
+    /// the other value rules the whole tuple out. The lane record's inline words are
+    /// tested first, by the lookup's own per-record test ([`LaneRecord::excludes`]) on the
+    /// bits `mask` keeps: a record they rule out is passed having read that one cache
+    /// line, unless its
     /// fingerprint is `plan`'s. In an explosion that is nearly every record, so an
     /// install costs about what a missed lookup does. A record that survives, or prints
     /// as `plan`, has its plan words read off the slab — all of them to tell whether its
@@ -1457,7 +1468,7 @@ impl TupleSpace {
         key: &Key,
         mask: &Mask,
         plan: &Plan,
-        work: &mut InstallWork,
+        work: &mut TssWork,
     ) -> Result<(Option<usize>, Option<u64>), &MegaflowEntry> {
         debug_assert_eq!(*key, key.apply_mask(mask), "the key is stored masked");
         let probe = Probe::new(key);
@@ -1465,7 +1476,8 @@ impl TupleSpace {
         let (mut home, mut home_hash, mut conflict) = (None, None, None);
         let (mut records, mut slab_reads, mut entry_scans) = (self.lane.len(), 0, 0);
         for (i, rec) in self.lane.iter().enumerate() {
-            let inline = rec.excludes_within(|w| probe.words[w], |w| mask_words[w]);
+            let (word, keep) = (|w: usize| probe.words[w], |w: usize| mask_words[w]);
+            let inline = rec.excludes(0, word, keep) | rec.excludes(1, word, keep);
             if inline != 0 && rec.fingerprint != plan.fingerprint {
                 continue;
             }
@@ -1515,10 +1527,10 @@ impl TupleSpace {
                 break;
             }
         }
-        work.walks += 1;
-        work.records += records as u64;
-        work.slab_reads += slab_reads;
-        work.entry_scans += entry_scans;
+        work.install_walks += 1;
+        work.install_records += records as u64;
+        work.install_slab_reads += slab_reads;
+        work.install_entry_scans += entry_scans;
         match conflict {
             Some(entry) => Err(entry),
             None => Ok((home, home_hash)),
@@ -1541,7 +1553,7 @@ impl TupleSpace {
     /// filter. Drops the tuples left empty; returns how many entries went.
     fn sweep_tuples(
         &mut self,
-        mut sweep: impl FnMut(&mut Tuple, &mut [PlanWord], &mut SweepWork) -> Option<u64>,
+        mut sweep: impl FnMut(&mut Tuple, &mut [PlanWord], &mut TssWork) -> Option<u64>,
     ) -> usize {
         let mut removed = 0;
         let mut emptied = false;
@@ -1655,7 +1667,7 @@ impl TupleSpace {
                 // installed, so none is idle. The entry at the cut is read to find it.
                 let old = |&offset: &usize| now - tuple.entry(offset).installed_at > idle_timeout;
                 cut = head + (head..end).take_while(old).count();
-                work.examined += u64::from(cut < end);
+                work.sweep_examined += u64::from(cut < end);
             }
             tuple.remove(plan, cut, |e| now - e.last_used > idle_timeout, work)
         })
@@ -2407,19 +2419,21 @@ mod tests {
         c.insert(k(0b100), k(0b110), Action::Deny, 0.0).unwrap();
         let plan = Plan::of(&k(0b111));
         let (key, mask) = (key_words(&k(0b011)), key_words(&k(0b111)));
-        assert_ne!(c.lane[0].excludes_within(|w| key[w], |w| mask[w]), 0);
+        let inline = |i| c.lane[0].excludes(i, |w| key[w], |w| mask[w]);
+        assert_ne!(inline(0) | inline(1), 0);
         assert_eq!(c.lane[0].fingerprint, plan.fingerprint);
 
-        let before = c.install_work();
+        let before = c.work();
         c.insert(k(0b011), k(0b111), Action::Deny, 1.0).unwrap();
         assert_eq!((c.mask_count(), c.entry_count()), (2, 3));
         assert_eq!(
-            c.install_work(),
-            InstallWork {
-                walks: before.walks + 1,
-                records: before.records + 2,
-                slab_reads: before.slab_reads + 1,
-                entry_scans: 0,
+            c.work(),
+            TssWork {
+                install_walks: before.install_walks + 1,
+                install_records: before.install_records + 2,
+                install_slab_reads: before.install_slab_reads + 1,
+                install_entry_scans: 0,
+                ..TssWork::default()
             },
             "one slab read: the tuple under 111; (100, 110) is ruled out by its record"
         );
@@ -2436,12 +2450,12 @@ mod tests {
             (0b000, 0b000),
         ] {
             let (key, mask) = (k(key), k(mask));
-            let (mut honest, mut forged) = (InstallWork::default(), InstallWork::default());
+            let (mut honest, mut forged) = (TssWork::default(), TssWork::default());
             let plan = Plan::of(&mask);
             let expected = c.walk_for(&key, &mask, &plan, &mut honest);
             let walked = collided.walk_for(&key, &mask, &plan, &mut forged);
             assert_eq!(walked.map_err(|e| &e.key), expected.map_err(|e| &e.key));
-            let extra = forged.slab_reads - honest.slab_reads;
+            let extra = forged.install_slab_reads - honest.install_slab_reads;
             assert!(extra <= 1, "{key} / {mask}: {extra} more slab reads");
         }
     }
@@ -2500,15 +2514,15 @@ mod tests {
         let (mut c, _) = sipdp_explosion(true);
         let proto = c.schema().field_index("ip_proto").unwrap();
         let t = 1.0;
-        let exploded = c.install_work();
+        let exploded = c.work();
         assert_eq!(
-            exploded,
-            InstallWork {
-                walks: 529,
-                records: 135_696,
-                slab_reads: 3_976,
-                entry_scans: 0,
-            },
+            (
+                exploded.install_walks,
+                exploded.install_records,
+                exploded.install_slab_reads,
+                exploded.install_entry_scans
+            ),
+            (529, 135_696, 3_976, 0),
             "`tp_dst` is past the inline words: a record whose `ip_src` agrees is read"
         );
 
@@ -2522,15 +2536,21 @@ mod tests {
         let masks: std::collections::BTreeSet<Mask> =
             c.mask_usage().into_iter().map(|(m, _)| m).collect();
         assert_eq!(masks.len(), c.mask_count(), "no mask has two tuples");
-        let w = c.install_work();
+        let w = c.work();
         assert_eq!(
-            (w.walks - exploded.walks, w.records - exploded.records),
+            (
+                w.install_walks - exploded.install_walks,
+                w.install_records - exploded.install_records
+            ),
             (529, 529 * 513)
         );
         // Each walk reads the tuple it joins, and the tuples already joined whose
         // `ip_src` agrees: those no longer agree on `ip_proto`.
         assert_eq!(
-            (w.slab_reads - exploded.slab_reads, w.entry_scans),
+            (
+                w.install_slab_reads - exploded.install_slab_reads,
+                w.install_entry_scans
+            ),
             (5_001, 0)
         );
     }
@@ -2676,9 +2696,10 @@ mod tests {
             .all(|h| all.clone().lookup(h, 1.0).masks_scanned == 1));
     }
 
-    /// What one `lookup_run` of `run` on a clone of `c`, a cache no run has walked yet,
-    /// did, after `run_matches_lookups` has held its answers to `lookup`'s.
-    fn work_of_run(c: &TupleSpace, run: &[Triple]) -> RunWork {
+    /// What one `lookup_run` of `run` on a clone of `c`, a cache no lookup has walked yet,
+    /// did, after `run_matches_lookups` has held its answers to `lookup`'s: the work of
+    /// `c`'s inserts left out.
+    fn work_of_run(c: &TupleSpace, run: &[Triple]) -> TssWork {
         let keys: Vec<Key> = run
             .iter()
             .map(|&(a, b, cc)| Key::from_values(c.schema(), &[a, b, cc]))
@@ -2687,7 +2708,13 @@ mod tests {
         run_matches_lookups(c, &run).unwrap();
         let mut c = c.clone();
         c.lookup_run(&run, &mut [LookupOutcome::default(); RUN]);
-        c.run_work()
+        TssWork {
+            install_walks: 0,
+            install_records: 0,
+            install_slab_reads: 0,
+            install_entry_scans: 0,
+            ..c.work()
+        }
     }
 
     /// A cache over three byte fields, `a`, `b` and `c` (key words 0, 2 and 4), of one
@@ -2723,12 +2750,13 @@ mod tests {
             ((7, 0, 0x60), pair),
             ((0, 0, 0x05), top),
         ]);
-        let work = |runs, headers, records, second_word, hashed| RunWork {
-            runs,
-            headers,
-            records,
-            second_word,
-            hashed,
+        let work = |run_runs, run_headers, run_records, run_second_word, run_hashed| TssWork {
+            run_runs,
+            run_headers,
+            run_records,
+            run_second_word,
+            run_hashed,
+            ..TssWork::default()
         };
         // `full`'s first word rules out the first three headers and not the fourth,
         // which hits there; `pair` and `top` each read their second word for the
@@ -2755,8 +2783,18 @@ mod tests {
             work_of_run(&c, &[(1, 2, 0x33), (7, 0, 0x61), (0, 1, 0x01)]),
             work(1, 3, 3, 3, 3)
         );
-        // A single header is a `lookup`, which the counters do not see.
-        assert_eq!(work_of_run(&c, &[(1, 2, 0x33)]), RunWork::default());
+        // A single header is a `lookup`, counted as a probe: it hits `full`'s tuple, having
+        // read its second word and hashed there.
+        assert_eq!(
+            work_of_run(&c, &[(1, 2, 0x33)]),
+            TssWork {
+                probe_lookups: 1,
+                probe_records: 1,
+                probe_second_word: 1,
+                probe_hashed: 1,
+                ..TssWork::default()
+            }
+        );
     }
 
     /// A header that has hit keeps its column in the walk's tests: here the first header
@@ -2775,12 +2813,13 @@ mod tests {
         let run = [(1, 2, 3), (7, 9, 0x61), (7, 8, 0x62), (7, 7, 0x63)];
         assert_eq!(
             work_of_run(&c, &run),
-            RunWork {
-                runs: 1,
-                headers: 4,
-                records: 3,
-                second_word: 3,
-                hashed: 4,
+            TssWork {
+                run_runs: 1,
+                run_headers: 4,
+                run_records: 3,
+                run_second_word: 3,
+                run_hashed: 4,
+                ..TssWork::default()
             }
         );
     }
@@ -2802,16 +2841,50 @@ mod tests {
             assert!(out[..answered].iter().all(|o| o.action.is_some()));
             rest = &rest[answered..];
         }
+        let w = c.work();
         assert_eq!(
-            c.run_work(),
-            RunWork {
-                runs: 140,
-                headers: 560,
-                records: 38_673,
-                second_word: 4_926,
-                hashed: 560,
-            },
+            (
+                w.run_runs,
+                w.run_headers,
+                w.run_records,
+                w.run_second_word,
+                w.run_hashed
+            ),
+            (140, 560, 38_673, 4_926, 560),
             "561 headers: 140 runs of four, and one `lookup`"
+        );
+        assert_eq!(w.probe_lookups, 1, "the 561st header");
+    }
+
+    /// A miss walks the whole lane for its one header, and what the walk read is pinned:
+    /// SipDp's explosion pinned to TCP, probed with its trace's first header (the allowed
+    /// `ip_src` and `tp_dst`) over UDP. Every record is read — `probe_records` is
+    /// `masks_scanned` — and the first inline word (`ip_src`) passes only the records
+    /// whose tuple holds the allowed `ip_src`, each then ruled out by the second
+    /// (`ip_proto`) without a hash. The counts are a pinned baseline: a filter that skips
+    /// records lowers them on purpose.
+    #[test]
+    fn a_miss_reads_every_record_of_an_explosion_and_hashes_none() {
+        let (mut c, trace) = sipdp_explosion(true);
+        let proto = c.schema().field_index("ip_proto").unwrap();
+        let mut header = trace[0].clone();
+        header.set(proto, 17);
+        let peeked = c.work();
+        assert_eq!(
+            peeked.probe_lookups, 0,
+            "the fixture peeked at its trace, uncounted"
+        );
+        let out = c.lookup(&header, 1.0);
+        assert_eq!((out.action, out.masks_scanned), (None, 513));
+        assert_eq!(
+            c.work(),
+            TssWork {
+                probe_lookups: 1,
+                probe_records: 513,
+                probe_second_word: 16,
+                probe_hashed: 0,
+                ..peeked
+            }
         );
     }
 
@@ -3044,20 +3117,19 @@ mod tests {
                 next += 1;
             }
             assert_eq!(c.lookup(&key(0), now).action, Some(Action::Allow));
-            let before = c.sweep_work();
+            let before = c.work();
             let removed = c.expire_idle(now, 10.0);
-            let w = c.sweep_work();
-            let d = |f: fn(&SweepWork) -> u64| f(&w) - f(&before);
-            assert_eq!(d(|w| w.removed), removed as u64);
-            let (examined, removed_and_moved) = (d(|w| w.examined), d(|w| w.removed + w.moved));
+            let w = work_since(&c, before);
+            assert_eq!(w.sweep_removed, removed as u64);
             assert!(
-                examined <= removed_and_moved + 1 || (removed == 0 && examined <= 2),
-                "step {step}: {w:?} after {before:?}"
+                w.sweep_examined <= w.sweep_removed + w.sweep_moved + 1
+                    || (removed == 0 && w.sweep_examined <= 2),
+                "step {step}: {w:?}"
             );
-            assert!(d(|w| w.refolded) <= 2 * CHUNK as u64, "step {step}");
-            assert_eq!(d(|w| w.slots), d(|w| w.removed) + d(|w| w.moved));
+            assert!(w.sweep_refolded <= 2 * CHUNK as u64, "step {step}");
+            assert_eq!(w.sweep_slots, w.sweep_removed + w.sweep_moved);
             if removed > 0 {
-                assert_eq!(d(|w| w.moved), 1, "the long-lived entry slides up");
+                assert_eq!(w.sweep_moved, 1, "the long-lived entry slides up");
                 swept += 1;
             }
         }
@@ -3074,15 +3146,17 @@ mod tests {
         );
     }
 
-    /// The work a sweep did, as the difference of two [`TupleSpace::sweep_work`] reads.
-    fn work_since(c: &TupleSpace, before: SweepWork) -> SweepWork {
-        let w = c.sweep_work();
-        SweepWork {
-            examined: w.examined - before.examined,
-            removed: w.removed - before.removed,
-            moved: w.moved - before.moved,
-            refolded: w.refolded - before.refolded,
-            slots: w.slots - before.slots,
+    /// The work a sweep did, as the difference of two [`TupleSpace::work`] reads' sweep
+    /// counts.
+    fn work_since(c: &TupleSpace, before: TssWork) -> TssWork {
+        let w = c.work();
+        TssWork {
+            sweep_examined: w.sweep_examined - before.sweep_examined,
+            sweep_removed: w.sweep_removed - before.sweep_removed,
+            sweep_moved: w.sweep_moved - before.sweep_moved,
+            sweep_refolded: w.sweep_refolded - before.sweep_refolded,
+            sweep_slots: w.sweep_slots - before.sweep_slots,
+            ..TssWork::default()
         }
     }
 
@@ -3115,28 +3189,28 @@ mod tests {
         let live = c.entry_count() as u64;
 
         // Nothing idles out: the walk reads every entry and writes nothing.
-        let (held, before) = (c.entries().cloned().collect::<Vec<_>>(), c.sweep_work());
+        let (held, before) = (c.entries().cloned().collect::<Vec<_>>(), c.work());
         assert_eq!(c.expire_idle(20.0, 30.0), 0);
         let w = work_since(&c, before);
         assert_eq!(
             w,
-            SweepWork {
-                examined: live,
-                ..SweepWork::default()
+            TssWork {
+                sweep_examined: live,
+                ..TssWork::default()
             }
         );
         assert!(c.entries().eq(held.iter()));
 
         // At 21.5 s everything used before 11.5 s goes, the offenders too: the two
         // survivors in front of them slide up, the block behind them stays put.
-        let before = c.sweep_work();
+        let before = c.work();
         assert_eq!(c.expire_idle(21.5, 10.0), 3 * BLOCK - 2 + 3);
         let w = work_since(&c, before);
         assert_eq!(
-            (w.examined, w.removed, w.moved),
+            (w.sweep_examined, w.sweep_removed, w.sweep_moved),
             (live, live - 2 - BLOCK as u64, 2)
         );
-        assert_eq!(w.slots, w.removed + w.moved);
+        assert_eq!(w.sweep_slots, w.sweep_removed + w.sweep_moved);
         assert!(c.tuples[0].ordered, "the survivors are in time order");
         let held: Vec<f64> = c.entries().map(|e| e.installed_at).collect();
         let mut expected = vec![11.5, 11.75];
@@ -3146,10 +3220,13 @@ mod tests {
         // A block at 30 s; at 31 s the 18 entries installed before 21 s go, and the sweep
         // reads them and the entry at the cut, nothing more.
         install(&mut c, BLOCK, 30.0);
-        let before = c.sweep_work();
+        let before = c.work();
         assert_eq!(c.expire_idle(31.0, 10.0), BLOCK + 2);
         let w = work_since(&c, before);
-        assert!(w.examined <= w.removed + w.moved + 1, "{w:?}");
+        assert!(
+            w.sweep_examined <= w.sweep_removed + w.sweep_moved + 1,
+            "{w:?}"
+        );
         assert_eq!(c.entry_count(), BLOCK);
     }
 
@@ -3169,14 +3246,14 @@ mod tests {
                 .unwrap();
         }
         let mut held: Vec<MegaflowEntry> = c.entries().cloned().collect();
-        let before = c.sweep_work();
+        let before = c.work();
         assert_eq!(c.remove_where(|e| e.action == Action::Allow), 0);
         let w = work_since(&c, before);
         assert_eq!(
             w,
-            SweepWork {
-                examined: n as u64,
-                ..SweepWork::default()
+            TssWork {
+                sweep_examined: n as u64,
+                ..TssWork::default()
             }
         );
         assert!(c.entries().eq(held.iter()));
@@ -3187,15 +3264,15 @@ mod tests {
             let i = e.installed_at as usize;
             (BLOCK..3 * BLOCK).contains(&i) && i % 4 == 1
         };
-        let before = c.sweep_work();
+        let before = c.work();
         assert_eq!(c.remove_where(middle), BLOCK / 2);
         let w = work_since(&c, before);
         let older = (3 * BLOCK - 3) - (BLOCK / 2 - 1);
         assert_eq!(
-            (w.examined, w.removed, w.moved),
+            (w.sweep_examined, w.sweep_removed, w.sweep_moved),
             (n as u64, BLOCK as u64 / 2, older as u64)
         );
-        assert_eq!(w.slots, w.removed + w.moved);
+        assert_eq!(w.sweep_slots, w.sweep_removed + w.sweep_moved);
         held.retain(|e| !middle(e));
         assert!(c.entries().eq(held.iter()));
         for e in &held {

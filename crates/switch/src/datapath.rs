@@ -48,10 +48,6 @@ pub const DEFAULT_IDLE_TIMEOUT: f64 = 10.0;
 /// Interval between idle-expiry sweeps, seconds (OVS revalidator cadence).
 const REVALIDATION_INTERVAL: f64 = 1.0;
 
-/// The longest run of events the batch core hands [`TupleSpace::lookup_run`] at once: as
-/// many as it walks its probe lane for together.
-const RUN: usize = 4;
-
 /// Result of processing one packet through the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessOutcome {
@@ -391,8 +387,8 @@ impl Datapath {
     /// into a batch-local accumulator that is merged into the datapath's stats once.
     ///
     /// After a hit the events go to the fast path in runs ([`TupleSpace::lookup_run`]; a §7
-    /// classifier answers a run's first event alone), and the run doubles, up to [`RUN`]
-    /// events, while every event of it hits; a miss drops it back to one event, so a
+    /// classifier answers a run's first event alone), and the run doubles, up to
+    /// [`TupleSpace::RUN`] events — as many as it walks its probe lane for together — while every event of it hits; a miss drops it back to one event, so a
     /// stream of upcalls never looks a header up ahead of its turn. A run ends early
     /// where the next event would run the idle-expiry sweep, and at its first miss: that
     /// event's upcall is made, and the events behind it are classified one by one. Each
@@ -427,7 +423,7 @@ impl Datapath {
                 width = 1 + usize::from(outcome.path == PathTaken::Megaflow);
                 continue;
             }
-            let (mut run, mut len) = ([first; RUN], 1);
+            let (mut run, mut len) = ([first; TupleSpace::RUN], 1);
             let last_sweep = self.last_sweep;
             while len < width {
                 match events.next_if(|e| e.2 - last_sweep < REVALIDATION_INTERVAL) {
@@ -436,7 +432,7 @@ impl Datapath {
                 }
                 len += 1;
             }
-            let mut looked = [LookupOutcome::default(); RUN];
+            let mut looked = [LookupOutcome::default(); TupleSpace::RUN];
             let keys = run.map(|(header, _, now)| (header, now));
             let answered = match &self.baseline {
                 None => self.megaflow.lookup_run(&keys[..len], &mut looked[..len]),
@@ -458,7 +454,11 @@ impl Datapath {
                 hits &= outcome.path == PathTaken::Megaflow;
                 max_masks_scanned = max_masks_scanned.max(outcome.masks_scanned);
             }
-            width = if hits { (width * 2).min(RUN) } else { 1 };
+            width = if hits {
+                (width * 2).min(TupleSpace::RUN)
+            } else {
+                1
+            };
         }
         self.stats.merge(&pending);
         BatchReport {

@@ -426,9 +426,9 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
     let (mut expired, mut unordered) = (0, true);
     let o_allocs = allocations_during(|| {
         now += block as f64;
-        let (live, before) = (cache.entry_count(), cache.sweep_work().examined);
+        let (live, before) = (cache.entry_count(), cache.work().sweep_examined);
         expired += cache.expire_idle(now, 10.0);
-        unordered &= cache.sweep_work().examined - before == live as u64;
+        unordered &= cache.work().sweep_examined - before == live as u64;
     });
     assert_eq!(expired, 5 * block, "every audited sweep removed entries");
     assert!(unordered, "every audited sweep read the whole log");

@@ -489,7 +489,9 @@ proptest! {
 
     /// Executor choice never changes `DatapathStats`: arbitrary key batches over
     /// arbitrary shard/thread counts produce identical per-shard and aggregate
-    /// counters (costs compared to the f64 bit).
+    /// counters (costs compared to the f64 bit), and identical host-side work counts
+    /// of every shard's megaflow cache (`TssWork`: its lookups', runs' and installs'
+    /// walks of the lane).
     #[test]
     fn executor_choice_never_changes_datapath_stats(
         values in proptest::collection::vec((0u128..1u128 << 32, 0u128..=u16::MAX as u128), 40..60),
@@ -525,6 +527,9 @@ proptest! {
         prop_assert_eq!(a.busy_seconds.to_bits(), c.busy_seconds.to_bits());
         for i in 0..n_shards {
             prop_assert_eq!(seq.shard(i).stats(), pool.shard(i).stats(), "shard {}", i);
+            let work = seq.shard(i).megaflow().work();
+            prop_assert_eq!(work, pool.shard(i).megaflow().work(), "shard {}", i);
+            prop_assert_eq!(work, chaos.shard(i).megaflow().work(), "shard {}", i);
         }
     }
 
