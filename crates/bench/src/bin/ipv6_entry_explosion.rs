@@ -18,7 +18,7 @@
 //! `tests/paper_claims.rs` judges the anomaly on this binary's sweep at its defaults.
 //! Each variant also records its idle sweeps' host-side work, summed over shards, as
 //! deterministic `<variant>/work/sweep_*` rows: entries examined, removed and moved,
-//! keys refolded and index slots written.
+//! and index slots written.
 //!
 //! Run with `--duration <s>` (default 70), `--shards <n>` (default 4),
 //! `--parallel <threads>` and `--json <path>` (CI smoke-runs it short and gates the
@@ -83,7 +83,6 @@ fn main() {
             ("examined", "entries", w.sweep_examined),
             ("removed", "entries", w.sweep_removed),
             ("moved", "entries", w.sweep_moved),
-            ("refolded", "keys", w.sweep_refolded),
             ("slots", "slots", w.sweep_slots),
         ] {
             let name = format!("{}/work/sweep_{row}", run.variant.name);

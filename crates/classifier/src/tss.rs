@@ -12,16 +12,18 @@
 //!
 //! * the **probe lane**, one 64-byte record per tuple, a cache line each, held in probe
 //!   order — position in the lane *is* Alg. 1's scan order. A record carries where the
-//!   tuple's plan words sit in the slab, which tuple it stands for, a 64-bit **miss
-//!   filter** (one bit per resident key, chosen by the top six bits of the key's hash), a
-//!   64-bit **fingerprint** of the plan's mask, and a copy of the agreement (below) of its
-//!   plan's first two words. A hit writes nothing of it: the hit counter is the tuple's;
+//!   tuple's plan words sit in the slab, which tuple it stands for, a 64-bit
+//!   **fingerprint** of the plan's mask, and a copy of the agreement (below) of its plan's
+//!   first two words. A hit writes nothing of it: the hit counter is the tuple's;
 //! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
 //!   in one tuple-space-wide vector of 32-byte records. The plan is the only form the
 //!   scan reads a mask in, and it is stored once: a plan determines its mask, so finding
 //!   a mask's tuple compares plans too. Each record also carries the word's
-//!   **agreement**: the bits on which every resident key of the tuple agrees, and their
-//!   common value — for a one-key tuple, the whole word of that key;
+//!   **agreement**: bits on which every resident key of the tuple agrees, and their
+//!   common value — for a tuple made for one key and given no other, the whole word of
+//!   that key. It is the scan's one proof of a miss, and it only narrows: an insert folds
+//!   its key in, a sweep leaves it as it was (what every key of a superset agrees on, its
+//!   subset agrees on too), and it starts over only with a new tuple;
 //! * the **tuples** — a mask, its entries and the index over them — in slots the lane
 //!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
 //!   by mask.
@@ -40,19 +42,17 @@
 //! mask, and most masks' plans two words long — that test is exact, so it ends every
 //! miss having read one lane record, one cache line, and nothing of the slab, and the
 //! whole scan stays cache-resident; the first word alone rules a header out on seven
-//! records in eight. The slab stays the agreement's only source: every mutator that
-//! rewrites a record's filter after the agreement changed copies the agreement into the
-//! record too. A header that survives hashes `header AND mask` off the slab's plan words
-//! and tests the **miss filter** bit the hash names: a clear bit proves the miss. Only
-//! on a set bit does it go on, hash in hand, to the tuple: it walks the tuple's flat
-//! open-addressed index of `u64` slots from the slot the hash names, and compares against
-//! a stored key only where a slot's tag (the hash's high 32 bits) matches. A header
-//! leaves the walk at its first hit, and the walk ends when every header has hit, or at
-//! the end of the lane. A walk materialises no masked key and allocates nothing. The
-//! results are committed afterwards, header by header in run order — the hit counters
-//! bumped and `last_used` stamped — up to and including the first miss; a run's headers
-//! behind that miss are left as they were, for the datapath to look up again once the
-//! miss's upcall has installed its entry.
+//! records in eight. The slab stays the agreement's only source: an insert, the one
+//! mutator that changes an agreement, copies it into the record too. A header that
+//! survives hashes `header AND mask` off the slab's plan words and goes on, hash in
+//! hand, to the tuple: it walks the tuple's flat open-addressed index of `u64` slots from
+//! the slot the hash names, and compares against a stored key only where a slot's tag
+//! (the hash's high 32 bits) matches. A header leaves the walk at its first hit, and the
+//! walk ends when every header has hit, or at the end of the lane. A walk materialises
+//! no masked key and allocates nothing. The results are committed afterwards, header by
+//! header in run order — the hit counters bumped and `last_used` stamped — up to and
+//! including the first miss; a run's headers behind that miss are left as they were, for
+//! the datapath to look up again once the miss's upcall has installed its entry.
 //!
 //! Inv(2)'s conflict check walks the lane too, with the same per-record test
 //! ([`LaneRecord::excludes`]) restricted to the bits the prospective entry keeps, and
@@ -68,27 +68,29 @@
 //! every insert appends to the tuple's *log*, an insertion-ordered run of fixed-size
 //! blocks (so entries of a tuple are held, and [`TupleSpace::entries`] yields them, in
 //! insertion order; [`TupleSpace::render`] sorts them by key, so its output does not
-//! depend on arrival order), files the entry's sequence number in the index, sets its
-//! filter bit and folds the key into the agreement. A tuple that never outgrows one
-//! block is one `Vec` that starts at capacity 1. Every mutation leaves lane, slab and
-//! tuples describing the same tuple space; debug builds check that after each one.
+//! depend on arrival order), files the entry's sequence number in the index and folds
+//! the key into the agreement. A tuple that never outgrows one block is one `Vec` that
+//! starts at capacity 1. Every mutation leaves lane, slab and tuples describing the same
+//! tuple space; debug builds check that after each one.
 //!
 //! Every removal from a tuple is one walk back from a *cut*: it reads the live entries
 //! in front of the cut, newest first, frees the index slots of the ones that go, slides
 //! the survivors up against the cut, and frees the blocks left dead; the entries behind
-//! the cut keep their places, slots and hashes. Each chunk of a log keeps a summary of
-//! its keys' agreement and filter bits, so the tuple's agreement and filter are remade
-//! exactly from the summaries and the chunks the walk changed. Idle expiry (§5.4's
-//! revalidation) is O(expired): installs arrive in time order, so a tuple's entries that
-//! can have idled out are the ones in front of the first entry whose own installation
-//! has not, and that entry is the cut. MFCGuard's removal, and idle expiry of a tuple
-//! whose log is out of time order, walk from the end of the log.
+//! the cut keep their places, slots and hashes. A removal writes no agreement and no
+//! lane record: the keys left are a subset of those the agreement was folded over, so it
+//! still rules out nothing they match. A tuple a removal empties is dropped, and a later
+//! insert under its mask starts a new one, whose agreement is its first key's. Idle
+//! expiry (§5.4's revalidation) is O(expired): installs arrive in time order, so a
+//! tuple's entries that can have idled out are the ones in front of the first entry
+//! whose own installation has not, and that entry is the cut. MFCGuard's removal, and
+//! idle expiry of a tuple whose log is out of time order, walk from the end of the log.
 //!
 //! The index hash is fixed-seed. Keys an attacker chooses can therefore lengthen a
-//! linear-probe run, spread a tuple's keys until they agree on no bit, or all land on
-//! filter bits that are set and so send every probe on to the tuple — in *host* time
-//! only: `masks_scanned`, and with it every simulated cost, counts tuples probed and
-//! cannot be moved that way.
+//! linear-probe run, or spread a tuple's keys until they agree on no bit and so send
+//! every probe on to the tuple's index; and a narrowing outlives the keys that caused it
+//! until their tuple empties, so keys installed once and expired keep doing so. All of
+//! that costs *host* time only: `masks_scanned`, and with it every simulated cost,
+//! counts tuples probed and cannot be moved that way.
 //!
 //! > *Observation 1: the time-complexity of TSS lookup grows linearly with the number of
 //! > distinct masks O(|M|) and the space-complexity linearly with the number of entries
@@ -151,17 +153,19 @@ pub enum MaskOrdering {
 }
 
 /// One step of a probe plan — a non-zero 64-bit word of a mask — and its tuple's
-/// **agreement word**: the bits of it on which every resident key agrees, and their
-/// common value. A header whose word differs from `value` anywhere on `agree` matches no
-/// entry of the tuple, and neither does a prospective entry that differs there on a bit
-/// it keeps ([`PlanWord::excludes`]).
+/// **agreement word**: the bits of it on which every key installed in the tuple since it
+/// was made agrees, and their common value, so every resident key agrees there too. A
+/// header whose word differs from `value` anywhere on `agree` matches no entry of the
+/// tuple, and neither does a prospective entry that differs there on a bit it keeps
+/// ([`PlanWord::excludes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct PlanWord {
     /// Which of [`Probe::words`].
     word: u8,
     /// The mask's bits in that word.
     bits: u64,
-    /// The bits of `bits` every resident key has alike: all of them for a one-key tuple.
+    /// Bits of `bits` every resident key has alike: all of them for a tuple made for one
+    /// key and given no other since.
     agree: u64,
     /// The resident keys' bits on `agree`, zero elsewhere.
     value: u64,
@@ -284,9 +288,8 @@ fn agree(plan: &mut [PlanWord], key: &Probe, first: bool) {
 
 /// Hash of `header AND mask`, off the mask's plan and `word`, the header's word each plan
 /// word reads: multiply-rotate per non-zero mask word. The index takes the hash's high
-/// half (slot and tag) and the miss filter its top six bits; a bit of a raw multiply
-/// depends on the input bits at or below it alone, so the SplitMix64 finaliser folds the
-/// whole state into every one of them.
+/// half, its slot and tag; a bit of a raw multiply depends on the input bits at or below
+/// it alone, so the SplitMix64 finaliser folds the whole state into every one of them.
 #[inline]
 fn masked_hash(plan: &[PlanWord], word: impl Fn(&PlanWord) -> u64) -> u64 {
     let mut h = 0u64;
@@ -296,12 +299,6 @@ fn masked_hash(plan: &[PlanWord], word: impl Fn(&PlanWord) -> u64) -> u64 {
             .rotate_left(31);
     }
     splitmix64_mix(h)
-}
-
-/// The miss-filter bit of a key with this hash.
-#[inline]
-fn filter_bit(hash: u64) -> u64 {
-    1 << (hash >> 58)
 }
 
 /// The most headers a walk of the lane looks up at once ([`TupleSpace::lookup_run`]).
@@ -316,16 +313,9 @@ const TAG: u64 = !0 << 32;
 const FILED: u64 = 1 << 63;
 
 /// Entries to a block of a tuple's log, the unit it is allocated and freed in: a power of
-/// two. The crate's unit tests run with small blocks and chunks, so that their fixtures
-/// span many of them.
+/// two. The crate's unit tests run with small blocks, so that their fixtures span many
+/// of them.
 const BLOCK: usize = if cfg!(test) { 16 } else { 256 };
-
-/// Entries to a chunk of a tuple's log, the unit its keys are summarised in
-/// ([`Summary`]): a power of two that divides [`BLOCK`]. A sweep refolds the chunks it
-/// changed, so this bounds its refolds per tuple; each chunk's summary costs 264 bytes.
-const CHUNK: usize = if cfg!(test) { 4 } else { 64 };
-
-const _: () = assert!(BLOCK.is_multiple_of(CHUNK) && CHUNK.is_power_of_two());
 
 /// Index slots for this many entries: a power of two, at most half full.
 fn slots_for(entries: usize) -> usize {
@@ -393,19 +383,15 @@ const INLINE: usize = 2;
 
 /// One tuple as Alg. 1's scan reads it: a record of the probe lane, one cache line, and
 /// aligned to one (a record straddling two lines measured markedly slower). Beside the
-/// filter, the plan's fingerprint and where the tuple and its plan are, it carries a
-/// copy of the agreement of its plan's first [`INLINE`] words, so that a probe — and the
-/// Inv(2) walk — tests a key against them without reading the slab. The slab stays the
-/// agreement's one source: [`LaneRecord::sync`] copies it, wherever a mutator has
-/// rewritten the record's filter after the agreement changed. A hit reads the record and
-/// writes nothing of it: the hit counter is the tuple's.
+/// plan's fingerprint and where the tuple and its plan are, it carries a copy of the
+/// agreement of its plan's first [`INLINE`] words, so that a probe — and the Inv(2) walk
+/// — tests a key against them without reading the slab. The slab stays the agreement's
+/// one source: [`LaneRecord::sync`] copies it wherever an insert has folded a key in, and
+/// nothing else changes it. A hit reads the record and writes nothing of it: the hit
+/// counter is the tuple's.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[repr(align(64))]
 struct LaneRecord {
-    /// The miss filter: the OR of [`filter_bit`] over the tuple's resident keys (a sweep
-    /// recomputes it exactly; 0 marks a tuple left empty, about to be dropped). A probe
-    /// whose bit is clear has missed.
-    filter: u64,
     /// The [`fingerprint`] of the tuple's plan, written once when the tuple is made.
     fingerprint: u64,
     /// The first plan words' `agree` and `value`, and which header word each reads; a
@@ -453,82 +439,12 @@ impl LaneRecord {
     }
 }
 
-/// What some of a tuple's keys contribute to its agreement words and miss filter: per
-/// plan word, the bits they agree on and their common value, and the OR of their filter
-/// bits — 0 for no key at all. A tuple's agreement and filter are the meet of its
-/// chunks' summaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Summary {
-    /// `(agree, value)` of each plan word, as [`PlanWord`] holds them.
-    words: [(u64, u64); 16],
-    filter: u64,
-}
-
-impl Summary {
-    const EMPTY: Summary = Summary {
-        words: [(0, 0); 16],
-        filter: 0,
-    };
-
-    /// What the slab's plan words and a lane filter hold.
-    fn of(plan: &[PlanWord], filter: u64) -> Self {
-        let mut summary = Summary {
-            filter,
-            ..Summary::EMPTY
-        };
-        for (s, w) in summary.words.iter_mut().zip(plan) {
-            *s = (w.agree, w.value);
-        }
-        summary
-    }
-
-    /// Fold in a (masked) key, laid out for probing, whose hash is `hash`.
-    fn add(&mut self, plan: &[PlanWord], key: &Probe, hash: u64) {
-        let first = self.filter == 0;
-        for (s, w) in self.words.iter_mut().zip(plan) {
-            let k = (w.bits, key.word(w));
-            *s = if first { k } else { meet(*s, k) };
-        }
-        self.filter |= filter_bit(hash);
-    }
-
-    /// Meet `other` into this summary: what their keys contribute together.
-    fn meet(&mut self, other: &Summary) {
-        if self.filter == 0 {
-            *self = *other;
-            return;
-        }
-        if other.filter == 0 {
-            return;
-        }
-        for (s, &o) in self.words.iter_mut().zip(&other.words) {
-            *s = meet(*s, o);
-        }
-        self.filter |= other.filter;
-    }
-
-    /// Write the agreement into the plan words; returns the miss filter.
-    fn store(&self, plan: &mut [PlanWord]) -> u64 {
-        for (w, &(agree, value)) in plan.iter_mut().zip(&self.words) {
-            (w.agree, w.value) = (agree, value);
-        }
-        self.filter
-    }
-}
-
-/// The chunk summaries of a tuple that outgrew its first chunk, and the newer blocks of
-/// one that outgrew its first block.
+/// The newer blocks of a tuple that outgrew its first block.
 #[derive(Debug, Clone)]
 struct Log {
     /// The blocks after [`Tuple::entries`], oldest first. Every one but the newest holds
     /// [`BLOCK`] entries.
     blocks: VecDeque<Vec<MegaflowEntry>>,
-    /// The summary of each full chunk, from offset 0 on: folded as the chunk filled,
-    /// refolded where a sweep changes it.
-    sealed: VecDeque<Summary>,
-    /// The summary of the newest chunk while it has room, kept as it fills;
-    /// [`Summary::EMPTY`] once it is full.
-    open: Summary,
     /// A freed block's storage, kept for the next block, so that steady churn allocates
     /// nothing.
     spare: Vec<MegaflowEntry>,
@@ -546,16 +462,15 @@ impl Log {
 
 /// One tuple off the scan's path: every entry sharing a mask, the index that finds one
 /// of them from its hash, and the hit counter a hit bumps beside the entry's own. Its
-/// plan and agreement words live in the slab, its miss filter and plan fingerprint in
-/// its lane record; whatever hashes or folds a key in here is handed its plan words.
+/// plan and agreement words live in the slab, its plan fingerprint in its lane record;
+/// whatever hashes or folds a key in here is handed its plan words.
 ///
 /// **Store.** The entries are a log in insertion order, each at an *offset* from the
 /// start of its oldest block: `entries` is that block, and [`Log`] the newer ones, each
 /// [`BLOCK`] entries long but the newest. A tuple that never outgrew one block is
 /// `entries` alone, which starts at capacity 1. An entry's log sequence number is
 /// `base + offset` (modulo 2^32); the live entries are the contiguous run from offset
-/// `head` on, and the ones in front of it are dead copies a sweep left behind. A tuple
-/// that outgrew its first [`CHUNK`] also keeps a summary of each chunk in its [`Log`].
+/// `head` on, and the ones in front of it are dead copies a sweep left behind.
 ///
 /// `index` is an open-addressed table of `u64` slots, a power of two long and at most
 /// half full: a slot is 0 when free, else `tag << 32 | seq` — the high 32 bits of the
@@ -566,9 +481,9 @@ impl Log {
 /// tombstone.
 ///
 /// **Sweeps.** Every removal is [`Tuple::remove`]: it reads the live entries in front
-/// of a cut and nothing else, drops the ones it is told to, frees the blocks left dead
-/// and refolds the chunks it changed; the entries behind the cut keep their offsets,
-/// slots and hashes, and their chunks' summaries. Idle expiry of an
+/// of a cut and nothing else, drops the ones it is told to and frees the blocks left
+/// dead; the entries behind the cut keep their offsets, slots and hashes, and the
+/// agreement words stay as they were. Idle expiry of an
 /// [`ordered`](Tuple::ordered) tuple cuts at the first entry whose own installation is
 /// not yet past the timeout, so it reads the *old region* alone; every other removal
 /// cuts at the end of the log.
@@ -592,15 +507,15 @@ struct Tuple {
     ordered: bool,
     /// Cumulative fast-path hits on this tuple, reported by [`TupleSpace::mask_usage`].
     hits: u64,
-    /// The chunk summaries and newer blocks, once the tuple has outgrown its first chunk.
+    /// The newer blocks, once the tuple has outgrown its first block.
     log: Option<Box<Log>>,
 }
 
 impl Tuple {
-    /// A tuple made for, and holding, its first entry, and that entry's filter bit.
+    /// A tuple made for, and holding, its first entry, whose key starts the agreement over.
     /// Most tuples of an explosion never get a second entry, so the store starts at
     /// exactly one.
-    fn new(first: MegaflowEntry, plan: &mut [PlanWord]) -> (Self, u64) {
+    fn new(first: MegaflowEntry, plan: &mut [PlanWord]) -> Self {
         let mut tuple = Tuple {
             mask: first.mask.clone(),
             entries: Vec::with_capacity(1),
@@ -611,8 +526,8 @@ impl Tuple {
             hits: 0,
             log: None,
         };
-        let filter = tuple.push(plan, 0, first, None);
-        (tuple, filter)
+        tuple.push(plan, first, None);
+        tuple
     }
 
     /// One past the offset of the newest entry.
@@ -667,8 +582,8 @@ impl Tuple {
     }
 
     /// Offset of the entry `header` matches under this tuple's mask, given the hash of
-    /// `header AND mask`. Kept out of line: only a probe that passed the filter gets
-    /// here, and inlined it would cost every other probe its registers.
+    /// `header AND mask`. Kept out of line: only a probe its tuple's agreement did not
+    /// rule out gets here, and inlined it would cost every other probe its registers.
     #[inline(never)]
     fn find(&self, hash: u64, header: &Key) -> Option<usize> {
         let (wrap, tag) = (self.index.len() - 1, (hash | FILED) & TAG);
@@ -707,15 +622,8 @@ impl Tuple {
     }
 
     /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
-    /// fold it into the agreement words; returns its filter bit. `filter` is the tuple's
-    /// miss filter before it, and `hash` the key's, if the caller has it already.
-    fn push(
-        &mut self,
-        plan: &mut [PlanWord],
-        filter: u64,
-        entry: MegaflowEntry,
-        hash: Option<u64>,
-    ) -> u64 {
+    /// fold it into the agreement words; `hash` is the key's, if the caller has it already.
+    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry, hash: Option<u64>) {
         let key = Probe::new(&entry.key);
         let hash = hash.unwrap_or_else(|| masked_hash(plan, |w| key.word(w)));
         let end = self.end();
@@ -723,40 +631,23 @@ impl Tuple {
             let newest = self.entry(end - 1).installed_at;
             self.ordered &= entry.installed_at >= newest;
         }
-        if self.log.is_none() && end == CHUNK {
-            // Outgrown: the full chunk's summary is what the slab and the lane hold.
-            let mut log = Box::new(Log {
-                blocks: VecDeque::new(),
-                sealed: VecDeque::new(),
-                open: Summary::EMPTY,
-                spare: Vec::new(),
-            });
-            log.sealed.push_back(Summary::of(plan, filter));
-            self.log = Some(log);
-        }
         agree(plan, &key, self.is_empty());
-        match self.log.as_deref_mut() {
-            None => self.entries.push(entry),
-            Some(log) => {
-                log.open.add(plan, &key, hash);
-                if log.blocks.back().map_or(self.entries.len(), Vec::len) == BLOCK {
-                    let spare = std::mem::take(&mut log.spare);
-                    log.blocks.push_back(match spare.capacity() {
-                        0 => Vec::with_capacity(BLOCK),
-                        _ => spare,
-                    });
-                }
-                let newest = match log.blocks.back_mut() {
-                    Some(block) => block,
-                    None => &mut self.entries,
-                };
-                newest.push(entry);
-                if (end + 1).is_multiple_of(CHUNK) {
-                    log.sealed
-                        .push_back(std::mem::replace(&mut log.open, Summary::EMPTY));
-                }
-            }
+        if end > 0 && end.is_multiple_of(BLOCK) {
+            // The newest block is full: the entry starts the next.
+            let log = self.log.get_or_insert_with(|| {
+                Box::new(Log {
+                    blocks: VecDeque::new(),
+                    spare: Vec::new(),
+                })
+            });
+            let spare = std::mem::take(&mut log.spare);
+            log.blocks.push_back(match spare.capacity() {
+                0 => Vec::with_capacity(BLOCK),
+                _ => spare,
+            });
         }
+        let newest = self.log.as_deref_mut().and_then(|l| l.blocks.back_mut());
+        newest.unwrap_or(&mut self.entries).push(entry);
         if self.len() * 2 > self.index.len() {
             // Grow: the filed slots move into an index sized for the entries there are.
             let grown = vec![0; slots_for(self.len())];
@@ -772,41 +663,26 @@ impl Tuple {
         );
         let filed = slot(hash, self.seq(end));
         place(&mut self.index, filed);
-        filter_bit(hash)
-    }
-
-    /// The summary of the live keys at `offsets`, each laid out and hashed afresh.
-    fn summary(&self, plan: &[PlanWord], offsets: Range<usize>, work: &mut TssWork) -> Summary {
-        work.sweep_refolded += offsets.len() as u64;
-        let mut summary = Summary::EMPTY;
-        for offset in offsets {
-            let key = Probe::new(&self.entry(offset).key);
-            summary.add(plan, &key, masked_hash(plan, |w| key.word(w)));
-        }
-        summary
     }
 
     /// Drop every live entry in front of `cut` that `gone` names, reading those entries
     /// and nothing else; `gone` sees each once, newest first. The entries behind the cut
-    /// keep their offsets, slots and hashes, and their chunks' summaries.
+    /// keep their offsets, slots and hashes.
     ///
     /// Each entry that goes has its slot freed, its key hashed once to find it; each
     /// survivor slides up against the cut, in order, and its slot, found the same way,
-    /// is re-pointed in place. The blocks left dead are freed, one kept as the spare; the
-    /// chunks that held any of `head..cut` are refolded from their live keys, and the
-    /// slab agreement and the filter become the meet of the chunks' summaries. A walk
-    /// from the end of the log that drops an entry recomputes [`Tuple::ordered`] from the
-    /// survivors it read.
-    /// Returns the miss filter of what is left — 0 for a tuple left empty, whose
-    /// agreement words are then stale — or `None`, with nothing written, if no entry
-    /// went.
+    /// is re-pointed in place. The blocks left dead are freed, one kept as the spare. The
+    /// agreement words are not written: they were folded over a superset of the keys
+    /// left, so they still rule out nothing those match. A walk from the end of the log
+    /// that drops an entry recomputes [`Tuple::ordered`] from the survivors it read.
+    /// Returns whether any entry went.
     fn remove(
         &mut self,
-        plan: &mut [PlanWord],
-        mut cut: usize,
+        plan: &[PlanWord],
+        cut: usize,
         mut gone: impl FnMut(&MegaflowEntry) -> bool,
         work: &mut TssWork,
-    ) -> Option<u64> {
+    ) -> bool {
         let (head, end) = (self.head as usize, self.end());
         work.sweep_examined += (cut - head) as u64;
         // Survivors are read newest first: `newer` is the last one's installation.
@@ -844,7 +720,7 @@ impl Tuple {
             work.sweep_moved += 1;
         }
         if to == head {
-            return None;
+            return false;
         }
         if cut == end {
             self.ordered = ordered;
@@ -859,86 +735,36 @@ impl Tuple {
                 break;
             };
             log.free(std::mem::replace(&mut self.entries, next));
-            log.sealed.drain(..BLOCK / CHUNK);
             self.base = self.base.wrapping_add(BLOCK as u32);
             self.head -= BLOCK as u32;
-            cut -= BLOCK;
         }
-        let (head, end) = (self.head as usize, self.end());
-        if head == end {
-            return Some(0);
-        }
-        if self.log.is_none() {
-            return Some(self.summary(plan, head..end, work).store(plan));
-        }
-        // The chunks in front of the head's are dead: they contribute nothing. Refold the
-        // chunks that hold any of `head..cut`: each lost entries, or took a survivor, or
-        // both.
-        if let Some(log) = self.log.as_deref_mut() {
-            for dead in log.sealed.iter_mut().take(head / CHUNK) {
-                *dead = Summary::EMPTY;
-            }
-        }
-        for chunk in head / CHUNK..=(cut.max(head + 1) - 1) / CHUNK {
-            let live = (chunk * CHUNK).max(head)..((chunk + 1) * CHUNK).min(end);
-            let full = live.end == (chunk + 1) * CHUNK;
-            let summary = self.summary(plan, live, work);
-            if let Some(log) = self.log.as_deref_mut() {
-                match full {
-                    true => log.sealed[chunk] = summary,
-                    false => log.open = summary,
-                }
-            }
-        }
-        let mut meet = Summary::EMPTY;
-        if let Some(log) = self.log.as_deref() {
-            for summary in log.sealed.iter().chain([&log.open]) {
-                meet.meet(summary);
-            }
-        }
-        Some(meet.store(plan))
+        true
     }
 
-    /// Whether this tuple is what `words`, its plan words, and `filter`, its miss filter,
-    /// say it is: it holds an entry; its index holds one slot per live entry, through
-    /// which [`Tuple::find`] finds the entry where it is; each chunk's summary is the
-    /// fold over its live keys; the agreement words and the filter are exactly the meet
-    /// of those; and an [`ordered`](Tuple::ordered) log is ordered.
-    fn consistent(&self, words: &[PlanWord], filter: u64) -> bool {
+    /// Whether this tuple is what `words`, its plan words, say it is: it holds an entry;
+    /// each agreement word is within its plan word's bits, its value within the agreement,
+    /// and every live key passes every one of them; its index holds one slot per live
+    /// entry, through which [`Tuple::find`] finds the entry where it is; and an
+    /// [`ordered`](Tuple::ordered) log is ordered. The agreement need not be exact: what
+    /// the check holds is that it never rules a resident key out.
+    fn consistent(&self, words: &[PlanWord]) -> bool {
         let (head, end) = (self.head as usize, self.end());
         let filed = self.index.iter().filter(|&&slot| slot != 0).count();
-        let mut ok = head < end && filed == end - head;
-        let mut meet = Summary::EMPTY;
-        for chunk in 0..end.div_ceil(CHUNK) {
-            let live = (chunk * CHUNK).max(head)..((chunk + 1) * CHUNK).min(end);
-            let full = live.end == (chunk + 1) * CHUNK;
-            let mut summary = Summary::EMPTY;
-            for offset in live {
+        let within = |w: &PlanWord| w.agree & !w.bits == 0 && w.value & !w.agree == 0;
+        head < end
+            && filed == end - head
+            && words.iter().all(within)
+            && (head..end).all(|offset| {
                 let entry = self.entry(offset);
                 let key = Probe::new(&entry.key);
                 let hash = masked_hash(words, |w| key.word(w));
-                summary.add(words, &key, hash);
-                ok &= self.find(hash, &entry.key) == Some(offset);
-                ok &= !self.ordered
-                    || (entry.last_used >= entry.installed_at
-                        && (offset == head
-                            || entry.installed_at >= self.entry(offset - 1).installed_at));
-            }
-            if let Some(log) = self.log.as_deref() {
-                let stored = if full {
-                    log.sealed.get(chunk)
-                } else {
-                    Some(&log.open)
-                };
-                ok &= stored == Some(&summary);
-            }
-            meet.meet(&summary);
-        }
-        if let Some(log) = self.log.as_deref() {
-            ok &=
-                log.sealed.len() == end / CHUNK && (end % CHUNK != 0 || log.open == Summary::EMPTY);
-        }
-        ok && Summary::of(words, filter) == meet
+                words.iter().all(|w| w.excludes(key.word(w)) == 0)
+                    && self.find(hash, &entry.key) == Some(offset)
+                    && (!self.ordered
+                        || (entry.last_used >= entry.installed_at
+                            && (offset == head
+                                || entry.installed_at >= self.entry(offset - 1).installed_at)))
+            })
     }
 }
 
@@ -988,8 +814,6 @@ pub struct TssWork {
     pub sweep_removed: u64,
     /// Surviving entries they copied to another place in their tuple's log.
     pub sweep_moved: u64,
-    /// Keys they laid out, hashed and folded into an agreement again.
-    pub sweep_refolded: u64,
     /// Index slots they freed, re-pointed or refiled.
     pub sweep_slots: u64,
 }
@@ -1007,7 +831,7 @@ impl std::ops::AddAssign for TssWork {
             probe_lookups probe_records probe_second_word probe_hashed
             run_runs run_headers run_records run_second_word run_hashed
             install_walks install_records install_slab_reads install_entry_scans
-            sweep_examined sweep_removed sweep_moved sweep_refolded sweep_slots
+            sweep_examined sweep_removed sweep_moved sweep_slots
         );
     }
 }
@@ -1038,8 +862,8 @@ pub struct TupleSpace {
     lane: VecDeque<LaneRecord>,
     /// Every tuple's plan words with their agreement, each tuple's together; a lane
     /// record's [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples
-    /// repacks the survivors' in probe order. The agreement is kept in step by every
-    /// mutator: insert folds the new key in, a sweep refolds the chunks it changed.
+    /// repacks the survivors' in probe order. Only an insert writes an agreement: it
+    /// folds the new key in.
     slab: Vec<PlanWord>,
     /// The tuples, each in the slot its lane record names. Slot order means nothing.
     tuples: Vec<Tuple>,
@@ -1131,9 +955,7 @@ impl TupleSpace {
         else {
             return 0;
         };
-        let rec = &mut self.lane[pos];
-        rec.filter = 0;
-        let tuple = &mut self.tuples[rec.tuple as usize];
+        let tuple = &mut self.tuples[self.lane[pos].tuple as usize];
         let removed = tuple.len();
         (tuple.entries, tuple.head, tuple.log) = (Vec::new(), 0, None);
         self.drop_emptied();
@@ -1158,10 +980,10 @@ impl TupleSpace {
     /// record's first inline word, and a record that rules out every column on it is
     /// passed at once; then its second inline word, with the same pass; then the slab's
     /// plan words past the copy, if any. Only a header that survives them all hashes, off
-    /// the slab's plan words, and on a clear filter bit misses having read nothing of the
-    /// tuple; a header leaves the walk at its first hit. The walk ends when every header
-    /// has hit, or at the end of the lane. It writes nothing: the caller commits the hits
-    /// and counts the work.
+    /// the slab's plan words, and probes the tuple's index ([`Tuple::find`]); a header
+    /// leaves the walk at its first hit. The walk ends when every header has hit, or at
+    /// the end of the lane. It writes nothing: the caller commits the hits and counts the
+    /// work.
     #[inline(always)]
     fn walk<const N: usize>(&self, headers: &[&Key]) -> Walk<N> {
         let n = headers.len().min(N);
@@ -1210,7 +1032,7 @@ impl TupleSpace {
                 hashed += 1;
                 let plan = &self.slab[rec.plan()];
                 let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
-                if let Some(offset) = Self::find_hashed(&self.tuples, rec, hash, headers[j]) {
+                if let Some(offset) = self.tuple(rec).find(hash, headers[j]) {
                     found[j] = (i, rec.tuple as usize, offset);
                     active &= !(1 << j);
                 }
@@ -1236,16 +1058,6 @@ impl TupleSpace {
     #[inline(never)]
     fn walk_run(&self, headers: &[&Key]) -> Walk<RUN> {
         self.walk(headers)
-    }
-
-    /// The rest of a probe that passed the agreement test, hash in hand: the miss filter,
-    /// then the tuple.
-    #[inline(always)]
-    fn find_hashed(tuples: &[Tuple], rec: &LaneRecord, hash: u64, header: &Key) -> Option<usize> {
-        if rec.filter & filter_bit(hash) == 0 {
-            return None;
-        }
-        tuples[rec.tuple as usize].find(hash, header)
     }
 
     /// Header `j`'s outcome of `walk`, committed at `now`: a hit bumps its tuple's and its
@@ -1376,7 +1188,7 @@ impl TupleSpace {
             Some(pos) => {
                 let rec = &mut self.lane[pos];
                 let words = &mut self.slab[rec.plan()];
-                rec.filter |= self.tuples[rec.tuple as usize].push(words, rec.filter, entry, hash);
+                self.tuples[rec.tuple as usize].push(words, entry, hash);
                 rec.sync(words);
             }
             None => {
@@ -1396,9 +1208,8 @@ impl TupleSpace {
                 let plan_start = self.slab.len();
                 self.slab.extend_from_slice(plan.words());
                 let words = &mut self.slab[plan_start..];
-                let (tuple, filter) = Tuple::new(entry, words);
+                let tuple = Tuple::new(entry, words);
                 let mut rec = LaneRecord {
-                    filter,
                     fingerprint: plan.fingerprint,
                     plan_start: plan_start as u32,
                     plan_len: plan.len as u32,
@@ -1511,7 +1322,7 @@ impl TupleSpace {
                 if own {
                     home_hash = Some(hash);
                 }
-                conflict = Self::find_hashed(&self.tuples, rec, hash, key).map(|o| tuple.entry(o));
+                conflict = tuple.find(hash, key).map(|o| tuple.entry(o));
             } else {
                 // Report the smallest conflicting key, not the first stored: the
                 // refused insert names it, and the name must not depend on the order
@@ -1549,23 +1360,20 @@ impl TupleSpace {
     }
 
     /// Run `sweep` over every tuple in probe order, with its plan words and the work
-    /// counters; a tuple it returns `Some(filter)` for has lost entries and gets that
-    /// filter. Drops the tuples left empty; returns how many entries went.
+    /// counters; it returns whether the tuple lost entries. Writes no lane record and no
+    /// agreement; drops the tuples left empty. Returns how many entries went.
     fn sweep_tuples(
         &mut self,
-        mut sweep: impl FnMut(&mut Tuple, &mut [PlanWord], &mut TssWork) -> Option<u64>,
+        mut sweep: impl FnMut(&mut Tuple, &[PlanWord], &mut TssWork) -> bool,
     ) -> usize {
         let mut removed = 0;
         let mut emptied = false;
-        for rec in &mut self.lane {
+        for rec in &self.lane {
             let tuple = &mut self.tuples[rec.tuple as usize];
             let before = tuple.len();
-            let words = &mut self.slab[rec.plan()];
-            if let Some(filter) = sweep(tuple, words, &mut self.work) {
+            if sweep(tuple, &self.slab[rec.plan()], &mut self.work) {
                 removed += before - tuple.len();
-                rec.filter = filter;
-                rec.sync(words);
-                emptied |= filter == 0;
+                emptied |= tuple.is_empty();
             }
         }
         if emptied {
@@ -1575,9 +1383,9 @@ impl TupleSpace {
         removed
     }
 
-    /// Drop every tuple left without entries: its lane record (marked by a zero
-    /// filter), its slot and its plan words. The surviving records keep their order, and
-    /// find their tuples and plans where those moved to.
+    /// Drop every tuple left without entries: its lane record, its slot and its plan
+    /// words. The surviving records keep their order, and find their tuples and plans
+    /// where those moved to.
     fn drop_emptied(&mut self) {
         // Tuples close ranks in slot order; `moved[old]` is a survivor's new slot.
         let mut kept = 0;
@@ -1590,11 +1398,10 @@ impl TupleSpace {
                 slot
             })
             .collect();
-        self.tuples.retain(|t| !t.is_empty());
         let old_slab = std::mem::take(&mut self.slab);
-        let slab = &mut self.slab;
+        let (slab, tuples) = (&mut self.slab, &self.tuples);
         self.lane.retain_mut(|rec| {
-            if rec.filter == 0 {
+            if tuples[rec.tuple as usize].is_empty() {
                 return false;
             }
             let plan = rec.plan();
@@ -1603,13 +1410,13 @@ impl TupleSpace {
             rec.tuple = moved[rec.tuple as usize];
             true
         });
+        self.tuples.retain(|t| !t.is_empty());
     }
 
     /// Whether lane, slab and tuples describe one tuple space: the records name each
     /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
     /// nothing else, a record's fingerprint is its plan's, its inline agreement words are
-    /// its plan's first ones, and
-    /// each tuple is [`Tuple::consistent`] with its plan words and its record's filter.
+    /// its plan's first ones, and each tuple is [`Tuple::consistent`] with its plan words.
     /// What debug builds assert after every mutation. It allocates nothing, so that the
     /// allocation audit can hold a warm mutation, this check included, to zero.
     fn lane_consistent(&self) -> bool {
@@ -1642,7 +1449,7 @@ impl TupleSpace {
                     && words.is_some_and(|words| {
                         let mut synced = rec.clone();
                         synced.sync(words);
-                        synced == *rec && tuple.consistent(words, rec.filter)
+                        synced == *rec && tuple.consistent(words)
                     })
             })
     }
@@ -2258,18 +2065,11 @@ mod tests {
             .insert(bystander.clone(), small.clone(), Action::Deny, 100.0)
             .unwrap();
         assert_eq!(cache.mask_count(), 2);
-        // Ten thousand keys over 64 bits: the large tuple's miss filter passes every
-        // probe, and the index alone has to tell a resident key from a stranger.
-        assert_eq!(cache.lane[0].filter, u64::MAX);
         check(&cache, &model, &order, &gone);
 
-        // Every other entry idles out; the survivors close ranks in order.
+        // Every other entry idles out; the survivors close ranks in order, and the index
+        // alone tells them from the keys that went.
         assert_eq!(cache.expire_idle(105.0, 10.0), (N / 2) as usize);
-        assert_eq!(
-            cache.lane[0].filter,
-            u64::MAX,
-            "recomputed, still saturated"
-        );
         for i in (0..N).step_by(2) {
             model.remove(&key_of(i));
             gone.push(key_of(i));
@@ -2298,7 +2098,6 @@ mod tests {
         order.clear();
         check(&cache, &model, &order, &gone);
         assert_eq!(cache.mask_count(), 1);
-        assert_eq!(cache.lane[0].filter.count_ones(), 1, "one key, one bit");
         assert_eq!(cache.peek(&bystander).map(|e| e.action), Some(Action::Deny));
     }
 
@@ -2308,10 +2107,6 @@ mod tests {
     fn lane_consistent_rejects_a_lane_that_drifted() {
         let cache = fig3_cache();
         assert!(cache.lane_consistent());
-
-        let mut stale_filter = cache.clone();
-        stale_filter.lane[0].filter = 0;
-        assert!(!stale_filter.lane_consistent());
 
         let mut crossed = cache.clone();
         let (a, b) = (crossed.lane[0].tuple, crossed.lane[1].tuple);
@@ -2332,7 +2127,7 @@ mod tests {
         stale_value.slab[word].value ^= 0b100;
         assert!(
             !stale_value.lane_consistent(),
-            "an agreement word is the fold over the resident keys"
+            "an agreement word rules out no resident key"
         );
 
         let mut stale_agree = cache.clone();
@@ -2341,6 +2136,19 @@ mod tests {
         assert!(
             !stale_agree.lane_consistent(),
             "(001, 111) and (000, 111) disagree on bit 0"
+        );
+
+        // A narrower agreement is sound, but a value bit outside it is not a value.
+        let mut stray_value = cache.clone();
+        let word = stray_value.lane[0].plan().start;
+        stray_value.slab[word].agree &= !0b100;
+        stray_value.lane[0].agree[0] &= !0b100;
+        assert!(stray_value.lane_consistent(), "agreement may be narrower");
+        stray_value.slab[word].value |= 0b100;
+        stray_value.lane[0].value[0] |= 0b100;
+        assert!(
+            !stray_value.lane_consistent(),
+            "a value bit lies within the agreement"
         );
 
         // Lane record 0 is the tuple under 111, two entries: (001) at position 0 and
@@ -2667,10 +2475,12 @@ mod tests {
         assert!(refused.is_err(), "(8, 8, 0x5f) is within (*, *, 0x5*)");
         agrees_with_the_scan(&c, &headers, &masks).unwrap();
 
-        // The entries installed at 0 go; the full mask's tuple is (1, 2, 5) alone again.
+        // The entries installed at 0 go; the full mask's tuple is (1, 2, 5) alone. A sweep
+        // writes no agreement, so its `c` word still agrees on 0xf9 alone, not on all of
+        // (1, 2, 5)'s bits: sound, as an agreement folded over more keys than are left.
         assert_eq!(c.expire_idle(12.0, 10.0), 3);
         assert_eq!(c.lane.len(), 1);
-        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xff);
+        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xf9);
         agrees_with_the_scan(&c, &headers, &masks).unwrap();
 
         c.insert(key(7, 0, 0x61), pair.clone(), Action::Allow, 13.0)
@@ -2888,6 +2698,60 @@ mod tests {
         );
     }
 
+    /// A sweep writes no agreement: the keys it leaves are a subset of those their tuple's
+    /// agreement was folded over, so it still rules none of them out, and a header only
+    /// the survivors would rule out costs a hash — host time, never a verdict or a
+    /// `masks_scanned`. Once the tuple empties it is dropped, and a reinstall under its
+    /// mask starts an exact agreement again.
+    #[test]
+    fn a_sweep_leaves_the_agreement_narrow_until_its_tuple_empties() {
+        let full = k(0b111);
+        let agreement = |c: &TupleSpace| {
+            let rec = c.lane.iter().find(|rec| c.tuple(rec).mask == full);
+            let w = c.slab[rec.expect("resident").plan()][0];
+            (w.agree, w.value)
+        };
+        // A lookup's outcome, and the hashes its walk took.
+        let probe = |c: &mut TupleSpace, header: u128| {
+            let before = c.work().probe_hashed;
+            let out = c.lookup(&k(header), 13.0);
+            (out, c.work().probe_hashed - before)
+        };
+        let mut c = TupleSpace::new(hyp_schema());
+        c.insert(k(0b001), full.clone(), Action::Deny, 0.0).unwrap();
+        c.insert(k(0b000), full.clone(), Action::Allow, 5.0)
+            .unwrap();
+        c.insert(k(0b100), k(0b100), Action::Deny, 5.0).unwrap();
+        assert_eq!(agreement(&c), (0b110, 0), "001 and 000 agree on bits 2..1");
+
+        // 001 idles out; the agreement stays as both keys left it.
+        assert_eq!(c.expire_idle(12.0, 10.0), 1);
+        assert_eq!(agreement(&c), (0b110, 0));
+        // The same entries installed afresh agree on all of 000.
+        let mut exact = TupleSpace::new(hyp_schema());
+        exact
+            .insert(k(0b000), full.clone(), Action::Allow, 5.0)
+            .unwrap();
+        exact.insert(k(0b100), k(0b100), Action::Deny, 5.0).unwrap();
+        assert_eq!(agreement(&exact), (0b111, 0));
+        // 001 differs from 000 on bit 0 alone: the narrow agreement sends it on to the
+        // index, where it misses; the exact one rules it out. Same verdict, same scan.
+        let miss = LookupOutcome {
+            action: None,
+            masks_scanned: 2,
+        };
+        assert_eq!(probe(&mut c, 0b001), (miss, 1));
+        assert_eq!(probe(&mut exact, 0b001), (miss, 0));
+
+        // 000 goes too: its tuple is dropped, and a reinstall starts over from the key.
+        assert_eq!(c.remove_where(|e| e.key == k(0b000)), 1);
+        assert_eq!(c.mask_count(), 1);
+        c.insert(k(0b000), full.clone(), Action::Allow, 20.0)
+            .unwrap();
+        assert_eq!(agreement(&c), (0b111, 0));
+        assert_eq!(probe(&mut c, 0b001), (miss, 0));
+    }
+
     /// The schema of the sweep oracle, and the full mask its exact-match tuples share.
     fn oracle_schema() -> (FieldSchema, Mask) {
         let schema = FieldSchema::new(vec![
@@ -3098,8 +2962,7 @@ mod tests {
     }
 
     /// What an idle sweep of an ordered log costs, tuple by tuple: it examines the
-    /// entries it removes or moves and the one at the cut, and refolds at most two
-    /// chunks. A long-lived entry at the front of the log, hit every step, is the one
+    /// entries it removes or moves and the one at the cut. A long-lived entry at the front of the log, hit every step, is the one
     /// survivor each sweep moves; batches behind it idle out a step at a time. A sweep
     /// that removes nothing reads that entry and the one at the cut, and writes nothing.
     #[test]
@@ -3126,7 +2989,6 @@ mod tests {
                     || (removed == 0 && w.sweep_examined <= 2),
                 "step {step}: {w:?}"
             );
-            assert!(w.sweep_refolded <= 2 * CHUNK as u64, "step {step}");
             assert_eq!(w.sweep_slots, w.sweep_removed + w.sweep_moved);
             if removed > 0 {
                 assert_eq!(w.sweep_moved, 1, "the long-lived entry slides up");
@@ -3154,7 +3016,6 @@ mod tests {
             sweep_examined: w.sweep_examined - before.sweep_examined,
             sweep_removed: w.sweep_removed - before.sweep_removed,
             sweep_moved: w.sweep_moved - before.sweep_moved,
-            sweep_refolded: w.sweep_refolded - before.sweep_refolded,
             sweep_slots: w.sweep_slots - before.sweep_slots,
             ..TssWork::default()
         }

@@ -105,7 +105,7 @@ fn linear_scan(cache: &TupleSpace, header: &Key) -> (Option<Action>, usize) {
 
 /// The 513-mask SipDp explosion under `NewestFirst` — the table the deep scan is
 /// measured on, one entry per mask nearly everywhere, so almost every probe is decided
-/// by a tuple's miss filter alone. Every resident key and twelve thousand arbitrary
+/// by a tuple's agreement words alone. Every resident key and twelve thousand arbitrary
 /// headers must get the action *and* the `masks_scanned` a linear scan of `entries()`
 /// gives them, before and after an expiry that drops half the tuples.
 #[test]
