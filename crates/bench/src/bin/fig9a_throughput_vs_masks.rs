@@ -22,7 +22,7 @@
 //!
 //! The write side of the same explosions: what each use case's installs cost the Inv(2)
 //! walk of `TupleSpace::insert`, as its deterministic work counts (walks, lane records
-//! tested, plan words read off the slab, tuples entry-scanned), and in host time, SipDp's
+//! tested, records whose tuple's plan words were read, tuples entry-scanned), and in host time, SipDp's
 //! explosion built from an empty datapath per upcall — the figure-level twin of the
 //! benchmark's `classifier.insert_ns` — as an advisory row.
 
@@ -271,7 +271,7 @@ fn main() {
             let counts = [
                 w.install_walks,
                 w.install_records,
-                w.install_slab_reads,
+                w.install_plan_reads,
                 w.install_entry_scans,
             ];
             let mut row = vec![name.to_string()];
@@ -282,7 +282,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["use case", "walks", "records", "slab reads", "entry scans"],
+            &["use case", "walks", "records", "plan reads", "entry scans"],
             &rows
         )
     );
@@ -325,7 +325,7 @@ fn main() {
         for (row, unit, count) in [
             ("walks", "walks", w.install_walks),
             ("records", "records", w.install_records),
-            ("slab_reads", "records", w.install_slab_reads),
+            ("plan_reads", "records", w.install_plan_reads),
             ("entry_scans", "tuples", w.install_entry_scans),
         ] {
             fig.row(&format!("{name}/work/install_{row}"), unit, count as f64);

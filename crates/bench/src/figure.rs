@@ -83,10 +83,10 @@ impl Figure {
         self.rows.push(Metric::deterministic(name, unit, value));
     }
 
-    /// Host nanoseconds per call of `f`: the least, over [`HOST_ROUNDS`] rounds of `reps`
+    /// Host nanoseconds per call of `f`: the least, over `HOST_ROUNDS` rounds of `reps`
     /// calls each, of a round's time per call, so that the first round warms what `f`
     /// reads and a round the machine interrupted does not count. The rounds start evenly
-    /// spread over [`HOST_SPAN`], the measurement sleeping in between, so that it takes
+    /// spread over `HOST_SPAN`, the measurement sleeping in between, so that it takes
     /// that long and little more CPU than its rounds. Machine- and load-dependent: it
     /// feeds [`Figure::advisory`] rows only, never a deterministic one.
     pub fn host_ns(&self, reps: usize, mut f: impl FnMut()) -> f64 {

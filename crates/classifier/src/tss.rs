@@ -8,25 +8,24 @@
 //!
 //! Alg. 1's scan is the hottest loop of the simulator — a deny miss probes every mask —
 //! and nearly every probe of it misses. So what the scan reads is kept apart from what a
-//! hit needs, in three parts:
+//! hit needs, in two vectors of one length, a tuple and its record at the same index,
+//! both in the order the tuples were made, oldest first:
 //!
-//! * the **probe lane**, one 64-byte record per tuple, a cache line each, held in probe
-//!   order — position in the lane *is* Alg. 1's scan order. A record carries where the
-//!   tuple's plan words sit in the slab, which tuple it stands for, a 64-bit
-//!   **fingerprint** of the plan's mask, and a copy of the agreement (below) of its plan's
-//!   first two words. A hit writes nothing of it: the hit counter is the tuple's;
-//! * the **plan slab**, every tuple's *probe plan* — its mask's non-zero 64-bit words —
-//!   in one tuple-space-wide vector of 32-byte records. The plan is the only form the
-//!   scan reads a mask in, and it is stored once: a plan determines its mask, so finding
-//!   a mask's tuple compares plans too. Each record also carries the word's
-//!   **agreement**: bits on which every resident key of the tuple agrees, and their
-//!   common value — for a tuple made for one key and given no other, the whole word of
-//!   that key. It is the scan's one proof of a miss, and it only narrows: an insert folds
-//!   its key in, a sweep leaves it as it was (what every key of a superset agrees on, its
-//!   subset agrees on too), and it starts over only with a new tuple;
-//! * the **tuples** — a mask, its entries and the index over them — in slots the lane
-//!   points at. A tuple exists exactly as long as it has an entry, and nothing is keyed
-//!   by mask.
+//! * the **probe lane**, one 64-byte record per tuple, a cache line each. Alg. 1 scans
+//!   it from its end, newest mask first, so a tuple's distance from the end *is* its
+//!   place in the scan order. A record carries a 64-bit **fingerprint** of its tuple's
+//!   mask and a copy of the agreement (below) of its plan's first two words. A hit writes
+//!   nothing of it: the hit counter is the tuple's;
+//! * the **tuples** — a mask, its *probe plan*, its entries and the index over them. The
+//!   plan is the mask's non-zero 64-bit words, 32 bytes each, and the only form the scan
+//!   reads a mask in; a plan determines its mask, so finding a mask's tuple compares
+//!   plans too. Each plan word also carries the word's **agreement**: bits on which every
+//!   resident key of the tuple agrees, and their common value — for a tuple made for one
+//!   key and given no other, the whole word of that key. It is the scan's one proof of a
+//!   miss, and it only narrows: an insert folds its key in, a sweep leaves it as it was
+//!   (what every key of a superset agrees on, its subset agrees on too), and it starts
+//!   over only with a new tuple. A tuple exists exactly as long as it has an entry, and
+//!   nothing is keyed by mask.
 //!
 //! Every lookup is one walk of the lane, generic over how many headers it looks up at
 //! once: one for [`TupleSpace::lookup`] and [`TupleSpace::peek`], up to
@@ -36,50 +35,52 @@
 //! record (and any plan words past its copy) is read once for all of them. A record's
 //! agreement is tested against every column at once, a word at a time, each word in one
 //! fold without a branch: its first inline word, then its second only where some column
-//! survived the first, then the slab's words past the copy only where some column
+//! survived the first, then the tuple's plan words past the copy only where some column
 //! survived both. A header that differs from the common value on an agreed bit matches
 //! no entry of the tuple, and is past it without a hash. For an explosion — one entry per
 //! mask, and most masks' plans two words long — that test is exact, so it ends every
-//! miss having read one lane record, one cache line, and nothing of the slab, and the
+//! miss having read one lane record, one cache line, and nothing of the tuple, and the
 //! whole scan stays cache-resident; the first word alone rules a header out on seven
-//! records in eight. The slab stays the agreement's only source: an insert, the one
+//! records in eight. The plan stays the agreement's only source: an insert, the one
 //! mutator that changes an agreement, copies it into the record too. A header that
-//! survives hashes `header AND mask` off the slab's plan words and goes on, hash in
-//! hand, to the tuple: it walks the tuple's flat open-addressed index of `u64` slots from
-//! the slot the hash names, and compares against a stored key only where a slot's tag
-//! (the hash's high 32 bits) matches. A header leaves the walk at its first hit, and the
-//! walk ends when every header has hit, or at the end of the lane. A walk materialises
-//! no masked key and allocates nothing. The results are committed afterwards, header by
+//! survives hashes `header AND mask` off the plan words and goes on, hash in hand, to the
+//! tuple's index: it walks the tuple's flat open-addressed index of `u64` slots from the
+//! slot the hash names, and compares against a stored key only where a slot's tag (the
+//! hash's high 32 bits) matches. A header leaves the walk at its first hit, and the walk
+//! ends when every header has hit, or at the start of the lane. A walk materialises no
+//! masked key and allocates nothing. The results are committed afterwards, header by
 //! header in run order — the hit counters bumped and `last_used` stamped — up to and
 //! including the first miss; a run's headers behind that miss are left as they were, for
 //! the datapath to look up again once the miss's upcall has installed its entry.
 //!
 //! Inv(2)'s conflict check walks the lane too, with the same per-record test
-//! ([`LaneRecord::excludes`]) restricted to the bits the prospective entry keeps, and
-//! rules tuples out off the lane record alone: it reads a tuple's plan words off the slab
-//! only where the record's inline words do not rule the tuple out, or where the record's
+//! (`LaneRecord::excludes`) restricted to the bits the prospective entry keeps, and
+//! rules tuples out off the lane record alone: it reads a tuple's plan words only where
+//! the record's inline words do not rule the tuple out, or where the record's
 //! fingerprint is the prospective entry's mask's — the walk has to find that mask's tuple
 //! whether its agreement excludes the key or not.
 //!
 //! A tuple is written on the rare path, and each write is one pass. An insert walks the
 //! lane once: the same walk proves Inv(2) against every tuple and finds the tuple of the
 //! entry's mask, and where it hashed the key to probe that tuple, the hash is the one the
-//! entry is filed under. Creating a tuple compiles its mask's plan into the slab, and
-//! every insert appends to the tuple's *log*, an insertion-ordered run of fixed-size
-//! blocks (so entries of a tuple are held, and [`TupleSpace::entries`] yields them, in
-//! insertion order; [`TupleSpace::render`] sorts them by key, so its output does not
-//! depend on arrival order), files the entry's sequence number in the index and folds
-//! the key into the agreement. A tuple that never outgrows one block is one `Vec` that
-//! starts at capacity 1. Every mutation leaves lane, slab and tuples describing the same
-//! tuple space; debug builds check that after each one.
+//! entry is filed under. A new tuple compiles its mask's plan and goes, with its record,
+//! at the end of both vectors, so it is scanned first. Every insert appends to the
+//! tuple's *log*, an insertion-ordered run of fixed-size blocks (so entries of a tuple
+//! are held, and [`TupleSpace::entries`] yields them, in insertion order;
+//! [`TupleSpace::render`] sorts them by key, so its output does not depend on arrival
+//! order), files the entry's sequence number in the index and folds the key into the
+//! agreement. A tuple that never outgrows one block is one `Vec` that starts at
+//! capacity 1. Every mutation leaves lane and tuples describing the same tuple space;
+//! debug builds check that after each one.
 //!
 //! Every removal from a tuple is one walk back from a *cut*: it reads the live entries
 //! in front of the cut, newest first, frees the index slots of the ones that go, slides
 //! the survivors up against the cut, and frees the blocks left dead; the entries behind
 //! the cut keep their places, slots and hashes. A removal writes no agreement and no
 //! lane record: the keys left are a subset of those the agreement was folded over, so it
-//! still rules out nothing they match. A tuple a removal empties is dropped, and a later
-//! insert under its mask starts a new one, whose agreement is its first key's. Idle
+//! still rules out nothing they match. A tuple a removal empties is dropped with its
+//! record, the others keeping their order, and a later insert under its mask starts a
+//! new one, whose agreement is its first key's. Idle
 //! expiry (§5.4's revalidation) is O(expired): installs arrive in time order, so a
 //! tuple's entries that can have idled out are the ones in front of the first entry
 //! whose own installation has not, and that entry is the cut. MFCGuard's removal, and
@@ -101,7 +102,6 @@
 //! that the switch's cost model converts into throughput.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use tse_packet::fields::{self, FieldSchema, Key, Mask};
 use tse_packet::rss::splitmix64_mix;
@@ -137,18 +137,17 @@ pub struct LookupOutcome {
     pub masks_scanned: usize,
 }
 
-/// Where a newly created mask joins the probe order. The order is fixed from then on: a
-/// miss scans every mask whatever the order, and that is the path the attack exercises.
+/// The probe order of every [`TupleSpace`], named for [`TupleSpace::with_ordering`]. It
+/// has one value: a miss scans every mask whatever the order, and that is the path the
+/// attack exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaskOrdering {
-    /// Probe masks in insertion order (simplest; the paper's model).
+    /// Probe masks newest-first: a newly created mask joins the front of the probe
+    /// order. This models the observed OVS datapath behaviour that a long-established
+    /// flow's mask does not stay at the front of the scan once an attack starts spawning
+    /// masks, so victim traffic pays the (near-)full scan — the regime measured in
+    /// Fig. 8a/9a.
     #[default]
-    Insertion,
-    /// Probe masks newest-first: a newly created mask is prepended to the probe order.
-    /// This models the observed OVS datapath behaviour that a long-established flow's
-    /// mask does not stay at the front of the scan once an attack starts spawning masks,
-    /// so victim traffic pays the (near-)full scan — the regime measured in Fig. 8a/9a,
-    /// and the order every datapath's megaflow cache is built with.
     NewestFirst,
 }
 
@@ -171,7 +170,7 @@ struct PlanWord {
     value: u64,
 }
 
-// The scan reads one lane record per tuple, one record to a cache line, and the slab's
+// The scan reads one lane record per tuple, one record to a cache line, and the tuple's
 // plan words only past the record's copy or to hash a header that survives it. A field
 // added to either widens every step of every scan: it has to fail here first.
 const _: () = assert!(std::mem::size_of::<PlanWord>() == 32);
@@ -186,8 +185,8 @@ impl PlanWord {
     }
 }
 
-/// A mask compiled into its probe plan, on the stack: what the slab holds for a tuple,
-/// before (or without) a tuple to hold it for. Its agreement words are empty.
+/// A mask compiled into its probe plan, on the stack: what a tuple holds, before (or
+/// without) a tuple to hold it. Its agreement words are empty.
 struct Plan {
     words: [PlanWord; 16],
     len: usize,
@@ -231,9 +230,10 @@ impl Plan {
 }
 
 /// A 64-bit fingerprint of a plan's `(word, bits)` pairs, and so of its mask: equal plans
-/// print alike. The Inv(2) walk tells the tuple of a mask by it without reading the slab;
-/// two masks that collide cost the walk a slab read, never a wrong answer. Every upcall
-/// prints its mask, so it is one multiply-rotate per word, as [`masked_hash`] takes.
+/// print alike. The Inv(2) walk tells the tuple of a mask by it without reading the
+/// plan; two masks that collide cost the walk a plan read, never a wrong answer. Every
+/// upcall prints its mask, so it is one multiply-rotate per word, as [`masked_hash`]
+/// takes.
 fn fingerprint(words: &[PlanWord]) -> u64 {
     words.iter().fold(0, |h, w| {
         (h ^ w.bits)
@@ -381,14 +381,14 @@ fn unplace(index: &mut [u64], mut i: usize) {
 /// How many of a plan's agreement words its lane record carries a copy of.
 const INLINE: usize = 2;
 
-/// One tuple as Alg. 1's scan reads it: a record of the probe lane, one cache line, and
-/// aligned to one (a record straddling two lines measured markedly slower). Beside the
-/// plan's fingerprint and where the tuple and its plan are, it carries a copy of the
-/// agreement of its plan's first [`INLINE`] words, so that a probe — and the Inv(2) walk
-/// — tests a key against them without reading the slab. The slab stays the agreement's
-/// one source: [`LaneRecord::sync`] copies it wherever an insert has folded a key in, and
-/// nothing else changes it. A hit reads the record and writes nothing of it: the hit
-/// counter is the tuple's.
+/// One tuple as Alg. 1's scan reads it: a record of the probe lane, at its tuple's index
+/// in [`TupleSpace::tuples`], one cache line, and aligned to one (a record straddling two
+/// lines measured markedly slower). Beside the plan's fingerprint, it carries a copy of
+/// the agreement of its plan's first [`INLINE`] words, so that a probe — and the Inv(2)
+/// walk — tests a key against them without reading the tuple. The tuple's plan stays the
+/// agreement's one source: [`LaneRecord::sync`] copies it wherever an insert has folded a
+/// key in, and nothing else changes it. A hit reads the record and writes nothing of it:
+/// the hit counter is the tuple's.
 #[derive(Debug, Clone, Default, PartialEq)]
 #[repr(align(64))]
 struct LaneRecord {
@@ -399,26 +399,10 @@ struct LaneRecord {
     agree: [u64; INLINE],
     value: [u64; INLINE],
     word: [u8; INLINE],
-    /// Where in [`TupleSpace::slab`] the tuple's plan starts, and how many words it has.
-    plan_start: u32,
-    plan_len: u32,
-    /// The tuple's slot in [`TupleSpace::tuples`].
-    tuple: u32,
 }
 
 impl LaneRecord {
-    fn plan(&self) -> Range<usize> {
-        let start = self.plan_start as usize;
-        start..start + self.plan_len as usize
-    }
-
-    /// The plan words the record does not carry: those past the first [`INLINE`].
-    fn tail(&self) -> Range<usize> {
-        let plan = self.plan();
-        (plan.start + INLINE).min(plan.end)..plan.end
-    }
-
-    /// Copy the agreement of the first [`INLINE`] of `plan`, the record's plan words.
+    /// Copy the agreement of the first [`INLINE`] of `plan`, its tuple's plan words.
     fn sync(&mut self, plan: &[PlanWord]) {
         for i in 0..INLINE {
             let w = plan.get(i).copied().unwrap_or_default();
@@ -460,10 +444,10 @@ impl Log {
     }
 }
 
-/// One tuple off the scan's path: every entry sharing a mask, the index that finds one
-/// of them from its hash, and the hit counter a hit bumps beside the entry's own. Its
-/// plan and agreement words live in the slab, its plan fingerprint in its lane record;
-/// whatever hashes or folds a key in here is handed its plan words.
+/// One tuple off the scan's path: every entry sharing a mask, the mask's plan with the
+/// entries' agreement, the index that finds an entry from its hash, and the hit counter a
+/// hit bumps beside the entry's own. Its plan fingerprint and a copy of its first
+/// agreement words are in its lane record.
 ///
 /// **Store.** The entries are a log in insertion order, each at an *offset* from the
 /// start of its oldest block: `entries` is that block, and [`Log`] the newer ones, each
@@ -491,6 +475,8 @@ impl Log {
 struct Tuple {
     /// The mask every entry of this tuple shares.
     mask: Mask,
+    /// The mask's plan words, each with the entries' agreement on it.
+    plan: Box<[PlanWord]>,
     /// The log's oldest block. Never without a live entry while the tuple is in the
     /// cache.
     entries: Vec<MegaflowEntry>,
@@ -515,9 +501,10 @@ impl Tuple {
     /// A tuple made for, and holding, its first entry, whose key starts the agreement over.
     /// Most tuples of an explosion never get a second entry, so the store starts at
     /// exactly one.
-    fn new(first: MegaflowEntry, plan: &mut [PlanWord]) -> Self {
+    fn new(first: MegaflowEntry, plan: &Plan) -> Self {
         let mut tuple = Tuple {
             mask: first.mask.clone(),
+            plan: plan.words().into(),
             entries: Vec::with_capacity(1),
             index: Vec::new(),
             base: 0,
@@ -526,8 +513,13 @@ impl Tuple {
             hits: 0,
             log: None,
         };
-        tuple.push(plan, first, None);
+        tuple.push(first, None);
         tuple
+    }
+
+    /// The plan words its lane record does not carry: those past the first [`INLINE`].
+    fn tail(&self) -> &[PlanWord] {
+        &self.plan[INLINE.min(self.plan.len())..]
     }
 
     /// One past the offset of the newest entry.
@@ -623,15 +615,16 @@ impl Tuple {
 
     /// Append an entry (the caller has checked Inv(2), so its key is not resident) and
     /// fold it into the agreement words; `hash` is the key's, if the caller has it already.
-    fn push(&mut self, plan: &mut [PlanWord], entry: MegaflowEntry, hash: Option<u64>) {
+    fn push(&mut self, entry: MegaflowEntry, hash: Option<u64>) {
         let key = Probe::new(&entry.key);
-        let hash = hash.unwrap_or_else(|| masked_hash(plan, |w| key.word(w)));
+        let hash = hash.unwrap_or_else(|| masked_hash(&self.plan, |w| key.word(w)));
         let end = self.end();
         if end > self.head as usize {
             let newest = self.entry(end - 1).installed_at;
             self.ordered &= entry.installed_at >= newest;
         }
-        agree(plan, &key, self.is_empty());
+        let first = self.is_empty();
+        agree(&mut self.plan, &key, first);
         if end > 0 && end.is_multiple_of(BLOCK) {
             // The newest block is full: the entry starts the next.
             let log = self.log.get_or_insert_with(|| {
@@ -678,7 +671,6 @@ impl Tuple {
     /// Returns whether any entry went.
     fn remove(
         &mut self,
-        plan: &[PlanWord],
         cut: usize,
         mut gone: impl FnMut(&MegaflowEntry) -> bool,
         work: &mut TssWork,
@@ -701,7 +693,7 @@ impl Tuple {
             let key = Probe::new(&entry.key);
             let filed = seek(
                 &self.index,
-                slot(masked_hash(plan, |w| key.word(w)), self.seq(from)),
+                slot(masked_hash(&self.plan, |w| key.word(w)), self.seq(from)),
             );
             debug_assert!(filed.is_some(), "every live entry has its slot");
             work.sweep_slots += 1;
@@ -741,24 +733,24 @@ impl Tuple {
         true
     }
 
-    /// Whether this tuple is what `words`, its plan words, say it is: it holds an entry;
-    /// each agreement word is within its plan word's bits, its value within the agreement,
-    /// and every live key passes every one of them; its index holds one slot per live
-    /// entry, through which [`Tuple::find`] finds the entry where it is; and an
+    /// Whether this tuple is what its plan words say it is: it holds an entry; each
+    /// agreement word is within its plan word's bits, its value within the agreement, and
+    /// every live key passes every one of them; its index holds one slot per live entry,
+    /// through which [`Tuple::find`] finds the entry where it is; and an
     /// [`ordered`](Tuple::ordered) log is ordered. The agreement need not be exact: what
     /// the check holds is that it never rules a resident key out.
-    fn consistent(&self, words: &[PlanWord]) -> bool {
+    fn consistent(&self) -> bool {
         let (head, end) = (self.head as usize, self.end());
         let filed = self.index.iter().filter(|&&slot| slot != 0).count();
         let within = |w: &PlanWord| w.agree & !w.bits == 0 && w.value & !w.agree == 0;
         head < end
             && filed == end - head
-            && words.iter().all(within)
+            && self.plan.iter().all(within)
             && (head..end).all(|offset| {
                 let entry = self.entry(offset);
                 let key = Probe::new(&entry.key);
-                let hash = masked_hash(words, |w| key.word(w));
-                words.iter().all(|w| w.excludes(key.word(w)) == 0)
+                let hash = masked_hash(&self.plan, |w| key.word(w));
+                self.plan.iter().all(|w| w.excludes(key.word(w)) == 0)
                     && self.find(hash, &entry.key) == Some(offset)
                     && (!self.ordered
                         || (entry.last_used >= entry.installed_at
@@ -801,9 +793,9 @@ pub struct TssWork {
     pub install_walks: u64,
     /// Lane records they tested: the whole lane, or up to the tuple of a conflict.
     pub install_records: u64,
-    /// Records whose plan words they read off the slab: those the inline words did not
-    /// rule out, and the tuple of the entry's mask (or a fingerprint collision).
-    pub install_slab_reads: u64,
+    /// Records whose tuple's plan words they read: those the inline words did not rule
+    /// out, and the tuple of the entry's mask (or a fingerprint collision).
+    pub install_plan_reads: u64,
     /// Tuples under a mask not within the entry's, not ruled out by their agreement,
     /// whose entries they scanned.
     pub install_entry_scans: u64,
@@ -830,7 +822,7 @@ impl std::ops::AddAssign for TssWork {
         add!(
             probe_lookups probe_records probe_second_word probe_hashed
             run_runs run_headers run_records run_second_word run_hashed
-            install_walks install_records install_slab_reads install_entry_scans
+            install_walks install_records install_plan_reads install_entry_scans
             sweep_examined sweep_removed sweep_moved sweep_slots
         );
     }
@@ -838,12 +830,12 @@ impl std::ops::AddAssign for TssWork {
 
 /// What one walk of the lane for up to `N` headers found, and what it read.
 struct Walk<const N: usize> {
-    /// One bit per header that missed: the walk reached the end of the lane without
+    /// One bit per header that missed: the walk reached the start of the lane without
     /// matching it.
     missed: u32,
-    /// Where each header that hit did: its record's position in the lane, its tuple's
-    /// slot, and the entry's offset in the tuple's log.
-    found: [(usize, usize, usize); N],
+    /// Where each header that hit did: its tuple's index, and the entry's offset in the
+    /// tuple's log.
+    found: [(usize, usize); N],
     /// Lane records read: the whole lane, or up to the record where the last header hit.
     records: usize,
     /// Records whose second inline word was read.
@@ -852,20 +844,14 @@ struct Walk<const N: usize> {
     hashed: u64,
 }
 
-/// The TSS megaflow cache: its probe lane, plan slab and tuples.
+/// The TSS megaflow cache: its probe lane and its tuples.
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
     schema: FieldSchema,
-    ordering: MaskOrdering,
-    /// One record per distinct mask; position is Alg. 1's scan order. A deque because a
-    /// new record goes to either end ([`MaskOrdering::NewestFirst`] prepends).
-    lane: VecDeque<LaneRecord>,
-    /// Every tuple's plan words with their agreement, each tuple's together; a lane
-    /// record's [`LaneRecord::plan`] names its own. A new tuple appends; dropping tuples
-    /// repacks the survivors' in probe order. Only an insert writes an agreement: it
-    /// folds the new key in.
-    slab: Vec<PlanWord>,
-    /// The tuples, each in the slot its lane record names. Slot order means nothing.
+    /// One record per distinct mask, oldest first; Alg. 1 scans it from its end, so a
+    /// record's distance from the end is its place in the scan order.
+    lane: Vec<LaneRecord>,
+    /// The tuples, each at its lane record's index.
     tuples: Vec<Tuple>,
     /// What the walks and sweeps have done; see [`Self::work`].
     work: TssWork,
@@ -879,34 +865,24 @@ impl TupleSpace {
     /// The most headers [`Self::lookup_run`] looks up in one walk of the lane.
     pub const RUN: usize = RUN;
 
-    /// Create an empty cache.
+    /// Create an empty cache, probed newest mask first.
     pub fn new(schema: FieldSchema) -> Self {
         TupleSpace {
             schema,
-            ordering: MaskOrdering::Insertion,
-            lane: VecDeque::new(),
-            slab: Vec::new(),
+            lane: Vec::new(),
             tuples: Vec::new(),
             work: TssWork::default(),
         }
     }
 
-    /// Create an empty cache with an explicit mask-ordering policy.
-    pub fn with_ordering(schema: FieldSchema, ordering: MaskOrdering) -> Self {
-        TupleSpace {
-            ordering,
-            ..TupleSpace::new(schema)
-        }
+    /// [`Self::new`], with its one probe order named.
+    pub fn with_ordering(schema: FieldSchema, _ordering: MaskOrdering) -> Self {
+        TupleSpace::new(schema)
     }
 
     /// The schema of keys stored in the cache.
     pub fn schema(&self) -> &FieldSchema {
         &self.schema
-    }
-
-    /// The probe-order policy in effect.
-    pub fn ordering(&self) -> MaskOrdering {
-        self.ordering
     }
 
     /// Number of distinct masks |M| — the attacker's target metric.
@@ -925,22 +901,14 @@ impl TupleSpace {
         self.work
     }
 
-    /// The tuple a lane record stands for.
-    fn tuple(&self, rec: &LaneRecord) -> &Tuple {
-        &self.tuples[rec.tuple as usize]
-    }
-
     /// The distinct masks in probe order, each with its cumulative fast-path hit count
     /// — the signal a mask-pressure eviction policy ranks on (attack masks accumulate
     /// hits slowly because every adversarial key is fresh; a victim's long-lived mask
     /// is hit once per packet).
     pub fn mask_usage(&self) -> Vec<(Mask, u64)> {
-        self.lane
-            .iter()
-            .map(|rec| {
-                let tuple = self.tuple(rec);
-                (tuple.mask.clone(), tuple.hits)
-            })
+        let usage = self.tuples.iter().rev();
+        usage
+            .map(|tuple| (tuple.mask.clone(), tuple.hits))
             .collect()
     }
 
@@ -948,14 +916,9 @@ impl TupleSpace {
     /// the number of entries removed (0 if the mask is not present).
     pub fn remove_mask(&mut self, mask: &Mask) -> usize {
         let plan = Plan::of(mask);
-        let Some(pos) = self
-            .lane
-            .iter()
-            .position(|rec| plan.is(&self.slab[rec.plan()]))
-        else {
+        let Some(tuple) = self.tuples.iter_mut().find(|t| plan.is(&t.plan)) else {
             return 0;
         };
-        let tuple = &mut self.tuples[self.lane[pos].tuple as usize];
         let removed = tuple.len();
         (tuple.entries, tuple.head, tuple.log) = (Vec::new(), 0, None);
         self.drop_emptied();
@@ -966,24 +929,24 @@ impl TupleSpace {
     /// Iterate over all entries, tuple by tuple in probe order, and within a tuple in
     /// the order they were inserted.
     pub fn entries(&self) -> impl Iterator<Item = &MegaflowEntry> {
-        self.lane.iter().flat_map(|rec| self.tuple(rec).iter())
+        self.tuples.iter().rev().flat_map(Tuple::iter)
     }
 
-    /// Alg. 1's scan for `headers`, at most `N` of them, in one walk of the lane: where
-    /// each header hits first, and what the walk read. [`Self::lookup`] and [`Self::peek`]
-    /// walk for one header, [`Self::lookup_run`] for up to [`RUN`], with zero columns
-    /// beside a shorter run's headers.
+    /// Alg. 1's scan for `headers`, at most `N` of them, in one walk of the lane from its
+    /// end: where each header hits first, and what the walk read. [`Self::lookup`] and
+    /// [`Self::peek`] walk for one header, [`Self::lookup_run`] for up to [`RUN`], with
+    /// zero columns beside a shorter run's headers.
     ///
     /// The header words are laid out word-major, a column per header, so that each lane
     /// record (and any plan words past its copy) is read once for all of them, and each
     /// agreement word is tested against every column in one fold without a branch: the
     /// record's first inline word, and a record that rules out every column on it is
-    /// passed at once; then its second inline word, with the same pass; then the slab's
+    /// passed at once; then its second inline word, with the same pass; then the tuple's
     /// plan words past the copy, if any. Only a header that survives them all hashes, off
-    /// the slab's plan words, and probes the tuple's index ([`Tuple::find`]); a header
+    /// the tuple's plan words, and probes the tuple's index ([`Tuple::find`]); a header
     /// leaves the walk at its first hit. The walk ends when every header has hit, or at
-    /// the end of the lane. It writes nothing: the caller commits the hits and counts the
-    /// work.
+    /// the start of the lane. It writes nothing: the caller commits the hits and counts
+    /// the work.
     #[inline(always)]
     fn walk<const N: usize>(&self, headers: &[&Key]) -> Walk<N> {
         let n = headers.len().min(N);
@@ -996,11 +959,11 @@ impl TupleSpace {
         }
         // One bit per header still looking.
         let mut active = (1u32 << n) - 1;
-        let mut found = [(0, 0, 0); N];
+        let mut found = [(0, 0); N];
         let (mut records, mut second_word, mut hashed) = (self.lane.len(), 0, 0);
         // Whether every column is ruled out: a fold with no branch in it.
         let all_out = |x: &[u64; N]| x.iter().fold(true, |all, &x| all & (x != 0));
-        for (i, rec) in self.lane.iter().enumerate() {
+        for (i, rec) in self.lane.iter().enumerate().rev() {
             // In an explosion nearly every record rules every header out on its first
             // inline word alone (87 % of the records SipDp's runs read), and the walk
             // moves on having tested one word per header, not both inline words.
@@ -1016,7 +979,8 @@ impl TupleSpace {
             if all_out(&excluded) {
                 continue;
             }
-            for w in &self.slab[rec.tail()] {
+            let tuple = &self.tuples[i];
+            for w in tuple.tail() {
                 let row = &words[usize::from(w.word & 15)];
                 for (x, &k) in excluded.iter_mut().zip(row) {
                     *x |= w.excludes(k);
@@ -1030,15 +994,14 @@ impl TupleSpace {
                 let j = live.trailing_zeros() as usize;
                 live &= live - 1;
                 hashed += 1;
-                let plan = &self.slab[rec.plan()];
-                let hash = masked_hash(plan, |w| words[usize::from(w.word & 15)][j]);
-                if let Some(offset) = self.tuple(rec).find(hash, headers[j]) {
-                    found[j] = (i, rec.tuple as usize, offset);
+                let hash = masked_hash(&tuple.plan, |w| words[usize::from(w.word & 15)][j]);
+                if let Some(offset) = tuple.find(hash, headers[j]) {
+                    found[j] = (i, offset);
                     active &= !(1 << j);
                 }
             }
             if active == 0 {
-                records = i + 1;
+                records = self.lane.len() - i;
                 break;
             }
         }
@@ -1069,10 +1032,10 @@ impl TupleSpace {
                 masks_scanned: self.lane.len(),
             };
         }
-        let (i, tuple, offset) = walk.found[j];
+        let (i, offset) = walk.found[j];
         LookupOutcome {
-            action: Some(self.tuples[tuple].hit(offset, now)),
-            masks_scanned: i + 1,
+            action: Some(self.tuples[i].hit(offset, now)),
+            masks_scanned: self.lane.len() - i,
         }
     }
 
@@ -1080,11 +1043,11 @@ impl TupleSpace {
     ///
     /// For each mask `M` in the mask list, hash `h AND M` and probe the mask's tuple.
     /// Return a hit on the first match (correct thanks to entry disjointness); a miss
-    /// after all masks have been probed. It is the lane walk ([`Self::walk`]) for one
-    /// header: a header that disagrees with a tuple's agreement misses it without a hash,
-    /// having read for most plans the lane record alone. The hit's statistics are bumped
-    /// after the walk, and what the walk read is added to [`Self::work`]'s `probe_*`
-    /// counts, once.
+    /// after all masks have been probed. It is the lane walk (`walk`) for one header: a
+    /// header that disagrees with a tuple's agreement misses it without a hash, having
+    /// read for most plans the lane record alone. The hit's statistics are bumped after
+    /// the walk, and what the walk read is added to [`Self::work`]'s `probe_*` counts,
+    /// once.
     pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
         let walk = self.walk::<1>(&[header]);
         let work = &mut self.work;
@@ -1095,14 +1058,14 @@ impl TupleSpace {
         self.commit(&walk, 0, now)
     }
 
-    /// Alg. 1 for a run of headers at nondecreasing times, up to [`RUN`] of them, with the
-    /// lane walked once for all: the outcomes [`Self::lookup`] on each in turn gives, up to
-    /// and including the first miss, written to `out`'s first slots. Returns how many
-    /// headers were answered — at least one of a non-empty run. Those after a miss are left
-    /// untouched — no counter bumped — for the caller to look up again once the miss's
-    /// upcall has installed its entry.
+    /// Alg. 1 for a run of headers at nondecreasing times, up to [`Self::RUN`] of them,
+    /// with the lane walked once for all: the outcomes [`Self::lookup`] on each in turn
+    /// gives, up to and including the first miss, written to `out`'s first slots. Returns
+    /// how many headers were answered — at least one of a non-empty run. Those after a miss
+    /// are left untouched — no counter bumped — for the caller to look up again once the
+    /// miss's upcall has installed its entry.
     ///
-    /// A run of two to four is one [`RUN`]-wide walk of the lane ([`Self::walk`]), each
+    /// A run of two to four is one [`Self::RUN`]-wide walk of the lane (`walk`), each
     /// header leaving it at the position `lookup` would stop at; a run of one is a
     /// `lookup`. The hits are committed afterwards, header by header in run order. A hit
     /// bumps counters and stamps `last_used`, none of which the walk reads, so it cannot
@@ -1141,8 +1104,8 @@ impl TupleSpace {
     /// lane walk of [`Self::lookup`], nothing committed and nothing counted.
     pub fn peek(&self, header: &Key) -> Option<&MegaflowEntry> {
         let walk = self.walk::<1>(&[header]);
-        let (_, tuple, offset) = walk.found[0];
-        (walk.missed == 0).then(|| self.tuples[tuple].entry(offset))
+        let (i, offset) = walk.found[0];
+        (walk.missed == 0).then(|| self.tuples[i].entry(offset))
     }
 
     /// Insert a new megaflow entry. Enforces the two slow-path invariants of §3.2:
@@ -1157,8 +1120,7 @@ impl TupleSpace {
     ///
     /// It is one walk of the lane: the Inv(2) check finds the tuple of the entry's mask
     /// on its way, and the key is hashed once — by that walk, where it probed the tuple.
-    /// A mask no tuple has yet gets a new tuple, which joins the probe order where
-    /// [`Self::ordering`] says.
+    /// A mask no tuple has yet gets a new tuple, at the end of the lane: probed first.
     pub fn insert(
         &mut self,
         key: Key,
@@ -1185,43 +1147,29 @@ impl TupleSpace {
             installed_at: now,
         };
         match home {
-            Some(pos) => {
-                let rec = &mut self.lane[pos];
-                let words = &mut self.slab[rec.plan()];
-                self.tuples[rec.tuple as usize].push(words, entry, hash);
-                rec.sync(words);
+            Some(i) => {
+                let tuple = &mut self.tuples[i];
+                tuple.push(entry, hash);
+                self.lane[i].sync(&tuple.plan);
             }
             None => {
-                debug_assert!(
-                    self.slab.len() + plan.len <= u32::MAX as usize,
-                    "a lane record holds 32 bits of slab position and of tuple slot"
-                );
                 debug_assert!(
                     !self
                         .lane
                         .iter()
-                        .any(|rec| rec.fingerprint == plan.fingerprint
-                            && plan.is(&self.slab[rec.plan()])),
+                        .zip(&self.tuples)
+                        .any(|(rec, t)| rec.fingerprint == plan.fingerprint && plan.is(&t.plan)),
                     "the walk missed the tuple of {}: a mask has one tuple",
                     entry.mask
                 );
-                let plan_start = self.slab.len();
-                self.slab.extend_from_slice(plan.words());
-                let words = &mut self.slab[plan_start..];
-                let tuple = Tuple::new(entry, words);
+                let tuple = Tuple::new(entry, &plan);
                 let mut rec = LaneRecord {
                     fingerprint: plan.fingerprint,
-                    plan_start: plan_start as u32,
-                    plan_len: plan.len as u32,
-                    tuple: self.tuples.len() as u32,
                     ..LaneRecord::default()
                 };
-                rec.sync(words);
+                rec.sync(&tuple.plan);
+                self.lane.push(rec);
                 self.tuples.push(tuple);
-                match self.ordering {
-                    MaskOrdering::NewestFirst => self.lane.push_front(rec),
-                    _ => self.lane.push_back(rec),
-                }
             }
         }
         debug_assert!(self.lane_consistent());
@@ -1244,9 +1192,9 @@ impl TupleSpace {
 
     /// The one walk of the lane for a prospective entry `(key, mask)`, `key` stored
     /// masked and `plan` compiled from `mask`: `Err` with the entry it overlaps, as
-    /// [`Self::insert`] reports it, or else where in the lane the tuple of `mask`
-    /// is, if one is resident, and the key's hash under `mask` if the walk took it. What
-    /// it did is added to `work`'s `install_*` counts, once.
+    /// [`Self::insert`] reports it, or else the index of the tuple of `mask`, if one is
+    /// resident, and the key's hash under `mask` if the walk took it. What it did is
+    /// added to `work`'s `install_*` counts, once.
     ///
     /// Complexity note — the comparable-mask conflict index: tuples are visited in
     /// probe order, and each is first checked against its agreement words, the ones a
@@ -1255,13 +1203,12 @@ impl TupleSpace {
     /// the other value rules the whole tuple out. The lane record's inline words are
     /// tested first, by the lookup's own per-record test ([`LaneRecord::excludes`]) on the
     /// bits `mask` keeps: a record they rule out is passed having read that one cache
-    /// line, unless its
-    /// fingerprint is `plan`'s. In an explosion that is nearly every record, so an
-    /// install costs about what a missed lookup does. A record that survives, or prints
-    /// as `plan`, has its plan words read off the slab — all of them to tell whether its
-    /// mask is within `mask`, those past the inline copy to finish the agreement test —
-    /// word-wise, without allocating, and still nothing of the tuple. Only tuples that
-    /// survive that are touched:
+    /// line, unless its fingerprint is `plan`'s. In an explosion that is nearly every
+    /// record, so an install costs about what a missed lookup does. A record that
+    /// survives, or prints as `plan`, has its tuple's plan words read — all of them to
+    /// tell whether its mask is within `mask`, those past the inline copy to finish the
+    /// agreement test — word-wise, without allocating, and nothing else of the tuple. Only
+    /// tuples that survive that are probed:
     ///
     /// * a tuple whose mask is entirely covered by the new mask is answered by a
     ///   **single probe** (comparable entries conflict only if they agree
@@ -1285,40 +1232,40 @@ impl TupleSpace {
         let probe = Probe::new(key);
         let mask_words = key_words(mask);
         let (mut home, mut home_hash, mut conflict) = (None, None, None);
-        let (mut records, mut slab_reads, mut entry_scans) = (self.lane.len(), 0, 0);
-        for (i, rec) in self.lane.iter().enumerate() {
+        let (mut records, mut plan_reads, mut entry_scans) = (self.lane.len(), 0, 0);
+        for (i, rec) in self.lane.iter().enumerate().rev() {
             let (word, keep) = (|w: usize| probe.words[w], |w: usize| mask_words[w]);
             let inline = rec.excludes(0, word, keep) | rec.excludes(1, word, keep);
             if inline != 0 && rec.fingerprint != plan.fingerprint {
                 continue;
             }
-            slab_reads += 1;
-            let words = &self.slab[rec.plan()];
+            plan_reads += 1;
+            let tuple = &self.tuples[i];
             // Whether the tuple's mask is within `mask`, every word; and the bits both
             // keep on which the key differs from every resident key, the inline words'
             // and then the tail's: without a branch.
             let keep = |w: &PlanWord| mask_words[usize::from(w.word & 15)];
-            let comparable = words
+            let comparable = tuple
+                .plan
                 .iter()
                 .fold(true, |c, w| c & (keep(w) & w.bits == w.bits));
-            let tail = &self.slab[rec.tail()];
-            let excluded = tail
+            let excluded = tuple
+                .tail()
                 .iter()
                 .fold(inline, |x, w| x | w.excludes(probe.word(w)) & keep(w));
             // The tuple of `mask` is comparable; whether the key is excluded from it or
             // not, it is the one the entry joins.
-            let own = comparable && home.is_none() && plan.is(words);
+            let own = comparable && home.is_none() && plan.is(&tuple.plan);
             if own {
                 home = Some(i);
             }
             if excluded != 0 {
                 continue;
             }
-            let tuple = self.tuple(rec);
             if comparable {
                 // Conflict iff the tuple holds exactly the new key projected onto the
                 // existing mask.
-                let hash = masked_hash(words, |w| probe.word(w));
+                let hash = masked_hash(&tuple.plan, |w| probe.word(w));
                 if own {
                     home_hash = Some(hash);
                 }
@@ -1334,13 +1281,13 @@ impl TupleSpace {
                     .min_by(|a, b| a.key.cmp(&b.key));
             }
             if conflict.is_some() {
-                records = i + 1;
+                records = self.lane.len() - i;
                 break;
             }
         }
         work.install_walks += 1;
         work.install_records += records as u64;
-        work.install_slab_reads += slab_reads;
+        work.install_plan_reads += plan_reads;
         work.install_entry_scans += entry_scans;
         match conflict {
             Some(entry) => Err(entry),
@@ -1356,22 +1303,18 @@ impl TupleSpace {
     /// those older than the newest entry removed slide up, their index slots re-pointed
     /// in place.
     pub fn remove_where<F: FnMut(&MegaflowEntry) -> bool>(&mut self, mut predicate: F) -> usize {
-        self.sweep_tuples(|tuple, plan, work| tuple.remove(plan, tuple.end(), &mut predicate, work))
+        self.sweep_tuples(|tuple, work| tuple.remove(tuple.end(), &mut predicate, work))
     }
 
-    /// Run `sweep` over every tuple in probe order, with its plan words and the work
-    /// counters; it returns whether the tuple lost entries. Writes no lane record and no
-    /// agreement; drops the tuples left empty. Returns how many entries went.
-    fn sweep_tuples(
-        &mut self,
-        mut sweep: impl FnMut(&mut Tuple, &[PlanWord], &mut TssWork) -> bool,
-    ) -> usize {
+    /// Run `sweep` over every tuple in probe order, with the work counters; it returns
+    /// whether the tuple lost entries. Writes no lane record and no agreement; drops the
+    /// tuples left empty. Returns how many entries went.
+    fn sweep_tuples(&mut self, mut sweep: impl FnMut(&mut Tuple, &mut TssWork) -> bool) -> usize {
         let mut removed = 0;
         let mut emptied = false;
-        for rec in &self.lane {
-            let tuple = &mut self.tuples[rec.tuple as usize];
+        for tuple in self.tuples.iter_mut().rev() {
             let before = tuple.len();
-            if sweep(tuple, &self.slab[rec.plan()], &mut self.work) {
+            if sweep(tuple, &mut self.work) {
                 removed += before - tuple.len();
                 emptied |= tuple.is_empty();
             }
@@ -1383,74 +1326,31 @@ impl TupleSpace {
         removed
     }
 
-    /// Drop every tuple left without entries: its lane record, its slot and its plan
-    /// words. The surviving records keep their order, and find their tuples and plans
-    /// where those moved to.
+    /// Drop every tuple left without entries, and its lane record. The survivors keep
+    /// their order, each record at its tuple's index.
     fn drop_emptied(&mut self) {
-        // Tuples close ranks in slot order; `moved[old]` is a survivor's new slot.
-        let mut kept = 0;
-        let moved: Vec<u32> = self
-            .tuples
-            .iter()
-            .map(|t| {
-                let slot = kept;
-                kept += u32::from(!t.is_empty());
-                slot
-            })
-            .collect();
-        let old_slab = std::mem::take(&mut self.slab);
-        let (slab, tuples) = (&mut self.slab, &self.tuples);
-        self.lane.retain_mut(|rec| {
-            if tuples[rec.tuple as usize].is_empty() {
-                return false;
-            }
-            let plan = rec.plan();
-            rec.plan_start = slab.len() as u32;
-            slab.extend_from_slice(&old_slab[plan]);
-            rec.tuple = moved[rec.tuple as usize];
-            true
-        });
+        let mut tuples = self.tuples.iter();
+        self.lane
+            .retain(|_| tuples.next().is_some_and(|t| !t.is_empty()));
         self.tuples.retain(|t| !t.is_empty());
     }
 
-    /// Whether lane, slab and tuples describe one tuple space: the records name each
-    /// tuple slot once, a record's plan is its tuple's mask compiled and the slab holds
-    /// nothing else, a record's fingerprint is its plan's, its inline agreement words are
-    /// its plan's first ones, and each tuple is [`Tuple::consistent`] with its plan words.
-    /// What debug builds assert after every mutation. It allocates nothing, so that the
-    /// allocation audit can hold a warm mutation, this check included, to zero.
+    /// Whether lane and tuples describe one tuple space: as many records as tuples, and
+    /// at each index a record whose fingerprint is its tuple's plan's and whose inline
+    /// agreement words are that plan's first ones, a plan that is the tuple's mask
+    /// compiled, and a tuple [`Tuple::consistent`] with it. What debug builds assert after
+    /// every mutation. It allocates nothing, so that the allocation audit can hold a warm
+    /// mutation, this check included, to zero.
     fn lane_consistent(&self) -> bool {
-        // As many records as slots, each naming a slot in range, none named twice: the
-        // last checked 4096 slots at a time, against a bitmap on the stack.
-        let slots = self.tuples.len();
-        let named_once = self.lane.len() == slots
-            && self.lane.iter().all(|rec| (rec.tuple as usize) < slots)
-            && (0..slots).step_by(4096).all(|base| {
-                let mut seen = [0u64; 64];
-                self.lane.iter().all(|rec| {
-                    let Some(i) = (rec.tuple as usize).checked_sub(base).filter(|&i| i < 4096)
-                    else {
-                        return true;
-                    };
-                    let bit = 1 << (i % 64);
-                    let fresh = seen[i / 64] & bit == 0;
-                    seen[i / 64] |= bit;
-                    fresh
-                })
-            });
-        named_once
-            && self.slab.len() == self.lane.iter().map(|rec| rec.plan().len()).sum::<usize>()
-            && self.lane.iter().all(|rec| {
-                let tuple = self.tuple(rec);
+        self.lane.len() == self.tuples.len()
+            && self.lane.iter().zip(&self.tuples).all(|(rec, tuple)| {
                 let plan = Plan::of(&tuple.mask);
-                let words = self.slab.get(rec.plan());
-                let words = words.filter(|words| plan.is(words));
+                let mut synced = rec.clone();
+                synced.sync(&tuple.plan);
                 rec.fingerprint == plan.fingerprint
-                    && words.is_some_and(|words| {
-                        let mut synced = rec.clone();
-                        synced.sync(words);
-                        synced == *rec && tuple.consistent(words)
-                    })
+                    && plan.is(&tuple.plan)
+                    && synced == *rec
+                    && tuple.consistent()
             })
     }
 
@@ -1465,7 +1365,7 @@ impl TupleSpace {
     /// hashes. A tuple installed out of time order, or hit before an entry's
     /// installation, is read whole instead.
     pub fn expire_idle(&mut self, now: f64, idle_timeout: f64) -> usize {
-        self.sweep_tuples(|tuple, plan, work| {
+        self.sweep_tuples(|tuple, work| {
             let (head, end) = (tuple.head as usize, tuple.end());
             let mut cut = end;
             if tuple.ordered {
@@ -1476,14 +1376,13 @@ impl TupleSpace {
                 cut = head + (head..end).take_while(old).count();
                 work.sweep_examined += u64::from(cut < end);
             }
-            tuple.remove(plan, cut, |e| now - e.last_used > idle_timeout, work)
+            tuple.remove(cut, |e| now - e.last_used > idle_timeout, work)
         })
     }
 
     /// Remove everything.
     pub fn clear(&mut self) {
         self.lane.clear();
-        self.slab.clear();
         self.tuples.clear();
     }
 
@@ -1507,11 +1406,11 @@ impl TupleSpace {
     }
 
     /// Render the cache in the style of Fig. 2 / Fig. 3 / Fig. 5 (one line per entry,
-    /// binary key and mask; a tuple's entries by ascending key).
+    /// binary key and mask; masks oldest first, a tuple's entries by ascending key).
     pub fn render(&self) -> String {
         let mut lines = Vec::new();
-        for (i, rec) in self.lane.iter().enumerate() {
-            let mut keys: Vec<&MegaflowEntry> = self.tuple(rec).iter().collect();
+        for (i, tuple) in self.tuples.iter().enumerate() {
+            let mut keys: Vec<&MegaflowEntry> = tuple.iter().collect();
             keys.sort_by(|a, b| a.key.cmp(&b.key));
             for e in keys {
                 lines.push(format!(
@@ -1662,8 +1561,8 @@ mod tests {
         assert_eq!(usage.len(), 3);
         assert_eq!(
             usage.iter().map(|(m, _)| m.clone()).collect::<Vec<_>>(),
-            vec![k(0b111), k(0b100), k(0b110)],
-            "usage reports masks in probe (here: insertion) order"
+            vec![k(0b110), k(0b100), k(0b111)],
+            "usage reports masks in probe order, newest first"
         );
         let hits_of = |mask: u128| {
             usage
@@ -1704,7 +1603,7 @@ mod tests {
 
     #[test]
     fn newest_first_ordering_pushes_old_masks_back() {
-        let mut c = TupleSpace::with_ordering(hyp_schema(), MaskOrdering::NewestFirst);
+        let mut c = TupleSpace::new(hyp_schema());
         // "Victim" entry installed first.
         c.insert(k(0b001), k(0b111), Action::Allow, 0.0).unwrap();
         assert_eq!(c.lookup(&k(0b001), 0.0).masks_scanned, 1);
@@ -1876,7 +1775,7 @@ mod tests {
                     (header.clone(), header.apply_mask(&mask), mask)
                 })
                 .collect();
-            let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+            let mut c = TupleSpace::new(schema.clone());
             for &(op, key, mask, t) in &ops {
                 let (key, mask, now) = (wide_key(&schema, key), palette_mask(&schema, mask), t as f64);
                 match op {
@@ -2051,7 +1950,11 @@ mod tests {
                 assert_eq!(stored, expected, "entries() is insertion order per tuple");
             };
 
+        // The bystander's tuple is made first, so the large one, newer, is probed first.
         let mut cache = TupleSpace::new(schema.clone());
+        cache
+            .insert(bystander.clone(), small.clone(), Action::Deny, 100.0)
+            .unwrap();
         // Even entries go in at t = 0, odd ones at t = 100.
         for i in 0..N {
             let now = (i % 2) as f64 * 100.0;
@@ -2061,9 +1964,6 @@ mod tests {
             model.insert(key_of(i), action_of(i));
             order.push(key_of(i));
         }
-        cache
-            .insert(bystander.clone(), small.clone(), Action::Deny, 100.0)
-            .unwrap();
         assert_eq!(cache.mask_count(), 2);
         check(&cache, &model, &order, &gone);
 
@@ -2109,30 +2009,24 @@ mod tests {
         assert!(cache.lane_consistent());
 
         let mut crossed = cache.clone();
-        let (a, b) = (crossed.lane[0].tuple, crossed.lane[1].tuple);
-        (crossed.lane[0].tuple, crossed.lane[1].tuple) = (b, a);
-        assert!(
-            !crossed.lane_consistent(),
-            "a record's plan is its tuple's mask"
-        );
+        crossed.tuples.swap(0, 1);
+        assert!(!crossed.lane_consistent(), "a record is its own tuple's");
 
-        let mut shared = cache.clone();
-        shared.lane[1].tuple = shared.lane[0].tuple;
-        assert!(!shared.lane_consistent(), "each slot is named once");
+        let mut orphan = cache.clone();
+        orphan.lane.push(LaneRecord::default());
+        assert!(!orphan.lane_consistent(), "each record has a tuple");
 
         // Lane record 1 is the one-entry tuple (100, 100). A stale value would turn a hit
         // on it into a miss, and with that the entry's next install into an overlap.
         let mut stale_value = cache.clone();
-        let word = stale_value.lane[1].plan().start;
-        stale_value.slab[word].value ^= 0b100;
+        stale_value.tuples[1].plan[0].value ^= 0b100;
         assert!(
             !stale_value.lane_consistent(),
             "an agreement word rules out no resident key"
         );
 
         let mut stale_agree = cache.clone();
-        let word = stale_agree.lane[0].plan().start;
-        stale_agree.slab[word].agree |= 0b001;
+        stale_agree.tuples[0].plan[0].agree |= 0b001;
         assert!(
             !stale_agree.lane_consistent(),
             "(001, 111) and (000, 111) disagree on bit 0"
@@ -2140,23 +2034,22 @@ mod tests {
 
         // A narrower agreement is sound, but a value bit outside it is not a value.
         let mut stray_value = cache.clone();
-        let word = stray_value.lane[0].plan().start;
-        stray_value.slab[word].agree &= !0b100;
+        stray_value.tuples[0].plan[0].agree &= !0b100;
         stray_value.lane[0].agree[0] &= !0b100;
         assert!(stray_value.lane_consistent(), "agreement may be narrower");
-        stray_value.slab[word].value |= 0b100;
+        stray_value.tuples[0].plan[0].value |= 0b100;
         stray_value.lane[0].value[0] |= 0b100;
         assert!(
             !stray_value.lane_consistent(),
             "a value bit lies within the agreement"
         );
 
-        // Lane record 0 is the tuple under 111, two entries: (001) at position 0 and
-        // (000) at position 1.
-        let index = &cache.tuples[cache.lane[0].tuple as usize].index;
+        // Tuple 0 is the one under 111, two entries: (001) at position 0 and (000) at
+        // position 1.
+        let index = &cache.tuples[0].index;
         let filed: Vec<usize> = (0..index.len()).filter(|&i| index[i] != 0).collect();
         let mut mispointed = cache.clone();
-        let index = &mut mispointed.tuples[mispointed.lane[0].tuple as usize].index;
+        let index = &mut mispointed.tuples[0].index;
         let (a, b) = (index[filed[0]], index[filed[1]]);
         (index[filed[0]], index[filed[1]]) = (a & TAG | b & !TAG, b & TAG | a & !TAG);
         assert!(
@@ -2165,7 +2058,7 @@ mod tests {
         );
 
         let mut stale_slot = cache.clone();
-        let index = &mut stale_slot.tuples[stale_slot.lane[0].tuple as usize].index;
+        let index = &mut stale_slot.tuples[0].index;
         let copy = index[filed[0]];
         place(index, copy);
         assert!(
@@ -2179,13 +2072,13 @@ mod tests {
         stale_inline_agree.lane[0].agree[0] ^= 0b001;
         assert!(
             !stale_inline_agree.lane_consistent(),
-            "the inline agreement is the slab's"
+            "the inline agreement is the plan's"
         );
         let mut stale_inline_value = cache.clone();
         stale_inline_value.lane[1].value[0] ^= 0b100;
         assert!(
             !stale_inline_value.lane_consistent(),
-            "the inline value is the slab's"
+            "the inline value is the plan's"
         );
         let mut stale_padding = cache.clone();
         stale_padding.lane[0].agree[1] ^= 0b001;
@@ -2201,35 +2094,44 @@ mod tests {
             "a record's fingerprint is its plan's"
         );
 
+        // Tuple 1's plan compiled from 110, not its own mask 100: its agreement is
+        // sound, and its inline copy synced.
         let mut leaked = cache.clone();
-        let plan = Plan::of(&k(0b001));
-        leaked.slab.extend_from_slice(plan.words());
+        let mut plan = Plan::of(&k(0b110));
+        agree(&mut plan.words[..plan.len], &Probe::new(&k(0b100)), true);
+        leaked.tuples[1].plan = plan.words().into();
+        leaked.lane[1].sync(plan.words());
         assert!(
             !leaked.lane_consistent(),
-            "the slab holds plans and nothing else"
+            "a tuple's plan is its mask compiled"
         );
 
         let mut reordered = cache;
         reordered.lane.swap(0, 2);
-        assert!(reordered.lane_consistent(), "order is the lane's to choose");
+        reordered.tuples.swap(0, 2);
+        assert!(
+            reordered.lane_consistent(),
+            "order is the vectors' to choose"
+        );
     }
 
     /// The Inv(2) walk reads a tuple's plan words only where the lane record's inline words
     /// do not rule it out, or where the record prints as the new entry's mask: the tuple
     /// under 111 holds 001 alone, so its agreement is the whole word and excludes 011, and
     /// the walk finds it by its fingerprint. The key joins it, and no tuple is made. A
-    /// record that prints as another mask's, as a collision would, costs one slab read and
+    /// record that prints as another mask's, as a collision would, costs one plan read and
     /// changes no answer.
     #[test]
     fn an_install_finds_its_tuple_past_an_agreement_that_excludes_the_key() {
+        // The tuple under 111 is made last, so it is probed first: record 1.
         let mut c = TupleSpace::new(hyp_schema());
-        c.insert(k(0b001), k(0b111), Action::Allow, 0.0).unwrap();
         c.insert(k(0b100), k(0b110), Action::Deny, 0.0).unwrap();
+        c.insert(k(0b001), k(0b111), Action::Allow, 0.0).unwrap();
         let plan = Plan::of(&k(0b111));
         let (key, mask) = (key_words(&k(0b011)), key_words(&k(0b111)));
-        let inline = |i| c.lane[0].excludes(i, |w| key[w], |w| mask[w]);
+        let inline = |i| c.lane[1].excludes(i, |w| key[w], |w| mask[w]);
         assert_ne!(inline(0) | inline(1), 0);
-        assert_eq!(c.lane[0].fingerprint, plan.fingerprint);
+        assert_eq!(c.lane[1].fingerprint, plan.fingerprint);
 
         let before = c.work();
         c.insert(k(0b011), k(0b111), Action::Deny, 1.0).unwrap();
@@ -2239,18 +2141,18 @@ mod tests {
             TssWork {
                 install_walks: before.install_walks + 1,
                 install_records: before.install_records + 2,
-                install_slab_reads: before.install_slab_reads + 1,
+                install_plan_reads: before.install_plan_reads + 1,
                 install_entry_scans: 0,
                 ..TssWork::default()
             },
-            "one slab read: the tuple under 111; (100, 110) is ruled out by its record"
+            "one plan read: the tuple under 111; (100, 110) is ruled out by its record"
         );
         let out = c.lookup(&k(0b011), 2.0);
         assert_eq!((out.action, out.masks_scanned), (Some(Action::Deny), 1));
 
-        // Record 1 (under 110) forged to print as 111.
+        // Record 0 (under 110) forged to print as 111.
         let mut collided = c.clone();
-        collided.lane[1].fingerprint = plan.fingerprint;
+        collided.lane[0].fingerprint = plan.fingerprint;
         for (key, mask) in [
             (0b000, 0b111),
             (0b101, 0b111),
@@ -2263,8 +2165,8 @@ mod tests {
             let expected = c.walk_for(&key, &mask, &plan, &mut honest);
             let walked = collided.walk_for(&key, &mask, &plan, &mut forged);
             assert_eq!(walked.map_err(|e| &e.key), expected.map_err(|e| &e.key));
-            let extra = forged.install_slab_reads - honest.install_slab_reads;
-            assert!(extra <= 1, "{key} / {mask}: {extra} more slab reads");
+            let extra = forged.install_plan_reads - honest.install_plan_reads;
+            assert!(extra <= 1, "{key} / {mask}: {extra} more plan reads");
         }
     }
 
@@ -2288,7 +2190,7 @@ mod tests {
                 .into_iter()
                 .chain((0..width).rev().map(move |b| allow ^ 1 << b))
         };
-        let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+        let mut c = TupleSpace::new(schema.clone());
         let mut header = schema.zero_value();
         header.set(proto, 6);
         let mut trace = Vec::new();
@@ -2327,7 +2229,7 @@ mod tests {
             (
                 exploded.install_walks,
                 exploded.install_records,
-                exploded.install_slab_reads,
+                exploded.install_plan_reads,
                 exploded.install_entry_scans
             ),
             (529, 135_696, 3_976, 0),
@@ -2356,7 +2258,7 @@ mod tests {
         // `ip_src` agrees: those no longer agree on `ip_proto`.
         assert_eq!(
             (
-                w.install_slab_reads - exploded.install_slab_reads,
+                w.install_plan_reads - exploded.install_plan_reads,
                 w.install_entry_scans
             ),
             (5_001, 0)
@@ -2402,9 +2304,9 @@ mod tests {
         Ok(())
     }
 
-    /// A lane record carries its plan's first two agreement words; the slab holds the
-    /// rest. On a schema of three byte fields, a full mask's plan reads key words 0, 2
-    /// and 4, so its record carries the first two and the slab word 4 alone; beside it
+    /// A lane record carries its plan's first two agreement words; the tuple's plan holds
+    /// the rest. On a schema of three byte fields, a full mask's plan reads key words 0, 2
+    /// and 4, so its record carries the first two and its tail word 4 alone; beside it
     /// are a two-word plan (no tail) and a one-word plan (a padding word). A header that
     /// agrees with the full mask's entry on `a` and `b` and differs on `c` alone is ruled
     /// out by the tail only, and misses after scanning every tuple. Through inserts that
@@ -2445,10 +2347,11 @@ mod tests {
             .unwrap();
         c.insert(key(0, 0, 0x50), top.clone(), Action::Deny, 0.0)
             .unwrap();
-        let shapes: Vec<(u32, [u8; INLINE], usize)> = c
+        let shapes: Vec<(usize, [u8; INLINE], usize)> = c
             .lane
             .iter()
-            .map(|rec| (rec.plan_len, rec.word, rec.tail().len()))
+            .zip(&c.tuples)
+            .map(|(rec, t)| (t.plan.len(), rec.word, t.tail().len()))
             .collect();
         assert_eq!(shapes, [(3, [0, 2], 1), (2, [0, 4], 0), (1, [4, 0], 0)]);
         assert_eq!(c.lane[2].agree[1], 0, "a padding word agrees on nothing");
@@ -2469,7 +2372,7 @@ mod tests {
         // still rules out (1, 2, 4) without a hash, but not (1, 2, 7).
         c.insert(key(1, 2, 5), full.clone(), Action::Deny, 5.0)
             .unwrap();
-        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xf9);
+        assert_eq!(c.tuples[0].plan[2].agree, 0xf9);
         agrees_with_the_scan(&c, &headers, &masks).unwrap();
         let refused = c.insert(key(8, 8, 0x5f), full.clone(), Action::Deny, 5.0);
         assert!(refused.is_err(), "(8, 8, 0x5f) is within (*, *, 0x5*)");
@@ -2480,7 +2383,7 @@ mod tests {
         // (1, 2, 5)'s bits: sound, as an agreement folded over more keys than are left.
         assert_eq!(c.expire_idle(12.0, 10.0), 3);
         assert_eq!(c.lane.len(), 1);
-        assert_eq!(c.slab[c.lane[0].plan()][2].agree, 0xf9);
+        assert_eq!(c.tuples[0].plan[2].agree, 0xf9);
         agrees_with_the_scan(&c, &headers, &masks).unwrap();
 
         c.insert(key(7, 0, 0x61), pair.clone(), Action::Allow, 13.0)
@@ -2499,7 +2402,10 @@ mod tests {
         let none = schema.empty_mask();
         all.insert(none.clone(), none.clone(), Action::Deny, 0.0)
             .unwrap();
-        assert_eq!((all.lane[0].plan_len, all.lane[0].agree), (0, [0; INLINE]));
+        assert_eq!(
+            (all.tuples[0].plan.len(), all.lane[0].agree),
+            (0, [0; INLINE])
+        );
         agrees_with_the_scan(&all, &headers, &[none, full]).unwrap();
         assert!(headers
             .iter()
@@ -2521,14 +2427,14 @@ mod tests {
         TssWork {
             install_walks: 0,
             install_records: 0,
-            install_slab_reads: 0,
+            install_plan_reads: 0,
             install_entry_scans: 0,
             ..c.work()
         }
     }
 
     /// A cache over three byte fields, `a`, `b` and `c` (key words 0, 2 and 4), of one
-    /// entry per `(key, mask)`, in insertion order.
+    /// entry per `(key, mask)`, probed in the order given: installed last to first.
     fn byte_cache(entries: &[(Triple, Triple)]) -> TupleSpace {
         let schema = FieldSchema::new(vec![
             FieldDef::new("a", 8),
@@ -2536,7 +2442,7 @@ mod tests {
             FieldDef::new("c", 8),
         ]);
         let mut c = TupleSpace::new(schema.clone());
-        for &((a, b, cc), (ma, mb, mc)) in entries {
+        for &((a, b, cc), (ma, mb, mc)) in entries.iter().rev() {
             let (key, mask) = (
                 Key::from_values(&schema, &[a, b, cc]),
                 Key::from_values(&schema, &[ma, mb, mc]),
@@ -2548,7 +2454,7 @@ mod tests {
 
     /// A run's walk tests a record's first inline word against every column of the run
     /// and passes the record on it when it rules all of them out; the second inline
-    /// word, the slab tail and the hash follow only for a column that survives. The lane
+    /// word, the plan's tail and the hash follow only for a column that survives. The lane
     /// is `full` (plan `a`, `b` | tail `c`), `pair` (`a`, `c`) and `top` (`c` and a
     /// padding word), whose entry's first word is 0 and so passes a zero column. Each
     /// run answers as `lookup` on each header in turn, and what its walk read is pinned.
@@ -2707,8 +2613,8 @@ mod tests {
     fn a_sweep_leaves_the_agreement_narrow_until_its_tuple_empties() {
         let full = k(0b111);
         let agreement = |c: &TupleSpace| {
-            let rec = c.lane.iter().find(|rec| c.tuple(rec).mask == full);
-            let w = c.slab[rec.expect("resident").plan()][0];
+            let tuple = c.tuples.iter().find(|t| t.mask == full);
+            let w = tuple.expect("resident").plan[0];
             (w.agree, w.value)
         };
         // A lookup's outcome, and the hashes its walk took.
@@ -2859,7 +2765,7 @@ mod tests {
                     (wide_key(&schema, k).apply_mask(&mask), mask)
                 })
                 .collect();
-            let mut c = TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst);
+            let mut c = TupleSpace::new(schema.clone());
             let mut clock = 0.0;
             for &(op, key, pick, t) in &ops {
                 let key = wide_key(&schema, key);

@@ -1,5 +1,6 @@
-//! `TupleSpace` against an obviously-correct model of Alg. 1: a mask list updated by the
-//! two `MaskOrdering` rules and a flat entry list scanned linearly.
+//! `TupleSpace` against an obviously-correct model of Alg. 1: a mask list to which each
+//! new mask is prepended (newest first, the one probe order) and a flat entry list
+//! scanned linearly.
 //!
 //! The schema is 5 bits wide, so "overlaps" and "matches" are brute-forced over all 32
 //! headers instead of trusting the bit tricks under test. After every operation the
@@ -7,19 +8,18 @@
 //! `masks_scanned`, and a first hit (`peek`) equal to the model's any-hit — Alg. 1's
 //! early exit checked against Inv(2) — and `insert` must refuse every prospective
 //! `(key, mask)` exactly where a full scan of the model's entries finds an overlap, so
-//! the per-tuple agreement words a partial `remove_where` / `expire_idle` refolds are
-//! pinned too.
+//! the verdicts of the per-tuple agreement words, which a partial `remove_where` /
+//! `expire_idle` leaves as narrow as the inserts made them, are pinned too.
 //! A run of headers through `TupleSpace::lookup_run` must answer as the model's
 //! lookups on each header in turn, up to and including the first miss, and leave the same
 //! counters behind.
 //! The test pins behaviour, not layout — the layout checks itself: every mutator ends on
-//! `debug_assert!(self.lane_consistent())`, so each operation below (both orderings,
-//! partial `remove_where`, `remove_mask`) also holds the probe lane, the plan slab and
-//! the tuples to each other.
+//! `debug_assert!(self.lane_consistent())`, so each operation below (partial
+//! `remove_where`, `remove_mask`) also holds the probe lane and the tuples to each other.
 
 use proptest::prelude::*;
 use tse_classifier::rule::Action;
-use tse_classifier::tss::{InsertError, LookupOutcome, MaskOrdering, MegaflowEntry, TupleSpace};
+use tse_classifier::tss::{InsertError, LookupOutcome, MegaflowEntry, TupleSpace};
 use tse_packet::fields::{FieldDef, FieldSchema, Key, Mask};
 
 const HEADERS: u128 = 32;
@@ -49,7 +49,6 @@ fn footprint(key: u128, mask: u128) -> u32 {
 }
 
 struct Model {
-    ordering: MaskOrdering,
     /// Probe order, with cumulative hits.
     masks: Vec<(Mask, u64)>,
     entries: Vec<MegaflowEntry>,
@@ -71,10 +70,7 @@ impl Model {
             return false;
         }
         if !self.masks.iter().any(|(m, _)| *m == new.mask) {
-            match self.ordering {
-                MaskOrdering::NewestFirst => self.masks.insert(0, (new.mask.clone(), 0)),
-                _ => self.masks.push((new.mask.clone(), 0)),
-            }
+            self.masks.insert(0, (new.mask.clone(), 0));
         }
         self.entries.push(new);
         true
@@ -114,7 +110,7 @@ impl Model {
 }
 
 fn check(cache: &TupleSpace, model: &Model, step: usize) -> Result<(), TestCaseError> {
-    let at = format!("{:?} step {step}", model.ordering);
+    let at = format!("step {step}");
     prop_assert_eq!(
         cache.mask_usage(),
         model.masks.clone(),
@@ -170,10 +166,9 @@ fn check(cache: &TupleSpace, model: &Model, step: usize) -> Result<(), TestCaseE
     Ok(())
 }
 
-fn run(ordering: MaskOrdering, ops: &[(u8, u128, u128, u8)]) -> Result<(), TestCaseError> {
-    let mut cache = TupleSpace::with_ordering(schema(), ordering);
+fn run(ops: &[(u8, u128, u128, u8)]) -> Result<(), TestCaseError> {
+    let mut cache = TupleSpace::new(schema());
     let mut model = Model {
-        ordering,
         masks: Vec::new(),
         entries: Vec::new(),
     };
@@ -265,8 +260,6 @@ proptest! {
     fn tuple_space_follows_the_probe_order_model(
         ops in proptest::collection::vec((0u8..9, 0u128..32, 0u128..32, 0u8..5), 1..120),
     ) {
-        for ordering in [MaskOrdering::Insertion, MaskOrdering::NewestFirst] {
-            run(ordering, &ops)?;
-        }
+        run(&ops)?;
     }
 }

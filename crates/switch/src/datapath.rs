@@ -31,7 +31,7 @@ use tse_classifier::baseline::{Classifier, HierarchicalTrie, HyperCuts, LinearSe
 use tse_classifier::flowtable::FlowTable;
 use tse_classifier::rule::Action;
 use tse_classifier::strategy::MegaflowStrategy;
-use tse_classifier::tss::{LookupOutcome, MaskOrdering, TupleSpace};
+use tse_classifier::tss::{LookupOutcome, TupleSpace};
 use tse_packet::fields::Key;
 use tse_packet::flowkey::FlowKey;
 use tse_packet::wire::WireFault;
@@ -206,9 +206,9 @@ impl DatapathBuilder {
         self
     }
 
-    /// Finalise: an empty megaflow cache probed newest-first
-    /// ([`MaskOrdering::NewestFirst`], the regime of Fig. 8a/9a), the chosen classifier
-    /// built from the flow table, and the datapath around them.
+    /// Finalise: an empty megaflow cache, probed newest mask first ([`TupleSpace::new`],
+    /// the regime of Fig. 8a/9a), the chosen classifier built from the flow table, and
+    /// the datapath around them.
     pub fn build(self) -> Datapath {
         let schema = self.table.schema();
         let strategy = self
@@ -216,7 +216,7 @@ impl DatapathBuilder {
             .unwrap_or_else(|| MegaflowStrategy::wildcarding(schema));
         Datapath {
             slow_path: SlowPath::new(strategy),
-            megaflow: TupleSpace::with_ordering(schema.clone(), MaskOrdering::NewestFirst),
+            megaflow: TupleSpace::new(schema.clone()),
             baseline: Baseline::build(self.fast_path, &self.table),
             stats: DatapathStats::default(),
             last_sweep: 0.0,

@@ -20,10 +20,12 @@
 //! megaflow joins a tuple with room to spare, a warm expiry sweep of a large tuple, warm
 //! churn — a block of installs, then a sweep that expires a block — of a tuple four
 //! blocks long, a warm `remove_where` out of the middle of a long tuple, and a warm idle
-//! sweep of a tuple installed out of time order.
+//! sweep of a tuple installed out of time order. So is a warm idle sweep that drops
+//! tuples: the lane and the tuples close ranks in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tse::classifier::tss::MegaflowEntry;
 use tse::prelude::*;
@@ -64,6 +66,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole run: the counter is process-global, and the deltas stay
+/// meaningful only while no sibling test allocates concurrently.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Allocations one call of `f` performs. The counter is process-global and threads the
 /// test does not control allocate when they please (libtest's main thread while the
@@ -174,10 +184,9 @@ fn run_mix_allocations(schema: &FieldSchema, per_interval: usize, intervals: usi
     (0..5).map(|_| measure()).min().unwrap()
 }
 
-// One test function on purpose: the counter is process-global, and the deltas stay
-// meaningful only while no sibling test allocates concurrently.
 #[test]
 fn steady_state_fan_out_allocates_independently_of_batch_size() {
+    let _serial = serial();
     let schema = FieldSchema::ovs_ipv4();
     let small = spread_batch(&schema, 600);
     let big = spread_batch(&schema, 1200);
@@ -500,4 +509,56 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
             "warm {encap:?} encode_into must be allocation-free"
         );
     }
+}
+
+/// SipDp's explosion, one upcall every 10 ms, swept by idle expiry a second at a time:
+/// each sweep empties about a hundred one-entry tuples and drops them, each with its lane
+/// record, and the survivors close ranks in both vectors in place.
+#[test]
+fn a_warm_idle_sweep_that_drops_tuples_allocates_nothing() {
+    let _serial = serial();
+    let schema = FieldSchema::ovs_ipv4();
+    let field = |name| schema.field_index(name).unwrap();
+    let (ip_src, ip_proto, tp_dst) = (field("ip_src"), field("ip_proto"), field("tp_dst"));
+    let (allow_dp, allow_sip) = (80, 0x0a00_0001);
+    let table =
+        FlowTable::whitelist_default_deny(&schema, &[(tp_dst, allow_dp), (ip_src, allow_sip)]);
+    let mut slow = SlowPath::new(MegaflowStrategy::wildcarding(&schema));
+    // Each field's allowed value, then that value with each bit inverted.
+    let inversions = |width: u32, allow: u128| {
+        [allow]
+            .into_iter()
+            .chain((0..width).map(move |b| allow ^ 1 << b))
+    };
+    let mut cache = TupleSpace::new(schema.clone());
+    let mut header = schema.zero_value();
+    header.set(ip_proto, 6);
+    let mut t = 0.0;
+    for d in inversions(16, allow_dp) {
+        for s in inversions(32, allow_sip) {
+            header.set(tp_dst, d);
+            header.set(ip_src, s);
+            if cache.peek(&header).is_none() {
+                slow.handle_upcall(&table, &mut cache, &header, t);
+                t += 0.01;
+            }
+        }
+    }
+    assert_eq!((cache.mask_count(), cache.entry_count()), (513, 529));
+
+    let mut now = 10.25;
+    assert!(cache.expire_idle(now, 10.0) > 0, "warm");
+    let mut dropped = true;
+    let allocs = allocations_during(|| {
+        now += 1.0;
+        let masks = cache.mask_count();
+        cache.expire_idle(now, 10.0);
+        dropped &= cache.mask_count() < masks;
+    });
+    assert!(dropped, "every audited sweep dropped tuples");
+    assert!(cache.mask_count() > 0, "the newest tuples are left");
+    assert_eq!(
+        allocs, 0,
+        "a warm idle sweep that drops tuples must be allocation-free"
+    );
 }

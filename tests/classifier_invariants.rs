@@ -120,7 +120,6 @@ fn exploded_cache_answers_like_a_linear_scan_of_its_entries() {
         dp.process_key(&key, 64, (i % 2) as f64 * 100.0);
     }
     let mut cache = dp.megaflow().clone();
-    assert_eq!(cache.ordering(), MaskOrdering::NewestFirst);
     assert_eq!(cache.mask_count(), 513);
 
     let mut state = 0x5eed_u64;
