@@ -142,6 +142,7 @@ fn main() {
             [
                 after.probe_lookups - before.probe_lookups,
                 after.probe_records - before.probe_records,
+                after.probe_slice_words - before.probe_slice_words,
                 after.probe_second_word - before.probe_second_word,
                 after.probe_hashed - before.probe_hashed,
             ],
@@ -228,7 +229,14 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["use case", "lookups", "records", "second word", "hashed"],
+            &[
+                "use case",
+                "lookups",
+                "records",
+                "slice words",
+                "second word",
+                "hashed"
+            ],
             &rows
         )
     );
@@ -241,6 +249,7 @@ fn main() {
                 w.run_runs,
                 w.run_headers,
                 w.run_records,
+                w.run_slice_words,
                 w.run_second_word,
                 w.run_hashed,
             ];
@@ -257,6 +266,7 @@ fn main() {
                 "runs",
                 "headers",
                 "records",
+                "slice words",
                 "second word",
                 "hashed"
             ],
@@ -311,10 +321,11 @@ fn main() {
             scanned as f64,
         );
     }
-    for (name, [lookups, records, second_word, hashed]) in probes {
+    for (name, [lookups, records, slice_words, second_word, hashed]) in probes {
         for (row, unit, count) in [
             ("lookups", "lookups", lookups),
             ("records", "records", records),
+            ("slice_words", "words", slice_words),
             ("second_word", "records", second_word),
             ("hashed", "hashes", hashed),
         ] {
@@ -336,6 +347,7 @@ fn main() {
             ("runs", "runs", w.run_runs),
             ("headers", "headers", w.run_headers),
             ("records", "records", w.run_records),
+            ("slice_words", "words", w.run_slice_words),
             ("second_word", "records", w.run_second_word),
             ("hashed", "hashes", w.run_hashed),
         ] {

@@ -39,19 +39,33 @@
 //! survived both. A header that differs from the common value on an agreed bit matches
 //! no entry of the tuple, and is past it without a hash. For an explosion — one entry per
 //! mask, and most masks' plans two words long — that test is exact, so it ends every
-//! miss having read one lane record, one cache line, and nothing of the tuple, and the
-//! whole scan stays cache-resident; the first word alone rules a header out on seven
-//! records in eight. The plan stays the agreement's only source: an insert, the one
-//! mutator that changes an agreement, copies it into the record too. A header that
-//! survives hashes `header AND mask` off the plan words and goes on, hash in hand, to the
-//! tuple's index: it walks the tuple's flat open-addressed index of `u64` slots from the
-//! slot the hash names, and compares against a stored key only where a slot's tag (the
-//! hash's high 32 bits) matches. A header leaves the walk at its first hit, and the walk
-//! ends when every header has hit, or at the start of the lane. A walk materialises no
-//! masked key and allocates nothing. The results are committed afterwards, header by
-//! header in run order — the hit counters bumped and `last_used` stamped — up to and
-//! including the first miss; a run's headers behind that miss are left as they were, for
-//! the datapath to look up again once the miss's upcall has installed its entry.
+//! miss having read nothing of the tuple. The plan stays the agreement's only source: an
+//! insert, the one mutator that changes an agreement, copies it into the record too.
+//!
+//! The walk does not test every record. The lane is cut into blocks of 64 records, and
+//! beside it the inline words of every full block are kept **bit-sliced** by nibble —
+//! the bit-vector scheme of packet classification (Lakshman & Stiliadis, SIGCOMM 1998),
+//! used only to skip records: per `(header word, nibble)` on which some record agrees, 16
+//! rows of 64 bits per block, bit `b` of row `x` set iff record `b` does not rule out
+//! nibble value `x`. The newest, partial block is tested record by record; each full
+//! block, from the top, ANDs one row per sliced nibble per header and ORs the headers,
+//! and only the records that survive — in an explosion a handful of the 513 — take the
+//! per-record test above, newest first. A record the rows rule out is one its inline
+//! words rule out for every header, so the walk stops where a record-by-record walk
+//! would: the same hits, the same `masks_scanned`. The records stay the slices' source:
+//! a tuple whose record completes a block slices it, an insert that narrows a record of
+//! a full block rewrites its bits, and a dropped tuple re-slices the full blocks.
+//!
+//! A header that survives hashes `header AND mask` off the plan words and goes on, hash
+//! in hand, to the tuple's index: it walks the tuple's flat open-addressed index of
+//! `u64` slots from the slot the hash names, and compares against a stored key only
+//! where a slot's tag (the hash's high 32 bits) matches. A header leaves the walk at its
+//! first hit, and the walk ends when every header has hit, or at the start of the lane.
+//! A walk materialises no masked key and allocates nothing. The results are committed
+//! afterwards, header by header in run order — the hit counters bumped and `last_used`
+//! stamped — up to and including the first miss; a run's headers behind that miss are
+//! left as they were, for the datapath to look up again once the miss's upcall has
+//! installed its entry.
 //!
 //! Inv(2)'s conflict check walks the lane too, with the same per-record test
 //! (`LaneRecord::excludes`) restricted to the bits the prospective entry keeps, and
@@ -79,8 +93,8 @@
 //! the cut keep their places, slots and hashes. A removal writes no agreement and no
 //! lane record: the keys left are a subset of those the agreement was folded over, so it
 //! still rules out nothing they match. A tuple a removal empties is dropped with its
-//! record, the others keeping their order, and a later insert under its mask starts a
-//! new one, whose agreement is its first key's. Idle
+//! record, the others keeping their order (and the full blocks re-sliced in place), and
+//! a later insert under its mask starts a new one, whose agreement is its first key's. Idle
 //! expiry (§5.4's revalidation) is O(expired): installs arrive in time order, so a
 //! tuple's entries that can have idled out are the ones in front of the first entry
 //! whose own installation has not, and that entry is the cut. MFCGuard's removal, and
@@ -420,6 +434,228 @@ impl LaneRecord {
     fn excludes(&self, i: usize, word: impl Fn(usize) -> u64, keep: impl Fn(usize) -> u64) -> u64 {
         let w = usize::from(self.word[i] & 15);
         (word(w) ^ self.value[i]) & self.agree[i] & keep(w)
+    }
+
+    /// The values of nibble `n` of header word `w` that its inline words do not rule out,
+    /// bit `x` for value `x`: all sixteen where no inline word reads `w`.
+    fn passes(&self, (w, n): (u8, u8)) -> u16 {
+        (0..INLINE)
+            .filter(|&i| self.word[i] & 15 == w)
+            .fold(!0, |pass, i| {
+                let nibble = |x: u64| (x >> (4 * n) & 15) as usize;
+                pass & PASS[nibble(self.agree[i]) << 4 | nibble(self.value[i])]
+            })
+    }
+}
+
+/// Lane records to a sliced block, a bit of a `u64` row each.
+const SLICE: usize = 64;
+
+/// The most nibbles the slices cover; an agreed nibble past them is left to each
+/// candidate's own test.
+const SLOTS: usize = 64;
+
+/// The nibble values an `(agree, value)` nibble pair passes, at `agree << 4 | value`: bit
+/// `x` is set iff `(x ^ value) & agree == 0`.
+const PASS: [u16; 256] = {
+    let mut pass = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let (agree, value) = (i >> 4, i & 15);
+        let mut x = 0;
+        while x < 16 {
+            if (x ^ value) & agree == 0 {
+                pass[i] |= 1 << x;
+            }
+            x += 1;
+        }
+        i += 1;
+    }
+    pass
+};
+
+/// Each `(header word, nibble)` of a record's inline words, `word` and `agree`, on which
+/// it agrees on a bit.
+fn agreed(word: [u8; INLINE], agree: [u64; INLINE]) -> impl Iterator<Item = (usize, usize)> {
+    (0..INLINE).flat_map(move |i| {
+        let w = usize::from(word[i] & 15);
+        (0..16)
+            .filter(move |n| agree[i] >> (4 * n) & 15 != 0)
+            .map(move |n| (w, n))
+    })
+}
+
+/// The inline agreement words of the lane's full blocks of [`SLICE`] records, bit-sliced
+/// by nibble: the bit-vector scheme of packet classification (Lakshman & Stiliadis,
+/// SIGCOMM 1998), used only to skip records. For each *slot*, a `(header word, nibble)`
+/// on which some record of a full block agrees, a block has 16 rows, one per value of
+/// the nibble: bit `b` of row `x` is set iff record `SLICE * block + b` does not rule
+/// value `x` out there. A header's candidates in a block are the AND of one row per
+/// slot; a record outside them is ruled out by its inline words. The newest, partial
+/// block is not sliced. With no agreed nibble there is no slot and no sliced block.
+///
+/// The records stay the source: a new tuple whose record completes a block slices it
+/// (every block, if the slot set changed); an insert that narrows a record of a full
+/// block rewrites its bits (every block, if a slot lost its last agreed bit); a
+/// dropped tuple re-slices every block in place.
+#[derive(Debug, Clone)]
+struct Slices {
+    /// Per header word and nibble, the inline words of the full blocks' records that
+    /// agree on a bit of it.
+    tally: [[u32; 16]; 16],
+    /// The sliced `(header word, nibble)` pairs: the tally's first [`SLOTS`] non-zero
+    /// ones, in order.
+    slots: [(u8, u8); SLOTS],
+    /// How many of `slots` there are.
+    len: usize,
+    /// The blocks sliced: the lane's full blocks, or none when there is no slot.
+    blocks: usize,
+    /// Block-major rows: row `x` of slot `s` of block `b` is `bits[(b * len + s) * 16 + x]`.
+    bits: Vec<u64>,
+}
+
+impl Slices {
+    const EMPTY: Slices = Slices {
+        tally: [[0; 16]; 16],
+        slots: [(0, 0); SLOTS],
+        len: 0,
+        blocks: 0,
+        bits: Vec::new(),
+    };
+
+    /// Count a record's agreed nibbles, its inline words `word` and `agree`, into the
+    /// tally, or out of it.
+    fn count(&mut self, word: [u8; INLINE], agree: [u64; INLINE], into: bool) {
+        for (w, n) in agreed(word, agree) {
+            let t = &mut self.tally[w][n];
+            *t = if into { *t + 1 } else { *t - 1 };
+        }
+    }
+
+    /// The slots the tally calls for, and how many.
+    fn chosen(&self) -> ([(u8, u8); SLOTS], usize) {
+        let mut slots = [(0, 0); SLOTS];
+        let pairs = (0..16u8).flat_map(|w| (0..16u8).map(move |n| (w, n)));
+        let mut len = 0;
+        for (slot, pair) in slots
+            .iter_mut()
+            .zip(pairs.filter(|&(w, n)| self.tally[usize::from(w)][usize::from(n)] != 0))
+        {
+            *slot = pair;
+            len += 1;
+        }
+        (slots, len)
+    }
+
+    /// Whether the slots are the ones the tally calls for.
+    fn current(&self) -> bool {
+        let (slots, len) = self.chosen();
+        (slots, len) == (self.slots, self.len)
+    }
+
+    /// The 16 rows of `slot` for `block`, its records.
+    fn rows(block: &[LaneRecord], slot: (u8, u8)) -> [u64; 16] {
+        let mut rows = [0; 16];
+        for (b, rec) in block.iter().enumerate() {
+            let pass = rec.passes(slot);
+            for (x, row) in rows.iter_mut().enumerate() {
+                *row |= u64::from(pass >> x & 1) << b;
+            }
+        }
+        rows
+    }
+
+    /// Slice block `block` of `lane` into its rows.
+    fn slice(&mut self, lane: &[LaneRecord], block: usize) {
+        let records = &lane[block * SLICE..][..SLICE];
+        let rows = &mut self.bits[block * self.len * 16..][..self.len * 16];
+        for (rows, &slot) in rows.chunks_exact_mut(16).zip(&self.slots[..self.len]) {
+            rows.copy_from_slice(&Self::rows(records, slot));
+        }
+    }
+
+    /// Take the slots the tally calls for and slice every full block of `lane` anew, in
+    /// the rows' storage.
+    fn reslice(&mut self, lane: &[LaneRecord]) {
+        (self.slots, self.len) = self.chosen();
+        self.blocks = if self.len == 0 { 0 } else { lane.len() / SLICE };
+        self.bits.clear();
+        self.bits.resize(self.blocks * self.len * 16, 0);
+        for block in 0..self.blocks {
+            self.slice(lane, block);
+        }
+    }
+
+    /// Tally and slice `lane`'s full blocks from scratch: after tuples were dropped.
+    fn rebuild(&mut self, lane: &[LaneRecord]) {
+        self.tally = [[0; 16]; 16];
+        for rec in &lane[..lane.len() / SLICE * SLICE] {
+            self.count(rec.word, rec.agree, true);
+        }
+        self.reslice(lane);
+    }
+
+    /// `lane`'s newest record has completed a block: tally it, and slice it, or every
+    /// block if the slot set changed.
+    fn complete(&mut self, lane: &[LaneRecord]) {
+        for rec in &lane[lane.len() - SLICE..] {
+            self.count(rec.word, rec.agree, true);
+        }
+        if !self.current() {
+            return self.reslice(lane);
+        }
+        if self.len > 0 {
+            self.blocks += 1;
+            self.bits.resize(self.blocks * self.len * 16, 0);
+            self.slice(lane, self.blocks - 1);
+        }
+    }
+
+    /// An insert has narrowed record `i` of `lane`, whose inline agreement was `was`:
+    /// retally it if it is in a full block, and rewrite its bits, or every block if a
+    /// slot lost its last agreed bit.
+    fn narrow(&mut self, lane: &[LaneRecord], i: usize, was: [u64; INLINE]) {
+        if i >= lane.len() / SLICE * SLICE {
+            return;
+        }
+        let rec = &lane[i];
+        self.count(rec.word, was, false);
+        self.count(rec.word, rec.agree, true);
+        if !self.current() {
+            return self.reslice(lane);
+        }
+        let (block, bit) = (i / SLICE, i % SLICE);
+        let rows = &mut self.bits[block * self.len * 16..][..self.len * 16];
+        for (rows, &slot) in rows.chunks_exact_mut(16).zip(&self.slots[..self.len]) {
+            let pass = rec.passes(slot);
+            for (x, row) in rows.iter_mut().enumerate() {
+                *row = *row & !(1 << bit) | u64::from(pass >> x & 1) << bit;
+            }
+        }
+    }
+
+    /// Whether these are `lane`'s slices: the tally counts the full blocks' agreed
+    /// nibbles, the slots are the ones it calls for, every full block is sliced when
+    /// there is a slot, and every row is what its records say. Allocates nothing.
+    fn consistent(&self, lane: &[LaneRecord]) -> bool {
+        let full = lane.len() / SLICE;
+        let mut tally = [[0u32; 16]; 16];
+        for rec in &lane[..full * SLICE] {
+            for (w, n) in agreed(rec.word, rec.agree) {
+                tally[w][n] += 1;
+            }
+        }
+        tally == self.tally
+            && self.current()
+            && self.blocks == if self.len == 0 { 0 } else { full }
+            && self.bits.len() == self.blocks * self.len * 16
+            && (0..self.blocks).all(|block| {
+                let records = &lane[block * SLICE..][..SLICE];
+                let rows = &self.bits[block * self.len * 16..][..self.len * 16];
+                rows.chunks_exact(16)
+                    .zip(&self.slots[..self.len])
+                    .all(|(rows, &slot)| *rows == Self::rows(records, slot))
+            })
     }
 }
 
@@ -770,8 +1006,11 @@ pub struct TssWork {
     /// Lane records they read: the whole lane on a miss, up to the hit's record on a hit
     /// — `masks_scanned`, summed.
     pub probe_records: u64,
-    /// Records whose second inline agreement word they read: those whose first did not
-    /// rule the header out.
+    /// Slice rows they ANDed: a row per slot of each full block they reached.
+    pub probe_slice_words: u64,
+    /// Records whose second inline agreement word they read: of the newest, partial
+    /// block, those whose first did not rule the header out; of a full block, those its
+    /// slices did not.
     pub probe_second_word: u64,
     /// Hashes they took: records whose agreement words did not rule the header out.
     pub probe_hashed: u64,
@@ -782,9 +1021,13 @@ pub struct TssWork {
     /// Lane records they read: the whole lane, or up to the record where the run's last
     /// header hit.
     pub run_records: u64,
-    /// Records whose second inline word they read: those whose first word did not rule
-    /// out all of the run's columns (a header that has hit keeps its column, and a run of
-    /// two or three has zero columns beside its headers).
+    /// Slice rows they ANDed: a row per slot per column of each full block they reached
+    /// (four columns, whatever the run's length).
+    pub run_slice_words: u64,
+    /// Records whose second inline word they read: of the partial block, those whose
+    /// first word did not rule out all of the run's columns; of a full block, those its
+    /// slices did not rule out for all of them (a header that has hit keeps its column,
+    /// and a run of two or three has zero columns beside its headers).
     pub run_second_word: u64,
     /// Hashes they took: one per header still looking, per record whose agreement words
     /// did not rule that header out.
@@ -820,8 +1063,8 @@ impl std::ops::AddAssign for TssWork {
             }};
         }
         add!(
-            probe_lookups probe_records probe_second_word probe_hashed
-            run_runs run_headers run_records run_second_word run_hashed
+            probe_lookups probe_records probe_slice_words probe_second_word probe_hashed
+            run_runs run_headers run_records run_slice_words run_second_word run_hashed
             install_walks install_records install_plan_reads install_entry_scans
             sweep_examined sweep_removed sweep_moved sweep_slots
         );
@@ -831,17 +1074,78 @@ impl std::ops::AddAssign for TssWork {
 /// What one walk of the lane for up to `N` headers found, and what it read.
 struct Walk<const N: usize> {
     /// One bit per header that missed: the walk reached the start of the lane without
-    /// matching it.
+    /// matching it. While the walk runs, one bit per header still looking.
     missed: u32,
     /// Where each header that hit did: its tuple's index, and the entry's offset in the
     /// tuple's log.
     found: [(usize, usize); N],
     /// Lane records read: the whole lane, or up to the record where the last header hit.
     records: usize,
+    /// Slice rows ANDed.
+    slice_words: u64,
     /// Records whose second inline word was read.
     second_word: u64,
     /// Hashes taken.
     hashed: u64,
+}
+
+impl<const N: usize> Walk<N> {
+    /// Test lane record `i` of `space` against every column of `words`, the headers'
+    /// words laid out word-major: the record's first inline word, and a record that rules
+    /// out every column on it is passed at once; then its second inline word, with the
+    /// same pass; then the tuple's plan words past the copy, if any. Only a header still
+    /// looking that survives them all hashes, off the tuple's plan words, and probes the
+    /// tuple's index. Returns whether every header has hit.
+    #[inline(always)]
+    fn visit(
+        &mut self,
+        space: &TupleSpace,
+        i: usize,
+        words: &[[u64; N]; 16],
+        headers: &[&Key],
+    ) -> bool {
+        // Whether every column is ruled out: a fold with no branch in it.
+        let all_out = |x: &[u64; N]| x.iter().fold(true, |all, &x| all & (x != 0));
+        let rec = &space.lane[i];
+        let mut excluded: [u64; N] =
+            std::array::from_fn(|j| rec.excludes(0, |w| words[w][j], |_| !0));
+        if all_out(&excluded) {
+            return false;
+        }
+        self.second_word += 1;
+        for (j, x) in excluded.iter_mut().enumerate() {
+            *x |= rec.excludes(1, |w| words[w][j], |_| !0);
+        }
+        if all_out(&excluded) {
+            return false;
+        }
+        let tuple = &space.tuples[i];
+        for w in tuple.tail() {
+            let row = &words[usize::from(w.word & 15)];
+            for (x, &k) in excluded.iter_mut().zip(row) {
+                *x |= w.excludes(k);
+            }
+        }
+        let mut live = self.missed;
+        for (j, &x) in excluded.iter().enumerate() {
+            live &= !(u32::from(x != 0) << j);
+        }
+        while live != 0 {
+            let j = live.trailing_zeros() as usize;
+            live &= live - 1;
+            self.hashed += 1;
+            let hash = masked_hash(&tuple.plan, |w| words[usize::from(w.word & 15)][j]);
+            if let Some(offset) = tuple.find(hash, headers[j]) {
+                self.found[j] = (i, offset);
+                self.missed &= !(1 << j);
+            }
+        }
+        if self.missed == 0 {
+            self.records = space.lane.len() - i;
+            return true;
+        }
+        false
+    }
 }
 
 /// The TSS megaflow cache: its probe lane and its tuples.
@@ -853,6 +1157,8 @@ pub struct TupleSpace {
     lane: Vec<LaneRecord>,
     /// The tuples, each at its lane record's index.
     tuples: Vec<Tuple>,
+    /// The inline agreement words of the lane's full blocks, bit-sliced.
+    slices: Slices,
     /// What the walks and sweeps have done; see [`Self::work`].
     work: TssWork,
 }
@@ -871,6 +1177,7 @@ impl TupleSpace {
             schema,
             lane: Vec::new(),
             tuples: Vec::new(),
+            slices: Slices::EMPTY,
             work: TssWork::default(),
         }
     }
@@ -938,15 +1245,19 @@ impl TupleSpace {
     /// zero columns beside a shorter run's headers.
     ///
     /// The header words are laid out word-major, a column per header, so that each lane
-    /// record (and any plan words past its copy) is read once for all of them, and each
-    /// agreement word is tested against every column in one fold without a branch: the
-    /// record's first inline word, and a record that rules out every column on it is
-    /// passed at once; then its second inline word, with the same pass; then the tuple's
-    /// plan words past the copy, if any. Only a header that survives them all hashes, off
-    /// the tuple's plan words, and probes the tuple's index ([`Tuple::find`]); a header
-    /// leaves the walk at its first hit. The walk ends when every header has hit, or at
-    /// the start of the lane. It writes nothing: the caller commits the hits and counts
-    /// the work.
+    /// record (and any plan words past its copy) is read once for all of them. The
+    /// newest, partial block of the lane is tested record by record (`Walk::visit`: the
+    /// first inline word against every column in one fold without a branch, the second
+    /// only where a column survives, then the plan's tail, then the hash and the index).
+    /// Then each full block, from the top: per column, the AND of one slice row per slot
+    /// ([`Slices`]), the columns run side by side; the OR over all columns — a run's zero
+    /// columns, and those of headers that have hit, included — names the block's
+    /// candidates, and only they go through the same per-record test, newest first. A
+    /// record outside them is ruled out by its inline words for every column, so the walk
+    /// stops where the record-by-record walk would, with the same hits. A header leaves
+    /// the walk at its first hit; the walk ends when every header has hit, or at the
+    /// start of the lane. It writes nothing: the caller commits the hits and counts the
+    /// work.
     #[inline(always)]
     fn walk<const N: usize>(&self, headers: &[&Key]) -> Walk<N> {
         let n = headers.len().min(N);
@@ -957,61 +1268,54 @@ impl TupleSpace {
                 row[j] = k;
             }
         }
-        // One bit per header still looking.
-        let mut active = (1u32 << n) - 1;
-        let mut found = [(0, 0); N];
-        let (mut records, mut second_word, mut hashed) = (self.lane.len(), 0, 0);
-        // Whether every column is ruled out: a fold with no branch in it.
-        let all_out = |x: &[u64; N]| x.iter().fold(true, |all, &x| all & (x != 0));
-        for (i, rec) in self.lane.iter().enumerate().rev() {
-            // In an explosion nearly every record rules every header out on its first
-            // inline word alone (87 % of the records SipDp's runs read), and the walk
-            // moves on having tested one word per header, not both inline words.
-            let mut excluded: [u64; N] =
-                std::array::from_fn(|j| rec.excludes(0, |w| words[w][j], |_| !0));
-            if all_out(&excluded) {
-                continue;
-            }
-            second_word += 1;
-            for (j, x) in excluded.iter_mut().enumerate() {
-                *x |= rec.excludes(1, |w| words[w][j], |_| !0);
-            }
-            if all_out(&excluded) {
-                continue;
-            }
-            let tuple = &self.tuples[i];
-            for w in tuple.tail() {
-                let row = &words[usize::from(w.word & 15)];
-                for (x, &k) in excluded.iter_mut().zip(row) {
-                    *x |= w.excludes(k);
-                }
-            }
-            let mut live = active;
-            for (j, &x) in excluded.iter().enumerate() {
-                live &= !(u32::from(x != 0) << j);
-            }
-            while live != 0 {
-                let j = live.trailing_zeros() as usize;
-                live &= live - 1;
-                hashed += 1;
-                let hash = masked_hash(&tuple.plan, |w| words[usize::from(w.word & 15)][j]);
-                if let Some(offset) = tuple.find(hash, headers[j]) {
-                    found[j] = (i, offset);
-                    active &= !(1 << j);
-                }
-            }
-            if active == 0 {
-                records = self.lane.len() - i;
-                break;
+        let mut walk = Walk {
+            missed: (1u32 << n) - 1,
+            found: [(0, 0); N],
+            records: self.lane.len(),
+            slice_words: 0,
+            second_word: 0,
+            hashed: 0,
+        };
+        let slices = &self.slices;
+        let sliced = slices.blocks * SLICE;
+        for i in (sliced..self.lane.len()).rev() {
+            if walk.visit(self, i, &words, headers) {
+                return walk;
             }
         }
-        Walk {
-            missed: active,
-            found,
-            records,
-            second_word,
-            hashed,
+        if slices.blocks == 0 {
+            return walk;
         }
+        // Each column's value of each slot's nibble: the row it reads.
+        let slots = &slices.slots[..slices.len];
+        let mut nibbles = [[0u8; N]; SLOTS];
+        for (nibble, &(w, n)) in nibbles.iter_mut().zip(slots) {
+            for (x, &k) in nibble.iter_mut().zip(&words[usize::from(w & 15)]) {
+                *x = (k >> (4 * n) & 15) as u8;
+            }
+        }
+        // The lowest block the walk reached.
+        let (mut low, per_block) = (slices.blocks, slots.len() * 16);
+        'blocks: for block in (0..slices.blocks).rev() {
+            low = block;
+            let rows = &slices.bits[block * per_block..][..per_block];
+            let mut pass = [!0u64; N];
+            for (rows, nibble) in rows.chunks_exact(16).zip(&nibbles) {
+                for (p, &x) in pass.iter_mut().zip(nibble) {
+                    *p &= rows[usize::from(x & 15)];
+                }
+            }
+            let mut candidates = pass.iter().fold(0, |c, &p| c | p);
+            while candidates != 0 {
+                let b = 63 - candidates.leading_zeros() as usize;
+                candidates &= !(1 << b);
+                if walk.visit(self, block * SLICE + b, &words, headers) {
+                    break 'blocks;
+                }
+            }
+        }
+        walk.slice_words = ((slices.blocks - low) * slots.len() * N) as u64;
+        walk
     }
 
     /// [`Self::walk`] at [`RUN`] wide, in a function of its own, so that its loop is placed
@@ -1045,7 +1349,8 @@ impl TupleSpace {
     /// Return a hit on the first match (correct thanks to entry disjointness); a miss
     /// after all masks have been probed. It is the lane walk (`walk`) for one header: a
     /// header that disagrees with a tuple's agreement misses it without a hash, having
-    /// read for most plans the lane record alone. The hit's statistics are bumped after
+    /// read for most plans its block's slice rows or its lane record alone, and nothing
+    /// of the tuple. The hit's statistics are bumped after
     /// the walk, and what the walk read is added to [`Self::work`]'s `probe_*` counts,
     /// once.
     pub fn lookup(&mut self, header: &Key, now: f64) -> LookupOutcome {
@@ -1053,6 +1358,7 @@ impl TupleSpace {
         let work = &mut self.work;
         work.probe_lookups += 1;
         work.probe_records += walk.records as u64;
+        work.probe_slice_words += walk.slice_words;
         work.probe_second_word += walk.second_word;
         work.probe_hashed += walk.hashed;
         self.commit(&walk, 0, now)
@@ -1089,6 +1395,7 @@ impl TupleSpace {
         work.run_runs += 1;
         work.run_headers += n as u64;
         work.run_records += walk.records as u64;
+        work.run_slice_words += walk.slice_words;
         work.run_second_word += walk.second_word;
         work.run_hashed += walk.hashed;
         for (j, (&(_, now), slot)) in run[..n].iter().zip(out.iter_mut()).enumerate() {
@@ -1150,7 +1457,11 @@ impl TupleSpace {
             Some(i) => {
                 let tuple = &mut self.tuples[i];
                 tuple.push(entry, hash);
+                let was = self.lane[i].agree;
                 self.lane[i].sync(&tuple.plan);
+                if self.lane[i].agree != was {
+                    self.slices.narrow(&self.lane, i, was);
+                }
             }
             None => {
                 debug_assert!(
@@ -1170,6 +1481,9 @@ impl TupleSpace {
                 rec.sync(&tuple.plan);
                 self.lane.push(rec);
                 self.tuples.push(tuple);
+                if self.lane.len().is_multiple_of(SLICE) {
+                    self.slices.complete(&self.lane);
+                }
             }
         }
         debug_assert!(self.lane_consistent());
@@ -1327,22 +1641,26 @@ impl TupleSpace {
     }
 
     /// Drop every tuple left without entries, and its lane record. The survivors keep
-    /// their order, each record at its tuple's index.
+    /// their order, each record at its tuple's index, and the full blocks are sliced
+    /// anew.
     fn drop_emptied(&mut self) {
         let mut tuples = self.tuples.iter();
         self.lane
             .retain(|_| tuples.next().is_some_and(|t| !t.is_empty()));
         self.tuples.retain(|t| !t.is_empty());
+        self.slices.rebuild(&self.lane);
     }
 
     /// Whether lane and tuples describe one tuple space: as many records as tuples, and
     /// at each index a record whose fingerprint is its tuple's plan's and whose inline
     /// agreement words are that plan's first ones, a plan that is the tuple's mask
-    /// compiled, and a tuple [`Tuple::consistent`] with it. What debug builds assert after
-    /// every mutation. It allocates nothing, so that the allocation audit can hold a warm
-    /// mutation, this check included, to zero.
+    /// compiled, and a tuple [`Tuple::consistent`] with it; and slices that are the
+    /// lane's ([`Slices::consistent`]). What debug builds assert after every mutation. It
+    /// allocates nothing, so that the allocation audit can hold a warm mutation, this
+    /// check included, to zero.
     fn lane_consistent(&self) -> bool {
-        self.lane.len() == self.tuples.len()
+        self.slices.consistent(&self.lane)
+            && self.lane.len() == self.tuples.len()
             && self.lane.iter().zip(&self.tuples).all(|(rec, tuple)| {
                 let plan = Plan::of(&tuple.mask);
                 let mut synced = rec.clone();
@@ -1384,6 +1702,7 @@ impl TupleSpace {
     pub fn clear(&mut self) {
         self.lane.clear();
         self.tuples.clear();
+        self.slices.rebuild(&self.lane);
     }
 
     /// Verify the Independence invariant over the whole cache (O(n²); used by tests and
@@ -2113,6 +2432,40 @@ mod tests {
             reordered.lane_consistent(),
             "order is the vectors' to choose"
         );
+
+        // SipDp's explosion: eight sliced blocks, twelve slots. Row `mixed` has bits set
+        // and bits clear.
+        let (sliced, _) = sipdp_explosion(false);
+        assert!(sliced.lane_consistent());
+        let bits = &sliced.slices.bits;
+        let mixed = bits.iter().position(|&row| row != 0 && row != !0).unwrap();
+        let mut cleared = sliced.clone();
+        let row = &mut cleared.slices.bits[mixed];
+        *row &= *row - 1;
+        assert!(
+            !cleared.lane_consistent(),
+            "a record's bit is set where it passes"
+        );
+        let mut stray = sliced.clone();
+        let row = &mut stray.slices.bits[mixed];
+        *row |= !*row & row.wrapping_add(1);
+        assert!(
+            !stray.lane_consistent(),
+            "a record's bit is clear where it rules out"
+        );
+        // The last slot dropped, and every block sliced over the others: each row is its
+        // records', but an agreed nibble has no slot.
+        let mut unsliced = sliced;
+        let TupleSpace { lane, slices, .. } = &mut unsliced;
+        slices.len -= 1;
+        slices.bits.resize(slices.blocks * slices.len * 16, 0);
+        for block in 0..slices.blocks {
+            slices.slice(lane, block);
+        }
+        assert!(
+            !unsliced.lane_consistent(),
+            "every agreed nibble has a slot"
+        );
     }
 
     /// The Inv(2) walk reads a tuple's plan words only where the lane record's inline words
@@ -2543,11 +2896,15 @@ mod tests {
     /// SipDp's explosion, its trace replayed in runs of four as the datapath hands a run
     /// of hits over: each run answers as `lookup` on each header in turn, and what the
     /// walks read is pinned — `fig9a_throughput_vs_masks`'s gated `SipDp/work/run_*`
-    /// rows. The first inline word (`ip_src`) passes one record in eight to the second
-    /// (`tp_dst`), and every hash a walk takes is a hit.
+    /// rows. Its 513 records are eight sliced blocks and one record; its inline words
+    /// agree on the nibbles of `ip_src` and `tp_dst`, twelve slots. Only the records the
+    /// slices pass for some column, and the newest record where its first word (`ip_src`)
+    /// does, have their second word read: 552 of 38,673, where a record-by-record walk
+    /// read 4,926. Every hash a walk takes is a hit.
     #[test]
-    fn sipdp_runs_read_the_second_word_of_one_record_in_eight() {
+    fn sipdp_runs_read_the_second_word_of_the_records_the_slices_pass() {
         let (mut c, trace) = sipdp_explosion(false);
+        assert_eq!((c.slices.blocks, c.slices.len), (8, 12));
         let mut out = [LookupOutcome::default(); RUN];
         let mut rest = &trace[..];
         while !rest.is_empty() {
@@ -2563,10 +2920,11 @@ mod tests {
                 w.run_runs,
                 w.run_headers,
                 w.run_records,
+                w.run_slice_words,
                 w.run_second_word,
                 w.run_hashed
             ),
-            (140, 560, 38_673, 4_926, 560),
+            (140, 560, 38_673, 31_824, 552, 560),
             "561 headers: 140 runs of four, and one `lookup`"
         );
         assert_eq!(w.probe_lookups, 1, "the 561st header");
@@ -2574,14 +2932,16 @@ mod tests {
 
     /// A miss walks the whole lane for its one header, and what the walk read is pinned:
     /// SipDp's explosion pinned to TCP, probed with its trace's first header (the allowed
-    /// `ip_src` and `tp_dst`) over UDP. Every record is read — `probe_records` is
-    /// `masks_scanned` — and the first inline word (`ip_src`) passes only the records
-    /// whose tuple holds the allowed `ip_src`, each then ruled out by the second
-    /// (`ip_proto`) without a hash. The counts are a pinned baseline: a filter that skips
-    /// records lowers them on purpose.
+    /// `ip_src` and `tp_dst`) over UDP. Every record is scanned — `probe_records` is
+    /// `masks_scanned` — but the eight full blocks rule the header out on their slices,
+    /// a row per slot per block (fourteen slots: the nibbles of `ip_src`, `ip_proto` and
+    /// `tp_dst`), and only the newest record, in the partial block, is tested on its own,
+    /// and ruled out by its first inline word. No second word is read and nothing is
+    /// hashed; a record-by-record walk read sixteen second words.
     #[test]
-    fn a_miss_reads_every_record_of_an_explosion_and_hashes_none() {
+    fn a_miss_rules_out_the_full_blocks_of_an_explosion_on_their_slices() {
         let (mut c, trace) = sipdp_explosion(true);
+        assert_eq!((c.slices.blocks, c.slices.len), (8, 14));
         let proto = c.schema().field_index("ip_proto").unwrap();
         let mut header = trace[0].clone();
         header.set(proto, 17);
@@ -2597,11 +2957,296 @@ mod tests {
             TssWork {
                 probe_lookups: 1,
                 probe_records: 513,
-                probe_second_word: 16,
+                probe_slice_words: 8 * 14,
+                probe_second_word: 0,
                 probe_hashed: 0,
                 ..peeked
             }
         );
+    }
+
+    /// Item 19(b)'s tuples, the slices' worst case: seventy tuples, each holding two keys
+    /// that differ on every bit of its two inline words (`a` and `b`), so that no inline
+    /// word agrees on a nibble. There is no slot and no sliced block, and the walk reads
+    /// what a record-by-record walk reads: every record's second word, and a hash for
+    /// every header the tail (`c`) does not rule out.
+    #[test]
+    fn tuples_whose_inline_words_agree_on_nothing_get_no_slices() {
+        let c = byte_cache(
+            &(0..70)
+                .flat_map(|t| {
+                    let mask = (0xff, 0xff, t + 1);
+                    [((t, 0x0f, 0), mask), ((255 - t, 0xf0, 0), mask)]
+                })
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!((c.mask_count(), c.entry_count()), (70, 140));
+        assert!(c.lane.iter().all(|rec| rec.agree == [0; INLINE]));
+        assert_eq!((c.slices.len, c.slices.blocks), (0, 0));
+        // A miss the tails pass: every record read, its second word too, and hashed.
+        let miss = (9, 9, 0);
+        assert_eq!(
+            work_of_run(&c, &[miss]),
+            TssWork {
+                probe_lookups: 1,
+                probe_records: 70,
+                probe_second_word: 70,
+                probe_hashed: 70,
+                ..TssWork::default()
+            }
+        );
+        // A run whose first header hits the first tuple probed, and a miss every tail rules
+        // out: both columns read every record's second word, and only the hit hashes.
+        assert_eq!(
+            work_of_run(&c, &[(0, 0x0f, 0), (9, 9, 0xff)]),
+            TssWork {
+                run_runs: 1,
+                run_headers: 2,
+                run_records: 70,
+                run_second_word: 70,
+                run_hashed: 1,
+                ..TssWork::default()
+            }
+        );
+    }
+
+    /// More agreed nibbles than [`SLOTS`]: on two 128-bit fields `x` and `y` and a byte
+    /// `z` (key words 0 to 3, and 4), the first block holds four tuples under a bit of
+    /// `x` and `z` (inline words 0 and 4), then thirty under all of `x` but one bit, and
+    /// thirty under all of `y` but one bit (inline words 0 and 1, 2 and 3; `z` in the
+    /// tail), each keyed apart on `z`; six more start the next block. Words 0 to 3 fill
+    /// the 64 slots and `z`'s nibbles go unsliced, so the first four tuples are
+    /// candidates for every header, and their own test rules on `z`: every probe path
+    /// answers as the index-less scans do.
+    #[test]
+    fn an_agreed_nibble_past_the_slots_is_left_to_its_records_test() {
+        let schema = FieldSchema::new(vec![
+            FieldDef::new("x", 128),
+            FieldDef::new("y", 128),
+            FieldDef::new("z", 8),
+        ]);
+        let shape = |t: u128| match t {
+            0..4 | 64.. => ((1 << (t % 60), 0), (0, 0)),
+            4..34 => (
+                (u128::MAX ^ 1 << (2 * t), 0),
+                (t * 0x0123_4567_89ab_cdef, 0),
+            ),
+            _ => (
+                (0, u128::MAX ^ 1 << (2 * t)),
+                (0, t * 0x0fed_cba9_8765_4321),
+            ),
+        };
+        let mut c = TupleSpace::new(schema.clone());
+        let mut headers = Vec::new();
+        for t in 0..70 {
+            let ((mx, my), (x, y)) = shape(t);
+            let key = Key::from_values(&schema, &[x, y, t]);
+            let mask = Key::from_values(&schema, &[mx, my, 0xff]);
+            c.insert(key.clone(), mask, Action::Deny, 0.0).unwrap();
+            headers.push(Key::from_values(&schema, &[x, y, t ^ 0x80]));
+            headers.push(key);
+        }
+        assert_eq!((c.slices.blocks, c.slices.len), (1, SLOTS));
+        assert!(c.slices.slots.iter().all(|&(w, _)| w < 4));
+        assert_eq!(c.slices.tally[4][0] + c.slices.tally[4][1], 2 * 4);
+        agrees_with_the_scan(&c, &headers, &[]).unwrap();
+        // A header keyed like the first tuple but for `z` passes the slices of all four
+        // of the first tuples, and their records' own test rules it out.
+        let out = c.clone().lookup(&headers[0], 1.0);
+        assert_eq!((out.action, out.masks_scanned), (None, 70));
+    }
+
+    /// SipDp's explosion pinned to TCP, made once: eight full blocks and one record.
+    fn pinned_sipdp() -> &'static (TupleSpace, Vec<Key>) {
+        static PINNED: std::sync::OnceLock<(TupleSpace, Vec<Key>)> = std::sync::OnceLock::new();
+        PINNED.get_or_init(|| sipdp_explosion(true))
+    }
+
+    /// What a walk of `c` for `headers`, a column each and zero columns up to `width`,
+    /// reads, told record by record off the lane and the tuples, slices unread: the
+    /// records down to where the last header hits (all of them on a miss); a row per
+    /// slot per column of each full block reached; the second word of each record of
+    /// the partial block whose first inline word some column passes, and of each record
+    /// of a full block whose two inline words some column passes; and a hash per header
+    /// still looking per record whose agreement words it passes. As
+    /// `(records, slice words, second words, hashes)`.
+    fn reads_of(c: &TupleSpace, headers: &[&Key], width: usize) -> [u64; 4] {
+        assert!(c.slices.len < SLOTS, "every agreed nibble is sliced");
+        let mut columns: Vec<[u64; 16]> = headers.iter().map(|h| key_words(h)).collect();
+        columns.resize(width, [0; 16]);
+        let mut looking = vec![true; headers.len()];
+        let (len, sliced) = (c.lane.len(), c.slices.blocks * SLICE);
+        let (mut records, mut low, mut second_word, mut hashed) = (len, c.slices.blocks, 0, 0);
+        for i in (0..len).rev() {
+            let rec = &c.lane[i];
+            let passes = |column: &[u64; 16], k| rec.excludes(k, |w| column[w], |_| !0) == 0;
+            let read = if i >= sliced {
+                columns.iter().any(|col| passes(col, 0))
+            } else {
+                low = i / SLICE;
+                columns.iter().any(|col| passes(col, 0) && passes(col, 1))
+            };
+            if !read {
+                continue;
+            }
+            second_word += 1;
+            let tuple = &c.tuples[i];
+            for (j, header) in headers.iter().enumerate() {
+                let words = &columns[j];
+                if looking[j]
+                    && tuple
+                        .plan
+                        .iter()
+                        .all(|w| w.excludes(words[usize::from(w.word)]) == 0)
+                {
+                    hashed += 1;
+                    looking[j] = !tuple
+                        .iter()
+                        .any(|e| fields::matches(header, &e.key, &e.mask));
+                }
+            }
+            if !looking.contains(&true) {
+                records = len - i;
+                break;
+            }
+        }
+        let slice_words = (c.slices.blocks - low) * c.slices.len * width;
+        [records as u64, slice_words as u64, second_word, hashed]
+    }
+
+    /// `lookup` on each of `headers`, and `lookup_run` on each window of two to four of
+    /// them, on clones of `c`, read what [`reads_of`] says.
+    fn walks_read_what_the_records_say(
+        c: &TupleSpace,
+        headers: &[Key],
+    ) -> Result<(), TestCaseError> {
+        for header in headers {
+            let mut probed = c.clone();
+            probed.lookup(header, 9.0);
+            let (w, was) = (probed.work(), c.work());
+            let read = [
+                w.probe_records - was.probe_records,
+                w.probe_slice_words - was.probe_slice_words,
+                w.probe_second_word - was.probe_second_word,
+                w.probe_hashed - was.probe_hashed,
+            ];
+            prop_assert_eq!(read, reads_of(c, &[header], 1), "lookup {}", header);
+        }
+        for len in 2..=RUN {
+            for run in headers.windows(len) {
+                let mut ran = c.clone();
+                let keyed: Vec<(&Key, f64)> = run.iter().map(|h| (h, 9.0)).collect();
+                ran.lookup_run(&keyed, &mut [LookupOutcome::default(); RUN]);
+                let (w, was) = (ran.work(), c.work());
+                let read = [
+                    w.run_records - was.run_records,
+                    w.run_slice_words - was.run_slice_words,
+                    w.run_second_word - was.run_second_word,
+                    w.run_hashed - was.run_hashed,
+                ];
+                let run: Vec<&Key> = run.iter().collect();
+                prop_assert_eq!(read, reads_of(c, &run, RUN), "run {:?}", run);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// The slices through every mutator that moves them, from SipDp's explosion pinned
+        /// to TCP (eight full blocks and one record): `remove_where` dropping tuples picked
+        /// off the lane and `expire_idle` dropping the oldest, so that records shift
+        /// across block boundaries; `remove_mask`; a second key into tuples of full blocks
+        /// — the TCP key again over UDP, narrowing `ip_proto`, or a new `tp_src` under a
+        /// tuple made here, narrowing `tp_src` where it is inline — and new tuples, some
+        /// completing a block, under masks of `ip_src`'s top bits (none, for some, which
+        /// makes `tp_src` an inline word and its nibbles slots), `ip_proto`, `tp_src` and
+        /// some of `tp_dst`, keyed 0 but for their own `tp_src`, so that a run's zero
+        /// columns pass their inline words. After every step the lane is consistent,
+        /// every lookup, peek, conflict and run answers as the index-less scans do, and
+        /// every walk reads what the records say it reads.
+        #[test]
+        fn slices_follow_their_records_through_every_mutator(
+            steps in proptest::collection::vec((0u8..5, 0u64..1 << 20, 1u64..66), 1..7),
+        ) {
+            let (base, trace) = pinned_sipdp();
+            let mut c = base.clone();
+            let schema = c.schema().clone();
+            let field = |name| schema.field_index(name).unwrap();
+            let (sip, proto, sp, dp) = (field("ip_src"), field("ip_proto"), field("tp_src"), field("tp_dst"));
+            let pick = |seed: u64, len: usize| splitmix64_mix(seed) as usize % len.max(1);
+            // The `tp_src` of the last key made here: each key gets its own.
+            let mut fresh = 0;
+            for (step, &(op, seed, count)) in steps.iter().enumerate() {
+                let now = 1.0 + step as f64;
+                match op {
+                    0 => {
+                        let doomed: Vec<Mask> = (0..count % 6 + 1)
+                            .filter_map(|k| c.tuples.get(pick(seed + k, c.tuples.len())))
+                            .map(|t| t.mask.clone())
+                            .collect();
+                        c.remove_where(|e| doomed.contains(&e.mask));
+                    }
+                    1 => {
+                        // The explosion was installed 10 µs apart from 0.
+                        c.expire_idle((seed % 100) as f64 * 1e-5, 0.0);
+                    }
+                    2 => {
+                        if let Some(t) = c.tuples.get(pick(seed, c.tuples.len())) {
+                            let mask = t.mask.clone();
+                            prop_assert!(c.remove_mask(&mask) > 0);
+                        }
+                    }
+                    3 => {
+                        for k in 0..count % 8 + 1 {
+                            let full = c.lane.len() / SLICE * SLICE;
+                            let Some(t) = c.tuples.get(pick(seed + k, full)).filter(|_| full > 0) else {
+                                break;
+                            };
+                            let (mut key, mask) = (t.iter().next().unwrap().key.clone(), t.mask.clone());
+                            match key.get(proto) {
+                                0 => {
+                                    fresh += 1;
+                                    key.set(sp, fresh);
+                                }
+                                6 => key.set(proto, 17),
+                                _ => key.set(proto, 6),
+                            }
+                            c.insert(key, mask, Action::Deny, now).ok();
+                        }
+                    }
+                    _ => {
+                        for _ in 0..count {
+                            fresh += 1;
+                            let bits = splitmix64_mix(seed ^ fresh as u64);
+                            let top = (bits % 33) as u32;
+                            let mut mask = schema.empty_mask();
+                            mask.set(sip, (0xffff_ffffu128 << (32 - top)) & 0xffff_ffff);
+                            mask.set(proto, 0xff);
+                            mask.set(sp, 0xffff);
+                            mask.set(dp, u128::from(bits >> 8 & 0xffff));
+                            let mut key = schema.zero_value();
+                            key.set(sp, fresh);
+                            prop_assert!(c.insert(key, mask, Action::Allow, now).is_ok());
+                        }
+                    }
+                }
+                prop_assert!(c.lane_consistent(), "after op {}", op);
+                let mut udp = trace[pick(seed >> 1, trace.len())].clone();
+                udp.set(proto, 17);
+                let mut ours = schema.zero_value();
+                ours.set(sp, (seed % (fresh + 1) as u64) as u128);
+                let headers = [
+                    trace[pick(seed, trace.len())].clone(),
+                    udp,
+                    ours,
+                    trace[pick(seed >> 2, trace.len())].clone(),
+                    schema.zero_value(),
+                ];
+                let masks = c.tuples.get(pick(seed >> 3, c.tuples.len())).map(|t| t.mask.clone());
+                agrees_with_the_scan(&c, &headers, masks.as_slice())?;
+                walks_read_what_the_records_say(&c, &headers)?;
+            }
+        }
     }
 
     /// A sweep writes no agreement: the keys it leaves are a subset of those their tuple's

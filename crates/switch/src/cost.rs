@@ -44,13 +44,18 @@ impl CostModel {
     /// mask so that the degradation knee matches §5.4 (≈53 % of baseline at 17 masks for
     /// GRO OFF).
     ///
-    /// The 60 ns per mask is the paper's kernel datapath, not this implementation: a
-    /// warm, missed `TupleSpace::lookup` at the five use cases' mask counts (1 to 8209)
-    /// fits **2.7–3.0 ns per mask**, R² ≥ 0.9999 (`fig9a_throughput_vs_masks`'s
-    /// `lookup/ns_per_mask` row; five runs on a 2-vCPU Intel Xeon VM, 2.0 in a quiet
-    /// moment of that host), where the same rows at the scan before the lane record
-    /// carried its agreement words read 6.5–7.4 ns. Observation 1's linearity holds in
-    /// host time too; its slope is ~20× below the modelled one.
+    /// The 60 ns per mask is the paper's kernel datapath, not this implementation, whose
+    /// host time per scanned mask is no longer one record read: `masks_scanned` still
+    /// counts every mask Alg. 1 probes, but the lookup's walk rules out a full block of
+    /// 64 lane records with one AND per sliced nibble and reads a record only where
+    /// those words do not rule it out. A warm, missed `TupleSpace::lookup` at the five
+    /// use cases' mask counts (1 to 8209) fits **0.14 ns per mask**, R² 0.999, and
+    /// SipDp's key list in runs of four reads 0.23 ns per mask scanned
+    /// (`fig9a_throughput_vs_masks`'s `lookup/ns_per_mask` and `lookup/run_ns_per_mask`
+    /// rows, one run on a 2-vCPU Intel Xeon VM), where the walk that read every record
+    /// fit 2.0–3.0 ns and the scan before the lane record carried its agreement words
+    /// 6.5–7.4 ns. Observation 1's linearity holds in host time too; its slope is ~400×
+    /// below the modelled one.
     pub fn ovs_kernel_default() -> Self {
         CostModel {
             fixed: 1.17e-6,

@@ -21,7 +21,8 @@
 //! churn — a block of installs, then a sweep that expires a block — of a tuple four
 //! blocks long, a warm `remove_where` out of the middle of a long tuple, and a warm idle
 //! sweep of a tuple installed out of time order. So is a warm idle sweep that drops
-//! tuples: the lane and the tuples close ranks in place.
+//! tuples: the lane, the tuples and the lane's slices close ranks in place; and so is a
+//! warm insert that narrows a record of a sliced block, whose bits are rewritten in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -513,7 +514,8 @@ fn steady_state_fan_out_allocates_independently_of_batch_size() {
 
 /// SipDp's explosion, one upcall every 10 ms, swept by idle expiry a second at a time:
 /// each sweep empties about a hundred one-entry tuples and drops them, each with its lane
-/// record, and the survivors close ranks in both vectors in place.
+/// record, and the survivors close ranks in both vectors in place, the full blocks of the
+/// lane sliced anew in the slices' storage.
 #[test]
 fn a_warm_idle_sweep_that_drops_tuples_allocates_nothing() {
     let _serial = serial();
@@ -560,5 +562,58 @@ fn a_warm_idle_sweep_that_drops_tuples_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "a warm idle sweep that drops tuples must be allocation-free"
+    );
+}
+
+/// An insert that narrows a lane record of a full, sliced block rewrites that record's
+/// slice bits in place. Sixty-five tuples under three-word masks (`ip_src`, `ip_proto`,
+/// and a `tp_dst` pattern of each tuple's own), one key each, fill one sliced block and
+/// start the next. The oldest tuple, in the sliced block, is given room first: four keys
+/// that differ from its first on `tp_dst` alone, past the inline words. Each audited
+/// insert then files a key over another `ip_proto`, which narrows the record's second
+/// inline word, with the walk, the filing, the slices' rewrite and debug builds'
+/// consistency check allocating nothing.
+#[test]
+fn a_warm_insert_that_narrows_a_sliced_record_allocates_nothing() {
+    let _serial = serial();
+    let schema = FieldSchema::ovs_ipv4();
+    let field = |name| schema.field_index(name).unwrap();
+    let (ip_src, ip_proto, tp_dst) = (field("ip_src"), field("ip_proto"), field("tp_dst"));
+    let key = |src: u128, proto: u128, dst: u128| {
+        let mut key = schema.zero_value();
+        key.set(ip_src, src);
+        key.set(ip_proto, proto);
+        key.set(tp_dst, dst);
+        key
+    };
+    let mask_of = |t: u128| key(0xffff_ffff, 0xff, 0xffff ^ t);
+    // A cache, warmed: tuple 0 holds five keys, its log and its index sized for eight.
+    let warmed = || {
+        let mut cache = TupleSpace::new(schema.clone());
+        for t in 0..65 {
+            cache
+                .insert(key(t, 6, 0), mask_of(t), Action::Deny, 0.0)
+                .unwrap();
+        }
+        for dst in 1..5 {
+            cache
+                .insert(key(0, 6, dst), mask_of(0), Action::Deny, 0.0)
+                .unwrap();
+        }
+        cache
+    };
+    let mut caches: Vec<(TupleSpace, Key, Mask)> = (0..5)
+        .map(|_| (warmed(), key(0, 17, 4), mask_of(0)))
+        .collect();
+    let mut fresh = caches.iter_mut();
+    let allocs = allocations_during(|| {
+        let (cache, key, mask) = fresh.next().unwrap();
+        let (key, mask) = (key.clone(), mask.clone());
+        cache.insert(key, mask, Action::Deny, 1.0).unwrap();
+        assert_eq!((cache.mask_count(), cache.entry_count()), (65, 70));
+    });
+    assert_eq!(
+        allocs, 0,
+        "a warm insert that narrows a sliced record must be allocation-free"
     );
 }
